@@ -211,6 +211,12 @@
 //
 //   - TopKScratch + TopKInto: top-k selection into caller-owned storage.
 //     TopK remains the convenience wrapper that allocates per call.
+//     Selection is a comparison-free radix pipeline over the bit pattern
+//     with the sign cleared, so its order is defined on NaN, ±Inf, −0 and
+//     denormals too (see TopK). The scratch is working memory only — a
+//     slab of max(D, 2k) words, dead when the call returns — so hold
+//     one per goroutine that selects, not one per vector selected from:
+//     the engine keeps Workers of them for any number of clients.
 //   - AggScratch + the ScratchAggregator interface: every built-in
 //     Strategy aggregates allocation-free into a caller-owned scratch,
 //     computing the main k-element selection and the k′-probe selection

@@ -156,7 +156,7 @@ steps:
 			for _, ci := range participants {
 				partWeight += clients[ci].weight
 			}
-			parallelFor(cfg.Workers, nPart, func(pi, _ int) {
+			parallelFor(cfg.Workers, nPart, func(pi, w int) {
 				c := clients[participants[pi]]
 				c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
 				xs, ys := c.xs, c.ys
@@ -185,7 +185,7 @@ steps:
 					}
 					slot.pairVal[pi] = vals
 				} else {
-					c.pairs = sparse.TopKInto(c.pairs, &c.topk, c.acc, kInt)
+					c.pairs = sparse.TopKInto(c.pairs, &ar.topk[w], c.acc, kInt)
 					pairs = c.pairs
 					slot.pairIdx[pi] = append(slot.pairIdx[pi][:0], pairs.Idx...)
 					slot.pairVal[pi] = append(slot.pairVal[pi][:0], pairs.Val...)

@@ -15,11 +15,11 @@
 //     overhead as k-element GS.
 //
 // The steady-state round loop is allocation-free on the sequential path
-// (Workers <= 1): every per-round buffer (top-k scratch, minibatch views,
-// upload slots, probe losses, selection membership) lives in a per-run
-// round arena or per-client scratch and is reused across rounds. Only
-// user-facing outputs (RoundStats, recorded per-client counts) and
-// optional paths (quantization clones, cadenced evaluations,
+// (Workers <= 1): every per-round buffer (per-worker top-k scratch,
+// minibatch views, upload slots, probe losses, selection membership) lives
+// in a per-run round arena or per-client scratch and is reused across
+// rounds. Only user-facing outputs (RoundStats, recorded per-client
+// counts) and optional paths (quantization clones, cadenced evaluations,
 // mandated-index strategies) still allocate. With Workers > 1 each
 // fan-out additionally spawns its pool goroutines, a small per-round
 // constant that buys the parallel speedup.
@@ -251,10 +251,12 @@ type Result struct {
 }
 
 // client is one simulated participant. Alongside its model and residuals
-// it owns the reusable hot-loop buffers of phase A — top-k scratch,
-// upload pair storage, mandated-value storage, and minibatch views — so
-// per-round selection allocates nothing. All of it is single-goroutine
-// state touched only by whichever worker runs this client's iteration.
+// it owns the reusable hot-loop buffers of phase A whose contents outlive
+// the iteration — upload pair storage, mandated-value storage, and
+// minibatch views — so per-round selection allocates nothing. All of it
+// is single-goroutine state touched only by whichever worker runs this
+// client's iteration. The top-k working memory is not here: it is dead
+// once TopKInto returns, so the round arena holds one per worker.
 type client struct {
 	net    *nn.Network
 	acc    []float64 // a_i, the accumulated local gradient
@@ -262,7 +264,6 @@ type client struct {
 	weight float64 // C_i
 	rng    *rand.Rand
 
-	topk    sparse.TopKScratch
 	pairs   sparse.Vec
 	mandVal []float64
 	xs      [][]float64
@@ -466,7 +467,8 @@ type roundArena struct {
 	partGen   []int32 // … valid iff partGen[ci] == partEpoch
 	partEpoch int32
 
-	saved [][]float64 // per-worker probe save/restore buffers
+	saved [][]float64          // per-worker probe save/restore buffers
+	topk  []sparse.TopKScratch // per-worker top-k working memory
 
 	// mand backs the allocation-free mandated-index draws (periodic-k's
 	// Fisher–Yates, send-all's identity set), so those strategies stop
@@ -489,6 +491,7 @@ func newRoundArena(d, nClients, pool int) *roundArena {
 		partPos:      make([]int, nClients),
 		partGen:      make([]int32, nClients),
 		saved:        make([][]float64, pool),
+		topk:         make([]sparse.TopKScratch, pool),
 	}
 }
 
@@ -643,7 +646,7 @@ func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.Cost
 		for _, ci := range participants {
 			partWeight += clients[ci].weight
 		}
-		parallelFor(cfg.Workers, nPart, func(pi, _ int) {
+		parallelFor(cfg.Workers, nPart, func(pi, w int) {
 			c := clients[participants[pi]]
 			c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
 			xs, ys := c.xs, c.ys
@@ -666,7 +669,7 @@ func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.Cost
 				}
 				pairs = sparse.Vec{Idx: mandated, Val: vals}
 			} else {
-				c.pairs = sparse.TopKInto(c.pairs, &c.topk, c.acc, kInt)
+				c.pairs = sparse.TopKInto(c.pairs, &ar.topk[w], c.acc, kInt)
 				pairs = c.pairs
 			}
 			if cfg.QuantBits > 0 {

@@ -14,14 +14,18 @@ import "fedsparse/internal/par"
 //
 //   - Each client owns its *nn.Network — layers cache forward activations
 //     per instance, so a network is single-goroutine scratch — plus its
-//     residual accumulator a_i, its *rand.Rand, and its reusable top-k /
-//     upload / minibatch buffers. Every random draw a client makes
+//     residual accumulator a_i, its *rand.Rand, and its reusable upload /
+//     minibatch buffers. Every random draw a client makes
 //     (minibatch, probe sample) comes from its own stream and happens in a
 //     fixed per-client order, so the streams advance identically
 //     regardless of how iterations are scheduled.
 //   - tensor kernels are stateless; sparse.TopKInto touches only the
-//     caller-owned scratch (one scratch per client); sparse.Quantize
-//     clones.
+//     caller-owned scratch, and its output is a function of (vector, k)
+//     alone — the scratch carries nothing between calls. So the round
+//     arena keeps one scratch per worker, indexed by par.For's stable
+//     worker id next to the probe save buffers: at most Workers
+//     selections ever run at once, whichever clients they serve.
+//     sparse.Quantize clones.
 //   - dataset.BatchInto fills caller-owned buffers with read-only views of
 //     the client's samples.
 //   - The engine rng (stochastic k rounding, participant selection,

@@ -1,25 +1,27 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// requireSameVec asserts two selections are identical element by element.
+// requireSameVec asserts two selections are identical element by element,
+// values bit for bit (so NaNs and signed zeros compare too).
 func requireSameVec(t *testing.T, label string, a, b Vec) {
 	t.Helper()
 	if a.Len() != b.Len() {
 		t.Fatalf("%s: lengths %d vs %d", label, a.Len(), b.Len())
 	}
 	for i := range a.Idx {
-		if a.Idx[i] != b.Idx[i] || a.Val[i] != b.Val[i] {
+		if a.Idx[i] != b.Idx[i] || math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
 			t.Fatalf("%s: element %d: (%d, %v) vs (%d, %v)",
 				label, i, a.Idx[i], a.Val[i], b.Idx[i], b.Val[i])
 		}
 	}
 }
 
-// TestTopKDifferentialRandom cross-checks the quickselect TopK against the
+// TestTopKDifferentialRandom cross-checks the radix TopK against the
 // heap reference on continuous random vectors across a spread of sizes,
 // including k near 0, near d, and beyond d.
 func TestTopKDifferentialRandom(t *testing.T) {

@@ -7,7 +7,9 @@ package sparse
 import (
 	"container/heap"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -50,13 +52,20 @@ func FromDense(dense []float64) Vec {
 	return v
 }
 
+// rankKey maps x to the integer that defines the top-k rank order: the
+// IEEE-754 bit pattern with the sign cleared. Unsigned order on keys is
+// |x| order on finite values, and it stays a total order on every other
+// bit pattern: −0 ≡ +0 (key 0), denormals sit just above zero, ±Inf rank
+// above every finite value, and a NaN ranks above +Inf, by payload.
+func rankKey(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
+
 // rankLess reports whether element (i of dense) outranks element j under
-// the deterministic top-k order: larger |value| first, smaller index on
+// the deterministic top-k order: larger rankKey first, smaller index on
 // ties. Total and strict for i != j, so selection results are unique.
 func rankLess(dense []float64, i, j int) bool {
-	ai, aj := math.Abs(dense[i]), math.Abs(dense[j])
-	if ai != aj {
-		return ai > aj
+	ki, kj := rankKey(dense[i]), rankKey(dense[j])
+	if ki != kj {
+		return ki > kj
 	}
 	return i < j
 }
@@ -65,145 +74,214 @@ func rankLess(dense []float64, i, j int) bool {
 // sorted by rank (|value| descending, index ascending on ties). If
 // k >= len(dense) every element is returned; k <= 0 returns an empty Vec.
 //
-// Selection uses expected-O(D) quickselect followed by an O(k log k) sort
-// of the selected prefix; TopKHeap is the O(D log k) reference
-// implementation the tests cross-check against. TopK is a thin wrapper
-// over TopKInto that allocates fresh storage per call; hot paths should
-// hold a TopKScratch and call TopKInto directly.
+// The order is defined on every bit pattern, not only on finite values:
+// elements compare by rankKey, so −0 ties with +0, denormals rank just
+// above zero, ±Inf above every finite value and NaN above +Inf (by
+// payload). Whether to accept non-finite values is the caller's policy;
+// selection is deterministic on them.
+//
+// Selection is comparison-free: a radix select of the k-th largest key,
+// one filter pass, and a stable radix sort of the survivors — O(D + k)
+// sequential passes with no data-dependent pivots. TopKHeap is the
+// O(D log k) reference the tests cross-check against. TopK is a thin
+// wrapper over TopKInto that allocates fresh storage per call; hot paths
+// should hold a TopKScratch and call TopKInto directly.
 func TopK(dense []float64, k int) Vec {
 	return TopKInto(Vec{}, nil, dense, k)
 }
 
-// TopKScratch is the reusable state of TopKInto: the O(D) index buffer the
-// quickselect partitions, plus the persistent pivot rng. The selection
-// result is a deterministic function of (dense, k) alone — the rng only
-// picks pivots, and the selected set plus its final rank order are unique
-// under the strict total order — so reusing one scratch across calls (and
-// letting the rng state advance) cannot change any output. A scratch is
-// single-goroutine state: give each concurrent selector its own.
+// TopKScratch is the reusable working memory of TopKInto: one slab that
+// first holds the select's candidate keys (D words), then the selected
+// indices and the sort's spare (k words each). It carries nothing from one
+// call to the next — the result is a function of (dense, k) alone — and
+// its zero value is ready to use. The slab only grows, so a scratch warmed
+// at k = D serves every smaller k and D without allocating. A scratch is
+// single-goroutine state: one per concurrent selector (per worker, not
+// per client — see internal/fl).
 type TopKScratch struct {
-	idx []int
-	rng *rand.Rand
+	slab []uint64
 }
 
 // TopKInto is TopK writing into caller-owned storage: dst's slices are
-// reused when their capacity suffices (grown otherwise), and scratch holds
-// the index buffer and pivot rng across calls. After the first call at a
-// given dimension, steady-state selection performs zero allocations. A nil
-// scratch allocates a transient one, which is exactly TopK.
+// reused when their capacity suffices (grown otherwise) and scratch holds
+// the working memory across calls, so steady-state selection performs zero
+// allocations. A nil scratch allocates a transient one, which is exactly
+// TopK. len(dense) must fit in 32 bits, as indices do on the wire.
 func TopKInto(dst Vec, scratch *TopKScratch, dense []float64, k int) Vec {
 	d := len(dense)
 	if k <= 0 || d == 0 {
 		dst.Idx, dst.Val = dst.Idx[:0], dst.Val[:0]
 		return dst
 	}
-	if k > d {
-		k = d
-	}
+	k = min(k, d)
 	var local TopKScratch
 	if scratch == nil {
 		scratch = &local
 	}
-	if cap(scratch.idx) < d {
-		scratch.idx = make([]int, d)
+	if need := max(d, 2*k+2); cap(scratch.slab) < need {
+		scratch.slab = make([]uint64, need)
 	}
-	idx := scratch.idx[:d]
-	for i := range idx {
-		idx[i] = i
+	// The select is done with cand before the filter first writes sel.
+	cand, sel, tmp := scratch.slab[:d], scratch.slab[:k+2], scratch.slab[k+2:2*k+2]
+	dst.Idx, dst.Val = slices.Grow(dst.Idx[:0], k)[:k], slices.Grow(dst.Val[:0], k)[:k]
+
+	// The cut: every key above t is selected, plus the first `ties`
+	// elements in index order that carry exactly t — and those rank last,
+	// in that same order.
+	t, ties, hi := kthKey(dense, k, cand)
+	above := k - ties
+	filter(sel, dense, t, above, ties)
+	emit(dst, above, sel[above+1:k+1], dense)
+	// The keys above t are radix-sorted on a window: the top windowBits of
+	// their offset from t. That leaves them sorted except where distinct
+	// keys share a window — rare and adjacent on real data — which an
+	// insertion pass over the output repairs.
+	top, base := sel[:above], t+1
+	if above > repairMax {
+		radixSort(top, tmp, dense, base, max(bits.Len64(hi-base)-windowBits, 0))
 	}
-	if k < d {
-		if scratch.rng == nil {
-			// Any seed works: pivots affect running time, never results.
-			scratch.rng = rand.New(rand.NewSource(int64(d)*1e6 + int64(k)))
+	emit(dst, 0, top, dense)
+	if !repair(dst, above) {
+		// Long runs of distinct keys inside one window: sort on every
+		// window of the offset instead, lowest first.
+		for shift := 0; (hi-base)>>shift != 0; shift += windowBits {
+			radixSort(top, tmp, dense, base, shift)
 		}
-		quickselect(dense, idx, k, scratch.rng)
-	}
-	sel := idx[:k]
-	sortByRank(dense, sel)
-	if cap(dst.Idx) < k {
-		dst.Idx = make([]int, k)
-	} else {
-		dst.Idx = dst.Idx[:k]
-	}
-	if cap(dst.Val) < k {
-		dst.Val = make([]float64, k)
-	} else {
-		dst.Val = dst.Val[:k]
-	}
-	for i, ix := range sel {
-		dst.Idx[i] = ix
-		dst.Val[i] = dense[ix]
+		emit(dst, 0, top, dense)
 	}
 	return dst
 }
 
-// sortByRank heapsorts sel into rank order (rankLess first). Heapsort
-// keeps the hot selection path allocation-free — sort.Slice costs a
-// closure and reflection per call — and because rankLess is a strict
-// total order the resulting permutation is identical for any correct
-// sorting algorithm.
-func sortByRank(dense []float64, sel []int) {
-	n := len(sel)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownRank(dense, sel, i, n)
+const (
+	// digitBits is the radix of the select and of the sort. The select's
+	// first digit is then the whole exponent, where gradient magnitudes
+	// spread; the sort orders a window of two digits per call.
+	digitBits  = 11
+	digitMask  = 1<<digitBits - 1
+	windowBits = 2 * digitBits
+	// repairMax bounds how far the insertion repair moves one element.
+	repairMax = 32
+)
+
+// kthKey returns the k-th largest rank key of dense (0 < k <= len(dense)),
+// how many of the elements carrying exactly that key belong to the top k,
+// and the largest key. It is an MSD radix select over the keys in cand
+// (len(cand) = len(dense)): histogram a digit, walk the buckets from the
+// top to the one holding the k-th largest, keep only that bucket's keys,
+// and go on from the highest bit the survivors still differ in — so it
+// ends as soon as they are all equal.
+func kthKey(dense []float64, k int, cand []uint64) (t uint64, ties int, hi uint64) {
+	var hist [1 << digitBits]uint32
+	for i, x := range dense {
+		key := rankKey(x)
+		cand[i] = key
+		hist[key>>52]++
+		hi = max(hi, key)
 	}
-	for end := n - 1; end > 0; end-- {
-		sel[0], sel[end] = sel[end], sel[0]
-		siftDownRank(dense, sel, 0, end)
+	for shift, need := 52, k; ; {
+		b := digitMask
+		for ; int(hist[b]) < need; b-- {
+			need -= int(hist[b])
+		}
+		n := 0
+		for _, key := range cand {
+			cand[n] = key
+			n += int(((key>>shift&digitMask ^ uint64(b)) - 1) >> 63) // 1 iff the digit is b
+		}
+		cand = cand[:n]
+		var diff uint64
+		for _, key := range cand {
+			diff |= key ^ cand[0]
+		}
+		if diff == 0 {
+			return cand[0], need, hi
+		}
+		shift = max(bits.Len64(diff)-digitBits, 0)
+		clear(hist[:])
+		for _, key := range cand {
+			hist[key>>shift&digitMask]++
+		}
 	}
 }
 
-// siftDownRank restores the max-heap property (rank-last element at the
-// root) for the subtree of sel[:end] rooted at root.
-func siftDownRank(dense []float64, sel []int, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && rankLess(dense, sel[child], sel[child+1]) {
-			child++
-		}
-		if !rankLess(dense, sel[root], sel[child]) {
-			return
-		}
-		sel[root], sel[child] = sel[child], sel[root]
-		root = child
+// filter is the selection pass, in index order: the indices of the keys
+// above t fill sel[:above], those of the first `ties` elements equal to t
+// fill sel[above+1:above+1+ties]. Stores are unconditional and the cursors
+// advance by comparison bits, so the pass has no data-dependent branch;
+// sel[above] and sel[above+1+ties] only catch stores of unselected
+// elements.
+func filter(sel []uint64, dense []float64, t uint64, above, ties int) {
+	tie := sel[above+1 : above+2+ties]
+	na, ne := 0, 0
+	for i, x := range dense {
+		key := rankKey(x)
+		sel[na] = uint64(i)
+		tie[min(ne, ties)] = uint64(i)
+		na += int((t - key) >> 63)       // 1 iff key > t: both are below 2^63
+		ne += int(((key ^ t) - 1) >> 63) // 1 iff key == t
 	}
 }
 
-// quickselect partitions idx so that its first k entries are the k
-// top-ranked elements (in arbitrary order).
-func quickselect(dense []float64, idx []int, k int, rng *rand.Rand) {
-	lo, hi := 0, len(idx) // half-open [lo, hi)
-	for hi-lo > 1 {
-		// Random pivot guards against adversarial orderings.
-		p := lo + rng.Intn(hi-lo)
-		idx[lo], idx[p] = idx[p], idx[lo]
-		pivot := idx[lo]
-		// Hoare-style partition: ranks-before-pivot to the left.
-		i, j := lo+1, hi-1
-		for i <= j {
-			for i <= j && rankLess(dense, idx[i], pivot) {
-				i++
-			}
-			for i <= j && !rankLess(dense, idx[j], pivot) {
-				j--
-			}
-			if i < j {
-				idx[i], idx[j] = idx[j], idx[i]
-			}
-		}
-		idx[lo], idx[j] = idx[j], idx[lo]
-		switch {
-		case j == k || j == k-1:
-			return
-		case j > k:
-			hi = j
-		default:
-			lo = j + 1
-		}
+// emit writes the elements recs names in its low 32 bits to dst[at:].
+func emit(dst Vec, at int, recs []uint64, dense []float64) {
+	idx, val := dst.Idx[at:at+len(recs)], dst.Val[at:at+len(recs)]
+	for i, e := range recs {
+		idx[i], val[i] = int(uint32(e)), dense[uint32(e)]
 	}
+}
+
+// radixSort stably sorts recs — element indices in the low 32 bits — by
+// descending window of their keys, windowBits of (key − base) >> shift,
+// with one LSD pass per digit; a digit on which all windows agree is
+// skipped. tmp is spare room of the same length; the result is in recs.
+func radixSort(recs, tmp []uint64, dense []float64, base uint64, shift int) {
+	var hist [2][1 << digitBits]uint32
+	for i, e := range recs {
+		w := (rankKey(dense[uint32(e)]) - base) >> (shift & 63)
+		hist[0][w&digitMask]++
+		hist[1][w>>digitBits&digitMask]++
+		recs[i] = w<<32 | e&math.MaxUint32
+	}
+	src, dst := recs, tmp[:len(recs)]
+	for p := range hist {
+		h := &hist[p]
+		if slices.Contains(h[:], uint32(len(recs))) {
+			continue
+		}
+		var sum uint32
+		for dg := digitMask; dg >= 0; dg-- {
+			h[dg], sum = sum, sum+h[dg]
+		}
+		for _, e := range src {
+			dg := e >> (32 + digitBits*p) & digitMask
+			dst[h[dg]] = e
+			h[dg]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &recs[0] {
+		copy(recs, src)
+	}
+}
+
+// repair finishes sorting v[:n] by stable insertion on the full rank key,
+// linear on nearly sorted input. It gives up, returning false, on an
+// element more than repairMax places from home.
+func repair(v Vec, n int) bool {
+	for i := 1; i < n; i++ {
+		ix, x, j := v.Idx[i], v.Val[i], i
+		if rankKey(v.Val[i-1]) >= rankKey(x) {
+			continue
+		}
+		for ; j > 0 && rankKey(v.Val[j-1]) < rankKey(x); j-- {
+			if i-j == repairMax {
+				return false
+			}
+			v.Idx[j], v.Val[j] = v.Idx[j-1], v.Val[j-1]
+		}
+		v.Idx[j], v.Val[j] = ix, x
+	}
+	return true
 }
 
 // TopKHeap is the reference top-k selection via a size-k min-heap,

@@ -232,8 +232,8 @@ func benchDense(n int) []float64 {
 	return dense
 }
 
-// Ablation bench pair (DESIGN.md §4): quickselect vs heap top-k.
-func BenchmarkTopKQuickselect(b *testing.B) {
+// Ablation bench pair (DESIGN.md §4): the radix kernel vs heap top-k.
+func BenchmarkTopKRadix(b *testing.B) {
 	dense := benchDense(100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -34,6 +34,14 @@ go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./intern
 go test -race -count=1 \
   -run 'Crash|Rejoin|Resume|Retry|Fault|Flaky|Durable|Halt|Deadline|Torn|Corrupt|Churn' \
   ./internal/wal/... ./internal/transport/... ./internal/fl/... ./cmd/flsim/...
+# Bounded fuzz of the top-k kernel against its heap oracle: the committed
+# finds under internal/sparse/testdata/fuzz already ran as unit tests
+# above; this spends ten more seconds looking for new ones.
+go test ./internal/sparse -run '^$' -fuzz FuzzTopKInto -fuzztime 10s
+# End-to-end smoke of the benchmark in BENCHMARK.json: 30 rounds of every
+# workload over loopback TCP, PASS/FAIL on bit-identity with the fl.Run
+# twin only (no timings are read).
+bash bench/run.sh -check
 # Bench smoke, one iteration each: keeps the benchmark code compiling
 # AND executing without paying for real timings. The -bench patterns
 # live once, in scripts/benchcheck's tracked table, and the run is
