@@ -335,15 +335,16 @@ type (
 	DirectScratch = gs.DirectScratch
 )
 
-// NewAggScratch builds an aggregation scratch whose reductions use up to
-// the given number of workers (<= 1 stays sequential).
+// NewAggScratch builds an aggregation scratch. The argument is ignored
+// (the reduction runs on the calling goroutine); pass 0.
 var NewAggScratch = gs.NewAggScratch
 
 // NewShardedScratch builds an in-process sharded aggregation scratch;
 // RangeReduceInto is the per-shard range reduction it (and the transport
 // tier's shard processes) are built on; NewDirectScratch is its
 // client-direct counterpart; ValidateRangeSlice is the shared slice
-// validation both shard topologies trust before reducing. MemberSpans
+// validation both shard topologies trust before reducing (shape, range,
+// duplicates, rank order, and finite values). MemberSpans
 // and BuildDownlinkSlice are the downlink counterparts: the
 // coordinator-side split of a selection into per-shard seal spans, and
 // the shard-side reconstruction of a sealed span's broadcast slice from

@@ -114,7 +114,7 @@ func runGSAsync(cfg Config, clients []*client, totalWeight float64, cost simtime
 		shardSel = cfg.Strategy.(gs.ShardSelector)
 		shardedAgg = gs.NewShardedScratch(cfg.Shards, cfg.Workers, d)
 	} else if scratchAgg != nil {
-		aggScratch = gs.NewAggScratch(cfg.Workers)
+		aggScratch = gs.NewAggScratch(0)
 		aggScratch.Reserve(d)
 	}
 	mandInto, _ := cfg.Strategy.(gs.MandatedIntoStrategy)

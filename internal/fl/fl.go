@@ -140,8 +140,9 @@ type Config struct {
 
 	// Workers fans the per-client work of each round (local gradients,
 	// residual accumulation, top-k extraction, broadcast application,
-	// probe losses) and the server-side weighted reductions (FedAvg's
-	// average, the GS sparse aggregation) out over this many goroutines.
+	// probe losses), FedAvg's weighted average and the sharded tiers'
+	// per-shard reductions out over this many goroutines (the unsharded
+	// GS aggregation is one goroutine's work — see gs.AggScratch).
 	// 0 runs the sequential legacy path. Results are bit-identical at
 	// every worker count: each client owns its model, residuals, rng, and
 	// scratch; workers write into slots indexed by client position; and
@@ -564,7 +565,7 @@ func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.Cost
 		shardSel = cfg.Strategy.(gs.ShardSelector)
 		shardedAgg = gs.NewShardedScratch(cfg.Shards, cfg.Workers, d)
 	} else if scratchAgg != nil {
-		aggScratch = gs.NewAggScratch(cfg.Workers)
+		aggScratch = gs.NewAggScratch(0)
 		aggScratch.Reserve(d) // uploads only carry coordinates < d
 	}
 	// Mandated-index strategies draw through the arena scratch when they

@@ -77,11 +77,12 @@ func AppendFillCands(dst []FillCand, slices []ClientUpload, ranks [][]int, kappa
 // ValidateRangeSlice checks one client's range slice — routed by the
 // coordinator (RunShard) or uploaded directly by the client — against the
 // shard's coordinate range: parallel index/value/rank lengths,
-// coordinates inside [lo, hi), no coordinate repeated, and strictly
-// ascending non-negative ranks. seen is an epoch slab over the
-// coordinate space (seen[j] == gen marks j used); the caller bumps gen
-// once per slice. Both shard paths share this helper, so the validation
-// the aggregation trusts cannot drift between topologies.
+// coordinates inside [lo, hi), no coordinate repeated, finite values (a
+// NaN or ±Inf summed into the model stays there, and error feedback keeps
+// re-sending it), and strictly ascending non-negative ranks. seen is an
+// epoch slab over the coordinate space (seen[j] == gen marks j used); the
+// caller bumps gen once per slice. Both shard paths share this helper, so
+// the validation the aggregation trusts cannot drift between topologies.
 func ValidateRangeSlice(idx []int, val []float64, rank []int, lo, hi int, seen []int, gen int) error {
 	if len(idx) != len(val) || len(idx) != len(rank) {
 		return fmt.Errorf("gs: inconsistent slice shape (%d/%d/%d entries)", len(idx), len(val), len(rank))
@@ -94,6 +95,9 @@ func ValidateRangeSlice(idx []int, val []float64, rank []int, lo, hi int, seen [
 			return fmt.Errorf("gs: duplicate index %d", j)
 		}
 		seen[j] = gen
+		if v := val[pi]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("gs: non-finite value %v at index %d", v, j)
+		}
 		if rank[pi] < 0 || (pi > 0 && rank[pi] <= rank[pi-1]) {
 			return fmt.Errorf("gs: ranks not ascending at entry %d", pi)
 		}
@@ -408,7 +412,7 @@ func NewDirectScratch(shards, workers, dim int) *DirectScratch {
 	ds := &DirectScratch{
 		dim:     dim,
 		workers: workers,
-		sel:     NewAggScratch(workers),
+		sel:     NewAggScratch(0),
 		reds:    make([]RangeAgg, shards),
 		bounds:  make([]int, shards+1),
 		offs:    make([][]int, shards),

@@ -2,6 +2,7 @@ package gs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -122,6 +123,9 @@ func TestValidateRangeSlice(t *testing.T) {
 		{"rank order", []int{3, 4}, []float64{1, 2}, []int{5, 2}, "ranks not ascending"},
 		{"negative rank", []int{3}, []float64{1}, []int{-1}, "ranks not ascending"},
 		{"equal ranks", []int{3, 4}, []float64{1, 2}, []int{2, 2}, "ranks not ascending"},
+		{"NaN", []int{3, 4}, []float64{1, math.NaN()}, []int{0, 1}, "non-finite value NaN at index 4"},
+		{"+Inf", []int{3}, []float64{math.Inf(1)}, []int{0}, "non-finite value +Inf at index 3"},
+		{"-Inf", []int{5, 3}, []float64{math.Inf(-1), 1}, []int{0, 1}, "non-finite value -Inf at index 5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,6 +134,12 @@ func TestValidateRangeSlice(t *testing.T) {
 				t.Fatalf("error %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+	// Finite oddities are values like any other: both zeros, the smallest
+	// denormal, the largest finite magnitude.
+	if err := check([]int{2, 3, 4, 5, 6}, []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, -math.MaxFloat64},
+		[]int{0, 1, 2, 3, 4}); err != nil {
+		t.Fatalf("finite edge values rejected: %v", err)
 	}
 	// The epoch slab carries no state across generations: a coordinate
 	// used in one slice is fine in the next.

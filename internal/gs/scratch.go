@@ -3,10 +3,8 @@ package gs
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"fedsparse/internal/par"
-	"fedsparse/internal/tensor"
 )
 
 // This file is the production aggregation path: epoch-stamped dense
@@ -16,31 +14,27 @@ import (
 // per run and calls AggregateInto once per round, computing the k-element
 // aggregate and the k′-probe aggregate in a single pass over the uploads.
 //
-// Determinism contract: for every strategy, every (k, probeK), and every
-// worker count, AggregateInto returns results bit-identical to the
-// reference Aggregate — same indices, same float64 values, same fairness
-// counts. Selection is integer work with strict total tie-breaks, so it is
-// trivially deterministic; the floating-point sums are deterministic
-// because each coordinate's additions always run in ascending client
-// order. The parallel path partitions the *coordinates* across workers
-// (never the clients), so parallelism changes which goroutine computes a
-// chain, never the chain itself. The differential suite pins all of this.
-
-// parallelAggMinPairs gates the parallel reduction: below this many
-// uploaded pairs the fan-out overhead exceeds the aggregation itself and
-// the sequential path is used. Results are identical either way.
-const parallelAggMinPairs = 4096
+// Determinism contract: for every strategy and every (k, probeK),
+// AggregateInto returns results bit-identical to the reference Aggregate —
+// same indices, same float64 values, same fairness counts. Selection is
+// integer work with strict total tie-breaks, so it is trivially
+// deterministic; the floating-point sums are deterministic because each
+// coordinate's additions always run in ascending client order. The
+// differential suite pins all of this.
+//
+// The reduction is one goroutine's work on purpose: the selection's κ
+// search dominates a round's aggregate, and what a coordinate-chunked
+// fan-out needs first — every uploaded pair copied into per-chunk buckets —
+// costs what the fan-out saves (measured at the engine's shape on two
+// cores; ROADMAP item 4 has the runs).
 
 // AggScratch holds the reusable state of the scratch-based aggregation
 // paths. The zero value is NOT ready to use; call NewAggScratch. A scratch
 // may be reused across rounds and runs of any strategies and dimensions —
 // buffers grow to the largest dimension seen — but is single-goroutine
-// state (the parallel reduction inside AggregateInto manages its own
-// workers). Aggregates returned by AggregateInto alias the scratch's
-// output buffers and stay valid only until its next call.
+// state. Aggregates returned by AggregateInto alias the scratch's output
+// buffers and stay valid only until its next call.
 type AggScratch struct {
-	workers int
-
 	// reserved means Reserve fixed the slab dimension: skip the per-call
 	// maxDim scan and trust coordinates to be in range.
 	reserved bool
@@ -70,7 +64,6 @@ type AggScratch struct {
 	allUploaded  []int // FUB ranking: every uploaded index, insertion order
 	entries      []fubEntry
 	cands        []fabCand
-	unionBuf     []int // parallel path: merged main ∪ probe members
 
 	// Sharded-aggregation buffers (shard.go): the range reduction's
 	// outputs and the coordinator-side selection's min-rank histogram.
@@ -87,12 +80,6 @@ type AggScratch struct {
 	outIdxProbe  []int
 	outValProbe  []float64
 	outUsedProbe []int
-
-	// Parallel reduction: index-sorted copies of the uploads in CSR layout
-	// (client ci owns csrIdx/csrVal[csrOff[ci]:csrOff[ci+1]]).
-	csrOff []int
-	csrIdx []int
-	csrVal []float64
 }
 
 // fubEntry is one aggregated coordinate in FUB's |b_j| ranking.
@@ -108,10 +95,11 @@ type fabCand struct {
 	client int
 }
 
-// NewAggScratch returns an empty scratch whose parallel reduction uses up
-// to `workers` goroutines (<= 1 keeps every aggregation sequential).
-func NewAggScratch(workers int) *AggScratch {
-	return &AggScratch{workers: workers}
+// NewAggScratch returns an empty scratch. The argument is ignored: the
+// signature is held by the facade's NewAggScratch and by bench/ (frozen by
+// BENCHMARK.json).
+func NewAggScratch(int) *AggScratch {
+	return &AggScratch{}
 }
 
 // ScratchAggregator is implemented by every built-in strategy: the
@@ -120,12 +108,9 @@ func NewAggScratch(workers int) *AggScratch {
 // uploads. Both returned Aggregates alias the scratch's buffers — valid
 // until its next use. With probeK <= 0 the probe Aggregate is zero.
 //
-// Uploads must not repeat a coordinate within one client's pairs — every
+// Uploads must not repeat a coordinate within one client's pairs; every
 // real producer (TopK selection, Quantize, the mandated-index strategies)
-// already guarantees this. The parallel reduction's index sort relies on
-// it: with a duplicated coordinate the within-client addition order would
-// become unspecified, and the bit-identical-at-any-worker-count contract
-// would not hold for that degenerate input.
+// guarantees it, and no differential suite covers the degenerate input.
 type ScratchAggregator interface {
 	AggregateInto(s *AggScratch, uploads []ClientUpload, k, probeK int) (main, probe Aggregate)
 }
@@ -178,14 +163,6 @@ func maxDim(uploads []ClientUpload) int {
 		}
 	}
 	return d
-}
-
-func totalPairs(uploads []ClientUpload) int {
-	n := 0
-	for _, u := range uploads {
-		n += u.Pairs.Len()
-	}
-	return n
 }
 
 // countUnionUpTo returns |∪_i J_i^κ| using the transient slab.
@@ -402,8 +379,8 @@ func (s *AggScratch) unionSelect(uploads []ClientUpload) {
 }
 
 // finish turns the marked selections into sorted, value-filled Aggregates:
-// sort members, zero their sums, run the single weighted accumulation pass
-// (sequential or coordinate-parallel), and fill the output buffers.
+// sort members, zero their sums, run the single weighted accumulation
+// pass, and fill the output buffers.
 // sumsValid says s.sums[j] already holds the exact b_j for every member
 // (FUB's ranking pass computes it with the identical ascending-client
 // chain), so only the integer fairness counts remain to be tallied.
@@ -429,11 +406,7 @@ func (s *AggScratch) finish(uploads []ClientUpload, hasProbe, sumsValid bool) (A
 				s.sums[j] = 0
 			}
 		}
-		if s.workers > 1 && totalPairs(uploads) >= parallelAggMinPairs {
-			s.accumulateParallel(uploads, hasProbe)
-		} else {
-			s.accumulateSequential(uploads, hasProbe)
-		}
+		s.accumulate(uploads, hasProbe)
 	}
 
 	s.outIdxMain = growInts(s.outIdxMain, len(s.membersMain))
@@ -457,10 +430,10 @@ func (s *AggScratch) finish(uploads []ClientUpload, hasProbe, sumsValid bool) (A
 	return main, probe
 }
 
-// accumulateSequential is the single-goroutine accumulation: clients in
-// ascending order, pairs in upload order — the exact operation sequence of
-// the reference path, shared between the main and probe selections.
-func (s *AggScratch) accumulateSequential(uploads []ClientUpload, hasProbe bool) {
+// accumulate is the weighted accumulation: clients in ascending order,
+// pairs in upload order — the exact operation sequence of the reference
+// path, shared between the main and probe selections.
+func (s *AggScratch) accumulate(uploads []ClientUpload, hasProbe bool) {
 	c := totalWeight(uploads)
 	for ci, u := range uploads {
 		w := u.Weight / c
@@ -480,99 +453,24 @@ func (s *AggScratch) accumulateSequential(uploads []ClientUpload, hasProbe bool)
 	}
 }
 
-// accumulateParallel fans the weighted reduction out over the worker pool
-// while staying bit-identical to accumulateSequential. The member
-// coordinates are partitioned into contiguous chunks (the leaves of the
-// reduction tree); each chunk accumulates its coordinates over all clients
-// in ascending order, walking an index-sorted CSR copy of the uploads so a
-// worker only visits pairs inside its chunk's coordinate range. Combining
-// chunks needs no floating-point merge at all — chunks write disjoint
-// coordinates — so every b_j is produced by the same ascending-client
-// addition chain as the sequential path, just on a different goroutine.
-func (s *AggScratch) accumulateParallel(uploads []ClientUpload, hasProbe bool) {
-	nUp := len(uploads)
-
-	// Index-sorted CSR copy of the uploads, built client-parallel (each
-	// client owns a disjoint segment).
-	s.csrOff = growInts(s.csrOff, nUp+1)
-	off := 0
+// countUsed tallies the fairness counts — how many of each client's
+// uploaded pairs landed in the main/probe selections — where no
+// accumulation pass does it on the way (FUB).
+func (s *AggScratch) countUsed(uploads []ClientUpload, hasProbe bool) {
 	for ci, u := range uploads {
-		s.csrOff[ci] = off
-		off += u.Pairs.Len()
-	}
-	s.csrOff[nUp] = off
-	s.csrIdx = growInts(s.csrIdx, off)
-	s.csrVal = growFloats(s.csrVal, off)
-	par.For(s.workers, nUp, func(ci, _ int) {
-		lo, hi := s.csrOff[ci], s.csrOff[ci+1]
-		copy(s.csrIdx[lo:hi], uploads[ci].Pairs.Idx)
-		copy(s.csrVal[lo:hi], uploads[ci].Pairs.Val)
-		sortPairsByIdx(s.csrIdx[lo:hi], s.csrVal[lo:hi])
-	})
-
-	// The coordinates needing sums: main ∪ probe members, ascending.
-	union := s.membersMain
-	if hasProbe {
-		s.unionBuf = mergeSortedDedup(s.unionBuf[:0], s.membersMain, s.membersProbe)
-		union = s.unionBuf
-	}
-
-	nChunks := par.Chunks(s.workers, len(union))
-	c := totalWeight(uploads)
-	par.For(s.workers, nChunks, func(chunk, _ int) {
-		lo, hi := tensor.ChunkBounds(len(union), nChunks, chunk)
-		if lo >= hi {
-			return
-		}
-		jlo, jhi := union[lo], union[hi-1]
-		for ci := 0; ci < nUp; ci++ {
-			w := uploads[ci].Weight / c
-			a, b := s.csrOff[ci], s.csrOff[ci+1]
-			seg := s.csrIdx[a:b]
-			for p := a + sort.SearchInts(seg, jlo); p < b && s.csrIdx[p] <= jhi; p++ {
-				j := s.csrIdx[p]
-				if s.markMain[j] == s.genMain || (hasProbe && s.markProbe[j] == s.genProbe) {
-					s.sums[j] += w * s.csrVal[p]
-				}
+		countM, countP := 0, 0
+		for _, j := range u.Pairs.Idx {
+			if s.markMain[j] == s.genMain {
+				countM++
+			}
+			if hasProbe && s.markProbe[j] == s.genProbe {
+				countP++
 			}
 		}
-	})
-
-	s.countUsed(uploads, hasProbe)
-}
-
-// countUsed tallies the fairness counts — how many of each client's
-// uploaded pairs landed in the main/probe selections. Pure integer work
-// into one disjoint slot per client, so the fan-out order is invisible.
-// The sequential path loops inline (a par.For closure would cost the
-// warm-scratch aggregation its zero-alloc guarantee), and the fan-out is
-// gated on the same pair count as the accumulation so tiny uploads never
-// pay goroutine overhead for integer tallies.
-func (s *AggScratch) countUsed(uploads []ClientUpload, hasProbe bool) {
-	if s.workers > 1 && totalPairs(uploads) >= parallelAggMinPairs {
-		par.For(s.workers, len(uploads), func(ci, _ int) {
-			s.countUsedClient(uploads, ci, hasProbe)
-		})
-		return
-	}
-	for ci := range uploads {
-		s.countUsedClient(uploads, ci, hasProbe)
-	}
-}
-
-func (s *AggScratch) countUsedClient(uploads []ClientUpload, ci int, hasProbe bool) {
-	countM, countP := 0, 0
-	for _, j := range uploads[ci].Pairs.Idx {
-		if s.markMain[j] == s.genMain {
-			countM++
+		s.outUsedMain[ci] = countM
+		if hasProbe {
+			s.outUsedProbe[ci] = countP
 		}
-		if hasProbe && s.markProbe[j] == s.genProbe {
-			countP++
-		}
-	}
-	s.outUsedMain[ci] = countM
-	if hasProbe {
-		s.outUsedProbe[ci] = countP
 	}
 }
 
@@ -638,61 +536,6 @@ func (SendAll) AggregateInto(a *AggScratch, uploads []ClientUpload, _, probeK in
 	return unionAggregateInto(a, uploads, probeK)
 }
 
-// sortPairsByIdx heapsorts the parallel (idx, val) slices by ascending
-// index. Coordinates within one upload are distinct, so the order is
-// unique and the algorithm choice invisible; heapsort keeps it
-// allocation-free.
-func sortPairsByIdx(idx []int, val []float64) {
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownPair(idx, val, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		idx[0], idx[end] = idx[end], idx[0]
-		val[0], val[end] = val[end], val[0]
-		siftDownPair(idx, val, 0, end)
-	}
-}
-
-func siftDownPair(idx []int, val []float64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && idx[child] < idx[child+1] {
-			child++
-		}
-		if idx[root] >= idx[child] {
-			return
-		}
-		idx[root], idx[child] = idx[child], idx[root]
-		val[root], val[child] = val[child], val[root]
-		root = child
-	}
-}
-
-// mergeSortedDedup appends the sorted-set union of a and b onto dst.
-func mergeSortedDedup(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
 // growInt32s grows s to length n, preserving contents and zeroing the
 // new region (epoch slabs rely on fresh entries being stale).
 func growInt32s(s []int32, n int) []int32 {
@@ -715,9 +558,7 @@ func growInts(s []int, n int) []int {
 // resetInts returns s resized to n with every element zeroed.
 func resetInts(s []int, n int) []int {
 	s = growInts(s, n)
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 

@@ -1,6 +1,7 @@
 package gs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,27 +36,23 @@ func tieUploads(rng *rand.Rand, n, d, k int) []ClientUpload {
 // TestScratchDifferentialAllStrategies pins the tentpole guarantee: for
 // every strategy, AggregateInto on a warm reused scratch — main selection
 // and one-pass probe selection alike — is bit-identical to the map-based
-// reference implementation. Sequential and parallel reductions are both
-// covered (the scratch with workers=8 takes the coordinate-parallel path
-// whenever the uploads are large enough).
+// reference implementation.
 func TestScratchDifferentialAllStrategies(t *testing.T) {
-	for _, workers := range []int{0, 8} {
-		scratch := NewAggScratch(workers)
-		rng := rand.New(rand.NewSource(21 + int64(workers)))
-		for trial := 0; trial < 120; trial++ {
-			n := 1 + rng.Intn(10)
-			d := 20 + rng.Intn(300)
-			k := 1 + rng.Intn(60)
-			probeK := rng.Intn(k) // 0 disables the probe
-			ups := randomUploads(rng, n, d, k)
-			for _, s := range scratchStrategies() {
-				main, probe := s.(ScratchAggregator).AggregateInto(scratch, ups, k, probeK)
-				requireSameAggregate(t, trial, referenceAggregate(s, ups, k), main)
-				if probeK > 0 {
-					requireSameAggregate(t, trial, referenceAggregate(s, ups, probeK), probe)
-				} else if probe.Indices != nil || probe.Values != nil || probe.PerClientUsed != nil {
-					t.Fatalf("trial %d: %s: probeK=0 returned non-zero probe", trial, s.Name())
-				}
+	scratch := NewAggScratch(0)
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 240; trial++ {
+		n := 1 + rng.Intn(10)
+		d := 20 + rng.Intn(300)
+		k := 1 + rng.Intn(60)
+		probeK := rng.Intn(k) // 0 disables the probe
+		ups := randomUploads(rng, n, d, k)
+		for _, s := range scratchStrategies() {
+			main, probe := s.(ScratchAggregator).AggregateInto(scratch, ups, k, probeK)
+			requireSameAggregate(t, trial, referenceAggregate(s, ups, k), main)
+			if probeK > 0 {
+				requireSameAggregate(t, trial, referenceAggregate(s, ups, probeK), probe)
+			} else if probe.Indices != nil || probe.Values != nil || probe.PerClientUsed != nil {
+				t.Fatalf("trial %d: %s: probeK=0 returned non-zero probe", trial, s.Name())
 			}
 		}
 	}
@@ -83,25 +80,61 @@ func TestScratchDifferentialTieHeavy(t *testing.T) {
 	}
 }
 
-// TestScratchDifferentialParallelLarge forces the coordinate-parallel
-// reduction (uploads above the pair threshold) and checks it against both
-// the reference and the sequential scratch path.
+// sameCoordUploads fabricates n clients that all upload exactly the given
+// coordinates, in that rank order, with distinct values and weights.
+func sameCoordUploads(rng *rand.Rand, n int, coords []int) []ClientUpload {
+	ups := make([]ClientUpload, n)
+	for i := range ups {
+		val := make([]float64, len(coords))
+		for p := range val {
+			val[p] = rng.NormFloat64()
+		}
+		ups[i] = ClientUpload{Pairs: sparse.Vec{Idx: coords, Val: val}, Weight: 1 + rng.Float64()*3}
+	}
+	return ups
+}
+
+// TestScratchDifferentialParallelLarge runs large rounds through the
+// shapes a reduction could get wrong, on one warm scratch so state a call
+// failed to clear would surface in the next one. (Named for the parallel
+// reduction the cases were collected against.)
 func TestScratchDifferentialParallelLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	const n, d, k = 16, 8000, 400 // 6400 pairs > parallelAggMinPairs
-	ups := randomUploads(rng, n, d, k)
-	probeK := k / 3
-	seq := NewAggScratch(0)
-	for _, s := range scratchStrategies() {
-		for _, workers := range []int{2, 4, 8} {
-			par := NewAggScratch(workers)
-			pMain, pProbe := s.(ScratchAggregator).AggregateInto(par, ups, k, probeK)
-			requireSameAggregate(t, workers, referenceAggregate(s, ups, k), pMain)
-			requireSameAggregate(t, workers, referenceAggregate(s, ups, probeK), pProbe)
-			sMain, sProbe := s.(ScratchAggregator).AggregateInto(seq, ups, k, probeK)
-			requireSameAggregate(t, workers, sMain, pMain)
-			requireSameAggregate(t, workers, sProbe, pProbe)
+	const n, d, k = 16, 8000, 400
+	withEmpty := randomUploads(rng, n, d, k)
+	withEmpty[0].Pairs, withEmpty[7].Pairs = sparse.Vec{}, sparse.Vec{}
+	clustered := randomUploads(rng, n, d, k)
+	for _, u := range clustered { // every coordinate inside [d-500, d)
+		for p := range u.Pairs.Idx {
+			u.Pairs.Idx[p] = d - 1 - p
 		}
+	}
+	cases := []struct {
+		name      string
+		ups       []ClientUpload
+		k, probeK int
+	}{
+		{"random", randomUploads(rng, n, d, k), k, k / 3},
+		{"probe = ∅", randomUploads(rng, n, d, k), k, 0},
+		{"probe ⊄ main", randomUploads(rng, n, d, k), k / 4, k},
+		{"tiny selection of a large union", randomUploads(rng, n, d, k), 3, 2},
+		{"two coordinates, thousands of clients", sameCoordUploads(rng, 2100, []int{17, 5}), 2, 1},
+		{"one coordinate, thousands of clients", sameCoordUploads(rng, 4200, []int{9}), 1, 1},
+		{"selection confined to a narrow band", clustered, k, k / 2},
+		{"empty uploads among full ones", withEmpty, k, k / 3},
+		{"k = D", randomUploads(rng, 4, 1500, 1500), 1500, 1499},
+	}
+	scratch := NewAggScratch(0)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for si, s := range scratchStrategies() {
+				main, probe := s.(ScratchAggregator).AggregateInto(scratch, tc.ups, tc.k, tc.probeK)
+				requireSameAggregate(t, si, referenceAggregate(s, tc.ups, tc.k), main)
+				if tc.probeK > 0 {
+					requireSameAggregate(t, si, referenceAggregate(s, tc.ups, tc.probeK), probe)
+				}
+			}
+		})
 	}
 }
 
@@ -155,6 +188,9 @@ func TestAggregateAllocsWarmScratch(t *testing.T) {
 // scratch-based path (BENCH_fl.json tracks the ratio). The scratch
 // variant also computes the probe aggregate, so the comparison understates
 // its advantage in engine rounds that probe.
+//
+// The engine/ rows are engine_adaptive's aggregation (FAB, N = 32,
+// d = 1e5, probe at k/2) at both ends and the middle of the k range.
 func BenchmarkAggregate(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	const n, d, k = 32, 20000, 500
@@ -174,6 +210,21 @@ func BenchmarkAggregate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sa.AggregateInto(scratch, ups, k, 0)
+			}
+		})
+	}
+	const engineD = 100000
+	for _, ek := range []int{engineD / 100, engineD / 10, engineD} {
+		ups := randomUploads(rng, 32, engineD, ek)
+		b.Run(fmt.Sprintf("engine/k=%d", ek), func(b *testing.B) {
+			scratch := NewAggScratch(0)
+			scratch.Reserve(engineD)
+			fab := &FABTopK{}
+			fab.AggregateInto(scratch, ups, ek, ek/2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fab.AggregateInto(scratch, ups, ek, ek/2)
 			}
 		})
 	}

@@ -260,8 +260,7 @@ type ShardedScratch struct {
 
 // NewShardedScratch builds a sharded aggregation scratch for
 // dimension-dim models split over the given shard count; workers bounds
-// the shard-reduction fan-out and the selection scratch's parallel paths
-// (<= 1 keeps everything sequential).
+// the shard-reduction fan-out (<= 1 keeps everything sequential).
 func NewShardedScratch(shards, workers, dim int) *ShardedScratch {
 	if shards < 1 {
 		panic("gs: NewShardedScratch needs at least 1 shard")
@@ -269,7 +268,7 @@ func NewShardedScratch(shards, workers, dim int) *ShardedScratch {
 	ss := &ShardedScratch{
 		dim:     dim,
 		workers: workers,
-		sel:     NewAggScratch(workers),
+		sel:     NewAggScratch(0),
 		reds:    make([]RangeAgg, shards),
 	}
 	ss.sel.Reserve(dim)

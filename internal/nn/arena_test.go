@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -15,15 +16,15 @@ func arenaModels(t *testing.T) []struct {
 } {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	build := func(name string, net *Network, classes int) struct {
+	build := func(name string, net *Network, classes, batch int) struct {
 		name string
 		net  *Network
 		xs   [][]float64
 		ys   []int
 	} {
 		net.InitWeights(rng)
-		xs := make([][]float64, 8)
-		ys := make([]int, 8)
+		xs := make([][]float64, batch)
+		ys := make([]int, batch)
 		for i := range xs {
 			xs[i] = make([]float64, net.InSize())
 			for j := range xs[i] {
@@ -44,9 +45,12 @@ func arenaModels(t *testing.T) []struct {
 		xs   [][]float64
 		ys   []int
 	}{
-		build("mlp", NewMLP(30, []int{16}, 5), 5),
-		build("cnn", NewCNN(1, 12, 12, 4, 3, 16, 5), 5),
-		build("tanh-mlp", MustNew(NewDense(10, 8), NewTanh(8), NewDense(8, 3)), 3),
+		build("mlp", NewMLP(30, []int{16}, 5), 5, 8),
+		build("cnn", NewCNN(1, 12, 12, 4, 3, 16, 5), 5, 8),
+		build("tanh-mlp", MustNew(NewDense(10, 8), NewTanh(8), NewDense(8, 3)), 3, 8),
+		// The benchmark's TCP model at a batch the dense staging cannot
+		// hold at once: the mid-batch flush must not allocate either.
+		build("wide-mlp-batch-11", NewMLP(64, []int{156}, 62), 62, 11),
 	}
 }
 
@@ -54,7 +58,8 @@ func arenaModels(t *testing.T) []struct {
 // the forward/backward hot path — minibatch gradients, single-sample
 // losses, backprop, prediction — performs zero allocations per call on
 // every architecture. A reintroduced per-sample make([]float64, …) in a
-// layer cache fails here.
+// layer cache fails here, and so does dense staging sized on first use
+// instead of carved from the arena at construction.
 func TestPerSampleAllocFree(t *testing.T) {
 	for _, m := range arenaModels(t) {
 		t.Run(m.name, func(t *testing.T) {
@@ -76,6 +81,22 @@ func TestPerSampleAllocFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFirstBatchAllocFree pins that nothing is sized lazily: a network's
+// very first MeanLossGrad allocates nothing. The benchmark counts a run's
+// allocations from its first round on, so state set up "on first use"
+// would land in allocs_per_round for every client of every repetition.
+func TestFirstBatchAllocFree(t *testing.T) {
+	for _, m := range arenaModels(t) { // built, initialised, never run
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.net.MeanLossGrad(m.xs, m.ys)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("%s: first MeanLossGrad made %d allocations, want 0", m.name, n)
+		}
 	}
 }
 

@@ -30,7 +30,8 @@ import (
 // the same sample, and the slices returned by both are owned by the layer
 // and remain valid only until the next call. Backward accumulates (does not
 // overwrite) parameter gradients into the gradient view supplied to Bind,
-// which is what lets the Network average gradients over a minibatch.
+// which is what lets the Network average gradients over a minibatch. (Dense
+// defers that accumulation to a flush the Network drives — see its doc.)
 //
 // Float caches (activations and input gradients) are not allocated by the
 // constructors: the Network slab-allocates every layer's caches — together
@@ -63,6 +64,24 @@ type Layer interface {
 }
 
 // Dense is a fully connected layer: y = W·x + b.
+//
+// Its weight gradient is the one place a minibatch pays for memory rather
+// than arithmetic — a rank-1 update per sample is a read-modify-write pass
+// over the whole out×in view — so Backward only stages the sample's
+// (dL/dy, x) and the Network flushes the stage into the gradient view
+// once per batch (every denseStage samples on larger ones). A Dense is
+// therefore usable only as a layer of a Network: driven through the Layer
+// interface by anything else, its gradient view lags behind Backward by up
+// to denseStage samples and is never scaled.
+//
+// Addition-chain contract: a flush leaves each gradient element equal to
+// scale·(((base + g₁x₁) + g₂x₂) + …), terms in sample order, base = +0 at
+// the start of a MeanLossGrad batch and the element's previous value
+// otherwise, terms whose g is exactly zero skipped (biases skip nothing).
+// That is the chain per-sample accumulation followed by a scaling pass
+// runs, so on amd64 the result is bit-identical to it for every batch
+// size. Go fuses x*y+z on arm64 and other FMA targets; bits were never
+// promised across architectures, only across code paths on one.
 type Dense struct {
 	in, out int
 	w       tensor.Matrix // out × in view into the flat parameter vector
@@ -72,21 +91,34 @@ type Dense struct {
 	x       []float64 // cached input reference (valid Forward→Backward)
 	y       []float64
 	gx      []float64
+
+	sg, sx []float64 // staged dL/dy and x, denseStage samples each
+	staged int
+	fresh  bool // the next flush overwrites the gradient view
+	first  bool // layer 0 of its network: nobody reads dL/dx
 }
+
+// denseStage is how many samples a Dense layer stages between flushes:
+// the benchmark's batch size, so a typical minibatch costs one flush, at
+// 8·(in+out) floats of arena per layer.
+const denseStage = 8
 
 // NewDense constructs a fully connected layer with the given fan-in/out.
 func NewDense(in, out int) *Dense {
 	return &Dense{in: in, out: out}
 }
 
-func (d *Dense) InSize() int      { return d.in }
-func (d *Dense) OutSize() int     { return d.out }
-func (d *Dense) NumParams() int   { return d.out*d.in + d.out }
-func (d *Dense) CacheFloats() int { return d.out + d.in }
+func (d *Dense) InSize() int    { return d.in }
+func (d *Dense) OutSize() int   { return d.out }
+func (d *Dense) NumParams() int { return d.out*d.in + d.out }
+func (d *Dense) CacheFloats() int {
+	return (1 + denseStage) * (d.out + d.in)
+}
 
 func (d *Dense) BindCache(buf []float64) {
-	d.y = buf[:d.out]
-	d.gx = buf[d.out:]
+	d.y, buf = buf[:d.out], buf[d.out:]
+	d.gx, buf = buf[:d.in], buf[d.in:]
+	d.sg, d.sx = buf[:denseStage*d.out], buf[denseStage*d.out:]
 }
 
 func (d *Dense) Bind(params, grads []float64) {
@@ -114,11 +146,38 @@ func (d *Dense) Forward(x []float64) []float64 {
 	return d.y
 }
 
+// Backward stages the sample for the next flush and returns dL/dx (nil
+// from a network's first layer, where it has no reader).
 func (d *Dense) Backward(grad []float64) []float64 {
-	d.gw.AddOuter(1, grad, d.x)
-	tensor.AXPY(1, grad, d.gb)
+	if d.staged == denseStage {
+		d.flush(1)
+	}
+	copy(d.sg[d.staged*d.out:], grad)
+	copy(d.sx[d.staged*d.in:], d.x)
+	d.staged++
+	if d.first {
+		return nil
+	}
 	d.w.MatTVec(d.gx, grad)
 	return d.gx
+}
+
+// flush folds the staged samples into the gradient view — see the
+// addition-chain contract on Dense.
+func (d *Dense) flush(scale float64) {
+	n := d.staged
+	d.gw.AddOuterBatch(d.sg[:n*d.out], d.sx[:n*d.in], n, d.fresh, scale)
+	for r := range d.gb {
+		acc := d.gb[r]
+		if d.fresh {
+			acc = 0
+		}
+		for s := 0; s < n; s++ {
+			acc += d.sg[s*d.out+r]
+		}
+		d.gb[r] = acc * scale
+	}
+	d.staged, d.fresh = 0, false
 }
 
 // ReLU is the elementwise max(0, x) activation.

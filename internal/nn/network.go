@@ -55,9 +55,12 @@ func New(layers ...Layer) (*Network, error) {
 	}
 	off := 0
 	cacheOff := 2*d + numClasses
-	for _, l := range layers {
+	for i, l := range layers {
 		np := l.NumParams()
 		l.Bind(n.params[off:off+np], n.grads[off:off+np])
+		if d, ok := l.(*Dense); ok {
+			d.first = i == 0
+		}
 		off += np
 		nc := l.CacheFloats()
 		l.BindCache(arena[cacheOff : cacheOff+nc : cacheOff+nc])
@@ -134,10 +137,21 @@ func (n *Network) Predict(x []float64) int {
 }
 
 // Backprop runs forward + softmax-cross-entropy + backward for one sample,
-// accumulating dL/dθ into Grads, and returns the sample loss. Callers
-// averaging over a minibatch should ZeroGrads first and scale afterwards
-// (or use MeanLossGrad).
+// accumulating dL/dθ into Grads, and returns the sample loss — a batch of
+// one on the path MeanLossGrad takes, without its zeroing and averaging.
 func (n *Network) Backprop(x []float64, label int) float64 {
+	loss := n.backward(x, label)
+	for _, l := range n.layers {
+		if d, ok := l.(*Dense); ok {
+			d.flush(1)
+		}
+	}
+	return loss
+}
+
+// backward is one sample's forward and backward pass. Dense layers only
+// stage their gradient contribution; the caller flushes them.
+func (n *Network) backward(x []float64, label int) float64 {
 	logits := n.Forward(x)
 	loss := tensor.LogSumExp(logits) - logits[label]
 	// dL/dlogits = softmax(logits) − onehot(label)
@@ -152,6 +166,13 @@ func (n *Network) Backprop(x []float64, label int) float64 {
 
 // MeanLossGrad computes the minibatch-mean gradient into Grads (replacing
 // any previous contents) and returns the mean loss.
+//
+// Every gradient element is inv·(((0 + t₁) + t₂) + …) with tₛ sample s's
+// contribution, added in sample order from +0 — the chain of ZeroGrads,
+// one Backprop per sample, and a scaling pass. Dense layers produce it in
+// one write pass per batch (see Dense), bit-identical to that sequence;
+// every other layer accumulates per sample between a zero and a scale
+// pass over its own gradient view.
 func (n *Network) MeanLossGrad(xs [][]float64, labels []int) float64 {
 	if len(xs) != len(labels) {
 		panic("nn: MeanLossGrad batch length mismatch")
@@ -159,13 +180,31 @@ func (n *Network) MeanLossGrad(xs [][]float64, labels []int) float64 {
 	if len(xs) == 0 {
 		panic("nn: MeanLossGrad empty batch")
 	}
-	n.ZeroGrads()
+	off := 0
+	for _, l := range n.layers {
+		np := l.NumParams()
+		if d, ok := l.(*Dense); ok {
+			d.fresh = true
+		} else {
+			tensor.Zero(n.grads[off : off+np])
+		}
+		off += np
+	}
 	var loss float64
 	for i, x := range xs {
-		loss += n.Backprop(x, labels[i])
+		loss += n.backward(x, labels[i])
 	}
 	inv := 1 / float64(len(xs))
-	tensor.Scale(inv, n.grads)
+	off = 0
+	for _, l := range n.layers {
+		np := l.NumParams()
+		if d, ok := l.(*Dense); ok {
+			d.flush(inv)
+		} else {
+			tensor.Scale(inv, n.grads[off:off+np])
+		}
+		off += np
+	}
 	return loss * inv
 }
 

@@ -30,55 +30,103 @@ func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // MatVec computes dst = m · x where x has length m.Cols and dst length m.Rows.
+// Rows are taken four at a time so four independent addition chains hide
+// the floating-point add latency; each dst[r] is still the one chain
+// ((0 + w₀x₀) + w₁x₁) + … in column order, so blocking is invisible in
+// the result.
 func (m *Matrix) MatVec(dst, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("tensor: MatVec shape mismatch")
 	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		var s float64
-		for c, w := range row {
-			s += w * x[c]
+	n := m.Cols
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		w := m.Data[r*n : (r+4)*n]
+		w0, w1, w2, w3 := w[:n][:len(x)], w[n:][:len(x)], w[2*n:][:len(x)], w[3*n:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for c, xc := range x {
+			s0 += w0[c] * xc
+			s1 += w1[c] * xc
+			s2 += w2[c] * xc
+			s3 += w3[c] * xc
 		}
-		dst[r] = s
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < m.Rows; r++ {
+		dst[r] = Dot(m.Data[r*n:(r+1)*n], x)
 	}
 }
 
-// MatTVec computes dst = mᵀ · x where x has length m.Rows and dst length m.Cols.
+// MatTVec computes dst = mᵀ · x where x has length m.Rows and dst length
+// m.Cols. Rows whose x[r] is exactly zero contribute nothing (not even a
+// NaN from an infinite weight); the rest are added in row order, so
+// dst[c] is the chain ((0 + w_{r₀c}x_{r₀}) + w_{r₁c}x_{r₁}) + ….
 func (m *Matrix) MatTVec(dst, x []float64) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic("tensor: MatTVec shape mismatch")
 	}
-	for c := range dst {
-		dst[c] = 0
+	Zero(dst)
+	addScaledRows(dst, x, 0, 1, m.Rows, m.Data)
+}
+
+// AddOuterBatch accumulates n rank-1 updates in one pass over m:
+// m = scale·(base + u₁v₁ᵀ + … + u_nv_nᵀ), where base is zero when fresh
+// and m's previous contents otherwise. us holds the n vectors u_s (length
+// Rows) back to back, vs the n vectors v_s (length Cols) — the
+// weight-gradient shape of a dense layer over a staged minibatch. Every
+// element is the chain ((base + u₁ᵣv₁c) + u₂ᵣv₂c) + … in sample order,
+// terms with u_sᵣ exactly zero skipped: bit for bit what n whole-matrix
+// passes m += u_s v_sᵀ followed by a scaling pass produce, while each row
+// of m is zeroed, summed and scaled in one visit.
+func (m *Matrix) AddOuterBatch(us, vs []float64, n int, fresh bool, scale float64) {
+	if len(us) != n*m.Rows || len(vs) != n*m.Cols {
+		panic("tensor: AddOuterBatch shape mismatch")
 	}
 	for r := 0; r < m.Rows; r++ {
 		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		xr := x[r]
-		if xr == 0 {
-			continue
+		if fresh {
+			Zero(row)
 		}
-		for c, w := range row {
-			dst[c] += w * xr
+		addScaledRows(row, us, r, m.Rows, n, vs)
+		if scale != 1 {
+			Scale(scale, row)
 		}
 	}
 }
 
-// AddOuter accumulates the rank-1 update m += a·uvᵀ, the weight-gradient
-// shape used by dense layers (u has length Rows, v length Cols).
-func (m *Matrix) AddOuter(a float64, u, v []float64) {
-	if len(u) != m.Rows || len(v) != m.Cols {
-		panic("tensor: AddOuter shape mismatch")
-	}
-	for r, ur := range u {
-		if ur == 0 {
+// addScaledRows computes y += Σᵢ aᵢ·xᵢ over i < n, where aᵢ is
+// a[first+i·stride] and xᵢ the i-th len(y)-long row of rows. Terms with aᵢ
+// exactly zero are skipped and the rest added in index order, four per
+// pass over y: each y[c] runs the chain of one AXPY per term, with a
+// quarter of the loads and stores.
+func addScaledRows(y, a []float64, first, stride, n int, rows []float64) {
+	var coef [4]float64
+	var x [4][]float64
+	k := 0
+	for i := 0; i < n; i++ {
+		ai := a[first+i*stride]
+		if ai == 0 {
 			continue
 		}
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		f := a * ur
-		for c, vc := range v {
-			row[c] += f * vc
+		coef[k], x[k] = ai, rows[i*len(y):(i+1)*len(y)]
+		if k++; k == 4 {
+			axpy4(y, &coef, &x)
+			k = 0
 		}
+	}
+	for i := 0; i < k; i++ {
+		AXPY(coef[i], x[i], y)
+	}
+}
+
+// axpy4 is four AXPY calls with one load and store of each y[c]:
+// y[c] = (((y[c] + a₀x₀[c]) + a₁x₁[c]) + a₂x₂[c]) + a₃x₃[c]. A leaf of its
+// own so the loop keeps its eleven live values in registers.
+func axpy4(y []float64, a *[4]float64, x *[4][]float64) {
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	x0, x1, x2, x3 := x[0][:len(y)], x[1][:len(y)], x[2][:len(y)], x[3][:len(y)]
+	for c := range y {
+		y[c] = (((y[c] + a0*x0[c]) + a1*x1[c]) + a2*x2[c]) + a3*x3[c]
 	}
 }
 

@@ -70,13 +70,141 @@ func TestMatTVecAgainstExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestAddOuter(t *testing.T) {
+func TestAddOuterBatch(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.AddOuter(2, []float64{1, 3}, []float64{5, 7})
-	want := []float64{10, 14, 30, 42}
+	copy(m.Data, []float64{1, 1, 1, 1})
+	// Two staged updates onto the existing contents, then halved.
+	m.AddOuterBatch([]float64{1, 3, 2, 0}, []float64{5, 7, 1, 1}, 2, false, 0.5)
+	want := []float64{4, 5, 8, 11}
 	for i := range want {
 		if m.Data[i] != want[i] {
-			t.Fatalf("AddOuter Data[%d] = %v, want %v", i, m.Data[i], want[i])
+			t.Fatalf("AddOuterBatch Data[%d] = %v, want %v", i, m.Data[i], want[i])
+		}
+	}
+	// fresh discards them.
+	m.AddOuterBatch([]float64{1, 3}, []float64{5, 7}, 1, true, 2)
+	want = []float64{10, 14, 30, 42}
+	for i := range want {
+		if m.Data[i] != want[i] {
+			t.Fatalf("fresh AddOuterBatch Data[%d] = %v, want %v", i, m.Data[i], want[i])
+		}
+	}
+}
+
+// The reference kernels are the loops the blocked ones replaced: one
+// serial chain per row, one zero-skipping read-modify-write pass per row
+// or per sample. The blocked kernels must reproduce them bit for bit.
+
+func refMatVec(m *Matrix, dst, x []float64) {
+	for r := 0; r < m.Rows; r++ {
+		var s float64
+		for c, w := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+			s += w * x[c]
+		}
+		dst[r] = s
+	}
+}
+
+func refMatTVec(m *Matrix, dst, x []float64) {
+	Zero(dst)
+	for r := 0; r < m.Rows; r++ {
+		if x[r] == 0 {
+			continue
+		}
+		for c, w := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+			dst[c] += w * x[r]
+		}
+	}
+}
+
+func refAddOuter(m *Matrix, u, v []float64) {
+	for r, ur := range u {
+		if ur == 0 {
+			continue
+		}
+		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+		for c, vc := range v {
+			row[c] += ur * vc
+		}
+	}
+}
+
+// sameFloat is bit equality, any NaN matching any NaN (payloads follow
+// operand load order, which is the compiler's business).
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// edgeFloats are the operands that tell an addition chain from a
+// reordered or zero-padded one: signed zeros, a denormal, non-finites.
+var edgeFloats = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// edgyVector draws normals with roughly a quarter of the entries replaced
+// by edge values (finiteOnly keeps to the zeros and denormals).
+func edgyVector(rng *rand.Rand, n int, finiteOnly bool) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		if rng.Intn(4) == 0 {
+			pick := len(edgeFloats)
+			if finiteOnly {
+				pick = 4
+			}
+			x[i] = edgeFloats[rng.Intn(pick)]
+		}
+	}
+	return x
+}
+
+func TestBlockedKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 400; trial++ {
+		rows, cols := 1+rng.Intn(11), 1+rng.Intn(11)
+		finiteOnly := trial%2 == 0
+		m := &Matrix{Rows: rows, Cols: cols, Data: edgyVector(rng, rows*cols, finiteOnly)}
+
+		x := edgyVector(rng, cols, finiteOnly)
+		got, want := make([]float64, rows), make([]float64, rows)
+		m.MatVec(got, x)
+		refMatVec(m, want, x)
+		for i := range got {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("trial %d (%d×%d): MatVec[%d] = %v, reference %v", trial, rows, cols, i, got[i], want[i])
+			}
+		}
+
+		// The zero rows of xt meet non-finite weights: skipped, not 0·Inf.
+		xt := edgyVector(rng, rows, finiteOnly)
+		got, want = make([]float64, cols), make([]float64, cols)
+		m.MatTVec(got, xt)
+		refMatTVec(m, want, xt)
+		for i := range got {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("trial %d (%d×%d): MatTVec[%d] = %v, reference %v", trial, rows, cols, i, got[i], want[i])
+			}
+		}
+
+		n := rng.Intn(12)
+		us, vs := edgyVector(rng, n*rows, finiteOnly), edgyVector(rng, n*cols, finiteOnly)
+		fresh := rng.Intn(2) == 0
+		scale := []float64{1, 0.125, 1 / 3.0}[rng.Intn(3)]
+		batched := &Matrix{Rows: rows, Cols: cols, Data: Clone(m.Data)}
+		ref := &Matrix{Rows: rows, Cols: cols, Data: Clone(m.Data)}
+		batched.AddOuterBatch(us, vs, n, fresh, scale)
+		if fresh {
+			Zero(ref.Data)
+		}
+		for s := 0; s < n; s++ {
+			refAddOuter(ref, us[s*rows:(s+1)*rows], vs[s*cols:(s+1)*cols])
+		}
+		if scale != 1 {
+			Scale(scale, ref.Data)
+		}
+		for i := range ref.Data {
+			if !sameFloat(batched.Data[i], ref.Data[i]) {
+				t.Fatalf("trial %d (%d×%d, n=%d fresh=%v scale=%v): AddOuterBatch[%d] = %v, reference %v",
+					trial, rows, cols, n, fresh, scale, i, batched.Data[i], ref.Data[i])
+			}
 		}
 	}
 }
@@ -257,7 +385,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 	}
 	assertPanics("MatVec", func() { m.MatVec(make([]float64, 2), make([]float64, 2)) })
 	assertPanics("MatTVec", func() { m.MatTVec(make([]float64, 2), make([]float64, 2)) })
-	assertPanics("AddOuter", func() { m.AddOuter(1, make([]float64, 3), make([]float64, 3)) })
+	assertPanics("AddOuterBatch", func() { m.AddOuterBatch(make([]float64, 3), make([]float64, 3), 1, true, 1) })
 	assertPanics("Dot", func() { Dot(make([]float64, 1), make([]float64, 2)) })
 	assertPanics("AXPY", func() { AXPY(1, make([]float64, 1), make([]float64, 2)) })
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -936,6 +937,7 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 		{"negative coordinate", SliceUpload{ClientID: 0, Round: 1, Idx: []int{-2}, Val: []float64{1}, Rank: []int{0}}, "outside range"},
 		{"ranks not ascending", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, 2}, Rank: []int{2, 1}}, "ranks not ascending"},
 		{"ragged shape", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1}, Rank: []int{0, 1}}, "inconsistent"},
+		{"non-finite value", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, math.NaN()}, Rank: []int{0, 1}}, "round 1: client 0 slice: gs: non-finite value NaN at index 4"},
 		{"identity forgery", SliceUpload{ClientID: 1, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}, "claims client"},
 		{"stale round", SliceUpload{ClientID: 0, Round: 4, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}, "stale slice"},
 	}

@@ -126,7 +126,7 @@ func (s *durServer) directRound(m int) error {
 }
 
 // gatherUploads collects and validates every client's round-m Upload
-// (the routed data plane), mirroring RunServerPeers' validation, with
+// (the routed data plane, validateUpload as in RunServerPeers), with
 // rejoin recovery and stale-discard. It fills s.uploads and returns
 // the weighted loss.
 func (s *durServer) gatherUploads(m int) (float64, error) {
@@ -140,24 +140,9 @@ func (s *durServer) gatherUploads(m int) (float64, error) {
 		if !ok {
 			return 0, fmt.Errorf("transport: round %d: expected Upload, got %T", m, msg)
 		}
-		if up.Round != m || up.ClientID != id {
-			return 0, fmt.Errorf("transport: round %d: stale upload (round %d from client %d)", m, up.Round, up.ClientID)
-		}
-		if len(up.Idx) != len(up.Val) {
-			return 0, fmt.Errorf("transport: round %d: client %d uploaded %d indices with %d values", m, id, len(up.Idx), len(up.Val))
-		}
-		if up.Bits != s.cfg.QuantBits {
-			return 0, fmt.Errorf("transport: round %d: client %d uploaded at %d-bit quantization, run uses %d", m, id, up.Bits, s.cfg.QuantBits)
-		}
 		s.seenToken++
-		for _, j := range up.Idx {
-			if j < 0 || j >= s.dim {
-				return 0, fmt.Errorf("transport: round %d: client %d uploaded index %d out of range [0, %d)", m, id, j, s.dim)
-			}
-			if s.seen[j] == s.seenToken {
-				return 0, fmt.Errorf("transport: round %d: client %d uploaded duplicate index %d", m, id, j)
-			}
-			s.seen[j] = s.seenToken
+		if err := validateUpload(up, m, id, s.cfg.QuantBits, s.seen, s.seenToken); err != nil {
+			return 0, err
 		}
 		s.uploads[id] = gs.ClientUpload{Pairs: sparse.Vec{Idx: up.Idx, Val: up.Val}, Weight: s.weights[id]}
 		weightedLoss += s.weights[id] / s.totalWeight * up.BatchLoss

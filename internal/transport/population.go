@@ -399,28 +399,9 @@ func (p *popServer) recvUpload(m, member int) (Upload, error) {
 	if !ok {
 		return Upload{}, fmt.Errorf("transport: round %d: member %d sent %T, want Upload", m, member, msg)
 	}
-	if up.Round != m || up.ClientID != member {
-		return Upload{}, fmt.Errorf("transport: round %d: stale upload (round %d from member %d, want member %d)",
-			m, up.Round, up.ClientID, member)
-	}
-	if len(up.Idx) != len(up.Val) {
-		return Upload{}, fmt.Errorf("transport: round %d: member %d uploaded %d indices with %d values",
-			m, member, len(up.Idx), len(up.Val))
-	}
-	if up.Bits != p.cfg.QuantBits {
-		return Upload{}, fmt.Errorf("transport: round %d: member %d uploaded at %d-bit quantization, run uses %d",
-			m, member, up.Bits, p.cfg.QuantBits)
-	}
 	p.seenToken++
-	for _, j := range up.Idx {
-		if j < 0 || j >= len(p.cfg.InitialParams) {
-			return Upload{}, fmt.Errorf("transport: round %d: member %d uploaded index %d out of range [0, %d)",
-				m, member, j, len(p.cfg.InitialParams))
-		}
-		if p.seen[j] == p.seenToken {
-			return Upload{}, fmt.Errorf("transport: round %d: member %d uploaded duplicate index %d", m, member, j)
-		}
-		p.seen[j] = p.seenToken
+	if err := validateUpload(up, m, member, p.cfg.QuantBits, p.seen, p.seenToken); err != nil {
+		return Upload{}, err
 	}
 	return up, nil
 }
@@ -626,6 +607,7 @@ func RunVirtualHost(coord Conn, cfg HostConfig) error {
 	h := &virtualHost{cfg: cfg, mux: mux, init: init, states: states}
 	h.net = cfg.Model()
 	h.net.SetParams(init.Params)
+	h.applied = newAppliedSet(h.net.D())
 	if len(init.Shards) > 0 {
 		return h.runDirect()
 	}
@@ -645,7 +627,8 @@ type virtualHost struct {
 	topk sparse.TopKScratch
 	xs   [][]float64
 	ys   []int
-	inJ  map[int]bool
+
+	applied *appliedSet
 }
 
 // state materializes one member's lazy private state. A member first
@@ -706,19 +689,11 @@ func (h *virtualHost) computeMember(st *vcState) (batchLoss, scale float64) {
 // model, then folds each drawn member's uploaded values out of its
 // residual (the engine's error-feedback update, per participant).
 func (h *virtualHost) applyBroadcast(drawn []int, bIdx []int, bVal []float64) {
-	params := h.net.Params()
-	if h.inJ == nil {
-		h.inJ = make(map[int]bool, len(bIdx))
-	}
-	clear(h.inJ)
-	for vi, j := range bIdx {
-		params[j] -= h.cfg.LearningRate * bVal[vi]
-		h.inJ[j] = true
-	}
+	h.applied.apply(h.net.Params(), h.cfg.LearningRate, bIdx, bVal)
 	for _, member := range drawn {
 		st := h.states[member]
 		for vi, j := range st.pairs.Idx {
-			if h.inJ[j] {
+			if h.applied.has(j) {
 				st.acc[j] -= st.pairs.Val[vi]
 			}
 		}

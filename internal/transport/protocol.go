@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"fedsparse/internal/fl"
 	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
+	"fedsparse/internal/par"
 	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
 )
@@ -448,34 +450,9 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 			if !ok {
 				return records, fmt.Errorf("transport: round %d: expected Upload, got %T", m, msg)
 			}
-			if up.Round != m || up.ClientID != id {
-				return records, fmt.Errorf("transport: round %d: stale upload (round %d from client %d)",
-					m, up.Round, up.ClientID)
-			}
-			// The aggregation path trusts uploads to be well-formed
-			// (parallel Idx/Val, coordinates indexing the model, no
-			// coordinate repeated within one upload), so a malformed
-			// peer upload must fail here as a protocol error, not an
-			// aggregation panic or a silent double-count.
-			if len(up.Idx) != len(up.Val) {
-				return records, fmt.Errorf("transport: round %d: client %d uploaded %d indices with %d values",
-					m, id, len(up.Idx), len(up.Val))
-			}
-			if up.Bits != cfg.QuantBits {
-				return records, fmt.Errorf("transport: round %d: client %d uploaded at %d-bit quantization, run uses %d",
-					m, id, up.Bits, cfg.QuantBits)
-			}
 			seenToken++
-			for _, j := range up.Idx {
-				if j < 0 || j >= len(cfg.InitialParams) {
-					return records, fmt.Errorf("transport: round %d: client %d uploaded index %d out of range [0, %d)",
-						m, id, j, len(cfg.InitialParams))
-				}
-				if seen[j] == seenToken {
-					return records, fmt.Errorf("transport: round %d: client %d uploaded duplicate index %d",
-						m, id, j)
-				}
-				seen[j] = seenToken
+			if err := validateUpload(up, m, id, cfg.QuantBits, seen, seenToken); err != nil {
+				return records, err
 			}
 			uploads[id] = gs.ClientUpload{
 				Pairs:  sparse.Vec{Idx: up.Idx, Val: up.Val},
@@ -632,6 +609,7 @@ func runClientRounds(cfg ClientConfig, init Init,
 		xs    [][]float64
 		ys    []int
 	)
+	applied := newAppliedSet(net.D())
 
 	for m := 1; m <= init.Rounds; m++ {
 		xs, ys = cfg.Data.BatchInto(xs, ys, rng, cfg.BatchSize)
@@ -653,17 +631,76 @@ func runClientRounds(cfg ClientConfig, init Init,
 		if err != nil {
 			return err
 		}
-		params := net.Params()
-		inJ := make(map[int]bool, len(bIdx))
-		for vi, j := range bIdx {
-			params[j] -= cfg.LearningRate * bVal[vi]
-			inJ[j] = true
-		}
+		applied.apply(net.Params(), cfg.LearningRate, bIdx, bVal)
 		for vi, j := range pairs.Idx {
-			if inJ[j] {
+			if applied.has(j) {
 				acc[j] -= pairs.Val[vi]
 			}
 		}
 	}
 	return nil
 }
+
+// validateUpload is the routed coordinators' trust boundary on one Upload
+// — classic, durable and population alike. The aggregation path trusts
+// uploads to be well-formed (parallel Idx/Val, coordinates indexing the
+// model, no coordinate repeated within one upload) and the model trusts
+// them to be finite: one NaN or ±Inf at full precision would poison the
+// global weights on every client and, through error feedback, stay. So a
+// malformed peer upload fails here as a protocol error naming the round
+// and the client — not as an aggregation panic, a silent double-count or
+// a dead model. seen is an epoch slab over the coordinate space
+// (seen[j] == token marks j used); the caller bumps token per upload.
+func validateUpload(up Upload, m, id, bits int, seen []int, token int) error {
+	if up.Round != m || up.ClientID != id {
+		return fmt.Errorf("transport: round %d: stale upload (round %d from client %d, want client %d)",
+			m, up.Round, up.ClientID, id)
+	}
+	if len(up.Idx) != len(up.Val) {
+		return fmt.Errorf("transport: round %d: client %d uploaded %d indices with %d values",
+			m, id, len(up.Idx), len(up.Val))
+	}
+	if up.Bits != bits {
+		return fmt.Errorf("transport: round %d: client %d uploaded at %d-bit quantization, run uses %d",
+			m, id, up.Bits, bits)
+	}
+	for vi, j := range up.Idx {
+		if j < 0 || j >= len(seen) {
+			return fmt.Errorf("transport: round %d: client %d uploaded index %d out of range [0, %d)",
+				m, id, j, len(seen))
+		}
+		if seen[j] == token {
+			return fmt.Errorf("transport: round %d: client %d uploaded duplicate index %d", m, id, j)
+		}
+		seen[j] = token
+		if v := up.Val[vi]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("transport: round %d: client %d uploaded non-finite value %v at index %d", m, id, v, j)
+		}
+	}
+	return nil
+}
+
+// appliedSet is the downlink half of every client role's round: it
+// applies the aggregated B to the model and remembers its index set J, so
+// the caller can fold the upload mass the server consumed out of its
+// residual. J lives in an epoch-stamped slab over the coordinate space
+// (par.BumpEpoch — the engine's roundArena.stampInJ), so a round
+// allocates nothing and forgetting J is O(1).
+type appliedSet struct {
+	inJ []int32
+	gen int32
+}
+
+func newAppliedSet(d int) *appliedSet { return &appliedSet{inJ: make([]int32, d)} }
+
+// apply performs w ← w − η·B and makes B's index set the current J.
+func (a *appliedSet) apply(params []float64, lr float64, bIdx []int, bVal []float64) {
+	par.BumpEpoch(&a.gen, a.inJ)
+	for vi, j := range bIdx {
+		params[j] -= lr * bVal[vi]
+		a.inJ[j] = a.gen
+	}
+}
+
+// has reports whether coordinate j was in the last applied B.
+func (a *appliedSet) has(j int) bool { return a.inJ[j] == a.gen }

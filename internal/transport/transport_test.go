@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -325,6 +326,73 @@ func TestServerRejectsDuplicateIDs(t *testing.T) {
 	go func() { _ = b2.Send(Hello{ClientID: 0, Weight: 1}) }()
 	if _, err := RunServer([]Conn{a1, a2}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}); err == nil {
 		t.Fatal("server accepted duplicate client ids")
+	}
+}
+
+// TestValidateUpload pins the routed coordinators' shared trust boundary
+// (RunServerPeers, the durable server and the population server all call
+// it): shape, sender, quantization width, range, duplicates — and values,
+// where NaN and ±Inf are rejected naming round and client while every
+// finite bit pattern passes.
+func TestValidateUpload(t *testing.T) {
+	const round, client, bits, dim = 3, 5, 0, 8
+	mk := func(idx []int, val []float64) Upload {
+		return Upload{ClientID: client, Round: round, Idx: idx, Val: val}
+	}
+	cases := []struct {
+		name string
+		up   Upload
+		want string // "" = accepted
+	}{
+		{"well-formed", mk([]int{7, 0, 3}, []float64{1, -2, 0.5}), ""},
+		{"empty", mk(nil, nil), ""},
+		{"-0", mk([]int{1}, []float64{math.Copysign(0, -1)}), ""},
+		{"+0", mk([]int{1}, []float64{0}), ""},
+		{"denormal", mk([]int{1, 2}, []float64{5e-324, -5e-324}), ""},
+		{"largest finite", mk([]int{1, 2}, []float64{math.MaxFloat64, -math.MaxFloat64}), ""},
+		{"NaN", mk([]int{1, 4}, []float64{1, math.NaN()}), "round 3: client 5 uploaded non-finite value NaN at index 4"},
+		{"+Inf", mk([]int{6}, []float64{math.Inf(1)}), "round 3: client 5 uploaded non-finite value +Inf at index 6"},
+		{"-Inf", mk([]int{0, 2}, []float64{math.Inf(-1), 1}), "round 3: client 5 uploaded non-finite value -Inf at index 0"},
+		{"stale round", Upload{ClientID: client, Round: 2}, "stale upload"},
+		{"forged sender", Upload{ClientID: 4, Round: round}, "stale upload"},
+		{"ragged", mk([]int{1, 2}, []float64{1}), "2 indices with 1 values"},
+		{"wrong width", Upload{ClientID: client, Round: round, Bits: 8}, "8-bit quantization, run uses 0"},
+		{"negative index", mk([]int{-1}, []float64{1}), "out of range"},
+		{"index past the model", mk([]int{dim}, []float64{1}), "out of range"},
+		{"duplicate", mk([]int{2, 2}, []float64{1, 1}), "duplicate index 2"},
+	}
+	seen := make([]int, dim)
+	for token, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateUpload(tc.up, round, client, bits, seen, token+1)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestServerRejectsNonFiniteUpload drives the check through a real
+// coordinator: the round fails naming the poisoning client instead of
+// broadcasting a NaN into every model.
+func TestServerRejectsNonFiniteUpload(t *testing.T) {
+	a0, b0 := NewMemPair()
+	a1, b1 := NewMemPair()
+	peer := func(c Conn, id int, val float64) {
+		_ = c.Send(Hello{ClientID: id, Weight: 1})
+		if _, err := c.Recv(); err != nil { // Init
+			return
+		}
+		_ = c.Send(Upload{ClientID: id, Round: 1, Idx: []int{1}, Val: []float64{val}})
+	}
+	go peer(b0, 0, 0.25)
+	go peer(b1, 1, math.Inf(-1))
+	_, err := RunServer([]Conn{a0, a1}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0, 0, 0}})
+	if err == nil || !strings.Contains(err.Error(), "round 1: client 1 uploaded non-finite value -Inf") {
+		t.Fatalf("error %v, want the non-finite upload of client 1 in round 1", err)
 	}
 }
 

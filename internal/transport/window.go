@@ -645,6 +645,7 @@ func runClientDirectWindowed(coord Conn, cfg ClientConfig, init Init, shardConns
 		xs    [][]float64
 		ys    []int
 	)
+	applied := newAppliedSet(net.D())
 	// In-flight upload ring: slot m%(w+1) holds round m's quantized
 	// pairs (for the deferred residual update) and the per-shard split
 	// buffers its SliceUploads alias. Unlike the synchronous client,
@@ -752,17 +753,12 @@ func runClientDirectWindowed(coord Conn, cfg ClientConfig, init Init, shardConns
 				cfg.ID, r, len(bIdx), rel.Elems)
 		}
 		slot := &ring[r%(w+1)]
-		params := net.Params()
-		inJ := make(map[int]bool, len(bIdx))
-		for vi, j := range bIdx {
-			params[j] -= cfg.LearningRate * bVal[vi]
-			inJ[j] = true
-		}
+		applied.apply(net.Params(), cfg.LearningRate, bIdx, bVal)
 		for vi, j := range slot.idx {
 			if slot.dropped[shardOf(j)] {
 				continue // never aggregated: the full value stays in acc
 			}
-			if inJ[j] {
+			if applied.has(j) {
 				acc[j] -= slot.val[vi]
 			}
 		}

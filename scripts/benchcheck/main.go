@@ -60,7 +60,12 @@ var tracked = []struct {
 	// runner: at the old 20x a single preempted iteration of a ~2µs
 	// decode moved the mean 5x and flapped the gate.
 	{"./internal/sparse/", "BenchmarkTopKInto", "200x"},
+	// BenchmarkAggregate's engine/ rows run engine_adaptive's aggregation
+	// shape (N = 32, d = 1e5) at k = D/100, D/10 and D.
 	{"./internal/gs/", "BenchmarkAggregate$|BenchmarkShardedAggregate", "30x"},
+	// The minibatch gradient and loss at the three BENCHMARK.json model
+	// shapes: the dense kernels are ~40 % of engine_adaptive's CPU.
+	{"./internal/nn/", "BenchmarkMeanLoss", "200x"},
 	{"./internal/transport/", "BenchmarkSliceCodec|BenchmarkWireRoundBytes", "200x"},
 	// The straggler wall clock is the bounded-staleness tentpole's
 	// perf contract: a windowed run under an injected straggler must

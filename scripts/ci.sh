@@ -23,8 +23,13 @@ go test ./...
 # both multi-process topologies (routed and client-direct, including the
 # shard-served downlink fan-out); internal/wal for the durable control
 # plane's log/snapshot machinery; internal/admin because its HTTP
-# handlers run concurrently with the observer callbacks feeding them.
-go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./internal/par/... ./internal/transport/... ./internal/wal/... ./internal/admin/... ./cmd/flsim/...
+# handlers run concurrently with the observer callbacks feeding them;
+# internal/nn because the engine runs one network per worker at once.
+go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./internal/nn/... ./internal/par/... ./internal/transport/... ./internal/wal/... ./internal/admin/... ./cmd/flsim/...
+# The sharded aggregation fan-outs and the blocked dense kernels (one
+# network per engine worker) promise the same bits at any parallelism: run
+# their differentials at more than one GOMAXPROCS, uncached.
+go test -count=1 -cpu 1,2,4 ./internal/gs ./internal/nn ./internal/tensor
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
