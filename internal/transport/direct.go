@@ -3,12 +3,10 @@ package transport
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"fedsparse/internal/gs"
 	"fedsparse/internal/sparse"
-	"fedsparse/internal/tensor"
 )
 
 // This file is the client-direct data plane: the topology where the
@@ -207,21 +205,13 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 	if !ok {
 		return fmt.Errorf("transport: direct shard expected ShardAssign, got %T", msg)
 	}
-	if assign.NumShards < 1 || assign.ShardID < 0 || assign.ShardID >= assign.NumShards {
-		return fmt.Errorf("transport: shard id %d out of range [0, %d)", assign.ShardID, assign.NumShards)
-	}
-	if assign.Dim < 1 || assign.Rounds < 0 || len(assign.Weights) == 0 {
-		return fmt.Errorf("transport: bad shard assignment (dim=%d rounds=%d clients=%d)",
-			assign.Dim, assign.Rounds, len(assign.Weights))
-	}
-	if !assign.Direct {
-		return fmt.Errorf("transport: routed assignment sent to a direct shard (coordinator not in direct mode?)")
+	if err := checkAssign(assign, true); err != nil {
+		return err
 	}
 	if assign.Window < 0 || assign.Window > MaxStaleness {
 		return fmt.Errorf("transport: shard %d assigned staleness window %d outside [0, %d]",
 			assign.ShardID, assign.Window, MaxStaleness)
 	}
-	lo, hi := tensor.ChunkBounds(assign.Dim, assign.NumShards, assign.ShardID)
 	if assign.NumHosts > 0 {
 		// Population tier: the ingest plane carries NumHosts virtual-
 		// client host connections instead of one per member, and the
@@ -234,7 +224,7 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 		if err != nil {
 			return fmt.Errorf("transport: shard %d accepting hosts: %w", assign.ShardID, err)
 		}
-		return runDirectShardPopulation(coord, assign, peers, lo, hi)
+		return runDirectShardPopulation(coord, assign, peers)
 	}
 	n := len(assign.Weights)
 
@@ -270,37 +260,20 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 			return fmt.Errorf("transport: shard %d: no ingest connection from client %d", assign.ShardID, ci)
 		}
 	}
+	sr := newShardRound(assign, n, "client", "client")
 	if assign.Window > 0 {
-		// Bounded staleness: the per-round barrier below relaxes to a
+		// Bounded staleness: the ordered barrier below relaxes to a
 		// sliding admission window with concurrent per-client readers.
-		// The synchronous path stays byte-for-byte untouched.
-		return runDirectShardWindowed(coord, assign, conns, lo, hi)
+		return runDirectShardWindowed(coord, sr, assign.Window, assign.Rounds, conns)
 	}
 
-	scratch := gs.NewAggScratch(0)
-	scratch.Reserve(assign.Dim)
-	uploads := make([]gs.ClientUpload, n)
-	ranks := make([][]int, n)
-	for ci := range uploads {
-		uploads[ci].Weight = assign.Weights[ci]
-	}
-	// Duplicate-coordinate slab, one token per (round, client) check.
-	seen := make([]int, assign.Dim)
-	seenToken := 0
-	var fill []gs.FillCand
-	var fillClient, fillIdx []int
-	var fillAbs []float64
 	// The served downlink slice, rebuilt at each seal. Reuse across
-	// rounds (and sharing one slice among all clients' replies) is safe
-	// under the protocol's lockstep: every round-m reader — each client
-	// applies the broadcast before computing round m+1 — is done before
-	// the next seal can arrive, which requires every client's round-m+1
-	// upload first.
-	var sealIdx []int
-	var sealVal []float64
-	var sealBits int
-	var sealScale float64
-
+	// rounds (and sharing one boxed message among all clients' replies)
+	// is safe under the protocol's lockstep: every round-m reader — each
+	// client applies the broadcast before computing round m+1 — is done
+	// before the next seal can arrive, which requires every client's
+	// round-m+1 upload first.
+	var ds downSlice
 	for m := 1; m <= assign.Rounds; m++ {
 		// The client barrier: one slice from every client completes the
 		// range. Reading the connections in client-ID order is safe —
@@ -310,6 +283,8 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 		// SliceUpload(m), SliceFetch(m), SliceUpload(m+1), … — so a
 		// duplicated upload or fetch surfaces as a type or round
 		// mismatch at the next read, never as a silent double-count.
+		// Slices are admitted by reference to the connection's decode
+		// scratch: nothing reads that connection again before the seal.
 		for ci, conn := range conns {
 			msg, err := conn.Recv()
 			if err != nil {
@@ -317,109 +292,28 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 			}
 			up, ok := msg.(SliceUpload)
 			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: client %d sent %T, want SliceUpload", assign.ShardID, m, ci, msg)
+				return sr.wrongType(m, sr.peer, ci, msg, "SliceUpload")
 			}
-			if up.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: stale slice from client %d (round %d) — duplicate or skipped upload",
-					assign.ShardID, m, ci, up.Round)
+			if err := sr.admit(m, ci, ci, &up); err != nil {
+				return err
 			}
-			if up.ClientID != ci {
-				return fmt.Errorf("transport: shard %d round %d: slice on client %d's connection claims client %d",
-					assign.ShardID, m, ci, up.ClientID)
-			}
-			if up.Bits != assign.QuantBits {
-				return fmt.Errorf("transport: shard %d round %d: client %d slice at %d-bit quantization, run uses %d",
-					assign.ShardID, m, ci, up.Bits, assign.QuantBits)
-			}
-			seenToken++
-			if err := gs.ValidateRangeSlice(up.Idx, up.Val, up.Rank, lo, hi, seen, seenToken); err != nil {
-				return fmt.Errorf("transport: shard %d round %d: client %d slice: %w", assign.ShardID, m, ci, err)
-			}
-			uploads[ci].Pairs = sparse.Vec{Idx: up.Idx, Val: up.Val}
-			ranks[ci] = up.Rank
 		}
-		red := gs.RangeReduceInto(scratch, uploads, ranks, lo, hi)
-		res := ShardResult{Round: m, ShardID: assign.ShardID, Idx: red.Idx, Sum: red.Sum, MinRank: red.MinRank}
-		if err := coord.Send(res); err != nil {
-			return fmt.Errorf("transport: shard %d round %d send: %w", assign.ShardID, m, err)
-		}
-		// Serve the coordinator's selection-metadata queries until it
-		// seals the round with the selected members of this range.
-		for {
-			msg, err := coord.Recv()
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d control recv: %w", assign.ShardID, m, err)
-			}
-			if q, ok := msg.(FillQuery); ok {
-				if q.Round != m {
-					return fmt.Errorf("transport: shard %d round %d: stale fill query (round %d)", assign.ShardID, m, q.Round)
-				}
-				fill = gs.AppendFillCands(fill[:0], uploads, ranks, q.Kappa)
-				fillClient, fillIdx, fillAbs = fillClient[:0], fillIdx[:0], fillAbs[:0]
-				for _, c := range fill {
-					fillClient = append(fillClient, c.Client)
-					fillIdx = append(fillIdx, c.Idx)
-					fillAbs = append(fillAbs, c.AbsVal)
-				}
-				reply := FillCandidates{Round: m, ShardID: assign.ShardID, Client: fillClient, Idx: fillIdx, AbsVal: fillAbs}
-				if err := coord.Send(reply); err != nil {
-					return fmt.Errorf("transport: shard %d round %d fill send: %w", assign.ShardID, m, err)
-				}
-				continue
-			}
-			seal, ok := msg.(RoundSeal)
-			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: expected FillQuery or RoundSeal, got %T", assign.ShardID, m, msg)
-			}
-			if seal.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: stale round seal (round %d)", assign.ShardID, m, seal.Round)
-			}
-			if seal.Bits != assign.QuantBits {
-				return fmt.Errorf("transport: shard %d round %d: seal at %d-bit quantization, run uses %d",
-					assign.ShardID, m, seal.Bits, assign.QuantBits)
-			}
-			if math.IsNaN(seal.Scale) || math.IsInf(seal.Scale, 0) || seal.Scale < 0 {
-				return fmt.Errorf("transport: shard %d round %d: seal scale %v is not a finite non-negative real",
-					assign.ShardID, m, seal.Scale)
-			}
-			// Build the round's broadcast slice from the shard's own
-			// reduction — the seal carries member indices only, so a
-			// corrupted member set fails here, before any client reads it.
-			sealIdx, sealVal, err = gs.BuildDownlinkSlice(sealIdx[:0], sealVal[:0], seal.Members, red, lo, hi)
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d seal: %w", assign.ShardID, m, err)
-			}
-			// Snap the reconstructed span onto the seal's global grid.
-			// Every shard quantizes against the same (bits, scale), so
-			// the clients' reassembled B equals the engine's quantized
-			// aggregate bit-for-bit.
-			if seal.Bits > 0 {
-				sparse.QuantizeToScale(sealVal, seal.Bits, seal.Scale)
-			}
-			sealBits, sealScale = seal.Bits, seal.Scale
-			break
+		if err := sr.seal(m, coord, &ds); err != nil {
+			return err
 		}
 		// The downlink serve: one fetch per client, same counted barrier
 		// as the uplink — a dead client errors the round here instead of
 		// wedging peers that already fetched.
+		reply := ds.message(m, assign.ShardID)
 		for ci, conn := range conns {
 			msg, err := conn.Recv()
 			if err != nil {
 				return fmt.Errorf("transport: shard %d round %d downlink serve recv from client %d: %w", assign.ShardID, m, ci, err)
 			}
-			f, ok := msg.(SliceFetch)
-			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: client %d sent %T, want SliceFetch", assign.ShardID, m, ci, msg)
+			if err := sr.checkFetch(m, ci, msg); err != nil {
+				return err
 			}
-			if f.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: stale fetch from client %d (round %d)", assign.ShardID, m, ci, f.Round)
-			}
-			if f.ClientID != ci {
-				return fmt.Errorf("transport: shard %d round %d: fetch on client %d's connection claims client %d",
-					assign.ShardID, m, ci, f.ClientID)
-			}
-			sb := SliceBroadcast{Round: m, ShardID: assign.ShardID, Idx: sealIdx, Val: sealVal, Bits: sealBits, Scale: sealScale}
-			if err := conn.Send(sb); err != nil {
+			if err := conn.Send(reply); err != nil {
 				return fmt.Errorf("transport: shard %d round %d slice broadcast to client %d: %w", assign.ShardID, m, ci, err)
 			}
 		}
@@ -451,23 +345,16 @@ type DirectGroup struct {
 	dim       int
 	nClients  int
 	quantBits int
-	bounds    []int // len(conns)+1 chunk boundaries over [0, dim)
 	sel       *gs.AggScratch
+	shardResults
 
-	mergedIdx  []int
-	mergedSum  []float64
-	mergedRank []int
-
+	round    int // the round being selected: what the fill hook queries for
+	fillHook func(kappa int) ([]gs.FillCand, error)
 	cands    []gs.FillCand
 	candSeen []int // per-client dedupe slab for gathered candidates
 	candGen  int
 
 	spans [][]int // per-shard member spans of the round's seal
-
-	// reduceSecs[s] is the wall-clock wait for shard s's ShardResult in
-	// the last gather (Aggregate here, or the durable round body) — the
-	// per-shard reduce time the operational surface reports.
-	reduceSecs []float64
 }
 
 // NewDirectGroup sends every shard its direct-mode ShardAssign and
@@ -478,33 +365,18 @@ type DirectGroup struct {
 // onto its global b-bit grid and seals the shards with that grid, so
 // the shard-served downlink is the engine's quantized aggregate.
 func NewDirectGroup(conns []Conn, dim, rounds int, weights []float64, quantBits int) (*DirectGroup, error) {
-	return newWindowedDirectGroup(conns, dim, rounds, weights, quantBits, 0)
-}
-
-// newWindowedDirectGroup is NewDirectGroup with a bounded-staleness
-// window in the assignments — the windowed coordinator's constructor
-// (window 0 is the synchronous group).
-func newWindowedDirectGroup(conns []Conn, dim, rounds int, weights []float64, quantBits, window int) (*DirectGroup, error) {
-	g, err := newDirectGroupState(conns, dim, weights, quantBits)
+	g, err := newDirectGroup(conns, dim, weights, quantBits)
 	if err != nil {
 		return nil, err
 	}
-	assign := ShardAssign{NumShards: len(conns), Dim: dim, Rounds: rounds, Weights: append([]float64(nil), weights...), Direct: true, QuantBits: quantBits, Window: window}
-	for s, conn := range conns {
-		assign.ShardID = s
-		if err := conn.Send(assign); err != nil {
-			return nil, fmt.Errorf("transport: assign direct shard %d: %w", s, err)
-		}
-	}
-	return g, nil
+	return g, g.assign(directAssign(len(conns), dim, rounds, weights, quantBits))
 }
 
-// newDirectGroupState builds a DirectGroup's selection and partition
-// state without sending any assignments — the shared constructor body
-// behind NewDirectGroup, and what a resumed durable coordinator uses
-// (its shards are mid-run and already assigned; connections arrive
+// newDirectGroup builds a DirectGroup's selection and partition state
+// without sending any assignments (a resumed durable coordinator's
+// shards are mid-run and already assigned; their connections arrive
 // later through rejoins).
-func newDirectGroupState(conns []Conn, dim int, weights []float64, quantBits int) (*DirectGroup, error) {
+func newDirectGroup(conns []Conn, dim int, weights []float64, quantBits int) (*DirectGroup, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("transport: direct group needs at least one shard")
 	}
@@ -515,118 +387,106 @@ func newDirectGroupState(conns []Conn, dim int, weights []float64, quantBits int
 		return nil, fmt.Errorf("transport: quantization width must be 0 (off) or in [2, 64], got %d", quantBits)
 	}
 	g := &DirectGroup{
-		conns:      conns,
-		dim:        dim,
-		nClients:   len(weights),
-		quantBits:  quantBits,
-		bounds:     make([]int, len(conns)+1),
-		sel:        gs.NewAggScratch(0),
-		candSeen:   make([]int, len(weights)),
-		reduceSecs: make([]float64, len(conns)),
+		conns:        conns,
+		dim:          dim,
+		nClients:     len(weights),
+		quantBits:    quantBits,
+		sel:          gs.NewAggScratch(0),
+		shardResults: newShardResults(conns, dim),
+		candSeen:     make([]int, len(weights)),
 	}
+	g.fillHook = g.fill
 	g.sel.Reserve(dim)
-	for s := range conns {
-		lo, hi := tensor.ChunkBounds(dim, len(conns), s)
-		g.bounds[s], g.bounds[s+1] = lo, hi
-	}
 	return g, nil
 }
 
-// Aggregate closes one round of the direct tier: gather and validate
-// every shard's range reduction, select on the merged results with the
-// shard-served metadata (maxLen is the round's longest client upload,
-// reported on the control plane), seal every shard with its span of the
-// member set (RoundSeal — the shard serves the clients' broadcast
-// slices from its own sums), and return the aggregate — bit-identical
-// to the routed ShardGroup and the single-process engine. The
-// coordinator never sees an upload; shard results are validated against
-// the partition geometry and maxLen exactly as the routed gather
-// validates them. The caller must not release clients into their
-// round-m fetches before Aggregate returns: every shard is sealed by
-// then, which is the ordering guarantee the downlink barrier rests on.
-func (g *DirectGroup) Aggregate(strat gs.DirectSelector, round, k, maxLen int) (gs.Aggregate, error) {
-	g.mergedIdx = g.mergedIdx[:0]
-	g.mergedSum = g.mergedSum[:0]
-	g.mergedRank = g.mergedRank[:0]
+// assign sends every shard the assignment, stamped with its identity.
+func (g *DirectGroup) assign(assign ShardAssign) error {
 	for s, conn := range g.conns {
-		t0 := time.Now()
-		msg, err := conn.Recv()
-		g.reduceSecs[s] = time.Since(t0).Seconds()
-		if err != nil {
-			return gs.Aggregate{}, fmt.Errorf("transport: round %d recv from shard %d: %w", round, s, err)
+		assign.ShardID = s
+		if err := conn.Send(assign); err != nil {
+			return fmt.Errorf("transport: assign direct shard %d: %w", s, err)
 		}
-		res, ok := msg.(ShardResult)
-		if !ok {
-			return gs.Aggregate{}, fmt.Errorf("transport: round %d: shard %d sent %T, want ShardResult", round, s, msg)
-		}
-		if res.Round != round || res.ShardID != s {
-			return gs.Aggregate{}, fmt.Errorf("transport: round %d: stale result (round %d from shard %d)",
-				round, res.Round, res.ShardID)
-		}
-		if len(res.Idx) != len(res.Sum) || len(res.Idx) != len(res.MinRank) {
-			return gs.Aggregate{}, fmt.Errorf("transport: round %d: shard %d result shape %d/%d/%d",
-				round, s, len(res.Idx), len(res.Sum), len(res.MinRank))
-		}
-		for i, j := range res.Idx {
-			if j < g.bounds[s] || j >= g.bounds[s+1] || (i > 0 && j <= res.Idx[i-1]) {
-				return gs.Aggregate{}, fmt.Errorf("transport: round %d: shard %d result index %d out of order or range",
-					round, s, j)
-			}
-			if r := res.MinRank[i]; r < 0 || r >= maxLen {
-				return gs.Aggregate{}, fmt.Errorf("transport: round %d: shard %d result rank %d for index %d outside [0, %d)",
-					round, s, r, j, maxLen)
-			}
-		}
-		g.mergedIdx = append(g.mergedIdx, res.Idx...)
-		g.mergedSum = append(g.mergedSum, res.Sum...)
-		g.mergedRank = append(g.mergedRank, res.MinRank...)
 	}
-	merged := gs.RangeAgg{Idx: g.mergedIdx, Sum: g.mergedSum, MinRank: g.mergedRank}
-	meta := gs.DirectMeta{
-		NumClients: g.nClients,
-		MaxLen:     maxLen,
-		Fill: func(kappa int) ([]gs.FillCand, error) {
-			return g.fill(round, kappa)
-		},
-	}
-	main, _, err := strat.SelectDirect(g.sel, merged, meta, k, 0)
+	return nil
+}
+
+// Aggregate closes one round of the direct tier: select (gather and
+// validate every shard's range reduction, select on the merged results
+// with the shard-served metadata — maxLen is the round's longest client
+// upload, reported on the control plane) and seal (every shard receives
+// its span of the member set and serves the clients' broadcast slices
+// from its own sums), returning the aggregate — bit-identical to the
+// routed ShardGroup and the single-process engine. The caller must not
+// release clients into their round-m fetches before Aggregate returns:
+// every shard is sealed by then, which is the ordering guarantee the
+// downlink barrier rests on.
+func (g *DirectGroup) Aggregate(strat gs.DirectSelector, round, k, maxLen int) (gs.Aggregate, error) {
+	main, scale, err := g.selectRound(strat, round, k, maxLen)
 	if err != nil {
 		return gs.Aggregate{}, err
 	}
-	// With quantization on, snap the selection onto its global b-bit
-	// grid here — the engine's post-aggregation quantization — and seal
-	// the shards with the one (bits, scale) pair they all share. Each
-	// shard reapplies the same snap to its reconstructed span, so the
-	// two computations agree bit-for-bit.
-	var sealScale float64
-	if g.quantBits > 0 {
-		sealScale = sparse.QuantizeInPlace(main.Values, g.quantBits)
-	}
-	// Seal: split the selection by shard range and send each shard its
-	// span — member indices only, the values already live in the shards.
-	// The spans alias the selection scratch; that is safe even over
-	// by-reference in-memory conns because the scratch is next written
-	// by round m+1's selection, which the protocol orders after every
-	// client applied round m's broadcast (and so after every shard
-	// finished serving it).
-	g.spans = gs.MemberSpans(main.Indices, g.bounds, g.spans)
-	for s, conn := range g.conns {
-		seal := RoundSeal{Round: round, Members: g.spans[s], Bits: g.quantBits, Scale: sealScale}
-		if err := conn.Send(seal); err != nil {
-			return gs.Aggregate{}, fmt.Errorf("transport: round %d seal to shard %d: %w", round, s, err)
-		}
-	}
-	return main, nil
+	return main, g.seal(round, scale)
 }
 
-// fill runs one FillQuery round trip across every shard and merges the
-// validated candidates: each client may contribute at most one (its
-// rank-κ pair lives in exactly one shard), candidate coordinates must
-// lie in the answering shard's range, and the magnitudes must be real
-// and non-negative — a malformed reply fails as a protocol error, not a
-// corrupted selection.
-func (g *DirectGroup) fill(round, kappa int) ([]gs.FillCand, error) {
-	q := FillQuery{Round: round, Kappa: kappa}
+// selectRound is the first half of a round: the decision. The
+// coordinator never sees an upload; it selects over the shards'
+// gathered reductions (shardResults.gather — the routed plane's
+// gather). With quantization on, the selection is snapped onto
+// its global b-bit grid here — the engine's post-aggregation
+// quantization — and scale is the grid every shard will be sealed with:
+// each reapplies the same snap to its reconstructed span, so the two
+// computations agree bit-for-bit. Nothing has been sent to a shard when
+// it returns (beyond fill queries), so a durable coordinator journals
+// the decision between the halves.
+func (g *DirectGroup) selectRound(strat gs.DirectSelector, round, k, maxLen int) (main gs.Aggregate, scale float64, err error) {
+	merged, err := g.gather(round, maxLen)
+	if err != nil {
+		return main, 0, err
+	}
+	g.round = round
+	meta := gs.DirectMeta{NumClients: g.nClients, MaxLen: maxLen, Fill: g.fillHook}
+	main, _, err = strat.SelectDirect(g.sel, merged, meta, k, 0)
+	if err != nil {
+		return main, 0, err
+	}
+	if g.quantBits > 0 {
+		scale = sparse.QuantizeInPlace(main.Values, g.quantBits)
+	}
+	// Split the selection by shard range for the seal. The spans alias
+	// the selection scratch; that is safe even over by-reference
+	// in-memory conns because the scratch is next written by round
+	// m+1's selection, which the protocol orders after every client
+	// applied round m's broadcast (and so after every shard finished
+	// serving it).
+	g.spans = gs.MemberSpans(main.Indices, g.bounds, g.spans)
+	return main, scale, nil
+}
+
+// seal is the second half: send each shard its span of the selection —
+// member indices only, the values already live in the shards — with the
+// one (bits, scale) grid they all share.
+func (g *DirectGroup) seal(round int, scale float64) error {
+	for s := range g.conns {
+		seal := RoundSeal{Round: round, Members: g.spans[s], Bits: g.quantBits, Scale: scale}
+		if err := g.links.send(s, round, seal); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fill runs one FillQuery round trip for the round being selected
+// across every shard and merges the validated candidates: each client
+// may contribute at most one (its rank-κ pair lives in exactly one
+// shard), candidate coordinates must lie in the answering shard's
+// range, and the magnitudes must be real and non-negative — a malformed
+// reply fails as a protocol error, not a corrupted selection. It talks
+// to the raw connections: a shard death inside the round trip errors
+// the run on every tier.
+func (g *DirectGroup) fill(kappa int) ([]gs.FillCand, error) {
+	round := g.round
+	var q any = FillQuery{Round: round, Kappa: kappa}
 	for s, conn := range g.conns {
 		if err := conn.Send(q); err != nil {
 			return nil, fmt.Errorf("transport: round %d fill query to shard %d: %w", round, s, err)
@@ -681,261 +541,4 @@ func (g *DirectGroup) Close() error {
 		}
 	}
 	return first
-}
-
-// runServerDirect is the control-plane round loop of RunServerPeers for
-// ServerConfig.Direct: publish the shard directory in Init, then per
-// round collect every client's RoundMeta (loss + upload length — the
-// only things a client sends the coordinator), aggregate through the
-// DirectGroup (which seals every shard with its span of the selection),
-// and release the clients into their downlink fetches with per-round
-// scalars — the coordinator sends no B payload in either direction.
-// ordered holds the client conns in ID order with their weights.
-func runServerDirect(ordered []Conn, weights []float64, totalWeight float64, cfg ServerConfig) ([]RoundRecord, error) {
-	dim := len(cfg.InitialParams)
-	if len(cfg.ShardConns) == 0 {
-		return nil, fmt.Errorf("transport: direct mode needs ShardConns (the coordinator no longer aggregates)")
-	}
-	if len(cfg.ShardAddrs) != len(cfg.ShardConns) {
-		return nil, fmt.Errorf("transport: direct mode needs one ShardAddrs entry per shard (%d addrs for %d shards)",
-			len(cfg.ShardAddrs), len(cfg.ShardConns))
-	}
-	for s, addr := range cfg.ShardAddrs {
-		if addr == "" {
-			return nil, fmt.Errorf("transport: direct mode: shard %d advertised no ingest address", s)
-		}
-	}
-	group, err := newWindowedDirectGroup(cfg.ShardConns, dim, cfg.Rounds, weights, cfg.QuantBits, cfg.Staleness)
-	if err != nil {
-		return nil, err
-	}
-	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds, QuantBits: cfg.QuantBits, Window: cfg.Staleness, Shards: cfg.ShardAddrs}
-	for _, conn := range ordered {
-		if err := conn.Send(init); err != nil {
-			return nil, fmt.Errorf("transport: send init: %w", err)
-		}
-	}
-	if cfg.Staleness > 0 {
-		return runServerDirectWindowed(ordered, weights, totalWeight, cfg, group)
-	}
-
-	strategy := &gs.FABTopK{}
-	// Byte meter over the control plane (clients' RoundMeta/RoundRelease
-	// and the shard conns): in direct mode the gradient payloads flow
-	// client↔shard and never cross the coordinator, so these deltas are
-	// the control plane's cost — which is the point of the topology.
-	var bm *byteMeter
-	if cfg.Observer != nil {
-		bm = newByteMeter(ordered, cfg.ShardConns)
-		bm.delta()
-	}
-	records := make([]RoundRecord, 0, cfg.Rounds)
-	for m := 1; m <= cfg.Rounds; m++ {
-		if cfg.Observer != nil {
-			cfg.Observer.OnRoundStart(m)
-		}
-		var weightedLoss float64
-		maxLen := 0
-		for id, conn := range ordered {
-			msg, err := conn.Recv()
-			if err != nil {
-				return records, fmt.Errorf("transport: round %d recv from client %d: %w", m, id, err)
-			}
-			meta, ok := msg.(RoundMeta)
-			if !ok {
-				return records, fmt.Errorf("transport: round %d: client %d sent %T, want RoundMeta (gradient payloads go to the shards)", m, id, msg)
-			}
-			if meta.Round != m || meta.ClientID != id {
-				return records, fmt.Errorf("transport: round %d: stale metadata (round %d from client %d)",
-					m, meta.Round, meta.ClientID)
-			}
-			if meta.UploadLen < 0 || meta.UploadLen > dim {
-				return records, fmt.Errorf("transport: round %d: client %d reported upload length %d outside [0, %d]",
-					m, id, meta.UploadLen, dim)
-			}
-			weightedLoss += weights[id] / totalWeight * meta.BatchLoss
-			maxLen = max(maxLen, meta.UploadLen)
-		}
-		agg, err := group.Aggregate(strategy, m, cfg.K, maxLen)
-		if err != nil {
-			return records, err
-		}
-		// Every shard is sealed once Aggregate returns; the release is
-		// therefore the clients' guarantee that round m's slices are
-		// servable at every shard. Elems lets each client verify its
-		// reassembled B against the coordinator's |J| — a truncated
-		// shard slice fails at the client, loudly.
-		rel := RoundRelease{Round: m, Elems: len(agg.Indices)}
-		for id, conn := range ordered {
-			if err := conn.Send(rel); err != nil {
-				return records, fmt.Errorf("transport: round %d release to client %d: %w", m, id, err)
-			}
-		}
-		rec := RoundRecord{Round: m, Loss: weightedLoss, DownlinkElems: len(agg.Indices)}
-		records = append(records, rec)
-		if cfg.Observer != nil {
-			cfg.Observer.OnRoundEnd(roundEvent(rec, cfg.K, len(ordered), bm, group.reduceSecs))
-		}
-	}
-	return records, nil
-}
-
-// runClientDirect is RunClient for the direct data plane: dial every
-// shard from the Init directory, then run the shared round body
-// (runClientRounds — the training computation and rng consumption are
-// the routed client's, exactly once in the codebase) with a fan-out
-// uplink and a fan-in downlink. Uplink: split the top-k pairs by
-// coordinate range, send each slice (with explicit local ranks)
-// straight to its owner, and report the control metadata to the
-// coordinator. Downlink: wait for the coordinator's RoundRelease (the
-// epoch guard — it arrives only after every shard sealed the round),
-// pull one SliceBroadcast from every shard, and reassemble B by
-// concatenation in shard order, verified against the release's element
-// count.
-func runClientDirect(coord Conn, cfg ClientConfig, init Init) error {
-	dim := len(init.Params)
-	nShards := len(init.Shards)
-	dial := cfg.DialShard
-	if dial == nil {
-		dial = Dial
-	}
-	shardConns := make([]Conn, nShards)
-	defer func() {
-		for _, c := range shardConns {
-			if c != nil {
-				_ = c.Close()
-			}
-		}
-	}()
-	bounds := make([]int, nShards+1)
-	for s := 0; s < nShards; s++ {
-		lo, hi := tensor.ChunkBounds(dim, nShards, s)
-		bounds[s], bounds[s+1] = lo, hi
-		conn, err := dial(init.Shards[s])
-		if err != nil {
-			return fmt.Errorf("transport: client %d dial shard %d (%s): %w", cfg.ID, s, init.Shards[s], err)
-		}
-		shardConns[s] = conn
-		hello := DataHello{ClientID: cfg.ID, ShardID: s, NumShards: nShards, Dim: dim}
-		if err := conn.Send(hello); err != nil {
-			return fmt.Errorf("transport: client %d data hello to shard %d: %w", cfg.ID, s, err)
-		}
-	}
-	shardOf := func(j int) int { return sort.SearchInts(bounds, j+1) - 1 }
-	if init.Window > 0 {
-		return runClientDirectWindowed(coord, cfg, init, shardConns, bounds, shardOf)
-	}
-
-	// Per-shard slice buffers and the downlink reassembly buffers,
-	// reused across rounds under the lockstep argument documented on
-	// runClientRounds (every round-m reader of a reused buffer is done
-	// before the buffer's round-m+1 overwrite can happen).
-	sIdx := make([][]int, nShards)
-	sVal := make([][]float64, nShards)
-	sRank := make([][]int, nShards)
-	var bIdx []int
-	var bVal []float64
-
-	uplink := func(m int, pairs sparse.Vec, scale, batchLoss float64) error {
-		for s := 0; s < nShards; s++ {
-			sIdx[s] = sIdx[s][:0]
-			sVal[s] = sVal[s][:0]
-			sRank[s] = sRank[s][:0]
-		}
-		for pi, j := range pairs.Idx {
-			s := shardOf(j)
-			sIdx[s] = append(sIdx[s], j)
-			sVal[s] = append(sVal[s], pairs.Val[pi])
-			sRank[s] = append(sRank[s], pi)
-		}
-		for s, conn := range shardConns {
-			// Every slice carries the client's global per-upload grid —
-			// the values were quantized once, before the range split.
-			up := SliceUpload{ClientID: cfg.ID, Round: m, Idx: sIdx[s], Val: sVal[s], Rank: sRank[s],
-				Bits: init.QuantBits, Scale: scale}
-			if err := conn.Send(up); err != nil {
-				return fmt.Errorf("transport: client %d round %d slice to shard %d: %w", cfg.ID, m, s, err)
-			}
-		}
-		meta := RoundMeta{ClientID: cfg.ID, Round: m, BatchLoss: batchLoss, UploadLen: pairs.Len()}
-		if err := coord.Send(meta); err != nil {
-			return fmt.Errorf("transport: client %d round %d metadata: %w", cfg.ID, m, err)
-		}
-		return nil
-	}
-	downlink := func(m int) ([]int, []float64, error) {
-		// The epoch guard: fetch round m's slices only after the
-		// coordinator confirms every shard sealed round m.
-		msg, err := coord.Recv()
-		if err != nil {
-			return nil, nil, fmt.Errorf("transport: client %d round %d release recv: %w", cfg.ID, m, err)
-		}
-		rel, ok := msg.(RoundRelease)
-		if !ok {
-			return nil, nil, fmt.Errorf("transport: client %d round %d: expected RoundRelease, got %T", cfg.ID, m, msg)
-		}
-		if rel.Round != m {
-			return nil, nil, fmt.Errorf("transport: client %d round %d: stale release (round %d)", cfg.ID, m, rel.Round)
-		}
-		bIdx, bVal, err = fetchBroadcastSlices(cfg.ID, shardConns, bounds, m, rel.Elems, bIdx[:0], bVal[:0])
-		return bIdx, bVal, err
-	}
-	return runClientRounds(cfg, init, uplink, downlink)
-}
-
-// fetchBroadcastSlices is the client side of the shard-served downlink:
-// send every shard the round's SliceFetch, then gather one validated
-// SliceBroadcast from each in shard order, reassembling B into
-// dstIdx/dstVal by concatenation (shard ranges are contiguous and
-// ascending, so the result is the coordinator's sorted member list).
-// Each slice must carry the fetched round (a stale slice is a protocol
-// error, not a silently applied old broadcast), the serving shard's
-// identity, parallel index/value lists, and strictly ascending
-// coordinates inside the shard's range; the reassembled total must
-// match the coordinator's elems, so a truncated slice fails loudly
-// instead of silently dropping coordinates.
-func fetchBroadcastSlices(clientID int, shardConns []Conn, bounds []int, round, elems int,
-	dstIdx []int, dstVal []float64) ([]int, []float64, error) {
-
-	fetch := SliceFetch{ClientID: clientID, Round: round}
-	for s, conn := range shardConns {
-		if err := conn.Send(fetch); err != nil {
-			return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d fetch to shard %d: %w", clientID, round, s, err)
-		}
-	}
-	for s, conn := range shardConns {
-		msg, err := conn.Recv()
-		if err != nil {
-			return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d slice recv from shard %d: %w", clientID, round, s, err)
-		}
-		sb, ok := msg.(SliceBroadcast)
-		if !ok {
-			return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d: shard %d sent %T, want SliceBroadcast", clientID, round, s, msg)
-		}
-		if sb.Round != round {
-			return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d: stale broadcast slice from shard %d (round %d)",
-				clientID, round, s, sb.Round)
-		}
-		if sb.ShardID != s {
-			return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d: broadcast slice on shard %d's link claims shard %d",
-				clientID, round, s, sb.ShardID)
-		}
-		if len(sb.Idx) != len(sb.Val) {
-			return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d: shard %d broadcast slice shape %d/%d",
-				clientID, round, s, len(sb.Idx), len(sb.Val))
-		}
-		for i, j := range sb.Idx {
-			if j < bounds[s] || j >= bounds[s+1] || (i > 0 && j <= sb.Idx[i-1]) {
-				return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d: shard %d broadcast index %d out of order or range",
-					clientID, round, s, j)
-			}
-		}
-		dstIdx = append(dstIdx, sb.Idx...)
-		dstVal = append(dstVal, sb.Val...)
-	}
-	if len(dstIdx) != elems {
-		return dstIdx, dstVal, fmt.Errorf("transport: client %d round %d: reassembled %d broadcast elements, coordinator sealed %d — truncated or padded shard slice",
-			clientID, round, len(dstIdx), elems)
-	}
-	return dstIdx, dstVal, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fedsparse/internal/core"
 	"fedsparse/internal/fl"
@@ -192,7 +193,7 @@ func TestDirectAggregationDifferential(t *testing.T) {
 }
 
 // fetchAndReassemble runs client ci's downlink for one round through
-// the real fetch-gather path (fetchBroadcastSlices) over the harness's
+// the real fetch-gather path (shardFan.fetch) over the harness's
 // ingest conns and returns the reassembled B.
 func fetchAndReassemble(t *testing.T, clientConns [][]Conn, dim, ci, round, elems int) ([]int, []float64) {
 	t.Helper()
@@ -204,7 +205,8 @@ func fetchAndReassemble(t *testing.T, clientConns [][]Conn, dim, ci, round, elem
 		lo, hi := tensor.ChunkBounds(dim, nShards, s)
 		bounds[s], bounds[s+1] = lo, hi
 	}
-	idx, val, err := fetchBroadcastSlices(ci, conns, bounds, round, elems, nil, nil)
+	fan := &shardFan{who: "client", id: ci, conns: conns, bounds: bounds}
+	idx, val, err := fan.fetch(round, elems, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("client %d round %d downlink: %v", ci, round, err)
 	}
@@ -920,73 +922,248 @@ func directShardHarness(t *testing.T, assign ShardAssign, peers func(n int) []Pe
 	return err
 }
 
-// TestRunDirectShardRejectsMalformed covers the ingest validation:
-// duplicate and overlapping slices, out-of-range coordinates, broken
-// rank order, identity forgery, and stale rounds must each error the
-// round as a protocol failure.
+// shardTier is one ingest tier of the direct shard as the hostile-input
+// tables drive it: the same two-client, shard-0-of-2 deployment behind
+// the lockstep barrier, the staleness window, the durable re-seating
+// desk, or one population host carrying both members. peer and fetcher
+// are the nouns the tier's errors name an uploader and a downlink
+// reader by; want overrides a row's expected error where the tier's
+// ingest POLICY — not the shared round — legitimately answers
+// differently ("" = the row cannot be posed on this tier).
+type shardTier struct {
+	name          string
+	peer, fetcher string
+	want          map[string]string
+	// run starts the shard and hands the script its scripted ends:
+	// clients[ci] carries client/member ci's uploads, fetchers[ci] its
+	// downlink pulls, coord is the coordinator's side. It returns the
+	// shard's exit error.
+	run func(t *testing.T, assign ShardAssign, script func(clients, fetchers []Conn, coord Conn)) error
+}
+
+// awaitShard bounds a scripted shard run: a hostile input must fail the
+// round, never wedge it.
+func awaitShard(t *testing.T, done <-chan error, closers ...Conn) error {
+	t.Helper()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("shard wedged on scripted input")
+	}
+	for _, c := range closers {
+		_ = c.Close()
+	}
+	return err
+}
+
+func shardTiers() []shardTier {
+	plain := func(window int) func(*testing.T, ShardAssign, func(clients, fetchers []Conn, coord Conn)) error {
+		return func(t *testing.T, assign ShardAssign, script func(clients, fetchers []Conn, coord Conn)) error {
+			assign.Window = window
+			return directShardHarness(t, assign, nil, func(clients []Conn, coord Conn) { script(clients, clients, coord) })
+		}
+	}
+	durable := func(t *testing.T, assign ShardAssign, script func(clients, fetchers []Conn, coord Conn)) error {
+		coordServer, coordShard := NewMemPair()
+		n := len(assign.Weights)
+		acc := make(chan Conn, n)
+		clients := make([]Conn, n)
+		for ci := range clients {
+			shardSide, clientSide := NewMemPair()
+			clients[ci] = clientSide
+			_ = clientSide.Send(DataHello{ClientID: ci, ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim})
+			acc <- shardSide
+		}
+		dialed := false
+		done := make(chan error, 1)
+		go func() {
+			done <- RunDurableDirectShard(DurableShardConfig{
+				RunID: 7, ShardID: assign.ShardID, Addr: "mem", RejoinAttempts: 1,
+				Dial: func() (Conn, error) {
+					if dialed {
+						return nil, errors.New("scripted coordinator accepts no redial")
+					}
+					dialed = true
+					return coordShard, nil
+				},
+				AcceptData: func() (Conn, error) {
+					conn, ok := <-acc
+					if !ok {
+						return nil, errors.New("ingest closed")
+					}
+					return conn, nil
+				},
+			})
+		}()
+		if _, err := coordServer.Recv(); err != nil { // the ShardHello
+			t.Fatal(err)
+		}
+		if err := coordServer.Send(assign); err != nil {
+			t.Fatal(err)
+		}
+		script(clients, clients, coordServer)
+		err := awaitShard(t, done, append(clients, coordServer)...)
+		close(acc)
+		return err
+	}
+	population := func(t *testing.T, assign ShardAssign, script func(clients, fetchers []Conn, coord Conn)) error {
+		// One host (id 0) carries both members: uploads travel on the
+		// members' enveloped streams, fetches at host level.
+		assign.NumHosts = 1
+		coordServer, coordShard := NewMemPair()
+		shardSide, hostSide := NewMemPair()
+		n := len(assign.Weights)
+		members := make([]int, n)
+		mux := NewMux(hostSide)
+		clients, fetchers := make([]Conn, n), make([]Conn, n)
+		for ci := range members {
+			members[ci] = ci
+			clients[ci], fetchers[ci] = mux.Virtual(ci), mux
+		}
+		peers := []Peer{{Conn: shardSide, HostData: &HostData{ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim, Members: members}}}
+		done := make(chan error, 1)
+		go func() {
+			done <- RunDirectShard(coordShard, func(int) ([]Peer, error) { return peers, nil })
+		}()
+		if err := coordServer.Send(assign); err != nil {
+			t.Fatal(err)
+		}
+		if err := coordServer.Send(CohortAssign{Round: 1, Members: members}); err != nil {
+			t.Fatal(err)
+		}
+		script(clients, fetchers, coordServer)
+		return awaitShard(t, done, coordServer, hostSide)
+	}
+	return []shardTier{
+		{name: "lockstep", peer: "client", fetcher: "client", run: plain(0)},
+		{name: "windowed", peer: "client", fetcher: "client", run: plain(1), want: map[string]string{
+			// The window's admission policy answers out-of-round traffic
+			// itself: tags outside [cut+1, cut+1+W] and a second slice
+			// for an open round are refused at arrival, a fetch outside
+			// the run cannot wait for a seal, and a reader that gets
+			// neither kind of message has no round to name.
+			"stale round":            "client 0 slice for round 4 outside admission window",
+			"duplicate slice upload": "client 0 sent two slices for round 1",
+			"stale fetch round":      "client 0 fetched round 9 outside",
+			"non-fetch message":      "client 0 sent transport.Hello, want SliceUpload or SliceFetch",
+			"non-slice message":      "client 0 sent transport.Hello, want SliceUpload or SliceFetch",
+		}},
+		{name: "durable", peer: "client", fetcher: "client", run: durable, want: map[string]string{
+			// A re-seated client replays its ring, so a repeated round-m
+			// slice during the round-m serve is a stale resend by design.
+			"duplicate slice upload": "",
+		}},
+		{name: "population", peer: "member", fetcher: "host", run: population, want: map[string]string{
+			// Fetches are per host, and this deployment has one.
+			"fetch identity forgery": "fetch on host 0's connection claims host 1",
+		}},
+	}
+}
+
+// expect resolves a row's expected error for the tier: its override,
+// or the shared text with the tier's nouns.
+func (tier shardTier) expect(row, want string) (string, bool) {
+	if over, ok := tier.want[row]; ok {
+		return over, over != ""
+	}
+	return strings.NewReplacer("{peer}", tier.peer, "{fetcher}", tier.fetcher).Replace(want), true
+}
+
+// TestRunDirectShardRejectsMalformed covers the ingest validation on
+// every tier: duplicate and overlapping slices, out-of-range
+// coordinates, broken rank order, identity forgery, and stale rounds
+// must each error the round as the same protocol failure — naming the
+// shard, the round, and the client or member — whichever ingest policy
+// carried the slice to the shared round.
 func TestRunDirectShardRejectsMalformed(t *testing.T) {
 	// Shard 0 of 2 over dim 10 owns [0, 5).
 	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}, Direct: true}
 	cases := []struct {
 		name string
-		up   SliceUpload
+		up   any
 		want string
 	}{
-		{"overlapping coordinates in one slice", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 3}, Val: []float64{1, 2}, Rank: []int{0, 1}}, "duplicate"},
-		{"coordinate outside the owned range", SliceUpload{ClientID: 0, Round: 1, Idx: []int{7}, Val: []float64{1}, Rank: []int{0}}, "outside range"},
-		{"negative coordinate", SliceUpload{ClientID: 0, Round: 1, Idx: []int{-2}, Val: []float64{1}, Rank: []int{0}}, "outside range"},
-		{"ranks not ascending", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, 2}, Rank: []int{2, 1}}, "ranks not ascending"},
-		{"ragged shape", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1}, Rank: []int{0, 1}}, "inconsistent"},
-		{"non-finite value", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, math.NaN()}, Rank: []int{0, 1}}, "round 1: client 0 slice: gs: non-finite value NaN at index 4"},
-		{"identity forgery", SliceUpload{ClientID: 1, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}, "claims client"},
-		{"stale round", SliceUpload{ClientID: 0, Round: 4, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}, "stale slice"},
+		{"overlapping coordinates in one slice", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 3}, Val: []float64{1, 2}, Rank: []int{0, 1}}, "shard 0 round 1: {peer} 0 slice: gs: duplicate index 3"},
+		{"coordinate outside the owned range", SliceUpload{ClientID: 0, Round: 1, Idx: []int{7}, Val: []float64{1}, Rank: []int{0}}, "shard 0 round 1: {peer} 0 slice: gs: index 7 outside range"},
+		{"negative coordinate", SliceUpload{ClientID: 0, Round: 1, Idx: []int{-2}, Val: []float64{1}, Rank: []int{0}}, "shard 0 round 1: {peer} 0 slice: gs: index -2 outside range"},
+		{"ranks not ascending", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, 2}, Rank: []int{2, 1}}, "shard 0 round 1: {peer} 0 slice: gs: ranks not ascending"},
+		{"ragged shape", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1}, Rank: []int{0, 1}}, "shard 0 round 1: {peer} 0 slice: gs: inconsistent"},
+		{"non-finite value", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, math.NaN()}, Rank: []int{0, 1}}, "shard 0 round 1: {peer} 0 slice: gs: non-finite value NaN at index 4"},
+		{"identity forgery", SliceUpload{ClientID: 1, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}, "shard 0 round 1: slice on {peer} 0's connection claims {peer} 1"},
+		{"quantization mismatch", SliceUpload{ClientID: 0, Round: 1, Bits: 8, Scale: 1}, "shard 0 round 1: {peer} 0 slice at 8-bit quantization, run uses 0"},
+		{"stale round", SliceUpload{ClientID: 0, Round: 4, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}, "shard 0 round 1: stale slice from {peer} 0 (round 4)"},
+		{"non-slice message", Hello{ClientID: 0}, "shard 0 round 1: {peer} 0 sent transport.Hello, want SliceUpload"},
 	}
+	tiers := shardTiers()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := directShardHarness(t, assign, nil, func(clients []Conn, _ Conn) {
-				_ = clients[0].Send(tc.up)
-			})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want substring %q", err, tc.want)
+			for _, tier := range tiers {
+				want, ok := tier.expect(tc.name, tc.want)
+				if !ok {
+					continue
+				}
+				t.Run(tier.name, func(t *testing.T) {
+					err := tier.run(t, assign, func(clients, _ []Conn, _ Conn) {
+						_ = clients[0].Send(tc.up)
+						// The other client delivers, so a tier that
+						// validates payloads when the front is cut
+						// (windowed) reaches the bad slice.
+						_ = clients[1].Send(SliceUpload{ClientID: 1, Round: 1})
+					})
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %v, want substring %q", err, want)
+					}
+				})
 			}
 		})
 	}
 
 	t.Run("duplicate slice upload", func(t *testing.T) {
-		// A client double-sends its round-1 slice; the duplicate is the
-		// next thing on its conn at the round-1 downlink serve — where a
-		// fetch is owed — and must fail as a protocol error, not
-		// silently double-count.
-		err := directShardHarness(t, assign, nil, func(clients []Conn, coord Conn) {
-			up := SliceUpload{ClientID: 0, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}
-			_ = clients[0].Send(up)
-			_ = clients[0].Send(up) // the duplicate
-			_ = clients[1].Send(SliceUpload{ClientID: 1, Round: 1})
-			if msg, err := coord.Recv(); err != nil {
-				t.Errorf("no round-1 result: %v (%T)", err, msg)
+		// A client double-sends its round-1 slice; on the ordered tiers
+		// the duplicate is the next thing on its conn at the round-1
+		// downlink serve — where a fetch is owed — and must fail as a
+		// protocol error, not silently double-count.
+		for _, tier := range tiers {
+			want, ok := tier.expect("duplicate slice upload", "shard 0 round 1: {fetcher} 0 sent transport.SliceUpload, want SliceFetch")
+			if !ok {
+				continue
 			}
-			_ = coord.Send(RoundSeal{Round: 1, Members: []int{3}})
-		})
-		if err == nil || !strings.Contains(err.Error(), "want SliceFetch") {
-			t.Fatalf("error %v, want duplicate-slice complaint at the downlink serve", err)
-		}
-	})
-
-	t.Run("non-slice message", func(t *testing.T) {
-		err := directShardHarness(t, assign, nil, func(clients []Conn, _ Conn) {
-			_ = clients[0].Send(Hello{ClientID: 0})
-		})
-		if err == nil || !strings.Contains(err.Error(), "SliceUpload") {
-			t.Fatalf("error %v, want SliceUpload complaint", err)
+			t.Run(tier.name, func(t *testing.T) {
+				err := tier.run(t, assign, func(clients, fetchers []Conn, coord Conn) {
+					up := SliceUpload{ClientID: 0, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}
+					_ = clients[0].Send(up)
+					_ = clients[1].Send(SliceUpload{ClientID: 1, Round: 1})
+					if tier.name == "population" {
+						// Member streams are read only at the barrier:
+						// the host-level link is where the serve reads.
+						_ = fetchers[0].Send(up)
+					} else {
+						_ = clients[0].Send(up) // the duplicate
+					}
+					if tier.name == "windowed" {
+						return // refused at arrival, before any front
+					}
+					if msg, err := coord.Recv(); err != nil {
+						t.Errorf("no round-1 result: %v (%T)", err, msg)
+					}
+					_ = coord.Send(RoundSeal{Round: 1, Members: []int{3}})
+				})
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %v, want substring %q", err, want)
+				}
+			})
 		}
 	})
 }
 
 // TestRunDirectShardRejectsBadSeal covers the shard's trust boundary on
-// the downlink: a corrupted seal (members outside the range, out of
-// order, never uploaded, or for the wrong round) must error the round
-// before any client can read a slice built from it, and malformed or
-// stale fetches must fail the serve instead of being answered.
+// the downlink, on every tier: a corrupted seal (members outside the
+// range, out of order, never uploaded, for the wrong round, or with a
+// quantization scale that is not a finite non-negative real) must error
+// the round before any client can read a slice built from it, and
+// malformed or stale fetches must fail the serve instead of being
+// answered.
 func TestRunDirectShardRejectsBadSeal(t *testing.T) {
 	// Shard 0 of 2 over dim 10 owns [0, 5); client 0 uploads coordinate
 	// 3, client 1 nothing.
@@ -1000,50 +1177,71 @@ func TestRunDirectShardRejectsBadSeal(t *testing.T) {
 	}
 	sealCases := []struct {
 		name string
-		seal RoundSeal
+		seal any
 		want string
 	}{
-		{"member outside the owned range", RoundSeal{Round: 1, Members: []int{7}}, "out of order or outside range"},
-		{"members out of order", RoundSeal{Round: 1, Members: []int{3, 3}}, "out of order"},
-		{"member never uploaded", RoundSeal{Round: 1, Members: []int{2}}, "never uploaded"},
-		{"stale seal round", RoundSeal{Round: 2, Members: []int{3}}, "stale round seal"},
+		{"member outside the owned range", RoundSeal{Round: 1, Members: []int{7}}, "shard 0 round 1 seal: gs: sealed member 7 out of order or outside range"},
+		{"members out of order", RoundSeal{Round: 1, Members: []int{3, 3}}, "shard 0 round 1 seal: gs: sealed member 3 out of order"},
+		{"member never uploaded", RoundSeal{Round: 1, Members: []int{2}}, "shard 0 round 1 seal: gs: sealed member 2 was never uploaded"},
+		{"stale seal round", RoundSeal{Round: 2, Members: []int{3}}, "shard 0 round 1: stale round seal (round 2)"},
+		{"seal width mismatch", RoundSeal{Round: 1, Members: []int{3}, Bits: 8, Scale: 1}, "shard 0 round 1: seal at 8-bit quantization, run uses 0"},
+		{"NaN seal scale", RoundSeal{Round: 1, Members: []int{3}, Scale: math.NaN()}, "shard 0 round 1: seal scale NaN is not a finite non-negative real"},
+		{"infinite seal scale", RoundSeal{Round: 1, Members: []int{3}, Scale: math.Inf(1)}, "shard 0 round 1: seal scale +Inf is not a finite non-negative real"},
+		{"negative seal scale", RoundSeal{Round: 1, Members: []int{3}, Scale: -1}, "shard 0 round 1: seal scale -1 is not a finite non-negative real"},
+		{"non-control message", Hello{ClientID: 0}, "shard 0 round 1: expected FillQuery or RoundSeal, got transport.Hello"},
 	}
-	for _, tc := range sealCases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := directShardHarness(t, assign, nil, func(clients []Conn, coord Conn) {
-				roundOne(clients, coord, t)
-				_ = coord.Send(tc.seal)
-			})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want substring %q", err, tc.want)
-			}
-		})
-	}
-
 	fetchCases := []struct {
 		name  string
 		fetch any
 		want  string
 	}{
-		{"stale fetch round", SliceFetch{ClientID: 0, Round: 9}, "stale fetch"},
-		{"fetch identity forgery", SliceFetch{ClientID: 1, Round: 1}, "claims client"},
-		{"non-fetch message", Hello{ClientID: 0}, "want SliceFetch"},
+		{"stale fetch round", SliceFetch{ClientID: 0, Round: 9}, "shard 0 round 1: stale fetch from {fetcher} 0 (round 9)"},
+		{"fetch identity forgery", SliceFetch{ClientID: 1, Round: 1}, "shard 0 round 1: fetch on {fetcher} 0's connection claims {fetcher} 1"},
+		{"non-fetch message", Hello{ClientID: 0}, "shard 0 round 1: {fetcher} 0 sent transport.Hello, want SliceFetch"},
+	}
+	tiers := shardTiers()
+	for _, tc := range sealCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, tier := range tiers {
+				want, ok := tier.expect(tc.name, tc.want)
+				if !ok {
+					continue
+				}
+				t.Run(tier.name, func(t *testing.T) {
+					err := tier.run(t, assign, func(clients, _ []Conn, coord Conn) {
+						roundOne(clients, coord, t)
+						_ = coord.Send(tc.seal)
+					})
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %v, want substring %q", err, want)
+					}
+				})
+			}
+		})
 	}
 	for _, tc := range fetchCases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := directShardHarness(t, assign, nil, func(clients []Conn, coord Conn) {
-				roundOne(clients, coord, t)
-				_ = coord.Send(RoundSeal{Round: 1, Members: []int{3}})
-				_ = clients[0].Send(tc.fetch)
-			})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want substring %q", err, tc.want)
+			for _, tier := range tiers {
+				want, ok := tier.expect(tc.name, tc.want)
+				if !ok {
+					continue
+				}
+				t.Run(tier.name, func(t *testing.T) {
+					err := tier.run(t, assign, func(clients, fetchers []Conn, coord Conn) {
+						roundOne(clients, coord, t)
+						_ = coord.Send(RoundSeal{Round: 1, Members: []int{3}})
+						_ = fetchers[0].Send(tc.fetch)
+					})
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %v, want substring %q", err, want)
+					}
+				})
 			}
 		})
 	}
 }
 
-// scriptedDownlink runs fetchBroadcastSlices for client 0 over two
+// scriptedDownlink runs shardFan.fetch for client 0 over two
 // fabricated shards (dim 10, ranges [0, 5) and [5, 10)) whose replies
 // are scripted, and returns the client-side error.
 func scriptedDownlink(elems int, replies ...any) error {
@@ -1062,7 +1260,8 @@ func scriptedDownlink(elems int, replies ...any) error {
 			_ = c.Send(reply)
 		}(shardSide, reply)
 	}
-	_, _, err := fetchBroadcastSlices(0, conns, bounds, 1, elems, nil, nil)
+	fan := &shardFan{who: "client", conns: conns, bounds: bounds}
+	_, _, err := fan.fetch(1, elems, nil, nil, nil)
 	for _, c := range conns {
 		_ = c.Close()
 	}

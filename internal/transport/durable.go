@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"fedsparse/internal/gs"
 	"fedsparse/internal/wal"
 )
 
@@ -98,80 +97,37 @@ func coordConf(cfg ServerConfig, nClients, nShards int) []int64 {
 		int64(cfg.QuantBits), int64(nClients), int64(nShards), direct}
 }
 
-// durServer is the durable coordinator's state. Connections may be nil
-// — a nil entry is a broken link, re-established through the rejoin
-// desk at the next use.
+// durServer is the durable coordinator's recovery state around the
+// shared round bodies (coordRun, role_coord.go): the rounds reach their
+// peers through its two rejoin-healing link sides and log through its
+// journal.
 type durServer struct {
-	cfg ServerConfig
+	*coordRun
 	dur DurableServerConfig
-	log *wal.Log
-	dim int
 
-	clients     []Conn // client control conns in ID order; nil = broken
-	weights     []float64
-	totalWeight float64
+	cl *durSide // the clients' control conns, in ID order
+	sh *durSide // direct mode: the shards' control conns (the DirectGroup's)
 
-	group    *DirectGroup // direct mode only; group.conns[s] nil = broken
-	strategy *gs.FABTopK
+	// noRedo: a resume preamble is re-issuing a logged seal — a shard
+	// that restarted empty cannot be re-fed, and errors the resume.
+	noRedo bool
+}
 
-	// routed-mode aggregation state (mirrors RunServerPeers).
-	scratch   *gs.AggScratch
-	uploads   []gs.ClientUpload
-	seen      []int
-	seenToken int
-
-	round   int
-	records []RoundRecord
-
+// durSide is one side of the durable coordinator's links — its clients
+// or its direct shards — as the round bodies reach it (peerLinks). A
+// nil connection is a broken link, re-established through the rejoin
+// desk at the next use.
+type durSide struct {
+	s     *durServer
+	kind  int // RejoinClient or RejoinShard
+	noun  string
+	conns []Conn
 	// Rejoins that arrived while a different peer was being awaited.
-	pendingClients map[int]rejoinArrival
-	pendingShards  map[int]rejoinArrival
-
-	spanOffs []int // reusable Seal.Spans offsets buffer
-
-	// Observation state: bm samples wire bytes at round boundaries
-	// (nil without an observer) and walAppends counts this process's
-	// log appends for the event stream's cumulative counter.
-	bm         *byteMeter
-	walAppends uint64
+	pending map[int]rejoinArrival
 }
 
-// startMeter builds the byte meter over the live connection slices
-// (rejoins swap entries in place; the meter clamps the resulting
-// counter regressions) and baselines it past the handshake traffic.
-// No-op without an observer.
-func (s *durServer) startMeter() {
-	if s.cfg.Observer == nil {
-		return
-	}
-	if s.group != nil {
-		s.bm = newByteMeter(s.clients, s.group.conns)
-	} else {
-		s.bm = newByteMeter(s.clients)
-	}
-	s.bm.delta()
-}
-
-// startRound publishes a round boundary to the observer, if any.
-func (s *durServer) startRound(m int) {
-	if obs := s.cfg.Observer; obs != nil {
-		obs.OnRoundStart(m)
-	}
-}
-
-// finishRound records one completed round and publishes its event,
-// stamped with the durable log's cumulative append count.
-func (s *durServer) finishRound(rec RoundRecord) {
-	s.records = append(s.records, rec)
-	if obs := s.cfg.Observer; obs != nil {
-		var reduce []float64
-		if s.group != nil {
-			reduce = s.group.reduceSecs
-		}
-		ev := roundEvent(rec, s.cfg.K, len(s.clients), s.bm, reduce)
-		ev.WALAppends = s.walAppends
-		obs.OnRoundEnd(ev)
-	}
+func (s *durServer) side(kind int, noun string, conns []Conn) *durSide {
+	return &durSide{s: s, kind: kind, noun: noun, conns: conns, pending: make(map[int]rejoinArrival)}
 }
 
 // RunDurableServerPeers is RunServerPeers with a write-ahead log: it
@@ -191,54 +147,32 @@ func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerCo
 		// staleness would need windowed redo semantics it does not have.
 		return nil, fmt.Errorf("transport: durable coordinator does not support bounded staleness (Staleness=%d)", cfg.Staleness)
 	}
-	s, err := newDurServer(cfg, dur, len(clients), len(cfg.ShardConns), false)
+	if err := checkDurable(cfg, dur, len(clients), len(cfg.ShardConns), false); err != nil {
+		return nil, err
+	}
+	ordered, weights, err := seatClients(clients)
 	if err != nil {
 		return nil, err
 	}
-	// Order the client conns by ID and collect weights, as
-	// RunServerPeers does.
-	for _, peer := range clients {
-		if peer.Hello == nil {
-			return nil, fmt.Errorf("transport: durable server: non-client peer in the client list")
-		}
-		h := *peer.Hello
-		if h.ClientID < 0 || h.ClientID >= len(clients) {
-			return nil, fmt.Errorf("transport: client id %d out of range", h.ClientID)
-		}
-		if s.clients[h.ClientID] != nil {
-			return nil, fmt.Errorf("transport: duplicate client id %d", h.ClientID)
-		}
-		s.clients[h.ClientID] = peer.Conn
-		s.weights[h.ClientID] = h.Weight
-		s.totalWeight += h.Weight
-	}
 	rs := wal.RunStart{RunID: dur.RunID, Kind: wal.KindCoordinator,
-		Conf: coordConf(cfg, len(clients), len(cfg.ShardConns)), Weights: s.weights}
+		Conf: coordConf(cfg, len(clients), len(cfg.ShardConns)), Weights: weights}
 	log, err := wal.Create(dur.WALPath, rs)
 	if err != nil {
 		return nil, err
 	}
-	s.log = log
 	defer log.Close()
-
-	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds,
-		QuantBits: cfg.QuantBits, RunID: dur.RunID}
+	s := newDurServer(cfg, dur, log, ordered, weights)
 	if cfg.Direct {
-		group, err := NewDirectGroup(cfg.ShardConns, s.dim, cfg.Rounds, s.weights, cfg.QuantBits)
-		if err != nil {
+		if err := s.startDirect(0); err != nil {
 			return nil, err
 		}
-		s.group = group
-		init.Shards = cfg.ShardAddrs
+		s.healShards()
 	}
-	for id, conn := range s.clients {
-		if err := conn.Send(init); err != nil {
-			return nil, fmt.Errorf("transport: send init to client %d: %w", id, err)
-		}
+	if err := s.sendInit(ordered, dur.RunID); err != nil {
+		return nil, err
 	}
 	s.startMeter()
-	s.round = 1
-	return s.run()
+	return s.run(1)
 }
 
 // ResumeDurableServer restarts a crashed coordinator from its replayed
@@ -256,11 +190,9 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
 	}
-	s, err := newDurServer(cfg, dur, nClients, nShards, true)
-	if err != nil {
+	if err := checkDurable(cfg, dur, nClients, nShards, true); err != nil {
 		return nil, err
 	}
-	s.log = log
 	if len(replayed) == 0 {
 		return nil, fmt.Errorf("transport: resume: empty WAL replay")
 	}
@@ -287,10 +219,14 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 	if len(rs.Weights) != nClients {
 		return nil, fmt.Errorf("transport: resume: log holds %d client weights, want %d", len(rs.Weights), nClients)
 	}
-	copy(s.weights, rs.Weights)
-	for _, w := range s.weights {
-		s.totalWeight += w
+	if cfg.Direct && len(cfg.ShardAddrs) != nShards {
+		// A restarted coordinator holds no connections at all, so it
+		// starts with no shard directory either. Every rejoining shard
+		// advertises its ingest address (awaitShard refills the slots),
+		// so redos after the resume still broadcast a correct directory.
+		cfg.ShardAddrs = make([]string, nShards)
 	}
+	s := newDurServer(cfg, dur, log, make([]Conn, nClients), append([]float64(nil), rs.Weights...))
 
 	records, seal, release, err := replayRounds(replayed[1:])
 	if err != nil {
@@ -307,21 +243,21 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 		}
 	}
 	if cfg.Direct {
-		group, err := newDirectGroupState(make([]Conn, nShards), s.dim, s.weights, cfg.QuantBits)
-		if err != nil {
+		if s.group, err = newDirectGroup(make([]Conn, nShards), len(cfg.InitialParams), s.weights, cfg.QuantBits); err != nil {
 			return nil, err
 		}
-		s.group = group
+		s.healShards()
 	}
 	s.startMeter()
-	s.round = len(records) + 1
-	if s.round > cfg.Rounds {
+	next := len(records) + 1
+	if next > cfg.Rounds {
 		if seal != nil {
 			return s.records, fmt.Errorf("transport: resume: seal for round %d past the final round %d", seal.Round, cfg.Rounds)
 		}
 		return s.records, nil
 	}
 	if seal != nil {
+		s.startRound(next)
 		if cfg.Direct {
 			err = s.resumeDirectSeal(seal, release)
 		} else {
@@ -330,60 +266,66 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 		if err != nil {
 			return s.records, err
 		}
+		next++
 	}
-	return s.run()
+	return s.run(next)
 }
 
-func newDurServer(cfg ServerConfig, dur DurableServerConfig, nClients, nShards int, resume bool) (*durServer, error) {
+// checkDurable validates what both durable entry points need.
+func checkDurable(cfg ServerConfig, dur DurableServerConfig, nClients, nShards int, resume bool) error {
 	if nClients < 1 {
-		return nil, fmt.Errorf("transport: durable server needs at least one client")
+		return fmt.Errorf("transport: durable server needs at least one client")
 	}
 	if cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64) {
-		return nil, fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
+		return fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
 	}
 	if dur.RunID == 0 {
-		return nil, fmt.Errorf("transport: durable server needs a non-zero RunID (derive one with wal.RunID)")
+		return fmt.Errorf("transport: durable server needs a non-zero RunID (derive one with wal.RunID)")
 	}
 	if dur.Desk == nil {
-		return nil, fmt.Errorf("transport: durable server needs a RejoinDesk (durability implies recovery)")
+		return fmt.Errorf("transport: durable server needs a RejoinDesk (durability implies recovery)")
 	}
 	if !cfg.Direct && nShards > 0 {
-		return nil, fmt.Errorf("transport: the durable coordinator does not support the routed shard tier — use Direct mode for durable sharding")
+		return fmt.Errorf("transport: the durable coordinator does not support the routed shard tier — use Direct mode for durable sharding")
 	}
-	if cfg.Direct {
-		if nShards == 0 {
-			return nil, fmt.Errorf("transport: direct mode needs ShardConns (the coordinator no longer aggregates)")
-		}
-		if !resume && len(cfg.ShardAddrs) != nShards {
-			return nil, fmt.Errorf("transport: direct mode needs one ShardAddrs entry per shard (%d addrs for %d shards)",
-				len(cfg.ShardAddrs), nShards)
-		}
-		if len(cfg.ShardAddrs) != nShards {
-			// Resume starts with no shard directory — a restarted
-			// coordinator holds no connections at all. Every rejoining
-			// shard advertises its ingest address (awaitShard refills
-			// the slots), so redos after the resume still broadcast a
-			// correct directory.
-			cfg.ShardAddrs = make([]string, nShards)
-		}
+	if cfg.Direct && nShards == 0 {
+		return fmt.Errorf("transport: direct mode needs ShardConns (the coordinator no longer aggregates)")
 	}
-	s := &durServer{
-		cfg:            cfg,
-		dur:            dur,
-		dim:            len(cfg.InitialParams),
-		clients:        make([]Conn, nClients),
-		weights:        make([]float64, nClients),
-		strategy:       &gs.FABTopK{},
-		pendingClients: make(map[int]rejoinArrival),
-		pendingShards:  make(map[int]rejoinArrival),
+	if cfg.Direct && !resume && len(cfg.ShardAddrs) != nShards {
+		return fmt.Errorf("transport: direct mode needs one ShardAddrs entry per shard (%d addrs for %d shards)",
+			len(cfg.ShardAddrs), nShards)
 	}
+	return nil
+}
+
+// newDurServer wraps the shared round state in the durable tier's
+// values: healing links over clients and a journal over log.
+func newDurServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log, clients []Conn, weights []float64) *durServer {
+	s := &durServer{dur: dur}
+	s.cl = s.side(RejoinClient, "client", clients)
+	s.coordRun = newCoordRun(cfg, s.cl, len(clients), "client", weights)
+	s.journal = &journal{log: log, crash: dur.crash, closeAll: s.closeAll}
 	if !cfg.Direct {
-		s.scratch = gs.NewAggScratch(0)
-		s.scratch.Reserve(s.dim)
-		s.uploads = make([]gs.ClientUpload, nClients)
-		s.seen = make([]int, s.dim)
+		s.startRouted()
 	}
-	return s, nil
+	return s
+}
+
+// healShards puts the DirectGroup's shard connections behind a healing
+// side: the slice is shared, so rejoins swap entries in place.
+func (s *durServer) healShards() {
+	s.sh = s.side(RejoinShard, "shard", s.group.conns)
+	s.group.links = s.sh
+}
+
+// startMeter meters the live connection slices: rejoins swap entries in
+// place, and the meter clamps the resulting counter regressions.
+func (s *durServer) startMeter() {
+	if s.sh != nil {
+		s.meter(s.cl.conns, s.sh.conns)
+	} else {
+		s.meter(s.cl.conns)
+	}
 }
 
 // replayRounds rebuilds the finished rounds from the replayed records
@@ -422,69 +364,21 @@ func replayRounds(recs []wal.Record) ([]RoundRecord, *wal.Seal, *wal.Release, er
 	return records, seal, release, nil
 }
 
-// run drives rounds s.round..Rounds.
-func (s *durServer) run() ([]RoundRecord, error) {
-	for m := s.round; m <= s.cfg.Rounds; m++ {
-		s.round = m
-		s.startRound(m)
-		var err error
-		if s.cfg.Direct {
-			err = s.directRound(m)
-		} else {
-			err = s.routedRound(m)
-		}
-		if err != nil {
-			return s.records, err
-		}
-	}
-	return s.records, nil
-}
-
-// --- WAL + crash hook ------------------------------------------------
-
-func (s *durServer) logSync(r wal.Record) error {
-	if err := s.log.Append(r); err != nil {
-		return fmt.Errorf("transport: wal append: %w", err)
-	}
-	if err := s.log.Sync(); err != nil {
-		return fmt.Errorf("transport: wal sync: %w", err)
-	}
-	s.walAppends++
-	return nil
-}
-
-// crashAt fires the crash hook; a non-nil return closes every peer
-// connection (process-death emulation: peers observe EOF and start
-// rejoining) and unwinds with the hook's error.
-func (s *durServer) crashAt(b Boundary, m int) error {
-	if s.dur.crash == nil {
-		return nil
-	}
-	if err := s.dur.crash(b, m); err != nil {
-		s.closeAll()
-		return err
-	}
-	return nil
-}
-
+// closeAll is the journal's crash action: close every peer connection,
+// staged rejoins included.
 func (s *durServer) closeAll() {
-	for _, c := range s.clients {
-		if c != nil {
-			c.Close()
+	for _, d := range []*durSide{s.cl, s.sh} {
+		if d == nil {
+			continue
 		}
-	}
-	if s.group != nil {
-		for _, c := range s.group.conns {
+		for _, c := range d.conns {
 			if c != nil {
 				c.Close()
 			}
 		}
-	}
-	for _, a := range s.pendingClients {
-		a.conn.Close()
-	}
-	for _, a := range s.pendingShards {
-		a.conn.Close()
+		for _, a := range d.pending {
+			a.conn.Close()
+		}
 	}
 }
 
@@ -506,245 +400,136 @@ func msgRound(msg any) (int, bool) {
 	return 0, false
 }
 
-// awaitClient blocks until client id rejoins (consulting the stash of
-// rejoins that arrived out of turn first), acks it with the current
-// round as NeedFrom, swaps the connection in, and returns the Rejoin.
-func (s *durServer) awaitClient(id int) (Rejoin, error) {
+// await blocks until peer id rejoins (consulting the stash of rejoins
+// that arrived out of turn first), acks it with the current round as
+// NeedFrom, swaps the connection in, and returns the Rejoin. An ack
+// that cannot be delivered means the peer gave up and will redial: wait
+// for the next arrival.
+func (d *durSide) await(id int) (Rejoin, error) {
+	s := d.s
 	for {
-		if a, ok := s.pendingClients[id]; ok {
-			delete(s.pendingClients, id)
-			if rj, ok := s.adopt(&s.clients[id], a); ok {
-				return rj, nil
+		a, ok := d.pending[id]
+		if !ok {
+			if err := s.stageRejoin(fmt.Sprintf("%s %d", d.noun, id)); err != nil {
+				return Rejoin{}, err
 			}
 			continue
 		}
-		if err := s.fillPending(fmt.Sprintf("client %d", id)); err != nil {
-			return Rejoin{}, err
-		}
-	}
-}
-
-// awaitShard is awaitClient for shard sid.
-func (s *durServer) awaitShard(sid int) (Rejoin, error) {
-	for {
-		if a, ok := s.pendingShards[sid]; ok {
-			delete(s.pendingShards, sid)
-			if rj, ok := s.adopt(&s.group.conns[sid], a); ok {
-				// Keep the client-facing directory current: after a
-				// coordinator resume the slot starts empty, and a
-				// restarted shard may listen on a new address.
-				if rj.Addr != "" && sid < len(s.cfg.ShardAddrs) {
-					s.cfg.ShardAddrs[sid] = rj.Addr
-				}
-				return rj, nil
-			}
+		delete(d.pending, id)
+		ack := RejoinAck{RunID: s.dur.RunID, Round: s.round, NeedFrom: s.round}
+		if err := a.conn.Send(ack); err != nil {
+			a.conn.Close()
 			continue
 		}
-		if err := s.fillPending(fmt.Sprintf("shard %d", sid)); err != nil {
-			return Rejoin{}, err
+		if d.conns[id] != nil {
+			d.conns[id].Close()
 		}
+		d.conns[id] = a.conn
+		if d.kind != RejoinShard {
+			// Only a shard can restart empty; clients hold the model.
+			a.rj.Fresh = false
+		} else if a.rj.Addr != "" && id < len(s.cfg.ShardAddrs) {
+			// Keep the client-facing directory current: after a
+			// coordinator resume the slot starts empty, and a restarted
+			// shard may listen on a new address.
+			s.cfg.ShardAddrs[id] = a.rj.Addr
+		}
+		return a.rj, nil
 	}
 }
 
-// adopt acks one rejoin arrival and swaps its connection into slot.
-// Returns false when the ack could not be delivered (the peer gave up
-// and will redial; wait for the next arrival).
-func (s *durServer) adopt(slot *Conn, a rejoinArrival) (Rejoin, bool) {
-	ack := RejoinAck{RunID: s.dur.RunID, Round: s.round, NeedFrom: s.round}
-	if err := a.conn.Send(ack); err != nil {
-		a.conn.Close()
-		return Rejoin{}, false
-	}
-	if *slot != nil {
-		(*slot).Close()
-	}
-	*slot = a.conn
-	return a.rj, true
-}
-
-// fillPending pulls one classified rejoin from the desk into the
-// stash, validating identity; who names the peer being waited on, for
-// the timeout error.
-func (s *durServer) fillPending(who string) error {
+// stageRejoin pulls one classified rejoin from the desk into its side's
+// stash, validating identity (a newer redial supersedes a staged one);
+// who names the peer being waited on, for the timeout error.
+func (s *durServer) stageRejoin(who string) error {
 	conn, rj, err := s.dur.Desk.Next(s.dur.rejoinTimeout())
 	if err != nil {
 		return fmt.Errorf("transport: link to %s lost and no rejoin arrived: %w", who, err)
 	}
-	if rj.RunID != s.dur.RunID {
+	d := s.cl
+	if rj.Kind == RejoinShard {
+		d = s.sh
+	}
+	if rj.RunID != s.dur.RunID || (rj.Kind != RejoinClient && rj.Kind != RejoinShard) ||
+		d == nil || rj.ID < 0 || rj.ID >= len(d.conns) {
 		conn.Close()
 		return nil
 	}
-	switch rj.Kind {
-	case RejoinClient:
-		if rj.ID < 0 || rj.ID >= len(s.clients) {
-			conn.Close()
-			return nil
-		}
-		if old, ok := s.pendingClients[rj.ID]; ok {
-			old.conn.Close() // superseded by a newer redial
-		}
-		s.pendingClients[rj.ID] = rejoinArrival{conn: conn, rj: rj}
-	case RejoinShard:
-		if s.group == nil || rj.ID < 0 || rj.ID >= len(s.group.conns) {
-			conn.Close()
-			return nil
-		}
-		if old, ok := s.pendingShards[rj.ID]; ok {
-			old.conn.Close()
-		}
-		s.pendingShards[rj.ID] = rejoinArrival{conn: conn, rj: rj}
-	default:
-		conn.Close()
+	if old, ok := d.pending[rj.ID]; ok {
+		old.conn.Close()
 	}
+	d.pending[rj.ID] = rejoinArrival{conn: conn, rj: rj}
 	return nil
 }
 
-// recvClientRound returns the next round-m-or-later message from
-// client id, discarding stale resends and recovering the link through
-// rejoins.
-func (s *durServer) recvClientRound(id, m int) (any, error) {
+// recv returns peer id's next round-m-or-later message, discarding
+// stale resends (already consumed before a rejoin) and recovering the
+// link through rejoins. A FRESH rejoin — a shard that restarted empty —
+// triggers the redo flow: re-assign the shard at round m and point
+// every client at its new address to re-feed the barrier.
+func (d *durSide) recv(id, m int) (any, error) {
 	for {
-		if s.clients[id] == nil {
-			if _, err := s.awaitClient(id); err != nil {
+		if d.conns[id] == nil {
+			rj, err := d.await(id)
+			if err != nil {
 				return nil, err
 			}
+			if rj.Fresh {
+				if err := d.s.redoShard(id, m, rj); err != nil {
+					return nil, err
+				}
+			}
 		}
-		msg, err := s.clients[id].Recv()
+		msg, err := d.conns[id].Recv()
 		if err != nil {
-			s.clients[id].Close()
-			s.clients[id] = nil
+			d.conns[id].Close()
+			d.conns[id] = nil
 			continue
 		}
 		if r, ok := msgRound(msg); ok && r < m {
-			continue // stale resend: already consumed before a rejoin
+			continue
 		}
 		return msg, nil
 	}
 }
 
-// sendClientGated delivers a round-m message to client id, recovering
-// through rejoins; a rejoining client that already holds round m
-// (LastSeal >= m) is skipped — and a duplicate would be discarded by
-// the client anyway.
-func (s *durServer) sendClientGated(id, m int, msg any) error {
+// send delivers the round-m downlink (a client's broadcast or release,
+// a shard's seal); see deliver.
+func (d *durSide) send(id, m int, msg any) error { return d.deliver(id, m, msg, true) }
+
+// deliver sends a round-m message to peer id, recovering through
+// rejoins. gated: a rejoining peer that already holds round m
+// (LastSeal >= m) is skipped — a duplicate would be discarded anyway;
+// ungated is for Redo, which is idempotent at the client and not
+// covered by LastSeal. A FRESH rejoin here means the old shard died
+// after its result was consumed: the redo flow reruns the round-m
+// barrier at the new shard (clients re-feed it from their rings; the
+// rebuilt reduction is bit-identical) and the seal is then delivered on
+// top; during a resume preamble (noRedo) that is unsupported and errors
+// instead.
+func (d *durSide) deliver(id, m int, msg any, gated bool) error {
 	for {
-		if s.clients[id] == nil {
-			rj, err := s.awaitClient(id)
+		if d.conns[id] == nil {
+			rj, err := d.await(id)
 			if err != nil {
 				return err
 			}
-			if rj.LastSeal >= m {
-				return nil
-			}
-		}
-		if err := s.clients[id].Send(msg); err == nil {
-			return nil
-		}
-		s.clients[id].Close()
-		s.clients[id] = nil
-	}
-}
-
-// sendClientAlways is sendClientGated without the gate — for Redo,
-// which is idempotent at the client and not covered by LastSeal.
-func (s *durServer) sendClientAlways(id int, msg any) error {
-	for {
-		if s.clients[id] == nil {
-			if _, err := s.awaitClient(id); err != nil {
-				return err
-			}
-		}
-		if err := s.clients[id].Send(msg); err == nil {
-			return nil
-		}
-		s.clients[id].Close()
-		s.clients[id] = nil
-	}
-}
-
-// recvShardResult gathers shard sid's round-m reduction with full
-// validation (mirroring DirectGroup.Aggregate), recovering the link
-// through rejoins; a FRESH rejoin (the shard restarted empty) triggers
-// the redo flow: re-assign the shard at round m and point every client
-// at its new address to re-feed the barrier.
-func (s *durServer) recvShardResult(sid, m, maxLen int) (ShardResult, error) {
-	g := s.group
-	for {
-		if g.conns[sid] == nil {
-			rj, err := s.awaitShard(sid)
-			if err != nil {
-				return ShardResult{}, err
-			}
-			if rj.Fresh {
-				if err := s.redoShard(sid, m, rj); err != nil {
-					return ShardResult{}, err
-				}
-			}
-		}
-		msg, err := g.conns[sid].Recv()
-		if err != nil {
-			g.conns[sid].Close()
-			g.conns[sid] = nil
-			continue
-		}
-		if r, ok := msgRound(msg); ok && r < m {
-			continue
-		}
-		res, ok := msg.(ShardResult)
-		if !ok {
-			return ShardResult{}, fmt.Errorf("transport: round %d: shard %d sent %T, want ShardResult", m, sid, msg)
-		}
-		if res.Round != m || res.ShardID != sid {
-			return ShardResult{}, fmt.Errorf("transport: round %d: stale result (round %d from shard %d)", m, res.Round, res.ShardID)
-		}
-		if len(res.Idx) != len(res.Sum) || len(res.Idx) != len(res.MinRank) {
-			return ShardResult{}, fmt.Errorf("transport: round %d: shard %d result shape %d/%d/%d",
-				m, sid, len(res.Idx), len(res.Sum), len(res.MinRank))
-		}
-		for i, j := range res.Idx {
-			if j < g.bounds[sid] || j >= g.bounds[sid+1] || (i > 0 && j <= res.Idx[i-1]) {
-				return ShardResult{}, fmt.Errorf("transport: round %d: shard %d result index %d out of order or range", m, sid, j)
-			}
-			if r := res.MinRank[i]; r < 0 || r >= maxLen {
-				return ShardResult{}, fmt.Errorf("transport: round %d: shard %d result rank %d for index %d outside [0, %d)",
-					m, sid, r, j, maxLen)
-			}
-		}
-		return res, nil
-	}
-}
-
-// sendShardSeal delivers a round-m seal to shard sid, recovering
-// through rejoins. A FRESH rejoin here means the old shard died after
-// its result was consumed: when allowRedo, the redo flow reruns the
-// round-m barrier at the new shard (clients re-feed it from their
-// rings; the rebuilt reduction is bit-identical) and the seal is then
-// delivered on top; during a resume preamble redo is unsupported and
-// errors instead.
-func (s *durServer) sendShardSeal(sid, m int, seal RoundSeal, allowRedo bool) error {
-	g := s.group
-	for {
-		if g.conns[sid] == nil {
-			rj, err := s.awaitShard(sid)
-			if err != nil {
-				return err
-			}
-			if rj.Fresh {
-				if !allowRedo {
-					return fmt.Errorf("transport: resume: shard %d restarted empty while round %d's seal was being re-issued — restart it after the round finishes", sid, m)
-				}
-				if err := s.redoShard(sid, m, rj); err != nil {
+			switch {
+			case rj.Fresh && d.s.noRedo:
+				return fmt.Errorf("transport: resume: shard %d restarted empty while round %d's seal was being re-issued — restart it after the round finishes", id, m)
+			case rj.Fresh:
+				if err := d.s.redoShard(id, m, rj); err != nil {
 					return err
 				}
-			} else if rj.LastSeal >= m {
+			case gated && rj.LastSeal >= m:
 				return nil
 			}
 		}
-		if err := g.conns[sid].Send(seal); err == nil {
+		if err := d.conns[id].Send(msg); err == nil {
 			return nil
 		}
-		g.conns[sid].Close()
-		g.conns[sid] = nil
+		d.conns[id].Close()
+		d.conns[id] = nil
 	}
 }
 
@@ -756,17 +541,17 @@ func (s *durServer) sendShardSeal(sid, m int, seal RoundSeal, allowRedo bool) er
 // of what they sent.
 func (s *durServer) redoShard(sid, m int, rj Rejoin) error {
 	g := s.group
-	assign := ShardAssign{ShardID: sid, NumShards: len(g.conns), Dim: s.dim, Rounds: s.cfg.Rounds,
-		Weights: append([]float64(nil), s.weights...), Direct: true, QuantBits: s.cfg.QuantBits, StartRound: m}
+	assign := directAssign(len(g.conns), g.dim, s.cfg.Rounds, s.weights, s.cfg.QuantBits)
+	assign.ShardID, assign.StartRound = sid, m
 	if err := g.conns[sid].Send(assign); err != nil {
 		return fmt.Errorf("transport: round %d: re-assigning restarted shard %d: %w", m, sid, err)
 	}
 	if sid < len(s.cfg.ShardAddrs) {
 		s.cfg.ShardAddrs[sid] = rj.Addr
 	}
-	redo := Redo{Round: m, ShardID: sid, Addr: rj.Addr}
-	for id := range s.clients {
-		if err := s.sendClientAlways(id, redo); err != nil {
+	var redo any = Redo{Round: m, ShardID: sid, Addr: rj.Addr}
+	for id := range s.cl.conns {
+		if err := s.cl.deliver(id, m, redo, false); err != nil {
 			return err
 		}
 	}

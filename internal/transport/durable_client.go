@@ -1,19 +1,14 @@
 // The durable client: RunClient with rejoin-based recovery on every
-// link. The training body (runClientRounds) and therefore the rng
-// stream are untouched — durability is a property of the uplink and
-// downlink hooks only. Each link keeps a small ring of the last two
-// rounds' sent messages (deep copies — the protocol buffers are
-// reused); on any failure the client redials, re-identifies with a
-// Rejoin, and resends the ring from the coordinator's NeedFrom.
-// Receivers discard stale resends, so the conservative replay is
-// always safe.
+// link. The round loops are the plain client's (runClient) — durability
+// is a property of the links they run over, nothing else. Each link
+// keeps a small ring of the last two rounds' sent messages (deep copies
+// — the protocol buffers are reused); on any failure the client
+// redials, re-identifies with a Rejoin, and resends the ring from the
+// coordinator's NeedFrom. Receivers discard stale resends, so the
+// conservative replay is always safe.
 package transport
 
-import (
-	"fmt"
-
-	"fedsparse/internal/sparse"
-)
+import "fmt"
 
 // ringDepth is how many rounds of sent messages each durable link
 // buffers for rejoin resends. Two is exactly what recovery can owe: a
@@ -91,7 +86,8 @@ func (d DurableClientConfig) attempts() int {
 }
 
 // coordLink is the durable control-plane connection to the
-// coordinator.
+// coordinator — a Conn that heals itself, so the client's round loops
+// run over it exactly as over a plain connection.
 type coordLink struct {
 	conn     Conn
 	id       int
@@ -100,27 +96,42 @@ type coordLink struct {
 	lastSeal int // last round whose broadcast/release was received
 	ring     ring
 	dur      DurableClientConfig
+	fan      *shardFan // direct mode: the data links a Redo re-points
 }
 
 // rejoin redials the coordinator and splices this link back into the
-// run: send the Rejoin, await the ack (deadline-bounded), resend the
-// ring from the coordinator's NeedFrom. Bounded attempts; dial-level
-// retry lives inside dur.Redial.
+// run, resending the ring from the coordinator's NeedFrom.
 func (l *coordLink) rejoin() error {
+	rj := Rejoin{RunID: l.runID, Kind: RejoinClient, ID: l.id, Round: l.round, LastSeal: l.lastSeal}
+	conn, err := rejoinRun(l.dur.Redial, l.dur.attempts(), rj, "client", l.ring.resend)
+	if err != nil {
+		return err
+	}
+	l.Close()
+	l.conn = conn
+	return nil
+}
+
+// rejoinRun is the surviving peer's half of the Rejoin handshake
+// (rejoin.go): redial the coordinator, send rj, await the ack
+// (deadline-bounded), and resend whatever the ack's NeedFrom asks for.
+// Bounded attempts; dial-level retry lives inside dial. A coordinator
+// running a different run is final, not retried.
+func rejoinRun(dial func() (Conn, error), attempts int, rj Rejoin, noun string,
+	resend func(conn Conn, needFrom int) error) (Conn, error) {
+
 	var lastErr error
-	for attempt := 0; attempt < l.dur.attempts(); attempt++ {
-		conn, err := l.dur.Redial()
+	for attempt := 0; attempt < attempts; attempt++ {
+		conn, err := dial()
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		rj := Rejoin{RunID: l.runID, Kind: RejoinClient, ID: l.id, Round: l.round, LastSeal: l.lastSeal}
-		if err := conn.Send(rj); err != nil {
+		if lastErr = conn.Send(rj); lastErr != nil {
 			conn.Close()
-			lastErr = err
 			continue
 		}
-		msg, err := recvDeadline(conn, handshakeTimeout)
+		msg, err := recvHandshake(conn)
 		if err != nil {
 			conn.Close()
 			lastErr = err
@@ -132,40 +143,50 @@ func (l *coordLink) rejoin() error {
 			lastErr = fmt.Errorf("expected RejoinAck, got %T", msg)
 			continue
 		}
-		if ack.RunID != l.runID {
+		if ack.RunID != rj.RunID {
 			conn.Close()
-			return fmt.Errorf("transport: client %d rejoined run %#x, coordinator is running %#x", l.id, l.runID, ack.RunID)
+			return nil, fmt.Errorf("transport: %s %d rejoined run %#x, coordinator is running %#x", noun, rj.ID, rj.RunID, ack.RunID)
 		}
-		if err := l.ring.resend(conn, ack.NeedFrom); err != nil {
+		if lastErr = resend(conn, ack.NeedFrom); lastErr != nil {
 			conn.Close()
-			lastErr = err
 			continue
 		}
-		if l.conn != nil {
-			l.conn.Close()
-		}
-		l.conn = conn
-		return nil
+		return conn, nil
 	}
-	return fmt.Errorf("transport: client %d could not rejoin the coordinator after %d attempts: %v", l.id, l.dur.attempts(), lastErr)
+	return nil, fmt.Errorf("transport: %s %d could not rejoin the coordinator after %d attempts: %v", noun, rj.ID, attempts, lastErr)
 }
 
-// send buffers msg in the ring and delivers it; on failure the link
-// rejoins (the ring resend carries the delivery) and reports success.
-func (l *coordLink) send(round int, msg any) error {
-	l.ring.push(round, msg)
+// Send buffers the round's uplink message (an Upload or a RoundMeta —
+// its round becomes the one the link acts in) in the ring and delivers
+// it; on failure the link rejoins (the ring resend carries the
+// delivery) and reports success. An Upload is deep-copied first: the
+// caller's pair buffers are reused next round, the ring's must not be.
+func (l *coordLink) Send(msg any) error {
+	switch v := msg.(type) {
+	case Upload:
+		l.round = v.Round
+		v.Idx = append([]int(nil), v.Idx...)
+		v.Val = append([]float64(nil), v.Val...)
+		msg = v
+	case RoundMeta:
+		l.round = v.Round
+	}
+	l.ring.push(l.round, msg)
 	if l.conn != nil {
 		if err := l.conn.Send(msg); err == nil {
 			return nil
 		}
-		l.conn.Close()
-		l.conn = nil
+		l.Close()
 	}
 	return l.rejoin()
 }
 
-// recv returns the next control message, rejoining on failure.
-func (l *coordLink) recv() (any, error) {
+// Recv returns the next control message for the round in progress,
+// rejoining on failure. Stale resends of a downlink the client already
+// holds are discarded, the round's own Broadcast or RoundRelease
+// advances lastSeal, and a Redo (a shard restarted empty) is carried
+// out on the data links before the wait continues.
+func (l *coordLink) Recv() (any, error) {
 	for {
 		if l.conn == nil {
 			if err := l.rejoin(); err != nil {
@@ -174,12 +195,42 @@ func (l *coordLink) recv() (any, error) {
 		}
 		msg, err := l.conn.Recv()
 		if err != nil {
-			l.conn.Close()
-			l.conn = nil
+			l.Close()
 			continue
+		}
+		round := -1
+		switch v := msg.(type) {
+		case Broadcast:
+			round = v.Round
+		case RoundRelease:
+			round = v.Round
+		case Redo:
+			if l.fan == nil {
+				return msg, nil
+			}
+			if err := l.fan.redo(v); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if round >= 0 && round < l.round {
+			continue
+		}
+		if round == l.round {
+			l.lastSeal = round
 		}
 		return msg, nil
 	}
+}
+
+// Close drops the current connection; the next Send or Recv rejoins.
+func (l *coordLink) Close() error {
+	if l.conn == nil {
+		return nil
+	}
+	err := l.conn.Close()
+	l.conn = nil
+	return err
 }
 
 // RunDurableClient is RunClient with rejoin-based recovery: the
@@ -193,67 +244,13 @@ func RunDurableClient(conn Conn, cfg ClientConfig, dur DurableClientConfig) erro
 	if dur.Redial == nil {
 		return fmt.Errorf("transport: client %d: durable client needs a Redial hook", cfg.ID)
 	}
-	if err := conn.Send(Hello{ClientID: cfg.ID, Weight: float64(cfg.Data.Len())}); err != nil {
-		return fmt.Errorf("transport: client %d hello: %w", cfg.ID, err)
-	}
-	msg, err := conn.Recv()
+	init, err := clientHandshake(conn, cfg)
 	if err != nil {
-		return fmt.Errorf("transport: client %d init recv: %w", cfg.ID, err)
-	}
-	init, ok := msg.(Init)
-	if !ok {
-		return fmt.Errorf("transport: client %d expected Init, got %T", cfg.ID, msg)
+		return err
 	}
 	if init.RunID == 0 {
 		return fmt.Errorf("transport: client %d: coordinator is not durable (Init carries no RunID)", cfg.ID)
 	}
 	link := &coordLink{conn: conn, id: cfg.ID, runID: init.RunID, dur: dur}
-	if len(init.Shards) > 0 {
-		return runDurableClientDirect(link, cfg, init)
-	}
-	return runDurableClientRouted(link, cfg, init)
-}
-
-// runDurableClientRouted wires the routed data plane through the
-// durable coordinator link: uploads are deep-copied into the ring
-// (the protocol buffers are reused across rounds), and the downlink
-// discards broadcasts staler than the awaited round.
-func runDurableClientRouted(link *coordLink, cfg ClientConfig, init Init) error {
-	uplink := func(m int, pairs sparse.Vec, scale, batchLoss float64) error {
-		link.round = m
-		up := Upload{
-			ClientID:  cfg.ID,
-			Round:     m,
-			Idx:       append([]int(nil), pairs.Idx...),
-			Val:       append([]float64(nil), pairs.Val...),
-			BatchLoss: batchLoss,
-			Bits:      init.QuantBits,
-			Scale:     scale,
-		}
-		if err := link.send(m, up); err != nil {
-			return fmt.Errorf("transport: client %d round %d send: %w", cfg.ID, m, err)
-		}
-		return nil
-	}
-	downlink := func(m int) ([]int, []float64, error) {
-		for {
-			msg, err := link.recv()
-			if err != nil {
-				return nil, nil, fmt.Errorf("transport: client %d round %d recv: %w", cfg.ID, m, err)
-			}
-			bc, ok := msg.(Broadcast)
-			if !ok {
-				return nil, nil, fmt.Errorf("transport: client %d round %d: bad broadcast %T", cfg.ID, m, msg)
-			}
-			if bc.Round < m {
-				continue // stale resend of an already-applied round
-			}
-			if bc.Round != m {
-				return nil, nil, fmt.Errorf("transport: client %d round %d: broadcast for round %d", cfg.ID, m, bc.Round)
-			}
-			link.lastSeal = m
-			return bc.Idx, bc.Val, nil
-		}
-	}
-	return runClientRounds(cfg, init, uplink, downlink)
+	return runClient(link, cfg, init, link)
 }

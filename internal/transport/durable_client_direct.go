@@ -1,204 +1,76 @@
-// The durable client's direct data plane: per-shard links with their
-// own resend rings, self-healing reconnects on send failure, and the
-// coordinator-driven Redo flow for shards that restarted empty. The
-// shared training body (runClientRounds) stays untouched — recovery
-// lives entirely in the uplink/downlink hooks.
+// The durable client's direct data plane: the shard fan-out
+// (role_client.go) with a resend ring per link, self-healing reconnects
+// on send failure, and the coordinator-driven Redo flow for shards that
+// restarted empty.
 package transport
 
-import (
-	"fmt"
-	"sort"
+import "fmt"
 
-	"fedsparse/internal/sparse"
-	"fedsparse/internal/tensor"
-)
-
-// shardLinks is the durable client's fan-out of data-plane
-// connections, one per shard, each with a ring of the last two rounds'
-// sent slices. Connections may be nil — a broken link, re-established
-// on the next reconnect (self-initiated after a send failure, or
-// coordinator-ordered through Redo).
-type shardLinks struct {
-	clientID int
-	dim      int
-	conns    []Conn
-	addrs    []string // mutable: Redo re-points a shard's ingest address
-	bounds   []int
-	rings    []ring
-	dial     func(addr string) (Conn, error)
-	attempts int
+// makeDurable arms the fan's links for recovery: each keeps a ring of
+// the last two rounds' sent slices, and a link may be nil — broken,
+// re-established on the next reconnect (self-initiated after a send
+// failure or before a fetch, or coordinator-ordered through Redo).
+func (f *shardFan) makeDurable(attempts int) {
+	f.rings = make([]ring, len(f.conns))
+	f.attempts = attempts
 }
 
 // reconnect re-establishes the link to shard s: dial (bounded
-// attempts), re-handshake with DataHello, and resend the buffered
-// slices from needFrom on — the shard discards rounds it already
-// consumed, so the conservative replay is safe.
-func (sl *shardLinks) reconnect(s, needFrom int) error {
-	if sl.conns[s] != nil {
-		sl.conns[s].Close()
-		sl.conns[s] = nil
+// attempts), re-handshake, and resend the buffered slices from needFrom
+// on — the shard discards rounds it already consumed, so the
+// conservative replay is safe.
+func (f *shardFan) reconnect(s, needFrom int) error {
+	if f.conns[s] != nil {
+		f.conns[s].Close()
+		f.conns[s] = nil
 	}
 	var lastErr error
-	for a := 0; a < sl.attempts; a++ {
-		c, err := sl.dial(sl.addrs[s])
-		if err != nil {
-			lastErr = err
+	for a := 0; a < f.attempts; a++ {
+		if lastErr = f.connect(s); lastErr != nil {
 			continue
 		}
-		hello := DataHello{ClientID: sl.clientID, ShardID: s, NumShards: len(sl.conns), Dim: sl.dim}
-		if err := c.Send(hello); err != nil {
-			c.Close()
-			lastErr = err
+		if lastErr = f.rings[s].resend(f.conns[s], needFrom); lastErr != nil {
+			f.conns[s].Close()
+			f.conns[s] = nil
 			continue
 		}
-		if err := sl.rings[s].resend(c, needFrom); err != nil {
-			c.Close()
-			lastErr = err
-			continue
-		}
-		sl.conns[s] = c
 		return nil
 	}
-	return fmt.Errorf("transport: client %d could not reconnect to shard %d (%s) after %d attempts: %v",
-		sl.clientID, s, sl.addrs[s], sl.attempts, lastErr)
+	return fmt.Errorf("transport: %s %d could not reconnect to shard %d (%s) after %d attempts: %v",
+		f.who, f.id, s, f.addrs[s], f.attempts, lastErr)
 }
 
-// send buffers one round-m slice and delivers it best-effort: a send
-// failure triggers one reconnect cycle (resending from the oldest
-// buffered round — stale rounds die at the shard); if that fails too
-// the link is left broken for the coordinator's Redo flow to repair.
-// The round still progresses — the barrier the slice feeds is owed by
-// whatever shard ends up owning the range.
-func (sl *shardLinks) send(s, m int, up SliceUpload) {
-	sl.rings[s].push(m, up)
-	if sl.conns[s] != nil {
-		if err := sl.conns[s].Send(up); err == nil {
+// sendHealing buffers one round-m slice — deep-copied: the caller's
+// split buffers are reused next round, the ring's must not be — and
+// delivers it best-effort: a send failure triggers one reconnect cycle
+// (resending from the oldest buffered round — stale rounds die at the
+// shard); if that fails too the link is left broken for the
+// coordinator's Redo flow, or the next fetch, to repair. The round
+// still progresses — the barrier the slice feeds is owed by whatever
+// shard ends up owning the range.
+func (f *shardFan) sendHealing(s, m int, up SliceUpload) {
+	up.Idx = append([]int(nil), up.Idx...)
+	up.Val = append([]float64(nil), up.Val...)
+	up.Rank = append([]int(nil), up.Rank...)
+	var msg any = up
+	f.rings[s].push(m, msg)
+	if f.conns[s] != nil {
+		if err := f.conns[s].Send(msg); err == nil {
 			return
 		}
-		sl.conns[s].Close()
-		sl.conns[s] = nil
 	}
-	if err := sl.reconnect(s, sl.rings[s].oldest()); err != nil {
-		sl.conns[s] = nil // Redo, or a coordinator-side timeout, takes it from here
-	}
+	_ = f.reconnect(s, f.rings[s].oldest())
 }
 
-// runDurableClientDirect is runClientDirect with durable links: the
-// uplink deep-copies each range slice into its shard's ring before
-// sending, the control metadata rides the durable coordinator link,
-// and the downlink handles the Redo flow (a shard restarted empty:
-// re-dial its new address and resend the round's slices) before the
-// release. The fetch phase itself is not recovered — a shard death
-// between its seal and a client's fetch errors the run (documented
-// scope limit).
-func runDurableClientDirect(link *coordLink, cfg ClientConfig, init Init) error {
-	dim := len(init.Params)
-	nShards := len(init.Shards)
-	dial := link.dur.RedialShard
-	if dial == nil {
-		dial = cfg.DialShard
+// redo carries out the coordinator's Redo: a shard restarted with no
+// state — adopt its new ingest address, reconnect, and resend the
+// slices it lost. The fetch phase itself is not recovered: a shard
+// death between its seal and a client's fetch errors the run
+// (documented scope limit).
+func (f *shardFan) redo(v Redo) error {
+	if v.ShardID < 0 || v.ShardID >= len(f.conns) {
+		return fmt.Errorf("transport: %s %d: redo for shard %d of %d", f.who, f.id, v.ShardID, len(f.conns))
 	}
-	if dial == nil {
-		dial = Dial
-	}
-	sl := &shardLinks{
-		clientID: cfg.ID,
-		dim:      dim,
-		conns:    make([]Conn, nShards),
-		addrs:    append([]string(nil), init.Shards...),
-		bounds:   make([]int, nShards+1),
-		rings:    make([]ring, nShards),
-		dial:     dial,
-		attempts: link.dur.attempts(),
-	}
-	defer func() {
-		for _, c := range sl.conns {
-			if c != nil {
-				_ = c.Close()
-			}
-		}
-	}()
-	for s := 0; s < nShards; s++ {
-		lo, hi := tensor.ChunkBounds(dim, nShards, s)
-		sl.bounds[s], sl.bounds[s+1] = lo, hi
-		conn, err := dial(sl.addrs[s])
-		if err != nil {
-			return fmt.Errorf("transport: client %d dial shard %d (%s): %w", cfg.ID, s, sl.addrs[s], err)
-		}
-		sl.conns[s] = conn
-		hello := DataHello{ClientID: cfg.ID, ShardID: s, NumShards: nShards, Dim: dim}
-		if err := conn.Send(hello); err != nil {
-			return fmt.Errorf("transport: client %d data hello to shard %d: %w", cfg.ID, s, err)
-		}
-	}
-	shardOf := func(j int) int { return sort.SearchInts(sl.bounds, j+1) - 1 }
-
-	var bIdx []int
-	var bVal []float64
-
-	uplink := func(m int, pairs sparse.Vec, scale, batchLoss float64) error {
-		link.round = m
-		// Fresh per-shard slices every round: the ring keeps them alive
-		// across the next round, so the reuse-across-rounds trick of the
-		// non-durable client does not apply.
-		sIdx := make([][]int, nShards)
-		sVal := make([][]float64, nShards)
-		sRank := make([][]int, nShards)
-		for pi, j := range pairs.Idx {
-			s := shardOf(j)
-			sIdx[s] = append(sIdx[s], j)
-			sVal[s] = append(sVal[s], pairs.Val[pi])
-			sRank[s] = append(sRank[s], pi)
-		}
-		for s := 0; s < nShards; s++ {
-			up := SliceUpload{ClientID: cfg.ID, Round: m, Idx: sIdx[s], Val: sVal[s], Rank: sRank[s],
-				Bits: init.QuantBits, Scale: scale}
-			sl.send(s, m, up)
-		}
-		meta := RoundMeta{ClientID: cfg.ID, Round: m, BatchLoss: batchLoss, UploadLen: pairs.Len()}
-		if err := link.send(m, meta); err != nil {
-			return fmt.Errorf("transport: client %d round %d metadata: %w", cfg.ID, m, err)
-		}
-		return nil
-	}
-	downlink := func(m int) ([]int, []float64, error) {
-		for {
-			msg, err := link.recv()
-			if err != nil {
-				return nil, nil, fmt.Errorf("transport: client %d round %d release recv: %w", cfg.ID, m, err)
-			}
-			switch v := msg.(type) {
-			case Redo:
-				// A shard restarted with no state: adopt its new ingest
-				// address, reconnect, and resend the slices it lost.
-				if v.ShardID < 0 || v.ShardID >= nShards {
-					return nil, nil, fmt.Errorf("transport: client %d round %d: redo for shard %d of %d", cfg.ID, m, v.ShardID, nShards)
-				}
-				sl.addrs[v.ShardID] = v.Addr
-				if err := sl.reconnect(v.ShardID, v.Round); err != nil {
-					return nil, nil, err
-				}
-			case RoundRelease:
-				if v.Round < m {
-					continue // stale resend of an already-fetched round
-				}
-				if v.Round != m {
-					return nil, nil, fmt.Errorf("transport: client %d round %d: release for round %d", cfg.ID, m, v.Round)
-				}
-				link.lastSeal = m
-				for s := range sl.conns {
-					if sl.conns[s] == nil {
-						if err := sl.reconnect(s, m); err != nil {
-							return nil, nil, err
-						}
-					}
-				}
-				bIdx, bVal, err = fetchBroadcastSlices(cfg.ID, sl.conns, sl.bounds, m, v.Elems, bIdx[:0], bVal[:0])
-				return bIdx, bVal, err
-			default:
-				return nil, nil, fmt.Errorf("transport: client %d round %d: expected RoundRelease or Redo, got %T", cfg.ID, m, msg)
-			}
-		}
-	}
-	return runClientRounds(cfg, init, uplink, downlink)
+	f.addrs[v.ShardID] = v.Addr
+	return f.reconnect(v.ShardID, v.Round)
 }

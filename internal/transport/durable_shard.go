@@ -1,7 +1,6 @@
 // The durable direct shard: RunDirectShard with rejoin-based recovery
-// on every link. The round body — barrier, range reduction, fill
-// service, seal, downlink serve — is the plain shard's, and the
-// reduction arithmetic is untouched; durability adds (a) a control
+// on every link. The round itself is the shared shardRound
+// (role_shard.go); durability adds (a) a control
 // link that rejoins the coordinator and re-offers its last ShardResult
 // (the only message the coordinator could have lost), (b) a data desk
 // that keeps accepting client ingest connections for the whole run, so
@@ -14,13 +13,8 @@ package transport
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
-
-	"fedsparse/internal/gs"
-	"fedsparse/internal/sparse"
-	"fedsparse/internal/tensor"
 )
 
 // DurableShardConfig parameterizes RunDurableDirectShard.
@@ -163,11 +157,13 @@ func (d *dataDesk) close() {
 	}
 }
 
-// shardCtl is the shard's durable control link to the coordinator. Its
-// resend buffer is exactly one message deep: the last ShardResult is
-// the only shard→coordinator message recovery can owe (fill replies
-// are never resent — the coordinator re-queries fill from scratch when
-// it recomputes a round).
+// shardCtl is the shard's durable control link to the coordinator — a
+// Conn that heals itself, so the shared round (shardRound.seal) runs
+// over it exactly as over a plain connection. Its resend buffer is
+// exactly one message deep: the last ShardResult is the only
+// shard→coordinator message recovery can owe (fill replies are never
+// resent — the coordinator re-queries fill from scratch when it
+// recomputes a round).
 type shardCtl struct {
 	conn       Conn
 	runID      uint64
@@ -184,93 +180,47 @@ type shardCtl struct {
 // Rejoin — the shard still holds its round state — and re-offers the
 // last result if the coordinator's NeedFrom asks for it.
 func (c *shardCtl) rejoin() error {
-	var lastErr error
-	for attempt := 0; attempt < c.attempts; attempt++ {
-		conn, err := c.dial()
-		if err != nil {
-			lastErr = err
-			continue
+	rj := Rejoin{RunID: c.runID, Kind: RejoinShard, ID: c.shardID, Round: c.round, LastSeal: c.lastSeal, Addr: c.addr}
+	conn, err := rejoinRun(c.dial, c.attempts, rj, "shard", func(conn Conn, needFrom int) error {
+		if c.lastResult.Round >= needFrom && c.lastResult.Round > 0 {
+			return conn.Send(c.lastResult)
 		}
-		rj := Rejoin{RunID: c.runID, Kind: RejoinShard, ID: c.shardID, Round: c.round, LastSeal: c.lastSeal, Addr: c.addr}
-		if err := conn.Send(rj); err != nil {
-			conn.Close()
-			lastErr = err
-			continue
-		}
-		msg, err := recvDeadline(conn, handshakeTimeout)
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			continue
-		}
-		ack, ok := msg.(RejoinAck)
-		if !ok {
-			conn.Close()
-			lastErr = fmt.Errorf("expected RejoinAck, got %T", msg)
-			continue
-		}
-		if ack.RunID != c.runID {
-			conn.Close()
-			return fmt.Errorf("transport: shard %d rejoined run %#x, coordinator is running %#x", c.shardID, c.runID, ack.RunID)
-		}
-		if c.lastResult.Round >= ack.NeedFrom && c.lastResult.Round > 0 {
-			if err := conn.Send(c.lastResult); err != nil {
-				conn.Close()
-				lastErr = err
-				continue
-			}
-		}
-		if c.conn != nil {
-			c.conn.Close()
-		}
-		c.conn = conn
 		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("transport: shard %d could not rejoin the coordinator after %d attempts: %v", c.shardID, c.attempts, lastErr)
+	c.Close()
+	c.conn = conn
+	return nil
 }
 
-// sendResult deep-copies res into the resend buffer and delivers it;
-// on failure the rejoin's re-offer carries the delivery.
-func (c *shardCtl) sendResult(res ShardResult) error {
-	c.lastResult = ShardResult{Round: res.Round, ShardID: res.ShardID,
-		Idx:     append([]int(nil), res.Idx...),
-		Sum:     append([]float64(nil), res.Sum...),
-		MinRank: append([]int(nil), res.MinRank...)}
+// Send delivers one control message. A ShardResult is first deep-copied
+// into the resend buffer (the round's reduction scratch is reused). On
+// failure the link rejoins and reports success: a lost result is
+// delivered by the rejoin's re-offer, a lost fill reply by
+// recomputation — the coordinator that lost it redoes the round and
+// queries fill afresh.
+func (c *shardCtl) Send(msg any) error {
+	if res, ok := msg.(ShardResult); ok {
+		c.lastResult = ShardResult{Round: res.Round, ShardID: res.ShardID,
+			Idx:     append([]int(nil), res.Idx...),
+			Sum:     append([]float64(nil), res.Sum...),
+			MinRank: append([]int(nil), res.MinRank...)}
+	}
 	if c.conn != nil {
-		if err := c.conn.Send(res); err == nil {
+		if err := c.conn.Send(msg); err == nil {
 			return nil
 		}
-		c.conn.Close()
-		c.conn = nil
+		c.Close()
 	}
 	return c.rejoin()
 }
 
-// send delivers a non-buffered control message (fill replies),
-// rejoining on failure — the reply itself is NOT re-sent: the
-// coordinator that lost it recomputes the round and queries fill
-// afresh.
-func (c *shardCtl) send(msg any) error {
-	for {
-		if c.conn == nil {
-			if err := c.rejoin(); err != nil {
-				return err
-			}
-		}
-		if err := c.conn.Send(msg); err == nil {
-			return nil
-		}
-		c.conn.Close()
-		c.conn = nil
-		if err := c.rejoin(); err != nil {
-			return err
-		}
-		return nil // delivered by recomputation, not by resend
-	}
-}
-
-// recv returns the next control message, rejoining on failure.
-func (c *shardCtl) recv() (any, error) {
+// Recv returns the next control message for the round in progress,
+// rejoining on failure and discarding the stale fill queries and seals
+// a restarted coordinator may replay.
+func (c *shardCtl) Recv() (any, error) {
 	for {
 		if c.conn == nil {
 			if err := c.rejoin(); err != nil {
@@ -279,12 +229,31 @@ func (c *shardCtl) recv() (any, error) {
 		}
 		msg, err := c.conn.Recv()
 		if err != nil {
-			c.conn.Close()
-			c.conn = nil
+			c.Close()
 			continue
+		}
+		switch v := msg.(type) {
+		case FillQuery:
+			if v.Round < c.round {
+				continue
+			}
+		case RoundSeal:
+			if v.Round < c.round {
+				continue
+			}
 		}
 		return msg, nil
 	}
+}
+
+// Close drops the current connection; the next Send or Recv rejoins.
+func (c *shardCtl) Close() error {
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn = nil
+	return err
 }
 
 // RunDurableDirectShard executes one durable aggregation shard of the
@@ -305,38 +274,26 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 	}
 	ctl := &shardCtl{runID: cfg.RunID, shardID: cfg.ShardID, addr: cfg.Addr,
 		dial: cfg.Dial, attempts: cfg.attempts()}
-	conn, err := cfg.Dial()
-	if err != nil {
-		return fmt.Errorf("transport: shard %d dial coordinator: %w", cfg.ShardID, err)
-	}
-	ctl.conn = conn
-	defer func() {
-		if ctl.conn != nil {
-			ctl.conn.Close()
-		}
-	}()
+	defer ctl.Close()
+	var conn Conn
+	var err error
 	if cfg.Fresh {
 		rj := Rejoin{RunID: cfg.RunID, Kind: RejoinShard, ID: cfg.ShardID, Fresh: true, Addr: cfg.Addr}
-		if err := conn.Send(rj); err != nil {
-			return fmt.Errorf("transport: fresh shard %d rejoin: %w", cfg.ShardID, err)
-		}
-		msg, err := recvDeadline(conn, handshakeTimeout)
+		conn, err = rejoinRun(cfg.Dial, 1, rj, "fresh shard", func(Conn, int) error { return nil })
 		if err != nil {
-			return fmt.Errorf("transport: fresh shard %d rejoin ack: %w", cfg.ShardID, err)
-		}
-		ack, ok := msg.(RejoinAck)
-		if !ok {
-			return fmt.Errorf("transport: fresh shard %d expected RejoinAck, got %T", cfg.ShardID, msg)
-		}
-		if ack.RunID != cfg.RunID {
-			return fmt.Errorf("transport: fresh shard %d joined run %#x, coordinator is running %#x", cfg.ShardID, cfg.RunID, ack.RunID)
+			return err
 		}
 	} else {
+		if conn, err = cfg.Dial(); err != nil {
+			return fmt.Errorf("transport: shard %d dial coordinator: %w", cfg.ShardID, err)
+		}
 		if err := conn.Send(ShardHello{Addr: cfg.Addr, ID: cfg.ShardID, HasID: true}); err != nil {
+			conn.Close()
 			return fmt.Errorf("transport: shard %d hello: %w", cfg.ShardID, err)
 		}
 	}
-	msg, err := recvDeadline(conn, handshakeTimeout)
+	ctl.conn = conn
+	msg, err := recvHandshake(conn)
 	if err != nil {
 		return fmt.Errorf("transport: shard %d assign recv: %w", cfg.ShardID, err)
 	}
@@ -347,21 +304,10 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 	if assign.ShardID != cfg.ShardID {
 		return fmt.Errorf("transport: shard %d received shard %d's assignment", cfg.ShardID, assign.ShardID)
 	}
-	if assign.NumShards < 1 || assign.ShardID < 0 || assign.ShardID >= assign.NumShards {
-		return fmt.Errorf("transport: shard id %d out of range [0, %d)", assign.ShardID, assign.NumShards)
+	if err := checkAssign(assign, true); err != nil {
+		return err
 	}
-	if assign.Dim < 1 || assign.Rounds < 0 || len(assign.Weights) == 0 {
-		return fmt.Errorf("transport: bad shard assignment (dim=%d rounds=%d clients=%d)",
-			assign.Dim, assign.Rounds, len(assign.Weights))
-	}
-	if !assign.Direct {
-		return fmt.Errorf("transport: routed assignment sent to a direct shard (the durable shard tier is direct-only)")
-	}
-	start := assign.StartRound
-	if start <= 0 {
-		start = 1
-	}
-	lo, hi := tensor.ChunkBounds(assign.Dim, assign.NumShards, assign.ShardID)
+	start := max(assign.StartRound, 1)
 	n := len(assign.Weights)
 
 	desk := newDataDesk(cfg.AcceptData, assign.ShardID, assign.NumShards, assign.Dim, n)
@@ -374,23 +320,6 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 			}
 		}
 	}()
-
-	scratch := gs.NewAggScratch(0)
-	scratch.Reserve(assign.Dim)
-	uploads := make([]gs.ClientUpload, n)
-	ranks := make([][]int, n)
-	for ci := range uploads {
-		uploads[ci].Weight = assign.Weights[ci]
-	}
-	seen := make([]int, assign.Dim)
-	seenToken := 0
-	var fill []gs.FillCand
-	var fillClient, fillIdx []int
-	var fillAbs []float64
-	var sealIdx []int
-	var sealVal []float64
-	var sealBits int
-	var sealScale float64
 
 	// recvData returns client ci's next data message at round m,
 	// re-seating the connection from the desk on any failure and
@@ -427,7 +356,8 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 		}
 	}
 
-	ctl.round = start
+	sr := newShardRound(assign, n, "client", "client")
+	var ds downSlice
 	for m := start; m <= assign.Rounds; m++ {
 		ctl.round = m
 		// The client barrier, with re-seating: one validated slice per
@@ -439,110 +369,30 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 			}
 			up, ok := msg.(SliceUpload)
 			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: client %d sent %T, want SliceUpload", assign.ShardID, m, ci, msg)
+				return sr.wrongType(m, sr.peer, ci, msg, "SliceUpload")
 			}
-			if up.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: slice from client %d for round %d — skipped upload",
-					assign.ShardID, m, ci, up.Round)
+			if err := sr.admit(m, ci, ci, &up); err != nil {
+				return err
 			}
-			if up.ClientID != ci {
-				return fmt.Errorf("transport: shard %d round %d: slice on client %d's connection claims client %d",
-					assign.ShardID, m, ci, up.ClientID)
-			}
-			if up.Bits != assign.QuantBits {
-				return fmt.Errorf("transport: shard %d round %d: client %d slice at %d-bit quantization, run uses %d",
-					assign.ShardID, m, ci, up.Bits, assign.QuantBits)
-			}
-			seenToken++
-			if err := gs.ValidateRangeSlice(up.Idx, up.Val, up.Rank, lo, hi, seen, seenToken); err != nil {
-				return fmt.Errorf("transport: shard %d round %d: client %d slice: %w", assign.ShardID, m, ci, err)
-			}
-			uploads[ci].Pairs = sparse.Vec{Idx: up.Idx, Val: up.Val}
-			ranks[ci] = up.Rank
 		}
-		red := gs.RangeReduceInto(scratch, uploads, ranks, lo, hi)
-		if err := ctl.sendResult(ShardResult{Round: m, ShardID: assign.ShardID, Idx: red.Idx, Sum: red.Sum, MinRank: red.MinRank}); err != nil {
-			return fmt.Errorf("transport: shard %d round %d result: %w", assign.ShardID, m, err)
-		}
-		// Control loop: serve fill queries until the round's seal,
-		// discarding stale control messages a coordinator restart may
-		// replay.
-		for {
-			msg, err := ctl.recv()
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d control recv: %w", assign.ShardID, m, err)
-			}
-			if q, ok := msg.(FillQuery); ok {
-				if q.Round < m {
-					continue
-				}
-				if q.Round != m {
-					return fmt.Errorf("transport: shard %d round %d: fill query for round %d", assign.ShardID, m, q.Round)
-				}
-				fill = gs.AppendFillCands(fill[:0], uploads, ranks, q.Kappa)
-				fillClient, fillIdx, fillAbs = fillClient[:0], fillIdx[:0], fillAbs[:0]
-				for _, c := range fill {
-					fillClient = append(fillClient, c.Client)
-					fillIdx = append(fillIdx, c.Idx)
-					fillAbs = append(fillAbs, c.AbsVal)
-				}
-				reply := FillCandidates{Round: m, ShardID: assign.ShardID, Client: fillClient, Idx: fillIdx, AbsVal: fillAbs}
-				if err := ctl.send(reply); err != nil {
-					return fmt.Errorf("transport: shard %d round %d fill send: %w", assign.ShardID, m, err)
-				}
-				continue
-			}
-			seal, ok := msg.(RoundSeal)
-			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: expected FillQuery or RoundSeal, got %T", assign.ShardID, m, msg)
-			}
-			if seal.Round < m {
-				continue
-			}
-			if seal.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: seal for round %d", assign.ShardID, m, seal.Round)
-			}
-			if seal.Bits != assign.QuantBits {
-				return fmt.Errorf("transport: shard %d round %d: seal at %d-bit quantization, run uses %d",
-					assign.ShardID, m, seal.Bits, assign.QuantBits)
-			}
-			if math.IsNaN(seal.Scale) || math.IsInf(seal.Scale, 0) || seal.Scale < 0 {
-				return fmt.Errorf("transport: shard %d round %d: seal scale %v is not a finite non-negative real",
-					assign.ShardID, m, seal.Scale)
-			}
-			sealIdx, sealVal, err = gs.BuildDownlinkSlice(sealIdx[:0], sealVal[:0], seal.Members, red, lo, hi)
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d seal: %w", assign.ShardID, m, err)
-			}
-			if seal.Bits > 0 {
-				sparse.QuantizeToScale(sealVal, seal.Bits, seal.Scale)
-			}
-			sealBits, sealScale = seal.Bits, seal.Scale
-			break
+		if err := sr.seal(m, ctl, &ds); err != nil {
+			return err
 		}
 		ctl.lastSeal = m
 		// The downlink serve, with re-seating: a client whose fetch link
 		// broke redials and replays slice + fetch; the stale slice dies
 		// in recvData and the fetch is served on the new connection.
+		reply := ds.message(m, assign.ShardID)
 		for ci := range conns {
 			for {
 				msg, err := recvData(ci, m, true)
 				if err != nil {
 					return err
 				}
-				f, ok := msg.(SliceFetch)
-				if !ok {
-					return fmt.Errorf("transport: shard %d round %d: client %d sent %T, want SliceFetch", assign.ShardID, m, ci, msg)
+				if err := sr.checkFetch(m, ci, msg); err != nil {
+					return err
 				}
-				if f.Round != m {
-					return fmt.Errorf("transport: shard %d round %d: fetch from client %d for round %d", assign.ShardID, m, ci, f.Round)
-				}
-				if f.ClientID != ci {
-					return fmt.Errorf("transport: shard %d round %d: fetch on client %d's connection claims client %d",
-						assign.ShardID, m, ci, f.ClientID)
-				}
-				sb := SliceBroadcast{Round: m, ShardID: assign.ShardID, Idx: sealIdx, Val: sealVal, Bits: sealBits, Scale: sealScale}
-				if err := conns[ci].Send(sb); err != nil {
+				if err := conns[ci].Send(reply); err != nil {
 					// The client redialed mid-fetch: discard the link and
 					// serve its replayed fetch on the replacement.
 					conns[ci].Close()
@@ -553,8 +403,7 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 			}
 		}
 		if cfg.killAfter > 0 && m == cfg.killAfter {
-			ctl.conn.Close()
-			ctl.conn = nil
+			ctl.Close()
 			for _, c := range conns {
 				if c != nil {
 					c.Close()

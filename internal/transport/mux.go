@@ -135,20 +135,23 @@ type virtualConn struct {
 	vid int
 }
 
-func (v *virtualConn) Send(msg any) error {
-	if v.vid < 0 {
-		return fmt.Errorf("transport: mux: virtual IDs must be non-negative, got %d", v.vid)
+func (v *virtualConn) Send(msg any) error { return v.m.sendFor(v.vid, msg) }
+
+// sendFor envelopes msg on virtual ID vid's stream.
+func (m *Mux) sendFor(vid int, msg any) error {
+	if vid < 0 {
+		return fmt.Errorf("transport: mux: virtual IDs must be non-negative, got %d", vid)
 	}
-	v.m.mu.Lock()
-	closed := v.m.vclosed[v.vid]
-	v.m.mu.Unlock()
+	m.mu.Lock()
+	closed := m.vclosed[vid]
+	m.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
 	if _, ok := msg.(MuxFrame); ok {
 		return fmt.Errorf("transport: mux: refusing to nest a MuxFrame inside a MuxFrame")
 	}
-	return v.m.phys.Send(MuxFrame{VID: v.vid, Msg: msg})
+	return m.phys.Send(MuxFrame{VID: vid, Msg: msg})
 }
 
 func (v *virtualConn) Recv() (any, error) { return v.m.recvFor(v.vid) }

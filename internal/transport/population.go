@@ -43,9 +43,9 @@
 //
 // Cohort-sampled trajectories are bit-identical to fl.Run with the same
 // Cohort/Churn/Dropout/Seed: the draw shares the engine's code, hosts
-// mirror the engine's per-member compute exactly (runClientRounds'
-// body), and the aggregation runs over cohort-ordered uploads, which is
-// the engine's participant order. The routed and direct planes are
+// run every client tier's one local step per drawn member
+// (localStep.run), and the aggregation runs over cohort-ordered
+// uploads, which is the engine's participant order. The routed and direct planes are
 // bit-identical to each other; population × bounded staleness and
 // population × the routed shard tier are rejected (the cohort changes
 // every round, which neither plane's admission bookkeeping models).
@@ -54,14 +54,11 @@ package transport
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"fedsparse/internal/dataset"
 	"fedsparse/internal/fl"
-	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
 	"fedsparse/internal/sparse"
-	"fedsparse/internal/tensor"
 )
 
 // Population tier message types.
@@ -156,7 +153,8 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 
 	// Seat hosts by declared ID and stitch the global member directory.
 	muxes := make([]*Mux, len(hosts))
-	rosters := make([][]int, len(hosts))
+	seated := make([]*HostHello, len(hosts))
+	nPop := 0
 	for _, p := range hosts {
 		h := p.Host
 		if h == nil {
@@ -173,30 +171,17 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 				h.HostID, len(h.Members), len(h.Weights))
 		}
 		muxes[h.HostID] = NewMux(p.Conn)
-		rosters[h.HostID] = h.Members
+		seated[h.HostID] = h
+		nPop += len(h.Members)
 	}
-	nPop := 0
-	for _, roster := range rosters {
-		nPop += len(roster)
-	}
-	memberHost := make([]int, nPop)
+	memberHost := newMemberDirectory(nPop)
 	weights := make([]float64, nPop)
-	for i := range memberHost {
-		memberHost[i] = -1
-	}
-	for hid, p := range seatByID(hosts) {
-		for i, member := range p.Host.Members {
-			if i > 0 && member <= p.Host.Members[i-1] {
-				return nil, fmt.Errorf("transport: host %d roster not strictly ascending at member %d", hid, member)
-			}
-			if member < 0 || member >= nPop {
-				return nil, fmt.Errorf("transport: host %d roster member %d outside the population [0, %d)", hid, member, nPop)
-			}
-			if memberHost[member] != -1 {
-				return nil, fmt.Errorf("transport: member %d claimed by hosts %d and %d", member, memberHost[member], hid)
-			}
-			memberHost[member] = hid
-			weights[member] = p.Host.Weights[i]
+	for hid, h := range seated {
+		if err := claimRoster(memberHost, hid, h.Members, "transport"); err != nil {
+			return nil, err
+		}
+		for i, member := range h.Members {
+			weights[member] = h.Weights[i]
 		}
 	}
 	// nPop == sum of roster sizes and every member landed uniquely in
@@ -213,62 +198,96 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 		return nil, err
 	}
 
-	p := &popServer{
-		cfg:        cfg,
-		muxes:      muxes,
-		memberHost: memberHost,
-		weights:    weights,
-		sampler:    sampler,
-		hostDrawn:  make([][]int, len(muxes)),
-		seen:       make([]int, len(cfg.InitialParams)),
-	}
+	p := &popServer{muxes: muxes, memberHost: memberHost, sampler: sampler, hostDrawn: make([][]int, len(muxes))}
+	// No fixed roster (every round passes its cohort); the downlink
+	// goes to the hosts.
+	p.coordRun = newCoordRun(cfg, p, 0, "member", weights)
+	p.nDown = len(muxes)
+	phys := hostConns(muxes)
 	if cfg.Direct {
-		return p.runDirect()
+		if err := p.startDirect(len(muxes)); err != nil {
+			return nil, err
+		}
+	} else {
+		p.startRouted()
+		p.copyUploads = true
 	}
-	return p.runRouted()
+	if err := p.sendInit(phys, 0); err != nil {
+		return nil, err
+	}
+	p.meter(phys, cfg.ShardConns)
+	return p.run()
 }
 
-// seatByID returns the host peers indexed by declared HostID. The
-// caller has already validated range and uniqueness.
-func seatByID(hosts []Peer) []Peer {
-	seated := make([]Peer, len(hosts))
-	for _, p := range hosts {
-		seated[p.Host.HostID] = p
+// newMemberDirectory returns the member → host map of a population of
+// nPop members, nobody claimed yet.
+func newMemberDirectory(nPop int) []int {
+	memberHost := make([]int, nPop)
+	for i := range memberHost {
+		memberHost[i] = -1
 	}
-	return seated
+	return memberHost
 }
 
-// popServer is the coordinator's population-run state, shared by the
-// routed and direct round loops.
+// claimRoster records host hid as the owner of its roster in the member
+// directory: strictly ascending, inside the population, every member
+// claimed once. where opens the error (a shard names itself).
+func claimRoster(memberHost []int, hid int, members []int, where string) error {
+	for i, member := range members {
+		if i > 0 && member <= members[i-1] {
+			return fmt.Errorf("%s: host %d roster not strictly ascending at member %d", where, hid, member)
+		}
+		if member < 0 || member >= len(memberHost) {
+			return fmt.Errorf("%s: host %d roster member %d outside the population [0, %d)", where, hid, member, len(memberHost))
+		}
+		if memberHost[member] != -1 {
+			return fmt.Errorf("%s: member %d claimed by hosts %d and %d", where, member, memberHost[member], hid)
+		}
+		memberHost[member] = hid
+	}
+	return nil
+}
+
+// popServer is the coordinator's population tier around the shared
+// round bodies (coordRun, role_coord.go): it supplies the roster — a
+// cohort drawn per round — and the links: a drawn member is heard on
+// its enveloped stream of its host's connection, and the downlink goes
+// to each host ONCE, un-enveloped, for its whole roster. Population
+// changes WHO uploads each round, not how a round is gathered,
+// selected, or sealed.
 type popServer struct {
-	cfg        ServerConfig
+	*coordRun
 	muxes      []*Mux
 	memberHost []int
-	weights    []float64
 	sampler    *fl.CohortSampler
+	hostDrawn  [][]int // per-host drawn members, rebuilt each round
+}
 
-	hostDrawn [][]int // per-host drawn members, rebuilt each round
-	seen      []int   // duplicate-coordinate slab for upload validation
-	seenToken int
+func (p *popServer) recv(member, m int) (any, error) {
+	h := p.memberHost[member]
+	msg, err := p.muxes[h].recvFor(member)
+	if err != nil {
+		return nil, fmt.Errorf("transport: round %d recv member %d from host %d: %w", m, member, h, err)
+	}
+	return msg, nil
+}
 
-	// Per-cohort-position retained buffers: uploads from many members
-	// share one physical connection (and, on the binary codec, one
-	// decode scratch), so each member's payload is copied out before
-	// the next Recv on that connection can overwrite it.
-	slotIdx [][]int
-	slotVal [][]float64
-	uploads []gs.ClientUpload
+func (p *popServer) send(h, m int, msg any) error {
+	if err := p.muxes[h].Send(msg); err != nil {
+		return fmt.Errorf("transport: round %d send to host %d: %w", m, h, err)
+	}
+	return nil
 }
 
 // drawRound advances the sampler and sends every host its CohortAssign
-// (and, when shardCohort is true, every shard the full cohort). The
-// sent member slices are fresh copies: in-memory conns deliver by
-// reference and the receiver holds its assign across the whole round,
-// while these buffers are rebuilt next round.
-func (p *popServer) drawRound(m int, shardCohort bool) (cohort []int, population, drawn, churnEvents int, err error) {
-	cohort, population, drawn, churnEvents, err = p.sampler.Draw(m, p.cfg.Population.DrawRng)
+// (and, in direct mode, every shard the full cohort). The sent member
+// slices are fresh copies: in-memory conns deliver by reference and the
+// receiver holds its assign across the whole round, while these
+// buffers are rebuilt next round.
+func (p *popServer) drawRound(m int) ([]int, cohortDraw, error) {
+	cohort, population, drawn, churnEvents, err := p.sampler.Draw(m, p.cfg.Population.DrawRng)
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, cohortDraw{}, err
 	}
 	for h := range p.hostDrawn {
 		p.hostDrawn[h] = p.hostDrawn[h][:0]
@@ -280,227 +299,41 @@ func (p *popServer) drawRound(m int, shardCohort bool) (cohort []int, population
 	for h, mux := range p.muxes {
 		assign := CohortAssign{Round: m, Members: append([]int(nil), p.hostDrawn[h]...)}
 		if err := mux.Send(assign); err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("transport: round %d cohort assign to host %d: %w", m, h, err)
+			return nil, cohortDraw{}, fmt.Errorf("transport: round %d cohort assign to host %d: %w", m, h, err)
 		}
 	}
-	if shardCohort {
+	if p.cfg.Direct {
 		for s, conn := range p.cfg.ShardConns {
 			assign := CohortAssign{Round: m, Members: append([]int(nil), cohort...)}
 			if err := conn.Send(assign); err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("transport: round %d cohort assign to shard %d: %w", m, s, err)
+				return nil, cohortDraw{}, fmt.Errorf("transport: round %d cohort assign to shard %d: %w", m, s, err)
 			}
 		}
 	}
-	return cohort, population, drawn, churnEvents, nil
+	return cohort, cohortDraw{population: population, drawn: drawn, churnEvents: churnEvents}, nil
 }
 
-// growSlots sizes the per-cohort-position buffers.
-func (p *popServer) growSlots(n int) {
-	for len(p.slotIdx) < n {
-		p.slotIdx = append(p.slotIdx, nil)
-		p.slotVal = append(p.slotVal, nil)
-	}
-	if cap(p.uploads) < n {
-		p.uploads = make([]gs.ClientUpload, n)
-	}
-	p.uploads = p.uploads[:n]
-}
-
-// emit records the round and publishes the population-aware event.
-func (p *popServer) emit(records []RoundRecord, rec RoundRecord, cohortLen, population, drawn, churnEvents int, bm *byteMeter, reduce []float64) []RoundRecord {
-	records = append(records, rec)
-	if p.cfg.Observer != nil {
-		ev := roundEvent(rec, p.cfg.K, cohortLen, bm, reduce)
-		ev.Population = population
-		ev.CohortSize = drawn
-		ev.ChurnEvents = churnEvents
-		p.cfg.Observer.OnRoundEnd(ev)
-	}
-	return records
-}
-
-// runRouted is the population round loop without a shard tier: cohort
-// uploads arrive enveloped on the host links, the aggregation runs on
-// the coordinator, and each host receives ONE broadcast per round.
-func (p *popServer) runRouted() ([]RoundRecord, error) {
-	cfg := p.cfg
-	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds, QuantBits: cfg.QuantBits}
-	for h, mux := range p.muxes {
-		if err := mux.Send(init); err != nil {
-			return nil, fmt.Errorf("transport: send init to host %d: %w", h, err)
-		}
-	}
-	strategy := &gs.FABTopK{}
-	scratch := gs.NewAggScratch(0)
-	scratch.Reserve(len(cfg.InitialParams))
-	var bm *byteMeter
-	if cfg.Observer != nil {
-		bm = newByteMeter(hostConns(p.muxes))
-		bm.delta()
-	}
-	records := make([]RoundRecord, 0, cfg.Rounds)
-	for m := 1; m <= cfg.Rounds; m++ {
-		if cfg.Observer != nil {
-			cfg.Observer.OnRoundStart(m)
-		}
-		cohort, population, drawn, churnEvents, err := p.drawRound(m, false)
+// run is the population round loop on both planes: draw the cohort,
+// then the shared round body over it — weighted by the cohort's own
+// total, the engine's per-round participant normalization.
+func (p *popServer) run() ([]RoundRecord, error) {
+	for m := 1; m <= p.cfg.Rounds; m++ {
+		p.startRound(m)
+		cohort, draw, err := p.drawRound(m)
 		if err != nil {
-			return records, err
-		}
-		p.growSlots(len(cohort))
-		var partWeight float64
-		for _, member := range cohort {
-			partWeight += p.weights[member]
-		}
-		var weightedLoss float64
-		for i, member := range cohort {
-			up, err := p.recvUpload(m, member)
-			if err != nil {
-				return records, err
-			}
-			p.slotIdx[i] = append(p.slotIdx[i][:0], up.Idx...)
-			p.slotVal[i] = append(p.slotVal[i][:0], up.Val...)
-			p.uploads[i] = gs.ClientUpload{
-				Pairs:  sparse.Vec{Idx: p.slotIdx[i], Val: p.slotVal[i]},
-				Weight: p.weights[member],
-			}
-			weightedLoss += p.weights[member] / partWeight * up.BatchLoss
-		}
-		agg, _ := strategy.AggregateInto(scratch, p.uploads[:len(cohort)], cfg.K, 0)
-		bc := Broadcast{
-			Round: m,
-			Idx:   append([]int(nil), agg.Indices...),
-			Val:   append([]float64(nil), agg.Values...),
-		}
-		if cfg.QuantBits > 0 {
-			bc.Bits = cfg.QuantBits
-			bc.Scale = sparse.QuantizeInPlace(bc.Val, cfg.QuantBits)
-		}
-		for h, mux := range p.muxes {
-			if err := mux.Send(bc); err != nil {
-				return records, fmt.Errorf("transport: round %d broadcast to host %d: %w", m, h, err)
-			}
-		}
-		rec := RoundRecord{Round: m, Loss: weightedLoss, DownlinkElems: len(agg.Indices)}
-		records = p.emit(records, rec, len(cohort), population, drawn, churnEvents, bm, nil)
-	}
-	return records, nil
-}
-
-// recvUpload receives and validates one drawn member's enveloped Upload
-// from its host link.
-func (p *popServer) recvUpload(m, member int) (Upload, error) {
-	h := p.memberHost[member]
-	msg, err := p.muxes[h].Virtual(member).Recv()
-	if err != nil {
-		return Upload{}, fmt.Errorf("transport: round %d recv member %d from host %d: %w", m, member, h, err)
-	}
-	up, ok := msg.(Upload)
-	if !ok {
-		return Upload{}, fmt.Errorf("transport: round %d: member %d sent %T, want Upload", m, member, msg)
-	}
-	p.seenToken++
-	if err := validateUpload(up, m, member, p.cfg.QuantBits, p.seen, p.seenToken); err != nil {
-		return Upload{}, err
-	}
-	return up, nil
-}
-
-// runDirect is the population round loop over the direct shard plane:
-// slices flow host→shard enveloped per member, control scalars flow
-// host→coordinator the same way, and the selection/seal machinery is
-// the classic DirectGroup — population changes WHO uploads each round,
-// not how a round is sealed.
-func (p *popServer) runDirect() ([]RoundRecord, error) {
-	cfg := p.cfg
-	dim := len(cfg.InitialParams)
-	if len(cfg.ShardConns) == 0 {
-		return nil, fmt.Errorf("transport: direct mode needs ShardConns (the coordinator no longer aggregates)")
-	}
-	if len(cfg.ShardAddrs) != len(cfg.ShardConns) {
-		return nil, fmt.Errorf("transport: direct mode needs one ShardAddrs entry per shard (%d addrs for %d shards)",
-			len(cfg.ShardAddrs), len(cfg.ShardConns))
-	}
-	for s, addr := range cfg.ShardAddrs {
-		if addr == "" {
-			return nil, fmt.Errorf("transport: direct mode: shard %d advertised no ingest address", s)
-		}
-	}
-	group, err := newDirectGroupState(cfg.ShardConns, dim, p.weights, cfg.QuantBits)
-	if err != nil {
-		return nil, err
-	}
-	assign := ShardAssign{NumShards: len(cfg.ShardConns), Dim: dim, Rounds: cfg.Rounds,
-		Weights: append([]float64(nil), p.weights...), Direct: true, QuantBits: cfg.QuantBits,
-		NumHosts: len(p.muxes)}
-	for s, conn := range cfg.ShardConns {
-		assign.ShardID = s
-		if err := conn.Send(assign); err != nil {
-			return nil, fmt.Errorf("transport: assign population shard %d: %w", s, err)
-		}
-	}
-	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds, QuantBits: cfg.QuantBits, Shards: cfg.ShardAddrs}
-	for h, mux := range p.muxes {
-		if err := mux.Send(init); err != nil {
-			return nil, fmt.Errorf("transport: send init to host %d: %w", h, err)
-		}
-	}
-	strategy := &gs.FABTopK{}
-	var bm *byteMeter
-	if cfg.Observer != nil {
-		bm = newByteMeter(hostConns(p.muxes), cfg.ShardConns)
-		bm.delta()
-	}
-	records := make([]RoundRecord, 0, cfg.Rounds)
-	for m := 1; m <= cfg.Rounds; m++ {
-		if cfg.Observer != nil {
-			cfg.Observer.OnRoundStart(m)
-		}
-		cohort, population, drawn, churnEvents, err := p.drawRound(m, true)
-		if err != nil {
-			return records, err
+			return p.records, err
 		}
 		var partWeight float64
 		for _, member := range cohort {
 			partWeight += p.weights[member]
 		}
-		var weightedLoss float64
-		maxLen := 0
-		for _, member := range cohort {
-			h := p.memberHost[member]
-			msg, err := p.muxes[h].Virtual(member).Recv()
-			if err != nil {
-				return records, fmt.Errorf("transport: round %d recv member %d meta from host %d: %w", m, member, h, err)
-			}
-			meta, ok := msg.(RoundMeta)
-			if !ok {
-				return records, fmt.Errorf("transport: round %d: member %d sent %T, want RoundMeta (gradient payloads go to the shards)", m, member, msg)
-			}
-			if meta.Round != m || meta.ClientID != member {
-				return records, fmt.Errorf("transport: round %d: stale metadata (round %d from member %d, want member %d)",
-					m, meta.Round, meta.ClientID, member)
-			}
-			if meta.UploadLen < 0 || meta.UploadLen > dim {
-				return records, fmt.Errorf("transport: round %d: member %d reported upload length %d outside [0, %d]",
-					m, member, meta.UploadLen, dim)
-			}
-			weightedLoss += p.weights[member] / partWeight * meta.BatchLoss
-			maxLen = max(maxLen, meta.UploadLen)
-		}
-		agg, err := group.Aggregate(strategy, m, cfg.K, maxLen)
+		rec, err := p.roundBody(m, cohort, partWeight)
 		if err != nil {
-			return records, err
+			return p.records, err
 		}
-		rel := RoundRelease{Round: m, Elems: len(agg.Indices)}
-		for h, mux := range p.muxes {
-			if err := mux.Send(rel); err != nil {
-				return records, fmt.Errorf("transport: round %d release to host %d: %w", m, h, err)
-			}
-		}
-		rec := RoundRecord{Round: m, Loss: weightedLoss, DownlinkElems: len(agg.Indices)}
-		records = p.emit(records, rec, len(cohort), population, drawn, churnEvents, bm, group.reduceSecs)
+		p.finish(rec, len(cohort), &draw)
 	}
-	return records, nil
+	return p.records, nil
 }
 
 // hostConns unwraps the physical connections under the host muxes for
@@ -555,15 +388,13 @@ type vcState struct {
 	// Per-shard slice buffers (direct mode): referenced by the wire
 	// until the shard's barrier copies them, so they must survive
 	// until this member's next draw.
-	sIdx  [][]int
-	sVal  [][]float64
-	sRank [][]int
+	bufs sliceBufs
 }
 
 // RunVirtualHost executes one virtual-client host against a population
 // coordinator: handshake with the roster, then per round receive the
-// drawn cohort, run each drawn member's local computation (the exact
-// engine body: minibatch gradient into the member's residual, the
+// drawn cohort, run each drawn member's local computation (the shared
+// localStep: minibatch gradient into the member's residual, the
 // probe-sample rng draw, top-k extraction, quantization), upload per
 // member over the shared links, and apply the round's broadcast ONCE
 // to the shared model (then fold each drawn member's upload out of its
@@ -597,37 +428,37 @@ func RunVirtualHost(coord Conn, cfg HostConfig) error {
 	if !ok {
 		return fmt.Errorf("transport: host %d expected Init, got %T", cfg.HostID, msg)
 	}
-	if init.QuantBits != 0 && (init.QuantBits < 2 || init.QuantBits > 64) {
-		return fmt.Errorf("transport: host %d: init quantization width %d outside 0 or [2, 64]", cfg.HostID, init.QuantBits)
-	}
 	if init.Window != 0 {
 		return fmt.Errorf("transport: host %d: population hosts do not support a staleness window (got %d)", cfg.HostID, init.Window)
 	}
-
-	h := &virtualHost{cfg: cfg, mux: mux, init: init, states: states}
-	h.net = cfg.Model()
-	h.net.SetParams(init.Params)
-	h.applied = newAppliedSet(h.net.D())
-	if len(init.Shards) > 0 {
-		return h.runDirect()
+	step, err := newLocalStep("host", cfg.HostID, cfg.Model, init, cfg.BatchSize)
+	if err != nil {
+		return err
 	}
-	return h.runRouted()
+	h := &virtualHost{cfg: cfg, mux: mux, init: init, states: states, step: step,
+		applied: newAppliedSet("host", cfg.HostID, step.net.D())}
+	if len(init.Shards) == 0 {
+		return h.run(nil)
+	}
+	// Direct plane: dial every shard ONCE — this is the M:N point:
+	// connections scale with hosts × shards, never with members.
+	fan, err := dialShards("host", cfg.HostID, init.Shards, len(init.Params), cfg.DialShard, cfg.Members)
+	if err != nil {
+		return err
+	}
+	defer fan.close()
+	return h.run(fan)
 }
 
-// virtualHost is the per-run state of RunVirtualHost.
+// virtualHost is the per-run state of RunVirtualHost: ONE model, local
+// step and applied set for the whole roster (a member's values never
+// outlive its turn, so sharing moves no trajectory bit).
 type virtualHost struct {
-	cfg    HostConfig
-	mux    *Mux
-	init   Init
-	net    *nn.Network
-	states map[int]*vcState
-
-	// Shared member-compute scratch (values never outlive one member's
-	// turn, so sharing moves no trajectory bit).
-	topk sparse.TopKScratch
-	xs   [][]float64
-	ys   []int
-
+	cfg     HostConfig
+	mux     *Mux
+	init    Init
+	states  map[int]*vcState
+	step    *localStep
 	applied *appliedSet
 }
 
@@ -641,7 +472,7 @@ func (h *virtualHost) state(member int) (*vcState, error) {
 		return nil, fmt.Errorf("transport: host %d drawn for member %d outside its roster", h.cfg.HostID, member)
 	}
 	if st.acc == nil {
-		st.acc = make([]float64, h.net.D())
+		st.acc = make([]float64, h.step.net.D())
 		st.rng = rand.New(rand.NewSource(h.cfg.Seed + 1000003*int64(member+1)))
 	}
 	return st, nil
@@ -668,41 +499,19 @@ func (h *virtualHost) recvAssign(m int) (CohortAssign, error) {
 	return assign, nil
 }
 
-// computeMember runs one drawn member's local round: minibatch
-// gradient accumulated into the member's residual, the engine's
-// probe-sample rng draw, top-k extraction into the member's upload
-// buffer, and quantization. Mirrors runClientRounds' body exactly —
-// this is the bit-identity-critical code.
-func (h *virtualHost) computeMember(st *vcState) (batchLoss, scale float64) {
-	h.xs, h.ys = st.data.BatchInto(h.xs, h.ys, st.rng, h.cfg.BatchSize)
-	batchLoss = h.net.MeanLossGrad(h.xs, h.ys)
-	tensor.AXPY(1, h.net.Grads(), st.acc)
-	_ = st.rng.Intn(len(h.xs))
-	st.pairs = sparse.TopKInto(st.pairs, &h.topk, st.acc, h.init.K)
-	if h.init.QuantBits > 0 {
-		scale = sparse.QuantizeInPlace(st.pairs.Val, h.init.QuantBits)
-	}
-	return batchLoss, scale
-}
-
-// applyBroadcast applies the round's aggregate ONCE to the shared
-// model, then folds each drawn member's uploaded values out of its
-// residual (the engine's error-feedback update, per participant).
-func (h *virtualHost) applyBroadcast(drawn []int, bIdx []int, bVal []float64) {
-	h.applied.apply(h.net.Params(), h.cfg.LearningRate, bIdx, bVal)
-	for _, member := range drawn {
-		st := h.states[member]
-		for vi, j := range st.pairs.Idx {
-			if h.applied.has(j) {
-				st.acc[j] -= st.pairs.Val[vi]
-			}
-		}
-	}
-}
-
-// runRouted is the host's round loop without shards: per drawn member
-// one enveloped Upload up, ONE plain Broadcast down per host.
-func (h *virtualHost) runRouted() error {
+// run is the host's round loop on both data planes. Per drawn member:
+// the local step on the member's own residual and rng, then its upload
+// on its enveloped stream — routed (fan nil): one Upload to the
+// coordinator; direct: each shard its range slice and the coordinator
+// the control scalars. Per round, for the whole roster: ONE plain
+// downlink (the coordinator's Broadcast, or one fetched slice per
+// shard), applied once to the shared model, then each drawn member's
+// upload folded out of its residual (the engine's error-feedback
+// update, per participant).
+func (h *virtualHost) run(fan *shardFan) error {
+	id, bits := h.cfg.HostID, h.init.QuantBits
+	var bIdx []int
+	var bVal []float64
 	for m := 1; m <= h.init.Rounds; m++ {
 		assign, err := h.recvAssign(m)
 		if err != nil {
@@ -713,137 +522,54 @@ func (h *virtualHost) runRouted() error {
 			if err != nil {
 				return err
 			}
-			batchLoss, scale := h.computeMember(st)
-			up := Upload{ClientID: member, Round: m, Idx: st.pairs.Idx, Val: st.pairs.Val,
-				BatchLoss: batchLoss, Bits: h.init.QuantBits, Scale: scale}
-			if err := h.mux.Virtual(member).Send(up); err != nil {
-				return fmt.Errorf("transport: host %d round %d member %d upload: %w", h.cfg.HostID, m, member, err)
+			var batchLoss, scale float64
+			st.pairs, batchLoss, scale = h.step.run(st.data, st.rng, st.acc, st.pairs)
+			var ctl any
+			if fan == nil {
+				ctl = Upload{ClientID: member, Round: m, Idx: st.pairs.Idx, Val: st.pairs.Val,
+					BatchLoss: batchLoss, Bits: bits, Scale: scale}
+			} else {
+				fan.split(st.pairs, &st.bufs)
+				if err := fan.upload(m, member, &st.bufs, bits, scale); err != nil {
+					return err
+				}
+				ctl = RoundMeta{ClientID: member, Round: m, BatchLoss: batchLoss, UploadLen: st.pairs.Len()}
+			}
+			if err := h.mux.sendFor(member, ctl); err != nil {
+				return fmt.Errorf("transport: host %d round %d member %d upload: %w", id, m, member, err)
 			}
 		}
-		msg, err := h.mux.Recv()
-		if err != nil {
-			return fmt.Errorf("transport: host %d round %d broadcast recv: %w", h.cfg.HostID, m, err)
-		}
-		bc, ok := msg.(Broadcast)
-		if !ok || bc.Round != m {
-			return fmt.Errorf("transport: host %d round %d: bad broadcast %T", h.cfg.HostID, m, msg)
-		}
-		h.applyBroadcast(assign.Members, bc.Idx, bc.Val)
-	}
-	return nil
-}
-
-// runDirect is the host's round loop over the direct shard plane: dial
-// every shard ONCE, then per drawn member send each shard its range
-// slice (enveloped) and the coordinator the control scalars, and per
-// round fetch ONE broadcast slice per shard for the whole roster.
-func (h *virtualHost) runDirect() error {
-	cfg, init := h.cfg, h.init
-	dim := len(init.Params)
-	nShards := len(init.Shards)
-	dial := cfg.DialShard
-	if dial == nil {
-		dial = Dial
-	}
-	shardMux := make([]Conn, nShards)
-	defer func() {
-		for _, c := range shardMux {
-			if c != nil {
-				_ = c.Close()
-			}
-		}
-	}()
-	bounds := make([]int, nShards+1)
-	for s := 0; s < nShards; s++ {
-		lo, hi := tensor.ChunkBounds(dim, nShards, s)
-		bounds[s], bounds[s+1] = lo, hi
-		conn, err := dial(init.Shards[s])
-		if err != nil {
-			return fmt.Errorf("transport: host %d dial shard %d (%s): %w", cfg.HostID, s, init.Shards[s], err)
-		}
-		mux := NewMux(conn)
-		shardMux[s] = mux
-		hello := HostData{HostID: cfg.HostID, ShardID: s, NumShards: nShards, Dim: dim, Members: cfg.Members}
-		if err := mux.Send(hello); err != nil {
-			return fmt.Errorf("transport: host %d data hello to shard %d: %w", cfg.HostID, s, err)
-		}
-	}
-	shardOf := func(j int) int { return sort.SearchInts(bounds, j+1) - 1 }
-
-	var bIdx []int
-	var bVal []float64
-	for m := 1; m <= init.Rounds; m++ {
-		assign, err := h.recvAssign(m)
-		if err != nil {
-			return err
-		}
-		for _, member := range assign.Members {
-			st, err := h.state(member)
+		if fan == nil {
+			bc, err := recvBroadcast(h.mux, "host", id, m)
 			if err != nil {
 				return err
 			}
-			batchLoss, scale := h.computeMember(st)
-			if st.sIdx == nil {
-				st.sIdx = make([][]int, nShards)
-				st.sVal = make([][]float64, nShards)
-				st.sRank = make([][]int, nShards)
-			}
-			for s := 0; s < nShards; s++ {
-				st.sIdx[s] = st.sIdx[s][:0]
-				st.sVal[s] = st.sVal[s][:0]
-				st.sRank[s] = st.sRank[s][:0]
-			}
-			for pi, j := range st.pairs.Idx {
-				s := shardOf(j)
-				st.sIdx[s] = append(st.sIdx[s], j)
-				st.sVal[s] = append(st.sVal[s], st.pairs.Val[pi])
-				st.sRank[s] = append(st.sRank[s], pi)
-			}
-			for s := 0; s < nShards; s++ {
-				up := SliceUpload{ClientID: member, Round: m, Idx: st.sIdx[s], Val: st.sVal[s],
-					Rank: st.sRank[s], Bits: init.QuantBits, Scale: scale}
-				if err := shardMux[s].(*Mux).Virtual(member).Send(up); err != nil {
-					return fmt.Errorf("transport: host %d round %d member %d slice to shard %d: %w", cfg.HostID, m, member, s, err)
-				}
-			}
-			meta := RoundMeta{ClientID: member, Round: m, BatchLoss: batchLoss, UploadLen: st.pairs.Len()}
-			if err := h.mux.Virtual(member).Send(meta); err != nil {
-				return fmt.Errorf("transport: host %d round %d member %d metadata: %w", cfg.HostID, m, member, err)
-			}
-		}
-		msg, err := h.mux.Recv()
-		if err != nil {
-			return fmt.Errorf("transport: host %d round %d release recv: %w", cfg.HostID, m, err)
-		}
-		rel, ok := msg.(RoundRelease)
-		if !ok {
-			return fmt.Errorf("transport: host %d round %d: expected RoundRelease, got %T", cfg.HostID, m, msg)
-		}
-		if rel.Round != m {
-			return fmt.Errorf("transport: host %d round %d: stale release (round %d)", cfg.HostID, m, rel.Round)
-		}
-		// One fetch per shard for the WHOLE roster — the host-level
-		// (un-enveloped) downlink, identified by HostID.
-		bIdx, bVal, err = fetchBroadcastSlices(cfg.HostID, shardMux, bounds, m, rel.Elems, bIdx[:0], bVal[:0])
-		if err != nil {
+			bIdx, bVal = bc.Idx, bc.Val
+		} else if bIdx, bVal, err = fan.download(h.mux, m, bIdx[:0], bVal[:0], nil); err != nil {
 			return err
 		}
-		h.applyBroadcast(assign.Members, bIdx, bVal)
+		if err := h.applied.apply(m, h.step.net.Params(), h.cfg.LearningRate, bIdx, bVal); err != nil {
+			return err
+		}
+		for _, member := range assign.Members {
+			st := h.states[member]
+			h.applied.settle(st.acc, st.pairs)
+		}
 	}
 	return nil
 }
 
-// runDirectShardPopulation is RunDirectShard's population-tier round
-// loop (ShardAssign.NumHosts > 0): the ingest plane carries NumHosts
-// host connections instead of one per client, the per-round barrier
-// covers the cohort the coordinator announces (one enveloped
+// runDirectShardPopulation is RunDirectShard's ingest policy for the
+// population tier (ShardAssign.NumHosts > 0): the ingest plane carries
+// NumHosts host connections instead of one per client, the per-round
+// barrier covers the cohort the coordinator announces (one enveloped
 // SliceUpload per drawn member, received in ascending member order),
-// and the downlink serves ONE SliceBroadcast per host. Fill candidates
-// are reported with cohort POSITIONS as their client field — the same
-// positions an engine run with partial participation uses — which is
-// what keeps the sharded population selection bit-identical to the
-// engine's.
-func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer, lo, hi int) error {
+// and the downlink serves ONE SliceBroadcast per host. The round itself
+// is the shared shardRound with cohort POSITIONS as barrier slots — so
+// fill candidates name positions as their client, the same positions an
+// engine run with partial participation uses, which is what keeps the
+// sharded population selection bit-identical to the engine's.
+func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer) error {
 	nPop := len(assign.Weights)
 	nHosts := assign.NumHosts
 	defer func() {
@@ -852,10 +578,7 @@ func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer, lo, 
 		}
 	}()
 	muxes := make([]*Mux, nHosts)
-	memberHost := make([]int, nPop)
-	for i := range memberHost {
-		memberHost[i] = -1
-	}
+	memberHost := newMemberDirectory(nPop)
 	for _, p := range peers {
 		d := p.HostData
 		if d == nil {
@@ -871,17 +594,8 @@ func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer, lo, 
 		if muxes[d.HostID] != nil {
 			return fmt.Errorf("transport: shard %d: duplicate host id %d on the ingest plane", assign.ShardID, d.HostID)
 		}
-		for i, member := range d.Members {
-			if i > 0 && member <= d.Members[i-1] {
-				return fmt.Errorf("transport: shard %d: host %d roster not strictly ascending at member %d", assign.ShardID, d.HostID, member)
-			}
-			if member < 0 || member >= nPop {
-				return fmt.Errorf("transport: shard %d: host %d roster member %d outside the population [0, %d)", assign.ShardID, d.HostID, member, nPop)
-			}
-			if memberHost[member] != -1 {
-				return fmt.Errorf("transport: shard %d: member %d claimed by hosts %d and %d", assign.ShardID, member, memberHost[member], d.HostID)
-			}
-			memberHost[member] = d.HostID
+		if err := claimRoster(memberHost, d.HostID, d.Members, fmt.Sprintf("transport: shard %d", assign.ShardID)); err != nil {
+			return err
 		}
 		muxes[d.HostID] = NewMux(p.Conn)
 	}
@@ -891,21 +605,9 @@ func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer, lo, 
 		}
 	}
 
-	scratch := gs.NewAggScratch(0)
-	scratch.Reserve(assign.Dim)
-	seen := make([]int, assign.Dim)
-	seenToken := 0
-	var uploads []gs.ClientUpload
-	var ranks [][]int
-	var slotIdx [][]int
-	var slotVal [][]float64
-	var slotRank [][]int
-	var fill []gs.FillCand
-	var fillClient, fillIdx []int
-	var fillAbs []float64
-	var sealIdx []int
-	var sealVal []float64
-
+	sr := newShardRound(assign, 0, "member", "host")
+	var slots []SliceUpload // per cohort position: the member's copied slice
+	var ds downSlice
 	for m := 1; m <= assign.Rounds; m++ {
 		msg, err := coord.Recv()
 		if err != nil {
@@ -919,20 +621,13 @@ func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer, lo, 
 			return fmt.Errorf("transport: shard %d round %d: stale cohort assign (round %d)", assign.ShardID, m, assignMsg.Round)
 		}
 		cohort := assignMsg.Members
-		nCoh := len(cohort)
-		if nCoh == 0 {
+		if len(cohort) == 0 {
 			return fmt.Errorf("transport: shard %d round %d: empty cohort", assign.ShardID, m)
 		}
-		for len(slotIdx) < nCoh {
-			slotIdx = append(slotIdx, nil)
-			slotVal = append(slotVal, nil)
-			slotRank = append(slotRank, nil)
+		for len(slots) < len(cohort) {
+			slots = append(slots, SliceUpload{})
 		}
-		if cap(uploads) < nCoh {
-			uploads = make([]gs.ClientUpload, nCoh)
-			ranks = make([][]int, nCoh)
-		}
-		uploads, ranks = uploads[:nCoh], ranks[:nCoh]
+		sr.resize(len(cohort))
 		// The cohort barrier: one enveloped slice per drawn member, in
 		// ascending member order. Each slice is copied out of its
 		// connection's decode scratch into the cohort-position slot —
@@ -946,88 +641,21 @@ func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer, lo, 
 				return fmt.Errorf("transport: shard %d round %d: cohort member %d not in any host roster", assign.ShardID, m, member)
 			}
 			hid := memberHost[member]
-			msg, err := muxes[hid].Virtual(member).Recv()
+			msg, err := muxes[hid].recvFor(member)
 			if err != nil {
 				return fmt.Errorf("transport: shard %d round %d recv member %d from host %d: %w", assign.ShardID, m, member, hid, err)
 			}
 			up, ok := msg.(SliceUpload)
 			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: member %d sent %T, want SliceUpload", assign.ShardID, m, member, msg)
+				return sr.wrongType(m, sr.peer, member, msg, "SliceUpload")
 			}
-			if up.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: stale slice from member %d (round %d) — duplicate or skipped upload",
-					assign.ShardID, m, member, up.Round)
+			copySlice(&slots[i], &up)
+			if err := sr.admit(m, i, member, &slots[i]); err != nil {
+				return err
 			}
-			if up.ClientID != member {
-				return fmt.Errorf("transport: shard %d round %d: slice on member %d's stream claims member %d",
-					assign.ShardID, m, member, up.ClientID)
-			}
-			if up.Bits != assign.QuantBits {
-				return fmt.Errorf("transport: shard %d round %d: member %d slice at %d-bit quantization, run uses %d",
-					assign.ShardID, m, member, up.Bits, assign.QuantBits)
-			}
-			seenToken++
-			if err := gs.ValidateRangeSlice(up.Idx, up.Val, up.Rank, lo, hi, seen, seenToken); err != nil {
-				return fmt.Errorf("transport: shard %d round %d: member %d slice: %w", assign.ShardID, m, member, err)
-			}
-			slotIdx[i] = append(slotIdx[i][:0], up.Idx...)
-			slotVal[i] = append(slotVal[i][:0], up.Val...)
-			slotRank[i] = append(slotRank[i][:0], up.Rank...)
-			uploads[i] = gs.ClientUpload{
-				Pairs:  sparse.Vec{Idx: slotIdx[i], Val: slotVal[i]},
-				Weight: assign.Weights[member],
-			}
-			ranks[i] = slotRank[i]
 		}
-		red := gs.RangeReduceInto(scratch, uploads, ranks, lo, hi)
-		res := ShardResult{Round: m, ShardID: assign.ShardID, Idx: red.Idx, Sum: red.Sum, MinRank: red.MinRank}
-		if err := coord.Send(res); err != nil {
-			return fmt.Errorf("transport: shard %d round %d send: %w", assign.ShardID, m, err)
-		}
-		var sealBits int
-		var sealScale float64
-		for {
-			msg, err := coord.Recv()
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d control recv: %w", assign.ShardID, m, err)
-			}
-			if q, ok := msg.(FillQuery); ok {
-				if q.Round != m {
-					return fmt.Errorf("transport: shard %d round %d: stale fill query (round %d)", assign.ShardID, m, q.Round)
-				}
-				fill = gs.AppendFillCands(fill[:0], uploads, ranks, q.Kappa)
-				fillClient, fillIdx, fillAbs = fillClient[:0], fillIdx[:0], fillAbs[:0]
-				for _, c := range fill {
-					fillClient = append(fillClient, c.Client)
-					fillIdx = append(fillIdx, c.Idx)
-					fillAbs = append(fillAbs, c.AbsVal)
-				}
-				reply := FillCandidates{Round: m, ShardID: assign.ShardID, Client: fillClient, Idx: fillIdx, AbsVal: fillAbs}
-				if err := coord.Send(reply); err != nil {
-					return fmt.Errorf("transport: shard %d round %d fill send: %w", assign.ShardID, m, err)
-				}
-				continue
-			}
-			seal, ok := msg.(RoundSeal)
-			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: expected FillQuery or RoundSeal, got %T", assign.ShardID, m, msg)
-			}
-			if seal.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: stale round seal (round %d)", assign.ShardID, m, seal.Round)
-			}
-			if seal.Bits != assign.QuantBits {
-				return fmt.Errorf("transport: shard %d round %d: seal at %d-bit quantization, run uses %d",
-					assign.ShardID, m, seal.Bits, assign.QuantBits)
-			}
-			sealIdx, sealVal, err = gs.BuildDownlinkSlice(sealIdx[:0], sealVal[:0], seal.Members, red, lo, hi)
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d seal: %w", assign.ShardID, m, err)
-			}
-			if seal.Bits > 0 {
-				sparse.QuantizeToScale(sealVal, seal.Bits, seal.Scale)
-			}
-			sealBits, sealScale = seal.Bits, seal.Scale
-			break
+		if err := sr.seal(m, coord, &ds); err != nil {
+			return err
 		}
 		// The downlink serve: ONE fetch per host for its whole roster,
 		// answered with the shard's span of the selection. The served
@@ -1038,26 +666,17 @@ func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer, lo, 
 		// buffers for the next seal. (The classic per-client plane
 		// needs no copy: every client uploads every round, so the
 		// barrier itself orders the reads before the rebuild.)
-		srvIdx := append([]int(nil), sealIdx...)
-		srvVal := append([]float64(nil), sealVal...)
+		srv := downSlice{idx: append([]int(nil), ds.idx...), val: append([]float64(nil), ds.val...), bits: ds.bits, scale: ds.scale}
+		reply := srv.message(m, assign.ShardID)
 		for hid, mux := range muxes {
 			msg, err := mux.Recv()
 			if err != nil {
 				return fmt.Errorf("transport: shard %d round %d downlink serve recv from host %d: %w", assign.ShardID, m, hid, err)
 			}
-			f, ok := msg.(SliceFetch)
-			if !ok {
-				return fmt.Errorf("transport: shard %d round %d: host %d sent %T, want SliceFetch", assign.ShardID, m, hid, msg)
+			if err := sr.checkFetch(m, hid, msg); err != nil {
+				return err
 			}
-			if f.Round != m {
-				return fmt.Errorf("transport: shard %d round %d: stale fetch from host %d (round %d)", assign.ShardID, m, hid, f.Round)
-			}
-			if f.ClientID != hid {
-				return fmt.Errorf("transport: shard %d round %d: fetch on host %d's connection claims host %d",
-					assign.ShardID, m, hid, f.ClientID)
-			}
-			sb := SliceBroadcast{Round: m, ShardID: assign.ShardID, Idx: srvIdx, Val: srvVal, Bits: sealBits, Scale: sealScale}
-			if err := mux.Send(sb); err != nil {
+			if err := mux.Send(reply); err != nil {
 				return fmt.Errorf("transport: shard %d round %d slice broadcast to host %d: %w", assign.ShardID, m, hid, err)
 			}
 		}

@@ -5,15 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fedsparse/internal/dataset"
 	"fedsparse/internal/fl"
-	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
-	"fedsparse/internal/par"
 	"fedsparse/internal/sparse"
-	"fedsparse/internal/tensor"
 )
 
 // ServerConfig parameterizes the coordinator side of a distributed
@@ -111,14 +109,23 @@ type Peer struct {
 	Rejoin   *Rejoin
 }
 
-// handshakeTimeout bounds the first Recv of every handshake: a peer
-// that connects and then says nothing must not park an accept loop
-// forever. Deadline expiry surfaces as ErrClosed via closedConnErr.
-var handshakeTimeout = 30 * time.Second
+// handshakeTimeout (nanoseconds) bounds the first Recv of every
+// handshake: a peer that connects and then says nothing must not park
+// an accept loop forever. Deadline expiry surfaces as ErrClosed via
+// closedConnErr. Atomic: a test shortens it while handshake goroutines
+// parked by earlier tests may still be reading it.
+var handshakeTimeout atomic.Int64
+
+func init() { handshakeTimeout.Store(int64(30 * time.Second)) }
+
+// recvHandshake is one deadline-bounded handshake Recv.
+func recvHandshake(conn Conn) (any, error) {
+	return recvDeadline(conn, time.Duration(handshakeTimeout.Load()))
+}
 
 // AcceptPeer reads a connection's first message and classifies the peer.
 func AcceptPeer(conn Conn) (Peer, error) {
-	msg, err := recvDeadline(conn, handshakeTimeout)
+	msg, err := recvHandshake(conn)
 	if err != nil {
 		return Peer{}, fmt.Errorf("transport: peer handshake recv: %w", err)
 	}
@@ -370,134 +377,55 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 	if cfg.Population != nil {
 		return nil, fmt.Errorf("transport: population runs go through RunPopulationServer, not the per-client entry points")
 	}
-	// Order connections by client ID.
+	ordered, weights, err := seatClients(clients)
+	if err != nil {
+		return nil, err
+	}
+	c := newCoordRun(cfg, plainPeers{conns: ordered, noun: "client"}, len(ordered), "client", weights)
+	// Assign the shard tier (if any) before releasing the clients into
+	// the round loop: shards need the client weight vector.
+	if cfg.Direct {
+		if err := c.startDirect(0); err != nil {
+			return nil, err
+		}
+	} else {
+		if len(cfg.ShardConns) > 0 {
+			if c.shards, err = NewShardGroup(cfg.ShardConns, len(cfg.InitialParams), cfg.Rounds, weights); err != nil {
+				return nil, err
+			}
+		}
+		c.startRouted()
+	}
+	if err := c.sendInit(ordered, 0); err != nil {
+		return nil, err
+	}
+	c.meter(ordered, cfg.ShardConns)
+	if cfg.Staleness > 0 {
+		return c.runWindowed(ordered)
+	}
+	return c.run(1)
+}
+
+// seatClients orders classified client peers by their Hello's ID and
+// collects the aggregation weights C_i in that order.
+func seatClients(clients []Peer) ([]Conn, []float64, error) {
 	ordered := make([]Conn, len(clients))
 	weights := make([]float64, len(clients))
-	var totalWeight float64
 	for _, peer := range clients {
 		if peer.Hello == nil {
-			return nil, fmt.Errorf("transport: shard peer passed as client (shard conns belong in ServerConfig.ShardConns)")
+			return nil, nil, fmt.Errorf("transport: shard peer passed as client (shard conns belong in ServerConfig.ShardConns)")
 		}
 		hello := *peer.Hello
 		if hello.ClientID < 0 || hello.ClientID >= len(clients) {
-			return nil, fmt.Errorf("transport: client id %d out of range", hello.ClientID)
+			return nil, nil, fmt.Errorf("transport: client id %d out of range", hello.ClientID)
 		}
 		if ordered[hello.ClientID] != nil {
-			return nil, fmt.Errorf("transport: duplicate client id %d", hello.ClientID)
+			return nil, nil, fmt.Errorf("transport: duplicate client id %d", hello.ClientID)
 		}
 		ordered[hello.ClientID] = peer.Conn
 		weights[hello.ClientID] = hello.Weight
-		totalWeight += hello.Weight
 	}
-	if cfg.Direct {
-		return runServerDirect(ordered, weights, totalWeight, cfg)
-	}
-	// Assign the shard tier (if any) before releasing the clients into
-	// the round loop: shards need the client weight vector.
-	var shards *ShardGroup
-	if len(cfg.ShardConns) > 0 {
-		var err error
-		shards, err = NewShardGroup(cfg.ShardConns, len(cfg.InitialParams), cfg.Rounds, weights)
-		if err != nil {
-			return nil, err
-		}
-	}
-	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds, QuantBits: cfg.QuantBits}
-	for _, conn := range ordered {
-		if err := conn.Send(init); err != nil {
-			return nil, fmt.Errorf("transport: send init: %w", err)
-		}
-	}
-
-	strategy := &gs.FABTopK{}
-	// One warm scratch for the whole run: aggregation is allocation-free
-	// after the first round. The broadcast copies the |J|-sized result out
-	// of the scratch because in-memory conns pass messages by reference
-	// and the scratch buffers are overwritten next round. With a shard
-	// tier the reduction state lives in the shards (and the ShardGroup's
-	// selection scratch), so no local scratch is built at all.
-	var scratch *gs.AggScratch
-	if shards == nil {
-		scratch = gs.NewAggScratch(0)
-		scratch.Reserve(len(cfg.InitialParams)) // coordinates index the model
-	}
-	uploads := make([]gs.ClientUpload, len(ordered))
-	// Duplicate-coordinate detection slab for upload validation: seen[j]
-	// == seenToken means coordinate j already appeared in the upload
-	// currently being checked. An int token never wraps in practice.
-	seen := make([]int, len(cfg.InitialParams))
-	seenToken := 0
-	// The byte meter baselines after the handshake/init exchange, so
-	// round 1's delta covers round 1 only. Built only when someone is
-	// listening — the hot path stays untouched without an observer.
-	var bm *byteMeter
-	if cfg.Observer != nil {
-		bm = newByteMeter(ordered, cfg.ShardConns)
-		bm.delta()
-	}
-	records = make([]RoundRecord, 0, cfg.Rounds)
-	for m := 1; m <= cfg.Rounds; m++ {
-		if cfg.Observer != nil {
-			cfg.Observer.OnRoundStart(m)
-		}
-		var weightedLoss float64
-		for id, conn := range ordered {
-			msg, err := conn.Recv()
-			if err != nil {
-				return records, fmt.Errorf("transport: round %d recv from client %d: %w", m, id, err)
-			}
-			up, ok := msg.(Upload)
-			if !ok {
-				return records, fmt.Errorf("transport: round %d: expected Upload, got %T", m, msg)
-			}
-			seenToken++
-			if err := validateUpload(up, m, id, cfg.QuantBits, seen, seenToken); err != nil {
-				return records, err
-			}
-			uploads[id] = gs.ClientUpload{
-				Pairs:  sparse.Vec{Idx: up.Idx, Val: up.Val},
-				Weight: weights[id],
-			}
-			weightedLoss += weights[id] / totalWeight * up.BatchLoss
-		}
-		var agg gs.Aggregate
-		if shards != nil {
-			var err error
-			agg, _, err = shards.Aggregate(strategy, uploads, m, cfg.K, 0)
-			if err != nil {
-				return records, err
-			}
-		} else {
-			agg, _ = strategy.AggregateInto(scratch, uploads, cfg.K, 0)
-		}
-		bc := Broadcast{
-			Round: m,
-			Idx:   append([]int(nil), agg.Indices...),
-			Val:   append([]float64(nil), agg.Values...),
-		}
-		if cfg.QuantBits > 0 {
-			// Snap the aggregate onto its own b-bit grid before it goes
-			// out — the engine's post-aggregation quantization, and what
-			// lets the codec pack the broadcast values on the wire.
-			bc.Bits = cfg.QuantBits
-			bc.Scale = sparse.QuantizeInPlace(bc.Val, cfg.QuantBits)
-		}
-		for id, conn := range ordered {
-			if err := conn.Send(bc); err != nil {
-				return records, fmt.Errorf("transport: round %d send to client %d: %w", m, id, err)
-			}
-		}
-		rec := RoundRecord{Round: m, Loss: weightedLoss, DownlinkElems: len(agg.Indices)}
-		records = append(records, rec)
-		if cfg.Observer != nil {
-			var reduce []float64
-			if shards != nil {
-				reduce = shards.reduceSecs
-			}
-			cfg.Observer.OnRoundEnd(roundEvent(rec, cfg.K, len(ordered), bm, reduce))
-		}
-	}
-	return records, nil
+	return ordered, weights, nil
 }
 
 // ClientConfig parameterizes one distributed participant.
@@ -521,122 +449,124 @@ type ClientConfig struct {
 // RunClient executes the client side of the protocol until the configured
 // number of rounds completes.
 func RunClient(conn Conn, cfg ClientConfig) error {
+	init, err := clientHandshake(conn, cfg)
+	if err != nil {
+		return err
+	}
+	return runClient(conn, cfg, init, nil)
+}
+
+// clientHandshake enrolls the client: Hello up, Init down.
+func clientHandshake(conn Conn, cfg ClientConfig) (Init, error) {
 	if err := conn.Send(Hello{ClientID: cfg.ID, Weight: float64(cfg.Data.Len())}); err != nil {
-		return fmt.Errorf("transport: client %d hello: %w", cfg.ID, err)
+		return Init{}, fmt.Errorf("transport: client %d hello: %w", cfg.ID, err)
 	}
 	msg, err := conn.Recv()
 	if err != nil {
-		return fmt.Errorf("transport: client %d init recv: %w", cfg.ID, err)
+		return Init{}, fmt.Errorf("transport: client %d init recv: %w", cfg.ID, err)
 	}
 	init, ok := msg.(Init)
 	if !ok {
-		return fmt.Errorf("transport: client %d expected Init, got %T", cfg.ID, msg)
+		return Init{}, fmt.Errorf("transport: client %d expected Init, got %T", cfg.ID, msg)
 	}
-	if len(init.Shards) > 0 {
-		// The coordinator published a shard directory: switch to the
-		// direct data plane (dial the shards, upload range slices
-		// straight to the owners and pull the broadcast slices back from
-		// them; the coordinator conn carries control scalars only).
-		return runClientDirect(conn, cfg, init)
-	}
-	uplink := func(m int, pairs sparse.Vec, scale, batchLoss float64) error {
-		up := Upload{
-			ClientID:  cfg.ID,
-			Round:     m,
-			Idx:       pairs.Idx,
-			Val:       pairs.Val,
-			BatchLoss: batchLoss,
-			Bits:      init.QuantBits,
-			Scale:     scale,
-		}
-		if err := conn.Send(up); err != nil {
-			return fmt.Errorf("transport: client %d round %d send: %w", cfg.ID, m, err)
-		}
-		return nil
-	}
-	downlink := func(m int) ([]int, []float64, error) {
-		msg, err := conn.Recv()
-		if err != nil {
-			return nil, nil, fmt.Errorf("transport: client %d round %d recv: %w", cfg.ID, m, err)
-		}
-		bc, ok := msg.(Broadcast)
-		if !ok || bc.Round != m {
-			return nil, nil, fmt.Errorf("transport: client %d round %d: bad broadcast %T", cfg.ID, m, msg)
-		}
-		return bc.Idx, bc.Val, nil
-	}
-	return runClientRounds(cfg, init, uplink, downlink)
+	return init, nil
 }
 
-// runClientRounds is the training body shared by both data planes: per
-// round it draws the minibatch, accumulates the local gradient, extracts
-// the top-k upload (quantized onto its b-bit grid when Init.QuantBits
-// is set — the grid scale goes to the uplink hook for the wire
-// headers), hands the pairs to the topology-specific uplink hook,
-// receives the round's aggregated B through the topology-specific
-// downlink hook (the routed coordinator broadcast, or the direct
-// plane's shard-served slice reassembly), and applies it with the
-// error-feedback residual update. The residual subtracts the uploaded
-// value rather than zeroing: identical for exact uploads (x − x = 0),
-// and with quantization it keeps the quantization error accumulated —
-// the engine's combined GS+quantization error feedback, mirrored
-// exactly. The rng consumption order lives here exactly once — which
-// is what keeps the routed and direct trajectories bit-identical to
-// each other and to the reference engine for the same seeds.
-//
-// The uplink hook receives reusable buffers (the same zero-alloc hot
-// loop as the simulator engine), and the downlink hook may return
-// reused buffers. Reuse across rounds is safe even over by-reference
-// in-memory conns: the protocol is lockstep — every round-m consumer
-// (the coordinator, or every shard's reduction, fill queries, and
-// downlink serve) is done reading before the round-m broadcast can be
-// released, and the client only overwrites its buffers after applying
-// that broadcast.
-func runClientRounds(cfg ClientConfig, init Init,
-	uplink func(round int, pairs sparse.Vec, scale, batchLoss float64) error,
-	downlink func(round int) (idx []int, val []float64, err error)) error {
-
-	if init.QuantBits != 0 && (init.QuantBits < 2 || init.QuantBits > 64) {
-		return fmt.Errorf("transport: client %d: init quantization width %d outside 0 or [2, 64]", cfg.ID, init.QuantBits)
+// runClient is every per-client tier after the handshake. coord is the
+// control link — the plain connection, or the durable client's
+// self-healing coordLink, passed again as link so the data plane can be
+// armed the same way. An Init that carries a shard directory switches
+// the client to the direct data plane: it dials the shards, uploads
+// range slices straight to the owners and pulls the broadcast slices
+// back from them, and the coordinator link carries control scalars
+// only; an Init with a staleness window pipelines those rounds.
+func runClient(coord Conn, cfg ClientConfig, init Init, link *coordLink) error {
+	if len(init.Shards) == 0 {
+		return runClientRounds(coord, cfg, init, nil)
 	}
-	net := cfg.Model()
-	net.SetParams(init.Params)
+	dial := cfg.DialShard
+	if link != nil && link.dur.RedialShard != nil {
+		dial = link.dur.RedialShard
+	}
+	fan, err := dialShards("client", cfg.ID, init.Shards, len(init.Params), dial, nil)
+	if err != nil {
+		return err
+	}
+	defer fan.close()
+	if link != nil {
+		fan.makeDurable(link.dur.attempts())
+		link.fan = fan
+	}
+	if init.Window > 0 {
+		return runClientDirectWindowed(coord, cfg, init, fan)
+	}
+	return runClientRounds(coord, cfg, init, fan)
+}
+
+// runClientRounds is the lockstep client's round loop on both data
+// planes: run the local step (localStep.run — the training computation
+// and rng consumption every tier shares), send the upload — routed: one
+// Upload to the coordinator; direct (fan set): range slices with
+// explicit local ranks straight to the owning shards, and the control
+// scalars to the coordinator — receive the round's aggregated B —
+// routed: the coordinator's Broadcast; direct: the shard-served slices,
+// fetched after the coordinator's release and reassembled by
+// concatenation — and apply it with the error-feedback residual update.
+//
+// The upload buffers are reused across rounds (the same zero-alloc hot
+// loop as the simulator engine), and so are the downlink's. Reuse is
+// safe even over by-reference in-memory conns: the protocol is lockstep
+// — every round-m consumer (the coordinator, or every shard's
+// reduction, fill queries, and downlink serve) is done reading before
+// the round-m broadcast can be released, and the client only overwrites
+// its buffers after applying that broadcast. (A durable link copies
+// what it keeps for resends.)
+func runClientRounds(coord Conn, cfg ClientConfig, init Init, fan *shardFan) error {
+	step, err := newLocalStep("client", cfg.ID, cfg.Model, init, cfg.BatchSize)
+	if err != nil {
+		return err
+	}
+	net := step.net
 	acc := make([]float64, net.D())
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	applied := newAppliedSet("client", cfg.ID, net.D())
 	var (
-		topk  sparse.TopKScratch
 		pairs sparse.Vec
-		xs    [][]float64
-		ys    []int
+		bufs  sliceBufs
+		bIdx  []int
+		bVal  []float64
 	)
-	applied := newAppliedSet(net.D())
-
 	for m := 1; m <= init.Rounds; m++ {
-		xs, ys = cfg.Data.BatchInto(xs, ys, rng, cfg.BatchSize)
-		batchLoss := net.MeanLossGrad(xs, ys)
-		tensor.AXPY(1, net.Grads(), acc)
-		// Mirror the reference engine's probe-sample draw so RNG streams
-		// stay aligned (the fixed-k protocol does not use the sample).
-		_ = rng.Intn(len(xs))
-
-		pairs = sparse.TopKInto(pairs, &topk, acc, init.K)
-		var scale float64
-		if init.QuantBits > 0 {
-			scale = sparse.QuantizeInPlace(pairs.Val, init.QuantBits)
-		}
-		if err := uplink(m, pairs, scale, batchLoss); err != nil {
-			return err
-		}
-		bIdx, bVal, err := downlink(m)
-		if err != nil {
-			return err
-		}
-		applied.apply(net.Params(), cfg.LearningRate, bIdx, bVal)
-		for vi, j := range pairs.Idx {
-			if applied.has(j) {
-				acc[j] -= pairs.Val[vi]
+		var batchLoss, scale float64
+		pairs, batchLoss, scale = step.run(cfg.Data, rng, acc, pairs)
+		if fan == nil {
+			up := Upload{ClientID: cfg.ID, Round: m, Idx: pairs.Idx, Val: pairs.Val,
+				BatchLoss: batchLoss, Bits: init.QuantBits, Scale: scale}
+			if err := coord.Send(up); err != nil {
+				return fmt.Errorf("transport: client %d round %d send: %w", cfg.ID, m, err)
+			}
+			bc, err := recvBroadcast(coord, "client", cfg.ID, m)
+			if err != nil {
+				return err
+			}
+			bIdx, bVal = bc.Idx, bc.Val
+		} else {
+			fan.split(pairs, &bufs)
+			if err := fan.upload(m, cfg.ID, &bufs, init.QuantBits, scale); err != nil {
+				return err
+			}
+			meta := RoundMeta{ClientID: cfg.ID, Round: m, BatchLoss: batchLoss, UploadLen: pairs.Len()}
+			if err := coord.Send(meta); err != nil {
+				return fmt.Errorf("transport: client %d round %d metadata: %w", cfg.ID, m, err)
+			}
+			if bIdx, bVal, err = fan.download(coord, m, bIdx[:0], bVal[:0], nil); err != nil {
+				return err
 			}
 		}
+		if err := applied.apply(m, net.Params(), cfg.LearningRate, bIdx, bVal); err != nil {
+			return err
+		}
+		applied.settle(acc, pairs)
 	}
 	return nil
 }
@@ -679,28 +609,3 @@ func validateUpload(up Upload, m, id, bits int, seen []int, token int) error {
 	}
 	return nil
 }
-
-// appliedSet is the downlink half of every client role's round: it
-// applies the aggregated B to the model and remembers its index set J, so
-// the caller can fold the upload mass the server consumed out of its
-// residual. J lives in an epoch-stamped slab over the coordinate space
-// (par.BumpEpoch — the engine's roundArena.stampInJ), so a round
-// allocates nothing and forgetting J is O(1).
-type appliedSet struct {
-	inJ []int32
-	gen int32
-}
-
-func newAppliedSet(d int) *appliedSet { return &appliedSet{inJ: make([]int32, d)} }
-
-// apply performs w ← w − η·B and makes B's index set the current J.
-func (a *appliedSet) apply(params []float64, lr float64, bIdx []int, bVal []float64) {
-	par.BumpEpoch(&a.gen, a.inJ)
-	for vi, j := range bIdx {
-		params[j] -= lr * bVal[vi]
-		a.inJ[j] = a.gen
-	}
-}
-
-// has reports whether coordinate j was in the last applied B.
-func (a *appliedSet) has(j int) bool { return a.inJ[j] == a.gen }

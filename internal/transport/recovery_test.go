@@ -596,9 +596,8 @@ func TestRejoinDeskClassifies(t *testing.T) {
 // handshake: a connected-but-silent peer must not park the acceptor
 // forever.
 func TestHandshakeDeadline(t *testing.T) {
-	saved := handshakeTimeout
-	handshakeTimeout = 50 * time.Millisecond
-	defer func() { handshakeTimeout = saved }()
+	saved := handshakeTimeout.Swap(int64(50 * time.Millisecond))
+	defer handshakeTimeout.Store(saved)
 
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {

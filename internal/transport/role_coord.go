@@ -1,0 +1,531 @@
+package transport
+
+import (
+	"fmt"
+
+	"fedsparse/internal/gs"
+	"fedsparse/internal/sparse"
+	"fedsparse/internal/wal"
+)
+
+// This file is the coordinator's round, written once: one routed and
+// one direct round body. Every coordinator tier — classic
+// (protocol.go), durable (durable.go), population (population.go); the
+// windowed coordinator (window.go) shares everything but the gather —
+// runs them and supplies only what distinguishes it:
+//
+//	links    how a round reaches its peers: plain connections, the
+//	         durable server's rejoin-healing links, or the population's
+//	         member streams and host muxes
+//	journal  whether a decision is logged before it is sent (nil, or
+//	         the WAL with its crash points)
+//	roster   who uploads this round: every client, or a drawn cohort
+
+// peerLinks is how a coordinator round reaches one side of its
+// deployment — its clients, or its direct shards. recv returns peer
+// id's next message for round m; send delivers a round-m message to
+// peer id. A healing implementation re-seats a broken link and drops
+// stale resends inside the call; on the population plane recv addresses
+// a member's stream and send a host.
+type peerLinks interface {
+	recv(id, m int) (any, error)
+	send(id, m int, msg any) error
+}
+
+// plainPeers are links that never heal: a failed connection fails the
+// round, naming the peer.
+type plainPeers struct {
+	conns []Conn
+	noun  string
+}
+
+func (p plainPeers) recv(id, m int) (any, error) {
+	msg, err := p.conns[id].Recv()
+	if err != nil {
+		return nil, fmt.Errorf("transport: round %d recv from %s %d: %w", m, p.noun, id, err)
+	}
+	return msg, nil
+}
+
+func (p plainPeers) send(id, m int, msg any) error {
+	if err := p.conns[id].Send(msg); err != nil {
+		return fmt.Errorf("transport: round %d send to %s %d: %w", m, p.noun, id, err)
+	}
+	return nil
+}
+
+// journal is the durable coordinator's write-ahead log seen from the
+// round bodies: three decision records per round — seal, release,
+// finish — each followed by its crash point. A nil journal is the
+// classic path: every method returns at once.
+type journal struct {
+	log *wal.Log
+	// crash is the test hook: invoked at every Boundary with the round;
+	// a non-nil return runs closeAll (process-death emulation: peers
+	// observe EOF and start rejoining) and unwinds with that error.
+	crash    func(Boundary, int) error
+	closeAll func()
+	appends  uint64 // this process's log appends, for the event stream
+	spanOffs []int  // reusable Seal.Spans offsets buffer
+}
+
+func (j *journal) logSync(r wal.Record) error {
+	if err := j.log.Append(r); err != nil {
+		return fmt.Errorf("transport: wal append: %w", err)
+	}
+	if err := j.log.Sync(); err != nil {
+		return fmt.Errorf("transport: wal sync: %w", err)
+	}
+	j.appends++
+	return nil
+}
+
+func (j *journal) crashAt(b Boundary, m int) error {
+	if j == nil || j.crash == nil {
+		return nil
+	}
+	if err := j.crash(b, m); err != nil {
+		j.closeAll()
+		return err
+	}
+	return nil
+}
+
+// sealed makes the round's selection durable before any peer learns it,
+// so a crash between here and the sends re-issues it verbatim: member
+// indices and scalars only — values are never logged. spans (direct
+// mode) are the per-shard member spans, logged as len(shards)+1 offsets
+// into members.
+func (j *journal) sealed(m int, loss, scale float64, bits int, members []int, spans [][]int) error {
+	if j == nil {
+		return nil
+	}
+	var offs []int
+	if spans != nil {
+		offs = append(j.spanOffs[:0], 0)
+		for _, sp := range spans {
+			offs = append(offs, offs[len(offs)-1]+len(sp))
+		}
+		j.spanOffs = offs
+	}
+	if err := j.logSync(&wal.Seal{Round: m, Loss: loss, Scale: scale, Bits: bits, Members: members, Spans: offs}); err != nil {
+		return err
+	}
+	return j.crashAt(BoundarySealLogged, m)
+}
+
+// released logs that the round's downlink is cleared.
+func (j *journal) released(m int, loss float64, elems int) error {
+	if j == nil {
+		return nil
+	}
+	if err := j.logSync(&wal.Release{Round: m, Loss: loss, Elems: elems}); err != nil {
+		return err
+	}
+	return j.crashAt(BoundaryReleaseLogged, m)
+}
+
+// finished logs the round closed.
+func (j *journal) finished(m int, loss float64, elems int) error {
+	if j == nil {
+		return nil
+	}
+	if err := j.logSync(&wal.Finish{Round: m, Ints: []int64{int64(elems)}, Floats: []float64{loss}}); err != nil {
+		return err
+	}
+	return j.crashAt(BoundaryFinishLogged, m)
+}
+
+// cohortDraw is what a sampled roster adds to a round's event.
+type cohortDraw struct {
+	population, drawn, churnEvents int
+}
+
+// coordRun is a coordinator's per-run round state.
+type coordRun struct {
+	cfg ServerConfig
+	// clients reaches the uploaders (recv) and the downlink receivers
+	// (send); nDown counts the latter — the clients themselves, or the
+	// population's hosts. noun names an uploader in errors.
+	clients  peerLinks
+	nClients int
+	nDown    int
+	noun     string
+	// weights holds C_i by uploader identity; total is their sum over
+	// the fixed roster (a cohort round passes its own).
+	weights []float64
+	total   float64
+	journal *journal
+	round   int // the round in progress (a healing link acks rejoins with it)
+
+	strategy *gs.FABTopK
+	// Routed plane: one warm scratch for the whole run, or the routed
+	// shard tier; the gathered uploads; the duplicate-coordinate slab of
+	// upload validation (seen[j] == token marks j used by the upload
+	// being checked). copyUploads retains each payload in a per-position
+	// slot — the population plane, where many members share one
+	// connection's decode scratch.
+	scratch     *gs.AggScratch
+	shards      *ShardGroup
+	uploads     []gs.ClientUpload
+	seen        []int
+	token       int
+	copyUploads bool
+	slotIdx     [][]int
+	slotVal     [][]float64
+	// Direct plane.
+	group *DirectGroup
+
+	bm      *byteMeter
+	records []RoundRecord
+}
+
+func newCoordRun(cfg ServerConfig, clients peerLinks, nClients int, noun string, weights []float64) *coordRun {
+	c := &coordRun{cfg: cfg, clients: clients, nClients: nClients, nDown: nClients, noun: noun,
+		weights: weights, strategy: &gs.FABTopK{}, records: make([]RoundRecord, 0, max(cfg.Rounds, 0))}
+	for _, w := range weights {
+		c.total += w
+	}
+	return c
+}
+
+// startRouted sizes the routed plane's aggregation state. With a shard
+// tier the reduction state lives in the shards (and the ShardGroup's
+// selection scratch), so no local scratch is built at all.
+func (c *coordRun) startRouted() {
+	dim := len(c.cfg.InitialParams)
+	if c.shards == nil {
+		c.scratch = gs.NewAggScratch(0)
+		c.scratch.Reserve(dim) // coordinates index the model
+	}
+	c.uploads = make([]gs.ClientUpload, c.nClients)
+	c.seen = make([]int, dim)
+}
+
+// startDirect is the direct plane's preamble, the same on every tier:
+// check the shard directory the clients will dial, build the selection
+// state, and assign the partition (numHosts > 0 announces the
+// population tier's M:N ingest plane to the shards).
+func (c *coordRun) startDirect(numHosts int) error {
+	cfg := c.cfg
+	dim := len(cfg.InitialParams)
+	if len(cfg.ShardConns) == 0 {
+		return fmt.Errorf("transport: direct mode needs ShardConns (the coordinator no longer aggregates)")
+	}
+	if len(cfg.ShardAddrs) != len(cfg.ShardConns) {
+		return fmt.Errorf("transport: direct mode needs one ShardAddrs entry per shard (%d addrs for %d shards)",
+			len(cfg.ShardAddrs), len(cfg.ShardConns))
+	}
+	for s, addr := range cfg.ShardAddrs {
+		if addr == "" {
+			return fmt.Errorf("transport: direct mode: shard %d advertised no ingest address", s)
+		}
+	}
+	g, err := newDirectGroup(cfg.ShardConns, dim, c.weights, cfg.QuantBits)
+	if err != nil {
+		return err
+	}
+	c.group = g
+	assign := directAssign(len(cfg.ShardConns), dim, cfg.Rounds, c.weights, cfg.QuantBits)
+	assign.Window, assign.NumHosts = cfg.Staleness, numHosts
+	return g.assign(assign)
+}
+
+// directAssign is the one constructor of a direct-mode ShardAssign; the
+// caller adds its tier's fields (Window, NumHosts, StartRound) and the
+// sender stamps ShardID.
+func directAssign(nShards, dim, rounds int, weights []float64, quantBits int) ShardAssign {
+	return ShardAssign{NumShards: nShards, Dim: dim, Rounds: rounds,
+		Weights: append([]float64(nil), weights...), Direct: true, QuantBits: quantBits}
+}
+
+// sendInit releases the enrolled peers into the round loop: the
+// synchronized weights and run parameters, plus — in direct mode — the
+// shard directory that switches them onto the direct data plane.
+func (c *coordRun) sendInit(conns []Conn, runID uint64) error {
+	cfg := c.cfg
+	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds, QuantBits: cfg.QuantBits,
+		RunID: runID, Window: cfg.Staleness}
+	if cfg.Direct {
+		init.Shards = cfg.ShardAddrs
+	}
+	var msg any = init
+	for id, conn := range conns {
+		if err := conn.Send(msg); err != nil {
+			return fmt.Errorf("transport: send init to %s %d: %w", c.noun, id, err)
+		}
+	}
+	return nil
+}
+
+// meter starts the byte meter over the run's live connection groups,
+// baselined past the handshake traffic so round 1's delta covers round
+// 1 only. Built only when someone is listening — the hot path stays
+// untouched without an observer. In direct mode the gradient payloads
+// flow client↔shard and never cross the coordinator, so the deltas are
+// the control plane's cost — which is the point of the topology.
+func (c *coordRun) meter(groups ...[]Conn) {
+	if c.cfg.Observer != nil {
+		c.bm = newByteMeter(groups...)
+		c.bm.delta()
+	}
+}
+
+// run drives rounds from..Rounds over the fixed roster.
+func (c *coordRun) run(from int) ([]RoundRecord, error) {
+	for m := from; m <= c.cfg.Rounds; m++ {
+		c.startRound(m)
+		rec, err := c.roundBody(m, nil, c.total)
+		if err != nil {
+			return c.records, err
+		}
+		c.finish(rec, c.nClients, nil)
+	}
+	return c.records, nil
+}
+
+// roundBody runs round m on the run's data plane. ids is the round's
+// roster — a drawn cohort, or nil for every client — and total its
+// weight.
+func (c *coordRun) roundBody(m int, ids []int, total float64) (RoundRecord, error) {
+	if c.cfg.Direct {
+		return c.directRound(m, ids, total)
+	}
+	return c.routedRound(m, ids, total)
+}
+
+// startRound opens round m and publishes the boundary.
+func (c *coordRun) startRound(m int) {
+	c.round = m
+	if obs := c.cfg.Observer; obs != nil {
+		obs.OnRoundStart(m)
+	}
+}
+
+// finish records one completed round and publishes its event.
+func (c *coordRun) finish(rec RoundRecord, participants int, draw *cohortDraw) {
+	c.records = append(c.records, rec)
+	obs := c.cfg.Observer
+	if obs == nil {
+		return
+	}
+	var reduce []float64
+	switch {
+	case c.group != nil:
+		reduce = c.group.reduceSecs
+	case c.shards != nil:
+		reduce = c.shards.reduceSecs
+	}
+	ev := roundEvent(rec, c.cfg.K, participants, c.bm, reduce)
+	// The realized overlap of a windowed run; stale-slice counts live at
+	// the shards' admission windows, which the coordinator cannot
+	// observe, so StaleSlices stays 0 here (the in-process engine
+	// reports the real count).
+	ev.WindowDepth = c.cfg.Staleness
+	if draw != nil {
+		ev.Population, ev.CohortSize, ev.ChurnEvents = draw.population, draw.drawn, draw.churnEvents
+	}
+	if c.journal != nil {
+		ev.WALAppends = c.journal.appends
+	}
+	obs.OnRoundEnd(ev)
+}
+
+// uploader maps gather position i to an identity: ids is the round's
+// cohort, or nil for the fixed roster (position = client ID).
+func uploader(ids []int, i int) int {
+	if ids != nil {
+		return ids[i]
+	}
+	return i
+}
+
+// gatherUploads is the routed plane's barrier: one validated Upload
+// (validateUpload) per uploader, in roster order — the aggregation's
+// client order. It fills c.uploads and returns the weighted loss.
+func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, error) {
+	n := c.nClients
+	if ids != nil {
+		n = len(ids)
+		for len(c.slotIdx) < n {
+			c.slotIdx = append(c.slotIdx, nil)
+			c.slotVal = append(c.slotVal, nil)
+		}
+		if cap(c.uploads) < n {
+			c.uploads = make([]gs.ClientUpload, n)
+		}
+	}
+	c.uploads = c.uploads[:n]
+	var weightedLoss float64
+	for i := 0; i < n; i++ {
+		id := uploader(ids, i)
+		msg, err := c.clients.recv(id, m)
+		if err != nil {
+			return 0, err
+		}
+		up, ok := msg.(Upload)
+		if !ok {
+			return 0, fmt.Errorf("transport: round %d: %s %d sent %T, want Upload", m, c.noun, id, msg)
+		}
+		c.token++
+		if err := validateUpload(up, m, id, c.cfg.QuantBits, c.seen, c.token); err != nil {
+			return 0, err
+		}
+		pairs := sparse.Vec{Idx: up.Idx, Val: up.Val}
+		if c.copyUploads {
+			c.slotIdx[i] = append(c.slotIdx[i][:0], up.Idx...)
+			c.slotVal[i] = append(c.slotVal[i][:0], up.Val...)
+			pairs = sparse.Vec{Idx: c.slotIdx[i], Val: c.slotVal[i]}
+		}
+		c.uploads[i] = gs.ClientUpload{Pairs: pairs, Weight: c.weights[id]}
+		weightedLoss += c.weights[id] / total * up.BatchLoss
+	}
+	return weightedLoss, nil
+}
+
+// aggregate reduces the gathered uploads into the round's Broadcast.
+// The |J|-sized result is copied out of the scratch because in-memory
+// conns pass messages by reference and the scratch buffers are
+// overwritten next round; with quantization on it is snapped onto its
+// own b-bit grid before it goes out — the engine's post-aggregation
+// quantization, and what lets the codec pack the values on the wire.
+func (c *coordRun) aggregate(m int) (Broadcast, error) {
+	var agg gs.Aggregate
+	if c.shards != nil {
+		var err error
+		if agg, _, err = c.shards.Aggregate(c.strategy, c.uploads, m, c.cfg.K, 0); err != nil {
+			return Broadcast{}, err
+		}
+	} else {
+		agg, _ = c.strategy.AggregateInto(c.scratch, c.uploads, c.cfg.K, 0)
+	}
+	bc := Broadcast{
+		Round: m,
+		Idx:   append([]int(nil), agg.Indices...),
+		Val:   append([]float64(nil), agg.Values...),
+	}
+	if c.cfg.QuantBits > 0 {
+		bc.Bits = c.cfg.QuantBits
+		bc.Scale = sparse.QuantizeInPlace(bc.Val, c.cfg.QuantBits)
+	}
+	return bc, nil
+}
+
+// routedRound runs one routed round: gather the uploads, aggregate,
+// journal the seal (member indices and scalars — a resume recomputes
+// the values from re-sent uploads), broadcast B, journal release and
+// finish. The release carries no separate message in routed mode; the
+// boundary exists so the crash matrix is uniform across topologies.
+func (c *coordRun) routedRound(m int, ids []int, total float64) (RoundRecord, error) {
+	loss, err := c.gatherUploads(m, ids, total)
+	if err != nil {
+		return RoundRecord{}, err
+	}
+	bc, err := c.aggregate(m)
+	if err != nil {
+		return RoundRecord{}, err
+	}
+	if err := c.journal.sealed(m, loss, bc.Scale, bc.Bits, bc.Idx, nil); err != nil {
+		return RoundRecord{}, err
+	}
+	if err := c.downlink(m, bc); err != nil {
+		return RoundRecord{}, err
+	}
+	if err := c.journal.crashAt(BoundarySealSent, m); err != nil {
+		return RoundRecord{}, err
+	}
+	return c.closeRound(m, loss, len(bc.Idx), nil)
+}
+
+// downlink sends one round-m message — boxed once — to every receiver.
+func (c *coordRun) downlink(m int, msg any) error {
+	for r := 0; r < c.nDown; r++ {
+		if err := c.clients.send(r, m, msg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// closeRound journals the release, sends it when the plane has one (the
+// direct plane's RoundRelease), and journals the finish.
+func (c *coordRun) closeRound(m int, loss float64, elems int, release any) (RoundRecord, error) {
+	if err := c.journal.released(m, loss, elems); err != nil {
+		return RoundRecord{}, err
+	}
+	if release != nil {
+		if err := c.downlink(m, release); err != nil {
+			return RoundRecord{}, err
+		}
+	}
+	if err := c.journal.finished(m, loss, elems); err != nil {
+		return RoundRecord{}, err
+	}
+	return RoundRecord{Round: m, Loss: loss, DownlinkElems: elems}, nil
+}
+
+// gatherMeta is the direct plane's control barrier: one RoundMeta per
+// uploader — its minibatch loss and upload length, the only things a
+// participant sends the coordinator. Returns the weighted loss and the
+// round's longest upload (the κ-search bound).
+func (c *coordRun) gatherMeta(m int, ids []int, total float64) (weightedLoss float64, maxLen int, err error) {
+	n := c.nClients
+	if ids != nil {
+		n = len(ids)
+	}
+	dim := len(c.cfg.InitialParams)
+	for i := 0; i < n; i++ {
+		id := uploader(ids, i)
+		msg, err := c.clients.recv(id, m)
+		if err != nil {
+			return 0, 0, err
+		}
+		meta, ok := msg.(RoundMeta)
+		if !ok {
+			return 0, 0, fmt.Errorf("transport: round %d: %s %d sent %T, want RoundMeta (gradient payloads go to the shards)", m, c.noun, id, msg)
+		}
+		if meta.Round != m || meta.ClientID != id {
+			return 0, 0, fmt.Errorf("transport: round %d: stale metadata (round %d from %s %d, want %s %d)",
+				m, meta.Round, c.noun, meta.ClientID, c.noun, id)
+		}
+		if meta.UploadLen < 0 || meta.UploadLen > dim {
+			return 0, 0, fmt.Errorf("transport: round %d: %s %d reported upload length %d outside [0, %d]",
+				m, c.noun, id, meta.UploadLen, dim)
+		}
+		weightedLoss += c.weights[id] / total * meta.BatchLoss
+		maxLen = max(maxLen, meta.UploadLen)
+	}
+	return weightedLoss, maxLen, nil
+}
+
+// directRound runs one direct-plane round: gather the control scalars,
+// select over the shards' merged reductions, journal the seal, seal
+// every shard with its span, journal the release, release the
+// participants into their downlink fetches, journal the finish. Every
+// shard is sealed before the release goes out: the release is the
+// participants' guarantee that round m's slices are servable at every
+// shard, and Elems lets each verify its reassembled B against the
+// coordinator's |J| — a truncated shard slice fails at the client,
+// loudly. The coordinator sends no B payload in either direction.
+func (c *coordRun) directRound(m int, ids []int, total float64) (RoundRecord, error) {
+	loss, maxLen, err := c.gatherMeta(m, ids, total)
+	if err != nil {
+		return RoundRecord{}, err
+	}
+	g := c.group
+	main, scale, err := g.selectRound(c.strategy, m, c.cfg.K, maxLen)
+	if err != nil {
+		return RoundRecord{}, err
+	}
+	if err := c.journal.sealed(m, loss, scale, c.cfg.QuantBits, main.Indices, g.spans); err != nil {
+		return RoundRecord{}, err
+	}
+	if err := g.seal(m, scale); err != nil {
+		return RoundRecord{}, err
+	}
+	if err := c.journal.crashAt(BoundarySealSent, m); err != nil {
+		return RoundRecord{}, err
+	}
+	elems := len(main.Indices)
+	return c.closeRound(m, loss, elems, RoundRelease{Round: m, Elems: elems})
+}

@@ -136,15 +136,8 @@ func RunShard(conn Conn) error {
 	if !ok {
 		return fmt.Errorf("transport: shard expected ShardAssign, got %T", msg)
 	}
-	if assign.NumShards < 1 || assign.ShardID < 0 || assign.ShardID >= assign.NumShards {
-		return fmt.Errorf("transport: shard id %d out of range [0, %d)", assign.ShardID, assign.NumShards)
-	}
-	if assign.Dim < 1 || assign.Rounds < 0 || len(assign.Weights) == 0 {
-		return fmt.Errorf("transport: bad shard assignment (dim=%d rounds=%d clients=%d)",
-			assign.Dim, assign.Rounds, len(assign.Weights))
-	}
-	if assign.Direct {
-		return fmt.Errorf("transport: direct assignment sent to a routed shard (run the shard with a direct ingest listener)")
+	if err := checkAssign(assign, false); err != nil {
+		return err
 	}
 	if assign.Window != 0 {
 		return fmt.Errorf("transport: routed shard given staleness window %d: bounded staleness rides the direct data plane (routed shards follow the coordinator's lockstep round loop)", assign.Window)
@@ -219,23 +212,90 @@ type ShardGroup struct {
 	conns   []Conn
 	dim     int
 	weights []float64
-	bounds  []int // len(conns)+1 chunk boundaries over [0, dim)
 	sel     *gs.AggScratch
+	shardResults
 
-	// Reusable routing and merge buffers.
+	// Reusable routing buffers.
 	offs [][]int
 	idxs [][]int
 	vals [][]float64
 	rnks [][]int
+}
+
+// shardResults is the coordinator-side gather of one round's
+// ShardResults, the same on the routed plane (ShardGroup) and the
+// direct plane (DirectGroup): the partition geometry it validates
+// against, the merged reduction, and the per-shard wait times.
+type shardResults struct {
+	links  peerLinks // how results arrive: plain conns, or a durable coordinator's healing side
+	bounds []int     // nShards+1 chunk boundaries over [0, dim)
 
 	mergedIdx  []int
 	mergedSum  []float64
 	mergedRank []int
 
 	// reduceSecs[s] is the wall-clock wait for shard s's ShardResult in
-	// the last Aggregate — the per-shard reduce time the operational
+	// the last gather — the per-shard reduce time the operational
 	// surface reports. Overwritten every round; copied on emission.
 	reduceSecs []float64
+}
+
+func newShardResults(conns []Conn, dim int) shardResults {
+	r := shardResults{links: plainPeers{conns: conns, noun: "shard"},
+		bounds: make([]int, len(conns)+1), reduceSecs: make([]float64, len(conns))}
+	for s := range conns {
+		r.bounds[s], r.bounds[s+1] = tensor.ChunkBounds(dim, len(conns), s)
+	}
+	return r
+}
+
+// gather collects and merges every shard's round reduction. Shard
+// ranges are contiguous and ascending, so concatenating per-shard
+// results in shard order keeps the merged index list globally ascending
+// — no merge arithmetic at all. The coordinator trusts shards no more
+// than shards trust the coordinator: indices must be ascending inside
+// the shard's range, and min ranks must index a real upload position
+// (maxLen is the round's longest upload) — a malformed result fails as
+// a protocol error here rather than as an index panic inside the
+// selection (whose rank histogram is sized by the longest upload).
+func (r *shardResults) gather(round, maxLen int) (gs.RangeAgg, error) {
+	r.mergedIdx = r.mergedIdx[:0]
+	r.mergedSum = r.mergedSum[:0]
+	r.mergedRank = r.mergedRank[:0]
+	for s := range r.reduceSecs {
+		t0 := time.Now()
+		msg, err := r.links.recv(s, round)
+		r.reduceSecs[s] = time.Since(t0).Seconds()
+		if err != nil {
+			return gs.RangeAgg{}, err
+		}
+		res, ok := msg.(ShardResult)
+		if !ok {
+			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d sent %T, want ShardResult", round, s, msg)
+		}
+		if res.Round != round || res.ShardID != s {
+			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: stale result (round %d from shard %d)",
+				round, res.Round, res.ShardID)
+		}
+		if len(res.Idx) != len(res.Sum) || len(res.Idx) != len(res.MinRank) {
+			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result shape %d/%d/%d",
+				round, s, len(res.Idx), len(res.Sum), len(res.MinRank))
+		}
+		for i, j := range res.Idx {
+			if j < r.bounds[s] || j >= r.bounds[s+1] || (i > 0 && j <= res.Idx[i-1]) {
+				return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result index %d out of order or range",
+					round, s, j)
+			}
+			if rk := res.MinRank[i]; rk < 0 || rk >= maxLen {
+				return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result rank %d for index %d outside [0, %d)",
+					round, s, rk, j, maxLen)
+			}
+		}
+		r.mergedIdx = append(r.mergedIdx, res.Idx...)
+		r.mergedSum = append(r.mergedSum, res.Sum...)
+		r.mergedRank = append(r.mergedRank, res.MinRank...)
+	}
+	return gs.RangeAgg{Idx: r.mergedIdx, Sum: r.mergedSum, MinRank: r.mergedRank}, nil
 }
 
 // NewShardGroup sends every shard its ShardAssign and returns the group.
@@ -250,21 +310,18 @@ func NewShardGroup(conns []Conn, dim, rounds int, weights []float64) (*ShardGrou
 		return nil, fmt.Errorf("transport: bad shard group geometry (dim=%d clients=%d)", dim, len(weights))
 	}
 	g := &ShardGroup{
-		conns:      conns,
-		dim:        dim,
-		weights:    append([]float64(nil), weights...),
-		bounds:     make([]int, len(conns)+1),
-		sel:        gs.NewAggScratch(0),
-		offs:       make([][]int, len(conns)),
-		idxs:       make([][]int, len(conns)),
-		vals:       make([][]float64, len(conns)),
-		rnks:       make([][]int, len(conns)),
-		reduceSecs: make([]float64, len(conns)),
+		conns:        conns,
+		dim:          dim,
+		weights:      append([]float64(nil), weights...),
+		sel:          gs.NewAggScratch(0),
+		shardResults: newShardResults(conns, dim),
+		offs:         make([][]int, len(conns)),
+		idxs:         make([][]int, len(conns)),
+		vals:         make([][]float64, len(conns)),
+		rnks:         make([][]int, len(conns)),
 	}
 	g.sel.Reserve(dim)
 	for s := range conns {
-		lo, hi := tensor.ChunkBounds(dim, len(conns), s)
-		g.bounds[s], g.bounds[s+1] = lo, hi
 		g.offs[s] = make([]int, len(weights)+1)
 	}
 	assign := ShardAssign{NumShards: len(conns), Dim: dim, Rounds: rounds, Weights: g.weights}
@@ -328,52 +385,10 @@ func (g *ShardGroup) Aggregate(strat gs.ShardSelector, uploads []gs.ClientUpload
 		}
 	}
 
-	// Gather and merge. Shard ranges are contiguous and ascending, so
-	// concatenating per-shard results in shard order keeps the merged
-	// index list globally ascending — no merge arithmetic at all.
-	g.mergedIdx = g.mergedIdx[:0]
-	g.mergedSum = g.mergedSum[:0]
-	g.mergedRank = g.mergedRank[:0]
-	for s, conn := range g.conns {
-		t0 := time.Now()
-		msg, err := conn.Recv()
-		g.reduceSecs[s] = time.Since(t0).Seconds()
-		if err != nil {
-			return main, probe, fmt.Errorf("transport: round %d recv from shard %d: %w", round, s, err)
-		}
-		res, ok := msg.(ShardResult)
-		if !ok {
-			return main, probe, fmt.Errorf("transport: round %d: shard %d sent %T, want ShardResult", round, s, msg)
-		}
-		if res.Round != round || res.ShardID != s {
-			return main, probe, fmt.Errorf("transport: round %d: stale result (round %d from shard %d)",
-				round, res.Round, res.ShardID)
-		}
-		if len(res.Idx) != len(res.Sum) || len(res.Idx) != len(res.MinRank) {
-			return main, probe, fmt.Errorf("transport: round %d: shard %d result shape %d/%d/%d",
-				round, s, len(res.Idx), len(res.Sum), len(res.MinRank))
-		}
-		// The coordinator trusts shards no more than shards trust the
-		// coordinator: indices must be ascending inside the shard's
-		// range, and min ranks must index a real upload position — a
-		// malformed result fails as a protocol error here rather than as
-		// an index panic inside the selection (whose rank histogram is
-		// sized by the longest upload).
-		for i, j := range res.Idx {
-			if j < g.bounds[s] || j >= g.bounds[s+1] || (i > 0 && j <= res.Idx[i-1]) {
-				return main, probe, fmt.Errorf("transport: round %d: shard %d result index %d out of order or range",
-					round, s, j)
-			}
-			if r := res.MinRank[i]; r < 0 || r >= maxLen {
-				return main, probe, fmt.Errorf("transport: round %d: shard %d result rank %d for index %d outside [0, %d)",
-					round, s, r, j, maxLen)
-			}
-		}
-		g.mergedIdx = append(g.mergedIdx, res.Idx...)
-		g.mergedSum = append(g.mergedSum, res.Sum...)
-		g.mergedRank = append(g.mergedRank, res.MinRank...)
+	merged, err := g.gather(round, maxLen)
+	if err != nil {
+		return main, probe, err
 	}
-	merged := gs.RangeAgg{Idx: g.mergedIdx, Sum: g.mergedSum, MinRank: g.mergedRank}
 	main, probe = strat.SelectSharded(g.sel, merged, uploads, k, probeK)
 	return main, probe, nil
 }

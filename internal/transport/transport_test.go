@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -444,4 +445,109 @@ func TestFaultConnInjectsFailure(t *testing.T) {
 	if !errors.Is(clientErrs[0], ErrInjected) {
 		t.Fatalf("client 0 error = %v, want injected failure", clientErrs[0])
 	}
+}
+
+// TestRoutedClientsRejectHostileBroadcast pins the participants' trust
+// boundary on B for the three routed client roles — the classic client,
+// the durable client, and the virtual host: a Broadcast straight off
+// the wire whose indices leave the model or whose pair lists are
+// ragged, a message of the wrong kind, and a Broadcast for the wrong
+// round each fail the round with the role, its identity, and the round
+// named — never an index panic in the apply.
+func TestRoutedClientsRejectHostileBroadcast(t *testing.T) {
+	fed, model, initParams := buildWorkload()
+	d := len(initParams)
+	roles := []struct {
+		name, who string
+		// run enrolls the role on conn and returns its exit error;
+		// enroll is the coordinator's scripted half of the handshake up
+		// to (and including) the receipt of the round-1 upload.
+		run    func(conn Conn) error
+		enroll func(t *testing.T, srv Conn)
+	}{
+		{
+			name: "client", who: "client 0",
+			run: func(conn Conn) error {
+				return RunClient(conn, ClientConfig{ID: 0, Data: &fed.Clients[0], Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1})
+			},
+			enroll: func(t *testing.T, srv Conn) {
+				expectMsg[Hello](t, srv)
+				_ = srv.Send(Init{Params: initParams, K: 4, Rounds: 2})
+				expectMsg[Upload](t, srv)
+			},
+		},
+		{
+			name: "durable client", who: "client 0",
+			run: func(conn Conn) error {
+				return RunDurableClient(conn, ClientConfig{ID: 0, Data: &fed.Clients[0], Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1},
+					DurableClientConfig{RejoinAttempts: 1, Redial: func() (Conn, error) { return nil, errors.New("scripted coordinator accepts no redial") }})
+			},
+			enroll: func(t *testing.T, srv Conn) {
+				expectMsg[Hello](t, srv)
+				_ = srv.Send(Init{Params: initParams, K: 4, Rounds: 2, RunID: 9})
+				expectMsg[Upload](t, srv)
+			},
+		},
+		{
+			name: "virtual host", who: "host 0",
+			run: func(conn Conn) error {
+				return RunVirtualHost(conn, HostConfig{HostID: 0, Members: []int{0},
+					Data:  func(member int) *dataset.Dataset { return &fed.Clients[member] },
+					Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1})
+			},
+			enroll: func(t *testing.T, srv Conn) {
+				expectMsg[HostHello](t, srv)
+				_ = srv.Send(Init{Params: initParams, K: 4, Rounds: 2})
+				_ = srv.Send(CohortAssign{Round: 1, Members: []int{0}})
+				if mf := expectMsg[MuxFrame](t, srv); mf.VID != 0 {
+					t.Errorf("upload enveloped for member %d, want 0", mf.VID)
+				}
+			},
+		},
+	}
+	cases := []struct {
+		name  string
+		reply any
+		want  string
+	}{
+		{"index past the model", Broadcast{Round: 1, Idx: []int{1, d}, Val: []float64{0.5, 0.5}}, fmt.Sprintf("round 1: broadcast index %d outside [0, %d)", d, d)},
+		{"negative index", Broadcast{Round: 1, Idx: []int{-1}, Val: []float64{0.5}}, fmt.Sprintf("round 1: broadcast index -1 outside [0, %d)", d)},
+		{"more indices than values", Broadcast{Round: 1, Idx: []int{1, 2}, Val: []float64{0.5}}, "round 1: broadcast carries 2 indices with 1 values"},
+		{"more values than indices", Broadcast{Round: 1, Idx: []int{1}, Val: []float64{0.5, 0.5}}, "round 1: broadcast carries 1 indices with 2 values"},
+		{"wrong message type", RoundRelease{Round: 1}, "round 1: expected Broadcast, got transport.RoundRelease"},
+		{"wrong round", Broadcast{Round: 5, Idx: []int{1}, Val: []float64{0.5}}, "round 1: stale broadcast (round 5)"},
+	}
+	for _, role := range roles {
+		t.Run(role.name, func(t *testing.T) {
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					srv, cli := NewMemPair()
+					done := make(chan error, 1)
+					go func() { done <- role.run(cli) }()
+					role.enroll(t, srv)
+					_ = srv.Send(tc.reply)
+					err := <-done
+					_ = srv.Close()
+					want := "transport: " + role.who + " " + tc.want
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %v, want substring %q", err, want)
+					}
+				})
+			}
+		})
+	}
+}
+
+// expectMsg receives the next message and requires its type.
+func expectMsg[T any](t *testing.T, c Conn) T {
+	t.Helper()
+	msg, err := c.Recv()
+	if err != nil {
+		t.Errorf("recv: %v", err)
+	}
+	v, ok := msg.(T)
+	if !ok {
+		t.Errorf("received %T, want %T", msg, v)
+	}
+	return v
 }

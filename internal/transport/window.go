@@ -27,26 +27,29 @@ package transport
 // Unlike the synchronous path, a shard serves each client from its own
 // goroutine (admission and downlink serving interleave across clients
 // by construction), with one mutex + condvar per shard guarding the
-// pending and broadcast rings. Everything is copied at admission — the
+// pending and broadcast rings. Slices are copied at arrival — the
 // binary codec decodes into per-connection scratch that the next Recv
 // overwrites, so retaining references across the concurrent reduction
 // would be a use-after-reuse.
 //
-// The W = 0 wire path is untouched by construction: RunDirectShard,
-// runServerDirect, and runClientDirect branch here only when the
-// assignment/Init carries Window > 0, so the synchronous differential
-// guarantees (bit-identical to the engine) cannot move.
+// What this file holds is the windowed tier's POLICY — the admission
+// ring and its fronts (shard), the async meta readers and release
+// queues (coordinator), the W-deep upload pipeline (client). The round
+// each policy drives is the shared one (role_shard.go, role_coord.go,
+// role_client.go), so W = 0 and W > 0 run the same reduction, seal,
+// selection, local step and fetch code; what keeps the W = 0 wire
+// byte-identical to the lockstep plane is that RunDirectShard,
+// RunServerPeers and runClient enter this file only when the
+// assignment/Init carries Window > 0, and the differential suites pin
+// it.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
-	"fedsparse/internal/gs"
 	"fedsparse/internal/sparse"
-	"fedsparse/internal/tensor"
 )
 
 // ErrStaleClient is returned (wrapped) by RunClient when a windowed
@@ -56,23 +59,19 @@ import (
 var ErrStaleClient = errors.New("transport: client evicted from the staleness window")
 
 // winPending is one in-flight round of a windowed shard's admission
-// ring: which clients delivered, and their copied slice payloads.
+// ring: which clients delivered, and their slices with the payloads
+// copied out of the connections' decode scratch.
 type winPending struct {
 	round int // the round this slot currently holds; 0 = unused
 	any   bool
 	got   []bool
-	idx   [][]int
-	val   [][]float64
-	rank  [][]int
+	up    []SliceUpload
 }
 
 // winBroadcast is one sealed round of a windowed shard's downlink ring.
 type winBroadcast struct {
 	round int
-	idx   []int
-	val   []float64
-	bits  int
-	scale float64
+	downSlice
 }
 
 // winShard is the shared state of one windowed direct shard. The
@@ -114,9 +113,7 @@ func newWinShard(window, nClients, nRounds int) *winShard {
 	st.cond = sync.NewCond(&st.mu)
 	for i := range st.pending {
 		st.pending[i].got = make([]bool, nClients)
-		st.pending[i].idx = make([][]int, nClients)
-		st.pending[i].val = make([][]float64, nClients)
-		st.pending[i].rank = make([][]int, nClients)
+		st.pending[i].up = make([]SliceUpload, nClients)
 	}
 	return st
 }
@@ -214,10 +211,11 @@ func (st *winShard) drainedLocked() bool {
 // here is deadlock-free — and it guarantees the NACK for a missed
 // round-t upload is enqueued before the round-t broadcast reply on the
 // same connection, which is what lets the client absorb NACKs during
-// its fetches.
-func (st *winShard) serveClient(assign ShardAssign, ci int, conn Conn) {
-	var replyIdx []int
-	var replyVal []float64
+// its fetches. Arrival checks the header (shardRound.checkSender) and
+// the window; the payload is validated when its front is cut, on the
+// reducing goroutine, which owns the dedupe slab.
+func (st *winShard) serveClient(sr *shardRound, ci int, conn Conn) {
+	var reply downSlice
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -226,14 +224,9 @@ func (st *winShard) serveClient(assign ShardAssign, ci int, conn Conn) {
 		}
 		switch v := msg.(type) {
 		case SliceUpload:
-			if v.ClientID != ci {
-				st.fail(fmt.Errorf("transport: shard %d: slice on client %d's connection claims client %d",
-					assign.ShardID, ci, v.ClientID))
-				return
-			}
-			if v.Bits != assign.QuantBits {
-				st.fail(fmt.Errorf("transport: shard %d: client %d slice at %d-bit quantization, run uses %d",
-					assign.ShardID, ci, v.Bits, assign.QuantBits))
+			t := v.Round
+			if err := sr.checkSender(t, ci, &v); err != nil {
+				st.fail(err)
 				return
 			}
 			st.mu.Lock()
@@ -241,11 +234,10 @@ func (st *winShard) serveClient(assign ShardAssign, ci int, conn Conn) {
 				st.mu.Unlock()
 				return
 			}
-			t := v.Round
 			switch {
-			case t < 1 || t > assign.Rounds || t > st.cut+1+st.window:
+			case t < 1 || t > st.nRounds || t > st.cut+1+st.window:
 				st.failLocked(fmt.Errorf("transport: shard %d: client %d slice for round %d outside admission window [%d, %d]",
-					assign.ShardID, ci, t, st.cut+1, st.cut+1+st.window))
+					sr.shardID, ci, t, st.cut+1, st.cut+1+st.window))
 				st.mu.Unlock()
 				return
 			case t <= st.cut:
@@ -260,28 +252,25 @@ func (st *winShard) serveClient(assign ShardAssign, ci int, conn Conn) {
 				slot := st.slotForLocked(t)
 				if slot.got[ci] {
 					st.failLocked(fmt.Errorf("transport: shard %d: client %d sent two slices for round %d",
-						assign.ShardID, ci, t))
+						sr.shardID, ci, t))
 					st.mu.Unlock()
 					return
 				}
-				slot.idx[ci] = append(slot.idx[ci][:0], v.Idx...)
-				slot.val[ci] = append(slot.val[ci][:0], v.Val...)
-				slot.rank[ci] = append(slot.rank[ci][:0], v.Rank...)
+				copySlice(&slot.up[ci], &v)
 				slot.got[ci] = true
 				slot.any = true
 				st.cond.Broadcast()
 				st.mu.Unlock()
 			}
 		case SliceFetch:
-			if v.ClientID != ci {
-				st.fail(fmt.Errorf("transport: shard %d: fetch on client %d's connection claims client %d",
-					assign.ShardID, ci, v.ClientID))
+			r := v.Round
+			if r < 1 || r > st.nRounds {
+				st.fail(fmt.Errorf("transport: shard %d: client %d fetched round %d outside [1, %d]",
+					sr.shardID, ci, r, st.nRounds))
 				return
 			}
-			r := v.Round
-			if r < 1 || r > assign.Rounds {
-				st.fail(fmt.Errorf("transport: shard %d: client %d fetched round %d outside [1, %d]",
-					assign.ShardID, ci, r, assign.Rounds))
+			if err := sr.checkFetch(r, ci, msg); err != nil {
+				st.fail(err)
 				return
 			}
 			st.mu.Lock()
@@ -305,17 +294,17 @@ func (st *winShard) serveClient(assign ShardAssign, ci int, conn Conn) {
 			bs := &st.bcast[r%len(st.bcast)]
 			if bs.round != r {
 				st.failLocked(fmt.Errorf("transport: shard %d: broadcast ring slot holds round %d, client %d fetched %d",
-					assign.ShardID, bs.round, ci, r))
+					sr.shardID, bs.round, ci, r))
 				st.mu.Unlock()
 				return
 			}
 			// Copy under the lock: the slot is recycled at seal f+W+2,
 			// and replies to other clients share nothing.
-			replyIdx = append(replyIdx[:0], bs.idx...)
-			replyVal = append(replyVal[:0], bs.val...)
-			sb := SliceBroadcast{Round: r, ShardID: assign.ShardID, Idx: replyIdx, Val: replyVal, Bits: bs.bits, Scale: bs.scale}
+			reply.idx = append(reply.idx[:0], bs.idx...)
+			reply.val = append(reply.val[:0], bs.val...)
+			reply.bits, reply.scale = bs.bits, bs.scale
 			st.mu.Unlock()
-			if err := conn.Send(sb); err != nil {
+			if err := conn.Send(reply.message(r, sr.shardID)); err != nil {
 				st.markDead(ci)
 				return
 			}
@@ -325,52 +314,40 @@ func (st *winShard) serveClient(assign ShardAssign, ci int, conn Conn) {
 			st.mu.Unlock()
 		default:
 			st.fail(fmt.Errorf("transport: shard %d: client %d sent %T, want SliceUpload or SliceFetch",
-				assign.ShardID, ci, msg))
+				sr.shardID, ci, msg))
 			return
 		}
 	}
 }
 
-// runDirectShardWindowed is RunDirectShard's round body for Window > 0:
-// per-client reader goroutines feed the admission ring while this
-// goroutine advances the reduction front round by round — cutting each
-// front when it completes or when window pressure forces it — and runs
-// the unchanged coordinator control exchange (ShardResult, FillQuery,
-// RoundSeal) per front. Client payloads are validated at reduce time
-// (single-goroutine, shared dedupe slab), admission only checks
-// identity, width, and the window.
-func runDirectShardWindowed(coord Conn, assign ShardAssign, conns []Conn, lo, hi int) (err error) {
+// runDirectShardWindowed is RunDirectShard's ingest policy for
+// Window > 0: per-client reader goroutines feed the admission ring
+// while this goroutine advances the reduction front round by round —
+// cutting each front when it completes or when window pressure forces
+// it — and runs the shared round (shardRound.admit over the front's
+// copied slices, then seal) per front, building each broadcast slice
+// into its ring slot.
+func runDirectShardWindowed(coord Conn, sr *shardRound, window, rounds int, conns []Conn) (err error) {
+	n := len(conns)
+	st := newWinShard(window, n, rounds)
 	defer func() {
 		if err != nil {
-			// Unlike the lockstep path, a windowed coordinator has no
-			// per-round client barrier that would surface this shard's
-			// death: its round loop blocks on the next ShardResult.
-			// Closing the control conn turns that wait into an error
-			// instead of a wedge.
+			// Latch the failure for the readers, and — unlike the
+			// lockstep path, where the coordinator's per-round client
+			// barrier would surface this shard's death — close the
+			// control conn: a windowed coordinator's round loop blocks
+			// on the next ShardResult, and this turns that wait into an
+			// error instead of a wedge.
+			st.fail(err)
 			_ = coord.Close()
 		}
 	}()
-	n := len(conns)
-	st := newWinShard(assign.Window, n, assign.Rounds)
 	for ci, conn := range conns {
-		go st.serveClient(assign, ci, conn)
+		go st.serveClient(sr, ci, conn)
 	}
-
-	scratch := gs.NewAggScratch(0)
-	scratch.Reserve(assign.Dim)
-	uploads := make([]gs.ClientUpload, n)
-	ranks := make([][]int, n)
-	for ci := range uploads {
-		uploads[ci].Weight = assign.Weights[ci]
-	}
-	seen := make([]int, assign.Dim)
-	seenToken := 0
 	gotNow := make([]bool, n)
-	var fill []gs.FillCand
-	var fillClient, fillIdx []int
-	var fillAbs []float64
 
-	for f := 1; f <= assign.Rounds; f++ {
+	for f := 1; f <= rounds; f++ {
 		st.mu.Lock()
 		for !st.frontReadyLocked(f) {
 			st.cond.Wait()
@@ -395,102 +372,22 @@ func runDirectShardWindowed(coord Conn, assign ShardAssign, conns []Conn, lo, hi
 				// Missed the window (or dead): counted but empty — the
 				// wire form of the engine's FoldStale masking. The
 				// residual mass stays in the client's error feedback.
-				uploads[ci].Pairs = sparse.Vec{}
-				ranks[ci] = nil
+				sr.absent(ci, ci)
 				continue
 			}
-			seenToken++
-			if err := gs.ValidateRangeSlice(slot.idx[ci], slot.val[ci], slot.rank[ci], lo, hi, seen, seenToken); err != nil {
-				err = fmt.Errorf("transport: shard %d round %d: client %d slice: %w", assign.ShardID, f, ci, err)
-				st.fail(err)
+			if err := sr.admit(f, ci, ci, &slot.up[ci]); err != nil {
 				return err
 			}
-			uploads[ci].Pairs = sparse.Vec{Idx: slot.idx[ci], Val: slot.val[ci]}
-			ranks[ci] = slot.rank[ci]
 		}
-		red := gs.RangeReduceInto(scratch, uploads, ranks, lo, hi)
-		res := ShardResult{Round: f, ShardID: assign.ShardID, Idx: red.Idx, Sum: red.Sum, MinRank: red.MinRank}
-		if err := coord.Send(res); err != nil {
-			err = fmt.Errorf("transport: shard %d round %d send: %w", assign.ShardID, f, err)
-			st.fail(err)
-			return err
-		}
-		// Control exchange with the coordinator, unchanged from the
-		// synchronous path: serve fill queries until the round's seal.
-		var sealBits int
-		var sealScale float64
+		// The broadcast slice is built into the ring slot outside the
+		// lock: its previous tenant (round f−W−2) is below every
+		// reader's eviction horizon, so no fetch can be copying it.
 		bs := &st.bcast[f%len(st.bcast)]
-	control:
-		for {
-			msg, err := coord.Recv()
-			if err != nil {
-				err = fmt.Errorf("transport: shard %d round %d control recv: %w", assign.ShardID, f, err)
-				st.fail(err)
-				return err
-			}
-			switch c := msg.(type) {
-			case FillQuery:
-				if c.Round != f {
-					err := fmt.Errorf("transport: shard %d round %d: stale fill query (round %d)", assign.ShardID, f, c.Round)
-					st.fail(err)
-					return err
-				}
-				fill = gs.AppendFillCands(fill[:0], uploads, ranks, c.Kappa)
-				fillClient, fillIdx, fillAbs = fillClient[:0], fillIdx[:0], fillAbs[:0]
-				for _, cand := range fill {
-					fillClient = append(fillClient, cand.Client)
-					fillIdx = append(fillIdx, cand.Idx)
-					fillAbs = append(fillAbs, cand.AbsVal)
-				}
-				reply := FillCandidates{Round: f, ShardID: assign.ShardID, Client: fillClient, Idx: fillIdx, AbsVal: fillAbs}
-				if err := coord.Send(reply); err != nil {
-					err = fmt.Errorf("transport: shard %d round %d fill send: %w", assign.ShardID, f, err)
-					st.fail(err)
-					return err
-				}
-			case RoundSeal:
-				if c.Round != f {
-					err := fmt.Errorf("transport: shard %d round %d: stale round seal (round %d)", assign.ShardID, f, c.Round)
-					st.fail(err)
-					return err
-				}
-				if c.Bits != assign.QuantBits {
-					err := fmt.Errorf("transport: shard %d round %d: seal at %d-bit quantization, run uses %d",
-						assign.ShardID, f, c.Bits, assign.QuantBits)
-					st.fail(err)
-					return err
-				}
-				if math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) || c.Scale < 0 {
-					err := fmt.Errorf("transport: shard %d round %d: seal scale %v is not a finite non-negative real",
-						assign.ShardID, f, c.Scale)
-					st.fail(err)
-					return err
-				}
-				// Build the broadcast slice into the ring slot outside
-				// the lock: its previous tenant (round f−W−2) is below
-				// every reader's eviction horizon, so no fetch can be
-				// copying it.
-				var err error
-				bs.idx, bs.val, err = gs.BuildDownlinkSlice(bs.idx[:0], bs.val[:0], c.Members, red, lo, hi)
-				if err != nil {
-					err = fmt.Errorf("transport: shard %d round %d seal: %w", assign.ShardID, f, err)
-					st.fail(err)
-					return err
-				}
-				if c.Bits > 0 {
-					sparse.QuantizeToScale(bs.val, c.Bits, c.Scale)
-				}
-				sealBits, sealScale = c.Bits, c.Scale
-				break control
-			default:
-				err := fmt.Errorf("transport: shard %d round %d: expected FillQuery or RoundSeal, got %T", assign.ShardID, f, msg)
-				st.fail(err)
-				return err
-			}
+		if err := sr.seal(f, coord, &bs.downSlice); err != nil {
+			return err
 		}
 		st.mu.Lock()
 		bs.round = f
-		bs.bits, bs.scale = sealBits, sealScale
 		st.sealed = f
 		st.cond.Broadcast()
 		st.mu.Unlock()
@@ -507,20 +404,21 @@ func runDirectShardWindowed(coord Conn, assign ShardAssign, conns []Conn, lo, hi
 	return err
 }
 
-// runServerDirectWindowed is runServerDirect's round loop for
-// Staleness > 0. The coordinator's round loop is driven by the shard
-// fronts (group.Aggregate blocks on the shards' ShardResults); client
-// control traffic decouples from it — per-client reader goroutines fold
-// RoundMetas into the per-round loss as they arrive, and per-client
-// sender goroutines deliver RoundReleases from buffered queues sized
-// for the whole run, so a straggler that stops reading can never block
-// the front. Consequences, by design: a round's logged loss covers the
-// metas that arrived before its release (a straggler's late meta is
-// dropped), selection uses K as the rank bound instead of the round's
-// exact max upload length (every rank is < its upload's length ≤ K),
-// and the W > 0 wire trajectory is its own — the bit-identity contract
-// binds only W = 0, which never takes this path.
-func runServerDirectWindowed(ordered []Conn, weights []float64, totalWeight float64, cfg ServerConfig, group *DirectGroup) ([]RoundRecord, error) {
+// runWindowed is the direct coordinator's round loop for
+// Staleness > 0. It is driven by the shard fronts (the DirectGroup's
+// gather blocks on the shards' ShardResults); client control traffic
+// decouples from it — per-client reader goroutines fold RoundMetas into
+// the per-round loss as they arrive, and per-client sender goroutines
+// deliver RoundReleases from buffered queues sized for the whole run,
+// so a straggler that stops reading can never block the front.
+// Consequences, by design: a round's logged loss covers the metas that
+// arrived before its release (a straggler's late meta is dropped),
+// selection uses K as the rank bound instead of the round's exact max
+// upload length (every rank is < its upload's length ≤ K), and the
+// W > 0 wire trajectory is its own — the bit-identity contract binds
+// only W = 0, which never takes this path.
+func (c *coordRun) runWindowed(ordered []Conn) ([]RoundRecord, error) {
+	cfg := c.cfg
 	n := len(ordered)
 	var mu sync.Mutex
 	lossBy := make([]float64, cfg.Rounds+1)
@@ -540,18 +438,18 @@ func runServerDirectWindowed(ordered []Conn, weights []float64, totalWeight floa
 				}
 				if meta.Round >= 1 && meta.Round <= cfg.Rounds {
 					mu.Lock()
-					lossBy[meta.Round] += weights[id] / totalWeight * meta.BatchLoss
+					lossBy[meta.Round] += c.weights[id] / c.total * meta.BatchLoss
 					mu.Unlock()
 				}
 			}
 		}(id, conn)
 	}
-	relq := make([]chan RoundRelease, n)
+	relq := make([]chan any, n)
 	var relWG sync.WaitGroup
 	for id, conn := range ordered {
-		relq[id] = make(chan RoundRelease, cfg.Rounds)
+		relq[id] = make(chan any, cfg.Rounds)
 		relWG.Add(1)
-		go func(conn Conn, q chan RoundRelease) {
+		go func(conn Conn, q chan any) {
 			defer relWG.Done()
 			for rel := range q {
 				if conn.Send(rel) != nil {
@@ -571,39 +469,20 @@ func runServerDirectWindowed(ordered []Conn, weights []float64, totalWeight floa
 	}
 	defer closeRelq()
 
-	strategy := &gs.FABTopK{}
-	var bm *byteMeter
-	if cfg.Observer != nil {
-		bm = newByteMeter(ordered, cfg.ShardConns)
-		bm.delta()
-	}
-	records := make([]RoundRecord, 0, cfg.Rounds)
 	for m := 1; m <= cfg.Rounds; m++ {
-		if cfg.Observer != nil {
-			cfg.Observer.OnRoundStart(m)
-		}
-		agg, err := group.Aggregate(strategy, m, cfg.K, cfg.K)
+		c.startRound(m)
+		agg, err := c.group.Aggregate(c.strategy, m, cfg.K, cfg.K)
 		if err != nil {
-			return records, err
+			return c.records, err
 		}
-		rel := RoundRelease{Round: m, Elems: len(agg.Indices)}
+		var rel any = RoundRelease{Round: m, Elems: len(agg.Indices)}
 		for id := range ordered {
 			relq[id] <- rel // buffered for the whole run: never blocks
 		}
 		mu.Lock()
 		loss := lossBy[m]
 		mu.Unlock()
-		rec := RoundRecord{Round: m, Loss: loss, DownlinkElems: len(agg.Indices)}
-		records = append(records, rec)
-		if cfg.Observer != nil {
-			ev := roundEvent(rec, cfg.K, n, bm, group.reduceSecs)
-			// The realized overlap; stale-slice counts live at the
-			// shards' admission windows, which the coordinator cannot
-			// observe, so StaleSlices stays 0 here (the in-process
-			// engine reports the real count).
-			ev.WindowDepth = cfg.Staleness
-			cfg.Observer.OnRoundEnd(ev)
-		}
+		c.finish(RoundRecord{Round: m, Loss: loss, DownlinkElems: len(agg.Indices)}, n, nil)
 	}
 	// Drain the release queues before returning: the caller closes the
 	// client conns on return, and the tail releases (the last W rounds'
@@ -614,38 +493,31 @@ func runServerDirectWindowed(ordered []Conn, weights []float64, totalWeight floa
 	// final broadcast) doesn't already impose.
 	closeRelq()
 	relWG.Wait()
-	return records, nil
+	return c.records, nil
 }
 
-// runClientDirectWindowed is runClientDirect's round body for
-// Window > 0: the same training computation and rng consumption order
-// as runClientRounds, but pipelined — round m's upload goes out before
-// round m−W's broadcast is fetched and applied, overlapping W rounds of
-// local compute with the shards' reduction and downlink. A ring of W+1
-// upload slots keeps each in-flight round's pairs for the deferred
-// residual update; SliceNacks absorbed during fetches mark the refused
-// (round, shard) slices so their residual mass stays in acc, exactly
-// like the engine's fold-back.
-func runClientDirectWindowed(coord Conn, cfg ClientConfig, init Init, shardConns []Conn, bounds []int, shardOf func(int) int) error {
-	if init.QuantBits != 0 && (init.QuantBits < 2 || init.QuantBits > 64) {
-		return fmt.Errorf("transport: client %d: init quantization width %d outside 0 or [2, 64]", cfg.ID, init.QuantBits)
-	}
+// runClientDirectWindowed is the direct client's round loop for
+// Window > 0: the same local step, split and upload as the lockstep
+// loop (runClientRounds), but pipelined — round m's upload goes out
+// before round m−W's broadcast is fetched and applied, overlapping W
+// rounds of local compute with the shards' reduction and downlink. A
+// ring of W+1 upload slots keeps each in-flight round's pairs for the
+// deferred residual update; SliceNacks absorbed during fetches mark the
+// refused (round, shard) slices so their residual mass stays in acc,
+// exactly like the engine's fold-back.
+func runClientDirectWindowed(coord Conn, cfg ClientConfig, init Init, fan *shardFan) error {
 	if init.Window < 0 || init.Window > MaxStaleness {
 		return fmt.Errorf("transport: client %d: init staleness window %d outside [0, %d]", cfg.ID, init.Window, MaxStaleness)
 	}
+	step, err := newLocalStep("client", cfg.ID, cfg.Model, init, cfg.BatchSize)
+	if err != nil {
+		return err
+	}
 	w := init.Window
-	nShards := len(shardConns)
-	net := cfg.Model()
-	net.SetParams(init.Params)
+	net := step.net
 	acc := make([]float64, net.D())
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var (
-		topk  sparse.TopKScratch
-		pairs sparse.Vec
-		xs    [][]float64
-		ys    []int
-	)
-	applied := newAppliedSet(net.D())
+	applied := newAppliedSet("client", cfg.ID, net.D())
 	// In-flight upload ring: slot m%(w+1) holds round m's quantized
 	// pairs (for the deferred residual update) and the per-shard split
 	// buffers its SliceUploads alias. Unlike the synchronous client,
@@ -658,149 +530,69 @@ func runClientDirectWindowed(coord Conn, cfg ClientConfig, init Init, shardConns
 	// buffer (one ordered connection, messages handled in sequence).
 	type winSlot struct {
 		round   int
-		idx     []int
-		val     []float64
+		pairs   sparse.Vec
 		dropped []bool // per shard: slice NACKed, keep its residual
-		sIdx    [][]int
-		sVal    [][]float64
-		sRank   [][]int
+		bufs    sliceBufs
 	}
 	ring := make([]winSlot, w+1)
 	for i := range ring {
-		ring[i].dropped = make([]bool, nShards)
-		ring[i].sIdx = make([][]int, nShards)
-		ring[i].sVal = make([][]float64, nShards)
-		ring[i].sRank = make([][]int, nShards)
+		ring[i].dropped = make([]bool, len(fan.conns))
 	}
+	// A round-t NACK is enqueued before the round-t broadcast reply on
+	// the same connection, and t ≥ r for every NACK read while fetching
+	// round r, so the tagged ring slot is always live.
+	nack := func(s int, n SliceNack) error {
+		if n.Evicted {
+			return fmt.Errorf("transport: client %d fell %d rounds behind shard %d's front (sealed %d): %w",
+				cfg.ID, n.Sealed-n.Round, s, n.Sealed, ErrStaleClient)
+		}
+		ns := &ring[n.Round%(w+1)]
+		if ns.round != n.Round {
+			return fmt.Errorf("transport: client %d: shard %d refused round %d, which is not in flight", cfg.ID, s, n.Round)
+		}
+		ns.dropped[s] = true
+		return nil
+	}
+	var pairs sparse.Vec
 	var bIdx []int
 	var bVal []float64
 
-	// fetchApply pulls and applies round r's broadcast: wait for the
-	// coordinator's release, fetch every shard's slice — absorbing
-	// SliceNacks for missed uploads along the way (the shard enqueues a
-	// round-t NACK before the round-t broadcast reply on the same
-	// connection, and t ≥ r for every NACK read here, so the tagged ring
-	// slot is always live) — and run the deferred weight/residual
-	// update for round r's pairs.
+	// fetchApply pulls and applies round r's broadcast — absorbing
+	// SliceNacks for missed uploads along the way — and runs the
+	// deferred weight/residual update for round r's pairs.
 	fetchApply := func(r int) error {
-		msg, err := coord.Recv()
-		if err != nil {
-			return fmt.Errorf("transport: client %d round %d release recv: %w", cfg.ID, r, err)
+		var err error
+		if bIdx, bVal, err = fan.download(coord, r, bIdx[:0], bVal[:0], nack); err != nil {
+			return err
 		}
-		rel, ok := msg.(RoundRelease)
-		if !ok {
-			return fmt.Errorf("transport: client %d round %d: expected RoundRelease, got %T", cfg.ID, r, msg)
-		}
-		if rel.Round != r {
-			return fmt.Errorf("transport: client %d round %d: stale release (round %d)", cfg.ID, r, rel.Round)
-		}
-		fetch := SliceFetch{ClientID: cfg.ID, Round: r}
-		for s, conn := range shardConns {
-			if err := conn.Send(fetch); err != nil {
-				return fmt.Errorf("transport: client %d round %d fetch to shard %d: %w", cfg.ID, r, s, err)
-			}
-		}
-		bIdx, bVal = bIdx[:0], bVal[:0]
-		for s, conn := range shardConns {
-		shard:
-			for {
-				msg, err := conn.Recv()
-				if err != nil {
-					return fmt.Errorf("transport: client %d round %d slice recv from shard %d: %w", cfg.ID, r, s, err)
-				}
-				switch sb := msg.(type) {
-				case SliceNack:
-					if sb.Evicted {
-						return fmt.Errorf("transport: client %d fell %d rounds behind shard %d's front (sealed %d): %w",
-							cfg.ID, sb.Sealed-sb.Round, s, sb.Sealed, ErrStaleClient)
-					}
-					t := sb.Round
-					ns := &ring[t%(w+1)]
-					if ns.round != t {
-						return fmt.Errorf("transport: client %d: shard %d refused round %d, which is not in flight", cfg.ID, s, t)
-					}
-					ns.dropped[s] = true
-				case SliceBroadcast:
-					if sb.Round != r {
-						return fmt.Errorf("transport: client %d round %d: stale broadcast slice from shard %d (round %d)",
-							cfg.ID, r, s, sb.Round)
-					}
-					if sb.ShardID != s {
-						return fmt.Errorf("transport: client %d round %d: broadcast slice on shard %d's link claims shard %d",
-							cfg.ID, r, s, sb.ShardID)
-					}
-					if len(sb.Idx) != len(sb.Val) {
-						return fmt.Errorf("transport: client %d round %d: shard %d broadcast slice shape %d/%d",
-							cfg.ID, r, s, len(sb.Idx), len(sb.Val))
-					}
-					for i, j := range sb.Idx {
-						if j < bounds[s] || j >= bounds[s+1] || (i > 0 && j <= sb.Idx[i-1]) {
-							return fmt.Errorf("transport: client %d round %d: shard %d broadcast index %d out of order or range",
-								cfg.ID, r, s, j)
-						}
-					}
-					bIdx = append(bIdx, sb.Idx...)
-					bVal = append(bVal, sb.Val...)
-					break shard
-				default:
-					return fmt.Errorf("transport: client %d round %d: shard %d sent %T, want SliceBroadcast or SliceNack",
-						cfg.ID, r, s, msg)
-				}
-			}
-		}
-		if len(bIdx) != rel.Elems {
-			return fmt.Errorf("transport: client %d round %d: reassembled %d broadcast elements, coordinator sealed %d — truncated or padded shard slice",
-				cfg.ID, r, len(bIdx), rel.Elems)
+		if err := applied.apply(r, net.Params(), cfg.LearningRate, bIdx, bVal); err != nil {
+			return err
 		}
 		slot := &ring[r%(w+1)]
-		applied.apply(net.Params(), cfg.LearningRate, bIdx, bVal)
-		for vi, j := range slot.idx {
-			if slot.dropped[shardOf(j)] {
+		for vi, j := range slot.pairs.Idx {
+			if slot.dropped[fan.shardOf(j)] {
 				continue // never aggregated: the full value stays in acc
 			}
 			if applied.has(j) {
-				acc[j] -= slot.val[vi]
+				acc[j] -= slot.pairs.Val[vi]
 			}
 		}
 		return nil
 	}
 
 	for m := 1; m <= init.Rounds; m++ {
-		xs, ys = cfg.Data.BatchInto(xs, ys, rng, cfg.BatchSize)
-		batchLoss := net.MeanLossGrad(xs, ys)
-		tensor.AXPY(1, net.Grads(), acc)
-		// Mirror the reference engine's probe-sample draw (see
-		// runClientRounds).
-		_ = rng.Intn(len(xs))
-		pairs = sparse.TopKInto(pairs, &topk, acc, init.K)
-		var scale float64
-		if init.QuantBits > 0 {
-			scale = sparse.QuantizeInPlace(pairs.Val, init.QuantBits)
-		}
+		var batchLoss, scale float64
+		pairs, batchLoss, scale = step.run(cfg.Data, rng, acc, pairs)
 		slot := &ring[m%(w+1)]
 		slot.round = m
-		slot.idx = append(slot.idx[:0], pairs.Idx...)
-		slot.val = append(slot.val[:0], pairs.Val...)
+		slot.pairs.Idx = append(slot.pairs.Idx[:0], pairs.Idx...)
+		slot.pairs.Val = append(slot.pairs.Val[:0], pairs.Val...)
 		for s := range slot.dropped {
 			slot.dropped[s] = false
 		}
-		for s := 0; s < nShards; s++ {
-			slot.sIdx[s] = slot.sIdx[s][:0]
-			slot.sVal[s] = slot.sVal[s][:0]
-			slot.sRank[s] = slot.sRank[s][:0]
-		}
-		for pi, j := range pairs.Idx {
-			s := shardOf(j)
-			slot.sIdx[s] = append(slot.sIdx[s], j)
-			slot.sVal[s] = append(slot.sVal[s], pairs.Val[pi])
-			slot.sRank[s] = append(slot.sRank[s], pi)
-		}
-		for s, conn := range shardConns {
-			up := SliceUpload{ClientID: cfg.ID, Round: m, Idx: slot.sIdx[s], Val: slot.sVal[s], Rank: slot.sRank[s],
-				Bits: init.QuantBits, Scale: scale}
-			if err := conn.Send(up); err != nil {
-				return fmt.Errorf("transport: client %d round %d slice to shard %d: %w", cfg.ID, m, s, err)
-			}
+		fan.split(pairs, &slot.bufs)
+		if err := fan.upload(m, cfg.ID, &slot.bufs, init.QuantBits, scale); err != nil {
+			return err
 		}
 		meta := RoundMeta{ClientID: cfg.ID, Round: m, BatchLoss: batchLoss, UploadLen: pairs.Len()}
 		if err := coord.Send(meta); err != nil {
