@@ -8,7 +8,6 @@
 // Absolute numbers differ from the paper (synthetic data, scaled-down D,
 // CPU instead of the authors' testbed); the shape — who wins, by what
 // rough factor, where crossovers fall — is what these benches reproduce.
-// EXPERIMENTS.md records paper-vs-measured for each.
 package fedsparse
 
 import (

@@ -361,7 +361,7 @@ func TestValidateFlagsPopulation(t *testing.T) {
 		{"negative churn", "sim", mk("churn"), 0, "", 0, 0, -0.1, 0, "-churn"},
 		{"zero noniid", "sim", mk("noniid"), 0, "", 0, 0, 0, 0, "-noniid"},
 		{"noniid with population", "sim", mk("population", "cohort", "noniid"), 0, "", 1000, 8, 0, 0.5, "-noniid"},
-		{"cohort with staleness", "sim", mk("cohort", "staleness"), 1, "", 0, 4, 0, 0, "-staleness"},
+		{"cohort with staleness", "sim", mk("cohort", "staleness"), 1, "", 0, 4, 0, 0, ""},
 		{"churn with wal-dir", "sim", mk("churn", "wal-dir"), 0, "d", 0, 0, 0.25, 0, "-wal-dir"},
 		{"coordinator with population", "coordinator", mk("listen", "population"), 0, "", 1000, 0, 0, 0, "-role sim"},
 		{"shard with cohort", "shard", mk("connect", "cohort"), 0, "", 0, 4, 0, 0, "-role sim"},

@@ -162,8 +162,6 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dire
 			return errors.New("flsim: -noniid must be > 0 (a Dirichlet concentration)")
 		case noniid > 0 && population > 0:
 			return errors.New("flsim: -noniid is incompatible with -population (population member shards are non-i.i.d. by construction)")
-		case (population > 0 || cohort > 0 || churn > 0) && staleness > 0:
-			return errors.New("flsim: -population/-cohort/-churn require the synchronous engine; drop -staleness")
 		case churn > 0 && walDir != "":
 			return errors.New("flsim: -churn is incompatible with -wal-dir (a churn schedule cannot be journaled)")
 		case staleness < 0:

@@ -123,12 +123,13 @@ func TestRunDurableSim(t *testing.T) {
 }
 
 // TestRunStalenessSim is the CLI face of the bounded-staleness
-// engine: -staleness selects the asynchronous round loop, whose
-// trajectory is deterministic (two windowed runs are byte-identical)
-// but diverges from the synchronous run — the pipelined clients
-// compute against a model up to W rounds old, so a moved CSV is the
-// proof the window actually reached the engine. The sharded tier
-// rides along to cover the async dispatch over -shards.
+// window: -staleness W deepens the engine's ring of in-flight rounds,
+// whose trajectory is deterministic (two windowed runs are
+// byte-identical) but diverges from the lockstep run — the pipelined
+// clients compute against a model up to W rounds old, so a moved CSV
+// is the proof the window actually reached the engine. The sharded
+// tier rides along to cover the window over -shards, and -cohort 4
+// -staleness 1 the sampled roster under a window.
 func TestRunStalenessSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
@@ -147,6 +148,20 @@ func TestRunStalenessSim(t *testing.T) {
 	}
 	if win1.String() == sync.String() {
 		t.Fatal("-staleness 2 CSV identical to the synchronous CSV — the window did not reach the engine")
+	}
+
+	cohortRun := func(staleness int) string {
+		var b strings.Builder
+		if err := run(&b, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 0, false, 0, staleness, "", false, "", 0, 4, 0, 0); err != nil {
+			t.Fatalf("-cohort 4 -staleness %d: %v", staleness, err)
+		}
+		return b.String()
+	}
+	if a, b := cohortRun(1), cohortRun(1); a != b {
+		t.Fatalf("-cohort 4 -staleness 1 is nondeterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
+	}
+	if cohortRun(1) == cohortRun(0) {
+		t.Fatal("-cohort 4 -staleness 1 CSV identical to -cohort 4 alone — the window did not reach the sampled engine")
 	}
 }
 

@@ -134,19 +134,21 @@
 //
 // # Bounded staleness (asynchronous rounds)
 //
-// Config.Staleness (the window W) or a Config.Delays schedule selects
-// the asynchronous engine loop: an upload at most W rounds late is
-// still admitted into its round's aggregation, a later one folds back
-// into the sender's error-feedback residual and rides the next
-// admitted upload. ServerConfig.Staleness deploys the same contract
+// Config.Staleness (the window W) is the depth of the engine's round
+// pipeline: clients compute up to W rounds ahead of the seal. Under a
+// Config.Delays schedule an upload at most W rounds late is still
+// admitted into its round's aggregation, a later one folds back into
+// the sender's error-feedback residual and rides the next admitted
+// upload. ServerConfig.Staleness deploys the same contract
 // over the wire on the direct data plane — per-shard round barriers
 // relax to sliding windows, a slice that misses its round's seal is
 // refused with a SliceNack (the client folds it into its residual),
 // and a client more than W rounds behind the sealed front is evicted
 // with ErrStaleClient instead of stalling the fleet. W = 0 (the
-// default) is bit-identical to the synchronous engine; W >= 1 is
+// default) is lockstep — the same pipeline at depth one; W >= 1 is
 // deterministic given the same delay schedule; W is capped at
-// MaxStaleness. Staleness is GS-only and incompatible with the WAL.
+// MaxStaleness. Staleness is GS-only, composes with Cohort/Churn/
+// Dropout, and is incompatible with the WAL.
 // See README.md ("Asynchronous rounds and bounded staleness").
 //
 // # Population tier (100k–1M virtual clients)

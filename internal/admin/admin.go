@@ -41,7 +41,11 @@ type Server struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	startedRound int  // highest round passed to OnRoundStart
+	// startedRound is the highest round passed to OnRoundStart. Under a
+	// bounded-staleness window W it leads len(events) by up to W — the
+	// rounds in flight — and stays ahead after a MaxTime/HaltAfter stop,
+	// whose last W starts never get an end (see fl.Observer).
+	startedRound int
 	started      bool // at least one OnRoundStart observed
 	done         bool // OnRunEnd observed
 	runErr       error

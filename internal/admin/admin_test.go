@@ -268,6 +268,37 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
+// TestReadyzUnderWindow drives the observer in the order a W = 1 engine
+// run publishes — each round starts one step before the previous one
+// ends — and stops it the way MaxTime does, with round 3 started and
+// never ended. "round" (and the fedsparse_round gauge) is the highest
+// round started, "rounds_done" the rounds sealed; their gap is the
+// in-flight depth, and it survives the end of the run.
+func TestReadyzUnderWindow(t *testing.T) {
+	s := startServer(t)
+	s.OnRoundStart(1)
+	s.OnRoundStart(2)
+	s.OnRoundEnd(event(1, 0, 0))
+	s.OnRoundStart(3)
+	s.OnRoundEnd(event(2, 0, 0))
+	s.OnRunEnd(nil)
+
+	code, body := get(t, s, "/readyz")
+	var st readyState
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("/readyz body not JSON: %v\n%s", err, body)
+	}
+	if code != http.StatusOK || !st.Ready || !st.Done || st.Round != 3 || st.RoundsDone != 2 {
+		t.Fatalf("windowed /readyz = %d %+v, want ready, done, round 3, rounds_done 2", code, st)
+	}
+	_, metrics := get(t, s, "/metrics")
+	samples := lintMetrics(t, metrics)
+	if samples["fedsparse_round"] != "3" || samples["fedsparse_rounds_total"] != "2" {
+		t.Fatalf("fedsparse_round = %q, fedsparse_rounds_total = %q, want 3 and 2",
+			samples["fedsparse_round"], samples["fedsparse_rounds_total"])
+	}
+}
+
 // TestRoundsDump covers the one-shot (non-follow) NDJSON dump: one line
 // per completed round, NaN metrics omitted instead of serialized.
 func TestRoundsDump(t *testing.T) {

@@ -7,7 +7,7 @@
 //
 // Each figure function returns a FigureResult holding the raw series (the
 // exact data a plot would show) plus summary tables with the shape
-// metrics EXPERIMENTS.md compares against the paper.
+// metrics to compare against the paper.
 package experiments
 
 import (

@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// zeroDelays forces the async engine path (any non-nil Delays selects
-// it) while admitting every upload on time — the W=0 differential
-// fixture.
+// zeroDelays is the all-on-time admission schedule: a run with it must
+// equal the run with no schedule at all — the W=0 differential fixture.
 func zeroDelays(int, int) int { return 0 }
 
-// TestAsyncWindowZeroBitIdenticalToSync is the tentpole's dormancy
-// guarantee: the bounded-staleness pipeline at W=0, forced on via an
-// all-zero Delays schedule, is bit-identical to the synchronous engine
-// across the full differential grid — every GS strategy × Shards ∈
-// {0, 1, 2, 4} × Workers ∈ {0, 4} × the direct data plane. Same rng
-// draws at the same points, same aggregation dispatch, same stats.
+// TestAsyncWindowZeroBitIdenticalToSync: at W=0 an all-zero Delays
+// schedule (every upload runs the admit-or-fold step and is admitted)
+// is bit-identical to no schedule, across the full differential grid —
+// every GS strategy × Shards ∈ {0, 1, 2, 4} × Workers ∈ {0, 4} × the
+// direct data plane. Since the fold both runs share one round body, so
+// this pins the admission step as a no-op; the absolute trajectories are
+// pinned by TestEngineGoldenTrajectories.
 func TestAsyncWindowZeroBitIdenticalToSync(t *testing.T) {
 	for _, tc := range diffGrid() {
 		if strings.Contains(tc.name, "fedavg") {

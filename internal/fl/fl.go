@@ -1,4 +1,4 @@
-// Package fl is the synchronous federated-learning engine implementing
+// Package fl is the federated-learning engine implementing
 // Algorithm 1 (FL with sparse gradient aggregation) and the surrounding
 // machinery of Fig. 3: per-round gradient accumulation, top-k uplink,
 // server-side selection, synchronized sparse updates, residual reset, the
@@ -14,13 +14,18 @@
 //     comparison of Section V-A with the same average communication
 //     overhead as k-element GS.
 //
+// GS mode is one round pipeline (round.go): a phase A and a seal per
+// round over a ring of Staleness+1 in-flight rounds, the lockstep engine
+// being the window at zero. FedAvg is a different algorithm — local steps
+// and a dense average — with a loop of its own below.
+//
 // The steady-state round loop is allocation-free on the sequential path
 // (Workers <= 1): every per-round buffer (per-worker top-k scratch,
 // minibatch views, upload slots, probe losses, selection membership) lives
-// in a per-run round arena or per-client scratch and is reused across
-// rounds. Only user-facing outputs (RoundStats, recorded per-client
-// counts) and optional paths (quantization clones, cadenced evaluations,
-// mandated-index strategies) still allocate. With Workers > 1 each
+// in the per-run round arena, an in-flight round's slot or per-client
+// scratch and is reused across rounds. Only user-facing outputs
+// (RoundStats, recorded per-client counts) and optional paths (cadenced
+// evaluations, external strategies) still allocate. With Workers > 1 each
 // fan-out additionally spawns its pool goroutines, a small per-round
 // constant that buys the parallel speedup.
 package fl
@@ -107,8 +112,9 @@ type Config struct {
 	// engine. This is the paper's partial-participation setting stated
 	// as the production-scale knob: a population of N clients of which
 	// only the cohort is materialized per round by the transport tier's
-	// population server. Mutually exclusive with Participation; GS
-	// synchronous mode only.
+	// population server. Mutually exclusive with Participation; GS mode
+	// only. Composes with Staleness: the draw happens in phase A, so a
+	// windowed run samples its cohort W rounds ahead of the seal.
 	Cohort int
 	// Churn mutates the drawable population between rounds: called once
 	// at the top of each round, it returns the client IDs joining and
@@ -119,7 +125,8 @@ type Config struct {
 	// global model with its error-feedback residual frozen where it
 	// left. Joining an active client, leaving an inactive one, or
 	// leaving the population empty errors the run. Churn consumes no
-	// rng, so a nil-churn run is untouched. GS synchronous mode only;
+	// rng, so a nil-churn run is untouched. GS mode only (at any
+	// Staleness: churn for round m applies before m's phase-A draw);
 	// incompatible with WALDir (a function value cannot be journaled).
 	Churn func(round int) (join, leave []int)
 	// Dropout models deadline dropouts: a drawn client for which
@@ -127,8 +134,8 @@ type Config struct {
 	// the draw but before any compute or rng use — deterministically,
 	// so the same schedule reproduces the same run. Dropped clients
 	// still apply the broadcast (weights stay synchronized). A round
-	// whose whole cohort drops out errors the run. GS synchronous mode
-	// only; incompatible with WALDir.
+	// whose whole cohort drops out errors the run. GS mode only (at any
+	// Staleness); incompatible with WALDir.
 	Dropout func(client, round int) bool
 	// QuantBits uniformly quantizes uploaded and broadcast gradient
 	// values to this bit width (0 = off; else 2–64). The paper cites
@@ -197,31 +204,28 @@ type Config struct {
 	// the observer too, so the stream always covers every round.
 	Observer Observer
 
-	// Staleness is the bounded-staleness window W of the asynchronous
-	// round pipeline (0 = fully synchronous). With W > 0 the engine
+	// Staleness is the bounded-staleness window W: the depth of the
+	// round pipeline's ring of in-flight rounds (0 = lockstep, each
+	// round seals before the next starts). With W > 0 the engine
 	// overlaps client compute with aggregation: round m+1's phase-A
 	// local gradients are computed while rounds m−W+1..m are still
 	// unsealed, so every phase A runs at the weights of the last sealed
 	// round W steps back — the in-process model of the transport tier's
 	// sliding-window shard barriers. Uploads that miss a round's seal
 	// cutoff (see Delays) are folded back into the client's
-	// error-feedback residual instead of being dropped. W=0 with a nil
-	// Delays runs today's synchronous loop; W=0 with a non-nil Delays
-	// runs the async machinery and is bit-identical to it (the
-	// differential tests pin this across the full topology grid).
-	// GS mode only; incompatible with WALDir (the admission schedule is
-	// a function value and cannot be fingerprinted into the log).
+	// error-feedback residual instead of being dropped. Composes with
+	// Cohort/Churn/Dropout, Shards/Direct and QuantBits. GS mode only;
+	// incompatible with WALDir (the in-flight ring is not snapshotted).
 	Staleness int
-	// Delays models client lateness for the bounded-staleness engine:
-	// Delays(ci, m) is how many rounds late client ci's round-m upload
-	// arrives at its seal. An upload is admitted iff its delay is at
-	// most Staleness; otherwise it misses the cutoff, the aggregation
-	// sees a counted-but-empty contribution (the client's weight still
-	// divides the round), and the mass stays in the client's residual —
-	// re-extracted by the next top-k, so nothing is silently lost.
-	// nil means every upload is on time. Runs are deterministic given
-	// the same delay schedule. Setting Delays (even all-zero) selects
-	// the asynchronous engine; Staleness alone does too when > 0.
+	// Delays models client lateness under the window: Delays(ci, m) is
+	// how many rounds late client ci's round-m upload arrives at its
+	// seal. An upload is admitted iff its delay is at most Staleness
+	// (so at Staleness 0 any positive delay misses); otherwise the
+	// aggregation sees a counted-but-empty contribution (the client's
+	// weight still divides the round) and the mass stays in the
+	// client's residual — re-extracted by the next top-k, so nothing is
+	// silently lost. nil means every upload is on time, the same run as
+	// an all-zero schedule. Runs are deterministic given the schedule.
 	Delays func(client, round int) int
 
 	// Direct switches the sharded tier (Shards > 0 required) from the
@@ -251,13 +255,12 @@ type Result struct {
 	Final *nn.Network
 }
 
-// client is one simulated participant. Alongside its model and residuals
-// it owns the reusable hot-loop buffers of phase A whose contents outlive
-// the iteration — upload pair storage, mandated-value storage, and
-// minibatch views — so per-round selection allocates nothing. All of it
-// is single-goroutine state touched only by whichever worker runs this
-// client's iteration. The top-k working memory is not here: it is dead
-// once TopKInto returns, so the round arena holds one per worker.
+// client is one simulated participant: its model, its residuals, its rng
+// and the reusable minibatch views. All of it is single-goroutine state
+// touched only by whichever worker runs this client's iteration. The
+// upload buffers are not here — the in-flight round's slot owns them —
+// and neither is the top-k working memory: it is dead once TopKInto
+// returns, so the round arena holds one per worker.
 type client struct {
 	net    *nn.Network
 	acc    []float64 // a_i, the accumulated local gradient
@@ -265,10 +268,8 @@ type client struct {
 	weight float64 // C_i
 	rng    *rand.Rand
 
-	pairs   sparse.Vec
-	mandVal []float64
-	xs      [][]float64
-	ys      []int
+	xs [][]float64
+	ys []int
 }
 
 // Run executes the configured training and returns per-round statistics.
@@ -311,6 +312,7 @@ func run(cfg Config) (*Result, error) {
 	cost := simtime.NewCostModel(d, cfg.Beta)
 
 	clients := make([]*client, cfg.Data.NumClients())
+	var totalWeight float64
 	for i := range clients {
 		net := cfg.Model()
 		if net.D() != d {
@@ -332,10 +334,7 @@ func run(cfg Config) (*Result, error) {
 			weight: float64(cfg.Data.Clients[i].Len()),
 			rng:    rng,
 		}
-	}
-	var totalWeight float64
-	for _, c := range clients {
-		totalWeight += c.weight
+		totalWeight += clients[i].weight
 	}
 
 	ctrl := cfg.Controller
@@ -344,12 +343,7 @@ func run(cfg Config) (*Result, error) {
 	}
 
 	if cfg.FedAvg {
-		return runFedAvg(cfg, clients, totalWeight, cost, engineRng)
-	}
-	if cfg.Staleness > 0 || cfg.Delays != nil {
-		// The bounded-staleness pipeline (async.go). validate ruled out
-		// WALDir, so dur is nil on this path by construction.
-		return runGSAsync(cfg, clients, totalWeight, cost, ctrl, engineRng, d)
+		return runFedAvg(cfg, clients, totalWeight, cost)
 	}
 	if dur != nil {
 		rc, ok := ctrl.(core.Resumable)
@@ -401,8 +395,6 @@ func validate(cfg *Config) error {
 		return errors.New("fl: Cohort and Participation are mutually exclusive (Cohort is the absolute form of the same draw)")
 	case (cfg.Cohort > 0 || cfg.Churn != nil || cfg.Dropout != nil) && cfg.FedAvg:
 		return errors.New("fl: Cohort/Churn/Dropout apply to GS mode only")
-	case (cfg.Cohort > 0 || cfg.Churn != nil || cfg.Dropout != nil) && (cfg.Staleness > 0 || cfg.Delays != nil):
-		return errors.New("fl: Cohort/Churn/Dropout require the synchronous engine (no bounded-staleness window)")
 	case (cfg.Churn != nil || cfg.Dropout != nil) && cfg.WALDir != "":
 		return errors.New("fl: Churn/Dropout are incompatible with WALDir (schedules are function values and cannot be journaled)")
 	case cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64):
@@ -444,469 +436,50 @@ func validate(cfg *Config) error {
 	return cfg.Data.Validate()
 }
 
-// roundArena holds every per-round buffer of runGS, allocated once per run
-// and reused across rounds. Participant-indexed slots are re-sliced to the
-// round's participant count; the membership structures are epoch-stamped
-// slabs (slab[i] == generation means "in the set this round"), so clearing
-// them between rounds is O(1). The coordinator stamps the slabs between
-// fan-outs; workers only read them.
-type roundArena struct {
-	// Participant-indexed slots (length = this round's participant count).
-	fPrev, fCur, fProbe []float64
-	hx                  [][]float64 // the per-participant probe sample
-	hy                  []int
-	lossShare           []float64
-	uploads             []gs.ClientUpload
-
-	participants []int
-	permBuf      []int // Fisher–Yates scratch for the participant draw
-
-	inJ    []int32 // coordinate space: inJ[j] == inJGen means j ∈ J
-	inJGen int32
-
-	partPos   []int   // client space: participant position of client ci …
-	partGen   []int32 // … valid iff partGen[ci] == partEpoch
-	partEpoch int32
-
-	saved [][]float64          // per-worker probe save/restore buffers
-	topk  []sparse.TopKScratch // per-worker top-k working memory
-
-	// mand backs the allocation-free mandated-index draws (periodic-k's
-	// Fisher–Yates, send-all's identity set), so those strategies stop
-	// rebuilding their index slice every round.
-	mand gs.MandateScratch
-}
-
-func newRoundArena(d, nClients, pool int) *roundArena {
-	return &roundArena{
-		fPrev:        make([]float64, nClients),
-		fCur:         make([]float64, nClients),
-		fProbe:       make([]float64, nClients),
-		hx:           make([][]float64, nClients),
-		hy:           make([]int, nClients),
-		lossShare:    make([]float64, nClients),
-		uploads:      make([]gs.ClientUpload, nClients),
-		participants: make([]int, nClients),
-		permBuf:      make([]int, nClients),
-		inJ:          make([]int32, d),
-		partPos:      make([]int, nClients),
-		partGen:      make([]int32, nClients),
-		saved:        make([][]float64, pool),
-		topk:         make([]sparse.TopKScratch, pool),
-	}
-}
-
-// stampParticipants records each participant's position in the epoch-
-// stamped client-space slab (par.BumpEpoch handles the wrap-clear).
-func (ar *roundArena) stampParticipants(participants []int) {
-	par.BumpEpoch(&ar.partEpoch, ar.partGen)
-	for pi, ci := range participants {
-		ar.partPos[ci] = pi
-		ar.partGen[ci] = ar.partEpoch
-	}
-}
-
-// participantPos returns client ci's participant position, or -1.
-func (ar *roundArena) participantPos(ci int) int {
-	if ar.partGen[ci] == ar.partEpoch {
-		return ar.partPos[ci]
-	}
-	return -1
-}
-
-// stampInJ records the downlink index set J in the coordinate slab.
-func (ar *roundArena) stampInJ(indices []int) {
-	par.BumpEpoch(&ar.inJGen, ar.inJ)
-	for _, j := range indices {
-		ar.inJ[j] = ar.inJGen
-	}
-}
-
-// runGS is Algorithm 1 plus the Fig. 3 adaptive-k schedule.
-func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.CostModel,
-	ctrl core.Controller, engineRng *rand.Rand, d int, dur *engineWAL) (*Result, error) {
-
-	res := &Result{}
-	// The run's event stream: a built-in Collector rebuilds Result.Stats
-	// from it, and the caller's observer (if any) rides along — the
-	// engine's own bookkeeping and external consumers see the same
-	// events in the same order.
-	coll := &Collector{}
-	sink := MultiObserver(coll, cfg.Observer)
-	var clock simtime.Clock
-	nClients := len(clients)
-	// Per-scalar wire cost of a sparse element: index + (possibly
-	// quantized) value.
-	elemUnits := 2.0
-	if cfg.QuantBits > 0 && cfg.QuantBits < 64 {
-		elemUnits = 1 + float64(cfg.QuantBits)/64
-	}
-
-	ar := newRoundArena(d, nClients, poolSize(cfg.Workers, nClients))
-	// Population knobs (Cohort/Churn/Dropout) route the participant draw
-	// through the active-set tracker; nil keeps the historical path.
-	pop := newPopState(&cfg, nClients)
-	// The built-in strategies aggregate allocation-free through a per-run
-	// scratch, computing the k and probe-k′ selections in one pass;
-	// external Strategy implementations fall back to two Aggregate calls.
-	// With Shards > 0 the aggregation instead runs through the
-	// coordinate-sharded tier (validated to be supported), bit-identical
-	// to the single-scratch path.
-	scratchAgg, _ := cfg.Strategy.(gs.ScratchAggregator)
-	var aggScratch *gs.AggScratch
-	var shardedAgg *gs.ShardedScratch
-	var shardSel gs.ShardSelector
-	var directAgg *gs.DirectScratch
-	var directSel gs.DirectSelector
-	if cfg.Direct {
-		directSel = cfg.Strategy.(gs.DirectSelector)
-		directAgg = gs.NewDirectScratch(cfg.Shards, cfg.Workers, d)
-	} else if cfg.Shards > 0 {
-		shardSel = cfg.Strategy.(gs.ShardSelector)
-		shardedAgg = gs.NewShardedScratch(cfg.Shards, cfg.Workers, d)
-	} else if scratchAgg != nil {
-		aggScratch = gs.NewAggScratch(0)
-		aggScratch.Reserve(d) // uploads only carry coordinates < d
-	}
-	// Mandated-index strategies draw through the arena scratch when they
-	// support it — same rng stream and indices, none of the per-round
-	// slice rebuilding.
-	mandInto, _ := cfg.Strategy.(gs.MandatedIntoStrategy)
-
-	// A resumed run reports the rounds before the restored snapshot from
-	// the log (the state to recompute them is gone by design — that is
-	// what the snapshot bounds) and recomputes everything after it, each
-	// round verified bit-exactly against its logged record in commit.
-	start := 1
-	if dur != nil {
-		// The pre-snapshot prefix flows through the event stream too —
-		// replayed from the log, so WAL counters stay zero — which keeps
-		// a resumed run's stream (and the Stats the Collector rebuilds)
-		// covering every round exactly once.
-		for _, ev := range dur.logged[:dur.snapRound] {
-			sink.OnRoundStart(ev.Round)
-			sink.OnRoundEnd(ev)
-		}
-		clock.Advance(dur.clock0)
-		start = dur.snapRound + 1
-	}
-	for m := start; m <= cfg.Rounds; m++ {
-		sink.OnRoundStart(m)
-		dec := ctrl.Decide(m)
-		kCont := core.Project(dec.K, 1, float64(d))
-		kInt := sparse.StochasticRound(kCont, engineRng)
-		if kInt < 1 {
-			kInt = 1
-		}
-		if kInt > d {
-			kInt = d
-		}
-		probeInt := resolveProbe(dec.ProbeK, kInt, engineRng)
-
-		var mandated []int
-		if mandInto != nil {
-			mandated = mandInto.MandatedIndicesInto(&ar.mand, m, d, kInt, engineRng)
-		} else {
-			mandated = cfg.Strategy.MandatedIndices(m, d, kInt, engineRng)
-		}
-		var churnEvents, cohortSize int
-		population := nClients
-		if pop != nil {
-			var err error
-			if churnEvents, err = pop.applyChurn(m); err != nil {
-				return nil, err
-			}
-			population = len(pop.active)
-			ar.participants, ar.permBuf = pop.drawInto(ar.participants, ar.permBuf, engineRng)
-			cohortSize = len(ar.participants)
-			if ar.participants, err = pop.applyDropout(ar.participants, m); err != nil {
-				return nil, err
-			}
-		} else {
-			ar.participants, ar.permBuf = pickParticipantsInto(ar.participants, ar.permBuf, cfg.Participation, nClients, engineRng)
-			cohortSize = len(ar.participants)
-		}
-		participants := ar.participants
-		nPart := len(participants)
-
-		fPrev := ar.fPrev[:nPart]
-		fCur := ar.fCur[:nPart]
-		fProbe := ar.fProbe[:nPart]
-		hx := ar.hx[:nPart]
-		hy := ar.hy[:nPart]
-		uploads := ar.uploads[:nPart]
-		lossShare := ar.lossShare[:nPart]
-
-		// (A) Local gradient computation and accumulation at every
-		// participant; pick the one-sample probe point h (Section IV-E).
-		// Fanned out over the worker pool: every write lands in a slot
-		// indexed by participant position pi, and the weighted-loss
-		// reduction below runs in pi order, so the result is bit-identical
-		// to the sequential path at any worker count.
-		var partWeight float64
-		for _, ci := range participants {
-			partWeight += clients[ci].weight
-		}
-		parallelFor(cfg.Workers, nPart, func(pi, w int) {
-			c := clients[participants[pi]]
-			c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
-			xs, ys := c.xs, c.ys
-			batchLoss := c.net.MeanLossGrad(xs, ys)
-			tensor.AXPY(1, c.net.Grads(), c.acc)
-			lossShare[pi] = c.weight / partWeight * batchLoss
-
-			h := c.rng.Intn(len(xs))
-			hx[pi], hy[pi] = xs[h], ys[h]
-			fPrev[pi] = c.net.Loss(hx[pi], hy[pi]) // f_{i,h}(w(m−1))
-
-			var pairs sparse.Vec
-			if mandated != nil {
-				if cap(c.mandVal) < len(mandated) {
-					c.mandVal = make([]float64, len(mandated))
-				}
-				vals := c.mandVal[:len(mandated)]
-				for vi, j := range mandated {
-					vals[vi] = c.acc[j]
-				}
-				pairs = sparse.Vec{Idx: mandated, Val: vals}
-			} else {
-				c.pairs = sparse.TopKInto(c.pairs, &ar.topk[w], c.acc, kInt)
-				pairs = c.pairs
-			}
-			if cfg.QuantBits > 0 {
-				// In place: pairs is the client's own upload buffer (its
-				// values are copies of acc), the same pre-send snap the
-				// wire protocol applies — one shared quantization
-				// semantics, no per-round clone.
-				sparse.QuantizeInPlace(pairs.Val, cfg.QuantBits)
-			}
-			uploads[pi] = gs.ClientUpload{Pairs: pairs, Weight: c.weight}
-		})
-		var weightedLoss float64
-		for _, share := range lossShare {
-			weightedLoss += share
-		}
-
-		// Server selection (lines 8–11) — once; every client receives the
-		// identical B, which is what keeps weights synchronized. The k and
-		// probe-k′ aggregates come out of a single pass over the uploads.
-		var agg, probeAgg gs.Aggregate
-		if directAgg != nil {
-			var err error
-			agg, probeAgg, err = directAgg.Aggregate(directSel, uploads, kInt, probeInt)
-			if err != nil {
-				return nil, fmt.Errorf("fl: round %d direct aggregation: %w", m, err)
-			}
-		} else if shardedAgg != nil {
-			agg, probeAgg = shardedAgg.Aggregate(shardSel, uploads, kInt, probeInt)
-		} else if scratchAgg != nil {
-			agg, probeAgg = scratchAgg.AggregateInto(aggScratch, uploads, kInt, probeInt)
-		} else {
-			agg = cfg.Strategy.Aggregate(uploads, kInt)
-			if probeInt > 0 {
-				probeAgg = cfg.Strategy.Aggregate(uploads, probeInt)
-			}
-		}
-		if cfg.QuantBits > 0 {
-			// In place on the aggregation scratch — rebuilt from the
-			// uploads next round, so nothing downstream sees the
-			// unquantized values.
-			sparse.QuantizeInPlace(agg.Values, cfg.QuantBits)
-			if probeInt > 0 {
-				sparse.QuantizeInPlace(probeAgg.Values, cfg.QuantBits)
-			}
-		}
-
-		// (B)–(D) + lines 13–17. Every client (participant or not)
-		// applies the broadcast update; only participants measure the
-		// probe losses and carry residuals from this round. Fanned out
-		// over the worker pool: each iteration touches only its own
-		// client's state plus the read-only broadcast (agg, probeAgg, and
-		// the arena's epoch slabs), and probe/current losses land in
-		// pi-indexed slots.
-		ar.stampInJ(agg.Indices)
-		ar.stampParticipants(participants)
-		eta := cfg.LearningRate
-		parallelFor(cfg.Workers, nClients, func(ci, w int) {
-			c := clients[ci]
-			params := c.net.Params()
-			pi := ar.participantPos(ci)
-			isPart := pi >= 0
-			if probeInt > 0 && isPart {
-				// w′(m) = w(m−1) − η·∇′: apply, measure, restore exactly.
-				if cap(ar.saved[w]) < len(probeAgg.Indices) {
-					ar.saved[w] = make([]float64, len(probeAgg.Indices))
-				}
-				saved := ar.saved[w][:len(probeAgg.Indices)]
-				for vi, j := range probeAgg.Indices {
-					saved[vi] = params[j]
-					params[j] -= eta * probeAgg.Values[vi]
-				}
-				fProbe[pi] = c.net.Loss(hx[pi], hy[pi])
-				for vi, j := range probeAgg.Indices {
-					params[j] = saved[vi]
-				}
-			}
-			// Line 15: w(m) = w(m−1) − η·∇s.
-			for vi, j := range agg.Indices {
-				params[j] -= eta * agg.Values[vi]
-			}
-			if !isPart {
-				return
-			}
-			fCur[pi] = c.net.Loss(hx[pi], hy[pi])
-			// Lines 16–17: subtract the residual mass the server consumed.
-			// For exact uploads this zeroes a_ij (x − x == 0); with
-			// quantization it keeps the quantization error accumulated —
-			// error feedback extends to the combined GS+quantization case.
-			pairs := uploads[pi].Pairs
-			for vi, j := range pairs.Idx {
-				if ar.inJ[j] == ar.inJGen {
-					c.acc[j] -= pairs.Val[vi]
-				}
-			}
-		})
-
-		if cfg.CheckSync {
-			if err := checkSync(clients); err != nil {
-				return nil, fmt.Errorf("round %d: %w", m, err)
-			}
-		}
-
-		// Normalized-time accounting.
-		uplink, downlink := payloadUnits(cfg.Strategy, d, kInt, len(agg.Indices), elemUnits)
-		if probeInt > 0 {
-			// Step ③: difference between k- and k′-element GS results.
-			diff := len(agg.Indices) - len(probeAgg.Indices)
-			if diff < 0 {
-				diff = 0
-			}
-			downlink += float64(diff) * elemUnits
-			// Step ④: three one-sample losses up; ⑤: k_{m+1} down.
-			uplink += 3
-			downlink += 1
-		}
-		roundTime := cost.RoundTime(uplink, downlink)
-		clock.Advance(roundTime)
-
-		obs := core.Observation{
-			Round:      m,
-			K:          kCont,
-			RoundTime:  roundTime,
-			GlobalLoss: weightedLoss,
-			LossPrev:   mean(fPrev),
-			LossCur:    mean(fCur),
-			LossProbe:  math.NaN(),
-		}
-		if probeInt > 0 {
-			obs.ProbeK = float64(probeInt)
-			obs.ProbeRoundTime = cost.RoundTime(float64(probeInt)*elemUnits, float64(probeInt)*elemUnits)
-			obs.LossProbe = mean(fProbe)
-		}
-		ctrl.Observe(obs)
-
-		stats := RoundStats{
-			Round:         m,
-			K:             kInt,
-			KCont:         kCont,
-			RoundTime:     roundTime,
-			Time:          clock.Now(),
-			Loss:          weightedLoss,
-			DownlinkElems: len(agg.Indices),
-			Participants:  nPart,
-			Population:    population,
-			CohortSize:    cohortSize,
-			ChurnEvents:   churnEvents,
-			TestAcc:       math.NaN(),
-			TestLoss:      math.NaN(),
-			TrainLoss:     math.NaN(),
-		}
-		if cfg.RecordPerClient {
-			// Remap participant-indexed counts onto the full client list
-			// (non-participants contribute 0 this round). This escapes
-			// into the returned stats, so it is the one per-round
-			// allocation the recording knob keeps.
-			used := make([]int, nClients)
-			for pi, ci := range participants {
-				used[ci] = agg.PerClientUsed[pi]
-			}
-			stats.PerClientUsed = used
-		}
-		maybeEval(&cfg, &stats, clients[0].net, clients, totalWeight, m)
-		if dur != nil {
-			if err := dur.commit(&stats, clients); err != nil {
-				return nil, err
-			}
-			stats.WALAppends, stats.WALSnapshots = dur.appends, dur.snaps
-		}
-		sink.OnRoundEnd(stats)
-
-		if cfg.MaxTime > 0 && clock.Now() >= cfg.MaxTime {
-			break
-		}
-		if cfg.HaltAfter > 0 && m == cfg.HaltAfter {
-			break
-		}
-	}
-	res.Stats = coll.Events
-	res.Final = clients[0].net
-	return res, nil
-}
-
-// pickParticipantsInto draws the round's client subset into dst: everyone
-// when p is 0 or 1, otherwise ⌈p·N⌉ clients uniformly without replacement
-// (sorted, so downstream iteration order is deterministic). perm is the
-// shuffle scratch; both buffers are grown as needed and returned.
-//
-// The draw runs an inside-out Fisher–Yates over the scratch buffer,
-// consuming exactly the n Intn draws rand.Perm consumes, in the same
-// order — it is the legacy rng.Perm(n)[:count] draw minus the per-round
-// allocations, so engine rng streams (and therefore whole runs) are
-// bit-identical to the historical behavior. TestPickParticipantsSequence-
-// Compat pins both the output and the rng consumption against rand.Perm.
+// pickParticipantsInto is the Participation draw in its historical,
+// roster-free form: everyone when p is 0 or 1, otherwise ⌈p·N⌉ clients
+// uniformly without replacement (sorted). The round loop draws through
+// popState.drawInto — the same two steps over the active population;
+// this form stays as the one TestPickParticipantsSequenceCompat pins,
+// output and rng consumption, against the legacy rng.Perm(n)[:count]:
+// the anchor that keeps whole runs bit-identical to historical behavior.
 func pickParticipantsInto(dst, perm []int, p float64, n int, rng *rand.Rand) ([]int, []int) {
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
+	count, shuffle := participationCount(p, n)
+	return drawPositions(dst, perm, count, shuffle, n, rng)
+}
+
+// participationCount is how many of n clients Participation p selects
+// — ⌈p·n⌉ clamped to [1, n] — and whether picking them takes a shuffle:
+// 0 and 1 mean everyone and draw nothing, while a p in (0, 1) always
+// shuffles, even when ⌈p·n⌉ = n, because rng.Perm(n)[:count] did.
+func participationCount(p float64, n int) (count int, shuffle bool) {
 	if p <= 0 || p >= 1 {
-		dst = dst[:n]
-		for i := range dst {
-			dst[i] = i
+		return n, false
+	}
+	return min(max(int(math.Ceil(p*float64(n))), 1), n), true
+}
+
+// drawPositions is the core of every participant draw: count of the n
+// positions [0, n), ascending, into dst. Without a shuffle that is all
+// of them and no rng is consumed; with one it is an inside-out
+// Fisher–Yates over the perm scratch (exactly the n Intn draws rand.Perm
+// consumes, in the same order) whose first count entries are kept and
+// sorted. Both buffers are grown as needed and returned.
+func drawPositions(dst, perm []int, count int, shuffle bool, n int, rng *rand.Rand) ([]int, []int) {
+	dst = slices.Grow(dst[:0], n)
+	if !shuffle {
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
 		}
 		return dst, perm
 	}
-	count := int(math.Ceil(p * float64(n)))
-	if count < 1 {
-		count = 1
-	}
-	if count > n {
-		count = n
-	}
-	return drawCountInto(dst, perm, count, n, rng)
-}
-
-// drawCountInto is the count-based core of the participation draw:
-// count of n positions uniformly without replacement via an inside-out
-// Fisher–Yates (exactly the n Intn draws rand.Perm consumes, in the
-// same order), sorted ascending. Shared by pickParticipantsInto and
-// the population tier's cohort draw (popState.drawInto, and the
-// transport population server's mirror of it) so every sampling knob
-// consumes one rng sequence.
-func drawCountInto(dst, perm []int, count, n int, rng *rand.Rand) ([]int, []int) {
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	if cap(perm) < n {
-		perm = make([]int, n)
-	}
-	perm = perm[:n]
+	perm = slices.Grow(perm[:0], n)[:n]
 	for i := 0; i < n; i++ {
 		j := rng.Intn(i + 1)
 		perm[i] = perm[j]
 		perm[j] = i
 	}
-	dst = dst[:count]
-	copy(dst, perm[:count])
+	dst = append(dst, perm[:count]...)
 	slices.Sort(dst)
 	return dst, perm
 }
@@ -940,12 +513,9 @@ func reduceWeighted(workers int, dst []float64, weights []float64, vecs [][]floa
 // aggregated weights) on the clients' minibatches — measuring at the
 // drifted local weights would under-report the loss, because each local
 // model overfits its own non-i.i.d. shard between aggregations.
-func runFedAvg(cfg Config, clients []*client, totalWeight float64,
-	cost simtime.CostModel, _ *rand.Rand) (*Result, error) {
-
+func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.CostModel) (*Result, error) {
 	d := clients[0].net.D()
 	period := simtime.FedAvgPeriod(d, cfg.FedAvgKEquiv)
-	res := &Result{}
 	coll := &Collector{}
 	sink := MultiObserver(coll, cfg.Observer)
 	var clock simtime.Clock
@@ -990,10 +560,7 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64,
 			// Local step: weights diverge between aggregations.
 			tensor.AXPY(-cfg.LearningRate, c.net.Grads(), c.net.Params())
 		})
-		var weightedLoss float64
-		for _, share := range lossShare {
-			weightedLoss += share
-		}
+		weightedLoss := sum(lossShare)
 		roundTime := cost.CompPerRound
 		aggregated := m%period == 0
 		if aggregated {
@@ -1035,9 +602,7 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64,
 			break
 		}
 	}
-	res.Stats = coll.Events
-	res.Final = globalNet
-	return res, nil
+	return &Result{Stats: coll.Events, Final: globalNet}, nil
 }
 
 // resolveProbe converts the controller's continuous k′ into an integer
@@ -1099,10 +664,14 @@ func checkSync(clients []*client) error {
 	return nil
 }
 
-func mean(xs []float64) float64 {
+// sum adds xs in index order from +0 — the fixed-order reduction over
+// the fan-outs' position-indexed slots.
+func sum(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		s += x
 	}
-	return s / float64(len(xs))
+	return s
 }
+
+func mean(xs []float64) float64 { return sum(xs) / float64(len(xs)) }

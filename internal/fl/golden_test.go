@@ -2,7 +2,6 @@ package fl
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -153,7 +152,7 @@ func TestEngineGoldenTrajectories(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := fingerprint(res); got != wantDurable {
-			t.Errorf("%s: fingerprint %#x, want %#x", fmt.Sprintf("wal-halt-resume workers=%d", workers), got, wantDurable)
+			t.Errorf("wal-halt-resume workers=%d: fingerprint %#x, want %#x", workers, got, wantDurable)
 		}
 	}
 }

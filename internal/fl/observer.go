@@ -26,10 +26,11 @@ type RoundEvent struct {
 	DownlinkElems int
 	// Participants is how many clients computed and uploaded this round.
 	Participants int
-	// Population is how many clients were drawable this round — the
-	// active population after churn (the full client count when churn
-	// is off). Zero in engine modes that predate the population tier
-	// (FedAvg, the async pipeline's transport twin).
+	// Population is how many clients were drawable when this round's
+	// cohort was drawn — the active population after churn (the full
+	// client count when churn is off), at any Staleness. Zero from
+	// publishers without a roster: FedAvg, and the transport tiers
+	// other than the population server.
 	Population int
 	// CohortSize is how many clients the participation draw selected
 	// this round, before deadline dropouts removed any. Equal to
@@ -86,6 +87,16 @@ type RoundStats = RoundEvent
 // the flsim roles all publish to one: OnRoundStart fires before a
 // round's fan-out, OnRoundEnd after its stats are final, and OnRunEnd
 // exactly once when the run returns (nil on success).
+//
+// Starts and ends each arrive in round order, every round at most once,
+// and a round's end follows its start. Under a bounded-staleness window
+// W (Config.Staleness) a round starts at its phase A and ends at its
+// seal W steps later, so starts lead ends by at most W: the stream reads
+// start 1 … start W+1, end 1, start W+2, end 2, … and W = 0 is the
+// strict start/end alternation. A run that completes ends every round it
+// started. A run stopped early — MaxTime, HaltAfter, or an error — ends
+// with up to W rounds started and never ended: their phase A ran, their
+// seal did not, and no RoundEvent exists for them.
 //
 // Calls are synchronous on the run's coordinator goroutine, at round
 // boundaries only — never inside worker loops — so an implementation

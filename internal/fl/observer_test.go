@@ -17,21 +17,45 @@ func (r *recObserver) OnRoundStart(round int)   { r.starts = append(r.starts, ro
 func (r *recObserver) OnRoundEnd(ev RoundEvent) { r.events = append(r.events, ev) }
 func (r *recObserver) OnRunEnd(err error)       { r.done, r.err = true, err }
 
-// requireRoundSequence checks the exactly-once contract: starts and
-// events both cover rounds 1..n in order.
+// requireRoundSequence checks the exactly-once contract of a run that
+// was not cut short: starts and events both cover rounds 1..n in order.
 func requireRoundSequence(t *testing.T, rec *recObserver, n int) {
 	t.Helper()
-	if len(rec.starts) != n || len(rec.events) != n {
-		t.Fatalf("observer saw %d starts / %d events, want %d each", len(rec.starts), len(rec.events), n)
+	requireWindowedSequence(t, rec, n, n)
+}
+
+// requireWindowedSequence is the contract in full: starts cover rounds
+// 1..started and events rounds 1..ended, each in order and exactly once.
+func requireWindowedSequence(t *testing.T, rec *recObserver, started, ended int) {
+	t.Helper()
+	if len(rec.starts) != started || len(rec.events) != ended {
+		t.Fatalf("observer saw %d starts / %d events, want %d / %d", len(rec.starts), len(rec.events), started, ended)
 	}
-	for i := 0; i < n; i++ {
-		if rec.starts[i] != i+1 {
-			t.Fatalf("start %d is round %d, want %d", i, rec.starts[i], i+1)
-		}
-		if rec.events[i].Round != i+1 {
-			t.Fatalf("event %d is round %d, want %d", i, rec.events[i].Round, i+1)
+	for i, round := range rec.starts {
+		if round != i+1 {
+			t.Fatalf("start %d is round %d, want %d", i, round, i+1)
 		}
 	}
+	for i, ev := range rec.events {
+		if ev.Round != i+1 {
+			t.Fatalf("event %d is round %d, want %d", i, ev.Round, i+1)
+		}
+	}
+}
+
+// orderObserver checks the interleaving as it happens: when round r
+// ends, the starts seen so far must be exactly 1..min(r+W, Rounds).
+type orderObserver struct {
+	recObserver
+	t         *testing.T
+	w, rounds int
+}
+
+func (o *orderObserver) OnRoundEnd(ev RoundEvent) {
+	if want := min(ev.Round+o.w, o.rounds); len(o.starts) != want {
+		o.t.Fatalf("round %d ended after %d starts, want %d (W=%d)", ev.Round, len(o.starts), want, o.w)
+	}
+	o.recObserver.OnRoundEnd(ev)
 }
 
 // TestObserverPassiveAndExactlyOnce pins the two halves of the observer
@@ -58,6 +82,37 @@ func TestObserverPassiveAndExactlyOnce(t *testing.T) {
 	assertSameStats(t, rec.events, res.Stats)
 	if !rec.done || rec.err != nil {
 		t.Fatalf("OnRunEnd: done=%v err=%v", rec.done, rec.err)
+	}
+
+	// Under a window the same holds, with starts leading ends by W …
+	cfg.Observer = nil
+	cfg.Staleness = 1
+	ref, err = Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := &orderObserver{t: t, w: 1, rounds: cfg.Rounds}
+	cfg.Observer = win
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	assertSameStats(t, res.Stats, ref.Stats)
+	requireRoundSequence(t, &win.recObserver, cfg.Rounds)
+	assertSameStats(t, win.events, res.Stats)
+
+	// … and a MaxTime stop leaves the W rounds in flight started but
+	// never ended: no event exists for a round that did not seal.
+	cfg.MaxTime = ref.Stats[5].Time
+	cut := &orderObserver{t: t, w: 1, rounds: cfg.Rounds}
+	cfg.Observer = cut
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	requireWindowedSequence(t, &cut.recObserver, 7, 6)
+	assertSameStats(t, cut.events, ref.Stats[:6])
+	assertSameStats(t, cut.events, res.Stats)
+	if !cut.done || cut.err != nil {
+		t.Fatalf("OnRunEnd after a MaxTime stop: done=%v err=%v", cut.done, cut.err)
 	}
 }
 

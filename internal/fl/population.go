@@ -1,18 +1,19 @@
-// Population semantics of the synchronous GS engine: the active-set
-// bookkeeping behind Config.Cohort, Config.Churn, and Config.Dropout.
-// The engine's historical behavior — everyone drawable, Participation
-// as the only sampling knob — is the popState-free fast path in runGS;
-// a popState exists only when one of the three knobs is set, and its
-// draw is rng-sequence-compatible with pickParticipantsInto so the
-// differential grids can pin cohort-sampled runs bit-identical to
-// their Participation twins (and full-cohort runs to the plain
-// engine). The transport package's population server mirrors exactly
-// this logic over the wire — see internal/transport/population.go.
+// The GS engine's roster: the active-set bookkeeping behind
+// Config.Participation, Config.Cohort, Config.Churn, and Config.Dropout.
+// Every run has one popState and every round's participants come from
+// its draw, in phase A, at any Staleness. The engine's historical
+// behavior — everyone drawable, Participation as the only sampling knob
+// — is this roster with everyone active and nil schedules: the draw is
+// the legacy rng.Perm(n)[:count] sequence (pinned through
+// pickParticipantsInto), and it consumes no rng when nothing is sampled,
+// so cohort-sampled runs are bit-identical to their Participation twins
+// and full-cohort runs to the plain engine. The transport package's
+// population server mirrors exactly this logic over the wire — see
+// internal/transport/population.go.
 package fl
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -27,15 +28,12 @@ type popState struct {
 
 	active    []int
 	activeSet []bool
+	perm      []int // Fisher–Yates scratch of the draw
 }
 
-// newPopState builds the population tracker, or returns nil when none
-// of the population knobs are set (the engine then keeps its historical
-// draw path untouched).
+// newPopState builds the roster with everyone active; with no population
+// knob set it stays that way and draws exactly as Participation says.
 func newPopState(cfg *Config, nClients int) *popState {
-	if cfg.Cohort == 0 && cfg.Churn == nil && cfg.Dropout == nil {
-		return nil
-	}
 	ps := &popState{
 		cohort:    cfg.Cohort,
 		p:         cfg.Participation,
@@ -93,48 +91,44 @@ func (ps *popState) applyChurn(round int) (int, error) {
 	return len(join) + len(leave), nil
 }
 
-// drawCount is the cohort size for a drawable population of n:
-// Cohort clamped to n when set, else Participation's ⌈p·n⌉, else n.
-func (ps *popState) drawCount(n int) int {
-	count := n
+// drawCount is the cohort size for a drawable population of n — Cohort
+// clamped to n when set, else what Participation says — and whether
+// picking it takes a shuffle: a cohort covering the population does not.
+func (ps *popState) drawCount(n int) (count int, shuffle bool) {
 	if ps.cohort > 0 {
-		count = ps.cohort
-	} else if ps.p > 0 && ps.p < 1 {
-		count = int(math.Ceil(ps.p * float64(n)))
+		return min(ps.cohort, n), ps.cohort < n
 	}
-	if count < 1 {
-		count = 1
-	}
-	if count > n {
-		count = n
-	}
-	return count
+	return participationCount(ps.p, n)
 }
 
-// drawInto draws the round's cohort from the active population into
-// dst (sorted client IDs). The rng consumption matches
-// pickParticipantsInto exactly: zero draws when the whole population
-// participates, one inside-out Fisher–Yates over the active count
-// otherwise — so with everyone active the output AND the rng stream
-// are identical to the Participation path.
-func (ps *popState) drawInto(dst, perm []int, rng *rand.Rand) ([]int, []int) {
+// drawInto draws the round's cohort from the active population into dst
+// (sorted client IDs): the position draw every sampling knob shares, so
+// with everyone active the output AND the rng stream are those of the
+// historical Participation draw — zero draws when nothing is sampled,
+// one Fisher–Yates over the active count otherwise.
+func (ps *popState) drawInto(dst []int, rng *rand.Rand) []int {
 	n := len(ps.active)
-	count := ps.drawCount(n)
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	if count >= n {
-		dst = dst[:n]
-		copy(dst, ps.active)
-		return dst, perm
-	}
-	dst, perm = drawCountInto(dst, perm, count, n, rng)
+	count, shuffle := ps.drawCount(n)
+	dst, ps.perm = drawPositions(dst, ps.perm, count, shuffle, n, rng)
 	// Map drawn positions to client IDs. active ascends, so the sorted
 	// positions map to sorted IDs — no re-sort needed.
 	for i, pos := range dst {
 		dst[i] = ps.active[pos]
 	}
-	return dst, perm
+	return dst
+}
+
+// draw advances the roster one round: apply the round's churn, draw the
+// cohort from the active population into dst, and filter it through the
+// dropout schedule. drawn is the pre-dropout draw size; the drawable
+// population is len(ps.active) afterwards.
+func (ps *popState) draw(dst []int, round int, rng *rand.Rand) (cohort []int, drawn, churnEvents int, err error) {
+	if churnEvents, err = ps.applyChurn(round); err != nil {
+		return nil, 0, 0, err
+	}
+	dst = ps.drawInto(dst, rng)
+	cohort, err = ps.applyDropout(dst, round)
+	return cohort, len(dst), churnEvents, err
 }
 
 // CohortSampler is the exported form of the engine's population draw,
@@ -147,7 +141,6 @@ func (ps *popState) drawInto(dst, perm []int, rng *rand.Rand) ([]int, []int) {
 type CohortSampler struct {
 	ps           *popState
 	participants []int
-	perm         []int
 }
 
 // NewCohortSampler builds a sampler over a population of nClients.
@@ -161,12 +154,7 @@ func NewCohortSampler(nClients, cohort int, churn func(round int) (join, leave [
 		return nil, fmt.Errorf("fl: cohort %d outside [0, %d]", cohort, nClients)
 	}
 	cfg := Config{Cohort: cohort, Churn: churn, Dropout: dropout}
-	ps := newPopState(&cfg, nClients)
-	if ps == nil {
-		// No knob set: a trivial sampler that always draws everyone.
-		ps = newPopState(&Config{Cohort: nClients}, nClients)
-	}
-	return &CohortSampler{ps: ps}, nil
+	return &CohortSampler{ps: newPopState(&cfg, nClients)}, nil
 }
 
 // Draw advances one round: apply the round's churn, draw the cohort
@@ -177,16 +165,12 @@ func NewCohortSampler(nClients, cohort int, churn func(round int) (join, leave [
 // engine's Population/CohortSize stats). The returned cohort is sorted
 // ascending and reused across calls.
 func (cs *CohortSampler) Draw(round int, rng *rand.Rand) (cohort []int, population, drawn, churnEvents int, err error) {
-	if churnEvents, err = cs.ps.applyChurn(round); err != nil {
+	cohort, drawn, churnEvents, err = cs.ps.draw(cs.participants[:0], round, rng)
+	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	population = len(cs.ps.active)
-	cs.participants, cs.perm = cs.ps.drawInto(cs.participants, cs.perm, rng)
-	drawn = len(cs.participants)
-	if cs.participants, err = cs.ps.applyDropout(cs.participants, round); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	return cs.participants, population, drawn, churnEvents, nil
+	cs.participants = cohort
+	return cohort, len(cs.ps.active), drawn, churnEvents, nil
 }
 
 // applyDropout filters the drawn cohort through the deadline-dropout

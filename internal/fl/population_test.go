@@ -3,13 +3,14 @@ package fl
 import (
 	"strings"
 	"testing"
+
+	"fedsparse/internal/gs"
 )
 
-// TestCohortEqualsPopulationBitIdenticalToPlain is the population
-// tier's dormancy guarantee (and the PR's acceptance criterion): a run
-// with Cohort = N routes the draw through the popState machinery but
-// consumes zero rng — exactly like the plain engine's everyone-
-// participates shortcut — so the whole trajectory is bit-identical.
+// TestCohortEqualsPopulationBitIdenticalToPlain: a run with Cohort = N
+// samples nothing, so the roster draw consumes zero rng — exactly like
+// full Participation — and the whole trajectory is bit-identical to the
+// plain run's.
 func TestCohortEqualsPopulationBitIdenticalToPlain(t *testing.T) {
 	plain := diffConfig()
 	ref, err := Run(plain)
@@ -170,10 +171,6 @@ func TestPopulationValidation(t *testing.T) {
 			c.FedAvgKEquiv = 100
 			c.Churn = func(int) ([]int, []int) { return nil, nil }
 		}, "GS mode only"},
-		{"dropout with staleness", func(c *Config) {
-			c.Staleness = 1
-			c.Dropout = func(int, int) bool { return false }
-		}, "synchronous engine"},
 		{"churn with wal", func(c *Config) {
 			c.WALDir = t.TempDir()
 			c.Churn = func(int) ([]int, []int) { return nil, nil }
@@ -235,5 +232,105 @@ func TestChurnValidationErrors(t *testing.T) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPopulationComposesWithWindow covers the combination the single
+// round pipeline makes legal: a sampled cohort under churn and deadline
+// dropouts, drawn in phase A, with a bounded-staleness window and a
+// lateness schedule at the seal. The run is bit-identical across worker
+// counts, keeps every client's weights synchronized, and publishes the
+// population fields and the window fields on the same RoundEvent.
+func TestPopulationComposesWithWindow(t *testing.T) {
+	mk := func(workers int) Config {
+		cfg := diffConfig()
+		cfg.Cohort = 3
+		cfg.Churn = goldenChurn
+		cfg.Dropout = func(client, round int) bool { return round == 4 && client%2 == 1 }
+		cfg.Staleness = 1
+		cfg.Delays = func(client, round int) int { return (client + round) % 3 } // 2 misses W=1
+		cfg.CheckSync = true
+		cfg.Workers = workers
+		return cfg
+	}
+	ref, err := Run(mk(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(mk(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, "cohort+churn+dropout+window", ref, got)
+
+	var sawChurn, sawStale, sawDropout bool
+	for _, st := range ref.Stats {
+		wantPop := 8
+		switch {
+		case st.Round >= 5:
+			wantPop = 6 // 0 and 7 out, 5 back
+		case st.Round >= 3:
+			wantPop = 6 // 0 and 5 out
+		}
+		if st.Population != wantPop || st.CohortSize != 3 {
+			t.Fatalf("round %d: population %d cohort %d, want %d and 3", st.Round, st.Population, st.CohortSize, wantPop)
+		}
+		wantDepth := 1
+		if st.Round == len(ref.Stats) {
+			wantDepth = 0
+		}
+		if st.WindowDepth != wantDepth {
+			t.Fatalf("round %d: WindowDepth = %d, want %d", st.Round, st.WindowDepth, wantDepth)
+		}
+		sawChurn = sawChurn || st.ChurnEvents > 0 && st.WindowDepth > 0
+		sawStale = sawStale || st.StaleSlices > 0 && st.ResidualNorm > 0 && st.Population < 8
+		sawDropout = sawDropout || st.Participants < st.CohortSize
+	}
+	if !sawChurn || !sawStale || !sawDropout {
+		t.Fatalf("no round carried churn with a window (%v), a folded upload under churn (%v), a dropout (%v)",
+			sawChurn, sawStale, sawDropout)
+	}
+
+	// And the knobs stay dormant together: a full cohort, no schedules
+	// and an all-on-time Delays at W = 0 is the plain run.
+	plain, err := Run(diffConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dormant := diffConfig()
+	dormant.Cohort = dormant.Data.NumClients()
+	dormant.Delays = zeroDelays
+	got, err = Run(dormant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, "dormant cohort+delays", plain, got)
+}
+
+// TestScheduleKnobsLeaveParticipationDrawAlone: Churn and Dropout are
+// documented to consume no rng, so schedules that never fire must not
+// move a Participation run — including where ⌈p·N⌉ = N and the draw
+// still shuffles (0.9 of 8), which a separate population draw path used
+// to short-circuit. Periodic-k's mandated draw exposes the rng stream.
+func TestScheduleKnobsLeaveParticipationDrawAlone(t *testing.T) {
+	for _, p := range []float64{0.5, 0.9} {
+		mk := func() Config {
+			cfg := diffConfig()
+			cfg.Strategy = gs.PeriodicK{}
+			cfg.Participation = p
+			return cfg
+		}
+		ref, err := Run(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := mk()
+		cfg.Churn = func(int) ([]int, []int) { return nil, nil }
+		cfg.Dropout = func(int, int) bool { return false }
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, "idle schedules", ref, got)
 	}
 }

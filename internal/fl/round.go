@@ -1,0 +1,544 @@
+// The GS round pipeline: Algorithm 1 plus the Fig. 3 adaptive-k schedule
+// as one phase A (decide k, draw the roster, local gradients, top-k into
+// the round's slot) and one seal (admit or fold each upload, aggregate,
+// broadcast, probe losses, observe), driven by a single step loop over a
+// ring of W+1 in-flight rounds, W = Config.Staleness. Step m runs round
+// m's phase A at the weights of round m−W−1 — W broadcasts are still in
+// flight — and then seals round m−W. At W = 0 that is "phase A of m, then
+// seal of m": the lockstep engine is the window at zero, not a second
+// loop, and every knob (population, shards, quantization, durability)
+// meets the window in this one body.
+//
+// Where the measurements sit: the probe sample h is drawn in phase A (it
+// is a client rng draw) but its three one-sample losses f(w(r−1)),
+// f(w′(r)), f(w(r)) are all measured at the seal, so they bracket the
+// update being applied and not a W-rounds-stale snapshot; at W = 0 the
+// seal's weights are the ones phase A saw. The minibatch loss (the
+// controller's global-loss input) stays a phase-A quantity: at W > 0 it
+// is measured at the lagged weights, which is what an overlapped
+// deployment reports.
+package fl
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+
+	"fedsparse/internal/core"
+	"fedsparse/internal/gs"
+	"fedsparse/internal/par"
+	"fedsparse/internal/simtime"
+	"fedsparse/internal/sparse"
+	"fedsparse/internal/tensor"
+)
+
+// roundArena holds the per-run buffers the rounds share, allocated once
+// and reused. Participant-indexed slots are re-sliced to the round's
+// participant count; the membership structures are epoch-stamped slabs
+// (slab[i] == generation means "in the set this round"), so clearing them
+// between rounds is O(1). The coordinator stamps the slabs and grows the
+// per-worker buffers between fan-outs; workers only read the former and
+// only use the latter.
+type roundArena struct {
+	// Participant-indexed slots (length = this round's participant count).
+	fPrev, fCur, fProbe []float64
+	lossShare           []float64
+
+	inJ    []int32 // coordinate space: inJ[j] == inJGen means j ∈ J
+	inJGen int32
+
+	partPos   []int   // client space: participant position of client ci …
+	partGen   []int32 // … valid iff partGen[ci] == partEpoch
+	partEpoch int32
+
+	saved [][]float64          // per-worker probe save/restore buffers
+	topk  []sparse.TopKScratch // per-worker top-k working memory
+
+	// mand backs the allocation-free mandated-index draws (periodic-k's
+	// Fisher–Yates, send-all's identity set).
+	mand gs.MandateScratch
+}
+
+func newRoundArena(d, nClients, pool int) *roundArena {
+	return &roundArena{
+		fPrev:     make([]float64, nClients),
+		fCur:      make([]float64, nClients),
+		fProbe:    make([]float64, nClients),
+		lossShare: make([]float64, nClients),
+		inJ:       make([]int32, d),
+		partPos:   make([]int, nClients),
+		partGen:   make([]int32, nClients),
+		saved:     make([][]float64, pool),
+		topk:      make([]sparse.TopKScratch, pool),
+	}
+}
+
+// stampParticipants records each participant's position in the epoch-
+// stamped client-space slab (par.BumpEpoch handles the wrap-clear).
+func (ar *roundArena) stampParticipants(participants []int) {
+	par.BumpEpoch(&ar.partEpoch, ar.partGen)
+	for pi, ci := range participants {
+		ar.partPos[ci] = pi
+		ar.partGen[ci] = ar.partEpoch
+	}
+}
+
+// participantPos returns client ci's participant position, or -1.
+func (ar *roundArena) participantPos(ci int) int {
+	if ar.partGen[ci] == ar.partEpoch {
+		return ar.partPos[ci]
+	}
+	return -1
+}
+
+// stampInJ records the downlink index set J in the coordinate slab.
+func (ar *roundArena) stampInJ(indices []int) {
+	par.BumpEpoch(&ar.inJGen, ar.inJ)
+	for _, j := range indices {
+		ar.inJ[j] = ar.inJGen
+	}
+}
+
+// roundSlot is one in-flight round: everything phase A produces that the
+// seal, W steps later, consumes. The slot owns the upload buffers — top-k
+// writes straight into pairIdx/pairVal, indexed by participant position —
+// so nothing is copied between the client and the server side, and a
+// slot's storage is reused once its round has sealed. The probe sample is
+// kept as the view dataset.BatchInto hands out: samples are immutable.
+type roundSlot struct {
+	kInt, probeInt      int
+	kCont, weightedLoss float64
+
+	population, cohortSize, churnEvents int
+
+	participants []int
+	// mandated is the round's mandated index set (nil on a top-k round),
+	// copied into mandBuf once and aliased by every participant's upload.
+	mandated, mandBuf []int
+	pairIdx           [][]int
+	pairVal           [][]float64
+	uploads           []gs.ClientUpload
+	admitted          []bool
+	hx                [][]float64
+	hy                []int
+}
+
+func newRoundSlot(nClients int) roundSlot {
+	return roundSlot{
+		participants: make([]int, 0, nClients),
+		mandBuf:      []int{}, // non-nil: an empty mandated set is not a top-k round
+		pairIdx:      make([][]int, nClients),
+		pairVal:      make([][]float64, nClients),
+		uploads:      make([]gs.ClientUpload, nClients),
+		admitted:     make([]bool, nClients),
+		hx:           make([][]float64, nClients),
+		hy:           make([]int, nClients),
+	}
+}
+
+// aggregator is the run's server-side selection path, chosen once: the
+// client-direct or the routed sharded tier when configured (validated to
+// be supported, bit-identical to the unsharded path), else the built-in
+// strategies' allocation-free scratch, else — for an external Strategy —
+// two plain Aggregate calls.
+type aggregator struct {
+	strat   gs.Strategy
+	direct  *gs.DirectScratch
+	sharded *gs.ShardedScratch
+	scratch *gs.AggScratch
+}
+
+func newAggregator(cfg *Config, d int) aggregator {
+	a := aggregator{strat: cfg.Strategy}
+	_, scratchable := cfg.Strategy.(gs.ScratchAggregator)
+	switch {
+	case cfg.Direct:
+		a.direct = gs.NewDirectScratch(cfg.Shards, cfg.Workers, d)
+	case cfg.Shards > 0:
+		a.sharded = gs.NewShardedScratch(cfg.Shards, cfg.Workers, d)
+	case scratchable:
+		a.scratch = gs.NewAggScratch(0)
+		a.scratch.Reserve(d) // uploads only carry coordinates < d
+	}
+	return a
+}
+
+// aggregate runs the server selection (lines 8–11) for k and, in the same
+// pass where the path allows it, for the probe k′ (0 = no probe).
+func (a *aggregator) aggregate(uploads []gs.ClientUpload, k, probeK int) (agg, probeAgg gs.Aggregate, err error) {
+	switch {
+	case a.direct != nil:
+		return a.direct.Aggregate(a.strat.(gs.DirectSelector), uploads, k, probeK)
+	case a.sharded != nil:
+		agg, probeAgg = a.sharded.Aggregate(a.strat.(gs.ShardSelector), uploads, k, probeK)
+	case a.scratch != nil:
+		agg, probeAgg = a.strat.(gs.ScratchAggregator).AggregateInto(a.scratch, uploads, k, probeK)
+	default:
+		agg = a.strat.Aggregate(uploads, k)
+		if probeK > 0 {
+			probeAgg = a.strat.Aggregate(uploads, probeK)
+		}
+	}
+	return agg, probeAgg, nil
+}
+
+// gsEngine is one GS run: the state the rounds thread through, and what
+// the two per-client fan-outs read. The fan-out bodies are bound to the
+// engine once (localFn, applyFn) rather than closed over each round's
+// locals, so a round allocates no closure; the coordinator sets cur,
+// partWeight and sel/probeSel between fan-outs and workers only read them.
+type gsEngine struct {
+	cfg         *Config
+	clients     []*client
+	totalWeight float64
+	cost        simtime.CostModel
+	ctrl        core.Controller
+	rng         *rand.Rand // the engine stream: k rounding, mandates, roster
+	d           int
+	dur         *engineWAL // nil unless Config.WALDir
+	sink        Observer
+	clock       simtime.Clock
+	// elemUnits is the per-scalar wire cost of a sparse element: index +
+	// (possibly quantized) value.
+	elemUnits float64
+
+	ar       *roundArena
+	pop      *popState
+	agg      aggregator
+	mandInto gs.MandatedIntoStrategy // nil: draw through Strategy.MandatedIndices
+	ring     []roundSlot
+
+	cur              *roundSlot // the slot the running fan-out fills or drains
+	partWeight       float64
+	sel, probeSel    gs.Aggregate
+	localFn, applyFn func(i, worker int)
+}
+
+// runGS drives the pipeline: phase A of round m while sealing round m−W.
+// Steps beyond cfg.Rounds run no phase A — they drain the last W rounds.
+func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.CostModel,
+	ctrl core.Controller, engineRng *rand.Rand, d int, dur *engineWAL) (*Result, error) {
+
+	// The run's event stream: a built-in Collector rebuilds Result.Stats
+	// from it and the caller's observer (if any) rides along, so both see
+	// the same events in the same order.
+	coll := &Collector{}
+	nClients := len(clients)
+	e := &gsEngine{
+		cfg: &cfg, clients: clients, totalWeight: totalWeight, cost: cost,
+		ctrl: ctrl, rng: engineRng, d: d, dur: dur,
+		sink:      MultiObserver(coll, cfg.Observer),
+		elemUnits: 2,
+		ar:        newRoundArena(d, nClients, poolSize(cfg.Workers, nClients)),
+		pop:       newPopState(&cfg, nClients),
+		agg:       newAggregator(&cfg, d),
+		ring:      make([]roundSlot, cfg.Staleness+1),
+	}
+	if cfg.QuantBits > 0 && cfg.QuantBits < 64 {
+		e.elemUnits = 1 + float64(cfg.QuantBits)/64
+	}
+	// Mandated-index strategies draw through the arena scratch when they
+	// support it: same rng stream and indices, no per-round slice.
+	e.mandInto, _ = cfg.Strategy.(gs.MandatedIntoStrategy)
+	for i := range e.ring {
+		e.ring[i] = newRoundSlot(nClients)
+	}
+	e.localFn, e.applyFn = e.localStep, e.applyBroadcast
+
+	// A resumed run reports the rounds before the restored snapshot from
+	// the log (the state to recompute them is gone by design — that is
+	// what the snapshot bounds) and recomputes everything after it, each
+	// round verified bit-exactly against its logged record in commit. The
+	// prefix flows through the event stream too — WAL counters zero — so
+	// a resumed run's stream and Stats cover every round exactly once.
+	start := 1
+	if dur != nil {
+		for _, ev := range dur.logged[:dur.snapRound] {
+			e.sink.OnRoundStart(ev.Round)
+			e.sink.OnRoundEnd(ev)
+		}
+		e.clock.Advance(dur.clock0)
+		start = dur.snapRound + 1
+	}
+	for step := start; step <= cfg.Rounds+cfg.Staleness; step++ {
+		if step <= cfg.Rounds {
+			if err := e.phaseA(step); err != nil {
+				return nil, err
+			}
+		}
+		if r := step - cfg.Staleness; r >= 1 {
+			stop, err := e.seal(r)
+			if err != nil {
+				return nil, err
+			}
+			if stop {
+				break
+			}
+		}
+	}
+	return &Result{Stats: coll.Events, Final: clients[0].net}, nil
+}
+
+// phaseA opens round m: the controller's k, the mandated set, the roster,
+// and every participant's local step (see localStep), at whatever weights
+// the clients hold — those of round m−W−1.
+func (e *gsEngine) phaseA(m int) error {
+	cfg, ar := e.cfg, e.ar
+	e.sink.OnRoundStart(m)
+	slot := &e.ring[m%len(e.ring)]
+	dec := e.ctrl.Decide(m)
+	slot.kCont = core.Project(dec.K, 1, float64(e.d))
+	slot.kInt = min(max(sparse.StochasticRound(slot.kCont, e.rng), 1), e.d)
+	slot.probeInt = resolveProbe(dec.ProbeK, slot.kInt, e.rng)
+
+	var mandated []int
+	if e.mandInto != nil {
+		mandated = e.mandInto.MandatedIndicesInto(&ar.mand, m, e.d, slot.kInt, e.rng)
+	} else {
+		mandated = cfg.Strategy.MandatedIndices(m, e.d, slot.kInt, e.rng)
+	}
+	slot.mandated = nil
+	if mandated != nil {
+		slot.mandBuf = append(slot.mandBuf[:0], mandated...)
+		slot.mandated = slot.mandBuf
+	} else {
+		// Grown here, where k is known, and not by whichever worker first
+		// meets it: the run's allocation count is then a function of the
+		// k trajectory alone, not of goroutine scheduling.
+		for w := range ar.topk {
+			ar.topk[w].Reserve(e.d, slot.kInt)
+		}
+	}
+
+	// The roster: churn, then the draw from the active population, then
+	// deadline dropouts — the one participant draw at every W.
+	cohort, drawn, churnEvents, err := e.pop.draw(slot.participants[:0], m, e.rng)
+	if err != nil {
+		return err
+	}
+	slot.participants, slot.cohortSize, slot.churnEvents = cohort, drawn, churnEvents
+	slot.population = len(e.pop.active)
+	nPart := len(cohort)
+
+	// (A) Local gradient computation and accumulation at every
+	// participant, fanned out over the worker pool: every write lands in
+	// a slot indexed by participant position pi and the weighted-loss
+	// reduction runs in pi order — bit-identical at any worker count.
+	e.partWeight = 0
+	for _, ci := range slot.participants {
+		e.partWeight += e.clients[ci].weight
+	}
+	e.cur = slot
+	parallelFor(cfg.Workers, nPart, e.localFn)
+	slot.weightedLoss = sum(ar.lossShare[:nPart])
+	return nil
+}
+
+// localStep is participant pi's phase A: minibatch gradient into the
+// residual accumulator, the one-sample probe point h (Section IV-E), and
+// the upload — the mandated coordinates or the top-k of the accumulator —
+// written into the round's slot.
+func (e *gsEngine) localStep(pi, w int) {
+	slot, cfg := e.cur, e.cfg
+	c := e.clients[slot.participants[pi]]
+	c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
+	batchLoss := c.net.MeanLossGrad(c.xs, c.ys)
+	tensor.AXPY(1, c.net.Grads(), c.acc)
+	e.ar.lossShare[pi] = c.weight / e.partWeight * batchLoss
+
+	h := c.rng.Intn(len(c.xs))
+	slot.hx[pi], slot.hy[pi] = c.xs[h], c.ys[h]
+
+	pairs := sparse.Vec{Idx: slot.mandated, Val: slot.pairVal[pi]}
+	if pairs.Idx != nil {
+		pairs.Val = slices.Grow(pairs.Val[:0], len(pairs.Idx))[:len(pairs.Idx)]
+		for vi, j := range pairs.Idx {
+			pairs.Val[vi] = c.acc[j]
+		}
+	} else {
+		pairs.Idx = slot.pairIdx[pi]
+		pairs = sparse.TopKInto(pairs, &e.ar.topk[w], c.acc, slot.kInt)
+		slot.pairIdx[pi] = pairs.Idx
+	}
+	slot.pairVal[pi] = pairs.Val
+	if cfg.QuantBits > 0 {
+		// In place: the values are copies of acc in the slot's own
+		// buffer, the same pre-send snap the wire protocol applies — one
+		// shared quantization semantics, no per-round clone.
+		sparse.QuantizeInPlace(pairs.Val, cfg.QuantBits)
+	}
+	slot.uploads[pi] = gs.ClientUpload{Pairs: pairs, Weight: c.weight}
+}
+
+// seal closes round r: admit or fold each upload, select once — every
+// client receives the identical B, which is what keeps weights
+// synchronized — broadcast (see applyBroadcast), account the round's
+// time, feed the controller and publish the round. stop reports that the
+// run's MaxTime or HaltAfter was reached.
+func (e *gsEngine) seal(r int) (stop bool, err error) {
+	cfg, ar := e.cfg, e.ar
+	slot := &e.ring[r%len(e.ring)]
+	participants := slot.participants
+	nPart := len(participants)
+	uploads := slot.uploads[:nPart]
+	kInt, probeInt := slot.kInt, slot.probeInt
+
+	// An upload more than W rounds late misses the cutoff: it is masked
+	// to a counted-but-empty contribution, so its mass stays in the
+	// client's accumulator (the residual subtraction below sees no pairs)
+	// and the next top-k re-extracts it — the error-feedback fold-in.
+	var admitted []bool
+	if cfg.Delays != nil {
+		admitted = slot.admitted[:nPart]
+		for pi, ci := range participants {
+			admitted[pi] = cfg.Delays(ci, r) <= cfg.Staleness
+		}
+	}
+	staleSlices, residualNorm := gs.FoldStale(uploads, admitted)
+
+	e.sel, e.probeSel, err = e.agg.aggregate(uploads, kInt, probeInt)
+	if err != nil {
+		return false, fmt.Errorf("fl: round %d direct aggregation: %w", r, err)
+	}
+	agg, probeAgg := e.sel, e.probeSel
+	if cfg.QuantBits > 0 {
+		// In place on the aggregation scratch — rebuilt from the uploads
+		// next round, so nothing downstream sees the unquantized values.
+		sparse.QuantizeInPlace(agg.Values, cfg.QuantBits)
+		if probeInt > 0 {
+			sparse.QuantizeInPlace(probeAgg.Values, cfg.QuantBits)
+		}
+	}
+	// Like the top-k slabs: sized here, not by whichever worker is first.
+	for w := range ar.saved {
+		ar.saved[w] = slices.Grow(ar.saved[w][:0], len(probeAgg.Indices))
+	}
+
+	ar.stampInJ(agg.Indices)
+	ar.stampParticipants(participants)
+	e.cur = slot
+	parallelFor(cfg.Workers, len(e.clients), e.applyFn)
+
+	if cfg.CheckSync {
+		if err := checkSync(e.clients); err != nil {
+			return false, fmt.Errorf("round %d: %w", r, err)
+		}
+	}
+
+	// Normalized-time accounting.
+	uplink, downlink := payloadUnits(cfg.Strategy, e.d, kInt, len(agg.Indices), e.elemUnits)
+	if probeInt > 0 {
+		// Step ③: difference between k- and k′-element GS results.
+		downlink += float64(max(len(agg.Indices)-len(probeAgg.Indices), 0)) * e.elemUnits
+		// Step ④: three one-sample losses up; ⑤: k_{m+1} down.
+		uplink += 3
+		downlink += 1
+	}
+	roundTime := e.cost.RoundTime(uplink, downlink)
+	e.clock.Advance(roundTime)
+
+	obs := core.Observation{
+		Round:      r,
+		K:          slot.kCont,
+		RoundTime:  roundTime,
+		GlobalLoss: slot.weightedLoss,
+		LossPrev:   mean(ar.fPrev[:nPart]),
+		LossCur:    mean(ar.fCur[:nPart]),
+		LossProbe:  math.NaN(),
+	}
+	if probeInt > 0 {
+		obs.ProbeK = float64(probeInt)
+		obs.ProbeRoundTime = e.cost.RoundTime(float64(probeInt)*e.elemUnits, float64(probeInt)*e.elemUnits)
+		obs.LossProbe = mean(ar.fProbe[:nPart])
+	}
+	e.ctrl.Observe(obs)
+
+	stats := RoundStats{
+		Round:         r,
+		K:             kInt,
+		KCont:         slot.kCont,
+		RoundTime:     roundTime,
+		Time:          e.clock.Now(),
+		Loss:          slot.weightedLoss,
+		DownlinkElems: len(agg.Indices),
+		Participants:  nPart,
+		Population:    slot.population,
+		CohortSize:    slot.cohortSize,
+		ChurnEvents:   slot.churnEvents,
+		TestAcc:       math.NaN(),
+		TestLoss:      math.NaN(),
+		TrainLoss:     math.NaN(),
+		StaleSlices:   staleSlices,
+		ResidualNorm:  residualNorm,
+		WindowDepth:   min(r+cfg.Staleness, cfg.Rounds) - r,
+	}
+	if cfg.RecordPerClient {
+		// Remap participant-indexed counts onto the full client list
+		// (non-participants contribute 0 this round). It escapes into the
+		// returned stats: the one allocation the recording knob keeps.
+		used := make([]int, len(e.clients))
+		for pi, ci := range participants {
+			used[ci] = agg.PerClientUsed[pi]
+		}
+		stats.PerClientUsed = used
+	}
+	maybeEval(cfg, &stats, e.clients[0].net, e.clients, e.totalWeight, r)
+	if e.dur != nil {
+		if err := e.dur.commit(&stats, e.clients); err != nil {
+			return false, err
+		}
+		stats.WALAppends, stats.WALSnapshots = e.dur.appends, e.dur.snaps
+	}
+	e.sink.OnRoundEnd(stats)
+	return cfg.MaxTime > 0 && e.clock.Now() >= cfg.MaxTime || r == cfg.HaltAfter, nil
+}
+
+// applyBroadcast is client ci's share of the seal, (B)–(D) + lines 13–17:
+// every client (participant or not) applies the update; only participants
+// measure the probe losses and carry residuals from this round. Each
+// iteration touches only its own client's state plus the read-only
+// broadcast (sel, probeSel, and the arena's epoch slabs), and the losses
+// land in pi-indexed slots.
+func (e *gsEngine) applyBroadcast(ci, w int) {
+	slot, ar := e.cur, e.ar
+	c := e.clients[ci]
+	params := c.net.Params()
+	eta := e.cfg.LearningRate
+	pi := ar.participantPos(ci)
+	if pi >= 0 {
+		ar.fPrev[pi] = c.net.Loss(slot.hx[pi], slot.hy[pi]) // f_{i,h}(w(r−1))
+		if slot.probeInt > 0 {
+			// w′(r) = w(r−1) − η·∇′: apply, measure, restore exactly.
+			indices, values := e.probeSel.Indices, e.probeSel.Values
+			saved := ar.saved[w][:len(indices)]
+			for vi, j := range indices {
+				saved[vi] = params[j]
+				params[j] -= eta * values[vi]
+			}
+			ar.fProbe[pi] = c.net.Loss(slot.hx[pi], slot.hy[pi])
+			for vi, j := range indices {
+				params[j] = saved[vi]
+			}
+		}
+	}
+	// Line 15: w(r) = w(r−1) − η·∇s.
+	values := e.sel.Values
+	for vi, j := range e.sel.Indices {
+		params[j] -= eta * values[vi]
+	}
+	if pi < 0 {
+		return
+	}
+	ar.fCur[pi] = c.net.Loss(slot.hx[pi], slot.hy[pi])
+	// Lines 16–17: subtract the residual mass the server consumed. For
+	// exact uploads this zeroes a_ij (x − x == 0); with quantization it
+	// keeps the quantization error accumulated — error feedback extends
+	// to the combined GS+quantization case.
+	pairs := slot.uploads[pi].Pairs
+	for vi, j := range pairs.Idx {
+		if ar.inJ[j] == ar.inJGen {
+			c.acc[j] -= pairs.Val[vi]
+		}
+	}
+}

@@ -102,6 +102,17 @@ type TopKScratch struct {
 	slab []uint64
 }
 
+// Reserve grows the slab to what a TopKInto of k from a d-long vector
+// needs. TopKInto reserves for itself; a caller running one scratch per
+// worker calls this first, where the sizes are known, so that which
+// worker happens to meet the largest k does not decide how often a run
+// reallocates.
+func (s *TopKScratch) Reserve(d, k int) {
+	if need := max(d, 2*min(k, d)+2); cap(s.slab) < need {
+		s.slab = make([]uint64, need)
+	}
+}
+
 // TopKInto is TopK writing into caller-owned storage: dst's slices are
 // reused when their capacity suffices (grown otherwise) and scratch holds
 // the working memory across calls, so steady-state selection performs zero
@@ -118,9 +129,7 @@ func TopKInto(dst Vec, scratch *TopKScratch, dense []float64, k int) Vec {
 	if scratch == nil {
 		scratch = &local
 	}
-	if need := max(d, 2*k+2); cap(scratch.slab) < need {
-		scratch.slab = make([]uint64, need)
-	}
+	scratch.Reserve(d, k)
 	// The select is done with cand before the filter first writes sel.
 	cand, sel, tmp := scratch.slab[:d], scratch.slab[:k+2], scratch.slab[k+2:2*k+2]
 	dst.Idx, dst.Val = slices.Grow(dst.Idx[:0], k)[:k], slices.Grow(dst.Val[:0], k)[:k]

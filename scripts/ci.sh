@@ -26,10 +26,12 @@ go test ./...
 # handlers run concurrently with the observer callbacks feeding them;
 # internal/nn because the engine runs one network per worker at once.
 go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./internal/nn/... ./internal/par/... ./internal/transport/... ./internal/wal/... ./internal/admin/... ./cmd/flsim/...
-# The sharded aggregation fan-outs and the blocked dense kernels (one
-# network per engine worker) promise the same bits at any parallelism: run
-# their differentials at more than one GOMAXPROCS, uncached.
-go test -count=1 -cpu 1,2,4 ./internal/gs ./internal/nn ./internal/tensor
+# The sharded aggregation fan-outs, the blocked dense kernels (one
+# network per engine worker) and the engine's own round pipeline promise
+# the same bits at any parallelism: run their differentials — for
+# internal/fl the golden trajectory table and the Workers grids — at more
+# than one GOMAXPROCS, uncached.
+go test -count=1 -cpu 1,2,4 ./internal/gs ./internal/nn ./internal/tensor ./internal/fl
 # The transport's lockstep differentials and hostile-input tables get
 # the same treatment: every role's round is one shared body that each
 # tier (lockstep, durable, population) reaches through its own links, so
