@@ -1,9 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (Section V), one benchmark per figure, plus the theoretical
-// regret validation (Theorems 1–2) and the design-choice ablations called
-// out in DESIGN.md §4. Each benchmark prints the figure's series and
-// shape tables once, so `go test -bench=. -benchmem | tee
-// bench_output.txt` captures the reproduced evaluation.
+// regret validation (Theorems 1–2) and the design-choice ablations. Each
+// benchmark prints the figure's series and shape tables once, so `go test
+// -bench=. -benchmem | tee bench_output.txt` captures the reproduced
+// evaluation.
 //
 // Absolute numbers differ from the paper (synthetic data, scaled-down D,
 // CPU instead of the authors' testbed); the shape — who wins, by what
@@ -242,7 +242,7 @@ func BenchmarkRegretSynthetic(b *testing.B) {
 	}
 }
 
-// BenchmarkSignVsValueOGD is the DESIGN.md §4 ablation: sign-based vs
+// BenchmarkSignVsValueOGD is the update-rule ablation: sign-based vs
 // value-based updates on identical synthetic costs. The sign update's
 // regret should be dramatically lower because the raw derivative is tiny
 // (order β/D) and barely moves k.

@@ -244,9 +244,9 @@ func TestValidateFlags(t *testing.T) {
 		wantErr   string // "" = valid
 	}{
 		{"sim default", "sim", mk(), 0, 0, false, false, false, "", "", ""},
-		{"sim sharded", "sim", mk("shards"), 4, 0, false, false, false, "", "", ""},
-		{"sim direct sharded", "sim", mk("shards", "direct"), 2, 0, true, false, false, "", "", ""},
-		{"sim direct without shards", "sim", mk("direct"), 0, 0, true, false, false, "", "", "-shards"},
+		{"sim sharded", "sim", mk("shards"), 4, 0, false, false, false, "", "", "-shards/-direct apply to -role coordinator|shard"},
+		{"sim direct sharded", "sim", mk("shards", "direct"), 2, 0, true, false, false, "", "", "-shards/-direct apply to -role coordinator|shard"},
+		{"sim direct without shards", "sim", mk("direct"), 0, 0, true, false, false, "", "", "-shards/-direct apply to -role coordinator|shard"},
 		{"sim with connect", "sim", mk("connect"), 0, 0, false, false, false, "", "x", "-connect"},
 		{"sim with id", "sim", mk("id"), 0, 0, false, false, false, "", "", "-id"},
 		{"sim with clients", "sim", mk("clients"), 0, 0, false, false, false, "", "", "-clients"},

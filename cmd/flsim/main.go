@@ -7,7 +7,6 @@
 //	flsim -dataset femnist -strategy fab -k 100 -beta 10 -rounds 400
 //	flsim -dataset cifar -adaptive alg3 -beta 100 -rounds 600
 //	flsim -strategy fedavg -k 100 -beta 10
-//	flsim -shards 4 -workers 4 -strategy fab            (sharded aggregation, in-process)
 //
 // Beyond the simulation, flsim can run each role of a real multi-process
 // deployment (one command per process, same dataset/scale/seed flags
@@ -81,11 +80,11 @@ func main() {
 		quantBits   = flag.Int("quantbits", 0, "quantize uploaded and broadcast gradient values to this many bits (0 = full precision; sim and coordinator roles)")
 		staleness   = flag.Int("staleness", 0, "bounded-staleness window W: overlap up to W rounds of client compute with shard reduction (0 = synchronous lockstep; sim and coordinator roles; a distributed coordinator requires -direct)")
 		workers     = flag.Int("workers", 0, "per-client worker pool size, -1 = all CPUs (results are bit-identical at any value; 0 = sequential)")
-		shards      = flag.Int("shards", 0, "sim: run the server aggregation through that many in-process coordinate shards (bit-identical at any value; 0 = unsharded); coordinator: shard processes to wait for")
+		shards      = flag.Int("shards", 0, "coordinator: shard processes to wait for (0 = aggregate in the coordinator)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 		role        = flag.String("role", "sim", "process role: sim (in-process simulation), coordinator, shard, client")
-		direct      = flag.Bool("direct", false, "client-direct data plane: sim models it in-process; coordinator publishes the shard directory and stays a control plane; shard serves client uploads on its own -listen ingest address")
+		direct      = flag.Bool("direct", false, "client-direct data plane: coordinator publishes the shard directory and stays a control plane; shard serves client uploads on its own -listen ingest address")
 		listenAddr  = flag.String("listen", "127.0.0.1:0", "coordinator: TCP address to listen on; direct shard: its client-facing ingest address")
 		connectAddr = flag.String("connect", "", "shard/client: the coordinator's address")
 		clients     = flag.Int("clients", 0, "coordinator: client processes to wait for (0 = the workload's client count)")
@@ -112,7 +111,7 @@ func main() {
 		switch *role {
 		case "sim":
 			err = withProfiles(*cpuProfile, *memProfile, func() error {
-				return run(os.Stdout, *datasetName, *scale, *strategy, *adaptive, *k, *beta, *rounds, *lr, *batch, *seed, *evalEvery, *workers, *shards, *direct, *quantBits, *staleness, *walDir, *resume, *adminAddr,
+				return run(os.Stdout, *datasetName, *scale, *strategy, *adaptive, *k, *beta, *rounds, *lr, *batch, *seed, *evalEvery, *workers, *quantBits, *staleness, *walDir, *resume, *adminAddr,
 					*population, *cohort, *churn, *noniid)
 			})
 		case "coordinator":
@@ -180,8 +179,8 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dire
 			return errors.New("flsim: -durable applies to -role shard|client; sim durability is -wal-dir")
 		case resume && walDir == "":
 			return errors.New("flsim: -resume needs -wal-dir DIR (the log to resume from)")
-		case direct && shards < 1:
-			return errors.New("flsim: -direct requires -shards >= 1 (the direct data plane is a topology of the sharded tier)")
+		case set["shards"] || set["direct"]:
+			return errors.New("flsim: -shards/-direct apply to -role coordinator|shard; sim aggregates in-process on one scratch")
 		}
 	case "coordinator":
 		switch {
@@ -244,7 +243,7 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dire
 		case set["clients"]:
 			return errors.New("flsim: -clients applies to -role coordinator")
 		case set["direct"]:
-			return errors.New("flsim: clients learn the topology from the coordinator's Init; -direct applies to sim, coordinator, and shard roles")
+			return errors.New("flsim: clients learn the topology from the coordinator's Init; -direct applies to coordinator and shard roles")
 		case set["quantbits"]:
 			return errors.New("flsim: clients learn the quantization width from the coordinator's Init; -quantbits applies to sim and coordinator roles")
 		case set["staleness"]:
@@ -302,7 +301,7 @@ func withProfiles(cpuPath, memPath string, fn func() error) error {
 }
 
 func run(out io.Writer, datasetName, scale, strategy, adaptive string, k int, beta float64,
-	rounds int, lr float64, batch int, seed int64, evalEvery, workers, shards int, direct bool, quantBits, staleness int,
+	rounds int, lr float64, batch int, seed int64, evalEvery, workers, quantBits, staleness int,
 	walDir string, resume bool, adminAddr string, population, cohort int, churn, noniid float64) error {
 
 	w, err := buildWorkload(datasetName, scale)
@@ -340,8 +339,6 @@ func run(out io.Writer, datasetName, scale, strategy, adaptive string, k int, be
 		Beta:         beta,
 		EvalEvery:    evalEvery,
 		Workers:      workers,
-		Shards:       shards,
-		Direct:       direct,
 		QuantBits:    quantBits,
 		Staleness:    staleness,
 		WALDir:       walDir,
@@ -415,8 +412,8 @@ func run(out io.Writer, datasetName, scale, strategy, adaptive string, k int, be
 			return err
 		}
 		defer adm.Close()
-		adm.SetExpected(w.Data.NumClients(), shards)
-		adm.SetEnrolled(w.Data.NumClients(), shards)
+		adm.SetExpected(w.Data.NumClients(), 0)
+		adm.SetEnrolled(w.Data.NumClients(), 0)
 		adm.SetResumed(resume)
 		log.Printf("flsim: admin endpoints on http://%s", adm.Addr())
 	}

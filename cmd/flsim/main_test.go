@@ -18,21 +18,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{
 			name: "bad dataset",
 			call: func() error {
-				return run(io.Discard, "imagenet", "tiny", "fab", "none", 0, 10, 5, 0, 0, 1, 0, 0, 0, false, 0, 0, "", false, "", 0, 0, 0, 0)
+				return run(io.Discard, "imagenet", "tiny", "fab", "none", 0, 10, 5, 0, 0, 1, 0, 0, 0, 0, "", false, "", 0, 0, 0, 0)
 			},
 			want: "unknown dataset",
 		},
 		{
 			name: "bad strategy",
 			call: func() error {
-				return run(io.Discard, "femnist", "tiny", "topsecret", "none", 0, 10, 5, 0, 0, 1, 0, 0, 0, false, 0, 0, "", false, "", 0, 0, 0, 0)
+				return run(io.Discard, "femnist", "tiny", "topsecret", "none", 0, 10, 5, 0, 0, 1, 0, 0, 0, 0, "", false, "", 0, 0, 0, 0)
 			},
 			want: "unknown strategy",
 		},
 		{
 			name: "bad controller",
 			call: func() error {
-				return run(io.Discard, "femnist", "tiny", "fab", "oracle", 0, 10, 5, 0, 0, 1, 0, 0, 0, false, 0, 0, "", false, "", 0, 0, 0, 0)
+				return run(io.Discard, "femnist", "tiny", "fab", "oracle", 0, 10, 5, 0, 0, 1, 0, 0, 0, 0, "", false, "", 0, 0, 0, 0)
 			},
 			want: "unknown adaptive controller",
 		},
@@ -55,35 +55,21 @@ func TestRunEmitsCSV(t *testing.T) {
 		t.Skip("training run in -short mode")
 	}
 	// A tiny run through every strategy keeps the CLI paths covered; the
-	// worker pool is exercised through the -workers value, the sharded
-	// aggregation tier through -shards (FedAvg has none, so 0 there), and
-	// the client-direct topology model through -direct.
+	// worker pool is exercised through the -workers value.
 	for _, strat := range []string{"fab", "fub", "uni", "periodic", "sendall", "fedavg"} {
-		shards := 2
-		if strat == "fedavg" {
-			shards = 0
-		}
-		if err := run(io.Discard, "femnist", "tiny", strat, "none", 20, 10, 5, 0, 0, 1, 0, 2, shards, false, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
+		if err := run(io.Discard, "femnist", "tiny", strat, "none", 20, 10, 5, 0, 0, 1, 0, 2, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
 			t.Fatalf("%s: %v", strat, err)
-		}
-		if shards > 0 {
-			if err := run(io.Discard, "femnist", "tiny", strat, "none", 20, 10, 5, 0, 0, 1, 0, 2, shards, true, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
-				t.Fatalf("%s direct: %v", strat, err)
-			}
 		}
 	}
 	// Adaptive controllers over the CLI.
 	for _, ctrl := range []string{"alg2", "alg3", "value", "exp3", "bandit"} {
-		if err := run(io.Discard, "cifar", "tiny", "fab", ctrl, 0, 10, 5, 0, 0, 1, 0, 2, 0, false, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
+		if err := run(io.Discard, "cifar", "tiny", "fab", ctrl, 0, 10, 5, 0, 0, 1, 0, 2, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
 			t.Fatalf("%s: %v", ctrl, err)
 		}
 	}
-	// Quantized uploads over the CLI, unsharded and sharded.
-	if err := run(io.Discard, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 0, false, 8, 0, "", false, "", 0, 0, 0, 0); err != nil {
+	// Quantized uploads over the CLI.
+	if err := run(io.Discard, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 8, 0, "", false, "", 0, 0, 0, 0); err != nil {
 		t.Fatalf("quantbits=8: %v", err)
-	}
-	if err := run(io.Discard, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 2, true, 8, 0, "", false, "", 0, 0, 0, 0); err != nil {
-		t.Fatalf("quantbits=8 direct: %v", err)
 	}
 }
 
@@ -98,11 +84,11 @@ func TestRunDurableSim(t *testing.T) {
 		t.Skip("training run in -short mode")
 	}
 	var plain, durable, resumed strings.Builder
-	if err := run(&plain, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 0, 0, 0, false, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
+	if err := run(&plain, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 0, 0, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := run(&durable, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 0, 0, 0, false, 0, 0, dir, false, "", 0, 0, 0, 0); err != nil {
+	if err := run(&durable, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 0, 0, 0, 0, dir, false, "", 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != durable.String() {
@@ -110,13 +96,13 @@ func TestRunDurableSim(t *testing.T) {
 	}
 	// Resuming a run whose log is already complete replays it to the
 	// same bytes without recomputing.
-	if err := run(&resumed, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 0, 0, 0, false, 0, 0, dir, true, "", 0, 0, 0, 0); err != nil {
+	if err := run(&resumed, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 0, 0, 0, 0, dir, true, "", 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != resumed.String() {
 		t.Fatalf("-resume moved the CSV:\n--- plain ---\n%s--- resumed ---\n%s", plain.String(), resumed.String())
 	}
-	err := run(io.Discard, "femnist", "tiny", "fab", "exp3", 20, 10, 6, 0, 0, 1, 0, 0, 0, false, 0, 0, t.TempDir(), false, "", 0, 0, 0, 0)
+	err := run(io.Discard, "femnist", "tiny", "fab", "exp3", 20, 10, 6, 0, 0, 1, 0, 0, 0, 0, t.TempDir(), false, "", 0, 0, 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "self-randomizing") {
 		t.Fatalf("exp3 with -wal-dir: %v", err)
 	}
@@ -127,19 +113,18 @@ func TestRunDurableSim(t *testing.T) {
 // whose trajectory is deterministic (two windowed runs are
 // byte-identical) but diverges from the lockstep run — the pipelined
 // clients compute against a model up to W rounds old, so a moved CSV
-// is the proof the window actually reached the engine. The sharded
-// tier rides along to cover the window over -shards, and -cohort 4
-// -staleness 1 the sampled roster under a window.
+// is the proof the window actually reached the engine; -cohort 4
+// -staleness 1 covers the sampled roster under a window.
 func TestRunStalenessSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
 	}
 	var sync, win1, win2 strings.Builder
-	if err := run(&sync, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 2, false, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
+	if err := run(&sync, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, out := range []*strings.Builder{&win1, &win2} {
-		if err := run(out, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 2, false, 0, 2, "", false, "", 0, 0, 0, 0); err != nil {
+		if err := run(out, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 0, 2, "", false, "", 0, 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +137,7 @@ func TestRunStalenessSim(t *testing.T) {
 
 	cohortRun := func(staleness int) string {
 		var b strings.Builder
-		if err := run(&b, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 0, false, 0, staleness, "", false, "", 0, 4, 0, 0); err != nil {
+		if err := run(&b, "femnist", "tiny", "fab", "none", 20, 10, 5, 0, 0, 1, 0, 0, 0, staleness, "", false, "", 0, 4, 0, 0); err != nil {
 			t.Fatalf("-cohort 4 -staleness %d: %v", staleness, err)
 		}
 		return b.String()
@@ -220,10 +205,10 @@ func TestAdminDoesNotMoveCSV(t *testing.T) {
 		t.Skip("training run in -short mode")
 	}
 	var plain, admin strings.Builder
-	if err := run(&plain, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 3, 0, 0, false, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
+	if err := run(&plain, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 3, 0, 0, 0, "", false, "", 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&admin, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 3, 0, 0, false, 0, 0, "", false, "127.0.0.1:0", 0, 0, 0, 0); err != nil {
+	if err := run(&admin, "femnist", "tiny", "fab", "alg3", 20, 10, 6, 0, 0, 1, 3, 0, 0, 0, "", false, "127.0.0.1:0", 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != admin.String() {
@@ -243,7 +228,7 @@ func TestRunPopulationSim(t *testing.T) {
 	}
 	popRun := func(population, cohort int, churn, noniid float64) string {
 		var b strings.Builder
-		if err := run(&b, "femnist", "tiny", "fab", "none", 20, 10, 6, 0, 0, 1, 0, 0, 0, false, 0, 0, "", false, "",
+		if err := run(&b, "femnist", "tiny", "fab", "none", 20, 10, 6, 0, 0, 1, 0, 0, 0, 0, "", false, "",
 			population, cohort, churn, noniid); err != nil {
 			t.Fatal(err)
 		}

@@ -75,19 +75,21 @@
 // # Sharded server aggregation
 //
 // The same chunked-reduction structure extends across process
-// boundaries: Config.Shards partitions the coordinate space into S
-// contiguous ranges and runs the server-side aggregation as S
-// independent range reductions plus a coordinator-side selection
-// (gs.ShardedScratch), and the transport package deploys the identical
-// two entry points over real connections — a coordinator routes each
-// client upload's (index, value, rank) entries to shard owners
-// (RunShard peers over in-memory pairs, or real processes over
-// Dial/Listen), gathers their RangeAgg reductions, and selects on the
-// merge. Because every coordinate's addition chain runs in exactly one
-// shard, in ascending client order, the aggregate is bit-identical to
-// the single-process engine at every shard count — the determinism
-// guarantee survives the distribution axis the north-star architecture
-// needs. The coordinator–shard–client topology:
+// boundaries: the transport package partitions the coordinate space into
+// S contiguous ranges and runs the server-side aggregation as S
+// independent range reductions on shard processes (RangeReduceInto) plus
+// a coordinator-side selection over the merged reductions
+// (DirectSelector) — a coordinator routes each client upload's (index,
+// value, rank) entries to shard owners (RunShard peers over in-memory
+// pairs, or real processes over Dial/Listen), gathers their RangeAgg
+// reductions, and selects on the merge. Because every coordinate's
+// addition chain runs in exactly one shard, in ascending client order,
+// the aggregate is bit-identical to the single-process engine at every
+// shard count — the determinism guarantee survives the distribution axis
+// the north-star architecture needs. (The engine itself aggregates on
+// one scratch: an in-process model of the shard tier was measured 3–23×
+// slower for identical bits and deleted; docs/ARCHITECTURE.md has the
+// table.) The coordinator–shard–client topology:
 //
 //	clients ──Hello/Upload──▶ coordinator ──ShardUpload──▶ shards
 //	clients ◀──Init/Broadcast─ coordinator ◀──ShardResult── shards
@@ -102,9 +104,8 @@
 //
 // # Client-direct data plane (ingest + downlink)
 //
-// Config.Direct (with Shards > 0) switches the sharded tier from the
-// routed topology to the client-direct one, and ServerConfig.Direct
-// deploys it over the wire — gradient payload then flows between
+// ServerConfig.Direct switches the shard tier from the routed topology
+// to the client-direct one — gradient payload then flows between
 // clients and shards in both directions. Uplink: each shard serves its
 // own ingest listener (ServeDirectShard), the coordinator publishes the
 // shard directory to clients in Init, and every client splits its top-k
@@ -128,9 +129,8 @@
 // instead of wedging it; clients fetch only after the release, which
 // follows the last seal, so no client can observe a partially sealed
 // round. Results remain bit-identical to the routed and unsharded paths
-// at every shard and worker count (gs.DirectScratch is the in-process
-// model, downlink fan-out included; the differential suites pin direct
-// == routed == unsharded over mem and TCP).
+// at every shard count (the differential suites pin direct == routed ==
+// unsharded over mem and TCP).
 //
 // # Bounded staleness (asynchronous rounds)
 //
@@ -238,8 +238,8 @@
 // per-call scan for the largest uploaded coordinate — the round engines
 // do this.
 //
-// See the examples directory for runnable programs and DESIGN.md for the
-// architecture and the per-figure experiment index.
+// See the examples directory for runnable programs and
+// docs/ARCHITECTURE.md for the system-wide map.
 package fedsparse
 
 import (
@@ -318,43 +318,29 @@ type (
 	// RangeAgg is one shard's reduction over a contiguous coordinate
 	// range: exact b_j sums plus minimal upload ranks.
 	RangeAgg = gs.RangeAgg
-	// ShardSelector is the coordinator-side selection of the sharded
-	// aggregation tier, implemented by every built-in strategy.
-	ShardSelector = gs.ShardSelector
-	// ShardedScratch runs the sharded aggregation tier in-process.
-	ShardedScratch = gs.ShardedScratch
-	// DirectSelector is the uploads-free coordinator-side selection of
-	// the client-direct tier, implemented by every built-in strategy.
+	// DirectSelector is the coordinator-side selection over merged shard
+	// reductions (both shard planes), implemented by every built-in
+	// strategy.
 	DirectSelector = gs.DirectSelector
 	// DirectMeta is the control-plane metadata DirectSelector consumes
 	// in place of the raw uploads.
 	DirectMeta = gs.DirectMeta
-	// FillCand is one shard-served rank-κ fill candidate of FAB's
-	// direct-mode selection.
+	// FillCand is one rank-κ fill candidate of FAB's selection.
 	FillCand = gs.FillCand
-	// DirectScratch runs the client-direct aggregation tier in-process
-	// (the model behind Config.Direct).
-	DirectScratch = gs.DirectScratch
 )
 
 // NewAggScratch builds an aggregation scratch. The argument is ignored
 // (the reduction runs on the calling goroutine); pass 0.
 var NewAggScratch = gs.NewAggScratch
 
-// NewShardedScratch builds an in-process sharded aggregation scratch;
-// RangeReduceInto is the per-shard range reduction it (and the transport
-// tier's shard processes) are built on; NewDirectScratch is its
-// client-direct counterpart; ValidateRangeSlice is the shared slice
-// validation both shard topologies trust before reducing (shape, range,
-// duplicates, rank order, and finite values). MemberSpans
-// and BuildDownlinkSlice are the downlink counterparts: the
-// coordinator-side split of a selection into per-shard seal spans, and
-// the shard-side reconstruction of a sealed span's broadcast slice from
-// the shard's own reduction — shared by the wire shard and the
-// in-process model alike.
+// RangeReduceInto is the per-shard range reduction the transport tier's
+// shard processes run; ValidateRangeSlice is the shared slice validation
+// both shard topologies trust before reducing (shape, range, duplicates,
+// rank order, and finite values). MemberSpans and BuildDownlinkSlice are
+// the downlink counterparts: the coordinator-side split of a selection
+// into per-shard seal spans, and the shard-side reconstruction of a
+// sealed span's broadcast slice from the shard's own reduction.
 var (
-	NewShardedScratch  = gs.NewShardedScratch
-	NewDirectScratch   = gs.NewDirectScratch
 	RangeReduceInto    = gs.RangeReduceInto
 	ValidateRangeSlice = gs.ValidateRangeSlice
 	MemberSpans        = gs.MemberSpans

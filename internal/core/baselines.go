@@ -66,7 +66,7 @@ func (v *ValueOGD) Observe(o Observation) {
 //
 // Rewards: the paper does not specify a reward mapping, so the natural one
 // for time-to-loss minimization is used — loss decrease per unit time,
-// normalized into [0, 1] by the running maximum (see DESIGN.md §2).
+// normalized into [0, 1] by the running maximum.
 type EXP3 struct {
 	arms  []float64
 	logW  []float64

@@ -1,7 +1,7 @@
 // Package dataset provides deterministic synthetic federated datasets that
 // stand in for FEMNIST and CIFAR-10 in the paper's evaluation.
 //
-// Substitution rationale (see DESIGN.md §2): the paper's results depend on
+// Substitution rationale: the paper's results depend on
 // two data properties — per-client label skew and per-client feature shift
 // (non-i.i.d. clients) — not on image statistics. The generators here
 // produce Gaussian class prototypes with per-client "writer style" offsets

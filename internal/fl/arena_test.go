@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fedsparse/internal/core"
+	"fedsparse/internal/gs"
 	"fedsparse/internal/tensor"
 )
 
@@ -166,4 +167,40 @@ func TestTopKScratchIsPerWorker(t *testing.T) {
 			requireBitIdentical(t, fmt.Sprintf("staleness=%d workers=%d", staleness, workers), seq, run(workers))
 		}
 	}
+}
+
+// TestMandatedArenaPathMatchesLegacy pins the engine's arena-backed
+// mandated-index draws end to end: a PeriodicK run must be bit-identical
+// to one driven through the legacy allocating MandatedIndices (forced by
+// hiding the MandatedIntoStrategy interface behind a wrapper).
+func TestMandatedArenaPathMatchesLegacy(t *testing.T) {
+	for _, strat := range []gs.Strategy{gs.PeriodicK{}, gs.SendAll{}} {
+		cfg := diffConfig()
+		cfg.Strategy = strat
+		fast, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacyCfg := diffConfig()
+		legacyCfg.Strategy = legacyMandate{strat}
+		legacy, err := Run(legacyCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, strat.Name(), legacy, fast)
+	}
+}
+
+// legacyMandate hides the Into fast paths so the engine falls back to the
+// allocating MandatedIndices draw (and, via the missing ScratchAggregator,
+// the reference Aggregate) — the pre-arena behavior.
+type legacyMandate struct{ inner gs.Strategy }
+
+func (l legacyMandate) Name() string { return l.inner.Name() }
+func (l legacyMandate) Dense() bool  { return l.inner.Dense() }
+func (l legacyMandate) MandatedIndices(round, d, k int, rng *rand.Rand) []int {
+	return l.inner.MandatedIndices(round, d, k, rng)
+}
+func (l legacyMandate) Aggregate(uploads []gs.ClientUpload, k int) gs.Aggregate {
+	return l.inner.Aggregate(uploads, k)
 }

@@ -13,45 +13,32 @@ func zeroDelays(int, int) int { return 0 }
 // TestAsyncWindowZeroBitIdenticalToSync: at W=0 an all-zero Delays
 // schedule (every upload runs the admit-or-fold step and is admitted)
 // is bit-identical to no schedule, across the full differential grid —
-// every GS strategy × Shards ∈ {0, 1, 2, 4} × Workers ∈ {0, 4} × the
-// direct data plane. Since the fold both runs share one round body, so
-// this pins the admission step as a no-op; the absolute trajectories are
-// pinned by TestEngineGoldenTrajectories.
+// every GS strategy × Workers ∈ {0, 4}. Since the fold both runs share
+// one round body, so this pins the admission step as a no-op; the
+// absolute trajectories are pinned by TestEngineGoldenTrajectories.
 func TestAsyncWindowZeroBitIdenticalToSync(t *testing.T) {
 	for _, tc := range diffGrid() {
 		if strings.Contains(tc.name, "fedavg") {
 			continue // Staleness/Delays are GS-only (validated)
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			for _, shards := range []int{0, 1, 2, 4} {
-				for _, workers := range []int{0, 4} {
-					directModes := []bool{false}
-					if shards > 0 {
-						directModes = append(directModes, true)
-					}
-					for _, direct := range directModes {
-						syncCfg := diffConfig()
-						tc.mutate(&syncCfg)
-						syncCfg.Shards = shards
-						syncCfg.Workers = workers
-						syncCfg.Direct = direct
-						ref, err := Run(syncCfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						asyncCfg := diffConfig()
-						tc.mutate(&asyncCfg) // fresh controller: controllers are stateful
-						asyncCfg.Shards = shards
-						asyncCfg.Workers = workers
-						asyncCfg.Direct = direct
-						asyncCfg.Delays = zeroDelays
-						got, err := Run(asyncCfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireBitIdentical(t, tc.name, ref, got)
-					}
+			for _, workers := range []int{0, 4} {
+				syncCfg := diffConfig()
+				tc.mutate(&syncCfg)
+				syncCfg.Workers = workers
+				ref, err := Run(syncCfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				asyncCfg := diffConfig()
+				tc.mutate(&asyncCfg) // fresh controller: controllers are stateful
+				asyncCfg.Workers = workers
+				asyncCfg.Delays = zeroDelays
+				got, err := Run(asyncCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, tc.name, ref, got)
 			}
 		})
 	}

@@ -109,9 +109,11 @@ func sameStats(got, want *RoundStats) error {
 
 // engineConf is the configuration fingerprint stored in RunStart: every
 // knob that shapes the trajectory, as int64s (floats by their bit
-// patterns, names by FNV hash). Workers and Shards are excluded —
-// results are bit-identical across them by construction, and a resumed
-// run may legitimately use a different fan-out.
+// patterns, names by FNV hash). Workers is excluded — results are
+// bit-identical across it by construction, and a resumed run may
+// legitimately use a different fan-out. The constant 0 sits where the
+// removed Config.Direct was fingerprinted, so logs written with it unset
+// (every log the engine still has a reading for) resume byte-for-byte.
 func engineConf(cfg *Config, d, nClients int, ctrlName string) []int64 {
 	hash := func(s string) int64 {
 		h := fnv.New64a()
@@ -119,13 +121,9 @@ func engineConf(cfg *Config, d, nClients int, ctrlName string) []int64 {
 		return int64(h.Sum64())
 	}
 	bits := func(f float64) int64 { return int64(math.Float64bits(f)) }
-	direct := int64(0)
-	if cfg.Direct {
-		direct = 1
-	}
 	return []int64{
 		int64(d), int64(cfg.Rounds), int64(cfg.BatchSize), int64(cfg.QuantBits),
-		int64(nClients), direct, int64(cfg.Staleness),
+		int64(nClients), 0, int64(cfg.Staleness),
 		bits(cfg.LearningRate), bits(cfg.Participation), bits(cfg.Beta), bits(cfg.MaxTime),
 		int64(cfg.EvalEvery), int64(cfg.TrainLossEvery),
 		hash(cfg.Strategy.Name()), hash(ctrlName),

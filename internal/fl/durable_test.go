@@ -236,40 +236,3 @@ func TestResumeRefusesDivergence(t *testing.T) {
 		t.Fatalf("tampered log resumed: %v", err)
 	}
 }
-
-// TestDurableShardedTopologies runs the WAL under the sharded and
-// direct in-process tiers — durability is orthogonal to topology.
-func TestDurableShardedTopologies(t *testing.T) {
-	plain := durableConfig("")
-	plain.WALDir, plain.SnapshotEvery = "", 0
-	ref, err := Run(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-		direct bool
-	}{
-		{"sharded", 2, false},
-		{"direct", 2, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := durableConfig(dir)
-			cfg.Shards, cfg.Direct = tc.shards, tc.direct
-			cfg.HaltAfter = 9
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-			cfg = durableConfig(dir)
-			cfg.Shards, cfg.Direct = tc.shards, tc.direct
-			cfg.Resume = true
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameStats(t, res.Stats, ref.Stats)
-		})
-	}
-}

@@ -147,9 +147,9 @@ type Config struct {
 
 	// Workers fans the per-client work of each round (local gradients,
 	// residual accumulation, top-k extraction, broadcast application,
-	// probe losses), FedAvg's weighted average and the sharded tiers'
-	// per-shard reductions out over this many goroutines (the unsharded
-	// GS aggregation is one goroutine's work — see gs.AggScratch).
+	// probe losses) and FedAvg's weighted average out over this many
+	// goroutines (the GS aggregation is one goroutine's work — see
+	// gs.AggScratch).
 	// 0 runs the sequential legacy path. Results are bit-identical at
 	// every worker count: each client owns its model, residuals, rng, and
 	// scratch; workers write into slots indexed by client position; and
@@ -158,18 +158,6 @@ type Config struct {
 	// addition chain is unchanged (see parallel.go for the shared-state
 	// audit).
 	Workers int
-
-	// Shards routes the server-side GS aggregation through the
-	// coordinate-sharded tier (gs.ShardedScratch): the coordinate space is
-	// split into this many contiguous ranges, each reduced independently
-	// — the in-process twin of the transport package's coordinator–shard
-	// deployment. 0 keeps the single-scratch path. Results are
-	// bit-identical at every shard count (each coordinate's addition
-	// chain runs in exactly one shard, in ascending client order), so the
-	// knob trades memory (O(Shards·D) scratch slabs) for reduction
-	// parallelism without touching the trajectory. GS mode only; the
-	// Strategy must implement gs.ShardSelector (all built-ins do).
-	Shards int
 
 	// WALDir enables the durable engine: every finished round is
 	// appended (and fsynced) to a write-ahead log in this directory, and
@@ -214,7 +202,7 @@ type Config struct {
 	// sliding-window shard barriers. Uploads that miss a round's seal
 	// cutoff (see Delays) are folded back into the client's
 	// error-feedback residual instead of being dropped. Composes with
-	// Cohort/Churn/Dropout, Shards/Direct and QuantBits. GS mode only;
+	// Cohort/Churn/Dropout and QuantBits. GS mode only;
 	// incompatible with WALDir (the in-flight ring is not snapshotted).
 	Staleness int
 	// Delays models client lateness under the window: Delays(ci, m) is
@@ -227,23 +215,6 @@ type Config struct {
 	// silently lost. nil means every upload is on time, the same run as
 	// an all-zero schedule. Runs are deterministic given the schedule.
 	Delays func(client, round int) int
-
-	// Direct switches the sharded tier (Shards > 0 required) from the
-	// routed topology — every upload flows through the coordinator, which
-	// re-routes range slices to shards — to the client-direct one: each
-	// upload is split by coordinate range at the client, every slice
-	// (tagged with explicit local ranks) goes straight to the owning
-	// shard, the coordinator selects over the merged shard reductions
-	// plus control-plane metadata only — never the raw uploads — and the
-	// downlink inverts the same way: each shard is sealed with only its
-	// span of the selected members, serves the values from its own
-	// reduction, and the clients reassemble B from the per-shard slices
-	// (gs.DirectScratch in-process; the transport package deploys the
-	// same two-way data plane over real connections). Results are
-	// bit-identical to the routed and unsharded paths at every shard and
-	// worker count. GS mode only; the Strategy must implement
-	// gs.DirectSelector (all built-ins do).
-	Direct bool
 }
 
 // Result is a completed training run. Stats is rebuilt from the run's
@@ -401,20 +372,12 @@ func validate(cfg *Config) error {
 		return errors.New("fl: QuantBits must be 0 (off) or in [2, 64]")
 	case cfg.Workers < 0:
 		return errors.New("fl: Workers must be non-negative (0 = sequential)")
-	case cfg.Shards < 0:
-		return errors.New("fl: Shards must be non-negative (0 = unsharded)")
 	case cfg.Staleness < 0:
 		return errors.New("fl: Staleness must be non-negative (0 = synchronous)")
 	case (cfg.Staleness > 0 || cfg.Delays != nil) && cfg.FedAvg:
 		return errors.New("fl: Staleness/Delays apply to GS mode only (FedAvg has no per-round upload to admit)")
 	case (cfg.Staleness > 0 || cfg.Delays != nil) && cfg.WALDir != "":
 		return errors.New("fl: Staleness/Delays are incompatible with WALDir (the admission schedule is a function value and cannot be fingerprinted into the log)")
-	case cfg.Shards > 0 && cfg.FedAvg:
-		return errors.New("fl: Shards applies to GS mode only (FedAvg has no sparse aggregation)")
-	case cfg.Direct && cfg.FedAvg:
-		return errors.New("fl: Direct applies to GS mode only (FedAvg has no sparse aggregation)")
-	case cfg.Direct && cfg.Shards == 0:
-		return errors.New("fl: Direct requires Shards > 0 (it is a topology of the sharded tier)")
 	case cfg.SnapshotEvery < 0 || cfg.HaltAfter < 0:
 		return errors.New("fl: SnapshotEvery and HaltAfter must be non-negative")
 	case cfg.WALDir == "" && (cfg.Resume || cfg.SnapshotEvery > 0 || cfg.HaltAfter > 0):
@@ -423,15 +386,6 @@ func validate(cfg *Config) error {
 		return errors.New("fl: WALDir applies to GS mode only (FedAvg weights diverge between aggregations and are not snapshotted)")
 	case cfg.WALDir != "" && cfg.RecordPerClient:
 		return errors.New("fl: WALDir and RecordPerClient are incompatible (per-client counts are not logged, so a resumed run could not reproduce them)")
-	}
-	if cfg.Shards > 0 {
-		if cfg.Direct {
-			if _, ok := cfg.Strategy.(gs.DirectSelector); !ok {
-				return fmt.Errorf("fl: Direct requires a strategy implementing gs.DirectSelector; %s does not", cfg.Strategy.Name())
-			}
-		} else if _, ok := cfg.Strategy.(gs.ShardSelector); !ok {
-			return fmt.Errorf("fl: Shards > 0 requires a strategy implementing gs.ShardSelector; %s does not", cfg.Strategy.Name())
-		}
 	}
 	return cfg.Data.Validate()
 }

@@ -100,8 +100,6 @@ func TestEngineGoldenTrajectories(t *testing.T) {
 		{"churn+dropout", func(c *Config) { c.Churn, c.Dropout = goldenChurn, goldenDropout }, 0xa02153c8ce0fb3b1},
 		{"quant=8", func(c *Config) { c.QuantBits = 8 }, 0x3ce41704b1597900},
 		{"adaptive+probe", adaptive, 0xec4fd00113a55b},
-		{"shards=2/routed", func(c *Config) { c.Shards = 2 }, 0xf31664fbd8b4187a},
-		{"shards=2/direct", func(c *Config) { c.Shards, c.Direct = 2, true }, 0xf31664fbd8b4187a},
 		{"staleness=0/zero-delays", func(c *Config) { c.Delays = zeroDelays }, 0xf31664fbd8b4187a},
 		{"staleness=1/delays", func(c *Config) { c.Staleness, c.Delays = 1, goldenDelays }, 0xc9aa6fa66255d670},
 		{"staleness=2/delays", func(c *Config) { c.Staleness, c.Delays = 2, goldenDelays }, 0xed6474df57c75fec},
@@ -109,8 +107,8 @@ func TestEngineGoldenTrajectories(t *testing.T) {
 			c.Strategy, c.QuantBits = gs.PeriodicK{}, 8
 			c.Staleness, c.Delays = 1, goldenDelays
 		}, 0xe50ccac2e8a49204},
-		{"staleness=2/sendall+shards", func(c *Config) {
-			c.Strategy, c.Shards = gs.SendAll{}, 2
+		{"staleness=2/sendall", func(c *Config) {
+			c.Strategy = gs.SendAll{}
 			c.Staleness, c.Delays = 2, goldenDelays
 		}, 0xc414e1edbd928faa},
 		{"staleness=1/adaptive+part", func(c *Config) {

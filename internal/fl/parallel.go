@@ -50,8 +50,7 @@ import "fedsparse/internal/par"
 // the same operations in the same order as the sequential path. FedAvg's
 // weight average fans out over coordinate chunks instead (see
 // reduceWeighted). The gs sparse aggregation has no fan-out to audit:
-// gs.AggScratch reduces on the coordinating goroutine, and the sharded
-// tiers fan out over whole shards, each with a scratch of its own.
+// gs.AggScratch reduces on the coordinating goroutine.
 
 // poolSize returns how many goroutines parallelFor(workers, n, ·) uses:
 // min(workers, n), and at least 1 (workers <= 1 means sequential).

@@ -23,8 +23,7 @@ type gridCase struct {
 func diffGrid() []gridCase {
 	return []gridCase{
 		{"fab", func(c *Config) {}},
-		{"fab-linear+part+quant", func(c *Config) {
-			c.Strategy = &gs.FABTopK{LinearScan: true}
+		{"fab+part+quant", func(c *Config) {
 			c.Participation = 0.5
 			c.QuantBits = 8
 		}},

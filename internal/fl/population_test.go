@@ -29,7 +29,7 @@ func TestCohortEqualsPopulationBitIdenticalToPlain(t *testing.T) {
 // TestCohortMatchesParticipationDraw pins the sequence compatibility
 // of the two sampling knobs: Cohort = c and Participation = c/N run
 // the same Fisher–Yates with the same count, so the runs are
-// bit-identical — including across worker counts and shard topologies.
+// bit-identical — including across worker counts.
 func TestCohortMatchesParticipationDraw(t *testing.T) {
 	for _, c := range []int{1, 3, 5} {
 		for _, workers := range []int{0, 4} {

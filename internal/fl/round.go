@@ -6,7 +6,7 @@
 // m's phase A at the weights of round m−W−1 — W broadcasts are still in
 // flight — and then seals round m−W. At W = 0 that is "phase A of m, then
 // seal of m": the lockstep engine is the window at zero, not a second
-// loop, and every knob (population, shards, quantization, durability)
+// loop, and every knob (population, quantization, durability)
 // meets the window in this one body.
 //
 // Where the measurements sit: the probe sample h is drawn in phase A (it
@@ -138,26 +138,16 @@ func newRoundSlot(nClients int) roundSlot {
 }
 
 // aggregator is the run's server-side selection path, chosen once: the
-// client-direct or the routed sharded tier when configured (validated to
-// be supported, bit-identical to the unsharded path), else the built-in
-// strategies' allocation-free scratch, else — for an external Strategy —
-// two plain Aggregate calls.
+// built-in strategies' allocation-free scratch, or — for an external
+// Strategy — two plain Aggregate calls.
 type aggregator struct {
 	strat   gs.Strategy
-	direct  *gs.DirectScratch
-	sharded *gs.ShardedScratch
 	scratch *gs.AggScratch
 }
 
 func newAggregator(cfg *Config, d int) aggregator {
 	a := aggregator{strat: cfg.Strategy}
-	_, scratchable := cfg.Strategy.(gs.ScratchAggregator)
-	switch {
-	case cfg.Direct:
-		a.direct = gs.NewDirectScratch(cfg.Shards, cfg.Workers, d)
-	case cfg.Shards > 0:
-		a.sharded = gs.NewShardedScratch(cfg.Shards, cfg.Workers, d)
-	case scratchable:
+	if _, ok := cfg.Strategy.(gs.ScratchAggregator); ok {
 		a.scratch = gs.NewAggScratch(0)
 		a.scratch.Reserve(d) // uploads only carry coordinates < d
 	}
@@ -166,21 +156,15 @@ func newAggregator(cfg *Config, d int) aggregator {
 
 // aggregate runs the server selection (lines 8–11) for k and, in the same
 // pass where the path allows it, for the probe k′ (0 = no probe).
-func (a *aggregator) aggregate(uploads []gs.ClientUpload, k, probeK int) (agg, probeAgg gs.Aggregate, err error) {
-	switch {
-	case a.direct != nil:
-		return a.direct.Aggregate(a.strat.(gs.DirectSelector), uploads, k, probeK)
-	case a.sharded != nil:
-		agg, probeAgg = a.sharded.Aggregate(a.strat.(gs.ShardSelector), uploads, k, probeK)
-	case a.scratch != nil:
-		agg, probeAgg = a.strat.(gs.ScratchAggregator).AggregateInto(a.scratch, uploads, k, probeK)
-	default:
-		agg = a.strat.Aggregate(uploads, k)
-		if probeK > 0 {
-			probeAgg = a.strat.Aggregate(uploads, probeK)
-		}
+func (a *aggregator) aggregate(uploads []gs.ClientUpload, k, probeK int) (agg, probeAgg gs.Aggregate) {
+	if a.scratch != nil {
+		return a.strat.(gs.ScratchAggregator).AggregateInto(a.scratch, uploads, k, probeK)
 	}
-	return agg, probeAgg, nil
+	agg = a.strat.Aggregate(uploads, k)
+	if probeK > 0 {
+		probeAgg = a.strat.Aggregate(uploads, probeK)
+	}
+	return agg, probeAgg
 }
 
 // gsEngine is one GS run: the state the rounds thread through, and what
@@ -397,10 +381,7 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	}
 	staleSlices, residualNorm := gs.FoldStale(uploads, admitted)
 
-	e.sel, e.probeSel, err = e.agg.aggregate(uploads, kInt, probeInt)
-	if err != nil {
-		return false, fmt.Errorf("fl: round %d direct aggregation: %w", r, err)
-	}
+	e.sel, e.probeSel = e.agg.aggregate(uploads, kInt, probeInt)
 	agg, probeAgg := e.sel, e.probeSel
 	if cfg.QuantBits > 0 {
 		// In place on the aggregation scratch — rebuilt from the uploads

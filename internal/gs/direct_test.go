@@ -10,24 +10,22 @@ import (
 	"fedsparse/internal/sparse"
 )
 
-// TestDirectScratchMatchesSharded is the direct tier's differential
+// TestDirectScratchMatchesSharded is the direct plane's differential
 // guarantee at the aggregation level: for every strategy, shard count,
-// worker count, and (k, probeK), DirectScratch — client-side range
-// splitting, explicit-rank shard reductions, uploads-free selection with
-// shard-served metadata — produces Aggregates bit-identical to
-// ShardedScratch and to the single-scratch AggregateInto.
+// worker count, and (k, probeK), the client-direct data flow (rangedDriver:
+// client-side range splitting, explicit-rank shard reductions, selection
+// with shard-served fill candidates, shard-served downlink) produces
+// Aggregates bit-identical to the routed data flow and to the
+// single-scratch AggregateInto.
 func TestDirectScratchMatchesSharded(t *testing.T) {
 	const n, d, k, rounds = 9, 600, 40, 5
-	strategies := []Strategy{
-		&FABTopK{}, &FABTopK{LinearScan: true}, FUBTopK{}, UniTopK{}, PeriodicK{}, SendAll{},
-	}
 	for _, nShards := range []int{1, 2, 4} {
 		for _, workers := range []int{0, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", nShards, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(77 + int64(nShards)*10 + int64(workers)))
-				for _, strat := range strategies {
-					direct := NewDirectScratch(nShards, workers, d)
-					sharded := NewShardedScratch(nShards, workers, d)
+				for _, strat := range scratchStrategies() {
+					direct := newRangedDriver(nShards, workers, d, true)
+					routed := newRangedDriver(nShards, workers, d, false)
 					single := NewAggScratch(workers)
 					for m := 0; m < rounds; m++ {
 						ups := testRankedUploads(rng, n, d, k)
@@ -35,16 +33,19 @@ func TestDirectScratchMatchesSharded(t *testing.T) {
 						if m%2 == 1 {
 							probeK = k / 2
 						}
-						gotMain, gotProbe, err := direct.Aggregate(strat.(DirectSelector), ups, k, probeK)
+						gotMain, gotProbe, err := direct.aggregate(strat.(DirectSelector), ups, k, probeK)
 						if err != nil {
 							t.Fatalf("%s: %v", strat.Name(), err)
 						}
-						wantMain, wantProbe := sharded.Aggregate(strat.(ShardSelector), ups, k, probeK)
-						requireAggEqual(t, strat.Name()+"/vs-sharded", wantMain, gotMain)
+						wantMain, wantProbe, err := routed.aggregate(strat.(DirectSelector), ups, k, probeK)
+						if err != nil {
+							t.Fatalf("%s: %v", strat.Name(), err)
+						}
+						requireAggEqual(t, strat.Name()+"/vs-routed", wantMain, gotMain)
 						singleMain, singleProbe := strat.(ScratchAggregator).AggregateInto(single, ups, k, probeK)
 						requireAggEqual(t, strat.Name()+"/vs-single", singleMain, gotMain)
 						if probeK > 0 {
-							requireAggEqual(t, strat.Name()+"/probe-vs-sharded", wantProbe, gotProbe)
+							requireAggEqual(t, strat.Name()+"/probe-vs-routed", wantProbe, gotProbe)
 							requireAggEqual(t, strat.Name()+"/probe-vs-single", singleProbe, gotProbe)
 						}
 					}
@@ -165,6 +166,11 @@ func TestAppendFillCands(t *testing.T) {
 	}
 	if got := AppendFillCands(nil, slices, ranks, 7); len(got) != 0 {
 		t.Fatalf("rank beyond every slice returned %+v", got)
+	}
+	// Un-sliced uploads (nil ranks): the pair position is the rank.
+	raw := AppendFillCands(nil, slices, nil, 1)
+	if len(raw) != 2 || raw[0] != (FillCand{Idx: 9, AbsVal: 1, Client: 0}) || raw[1] != (FillCand{Idx: 4, AbsVal: 0.5, Client: 2}) {
+		t.Fatalf("position-ranked candidates %+v", raw)
 	}
 	// Sorting uses the reference comparator: |value| desc, idx, client.
 	c := []FillCand{{Idx: 9, AbsVal: 1, Client: 0}, {Idx: 2, AbsVal: 7, Client: 1}, {Idx: 1, AbsVal: 7, Client: 2}}

@@ -13,12 +13,14 @@
 //
 //	b_j = (1/C) Σ_i C_i·a_ij·1[j ∈ J_i]   (Algorithm 1, line 10).
 //
-// Every built-in strategy offers two aggregation entry points with
-// bit-identical results: Aggregate (the Strategy interface — the map-based
-// path in reference.go, allocating O(uploaded pairs) per call) and
-// AggregateInto (the ScratchAggregator interface: allocation-free with a
-// warm caller-owned AggScratch, one-pass main + probe aggregation, and a
-// deterministic parallel reduction — see scratch.go).
+// Every built-in strategy offers two aggregation entry points over raw
+// uploads with bit-identical results: Aggregate (the Strategy interface —
+// the map-based path in reference.go, allocating O(uploaded pairs) per
+// call) and AggregateInto (the ScratchAggregator interface: allocation-free
+// with a warm caller-owned AggScratch, one-pass main + probe aggregation —
+// see scratch.go) — plus SelectDirect (DirectSelector, direct.go), the same
+// selection over shard-reduced facts for a coordinator that holds no
+// uploads.
 package gs
 
 import (
@@ -93,24 +95,15 @@ func totalWeight(uploads []ClientUpload) float64 {
 // FABTopK is the paper's fairness-aware bidirectional top-k strategy. The
 // downlink carries exactly min(k, distinct-uploaded) elements chosen so
 // that every client contributes at least ⌊k/N⌋ of them: a rank cutoff κ is
-// found (binary search by default) with |∪_i J_i^κ| ≤ k < |∪_i J_i^κ+1|,
-// the union at κ is taken, and the remainder is filled with the
-// largest-|value| candidates from rank κ+1.
-type FABTopK struct {
-	// LinearScan switches the κ search from the paper's binary search to
-	// an incremental linear scan (ablation; identical selection).
-	LinearScan bool
-}
+// found with |∪_i J_i^κ| ≤ k < |∪_i J_i^κ+1|, the union at κ is taken, and
+// the remainder is filled with the largest-|value| candidates from rank
+// κ+1.
+type FABTopK struct{}
 
 var _ Strategy = (*FABTopK)(nil)
 var _ ScratchAggregator = (*FABTopK)(nil)
 
-func (s *FABTopK) Name() string {
-	if s.LinearScan {
-		return "fab-top-k(linear)"
-	}
-	return "fab-top-k"
-}
+func (s *FABTopK) Name() string { return "fab-top-k" }
 
 func (s *FABTopK) MandatedIndices(_, _, _ int, _ *rand.Rand) []int { return nil }
 func (s *FABTopK) Dense() bool                                     { return false }

@@ -84,21 +84,27 @@ func TestFABFairnessGuarantee(t *testing.T) {
 	}
 }
 
+// TestFABBinaryEqualsLinear holds the two map oracles against each other
+// and the production rank-major walk against both, for the main budget and
+// a probe budget found in the same walk.
 func TestFABBinaryEqualsLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	bin := &FABTopK{}
-	lin := &FABTopK{LinearScan: true}
+	scratch := NewAggScratch(0)
 	for trial := 0; trial < 40; trial++ {
 		n, d := 2+rng.Intn(6), 50+rng.Intn(80)
 		k := 1 + rng.Intn(25)
+		probeK := 1 + rng.Intn(40)
 		ups := randomUploads(rng, n, d, k)
-		a, b := bin.Aggregate(ups, k), lin.Aggregate(ups, k)
-		if len(a.Indices) != len(b.Indices) {
-			t.Fatalf("trial %d: binary |J|=%d, linear |J|=%d", trial, len(a.Indices), len(b.Indices))
-		}
-		for i := range a.Indices {
-			if a.Indices[i] != b.Indices[i] || a.Values[i] != b.Values[i] {
-				t.Fatalf("trial %d: selection mismatch at %d", trial, i)
+		scratch.prepare(ups)
+		ranks := scratch.walk(ups, max(k, probeK))
+		for _, budget := range []int{k, probeK} {
+			bin, lin := selectKappaBinary(ups, budget), selectKappaLinear(ups, budget)
+			kappa, size := scratch.cutoff(ranks, budget)
+			if bin != lin || kappa != bin {
+				t.Fatalf("trial %d budget %d: κ binary=%d linear=%d walk=%d", trial, budget, bin, lin, kappa)
+			}
+			if want := len(unionUpTo(ups, bin)); size != want {
+				t.Fatalf("trial %d budget %d: walk's rank-κ union has %d coordinates, want %d", trial, budget, size, want)
 			}
 		}
 	}
@@ -342,26 +348,5 @@ func TestSingleClientDegeneratesToTopK(t *testing.T) {
 				t.Fatalf("%s: b_%d = %v, want %v", s.Name(), j, agg.Values[i], dense[j])
 			}
 		}
-	}
-}
-
-// Ablation bench pair (DESIGN.md §4): binary vs linear κ search.
-func BenchmarkFABSelectBinary(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	ups := randomUploads(rng, 32, 20000, 500)
-	s := &FABTopK{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Aggregate(ups, 500)
-	}
-}
-
-func BenchmarkFABSelectLinear(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	ups := randomUploads(rng, 32, 20000, 500)
-	s := &FABTopK{LinearScan: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Aggregate(ups, 500)
 	}
 }

@@ -84,7 +84,8 @@ func selectKappaBinary(uploads []ClientUpload, k int) int {
 }
 
 // selectKappaLinear finds the same κ by growing the union one rank at a
-// time (O(N·D) total work; ablation counterpart to the binary search).
+// time (O(N·D) total work) — the second, independent oracle the tests
+// hold the production searches against.
 func selectKappaLinear(uploads []ClientUpload, k int) int {
 	maxLen := 0
 	for _, u := range uploads {
@@ -111,9 +112,9 @@ func selectKappaLinear(uploads []ClientUpload, k int) int {
 // strategy — the oracle the differential tests compare the scratch-based
 // paths against.
 func referenceAggregate(s Strategy, uploads []ClientUpload, k int) Aggregate {
-	switch t := s.(type) {
+	switch s.(type) {
 	case *FABTopK:
-		return referenceFAB(t, uploads, k)
+		return referenceFAB(uploads, k)
 	case FUBTopK:
 		return referenceFUB(uploads, k)
 	case UniTopK, PeriodicK, SendAll:
@@ -123,13 +124,8 @@ func referenceAggregate(s Strategy, uploads []ClientUpload, k int) Aggregate {
 	}
 }
 
-func referenceFAB(s *FABTopK, uploads []ClientUpload, k int) Aggregate {
-	var kappa int
-	if s.LinearScan {
-		kappa = selectKappaLinear(uploads, k)
-	} else {
-		kappa = selectKappaBinary(uploads, k)
-	}
+func referenceFAB(uploads []ClientUpload, k int) Aggregate {
+	kappa := selectKappaBinary(uploads, k)
 	in := unionUpTo(uploads, kappa)
 
 	// Fill to k with the largest-|value| rank-(κ+1) candidates not already

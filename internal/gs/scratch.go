@@ -22,11 +22,19 @@ import (
 // coordinate's additions always run in ascending client order. The
 // differential suite pins all of this.
 //
-// The reduction is one goroutine's work on purpose: the selection's κ
-// search dominates a round's aggregate, and what a coordinate-chunked
-// fan-out needs first — every uploaded pair copied into per-chunk buckets —
-// costs what the fan-out saves (measured at the engine's shape on two
-// cores; ROADMAP item 4 has the runs).
+// Selection exists once, fed by the two inputs that really differ: raw
+// uploads (this file — κ by one rank-major walk, values accumulated for
+// the selected members only) and a merged range reduction plus
+// control-plane metadata (direct.go — κ from the min-rank histogram,
+// values from the reduction). They share the fill step, the FUB ranking,
+// the union selection and the emitter below.
+//
+// The reduction is one goroutine's work on purpose: what a
+// coordinate-chunked fan-out needs first — every uploaded pair copied
+// into per-chunk buckets — costs what the fan-out saves (measured at the
+// engine's shape on two cores; PR 17 in CHANGES.md has the runs), and
+// reducing every pair by coordinate range in-process was 3–23× slower than
+// summing the selected members only (docs/ARCHITECTURE.md has the table).
 
 // AggScratch holds the reusable state of the scratch-based aggregation
 // paths. The zero value is NOT ready to use; call NewAggScratch. A scratch
@@ -39,16 +47,17 @@ type AggScratch struct {
 	// maxDim scan and trust coordinates to be in range.
 	reserved bool
 
-	// Epoch-stamped membership slabs over the coordinate space: mark*[j]
-	// == gen* means coordinate j is in the corresponding set for the
-	// current call. Bumping a generation empties its set in O(1). markTmp
-	// backs transient sets (κ-search unions, FUB's seen-set).
-	markMain  []int32
-	markProbe []int32
-	markTmp   []int32
-	genMain   int32
-	genProbe  int32
-	genTmp    int32
+	// main and probe are the call's two selections (k and k′); one set of
+	// buffers each, so both Aggregates stay valid together.
+	main, probe selection
+
+	// markTmp is the transient epoch-stamped set over the coordinate space
+	// (markTmp[j] == genTmp means j was seen this pass; bumping genTmp
+	// empties it in O(1)) and stamped lists its members in the order they
+	// were first seen: FAB's rank-major walk, FUB's every uploaded index.
+	markTmp []int32
+	genTmp  int32
+	stamped []int
 
 	// sums[j] accumulates b_j for the current call's main ∪ probe members;
 	// only member coordinates are zeroed and read, never the whole array.
@@ -59,40 +68,75 @@ type AggScratch struct {
 	// members of the current call, like sums.
 	minRank []int
 
-	membersMain  []int
-	membersProbe []int
-	allUploaded  []int // FUB ranking: every uploaded index, insertion order
-	entries      []fubEntry
-	cands        []fabCand
+	entries []fubEntry
+	cands   []FillCand
 
-	// Sharded-aggregation buffers (shard.go): the range reduction's
-	// outputs and the coordinator-side selection's min-rank histogram.
+	// rankHist[r] counts the coordinates whose minimal upload rank is r:
+	// FAB's κ is a prefix sum over it (cutoff), whichever input filled it.
+	rankHist []int
+
+	// The range reduction's outputs (shard.go).
 	rangeIdx  []int
 	rangeSum  []float64
 	rangeRank []int
-	rankHist  []int
+}
 
-	// Output buffers: one set per selection so the main and probe
-	// aggregates stay valid together.
-	outIdxMain   []int
-	outValMain   []float64
-	outUsedMain  []int
-	outIdxProbe  []int
-	outValProbe  []float64
-	outUsedProbe []int
+// selection is one downlink selection under construction — a membership
+// slab over the coordinate space, the member list, and the buffers the
+// emitted Aggregate aliases.
+type selection struct {
+	mark    []int32 // mark[j] == gen means coordinate j is a member
+	gen     int32
+	members []int
+	vals    []float64
+	used    []int
+}
+
+// begin empties the selection, growing its slab to the reduction slabs'
+// dimension (lazily, so reduction-only scratches — shard processes, which
+// only ever run RangeReduceInto — never allocate one).
+func (s *AggScratch) begin(sel *selection) {
+	sel.mark = growInt32s(sel.mark, len(s.markTmp))
+	par.BumpEpoch(&sel.gen, sel.mark)
+	sel.members = sel.members[:0]
+}
+
+func (sel *selection) add(j int) {
+	if sel.mark[j] != sel.gen {
+		sel.mark[j] = sel.gen
+		sel.members = append(sel.members, j)
+	}
+}
+
+// fill is the last step of every FAB selection, whichever input produced
+// κ and the rank-κ union: the rank-(κ+1) candidates, sorted by the
+// reference comparator, join until the selection holds k members.
+// Candidates already selected are skipped, so the caller need not filter.
+func (sel *selection) fill(cands []FillCand, k int) {
+	SortFillCands(cands)
+	for _, cd := range cands {
+		if len(sel.members) >= k {
+			break
+		}
+		sel.add(cd.Idx)
+	}
+}
+
+// emit sorts the members and builds the selection's Aggregate with the
+// values found in sums; used must already hold the fairness counts.
+func (sel *selection) emit(sums []float64) Aggregate {
+	slices.Sort(sel.members)
+	sel.vals = growFloats(sel.vals, len(sel.members))
+	for i, j := range sel.members {
+		sel.vals[i] = sums[j]
+	}
+	return Aggregate{Indices: sel.members, Values: sel.vals, PerClientUsed: sel.used}
 }
 
 // fubEntry is one aggregated coordinate in FUB's |b_j| ranking.
 type fubEntry struct {
 	idx int
 	abs float64
-}
-
-// fabCand is one rank-(κ+1) fill candidate in FAB's selection.
-type fabCand struct {
-	idx    int
-	absVal float64
-	client int
 }
 
 // NewAggScratch returns an empty scratch. The argument is ignored: the
@@ -134,16 +178,15 @@ func (s *AggScratch) prepare(uploads []ClientUpload) {
 	}
 }
 
-// ensureDim grows the reduction slabs (transient marks, sums, min
-// ranks) to at least dim. The selection slabs (markMain/markProbe) grow
-// lazily in beginMain/beginProbe instead, so reduction-only scratches —
-// the per-shard workers of the sharded tier, which only ever run
-// RangeReduceInto — never allocate them at all.
+// ensureDim grows the reduction slabs (transient marks and their member
+// list, sums, min ranks) to at least dim. The selections' slabs grow in
+// begin instead.
 func (s *AggScratch) ensureDim(dim int) {
 	if len(s.markTmp) >= dim {
 		return
 	}
 	s.markTmp = growInt32s(s.markTmp, dim)
+	s.stamped = make([]int, 0, dim)
 	sums := make([]float64, dim)
 	copy(sums, s.sums)
 	s.sums = sums
@@ -165,120 +208,76 @@ func maxDim(uploads []ClientUpload) int {
 	return d
 }
 
-// countUnionUpTo returns |∪_i J_i^κ| using the transient slab.
-func (s *AggScratch) countUnionUpTo(uploads []ClientUpload, kappa int) int {
-	gen := par.BumpEpoch(&s.genTmp, s.markTmp)
-	count := 0
+// maxLen returns the longest upload's pair count.
+func maxLen(uploads []ClientUpload) int {
+	n := 0
 	for _, u := range uploads {
-		n := min(kappa, u.Pairs.Len())
-		for _, j := range u.Pairs.Idx[:n] {
-			if s.markTmp[j] != gen {
-				s.markTmp[j] = gen
-				count++
-			}
-		}
+		n = max(n, u.Pairs.Len())
 	}
-	return count
+	return n
 }
 
-// kappaBinary is selectKappaBinary on the scratch slabs.
-func (s *AggScratch) kappaBinary(uploads []ClientUpload, k int) int {
-	maxLen := 0
-	for _, u := range uploads {
-		maxLen = max(maxLen, u.Pairs.Len())
-	}
-	lo, hi := 0, maxLen
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if s.countUnionUpTo(uploads, mid) <= k {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
-// kappaLinear is selectKappaLinear on the scratch slabs: one transient
-// generation, growing the union a rank at a time.
-func (s *AggScratch) kappaLinear(uploads []ClientUpload, k int) int {
-	maxLen := 0
-	for _, u := range uploads {
-		maxLen = max(maxLen, u.Pairs.Len())
-	}
+// walk is the raw-upload input's κ search, serving every budget up to the
+// given one: ranks ascending, clients ascending within a rank, stamping each
+// coordinate the first time it is met — s.stamped lists them in that order
+// and s.rankHist[r] counts the ones first met at rank r, the min-rank
+// histogram evaluated lazily — until the union has outgrown the budget. It
+// reads N·(κ+1) pairs, not all of them. ranks is the longest upload's
+// length; cutoff reads κ off the histogram.
+func (s *AggScratch) walk(uploads []ClientUpload, budget int) (ranks int) {
+	ranks = maxLen(uploads)
+	s.rankHist = growInts(s.rankHist, ranks)
 	gen := par.BumpEpoch(&s.genTmp, s.markTmp)
-	count := 0
-	for kappa := 1; kappa <= maxLen; kappa++ {
+	s.stamped = s.stamped[:0]
+	for r := 0; r < ranks && len(s.stamped) <= budget; r++ {
+		before := len(s.stamped)
 		for _, u := range uploads {
-			if kappa <= u.Pairs.Len() {
-				if j := u.Pairs.Idx[kappa-1]; s.markTmp[j] != gen {
+			if r < u.Pairs.Len() {
+				if j := u.Pairs.Idx[r]; s.markTmp[j] != gen {
 					s.markTmp[j] = gen
-					count++
+					s.stamped = append(s.stamped, j)
 				}
 			}
 		}
-		if count > k {
-			return kappa - 1
-		}
+		s.rankHist[r] = len(s.stamped) - before
 	}
-	return maxLen
+	return ranks
 }
 
-// fabSelect runs FAB's selection (κ search, union, rank-(κ+1) fill) into
-// the given membership slab, returning the appended member list. The
-// candidate ordering replicates the reference comparator exactly, so the
-// selected set — and the order duplicates collapse in — is identical.
-func (s *AggScratch) fabSelect(uploads []ClientUpload, k int, linear bool,
-	mark []int32, gen int32, members []int) []int {
-
-	var kappa int
-	if linear {
-		kappa = s.kappaLinear(uploads, k)
-	} else {
-		kappa = s.kappaBinary(uploads, k)
+// cutoff reads FAB's rank cutoff off the min-rank histogram s.rankHist: the
+// largest κ in [0, ranks] with |∪_i J_i^κ| = Σ_{r<κ} rankHist[r] ≤ k — what
+// the reference's binary and linear map searches find — and that union's
+// size. The scan stops at the first rank that overshoots k, so a histogram
+// the walk abandoned past its own budget ≥ k is as good as a whole one.
+func (s *AggScratch) cutoff(ranks, k int) (kappa, size int) {
+	for kappa < ranks && size+s.rankHist[kappa] <= k {
+		size += s.rankHist[kappa]
+		kappa++
 	}
-	for _, u := range uploads {
-		n := min(kappa, u.Pairs.Len())
-		for _, j := range u.Pairs.Idx[:n] {
-			if mark[j] != gen {
-				mark[j] = gen
-				members = append(members, j)
-			}
-		}
-	}
-	if len(members) < k {
-		s.cands = s.cands[:0]
-		for ci, u := range uploads {
-			if kappa < u.Pairs.Len() {
-				j := u.Pairs.Idx[kappa]
-				if mark[j] != gen {
-					s.cands = append(s.cands, fabCand{j, math.Abs(u.Pairs.Val[kappa]), ci})
-				}
-			}
-		}
-		slices.SortFunc(s.cands, compareFABCands)
-		for _, cd := range s.cands {
-			if len(members) >= k {
-				break
-			}
-			if mark[cd.idx] != gen {
-				mark[cd.idx] = gen
-				members = append(members, cd.idx)
-			}
-		}
-	}
-	return members
+	return kappa, size
 }
 
-// fubRank computes b_j over every uploaded coordinate and sorts the
-// (coordinate, |b_j|) entries by the reference comparator. Because the
-// comparator is a strict total order, sorting the insertion-ordered list
-// here and the map-ordered list in the reference yields the same sequence;
-// and because a probe selection is just a shorter prefix of this ranking,
-// main and probe share one ranking pass.
-func (s *AggScratch) fubRank(uploads []ClientUpload) {
+// fabSelect builds one FAB selection over raw uploads after the walk: the
+// rank-κ union is the first coordinates it stamped, then the fill from
+// rank κ+1.
+func (s *AggScratch) fabSelect(sel *selection, uploads []ClientUpload, ranks, k int) {
+	kappa, size := s.cutoff(ranks, k)
+	s.begin(sel)
+	for _, j := range s.stamped[:size] {
+		sel.add(j)
+	}
+	if size < k {
+		s.cands = AppendFillCands(slices.Grow(s.cands[:0], len(uploads)), uploads, nil, kappa)
+		sel.fill(s.cands, k)
+	}
+}
+
+// fubSums computes b_j over every uploaded coordinate — leaving the exact
+// sums in s.sums, by the ascending-client chain the accumulation pass
+// would run — and lists the (coordinate, |b_j|) entries for fubSelect.
+func (s *AggScratch) fubSums(uploads []ClientUpload) {
 	gen := par.BumpEpoch(&s.genTmp, s.markTmp)
-	s.allUploaded = s.allUploaded[:0]
+	s.stamped = s.stamped[:0]
 	c := totalWeight(uploads)
 	for _, u := range uploads {
 		w := u.Weight / c
@@ -286,37 +285,78 @@ func (s *AggScratch) fubRank(uploads []ClientUpload) {
 			if s.markTmp[j] != gen {
 				s.markTmp[j] = gen
 				s.sums[j] = 0
-				s.allUploaded = append(s.allUploaded, j)
+				s.stamped = append(s.stamped, j)
 			}
 			s.sums[j] += w * u.Pairs.Val[pi]
 		}
 	}
 	s.entries = s.entries[:0]
-	for _, j := range s.allUploaded {
+	for _, j := range s.stamped {
 		s.entries = append(s.entries, fubEntry{j, math.Abs(s.sums[j])})
 	}
+}
+
+// fubSelect is FUB's selection over s.entries, however they were filled
+// (fubSums, or a merged reduction): sort by the reference comparator and
+// take the k largest. The comparator is a strict total order, so the
+// insertion-ordered list here and the map-ordered list in the reference
+// sort to the same sequence; a probe selection is a shorter prefix of the
+// same ranking.
+func (s *AggScratch) fubSelect(k, probeK int) {
 	slices.SortFunc(s.entries, compareFUBEntries)
+	s.begin(&s.main)
+	for _, e := range s.entries[:min(k, len(s.entries))] {
+		s.main.add(e.idx)
+	}
+	if probeK > 0 {
+		s.begin(&s.probe)
+		for _, e := range s.entries[:min(probeK, len(s.entries))] {
+			s.probe.add(e.idx)
+		}
+	}
+}
+
+// unionSelect is the selection of the unidirectional, periodic and
+// send-all strategies — every coordinate of the input, which is the
+// uploads' pairs or (with no uploads) a merged reduction's coordinates.
+// The probe selection is the same set.
+func (s *AggScratch) unionSelect(uploads []ClientUpload, red RangeAgg, hasProbe bool) {
+	s.begin(&s.main)
+	for _, u := range uploads {
+		for _, j := range u.Pairs.Idx {
+			s.main.add(j)
+		}
+	}
+	for _, j := range red.Idx {
+		s.main.add(j)
+	}
+	if hasProbe {
+		s.begin(&s.probe)
+		for _, j := range s.main.members {
+			s.probe.add(j)
+		}
+	}
 }
 
 // compareFABCands and compareFUBEntries are the strict total orders the
 // reference comparators define (reference.go keeps its own copies — it
-// is the independent differential oracle). Every production path —
-// single-scratch and sharded alike — sorts with THESE functions, so a
+// is the independent differential oracle). Every production selection —
+// over raw uploads or merged reductions — sorts with THESE functions, so a
 // tie-break tweak cannot desynchronize the paths from each other.
 
 // compareFABCands orders FAB fill candidates: |value| descending, then
 // coordinate, then client.
-func compareFABCands(a, b fabCand) int {
+func compareFABCands(a, b FillCand) int {
 	switch {
-	case a.absVal != b.absVal:
-		if a.absVal > b.absVal {
+	case a.AbsVal != b.AbsVal:
+		if a.AbsVal > b.AbsVal {
 			return -1
 		}
 		return 1
-	case a.idx != b.idx:
-		return a.idx - b.idx
+	case a.Idx != b.Idx:
+		return a.Idx - b.Idx
 	default:
-		return a.client - b.client
+		return a.Client - b.Client
 	}
 }
 
@@ -334,98 +374,35 @@ func compareFUBEntries(a, b fubEntry) int {
 	}
 }
 
-// beginMain / beginProbe start fresh selections for the current call,
-// growing their membership slab to the reduction slabs' dimension (the
-// lazy counterpart of ensureDim — see its comment).
-func (s *AggScratch) beginMain() {
-	if len(s.markMain) < len(s.markTmp) {
-		s.markMain = growInt32s(s.markMain, len(s.markTmp))
-	}
-	par.BumpEpoch(&s.genMain, s.markMain)
-	s.membersMain = s.membersMain[:0]
-}
-
-func (s *AggScratch) beginProbe() {
-	if len(s.markProbe) < len(s.markTmp) {
-		s.markProbe = growInt32s(s.markProbe, len(s.markTmp))
-	}
-	par.BumpEpoch(&s.genProbe, s.markProbe)
-	s.membersProbe = s.membersProbe[:0]
-}
-
-func (s *AggScratch) addMain(j int) {
-	if s.markMain[j] != s.genMain {
-		s.markMain[j] = s.genMain
-		s.membersMain = append(s.membersMain, j)
-	}
-}
-
-func (s *AggScratch) addProbe(j int) {
-	if s.markProbe[j] != s.genProbe {
-		s.markProbe[j] = s.genProbe
-		s.membersProbe = append(s.membersProbe, j)
-	}
-}
-
-// unionSelect marks every uploaded coordinate as a main member (the
-// selection of the unidirectional, periodic, and send-all strategies).
-func (s *AggScratch) unionSelect(uploads []ClientUpload) {
-	s.beginMain()
-	for _, u := range uploads {
-		for _, j := range u.Pairs.Idx {
-			s.addMain(j)
-		}
-	}
-}
-
-// finish turns the marked selections into sorted, value-filled Aggregates:
-// sort members, zero their sums, run the single weighted accumulation
-// pass, and fill the output buffers.
-// sumsValid says s.sums[j] already holds the exact b_j for every member
-// (FUB's ranking pass computes it with the identical ascending-client
-// chain), so only the integer fairness counts remain to be tallied.
-func (s *AggScratch) finish(uploads []ClientUpload, hasProbe, sumsValid bool) (Aggregate, Aggregate) {
-	slices.Sort(s.membersMain)
+// finish turns the marked selections into sorted, value-filled Aggregates
+// with nClients fairness counts each — the one emitter of every path.
+// sumsValid says s.sums[j] already holds the exact b_j of every member
+// (FUB's ranking pass, or a merged reduction loaded by the ranged
+// selections), so only the fairness counts remain to be tallied — over
+// the uploads, which a ranged selection does not have: its counts stay
+// zero. Otherwise the members' sums are zeroed and the single weighted
+// accumulation pass computes sums and counts together.
+func (s *AggScratch) finish(uploads []ClientUpload, nClients int, hasProbe, sumsValid bool) (main, probe Aggregate) {
+	s.main.used = resetInts(s.main.used, nClients)
 	if hasProbe {
-		slices.Sort(s.membersProbe)
+		s.probe.used = resetInts(s.probe.used, nClients)
 	}
-	nUp := len(uploads)
-	s.outUsedMain = resetInts(s.outUsedMain, nUp)
-	if hasProbe {
-		s.outUsedProbe = resetInts(s.outUsedProbe, nUp)
-	}
-
 	if sumsValid {
-		s.countUsed(uploads, hasProbe)
+		s.CountUsed(uploads, hasProbe)
 	} else {
-		for _, j := range s.membersMain {
+		for _, j := range s.main.members {
 			s.sums[j] = 0
 		}
 		if hasProbe {
-			for _, j := range s.membersProbe {
+			for _, j := range s.probe.members {
 				s.sums[j] = 0
 			}
 		}
 		s.accumulate(uploads, hasProbe)
 	}
-
-	s.outIdxMain = growInts(s.outIdxMain, len(s.membersMain))
-	s.outValMain = growFloats(s.outValMain, len(s.membersMain))
-	copy(s.outIdxMain, s.membersMain)
-	for i, j := range s.membersMain {
-		s.outValMain[i] = s.sums[j]
-	}
-	main := Aggregate{Indices: s.outIdxMain, Values: s.outValMain, PerClientUsed: s.outUsedMain}
-
-	var probe Aggregate
+	main = s.main.emit(s.sums)
 	if hasProbe {
-		s.outIdxProbe = growInts(s.outIdxProbe, len(s.membersProbe))
-		s.outValProbe = growFloats(s.outValProbe, len(s.membersProbe))
-		copy(s.outIdxProbe, s.membersProbe)
-		for i, j := range s.membersProbe {
-			s.outValProbe[i] = s.sums[j]
-		}
-		probe = Aggregate{Indices: s.outIdxProbe, Values: s.outValProbe, PerClientUsed: s.outUsedProbe}
+		probe = s.probe.emit(s.sums)
 	}
 	return main, probe
 }
@@ -434,94 +411,76 @@ func (s *AggScratch) finish(uploads []ClientUpload, hasProbe, sumsValid bool) (A
 // pairs in upload order — the exact operation sequence of the reference
 // path, shared between the main and probe selections.
 func (s *AggScratch) accumulate(uploads []ClientUpload, hasProbe bool) {
+	markM, genM := s.main.mark, s.main.gen
+	markP, genP := s.probe.mark, s.probe.gen
 	c := totalWeight(uploads)
 	for ci, u := range uploads {
 		w := u.Weight / c
 		for pi, j := range u.Pairs.Idx {
-			inMain := s.markMain[j] == s.genMain
-			inProbe := hasProbe && s.markProbe[j] == s.genProbe
+			inMain := markM[j] == genM
+			inProbe := hasProbe && markP[j] == genP
 			if inMain || inProbe {
 				s.sums[j] += w * u.Pairs.Val[pi]
 			}
 			if inMain {
-				s.outUsedMain[ci]++
+				s.main.used[ci]++
 			}
 			if inProbe {
-				s.outUsedProbe[ci]++
+				s.probe.used[ci]++
 			}
 		}
 	}
 }
 
-// countUsed tallies the fairness counts — how many of each client's
-// uploaded pairs landed in the main/probe selections — where no
-// accumulation pass does it on the way (FUB).
-func (s *AggScratch) countUsed(uploads []ClientUpload, hasProbe bool) {
+// CountUsed tallies the fairness counts — how many of each client's
+// uploaded pairs landed in the scratch's current main/probe selections —
+// into the PerClientUsed slices of the Aggregates last returned. The
+// selections call it themselves where no accumulation pass counts on the
+// way (FUB); a SelectDirect caller that does hold the uploads (the routed
+// coordinator) calls it to fill the counts SelectDirect left zero.
+func (s *AggScratch) CountUsed(uploads []ClientUpload, hasProbe bool) {
 	for ci, u := range uploads {
 		countM, countP := 0, 0
 		for _, j := range u.Pairs.Idx {
-			if s.markMain[j] == s.genMain {
+			if s.main.mark[j] == s.main.gen {
 				countM++
 			}
-			if hasProbe && s.markProbe[j] == s.genProbe {
+			if hasProbe && s.probe.mark[j] == s.probe.gen {
 				countP++
 			}
 		}
-		s.outUsedMain[ci] = countM
+		s.main.used[ci] = countM
 		if hasProbe {
-			s.outUsedProbe[ci] = countP
+			s.probe.used[ci] = countP
 		}
 	}
 }
 
 // AggregateInto implementations — see ScratchAggregator.
 
-func (s *FABTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
+func (*FABTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
 	a.prepare(uploads)
-	a.beginMain()
-	a.membersMain = a.fabSelect(uploads, k, s.LinearScan, a.markMain, a.genMain, a.membersMain)
-	hasProbe := probeK > 0
-	if hasProbe {
-		a.beginProbe()
-		a.membersProbe = a.fabSelect(uploads, probeK, s.LinearScan, a.markProbe, a.genProbe, a.membersProbe)
+	ranks := a.walk(uploads, max(k, probeK))
+	a.fabSelect(&a.main, uploads, ranks, k)
+	if probeK > 0 {
+		a.fabSelect(&a.probe, uploads, ranks, probeK)
 	}
-	return a.finish(uploads, hasProbe, false)
+	return a.finish(uploads, len(uploads), probeK > 0, false)
 }
 
 func (FUBTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
 	a.prepare(uploads)
-	a.fubRank(uploads)
-	a.beginMain()
-	for _, e := range a.entries[:min(k, len(a.entries))] {
-		a.addMain(e.idx)
-	}
-	hasProbe := probeK > 0
-	if hasProbe {
-		a.beginProbe()
-		for _, e := range a.entries[:min(probeK, len(a.entries))] {
-			a.addProbe(e.idx)
-		}
-	}
-	// fubRank already left the exact b_j of every uploaded coordinate in
-	// a.sums (same ascending-client addition chain the accumulation pass
-	// would run), so only the fairness counts remain.
-	return a.finish(uploads, hasProbe, true)
+	a.fubSums(uploads)
+	a.fubSelect(k, probeK)
+	return a.finish(uploads, len(uploads), probeK > 0, true)
 }
 
 // unionAggregateInto is shared by the strategies whose selection is the
-// whole upload union (k is ignored): the probe selection is then identical
-// to the main one, so its members are copied rather than re-derived.
+// whole upload union (k is ignored).
 func unionAggregateInto(a *AggScratch, uploads []ClientUpload, probeK int) (Aggregate, Aggregate) {
 	a.prepare(uploads)
-	a.unionSelect(uploads)
-	hasProbe := probeK > 0
-	if hasProbe {
-		a.beginProbe()
-		for _, j := range a.membersMain {
-			a.addProbe(j)
-		}
-	}
-	return a.finish(uploads, hasProbe, false)
+	a.unionSelect(uploads, RangeAgg{}, probeK > 0)
+	return a.finish(uploads, len(uploads), probeK > 0, false)
 }
 
 func (UniTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, _, probeK int) (Aggregate, Aggregate) {

@@ -11,7 +11,7 @@ import (
 // scratchStrategies is every built-in strategy through its scratch path.
 func scratchStrategies() []Strategy {
 	return []Strategy{
-		&FABTopK{}, &FABTopK{LinearScan: true}, FUBTopK{}, UniTopK{}, PeriodicK{}, SendAll{},
+		&FABTopK{}, FUBTopK{}, UniTopK{}, PeriodicK{}, SendAll{},
 	}
 }
 

@@ -1,7 +1,6 @@
 package gs
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,11 +8,11 @@ import (
 	"fedsparse/internal/tensor"
 )
 
-// TestShardedDifferentialAllStrategies pins the sharded tier's tentpole
-// guarantee: ShardedScratch.Aggregate — S range reductions merged and
-// selected by the coordinator — is bit-identical to AggregateInto on a
-// single scratch for every strategy, shard count, worker count, and probe
-// setting.
+// TestShardedDifferentialAllStrategies pins the shard tier's tentpole
+// guarantee on the routed plane's data flow (rangedDriver): S range
+// reductions merged and selected by the coordinator are bit-identical to
+// AggregateInto on a single scratch for every strategy, shard count,
+// worker count, and probe setting.
 func TestShardedDifferentialAllStrategies(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(31 + int64(workers)))
@@ -25,10 +24,13 @@ func TestShardedDifferentialAllStrategies(t *testing.T) {
 			probeK := rng.Intn(k) // 0 disables the probe
 			ups := randomUploads(rng, n, d, k)
 			for _, shards := range []int{1, 2, 4, 7} {
-				ss := NewShardedScratch(shards, workers, d)
+				ss := newRangedDriver(shards, workers, d, false)
 				for _, s := range scratchStrategies() {
 					wantMain, wantProbe := s.(ScratchAggregator).AggregateInto(single, ups, k, probeK)
-					gotMain, gotProbe := ss.Aggregate(s.(ShardSelector), ups, k, probeK)
+					gotMain, gotProbe, err := ss.aggregate(s.(DirectSelector), ups, k, probeK)
+					if err != nil {
+						t.Fatalf("trial %d: %s: %v", trial, s.Name(), err)
+					}
 					requireSameAggregate(t, trial, wantMain, gotMain)
 					if probeK > 0 {
 						requireSameAggregate(t, trial, wantProbe, gotProbe)
@@ -57,10 +59,13 @@ func TestShardedDifferentialTieHeavy(t *testing.T) {
 		probeK := rng.Intn(k)
 		ups := tieUploads(rng, n, d, k)
 		for _, shards := range []int{2, 3, 5} {
-			ss := NewShardedScratch(shards, 0, d)
+			ss := newRangedDriver(shards, 0, d, false)
 			for _, s := range scratchStrategies() {
 				wantMain, wantProbe := s.(ScratchAggregator).AggregateInto(single, ups, k, probeK)
-				gotMain, gotProbe := ss.Aggregate(s.(ShardSelector), ups, k, probeK)
+				gotMain, gotProbe, err := ss.aggregate(s.(DirectSelector), ups, k, probeK)
+				if err != nil {
+					t.Fatalf("trial %d: %s: %v", trial, s.Name(), err)
+				}
 				requireSameAggregate(t, trial, wantMain, gotMain)
 				if probeK > 0 {
 					requireSameAggregate(t, trial, wantProbe, gotProbe)
@@ -149,10 +154,13 @@ func TestShardedDegenerate(t *testing.T) {
 	single := NewAggScratch(0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ss := NewShardedScratch(8, 0, tc.d) // 8 shards over d=5: some ranges empty
+			ss := newRangedDriver(8, 0, tc.d, false) // 8 shards over d=5: some ranges empty
 			for _, s := range scratchStrategies() {
 				wantMain, _ := s.(ScratchAggregator).AggregateInto(single, tc.ups, tc.k, 0)
-				gotMain, _ := ss.Aggregate(s.(ShardSelector), tc.ups, tc.k, 0)
+				gotMain, _, err := ss.aggregate(s.(DirectSelector), tc.ups, tc.k, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", s.Name(), err)
+				}
 				requireSameAggregate(t, 0, wantMain, gotMain)
 			}
 		})
@@ -160,55 +168,32 @@ func TestShardedDegenerate(t *testing.T) {
 }
 
 // TestShardedAllocsWarm extends the allocation-regression gate to the
-// sharded tier: a warm sequential ShardedScratch aggregates with zero
-// allocations for every strategy, probe included.
+// kernels the shard tier runs: a warm scratch reduces a range, and a warm
+// selection scratch selects over the reduction, with zero allocations for
+// every strategy, probe included.
 func TestShardedAllocsWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const n, d, k = 8, 2000, 120
 	ups := randomUploads(rng, n, d, k)
-	ss := NewShardedScratch(4, 0, d)
+	shard, sel := NewAggScratch(0), NewAggScratch(0)
+	shard.Reserve(d)
+	sel.Reserve(d)
+	var cands []FillCand
+	meta := DirectMeta{NumClients: n, MaxLen: k, Fill: func(kappa int) ([]FillCand, error) {
+		cands = AppendFillCands(cands[:0], ups, nil, kappa)
+		return cands, nil
+	}}
 	for _, s := range scratchStrategies() {
-		sel := s.(ShardSelector)
-		ss.Aggregate(sel, ups, k, 40) // warm the buffers
-		allocs := testing.AllocsPerRun(20, func() {
-			ss.Aggregate(sel, ups, k, 40)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: %v allocs/op on warm sharded scratch, want 0", s.Name(), allocs)
+		round := func() {
+			red := RangeReduceInto(shard, ups, nil, 0, d)
+			if _, _, err := s.(DirectSelector).SelectDirect(sel, red, meta, k, 40); err != nil {
+				t.Fatal(err)
+			}
+			sel.CountUsed(ups, true)
 		}
-	}
-}
-
-// BenchmarkShardedAggregate tracks the sharded tier against the
-// single-scratch path at the engine's server shape (the per-round work a
-// shard tier splits). On one core the shards axis is pure overhead; on a
-// multi-core runner the workers>1 variants show the fan-out win.
-func BenchmarkShardedAggregate(b *testing.B) {
-	rng := rand.New(rand.NewSource(35))
-	const n, d, k = 32, 20000, 500
-	ups := randomUploads(rng, n, d, k)
-	strat := &FABTopK{}
-	b.Run("single", func(b *testing.B) {
-		scratch := NewAggScratch(0)
-		strat.AggregateInto(scratch, ups, k, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			strat.AggregateInto(scratch, ups, k, 0)
-		}
-	})
-	for _, shards := range []int{2, 4} {
-		for _, workers := range []int{0, 4} {
-			name := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
-			b.Run(name, func(b *testing.B) {
-				ss := NewShardedScratch(shards, workers, d)
-				ss.Aggregate(strat, ups, k, 0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ss.Aggregate(strat, ups, k, 0)
-				}
-			})
+		round() // warm the buffers
+		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+			t.Fatalf("%s: %v allocs/op on warm reduce + select, want 0", s.Name(), allocs)
 		}
 	}
 }

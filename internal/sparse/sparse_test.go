@@ -232,7 +232,7 @@ func benchDense(n int) []float64 {
 	return dense
 }
 
-// Ablation bench pair (DESIGN.md §4): the radix kernel vs heap top-k.
+// Ablation bench pair: the radix kernel vs heap top-k.
 func BenchmarkTopKRadix(b *testing.B) {
 	dense := benchDense(100000)
 	b.ResetTimer()

@@ -816,9 +816,13 @@ func TestDirectShardDeathBetweenSealAndServe(t *testing.T) {
 	if !errors.Is(h.shardErr[1], ErrInjected) {
 		t.Fatalf("shard 1 exit error %v, want the injected seal failure", h.shardErr[1])
 	}
+	// A client meets the dead link at whichever step of its shard-1 fetch
+	// gets there first — the SliceFetch send or the slice recv; which
+	// syscall notices is the scheduler's choice, not the contract.
 	anyFetch := false
 	for _, err := range h.cliErrs {
-		anyFetch = anyFetch || (err != nil && strings.Contains(err.Error(), "slice recv from shard"))
+		anyFetch = anyFetch || (err != nil && (strings.Contains(err.Error(), "fetch to shard 1") ||
+			strings.Contains(err.Error(), "slice recv from shard 1")))
 	}
 	if !anyFetch {
 		t.Fatalf("no client surfaced the dead downlink: %v", h.cliErrs)

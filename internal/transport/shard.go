@@ -220,6 +220,12 @@ type ShardGroup struct {
 	idxs [][]int
 	vals [][]float64
 	rnks [][]int
+
+	// FAB's fill candidates come from the uploads the coordinator holds:
+	// the round's uploads, the hook over them (bound once), its buffer.
+	uploads  []gs.ClientUpload
+	fillHook func(kappa int) ([]gs.FillCand, error)
+	cands    []gs.FillCand
 }
 
 // shardResults is the coordinator-side gather of one round's
@@ -321,6 +327,7 @@ func NewShardGroup(conns []Conn, dim, rounds int, weights []float64) (*ShardGrou
 		rnks:         make([][]int, len(conns)),
 	}
 	g.sel.Reserve(dim)
+	g.fillHook = g.fill
 	for s := range conns {
 		g.offs[s] = make([]int, len(weights)+1)
 	}
@@ -339,13 +346,19 @@ func (g *ShardGroup) shardOf(j int) int {
 	return sort.SearchInts(g.bounds, j+1) - 1
 }
 
+// fill serves FAB's rank-kappa candidates from the round's uploads.
+func (g *ShardGroup) fill(kappa int) ([]gs.FillCand, error) {
+	g.cands = gs.AppendFillCands(g.cands[:0], g.uploads, nil, kappa)
+	return g.cands, nil
+}
+
 // Aggregate runs one round through the shard tier: route the uploads'
 // pairs to their owning shards, gather every shard's range reduction, and
 // select on the merged results — bit-identical to
 // strat.AggregateInto(…, uploads, k, probeK) on a single scratch. The
 // uploads must be in client-ID order with the weights the group was built
 // with.
-func (g *ShardGroup) Aggregate(strat gs.ShardSelector, uploads []gs.ClientUpload, round, k, probeK int) (main, probe gs.Aggregate, err error) {
+func (g *ShardGroup) Aggregate(strat gs.DirectSelector, uploads []gs.ClientUpload, round, k, probeK int) (main, probe gs.Aggregate, err error) {
 	if len(uploads) != len(g.weights) {
 		return main, probe, fmt.Errorf("transport: round %d: %d uploads for %d assigned clients", round, len(uploads), len(g.weights))
 	}
@@ -389,7 +402,12 @@ func (g *ShardGroup) Aggregate(strat gs.ShardSelector, uploads []gs.ClientUpload
 	if err != nil {
 		return main, probe, err
 	}
-	main, probe = strat.SelectSharded(g.sel, merged, uploads, k, probeK)
+	g.uploads = uploads
+	meta := gs.DirectMeta{NumClients: len(uploads), MaxLen: maxLen, Fill: g.fillHook}
+	if main, probe, err = strat.SelectDirect(g.sel, merged, meta, k, probeK); err != nil {
+		return main, probe, err
+	}
+	g.sel.CountUsed(uploads, probeK > 0)
 	return main, probe, nil
 }
 

@@ -21,7 +21,7 @@ import (
 // aggregate bit-identically.
 func shardStrategies() []gs.Strategy {
 	return []gs.Strategy{
-		&gs.FABTopK{}, &gs.FABTopK{LinearScan: true}, gs.FUBTopK{}, gs.UniTopK{}, gs.PeriodicK{}, gs.SendAll{},
+		&gs.FABTopK{}, gs.FUBTopK{}, gs.UniTopK{}, gs.PeriodicK{}, gs.SendAll{},
 	}
 }
 
@@ -158,7 +158,7 @@ func TestShardedAggregationDifferential(t *testing.T) {
 								if m%2 == 0 {
 									probeK = k / 2
 								}
-								gotMain, gotProbe, err := group.Aggregate(strat.(gs.ShardSelector), ups, m, k, probeK)
+								gotMain, gotProbe, err := group.Aggregate(strat.(gs.DirectSelector), ups, m, k, probeK)
 								if err != nil {
 									t.Fatalf("%s round %d: %v", strat.Name(), m, err)
 								}

@@ -45,8 +45,7 @@ import (
 
 // tracked is the benchmark set the gate runs: the engine grid plus the
 // selection/aggregation micro-benchmarks BENCH_fl.json has always
-// tracked, the sharded-aggregation tier added with the shard work, and
-// the WAL append path added with the durable control plane (its 0
+// tracked, and the WAL append path added with the durable control plane (its 0
 // allocs/op baseline is the gate that journaling stays off the round
 // loop's allocation budget; its ns/op is one write(2) and noisy, so
 // the baseline records the high end of the measured spread).
@@ -62,7 +61,7 @@ var tracked = []struct {
 	{"./internal/sparse/", "BenchmarkTopKInto", "200x"},
 	// BenchmarkAggregate's engine/ rows run engine_adaptive's aggregation
 	// shape (N = 32, d = 1e5) at k = D/100, D/10 and D.
-	{"./internal/gs/", "BenchmarkAggregate$|BenchmarkShardedAggregate", "30x"},
+	{"./internal/gs/", "BenchmarkAggregate$", "30x"},
 	// The minibatch gradient and loss at the three BENCHMARK.json model
 	// shapes: the dense kernels are ~40 % of engine_adaptive's CPU.
 	{"./internal/nn/", "BenchmarkMeanLoss", "200x"},

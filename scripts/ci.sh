@@ -26,11 +26,13 @@ go test ./...
 # handlers run concurrently with the observer callbacks feeding them;
 # internal/nn because the engine runs one network per worker at once.
 go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./internal/nn/... ./internal/par/... ./internal/transport/... ./internal/wal/... ./internal/admin/... ./cmd/flsim/...
-# The sharded aggregation fan-outs, the blocked dense kernels (one
-# network per engine worker) and the engine's own round pipeline promise
-# the same bits at any parallelism: run their differentials — for
-# internal/fl the golden trajectory table and the Workers grids — at more
-# than one GOMAXPROCS, uncached.
+# The selection differentials and range-reduction kernels (every
+# aggregation entry point against the map reference, shard scratches
+# reduced side by side), the blocked dense kernels (one network per
+# engine worker) and the engine's own round pipeline promise the same
+# bits at any parallelism: run their differentials — for internal/fl the
+# golden trajectory table and the Workers grids — at more than one
+# GOMAXPROCS, uncached.
 go test -count=1 -cpu 1,2,4 ./internal/gs ./internal/nn ./internal/tensor ./internal/fl
 # The transport's lockstep differentials and hostile-input tables get
 # the same treatment: every role's round is one shared body that each
@@ -53,6 +55,9 @@ go test -race -count=1 \
 # finds under internal/sparse/testdata/fuzz already ran as unit tests
 # above; this spends ten more seconds looking for new ones.
 go test ./internal/sparse -run '^$' -fuzz FuzzTopKInto -fuzztime 10s
+# The same for the server selection: every aggregation entry point of
+# every strategy against the map reference on arbitrary small inputs.
+go test ./internal/gs -run '^$' -fuzz FuzzFABSelection -fuzztime 10s
 # End-to-end smoke of the benchmark in BENCHMARK.json: 30 rounds of every
 # workload over loopback TCP, PASS/FAIL on bit-identity with the fl.Run
 # twin only (no timings are read).
