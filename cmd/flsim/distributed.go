@@ -1,7 +1,8 @@
 // The multi-process deployment roles of flsim: one coordinator process
 // listens for clients and aggregation shards on a single TCP address,
-// shard processes run the range-restricted reductions, and client
-// processes train on their data partition. With the same dataset/scale/
+// shard processes serve their clients' range slices and run the
+// range-restricted reductions, and client processes train on their data
+// partition. With the same dataset/scale/
 // seed flags in every process, the run's trajectory is bit-identical to
 // `flsim -role sim` (and to any shard or worker count).
 package main
@@ -41,11 +42,10 @@ func buildWorkload(datasetName, scale string) (*fedsparse.Workload, error) {
 
 // runCoordinator listens for the expected number of clients and shards,
 // then drives the distributed FAB-top-k run and emits the per-round CSV.
-// With direct set the coordinator is a control plane only: shards must
-// have advertised their ingest addresses, and the directory is published
-// to the clients in Init.
+// With shards the coordinator is a control plane only: the shards'
+// advertised ingest addresses are published to the clients in Init.
 func runCoordinator(out io.Writer, datasetName, scale string, k, rounds int, seed int64,
-	listenAddr string, nClients, nShards int, direct bool, quantBits, staleness int, acceptTimeout time.Duration,
+	listenAddr string, nClients, nShards, quantBits, staleness int, acceptTimeout time.Duration,
 	walDir string, resume bool, adminAddr string) error {
 
 	w, err := buildWorkload(datasetName, scale)
@@ -66,18 +66,14 @@ func runCoordinator(out io.Writer, datasetName, scale string, k, rounds int, see
 		return err
 	}
 	defer ln.Close()
-	plane := "routed"
-	if direct {
-		plane = "direct"
-	}
 	if resume {
-		fmt.Fprintf(out, "# coordinator on %s: resuming run %#x for %d clients and %d %s shards (k=%d, %d rounds)\n",
-			ln.Addr(), fedsparse.WALRunID(seed), nClients, nShards, plane, k, rounds)
+		fmt.Fprintf(out, "# coordinator on %s: resuming run %#x for %d clients and %d shards (k=%d, %d rounds)\n",
+			ln.Addr(), fedsparse.WALRunID(seed), nClients, nShards, k, rounds)
 	} else {
-		fmt.Fprintf(out, "# coordinator on %s: waiting for %d clients and %d %s shards (k=%d, %d rounds)\n",
-			ln.Addr(), nClients, nShards, plane, k, rounds)
+		fmt.Fprintf(out, "# coordinator on %s: waiting for %d clients and %d shards (k=%d, %d rounds)\n",
+			ln.Addr(), nClients, nShards, k, rounds)
 	}
-	return coordinate(out, ln, w, k, rounds, seed, nClients, nShards, direct, quantBits, staleness, acceptTimeout, walDir, resume, adminAddr)
+	return coordinate(out, ln, w, k, rounds, seed, nClients, nShards, quantBits, staleness, acceptTimeout, walDir, resume, adminAddr)
 }
 
 // coordinate is the listener-driven core of the coordinator role,
@@ -87,7 +83,7 @@ func runCoordinator(out io.Writer, datasetName, scale string, k, rounds int, see
 // listener; with resume the log is replayed instead of accepting a
 // fresh enrollment (every peer reconnects via the Rejoin handshake).
 func coordinate(out io.Writer, ln *fedsparse.Listener, w *fedsparse.Workload,
-	k, rounds int, seed int64, nClients, nShards int, direct bool, quantBits, staleness int, acceptTimeout time.Duration,
+	k, rounds int, seed int64, nClients, nShards, quantBits, staleness int, acceptTimeout time.Duration,
 	walDir string, resume bool, adminAddr string) error {
 
 	// Synchronized initial weights: the same construction as the
@@ -101,7 +97,7 @@ func coordinate(out io.Writer, ln *fedsparse.Listener, w *fedsparse.Workload,
 		InitialParams: ref.Params(),
 		QuantBits:     quantBits,
 		Staleness:     staleness,
-		Direct:        direct,
+		Direct:        nShards > 0,
 	}
 
 	// The per-round CSV streams from the coordinator's event stream; a
@@ -145,16 +141,7 @@ func coordinate(out io.Writer, ln *fedsparse.Listener, w *fedsparse.Workload,
 		if err != nil {
 			return err
 		}
-		shardConns, shardAddrs := fedsparse.SplitShardPeers(shardPeers)
-		cfg.ShardConns = shardConns
-		if direct {
-			for s, addr := range shardAddrs {
-				if addr == "" {
-					return fmt.Errorf("flsim: shard %d advertised no ingest address (run shards with -direct -listen INGEST_ADDR)", s)
-				}
-			}
-			cfg.ShardAddrs = shardAddrs
-		}
+		cfg.ShardConns, cfg.ShardAddrs = fedsparse.SplitShardPeers(shardPeers)
 		if walDir == "" {
 			_, err = fedsparse.RunServerPeers(clients, cfg)
 		} else {
@@ -214,28 +201,19 @@ func resumeCoordinator(ln *fedsparse.Listener, cfg fedsparse.ServerConfig,
 }
 
 // runShardRole connects to the coordinator as an aggregation shard and
-// serves range reductions until the run completes: routed (slices arrive
-// from the coordinator) by default, or — with direct — over its own
-// ingest listener that clients upload their range slices to and pull
-// their broadcast slices back from.
+// serves range reductions until the run completes, over its own ingest
+// listener that clients upload their range slices to and pull their
+// broadcast slices back from.
 // A durable shard (-durable) speaks the crash-recovery protocol
 // against a -wal-dir coordinator: it redials with backoff, rejoins
 // after a coordinator restart, and — restarted itself with -resume —
 // re-enters the run fresh, rebuilding its reduction from the clients'
 // resent slices. Its -id is its stable identity across restarts.
-func runShardRole(connect string, direct bool, listenAddr string, acceptTimeout time.Duration,
+func runShardRole(connect, listenAddr string, acceptTimeout time.Duration,
 	durable, fresh bool, shardID int, seed int64) error {
 
 	if connect == "" {
 		return errors.New("flsim: -role shard requires -connect")
-	}
-	if !direct {
-		conn, err := fedsparse.DialShard(connect)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		return fedsparse.RunShard(conn)
 	}
 	ln, err := fedsparse.Listen(listenAddr)
 	if err != nil {

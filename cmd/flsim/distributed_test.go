@@ -13,20 +13,20 @@ import (
 )
 
 // runRolesEndToEnd executes the full multi-process topology in-process
-// over loopback TCP — one coordinator, two aggregation shards, and every
-// workload client, all through the same role entry points the CLI
-// dispatches to — and returns the coordinator's CSV. With direct set the
-// shards serve their own ingest listeners and the clients upload straight
-// to them.
-func runRolesEndToEnd(t *testing.T, direct bool, quantBits int) string {
-	return runRolesDurable(t, direct, quantBits, 0, "", 2, "")
+// over loopback TCP — one coordinator, nShards aggregation shards, and
+// every workload client, all through the same role entry points the CLI
+// dispatches to — and returns the coordinator's CSV. With shards, each
+// serves its own ingest listener and the clients upload straight to
+// them; without, the coordinator aggregates (the routed plane).
+func runRolesEndToEnd(t *testing.T, nShards, quantBits int) string {
+	return runRolesDurable(t, quantBits, 0, "", nShards, "")
 }
 
 // runRolesDurable is runRolesEndToEnd with an optional -wal-dir: a
 // non-empty walDir runs the durable coordinator and makes every shard
 // and client speak the recovery protocol, exactly as the CLI wires
 // -wal-dir / -durable.
-func runRolesDurable(t *testing.T, direct bool, quantBits, staleness int, walDir string, nShards int, adminAddr string) string {
+func runRolesDurable(t *testing.T, quantBits, staleness int, walDir string, nShards int, adminAddr string) string {
 	t.Helper()
 	const (
 		dataset = "femnist"
@@ -52,7 +52,7 @@ func runRolesDurable(t *testing.T, direct bool, quantBits, staleness int, walDir
 	var out bytes.Buffer
 	coordDone := make(chan error, 1)
 	go func() {
-		coordDone <- coordinate(&out, ln, w, k, rounds, seed, n, nShards, direct, quantBits, staleness, time.Minute, walDir, false, adminAddr)
+		coordDone <- coordinate(&out, ln, w, k, rounds, seed, n, nShards, quantBits, staleness, time.Minute, walDir, false, adminAddr)
 	}()
 
 	var wg sync.WaitGroup
@@ -64,9 +64,9 @@ func runRolesDurable(t *testing.T, direct bool, quantBits, staleness int, walDir
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			// A direct shard needs its own ingest listener, exactly as
-			// the CLI wires it with -direct -listen.
-			shardErrs[s] = runShardRole(addr, direct, "127.0.0.1:0", time.Minute, durable, false, s, seed)
+			// A shard needs its own ingest listener, exactly as the CLI
+			// wires it with -listen.
+			shardErrs[s] = runShardRole(addr, "127.0.0.1:0", time.Minute, durable, false, s, seed)
 		}(s)
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -116,48 +116,49 @@ func TestDistributedRolesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
 	}
-	runRolesEndToEnd(t, false, 0)
+	runRolesEndToEnd(t, 0, 0)
 }
 
 // TestDirectRolesEndToEnd covers the direct topology end to end over
 // real loopback TCP — clients dialing the shard directory, shards
 // serving their own ingest listeners — and requires the per-round CSV
-// (losses, downlink sizes) to be byte-identical to the routed topology
-// with the same seeds: inverting who dials whom must not move a single
-// bit of the trajectory.
+// (losses, downlink sizes) to be byte-identical to the unsharded routed
+// topology with the same seeds: moving the aggregation onto shards that
+// the clients dial must not move a single bit of the trajectory.
 func TestDirectRolesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
 	}
-	direct := runRolesEndToEnd(t, true, 0)
-	routed := runRolesEndToEnd(t, false, 0)
+	direct := runRolesEndToEnd(t, 2, 0)
+	routed := runRolesEndToEnd(t, 0, 0)
 	if direct != routed {
 		t.Fatalf("direct CSV differs from routed CSV:\n--- direct ---\n%s--- routed ---\n%s", direct, routed)
 	}
 }
 
 // TestQuantizedRolesEndToEnd is the multi-process face of on-wire
-// quantization: with -quantbits 8 the direct and routed topologies must
-// still emit byte-identical per-round CSVs (values travel packed on the
-// binary codec's wire in both), and the trajectory must differ from the
-// full-precision run — proof the width actually reached the protocol.
+// quantization: with -quantbits 8 the direct and unsharded routed
+// topologies must still emit byte-identical per-round CSVs (values
+// travel packed on the binary codec's wire in both), and the trajectory
+// must differ from the full-precision run — proof the width actually
+// reached the protocol.
 func TestQuantizedRolesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
 	}
-	direct := runRolesEndToEnd(t, true, 8)
-	routed := runRolesEndToEnd(t, false, 8)
+	direct := runRolesEndToEnd(t, 2, 8)
+	routed := runRolesEndToEnd(t, 0, 8)
 	if direct != routed {
 		t.Fatalf("quantized direct CSV differs from routed CSV:\n--- direct ---\n%s--- routed ---\n%s", direct, routed)
 	}
-	full := runRolesEndToEnd(t, false, 0)
+	full := runRolesEndToEnd(t, 0, 0)
 	if routed == full {
 		t.Fatal("quantized CSV identical to full-precision CSV — -quantbits did not reach the wire")
 	}
 }
 
 // TestWindowedRolesEndToEnd is the multi-process face of bounded
-// staleness: a -direct -staleness 1 deployment over real loopback TCP
+// staleness: a -shards 2 -staleness 1 deployment over real loopback TCP
 // must seal every round and emit a well-formed CSV. Loopback timing
 // decides which uploads miss a seal, so the trajectory itself is not
 // pinned (the deterministic differentials live in the transport and
@@ -169,7 +170,7 @@ func TestWindowedRolesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
 	}
-	out := runRolesDurable(t, true, 0, 1, "", 2, "")
+	out := runRolesDurable(t, 0, 1, "", 2, "")
 	for i, line := range strings.Split(strings.TrimSpace(out), "\n")[1:] {
 		fields := strings.Split(line, ",")
 		if len(fields) != 3 || fields[0] != fmt.Sprint(i+1) {
@@ -188,15 +189,15 @@ func TestDurableRolesEndToEnd(t *testing.T) {
 		t.Skip("training run in -short mode")
 	}
 	t.Run("routed", func(t *testing.T) {
-		durable := runRolesDurable(t, false, 0, 0, t.TempDir(), 0, "")
-		plain := runRolesDurable(t, false, 0, 0, "", 0, "")
+		durable := runRolesDurable(t, 0, 0, t.TempDir(), 0, "")
+		plain := runRolesDurable(t, 0, 0, "", 0, "")
 		if durable != plain {
 			t.Fatalf("durable CSV differs from plain CSV:\n--- durable ---\n%s--- plain ---\n%s", durable, plain)
 		}
 	})
 	t.Run("direct", func(t *testing.T) {
-		durable := runRolesDurable(t, true, 0, 0, t.TempDir(), 2, "")
-		plain := runRolesDurable(t, true, 0, 0, "", 2, "")
+		durable := runRolesDurable(t, 0, 0, t.TempDir(), 2, "")
+		plain := runRolesDurable(t, 0, 0, "", 2, "")
 		if durable != plain {
 			t.Fatalf("durable CSV differs from plain CSV:\n--- durable ---\n%s--- plain ---\n%s", durable, plain)
 		}
@@ -205,7 +206,7 @@ func TestDurableRolesEndToEnd(t *testing.T) {
 
 // TestRoleValidation covers the role plumbing that needs no network.
 func TestRoleValidation(t *testing.T) {
-	if err := runShardRole("", false, "", 0, false, false, 0, 1); err == nil {
+	if err := runShardRole("", "", 0, false, false, 0, 1); err == nil {
 		t.Fatal("shard role without -connect accepted")
 	}
 	if err := runClientRole("femnist", "tiny", 0, 1, 0, 0, "", false); err == nil {
@@ -219,7 +220,7 @@ func TestRoleValidation(t *testing.T) {
 	}
 }
 
-// TestValidateFlags is the table over incoherent -role/-direct/-shards/
+// TestValidateFlags is the table over incoherent -role/-shards/
 // -clients/-connect/-listen/-id combinations: each must die with a
 // one-line actionable error instead of a mid-round hang.
 func TestValidateFlags(t *testing.T) {
@@ -236,80 +237,71 @@ func TestValidateFlags(t *testing.T) {
 		set       map[string]bool
 		shards    int
 		staleness int
-		direct    bool
 		durable   bool
 		resume    bool
 		walDir    string
 		connect   string
 		wantErr   string // "" = valid
 	}{
-		{"sim default", "sim", mk(), 0, 0, false, false, false, "", "", ""},
-		{"sim sharded", "sim", mk("shards"), 4, 0, false, false, false, "", "", "-shards/-direct apply to -role coordinator|shard"},
-		{"sim direct sharded", "sim", mk("shards", "direct"), 2, 0, true, false, false, "", "", "-shards/-direct apply to -role coordinator|shard"},
-		{"sim direct without shards", "sim", mk("direct"), 0, 0, true, false, false, "", "", "-shards/-direct apply to -role coordinator|shard"},
-		{"sim with connect", "sim", mk("connect"), 0, 0, false, false, false, "", "x", "-connect"},
-		{"sim with id", "sim", mk("id"), 0, 0, false, false, false, "", "", "-id"},
-		{"sim with clients", "sim", mk("clients"), 0, 0, false, false, false, "", "", "-clients"},
-		{"sim with listen", "sim", mk("listen"), 0, 0, false, false, false, "", "", "-listen"},
-		{"sim durable", "sim", mk("wal-dir"), 0, 0, false, false, false, "d", "", ""},
-		{"sim resume", "sim", mk("wal-dir", "resume"), 0, 0, false, false, true, "d", "", ""},
-		{"sim resume without wal-dir", "sim", mk("resume"), 0, 0, false, false, true, "", "", "-wal-dir"},
-		{"sim with durable", "sim", mk("durable"), 0, 0, false, true, false, "", "", "-durable"},
-		{"sim with admin-addr", "sim", mk("admin-addr"), 0, 0, false, false, false, "", "", ""},
-		{"coordinator routed", "coordinator", mk("listen", "shards"), 2, 0, false, false, false, "", "", ""},
-		{"coordinator direct", "coordinator", mk("listen", "shards", "direct"), 2, 0, true, false, false, "", "", ""},
-		{"coordinator direct without shards", "coordinator", mk("listen", "direct"), 0, 0, true, false, false, "", "", "-shards"},
-		{"coordinator with connect", "coordinator", mk("connect"), 0, 0, false, false, false, "", "x", "-connect"},
-		{"coordinator with id", "coordinator", mk("id"), 0, 0, false, false, false, "", "", "-id"},
-		{"coordinator with workers", "coordinator", mk("workers"), 0, 0, false, false, false, "", "", "-workers"},
-		{"coordinator durable unsharded", "coordinator", mk("listen", "wal-dir"), 0, 0, false, false, false, "d", "", ""},
-		{"coordinator durable direct", "coordinator", mk("listen", "shards", "direct", "wal-dir"), 2, 0, true, false, false, "d", "", ""},
-		{"coordinator durable routed shards", "coordinator", mk("listen", "shards", "wal-dir"), 2, 0, false, false, false, "d", "", "-direct"},
-		{"coordinator resume", "coordinator", mk("listen", "wal-dir", "resume"), 0, 0, false, false, true, "d", "", ""},
-		{"coordinator resume without wal-dir", "coordinator", mk("listen", "resume"), 0, 0, false, false, true, "", "", "-wal-dir"},
-		{"coordinator with durable", "coordinator", mk("listen", "durable"), 0, 0, false, true, false, "", "", "-durable"},
-		{"coordinator with admin-addr", "coordinator", mk("listen", "admin-addr"), 0, 0, false, false, false, "", "", ""},
-		{"shard routed", "shard", mk("connect"), 0, 0, false, false, false, "", "x", ""},
-		{"shard without connect", "shard", mk(), 0, 0, false, false, false, "", "", "-connect"},
-		{"shard with shards", "shard", mk("connect", "shards"), 2, 0, false, false, false, "", "x", "-shards"},
-		{"shard with clients", "shard", mk("connect", "clients"), 0, 0, false, false, false, "", "x", "-clients"},
-		{"shard with id", "shard", mk("connect", "id"), 0, 0, false, false, false, "", "x", "-id"},
-		{"shard direct", "shard", mk("connect", "direct", "listen"), 0, 0, true, false, false, "", "x", ""},
-		{"shard with quantbits", "shard", mk("connect", "quantbits"), 0, 0, false, false, false, "", "x", "-quantbits"},
-		{"shard direct without listen", "shard", mk("connect", "direct"), 0, 0, true, false, false, "", "x", "-listen"},
-		{"shard routed with listen", "shard", mk("connect", "listen"), 0, 0, false, false, false, "", "x", "-direct"},
-		{"shard durable", "shard", mk("connect", "direct", "listen", "durable", "id"), 0, 0, true, true, false, "", "x", ""},
-		{"shard durable fresh restart", "shard", mk("connect", "direct", "listen", "durable", "id", "resume"), 0, 0, true, true, true, "", "x", ""},
-		{"shard durable routed", "shard", mk("connect", "durable", "id"), 0, 0, false, true, false, "", "x", "-direct"},
-		{"shard durable without id", "shard", mk("connect", "direct", "listen", "durable"), 0, 0, true, true, false, "", "x", "-id"},
-		{"shard resume without durable", "shard", mk("connect", "direct", "listen", "resume"), 0, 0, true, false, true, "", "x", "-durable"},
-		{"shard with wal-dir", "shard", mk("connect", "wal-dir"), 0, 0, false, false, false, "d", "x", "-wal-dir"},
-		{"shard with admin-addr", "shard", mk("connect", "admin-addr"), 0, 0, false, false, false, "", "x", "-admin-addr"},
-		{"client", "client", mk("connect", "id"), 0, 0, false, false, false, "", "x", ""},
-		{"client without connect", "client", mk("id"), 0, 0, false, false, false, "", "", "-connect"},
-		{"client with shards", "client", mk("connect", "shards"), 2, 0, false, false, false, "", "x", "-shards"},
-		{"client with clients", "client", mk("connect", "clients"), 0, 0, false, false, false, "", "x", "-clients"},
-		{"client with direct", "client", mk("connect", "direct"), 0, 0, true, false, false, "", "x", "Init"},
-		{"client with quantbits", "client", mk("connect", "quantbits"), 0, 0, false, false, false, "", "x", "-quantbits"},
-		{"client with listen", "client", mk("connect", "listen"), 0, 0, false, false, false, "", "x", "-listen"},
-		{"client durable", "client", mk("connect", "id", "durable"), 0, 0, false, true, false, "", "x", ""},
-		{"client with wal-dir", "client", mk("connect", "wal-dir"), 0, 0, false, false, false, "d", "x", "-durable"},
-		{"client with resume", "client", mk("connect", "resume"), 0, 0, false, false, true, "", "x", "-durable"},
-		{"client with admin-addr", "client", mk("connect", "admin-addr"), 0, 0, false, false, false, "", "x", "-admin-addr"},
-		{"sim staleness", "sim", mk("staleness"), 0, 2, false, false, false, "", "", ""},
-		{"sim negative staleness", "sim", mk("staleness"), 0, -1, false, false, false, "", "", "-staleness"},
-		{"sim staleness with wal-dir", "sim", mk("staleness", "wal-dir"), 0, 1, false, false, false, "d", "", "-wal-dir"},
-		{"coordinator staleness direct", "coordinator", mk("listen", "shards", "direct", "staleness"), 2, 1, true, false, false, "", "", ""},
-		{"coordinator staleness routed", "coordinator", mk("listen", "shards", "staleness"), 2, 1, false, false, false, "", "", "-direct"},
-		{"coordinator negative staleness", "coordinator", mk("listen", "staleness"), 0, -1, false, false, false, "", "", "-staleness"},
-		{"coordinator staleness with wal-dir", "coordinator", mk("listen", "shards", "direct", "staleness", "wal-dir"), 2, 1, true, false, false, "d", "", "-wal-dir"},
-		{"shard with staleness", "shard", mk("connect", "staleness"), 0, 1, false, false, false, "", "x", "-staleness"},
-		{"client with staleness", "client", mk("connect", "staleness"), 0, 1, false, false, false, "", "x", "-staleness"},
-		{"unknown role", "proxy", mk(), 0, 0, false, false, false, "", "", "unknown role"},
+		{"sim default", "sim", mk(), 0, 0, false, false, "", "", ""},
+		{"sim sharded", "sim", mk("shards"), 4, 0, false, false, "", "", "-shards applies to -role coordinator"},
+		{"sim with connect", "sim", mk("connect"), 0, 0, false, false, "", "x", "-connect"},
+		{"sim with id", "sim", mk("id"), 0, 0, false, false, "", "", "-id"},
+		{"sim with clients", "sim", mk("clients"), 0, 0, false, false, "", "", "-clients"},
+		{"sim with listen", "sim", mk("listen"), 0, 0, false, false, "", "", "-listen"},
+		{"sim durable", "sim", mk("wal-dir"), 0, 0, false, false, "d", "", ""},
+		{"sim resume", "sim", mk("wal-dir", "resume"), 0, 0, false, true, "d", "", ""},
+		{"sim resume without wal-dir", "sim", mk("resume"), 0, 0, false, true, "", "", "-wal-dir"},
+		{"sim with durable", "sim", mk("durable"), 0, 0, true, false, "", "", "-durable"},
+		{"sim with admin-addr", "sim", mk("admin-addr"), 0, 0, false, false, "", "", ""},
+		{"coordinator routed", "coordinator", mk("listen"), 0, 0, false, false, "", "", ""},
+		{"coordinator direct", "coordinator", mk("listen", "shards"), 2, 0, false, false, "", "", ""},
+		{"coordinator with connect", "coordinator", mk("connect"), 0, 0, false, false, "", "x", "-connect"},
+		{"coordinator with id", "coordinator", mk("id"), 0, 0, false, false, "", "", "-id"},
+		{"coordinator with workers", "coordinator", mk("workers"), 0, 0, false, false, "", "", "-workers"},
+		{"coordinator durable unsharded", "coordinator", mk("listen", "wal-dir"), 0, 0, false, false, "d", "", ""},
+		{"coordinator durable direct", "coordinator", mk("listen", "shards", "wal-dir"), 2, 0, false, false, "d", "", ""},
+		{"coordinator resume", "coordinator", mk("listen", "wal-dir", "resume"), 0, 0, false, true, "d", "", ""},
+		{"coordinator resume without wal-dir", "coordinator", mk("listen", "resume"), 0, 0, false, true, "", "", "-wal-dir"},
+		{"coordinator with durable", "coordinator", mk("listen", "durable"), 0, 0, true, false, "", "", "-durable"},
+		{"coordinator with admin-addr", "coordinator", mk("listen", "admin-addr"), 0, 0, false, false, "", "", ""},
+		{"shard without connect", "shard", mk(), 0, 0, false, false, "", "", "-connect"},
+		{"shard with shards", "shard", mk("connect", "shards"), 2, 0, false, false, "", "x", "-shards"},
+		{"shard with clients", "shard", mk("connect", "clients"), 0, 0, false, false, "", "x", "-clients"},
+		{"shard with id", "shard", mk("connect", "id"), 0, 0, false, false, "", "x", "-id"},
+		{"shard direct", "shard", mk("connect", "listen"), 0, 0, false, false, "", "x", ""},
+		{"shard with quantbits", "shard", mk("connect", "quantbits"), 0, 0, false, false, "", "x", "-quantbits"},
+		{"shard direct without listen", "shard", mk("connect"), 0, 0, false, false, "", "x", "-listen"},
+		{"shard durable", "shard", mk("connect", "listen", "durable", "id"), 0, 0, true, false, "", "x", ""},
+		{"shard durable fresh restart", "shard", mk("connect", "listen", "durable", "id", "resume"), 0, 0, true, true, "", "x", ""},
+		{"shard durable without id", "shard", mk("connect", "listen", "durable"), 0, 0, true, false, "", "x", "-id"},
+		{"shard resume without durable", "shard", mk("connect", "listen", "resume"), 0, 0, false, true, "", "x", "-durable"},
+		{"shard with wal-dir", "shard", mk("connect", "wal-dir"), 0, 0, false, false, "d", "x", "-wal-dir"},
+		{"shard with admin-addr", "shard", mk("connect", "admin-addr"), 0, 0, false, false, "", "x", "-admin-addr"},
+		{"client", "client", mk("connect", "id"), 0, 0, false, false, "", "x", ""},
+		{"client without connect", "client", mk("id"), 0, 0, false, false, "", "", "-connect"},
+		{"client with shards", "client", mk("connect", "shards"), 2, 0, false, false, "", "x", "-shards"},
+		{"client with clients", "client", mk("connect", "clients"), 0, 0, false, false, "", "x", "-clients"},
+		{"client with quantbits", "client", mk("connect", "quantbits"), 0, 0, false, false, "", "x", "-quantbits"},
+		{"client with listen", "client", mk("connect", "listen"), 0, 0, false, false, "", "x", "-listen"},
+		{"client durable", "client", mk("connect", "id", "durable"), 0, 0, true, false, "", "x", ""},
+		{"client with wal-dir", "client", mk("connect", "wal-dir"), 0, 0, false, false, "d", "x", "-durable"},
+		{"client with resume", "client", mk("connect", "resume"), 0, 0, false, true, "", "x", "-durable"},
+		{"client with admin-addr", "client", mk("connect", "admin-addr"), 0, 0, false, false, "", "x", "-admin-addr"},
+		{"sim staleness", "sim", mk("staleness"), 0, 2, false, false, "", "", ""},
+		{"sim negative staleness", "sim", mk("staleness"), 0, -1, false, false, "", "", "-staleness"},
+		{"sim staleness with wal-dir", "sim", mk("staleness", "wal-dir"), 0, 1, false, false, "d", "", "-wal-dir"},
+		{"coordinator staleness direct", "coordinator", mk("listen", "shards", "staleness"), 2, 1, false, false, "", "", ""},
+		{"coordinator staleness routed", "coordinator", mk("listen", "staleness"), 0, 1, false, false, "", "", "-shards"},
+		{"coordinator negative staleness", "coordinator", mk("listen", "staleness"), 0, -1, false, false, "", "", "-staleness"},
+		{"coordinator staleness with wal-dir", "coordinator", mk("listen", "shards", "staleness", "wal-dir"), 2, 1, false, false, "d", "", "-wal-dir"},
+		{"shard with staleness", "shard", mk("connect", "staleness"), 0, 1, false, false, "", "x", "-staleness"},
+		{"client with staleness", "client", mk("connect", "staleness"), 0, 1, false, false, "", "x", "-staleness"},
+		{"unknown role", "proxy", mk(), 0, 0, false, false, "", "", "unknown role"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.role, tc.set, tc.shards, tc.staleness, tc.direct, tc.durable, tc.resume, tc.walDir, tc.connect, 0, 0, 0, 0)
+			err := validateFlags(tc.role, tc.set, tc.shards, tc.staleness, tc.durable, tc.resume, tc.walDir, tc.connect, 0, 0, 0, 0)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid combination rejected: %v", err)
@@ -373,7 +365,7 @@ func TestValidateFlagsPopulation(t *testing.T) {
 			if tc.role == "shard" || tc.role == "client" {
 				connect = "x"
 			}
-			err := validateFlags(tc.role, tc.set, 0, tc.staleness, false, false, false, tc.walDir, connect,
+			err := validateFlags(tc.role, tc.set, 0, tc.staleness, false, false, tc.walDir, connect,
 				tc.population, tc.cohort, tc.churn, tc.noniid)
 			if tc.wantErr == "" {
 				if err != nil {
@@ -442,8 +434,8 @@ func TestAdminCoordinatorDoesNotMoveCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
 	}
-	withAdmin := runRolesDurable(t, false, 0, 0, "", 0, "127.0.0.1:0")
-	plain := runRolesDurable(t, false, 0, 0, "", 0, "")
+	withAdmin := runRolesDurable(t, 0, 0, "", 0, "127.0.0.1:0")
+	plain := runRolesDurable(t, 0, 0, "", 0, "")
 	if withAdmin != plain {
 		t.Fatalf("-admin-addr moved the coordinator CSV:\n--- admin ---\n%s--- plain ---\n%s", withAdmin, plain)
 	}

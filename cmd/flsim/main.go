@@ -10,28 +10,28 @@
 //
 // Beyond the simulation, flsim can run each role of a real multi-process
 // deployment (one command per process, same dataset/scale/seed flags
-// everywhere):
+// everywhere). Without -shards the coordinator aggregates every upload
+// itself:
 //
-//	flsim -role coordinator -listen 127.0.0.1:7000 -shards 2 -k 100 -rounds 50
-//	flsim -role shard  -connect 127.0.0.1:7000      (× the -shards count)
+//	flsim -role coordinator -listen 127.0.0.1:7000 -k 100 -rounds 50
 //	flsim -role client -connect 127.0.0.1:7000 -id 0 (× the client count)
 //
-// With -direct the data plane inverts: shards open their own ingest
-// listeners, clients upload range slices straight to them, and the
-// coordinator handles control messages only:
+// With -shards S the coordinator is a control plane only: each shard
+// opens its own ingest listener, and clients — which learn the shard
+// directory from the coordinator's Init — upload range slices straight
+// to the shards and fetch the broadcast back from them:
 //
-//	flsim -role coordinator -direct -listen 127.0.0.1:7000 -shards 2 -k 100
-//	flsim -role shard  -direct -connect 127.0.0.1:7000 -listen 127.0.0.1:7101
-//	flsim -role client -connect 127.0.0.1:7000 -id 0    (unchanged: the
-//	    client learns the shard directory from the coordinator's Init)
+//	flsim -role coordinator -listen 127.0.0.1:7000 -shards 2 -k 100
+//	flsim -role shard  -connect 127.0.0.1:7000 -listen 127.0.0.1:7101 (× S)
+//	flsim -role client -connect 127.0.0.1:7000 -id 0 (× the client count)
 //
-// With -staleness W (sim, or a -direct coordinator) the per-round
+// With -staleness W (sim, or a sharded coordinator) the per-round
 // barrier relaxes to a sliding window: clients run up to W rounds
 // ahead of the slowest shard reduction, and an upload that misses its
 // round's seal folds back into the sender's error-feedback residual
 // instead of stalling the fleet:
 //
-//	flsim -role coordinator -direct -staleness 1 -listen 127.0.0.1:7000 -shards 2 -k 100
+//	flsim -role coordinator -staleness 1 -listen 127.0.0.1:7000 -shards 2 -k 100
 //
 // Durability: -wal-dir journals the run's control-plane decisions so a
 // crashed process restarts instead of killing the run (see README
@@ -40,8 +40,8 @@
 // durable deployment pairs a -wal-dir coordinator with -durable shards
 // and clients, which redial with backoff and rejoin mid-run:
 //
-//	flsim -role coordinator -direct -wal-dir run1 -listen 127.0.0.1:7000 -shards 2
-//	flsim -role shard  -direct -durable -id 0 -connect 127.0.0.1:7000 -listen 127.0.0.1:7101
+//	flsim -role coordinator -wal-dir run1 -listen 127.0.0.1:7000 -shards 2
+//	flsim -role shard  -durable -id 0 -connect 127.0.0.1:7000 -listen 127.0.0.1:7101
 //	flsim -role client -durable -connect 127.0.0.1:7000 -id 0
 //
 // A crashed coordinator restarts with the same flags plus -resume; a
@@ -78,18 +78,17 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		evalEvery   = flag.Int("eval-every", 0, "test-set evaluation cadence in rounds (0 = off)")
 		quantBits   = flag.Int("quantbits", 0, "quantize uploaded and broadcast gradient values to this many bits (0 = full precision; sim and coordinator roles)")
-		staleness   = flag.Int("staleness", 0, "bounded-staleness window W: overlap up to W rounds of client compute with shard reduction (0 = synchronous lockstep; sim and coordinator roles; a distributed coordinator requires -direct)")
+		staleness   = flag.Int("staleness", 0, "bounded-staleness window W: overlap up to W rounds of client compute with shard reduction (0 = synchronous lockstep; sim and coordinator roles; a distributed coordinator requires -shards)")
 		workers     = flag.Int("workers", 0, "per-client worker pool size, -1 = all CPUs (results are bit-identical at any value; 0 = sequential)")
-		shards      = flag.Int("shards", 0, "coordinator: shard processes to wait for (0 = aggregate in the coordinator)")
+		shards      = flag.Int("shards", 0, "coordinator: shard processes to wait for; clients upload straight to them (0 = aggregate in the coordinator)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 		role        = flag.String("role", "sim", "process role: sim (in-process simulation), coordinator, shard, client")
-		direct      = flag.Bool("direct", false, "client-direct data plane: coordinator publishes the shard directory and stays a control plane; shard serves client uploads on its own -listen ingest address")
-		listenAddr  = flag.String("listen", "127.0.0.1:0", "coordinator: TCP address to listen on; direct shard: its client-facing ingest address")
+		listenAddr  = flag.String("listen", "127.0.0.1:0", "coordinator: TCP address to listen on; shard: its client-facing ingest address (required)")
 		connectAddr = flag.String("connect", "", "shard/client: the coordinator's address")
 		clients     = flag.Int("clients", 0, "coordinator: client processes to wait for (0 = the workload's client count)")
 		clientID    = flag.Int("id", 0, "client: this participant's client ID; durable shard: its shard ID")
-		acceptWait  = flag.Duration("accept-timeout", 2*time.Minute, "coordinator/direct shard: how long to wait for all peers to arrive (0 = forever)")
+		acceptWait  = flag.Duration("accept-timeout", 2*time.Minute, "coordinator/shard: how long to wait for all peers to arrive (0 = forever)")
 		walDir      = flag.String("wal-dir", "", "durability: journal control-plane decisions (and, for sim, periodic snapshots) into this directory; required for -resume (sim and coordinator roles)")
 		resume      = flag.Bool("resume", false, "sim/coordinator: resume a halted or crashed run from the -wal-dir log; durable shard: rejoin an in-progress run as a fresh (state-less) restart")
 		durable     = flag.Bool("durable", false, "shard/client: speak the crash-recovery protocol — redial with backoff and rejoin a -wal-dir coordinator after link or process failures")
@@ -105,7 +104,7 @@ func main() {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	err := validateFlags(*role, set, *shards, *staleness, *direct, *durable, *resume, *walDir, *connectAddr,
+	err := validateFlags(*role, set, *shards, *staleness, *durable, *resume, *walDir, *connectAddr,
 		*population, *cohort, *churn, *noniid)
 	if err == nil {
 		switch *role {
@@ -121,9 +120,9 @@ func main() {
 				err = fmt.Errorf("the coordinator role runs fixed-k fab-top-k; -strategy/-adaptive apply to -role sim only")
 				break
 			}
-			err = runCoordinator(os.Stdout, *datasetName, *scale, *k, *rounds, *seed, *listenAddr, *clients, *shards, *direct, *quantBits, *staleness, *acceptWait, *walDir, *resume, *adminAddr)
+			err = runCoordinator(os.Stdout, *datasetName, *scale, *k, *rounds, *seed, *listenAddr, *clients, *shards, *quantBits, *staleness, *acceptWait, *walDir, *resume, *adminAddr)
 		case "shard":
-			err = runShardRole(*connectAddr, *direct, *listenAddr, *acceptWait, *durable, *resume, *clientID, *seed)
+			err = runShardRole(*connectAddr, *listenAddr, *acceptWait, *durable, *resume, *clientID, *seed)
 		case "client":
 			err = runClientRole(*datasetName, *scale, *clientID, *seed, *lr, *batch, *connectAddr, *durable)
 		}
@@ -133,12 +132,12 @@ func main() {
 	}
 }
 
-// validateFlags rejects incoherent -role/-direct/-shards/-clients/
-// -connect/-listen/-id combinations up front with a one-line actionable
-// error — a wrong pairing must fail before any process starts waiting on
-// a peer that will never behave as expected (a mid-round hang is the
+// validateFlags rejects incoherent -role/-shards/-clients/-connect/
+// -listen/-id combinations up front with a one-line actionable error — a
+// wrong pairing must fail before any process starts waiting on a peer
+// that will never behave as expected (a mid-round hang is the
 // alternative). set records which flags were given explicitly.
-func validateFlags(role string, set map[string]bool, shards, staleness int, direct, durable, resume bool, walDir, connect string,
+func validateFlags(role string, set map[string]bool, shards, staleness int, durable, resume bool, walDir, connect string,
 	population, cohort int, churn, noniid float64) error {
 
 	if role != "sim" && (set["population"] || set["cohort"] || set["churn"] || set["noniid"]) {
@@ -174,20 +173,20 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dire
 		case set["clients"]:
 			return errors.New("flsim: -clients applies to -role coordinator")
 		case set["listen"]:
-			return errors.New("flsim: -listen applies to -role coordinator or a direct -role shard")
+			return errors.New("flsim: -listen applies to -role coordinator|shard")
 		case set["durable"]:
 			return errors.New("flsim: -durable applies to -role shard|client; sim durability is -wal-dir")
 		case resume && walDir == "":
 			return errors.New("flsim: -resume needs -wal-dir DIR (the log to resume from)")
-		case set["shards"] || set["direct"]:
-			return errors.New("flsim: -shards/-direct apply to -role coordinator|shard; sim aggregates in-process on one scratch")
+		case set["shards"]:
+			return errors.New("flsim: -shards applies to -role coordinator; sim aggregates in-process on one scratch")
 		}
 	case "coordinator":
 		switch {
 		case staleness < 0:
 			return errors.New("flsim: -staleness must be >= 0 (0 = synchronous lockstep)")
-		case staleness > 0 && !direct:
-			return errors.New("flsim: -staleness requires -direct (the windowed data plane is client-direct; routed shards run in lockstep)")
+		case staleness > 0 && shards < 1:
+			return errors.New("flsim: -staleness requires -shards >= 1 (the windowed data plane is client-direct; the unsharded coordinator runs in lockstep)")
 		case staleness > 0 && walDir != "":
 			return errors.New("flsim: -staleness is incompatible with -wal-dir (the asynchronous admission schedule cannot be journaled)")
 		case set["connect"]:
@@ -200,10 +199,6 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dire
 			return errors.New("flsim: -durable applies to -role shard|client; coordinator durability is -wal-dir")
 		case resume && walDir == "":
 			return errors.New("flsim: -resume needs -wal-dir DIR (the log to resume from)")
-		case walDir != "" && shards > 0 && !direct:
-			return errors.New("flsim: a -wal-dir coordinator's shard tier is direct-only; add -direct (routed shards cannot rejoin)")
-		case direct && shards < 1:
-			return errors.New("flsim: a -direct coordinator requires -shards >= 1 (it waits for that many direct shard processes)")
 		}
 	case "shard":
 		switch {
@@ -223,16 +218,12 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dire
 			return errors.New("flsim: -admin-addr applies to -role sim|coordinator (only the round-driving process observes the run)")
 		case set["id"] && !durable:
 			return errors.New("flsim: -id on a shard requires -durable (the rejoin identity); plain shards learn theirs from the assignment")
-		case durable && !direct:
-			return errors.New("flsim: -durable shards are direct-only; add -direct -listen INGEST_ADDR")
 		case durable && !set["id"]:
 			return errors.New("flsim: a -durable shard requires -id SHARD_ID (its identity across restarts)")
 		case resume && !durable:
 			return errors.New("flsim: -resume on a shard requires -durable (a fresh restart rejoins the run)")
-		case direct && !set["listen"]:
-			return errors.New("flsim: a direct -role shard requires -listen INGEST_ADDR (clients upload straight to it)")
-		case !direct && set["listen"]:
-			return errors.New("flsim: -listen on a routed shard does nothing; add -direct to serve client uploads")
+		case !set["listen"]:
+			return errors.New("flsim: -role shard requires -listen INGEST_ADDR (clients upload straight to it)")
 		}
 	case "client":
 		switch {
@@ -242,14 +233,12 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dire
 			return errors.New("flsim: -shards is the coordinator's flag")
 		case set["clients"]:
 			return errors.New("flsim: -clients applies to -role coordinator")
-		case set["direct"]:
-			return errors.New("flsim: clients learn the topology from the coordinator's Init; -direct applies to coordinator and shard roles")
 		case set["quantbits"]:
 			return errors.New("flsim: clients learn the quantization width from the coordinator's Init; -quantbits applies to sim and coordinator roles")
 		case set["staleness"]:
 			return errors.New("flsim: clients learn the staleness window from the coordinator's Init; -staleness applies to sim and coordinator roles")
 		case set["listen"]:
-			return errors.New("flsim: -listen applies to -role coordinator or a direct -role shard")
+			return errors.New("flsim: -listen applies to -role coordinator|shard")
 		case set["wal-dir"] || set["resume"]:
 			return errors.New("flsim: -wal-dir/-resume apply to -role sim|coordinator; a client's durability is -durable (it rejoins mid-run, it has no log)")
 		case set["admin-addr"]:

@@ -10,7 +10,7 @@
 // sealed span of B from its own merged sums) — the coordinator never
 // receives a gradient upload and never transmits B payload. All
 // messages are real gob-encoded TCP streams, and the resulting
-// trajectory is bit-identical to a routed, unsharded, or in-process run
+// trajectory is bit-identical to an unsharded (routed) or in-process run
 // with the same seeds.
 package main
 

@@ -79,36 +79,31 @@
 // S contiguous ranges and runs the server-side aggregation as S
 // independent range reductions on shard processes (RangeReduceInto) plus
 // a coordinator-side selection over the merged reductions
-// (DirectSelector) — a coordinator routes each client upload's (index,
-// value, rank) entries to shard owners (RunShard peers over in-memory
-// pairs, or real processes over Dial/Listen), gathers their RangeAgg
-// reductions, and selects on the merge. Because every coordinate's
-// addition chain runs in exactly one shard, in ascending client order,
-// the aggregate is bit-identical to the single-process engine at every
-// shard count — the determinism guarantee survives the distribution axis
-// the north-star architecture needs. (The engine itself aggregates on
-// one scratch: an in-process model of the shard tier was measured 3–23×
-// slower for identical bits and deleted; docs/ARCHITECTURE.md has the
-// table.) The coordinator–shard–client topology:
-//
-//	clients ──Hello/Upload──▶ coordinator ──ShardUpload──▶ shards
-//	clients ◀──Init/Broadcast─ coordinator ◀──ShardResult── shards
+// (DirectSelector). Because every coordinate's addition chain runs in
+// exactly one shard, in ascending client order, the aggregate is
+// bit-identical to the single-process engine at every shard count — the
+// determinism guarantee survives the distribution axis the north-star
+// architecture needs. (The engine itself aggregates on one scratch: an
+// in-process model of the shard tier was measured 3–23× slower for
+// identical bits and deleted, and so was a routed shard tier that
+// re-sent every decoded upload from the coordinator to the shards;
+// docs/ARCHITECTURE.md has both tables.)
 //
 // One listener serves every role: AcceptPeer classifies each incoming
 // connection by its first message (Hello = client, ShardHello = shard,
-// DataHello = a client on a direct shard's ingest plane; see DialShard
-// and DialDirectShard), clients go to RunServerPeers and shard
-// connections to ServerConfig.ShardConns. The flsim command exposes all
-// three roles (-role coordinator|shard|client with -listen/-connect),
-// so a real multi-process deployment is one command per process.
+// see DialDirectShard; DataHello = a client on a shard's ingest plane),
+// clients go to RunServerPeers and shard connections to
+// ServerConfig.ShardConns. The flsim command exposes all three roles
+// (-role coordinator|shard|client with -listen/-connect), so a real
+// multi-process deployment is one command per process.
 //
 // # Client-direct data plane (ingest + downlink)
 //
-// ServerConfig.Direct switches the shard tier from the routed topology
-// to the client-direct one — gradient payload then flows between
-// clients and shards in both directions. Uplink: each shard serves its
-// own ingest listener (ServeDirectShard), the coordinator publishes the
-// shard directory to clients in Init, and every client splits its top-k
+// A shard tier (ServerConfig.ShardConns) is the client-direct data
+// plane: gradient payload flows between clients and shards in both
+// directions. Uplink: each shard serves its own ingest listener
+// (ServeDirectShard), the coordinator publishes the shard directory to
+// clients in Init, and every client splits its top-k
 // upload by coordinate range and sends each slice — with explicit local
 // ranks, so min-rank selection metadata stays exact — straight to the
 // owning shard (SliceUpload). Downlink: after selection the coordinator
@@ -128,9 +123,9 @@
 // complete serve are counted facts, and a dead client fails the round
 // instead of wedging it; clients fetch only after the release, which
 // follows the last seal, so no client can observe a partially sealed
-// round. Results remain bit-identical to the routed and unsharded paths
-// at every shard count (the differential suites pin direct == routed ==
-// unsharded over mem and TCP).
+// round. Results remain bit-identical to the unsharded routed path at
+// every shard count (the differential suites pin direct == routed over
+// mem and TCP).
 //
 // # Bounded staleness (asynchronous rounds)
 //
@@ -529,9 +524,8 @@ type (
 	Peer = transport.Peer
 	// Listener accepts binary-framed Conns on a TCP address.
 	Listener = transport.Listener
-	// ShardGroup is the coordinator's handle on a routed shard tier;
-	// DirectGroup its control-plane handle on a client-direct one.
-	ShardGroup  = transport.ShardGroup
+	// DirectGroup is the coordinator's control-plane handle on a shard
+	// tier.
 	DirectGroup = transport.DirectGroup
 	// Mux demultiplexes one physical Conn into per-virtual-client Conns
 	// (the population tier's M:N scaling seam); MuxFrame is its wire
@@ -607,10 +601,7 @@ var (
 	RunServer        = transport.RunServer
 	RunServerPeers   = transport.RunServerPeers
 	RunClient        = transport.RunClient
-	RunShard         = transport.RunShard
-	NewShardGroup    = transport.NewShardGroup
 	Dial             = transport.Dial
-	DialShard        = transport.DialShard
 	DialDirectShard  = transport.DialDirectShard
 	RunDirectShard   = transport.RunDirectShard
 	ServeDirectShard = transport.ServeDirectShard

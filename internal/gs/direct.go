@@ -16,10 +16,9 @@ import (
 //   - control-plane metadata: the round's client count and longest upload
 //     length (integers the clients report alongside their batch loss);
 //   - a source for the one piece of per-upload metadata a reduction does
-//     not carry, FAB's rank-κ fill candidates: the shards' slice sets on
-//     the client-direct plane (each client's rank-κ pair lives in exactly
-//     one shard's slice set), the coordinator's own uploads on the routed
-//     plane.
+//     not carry, FAB's rank-κ fill candidates: the shards' slice sets
+//     (each client's rank-κ pair lives in exactly one shard's slice set),
+//     or raw uploads where a caller holds them.
 //
 // The selections are bit-identical to AggregateInto's over the same
 // uploads: κ read off the min-rank histogram is the κ the rank-major walk
@@ -71,15 +70,15 @@ func AppendFillCands(dst []FillCand, slices []ClientUpload, ranks [][]int, kappa
 	return dst
 }
 
-// ValidateRangeSlice checks one client's range slice — routed by the
-// coordinator (RunShard) or uploaded directly by the client — against the
-// shard's coordinate range: parallel index/value/rank lengths,
-// coordinates inside [lo, hi), no coordinate repeated, finite values (a
-// NaN or ±Inf summed into the model stays there, and error feedback keeps
-// re-sending it), and strictly ascending non-negative ranks. seen is an
+// ValidateRangeSlice checks one client's range slice — as the client
+// uploaded it to the shard — against the shard's coordinate range:
+// parallel index/value/rank lengths, coordinates inside [lo, hi), no
+// coordinate repeated, finite values (a NaN or ±Inf summed into the
+// model stays there, and error feedback keeps re-sending it), and
+// strictly ascending non-negative ranks. seen is an
 // epoch slab over the coordinate space (seen[j] == gen marks j used); the
-// caller bumps gen once per slice. Both shard paths share this helper, so
-// the validation the aggregation trusts cannot drift between topologies.
+// caller bumps gen once per slice. Every shard tier shares this helper,
+// so the validation the aggregation trusts cannot drift between them.
 func ValidateRangeSlice(idx []int, val []float64, rank []int, lo, hi int, seen []int, gen int) error {
 	if len(idx) != len(val) || len(idx) != len(rank) {
 		return fmt.Errorf("gs: inconsistent slice shape (%d/%d/%d entries)", len(idx), len(val), len(rank))
@@ -170,8 +169,8 @@ type DirectMeta struct {
 // raw uploads — per-upload metadata comes from DirectMeta. The scratch
 // must have been Reserved for the model dimension. PerClientUsed on the
 // returned Aggregates is zeroed, not tallied: a caller that holds the
-// uploads follows up with CountUsed (the routed coordinator does; the
-// direct coordinator's records do not carry fairness counts).
+// uploads follows up with CountUsed (the shard tier's coordinator never
+// does, and its records do not carry fairness counts).
 type DirectSelector interface {
 	SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, k, probeK int) (main, probe Aggregate, err error)
 }

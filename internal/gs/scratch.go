@@ -436,8 +436,8 @@ func (s *AggScratch) accumulate(uploads []ClientUpload, hasProbe bool) {
 // uploaded pairs landed in the scratch's current main/probe selections —
 // into the PerClientUsed slices of the Aggregates last returned. The
 // selections call it themselves where no accumulation pass counts on the
-// way (FUB); a SelectDirect caller that does hold the uploads (the routed
-// coordinator) calls it to fill the counts SelectDirect left zero.
+// way (FUB); a SelectDirect caller that does hold the uploads calls it to
+// fill the counts SelectDirect left zero.
 func (s *AggScratch) CountUsed(uploads []ClientUpload, hasProbe bool) {
 	for ci, u := range uploads {
 		countM, countP := 0, 0

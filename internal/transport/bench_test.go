@@ -46,9 +46,6 @@ func BenchmarkSliceCodec(b *testing.B) {
 		{"SliceBroadcast_q8",
 			any(SliceBroadcast{Round: 2, ShardID: 1, Idx: idx, Val: qval, Bits: 8, Scale: scale}),
 			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.sliceBroadcast(sc); return r.err }},
-		{"ShardUpload",
-			any(ShardUpload{Round: 2, Off: []int{0, n / 2, n}, Idx: idx, Val: raw, Rank: rank}),
-			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.shardUpload(sc); return r.err }},
 		{"Broadcast_raw",
 			any(Broadcast{Round: 2, Idx: idx, Val: raw}),
 			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.broadcast(sc); return r.err }},

@@ -62,7 +62,6 @@ const (
 	tagBroadcast
 	tagShardHello
 	tagShardAssign
-	tagShardUpload
 	tagShardResult
 	tagDataHello
 	tagSliceUpload
@@ -211,12 +210,12 @@ func (w *wireWriter) putQuantVals(val []float64, bits int, scale float64) {
 }
 
 // decScratch is a binConn's preallocated decode target: the protocol's
-// messages carry at most three int slices and one float64 slice, and
-// the lockstep protocol guarantees message m is fully consumed before
+// messages carry at most two int slices and one float64 slice, and the
+// lockstep protocol guarantees message m is fully consumed before
 // Recv(m+1) overwrites these (see the package comment above).
 type decScratch struct {
-	is1, is2, is3 []int
-	fs1           []float64
+	is1, is2 []int
+	fs1      []float64
 }
 
 // wireReader consumes wire-encoded primitives from a frame body,
@@ -477,20 +476,6 @@ func (r *wireReader) broadcast(sc *decScratch) Broadcast {
 	return m
 }
 
-func (r *wireReader) shardUpload(sc *decScratch) ShardUpload {
-	var m ShardUpload
-	m.Round = r.num()
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Off = sc.is1
-	sc.is2 = r.nums(sc.is2[:0])
-	m.Idx = sc.is2
-	sc.fs1 = r.f64s(sc.fs1[:0])
-	m.Val = sc.fs1
-	sc.is3 = r.nums(sc.is3[:0])
-	m.Rank = sc.is3
-	return m
-}
-
 func (r *wireReader) shardResult(sc *decScratch) ShardResult {
 	var m ShardResult
 	m.Round = r.num()
@@ -607,15 +592,7 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 		w.putNum(m.StartRound)
 		w.putNum(m.Window)
 		w.putNum(m.NumHosts)
-		w.putBool(m.Direct)
 		w.putF64s(m.Weights)
-	case ShardUpload:
-		w.putU8(tagShardUpload)
-		w.putNum(m.Round)
-		w.putNums(m.Off)
-		w.putNums(m.Idx)
-		w.putF64s(m.Val)
-		w.putNums(m.Rank)
 	case ShardResult:
 		w.putU8(tagShardResult)
 		w.putNum(m.Round)
@@ -793,11 +770,8 @@ func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 		m.StartRound = r.num()
 		m.Window = r.num()
 		m.NumHosts = r.num()
-		m.Direct = r.bool_()
 		m.Weights = r.f64s(nil)
 		msg = m
-	case tagShardUpload:
-		msg = r.shardUpload(sc)
 	case tagShardResult:
 		msg = r.shardResult(sc)
 	case tagDataHello:

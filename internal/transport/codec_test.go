@@ -47,9 +47,8 @@ func codecFixtures() []any {
 		Broadcast{Round: 4, Idx: []int{2, 5, 6}, Val: qb, Bits: 8, Scale: qbscale},
 		ShardHello{Addr: "127.0.0.1:9"},
 		ShardHello{Addr: "127.0.0.1:10", ID: 1, HasID: true},
-		ShardAssign{ShardID: 1, NumShards: 2, Dim: 32, Rounds: 5, Weights: []float64{1, 2, 3, 4}, Direct: true, QuantBits: 8, StartRound: 3},
-		ShardAssign{ShardID: 0, NumShards: 1, Dim: 8, Rounds: 6, Weights: []float64{2}, Direct: true, StartRound: 1, Window: 2},
-		ShardUpload{Round: 1, Off: []int{0, 1, 2}, Idx: []int{4, 8}, Val: []float64{0.5, -0.5}, Rank: []int{0, 3}},
+		ShardAssign{ShardID: 1, NumShards: 2, Dim: 32, Rounds: 5, Weights: []float64{1, 2, 3, 4}, QuantBits: 8, StartRound: 3},
+		ShardAssign{ShardID: 0, NumShards: 1, Dim: 8, Rounds: 6, Weights: []float64{2}, StartRound: 1, Window: 2},
 		ShardResult{Round: 1, ShardID: 0, Idx: []int{2, 5}, Sum: []float64{1.25, -3}, MinRank: []int{1, 0}},
 		DataHello{ClientID: 2, ShardID: 1, NumShards: 2, Dim: 32},
 		SliceUpload{ClientID: 1, Round: 4, Idx: []int{1, 6}, Val: []float64{0.25, -4}, Rank: []int{2, 7}},
@@ -423,7 +422,7 @@ func TestQuantizedTrajectoryGrid(t *testing.T) {
 		func() (Conn, Conn) { return NewMemPair() }))
 	check("routed/tcp-binary", runDistributedTCP(t, fed, model, initParams, k, rounds, qbits, NewBinConn))
 
-	h := runDirectHarness(t, rounds, k, nShards, qbits, nil, nil, nil)
+	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{QuantBits: qbits}, nil, nil, nil)
 	if h.srvErr != nil {
 		t.Fatalf("direct server: %v", h.srvErr)
 	}

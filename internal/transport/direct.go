@@ -7,6 +7,7 @@ import (
 
 	"fedsparse/internal/gs"
 	"fedsparse/internal/sparse"
+	"fedsparse/internal/tensor"
 )
 
 // This file is the client-direct data plane: the topology where the
@@ -42,8 +43,8 @@ import (
 // pieces of per-upload metadata a reduction does not carry are served
 // by the shards on demand (FAB's rank-κ fill candidates via FillQuery —
 // each client's rank-κ pair lives in exactly one shard). The trajectory
-// is bit-identical to the routed and single-process paths, over
-// in-memory pairs and TCP alike.
+// is bit-identical to the unsharded routed and single-process paths,
+// over in-memory pairs and TCP alike.
 
 // Direct data-plane message types.
 type (
@@ -179,7 +180,7 @@ type (
 )
 
 // RunDirectShard executes one aggregation shard of the direct data
-// plane over its coordinator control connection: receive the (direct)
+// plane over its coordinator control connection: receive the
 // ShardAssign, obtain the client ingest connections through accept —
 // called with the client count once the assignment names it — and then,
 // per round, run the client barrier (one validated SliceUpload per
@@ -205,7 +206,7 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 	if !ok {
 		return fmt.Errorf("transport: direct shard expected ShardAssign, got %T", msg)
 	}
-	if err := checkAssign(assign, true); err != nil {
+	if err := checkAssign(assign); err != nil {
 		return err
 	}
 	if assign.Window < 0 || assign.Window > MaxStaleness {
@@ -357,9 +358,84 @@ type DirectGroup struct {
 	spans [][]int // per-shard member spans of the round's seal
 }
 
-// NewDirectGroup sends every shard its direct-mode ShardAssign and
-// returns the group. dim is the model dimension, rounds the run length,
-// weights the aggregation weight C_i of each client in client-ID order.
+// shardResults is the coordinator-side gather of one round's
+// ShardResults: the partition geometry it validates against, the merged
+// reduction, and the per-shard wait times.
+type shardResults struct {
+	links  peerLinks // how results arrive: plain conns, or a durable coordinator's healing side
+	bounds []int     // nShards+1 chunk boundaries over [0, dim)
+
+	mergedIdx  []int
+	mergedSum  []float64
+	mergedRank []int
+
+	// reduceSecs[s] is the wall-clock wait for shard s's ShardResult in
+	// the last gather — the per-shard reduce time the operational
+	// surface reports. Overwritten every round; copied on emission.
+	reduceSecs []float64
+}
+
+func newShardResults(conns []Conn, dim int) shardResults {
+	r := shardResults{links: plainPeers{conns: conns, noun: "shard"},
+		bounds: make([]int, len(conns)+1), reduceSecs: make([]float64, len(conns))}
+	for s := range conns {
+		r.bounds[s], r.bounds[s+1] = tensor.ChunkBounds(dim, len(conns), s)
+	}
+	return r
+}
+
+// gather collects and merges every shard's round reduction. Shard
+// ranges are contiguous and ascending, so concatenating per-shard
+// results in shard order keeps the merged index list globally ascending
+// — no merge arithmetic at all. The coordinator trusts shards no more
+// than shards trust the coordinator: indices must be ascending inside
+// the shard's range, and min ranks must index a real upload position
+// (maxLen is the round's longest upload) — a malformed result fails as
+// a protocol error here rather than as an index panic inside the
+// selection (whose rank histogram is sized by the longest upload).
+func (r *shardResults) gather(round, maxLen int) (gs.RangeAgg, error) {
+	r.mergedIdx = r.mergedIdx[:0]
+	r.mergedSum = r.mergedSum[:0]
+	r.mergedRank = r.mergedRank[:0]
+	for s := range r.reduceSecs {
+		t0 := time.Now()
+		msg, err := r.links.recv(s, round)
+		r.reduceSecs[s] = time.Since(t0).Seconds()
+		if err != nil {
+			return gs.RangeAgg{}, err
+		}
+		res, ok := msg.(ShardResult)
+		if !ok {
+			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d sent %T, want ShardResult", round, s, msg)
+		}
+		if res.Round != round || res.ShardID != s {
+			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: stale result (round %d from shard %d)",
+				round, res.Round, res.ShardID)
+		}
+		if len(res.Idx) != len(res.Sum) || len(res.Idx) != len(res.MinRank) {
+			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result shape %d/%d/%d",
+				round, s, len(res.Idx), len(res.Sum), len(res.MinRank))
+		}
+		for i, j := range res.Idx {
+			if j < r.bounds[s] || j >= r.bounds[s+1] || (i > 0 && j <= res.Idx[i-1]) {
+				return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result index %d out of order or range",
+					round, s, j)
+			}
+			if rk := res.MinRank[i]; rk < 0 || rk >= maxLen {
+				return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result rank %d for index %d outside [0, %d)",
+					round, s, rk, j, maxLen)
+			}
+		}
+		r.mergedIdx = append(r.mergedIdx, res.Idx...)
+		r.mergedSum = append(r.mergedSum, res.Sum...)
+		r.mergedRank = append(r.mergedRank, res.MinRank...)
+	}
+	return gs.RangeAgg{Idx: r.mergedIdx, Sum: r.mergedSum, MinRank: r.mergedRank}, nil
+}
+
+// NewDirectGroup sends every shard its ShardAssign and returns the
+// group. dim is the model dimension, rounds the run length, weights the
+// aggregation weight C_i of each client in client-ID order.
 // quantBits is the run's gradient quantization width (0 = full
 // precision; else 2–64): Aggregate then snaps each round's selection
 // onto its global b-bit grid and seals the shards with that grid, so
@@ -417,7 +493,7 @@ func (g *DirectGroup) assign(assign ShardAssign) error {
 // upload, reported on the control plane) and seal (every shard receives
 // its span of the member set and serves the clients' broadcast slices
 // from its own sums), returning the aggregate — bit-identical to the
-// routed ShardGroup and the single-process engine. The caller must not
+// single-process engine. The caller must not
 // release clients into their round-m fetches before Aggregate returns:
 // every shard is sealed by then, which is the ordering guarantee the
 // downlink barrier rests on.
@@ -431,8 +507,7 @@ func (g *DirectGroup) Aggregate(strat gs.DirectSelector, round, k, maxLen int) (
 
 // selectRound is the first half of a round: the decision. The
 // coordinator never sees an upload; it selects over the shards'
-// gathered reductions (shardResults.gather — the routed plane's
-// gather). With quantization on, the selection is snapped onto
+// gathered reductions (shardResults.gather). With quantization on, the selection is snapped onto
 // its global b-bit grid here — the engine's post-aggregation
 // quantization — and scale is the grid every shard will be sealed with:
 // each reapplies the same snap to its reconstructed span, so the two

@@ -13,8 +13,35 @@ import (
 	"fedsparse/internal/core"
 	"fedsparse/internal/fl"
 	"fedsparse/internal/gs"
+	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
 )
+
+// shardStrategies is every built-in strategy the shard tier must
+// aggregate bit-identically.
+func shardStrategies() []gs.Strategy {
+	return []gs.Strategy{
+		&gs.FABTopK{}, gs.FUBTopK{}, gs.UniTopK{}, gs.PeriodicK{}, gs.SendAll{},
+	}
+}
+
+// randomRankedUploads builds n rank-ordered top-k uploads over dimension d
+// (the producer contract every real uplink satisfies).
+func randomRankedUploads(rng *rand.Rand, n, d, k int) []gs.ClientUpload {
+	ups := make([]gs.ClientUpload, n)
+	for i := range ups {
+		dense := make([]float64, d)
+		for j := range dense {
+			dense[j] = rng.NormFloat64()
+		}
+		ki := k
+		if rng.Intn(3) == 0 {
+			ki = 1 + rng.Intn(k) // stragglers with shorter top-k lists
+		}
+		ups[i] = gs.ClientUpload{Pairs: sparse.TopK(dense, ki), Weight: 1 + rng.Float64()*9}
+	}
+	return ups
+}
 
 // startDirectShards launches nShards RunDirectShard goroutines whose
 // coordinator conns come from pair() and whose per-client ingest conns
@@ -245,13 +272,13 @@ func rawTCPPairFactory(t *testing.T) (func() (Conn, Conn), func()) {
 }
 
 // directHarness wires a full direct-mode deployment over in-memory
-// conns: RunServer coordinator (Direct), RunDirectShard shards whose
-// ingest conns are delivered through each client's DialShard hook, and
-// RunClient clients. wrapData optionally wraps a client's data-plane
-// conns (failure injection); wrapShard optionally wraps a shard's
-// coordinator control conn (failure injection on the shard side);
-// impostor optionally replaces one client's RunClient with a custom
-// function.
+// conns: RunServer coordinator (cfg plus the shard tier), RunDirectShard
+// shards whose ingest conns are delivered through each client's
+// DialShard hook, and RunClient clients. wrapData optionally wraps a
+// client's data-plane conns (failure injection); wrapShard optionally
+// wraps a shard's coordinator control conn (failure injection on the
+// shard side); impostor optionally replaces one client's RunClient with
+// a custom function.
 type directHarness struct {
 	serverCs []Conn // coordinator's client conns (hello unconsumed)
 	records  []RoundRecord
@@ -260,7 +287,7 @@ type directHarness struct {
 	shardErr []error
 }
 
-func runDirectHarness(t testing.TB, rounds, k, nShards, quantBits int,
+func runDirectHarness(t testing.TB, rounds, k, nShards int, cfg ServerConfig,
 	wrapData func(clientID, shardID int, c Conn) Conn,
 	wrapShard func(shardID int, c Conn) Conn,
 	impostor func(id int, coord Conn, dial func(addr string) (Conn, error)) error) *directHarness {
@@ -349,10 +376,9 @@ func runDirectHarness(t testing.TB, rounds, k, nShards, quantBits int,
 			_ = h.serverCs[id].Close()
 		}(i)
 	}
-	h.records, h.srvErr = RunServer(h.serverCs, ServerConfig{
-		K: k, Rounds: rounds, InitialParams: initParams, QuantBits: quantBits,
-		ShardConns: coordShardConns, Direct: true, ShardAddrs: addrs,
-	})
+	cfg.K, cfg.Rounds, cfg.InitialParams = k, rounds, initParams
+	cfg.ShardConns, cfg.Direct, cfg.ShardAddrs = coordShardConns, true, addrs
+	h.records, h.srvErr = RunServer(h.serverCs, cfg)
 	// Tear everything down so every goroutine joins whether the run
 	// succeeded or aborted mid-round.
 	for _, c := range h.serverCs {
@@ -369,10 +395,10 @@ func runDirectHarness(t testing.TB, rounds, k, nShards, quantBits int,
 // protocol — clients uploading range slices straight to two shards, the
 // coordinator reduced to control metadata — and requires the training
 // trajectory to be bit-identical to the in-process simulation engine
-// AND to the routed sharded deployment with the same seeds.
+// AND to the unsharded routed deployment with the same seeds.
 func TestDirectDistributedMatchesReferenceEngine(t *testing.T) {
 	const k, rounds, nShards = 40, 15, 2
-	h := runDirectHarness(t, rounds, k, nShards, 0, nil, nil, nil)
+	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{}, nil, nil, nil)
 	if h.srvErr != nil {
 		t.Fatalf("server: %v", h.srvErr)
 	}
@@ -414,35 +440,11 @@ func TestDirectDistributedMatchesReferenceEngine(t *testing.T) {
 		}
 	}
 
-	// And against the routed sharded deployment: same wire protocol
-	// family, inverted data plane, identical trajectory.
+	// And against the unsharded routed deployment: same wire protocol
+	// family, the aggregation moved onto shards, identical trajectory.
 	fed2, model2, initParams2 := buildWorkload()
-	serverConns, join := startShards(t, nShards, func() (Conn, Conn) { return NewMemPair() })
-	n := fed2.NumClients()
-	routedServer := make([]Conn, n)
-	routedClient := make([]Conn, n)
-	for i := range routedServer {
-		routedServer[i], routedClient[i] = NewMemPair()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			_ = RunClient(routedClient[id], ClientConfig{
-				ID: id, Data: &fed2.Clients[id], Model: model2,
-				LearningRate: 0.1, BatchSize: 8, Seed: 5 + 1000003*int64(id+1),
-			})
-		}(i)
-	}
-	routedRecords, err := RunServer(routedServer, ServerConfig{
-		K: k, Rounds: rounds, InitialParams: initParams2, ShardConns: serverConns,
-	})
-	if err != nil {
-		t.Fatalf("routed server: %v", err)
-	}
-	wg.Wait()
-	join()
+	routedRecords := runDistributed(t, fed2, model2, initParams2, k, rounds, 0,
+		func() (Conn, Conn) { return NewMemPair() })
 	for i := range h.records {
 		if h.records[i].Loss != routedRecords[i].Loss {
 			t.Fatalf("round %d: direct loss %v != routed loss %v", i+1, h.records[i].Loss, routedRecords[i].Loss)
@@ -452,9 +454,9 @@ func TestDirectDistributedMatchesReferenceEngine(t *testing.T) {
 
 // payloadMeter counts, per message type, what a metered endpoint saw,
 // and sums the gradient-payload bytes in each direction: uplink payload
-// (Upload, SliceUpload, and routed ShardUpload carry A_i index/value
-// data) and broadcast payload (Broadcast and SliceBroadcast carry B
-// index/value data). Everything else is control or selection metadata.
+// (Upload and SliceUpload carry A_i index/value data) and broadcast
+// payload (Broadcast and SliceBroadcast carry B index/value data).
+// Everything else is control or selection metadata.
 type payloadMeter struct {
 	mu             sync.Mutex
 	msgs           map[string]int
@@ -474,9 +476,6 @@ func (m *payloadMeter) observe(msg any) {
 		m.payloadBytes += 8*len(v.Idx) + 8*len(v.Val)
 	case SliceUpload:
 		m.msgs["SliceUpload"]++
-		m.payloadBytes += 8*len(v.Idx) + 8*len(v.Val)
-	case ShardUpload:
-		m.msgs["ShardUpload"]++
 		m.payloadBytes += 8*len(v.Idx) + 8*len(v.Val)
 	case Broadcast:
 		m.msgs["Broadcast"]++
@@ -542,9 +541,8 @@ type coordMeters struct {
 // TestDirectCoordinatorCarriesNoGradientPayload is the acceptance
 // criterion of the control-plane demotion, metered in BOTH directions.
 // Ingress: the direct coordinator receives zero gradient-payload bytes
-// — no Upload, no SliceUpload, no routed ShardUpload — only Hello
-// handshakes, per-round RoundMeta scalars, and the shard tier's
-// reduction results. Egress: it transmits zero B-payload bytes — no
+// — no Upload, no SliceUpload — only Hello handshakes, per-round
+// RoundMeta scalars, and the shard tier's reduction results. Egress: it transmits zero B-payload bytes — no
 // Broadcast — only the Init handshake and per-round RoundRelease
 // scalars to clients, and the assignment, fill queries, and O(|J|)
 // member-index seals to shards. A routed run over the same workload is
@@ -653,7 +651,7 @@ func TestDirectCoordinatorCarriesNoGradientPayload(t *testing.T) {
 		t.Fatalf("direct coordinator received %d gradient-payload bytes (messages: %v)",
 			direct.ingress.payloadBytes, direct.ingress.msgs)
 	}
-	for _, forbidden := range []string{"Upload", "SliceUpload", "ShardUpload"} {
+	for _, forbidden := range []string{"Upload", "SliceUpload"} {
 		if c := direct.ingress.msgs[forbidden]; c != 0 {
 			t.Fatalf("direct coordinator received %d %s messages: %v", c, forbidden, direct.ingress.msgs)
 		}
@@ -717,7 +715,7 @@ func countMsgs(m *payloadMeter) int {
 // shard 1. The run must error out everywhere — coordinator, clients —
 // and every goroutine must join; nothing may wedge on the barrier.
 func TestDirectShardDeathFailsRound(t *testing.T) {
-	h := runDirectHarness(t, 30, 20, 2, 0, func(clientID, shardID int, c Conn) Conn {
+	h := runDirectHarness(t, 30, 20, 2, ServerConfig{}, func(clientID, shardID int, c Conn) Conn {
 		if shardID == 1 {
 			// Hello + two round slices succeed, then the link is dead.
 			return NewFaultConn(c, FaultFailSend, 3, 1)
@@ -741,7 +739,7 @@ func TestDirectShardDeathFailsRound(t *testing.T) {
 // and dies. Shard 1's barrier must error on the dead connection (not
 // wedge), and the coordinator must fail the round.
 func TestDirectClientDeathBetweenSlices(t *testing.T) {
-	h := runDirectHarness(t, 5, 20, 2, 0, nil, nil,
+	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil,
 		func(id int, coord Conn, dial func(addr string) (Conn, error)) error {
 			if err := coord.Send(Hello{ClientID: id, Weight: 30}); err != nil {
 				return err
@@ -804,7 +802,7 @@ func (c sealInterceptor) Recv() (any, error) {
 // goroutine must join — nothing may wedge waiting for a slice that
 // will never come.
 func TestDirectShardDeathBetweenSealAndServe(t *testing.T) {
-	h := runDirectHarness(t, 5, 20, 2, 0, nil, func(shardID int, c Conn) Conn {
+	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, func(shardID int, c Conn) Conn {
 		if shardID == 1 {
 			return sealInterceptor{c}
 		}
@@ -835,7 +833,7 @@ func TestDirectShardDeathBetweenSealAndServe(t *testing.T) {
 // fetching from shard 1. Shard 1's downlink serve must error on the
 // dead connection (not wedge), and the coordinator must fail the round.
 func TestDirectClientDeathMidFetch(t *testing.T) {
-	h := runDirectHarness(t, 5, 20, 2, 0, nil, nil,
+	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil,
 		func(id int, coord Conn, dial func(addr string) (Conn, error)) error {
 			if err := coord.Send(Hello{ClientID: id, Weight: 30}); err != nil {
 				return err
@@ -1082,7 +1080,7 @@ func (tier shardTier) expect(row, want string) (string, bool) {
 // carried the slice to the shared round.
 func TestRunDirectShardRejectsMalformed(t *testing.T) {
 	// Shard 0 of 2 over dim 10 owns [0, 5).
-	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}, Direct: true}
+	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}}
 	cases := []struct {
 		name string
 		up   any
@@ -1171,7 +1169,7 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 func TestRunDirectShardRejectsBadSeal(t *testing.T) {
 	// Shard 0 of 2 over dim 10 owns [0, 5); client 0 uploads coordinate
 	// 3, client 1 nothing.
-	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}, Direct: true}
+	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}}
 	roundOne := func(clients []Conn, coord Conn, t *testing.T) {
 		_ = clients[0].Send(SliceUpload{ClientID: 0, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}})
 		_ = clients[1].Send(SliceUpload{ClientID: 1, Round: 1})
@@ -1313,7 +1311,7 @@ func TestFetchBroadcastSlicesRejectsMalformed(t *testing.T) {
 // away before it can corrupt a barrier, as must duplicate or unknown
 // client identities.
 func TestRunDirectShardRejectsStaleDirectory(t *testing.T) {
-	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 1, Weights: []float64{1, 2}, Direct: true}
+	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 1, Weights: []float64{1, 2}}
 	mk := func(hellos ...DataHello) func(n int) []Peer {
 		return func(int) []Peer {
 			peers := make([]Peer, len(hellos))
@@ -1348,30 +1346,6 @@ func TestRunDirectShardRejectsStaleDirectory(t *testing.T) {
 	}
 }
 
-// TestDirectTopologyMismatch pins the loud handshake failure when the
-// coordinator and shard disagree about the data plane.
-func TestDirectTopologyMismatch(t *testing.T) {
-	// Direct assign to a routed shard.
-	server, shard := NewMemPair()
-	done := make(chan error, 1)
-	go func() { done <- RunShard(shard) }()
-	assign := ShardAssign{ShardID: 0, NumShards: 1, Dim: 4, Rounds: 1, Weights: []float64{1}, Direct: true}
-	if err := server.Send(assign); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "direct assignment") {
-		t.Fatalf("routed shard accepted a direct assignment: %v", err)
-	}
-	_ = server.Close()
-
-	// Routed assign to a direct shard.
-	assign.Direct = false
-	err := directShardHarness(t, assign, func(int) []Peer { return nil }, nil)
-	if err == nil || !strings.Contains(err.Error(), "routed assignment") {
-		t.Fatalf("direct shard accepted a routed assignment: %v", err)
-	}
-}
-
 // TestDirectGroupRejectsBadReplies covers the coordinator-side trust
 // boundary: malformed shard results and fill candidates fail as
 // protocol errors, never as selection corruption.
@@ -1397,6 +1371,12 @@ func TestDirectGroupRejectsBadReplies(t *testing.T) {
 		_ = c.Send(ShardResult{Round: 1, ShardID: 0, Idx: []int{2}, Sum: []float64{1}, MinRank: []int{5}})
 	}); err == nil || !strings.Contains(err.Error(), "rank") {
 		t.Fatalf("over-maxLen rank accepted: %v", err)
+	}
+
+	if err := run(func(c Conn) {
+		_ = c.Send(ShardResult{Round: 1, ShardID: 0, Idx: []int{2}, Sum: []float64{1}, MinRank: []int{-1}})
+	}); err == nil || !strings.Contains(err.Error(), "rank") {
+		t.Fatalf("negative rank accepted: %v", err)
 	}
 
 	if err := run(func(c Conn) {

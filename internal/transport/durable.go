@@ -18,14 +18,13 @@
 // always safe — duplicates die at the receiver — which removes all
 // precise delivery bookkeeping from the protocol.
 //
-// Scope limits, each failing loudly rather than corrupting a run: the
-// routed shard tier is not supported under a WAL (use direct mode for
-// durable sharding); a shard death in the middle of a fill-query round
-// trip or during the downlink fetch phase errors the run; a FRESH
-// shard arriving while a resume preamble is still re-issuing an old
-// round's seal errors the resume (restart it once the round is
-// finished); clients must survive (client state is not checkpointed —
-// the paper's participants hold the model).
+// Scope limits, each failing loudly rather than corrupting a run: a
+// shard death in the middle of a fill-query round trip or during the
+// downlink fetch phase errors the run; a FRESH shard arriving while a
+// resume preamble is still re-issuing an old round's seal errors the
+// resume (restart it once the round is finished); clients must survive
+// (client state is not checkpointed — the paper's participants hold the
+// model).
 package transport
 
 import (
@@ -136,7 +135,7 @@ func (s *durServer) side(kind int, noun string, conns []Conn) *durSide {
 // resend), then drives the round loop with WAL appends at every
 // decision boundary and rejoin-based recovery on every link failure.
 // Shard connections ride in cfg.ShardConns exactly as in
-// RunServerPeers; direct mode is required for a durable shard tier.
+// RunServerPeers.
 func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerConfig) (records []RoundRecord, err error) {
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
@@ -273,27 +272,17 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 
 // checkDurable validates what both durable entry points need.
 func checkDurable(cfg ServerConfig, dur DurableServerConfig, nClients, nShards int, resume bool) error {
+	if err := cfg.check(nShards, resume); err != nil {
+		return err
+	}
 	if nClients < 1 {
 		return fmt.Errorf("transport: durable server needs at least one client")
-	}
-	if cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64) {
-		return fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
 	}
 	if dur.RunID == 0 {
 		return fmt.Errorf("transport: durable server needs a non-zero RunID (derive one with wal.RunID)")
 	}
 	if dur.Desk == nil {
 		return fmt.Errorf("transport: durable server needs a RejoinDesk (durability implies recovery)")
-	}
-	if !cfg.Direct && nShards > 0 {
-		return fmt.Errorf("transport: the durable coordinator does not support the routed shard tier — use Direct mode for durable sharding")
-	}
-	if cfg.Direct && nShards == 0 {
-		return fmt.Errorf("transport: direct mode needs ShardConns (the coordinator no longer aggregates)")
-	}
-	if cfg.Direct && !resume && len(cfg.ShardAddrs) != nShards {
-		return fmt.Errorf("transport: direct mode needs one ShardAddrs entry per shard (%d addrs for %d shards)",
-			len(cfg.ShardAddrs), nShards)
 	}
 	return nil
 }

@@ -64,10 +64,7 @@ func (s *durServer) resumeRoutedSeal(seal *wal.Seal, release *wal.Release) error
 	if err != nil {
 		return err
 	}
-	bc, err := s.aggregate(p)
-	if err != nil {
-		return err
-	}
+	bc := s.aggregate(p)
 	if len(bc.Idx) != len(seal.Members) {
 		return fmt.Errorf("transport: divergent recovery: round %d re-aggregated to %d members, seal logged %d",
 			p, len(bc.Idx), len(seal.Members))

@@ -304,7 +304,7 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 	if assign.ShardID != cfg.ShardID {
 		return fmt.Errorf("transport: shard %d received shard %d's assignment", cfg.ShardID, assign.ShardID)
 	}
-	if err := checkAssign(assign, true); err != nil {
+	if err := checkAssign(assign); err != nil {
 		return err
 	}
 	start := max(assign.StartRound, 1)

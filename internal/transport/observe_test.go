@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"io"
 	"math"
 	"net"
@@ -28,7 +29,7 @@ func (r *recObserver) OnRoundEnd(ev fl.RoundEvent) { r.events = append(r.events,
 func (r *recObserver) OnRunEnd(err error)          { r.done, r.err = true, err }
 
 // runObserved drives the routed protocol with the given extra server
-// config (observer, shard conns) over the connection factory.
+// config (the observer) over the connection factory.
 func runObserved(t *testing.T, fed *dataset.Federated, model func() *nn.Network,
 	initParams []float64, k, rounds int, cfg ServerConfig, pair func() (server, client Conn)) []RoundRecord {
 	t.Helper()
@@ -69,24 +70,20 @@ func runObserved(t *testing.T, fed *dataset.Federated, model func() *nn.Network,
 }
 
 // TestObserverStreamMatchesRecords pins the transport event contract on
-// the routed sharded path: one event per round in order, fields
+// the sharded (direct) path: one event per round in order, fields
 // mirroring the RoundRecord, engine-only metrics NaN, per-shard reduce
 // timings present — and attaching the observer changes no record (the
 // passivity contract).
 func TestObserverStreamMatchesRecords(t *testing.T) {
-	fed, model, initParams := buildWorkload()
+	fed, _, _ := buildWorkload()
 	const k, rounds, nShards = 40, 6, 2
 
 	run := func(cfg ServerConfig) []RoundRecord {
-		shardConns, join := startShards(t, nShards, NewMemPair)
-		cfg.ShardConns = shardConns
-		records := runObserved(t, fed, model, initParams, k, rounds, cfg, NewMemPair)
-		for s, err := range join() {
-			if err != nil {
-				t.Fatalf("shard %d: %v", s, err)
-			}
+		h := runDirectHarness(t, rounds, k, nShards, cfg, nil, nil, nil)
+		if err := errors.Join(h.srvErr, errors.Join(h.cliErrs...), errors.Join(h.shardErr...)); err != nil {
+			t.Fatal(err)
 		}
-		return records
+		return h.records
 	}
 
 	rec := &recObserver{}
@@ -243,11 +240,11 @@ func (k *killerObserver) OnRoundEnd(fl.RoundEvent) {}
 func (k *killerObserver) OnRunEnd(error)           {}
 
 // TestAdminReadyzFlipsOnShardKill wires a real admin server to a live
-// routed sharded run and kills the shard mid-run: /readyz must report
-// ready while rounds are completing and flip to 503 with the failure
-// once the shard's death ends the run.
+// sharded run and kills the shard mid-run: /readyz must report ready
+// while rounds are completing and flip to 503 with the failure once the
+// shard's death ends the run.
 func TestAdminReadyzFlipsOnShardKill(t *testing.T) {
-	fed, model, initParams := buildWorkload()
+	fed, _, _ := buildWorkload()
 	const k, rounds = 40, 8
 
 	adm, err := admin.Serve("127.0.0.1:0")
@@ -266,54 +263,23 @@ func TestAdminReadyzFlipsOnShardKill(t *testing.T) {
 	}
 
 	adm.SetExpected(fed.NumClients(), 1)
-	shardConns, join := startShards(t, 1, NewMemPair)
 	adm.SetEnrolled(fed.NumClients(), 1)
 
-	killer := &killerObserver{round: 3, conn: shardConns[0], check: func() {
+	killer := &killerObserver{round: 3, check: func() {
 		if code, body := readyz(); code != http.StatusOK {
 			t.Errorf("mid-run /readyz = %d %q, want 200", code, body)
 		}
 	}}
-	cfg := ServerConfig{
-		K: k, Rounds: rounds, InitialParams: initParams,
-		ShardConns: shardConns,
-		Observer:   fl.MultiObserver(adm, killer),
-	}
-
-	n := fed.NumClients()
-	serverConns := make([]Conn, n)
-	clientConns := make([]Conn, n)
-	for i := range serverConns {
-		serverConns[i], clientConns[i] = NewMemPair()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// Clients die with the run; their errors are the shard's fault.
-			_ = RunClient(clientConns[id], ClientConfig{
-				ID:           id,
-				Data:         &fed.Clients[id],
-				Model:        model,
-				LearningRate: 0.1,
-				BatchSize:    8,
-				Seed:         5 + 1000003*int64(id+1),
-			})
-		}(i)
-	}
-	records, err := RunServer(serverConns, cfg)
-	if err == nil {
+	// The shard's control link is the one the killer cuts; clients and
+	// the shard die with the run, their errors are the kill's fault.
+	h := runDirectHarness(t, rounds, k, 1, ServerConfig{Observer: fl.MultiObserver(adm, killer)}, nil,
+		func(_ int, c Conn) Conn { killer.conn = c; return c }, nil)
+	if h.srvErr == nil {
 		t.Fatal("run survived its only shard dying")
 	}
-	if len(records) != 2 {
-		t.Fatalf("completed %d rounds before the kill, want 2", len(records))
+	if len(h.records) != 2 {
+		t.Fatalf("completed %d rounds before the kill, want 2", len(h.records))
 	}
-	for _, c := range serverConns {
-		_ = c.Close()
-	}
-	wg.Wait()
-	join()
 
 	code, body := readyz()
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "run failed") {

@@ -32,7 +32,7 @@
 //	coordinator ◀─MuxFrame{member, Upload}── hosts (one per drawn member)
 //	coordinator ──Broadcast─────────────▶ hosts   (ONE per host, not per member)
 //
-// and with the direct shard plane (ShardConns + Direct):
+// and with a shard tier (ShardConns — the direct data plane):
 //
 //	coordinator ──CohortAssign──▶ hosts + shards  (hosts: their members; shards: full cohort)
 //	hosts ──MuxFrame{member, SliceUpload}──▶ shards   (data plane)
@@ -46,9 +46,9 @@
 // run every client tier's one local step per drawn member
 // (localStep.run), and the aggregation runs over cohort-ordered
 // uploads, which is the engine's participant order. The routed and direct planes are
-// bit-identical to each other; population × bounded staleness and
-// population × the routed shard tier are rejected (the cohort changes
-// every round, which neither plane's admission bookkeeping models).
+// bit-identical to each other; population × bounded staleness is
+// rejected (the cohort changes every round, which the window's
+// admission bookkeeping does not model).
 package transport
 
 import (
@@ -127,9 +127,8 @@ type PopulationConfig struct {
 // RunPopulationServer drives a population-tier training over
 // pre-classified host connections (AcceptPeer fills Peer.Host). Hosts
 // are seated by their declared HostID; their rosters must partition
-// the population. cfg.Population must be set; the shard tier, when
-// present, must be Direct (the routed shard plane and bounded
-// staleness are not population-aware).
+// the population. cfg.Population must be set; bounded staleness is not
+// population-aware.
 func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord, err error) {
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
@@ -138,17 +137,14 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 	if pcfg == nil {
 		return nil, fmt.Errorf("transport: RunPopulationServer needs ServerConfig.Population")
 	}
+	if err := cfg.check(len(cfg.ShardConns), false); err != nil {
+		return nil, err
+	}
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("transport: population server needs at least one host")
 	}
-	if cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64) {
-		return nil, fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
-	}
 	if cfg.Staleness != 0 {
 		return nil, fmt.Errorf("transport: the population tier requires the synchronous protocol (Staleness = 0)")
-	}
-	if len(cfg.ShardConns) > 0 && !cfg.Direct {
-		return nil, fmt.Errorf("transport: the population tier supports shards on the direct data plane only")
 	}
 
 	// Seat hosts by declared ID and stitch the global member directory.

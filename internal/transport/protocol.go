@@ -24,22 +24,24 @@ type ServerConfig struct {
 	// for trajectory-identical runs).
 	InitialParams []float64
 	// ShardConns are control-plane connections to aggregation shards
-	// (RunShard peers when routed, RunDirectShard peers when Direct).
-	// Empty keeps the aggregation on the coordinator; otherwise the
-	// coordinate space is partitioned across the shards and every round's
-	// reduction runs through the shard tier (see shard.go and direct.go)
-	// — with results bit-identical to the local path at any shard count.
+	// (RunDirectShard peers). Empty keeps the aggregation on the
+	// coordinator (the routed plane); otherwise the run is on the direct
+	// data plane (direct.go): the coordinate space is partitioned across
+	// the shards, clients learn the shard directory from Init, split each
+	// upload by coordinate range, and send every slice straight to the
+	// owning shard — and pull the round's broadcast back from the shards
+	// the same way, each shard serving its span of the selection from its
+	// own merged sums. The coordinator then only handles the handshake,
+	// per-round control metadata (RoundMeta up, RoundRelease down), the
+	// selection over merged shard reductions, and the O(|J|) shard seals
+	// — it never receives a gradient upload and never transmits B
+	// payload. Results are bit-identical to the routed plane at any
+	// shard count.
 	ShardConns []Conn
-	// Direct demotes the coordinator to a control plane: clients learn
-	// the shard directory from Init, split each upload by coordinate
-	// range, and send every slice straight to the owning shard — and
-	// pull the round's broadcast back from the shards the same way,
-	// each shard serving its span of the selection from its own merged
-	// sums. The coordinator only handles the handshake, per-round
-	// control metadata (RoundMeta up, RoundRelease down), the selection
-	// over merged shard reductions, and the O(|J|) shard seals — it
-	// never receives a gradient upload and never transmits B payload.
-	// Requires ShardConns and a matching ShardAddrs.
+	// Direct must be set exactly when ShardConns is non-empty: sharding
+	// means the direct data plane, so the field carries no choice of its
+	// own. It stays only because the frozen benchmark definition
+	// (bench/cluster.go) sets it; a benchmark-definition PR may drop it.
 	Direct bool
 	// ShardAddrs is the client-facing ingest address of each shard, in
 	// ShardConns order — the directory sent to clients in Init (shards
@@ -76,10 +78,48 @@ type ServerConfig struct {
 	// local compute before round m's broadcast lands, shards admit
 	// slices for rounds in a sliding window of width W+1, and a client
 	// that misses a shard's seal cutoff gets a SliceNack and folds the
-	// unsent slice back into its error-feedback residual. Direct mode
+	// unsent slice back into its error-feedback residual. Direct plane
 	// only (the routed plane stays lockstep), and capped at
-	// MaxStaleness — see RunServerPeers.
+	// MaxStaleness.
 	Staleness int
+}
+
+// check is the one validation of a ServerConfig's run-wide knobs,
+// shared by every coordinator entry point (RunServerPeers, the durable
+// pair, RunPopulationServer) so each refuses a configuration in the same
+// words: the quantization width, the staleness window, and the plane
+// rule — shards mean the direct data plane, with one advertised ingest
+// address per shard. nShards is len(ShardConns), except on a durable
+// resume (resume set), which holds no connections yet and whose
+// directory the rejoining shards refill.
+func (cfg ServerConfig) check(nShards int, resume bool) error {
+	if cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64) {
+		return fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
+	}
+	if cfg.Staleness < 0 || cfg.Staleness > MaxStaleness {
+		return fmt.Errorf("transport: Staleness must be in [0, %d], got %d", MaxStaleness, cfg.Staleness)
+	}
+	if nShards > 0 && !cfg.Direct {
+		return fmt.Errorf("transport: ShardConns without Direct (a shard tier is the direct data plane)")
+	}
+	if cfg.Direct && nShards == 0 {
+		return fmt.Errorf("transport: Direct needs ShardConns (the coordinator no longer aggregates)")
+	}
+	if cfg.Staleness > 0 && !cfg.Direct {
+		return fmt.Errorf("transport: Staleness requires the direct data plane (the routed topology is lockstep)")
+	}
+	if resume {
+		return nil
+	}
+	if len(cfg.ShardAddrs) != nShards {
+		return fmt.Errorf("transport: need one ShardAddrs entry per shard (%d addrs for %d shards)", len(cfg.ShardAddrs), nShards)
+	}
+	for s, addr := range cfg.ShardAddrs {
+		if addr == "" {
+			return fmt.Errorf("transport: shard %d advertised no ingest address", s)
+		}
+	}
+	return nil
 }
 
 // MaxStaleness caps ServerConfig.Staleness. Each in-flight window round
@@ -337,19 +377,17 @@ type RoundRecord struct {
 // RunServer drives one FAB-top-k training over the given client
 // connections: handshake, then Rounds iterations of gather-A_i /
 // broadcast-B. It returns the per-round records. With cfg.ShardConns set
-// the per-round aggregation is delegated to the shard tier.
+// the run is on the direct data plane. Each handshake is read through
+// AcceptPeer, so a client that connects and never speaks fails the run
+// after the handshake deadline instead of wedging it; a peer that opens
+// with anything but a Hello is refused by RunServerPeers.
 func RunServer(conns []Conn, cfg ServerConfig) ([]RoundRecord, error) {
-	peers := make([]Peer, 0, len(conns))
-	for _, conn := range conns {
-		msg, err := conn.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("transport: handshake recv: %w", err)
+	peers := make([]Peer, len(conns))
+	for i, conn := range conns {
+		var err error
+		if peers[i], err = AcceptPeer(conn); err != nil {
+			return nil, err
 		}
-		hello, ok := msg.(Hello)
-		if !ok {
-			return nil, fmt.Errorf("transport: expected Hello, got %T", msg)
-		}
-		peers = append(peers, Peer{Conn: conn, Hello: &hello})
 	}
 	return RunServerPeers(peers, cfg)
 }
@@ -362,17 +400,11 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
 	}
+	if err := cfg.check(len(cfg.ShardConns), false); err != nil {
+		return nil, err
+	}
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("transport: server needs at least one client")
-	}
-	if cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64) {
-		return nil, fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
-	}
-	if cfg.Staleness < 0 || cfg.Staleness > MaxStaleness {
-		return nil, fmt.Errorf("transport: Staleness must be in [0, %d], got %d", MaxStaleness, cfg.Staleness)
-	}
-	if cfg.Staleness > 0 && !cfg.Direct {
-		return nil, fmt.Errorf("transport: Staleness requires the direct data plane (the routed topology is lockstep)")
 	}
 	if cfg.Population != nil {
 		return nil, fmt.Errorf("transport: population runs go through RunPopulationServer, not the per-client entry points")
@@ -389,11 +421,6 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 			return nil, err
 		}
 	} else {
-		if len(cfg.ShardConns) > 0 {
-			if c.shards, err = NewShardGroup(cfg.ShardConns, len(cfg.InitialParams), cfg.Rounds, weights); err != nil {
-				return nil, err
-			}
-		}
 		c.startRouted()
 	}
 	if err := c.sendInit(ordered, 0); err != nil {
@@ -413,7 +440,7 @@ func seatClients(clients []Peer) ([]Conn, []float64, error) {
 	weights := make([]float64, len(clients))
 	for _, peer := range clients {
 		if peer.Hello == nil {
-			return nil, nil, fmt.Errorf("transport: shard peer passed as client (shard conns belong in ServerConfig.ShardConns)")
+			return nil, nil, fmt.Errorf("transport: non-client peer passed as client (a client opens with Hello; shard conns belong in ServerConfig.ShardConns)")
 		}
 		hello := *peer.Hello
 		if hello.ClientID < 0 || hello.ClientID >= len(clients) {

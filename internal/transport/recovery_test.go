@@ -345,7 +345,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		// reproduce the trajectory the failure-free deployment produces.
 		var ref []RoundRecord
 		if topo.direct {
-			h := runDirectHarness(t, 6, 40, topo.nShards, 0, nil, nil, nil)
+			h := runDirectHarness(t, 6, 40, topo.nShards, ServerConfig{}, nil, nil, nil)
 			if h.srvErr != nil {
 				t.Fatalf("reference direct run: %v", h.srvErr)
 			}
@@ -394,7 +394,7 @@ func TestCoordinatorCrashAtFinalFinish(t *testing.T) {
 // from their resend rings — and the trajectory is still bit-identical
 // to the failure-free run. The coordinator itself never restarts here.
 func TestDirectShardKillFreshRejoin(t *testing.T) {
-	h := runDirectHarness(t, 6, 40, 2, 0, nil, nil, nil)
+	h := runDirectHarness(t, 6, 40, 2, ServerConfig{}, nil, nil, nil)
 	if h.srvErr != nil {
 		t.Fatalf("reference direct run: %v", h.srvErr)
 	}
@@ -620,5 +620,29 @@ func TestHandshakeDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("AcceptPeer took %v, deadline did not apply", d)
+	}
+}
+
+// TestRunServerHandshakeDeadline is TestHandshakeDeadline for
+// RunServer's own enrolment loop: one client that connects and never
+// says Hello must fail the run with the deadline error, not wedge it.
+func TestRunServerHandshakeDeadline(t *testing.T) {
+	saved := handshakeTimeout.Swap(int64(50 * time.Millisecond))
+	defer handshakeTimeout.Store(saved)
+
+	server, silent := NewMemPair()
+	defer silent.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunServer([]Conn{server}, ServerConfig{K: 1, Rounds: 1, InitialParams: []float64{0}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("RunServer = %v, want the handshake deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunServer wedged on a silent client")
 	}
 }

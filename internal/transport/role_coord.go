@@ -159,14 +159,13 @@ type coordRun struct {
 	round   int // the round in progress (a healing link acks rejoins with it)
 
 	strategy *gs.FABTopK
-	// Routed plane: one warm scratch for the whole run, or the routed
-	// shard tier; the gathered uploads; the duplicate-coordinate slab of
-	// upload validation (seen[j] == token marks j used by the upload
-	// being checked). copyUploads retains each payload in a per-position
-	// slot — the population plane, where many members share one
-	// connection's decode scratch.
+	// Routed plane: one warm scratch for the whole run; the gathered
+	// uploads; the duplicate-coordinate slab of upload validation
+	// (seen[j] == token marks j used by the upload being checked).
+	// copyUploads retains each payload in a per-position slot — the
+	// population plane, where many members share one connection's decode
+	// scratch.
 	scratch     *gs.AggScratch
-	shards      *ShardGroup
 	uploads     []gs.ClientUpload
 	seen        []int
 	token       int
@@ -189,38 +188,23 @@ func newCoordRun(cfg ServerConfig, clients peerLinks, nClients int, noun string,
 	return c
 }
 
-// startRouted sizes the routed plane's aggregation state. With a shard
-// tier the reduction state lives in the shards (and the ShardGroup's
-// selection scratch), so no local scratch is built at all.
+// startRouted sizes the routed plane's aggregation state.
 func (c *coordRun) startRouted() {
 	dim := len(c.cfg.InitialParams)
-	if c.shards == nil {
-		c.scratch = gs.NewAggScratch(0)
-		c.scratch.Reserve(dim) // coordinates index the model
-	}
+	c.scratch = gs.NewAggScratch(0)
+	c.scratch.Reserve(dim) // coordinates index the model
 	c.uploads = make([]gs.ClientUpload, c.nClients)
 	c.seen = make([]int, dim)
 }
 
 // startDirect is the direct plane's preamble, the same on every tier:
-// check the shard directory the clients will dial, build the selection
-// state, and assign the partition (numHosts > 0 announces the
-// population tier's M:N ingest plane to the shards).
+// build the selection state and assign the partition (numHosts > 0
+// announces the population tier's M:N ingest plane to the shards). The
+// shard directory the clients will dial was checked with the rest of
+// the configuration (ServerConfig.check).
 func (c *coordRun) startDirect(numHosts int) error {
 	cfg := c.cfg
 	dim := len(cfg.InitialParams)
-	if len(cfg.ShardConns) == 0 {
-		return fmt.Errorf("transport: direct mode needs ShardConns (the coordinator no longer aggregates)")
-	}
-	if len(cfg.ShardAddrs) != len(cfg.ShardConns) {
-		return fmt.Errorf("transport: direct mode needs one ShardAddrs entry per shard (%d addrs for %d shards)",
-			len(cfg.ShardAddrs), len(cfg.ShardConns))
-	}
-	for s, addr := range cfg.ShardAddrs {
-		if addr == "" {
-			return fmt.Errorf("transport: direct mode: shard %d advertised no ingest address", s)
-		}
-	}
 	g, err := newDirectGroup(cfg.ShardConns, dim, c.weights, cfg.QuantBits)
 	if err != nil {
 		return err
@@ -231,12 +215,12 @@ func (c *coordRun) startDirect(numHosts int) error {
 	return g.assign(assign)
 }
 
-// directAssign is the one constructor of a direct-mode ShardAssign; the
-// caller adds its tier's fields (Window, NumHosts, StartRound) and the
-// sender stamps ShardID.
+// directAssign is the one constructor of a ShardAssign; the caller adds
+// its tier's fields (Window, NumHosts, StartRound) and the sender stamps
+// ShardID.
 func directAssign(nShards, dim, rounds int, weights []float64, quantBits int) ShardAssign {
 	return ShardAssign{NumShards: nShards, Dim: dim, Rounds: rounds,
-		Weights: append([]float64(nil), weights...), Direct: true, QuantBits: quantBits}
+		Weights: append([]float64(nil), weights...), QuantBits: quantBits}
 }
 
 // sendInit releases the enrolled peers into the round loop: the
@@ -310,11 +294,8 @@ func (c *coordRun) finish(rec RoundRecord, participants int, draw *cohortDraw) {
 		return
 	}
 	var reduce []float64
-	switch {
-	case c.group != nil:
+	if c.group != nil {
 		reduce = c.group.reduceSecs
-	case c.shards != nil:
-		reduce = c.shards.reduceSecs
 	}
 	ev := roundEvent(rec, c.cfg.K, participants, c.bm, reduce)
 	// The realized overlap of a windowed run; stale-slice counts live at
@@ -389,16 +370,8 @@ func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, erro
 // overwritten next round; with quantization on it is snapped onto its
 // own b-bit grid before it goes out — the engine's post-aggregation
 // quantization, and what lets the codec pack the values on the wire.
-func (c *coordRun) aggregate(m int) (Broadcast, error) {
-	var agg gs.Aggregate
-	if c.shards != nil {
-		var err error
-		if agg, _, err = c.shards.Aggregate(c.strategy, c.uploads, m, c.cfg.K, 0); err != nil {
-			return Broadcast{}, err
-		}
-	} else {
-		agg, _ = c.strategy.AggregateInto(c.scratch, c.uploads, c.cfg.K, 0)
-	}
+func (c *coordRun) aggregate(m int) Broadcast {
+	agg, _ := c.strategy.AggregateInto(c.scratch, c.uploads, c.cfg.K, 0)
 	bc := Broadcast{
 		Round: m,
 		Idx:   append([]int(nil), agg.Indices...),
@@ -408,7 +381,7 @@ func (c *coordRun) aggregate(m int) (Broadcast, error) {
 		bc.Bits = c.cfg.QuantBits
 		bc.Scale = sparse.QuantizeInPlace(bc.Val, c.cfg.QuantBits)
 	}
-	return bc, nil
+	return bc
 }
 
 // routedRound runs one routed round: gather the uploads, aggregate,
@@ -421,10 +394,7 @@ func (c *coordRun) routedRound(m int, ids []int, total float64) (RoundRecord, er
 	if err != nil {
 		return RoundRecord{}, err
 	}
-	bc, err := c.aggregate(m)
-	if err != nil {
-		return RoundRecord{}, err
-	}
+	bc := c.aggregate(m)
 	if err := c.journal.sealed(m, loss, bc.Scale, bc.Bits, bc.Idx, nil); err != nil {
 		return RoundRecord{}, err
 	}

@@ -89,21 +89,14 @@ func (sr *shardRound) resize(slots int) {
 }
 
 // checkAssign is the shard runners' shared validation of the
-// coordinator's assignment. Each plane's runner rejects the other's
-// assignment, so a topology mismatch fails loudly at the handshake.
-func checkAssign(assign ShardAssign, direct bool) error {
+// coordinator's assignment.
+func checkAssign(assign ShardAssign) error {
 	if assign.NumShards < 1 || assign.ShardID < 0 || assign.ShardID >= assign.NumShards {
 		return fmt.Errorf("transport: shard id %d out of range [0, %d)", assign.ShardID, assign.NumShards)
 	}
 	if assign.Dim < 1 || assign.Rounds < 0 || len(assign.Weights) == 0 {
 		return fmt.Errorf("transport: bad shard assignment (dim=%d rounds=%d clients=%d)",
 			assign.Dim, assign.Rounds, len(assign.Weights))
-	}
-	if assign.Direct && !direct {
-		return fmt.Errorf("transport: direct assignment sent to a routed shard (run the shard with a direct ingest listener)")
-	}
-	if !assign.Direct && direct {
-		return fmt.Errorf("transport: routed assignment sent to a direct shard (coordinator not in direct mode?)")
 	}
 	return nil
 }

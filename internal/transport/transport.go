@@ -216,7 +216,6 @@ func registerTypes() {
 		gob.Register(Broadcast{})
 		gob.Register(ShardHello{})
 		gob.Register(ShardAssign{})
-		gob.Register(ShardUpload{})
 		gob.Register(ShardResult{})
 		gob.Register(DataHello{})
 		gob.Register(SliceUpload{})
@@ -341,7 +340,7 @@ func (c *gobConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDead
 // using the default binary frame codec (NewBinConn — use NewGobConn
 // directly for the gob oracle). The caller's first message identifies
 // its role: a client sends Hello (RunClient does this), a shard sends
-// ShardHello (DialShard does both steps).
+// ShardHello (DialDirectShard does both steps).
 func Dial(addr string) (Conn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -350,18 +349,11 @@ func Dial(addr string) (Conn, error) {
 	return NewBinConn(conn), nil
 }
 
-// DialShard connects to a coordinator and identifies the connection as a
-// routed aggregation shard — the counterpart AcceptPeer classifies on the
-// coordinator side.
-func DialShard(addr string) (Conn, error) {
-	return DialDirectShard(addr, "")
-}
-
-// DialDirectShard is DialShard for a shard that also serves the direct
-// data plane: ingestAddr is the shard's own client-facing listener
-// address, advertised to the coordinator (and from there, via the Init
-// directory, to every client). An empty ingestAddr identifies a
-// routed-only shard.
+// DialDirectShard connects to a coordinator and identifies the
+// connection as an aggregation shard — the counterpart AcceptPeer
+// classifies on the coordinator side. ingestAddr is the shard's own
+// client-facing listener address, advertised to the coordinator (and
+// from there, via the Init directory, to every client).
 func DialDirectShard(coordAddr, ingestAddr string) (Conn, error) {
 	conn, err := Dial(coordAddr)
 	if err != nil {

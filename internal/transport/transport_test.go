@@ -330,6 +330,56 @@ func TestServerRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
+// TestServerConfigCheck pins the one ServerConfig validation every
+// coordinator entry point shares: each refuses the same configuration
+// with the same words.
+func TestServerConfigCheck(t *testing.T) {
+	shard, _ := NewMemPair()
+	base := ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}
+	cases := []struct {
+		name string
+		edit func(*ServerConfig)
+		want string
+	}{
+		{"shards without Direct", func(c *ServerConfig) { c.ShardConns, c.ShardAddrs = []Conn{shard}, []string{"s0"} },
+			"transport: ShardConns without Direct (a shard tier is the direct data plane)"},
+		{"Direct without shards", func(c *ServerConfig) { c.Direct = true },
+			"transport: Direct needs ShardConns (the coordinator no longer aggregates)"},
+		{"address-count mismatch", func(c *ServerConfig) { c.Direct, c.ShardConns = true, []Conn{shard} },
+			"transport: need one ShardAddrs entry per shard (0 addrs for 1 shards)"},
+		{"bad QuantBits", func(c *ServerConfig) { c.QuantBits = 1 },
+			"transport: QuantBits must be 0 (off) or in [2, 64], got 1"},
+		{"bad Staleness", func(c *ServerConfig) { c.Staleness = -1 },
+			"transport: Staleness must be in [0, 8], got -1"},
+	}
+	entries := []struct {
+		name string
+		run  func(ServerConfig) error
+	}{
+		{"RunServerPeers", func(c ServerConfig) error { _, err := RunServerPeers(nil, c); return err }},
+		{"RunDurableServerPeers", func(c ServerConfig) error {
+			_, err := RunDurableServerPeers(nil, c, DurableServerConfig{})
+			return err
+		}},
+		{"RunPopulationServer", func(c ServerConfig) error {
+			c.Population = &PopulationConfig{}
+			_, err := RunPopulationServer(nil, c)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		for _, entry := range entries {
+			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
+				cfg := base
+				tc.edit(&cfg)
+				if err := entry.run(cfg); err == nil || err.Error() != tc.want {
+					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+			})
+		}
+	}
+}
+
 // TestValidateUpload pins the routed coordinators' shared trust boundary
 // (RunServerPeers, the durable server and the population server all call
 // it): shape, sender, quantization width, range, duplicates — and values,

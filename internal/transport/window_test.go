@@ -262,7 +262,7 @@ func BenchmarkStragglerWallClock(b *testing.B) {
 // slice is admitted and the shard completes cleanly.
 func TestWindowedShardNacksMissedSeal(t *testing.T) {
 	// Shard 0 of 2 over dim 10 owns [0, 5); two clients, window 1.
-	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}, Direct: true, Window: 1}
+	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}, Window: 1}
 	wantIdx := func(t *testing.T, got []int, want ...int) {
 		t.Helper()
 		if len(got) != len(want) {
@@ -355,7 +355,7 @@ func TestWindowedShardRejectsMalformed(t *testing.T) {
 	// Shard 0 of 2 over dim 10 owns [0, 5); two clients, window 1,
 	// five rounds (so an over-eager tag is inside the run but outside
 	// the admission window).
-	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 5, Weights: []float64{1, 2}, Direct: true, Window: 1}
+	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 5, Weights: []float64{1, 2}, Window: 1}
 	up := func(ci, round int) SliceUpload {
 		return SliceUpload{ClientID: ci, Round: round, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}
 	}
@@ -492,20 +492,6 @@ func TestStalenessConfigValidation(t *testing.T) {
 		if _, err := RunDurableServerPeers(nil, cfg, DurableServerConfig{}); err == nil || !strings.Contains(err.Error(), "bounded staleness") {
 			t.Fatalf("err = %v", err)
 		}
-	})
-	t.Run("routed shard refuses a windowed assignment", func(t *testing.T) {
-		coordSide, shardSide := NewMemPair()
-		done := make(chan error, 1)
-		go func() { done <- RunShard(shardSide) }()
-		if err := coordSide.Send(ShardAssign{ShardID: 0, NumShards: 1, Dim: 4, Rounds: 1, Weights: []float64{1}, Window: 1}); err != nil {
-			t.Fatal(err)
-		}
-		err := <-done
-		if err == nil || !strings.Contains(err.Error(), "direct data plane") {
-			t.Fatalf("err = %v", err)
-		}
-		_ = coordSide.Close()
-		_ = shardSide.Close()
 	})
 	t.Run("client refuses an oversized init window", func(t *testing.T) {
 		fed, model, initParams := buildWorkload()

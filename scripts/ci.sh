@@ -20,8 +20,9 @@ fi
 go build ./...
 go test ./...
 # cmd/flsim is in the race list for its loopback-TCP end-to-end runs of
-# both multi-process topologies (routed and client-direct, including the
-# shard-served downlink fan-out); internal/wal for the durable control
+# both multi-process topologies (the unsharded routed coordinator, and
+# the sharded client-direct plane with its shard-served downlink
+# fan-out); internal/wal for the durable control
 # plane's log/snapshot machinery; internal/admin because its HTTP
 # handlers run concurrently with the observer callbacks feeding them;
 # internal/nn because the engine runs one network per worker at once.
