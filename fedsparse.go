@@ -48,9 +48,10 @@
 // parallel across clients, and the engine exploits that without giving
 // up reproducibility:
 //
-//   - every simulated client owns its model, its error-feedback residuals,
-//     its random stream, and its hot-loop scratch, so scheduling cannot
-//     change what any client computes;
+//   - every simulated client owns its error-feedback residuals and its
+//     random stream, and every worker owns one replica of the
+//     synchronized GS weights and its hot-loop scratch, so scheduling
+//     cannot change what any client computes;
 //   - workers write results into slots indexed by client position, and
 //     every floating-point reduction either runs on the coordinator in
 //     fixed client order (the weighted global loss, the probe means) or

@@ -131,10 +131,10 @@ func engineConf(cfg *Config, d, nClients int, ctrlName string) []int64 {
 }
 
 // open creates the run's log, or — when resuming — reopens it, replays
-// the finished rounds, and restores the latest snapshot into the
-// freshly built clients. Called after client construction so the
-// restore can overwrite their params/residuals/rng streams in place.
-func (dw *engineWAL) open(cfg *Config, clients []*client, d int) error {
+// the finished rounds, and restores the latest snapshot into params and
+// the freshly built clients. Called after client construction so the
+// restore can overwrite params/residuals/rng streams in place.
+func (dw *engineWAL) open(cfg *Config, clients []*client, params []float64, d int) error {
 	path := filepath.Join(dw.dir, engineWALName)
 	conf := engineConf(cfg, d, len(clients), dw.ctrl.Name())
 	weights := make([]float64, len(clients))
@@ -201,7 +201,7 @@ func (dw *engineWAL) open(cfg *Config, clients []*client, d int) error {
 		return fmt.Errorf("fl: resume: %w", err)
 	}
 	if snap != nil {
-		if err := dw.restore(snap, cfg, clients, d); err != nil {
+		if err := dw.restore(snap, cfg, clients, params, d); err != nil {
 			return err
 		}
 	}
@@ -210,10 +210,10 @@ func (dw *engineWAL) open(cfg *Config, clients []*client, d int) error {
 	return nil
 }
 
-// restore loads one snapshot into the run: model params and residual
-// accumulators into every client, controller (and strategy) state, rng
-// stream positions, and the clock.
-func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client, d int) error {
+// restore loads one snapshot into the run: the synchronized model
+// params, residual accumulators into every client, controller (and
+// strategy) state, rng stream positions, and the clock.
+func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client, params []float64, d int) error {
 	n := len(clients)
 	if snap.Round < 1 || snap.Round > len(dw.logged) {
 		return fmt.Errorf("fl: resume: snapshot at round %d but the log finishes %d rounds", snap.Round, len(dw.logged))
@@ -229,9 +229,9 @@ func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client,
 		if len(snap.Vecs[1+i]) != d {
 			return fmt.Errorf("fl: resume: snapshot residuals for client %d have dimension %d, model has %d", i, len(snap.Vecs[1+i]), d)
 		}
-		c.net.SetParams(snap.Vecs[0])
 		copy(c.acc, snap.Vecs[1+i])
 	}
+	copy(params, snap.Vecs[0])
 	if err := dw.ctrl.StateRestore(snap.Vecs[n+1]); err != nil {
 		return fmt.Errorf("fl: resume: %w", err)
 	}
@@ -261,7 +261,7 @@ func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client,
 // silently forking the trajectory); past the prefix it appends and
 // syncs the Finish record. Snapshots are (re)written on cadence either
 // way — a crash may have lost the one after the logged rounds.
-func (dw *engineWAL) commit(st *RoundStats, clients []*client) error {
+func (dw *engineWAL) commit(st *RoundStats, params []float64, clients []*client) error {
 	m := st.Round
 	if m <= len(dw.logged) {
 		if err := sameStats(st, &dw.logged[m-1]); err != nil {
@@ -277,7 +277,7 @@ func (dw *engineWAL) commit(st *RoundStats, clients []*client) error {
 		dw.appends++
 	}
 	if m%dw.every == 0 && m > dw.snapRound {
-		if err := dw.snapshot(st, clients); err != nil {
+		if err := dw.snapshot(st, params, clients); err != nil {
 			return fmt.Errorf("fl: round %d snapshot: %w", m, err)
 		}
 		dw.snaps++
@@ -288,10 +288,10 @@ func (dw *engineWAL) commit(st *RoundStats, clients []*client) error {
 // snapshot checkpoints the whole mutable run state after round
 // st.Round: the synchronized params once, every residual accumulator,
 // controller/strategy state, all rng positions, and the clock.
-func (dw *engineWAL) snapshot(st *RoundStats, clients []*client) error {
+func (dw *engineWAL) snapshot(st *RoundStats, params []float64, clients []*client) error {
 	n := len(clients)
 	vecs := make([][]float64, 0, n+3)
-	vecs = append(vecs, append([]float64(nil), clients[0].net.Params()...))
+	vecs = append(vecs, append([]float64(nil), params...))
 	for _, c := range clients {
 		vecs = append(vecs, append([]float64(nil), c.acc...))
 	}

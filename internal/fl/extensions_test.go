@@ -9,18 +9,21 @@ import (
 )
 
 func TestParticipationSubsetSize(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rounds = 30
-	cfg.Participation = 0.5
-	cfg.CheckSync = true // non-participants must stay synchronized
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 4 // ⌈0.5·8⌉
-	for _, st := range res.Stats {
-		if st.Participants != want {
-			t.Fatalf("round %d: %d participants, want %d", st.Round, st.Participants, want)
+	for _, workers := range []int{0, 4} {
+		cfg := smallConfig()
+		cfg.Rounds = 30
+		cfg.Participation = 0.5
+		cfg.CheckSync = true // replicas must stay synchronized
+		cfg.Workers = workers
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		want := 4 // ⌈0.5·8⌉
+		for _, st := range res.Stats {
+			if st.Participants != want {
+				t.Fatalf("workers=%d round %d: %d participants, want %d", workers, st.Round, st.Participants, want)
+			}
 		}
 	}
 }
@@ -95,18 +98,21 @@ func TestParticipationValidation(t *testing.T) {
 }
 
 func TestQuantizationStillLearnsAndStaysSynchronized(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rounds = 80
-	cfg.QuantBits = 8
-	cfg.CheckSync = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := meanLossWindow(res.Stats[:10])
-	last := meanLossWindow(res.Stats[70:])
-	if last >= first {
-		t.Fatalf("8-bit quantized training failed to learn: %.3f -> %.3f", first, last)
+	for _, workers := range []int{0, 4} {
+		cfg := smallConfig()
+		cfg.Rounds = 80
+		cfg.QuantBits = 8
+		cfg.CheckSync = true
+		cfg.Workers = workers
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		first := meanLossWindow(res.Stats[:10])
+		last := meanLossWindow(res.Stats[70:])
+		if last >= first {
+			t.Fatalf("workers=%d: 8-bit quantized training failed to learn: %.3f -> %.3f", workers, first, last)
+		}
 	}
 }
 
@@ -167,23 +173,26 @@ func TestQuantizationKeepsErrorFeedback(t *testing.T) {
 func TestAdaptiveControllerWithParticipationAndQuantization(t *testing.T) {
 	// The full stack composed: Algorithm 3 + client sampling + 8-bit
 	// quantization must run, stay in bounds, and keep weights in sync.
-	cfg := smallConfig()
-	cfg.Rounds = 60
-	cfg.Participation = 0.75
-	cfg.QuantBits = 8
-	cfg.CheckSync = true
-	d := cfg.Model().D()
-	cfg.Controller = core.NewAdaptiveSignOGD(10, float64(d), float64(d), 1.5, 10, nil)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range res.Stats {
-		if st.K < 1 || st.K > d {
-			t.Fatalf("k = %d escaped [1, D]", st.K)
+	for _, workers := range []int{0, 4} {
+		cfg := smallConfig()
+		cfg.Rounds = 60
+		cfg.Participation = 0.75
+		cfg.QuantBits = 8
+		cfg.CheckSync = true
+		cfg.Workers = workers
+		d := cfg.Model().D()
+		cfg.Controller = core.NewAdaptiveSignOGD(10, float64(d), float64(d), 1.5, 10, nil)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if st.Participants != 6 {
-			t.Fatalf("participants = %d, want 6", st.Participants)
+		for _, st := range res.Stats {
+			if st.K < 1 || st.K > d {
+				t.Fatalf("workers=%d: k = %d escaped [1, D]", workers, st.K)
+			}
+			if st.Participants != 6 {
+				t.Fatalf("workers=%d: participants = %d, want 6", workers, st.Participants)
+			}
 		}
 	}
 }

@@ -53,8 +53,8 @@ type Config struct {
 	// Data is the federated dataset (clients + global test set).
 	Data *dataset.Federated
 	// Model returns a fresh network of the task's architecture; weights
-	// are initialized once by the engine and replicated to every client,
-	// so all clients start (and stay) synchronized.
+	// are initialized once by the engine. GS mode calls it once per
+	// worker (see Workers) and FedAvg once per client and per worker.
 	Model func() *nn.Network
 	// LearningRate is the SGD step size η.
 	LearningRate float64
@@ -93,8 +93,9 @@ type Config struct {
 	// RecordPerClient keeps per-round per-client contribution counts
 	// (the Fig. 4 fairness CDF input).
 	RecordPerClient bool
-	// CheckSync verifies after every round that all clients hold
-	// bit-identical weights (test instrumentation).
+	// CheckSync verifies after every round that all weight replicas hold
+	// bit-identical weights (test instrumentation). There is one replica
+	// per worker, so at Workers <= 1 there is nothing to compare.
 	CheckSync bool
 
 	// Participation selects ⌈p·N⌉ clients uniformly each round (0 or 1 =
@@ -151,8 +152,9 @@ type Config struct {
 	// goroutines (the GS aggregation is one goroutine's work — see
 	// gs.AggScratch).
 	// 0 runs the sequential legacy path. Results are bit-identical at
-	// every worker count: each client owns its model, residuals, rng, and
-	// scratch; workers write into slots indexed by client position; and
+	// every worker count: each client owns its residual, rng and batch
+	// views; each worker owns one replica of the synchronized GS weights;
+	// workers write into slots indexed by participant position; and
 	// every floating-point reduction either runs on the coordinator in
 	// fixed order or is partitioned by coordinate so each element's
 	// addition chain is unchanged (see parallel.go for the shared-state
@@ -226,15 +228,15 @@ type Result struct {
 	Final *nn.Network
 }
 
-// client is one simulated participant: its model, its residuals, its rng
-// and the reusable minibatch views. All of it is single-goroutine state
-// touched only by whichever worker runs this client's iteration. The
-// upload buffers are not here — the in-flight round's slot owns them —
-// and neither is the top-k working memory: it is dead once TopKInto
-// returns, so the round arena holds one per worker.
+// client is one simulated participant: its residual, its rng and the
+// reusable minibatch views, all single-goroutine state touched only by
+// whichever worker runs this client's iteration. It holds no model (GS
+// weights are synchronized, so gsEngine keeps one replica per worker;
+// runFedAvg keeps the private ones), no upload buffers (the in-flight
+// round's slot owns them) and no top-k working memory (dead once TopKInto
+// returns, so the round arena holds one per worker).
 type client struct {
-	net    *nn.Network
-	acc    []float64 // a_i, the accumulated local gradient
+	acc    []float64 // a_i, the accumulated local gradient (GS mode only)
 	data   *dataset.Dataset
 	weight float64 // C_i
 	rng    *rand.Rand
@@ -276,7 +278,6 @@ func run(cfg Config) (*Result, error) {
 		engineRng = rand.New(rand.NewSource(cfg.Seed))
 	}
 
-	// Build synchronized clients.
 	ref := cfg.Model()
 	ref.InitWeights(engineRng)
 	d := ref.D()
@@ -285,11 +286,6 @@ func run(cfg Config) (*Result, error) {
 	clients := make([]*client, cfg.Data.NumClients())
 	var totalWeight float64
 	for i := range clients {
-		net := cfg.Model()
-		if net.D() != d {
-			return nil, fmt.Errorf("fl: model factory returned inconsistent dimension %d != %d", net.D(), d)
-		}
-		net.SetParams(ref.Params())
 		seed := cfg.Seed + 1000003*int64(i+1)
 		var rng *rand.Rand
 		if dur != nil {
@@ -299,8 +295,6 @@ func run(cfg Config) (*Result, error) {
 			rng = rand.New(rand.NewSource(seed))
 		}
 		clients[i] = &client{
-			net:    net,
-			acc:    make([]float64, d),
 			data:   &cfg.Data.Clients[i],
 			weight: float64(cfg.Data.Clients[i].Len()),
 			rng:    rng,
@@ -314,7 +308,10 @@ func run(cfg Config) (*Result, error) {
 	}
 
 	if cfg.FedAvg {
-		return runFedAvg(cfg, clients, totalWeight, cost)
+		return runFedAvg(cfg, clients, totalWeight, cost, ref)
+	}
+	for _, c := range clients {
+		c.acc = make([]float64, d)
 	}
 	if dur != nil {
 		rc, ok := ctrl.(core.Resumable)
@@ -323,7 +320,7 @@ func run(cfg Config) (*Result, error) {
 		}
 		dur.ctrl = rc
 		dur.strat, _ = cfg.Strategy.(gs.Stateful)
-		if err := dur.open(&cfg, clients, d); err != nil {
+		if err := dur.open(&cfg, clients, ref.Params(), d); err != nil {
 			return nil, err
 		}
 		defer dur.log.Close()
@@ -333,7 +330,28 @@ func run(cfg Config) (*Result, error) {
 			engineRng = rand.New(dur.engineSrc)
 		}
 	}
-	return runGS(cfg, clients, totalWeight, cost, ctrl, engineRng, d, dur)
+	// GS weights are one synchronized vector, held once per worker: ref
+	// is replica 0 (also Result.Final and the eval model).
+	replicas, err := replicate(cfg.Model, ref, poolSize(cfg.Workers, len(clients)))
+	if err != nil {
+		return nil, err
+	}
+	return runGS(cfg, clients, replicas, totalWeight, cost, ctrl, engineRng, d, dur)
+}
+
+// replicate returns n networks holding ref's weights: ref itself, then
+// n−1 fresh ones from the factory.
+func replicate(model func() *nn.Network, ref *nn.Network, n int) ([]*nn.Network, error) {
+	nets := []*nn.Network{ref}
+	for len(nets) < n {
+		net := model()
+		if net.D() != ref.D() {
+			return nil, fmt.Errorf("fl: model factory returned inconsistent dimension %d != %d", net.D(), ref.D())
+		}
+		net.SetParams(ref.Params())
+		nets = append(nets, net)
+	}
+	return nets, nil
 }
 
 func validate(cfg *Config) error {
@@ -467,25 +485,28 @@ func reduceWeighted(workers int, dst []float64, weights []float64, vecs [][]floa
 // aggregated weights) on the clients' minibatches — measuring at the
 // drifted local weights would under-report the loss, because each local
 // model overfits its own non-i.i.d. shard between aggregations.
-func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.CostModel) (*Result, error) {
-	d := clients[0].net.D()
+func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.CostModel, ref *nn.Network) (*Result, error) {
+	d := ref.D()
 	period := simtime.FedAvgPeriod(d, cfg.FedAvgKEquiv)
 	coll := &Collector{}
 	sink := MultiObserver(coll, cfg.Observer)
 	var clock simtime.Clock
 	avg := make([]float64, d)
-	globalNet := cfg.Model()
-	globalNet.SetParams(clients[0].net.Params())
+	globalNet := ref
 
-	// Per-worker replicas of the global model for the loss measurement:
-	// forward passes cache activations inside the network, so the single
-	// globalNet cannot be shared across goroutines. A replica holds the
-	// same weights, so the measured losses — and therefore the fixed-order
-	// weighted sum — are bit-identical to the sequential path.
-	evalNets := []*nn.Network{globalNet}
-	for len(evalNets) < poolSize(cfg.Workers, len(clients)) {
-		evalNets = append(evalNets, cfg.Model())
+	// evalNets are per-worker replicas of the global model for the loss
+	// measurement: forward passes cache activations inside the network, so
+	// the single globalNet cannot be shared across goroutines. A replica
+	// holds the same weights, so the measured losses — and therefore the
+	// fixed-order weighted sum — are bit-identical to the sequential path.
+	// nets are the clients' models: local steps make them diverge between
+	// aggregations, so this is the one mode that keeps one per client.
+	pool := poolSize(cfg.Workers, len(clients))
+	nets, err := replicate(cfg.Model, globalNet, pool+len(clients))
+	if err != nil {
+		return nil, err
 	}
+	evalNets, nets := nets[:pool], nets[pool:]
 	lossShare := make([]float64, len(clients))
 	// The aggregation weights and parameter views of the weighted
 	// reduction, hoisted out of the loop.
@@ -493,26 +514,18 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.
 	paramVecs := make([][]float64, len(clients))
 	for i, c := range clients {
 		weightFrac[i] = c.weight / totalWeight
+		paramVecs[i] = nets[i].Params()
 	}
 
-	// The replicas only need re-syncing when globalNet actually changed:
-	// before the first round and after each aggregation.
-	replicasStale := true
 	for m := 1; m <= cfg.Rounds; m++ {
 		sink.OnRoundStart(m)
-		if replicasStale {
-			for _, en := range evalNets[1:] {
-				en.SetParams(globalNet.Params())
-			}
-			replicasStale = false
-		}
 		parallelFor(cfg.Workers, len(clients), func(i, w int) {
 			c := clients[i]
 			c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
 			lossShare[i] = c.weight / totalWeight * evalNets[w].MeanLoss(c.xs, c.ys)
-			c.net.MeanLossGrad(c.xs, c.ys)
+			nets[i].MeanLossGrad(c.xs, c.ys)
 			// Local step: weights diverge between aggregations.
-			tensor.AXPY(-cfg.LearningRate, c.net.Grads(), c.net.Params())
+			tensor.AXPY(-cfg.LearningRate, nets[i].Grads(), nets[i].Params())
 		})
 		weightedLoss := sum(lossShare)
 		roundTime := cost.CompPerRound
@@ -522,15 +535,13 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.
 			// reduction over the worker pool (see reduceWeighted) —
 			// parallel at large N·D yet bit-identical to the in-order
 			// client accumulation at any worker count.
-			for i, c := range clients {
-				paramVecs[i] = c.net.Params()
-			}
 			reduceWeighted(cfg.Workers, avg, weightFrac, paramVecs)
 			parallelFor(cfg.Workers, len(clients), func(i, _ int) {
-				clients[i].net.SetParams(avg)
+				nets[i].SetParams(avg)
 			})
-			globalNet.SetParams(avg)
-			replicasStale = true
+			for _, en := range evalNets { // evalNets[0] is globalNet
+				en.SetParams(avg)
+			}
 			roundTime += cost.CommTime(simtime.DenseUnits(d), simtime.DenseUnits(d))
 		}
 		clock.Advance(roundTime)
@@ -586,8 +597,7 @@ func payloadUnits(s gs.Strategy, d, k, downElems int, elemUnits float64) (uplink
 }
 
 // maybeEval runs the cadenced evaluations on the *global* model: in GS
-// mode any client's net (they are synchronized); in FedAvg mode the last
-// aggregated weights.
+// mode weight replica 0; in FedAvg mode the last aggregated weights.
 func maybeEval(cfg *Config, stats *RoundStats, global *nn.Network, clients []*client, totalWeight float64, m int) {
 	if cfg.EvalEvery > 0 && (m%cfg.EvalEvery == 0 || m == 1) {
 		xs, ys := cfg.Data.Test.XY()
@@ -604,13 +614,14 @@ func maybeEval(cfg *Config, stats *RoundStats, global *nn.Network, clients []*cl
 	}
 }
 
-func checkSync(clients []*client) error {
-	ref := clients[0].net.Params()
-	for i, c := range clients[1:] {
-		p := c.net.Params()
+// checkSync compares every GS weight replica with replica 0.
+func checkSync(replicas []*nn.Network) error {
+	ref := replicas[0].Params()
+	for i, net := range replicas[1:] {
+		p := net.Params()
 		for j := range p {
 			if p[j] != ref[j] {
-				return fmt.Errorf("fl: client %d desynchronized at weight %d (%v != %v)",
+				return fmt.Errorf("fl: replica %d desynchronized at weight %d (%v != %v)",
 					i+1, j, p[j], ref[j])
 			}
 		}

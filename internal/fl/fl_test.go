@@ -2,6 +2,8 @@ package fl
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,42 +62,131 @@ func meanLossWindow(stats []RoundStats) float64 {
 	return s / float64(len(stats))
 }
 
+// TestWeightsSynchronizedAcrossStrategies checks the weight replicas
+// after every round. At Workers 0 there is one replica and nothing to
+// compare; at Workers 4 there are four.
 func TestWeightsSynchronizedAcrossStrategies(t *testing.T) {
-	strategies := []gs.Strategy{
-		&gs.FABTopK{},
-		gs.FUBTopK{},
-		gs.UniTopK{},
-		gs.PeriodicK{},
-		gs.SendAll{},
+	rows := []struct {
+		name     string
+		strategy gs.Strategy
+		cohort   int
+	}{
+		{"fab-top-k", &gs.FABTopK{}, 0},
+		{"fub-top-k", gs.FUBTopK{}, 0},
+		{"uni-top-k", gs.UniTopK{}, 0},
+		{"periodic-k", gs.PeriodicK{}, 0},
+		{"send-all", gs.SendAll{}, 0},
+		// 3 participants over 4 replicas: replica 0's block is empty, and
+		// it must still apply B.
+		{"fab-top-k+cohort=3", &gs.FABTopK{}, 3},
 	}
-	for _, s := range strategies {
-		t.Run(s.Name(), func(t *testing.T) {
-			cfg := smallConfig()
-			cfg.Rounds = 15
-			cfg.Strategy = s
-			cfg.CheckSync = true
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("%s: %v", s.Name(), err)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for _, workers := range []int{0, 4} {
+				cfg := smallConfig()
+				cfg.Rounds = 15
+				cfg.Strategy = row.strategy
+				cfg.Cohort = row.cohort
+				cfg.CheckSync = true
+				cfg.Workers = workers
+				if _, err := Run(cfg); err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
 			}
 		})
 	}
 }
 
-func TestSyncHoldsUnderAdaptiveController(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rounds = 40
-	cfg.CheckSync = true
-	d := cfg.Model().D()
-	cfg.Controller = core.NewAdaptiveSignOGD(0.002*float64(d), float64(d), float64(d), 1.5, 10, nil)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestCheckSyncNamesReplicaAndWeight: two replicas that differ in one
+// weight fail the check with an error naming the replica and the
+// coordinate.
+func TestCheckSyncNamesReplicaAndWeight(t *testing.T) {
+	a := nn.NewMLP(4, []int{3}, 2)
+	a.InitWeights(rand.New(rand.NewSource(1)))
+	b := nn.NewMLP(4, []int{3}, 2)
+	b.SetParams(a.Params())
+	if err := checkSync([]*nn.Network{a, b}); err != nil {
+		t.Fatalf("identical replicas: %v", err)
 	}
-	// k must stay within [1, D] after stochastic rounding.
-	for _, st := range res.Stats {
-		if st.K < 1 || st.K > d {
-			t.Fatalf("round %d: k = %d outside [1, %d]", st.Round, st.K, d)
+	b.Params()[5] += 1
+	err := checkSync([]*nn.Network{a, b})
+	if err == nil || !strings.Contains(err.Error(), "replica 1 desynchronized at weight 5") {
+		t.Fatalf("err = %v, want replica 1 named at weight 5", err)
+	}
+}
+
+func TestSyncHoldsUnderAdaptiveController(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		cfg := smallConfig()
+		cfg.Rounds = 40
+		cfg.CheckSync = true
+		cfg.Workers = workers
+		d := cfg.Model().D()
+		cfg.Controller = core.NewAdaptiveSignOGD(0.002*float64(d), float64(d), float64(d), 1.5, 10, nil)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		// k must stay within [1, D] after stochastic rounding.
+		for _, st := range res.Stats {
+			if st.K < 1 || st.K > d {
+				t.Fatalf("workers=%d round %d: k = %d outside [1, %d]", workers, st.Round, st.K, d)
+			}
+		}
+	}
+}
+
+// TestEngineMemoryPerClient pins what one more client costs a run, read
+// as TotalAlloc growth from N = 8 to N = 40. GS keeps a residual per
+// client and one model per worker; FedAvg keeps a private model per
+// client and no residual. The model's layer caches are under D/4, so a
+// model per client (params and grads alone are 2·D floats) cannot hide
+// inside the GS budget, nor a residual beside FedAvg's model.
+func TestEngineMemoryPerClient(t *testing.T) {
+	model := func() *nn.Network { return nn.NewMLP(32, []int{256}, 62) }
+	d := float64(model().D()) // 24 382
+	measure := func(n int, fedAvg bool) (bytes float64, modelCalls int) {
+		cfg := smallConfig()
+		cfg.Data = dataset.GenerateFEMNIST(dataset.FEMNISTConfig{
+			NumClients: n, NumClasses: 62, Dim: 32, SamplesPerClient: 40, ClassesPerClient: 6,
+			TestSamples: 20, Noise: 0.4, StyleShift: 0.2, Seed: 11,
+		})
+		cfg.Model = func() *nn.Network { modelCalls++; return model() }
+		cfg.Rounds = 1
+		cfg.Workers = 2
+		cfg.Controller = core.NewFixedK(16)
+		if fedAvg {
+			cfg.Strategy, cfg.Controller, cfg.FedAvg, cfg.FedAvgKEquiv = nil, nil, true, 16
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc), modelCalls
+	}
+	for _, tc := range []struct {
+		name   string
+		fedAvg bool
+		budget float64 // bytes per added client, in units of D·8
+	}{
+		{"gs", false, 1.25},
+		{"fedavg", true, 2.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			small, smallCalls := measure(8, tc.fedAvg)
+			large, largeCalls := measure(40, tc.fedAvg)
+			perClient := (large - small) / 32 / (d * 8)
+			t.Logf("each added client costs %.3f·D·8 bytes", perClient)
+			if perClient > tc.budget {
+				t.Errorf("each added client costs %.2f·D·8 bytes, budget %.2f·D·8", perClient, tc.budget)
+			}
+			if p := poolSize(2, 8); !tc.fedAvg && (smallCalls > p+1 || largeCalls > p+1) {
+				t.Errorf("GS run called Config.Model %d times at N=8 and %d at N=40, want at most P+1 = %d",
+					smallCalls, largeCalls, p+1)
+			}
+		})
 	}
 }
 

@@ -5,17 +5,23 @@ import "fedsparse/internal/par"
 // This file documents the worker pool behind Config.Workers (the pool
 // primitive itself lives in internal/par, shared with the gs sharded
 // tiers). A GS round fans out twice — phase A's localStep over the
-// participants (minibatch gradient, residual accumulation, top-k into the
-// round's slot) and the seal's applyBroadcast over all clients (probe
-// losses, the update, residual subtraction) — and each iteration is
-// independent, so the engine stays bit-deterministic at any worker count.
+// participants (gradient, residual add, top-k into the round's slot) and
+// sealReplica over the P weight replicas (probe losses, the update,
+// residual subtraction) — and each iteration is independent, so the
+// engine stays bit-deterministic at any worker count.
 //
 // Shared-state audit (what makes the fan-outs safe):
 //
-//   - Each client owns its *nn.Network — layers cache forward activations
-//     per instance, so a network is single-goroutine scratch — plus its
-//     residual accumulator a_i, its *rand.Rand and its minibatch views.
-//     Every random draw a client makes (minibatch, probe sample) comes
+//   - Worker w owns replica w of the synchronized weights, an
+//     *nn.Network (layers cache activations, so a network is
+//     single-goroutine scratch). Phase A's pool never exceeds P, and it
+//     only reads a replica's weights. The seal's iteration i alone writes
+//     replica i and serves the fixed participant block ChunkBounds(nPart,
+//     P, i). A loss depends on (weights, sample) only, so which replica
+//     measures it moves no bit.
+//   - Each client owns its residual a_i (touched in the seal only by the
+//     replica whose block holds it), its *rand.Rand and its minibatch
+//     views. Every draw a client makes (minibatch, probe sample) comes
 //     from its own stream in a fixed per-client order, so the streams
 //     advance identically however iterations are scheduled.
 //   - A round's slot is written by phase A at participant position pi
@@ -32,16 +38,17 @@ import "fedsparse/internal/par"
 //     blocking moves no bit at any worker count.
 //   - sparse.TopKInto touches only the caller-owned scratch, and its
 //     output is a function of (vector, k) alone. So the round arena keeps
-//     one scratch — and one probe save buffer — per worker, indexed by
-//     par.For's stable worker id, and the coordinator grows them before
-//     the fan-out: which worker meets which client decides nothing, not
-//     even the allocation count. dataset.BatchInto fills caller-owned
-//     buffers with read-only views of the client's immutable samples.
+//     one scratch per worker, indexed by par.For's stable worker id, and
+//     one probe save buffer per replica, and the coordinator grows them
+//     before the fan-out: which worker meets which client decides
+//     nothing, not even the allocation count. dataset.BatchInto fills
+//     caller-owned buffers with read-only views of the client's immutable
+//     samples.
 //   - The engine rng (stochastic k rounding, mandated indices, the roster
 //     draw), the aggregation, and the controller run only on the
 //     coordinating goroutine, between the fan-outs. The engine fields the
 //     fan-outs read (cur, partWeight, sel/probeSel) and the arena's
-//     epoch-stamped slabs are likewise set by the coordinator and only
+//     epoch-stamped inJ slab are likewise set by the coordinator and only
 //     read inside them.
 //
 // Determinism then reduces to the merge: workers write every result into

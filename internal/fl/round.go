@@ -27,6 +27,7 @@ import (
 
 	"fedsparse/internal/core"
 	"fedsparse/internal/gs"
+	"fedsparse/internal/nn"
 	"fedsparse/internal/par"
 	"fedsparse/internal/simtime"
 	"fedsparse/internal/sparse"
@@ -35,9 +36,9 @@ import (
 
 // roundArena holds the per-run buffers the rounds share, allocated once
 // and reused. Participant-indexed slots are re-sliced to the round's
-// participant count; the membership structures are epoch-stamped slabs
-// (slab[i] == generation means "in the set this round"), so clearing them
-// between rounds is O(1). The coordinator stamps the slabs and grows the
+// participant count; the downlink set J is an epoch-stamped slab
+// (inJ[j] == inJGen means "in J this round"), so clearing it between
+// rounds is O(1). The coordinator stamps the slab and grows the
 // per-worker buffers between fan-outs; workers only read the former and
 // only use the latter.
 type roundArena struct {
@@ -48,11 +49,7 @@ type roundArena struct {
 	inJ    []int32 // coordinate space: inJ[j] == inJGen means j ∈ J
 	inJGen int32
 
-	partPos   []int   // client space: participant position of client ci …
-	partGen   []int32 // … valid iff partGen[ci] == partEpoch
-	partEpoch int32
-
-	saved [][]float64          // per-worker probe save/restore buffers
+	saved [][]float64          // per-replica probe save/restore buffers
 	topk  []sparse.TopKScratch // per-worker top-k working memory
 
 	// mand backs the allocation-free mandated-index draws (periodic-k's
@@ -67,32 +64,13 @@ func newRoundArena(d, nClients, pool int) *roundArena {
 		fProbe:    make([]float64, nClients),
 		lossShare: make([]float64, nClients),
 		inJ:       make([]int32, d),
-		partPos:   make([]int, nClients),
-		partGen:   make([]int32, nClients),
 		saved:     make([][]float64, pool),
 		topk:      make([]sparse.TopKScratch, pool),
 	}
 }
 
-// stampParticipants records each participant's position in the epoch-
-// stamped client-space slab (par.BumpEpoch handles the wrap-clear).
-func (ar *roundArena) stampParticipants(participants []int) {
-	par.BumpEpoch(&ar.partEpoch, ar.partGen)
-	for pi, ci := range participants {
-		ar.partPos[ci] = pi
-		ar.partGen[ci] = ar.partEpoch
-	}
-}
-
-// participantPos returns client ci's participant position, or -1.
-func (ar *roundArena) participantPos(ci int) int {
-	if ar.partGen[ci] == ar.partEpoch {
-		return ar.partPos[ci]
-	}
-	return -1
-}
-
-// stampInJ records the downlink index set J in the coordinate slab.
+// stampInJ records the downlink index set J in the coordinate slab
+// (par.BumpEpoch handles the wrap-clear).
 func (ar *roundArena) stampInJ(indices []int) {
 	par.BumpEpoch(&ar.inJGen, ar.inJ)
 	for _, j := range indices {
@@ -168,13 +146,15 @@ func (a *aggregator) aggregate(uploads []gs.ClientUpload, k, probeK int) (agg, p
 }
 
 // gsEngine is one GS run: the state the rounds thread through, and what
-// the two per-client fan-outs read. The fan-out bodies are bound to the
-// engine once (localFn, applyFn) rather than closed over each round's
-// locals, so a round allocates no closure; the coordinator sets cur,
-// partWeight and sel/probeSel between fan-outs and workers only read them.
+// the two fan-outs read. The fan-out bodies are bound to the engine once
+// (localFn, sealFn) rather than closed over each round's locals, so a
+// round allocates no closure; the coordinator sets cur, partWeight and
+// sel/probeSel between fan-outs and workers only read them.
 type gsEngine struct {
-	cfg         *Config
-	clients     []*client
+	cfg     *Config
+	clients []*client
+	// replicas hold the synchronized weights w, one network per worker.
+	replicas    []*nn.Network
 	totalWeight float64
 	cost        simtime.CostModel
 	ctrl        core.Controller
@@ -193,15 +173,15 @@ type gsEngine struct {
 	mandInto gs.MandatedIntoStrategy // nil: draw through Strategy.MandatedIndices
 	ring     []roundSlot
 
-	cur              *roundSlot // the slot the running fan-out fills or drains
-	partWeight       float64
-	sel, probeSel    gs.Aggregate
-	localFn, applyFn func(i, worker int)
+	cur             *roundSlot // the slot the running fan-out fills or drains
+	partWeight      float64
+	sel, probeSel   gs.Aggregate
+	localFn, sealFn func(i, worker int)
 }
 
 // runGS drives the pipeline: phase A of round m while sealing round m−W.
 // Steps beyond cfg.Rounds run no phase A — they drain the last W rounds.
-func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.CostModel,
+func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight float64, cost simtime.CostModel,
 	ctrl core.Controller, engineRng *rand.Rand, d int, dur *engineWAL) (*Result, error) {
 
 	// The run's event stream: a built-in Collector rebuilds Result.Stats
@@ -210,11 +190,11 @@ func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.Cost
 	coll := &Collector{}
 	nClients := len(clients)
 	e := &gsEngine{
-		cfg: &cfg, clients: clients, totalWeight: totalWeight, cost: cost,
+		cfg: &cfg, clients: clients, replicas: replicas, totalWeight: totalWeight, cost: cost,
 		ctrl: ctrl, rng: engineRng, d: d, dur: dur,
 		sink:      MultiObserver(coll, cfg.Observer),
 		elemUnits: 2,
-		ar:        newRoundArena(d, nClients, poolSize(cfg.Workers, nClients)),
+		ar:        newRoundArena(d, nClients, len(replicas)),
 		pop:       newPopState(&cfg, nClients),
 		agg:       newAggregator(&cfg, d),
 		ring:      make([]roundSlot, cfg.Staleness+1),
@@ -228,7 +208,7 @@ func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.Cost
 	for i := range e.ring {
 		e.ring[i] = newRoundSlot(nClients)
 	}
-	e.localFn, e.applyFn = e.localStep, e.applyBroadcast
+	e.localFn, e.sealFn = e.localStep, e.sealReplica
 
 	// A resumed run reports the rounds before the restored snapshot from
 	// the log (the state to recompute them is gone by design — that is
@@ -261,12 +241,12 @@ func runGS(cfg Config, clients []*client, totalWeight float64, cost simtime.Cost
 			}
 		}
 	}
-	return &Result{Stats: coll.Events, Final: clients[0].net}, nil
+	return &Result{Stats: coll.Events, Final: replicas[0]}, nil
 }
 
 // phaseA opens round m: the controller's k, the mandated set, the roster,
 // and every participant's local step (see localStep), at whatever weights
-// the clients hold — those of round m−W−1.
+// the replicas hold — those of round m−W−1.
 func (e *gsEngine) phaseA(m int) error {
 	cfg, ar := e.cfg, e.ar
 	e.sink.OnRoundStart(m)
@@ -319,16 +299,16 @@ func (e *gsEngine) phaseA(m int) error {
 	return nil
 }
 
-// localStep is participant pi's phase A: minibatch gradient into the
-// residual accumulator, the one-sample probe point h (Section IV-E), and
-// the upload — the mandated coordinates or the top-k of the accumulator —
-// written into the round's slot.
+// localStep is participant pi's phase A on worker w's replica: minibatch
+// gradient into the residual accumulator, the one-sample probe point h
+// (Section IV-E), and the upload — the mandated coordinates or the top-k
+// of the accumulator — written into the round's slot.
 func (e *gsEngine) localStep(pi, w int) {
 	slot, cfg := e.cur, e.cfg
-	c := e.clients[slot.participants[pi]]
+	c, net := e.clients[slot.participants[pi]], e.replicas[w]
 	c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
-	batchLoss := c.net.MeanLossGrad(c.xs, c.ys)
-	tensor.AXPY(1, c.net.Grads(), c.acc)
+	batchLoss := net.MeanLossGrad(c.xs, c.ys)
+	tensor.AXPY(1, net.Grads(), c.acc)
 	e.ar.lossShare[pi] = c.weight / e.partWeight * batchLoss
 
 	h := c.rng.Intn(len(c.xs))
@@ -357,9 +337,9 @@ func (e *gsEngine) localStep(pi, w int) {
 
 // seal closes round r: admit or fold each upload, select once — every
 // client receives the identical B, which is what keeps weights
-// synchronized — broadcast (see applyBroadcast), account the round's
-// time, feed the controller and publish the round. stop reports that the
-// run's MaxTime or HaltAfter was reached.
+// synchronized — broadcast (see sealReplica), account the round's time,
+// feed the controller and publish the round. stop reports that the run's
+// MaxTime or HaltAfter was reached.
 func (e *gsEngine) seal(r int) (stop bool, err error) {
 	cfg, ar := e.cfg, e.ar
 	slot := &e.ring[r%len(e.ring)]
@@ -397,12 +377,11 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	}
 
 	ar.stampInJ(agg.Indices)
-	ar.stampParticipants(participants)
 	e.cur = slot
-	parallelFor(cfg.Workers, len(e.clients), e.applyFn)
+	parallelFor(cfg.Workers, len(e.replicas), e.sealFn)
 
 	if cfg.CheckSync {
-		if err := checkSync(e.clients); err != nil {
+		if err := checkSync(e.replicas); err != nil {
 			return false, fmt.Errorf("round %d: %w", r, err)
 		}
 	}
@@ -464,9 +443,9 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 		}
 		stats.PerClientUsed = used
 	}
-	maybeEval(cfg, &stats, e.clients[0].net, e.clients, e.totalWeight, r)
+	maybeEval(cfg, &stats, e.replicas[0], e.clients, e.totalWeight, r)
 	if e.dur != nil {
-		if err := e.dur.commit(&stats, e.clients); err != nil {
+		if err := e.dur.commit(&stats, e.replicas[0].Params(), e.clients); err != nil {
 			return false, err
 		}
 		stats.WALAppends, stats.WALSnapshots = e.dur.appends, e.dur.snaps
@@ -475,32 +454,34 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	return cfg.MaxTime > 0 && e.clock.Now() >= cfg.MaxTime || r == cfg.HaltAfter, nil
 }
 
-// applyBroadcast is client ci's share of the seal, (B)–(D) + lines 13–17:
-// every client (participant or not) applies the update; only participants
-// measure the probe losses and carry residuals from this round. Each
-// iteration touches only its own client's state plus the read-only
-// broadcast (sel, probeSel, and the arena's epoch slabs), and the losses
-// land in pi-indexed slots.
-func (e *gsEngine) applyBroadcast(ci, w int) {
+// sealReplica is replica i's share of the seal, (B)–(D) + lines 13–17,
+// over its static participant block ChunkBounds(nPart, P, i): the block's
+// f(w(r−1)) losses, the k′ probe applied to the replica, the f(w′(r))
+// losses, the exact restore, B applied once — even to an empty block —
+// then the f(w(r)) losses and each member's residual subtraction. The
+// losses land in pi-indexed slots.
+func (e *gsEngine) sealReplica(i, _ int) {
 	slot, ar := e.cur, e.ar
-	c := e.clients[ci]
-	params := c.net.Params()
+	net := e.replicas[i]
+	params := net.Params()
 	eta := e.cfg.LearningRate
-	pi := ar.participantPos(ci)
-	if pi >= 0 {
-		ar.fPrev[pi] = c.net.Loss(slot.hx[pi], slot.hy[pi]) // f_{i,h}(w(r−1))
-		if slot.probeInt > 0 {
-			// w′(r) = w(r−1) − η·∇′: apply, measure, restore exactly.
-			indices, values := e.probeSel.Indices, e.probeSel.Values
-			saved := ar.saved[w][:len(indices)]
-			for vi, j := range indices {
-				saved[vi] = params[j]
-				params[j] -= eta * values[vi]
-			}
-			ar.fProbe[pi] = c.net.Loss(slot.hx[pi], slot.hy[pi])
-			for vi, j := range indices {
-				params[j] = saved[vi]
-			}
+	lo, hi := tensor.ChunkBounds(len(slot.participants), len(e.replicas), i)
+	for pi := lo; pi < hi; pi++ {
+		ar.fPrev[pi] = net.Loss(slot.hx[pi], slot.hy[pi]) // f_{i,h}(w(r−1))
+	}
+	if slot.probeInt > 0 && lo < hi {
+		// w′(r) = w(r−1) − η·∇′: apply, measure, restore exactly.
+		indices, values := e.probeSel.Indices, e.probeSel.Values
+		saved := ar.saved[i][:len(indices)]
+		for vi, j := range indices {
+			saved[vi] = params[j]
+			params[j] -= eta * values[vi]
+		}
+		for pi := lo; pi < hi; pi++ {
+			ar.fProbe[pi] = net.Loss(slot.hx[pi], slot.hy[pi])
+		}
+		for vi, j := range indices {
+			params[j] = saved[vi]
 		}
 	}
 	// Line 15: w(r) = w(r−1) − η·∇s.
@@ -508,18 +489,18 @@ func (e *gsEngine) applyBroadcast(ci, w int) {
 	for vi, j := range e.sel.Indices {
 		params[j] -= eta * values[vi]
 	}
-	if pi < 0 {
-		return
-	}
-	ar.fCur[pi] = c.net.Loss(slot.hx[pi], slot.hy[pi])
-	// Lines 16–17: subtract the residual mass the server consumed. For
-	// exact uploads this zeroes a_ij (x − x == 0); with quantization it
-	// keeps the quantization error accumulated — error feedback extends
-	// to the combined GS+quantization case.
-	pairs := slot.uploads[pi].Pairs
-	for vi, j := range pairs.Idx {
-		if ar.inJ[j] == ar.inJGen {
-			c.acc[j] -= pairs.Val[vi]
+	for pi := lo; pi < hi; pi++ {
+		ar.fCur[pi] = net.Loss(slot.hx[pi], slot.hy[pi])
+		// Lines 16–17: subtract the residual mass the server consumed.
+		// For exact uploads this zeroes a_ij (x − x == 0); with
+		// quantization it keeps the quantization error accumulated —
+		// error feedback extends to the combined GS+quantization case.
+		acc := e.clients[slot.participants[pi]].acc
+		pairs := slot.uploads[pi].Pairs
+		for vi, j := range pairs.Idx {
+			if ar.inJ[j] == ar.inJGen {
+				acc[j] -= pairs.Val[vi]
+			}
 		}
 	}
 }

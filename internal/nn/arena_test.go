@@ -54,7 +54,7 @@ func arenaModels(t *testing.T) []struct {
 	}
 }
 
-// TestPerSampleAllocFree is the regression pin of the per-client arena:
+// TestPerSampleAllocFree is the regression pin of the network arena:
 // the forward/backward hot path — minibatch gradients, single-sample
 // losses, backprop, prediction — performs zero allocations per call on
 // every architecture. A reintroduced per-sample make([]float64, …) in a

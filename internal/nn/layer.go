@@ -13,7 +13,9 @@
 //
 // Networks are not safe for concurrent use: layers cache forward-pass
 // activations for the subsequent backward pass. In the federated-learning
-// engine each simulated client owns its own Network instance.
+// engine each worker goroutine owns one Network, a replica of the
+// synchronized weights that serves every client it runs; only FedAvg,
+// whose local models diverge, gives each simulated client its own.
 package nn
 
 import (
@@ -36,8 +38,7 @@ import (
 // Float caches (activations and input gradients) are not allocated by the
 // constructors: the Network slab-allocates every layer's caches — together
 // with the flat parameter and gradient vectors — out of one contiguous
-// per-network arena and hands each layer its view via BindCache. One
-// network per simulated client means one arena per client, and the
+// per-network arena and hands each layer its view via BindCache, so the
 // forward/backward hot path stays allocation-free by construction (pinned
 // by the allocs/op regression tests).
 type Layer interface {

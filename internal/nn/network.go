@@ -15,10 +15,10 @@ import (
 //
 // All float storage — parameters, gradients, the softmax scratch, and
 // every layer's forward/backward caches — is carved out of one contiguous
-// arena allocated at construction. A Network is per-client state in the
-// engine, so the arena is the per-client arena: one allocation, one cache
-// footprint, and a steady state in which Forward/Backprop/Loss allocate
-// nothing per sample (the allocs/op regression tests pin this).
+// arena allocated at construction. A Network is per-worker state in the
+// engine (per-client only under FedAvg), so the arena is one allocation,
+// one cache footprint, and a steady state in which Forward/Backprop/Loss
+// allocate nothing per sample (the allocs/op regression tests pin this).
 type Network struct {
 	layers []Layer
 	arena  []float64
