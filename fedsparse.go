@@ -135,16 +135,18 @@
 // Config.Delays schedule an upload at most W rounds late is still
 // admitted into its round's aggregation, a later one folds back into
 // the sender's error-feedback residual and rides the next admitted
-// upload. ServerConfig.Staleness deploys the same contract
-// over the wire on the direct data plane — per-shard round barriers
-// relax to sliding windows, a slice that misses its round's seal is
-// refused with a SliceNack (the client folds it into its residual),
-// and a client more than W rounds behind the sealed front is evicted
-// with ErrStaleClient instead of stalling the fleet. W = 0 (the
-// default) is lockstep — the same pipeline at depth one; W >= 1 is
-// deterministic given the same delay schedule; W is capped at
-// MaxStaleness. Staleness is GS-only, composes with Cohort/Churn/
-// Dropout, and is incompatible with the WAL.
+// upload. ServerConfig.Staleness deploys the same pipeline over the
+// wire on the direct data plane: clients and shards run their lockstep
+// round loops W rounds deep — a client uploads round m before it
+// fetches round m−W's broadcast, and a shard answers that fetch only
+// after sealing round m, so no client gets more than W rounds ahead of
+// the slowest. Nothing arrives late on the wire, so a W-deep
+// deployment reproduces fl.Run with the same Staleness and no Delays
+// bit for bit, and a slow client paces the fleet with W rounds of
+// slack. W = 0 (the default) is lockstep — the same pipeline at depth
+// one; W >= 1 is deterministic given the same delay schedule; the wire
+// caps W at MaxStaleness. Staleness is GS-only, composes with Cohort/
+// Churn/Dropout in the engine, and is incompatible with the WAL.
 // See README.md ("Asynchronous rounds and bounded staleness").
 //
 // # Population tier (100k–1M virtual clients)
@@ -584,14 +586,9 @@ var (
 	OpenWAL = wal.Open
 )
 
-// ErrStaleClient is returned (wrapped) by RunClient when a windowed
-// run (ServerConfig.Staleness > 0) evicts a client that fell more
-// than the staleness window behind the sealed aggregation front.
-var ErrStaleClient = transport.ErrStaleClient
-
-// MaxStaleness caps ServerConfig.Staleness / Config.Staleness: a
-// window that wide stops overlapping compute with reduction and
-// starts hiding dead clients.
+// MaxStaleness caps ServerConfig.Staleness: a W-deep client has W+2
+// messages in flight per shard link before any answer, and the cap
+// keeps them inside the in-memory conn's buffer.
 const MaxStaleness = transport.MaxStaleness
 
 // Transport constructors and drivers.

@@ -75,7 +75,6 @@ const (
 	tagRejoin
 	tagRejoinAck
 	tagRedo
-	tagSliceNack
 	tagMuxFrame
 	tagHostHello
 	tagHostData
@@ -673,12 +672,6 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 		w.putNum(m.Round)
 		w.putNum(m.ShardID)
 		w.putStr(m.Addr)
-	case SliceNack:
-		w.putU8(tagSliceNack)
-		w.putNum(m.ClientID)
-		w.putNum(m.Round)
-		w.putNum(m.Sealed)
-		w.putBool(m.Evicted)
 	case MuxFrame:
 		if _, ok := m.Msg.(MuxFrame); ok {
 			return b, fmt.Errorf("transport: binary codec: MuxFrame nested inside MuxFrame")
@@ -832,13 +825,6 @@ func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 		m.Round = r.num()
 		m.ShardID = r.num()
 		m.Addr = r.str()
-		msg = m
-	case tagSliceNack:
-		var m SliceNack
-		m.ClientID = r.num()
-		m.Round = r.num()
-		m.Sealed = r.num()
-		m.Evicted = r.bool_()
 		msg = m
 	case tagMuxFrame:
 		vid := r.num()

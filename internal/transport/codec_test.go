@@ -65,8 +65,6 @@ func codecFixtures() []any {
 		Rejoin{RunID: 1, Kind: RejoinClient, ID: 2, Round: 5, LastSeal: 5},
 		RejoinAck{RunID: 0xdeadbeefcafe0123, Round: 4, NeedFrom: 4},
 		Redo{Round: 4, ShardID: 1, Addr: "127.0.0.1:10"},
-		SliceNack{ClientID: 2, Round: 7, Sealed: 9},
-		SliceNack{ClientID: 0, Round: 1, Sealed: 4, Evicted: true},
 	}
 }
 
@@ -422,7 +420,7 @@ func TestQuantizedTrajectoryGrid(t *testing.T) {
 		func() (Conn, Conn) { return NewMemPair() }))
 	check("routed/tcp-binary", runDistributedTCP(t, fed, model, initParams, k, rounds, qbits, NewBinConn))
 
-	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{QuantBits: qbits}, nil, nil, nil)
+	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{QuantBits: qbits}, nil, nil, nil, nil)
 	if h.srvErr != nil {
 		t.Fatalf("direct server: %v", h.srvErr)
 	}

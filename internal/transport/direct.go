@@ -113,7 +113,8 @@ type (
 	// reconstructs the members' values from its own merged sums — the
 	// coordinator never re-transmits payload it only ever had as the
 	// shard's reduction — then serves the round's SliceFetch requests
-	// before entering the next round's barrier. With quantization on,
+	// (right away, or after sealing W more rounds under a staleness
+	// window). With quantization on,
 	// Bits and Scale carry the aggregate's GLOBAL grid (scale = max
 	// |value| over the whole selection, computed by the coordinator):
 	// every shard snaps its reconstructed span onto that one grid, so
@@ -160,23 +161,6 @@ type (
 		Round int
 		Elems int
 	}
-
-	// SliceNack is a windowed shard's refusal on the direct data plane
-	// (bounded staleness only; the synchronous protocol never sends one).
-	// Round echoes the refused message's round tag and Sealed the shard's
-	// seal cutoff at refusal time. Evicted false: the client's
-	// SliceUpload for Round missed the seal cutoff — the slice was not
-	// aggregated, and the client must fold it back into its
-	// error-feedback residual. Evicted true: the client fell more than
-	// the window behind on its downlink fetches and the broadcast it
-	// needs has been evicted from the shard's ring; the shard closes the
-	// connection and the client exits with ErrStaleClient.
-	SliceNack struct {
-		ClientID int
-		Round    int
-		Sealed   int
-		Evicted  bool
-	}
 )
 
 // RunDirectShard executes one aggregation shard of the direct data
@@ -189,14 +173,16 @@ type (
 // coordinator's RoundSeal, and then serve the downlink: one validated
 // SliceFetch per client, each answered with the sealed members of the
 // range and the values reconstructed from the shard's own reduction.
-// Client connections are closed on return. Any malformed handshake,
-// slice, fetch, or control message — a stale directory, an
-// out-of-range or duplicated coordinate, non-ascending ranks, a slice
-// or fetch claiming another client's identity, a stale round, a sealed
-// member the shard never reduced — errors the run as a protocol
-// failure; a client death between slices surfaces as a connection
-// error on the barrier, and one mid-fetch as a connection error on the
-// downlink serve.
+// With a staleness window W the same loop runs W rounds deep: step m
+// seals round m and then serves round m−W's fetches, from a ring of
+// W+1 sealed slices. Client connections are closed on return. Any
+// malformed handshake, slice, fetch, or control message — a stale
+// directory, an out-of-range or duplicated coordinate, non-ascending
+// ranks, a slice or fetch claiming another client's identity, a stale
+// or early round, a sealed member the shard never reduced — errors the
+// run as a protocol failure; a client death between slices surfaces as
+// a connection error on the barrier, and one mid-fetch as a connection
+// error on the downlink serve.
 func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error {
 	msg, err := coord.Recv()
 	if err != nil {
@@ -262,60 +248,65 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 		}
 	}
 	sr := newShardRound(assign, n, "client", "client")
-	if assign.Window > 0 {
-		// Bounded staleness: the ordered barrier below relaxes to a
-		// sliding admission window with concurrent per-client readers.
-		return runDirectShardWindowed(coord, sr, assign.Window, assign.Rounds, conns)
-	}
 
-	// The served downlink slice, rebuilt at each seal. Reuse across
-	// rounds (and sharing one boxed message among all clients' replies)
-	// is safe under the protocol's lockstep: every round-m reader — each
-	// client applies the broadcast before computing round m+1 — is done
-	// before the next seal can arrive, which requires every client's
-	// round-m+1 upload first.
-	var ds downSlice
-	for m := 1; m <= assign.Rounds; m++ {
+	// The served downlink slices, one ring slot per round in flight,
+	// each rebuilt at its round's seal. Reuse across rounds (and sharing
+	// one boxed message among all clients' replies) is safe: slot m is
+	// next rebuilt at the seal of round m+W+1, which needs every client's
+	// round-m+W+1 upload — and a client sends that only after it applied
+	// round m's broadcast.
+	w := assign.Window
+	ring := make([]downSlice, w+1)
+	for m := 1; m <= assign.Rounds+w; m++ {
 		// The client barrier: one slice from every client completes the
 		// range. Reading the connections in client-ID order is safe —
 		// every client sends exactly one slice per round — and keeps the
 		// stored slices in the reduction's ascending-client order. The
 		// per-connection message order across rounds is fixed too:
-		// SliceUpload(m), SliceFetch(m), SliceUpload(m+1), … — so a
-		// duplicated upload or fetch surfaces as a type or round
-		// mismatch at the next read, never as a silent double-count.
-		// Slices are admitted by reference to the connection's decode
-		// scratch: nothing reads that connection again before the seal.
-		for ci, conn := range conns {
-			msg, err := conn.Recv()
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d recv from client %d: %w", assign.ShardID, m, ci, err)
+		// SliceUpload(m), SliceFetch(m−W), SliceUpload(m+1), … — so a
+		// duplicated or early upload or fetch surfaces as a type or
+		// round mismatch at the next read, never as a silent
+		// double-count, and no client gets more than W rounds ahead of
+		// the slowest: its fetch for round m−W is answered only after
+		// round m sealed. Slices are admitted by reference to the
+		// connection's decode scratch: nothing reads that connection
+		// again before the seal.
+		if m <= assign.Rounds {
+			for ci, conn := range conns {
+				msg, err := conn.Recv()
+				if err != nil {
+					return fmt.Errorf("transport: shard %d round %d recv from client %d: %w", assign.ShardID, m, ci, err)
+				}
+				up, ok := msg.(SliceUpload)
+				if !ok {
+					return sr.wrongType(m, sr.peer, ci, msg, "SliceUpload")
+				}
+				if err := sr.admit(m, ci, ci, &up); err != nil {
+					return err
+				}
 			}
-			up, ok := msg.(SliceUpload)
-			if !ok {
-				return sr.wrongType(m, sr.peer, ci, msg, "SliceUpload")
-			}
-			if err := sr.admit(m, ci, ci, &up); err != nil {
+			if err := sr.seal(m, coord, &ring[m%(w+1)]); err != nil {
 				return err
 			}
 		}
-		if err := sr.seal(m, coord, &ds); err != nil {
-			return err
+		// The downlink serve of round r = m−W: one fetch per client, same
+		// counted barrier as the uplink — a dead client errors the round
+		// here instead of wedging peers that already fetched.
+		r := m - w
+		if r < 1 {
+			continue
 		}
-		// The downlink serve: one fetch per client, same counted barrier
-		// as the uplink — a dead client errors the round here instead of
-		// wedging peers that already fetched.
-		reply := ds.message(m, assign.ShardID)
+		reply := ring[r%(w+1)].message(r, assign.ShardID)
 		for ci, conn := range conns {
 			msg, err := conn.Recv()
 			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d downlink serve recv from client %d: %w", assign.ShardID, m, ci, err)
+				return fmt.Errorf("transport: shard %d round %d downlink serve recv from client %d: %w", assign.ShardID, r, ci, err)
 			}
-			if err := sr.checkFetch(m, ci, msg); err != nil {
+			if err := sr.checkFetch(r, ci, msg); err != nil {
 				return err
 			}
 			if err := conn.Send(reply); err != nil {
-				return fmt.Errorf("transport: shard %d round %d slice broadcast to client %d: %w", assign.ShardID, m, ci, err)
+				return fmt.Errorf("transport: shard %d round %d slice broadcast to client %d: %w", assign.ShardID, r, ci, err)
 			}
 		}
 	}
@@ -531,9 +522,9 @@ func (g *DirectGroup) selectRound(strat gs.DirectSelector, round, k, maxLen int)
 	// Split the selection by shard range for the seal. The spans alias
 	// the selection scratch; that is safe even over by-reference
 	// in-memory conns because the scratch is next written by round
-	// m+1's selection, which the protocol orders after every client
-	// applied round m's broadcast (and so after every shard finished
-	// serving it).
+	// m+1's selection, which first gathers every shard's round-m+1
+	// result — sent only after that shard's round-m seal copied its
+	// span into the downlink slice.
 	g.spans = gs.MemberSpans(main.Indices, g.bounds, g.spans)
 	return main, scale, nil
 }

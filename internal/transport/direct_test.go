@@ -233,7 +233,7 @@ func fetchAndReassemble(t *testing.T, clientConns [][]Conn, dim, ci, round, elem
 		bounds[s], bounds[s+1] = lo, hi
 	}
 	fan := &shardFan{who: "client", id: ci, conns: conns, bounds: bounds}
-	idx, val, err := fan.fetch(round, elems, nil, nil, nil)
+	idx, val, err := fan.fetch(round, elems, nil, nil)
 	if err != nil {
 		t.Fatalf("client %d round %d downlink: %v", ci, round, err)
 	}
@@ -274,11 +274,11 @@ func rawTCPPairFactory(t *testing.T) (func() (Conn, Conn), func()) {
 // directHarness wires a full direct-mode deployment over in-memory
 // conns: RunServer coordinator (cfg plus the shard tier), RunDirectShard
 // shards whose ingest conns are delivered through each client's
-// DialShard hook, and RunClient clients. wrapData optionally wraps a
-// client's data-plane conns (failure injection); wrapShard optionally
-// wraps a shard's coordinator control conn (failure injection on the
-// shard side); impostor optionally replaces one client's RunClient with
-// a custom function.
+// DialShard hook, and RunClient clients. wrapCoord and wrapData
+// optionally wrap a client's control conn and data-plane conns (failure
+// injection); wrapShard optionally wraps a shard's coordinator control
+// conn (failure injection on the shard side); impostor optionally
+// replaces one client's RunClient with a custom function.
 type directHarness struct {
 	serverCs []Conn // coordinator's client conns (hello unconsumed)
 	records  []RoundRecord
@@ -288,6 +288,7 @@ type directHarness struct {
 }
 
 func runDirectHarness(t testing.TB, rounds, k, nShards int, cfg ServerConfig,
+	wrapCoord func(clientID int, c Conn) Conn,
 	wrapData func(clientID, shardID int, c Conn) Conn,
 	wrapShard func(shardID int, c Conn) Conn,
 	impostor func(id int, coord Conn, dial func(addr string) (Conn, error)) error) *directHarness {
@@ -359,10 +360,14 @@ func runDirectHarness(t testing.TB, rounds, k, nShards int, cfg ServerConfig,
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			coord := clientCs[id]
+			if wrapCoord != nil {
+				coord = wrapCoord(id, coord)
+			}
 			if impostor != nil && id == 0 {
-				h.cliErrs[id] = impostor(id, clientCs[id], dialHook(id))
+				h.cliErrs[id] = impostor(id, coord, dialHook(id))
 			} else {
-				h.cliErrs[id] = RunClient(clientCs[id], ClientConfig{
+				h.cliErrs[id] = RunClient(coord, ClientConfig{
 					ID:           id,
 					Data:         &fed.Clients[id],
 					Model:        model,
@@ -398,7 +403,7 @@ func runDirectHarness(t testing.TB, rounds, k, nShards int, cfg ServerConfig,
 // AND to the unsharded routed deployment with the same seeds.
 func TestDirectDistributedMatchesReferenceEngine(t *testing.T) {
 	const k, rounds, nShards = 40, 15, 2
-	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{}, nil, nil, nil)
+	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{}, nil, nil, nil, nil)
 	if h.srvErr != nil {
 		t.Fatalf("server: %v", h.srvErr)
 	}
@@ -715,7 +720,7 @@ func countMsgs(m *payloadMeter) int {
 // shard 1. The run must error out everywhere — coordinator, clients —
 // and every goroutine must join; nothing may wedge on the barrier.
 func TestDirectShardDeathFailsRound(t *testing.T) {
-	h := runDirectHarness(t, 30, 20, 2, ServerConfig{}, func(clientID, shardID int, c Conn) Conn {
+	h := runDirectHarness(t, 30, 20, 2, ServerConfig{}, nil, func(clientID, shardID int, c Conn) Conn {
 		if shardID == 1 {
 			// Hello + two round slices succeed, then the link is dead.
 			return NewFaultConn(c, FaultFailSend, 3, 1)
@@ -739,7 +744,7 @@ func TestDirectShardDeathFailsRound(t *testing.T) {
 // and dies. Shard 1's barrier must error on the dead connection (not
 // wedge), and the coordinator must fail the round.
 func TestDirectClientDeathBetweenSlices(t *testing.T) {
-	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil,
+	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil, nil,
 		func(id int, coord Conn, dial func(addr string) (Conn, error)) error {
 			if err := coord.Send(Hello{ClientID: id, Weight: 30}); err != nil {
 				return err
@@ -802,7 +807,7 @@ func (c sealInterceptor) Recv() (any, error) {
 // goroutine must join — nothing may wedge waiting for a slice that
 // will never come.
 func TestDirectShardDeathBetweenSealAndServe(t *testing.T) {
-	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, func(shardID int, c Conn) Conn {
+	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil, func(shardID int, c Conn) Conn {
 		if shardID == 1 {
 			return sealInterceptor{c}
 		}
@@ -833,7 +838,7 @@ func TestDirectShardDeathBetweenSealAndServe(t *testing.T) {
 // fetching from shard 1. Shard 1's downlink serve must error on the
 // dead connection (not wedge), and the coordinator must fail the round.
 func TestDirectClientDeathMidFetch(t *testing.T) {
-	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil,
+	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil, nil,
 		func(id int, coord Conn, dial func(addr string) (Conn, error)) error {
 			if err := coord.Send(Hello{ClientID: id, Weight: 30}); err != nil {
 				return err
@@ -926,15 +931,18 @@ func directShardHarness(t *testing.T, assign ShardAssign, peers func(n int) []Pe
 
 // shardTier is one ingest tier of the direct shard as the hostile-input
 // tables drive it: the same two-client, shard-0-of-2 deployment behind
-// the lockstep barrier, the staleness window, the durable re-seating
-// desk, or one population host carrying both members. peer and fetcher
-// are the nouns the tier's errors name an uploader and a downlink
-// reader by; want overrides a row's expected error where the tier's
-// ingest POLICY — not the shared round — legitimately answers
-// differently ("" = the row cannot be posed on this tier).
+// the lockstep barrier, the same barrier one round deep (W = 1), the
+// durable re-seating desk, or one population host carrying both
+// members. peer and fetcher are the nouns the tier's errors name an
+// uploader and a downlink reader by; window is how many rounds a script
+// must seal after round 1 before round 1's fetches are served; want
+// overrides a row's expected error where the tier's ingest POLICY — not
+// the shared round — legitimately answers differently ("" = the row
+// cannot be posed on this tier).
 type shardTier struct {
 	name          string
 	peer, fetcher string
+	window        int
 	want          map[string]string
 	// run starts the shard and hands the script its scripted ends:
 	// clients[ci] carries client/member ci's uploads, fetchers[ci] its
@@ -1039,17 +1047,10 @@ func shardTiers() []shardTier {
 	}
 	return []shardTier{
 		{name: "lockstep", peer: "client", fetcher: "client", run: plain(0)},
-		{name: "windowed", peer: "client", fetcher: "client", run: plain(1), want: map[string]string{
-			// The window's admission policy answers out-of-round traffic
-			// itself: tags outside [cut+1, cut+1+W] and a second slice
-			// for an open round are refused at arrival, a fetch outside
-			// the run cannot wait for a seal, and a reader that gets
-			// neither kind of message has no round to name.
-			"stale round":            "client 0 slice for round 4 outside admission window",
-			"duplicate slice upload": "client 0 sent two slices for round 1",
-			"stale fetch round":      "client 0 fetched round 9 outside",
-			"non-fetch message":      "client 0 sent transport.Hello, want SliceUpload or SliceFetch",
-			"non-slice message":      "client 0 sent transport.Hello, want SliceUpload or SliceFetch",
+		{name: "windowed", peer: "client", fetcher: "client", window: 1, run: plain(1), want: map[string]string{
+			// One round deep, round 2's upload is owed before round 1's
+			// fetch: that is where the duplicate is read.
+			"duplicate slice upload": "shard 0 round 2: stale slice from client 0 (round 1)",
 		}},
 		{name: "durable", peer: "client", fetcher: "client", run: durable, want: map[string]string{
 			// A re-seated client replays its ring, so a repeated round-m
@@ -1108,9 +1109,6 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 				t.Run(tier.name, func(t *testing.T) {
 					err := tier.run(t, assign, func(clients, _ []Conn, _ Conn) {
 						_ = clients[0].Send(tc.up)
-						// The other client delivers, so a tier that
-						// validates payloads when the front is cut
-						// (windowed) reaches the bad slice.
 						_ = clients[1].Send(SliceUpload{ClientID: 1, Round: 1})
 					})
 					if err == nil || !strings.Contains(err.Error(), want) {
@@ -1122,10 +1120,10 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 	}
 
 	t.Run("duplicate slice upload", func(t *testing.T) {
-		// A client double-sends its round-1 slice; on the ordered tiers
-		// the duplicate is the next thing on its conn at the round-1
-		// downlink serve — where a fetch is owed — and must fail as a
-		// protocol error, not silently double-count.
+		// A client double-sends its round-1 slice; the duplicate is the
+		// next thing on its conn where a fetch (or, one round deep, the
+		// round-2 slice) is owed, and must fail as a protocol error, not
+		// silently double-count.
 		for _, tier := range tiers {
 			want, ok := tier.expect("duplicate slice upload", "shard 0 round 1: {fetcher} 0 sent transport.SliceUpload, want SliceFetch")
 			if !ok {
@@ -1142,9 +1140,6 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 						_ = fetchers[0].Send(up)
 					} else {
 						_ = clients[0].Send(up) // the duplicate
-					}
-					if tier.name == "windowed" {
-						return // refused at arrival, before any front
 					}
 					if msg, err := coord.Recv(); err != nil {
 						t.Errorf("no round-1 result: %v (%T)", err, msg)
@@ -1232,6 +1227,16 @@ func TestRunDirectShardRejectsBadSeal(t *testing.T) {
 					err := tier.run(t, assign, func(clients, fetchers []Conn, coord Conn) {
 						roundOne(clients, coord, t)
 						_ = coord.Send(RoundSeal{Round: 1, Members: []int{3}})
+						// A W-deep shard serves round 1 after sealing W more.
+						for r := 2; r <= 1+tier.window; r++ {
+							for ci, c := range clients {
+								_ = c.Send(SliceUpload{ClientID: ci, Round: r})
+							}
+							if msg, err := coord.Recv(); err != nil {
+								t.Errorf("no round-%d result: %v (%T)", r, err, msg)
+							}
+							_ = coord.Send(RoundSeal{Round: r})
+						}
 						_ = fetchers[0].Send(tc.fetch)
 					})
 					if err == nil || !strings.Contains(err.Error(), want) {
@@ -1263,7 +1268,7 @@ func scriptedDownlink(elems int, replies ...any) error {
 		}(shardSide, reply)
 	}
 	fan := &shardFan{who: "client", conns: conns, bounds: bounds}
-	_, _, err := fan.fetch(1, elems, nil, nil, nil)
+	_, _, err := fan.fetch(1, elems, nil, nil)
 	for _, c := range conns {
 		_ = c.Close()
 	}

@@ -143,7 +143,8 @@ func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerCo
 	if cfg.Staleness > 0 {
 		// The WAL's replay protocol assumes lockstep rounds: every round's
 		// uploads are complete before the seal is logged. Bounded
-		// staleness would need windowed redo semantics it does not have.
+		// staleness would need redo semantics for W rounds in flight,
+		// which it does not have.
 		return nil, fmt.Errorf("transport: durable coordinator does not support bounded staleness (Staleness=%d)", cfg.Staleness)
 	}
 	if err := checkDurable(cfg, dur, len(clients), len(cfg.ShardConns), false); err != nil {

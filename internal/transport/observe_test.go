@@ -79,7 +79,7 @@ func TestObserverStreamMatchesRecords(t *testing.T) {
 	const k, rounds, nShards = 40, 6, 2
 
 	run := func(cfg ServerConfig) []RoundRecord {
-		h := runDirectHarness(t, rounds, k, nShards, cfg, nil, nil, nil)
+		h := runDirectHarness(t, rounds, k, nShards, cfg, nil, nil, nil, nil)
 		if err := errors.Join(h.srvErr, errors.Join(h.cliErrs...), errors.Join(h.shardErr...)); err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestAdminReadyzFlipsOnShardKill(t *testing.T) {
 	}}
 	// The shard's control link is the one the killer cuts; clients and
 	// the shard die with the run, their errors are the kill's fault.
-	h := runDirectHarness(t, rounds, k, 1, ServerConfig{Observer: fl.MultiObserver(adm, killer)}, nil,
+	h := runDirectHarness(t, rounds, k, 1, ServerConfig{Observer: fl.MultiObserver(adm, killer)}, nil, nil,
 		func(_ int, c Conn) Conn { killer.conn = c; return c }, nil)
 	if h.srvErr == nil {
 		t.Fatal("run survived its only shard dying")

@@ -47,8 +47,7 @@
 // (localStep.run), and the aggregation runs over cohort-ordered
 // uploads, which is the engine's participant order. The routed and direct planes are
 // bit-identical to each other; population × bounded staleness is
-// rejected (the cohort changes every round, which the window's
-// admission bookkeeping does not model).
+// rejected (the host and cohort-barrier loops run lockstep only).
 package transport
 
 import (
@@ -541,7 +540,7 @@ func (h *virtualHost) run(fan *shardFan) error {
 				return err
 			}
 			bIdx, bVal = bc.Idx, bc.Val
-		} else if bIdx, bVal, err = fan.download(h.mux, m, bIdx[:0], bVal[:0], nil); err != nil {
+		} else if bIdx, bVal, err = fan.download(h.mux, m, bIdx[:0], bVal[:0]); err != nil {
 			return err
 		}
 		if err := h.applied.apply(m, h.step.net.Params(), h.cfg.LearningRate, bIdx, bVal); err != nil {

@@ -174,14 +174,16 @@ func engineReference(t testing.TB, fed *dataset.Federated, model func() *nn.Netw
 	return ref
 }
 
+// requireSameTrajectory requires a wire run's records to equal its
+// engine twin's per-round loss and downlink size, bit for bit.
 func requireSameTrajectory(t *testing.T, records []RoundRecord, ref *fl.Result) {
 	t.Helper()
 	if len(records) != len(ref.Stats) {
-		t.Fatalf("population ran %d rounds, reference %d", len(records), len(ref.Stats))
+		t.Fatalf("wire run ran %d rounds, reference %d", len(records), len(ref.Stats))
 	}
 	for i := range records {
 		if records[i].Loss != ref.Stats[i].Loss {
-			t.Fatalf("round %d: population loss %v != engine %v (trajectories must be bit-identical)",
+			t.Fatalf("round %d: wire loss %v != engine %v (trajectories must be bit-identical)",
 				i+1, records[i].Loss, ref.Stats[i].Loss)
 		}
 		if records[i].DownlinkElems != ref.Stats[i].DownlinkElems {

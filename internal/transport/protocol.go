@@ -73,14 +73,14 @@ type ServerConfig struct {
 	// classic per-client entry points reject it. See population.go.
 	Population *PopulationConfig
 	// Staleness is the bounded-staleness window W, mirroring
-	// fl.Config.Staleness: 0 runs the synchronous lockstep protocol
-	// unchanged; W > 0 pipelines the rounds — clients start round m+1's
-	// local compute before round m's broadcast lands, shards admit
-	// slices for rounds in a sliding window of width W+1, and a client
-	// that misses a shard's seal cutoff gets a SliceNack and folds the
-	// unsent slice back into its error-feedback residual. Direct plane
-	// only (the routed plane stays lockstep), and capped at
-	// MaxStaleness.
+	// fl.Config.Staleness: 0 runs the synchronous lockstep protocol;
+	// W > 0 runs the same round loops W rounds deep — a client uploads
+	// round m before it fetches and applies round m−W's broadcast, and a
+	// shard serves round m−W's fetches right after sealing round m. No
+	// upload is ever late, so the trajectory equals fl.Run's with the
+	// same Staleness and no Delays, bit for bit; a slow client paces the
+	// fleet as in lockstep, with W rounds of slack. Direct plane only
+	// (the routed plane stays lockstep), and capped at MaxStaleness.
 	Staleness int
 }
 
@@ -122,11 +122,12 @@ func (cfg ServerConfig) check(nShards int, resume bool) error {
 	return nil
 }
 
-// MaxStaleness caps ServerConfig.Staleness. Each in-flight window round
-// holds buffered messages per connection (slices, releases, unsolicited
-// NACKs); the cap keeps that bounded well inside every conn
-// implementation's buffering so the pipeline can never deadlock on its
-// own backpressure.
+// MaxStaleness caps ServerConfig.Staleness. A W-deep client sends W+1
+// uploads and one fetch down each shard link before anything answers
+// it, and its control link holds up to W+1 RoundMetas one way and W+1
+// RoundReleases the other; the cap keeps those W+2 messages inside the
+// in-memory conn's 16-slot buffer, so no Send can block on a peer that
+// is itself waiting for this client.
 const MaxStaleness = 8
 
 // Peer is one incoming connection classified by its first message:
@@ -427,9 +428,6 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 		return nil, err
 	}
 	c.meter(ordered, cfg.ShardConns)
-	if cfg.Staleness > 0 {
-		return c.runWindowed(ordered)
-	}
 	return c.run(1)
 }
 
@@ -506,8 +504,12 @@ func clientHandshake(conn Conn, cfg ClientConfig) (Init, error) {
 // the client to the direct data plane: it dials the shards, uploads
 // range slices straight to the owners and pulls the broadcast slices
 // back from them, and the coordinator link carries control scalars
-// only; an Init with a staleness window pipelines those rounds.
+// only; an Init with a staleness window runs those rounds that many
+// deep.
 func runClient(coord Conn, cfg ClientConfig, init Init, link *coordLink) error {
+	if init.Window < 0 || init.Window > MaxStaleness {
+		return fmt.Errorf("transport: client %d: init staleness window %d outside [0, %d]", cfg.ID, init.Window, MaxStaleness)
+	}
 	if len(init.Shards) == 0 {
 		return runClientRounds(coord, cfg, init, nil)
 	}
@@ -524,30 +526,40 @@ func runClient(coord Conn, cfg ClientConfig, init Init, link *coordLink) error {
 		fan.makeDurable(link.dur.attempts())
 		link.fan = fan
 	}
-	if init.Window > 0 {
-		return runClientDirectWindowed(coord, cfg, init, fan)
-	}
 	return runClientRounds(coord, cfg, init, fan)
 }
 
-// runClientRounds is the lockstep client's round loop on both data
-// planes: run the local step (localStep.run — the training computation
-// and rng consumption every tier shares), send the upload — routed: one
-// Upload to the coordinator; direct (fan set): range slices with
-// explicit local ranks straight to the owning shards, and the control
-// scalars to the coordinator — receive the round's aggregated B —
-// routed: the coordinator's Broadcast; direct: the shard-served slices,
-// fetched after the coordinator's release and reassembled by
-// concatenation — and apply it with the error-feedback residual update.
+// clientSlot is one in-flight round of a client: its upload pairs, kept
+// for the fold-back W steps later, and the per-shard split buffers its
+// SliceUploads alias.
+type clientSlot struct {
+	pairs sparse.Vec
+	bufs  sliceBufs
+}
+
+// runClientRounds is the client's round loop on both data planes, W =
+// init.Window rounds deep — the engine's pipeline (internal/fl round.go)
+// on the wire. Step m runs round m's local step (localStep.run — the
+// training computation and rng consumption every tier shares) and sends
+// the upload — routed: one Upload to the coordinator; direct (fan set):
+// range slices with explicit local ranks straight to the owning shards,
+// and the control scalars to the coordinator. Then, once m > W, it
+// receives round m−W's aggregated B — routed: the coordinator's
+// Broadcast; direct: the shard-served slices, fetched after the
+// coordinator's release and reassembled by concatenation — and applies
+// it with the error-feedback residual update for that round's upload.
+// Steps past init.Rounds only drain the last W rounds. So round m's
+// local step sees the weights of round m−W−1, as in fl.Run with the
+// same Staleness, and W = 0 is the lockstep loop.
 //
-// The upload buffers are reused across rounds (the same zero-alloc hot
-// loop as the simulator engine), and so are the downlink's. Reuse is
-// safe even over by-reference in-memory conns: the protocol is lockstep
-// — every round-m consumer (the coordinator, or every shard's
-// reduction, fill queries, and downlink serve) is done reading before
-// the round-m broadcast can be released, and the client only overwrites
-// its buffers after applying that broadcast. (A durable link copies
-// what it keeps for resends.)
+// The upload buffers live in a ring of W+1 slots reused across rounds
+// (the same zero-alloc hot loop as the simulator engine), and the
+// downlink's are reused every round. Reuse is safe even over
+// by-reference in-memory conns: slot m is next written at step m+W+1,
+// after round m's broadcast was applied at step m+W — and every
+// round-m consumer (the coordinator, or every shard's reduction and
+// fill queries) is done reading before that broadcast can be released.
+// (A durable link copies what it keeps for resends.)
 func runClientRounds(coord Conn, cfg ClientConfig, init Init, fan *shardFan) error {
 	step, err := newLocalStep("client", cfg.ID, cfg.Model, init, cfg.BatchSize)
 	if err != nil {
@@ -557,43 +569,51 @@ func runClientRounds(coord Conn, cfg ClientConfig, init Init, fan *shardFan) err
 	acc := make([]float64, net.D())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	applied := newAppliedSet("client", cfg.ID, net.D())
+	w := init.Window
+	ring := make([]clientSlot, w+1)
 	var (
-		pairs sparse.Vec
-		bufs  sliceBufs
-		bIdx  []int
-		bVal  []float64
+		bIdx []int
+		bVal []float64
 	)
-	for m := 1; m <= init.Rounds; m++ {
-		var batchLoss, scale float64
-		pairs, batchLoss, scale = step.run(cfg.Data, rng, acc, pairs)
-		if fan == nil {
-			up := Upload{ClientID: cfg.ID, Round: m, Idx: pairs.Idx, Val: pairs.Val,
-				BatchLoss: batchLoss, Bits: init.QuantBits, Scale: scale}
-			if err := coord.Send(up); err != nil {
-				return fmt.Errorf("transport: client %d round %d send: %w", cfg.ID, m, err)
+	for m := 1; m <= init.Rounds+w; m++ {
+		if m <= init.Rounds {
+			slot := &ring[m%(w+1)]
+			var batchLoss, scale float64
+			slot.pairs, batchLoss, scale = step.run(cfg.Data, rng, acc, slot.pairs)
+			if fan == nil {
+				up := Upload{ClientID: cfg.ID, Round: m, Idx: slot.pairs.Idx, Val: slot.pairs.Val,
+					BatchLoss: batchLoss, Bits: init.QuantBits, Scale: scale}
+				if err := coord.Send(up); err != nil {
+					return fmt.Errorf("transport: client %d round %d send: %w", cfg.ID, m, err)
+				}
+			} else {
+				fan.split(slot.pairs, &slot.bufs)
+				if err := fan.upload(m, cfg.ID, &slot.bufs, init.QuantBits, scale); err != nil {
+					return err
+				}
+				meta := RoundMeta{ClientID: cfg.ID, Round: m, BatchLoss: batchLoss, UploadLen: slot.pairs.Len()}
+				if err := coord.Send(meta); err != nil {
+					return fmt.Errorf("transport: client %d round %d metadata: %w", cfg.ID, m, err)
+				}
 			}
-			bc, err := recvBroadcast(coord, "client", cfg.ID, m)
+		}
+		r := m - w
+		if r < 1 {
+			continue
+		}
+		if fan == nil {
+			bc, err := recvBroadcast(coord, "client", cfg.ID, r)
 			if err != nil {
 				return err
 			}
 			bIdx, bVal = bc.Idx, bc.Val
-		} else {
-			fan.split(pairs, &bufs)
-			if err := fan.upload(m, cfg.ID, &bufs, init.QuantBits, scale); err != nil {
-				return err
-			}
-			meta := RoundMeta{ClientID: cfg.ID, Round: m, BatchLoss: batchLoss, UploadLen: pairs.Len()}
-			if err := coord.Send(meta); err != nil {
-				return fmt.Errorf("transport: client %d round %d metadata: %w", cfg.ID, m, err)
-			}
-			if bIdx, bVal, err = fan.download(coord, m, bIdx[:0], bVal[:0], nil); err != nil {
-				return err
-			}
-		}
-		if err := applied.apply(m, net.Params(), cfg.LearningRate, bIdx, bVal); err != nil {
+		} else if bIdx, bVal, err = fan.download(coord, r, bIdx[:0], bVal[:0]); err != nil {
 			return err
 		}
-		applied.settle(acc, pairs)
+		if err := applied.apply(r, net.Params(), cfg.LearningRate, bIdx, bVal); err != nil {
+			return err
+		}
+		applied.settle(acc, ring[r%(w+1)].pairs)
 	}
 	return nil
 }

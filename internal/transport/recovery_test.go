@@ -345,7 +345,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		// reproduce the trajectory the failure-free deployment produces.
 		var ref []RoundRecord
 		if topo.direct {
-			h := runDirectHarness(t, 6, 40, topo.nShards, ServerConfig{}, nil, nil, nil)
+			h := runDirectHarness(t, 6, 40, topo.nShards, ServerConfig{}, nil, nil, nil, nil)
 			if h.srvErr != nil {
 				t.Fatalf("reference direct run: %v", h.srvErr)
 			}
@@ -394,7 +394,7 @@ func TestCoordinatorCrashAtFinalFinish(t *testing.T) {
 // from their resend rings — and the trajectory is still bit-identical
 // to the failure-free run. The coordinator itself never restarts here.
 func TestDirectShardKillFreshRejoin(t *testing.T) {
-	h := runDirectHarness(t, 6, 40, 2, ServerConfig{}, nil, nil, nil)
+	h := runDirectHarness(t, 6, 40, 2, ServerConfig{}, nil, nil, nil, nil)
 	if h.srvErr != nil {
 		t.Fatalf("reference direct run: %v", h.srvErr)
 	}

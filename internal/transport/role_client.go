@@ -13,12 +13,13 @@ import (
 )
 
 // This file is the participant's round, written once. Every client
-// tier — the lockstep client (protocol.go), the pipelined windowed
-// client (window.go), the durable client (durable_client.go: the same
-// loops over self-healing links) and the virtual host (population.go:
-// many members over one model) — runs the same pieces and differs only
-// in what it owns: the residual and rng a step runs on, the lifetime of
-// the slice buffers a split fills, and the links the fan-out sends on.
+// tier — the client's one round loop at any staleness window
+// (protocol.go: runClientRounds), the durable client
+// (durable_client.go: the same loop over self-healing links) and the
+// virtual host (population.go: many members over one model) — runs the
+// same pieces and differs only in what it owns: the residual and rng a
+// step runs on, the lifetime of the slice buffers a split fills, and
+// the links the fan-out sends on.
 //
 //	localStep  minibatch → gradient into the residual → top-k → quantize
 //	shardFan   the direct plane: split by range, upload, release, fetch
@@ -143,9 +144,9 @@ func recvBroadcast(coord Conn, who string, id, m int) (Broadcast, error) {
 
 // sliceBufs holds one upload's per-shard range slices. The caller owns
 // it — the tiers differ precisely in how long a slice must stay
-// untouched after it is sent: until the next round (lockstep), until
-// the round leaves the W-deep pipeline (windowed), until the member's
-// next draw (population).
+// untouched after it is sent: until its round's broadcast is applied,
+// W rounds later (a client's ring slot), or until the member's next
+// draw (population).
 type sliceBufs struct {
 	idx  [][]int
 	val  [][]float64
@@ -273,7 +274,7 @@ func (f *shardFan) upload(m, sender int, b *sliceBufs, bits int, scale float64) 
 // download is the direct plane's downlink: wait on the coordinator link
 // for round m's RoundRelease — the epoch guard: it is sent only after
 // every shard sealed round m — then fetch and reassemble B.
-func (f *shardFan) download(coord Conn, m int, dstIdx []int, dstVal []float64, nack func(s int, n SliceNack) error) ([]int, []float64, error) {
+func (f *shardFan) download(coord Conn, m int, dstIdx []int, dstVal []float64) ([]int, []float64, error) {
 	msg, err := coord.Recv()
 	if err != nil {
 		return dstIdx, dstVal, fmt.Errorf("transport: %s %d round %d release recv: %w", f.who, f.id, m, err)
@@ -285,7 +286,7 @@ func (f *shardFan) download(coord Conn, m int, dstIdx []int, dstVal []float64, n
 	if rel.Round != m {
 		return dstIdx, dstVal, fmt.Errorf("transport: %s %d round %d: stale release (round %d)", f.who, f.id, m, rel.Round)
 	}
-	return f.fetch(m, rel.Elems, dstIdx, dstVal, nack)
+	return f.fetch(m, rel.Elems, dstIdx, dstVal)
 }
 
 // fetch is the shard-served downlink: send every shard the round's
@@ -297,11 +298,8 @@ func (f *shardFan) download(coord Conn, m int, dstIdx []int, dstVal []float64, n
 // broadcast), the serving shard's identity, parallel index/value lists,
 // and strictly ascending coordinates inside the shard's range; the
 // reassembled total must match the coordinator's elems, so a truncated
-// slice fails loudly instead of silently dropping coordinates. nack,
-// when set, absorbs the SliceNacks a windowed shard queues ahead of its
-// reply; without it a SliceNack is a protocol error like any other
-// stray message.
-func (f *shardFan) fetch(round, elems int, dstIdx []int, dstVal []float64, nack func(s int, n SliceNack) error) ([]int, []float64, error) {
+// slice fails loudly instead of silently dropping coordinates.
+func (f *shardFan) fetch(round, elems int, dstIdx []int, dstVal []float64) ([]int, []float64, error) {
 	var fetch any = SliceFetch{ClientID: f.id, Round: round}
 	for s := range f.conns {
 		if f.conns[s] == nil {
@@ -315,23 +313,13 @@ func (f *shardFan) fetch(round, elems int, dstIdx []int, dstVal []float64, nack 
 		}
 	}
 	for s, conn := range f.conns {
-		var sb SliceBroadcast
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				return dstIdx, dstVal, fmt.Errorf("transport: %s %d round %d slice recv from shard %d: %w", f.who, f.id, round, s, err)
-			}
-			if n, ok := msg.(SliceNack); ok && nack != nil {
-				if err := nack(s, n); err != nil {
-					return dstIdx, dstVal, err
-				}
-				continue
-			}
-			var ok bool
-			if sb, ok = msg.(SliceBroadcast); !ok {
-				return dstIdx, dstVal, fmt.Errorf("transport: %s %d round %d: shard %d sent %T, want SliceBroadcast", f.who, f.id, round, s, msg)
-			}
-			break
+		msg, err := conn.Recv()
+		if err != nil {
+			return dstIdx, dstVal, fmt.Errorf("transport: %s %d round %d slice recv from shard %d: %w", f.who, f.id, round, s, err)
+		}
+		sb, ok := msg.(SliceBroadcast)
+		if !ok {
+			return dstIdx, dstVal, fmt.Errorf("transport: %s %d round %d: shard %d sent %T, want SliceBroadcast", f.who, f.id, round, s, msg)
 		}
 		if sb.Round != round {
 			return dstIdx, dstVal, fmt.Errorf("transport: %s %d round %d: stale broadcast slice from shard %d (round %d)",

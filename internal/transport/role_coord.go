@@ -9,10 +9,11 @@ import (
 )
 
 // This file is the coordinator's round, written once: one routed and
-// one direct round body. Every coordinator tier — classic
-// (protocol.go), durable (durable.go), population (population.go); the
-// windowed coordinator (window.go) shares everything but the gather —
-// runs them and supplies only what distinguishes it:
+// one direct round body. Every coordinator tier — classic at any
+// staleness window (protocol.go; the window lives in the clients' and
+// shards' loops, the coordinator's rounds stay in order and exact),
+// durable (durable.go), population (population.go) — runs them and
+// supplies only what distinguishes it:
 //
 //	links    how a round reaches its peers: plain connections, the
 //	         durable server's rejoin-healing links, or the population's
@@ -298,11 +299,10 @@ func (c *coordRun) finish(rec RoundRecord, participants int, draw *cohortDraw) {
 		reduce = c.group.reduceSecs
 	}
 	ev := roundEvent(rec, c.cfg.K, participants, c.bm, reduce)
-	// The realized overlap of a windowed run; stale-slice counts live at
-	// the shards' admission windows, which the coordinator cannot
-	// observe, so StaleSlices stays 0 here (the in-process engine
-	// reports the real count).
-	ev.WindowDepth = c.cfg.Staleness
+	// The realized overlap, as the engine reports it: W until the
+	// pipeline drains. No upload is ever late on the wire, so
+	// StaleSlices stays 0.
+	ev.WindowDepth = min(rec.Round+c.cfg.Staleness, c.cfg.Rounds) - rec.Round
 	if draw != nil {
 		ev.Population, ev.CohortSize, ev.ChurnEvents = draw.population, draw.drawn, draw.churnEvents
 	}

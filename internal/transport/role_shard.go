@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the direct-plane shard's round, written once. Every tier
-// — the lockstep barrier (direct.go), the staleness window (window.go),
-// the re-seating desk (durable_shard.go), the cohort over host muxes
+// — the ordered barrier at any staleness window (direct.go), the
+// re-seating desk (durable_shard.go), the cohort over host muxes
 // (population.go) — runs the same three steps on the same state and
 // differs only in its ingest policy: which slices it hands to admit and
 // when, over what control link it seals, and how it reads the fetches
@@ -106,11 +106,18 @@ func (sr *shardRound) wrongType(m int, noun string, who int, msg any, want strin
 	return fmt.Errorf("transport: shard %d round %d: %s %d sent %T, want %s", sr.shardID, m, noun, who, msg, want)
 }
 
-// checkSender validates a slice's header against the link it arrived
-// on: the claimed identity and the run's quantization width. It reads
-// only immutable state, so the windowed tier's per-client readers call
-// it at arrival, before the slice waits for its front.
-func (sr *shardRound) checkSender(m, who int, up *SliceUpload) error {
+// admit validates who's round-m slice — round, identity, width, then
+// range, duplicates, rank order and finiteness (gs.ValidateRangeSlice)
+// — and binds it to barrier slot pos BY REFERENCE: the reduction reads
+// up's own buffers. The per-client tiers therefore pass the codec's
+// decode scratch straight through (nothing reads the connection again
+// before the seal); the population tier, whose members share one link,
+// copies first (copySlice) and admits the copy.
+func (sr *shardRound) admit(m, pos, who int, up *SliceUpload) error {
+	if up.Round != m {
+		return fmt.Errorf("transport: shard %d round %d: stale slice from %s %d (round %d) — duplicate or skipped upload",
+			sr.shardID, m, sr.peer, who, up.Round)
+	}
 	if up.ClientID != who {
 		return fmt.Errorf("transport: shard %d round %d: slice on %s %d's connection claims %s %d",
 			sr.shardID, m, sr.peer, who, sr.peer, up.ClientID)
@@ -119,24 +126,6 @@ func (sr *shardRound) checkSender(m, who int, up *SliceUpload) error {
 		return fmt.Errorf("transport: shard %d round %d: %s %d slice at %d-bit quantization, run uses %d",
 			sr.shardID, m, sr.peer, who, up.Bits, sr.quantBits)
 	}
-	return nil
-}
-
-// admit validates who's round-m slice — round, identity, width, then
-// range, duplicates, rank order and finiteness (gs.ValidateRangeSlice)
-// — and binds it to barrier slot pos BY REFERENCE: the reduction reads
-// up's own buffers. The lockstep tiers therefore pass the codec's
-// decode scratch straight through (the barrier orders every read before
-// the connection's next Recv); a tier whose slices outlive their
-// connection's next Recv copies first (copySlice) and admits the copy.
-func (sr *shardRound) admit(m, pos, who int, up *SliceUpload) error {
-	if up.Round != m {
-		return fmt.Errorf("transport: shard %d round %d: stale slice from %s %d (round %d) — duplicate or skipped upload",
-			sr.shardID, m, sr.peer, who, up.Round)
-	}
-	if err := sr.checkSender(m, who, up); err != nil {
-		return err
-	}
 	sr.token++
 	if err := gs.ValidateRangeSlice(up.Idx, up.Val, up.Rank, sr.lo, sr.hi, sr.seen, sr.token); err != nil {
 		return fmt.Errorf("transport: shard %d round %d: %s %d slice: %w", sr.shardID, m, sr.peer, who, err)
@@ -144,14 +133,6 @@ func (sr *shardRound) admit(m, pos, who int, up *SliceUpload) error {
 	sr.uploads[pos] = gs.ClientUpload{Pairs: sparse.Vec{Idx: up.Idx, Val: up.Val}, Weight: sr.weights[who]}
 	sr.ranks[pos] = up.Rank
 	return nil
-}
-
-// absent fills slot pos with a counted-but-empty upload: who is in the
-// round's weight total but delivered nothing (the windowed tier's
-// missed seal — the wire form of the engine's masked stale upload).
-func (sr *shardRound) absent(pos, who int) {
-	sr.uploads[pos] = gs.ClientUpload{Weight: sr.weights[who]}
-	sr.ranks[pos] = nil
 }
 
 // copySlice deep-copies src into dst, reusing dst's buffers.
@@ -229,7 +210,6 @@ func (sr *shardRound) seal(m int, ctl Conn, ds *downSlice) error {
 
 // checkFetch validates one downlink request: msg must be who's SliceFetch
 // for round m. The tier answers it with the sealed slice's message.
-// Like checkSender it reads only immutable state.
 func (sr *shardRound) checkFetch(m, who int, msg any) error {
 	f, ok := msg.(SliceFetch)
 	if !ok {

@@ -50,10 +50,10 @@ type (
 		// progress so the shard's barrier starts there.
 		StartRound int
 		// Window is the bounded-staleness window W (0 = synchronous).
-		// A shard with W > 0 relaxes its per-round barrier to a sliding
-		// admission window: with round cut sealed for reduction, it
-		// admits SliceUploads tagged for rounds in [cut+1, cut+1+W] and
-		// NACKs anything at or below the cut.
+		// A shard with W > 0 keeps its per-round barrier and runs it W
+		// rounds deep: it serves round m−W's fetches right after sealing
+		// round m, so each client link carries SliceUpload(m),
+		// SliceFetch(m−W), SliceUpload(m+1), … in that order.
 		Window int
 		// NumHosts > 0 switches a shard into the population tier's M:N
 		// ingest plane: instead of one connection per client it accepts

@@ -71,8 +71,8 @@ type (
 		// Window is the run's bounded-staleness window W (0 =
 		// synchronous), mirroring fl.Config.Staleness the way QuantBits
 		// mirrors its engine knob: the coordinator announces it here and
-		// in ShardAssign, and a client with Window > 0 switches to the
-		// pipelined round body (upload round m, then fetch and apply the
+		// in ShardAssign, and the client runs its one round loop W
+		// rounds deep (upload round m, then fetch and apply the
 		// broadcast of round m−W). Direct topology only.
 		Window int
 	}
@@ -229,7 +229,6 @@ func registerTypes() {
 		gob.Register(Rejoin{})
 		gob.Register(RejoinAck{})
 		gob.Register(Redo{})
-		gob.Register(SliceNack{})
 		gob.Register(MuxFrame{})
 		gob.Register(HostHello{})
 		gob.Register(HostData{})

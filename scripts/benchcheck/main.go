@@ -66,10 +66,10 @@ var tracked = []struct {
 	// shapes: the dense kernels are ~40 % of engine_adaptive's CPU.
 	{"./internal/nn/", "BenchmarkMeanLoss", "200x"},
 	{"./internal/transport/", "BenchmarkSliceCodec|BenchmarkWireRoundBytes", "200x"},
-	// The straggler wall clock is the bounded-staleness tentpole's
-	// perf contract: a windowed run under an injected straggler must
-	// stay far below the lockstep stall. Each iteration is a full
-	// 12-round 2-shard run (~tens of ms), so a few iterations suffice.
+	// The straggler wall clock tracks a W = 1 run under an injected
+	// straggler, which paces the fleet as in lockstep. Each iteration
+	// is a full 12-round 2-shard run (~250 ms), so a few iterations
+	// suffice.
 	{"./internal/transport/", "BenchmarkStragglerWallClock", "3x"},
 	// The population tier's scale contract: a 100k-member sampled run
 	// must cost rounds × cohort member computations, never O(population)

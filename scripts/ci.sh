@@ -35,14 +35,16 @@ go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./intern
 # golden trajectory table and the Workers grids — at more than one
 # GOMAXPROCS, uncached.
 go test -count=1 -cpu 1,2,4 ./internal/gs ./internal/nn ./internal/tensor ./internal/fl
-# The transport's lockstep differentials and hostile-input tables get
-# the same treatment: every role's round is one shared body that each
-# tier (lockstep, durable, population) reaches through its own links, so
-# they must hold at real parallelism. The windowed suites are skipped
-# here and join this line when ROADMAP item 1 (credit backpressure in
-# place of eviction-as-flow-control) lands — until then they sample a
-# scheduler race on any multi-core host.
-go test -count=1 -cpu 1,2,4 -skip Windowed ./internal/transport
+# The transport's differentials and hostile-input tables get the same
+# treatment: every role's round is one shared body that each tier
+# (lockstep at any staleness window, durable, population) reaches
+# through its own links, so they must hold at real parallelism.
+go test -count=1 -cpu 1,2,4 ./internal/transport
+# The staleness window is the lockstep loops run W rounds deep, so a
+# W >= 1 run is a pure function of the seeds: its twin grid, straggler,
+# cap and ingest-order suites run repeatedly under the race detector at
+# several GOMAXPROCS, where a scheduling dependence would show.
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness' ./internal/transport
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
