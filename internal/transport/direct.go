@@ -172,11 +172,12 @@ type (
 // with the ShardResult, serve FillQuery requests until the
 // coordinator's RoundSeal, and then serve the downlink: one validated
 // SliceFetch per client, each answered with the sealed members of the
-// range and the values reconstructed from the shard's own reduction.
-// With a staleness window W the same loop runs W rounds deep: step m
-// seals round m and then serves round m−W's fetches, from a ring of
-// W+1 sealed slices. Client connections are closed on return. Any
-// malformed handshake, slice, fetch, or control message — a stale
+// range and the values reconstructed from the shard's own reduction —
+// shardRound.run, W = the assigned window rounds deep. An assignment
+// with NumHosts > 0 accepts that many population hosts instead and
+// runs the same loop over their links (populationIngest). Ingest
+// connections are closed on return. Any malformed handshake, slice,
+// fetch, or control message — a stale
 // directory, an out-of-range or duplicated coordinate, non-ascending
 // ranks, a slice or fetch claiming another client's identity, a stale
 // or early round, a sealed member the shard never reduced — errors the
@@ -192,39 +193,30 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 	if !ok {
 		return fmt.Errorf("transport: direct shard expected ShardAssign, got %T", msg)
 	}
-	if err := checkAssign(assign); err != nil {
+	if err := checkAssign(assign, false); err != nil {
 		return err
 	}
-	if assign.Window < 0 || assign.Window > MaxStaleness {
-		return fmt.Errorf("transport: shard %d assigned staleness window %d outside [0, %d]",
-			assign.ShardID, assign.Window, MaxStaleness)
-	}
+	n, noun := len(assign.Weights), "clients"
 	if assign.NumHosts > 0 {
-		// Population tier: the ingest plane carries NumHosts virtual-
-		// client host connections instead of one per member, and the
-		// per-round barrier follows the coordinator's CohortAssign.
-		if assign.Window != 0 {
-			return fmt.Errorf("transport: shard %d: the population tier requires the synchronous protocol (window %d)",
-				assign.ShardID, assign.Window)
-		}
-		peers, err := accept(assign.NumHosts)
-		if err != nil {
-			return fmt.Errorf("transport: shard %d accepting hosts: %w", assign.ShardID, err)
-		}
-		return runDirectShardPopulation(coord, assign, peers)
+		n, noun = assign.NumHosts, "hosts"
 	}
-	n := len(assign.Weights)
-
 	peers, err := accept(n)
 	if err != nil {
-		return fmt.Errorf("transport: shard %d accepting clients: %w", assign.ShardID, err)
+		return fmt.Errorf("transport: shard %d accepting %s: %w", assign.ShardID, noun, err)
 	}
 	defer func() {
 		for _, p := range peers {
 			_ = p.Conn.Close()
 		}
 	}()
-	conns := make([]Conn, n)
+	if assign.NumHosts > 0 {
+		in, err := populationIngest(coord, assign, peers)
+		if err != nil {
+			return err
+		}
+		return newShardRound(assign, 0, "member", "host").run(coord, in)
+	}
+	conns := make(connPeers, n)
 	for _, p := range peers {
 		d := p.Data
 		if d == nil {
@@ -247,70 +239,7 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 			return fmt.Errorf("transport: shard %d: no ingest connection from client %d", assign.ShardID, ci)
 		}
 	}
-	sr := newShardRound(assign, n, "client", "client")
-
-	// The served downlink slices, one ring slot per round in flight,
-	// each rebuilt at its round's seal. Reuse across rounds (and sharing
-	// one boxed message among all clients' replies) is safe: slot m is
-	// next rebuilt at the seal of round m+W+1, which needs every client's
-	// round-m+W+1 upload — and a client sends that only after it applied
-	// round m's broadcast.
-	w := assign.Window
-	ring := make([]downSlice, w+1)
-	for m := 1; m <= assign.Rounds+w; m++ {
-		// The client barrier: one slice from every client completes the
-		// range. Reading the connections in client-ID order is safe —
-		// every client sends exactly one slice per round — and keeps the
-		// stored slices in the reduction's ascending-client order. The
-		// per-connection message order across rounds is fixed too:
-		// SliceUpload(m), SliceFetch(m−W), SliceUpload(m+1), … — so a
-		// duplicated or early upload or fetch surfaces as a type or
-		// round mismatch at the next read, never as a silent
-		// double-count, and no client gets more than W rounds ahead of
-		// the slowest: its fetch for round m−W is answered only after
-		// round m sealed. Slices are admitted by reference to the
-		// connection's decode scratch: nothing reads that connection
-		// again before the seal.
-		if m <= assign.Rounds {
-			for ci, conn := range conns {
-				msg, err := conn.Recv()
-				if err != nil {
-					return fmt.Errorf("transport: shard %d round %d recv from client %d: %w", assign.ShardID, m, ci, err)
-				}
-				up, ok := msg.(SliceUpload)
-				if !ok {
-					return sr.wrongType(m, sr.peer, ci, msg, "SliceUpload")
-				}
-				if err := sr.admit(m, ci, ci, &up); err != nil {
-					return err
-				}
-			}
-			if err := sr.seal(m, coord, &ring[m%(w+1)]); err != nil {
-				return err
-			}
-		}
-		// The downlink serve of round r = m−W: one fetch per client, same
-		// counted barrier as the uplink — a dead client errors the round
-		// here instead of wedging peers that already fetched.
-		r := m - w
-		if r < 1 {
-			continue
-		}
-		reply := ring[r%(w+1)].message(r, assign.ShardID)
-		for ci, conn := range conns {
-			msg, err := conn.Recv()
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d downlink serve recv from client %d: %w", assign.ShardID, r, ci, err)
-			}
-			if err := sr.checkFetch(r, ci, msg); err != nil {
-				return err
-			}
-			if err := conn.Send(reply); err != nil {
-				return fmt.Errorf("transport: shard %d round %d slice broadcast to client %d: %w", assign.ShardID, r, ci, err)
-			}
-		}
-	}
-	return nil
+	return newShardRound(assign, n, "client", "client").run(coord, &shardLinks{up: conns, down: conns, nDown: n})
 }
 
 // ServeDirectShard is the TCP deployment of RunDirectShard: the shard

@@ -782,6 +782,22 @@ func TestDirectClientDeathBetweenSlices(t *testing.T) {
 	}
 }
 
+// TestDirectHostDeathBetweenSlices is the population plane's row of
+// TestDirectClientDeathBetweenSlices: one host carries both drawn
+// members, uploads member 0's slice and dies before member 1's. The
+// shard's cohort barrier must fail the round naming the member and its
+// host, not wedge.
+func TestDirectHostDeathBetweenSlices(t *testing.T) {
+	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}}
+	err := shardTierNamed("population").run(t, assign, func(members, host []Conn, _ Conn) {
+		_ = members[0].Send(SliceUpload{ClientID: 0, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}})
+		_ = host[0].Close()
+	})
+	if want := "shard 0 round 1 recv from member 1: via host 0"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want substring %q", err, want)
+	}
+}
+
 // sealInterceptor injects a shard death between seal and serve: the
 // wrapped control conn delivers every message except the RoundSeal,
 // which it converts into a connection failure — the shard dies with the
@@ -886,6 +902,27 @@ func TestDirectClientDeathMidFetch(t *testing.T) {
 	}
 	if h.shardErr[1] == nil || !strings.Contains(h.shardErr[1].Error(), "downlink serve recv") {
 		t.Fatalf("shard 1 did not surface the broken downlink serve: %v", h.shardErr[1])
+	}
+}
+
+// TestDirectHostDeathMidFetch is the population plane's row of
+// TestDirectClientDeathMidFetch: the host completes round 1's uplink
+// for both members, the round seals, and the host dies with this
+// shard's slice unfetched. The serve must fail the round naming the
+// host, not wedge.
+func TestDirectHostDeathMidFetch(t *testing.T) {
+	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2}}
+	err := shardTierNamed("population").run(t, assign, func(members, host []Conn, coord Conn) {
+		_ = members[0].Send(SliceUpload{ClientID: 0, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}})
+		_ = members[1].Send(SliceUpload{ClientID: 1, Round: 1})
+		if msg, err := coord.Recv(); err != nil {
+			t.Errorf("no round-1 result: %v (%T)", err, msg)
+		}
+		_ = coord.Send(RoundSeal{Round: 1, Members: []int{3}})
+		_ = host[0].Close()
+	})
+	if want := "shard 0 round 1 downlink serve recv from host 0"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want substring %q", err, want)
 	}
 }
 
@@ -1062,6 +1099,16 @@ func shardTiers() []shardTier {
 			"fetch identity forgery": "fetch on host 0's connection claims host 1",
 		}},
 	}
+}
+
+// shardTierNamed returns one tier of shardTiers.
+func shardTierNamed(name string) shardTier {
+	for _, tier := range shardTiers() {
+		if tier.name == name {
+			return tier
+		}
+	}
+	panic("no shard tier " + name)
 }
 
 // expect resolves a row's expected error for the tier: its override,

@@ -162,16 +162,12 @@ func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerCo
 	}
 	defer log.Close()
 	s := newDurServer(cfg, dur, log, ordered, weights)
-	if cfg.Direct {
-		if err := s.startDirect(0); err != nil {
-			return nil, err
-		}
-		s.healShards()
-	}
-	if err := s.sendInit(ordered, dur.RunID); err != nil {
+	if err := s.open(ordered, dur.RunID, 0); err != nil {
 		return nil, err
 	}
-	s.startMeter()
+	if cfg.Direct {
+		s.healShards()
+	}
 	return s.run(1)
 }
 
@@ -242,13 +238,18 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 			obs.OnRoundEnd(roundEvent(rec, cfg.K, nClients, nil, nil))
 		}
 	}
+	// Rejoins swap entries of the metered slices in place; the meter
+	// clamps the resulting counter regressions.
 	if cfg.Direct {
 		if s.group, err = newDirectGroup(make([]Conn, nShards), len(cfg.InitialParams), s.weights, cfg.QuantBits); err != nil {
 			return nil, err
 		}
 		s.healShards()
+		s.meter(s.cl.conns, s.sh.conns)
+	} else {
+		s.startRouted()
+		s.meter(s.cl.conns)
 	}
-	s.startMeter()
 	next := len(records) + 1
 	if next > cfg.Rounds {
 		if seal != nil {
@@ -295,9 +296,6 @@ func newDurServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log, clien
 	s.cl = s.side(RejoinClient, "client", clients)
 	s.coordRun = newCoordRun(cfg, s.cl, len(clients), "client", weights)
 	s.journal = &journal{log: log, crash: dur.crash, closeAll: s.closeAll}
-	if !cfg.Direct {
-		s.startRouted()
-	}
 	return s
 }
 
@@ -306,16 +304,6 @@ func newDurServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log, clien
 func (s *durServer) healShards() {
 	s.sh = s.side(RejoinShard, "shard", s.group.conns)
 	s.group.links = s.sh
-}
-
-// startMeter meters the live connection slices: rejoins swap entries in
-// place, and the meter clamps the resulting counter regressions.
-func (s *durServer) startMeter() {
-	if s.sh != nil {
-		s.meter(s.cl.conns, s.sh.conns)
-	} else {
-		s.meter(s.cl.conns)
-	}
 }
 
 // replayRounds rebuilds the finished rounds from the replayed records

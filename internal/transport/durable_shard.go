@@ -1,14 +1,15 @@
-// The durable direct shard: RunDirectShard with rejoin-based recovery
-// on every link. The round itself is the shared shardRound
-// (role_shard.go); durability adds (a) a control
-// link that rejoins the coordinator and re-offers its last ShardResult
-// (the only message the coordinator could have lost), (b) a data desk
-// that keeps accepting client ingest connections for the whole run, so
-// a client that redials mid-round is re-seated at the barrier, and (c)
-// a fresh-start mode for a shard process that restarted with no state:
-// it announces itself with Rejoin{Fresh: true} and the coordinator's
-// redo flow re-assigns it at the round in progress and points every
-// client at its new ingest address.
+// The durable direct shard: RunDirectShard's round loop
+// (shardRound.run) over links that recover by rejoining. Durability is
+// two values the loop runs over: (a) the control link is the healLink
+// (rejoin.go), which rejoins the coordinator, re-offers its buffered
+// ShardResults and drops replayed fill queries and seals, and (b) the
+// ingest links are a data desk that keeps accepting client connections
+// for the whole run, so a client that redials mid-round is re-seated at
+// the barrier or the serve and its replayed slices die as stale. A
+// shard process that restarted with no state starts fresh: it
+// announces itself with Rejoin{Fresh: true} and the coordinator's redo
+// flow re-assigns it at the round in progress and points every client
+// at its new ingest address.
 package transport
 
 import (
@@ -44,7 +45,7 @@ type DurableShardConfig struct {
 	// RejoinAttempts bounds each coordinator rejoin loop (default 10).
 	RejoinAttempts int
 	// BarrierTimeout bounds each wait for a (re)connecting client at
-	// the barrier (default 30s).
+	// the barrier or the serve (default 30s).
 	BarrierTimeout time.Duration
 
 	// killAfter is the test hook: when > 0, the shard closes every
@@ -67,31 +68,43 @@ func (d DurableShardConfig) barrierTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-// dataDesk accepts, classifies, and stages client ingest connections
-// for the whole run: every accepted connection's DataHello is
-// validated against the shard's geometry, then the connection waits in
-// its client's slot until the barrier pulls it. A redialing client
-// simply queues a replacement — the dead predecessor surfaces as a
-// recv error and is discarded.
+// dataDesk is the durable shard's ingest links (peerLinks). It accepts,
+// classifies, and stages client ingest connections for the whole run:
+// every accepted connection's DataHello is validated against the
+// shard's geometry, then the connection waits in its client's slot
+// until the round pulls it. A redialing client simply queues a
+// replacement — the dead predecessor surfaces as a recv error and is
+// discarded.
 type dataDesk struct {
-	shardID, nShards, dim, nClients int
+	shardID, nShards, dim int
+	timeout               time.Duration
 
 	ch   []chan Conn
 	done chan struct{}
 	once sync.Once
+
+	// The seated links (nil = not (re)connected yet) and, per client,
+	// the last SliceUpload and SliceFetch round the round consumed.
+	conns            []Conn
+	uploaded, served []int
 }
 
-func newDataDesk(accept func() (Conn, error), shardID, nShards, dim, nClients int) *dataDesk {
+func newDataDesk(accept func() (Conn, error), assign ShardAssign, timeout time.Duration) *dataDesk {
+	n := len(assign.Weights)
 	d := &dataDesk{
-		shardID:  shardID,
-		nShards:  nShards,
-		dim:      dim,
-		nClients: nClients,
-		ch:       make([]chan Conn, nClients),
-		done:     make(chan struct{}),
+		shardID: assign.ShardID, nShards: assign.NumShards, dim: assign.Dim, timeout: timeout,
+		ch:    make([]chan Conn, n),
+		done:  make(chan struct{}),
+		conns: make([]Conn, n), uploaded: make([]int, n), served: make([]int, n),
 	}
 	for i := range d.ch {
+		// Room for a redial staged behind a link not yet seated; a later
+		// one waits in its handshake goroutine.
 		d.ch[i] = make(chan Conn, 2)
+		// The rounds before the first one this shard runs count as
+		// consumed: a fresh shard's clients may replay them.
+		d.uploaded[i] = max(assign.StartRound, 1) - 1
+		d.served[i] = d.uploaded[i]
 	}
 	go func() {
 		for {
@@ -116,7 +129,7 @@ func (d *dataDesk) handshake(conn Conn) {
 	}
 	h := p.Data
 	if h.ShardID != d.shardID || h.NumShards != d.nShards || h.Dim != d.dim ||
-		h.ClientID < 0 || h.ClientID >= d.nClients {
+		h.ClientID < 0 || h.ClientID >= len(d.ch) {
 		conn.Close()
 		return
 	}
@@ -124,121 +137,52 @@ func (d *dataDesk) handshake(conn Conn) {
 	case d.ch[h.ClientID] <- conn:
 	case <-d.done:
 		conn.Close()
+		return
 	}
-}
-
-// next returns client ci's staged connection, waiting up to timeout.
-func (d *dataDesk) next(ci int, timeout time.Duration) (Conn, error) {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	// Staged just as the desk closed, after close drained the slot.
 	select {
-	case conn := <-d.ch[ci]:
-		return conn, nil
-	case <-t.C:
-		return nil, fmt.Errorf("no ingest connection from client %d within %v", ci, timeout)
 	case <-d.done:
-		return nil, fmt.Errorf("data desk closed")
+		d.drain(h.ClientID)
+	default:
 	}
 }
 
-// close stops staging and discards every staged connection. The accept
-// loop itself unwinds when the caller's listener closes.
-func (d *dataDesk) close() {
-	d.once.Do(func() { close(d.done) })
-	for _, ch := range d.ch {
-		for {
-			select {
-			case conn := <-ch:
-				conn.Close()
-			default:
-			}
-			break
-		}
-	}
-}
-
-// shardCtl is the shard's durable control link to the coordinator — a
-// Conn that heals itself, so the shared round (shardRound.seal) runs
-// over it exactly as over a plain connection. Its resend buffer is
-// exactly one message deep: the last ShardResult is the only
-// shard→coordinator message recovery can owe (fill replies are never
-// resent — the coordinator re-queries fill from scratch when it
-// recomputes a round).
-type shardCtl struct {
-	conn       Conn
-	runID      uint64
-	shardID    int
-	addr       string
-	round      int
-	lastSeal   int
-	lastResult ShardResult // deep copy; Round == 0 means none yet
-	dial       func() (Conn, error)
-	attempts   int
-}
-
-// rejoin redials the coordinator, re-identifies with a (non-fresh)
-// Rejoin — the shard still holds its round state — and re-offers the
-// last result if the coordinator's NeedFrom asks for it.
-func (c *shardCtl) rejoin() error {
-	rj := Rejoin{RunID: c.runID, Kind: RejoinShard, ID: c.shardID, Round: c.round, LastSeal: c.lastSeal, Addr: c.addr}
-	conn, err := rejoinRun(c.dial, c.attempts, rj, "shard", func(conn Conn, needFrom int) error {
-		if c.lastResult.Round >= needFrom && c.lastResult.Round > 0 {
-			return conn.Send(c.lastResult)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	c.Close()
-	c.conn = conn
-	return nil
-}
-
-// Send delivers one control message. A ShardResult is first deep-copied
-// into the resend buffer (the round's reduction scratch is reused). On
-// failure the link rejoins and reports success: a lost result is
-// delivered by the rejoin's re-offer, a lost fill reply by
-// recomputation — the coordinator that lost it redoes the round and
-// queries fill afresh.
-func (c *shardCtl) Send(msg any) error {
-	if res, ok := msg.(ShardResult); ok {
-		c.lastResult = ShardResult{Round: res.Round, ShardID: res.ShardID,
-			Idx:     append([]int(nil), res.Idx...),
-			Sum:     append([]float64(nil), res.Sum...),
-			MinRank: append([]int(nil), res.MinRank...)}
-	}
-	if c.conn != nil {
-		if err := c.conn.Send(msg); err == nil {
-			return nil
-		}
-		c.Close()
-	}
-	return c.rejoin()
-}
-
-// Recv returns the next control message for the round in progress,
-// rejoining on failure and discarding the stale fill queries and seals
-// a restarted coordinator may replay.
-func (c *shardCtl) Recv() (any, error) {
+// drain closes every connection staged for client ci.
+func (d *dataDesk) drain(ci int) {
 	for {
-		if c.conn == nil {
-			if err := c.rejoin(); err != nil {
+		select {
+		case conn := <-d.ch[ci]:
+			conn.Close()
+		default:
+			return
+		}
+	}
+}
+
+// recv returns client ci's next message, re-seating its link from the
+// desk on any failure and dropping every SliceUpload or SliceFetch
+// whose round is at or below the last one of its kind the round
+// consumed — a re-seated client conservatively replays its ring.
+func (d *dataDesk) recv(ci, _ int) (any, error) {
+	for {
+		if d.conns[ci] == nil {
+			if err := d.seat(ci); err != nil {
 				return nil, err
 			}
 		}
-		msg, err := c.conn.Recv()
+		msg, err := d.conns[ci].Recv()
 		if err != nil {
-			c.Close()
+			d.drop(ci)
 			continue
 		}
 		switch v := msg.(type) {
-		case FillQuery:
-			if v.Round < c.round {
+		case SliceUpload:
+			if v.Round <= d.uploaded[ci] {
 				continue
 			}
-		case RoundSeal:
-			if v.Round < c.round {
+			d.uploaded[ci] = v.Round
+		case SliceFetch:
+			if v.Round <= d.served[ci] {
 				continue
 			}
 		}
@@ -246,21 +190,61 @@ func (c *shardCtl) Recv() (any, error) {
 	}
 }
 
-// Close drops the current connection; the next Send or Recv rejoins.
-func (c *shardCtl) Close() error {
-	if c.conn == nil {
-		return nil
+// send answers client ci's round-m fetch. A failed send means the
+// client redialed mid-fetch: re-seat the link and answer the fetch it
+// replays there.
+func (d *dataDesk) send(ci, m int, msg any) error {
+	for d.conns[ci].Send(msg) != nil {
+		d.drop(ci)
+		replay, err := d.recv(ci, m)
+		if err != nil {
+			return err
+		}
+		if f, ok := replay.(SliceFetch); !ok || f.ClientID != ci || f.Round != m {
+			return fmt.Errorf("replayed %T in place of the round-%d fetch", replay, m)
+		}
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	d.served[ci] = m
+	return nil
+}
+
+// seat pulls client ci's next staged connection, waiting up to the
+// barrier timeout.
+func (d *dataDesk) seat(ci int) error {
+	t := time.NewTimer(d.timeout)
+	defer t.Stop()
+	select {
+	case d.conns[ci] = <-d.ch[ci]:
+		return nil
+	case <-t.C:
+		return fmt.Errorf("no ingest connection within %v", d.timeout)
+	case <-d.done:
+		return fmt.Errorf("data desk closed")
+	}
+}
+
+func (d *dataDesk) drop(ci int) {
+	d.conns[ci].Close()
+	d.conns[ci] = nil
+}
+
+// close stops staging and closes every staged and seated connection.
+// The accept loop itself unwinds when the caller's listener closes.
+func (d *dataDesk) close() {
+	d.once.Do(func() { close(d.done) })
+	for ci := range d.ch {
+		d.drain(ci)
+		if d.conns[ci] != nil {
+			d.conns[ci].Close()
+		}
+	}
 }
 
 // RunDurableDirectShard executes one durable aggregation shard of the
 // direct data plane. A fresh run opens with ShardHello and starts at
 // round 1; a fresh restart (cfg.Fresh) opens with Rejoin{Fresh: true}
-// and receives a mid-run assignment whose StartRound winds the barrier
-// to the round in progress — the clients re-feed it from their resend
+// and receives a mid-run assignment whose StartRound winds the loop to
+// the round in progress — the clients re-feed it from their resend
 // rings, so the rebuilt reduction is bit-identical to the lost one.
 // Client ingest connections are accepted for the whole run through
 // cfg.AcceptData; a client that redials is re-seated wherever the
@@ -272,28 +256,25 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 	if cfg.RunID == 0 {
 		return fmt.Errorf("transport: durable shard %d needs a non-zero RunID", cfg.ShardID)
 	}
-	ctl := &shardCtl{runID: cfg.RunID, shardID: cfg.ShardID, addr: cfg.Addr,
-		dial: cfg.Dial, attempts: cfg.attempts()}
+	ctl := &healLink{rj: Rejoin{RunID: cfg.RunID, Kind: RejoinShard, ID: cfg.ShardID, Addr: cfg.Addr},
+		noun: "shard", dial: cfg.Dial, attempts: cfg.attempts()}
 	defer ctl.Close()
-	var conn Conn
 	var err error
 	if cfg.Fresh {
-		rj := Rejoin{RunID: cfg.RunID, Kind: RejoinShard, ID: cfg.ShardID, Fresh: true, Addr: cfg.Addr}
-		conn, err = rejoinRun(cfg.Dial, 1, rj, "fresh shard", func(Conn, int) error { return nil })
-		if err != nil {
+		rj := ctl.rj
+		rj.Fresh = true
+		if ctl.conn, err = rejoinRun(cfg.Dial, 1, rj, "fresh shard", func(Conn, int) error { return nil }); err != nil {
 			return err
 		}
 	} else {
-		if conn, err = cfg.Dial(); err != nil {
+		if ctl.conn, err = cfg.Dial(); err != nil {
 			return fmt.Errorf("transport: shard %d dial coordinator: %w", cfg.ShardID, err)
 		}
-		if err := conn.Send(ShardHello{Addr: cfg.Addr, ID: cfg.ShardID, HasID: true}); err != nil {
-			conn.Close()
+		if err := ctl.conn.Send(ShardHello{Addr: cfg.Addr, ID: cfg.ShardID, HasID: true}); err != nil {
 			return fmt.Errorf("transport: shard %d hello: %w", cfg.ShardID, err)
 		}
 	}
-	ctl.conn = conn
-	msg, err := recvHandshake(conn)
+	msg, err := recvHandshake(ctl.conn)
 	if err != nil {
 		return fmt.Errorf("transport: shard %d assign recv: %w", cfg.ShardID, err)
 	}
@@ -304,113 +285,20 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 	if assign.ShardID != cfg.ShardID {
 		return fmt.Errorf("transport: shard %d received shard %d's assignment", cfg.ShardID, assign.ShardID)
 	}
-	if err := checkAssign(assign); err != nil {
+	if err := checkAssign(assign, true); err != nil {
 		return err
 	}
-	start := max(assign.StartRound, 1)
 	n := len(assign.Weights)
-
-	desk := newDataDesk(cfg.AcceptData, assign.ShardID, assign.NumShards, assign.Dim, n)
+	desk := newDataDesk(cfg.AcceptData, assign, cfg.barrierTimeout())
 	defer desk.close()
-	conns := make([]Conn, n) // nil = not (re)connected yet
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-
-	// recvData returns client ci's next data message at round m,
-	// re-seating the connection from the desk on any failure and
-	// discarding stale resends (a reconnecting client conservatively
-	// replays its ring; consumed rounds die here).
-	recvData := func(ci, m int, serving bool) (any, error) {
-		for {
-			if conns[ci] == nil {
-				c, err := desk.next(ci, cfg.barrierTimeout())
-				if err != nil {
-					return nil, fmt.Errorf("transport: shard %d round %d: %w", assign.ShardID, m, err)
-				}
-				conns[ci] = c
-			}
-			msg, err := conns[ci].Recv()
-			if err != nil {
-				conns[ci].Close()
-				conns[ci] = nil
-				continue
-			}
-			switch v := msg.(type) {
-			case SliceUpload:
-				// While serving round m's downlink, round m's own slice is
-				// also stale — the barrier consumed the original.
-				if v.Round < m || (serving && v.Round == m) {
-					continue
-				}
-			case SliceFetch:
-				if v.Round < m {
-					continue
-				}
-			}
-			return msg, nil
-		}
-	}
-
 	sr := newShardRound(assign, n, "client", "client")
-	var ds downSlice
-	for m := start; m <= assign.Rounds; m++ {
-		ctl.round = m
-		// The client barrier, with re-seating: one validated slice per
-		// client completes the range, exactly as in RunDirectShard.
-		for ci := range conns {
-			msg, err := recvData(ci, m, false)
-			if err != nil {
-				return err
-			}
-			up, ok := msg.(SliceUpload)
-			if !ok {
-				return sr.wrongType(m, sr.peer, ci, msg, "SliceUpload")
-			}
-			if err := sr.admit(m, ci, ci, &up); err != nil {
-				return err
-			}
-		}
-		if err := sr.seal(m, ctl, &ds); err != nil {
-			return err
-		}
-		ctl.lastSeal = m
-		// The downlink serve, with re-seating: a client whose fetch link
-		// broke redials and replays slice + fetch; the stale slice dies
-		// in recvData and the fetch is served on the new connection.
-		reply := ds.message(m, assign.ShardID)
-		for ci := range conns {
-			for {
-				msg, err := recvData(ci, m, true)
-				if err != nil {
-					return err
-				}
-				if err := sr.checkFetch(m, ci, msg); err != nil {
-					return err
-				}
-				if err := conns[ci].Send(reply); err != nil {
-					// The client redialed mid-fetch: discard the link and
-					// serve its replayed fetch on the replacement.
-					conns[ci].Close()
-					conns[ci] = nil
-					continue
-				}
-				break
-			}
-		}
-		if cfg.killAfter > 0 && m == cfg.killAfter {
-			ctl.Close()
-			for _, c := range conns {
-				if c != nil {
-					c.Close()
-				}
-			}
-			return fmt.Errorf("transport: shard %d killed by test hook after round %d", assign.ShardID, m)
-		}
+	if cfg.killAfter > 0 {
+		sr.rounds = cfg.killAfter
 	}
-	return nil
+	err = sr.run(ctl, &shardLinks{up: desk, down: desk, nDown: n})
+	if err == nil && cfg.killAfter > 0 {
+		// Every connection closes on the way out, as a dead process's do.
+		err = fmt.Errorf("transport: shard %d killed by test hook after round %d", assign.ShardID, cfg.killAfter)
+	}
+	return err
 }

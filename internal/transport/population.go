@@ -47,7 +47,7 @@
 // (localStep.run), and the aggregation runs over cohort-ordered
 // uploads, which is the engine's participant order. The routed and direct planes are
 // bit-identical to each other; population × bounded staleness is
-// rejected (the host and cohort-barrier loops run lockstep only).
+// rejected (the host loop runs lockstep only, and checkAssign says so).
 package transport
 
 import (
@@ -198,19 +198,10 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 	// goes to the hosts.
 	p.coordRun = newCoordRun(cfg, p, 0, "member", weights)
 	p.nDown = len(muxes)
-	phys := hostConns(muxes)
-	if cfg.Direct {
-		if err := p.startDirect(len(muxes)); err != nil {
-			return nil, err
-		}
-	} else {
-		p.startRouted()
-		p.copyUploads = true
-	}
-	if err := p.sendInit(phys, 0); err != nil {
+	p.copyUploads = !cfg.Direct
+	if err := p.open(hostConns(muxes), 0, len(muxes)); err != nil {
 		return nil, err
 	}
-	p.meter(phys, cfg.ShardConns)
 	return p.run()
 }
 
@@ -554,127 +545,85 @@ func (h *virtualHost) run(fan *shardFan) error {
 	return nil
 }
 
-// runDirectShardPopulation is RunDirectShard's ingest policy for the
-// population tier (ShardAssign.NumHosts > 0): the ingest plane carries
-// NumHosts host connections instead of one per client, the per-round
-// barrier covers the cohort the coordinator announces (one enveloped
-// SliceUpload per drawn member, received in ascending member order),
-// and the downlink serves ONE SliceBroadcast per host. The round itself
-// is the shared shardRound with cohort POSITIONS as barrier slots — so
-// fill candidates name positions as their client, the same positions an
-// engine run with partial participation uses, which is what keeps the
-// sharded population selection bit-identical to the engine's.
-func runDirectShardPopulation(coord Conn, assign ShardAssign, peers []Peer) error {
-	nPop := len(assign.Weights)
-	nHosts := assign.NumHosts
-	defer func() {
-		for _, p := range peers {
-			_ = p.Conn.Close()
-		}
-	}()
+// populationIngest is the population tier's shard links
+// (ShardAssign.NumHosts > 0): NumHosts host connections instead of one
+// per client, a barrier over the cohort the coordinator announces each
+// round — one enveloped SliceUpload per drawn member, in ascending
+// member order, at its cohort POSITION, so fill candidates name
+// positions as their client, the same positions an engine run with
+// partial participation uses, which keeps the sharded population
+// selection bit-identical to the engine's — and ONE fetch per host.
+func populationIngest(coord Conn, assign ShardAssign, peers []Peer) (*shardLinks, error) {
+	id, nHosts := assign.ShardID, assign.NumHosts
 	muxes := make([]*Mux, nHosts)
-	memberHost := newMemberDirectory(nPop)
+	memberHost := newMemberDirectory(len(assign.Weights))
 	for _, p := range peers {
 		d := p.HostData
 		if d == nil {
-			return fmt.Errorf("transport: shard %d: non-host peer on the population ingest plane", assign.ShardID)
+			return nil, fmt.Errorf("transport: shard %d: non-host peer on the population ingest plane", id)
 		}
-		if d.NumShards != assign.NumShards || d.Dim != assign.Dim || d.ShardID != assign.ShardID {
-			return fmt.Errorf("transport: shard %d: host %d presented a stale shard directory (%d shards over dim %d aimed at shard %d; this deployment is %d over %d)",
-				assign.ShardID, d.HostID, d.NumShards, d.Dim, d.ShardID, assign.NumShards, assign.Dim)
+		if d.NumShards != assign.NumShards || d.Dim != assign.Dim || d.ShardID != id {
+			return nil, fmt.Errorf("transport: shard %d: host %d presented a stale shard directory (%d shards over dim %d aimed at shard %d; this deployment is %d over %d)",
+				id, d.HostID, d.NumShards, d.Dim, d.ShardID, assign.NumShards, assign.Dim)
 		}
 		if d.HostID < 0 || d.HostID >= nHosts {
-			return fmt.Errorf("transport: shard %d: host id %d out of range [0, %d)", assign.ShardID, d.HostID, nHosts)
+			return nil, fmt.Errorf("transport: shard %d: host id %d out of range [0, %d)", id, d.HostID, nHosts)
 		}
 		if muxes[d.HostID] != nil {
-			return fmt.Errorf("transport: shard %d: duplicate host id %d on the ingest plane", assign.ShardID, d.HostID)
+			return nil, fmt.Errorf("transport: shard %d: duplicate host id %d on the ingest plane", id, d.HostID)
 		}
-		if err := claimRoster(memberHost, d.HostID, d.Members, fmt.Sprintf("transport: shard %d", assign.ShardID)); err != nil {
-			return err
+		if err := claimRoster(memberHost, d.HostID, d.Members, fmt.Sprintf("transport: shard %d", id)); err != nil {
+			return nil, err
 		}
 		muxes[d.HostID] = NewMux(p.Conn)
 	}
+	hosts := make(connPeers, nHosts)
 	for h, mux := range muxes {
 		if mux == nil {
-			return fmt.Errorf("transport: shard %d: no ingest connection from host %d", assign.ShardID, h)
+			return nil, fmt.Errorf("transport: shard %d: no ingest connection from host %d", id, h)
 		}
+		hosts[h] = mux
 	}
-
-	sr := newShardRound(assign, 0, "member", "host")
-	var slots []SliceUpload // per cohort position: the member's copied slice
-	var ds downSlice
-	for m := 1; m <= assign.Rounds; m++ {
+	roster := func(m int) ([]int, error) {
 		msg, err := coord.Recv()
 		if err != nil {
-			return fmt.Errorf("transport: shard %d round %d cohort recv: %w", assign.ShardID, m, err)
+			return nil, fmt.Errorf("transport: shard %d round %d cohort recv: %w", id, m, err)
 		}
-		assignMsg, ok := msg.(CohortAssign)
+		ca, ok := msg.(CohortAssign)
 		if !ok {
-			return fmt.Errorf("transport: shard %d round %d: expected CohortAssign, got %T", assign.ShardID, m, msg)
+			return nil, fmt.Errorf("transport: shard %d round %d: expected CohortAssign, got %T", id, m, msg)
 		}
-		if assignMsg.Round != m {
-			return fmt.Errorf("transport: shard %d round %d: stale cohort assign (round %d)", assign.ShardID, m, assignMsg.Round)
+		if ca.Round != m {
+			return nil, fmt.Errorf("transport: shard %d round %d: stale cohort assign (round %d)", id, m, ca.Round)
 		}
-		cohort := assignMsg.Members
-		if len(cohort) == 0 {
-			return fmt.Errorf("transport: shard %d round %d: empty cohort", assign.ShardID, m)
+		if len(ca.Members) == 0 {
+			return nil, fmt.Errorf("transport: shard %d round %d: empty cohort", id, m)
 		}
-		for len(slots) < len(cohort) {
-			slots = append(slots, SliceUpload{})
-		}
-		sr.resize(len(cohort))
-		// The cohort barrier: one enveloped slice per drawn member, in
-		// ascending member order. Each slice is copied out of its
-		// connection's decode scratch into the cohort-position slot —
-		// many members share one physical link, so the next Recv on
-		// that link would overwrite a by-reference payload.
-		for i, member := range cohort {
-			if i > 0 && member <= cohort[i-1] {
-				return fmt.Errorf("transport: shard %d round %d: cohort not strictly ascending at member %d", assign.ShardID, m, member)
+		for i, member := range ca.Members {
+			if i > 0 && member <= ca.Members[i-1] {
+				return nil, fmt.Errorf("transport: shard %d round %d: cohort not strictly ascending at member %d", id, m, member)
 			}
-			if member < 0 || member >= nPop || memberHost[member] < 0 {
-				return fmt.Errorf("transport: shard %d round %d: cohort member %d not in any host roster", assign.ShardID, m, member)
-			}
-			hid := memberHost[member]
-			msg, err := muxes[hid].recvFor(member)
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d recv member %d from host %d: %w", assign.ShardID, m, member, hid, err)
-			}
-			up, ok := msg.(SliceUpload)
-			if !ok {
-				return sr.wrongType(m, sr.peer, member, msg, "SliceUpload")
-			}
-			copySlice(&slots[i], &up)
-			if err := sr.admit(m, i, member, &slots[i]); err != nil {
-				return err
+			if member < 0 || member >= len(memberHost) || memberHost[member] < 0 {
+				return nil, fmt.Errorf("transport: shard %d round %d: cohort member %d not in any host roster", id, m, member)
 			}
 		}
-		if err := sr.seal(m, coord, &ds); err != nil {
-			return err
-		}
-		// The downlink serve: ONE fetch per host for its whole roster,
-		// answered with the shard's span of the selection. The served
-		// slices are fresh copies, never the reused seal buffers: mem
-		// conns deliver by reference, and a host with no drawn member
-		// next round sits outside the upload barrier — it can still be
-		// reading this round's slices when the shard rebuilds the
-		// buffers for the next seal. (The classic per-client plane
-		// needs no copy: every client uploads every round, so the
-		// barrier itself orders the reads before the rebuild.)
-		srv := downSlice{idx: append([]int(nil), ds.idx...), val: append([]float64(nil), ds.val...), bits: ds.bits, scale: ds.scale}
-		reply := srv.message(m, assign.ShardID)
-		for hid, mux := range muxes {
-			msg, err := mux.Recv()
-			if err != nil {
-				return fmt.Errorf("transport: shard %d round %d downlink serve recv from host %d: %w", assign.ShardID, m, hid, err)
-			}
-			if err := sr.checkFetch(m, hid, msg); err != nil {
-				return err
-			}
-			if err := mux.Send(reply); err != nil {
-				return fmt.Errorf("transport: shard %d round %d slice broadcast to host %d: %w", assign.ShardID, m, hid, err)
-			}
-		}
+		return ca.Members, nil
 	}
-	return nil
+	return &shardLinks{up: memberStreams{muxes, memberHost}, down: hosts, nDown: nHosts, roster: roster, copies: true}, nil
+}
+
+// memberStreams are a population shard's uplinks: a member's messages
+// travel enveloped on its host's connection.
+type memberStreams struct {
+	muxes      []*Mux
+	memberHost []int
+}
+
+func (s memberStreams) recv(member, _ int) (any, error) {
+	h := s.memberHost[member]
+	msg, err := s.muxes[h].recvFor(member)
+	if err != nil {
+		return nil, fmt.Errorf("via host %d: %w", h, err)
+	}
+	return msg, nil
 }

@@ -415,19 +415,9 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 		return nil, err
 	}
 	c := newCoordRun(cfg, plainPeers{conns: ordered, noun: "client"}, len(ordered), "client", weights)
-	// Assign the shard tier (if any) before releasing the clients into
-	// the round loop: shards need the client weight vector.
-	if cfg.Direct {
-		if err := c.startDirect(0); err != nil {
-			return nil, err
-		}
-	} else {
-		c.startRouted()
-	}
-	if err := c.sendInit(ordered, 0); err != nil {
+	if err := c.open(ordered, 0, 0); err != nil {
 		return nil, err
 	}
-	c.meter(ordered, cfg.ShardConns)
 	return c.run(1)
 }
 
@@ -499,31 +489,27 @@ func clientHandshake(conn Conn, cfg ClientConfig) (Init, error) {
 
 // runClient is every per-client tier after the handshake. coord is the
 // control link — the plain connection, or the durable client's
-// self-healing coordLink, passed again as link so the data plane can be
+// self-healing healLink, passed again as link so the data plane can be
 // armed the same way. An Init that carries a shard directory switches
 // the client to the direct data plane: it dials the shards, uploads
 // range slices straight to the owners and pulls the broadcast slices
 // back from them, and the coordinator link carries control scalars
 // only; an Init with a staleness window runs those rounds that many
 // deep.
-func runClient(coord Conn, cfg ClientConfig, init Init, link *coordLink) error {
+func runClient(coord Conn, cfg ClientConfig, init Init, link *healLink) error {
 	if init.Window < 0 || init.Window > MaxStaleness {
 		return fmt.Errorf("transport: client %d: init staleness window %d outside [0, %d]", cfg.ID, init.Window, MaxStaleness)
 	}
 	if len(init.Shards) == 0 {
 		return runClientRounds(coord, cfg, init, nil)
 	}
-	dial := cfg.DialShard
-	if link != nil && link.dur.RedialShard != nil {
-		dial = link.dur.RedialShard
-	}
-	fan, err := dialShards("client", cfg.ID, init.Shards, len(init.Params), dial, nil)
+	fan, err := dialShards("client", cfg.ID, init.Shards, len(init.Params), cfg.DialShard, nil)
 	if err != nil {
 		return err
 	}
 	defer fan.close()
 	if link != nil {
-		fan.makeDurable(link.dur.attempts())
+		fan.makeDurable(link.attempts)
 		link.fan = fan
 	}
 	return runClientRounds(coord, cfg, init, fan)

@@ -413,6 +413,109 @@ func TestDirectShardKillFreshRejoin(t *testing.T) {
 	}
 }
 
+// TestDataDeskCloseDrainsStagedConns stages two ingest connections for
+// one client — a redial queued behind its first link — and closes the
+// desk: neither may stay open for its peer to keep sending on.
+func TestDataDeskCloseDrainsStagedConns(t *testing.T) {
+	acc := make(chan Conn, 2)
+	defer close(acc)
+	assign := ShardAssign{ShardID: 0, NumShards: 1, Dim: 4, Rounds: 1, Weights: []float64{1}}
+	d := newDataDesk(func() (Conn, error) {
+		conn, ok := <-acc
+		if !ok {
+			return nil, errors.New("ingest closed")
+		}
+		return conn, nil
+	}, assign, time.Second)
+	peers := make([]Conn, 2)
+	for i := range peers {
+		shardSide, clientSide := NewMemPair()
+		peers[i] = clientSide
+		if err := clientSide.Send(DataHello{ClientID: 0, ShardID: 0, NumShards: 1, Dim: 4}); err != nil {
+			t.Fatal(err)
+		}
+		acc <- shardSide
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(d.ch[0]) < len(peers) {
+		if time.Now().After(deadline) {
+			t.Fatalf("desk staged %d of %d connections", len(d.ch[0]), len(peers))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d.close()
+	for i, c := range peers {
+		if err := c.Send(SliceUpload{Round: 1}); err == nil {
+			t.Errorf("staged connection %d still open after close", i)
+		}
+	}
+}
+
+// TestDataDeskReseatsReplayingClient scripts the durable shard's
+// ingest rule: a client whose data link breaks redials and
+// conservatively replays its ring, and the shard drops every replayed
+// slice whose round it already consumed. In round 1 the link breaks
+// before the fetch; in round 2 it breaks under the shard's reply, which
+// re-seats the link and answers the fetch the client replays there.
+func TestDataDeskReseatsReplayingClient(t *testing.T) {
+	assign := ShardAssign{ShardID: 0, NumShards: 1, Dim: 4, Rounds: 2, Weights: []float64{1, 1}}
+	coordServer, coordShard := NewMemPair()
+	acc := make(chan Conn, 4)
+	defer close(acc)
+	dial := func(ci int) Conn {
+		shardSide, clientSide := NewMemPair()
+		_ = clientSide.Send(DataHello{ClientID: ci, ShardID: 0, NumShards: 1, Dim: 4})
+		acc <- shardSide
+		return clientSide
+	}
+	clients := []Conn{dial(0), dial(1)}
+	done := make(chan error, 1)
+	go func() {
+		done <- RunDurableDirectShard(DurableShardConfig{RunID: 7, ShardID: 0, Addr: "mem", RejoinAttempts: 1,
+			Dial: func() (Conn, error) { return coordShard, nil },
+			AcceptData: func() (Conn, error) {
+				conn, ok := <-acc
+				if !ok {
+					return nil, errors.New("ingest closed")
+				}
+				return conn, nil
+			}})
+	}()
+	if _, err := coordServer.Recv(); err != nil { // the ShardHello
+		t.Fatal(err)
+	}
+	_ = coordServer.Send(assign)
+	for r := 1; r <= 2; r++ {
+		slices := []SliceUpload{{ClientID: 0, Round: r, Idx: []int{1}, Val: []float64{1}, Rank: []int{0}}, {ClientID: 1, Round: r}}
+		for ci, c := range clients {
+			_ = c.Send(slices[ci])
+		}
+		if msg, err := coordServer.Recv(); err != nil {
+			t.Fatalf("no round-%d result: %v (%T)", r, err, msg)
+		}
+		fetch := SliceFetch{ClientID: 0, Round: r}
+		if r == 2 {
+			// The fetch lands, the link dies before the reply.
+			_ = clients[0].Send(fetch)
+		}
+		_ = clients[0].Close()
+		clients[0] = dial(0)
+		_ = clients[0].Send(slices[0])
+		_ = clients[0].Send(fetch)
+		_ = coordServer.Send(RoundSeal{Round: r, Members: []int{1}})
+		_ = clients[1].Send(SliceFetch{ClientID: 1, Round: r})
+		for ci, c := range clients {
+			msg, err := c.Recv()
+			if sb, ok := msg.(SliceBroadcast); err != nil || !ok || sb.Round != r || len(sb.Idx) != 1 || sb.Idx[0] != 1 {
+				t.Fatalf("round %d: client %d got %+v, %v; want its broadcast slice", r, ci, msg, err)
+			}
+		}
+	}
+	if err := awaitShard(t, done, append(clients, coordServer)...); err != nil {
+		t.Fatalf("durable shard: %v", err)
+	}
+}
+
 // TestResumeRejectsBadLog pins the refusal paths of
 // ResumeDurableServer: a log written under a different configuration,
 // by a different writer kind, or for a different run must never be

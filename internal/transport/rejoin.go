@@ -7,7 +7,9 @@
 // which is all the state the two sides need to splice the new
 // connection into the middle of a run. Redo is the one coordinator-
 // initiated recovery message: it tells every client that a shard
-// restarted empty and must be re-fed the current round's slices.
+// restarted empty and must be re-fed the current round's slices. The
+// coordinator's half is RejoinDesk; the peers' half is healLink, the
+// one self-healing control link of durable clients and shards alike.
 package transport
 
 import (
@@ -148,4 +150,227 @@ func (d *RejoinDesk) Next(timeout time.Duration) (Conn, Rejoin, error) {
 // returned by Next are closed.
 func (d *RejoinDesk) Close() {
 	d.once.Do(func() { close(d.done) })
+}
+
+// healLink is a durable peer's control link to the coordinator — a
+// client's or a shard's — as a Conn that heals itself, so the roles'
+// loops run over it exactly as over a plain connection. It holds what a
+// rejoin needs and sets it from the messages it carries:
+//
+//   - rj, the Rejoin template: identity and address fixed; Round is the
+//     round of the last uplink sent, LastSeal that round once its
+//     Broadcast, RoundRelease or RoundSeal arrived;
+//   - ring, deep copies of the last rounds' uplinks — a client's Uploads
+//     and RoundMetas, a shard's ShardResults — resent from the ack's
+//     NeedFrom (a shard's fill replies are never resent: the coordinator
+//     that lost one re-queries fill when it recomputes the round);
+//   - one stale-discard rule: a downlink message for a round before the
+//     one the link acts in is a replay, and dies here.
+//
+// A client's link also carries out a Redo on its data fan.
+type healLink struct {
+	conn     Conn
+	rj       Rejoin
+	noun     string
+	ring     ring
+	dial     func() (Conn, error)
+	attempts int
+	fan      *shardFan
+}
+
+// rejoin redials the coordinator and splices this link back into the
+// run, resending the ring from the coordinator's NeedFrom.
+func (l *healLink) rejoin() error {
+	conn, err := rejoinRun(l.dial, l.attempts, l.rj, l.noun, l.ring.resend)
+	if err != nil {
+		return err
+	}
+	l.Close()
+	l.conn = conn
+	return nil
+}
+
+// Send delivers one message. A round's Upload, RoundMeta or ShardResult
+// becomes the round the link acts in and is buffered in the ring,
+// deep-copied where it carries payload (the caller reuses its buffers).
+// On failure the link rejoins and reports success: the ring resend
+// carries a lost uplink, and a lost fill reply is recomputed.
+func (l *healLink) Send(msg any) error {
+	round := -1
+	switch v := msg.(type) {
+	case Upload:
+		v.Idx = append([]int(nil), v.Idx...)
+		v.Val = append([]float64(nil), v.Val...)
+		msg, round = v, v.Round
+	case RoundMeta:
+		round = v.Round
+	case ShardResult:
+		v.Idx = append([]int(nil), v.Idx...)
+		v.Sum = append([]float64(nil), v.Sum...)
+		v.MinRank = append([]int(nil), v.MinRank...)
+		msg, round = v, v.Round
+	}
+	if round >= 0 {
+		l.rj.Round = round
+		l.ring.push(round, msg)
+	}
+	if l.conn != nil {
+		if err := l.conn.Send(msg); err == nil {
+			return nil
+		}
+		l.Close()
+	}
+	return l.rejoin()
+}
+
+// Recv returns the next control message for the round the link acts
+// in, rejoining on failure.
+func (l *healLink) Recv() (any, error) {
+	for {
+		if l.conn == nil {
+			if err := l.rejoin(); err != nil {
+				return nil, err
+			}
+		}
+		msg, err := l.conn.Recv()
+		if err != nil {
+			l.Close()
+			continue
+		}
+		round, seals := -1, true
+		switch v := msg.(type) {
+		case Broadcast:
+			round = v.Round
+		case RoundRelease:
+			round = v.Round
+		case RoundSeal:
+			round = v.Round
+		case FillQuery:
+			round, seals = v.Round, false
+		case Redo:
+			if l.fan == nil {
+				return msg, nil
+			}
+			if err := l.fan.redo(v); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if round >= 0 && round < l.rj.Round {
+			continue
+		}
+		if seals && round == l.rj.Round {
+			l.rj.LastSeal = round
+		}
+		return msg, nil
+	}
+}
+
+// Close drops the current connection; the next Send or Recv rejoins.
+func (l *healLink) Close() error {
+	if l.conn == nil {
+		return nil
+	}
+	err := l.conn.Close()
+	l.conn = nil
+	return err
+}
+
+// rejoinRun is the surviving peer's half of the Rejoin handshake:
+// redial the coordinator, send rj, await the ack (deadline-bounded),
+// and resend whatever the ack's NeedFrom asks for. Bounded attempts;
+// dial-level retry lives inside dial. A coordinator running a different
+// run is final, not retried.
+func rejoinRun(dial func() (Conn, error), attempts int, rj Rejoin, noun string,
+	resend func(conn Conn, needFrom int) error) (Conn, error) {
+
+	var lastErr error
+	for attempt := 0; attempt < attempts; attempt++ {
+		conn, err := dial()
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if lastErr = conn.Send(rj); lastErr != nil {
+			conn.Close()
+			continue
+		}
+		msg, err := recvHandshake(conn)
+		if err != nil {
+			conn.Close()
+			lastErr = err
+			continue
+		}
+		ack, ok := msg.(RejoinAck)
+		if !ok {
+			conn.Close()
+			lastErr = fmt.Errorf("expected RejoinAck, got %T", msg)
+			continue
+		}
+		if ack.RunID != rj.RunID {
+			conn.Close()
+			return nil, fmt.Errorf("transport: %s %d rejoined run %#x, coordinator is running %#x", noun, rj.ID, rj.RunID, ack.RunID)
+		}
+		if lastErr = resend(conn, ack.NeedFrom); lastErr != nil {
+			conn.Close()
+			continue
+		}
+		return conn, nil
+	}
+	return nil, fmt.Errorf("transport: %s %d could not rejoin the coordinator after %d attempts: %v", noun, rj.ID, attempts, lastErr)
+}
+
+// ringDepth is how many rounds of sent messages each durable link
+// buffers for rejoin resends. Two is exactly what recovery can owe: a
+// peer can be at most one full round behind the sender's current one.
+const ringDepth = 2
+
+// ringEntry is one round's buffered messages on one link.
+type ringEntry struct {
+	round int
+	msgs  []any
+}
+
+// ring is the fixed-depth resend buffer.
+type ring struct {
+	entries []ringEntry
+}
+
+// push appends msg to round's entry, opening (and trimming) as needed.
+func (r *ring) push(round int, msg any) {
+	n := len(r.entries)
+	if n == 0 || r.entries[n-1].round != round {
+		if n == ringDepth {
+			copy(r.entries, r.entries[1:])
+			r.entries[n-1] = ringEntry{round: round}
+		} else {
+			r.entries = append(r.entries, ringEntry{round: round})
+		}
+		n = len(r.entries)
+	}
+	r.entries[n-1].msgs = append(r.entries[n-1].msgs, msg)
+}
+
+// resend replays every buffered message with round >= needFrom, oldest
+// first, onto conn.
+func (r *ring) resend(conn Conn, needFrom int) error {
+	for _, e := range r.entries {
+		if e.round < needFrom {
+			continue
+		}
+		for _, m := range e.msgs {
+			if err := conn.Send(m); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// oldest returns the oldest buffered round (0 when empty).
+func (r *ring) oldest() int {
+	if len(r.entries) == 0 {
+		return 0
+	}
+	return r.entries[0].round
 }

@@ -198,22 +198,40 @@ func (c *coordRun) startRouted() {
 	c.seen = make([]int, dim)
 }
 
-// startDirect is the direct plane's preamble, the same on every tier:
-// build the selection state and assign the partition (numHosts > 0
-// announces the population tier's M:N ingest plane to the shards). The
-// shard directory the clients will dial was checked with the rest of
-// the configuration (ServerConfig.check).
-func (c *coordRun) startDirect(numHosts int) error {
+// open is every coordinator's start sequence: set up the plane (the
+// direct plane assigns the partition first — shards need the weight
+// vector; numHosts > 0 announces the population tier's M:N ingest plane
+// to them), release the enrolled peers into the round loop with the
+// Init (weights, run parameters and, in direct mode, the shard
+// directory ServerConfig.check validated), and start the byte meter.
+func (c *coordRun) open(peers []Conn, runID uint64, numHosts int) error {
 	cfg := c.cfg
 	dim := len(cfg.InitialParams)
-	g, err := newDirectGroup(cfg.ShardConns, dim, c.weights, cfg.QuantBits)
-	if err != nil {
-		return err
+	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds, QuantBits: cfg.QuantBits,
+		RunID: runID, Window: cfg.Staleness}
+	if cfg.Direct {
+		g, err := newDirectGroup(cfg.ShardConns, dim, c.weights, cfg.QuantBits)
+		if err != nil {
+			return err
+		}
+		c.group = g
+		assign := directAssign(len(cfg.ShardConns), dim, cfg.Rounds, c.weights, cfg.QuantBits)
+		assign.Window, assign.NumHosts = cfg.Staleness, numHosts
+		if err := g.assign(assign); err != nil {
+			return err
+		}
+		init.Shards = cfg.ShardAddrs
+	} else {
+		c.startRouted()
 	}
-	c.group = g
-	assign := directAssign(len(cfg.ShardConns), dim, cfg.Rounds, c.weights, cfg.QuantBits)
-	assign.Window, assign.NumHosts = cfg.Staleness, numHosts
-	return g.assign(assign)
+	var msg any = init
+	for id, conn := range peers {
+		if err := conn.Send(msg); err != nil {
+			return fmt.Errorf("transport: send init to %s %d: %w", c.noun, id, err)
+		}
+	}
+	c.meter(peers, cfg.ShardConns)
+	return nil
 }
 
 // directAssign is the one constructor of a ShardAssign; the caller adds
@@ -222,25 +240,6 @@ func (c *coordRun) startDirect(numHosts int) error {
 func directAssign(nShards, dim, rounds int, weights []float64, quantBits int) ShardAssign {
 	return ShardAssign{NumShards: nShards, Dim: dim, Rounds: rounds,
 		Weights: append([]float64(nil), weights...), QuantBits: quantBits}
-}
-
-// sendInit releases the enrolled peers into the round loop: the
-// synchronized weights and run parameters, plus — in direct mode — the
-// shard directory that switches them onto the direct data plane.
-func (c *coordRun) sendInit(conns []Conn, runID uint64) error {
-	cfg := c.cfg
-	init := Init{Params: cfg.InitialParams, K: cfg.K, Rounds: cfg.Rounds, QuantBits: cfg.QuantBits,
-		RunID: runID, Window: cfg.Staleness}
-	if cfg.Direct {
-		init.Shards = cfg.ShardAddrs
-	}
-	var msg any = init
-	for id, conn := range conns {
-		if err := conn.Send(msg); err != nil {
-			return fmt.Errorf("transport: send init to %s %d: %w", c.noun, id, err)
-		}
-	}
-	return nil
 }
 
 // meter starts the byte meter over the run's live connection groups,

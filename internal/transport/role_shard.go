@@ -9,28 +9,29 @@ import (
 	"fedsparse/internal/tensor"
 )
 
-// This file is the direct-plane shard's round, written once. Every tier
-// — the ordered barrier at any staleness window (direct.go), the
+// This file is the direct-plane shard's round and its one loop. Every
+// tier — the ordered barrier at any staleness window (direct.go), the
 // re-seating desk (durable_shard.go), the cohort over host muxes
-// (population.go) — runs the same three steps on the same state and
-// differs only in its ingest policy: which slices it hands to admit and
-// when, over what control link it seals, and how it reads the fetches
-// it answers.
+// (population.go) — runs shardRound.run and supplies only its
+// shardLinks: where slices arrive and fetches are answered, who uploads
+// each round, and whether payloads are copied. The control link is a
+// plain Conn, or the durable healLink (rejoin.go).
 //
 //	admit       one validated SliceUpload into the round's barrier
 //	seal        reduce → ShardResult → FillQuery*/RoundSeal → downlink slice
-//	checkFetch  one validated SliceFetch, which the tier answers from
-//	            the sealed slice
+//	checkFetch  one validated SliceFetch, answered from the sealed slice
 
-// shardRound is one direct shard's per-run round state: the reduction
-// scratch, the barrier's upload slots, and the dedupe slab. Slots are
-// barrier positions (the client ID on the per-client planes, the cohort
-// position on the population plane); who is the identity a slot is
-// filled by, which indexes the weights and names the peer in errors.
+// shardRound is one direct shard's per-run round state: the loop's
+// bounds, the reduction scratch, the barrier's upload slots, and the
+// dedupe slab. Slots are barrier positions (the client ID on the
+// per-client planes, the cohort position on the population plane); who
+// is the identity a slot is filled by, which indexes the weights and
+// names the peer in errors.
 type shardRound struct {
-	shardID, quantBits int
-	lo, hi             int
-	weights            []float64
+	shardID, quantBits    int
+	lo, hi                int
+	start, rounds, window int
+	weights               []float64
 	// peer names an uploader and fetcher a downlink reader in errors:
 	// "client" for both, or "member" and "host" on the population plane.
 	peer, fetcher string
@@ -46,6 +47,33 @@ type shardRound struct {
 	fillClient, fillIdx []int
 	fillAbs             []float64
 }
+
+// shardLinks is what distinguishes one shard tier from another.
+type shardLinks struct {
+	// up yields uploader who's next message; down reads fetcher f's
+	// fetch and sends it the reply, for fetchers 0..nDown-1. A healing
+	// implementation re-seats a broken link and drops stale resends
+	// inside the call. Errors come back for the round to name.
+	up    interface{ recv(who, m int) (any, error) }
+	down  peerLinks
+	nDown int
+	// roster returns round m's uploaders in barrier order; nil is every
+	// client by ID.
+	roster func(m int) ([]int, error)
+	// copies is the population plane's: members share one link's decode
+	// scratch, so each admitted slice is copied into its position's
+	// slot; and a host with no drawn member sits outside the next
+	// round's barrier, so it may still be reading a served slice when
+	// the next seal rebuilds it — every served slice is a fresh copy.
+	copies bool
+	slots  []SliceUpload
+}
+
+// connPeers are a shard's links that never heal: one Conn per peer.
+type connPeers []Conn
+
+func (c connPeers) recv(id, _ int) (any, error)   { return c[id].Recv() }
+func (c connPeers) send(id, _ int, msg any) error { return c[id].Send(msg) }
 
 // downSlice is a sealed round's broadcast slice as a shard serves it:
 // the selected members of its range, the values reconstructed from its
@@ -69,6 +97,7 @@ func newShardRound(assign ShardAssign, slots int, peer, fetcher string) *shardRo
 	lo, hi := tensor.ChunkBounds(assign.Dim, assign.NumShards, assign.ShardID)
 	sr := &shardRound{
 		shardID: assign.ShardID, quantBits: assign.QuantBits, lo: lo, hi: hi,
+		start: max(assign.StartRound, 1), rounds: assign.Rounds, window: assign.Window,
 		weights: assign.Weights, peer: peer, fetcher: fetcher,
 		scratch: gs.NewAggScratch(0),
 		seen:    make([]int, assign.Dim),
@@ -88,15 +117,120 @@ func (sr *shardRound) resize(slots int) {
 	sr.uploads, sr.ranks = sr.uploads[:slots], sr.ranks[:slots]
 }
 
-// checkAssign is the shard runners' shared validation of the
-// coordinator's assignment.
-func checkAssign(assign ShardAssign) error {
-	if assign.NumShards < 1 || assign.ShardID < 0 || assign.ShardID >= assign.NumShards {
-		return fmt.Errorf("transport: shard id %d out of range [0, %d)", assign.ShardID, assign.NumShards)
+// checkAssign is every shard entry point's validation of the
+// coordinator's assignment. The durable shard's coordinator is lockstep
+// and per-client, so it also refuses a window and population hosts.
+func checkAssign(assign ShardAssign, durable bool) error {
+	id := assign.ShardID
+	if assign.NumShards < 1 || id < 0 || id >= assign.NumShards {
+		return fmt.Errorf("transport: shard id %d out of range [0, %d)", id, assign.NumShards)
 	}
 	if assign.Dim < 1 || assign.Rounds < 0 || len(assign.Weights) == 0 {
 		return fmt.Errorf("transport: bad shard assignment (dim=%d rounds=%d clients=%d)",
 			assign.Dim, assign.Rounds, len(assign.Weights))
+	}
+	if assign.Window < 0 || assign.Window > MaxStaleness {
+		return fmt.Errorf("transport: shard %d assigned staleness window %d outside [0, %d]", id, assign.Window, MaxStaleness)
+	}
+	if assign.NumHosts > 0 && assign.Window != 0 {
+		return fmt.Errorf("transport: shard %d: the population tier requires the synchronous protocol (window %d)", id, assign.Window)
+	}
+	if durable && assign.Window != 0 {
+		return fmt.Errorf("transport: shard %d: the durable tier requires the synchronous protocol (window %d)", id, assign.Window)
+	}
+	if durable && assign.NumHosts > 0 {
+		return fmt.Errorf("transport: shard %d: the durable tier is per-client, not %d population hosts", id, assign.NumHosts)
+	}
+	return nil
+}
+
+// run is the shard's round loop on every tier, W = the assigned window
+// rounds deep: step m admits round m's slices and seals them into a
+// ring of W+1 downlink slices, then serves round m−W's fetches; steps
+// past Rounds only drain. Each link's message order across rounds is
+// therefore fixed — SliceUpload(m), SliceFetch(m−W), SliceUpload(m+1),
+// … — so a duplicated or early upload or fetch surfaces as a type or
+// round mismatch at the next read, never as a silent double-count, and
+// no client gets more than W rounds ahead of the slowest: its fetch for
+// round m−W is answered only after round m sealed. A dead uploader
+// errors the barrier and a dead fetcher the serve, instead of wedging
+// the peers that already got through.
+//
+// Reusing a ring slot and sharing one boxed reply among all fetchers is
+// safe: slot m is next rebuilt at the seal of round m+W+1, which needs
+// every uploader's round-m+W+1 slice — and a client sends that only
+// after it applied round m's broadcast.
+func (sr *shardRound) run(ctl Conn, in *shardLinks) error {
+	w := sr.window
+	ring := make([]downSlice, w+1)
+	for m := sr.start; m <= sr.rounds+w; m++ {
+		if m <= sr.rounds {
+			if err := sr.ingest(m, in); err != nil {
+				return err
+			}
+			if err := sr.seal(m, ctl, &ring[m%(w+1)]); err != nil {
+				return err
+			}
+		}
+		r := m - w
+		if r < sr.start {
+			continue
+		}
+		ds := ring[r%(w+1)]
+		if in.copies {
+			ds.idx, ds.val = append([]int(nil), ds.idx...), append([]float64(nil), ds.val...)
+		}
+		reply := ds.message(r, sr.shardID)
+		for f := 0; f < in.nDown; f++ {
+			msg, err := in.down.recv(f, r)
+			if err != nil {
+				return fmt.Errorf("transport: shard %d round %d downlink serve recv from %s %d: %w", sr.shardID, r, sr.fetcher, f, err)
+			}
+			if err := sr.checkFetch(r, f, msg); err != nil {
+				return err
+			}
+			if err := in.down.send(f, r, reply); err != nil {
+				return fmt.Errorf("transport: shard %d round %d slice broadcast to %s %d: %w", sr.shardID, r, sr.fetcher, f, err)
+			}
+		}
+	}
+	return nil
+}
+
+// ingest is round m's barrier: one validated SliceUpload from every
+// uploader on the round's roster, read in roster order — the
+// reduction's client order. A slice is admitted by reference to its
+// link's decode scratch (nothing reads that link again before the
+// seal), or through its slot when the links copy.
+func (sr *shardRound) ingest(m int, in *shardLinks) error {
+	var ids []int
+	if in.roster != nil {
+		var err error
+		if ids, err = in.roster(m); err != nil {
+			return err
+		}
+		sr.resize(len(ids))
+	}
+	for i := range sr.uploads {
+		who := uploader(ids, i)
+		msg, err := in.up.recv(who, m)
+		if err != nil {
+			return fmt.Errorf("transport: shard %d round %d recv from %s %d: %w", sr.shardID, m, sr.peer, who, err)
+		}
+		up, ok := msg.(SliceUpload)
+		if !ok {
+			return sr.wrongType(m, sr.peer, who, msg, "SliceUpload")
+		}
+		if in.copies {
+			for len(in.slots) <= i {
+				in.slots = append(in.slots, SliceUpload{})
+			}
+			copySlice(&in.slots[i], &up)
+			up = in.slots[i]
+		}
+		if err := sr.admit(m, i, who, &up); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -109,10 +243,7 @@ func (sr *shardRound) wrongType(m int, noun string, who int, msg any, want strin
 // admit validates who's round-m slice — round, identity, width, then
 // range, duplicates, rank order and finiteness (gs.ValidateRangeSlice)
 // — and binds it to barrier slot pos BY REFERENCE: the reduction reads
-// up's own buffers. The per-client tiers therefore pass the codec's
-// decode scratch straight through (nothing reads the connection again
-// before the seal); the population tier, whose members share one link,
-// copies first (copySlice) and admits the copy.
+// up's own buffers.
 func (sr *shardRound) admit(m, pos, who int, up *SliceUpload) error {
 	if up.Round != m {
 		return fmt.Errorf("transport: shard %d round %d: stale slice from %s %d (round %d) — duplicate or skipped upload",
@@ -152,8 +283,7 @@ func copySlice(dst, src *SliceUpload) {
 // here, before any reader sees it — snapped onto the seal's global
 // grid when the run quantizes (every shard snaps against the same
 // (bits, scale), so the reassembled B is the engine's quantized
-// aggregate bit for bit). ctl is the coordinator link: a plain Conn, or
-// the durable shardCtl, which heals itself and drops stale replays.
+// aggregate bit for bit).
 func (sr *shardRound) seal(m int, ctl Conn, ds *downSlice) error {
 	red := gs.RangeReduceInto(sr.scratch, sr.uploads, sr.ranks, sr.lo, sr.hi)
 	var res any = ShardResult{Round: m, ShardID: sr.shardID, Idx: red.Idx, Sum: red.Sum, MinRank: red.MinRank}
@@ -209,7 +339,7 @@ func (sr *shardRound) seal(m int, ctl Conn, ds *downSlice) error {
 }
 
 // checkFetch validates one downlink request: msg must be who's SliceFetch
-// for round m. The tier answers it with the sealed slice's message.
+// for round m.
 func (sr *shardRound) checkFetch(m, who int, msg any) error {
 	f, ok := msg.(SliceFetch)
 	if !ok {

@@ -11,21 +11,43 @@ import (
 
 // TestRunShardRejectsBadAssign covers a shard's validation of its
 // assignment (checkAssign, shared by RunDirectShard and the durable
-// shard): it must fail before the shard accepts a single client.
+// shard): it must fail before the shard accepts a single client, with
+// the same words on both entry points. The durable shard's coordinator
+// is lockstep and per-client, so it alone also refuses a window and
+// population hosts.
 func TestRunShardRejectsBadAssign(t *testing.T) {
 	cases := []struct {
-		name   string
-		assign ShardAssign
+		name        string
+		assign      ShardAssign
+		want        string
+		durableOnly bool
 	}{
-		{"id out of range", ShardAssign{ShardID: 3, NumShards: 2, Dim: 10, Rounds: 1, Weights: []float64{1}}},
-		{"no shards", ShardAssign{ShardID: 0, NumShards: 0, Dim: 10, Rounds: 1, Weights: []float64{1}}},
-		{"no clients", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1}},
-		{"bad dim", ShardAssign{ShardID: 0, NumShards: 1, Dim: 0, Rounds: 1, Weights: []float64{1}}},
+		{"id out of range", ShardAssign{ShardID: 3, NumShards: 2, Dim: 10, Rounds: 1, Weights: []float64{1}}, "shard id 3 out of range [0, 2)", false},
+		{"no shards", ShardAssign{ShardID: 0, NumShards: 0, Dim: 10, Rounds: 1, Weights: []float64{1}}, "shard id 0 out of range [0, 0)", false},
+		{"no clients", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1}, "bad shard assignment", false},
+		{"bad dim", ShardAssign{ShardID: 0, NumShards: 1, Dim: 0, Rounds: 1, Weights: []float64{1}}, "bad shard assignment", false},
+		{"window past the cap", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: MaxStaleness + 1},
+			"shard 0 assigned staleness window 9 outside [0, 8]", false},
+		{"negative window", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: -1},
+			"shard 0 assigned staleness window -1 outside [0, 8]", false},
+		{"population with a window", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, NumHosts: 1, Window: 1},
+			"shard 0: the population tier requires the synchronous protocol (window 1)", false},
+		{"durable with a window", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: 1},
+			"shard 0: the durable tier requires the synchronous protocol (window 1)", true},
+		{"durable with population hosts", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, NumHosts: 2},
+			"shard 0: the durable tier is per-client, not 2 population hosts", true},
 	}
+	durable := shardTierNamed("durable")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := directShardHarness(t, tc.assign, func(int) []Peer { return nil }, nil); err == nil {
-				t.Fatal("bad assignment accepted")
+			errs := map[string]error{"durable": durable.run(t, tc.assign, func(_, _ []Conn, _ Conn) {})}
+			if !tc.durableOnly {
+				errs["plain"] = directShardHarness(t, tc.assign, func(int) []Peer { return nil }, nil)
+			}
+			for entry, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s shard: error %v, want substring %q", entry, err, tc.want)
+				}
 			}
 		})
 	}

@@ -43,8 +43,11 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # The staleness window is the lockstep loops run W rounds deep, so a
 # W >= 1 run is a pure function of the seeds: its twin grid, straggler,
 # cap and ingest-order suites run repeatedly under the race detector at
-# several GOMAXPROCS, where a scheduling dependence would show.
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness' ./internal/transport
+# several GOMAXPROCS, where a scheduling dependence would show. One
+# shard loop serves all four shard tiers (lockstep, windowed, durable,
+# population), so their hostile-input tables, the shard kill + fresh
+# rejoin and the durable ingest desk ride along.
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk' ./internal/transport
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
