@@ -165,10 +165,11 @@
 // member's traffic in MuxFrames over a goroutine-free Mux demultiplexer,
 // and RunPopulationServer draws each round's cohort with the same
 // exported sampler (CohortSampler) and materializes only the drawn
-// members. Host-side member state (error-feedback residual, rng stream)
-// materializes lazily at first draw — an undrawn member costs nothing —
-// so populations of 100k–1M virtual clients run over hosts × shards
-// physical connections. NewPopulationView serves per-member non-i.i.d.
+// members. A host runs RunClient's round loop with each round's drawn
+// cohort as its roster; member state (error-feedback residual, rng
+// stream) materializes at first draw — an undrawn member costs no
+// allocation — so populations of 100k–1M virtual clients run over
+// hosts × shards physical connections. NewPopulationView serves per-member non-i.i.d.
 // dataset shards at the same scale: O(1) zero-copy windows over a
 // class-grouped arrangement. Cohort-sampled trajectories are pinned
 // bit-identical between the engine and both wire data planes; see

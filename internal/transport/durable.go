@@ -168,7 +168,7 @@ func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerCo
 	if cfg.Direct {
 		s.healShards()
 	}
-	return s.run(1)
+	return s.run(1, nil)
 }
 
 // ResumeDurableServer restarts a crashed coordinator from its replayed
@@ -269,7 +269,7 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 		}
 		next++
 	}
-	return s.run(next)
+	return s.run(next, nil)
 }
 
 // checkDurable validates what both durable entry points need.

@@ -43,7 +43,11 @@ func RunDurableClient(conn Conn, cfg ClientConfig, dur DurableClientConfig) erro
 	if dur.Redial == nil {
 		return fmt.Errorf("transport: client %d: durable client needs a Redial hook", cfg.ID)
 	}
-	init, err := clientHandshake(conn, cfg)
+	if dur.RedialShard != nil {
+		cfg.DialShard = dur.RedialShard
+	}
+	p := asParticipant(cfg)
+	init, err := clientHandshake(conn, p)
 	if err != nil {
 		return err
 	}
@@ -52,10 +56,7 @@ func RunDurableClient(conn Conn, cfg ClientConfig, dur DurableClientConfig) erro
 	}
 	link := &healLink{conn: conn, rj: Rejoin{RunID: init.RunID, Kind: RejoinClient, ID: cfg.ID},
 		noun: "client", dial: dur.Redial, attempts: dur.attempts()}
-	if dur.RedialShard != nil {
-		cfg.DialShard = dur.RedialShard
-	}
-	return runClient(link, cfg, init, link)
+	return runClient(link, p, init, link)
 }
 
 // makeDurable arms the fan's links for recovery: each keeps a ring of

@@ -99,7 +99,11 @@ func (m *Mux) recvFor(vid int) (any, error) {
 			}
 		} else if q := m.queues[vid]; len(q) > 0 {
 			msg := q[0]
-			m.queues[vid] = q[1:]
+			if len(q) == 1 {
+				delete(m.queues, vid) // a drained ID keeps no entry
+			} else {
+				m.queues[vid] = q[1:]
+			}
 			return msg, nil
 		}
 		if m.err != nil {

@@ -77,6 +77,14 @@ func TestMuxInterleavedVirtualStreams(t *testing.T) {
 			if up := msg.(Upload); up.ClientID != 0 {
 				t.Fatalf("vid 0 got client %d", up.ClientID)
 			}
+			// Drained streams leave nothing behind: a population
+			// coordinator or shard sees every drawn member once.
+			mb.mu.Lock()
+			parked := len(mb.queues)
+			mb.mu.Unlock()
+			if parked != 0 {
+				t.Fatalf("%d virtual IDs still hold a queue entry after every stream drained", parked)
+			}
 		})
 	}
 }

@@ -10,8 +10,9 @@
 //     from the population with exactly the engine's Fisher–Yates
 //     (fl.CohortSampler — one implementation, shared) and only the
 //     drawn members compute, upload, and are materialized anywhere.
-//     Hosts keep per-member state (error-feedback residual, rng) lazily:
-//     a member costs nothing until its first draw.
+//     A host keeps per-member state (error-feedback residual, rng) in
+//     one slice over its roster, filled at the member's first draw: an
+//     undrawn member costs no allocation.
 //   - Churn and dropouts. The drawable population may change between
 //     rounds (join/leave schedules) and drawn members may miss the
 //     round's deadline (dropout schedules); both follow the engine's
@@ -41,13 +42,16 @@
 //	hosts ◀─RoundRelease── coordinator; hosts ──SliceFetch──▶ shards (ONE per host)
 //	hosts ◀─SliceBroadcast── shards               (ONE per host per shard)
 //
+// The tier has no round loop of its own, only a roster: a host runs the
+// client's loop (runClientRounds) over each round's CohortAssign, and
+// the coordinator runs coordRun.run with drawRound as its roster.
 // Cohort-sampled trajectories are bit-identical to fl.Run with the same
-// Cohort/Churn/Dropout/Seed: the draw shares the engine's code, hosts
-// run every client tier's one local step per drawn member
-// (localStep.run), and the aggregation runs over cohort-ordered
-// uploads, which is the engine's participant order. The routed and direct planes are
-// bit-identical to each other; population × bounded staleness is
-// rejected (the host loop runs lockstep only, and checkAssign says so).
+// Cohort/Churn/Dropout/Seed: the draw shares the engine's code, a drawn
+// member runs every client's one local step (localStep.run), and the
+// aggregation runs over cohort-ordered uploads, which is the engine's
+// participant order. The routed and direct planes are bit-identical to
+// each other; population × bounded staleness is refused by name
+// (RunPopulationServer, checkAssign, RunVirtualHost).
 package transport
 
 import (
@@ -57,7 +61,6 @@ import (
 	"fedsparse/internal/dataset"
 	"fedsparse/internal/fl"
 	"fedsparse/internal/nn"
-	"fedsparse/internal/sparse"
 )
 
 // Population tier message types.
@@ -147,7 +150,7 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 	}
 
 	// Seat hosts by declared ID and stitch the global member directory.
-	muxes := make([]*Mux, len(hosts))
+	muxes, conns := make([]*Mux, len(hosts)), make([]Conn, len(hosts))
 	seated := make([]*HostHello, len(hosts))
 	nPop := 0
 	for _, p := range hosts {
@@ -165,7 +168,7 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 			return nil, fmt.Errorf("transport: host %d roster shape %d members / %d weights",
 				h.HostID, len(h.Members), len(h.Weights))
 		}
-		muxes[h.HostID] = NewMux(p.Conn)
+		muxes[h.HostID], conns[h.HostID] = NewMux(p.Conn), p.Conn
 		seated[h.HostID] = h
 		nPop += len(h.Members)
 	}
@@ -199,10 +202,10 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 	p.coordRun = newCoordRun(cfg, p, 0, "member", weights)
 	p.nDown = len(muxes)
 	p.copyUploads = !cfg.Direct
-	if err := p.open(hostConns(muxes), 0, len(muxes)); err != nil {
+	if err := p.open(conns, 0, len(muxes)); err != nil {
 		return nil, err
 	}
-	return p.run()
+	return p.run(1, p.drawRound)
 }
 
 // newMemberDirectory returns the member → host map of a population of
@@ -234,9 +237,9 @@ func claimRoster(memberHost []int, hid int, members []int, where string) error {
 	return nil
 }
 
-// popServer is the coordinator's population tier around the shared
-// round bodies (coordRun, role_coord.go): it supplies the roster — a
-// cohort drawn per round — and the links: a drawn member is heard on
+// popServer is the coordinator's population tier around the one round
+// loop (coordRun.run, role_coord.go): it supplies the roster — a cohort
+// drawn per round (drawRound) — and the links: a drawn member is heard on
 // its enveloped stream of its host's connection, and the downlink goes
 // to each host ONCE, un-enveloped, for its whole roster. Population
 // changes WHO uploads each round, not how a round is gathered,
@@ -265,15 +268,15 @@ func (p *popServer) send(h, m int, msg any) error {
 	return nil
 }
 
-// drawRound advances the sampler and sends every host its CohortAssign
-// (and, in direct mode, every shard the full cohort). The sent member
-// slices are fresh copies: in-memory conns deliver by reference and the
-// receiver holds its assign across the whole round, while these
-// buffers are rebuilt next round.
-func (p *popServer) drawRound(m int) ([]int, cohortDraw, error) {
+// drawRound is the population's roster: it advances the sampler and
+// sends every host its CohortAssign (and, in direct mode, every shard
+// the full cohort). The sent member slices are fresh copies: in-memory
+// conns deliver by reference and the receiver holds its assign across
+// the whole round, while these buffers are rebuilt next round.
+func (p *popServer) drawRound(m int) ([]int, *cohortDraw, error) {
 	cohort, population, drawn, churnEvents, err := p.sampler.Draw(m, p.cfg.Population.DrawRng)
 	if err != nil {
-		return nil, cohortDraw{}, err
+		return nil, nil, err
 	}
 	for h := range p.hostDrawn {
 		p.hostDrawn[h] = p.hostDrawn[h][:0]
@@ -285,51 +288,41 @@ func (p *popServer) drawRound(m int) ([]int, cohortDraw, error) {
 	for h, mux := range p.muxes {
 		assign := CohortAssign{Round: m, Members: append([]int(nil), p.hostDrawn[h]...)}
 		if err := mux.Send(assign); err != nil {
-			return nil, cohortDraw{}, fmt.Errorf("transport: round %d cohort assign to host %d: %w", m, h, err)
+			return nil, nil, fmt.Errorf("transport: round %d cohort assign to host %d: %w", m, h, err)
 		}
 	}
 	if p.cfg.Direct {
 		for s, conn := range p.cfg.ShardConns {
 			assign := CohortAssign{Round: m, Members: append([]int(nil), cohort...)}
 			if err := conn.Send(assign); err != nil {
-				return nil, cohortDraw{}, fmt.Errorf("transport: round %d cohort assign to shard %d: %w", m, s, err)
+				return nil, nil, fmt.Errorf("transport: round %d cohort assign to shard %d: %w", m, s, err)
 			}
 		}
 	}
-	return cohort, cohortDraw{population: population, drawn: drawn, churnEvents: churnEvents}, nil
+	return cohort, &cohortDraw{population: population, drawn: drawn, churnEvents: churnEvents}, nil
 }
 
-// run is the population round loop on both planes: draw the cohort,
-// then the shared round body over it — weighted by the cohort's own
-// total, the engine's per-round participant normalization.
-func (p *popServer) run() ([]RoundRecord, error) {
-	for m := 1; m <= p.cfg.Rounds; m++ {
-		p.startRound(m)
-		cohort, draw, err := p.drawRound(m)
-		if err != nil {
-			return p.records, err
-		}
-		var partWeight float64
-		for _, member := range cohort {
-			partWeight += p.weights[member]
-		}
-		rec, err := p.roundBody(m, cohort, partWeight)
-		if err != nil {
-			return p.records, err
-		}
-		p.finish(rec, len(cohort), &draw)
+// recvCohort reads round m's CohortAssign off link and checks what every
+// reader needs — the type, the round, strictly ascending members; who
+// and id name the reader, which adds its own membership check.
+func recvCohort(link Conn, who string, id, m int) ([]int, error) {
+	msg, err := link.Recv()
+	if err != nil {
+		return nil, fmt.Errorf("transport: %s %d round %d cohort recv: %w", who, id, m, err)
 	}
-	return p.records, nil
-}
-
-// hostConns unwraps the physical connections under the host muxes for
-// byte metering.
-func hostConns(muxes []*Mux) []Conn {
-	conns := make([]Conn, len(muxes))
-	for i, m := range muxes {
-		conns[i] = m.phys
+	ca, ok := msg.(CohortAssign)
+	if !ok {
+		return nil, fmt.Errorf("transport: %s %d round %d: expected CohortAssign, got %T", who, id, m, msg)
 	}
-	return conns
+	if ca.Round != m {
+		return nil, fmt.Errorf("transport: %s %d round %d: stale cohort assign (round %d)", who, id, m, ca.Round)
+	}
+	for i, member := range ca.Members {
+		if i > 0 && member <= ca.Members[i-1] {
+			return nil, fmt.Errorf("transport: %s %d round %d: cohort not strictly ascending at member %d", who, id, m, member)
+		}
+	}
+	return ca.Members, nil
 }
 
 // HostConfig parameterizes one virtual-client host: a process that
@@ -362,187 +355,37 @@ type HostConfig struct {
 	DialShard func(addr string) (Conn, error)
 }
 
-// vcState is one population member's private state, materialized
-// lazily at the member's first draw. Everything else a classic client
-// owns (model weights, batch buffers, top-k scratch) is shared across
-// the roster.
-type vcState struct {
-	acc   []float64  // error-feedback residual
-	rng   *rand.Rand // the member's private rng stream
-	data  *dataset.Dataset
-	pairs sparse.Vec // the member's upload buffer (stable within a round)
-	// Per-shard slice buffers (direct mode): referenced by the wire
-	// until the shard's barrier copies them, so they must survive
-	// until this member's next draw.
-	bufs sliceBufs
-}
-
 // RunVirtualHost executes one virtual-client host against a population
-// coordinator: handshake with the roster, then per round receive the
-// drawn cohort, run each drawn member's local computation (the shared
-// localStep: minibatch gradient into the member's residual, the
-// probe-sample rng draw, top-k extraction, quantization), upload per
-// member over the shared links, and apply the round's broadcast ONCE
-// to the shared model (then fold each drawn member's upload out of its
-// residual). Undrawn members cost nothing per round and stay
-// synchronized by construction.
+// coordinator: handshake with the roster, then the participant's one
+// round loop (runClientRounds) over it — each round's members are the
+// drawn cohort the coordinator assigns, each runs the shared local step
+// on its own residual and rng and uploads on its enveloped stream, and
+// the round's broadcast is applied ONCE to the roster's shared model.
+// Undrawn members cost nothing per round and stay synchronized by
+// construction.
 func RunVirtualHost(coord Conn, cfg HostConfig) error {
 	if len(cfg.Members) == 0 {
 		return fmt.Errorf("transport: host %d has an empty roster", cfg.HostID)
 	}
+	hello := HostHello{HostID: cfg.HostID, Members: cfg.Members, Weights: make([]float64, len(cfg.Members))}
 	for i, member := range cfg.Members {
 		if member < 0 || (i > 0 && member <= cfg.Members[i-1]) {
 			return fmt.Errorf("transport: host %d roster not strictly ascending at member %d", cfg.HostID, member)
 		}
+		hello.Weights[i] = float64(cfg.Data(member).Len())
 	}
 	mux := NewMux(coord)
-	hello := HostHello{HostID: cfg.HostID, Members: cfg.Members, Weights: make([]float64, len(cfg.Members))}
-	states := make(map[int]*vcState, len(cfg.Members))
-	for i, member := range cfg.Members {
-		data := cfg.Data(member)
-		hello.Weights[i] = float64(data.Len())
-		states[member] = &vcState{data: data}
-	}
-	if err := mux.Send(hello); err != nil {
-		return fmt.Errorf("transport: host %d hello: %w", cfg.HostID, err)
-	}
-	msg, err := mux.Recv()
+	p := participant{who: "host", id: cfg.HostID, hello: hello, roster: cfg.Members, data: cfg.Data,
+		seed:  func(member int) int64 { return cfg.Seed + 1000003*int64(member+1) },
+		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard, host: mux}
+	init, err := clientHandshake(mux, p)
 	if err != nil {
-		return fmt.Errorf("transport: host %d init recv: %w", cfg.HostID, err)
-	}
-	init, ok := msg.(Init)
-	if !ok {
-		return fmt.Errorf("transport: host %d expected Init, got %T", cfg.HostID, msg)
+		return err
 	}
 	if init.Window != 0 {
 		return fmt.Errorf("transport: host %d: population hosts do not support a staleness window (got %d)", cfg.HostID, init.Window)
 	}
-	step, err := newLocalStep("host", cfg.HostID, cfg.Model, init, cfg.BatchSize)
-	if err != nil {
-		return err
-	}
-	h := &virtualHost{cfg: cfg, mux: mux, init: init, states: states, step: step,
-		applied: newAppliedSet("host", cfg.HostID, step.net.D())}
-	if len(init.Shards) == 0 {
-		return h.run(nil)
-	}
-	// Direct plane: dial every shard ONCE — this is the M:N point:
-	// connections scale with hosts × shards, never with members.
-	fan, err := dialShards("host", cfg.HostID, init.Shards, len(init.Params), cfg.DialShard, cfg.Members)
-	if err != nil {
-		return err
-	}
-	defer fan.close()
-	return h.run(fan)
-}
-
-// virtualHost is the per-run state of RunVirtualHost: ONE model, local
-// step and applied set for the whole roster (a member's values never
-// outlive its turn, so sharing moves no trajectory bit).
-type virtualHost struct {
-	cfg     HostConfig
-	mux     *Mux
-	init    Init
-	states  map[int]*vcState
-	step    *localStep
-	applied *appliedSet
-}
-
-// state materializes one member's lazy private state. A member first
-// drawn at round m starts exactly like an engine client that sat out
-// rounds 1..m−1: weights synchronized (the shared model), residual
-// zero, rng stream virgin.
-func (h *virtualHost) state(member int) (*vcState, error) {
-	st, ok := h.states[member]
-	if !ok {
-		return nil, fmt.Errorf("transport: host %d drawn for member %d outside its roster", h.cfg.HostID, member)
-	}
-	if st.acc == nil {
-		st.acc = make([]float64, h.step.net.D())
-		st.rng = rand.New(rand.NewSource(h.cfg.Seed + 1000003*int64(member+1)))
-	}
-	return st, nil
-}
-
-// recvAssign receives and validates the round's cohort assignment.
-func (h *virtualHost) recvAssign(m int) (CohortAssign, error) {
-	msg, err := h.mux.Recv()
-	if err != nil {
-		return CohortAssign{}, fmt.Errorf("transport: host %d round %d assign recv: %w", h.cfg.HostID, m, err)
-	}
-	assign, ok := msg.(CohortAssign)
-	if !ok {
-		return CohortAssign{}, fmt.Errorf("transport: host %d round %d: expected CohortAssign, got %T", h.cfg.HostID, m, msg)
-	}
-	if assign.Round != m {
-		return CohortAssign{}, fmt.Errorf("transport: host %d round %d: stale cohort assign (round %d)", h.cfg.HostID, m, assign.Round)
-	}
-	for i, member := range assign.Members {
-		if i > 0 && member <= assign.Members[i-1] {
-			return CohortAssign{}, fmt.Errorf("transport: host %d round %d: cohort assign not strictly ascending at member %d", h.cfg.HostID, m, member)
-		}
-	}
-	return assign, nil
-}
-
-// run is the host's round loop on both data planes. Per drawn member:
-// the local step on the member's own residual and rng, then its upload
-// on its enveloped stream — routed (fan nil): one Upload to the
-// coordinator; direct: each shard its range slice and the coordinator
-// the control scalars. Per round, for the whole roster: ONE plain
-// downlink (the coordinator's Broadcast, or one fetched slice per
-// shard), applied once to the shared model, then each drawn member's
-// upload folded out of its residual (the engine's error-feedback
-// update, per participant).
-func (h *virtualHost) run(fan *shardFan) error {
-	id, bits := h.cfg.HostID, h.init.QuantBits
-	var bIdx []int
-	var bVal []float64
-	for m := 1; m <= h.init.Rounds; m++ {
-		assign, err := h.recvAssign(m)
-		if err != nil {
-			return err
-		}
-		for _, member := range assign.Members {
-			st, err := h.state(member)
-			if err != nil {
-				return err
-			}
-			var batchLoss, scale float64
-			st.pairs, batchLoss, scale = h.step.run(st.data, st.rng, st.acc, st.pairs)
-			var ctl any
-			if fan == nil {
-				ctl = Upload{ClientID: member, Round: m, Idx: st.pairs.Idx, Val: st.pairs.Val,
-					BatchLoss: batchLoss, Bits: bits, Scale: scale}
-			} else {
-				fan.split(st.pairs, &st.bufs)
-				if err := fan.upload(m, member, &st.bufs, bits, scale); err != nil {
-					return err
-				}
-				ctl = RoundMeta{ClientID: member, Round: m, BatchLoss: batchLoss, UploadLen: st.pairs.Len()}
-			}
-			if err := h.mux.sendFor(member, ctl); err != nil {
-				return fmt.Errorf("transport: host %d round %d member %d upload: %w", id, m, member, err)
-			}
-		}
-		if fan == nil {
-			bc, err := recvBroadcast(h.mux, "host", id, m)
-			if err != nil {
-				return err
-			}
-			bIdx, bVal = bc.Idx, bc.Val
-		} else if bIdx, bVal, err = fan.download(h.mux, m, bIdx[:0], bVal[:0]); err != nil {
-			return err
-		}
-		if err := h.applied.apply(m, h.step.net.Params(), h.cfg.LearningRate, bIdx, bVal); err != nil {
-			return err
-		}
-		for _, member := range assign.Members {
-			st := h.states[member]
-			h.applied.settle(st.acc, st.pairs)
-		}
-	}
-	return nil
+	return runClient(mux, p, init, nil)
 }
 
 // populationIngest is the population tier's shard links
@@ -585,29 +428,19 @@ func populationIngest(coord Conn, assign ShardAssign, peers []Peer) (*shardLinks
 		hosts[h] = mux
 	}
 	roster := func(m int) ([]int, error) {
-		msg, err := coord.Recv()
+		ids, err := recvCohort(coord, "shard", id, m)
 		if err != nil {
-			return nil, fmt.Errorf("transport: shard %d round %d cohort recv: %w", id, m, err)
+			return nil, err
 		}
-		ca, ok := msg.(CohortAssign)
-		if !ok {
-			return nil, fmt.Errorf("transport: shard %d round %d: expected CohortAssign, got %T", id, m, msg)
-		}
-		if ca.Round != m {
-			return nil, fmt.Errorf("transport: shard %d round %d: stale cohort assign (round %d)", id, m, ca.Round)
-		}
-		if len(ca.Members) == 0 {
+		if len(ids) == 0 {
 			return nil, fmt.Errorf("transport: shard %d round %d: empty cohort", id, m)
 		}
-		for i, member := range ca.Members {
-			if i > 0 && member <= ca.Members[i-1] {
-				return nil, fmt.Errorf("transport: shard %d round %d: cohort not strictly ascending at member %d", id, m, member)
-			}
+		for _, member := range ids {
 			if member < 0 || member >= len(memberHost) || memberHost[member] < 0 {
-				return nil, fmt.Errorf("transport: shard %d round %d: cohort member %d not in any host roster", id, m, member)
+				return nil, fmt.Errorf("transport: shard %d round %d: cohort member %d outside every host roster", id, m, member)
 			}
 		}
-		return ca.Members, nil
+		return ids, nil
 	}
 	return &shardLinks{up: memberStreams{muxes, memberHost}, down: hosts, nDown: nHosts, roster: roster, copies: true}, nil
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,6 +168,7 @@ func engineReference(t testing.TB, fed *dataset.Federated, model func() *nn.Netw
 		Cohort:       run.cohort,
 		Churn:        run.churn,
 		Dropout:      run.dropout,
+		QuantBits:    run.quantBits,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,20 +216,23 @@ func TestPopulationFullCohortMatchesEngine(t *testing.T) {
 // coordinator's Fisher–Yates must consume the engine's rng stream
 // exactly, the hosts must materialize only drawn members, and the
 // cohort-ordered aggregation must reproduce the engine's partial-
-// participation normalization — on both data planes.
+// participation normalization — on both data planes, with and without
+// 8-bit quantization.
 func TestPopulationSampledMatchesEngine(t *testing.T) {
 	fed, model, _ := buildWorkload()
-	run := popRun{rosters: [][]int{{0, 2}, {1, 3}}, cohort: 2, k: 40, rounds: 12}
-	ref := engineReference(t, fed, model, run)
+	for _, q := range []int{0, 8} {
+		run := popRun{rosters: [][]int{{0, 2}, {1, 3}}, cohort: 2, k: 40, rounds: 12, quantBits: q}
+		ref := engineReference(t, fed, model, run)
 
-	for _, shards := range []int{0, 2} {
-		run.nShards = shards
-		records, events := runPopulation(t, fed, model, run, func() (Conn, Conn) { return NewMemPair() }, nil)
-		requireSameTrajectory(t, records, ref)
-		for i, ev := range events {
-			if ev.Population != 4 || ev.CohortSize != 2 || ev.Participants != 2 {
-				t.Fatalf("round %d event: population %d cohort %d participants %d, want 4/2/2",
-					i+1, ev.Population, ev.CohortSize, ev.Participants)
+		for _, shards := range []int{0, 2} {
+			run.nShards = shards
+			records, events := runPopulation(t, fed, model, run, func() (Conn, Conn) { return NewMemPair() }, nil)
+			requireSameTrajectory(t, records, ref)
+			for i, ev := range events {
+				if ev.Population != 4 || ev.CohortSize != 2 || ev.Participants != 2 {
+					t.Fatalf("q=%d shards=%d round %d event: population %d cohort %d participants %d, want 4/2/2",
+						q, shards, i+1, ev.Population, ev.CohortSize, ev.Participants)
+				}
 			}
 		}
 	}
@@ -437,6 +442,87 @@ func TestPopulationHundredThousandVirtualClients(t *testing.T) {
 		if ev.Population != nMembers || ev.CohortSize != cohort {
 			t.Fatalf("round %d: population %d cohort %d, want %d/%d", ev.Round, ev.Population, ev.CohortSize, nMembers, cohort)
 		}
+	}
+}
+
+// TestPopulationUndrawnMembersAllocateNothing pins the cost law in
+// allocations: a 100k-member, cohort-24, 3-round routed run may allocate
+// per drawn member and per round, but never per enrolled member — host
+// state is one slice over the roster, materialized at first draw.
+func TestPopulationUndrawnMembersAllocateNothing(t *testing.T) {
+	const nMembers = 100_000
+	data, model := scalePopulation(nMembers)
+	rosters := [][]int{make([]int, 0, nMembers/2), make([]int, 0, nMembers/2)}
+	for i := 0; i < nMembers; i++ {
+		rosters[i%2] = append(rosters[i%2], i)
+	}
+	run := popRun{rosters: rosters, cohort: 24, k: 16, rounds: 3}
+	allocs := testing.AllocsPerRun(1, func() {
+		runPopulationData(t, data, model, run, func() (Conn, Conn) { return NewMemPair() }, nil)
+	})
+	if allocs >= 10_000 {
+		t.Fatalf("a %d-member run allocated %.0f times, want < 10000: an undrawn member costs an allocation", nMembers, allocs)
+	}
+}
+
+// TestHostileCohortAssign pins both cohort readers' trust boundary on
+// CohortAssign — the virtual host, which reads its drawn members, and
+// the population shard, which reads the full cohort: a message of the
+// wrong type, a stale round, members out of order, or a member the
+// reader cannot serve each fail round 1 naming the reader, and so does
+// an empty cohort at the shard (a host may legitimately draw nobody).
+func TestHostileCohortAssign(t *testing.T) {
+	fed, model, initParams := buildWorkload()
+	// Both readers serve members 0 and 2 of a 3-member population.
+	roster := []int{0, 2}
+	readers := map[string]func(t *testing.T, msg any) error{
+		"host": func(t *testing.T, msg any) error {
+			srv, cli := NewMemPair()
+			defer srv.Close()
+			done := make(chan error, 1)
+			go func() {
+				done <- RunVirtualHost(cli, HostConfig{HostID: 0, Members: roster,
+					Data:  func(member int) *dataset.Dataset { return &fed.Clients[member] },
+					Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1})
+			}()
+			expectMsg[HostHello](t, srv)
+			_ = srv.Send(Init{Params: initParams, K: 4, Rounds: 2})
+			_ = srv.Send(msg)
+			return <-done
+		},
+		"shard": func(t *testing.T, msg any) error {
+			assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2, 3}, NumHosts: 1}
+			shardSide, _ := NewMemPair()
+			peers := []Peer{{Conn: shardSide, HostData: &HostData{ShardID: 0, NumShards: 2, Dim: 10, Members: roster}}}
+			return directShardHarness(t, assign, func(int) []Peer { return peers }, func(_ []Conn, coord Conn) { _ = coord.Send(msg) })
+		},
+	}
+	cases := []struct {
+		name        string
+		msg         any
+		host, shard string // "" = the row is not hostile to that reader
+	}{
+		{"wrong message type", Broadcast{Round: 1}, "expected CohortAssign, got transport.Broadcast", "expected CohortAssign, got transport.Broadcast"},
+		{"stale round", CohortAssign{Round: 0, Members: []int{0}}, "stale cohort assign (round 0)", "stale cohort assign (round 0)"},
+		{"members not strictly ascending", CohortAssign{Round: 1, Members: []int{2, 0}}, "cohort not strictly ascending at member 0", "cohort not strictly ascending at member 0"},
+		{"repeated member", CohortAssign{Round: 1, Members: []int{2, 2}}, "cohort not strictly ascending at member 2", "cohort not strictly ascending at member 2"},
+		{"member outside the roster", CohortAssign{Round: 1, Members: []int{1}}, "cohort member 1 outside its roster", "cohort member 1 outside every host roster"},
+		{"member outside the population", CohortAssign{Round: 1, Members: []int{7}}, "cohort member 7 outside its roster", "cohort member 7 outside every host roster"},
+		{"empty cohort", CohortAssign{Round: 1}, "", "empty cohort"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for reader, want := range map[string]string{"host": tc.host, "shard": tc.shard} {
+				if want == "" {
+					continue
+				}
+				err := readers[reader](t, tc.msg)
+				want = "transport: " + reader + " 0 round 1: " + want
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: error %v, want substring %q", reader, err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,7 +419,7 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 	if err := c.open(ordered, 0, 0); err != nil {
 		return nil, err
 	}
-	return c.run(1)
+	return c.run(1, nil)
 }
 
 // seatClients orders classified client peers by their Hello's ID and
@@ -464,46 +465,74 @@ type ClientConfig struct {
 // RunClient executes the client side of the protocol until the configured
 // number of rounds completes.
 func RunClient(conn Conn, cfg ClientConfig) error {
-	init, err := clientHandshake(conn, cfg)
+	p := asParticipant(cfg)
+	init, err := clientHandshake(conn, p)
 	if err != nil {
 		return err
 	}
-	return runClient(conn, cfg, init, nil)
+	return runClient(conn, p, init, nil)
 }
 
-// clientHandshake enrolls the client: Hello up, Init down.
-func clientHandshake(conn Conn, cfg ClientConfig) (Init, error) {
-	if err := conn.Send(Hello{ClientID: cfg.ID, Weight: float64(cfg.Data.Len())}); err != nil {
-		return Init{}, fmt.Errorf("transport: client %d hello: %w", cfg.ID, err)
+// participant is what the one round loop (runClientRounds) runs: a
+// client — the roster of its own ID, drawn every round, uploading on the
+// control link — or a virtual host (host set), whose roster is its
+// population members, drawn by each round's CohortAssign and uploading
+// on their enveloped streams. who and id name it in errors; a member's
+// data and rng seed are looked up by member ID.
+type participant struct {
+	who    string
+	id     int
+	hello  any   // the enrolment: a client's Hello, a host's HostHello
+	roster []int // member IDs, strictly ascending
+	data   func(member int) *dataset.Dataset
+	seed   func(member int) int64
+	model  func() *nn.Network
+	lr     float64
+	batch  int
+	dial   func(addr string) (Conn, error)
+	host   *Mux // a host's coordinator link; nil for a client
+}
+
+// asParticipant is a client's participant.
+func asParticipant(cfg ClientConfig) participant {
+	return participant{who: "client", id: cfg.ID, hello: Hello{ClientID: cfg.ID, Weight: float64(cfg.Data.Len())},
+		roster: []int{cfg.ID}, data: func(int) *dataset.Dataset { return cfg.Data }, seed: func(int) int64 { return cfg.Seed },
+		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard}
+}
+
+// clientHandshake enrolls a participant: its hello up, Init down.
+func clientHandshake(conn Conn, p participant) (Init, error) {
+	if err := conn.Send(p.hello); err != nil {
+		return Init{}, fmt.Errorf("transport: %s %d hello: %w", p.who, p.id, err)
 	}
 	msg, err := conn.Recv()
 	if err != nil {
-		return Init{}, fmt.Errorf("transport: client %d init recv: %w", cfg.ID, err)
+		return Init{}, fmt.Errorf("transport: %s %d init recv: %w", p.who, p.id, err)
 	}
 	init, ok := msg.(Init)
 	if !ok {
-		return Init{}, fmt.Errorf("transport: client %d expected Init, got %T", cfg.ID, msg)
+		return Init{}, fmt.Errorf("transport: %s %d expected Init, got %T", p.who, p.id, msg)
 	}
 	return init, nil
 }
 
-// runClient is every per-client tier after the handshake. coord is the
-// control link — the plain connection, or the durable client's
-// self-healing healLink, passed again as link so the data plane can be
-// armed the same way. An Init that carries a shard directory switches
-// the client to the direct data plane: it dials the shards, uploads
-// range slices straight to the owners and pulls the broadcast slices
-// back from them, and the coordinator link carries control scalars
-// only; an Init with a staleness window runs those rounds that many
-// deep.
-func runClient(coord Conn, cfg ClientConfig, init Init, link *healLink) error {
+// runClient is every participant after the handshake. coord is the
+// control link — the plain connection, a host's Mux, or the durable
+// client's self-healing healLink, passed again as link so the data
+// plane can be armed the same way. An Init that carries a shard
+// directory switches the participant to the direct data plane: it dials
+// the shards, uploads range slices straight to the owners and pulls the
+// broadcast slices back from them, and the coordinator link carries
+// control scalars only; an Init with a staleness window runs those
+// rounds that many deep.
+func runClient(coord Conn, p participant, init Init, link *healLink) error {
 	if init.Window < 0 || init.Window > MaxStaleness {
-		return fmt.Errorf("transport: client %d: init staleness window %d outside [0, %d]", cfg.ID, init.Window, MaxStaleness)
+		return fmt.Errorf("transport: %s %d: init staleness window %d outside [0, %d]", p.who, p.id, init.Window, MaxStaleness)
 	}
 	if len(init.Shards) == 0 {
-		return runClientRounds(coord, cfg, init, nil)
+		return runClientRounds(coord, p, init, nil)
 	}
-	fan, err := dialShards("client", cfg.ID, init.Shards, len(init.Params), cfg.DialShard, nil)
+	fan, err := dialShards(p, init.Shards, len(init.Params))
 	if err != nil {
 		return err
 	}
@@ -512,74 +541,115 @@ func runClient(coord Conn, cfg ClientConfig, init Init, link *healLink) error {
 		fan.makeDurable(link.attempts)
 		link.fan = fan
 	}
-	return runClientRounds(coord, cfg, init, fan)
+	return runClientRounds(coord, p, init, fan)
 }
 
-// clientSlot is one in-flight round of a client: its upload pairs, kept
-// for the fold-back W steps later, and the per-shard split buffers its
-// SliceUploads alias.
-type clientSlot struct {
+// memberState is one roster member's private state, materialized at
+// the member's first draw. Everything else (model weights, batch
+// buffers, top-k scratch) is shared across the roster.
+type memberState struct {
+	acc  []float64 // error-feedback residual
+	rng  *rand.Rand
+	data *dataset.Dataset
+}
+
+// memberUpload is one drawn member's upload in an in-flight round: its
+// roster position, its pairs, kept for the fold-back W steps later, and
+// the per-shard split buffers its SliceUploads alias.
+type memberUpload struct {
+	pos   int
 	pairs sparse.Vec
 	bufs  sliceBufs
 }
 
-// runClientRounds is the client's round loop on both data planes, W =
-// init.Window rounds deep — the engine's pipeline (internal/fl round.go)
-// on the wire. Step m runs round m's local step (localStep.run — the
-// training computation and rng consumption every tier shares) and sends
-// the upload — routed: one Upload to the coordinator; direct (fan set):
+// runClientRounds is the participant's one round loop on both data
+// planes, W = init.Window rounds deep — the engine's pipeline
+// (internal/fl round.go) on the wire. Step m draws round m's cohort
+// from the roster and runs each drawn member's local step
+// (localStep.run — the training computation and rng consumption every
+// tier shares) on the member's own residual and rng, then sends its
+// upload — routed: one Upload to the coordinator; direct (fan set):
 // range slices with explicit local ranks straight to the owning shards,
 // and the control scalars to the coordinator. Then, once m > W, it
 // receives round m−W's aggregated B — routed: the coordinator's
 // Broadcast; direct: the shard-served slices, fetched after the
-// coordinator's release and reassembled by concatenation — and applies
-// it with the error-feedback residual update for that round's upload.
-// Steps past init.Rounds only drain the last W rounds. So round m's
-// local step sees the weights of round m−W−1, as in fl.Run with the
-// same Staleness, and W = 0 is the lockstep loop.
+// coordinator's release and reassembled by concatenation — applies it
+// once to the shared model, and folds each of that round's uploads out
+// of its member's residual. Steps past init.Rounds only drain the last
+// W rounds. So round m's local step sees the weights of round m−W−1, as
+// in fl.Run with the same Staleness, and W = 0 is the lockstep loop.
 //
-// The upload buffers live in a ring of W+1 slots reused across rounds
-// (the same zero-alloc hot loop as the simulator engine), and the
-// downlink's are reused every round. Reuse is safe even over
-// by-reference in-memory conns: slot m is next written at step m+W+1,
-// after round m's broadcast was applied at step m+W — and every
-// round-m consumer (the coordinator, or every shard's reduction and
-// fill queries) is done reading before that broadcast can be released.
-// (A durable link copies what it keeps for resends.)
-func runClientRounds(coord Conn, cfg ClientConfig, init Init, fan *shardFan) error {
-	step, err := newLocalStep("client", cfg.ID, cfg.Model, init, cfg.BatchSize)
+// Member state is a slice by roster position, found by binary search
+// over the ascending roster. A member first drawn at round m starts like
+// an engine client that sat out rounds 1..m−1: weights synchronized (the
+// shared model), residual zero, rng stream virgin.
+//
+// The upload buffers live in a ring of W+1 slots, one entry per cohort
+// position, reused across rounds (the same zero-alloc hot loop as the
+// simulator engine), and the downlink's are reused every round. Reuse
+// is safe even over by-reference in-memory conns: slot m is next written
+// at step m+W+1, after round m's broadcast was applied at step m+W — and
+// every round-m consumer (the coordinator, or every shard's reduction
+// and fill queries) is done reading before that broadcast can be
+// released. (A durable link copies what it keeps for resends.)
+func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error {
+	step, err := newLocalStep(p.who, p.id, p.model, init, p.batch)
 	if err != nil {
 		return err
 	}
 	net := step.net
-	acc := make([]float64, net.D())
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	applied := newAppliedSet("client", cfg.ID, net.D())
+	applied := newAppliedSet(p.who, p.id, net.D())
+	members := make([]memberState, len(p.roster))
 	w := init.Window
-	ring := make([]clientSlot, w+1)
+	ring := make([][]memberUpload, w+1)
 	var (
 		bIdx []int
 		bVal []float64
 	)
 	for m := 1; m <= init.Rounds+w; m++ {
 		if m <= init.Rounds {
-			slot := &ring[m%(w+1)]
-			var batchLoss, scale float64
-			slot.pairs, batchLoss, scale = step.run(cfg.Data, rng, acc, slot.pairs)
-			if fan == nil {
-				up := Upload{ClientID: cfg.ID, Round: m, Idx: slot.pairs.Idx, Val: slot.pairs.Val,
-					BatchLoss: batchLoss, Bits: init.QuantBits, Scale: scale}
-				if err := coord.Send(up); err != nil {
-					return fmt.Errorf("transport: client %d round %d send: %w", cfg.ID, m, err)
-				}
-			} else {
-				fan.split(slot.pairs, &slot.bufs)
-				if err := fan.upload(m, cfg.ID, &slot.bufs, init.QuantBits, scale); err != nil {
+			cohort := p.roster
+			if p.host != nil {
+				if cohort, err = recvCohort(p.host, p.who, p.id, m); err != nil {
 					return err
 				}
-				meta := RoundMeta{ClientID: cfg.ID, Round: m, BatchLoss: batchLoss, UploadLen: slot.pairs.Len()}
-				if err := coord.Send(meta); err != nil {
-					return fmt.Errorf("transport: client %d round %d metadata: %w", cfg.ID, m, err)
+			}
+			slot := ring[m%(w+1)]
+			for cap(slot) < len(cohort) {
+				slot = append(slot[:cap(slot)], memberUpload{})
+			}
+			slot = slot[:len(cohort)]
+			ring[m%(w+1)] = slot
+			for i, id := range cohort {
+				pos := sort.SearchInts(p.roster, id)
+				if pos == len(p.roster) || p.roster[pos] != id {
+					return fmt.Errorf("transport: %s %d round %d: cohort member %d outside its roster", p.who, p.id, m, id)
+				}
+				st, up := &members[pos], &slot[i]
+				if st.acc == nil {
+					st.acc, st.rng, st.data = make([]float64, net.D()), rand.New(rand.NewSource(p.seed(id))), p.data(id)
+				}
+				up.pos = pos
+				var batchLoss, scale float64
+				up.pairs, batchLoss, scale = step.run(st.data, st.rng, st.acc, up.pairs)
+				var msg any
+				if fan == nil {
+					msg = Upload{ClientID: id, Round: m, Idx: up.pairs.Idx, Val: up.pairs.Val,
+						BatchLoss: batchLoss, Bits: init.QuantBits, Scale: scale}
+				} else {
+					fan.split(up.pairs, &up.bufs)
+					if err := fan.upload(m, id, &up.bufs, init.QuantBits, scale); err != nil {
+						return err
+					}
+					msg = RoundMeta{ClientID: id, Round: m, BatchLoss: batchLoss, UploadLen: up.pairs.Len()}
+				}
+				if p.host != nil {
+					err = p.host.sendFor(id, msg)
+				} else {
+					err = coord.Send(msg)
+				}
+				if err != nil {
+					return fmt.Errorf("transport: %s %d round %d upload of %d: %w", p.who, p.id, m, id, err)
 				}
 			}
 		}
@@ -588,7 +658,7 @@ func runClientRounds(coord Conn, cfg ClientConfig, init Init, fan *shardFan) err
 			continue
 		}
 		if fan == nil {
-			bc, err := recvBroadcast(coord, "client", cfg.ID, r)
+			bc, err := recvBroadcast(coord, p.who, p.id, r)
 			if err != nil {
 				return err
 			}
@@ -596,10 +666,12 @@ func runClientRounds(coord Conn, cfg ClientConfig, init Init, fan *shardFan) err
 		} else if bIdx, bVal, err = fan.download(coord, r, bIdx[:0], bVal[:0]); err != nil {
 			return err
 		}
-		if err := applied.apply(r, net.Params(), cfg.LearningRate, bIdx, bVal); err != nil {
+		if err := applied.apply(r, net.Params(), p.lr, bIdx, bVal); err != nil {
 			return err
 		}
-		applied.settle(acc, ring[r%(w+1)].pairs)
+		for _, up := range ring[r%(w+1)] {
+			applied.settle(members[up.pos].acc, up.pairs)
+		}
 	}
 	return nil
 }

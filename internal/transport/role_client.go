@@ -12,14 +12,13 @@ import (
 	"fedsparse/internal/tensor"
 )
 
-// This file is the participant's round, written once. Every client
-// tier — the client's one round loop at any staleness window
-// (protocol.go: runClientRounds), the durable client
-// (durable_client.go: the same loop over self-healing links) and the
-// virtual host (population.go: many members over one model) — runs the
-// same pieces and differs only in what it owns: the residual and rng a
-// step runs on, the lifetime of the slice buffers a split fills, and
-// the links the fan-out sends on.
+// This file is the participant's round, written once, and run by the
+// participant's one round loop (protocol.go: runClientRounds) at any
+// staleness window. Every client tier goes through that loop and
+// differs only in its roster and links: the client (its own ID, every
+// round), the durable client (durable_client.go: the same roster over
+// self-healing links) and the virtual host (population.go: a drawn
+// cohort of its members over one model and enveloped member streams).
 //
 //	localStep  minibatch → gradient into the residual → top-k → quantize
 //	shardFan   the direct plane: split by range, upload, release, fetch
@@ -143,10 +142,8 @@ func recvBroadcast(coord Conn, who string, id, m int) (Broadcast, error) {
 }
 
 // sliceBufs holds one upload's per-shard range slices. The caller owns
-// it — the tiers differ precisely in how long a slice must stay
-// untouched after it is sent: until its round's broadcast is applied,
-// W rounds later (a client's ring slot), or until the member's next
-// draw (population).
+// it: a slice must stay untouched after it is sent until its round's
+// broadcast is applied, W rounds later (a ring slot of runClientRounds).
 type sliceBufs struct {
 	idx  [][]int
 	val  [][]float64
@@ -173,18 +170,19 @@ type shardFan struct {
 	attempts int
 }
 
-// dialShards opens the fan: chunk bounds, one dial and one data-plane
-// hello per shard. A non-nil roster makes it a host's fan (HostData
-// hellos, Mux-wrapped links).
-func dialShards(who string, id int, addrs []string, dim int, dial func(addr string) (Conn, error), roster []int) (*shardFan, error) {
+// dialShards opens participant p's fan: chunk bounds, one dial and one
+// data-plane hello per shard. A host's fan sends HostData hellos naming
+// its roster and wraps each link in a Mux for the member streams.
+func dialShards(p participant, addrs []string, dim int) (*shardFan, error) {
+	dial := p.dial
 	if dial == nil {
 		dial = Dial
 	}
 	n := len(addrs)
-	f := &shardFan{who: who, id: id, dim: dim, roster: roster, conns: make([]Conn, n),
+	f := &shardFan{who: p.who, id: p.id, dim: dim, conns: make([]Conn, n),
 		addrs: append([]string(nil), addrs...), bounds: make([]int, n+1), dial: dial}
-	if roster != nil {
-		f.muxes = make([]*Mux, n)
+	if p.host != nil {
+		f.roster, f.muxes = p.roster, make([]*Mux, n)
 	}
 	for s := 0; s < n; s++ {
 		lo, hi := tensor.ChunkBounds(dim, n, s)

@@ -8,11 +8,12 @@ import (
 	"fedsparse/internal/wal"
 )
 
-// This file is the coordinator's round, written once: one routed and
-// one direct round body. Every coordinator tier — classic at any
-// staleness window (protocol.go; the window lives in the clients' and
-// shards' loops, the coordinator's rounds stay in order and exact),
-// durable (durable.go), population (population.go) — runs them and
+// This file is the coordinator's round, written once: one round loop
+// (coordRun.run) over one routed and one direct round body. Every
+// coordinator tier — classic at any staleness window (protocol.go; the
+// window lives in the clients' and shards' loops, the coordinator's
+// rounds stay in order and exact), durable (durable.go, after a
+// resume's preamble), population (population.go) — runs that loop and
 // supplies only what distinguishes it:
 //
 //	links    how a round reaches its peers: plain connections, the
@@ -20,7 +21,8 @@ import (
 //	         member streams and host muxes
 //	journal  whether a decision is logged before it is sent (nil, or
 //	         the WAL with its crash points)
-//	roster   who uploads this round: every client, or a drawn cohort
+//	roster   who uploads this round: every client (nil), or a drawn
+//	         cohort (the population's drawRound)
 
 // peerLinks is how a coordinator round reaches one side of its
 // deployment — its clients, or its direct shards. recv returns peer
@@ -255,27 +257,41 @@ func (c *coordRun) meter(groups ...[]Conn) {
 	}
 }
 
-// run drives rounds from..Rounds over the fixed roster.
-func (c *coordRun) run(from int) ([]RoundRecord, error) {
+// run is the coordinator's one round loop: rounds from..Rounds on the
+// run's data plane. draw is the roster: nil is every client each round;
+// otherwise it returns round m's cohort and what the draw adds to the
+// round's event, and the round is weighted by the cohort's own total —
+// the engine's per-round participant normalization.
+func (c *coordRun) run(from int, draw func(m int) ([]int, *cohortDraw, error)) ([]RoundRecord, error) {
 	for m := from; m <= c.cfg.Rounds; m++ {
 		c.startRound(m)
-		rec, err := c.roundBody(m, nil, c.total)
+		var (
+			ids []int
+			cd  *cohortDraw
+			rec RoundRecord
+			err error
+		)
+		n, total := c.nClients, c.total
+		if draw != nil {
+			if ids, cd, err = draw(m); err != nil {
+				return c.records, err
+			}
+			n, total = len(ids), 0
+			for _, id := range ids {
+				total += c.weights[id]
+			}
+		}
+		if c.cfg.Direct {
+			rec, err = c.directRound(m, ids, total)
+		} else {
+			rec, err = c.routedRound(m, ids, total)
+		}
 		if err != nil {
 			return c.records, err
 		}
-		c.finish(rec, c.nClients, nil)
+		c.finish(rec, n, cd)
 	}
 	return c.records, nil
-}
-
-// roundBody runs round m on the run's data plane. ids is the round's
-// roster — a drawn cohort, or nil for every client — and total its
-// weight.
-func (c *coordRun) roundBody(m int, ids []int, total float64) (RoundRecord, error) {
-	if c.cfg.Direct {
-		return c.directRound(m, ids, total)
-	}
-	return c.routedRound(m, ids, total)
 }
 
 // startRound opens round m and publishes the boundary.

@@ -75,8 +75,8 @@ var tracked = []struct {
 	// must cost rounds × cohort member computations, never O(population)
 	// per round. Each iteration is a full 3-round run over two physical
 	// mem connections, so a few iterations suffice; the allocs/op
-	// baseline (dominated by the one-time per-member enrollment
-	// bookkeeping) is the stronger, host-independent gate.
+	// baseline (per drawn member and per round, never per enrolled
+	// member) is the stronger, host-independent gate.
 	{"./internal/transport/", "BenchmarkVirtualClients", "3x"},
 	{"./internal/wal/", "BenchmarkWALAppend", "2000x"},
 	{".", "BenchmarkRunGSParallel", "3x"},

@@ -46,8 +46,10 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # several GOMAXPROCS, where a scheduling dependence would show. One
 # shard loop serves all four shard tiers (lockstep, windowed, durable,
 # population), so their hostile-input tables, the shard kill + fresh
-# rejoin and the durable ingest desk ride along.
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk' ./internal/transport
+# rejoin and the durable ingest desk ride along; and one participant
+# loop serves the client and the virtual host, so the population twins,
+# the mux and the hostile cohort table ride along too.
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort' ./internal/transport
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
