@@ -275,9 +275,7 @@ func runClientRole(datasetName, scale string, id int, seed int64, lr float64, ba
 		Model:        w.Model,
 		LearningRate: lr,
 		BatchSize:    batch,
-		// The reference engine's per-client seeding scheme, for
-		// trajectory-identical runs.
-		Seed: seed + 1000003*int64(id+1),
+		Seed:         fedsparse.ClientSeed(seed, id),
 	}
 	if durable {
 		ctx := context.Background()

@@ -97,7 +97,7 @@ func run() error {
 				Model:        w.Model,
 				LearningRate: w.LearningRate,
 				BatchSize:    w.BatchSize,
-				Seed:         seed + 1000003*int64(id+1),
+				Seed:         fedsparse.ClientSeed(seed, id),
 			})
 		}(i)
 	}

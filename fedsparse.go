@@ -262,10 +262,8 @@ type (
 	Config = fl.Config
 	// Result is a completed run: per-round stats plus the final model.
 	Result = fl.Result
-	// RoundStats captures one training round.
-	RoundStats = fl.RoundStats
-	// RoundEvent is the canonical per-round record published to
-	// observers (RoundStats is an alias of it).
+	// RoundEvent captures one training round: the record published to
+	// observers and collected into Result.Stats.
 	RoundEvent = fl.RoundEvent
 	// Observer receives the round-event stream of a run, synchronously
 	// at round boundaries (Config.Observer, ServerConfig.Observer).
@@ -282,6 +280,11 @@ type (
 // NewCohortSampler builds the population sampler behind Config.Cohort,
 // Config.Churn, and Config.Dropout.
 var NewCohortSampler = fl.NewCohortSampler
+
+// ClientSeed is client id's rng seed in a run seeded with base: the
+// ClientConfig.Seed that reproduces Run's client id on the wire (a
+// virtual host derives its members' seeds the same way).
+var ClientSeed = fl.ClientSeed
 
 // MultiObserver fans the event stream out to several observers in
 // order, skipping nils.

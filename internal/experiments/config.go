@@ -193,35 +193,35 @@ func (r *FigureResult) Render() string {
 
 // observe replays a finished run's stats through the shared
 // round-event consumer; the figure helpers below are views of it.
-func observe(stats []fl.RoundStats) *metrics.RoundObserver {
+func observe(stats []fl.RoundEvent) *metrics.RoundObserver {
 	var o metrics.RoundObserver
 	o.Replay(stats)
 	return &o
 }
 
 // lossSeries extracts (time, loss).
-func lossSeries(stats []fl.RoundStats) metrics.Series {
+func lossSeries(stats []fl.RoundEvent) metrics.Series {
 	return observe(stats).LossByTime
 }
 
 // lossByRound extracts (round, loss) — Fig. 1's x-axis.
-func lossByRound(stats []fl.RoundStats) metrics.Series {
+func lossByRound(stats []fl.RoundEvent) metrics.Series {
 	return observe(stats).LossByRound
 }
 
 // accSeries extracts (time, test accuracy) at evaluation rounds.
-func accSeries(stats []fl.RoundStats) metrics.Series {
+func accSeries(stats []fl.RoundEvent) metrics.Series {
 	return observe(stats).AccByTime
 }
 
 // kSeries extracts (round, realized k).
-func kSeries(stats []fl.RoundStats) metrics.Series {
+func kSeries(stats []fl.RoundEvent) metrics.Series {
 	return observe(stats).KByRound
 }
 
 // perClientMeanContributions averages each client's |J ∩ J_i| over the
 // rounds that recorded it (the Fig. 4-right CDF input).
-func perClientMeanContributions(stats []fl.RoundStats, clients int) []float64 {
+func perClientMeanContributions(stats []fl.RoundEvent, clients int) []float64 {
 	sums := make([]float64, clients)
 	rounds := 0
 	for _, st := range stats {
@@ -243,7 +243,7 @@ func perClientMeanContributions(stats []fl.RoundStats, clients int) []float64 {
 }
 
 // smoothedFinalLoss is the moving-average loss at the end of a run.
-func smoothedFinalLoss(stats []fl.RoundStats, window int) float64 {
+func smoothedFinalLoss(stats []fl.RoundEvent, window int) float64 {
 	s := lossSeries(stats).MovingAverage(window)
 	if s.Len() == 0 {
 		return 0

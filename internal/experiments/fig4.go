@@ -56,7 +56,7 @@ func Fig4(w *Workload, opts Fig4Options) (*FigureResult, error) {
 
 	type methodRun struct {
 		name  string
-		stats []fl.RoundStats
+		stats []fl.RoundEvent
 	}
 	runs := []methodRun{{"fab-top-k", ref.Stats}}
 

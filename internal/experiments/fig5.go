@@ -54,7 +54,7 @@ func Fig5(w *Workload, opts Fig5Options) (*FigureResult, error) {
 	type entry struct {
 		name  string
 		ctrl  core.Controller
-		stats []fl.RoundStats
+		stats []fl.RoundEvent
 	}
 	entries := []entry{{name: "proposed", stats: ref.Stats}}
 	baselines := []entry{

@@ -42,7 +42,7 @@ func Fig6(w *Workload, opts Fig6Options) (*FigureResult, error) {
 	alg2 := core.NewSignOGD(kmin, kmax, kmax, nil)
 	type entry struct {
 		name  string
-		stats []fl.RoundStats
+		stats []fl.RoundEvent
 	}
 	var entries []entry
 	for i, e := range []struct {

@@ -1,13 +1,11 @@
 package fl
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
-	"fedsparse/internal/core"
 	"fedsparse/internal/gs"
 	"fedsparse/internal/tensor"
 )
@@ -95,61 +93,6 @@ func TestReduceWeightedMatchesSequential(t *testing.T) {
 						tc.n, tc.d, workers, j, got[j], want[j])
 				}
 			}
-		}
-	}
-}
-
-// TestRoundArenaStamps exercises the epoch-stamped downlink membership
-// the seal relies on: the next round invalidates the previous stamps in
-// O(1).
-func TestRoundArenaStamps(t *testing.T) {
-	ar := newRoundArena(10, 4, 2)
-	ar.stampInJ([]int{2, 7})
-	for j := 0; j < 10; j++ {
-		in := ar.inJ[j] == ar.inJGen
-		if in != (j == 2 || j == 7) {
-			t.Fatalf("round 1: inJ membership of %d = %v", j, in)
-		}
-	}
-	ar.stampInJ([]int{4})
-	for j := 0; j < 10; j++ {
-		in := ar.inJ[j] == ar.inJGen
-		if in != (j == 4) {
-			t.Fatalf("round 2: inJ membership of %d = %v", j, in)
-		}
-	}
-}
-
-// TestTopKScratchIsPerWorker pins the ownership of the selection working
-// memory: the arena holds one scratch per pool goroutine — not one per
-// client — and sharing them between clients moves no bit of output, in
-// the lockstep and in the bounded-staleness loop, under an adaptive
-// controller whose varying k keeps re-slicing the same slabs.
-func TestTopKScratchIsPerWorker(t *testing.T) {
-	const nClients = 8 // smallConfig's
-	for _, tc := range []struct{ workers, want int }{{0, 1}, {2, 2}, {8, 8}, {64, nClients}} {
-		pool := poolSize(tc.workers, nClients)
-		if ar := newRoundArena(10, nClients, pool); len(ar.topk) != tc.want {
-			t.Fatalf("Workers=%d: arena holds %d top-k scratches for %d clients, want %d",
-				tc.workers, len(ar.topk), nClients, tc.want)
-		}
-	}
-	for _, staleness := range []int{0, 1} {
-		run := func(workers int) *Result {
-			cfg := diffConfig()
-			d := cfg.Model().D()
-			cfg.Controller = core.NewAdaptiveSignOGD(10, float64(d), float64(d), 1.5, 5, nil)
-			cfg.Staleness = staleness
-			cfg.Workers = workers
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		seq := run(0)
-		for _, workers := range []int{2, 8} {
-			requireBitIdentical(t, fmt.Sprintf("staleness=%d workers=%d", staleness, workers), seq, run(workers))
 		}
 	}
 }

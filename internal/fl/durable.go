@@ -40,11 +40,11 @@ type engineWAL struct {
 	engineSrc  *wal.CountingSource
 	clientSrcs []*wal.CountingSource
 
-	// Resume state: logged holds every Finish-backed RoundStats from the
+	// Resume state: logged holds every Finish-backed RoundEvent from the
 	// log (rounds 1..F); snapRound is the restored snapshot's round S
 	// (0 = no snapshot, recompute from round 1); clock0 the restored
 	// cumulative time; restored flags that rng streams were repositioned.
-	logged    []RoundStats
+	logged    []RoundEvent
 	snapRound int
 	clock0    float64
 	restored  bool
@@ -62,7 +62,7 @@ const finishFloats = 7
 // finishRecord maps one round's stats onto the generic Finish record.
 // Everything the CSV writers consume must round-trip through here —
 // a resumed run reports replayed rounds from these records alone.
-func finishRecord(st *RoundStats) *wal.Finish {
+func finishRecord(st *RoundEvent) *wal.Finish {
 	return &wal.Finish{
 		Round: st.Round,
 		Ints: []int64{int64(st.K), int64(st.DownlinkElems), int64(st.Participants),
@@ -71,12 +71,12 @@ func finishRecord(st *RoundStats) *wal.Finish {
 	}
 }
 
-func statsFromFinish(r *wal.Finish) (RoundStats, error) {
+func statsFromFinish(r *wal.Finish) (RoundEvent, error) {
 	if len(r.Ints) != 6 || len(r.Floats) != finishFloats {
-		return RoundStats{}, fmt.Errorf("fl: finish for round %d carries %d ints and %d floats, want 6 and %d",
+		return RoundEvent{}, fmt.Errorf("fl: finish for round %d carries %d ints and %d floats, want 6 and %d",
 			r.Round, len(r.Ints), len(r.Floats), finishFloats)
 	}
-	return RoundStats{
+	return RoundEvent{
 		Round: r.Round,
 		K:     int(r.Ints[0]), DownlinkElems: int(r.Ints[1]), Participants: int(r.Ints[2]),
 		Population: int(r.Ints[3]), CohortSize: int(r.Ints[4]), ChurnEvents: int(r.Ints[5]),
@@ -87,7 +87,7 @@ func statsFromFinish(r *wal.Finish) (RoundStats, error) {
 
 // sameStats is the bit-exact comparison the replay verification uses
 // (NaN == NaN, since unevaluated metrics are NaN on both sides).
-func sameStats(got, want *RoundStats) error {
+func sameStats(got, want *RoundEvent) error {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	switch {
 	case got.Round != want.Round, got.K != want.K,
@@ -229,7 +229,7 @@ func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client,
 		if len(snap.Vecs[1+i]) != d {
 			return fmt.Errorf("fl: resume: snapshot residuals for client %d have dimension %d, model has %d", i, len(snap.Vecs[1+i]), d)
 		}
-		copy(c.acc, snap.Vecs[1+i])
+		copy(c.Acc, snap.Vecs[1+i])
 	}
 	copy(params, snap.Vecs[0])
 	if err := dw.ctrl.StateRestore(snap.Vecs[n+1]); err != nil {
@@ -245,9 +245,9 @@ func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client,
 	}
 	dw.engineSrc = wal.NewCountingSource(cfg.Seed, uint64(snap.Ints[0]))
 	for i, c := range clients {
-		src := wal.NewCountingSource(cfg.Seed+1000003*int64(i+1), uint64(snap.Ints[1+i]))
+		src := wal.NewCountingSource(ClientSeed(cfg.Seed, i), uint64(snap.Ints[1+i]))
 		dw.clientSrcs[i] = src
-		c.rng = rand.New(src)
+		c.Rng = rand.New(src)
 	}
 	dw.snapRound = snap.Round
 	dw.clock0 = snap.Floats[0]
@@ -261,7 +261,7 @@ func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client,
 // silently forking the trajectory); past the prefix it appends and
 // syncs the Finish record. Snapshots are (re)written on cadence either
 // way — a crash may have lost the one after the logged rounds.
-func (dw *engineWAL) commit(st *RoundStats, params []float64, clients []*client) error {
+func (dw *engineWAL) commit(st *RoundEvent, params []float64, clients []*client) error {
 	m := st.Round
 	if m <= len(dw.logged) {
 		if err := sameStats(st, &dw.logged[m-1]); err != nil {
@@ -288,12 +288,12 @@ func (dw *engineWAL) commit(st *RoundStats, params []float64, clients []*client)
 // snapshot checkpoints the whole mutable run state after round
 // st.Round: the synchronized params once, every residual accumulator,
 // controller/strategy state, all rng positions, and the clock.
-func (dw *engineWAL) snapshot(st *RoundStats, params []float64, clients []*client) error {
+func (dw *engineWAL) snapshot(st *RoundEvent, params []float64, clients []*client) error {
 	n := len(clients)
 	vecs := make([][]float64, 0, n+3)
 	vecs = append(vecs, append([]float64(nil), params...))
 	for _, c := range clients {
-		vecs = append(vecs, append([]float64(nil), c.acc...))
+		vecs = append(vecs, append([]float64(nil), c.Acc...))
 	}
 	vecs = append(vecs, dw.ctrl.StateSave())
 	if dw.strat != nil {

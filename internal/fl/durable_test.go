@@ -29,7 +29,7 @@ func durableConfig(dir string) Config {
 
 // statsCSV renders stats the way cmd/flsim writes its output file, so
 // equality here is byte-identity of the user-visible artifact.
-func statsCSV(stats []RoundStats) string {
+func statsCSV(stats []RoundEvent) string {
 	var b strings.Builder
 	for _, st := range stats {
 		fmt.Fprintf(&b, "%d,%.6f,%d\n", st.Round, st.Loss, st.DownlinkElems)
@@ -39,7 +39,7 @@ func statsCSV(stats []RoundStats) string {
 
 // assertSameStats requires two runs to match bit-exactly on every field
 // the Finish record carries.
-func assertSameStats(t *testing.T, got, want []RoundStats) {
+func assertSameStats(t *testing.T, got, want []RoundEvent) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("got %d rounds, want %d", len(got), len(want))

@@ -20,14 +20,14 @@
 // and a dense average — with a loop of its own below.
 //
 // The steady-state round loop is allocation-free on the sequential path
-// (Workers <= 1): every per-round buffer (per-worker top-k scratch,
-// minibatch views, upload slots, probe losses, selection membership) lives
-// in the per-run round arena, an in-flight round's slot or per-client
-// scratch and is reused across rounds. Only user-facing outputs
-// (RoundStats, recorded per-client counts) and optional paths (cadenced
-// evaluations, external strategies) still allocate. With Workers > 1 each
-// fan-out additionally spawns its pool goroutines, a small per-round
-// constant that buys the parallel speedup.
+// (Workers <= 1): every per-round buffer (per-worker participant steps
+// with their minibatch views and top-k scratch, upload slots, probe
+// losses, selection membership) lives in the per-run round arena or an
+// in-flight round's slot and is reused across rounds. Only user-facing
+// outputs (RoundEvent, recorded per-client counts) and optional paths
+// (cadenced evaluations, external strategies) still allocate. With
+// Workers > 1 each fan-out additionally spawns its pool goroutines, a
+// small per-round constant that buys the parallel speedup.
 package fl
 
 import (
@@ -223,26 +223,21 @@ type Config struct {
 // round-event stream by a built-in Collector (see observer.go), so it
 // is identical to what an attached Config.Observer saw.
 type Result struct {
-	Stats []RoundStats
+	Stats []RoundEvent
 	// Final is the trained global model (the synchronized weights).
 	Final *nn.Network
 }
 
-// client is one simulated participant: its residual, its rng and the
-// reusable minibatch views, all single-goroutine state touched only by
-// whichever worker runs this client's iteration. It holds no model (GS
-// weights are synchronized, so gsEngine keeps one replica per worker;
-// runFedAvg keeps the private ones), no upload buffers (the in-flight
-// round's slot owns them) and no top-k working memory (dead once TopKInto
-// returns, so the round arena holds one per worker).
+// client is one simulated participant: its Member state, touched only by
+// whichever worker runs this client's iteration, and its weight C_i. It
+// holds no model (GS weights are synchronized, so gsEngine keeps one
+// replica per worker; runFedAvg keeps the private ones), no upload
+// buffers (the in-flight round's slot owns them) and no batch views or
+// top-k working memory (dead once a step returns, so each worker's Step
+// holds them).
 type client struct {
-	acc    []float64 // a_i, the accumulated local gradient (GS mode only)
-	data   *dataset.Dataset
-	weight float64 // C_i
-	rng    *rand.Rand
-
-	xs [][]float64
-	ys []int
+	Member
+	weight float64
 }
 
 // Run executes the configured training and returns per-round statistics.
@@ -286,7 +281,7 @@ func run(cfg Config) (*Result, error) {
 	clients := make([]*client, cfg.Data.NumClients())
 	var totalWeight float64
 	for i := range clients {
-		seed := cfg.Seed + 1000003*int64(i+1)
+		seed := ClientSeed(cfg.Seed, i)
 		var rng *rand.Rand
 		if dur != nil {
 			dur.clientSrcs[i] = wal.NewCountingSource(seed, 0)
@@ -295,9 +290,8 @@ func run(cfg Config) (*Result, error) {
 			rng = rand.New(rand.NewSource(seed))
 		}
 		clients[i] = &client{
-			data:   &cfg.Data.Clients[i],
+			Member: Member{Rng: rng, Data: &cfg.Data.Clients[i]},
 			weight: float64(cfg.Data.Clients[i].Len()),
-			rng:    rng,
 		}
 		totalWeight += clients[i].weight
 	}
@@ -311,7 +305,7 @@ func run(cfg Config) (*Result, error) {
 		return runFedAvg(cfg, clients, totalWeight, cost, ref)
 	}
 	for _, c := range clients {
-		c.acc = make([]float64, d)
+		c.Acc = make([]float64, d)
 	}
 	if dur != nil {
 		rc, ok := ctrl.(core.Resumable)
@@ -507,6 +501,7 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.
 		return nil, err
 	}
 	evalNets, nets := nets[:pool], nets[pool:]
+	steps := newSteps(pool, cfg.BatchSize, 0) // only their batch views
 	lossShare := make([]float64, len(clients))
 	// The aggregation weights and parameter views of the weighted
 	// reduction, hoisted out of the loop.
@@ -521,9 +516,9 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.
 		sink.OnRoundStart(m)
 		parallelFor(cfg.Workers, len(clients), func(i, w int) {
 			c := clients[i]
-			c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
-			lossShare[i] = c.weight / totalWeight * evalNets[w].MeanLoss(c.xs, c.ys)
-			nets[i].MeanLossGrad(c.xs, c.ys)
+			xs, ys := steps[w].batch(&c.Member)
+			lossShare[i] = c.weight / totalWeight * evalNets[w].MeanLoss(xs, ys)
+			nets[i].MeanLossGrad(xs, ys)
 			// Local step: weights diverge between aggregations.
 			tensor.AXPY(-cfg.LearningRate, nets[i].Grads(), nets[i].Params())
 		})
@@ -546,7 +541,7 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.
 		}
 		clock.Advance(roundTime)
 
-		stats := RoundStats{
+		stats := RoundEvent{
 			Round:     m,
 			K:         cfg.FedAvgKEquiv,
 			KCont:     float64(cfg.FedAvgKEquiv),
@@ -598,7 +593,7 @@ func payloadUnits(s gs.Strategy, d, k, downElems int, elemUnits float64) (uplink
 
 // maybeEval runs the cadenced evaluations on the *global* model: in GS
 // mode weight replica 0; in FedAvg mode the last aggregated weights.
-func maybeEval(cfg *Config, stats *RoundStats, global *nn.Network, clients []*client, totalWeight float64, m int) {
+func maybeEval(cfg *Config, stats *RoundEvent, global *nn.Network, clients []*client, totalWeight float64, m int) {
 	if cfg.EvalEvery > 0 && (m%cfg.EvalEvery == 0 || m == 1) {
 		xs, ys := cfg.Data.Test.XY()
 		stats.TestAcc = global.Accuracy(xs, ys)
@@ -607,7 +602,7 @@ func maybeEval(cfg *Config, stats *RoundStats, global *nn.Network, clients []*cl
 	if cfg.TrainLossEvery > 0 && (m%cfg.TrainLossEvery == 0 || m == 1) {
 		var loss float64
 		for _, c := range clients {
-			xs, ys := c.data.XY()
+			xs, ys := c.Data.XY()
 			loss += c.weight / totalWeight * global.MeanLoss(xs, ys)
 		}
 		stats.TrainLoss = loss

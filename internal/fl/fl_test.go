@@ -54,7 +54,7 @@ func TestRunDecreasesLoss(t *testing.T) {
 	}
 }
 
-func meanLossWindow(stats []RoundStats) float64 {
+func meanLossWindow(stats []RoundEvent) float64 {
 	var s float64
 	for _, st := range stats {
 		s += st.Loss

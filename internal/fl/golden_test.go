@@ -11,7 +11,7 @@ import (
 	"fedsparse/internal/gs"
 )
 
-// fingerprint folds a whole run into one FNV-64a hash: every RoundStats
+// fingerprint folds a whole run into one FNV-64a hash: every RoundEvent
 // scalar of every round (floats by bit pattern, so the NaN placeholders
 // count), the per-client contribution counts, and the final weights.
 func fingerprint(res *Result) uint64 {

@@ -1,6 +1,5 @@
 // Round-event observation: the engine's per-round bookkeeping as a
-// typed event stream. RoundEvent is the canonical per-round record
-// (RoundStats remains as a compatibility alias), Observer the
+// typed event stream. RoundEvent is the per-round record, Observer the
 // synchronous consumer interface, and Collector the built-in observer
 // the engine itself uses to rebuild Result.Stats — so the CSV writers
 // in flsim, the metrics.Series builders, and the HTTP admin server are
@@ -76,11 +75,6 @@ type RoundEvent struct {
 	// durable runs, and for rounds replayed from an existing log).
 	WALAppends, WALSnapshots uint64
 }
-
-// RoundStats is the historical name of RoundEvent; existing callers
-// (Result.Stats consumers, the experiments, the durable WAL round
-// trips) keep compiling against the alias.
-type RoundStats = RoundEvent
 
 // Observer consumes a run's progress as it happens. The engine, the
 // transport coordinator (RunServerPeers and the durable server), and

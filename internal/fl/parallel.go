@@ -4,11 +4,11 @@ import "fedsparse/internal/par"
 
 // This file documents the worker pool behind Config.Workers (the pool
 // primitive itself lives in internal/par, shared with the gs sharded
-// tiers). A GS round fans out twice — phase A's localStep over the
-// participants (gradient, residual add, top-k into the round's slot) and
-// sealReplica over the P weight replicas (probe losses, the update,
-// residual subtraction) — and each iteration is independent, so the
-// engine stays bit-deterministic at any worker count.
+// tiers). A GS round fans out twice — phase A's participate over the
+// participants (the participant Step of step.go: gradient, residual add,
+// top-k into the round's slot) and sealReplica over the P weight replicas
+// (probe losses, the update, JSet.Settle) — and each iteration is
+// independent, so the engine stays bit-deterministic at any worker count.
 //
 // Shared-state audit (what makes the fan-outs safe):
 //
@@ -19,11 +19,11 @@ import "fedsparse/internal/par"
 //     replica i and serves the fixed participant block ChunkBounds(nPart,
 //     P, i). A loss depends on (weights, sample) only, so which replica
 //     measures it moves no bit.
-//   - Each client owns its residual a_i (touched in the seal only by the
-//     replica whose block holds it), its *rand.Rand and its minibatch
-//     views. Every draw a client makes (minibatch, probe sample) comes
-//     from its own stream in a fixed per-client order, so the streams
-//     advance identically however iterations are scheduled.
+//   - Each client owns its Member: the residual a_i (touched in the seal
+//     only by the replica whose block holds it) and its *rand.Rand. Every
+//     draw a client makes (minibatch, probe sample) comes from its own
+//     stream in a fixed per-client order, so the streams advance
+//     identically however iterations are scheduled.
 //   - A round's slot is written by phase A at participant position pi
 //     only (upload pairs, probe sample) and only read by the seal; the
 //     mandated index set every upload aliases is read-only once copied.
@@ -36,20 +36,19 @@ import "fedsparse/internal/par"
 //     survives the call, nothing is shared between networks. Per gradient
 //     element the flush runs the per-sample path's addition chain, so
 //     blocking moves no bit at any worker count.
-//   - sparse.TopKInto touches only the caller-owned scratch, and its
-//     output is a function of (vector, k) alone. So the round arena keeps
-//     one scratch per worker, indexed by par.For's stable worker id, and
-//     one probe save buffer per replica, and the coordinator grows them
-//     before the fan-out: which worker meets which client decides
-//     nothing, not even the allocation count. dataset.BatchInto fills
-//     caller-owned buffers with read-only views of the client's immutable
-//     samples.
+//   - A Step's scratch — batch views that dataset.BatchInto fills with
+//     read-only views of a client's immutable samples, and the
+//     sparse.TopKInto working memory, whose output is a function of
+//     (vector, k) alone — is dead once Run returns. So the round arena
+//     keeps one Step per worker, indexed by par.For's stable worker id,
+//     and one probe save buffer per replica, and the coordinator grows
+//     them before the fan-out: which worker meets which client decides
+//     nothing, not even the allocation count.
 //   - The engine rng (stochastic k rounding, mandated indices, the roster
 //     draw), the aggregation, and the controller run only on the
 //     coordinating goroutine, between the fan-outs. The engine fields the
 //     fan-outs read (cur, partWeight, sel/probeSel) and the arena's
-//     epoch-stamped inJ slab are likewise set by the coordinator and only
-//     read inside them.
+//     JSet are likewise set by the coordinator and only read inside them.
 //
 // Determinism then reduces to the merge: workers write every result into
 // a slot indexed by participant (or client) position, and the coordinator

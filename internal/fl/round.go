@@ -7,7 +7,8 @@
 // flight — and then seals round m−W. At W = 0 that is "phase A of m, then
 // seal of m": the lockstep engine is the window at zero, not a second
 // loop, and every knob (population, quantization, durability)
-// meets the window in this one body.
+// meets the window in this one body. A participant's share of phase A
+// and of the seal is step.go's, the same code every wire client runs.
 //
 // Where the measurements sit: the probe sample h is drawn in phase A (it
 // is a client rng draw) but its three one-sample losses f(w(r−1)),
@@ -26,9 +27,9 @@ import (
 	"slices"
 
 	"fedsparse/internal/core"
+	"fedsparse/internal/dataset"
 	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
-	"fedsparse/internal/par"
 	"fedsparse/internal/simtime"
 	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
@@ -36,54 +37,50 @@ import (
 
 // roundArena holds the per-run buffers the rounds share, allocated once
 // and reused. Participant-indexed slots are re-sliced to the round's
-// participant count; the downlink set J is an epoch-stamped slab
-// (inJ[j] == inJGen means "in J this round"), so clearing it between
-// rounds is O(1). The coordinator stamps the slab and grows the
-// per-worker buffers between fan-outs; workers only read the former and
-// only use the latter.
+// participant count. The coordinator stamps J and grows the per-worker
+// buffers between fan-outs; workers only read the former and only use
+// the latter.
 type roundArena struct {
 	// Participant-indexed slots (length = this round's participant count).
 	fPrev, fCur, fProbe []float64
 	lossShare           []float64
 
-	inJ    []int32 // coordinate space: inJ[j] == inJGen means j ∈ J
-	inJGen int32
-
-	saved [][]float64          // per-replica probe save/restore buffers
-	topk  []sparse.TopKScratch // per-worker top-k working memory
+	j     JSet        // the round's downlink index set
+	saved [][]float64 // per-replica probe save/restore buffers
+	steps []*Step     // per-worker participant steps (step.go)
 
 	// mand backs the allocation-free mandated-index draws (periodic-k's
 	// Fisher–Yates, send-all's identity set).
 	mand gs.MandateScratch
 }
 
-func newRoundArena(d, nClients, pool int) *roundArena {
+func newRoundArena(d, nClients, pool, batch, bits int) *roundArena {
 	return &roundArena{
 		fPrev:     make([]float64, nClients),
 		fCur:      make([]float64, nClients),
 		fProbe:    make([]float64, nClients),
 		lossShare: make([]float64, nClients),
-		inJ:       make([]int32, d),
+		j:         NewJSet(d),
 		saved:     make([][]float64, pool),
-		topk:      make([]sparse.TopKScratch, pool),
+		steps:     newSteps(pool, batch, bits),
 	}
 }
 
-// stampInJ records the downlink index set J in the coordinate slab
-// (par.BumpEpoch handles the wrap-clear).
-func (ar *roundArena) stampInJ(indices []int) {
-	par.BumpEpoch(&ar.inJGen, ar.inJ)
-	for _, j := range indices {
-		ar.inJ[j] = ar.inJGen
+// newSteps returns one participant step per worker.
+func newSteps(pool, batch, bits int) []*Step {
+	steps := make([]*Step, pool)
+	for w := range steps {
+		steps[w] = NewStep(batch, bits)
 	}
+	return steps
 }
 
 // roundSlot is one in-flight round: everything phase A produces that the
-// seal, W steps later, consumes. The slot owns the upload buffers — top-k
-// writes straight into pairIdx/pairVal, indexed by participant position —
-// so nothing is copied between the client and the server side, and a
-// slot's storage is reused once its round has sealed. The probe sample is
-// kept as the view dataset.BatchInto hands out: samples are immutable.
+// seal, W steps later, consumes. The slot owns the upload buffers — the
+// step writes straight into bufs, indexed by participant position — so
+// nothing is copied between the client and the server side, and a slot's
+// storage is reused once its round has sealed. The probe sample is kept
+// as the view dataset.BatchInto hands out: samples are immutable.
 type roundSlot struct {
 	kInt, probeInt      int
 	kCont, weightedLoss float64
@@ -94,24 +91,20 @@ type roundSlot struct {
 	// mandated is the round's mandated index set (nil on a top-k round),
 	// copied into mandBuf once and aliased by every participant's upload.
 	mandated, mandBuf []int
-	pairIdx           [][]int
-	pairVal           [][]float64
+	bufs              []sparse.Vec
 	uploads           []gs.ClientUpload
 	admitted          []bool
-	hx                [][]float64
-	hy                []int
+	h                 []dataset.Sample
 }
 
 func newRoundSlot(nClients int) roundSlot {
 	return roundSlot{
 		participants: make([]int, 0, nClients),
 		mandBuf:      []int{}, // non-nil: an empty mandated set is not a top-k round
-		pairIdx:      make([][]int, nClients),
-		pairVal:      make([][]float64, nClients),
+		bufs:         make([]sparse.Vec, nClients),
 		uploads:      make([]gs.ClientUpload, nClients),
 		admitted:     make([]bool, nClients),
-		hx:           make([][]float64, nClients),
-		hy:           make([]int, nClients),
+		h:            make([]dataset.Sample, nClients),
 	}
 }
 
@@ -194,7 +187,7 @@ func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight fl
 		ctrl: ctrl, rng: engineRng, d: d, dur: dur,
 		sink:      MultiObserver(coll, cfg.Observer),
 		elemUnits: 2,
-		ar:        newRoundArena(d, nClients, len(replicas)),
+		ar:        newRoundArena(d, nClients, len(replicas), cfg.BatchSize, cfg.QuantBits),
 		pop:       newPopState(&cfg, nClients),
 		agg:       newAggregator(&cfg, d),
 		ring:      make([]roundSlot, cfg.Staleness+1),
@@ -208,7 +201,7 @@ func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight fl
 	for i := range e.ring {
 		e.ring[i] = newRoundSlot(nClients)
 	}
-	e.localFn, e.sealFn = e.localStep, e.sealReplica
+	e.localFn, e.sealFn = e.participate, e.sealReplica
 
 	// A resumed run reports the rounds before the restored snapshot from
 	// the log (the state to recompute them is gone by design — that is
@@ -245,8 +238,8 @@ func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight fl
 }
 
 // phaseA opens round m: the controller's k, the mandated set, the roster,
-// and every participant's local step (see localStep), at whatever weights
-// the replicas hold — those of round m−W−1.
+// and every participant's local step (see participate), at whatever
+// weights the replicas hold — those of round m−W−1.
 func (e *gsEngine) phaseA(m int) error {
 	cfg, ar := e.cfg, e.ar
 	e.sink.OnRoundStart(m)
@@ -270,8 +263,8 @@ func (e *gsEngine) phaseA(m int) error {
 		// Grown here, where k is known, and not by whichever worker first
 		// meets it: the run's allocation count is then a function of the
 		// k trajectory alone, not of goroutine scheduling.
-		for w := range ar.topk {
-			ar.topk[w].Reserve(e.d, slot.kInt)
+		for _, s := range ar.steps {
+			s.topk.Reserve(e.d, slot.kInt)
 		}
 	}
 
@@ -299,40 +292,16 @@ func (e *gsEngine) phaseA(m int) error {
 	return nil
 }
 
-// localStep is participant pi's phase A on worker w's replica: minibatch
-// gradient into the residual accumulator, the one-sample probe point h
-// (Section IV-E), and the upload — the mandated coordinates or the top-k
-// of the accumulator — written into the round's slot.
-func (e *gsEngine) localStep(pi, w int) {
-	slot, cfg := e.cur, e.cfg
-	c, net := e.clients[slot.participants[pi]], e.replicas[w]
-	c.xs, c.ys = c.data.BatchInto(c.xs, c.ys, c.rng, cfg.BatchSize)
-	batchLoss := net.MeanLossGrad(c.xs, c.ys)
-	tensor.AXPY(1, net.Grads(), c.acc)
-	e.ar.lossShare[pi] = c.weight / e.partWeight * batchLoss
-
-	h := c.rng.Intn(len(c.xs))
-	slot.hx[pi], slot.hy[pi] = c.xs[h], c.ys[h]
-
-	pairs := sparse.Vec{Idx: slot.mandated, Val: slot.pairVal[pi]}
-	if pairs.Idx != nil {
-		pairs.Val = slices.Grow(pairs.Val[:0], len(pairs.Idx))[:len(pairs.Idx)]
-		for vi, j := range pairs.Idx {
-			pairs.Val[vi] = c.acc[j]
-		}
-	} else {
-		pairs.Idx = slot.pairIdx[pi]
-		pairs = sparse.TopKInto(pairs, &e.ar.topk[w], c.acc, slot.kInt)
-		slot.pairIdx[pi] = pairs.Idx
-	}
-	slot.pairVal[pi] = pairs.Val
-	if cfg.QuantBits > 0 {
-		// In place: the values are copies of acc in the slot's own
-		// buffer, the same pre-send snap the wire protocol applies — one
-		// shared quantization semantics, no per-round clone.
-		sparse.QuantizeInPlace(pairs.Val, cfg.QuantBits)
-	}
-	slot.uploads[pi] = gs.ClientUpload{Pairs: pairs, Weight: c.weight}
+// participate is participant pi's phase A on worker w's replica: the
+// participant step (step.go) on the client's state, its upload written
+// into the round's slot.
+func (e *gsEngine) participate(pi, w int) {
+	slot := e.cur
+	c := e.clients[slot.participants[pi]]
+	out := e.ar.steps[w].Run(e.replicas[w], &c.Member, slot.mandated, slot.kInt, &slot.bufs[pi])
+	slot.h[pi] = out.H
+	e.ar.lossShare[pi] = c.weight / e.partWeight * out.BatchLoss
+	slot.uploads[pi] = gs.ClientUpload{Pairs: out.Pairs, Weight: c.weight}
 }
 
 // seal closes round r: admit or fold each upload, select once — every
@@ -376,7 +345,7 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 		ar.saved[w] = slices.Grow(ar.saved[w][:0], len(probeAgg.Indices))
 	}
 
-	ar.stampInJ(agg.Indices)
+	ar.j.Stamp(agg.Indices)
 	e.cur = slot
 	parallelFor(cfg.Workers, len(e.replicas), e.sealFn)
 
@@ -414,7 +383,7 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	}
 	e.ctrl.Observe(obs)
 
-	stats := RoundStats{
+	stats := RoundEvent{
 		Round:         r,
 		K:             kInt,
 		KCont:         slot.kCont,
@@ -467,7 +436,7 @@ func (e *gsEngine) sealReplica(i, _ int) {
 	eta := e.cfg.LearningRate
 	lo, hi := tensor.ChunkBounds(len(slot.participants), len(e.replicas), i)
 	for pi := lo; pi < hi; pi++ {
-		ar.fPrev[pi] = net.Loss(slot.hx[pi], slot.hy[pi]) // f_{i,h}(w(r−1))
+		ar.fPrev[pi] = net.Loss(slot.h[pi].X, slot.h[pi].Y) // f_{i,h}(w(r−1))
 	}
 	if slot.probeInt > 0 && lo < hi {
 		// w′(r) = w(r−1) − η·∇′: apply, measure, restore exactly.
@@ -478,7 +447,7 @@ func (e *gsEngine) sealReplica(i, _ int) {
 			params[j] -= eta * values[vi]
 		}
 		for pi := lo; pi < hi; pi++ {
-			ar.fProbe[pi] = net.Loss(slot.hx[pi], slot.hy[pi])
+			ar.fProbe[pi] = net.Loss(slot.h[pi].X, slot.h[pi].Y)
 		}
 		for vi, j := range indices {
 			params[j] = saved[vi]
@@ -490,17 +459,7 @@ func (e *gsEngine) sealReplica(i, _ int) {
 		params[j] -= eta * values[vi]
 	}
 	for pi := lo; pi < hi; pi++ {
-		ar.fCur[pi] = net.Loss(slot.hx[pi], slot.hy[pi])
-		// Lines 16–17: subtract the residual mass the server consumed.
-		// For exact uploads this zeroes a_ij (x − x == 0); with
-		// quantization it keeps the quantization error accumulated —
-		// error feedback extends to the combined GS+quantization case.
-		acc := e.clients[slot.participants[pi]].acc
-		pairs := slot.uploads[pi].Pairs
-		for vi, j := range pairs.Idx {
-			if ar.inJ[j] == ar.inJGen {
-				acc[j] -= pairs.Val[vi]
-			}
-		}
+		ar.fCur[pi] = net.Loss(slot.h[pi].X, slot.h[pi].Y)
+		ar.j.Settle(e.clients[slot.participants[pi]].Acc, slot.uploads[pi].Pairs)
 	}
 }

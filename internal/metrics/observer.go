@@ -9,7 +9,7 @@ import (
 // RoundObserver folds a run's round-event stream into the series the
 // experiment harness plots. It implements fl.Observer, so it can be
 // attached live to a run (fl.Config.Observer) or replayed over a
-// collected []fl.RoundStats after the fact; both produce identical
+// collected []fl.RoundEvent after the fact; both produce identical
 // series because it consumes nothing but the events.
 type RoundObserver struct {
 	LossByTime  Series // (normalized time, sampled training loss)
@@ -36,7 +36,7 @@ func (o *RoundObserver) OnRunEnd(error) {}
 
 // Replay feeds an already-collected stats slice through the observer,
 // for callers that hold a finished Result rather than a live run.
-func (o *RoundObserver) Replay(stats []fl.RoundStats) {
+func (o *RoundObserver) Replay(stats []fl.RoundEvent) {
 	for _, st := range stats {
 		o.OnRoundEnd(st)
 	}

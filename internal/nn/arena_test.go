@@ -88,14 +88,31 @@ func TestPerSampleAllocFree(t *testing.T) {
 // very first MeanLossGrad allocates nothing. The benchmark counts a run's
 // allocations from its first round on, so state set up "on first use"
 // would land in allocs_per_round for every client of every repetition.
+//
+// MemStats counts the whole process, so a runtime or concurrent-test
+// malloc can land inside the measured call. The test therefore runs at
+// GOMAXPROCS 1 and takes the minimum over three freshly built networks
+// per architecture: a lazily sized cache allocates in every one of them,
+// a stray malloc does not.
 func TestFirstBatchAllocFree(t *testing.T) {
-	for _, m := range arenaModels(t) { // built, initialised, never run
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m.net.MeanLossGrad(m.xs, m.ys)
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Fatalf("%s: first MeanLossGrad made %d allocations, want 0", m.name, n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var fewest []uint64
+	for rep := 0; rep < 3; rep++ {
+		for i, m := range arenaModels(t) { // built, initialised, never run
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m.net.MeanLossGrad(m.xs, m.ys)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; rep == 0 {
+				fewest = append(fewest, n)
+			} else {
+				fewest[i] = min(fewest[i], n)
+			}
+		}
+	}
+	for i, m := range arenaModels(t) {
+		if fewest[i] != 0 {
+			t.Errorf("%s: first MeanLossGrad made at least %d allocations on each of 3 fresh networks, want 0", m.name, fewest[i])
 		}
 	}
 }

@@ -47,8 +47,8 @@ func Chunks(workers, n int) int {
 // BumpEpoch advances an epoch-stamp generation counter and returns the new
 // generation, clearing the mark slab on the (once per 2³¹ calls) int32
 // wrap so a stale stamp can never alias a live generation. This is the
-// single source of the epoch-slab invariant shared by the fl round arena
-// and the gs aggregation scratch.
+// single source of the epoch-slab invariant shared by fl.JSet and the gs
+// aggregation scratch.
 func BumpEpoch(gen *int32, slab []int32) int32 {
 	if *gen == math.MaxInt32 {
 		for i := range slab {

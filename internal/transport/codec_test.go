@@ -339,7 +339,7 @@ func TestCorruptFrameFailsRoundNotBarrier(t *testing.T) {
 			// errors are teardown noise, not the assertion.
 			_ = RunClient(clientConns[id], ClientConfig{
 				ID: id, Data: &fed.Clients[id], Model: model,
-				LearningRate: 0.1, BatchSize: 8, Seed: 5 + 1000003*int64(id+1),
+				LearningRate: 0.1, BatchSize: 8, Seed: fl.ClientSeed(5, id),
 			})
 		}(i)
 	}

@@ -373,7 +373,7 @@ func runDirectHarness(t testing.TB, rounds, k, nShards int, cfg ServerConfig,
 					Model:        model,
 					LearningRate: 0.1,
 					BatchSize:    8,
-					Seed:         5 + 1000003*int64(id+1),
+					Seed:         fl.ClientSeed(5, id),
 					DialShard:    dialHook(id),
 				})
 			}
@@ -603,7 +603,7 @@ func TestDirectCoordinatorCarriesNoGradientPayload(t *testing.T) {
 					defer wg.Done()
 					_ = RunClient(clientCs[id], ClientConfig{
 						ID: id, Data: &fed.Clients[id], Model: model,
-						LearningRate: 0.1, BatchSize: 8, Seed: 5 + 1000003*int64(id+1),
+						LearningRate: 0.1, BatchSize: 8, Seed: fl.ClientSeed(5, id),
 						DialShard: func(addr string) (Conn, error) {
 							for s, a := range addrs {
 								if a == addr {
@@ -639,7 +639,7 @@ func TestDirectCoordinatorCarriesNoGradientPayload(t *testing.T) {
 				defer wg.Done()
 				_ = RunClient(clientCs[id], ClientConfig{
 					ID: id, Data: &fed.Clients[id], Model: model,
-					LearningRate: 0.1, BatchSize: 8, Seed: 5 + 1000003*int64(id+1),
+					LearningRate: 0.1, BatchSize: 8, Seed: fl.ClientSeed(5, id),
 				})
 			}(i)
 		}

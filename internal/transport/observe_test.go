@@ -51,7 +51,7 @@ func runObserved(t *testing.T, fed *dataset.Federated, model func() *nn.Network,
 				Model:        model,
 				LearningRate: 0.1,
 				BatchSize:    8,
-				Seed:         5 + 1000003*int64(id+1),
+				Seed:         fl.ClientSeed(5, id),
 			})
 		}(i)
 	}

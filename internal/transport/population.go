@@ -47,7 +47,7 @@
 // the coordinator runs coordRun.run with drawRound as its roster.
 // Cohort-sampled trajectories are bit-identical to fl.Run with the same
 // Cohort/Churn/Dropout/Seed: the draw shares the engine's code, a drawn
-// member runs every client's one local step (localStep.run), and the
+// member runs the engine's own participant step (fl.Step), and the
 // aggregation runs over cohort-ordered uploads, which is the engine's
 // participant order. The routed and direct planes are bit-identical to
 // each other; population × bounded staleness is refused by name
@@ -346,7 +346,7 @@ type HostConfig struct {
 	LearningRate float64
 	BatchSize    int
 	// Seed is the run's base seed; member rngs derive as
-	// Seed + 1000003·(member+1), the engine's per-client scheme.
+	// fl.ClientSeed(Seed, member), the engine's per-client scheme.
 	Seed int64
 	// DialShard opens the data-plane connection to one shard in direct
 	// mode (nil uses Dial). Called once per shard per run — this is
@@ -376,7 +376,7 @@ func RunVirtualHost(coord Conn, cfg HostConfig) error {
 	}
 	mux := NewMux(coord)
 	p := participant{who: "host", id: cfg.HostID, hello: hello, roster: cfg.Members, data: cfg.Data,
-		seed:  func(member int) int64 { return cfg.Seed + 1000003*int64(member+1) },
+		seed:  func(member int) int64 { return fl.ClientSeed(cfg.Seed, member) },
 		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard, host: mux}
 	init, err := clientHandshake(mux, p)
 	if err != nil {

@@ -451,8 +451,8 @@ type ClientConfig struct {
 	Model        func() *nn.Network
 	LearningRate float64
 	BatchSize    int
-	// Seed must follow the reference engine's scheme
-	// (base + 1000003·(ID+1)) for trajectory-identical runs.
+	// Seed must be fl.ClientSeed(base, ID), the reference engine's
+	// scheme, for trajectory-identical runs.
 	Seed int64
 	// DialShard opens the data-plane connection to one shard when the
 	// coordinator's Init carries a shard directory (direct mode). nil
@@ -529,6 +529,9 @@ func runClient(coord Conn, p participant, init Init, link *healLink) error {
 	if init.Window < 0 || init.Window > MaxStaleness {
 		return fmt.Errorf("transport: %s %d: init staleness window %d outside [0, %d]", p.who, p.id, init.Window, MaxStaleness)
 	}
+	if init.QuantBits != 0 && (init.QuantBits < 2 || init.QuantBits > 64) {
+		return fmt.Errorf("transport: %s %d: init quantization width %d outside 0 or [2, 64]", p.who, p.id, init.QuantBits)
+	}
 	if len(init.Shards) == 0 {
 		return runClientRounds(coord, p, init, nil)
 	}
@@ -544,15 +547,6 @@ func runClient(coord Conn, p participant, init Init, link *healLink) error {
 	return runClientRounds(coord, p, init, fan)
 }
 
-// memberState is one roster member's private state, materialized at
-// the member's first draw. Everything else (model weights, batch
-// buffers, top-k scratch) is shared across the roster.
-type memberState struct {
-	acc  []float64 // error-feedback residual
-	rng  *rand.Rand
-	data *dataset.Dataset
-}
-
 // memberUpload is one drawn member's upload in an in-flight round: its
 // roster position, its pairs, kept for the fold-back W steps later, and
 // the per-shard split buffers its SliceUploads alias.
@@ -565,24 +559,25 @@ type memberUpload struct {
 // runClientRounds is the participant's one round loop on both data
 // planes, W = init.Window rounds deep — the engine's pipeline
 // (internal/fl round.go) on the wire. Step m draws round m's cohort
-// from the roster and runs each drawn member's local step
-// (localStep.run — the training computation and rng consumption every
-// tier shares) on the member's own residual and rng, then sends its
-// upload — routed: one Upload to the coordinator; direct (fan set):
-// range slices with explicit local ranks straight to the owning shards,
-// and the control scalars to the coordinator. Then, once m > W, it
-// receives round m−W's aggregated B — routed: the coordinator's
-// Broadcast; direct: the shard-served slices, fetched after the
-// coordinator's release and reassembled by concatenation — applies it
-// once to the shared model, and folds each of that round's uploads out
-// of its member's residual. Steps past init.Rounds only drain the last
-// W rounds. So round m's local step sees the weights of round m−W−1, as
-// in fl.Run with the same Staleness, and W = 0 is the lockstep loop.
+// from the roster and runs each drawn member through the engine's own
+// participant step (fl.Step.Run: the training computation and the rng
+// order), then sends its upload — routed: one Upload to the coordinator;
+// direct (fan set): range slices with explicit local ranks straight to
+// the owning shards, and the control scalars to the coordinator. The
+// step's probe sample h goes unused: the coordinator runs fixed-k FAB,
+// with no mandated set and no probe. Then, once m > W, it receives round
+// m−W's aggregated B — routed: the coordinator's Broadcast; direct: the
+// shard-served slices, fetched after the coordinator's release and
+// reassembled by concatenation — applies it once to the shared model,
+// and settles each of that round's uploads out of its member's residual
+// (fl.JSet.Settle). Steps past init.Rounds only drain the last W rounds.
+// So round m's local step sees the weights of round m−W−1, as in fl.Run
+// with the same Staleness, and W = 0 is the lockstep loop.
 //
-// Member state is a slice by roster position, found by binary search
-// over the ascending roster. A member first drawn at round m starts like
-// an engine client that sat out rounds 1..m−1: weights synchronized (the
-// shared model), residual zero, rng stream virgin.
+// Member state (fl.Member) is a slice by roster position, found by
+// binary search over the ascending roster. A member first drawn at round
+// m starts like an engine client that sat out rounds 1..m−1: weights
+// synchronized (the shared model), residual zero, rng stream virgin.
 //
 // The upload buffers live in a ring of W+1 slots, one entry per cohort
 // position, reused across rounds (the same zero-alloc hot loop as the
@@ -593,18 +588,17 @@ type memberUpload struct {
 // and fill queries) is done reading before that broadcast can be
 // released. (A durable link copies what it keeps for resends.)
 func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error {
-	step, err := newLocalStep(p.who, p.id, p.model, init, p.batch)
-	if err != nil {
-		return err
-	}
-	net := step.net
-	applied := newAppliedSet(p.who, p.id, net.D())
-	members := make([]memberState, len(p.roster))
+	net := p.model()
+	net.SetParams(init.Params)
+	step := fl.NewStep(p.batch, init.QuantBits)
+	applied := &appliedSet{who: p.who, id: p.id, JSet: fl.NewJSet(net.D())}
+	members := make([]fl.Member, len(p.roster))
 	w := init.Window
 	ring := make([][]memberUpload, w+1)
 	var (
 		bIdx []int
 		bVal []float64
+		err  error
 	)
 	for m := 1; m <= init.Rounds+w; m++ {
 		if m <= init.Rounds {
@@ -626,22 +620,21 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 					return fmt.Errorf("transport: %s %d round %d: cohort member %d outside its roster", p.who, p.id, m, id)
 				}
 				st, up := &members[pos], &slot[i]
-				if st.acc == nil {
-					st.acc, st.rng, st.data = make([]float64, net.D()), rand.New(rand.NewSource(p.seed(id))), p.data(id)
+				if st.Acc == nil {
+					*st = fl.Member{Acc: make([]float64, net.D()), Rng: rand.New(rand.NewSource(p.seed(id))), Data: p.data(id)}
 				}
 				up.pos = pos
-				var batchLoss, scale float64
-				up.pairs, batchLoss, scale = step.run(st.data, st.rng, st.acc, up.pairs)
+				out := step.Run(net, st, nil, init.K, &up.pairs)
 				var msg any
 				if fan == nil {
 					msg = Upload{ClientID: id, Round: m, Idx: up.pairs.Idx, Val: up.pairs.Val,
-						BatchLoss: batchLoss, Bits: init.QuantBits, Scale: scale}
+						BatchLoss: out.BatchLoss, Bits: init.QuantBits, Scale: out.Scale}
 				} else {
 					fan.split(up.pairs, &up.bufs)
-					if err := fan.upload(m, id, &up.bufs, init.QuantBits, scale); err != nil {
+					if err := fan.upload(m, id, &up.bufs, init.QuantBits, out.Scale); err != nil {
 						return err
 					}
-					msg = RoundMeta{ClientID: id, Round: m, BatchLoss: batchLoss, UploadLen: up.pairs.Len()}
+					msg = RoundMeta{ClientID: id, Round: m, BatchLoss: out.BatchLoss, UploadLen: up.pairs.Len()}
 				}
 				if p.host != nil {
 					err = p.host.sendFor(id, msg)
@@ -670,7 +663,7 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 			return err
 		}
 		for _, up := range ring[r%(w+1)] {
-			applied.settle(members[up.pos].acc, up.pairs)
+			applied.Settle(members[up.pos].Acc, up.pairs)
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fedsparse/internal/fl"
 	"fedsparse/internal/wal"
 )
 
@@ -214,7 +215,7 @@ func runDurableRecovery(t *testing.T, net *durableNet, direct bool, nShards int,
 				Model:        model,
 				LearningRate: 0.1,
 				BatchSize:    8,
-				Seed:         5 + 1000003*int64(id+1),
+				Seed:         fl.ClientSeed(5, id),
 				DialShard:    net.dialData,
 			}, DurableClientConfig{Redial: net.dialCoord, RedialShard: net.dialData})
 		}(i)

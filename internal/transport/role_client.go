@@ -2,88 +2,34 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
-	"fedsparse/internal/dataset"
-	"fedsparse/internal/nn"
-	"fedsparse/internal/par"
+	"fedsparse/internal/fl"
 	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
 )
 
-// This file is the participant's round, written once, and run by the
-// participant's one round loop (protocol.go: runClientRounds) at any
-// staleness window. Every client tier goes through that loop and
-// differs only in its roster and links: the client (its own ID, every
-// round), the durable client (durable_client.go: the same roster over
-// self-healing links) and the virtual host (population.go: a drawn
-// cohort of its members over one model and enveloped member streams).
+// This file holds the participant round's links, run by the participant's
+// one round loop (protocol.go: runClientRounds) at any staleness window.
+// The computation is not here: a member's local step and its residual
+// settle are fl's Step and JSet, the code the engine runs. Every client
+// tier goes through that loop and differs only in its roster and links:
+// the client (its own ID, every round), the durable client
+// (durable_client.go: the same roster over self-healing links) and the
+// virtual host (population.go: a drawn cohort of its members over one
+// model and enveloped member streams).
 //
-//	localStep  minibatch → gradient into the residual → top-k → quantize
 //	shardFan   the direct plane: split by range, upload, release, fetch
-//	appliedSet the downlink: validate B, apply it, remember J
-
-// localStep is the local computation of one participant's round. One
-// value serves every member that shares a model (a client's own, or a
-// host's whole roster): nothing in it outlives one run call.
-type localStep struct {
-	net                     *nn.Network
-	k, quantBits, batchSize int
-	topk                    sparse.TopKScratch
-	xs                      [][]float64
-	ys                      []int
-}
-
-// newLocalStep builds the model at the coordinator's initial weights
-// and checks the run parameters a participant acts on; who and id name
-// the caller in errors.
-func newLocalStep(who string, id int, model func() *nn.Network, init Init, batchSize int) (*localStep, error) {
-	if init.QuantBits != 0 && (init.QuantBits < 2 || init.QuantBits > 64) {
-		return nil, fmt.Errorf("transport: %s %d: init quantization width %d outside 0 or [2, 64]", who, id, init.QuantBits)
-	}
-	net := model()
-	net.SetParams(init.Params)
-	return &localStep{net: net, k: init.K, quantBits: init.QuantBits, batchSize: batchSize}, nil
-}
-
-// run draws the minibatch, accumulates its gradient into the
-// error-feedback residual acc, and extracts the top-k upload into pairs
-// (quantized onto its b-bit grid when the run quantizes — scale is the
-// grid's, for the wire headers). This is the bit-identity-critical
-// code: the rng consumption order lives here, and only here, which is
-// what keeps every tier's trajectory identical to each other's and to
-// the reference engine's for the same seeds.
-func (ls *localStep) run(data *dataset.Dataset, rng *rand.Rand, acc []float64, pairs sparse.Vec) (_ sparse.Vec, batchLoss, scale float64) {
-	ls.xs, ls.ys = data.BatchInto(ls.xs, ls.ys, rng, ls.batchSize)
-	batchLoss = ls.net.MeanLossGrad(ls.xs, ls.ys)
-	tensor.AXPY(1, ls.net.Grads(), acc)
-	// Mirror the reference engine's probe-sample draw so RNG streams
-	// stay aligned (the fixed-k protocol does not use the sample).
-	_ = rng.Intn(len(ls.xs))
-	pairs = sparse.TopKInto(pairs, &ls.topk, acc, ls.k)
-	if ls.quantBits > 0 {
-		scale = sparse.QuantizeInPlace(pairs.Val, ls.quantBits)
-	}
-	return pairs, batchLoss, scale
-}
+//	appliedSet the downlink: validate B, apply it, stamp J
 
 // appliedSet is the downlink half of every participant's round and its
 // trust boundary on B: it validates the aggregated B against the model,
-// applies it, and remembers its index set J, so the caller can fold the
-// upload mass the server consumed out of its residual. J lives in an
-// epoch-stamped slab over the coordinate space (par.BumpEpoch — the
-// engine's roundArena.stampInJ), so a round allocates nothing and
-// forgetting J is O(1).
+// applies it, and stamps its index set as the J that Settle folds the
+// consumed upload mass out of the residuals by.
 type appliedSet struct {
 	who string
 	id  int
-	inJ []int32
-	gen int32
-}
-
-func newAppliedSet(who string, id, d int) *appliedSet {
-	return &appliedSet{who: who, id: id, inJ: make([]int32, d)}
+	fl.JSet
 }
 
 // apply performs w ← w − η·B and makes B's index set the current J. B
@@ -96,32 +42,15 @@ func (a *appliedSet) apply(m int, params []float64, lr float64, bIdx []int, bVal
 		return fmt.Errorf("transport: %s %d round %d: broadcast carries %d indices with %d values",
 			a.who, a.id, m, len(bIdx), len(bVal))
 	}
-	par.BumpEpoch(&a.gen, a.inJ)
 	for vi, j := range bIdx {
 		if j < 0 || j >= len(params) {
 			return fmt.Errorf("transport: %s %d round %d: broadcast index %d outside [0, %d)",
 				a.who, a.id, m, j, len(params))
 		}
 		params[j] -= lr * bVal[vi]
-		a.inJ[j] = a.gen
 	}
+	a.Stamp(bIdx)
 	return nil
-}
-
-// has reports whether coordinate j was in the last applied B.
-func (a *appliedSet) has(j int) bool { return a.inJ[j] == a.gen }
-
-// settle folds an upload the server consumed out of the residual. It
-// subtracts the uploaded value rather than zeroing: identical for exact
-// uploads (x − x = 0), and with quantization it keeps the quantization
-// error accumulated — the engine's combined GS+quantization error
-// feedback, mirrored exactly.
-func (a *appliedSet) settle(acc []float64, pairs sparse.Vec) {
-	for vi, j := range pairs.Idx {
-		if a.has(j) {
-			acc[j] -= pairs.Val[vi]
-		}
-	}
 }
 
 // recvBroadcast is the routed plane's downlink: the round-m Broadcast

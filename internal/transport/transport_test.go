@@ -158,7 +158,7 @@ func runDistributed(t testing.TB, fed *dataset.Federated, model func() *nn.Netwo
 				Model:        model,
 				LearningRate: 0.1,
 				BatchSize:    8,
-				Seed:         5 + 1000003*int64(id+1),
+				Seed:         fl.ClientSeed(5, id),
 			})
 		}(i)
 	}
@@ -252,7 +252,7 @@ func runDistributedTCP(t *testing.T, fed *dataset.Federated, model func() *nn.Ne
 				Model:        model,
 				LearningRate: 0.1,
 				BatchSize:    8,
-				Seed:         5 + 1000003*int64(id+1),
+				Seed:         fl.ClientSeed(5, id),
 			})
 		}(i)
 	}

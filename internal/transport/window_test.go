@@ -212,7 +212,7 @@ func runTCPHarness(t *testing.T, rounds, k, nShards int, cfg ServerConfig) *dire
 				Model:        model,
 				LearningRate: 0.1,
 				BatchSize:    8,
-				Seed:         5 + 1000003*int64(id+1),
+				Seed:         fl.ClientSeed(5, id),
 			})
 		}(id)
 	}

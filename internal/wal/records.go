@@ -79,7 +79,7 @@ type Release struct {
 }
 
 // Finish closes a round. The generic containers carry the writer's
-// per-round stats scalars (the fl engine stores its full RoundStats
+// per-round stats scalars (the fl engine stores its full RoundEvent
 // here so a resumed run reproduces the CSV byte for byte).
 type Finish struct {
 	Round  int

@@ -48,8 +48,14 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # population), so their hostile-input tables, the shard kill + fresh
 # rejoin and the durable ingest desk ride along; and one participant
 # loop serves the client and the virtual host, so the population twins,
-# the mux and the hostile cohort table ride along too.
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort' ./internal/transport
+# the mux and the hostile cohort table ride along too. The wire clients
+# run the engine's own participant step (fl.Step), so the engine twins
+# (MatchesReferenceEngine, QuantizedTrajectoryGrid) are what prove the
+# two callers agree: they ride along as well.
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort|MatchesReferenceEngine|QuantizedTrajectoryGrid' ./internal/transport
+# The participant step's contract, its per-worker scratch and the
+# engine's contention grids, repeated under the race detector.
+go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention' ./internal/fl
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
