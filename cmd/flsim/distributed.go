@@ -239,7 +239,9 @@ func runShardRole(connect, listenAddr string, acceptTimeout time.Duration,
 		return err
 	}
 	defer conn.Close()
-	return fedsparse.ServeDirectShard(conn, ln, acceptTimeout)
+	return fedsparse.RunDirectShard(conn, func(n int) ([]fedsparse.Peer, error) {
+		return fedsparse.AcceptDataPeers(ln, n, acceptTimeout)
+	})
 }
 
 // runClientRole connects to the coordinator as participant `id` and
@@ -277,25 +279,15 @@ func runClientRole(datasetName, scale string, id int, seed int64, lr float64, ba
 		BatchSize:    batch,
 		Seed:         fedsparse.ClientSeed(seed, id),
 	}
+	dial := fedsparse.Dial
 	if durable {
 		ctx := context.Background()
 		policy := fedsparse.RetryPolicy{}
-		redial := func() (fedsparse.Conn, error) {
-			return fedsparse.DialRetry(ctx, connect, policy)
-		}
-		conn, err := redial()
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		return fedsparse.RunDurableClient(conn, cfg, fedsparse.DurableClientConfig{
-			Redial: redial,
-			RedialShard: func(addr string) (fedsparse.Conn, error) {
-				return fedsparse.DialRetry(ctx, addr, policy)
-			},
-		})
+		dial = func(addr string) (fedsparse.Conn, error) { return fedsparse.DialRetry(ctx, addr, policy) }
+		cfg.DialShard = dial
+		cfg.Redial = func() (fedsparse.Conn, error) { return dial(connect) }
 	}
-	conn, err := fedsparse.Dial(connect)
+	conn, err := dial(connect)
 	if err != nil {
 		return err
 	}

@@ -74,7 +74,9 @@ func run() error {
 				return
 			}
 			defer conn.Close()
-			shardErrs[s] = fedsparse.ServeDirectShard(conn, ingest, time.Minute)
+			shardErrs[s] = fedsparse.RunDirectShard(conn, func(n int) ([]fedsparse.Peer, error) {
+				return fedsparse.AcceptDataPeers(ingest, n, time.Minute)
+			})
 		}(s, ingest)
 	}
 

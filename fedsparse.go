@@ -91,20 +91,23 @@
 // docs/ARCHITECTURE.md has both tables.)
 //
 // One listener serves every role: AcceptPeer classifies each incoming
-// connection by its first message (Hello = client, ShardHello = shard,
-// see DialDirectShard; DataHello = a client on a shard's ingest plane),
-// clients go to RunServerPeers and shard connections to
-// ServerConfig.ShardConns. The flsim command exposes all three roles
-// (-role coordinator|shard|client with -listen/-connect), so a real
+// connection by its first message — Hello (a participant: a client, or
+// a virtual host, enrolling as its roster), ShardHello (a shard, see
+// DialDirectShard), DataHello (a participant on a shard's ingest
+// plane), Rejoin (a durable peer redialing). Participants go to
+// RunServerPeers and shard connections to ServerConfig.ShardConns. The
+// flsim command exposes all three roles (-role
+// coordinator|shard|client with -listen/-connect), so a real
 // multi-process deployment is one command per process.
 //
 // # Client-direct data plane (ingest + downlink)
 //
 // A shard tier (ServerConfig.ShardConns) is the client-direct data
 // plane: gradient payload flows between clients and shards in both
-// directions. Uplink: each shard serves its own ingest listener
-// (ServeDirectShard), the coordinator publishes the shard directory to
-// clients in Init, and every client splits its top-k
+// directions. Uplink: each shard accepts its clients on its own ingest
+// listener (RunDirectShard with AcceptDataPeers), the coordinator
+// publishes the shard directory to clients in Init, and every client
+// splits its top-k
 // upload by coordinate range and sends each slice — with explicit local
 // ranks, so min-rank selection metadata stays exact — straight to the
 // owning shard (SliceUpload). Downlink: after selection the coordinator
@@ -194,8 +197,9 @@
 // decision — indices and scalars only, never gradient payloads — and a
 // restarted coordinator re-issues the last unacknowledged seal or
 // release before continuing. Peers survive the other side's death:
-// RunDurableClient and RunDurableDirectShard redial through DialRetry
-// (bounded exponential backoff + jitter), re-identify with a
+// RunClient with a ClientConfig.Redial, and RunDurableDirectShard,
+// redial through DialRetry (bounded exponential backoff + jitter),
+// re-identify with a
 // Rejoin{RunID, Round, LastSeal} handshake accepted by the
 // coordinator's RejoinDesk, and resend from small per-link rings; a
 // shard restarted empty is re-pointed to the clients, which re-feed its
@@ -544,10 +548,7 @@ type (
 	// client host.
 	PopulationConfig = transport.PopulationConfig
 	HostConfig       = transport.HostConfig
-	// HostHello / HostData / CohortAssign are the population tier's
-	// handshake and per-round control messages.
-	HostHello    = transport.HostHello
-	HostData     = transport.HostData
+	// CohortAssign is the population tier's per-round control message.
 	CohortAssign = transport.CohortAssign
 )
 
@@ -557,8 +558,6 @@ type (
 	// DurableServerConfig layers a WAL and rejoin-based recovery on a
 	// ServerConfig (RunDurableServerPeers / ResumeDurableServer).
 	DurableServerConfig = transport.DurableServerConfig
-	// DurableClientConfig gives RunDurableClient its redial hooks.
-	DurableClientConfig = transport.DurableClientConfig
 	// DurableShardConfig parameterizes RunDurableDirectShard.
 	DurableShardConfig = transport.DurableShardConfig
 	// RejoinDesk classifies reconnecting peers for a durable coordinator.
@@ -577,11 +576,9 @@ type (
 var (
 	RunDurableServerPeers = transport.RunDurableServerPeers
 	ResumeDurableServer   = transport.ResumeDurableServer
-	RunDurableClient      = transport.RunDurableClient
 	RunDurableDirectShard = transport.RunDurableDirectShard
 	NewRejoinDesk         = transport.NewRejoinDesk
 	DialRetry             = transport.DialRetry
-	DialShardRetry        = transport.DialShardRetry
 	// WALRunID derives the stable run identity a seed's durable run is
 	// stamped with (coordinator, WAL, and every Rejoin must agree).
 	WALRunID = wal.RunID
@@ -597,23 +594,22 @@ const MaxStaleness = transport.MaxStaleness
 
 // Transport constructors and drivers.
 var (
-	NewMemPair       = transport.NewMemPair
-	NewBinConn       = transport.NewBinConn
-	NewGobConn       = transport.NewGobConn
-	RunServer        = transport.RunServer
-	RunServerPeers   = transport.RunServerPeers
-	RunClient        = transport.RunClient
-	Dial             = transport.Dial
-	DialDirectShard  = transport.DialDirectShard
-	RunDirectShard   = transport.RunDirectShard
-	ServeDirectShard = transport.ServeDirectShard
-	NewDirectGroup   = transport.NewDirectGroup
-	Listen           = transport.Listen
-	AcceptPeer       = transport.AcceptPeer
-	AcceptPeers      = transport.AcceptPeers
-	AcceptDataPeers  = transport.AcceptDataPeers
-	SplitShardPeers  = transport.SplitShardPeers
-	SeatShardPeers   = transport.SeatShardPeers
+	NewMemPair      = transport.NewMemPair
+	NewBinConn      = transport.NewBinConn
+	NewGobConn      = transport.NewGobConn
+	RunServer       = transport.RunServer
+	RunServerPeers  = transport.RunServerPeers
+	RunClient       = transport.RunClient
+	Dial            = transport.Dial
+	DialDirectShard = transport.DialDirectShard
+	RunDirectShard  = transport.RunDirectShard
+	NewDirectGroup  = transport.NewDirectGroup
+	Listen          = transport.Listen
+	AcceptPeer      = transport.AcceptPeer
+	AcceptPeers     = transport.AcceptPeers
+	AcceptDataPeers = transport.AcceptDataPeers
+	SplitShardPeers = transport.SplitShardPeers
+	SeatShardPeers  = transport.SeatShardPeers
 	// Population-tier entry points: the sampling coordinator, the
 	// virtual-client host, and the demultiplexer they share.
 	RunPopulationServer = transport.RunPopulationServer

@@ -44,6 +44,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,8 +77,6 @@ const (
 	tagRejoinAck
 	tagRedo
 	tagMuxFrame
-	tagHostHello
-	tagHostData
 	tagCohortAssign
 )
 
@@ -550,7 +549,8 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 	case Hello:
 		w.putU8(tagHello)
 		w.putNum(m.ClientID)
-		w.putF64(m.Weight)
+		w.putNums(m.Members)
+		w.putF64s(m.Weights)
 	case Init:
 		w.putU8(tagInit)
 		w.putNum(m.K)
@@ -605,6 +605,7 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 		w.putNum(m.ShardID)
 		w.putNum(m.NumShards)
 		w.putNum(m.Dim)
+		w.putNums(m.Members)
 	case SliceUpload:
 		w.putU8(tagSliceUpload)
 		w.putNum(m.ClientID)
@@ -685,18 +686,6 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 			return b, err
 		}
 		w.b = inner
-	case HostHello:
-		w.putU8(tagHostHello)
-		w.putNum(m.HostID)
-		w.putNums(m.Members)
-		w.putF64s(m.Weights)
-	case HostData:
-		w.putU8(tagHostData)
-		w.putNum(m.HostID)
-		w.putNum(m.ShardID)
-		w.putNum(m.NumShards)
-		w.putNum(m.Dim)
-		w.putNums(m.Members)
 	case CohortAssign:
 		w.putU8(tagCohortAssign)
 		w.putNum(m.Round)
@@ -731,7 +720,8 @@ func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 	case tagHello:
 		var m Hello
 		m.ClientID = r.num()
-		m.Weight = r.f64()
+		m.Members = r.nums(nil)
+		m.Weights = r.f64s(nil)
 		msg = m
 	case tagInit:
 		var m Init
@@ -773,6 +763,7 @@ func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 		m.ShardID = r.num()
 		m.NumShards = r.num()
 		m.Dim = r.num()
+		m.Members = r.nums(nil)
 		msg = m
 	case tagSliceUpload:
 		msg = r.sliceUpload(sc)
@@ -844,20 +835,6 @@ func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 		}
 		r.b = r.b[innerLen:]
 		msg = MuxFrame{VID: vid, Msg: inner}
-	case tagHostHello:
-		var m HostHello
-		m.HostID = r.num()
-		m.Members = r.nums(nil)
-		m.Weights = r.f64s(nil)
-		msg = m
-	case tagHostData:
-		var m HostData
-		m.HostID = r.num()
-		m.ShardID = r.num()
-		m.NumShards = r.num()
-		m.Dim = r.num()
-		m.Members = r.nums(nil)
-		msg = m
 	case tagCohortAssign:
 		var m CohortAssign
 		m.Round = r.num()
@@ -962,13 +939,20 @@ func (c *binConn) recvMsg() (any, error) {
 	if n < 1 || n > maxFrame {
 		return nil, fmt.Errorf("transport: recv: frame length %d outside [1, %d]", n, maxFrame)
 	}
-	if cap(c.rbuf) < n {
-		c.rbuf = make([]byte, n)
+	// The buffer grows only as payload bytes arrive: a header alone, of
+	// whatever declared length, cannot make the receiver allocate it.
+	buf := c.rbuf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 1<<16)))
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(c.br, buf[len(buf):end]); err != nil {
+			return nil, c.recvIOErr(err, false)
+		}
+		buf = buf[:end]
 	}
-	buf := c.rbuf[:n]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return nil, c.recvIOErr(err, false)
-	}
+	c.rbuf = buf
 	c.received.Add(uint64(4 + n))
 	msg, err := decodeFrame(buf, &c.sc)
 	if err != nil {

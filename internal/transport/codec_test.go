@@ -9,6 +9,8 @@ package transport
 // QuantBits=8).
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,6 +18,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +39,8 @@ func codecFixtures() []any {
 	qb := []float64{-0.75, 0.0625, 1.5}
 	qbscale := sparse.QuantizeInPlace(qb, 8)
 	return []any{
-		Hello{ClientID: 7, Weight: 2.5},
+		Hello{ClientID: 7, Members: []int{7}, Weights: []float64{2.5}},
+		Hello{ClientID: 1, Members: []int{0, 4, 9}, Weights: []float64{3, 0.5, 12}},
 		Init{Params: []float64{0.5, -1, 2}, K: 3, Rounds: 9, QuantBits: 8, RunID: 0xdeadbeefcafe0123, Shards: []string{"a:1", "b:2"}},
 		Init{Params: []float64{1.5}, K: 1, Rounds: 4, Window: 3, Shards: []string{"c:3"}},
 		// A non-finite VALUE is a legal raw payload (only a non-finite
@@ -50,7 +54,8 @@ func codecFixtures() []any {
 		ShardAssign{ShardID: 1, NumShards: 2, Dim: 32, Rounds: 5, Weights: []float64{1, 2, 3, 4}, QuantBits: 8, StartRound: 3},
 		ShardAssign{ShardID: 0, NumShards: 1, Dim: 8, Rounds: 6, Weights: []float64{2}, StartRound: 1, Window: 2},
 		ShardResult{Round: 1, ShardID: 0, Idx: []int{2, 5}, Sum: []float64{1.25, -3}, MinRank: []int{1, 0}},
-		DataHello{ClientID: 2, ShardID: 1, NumShards: 2, Dim: 32},
+		DataHello{ClientID: 2, ShardID: 1, NumShards: 2, Dim: 32, Members: []int{2}},
+		DataHello{ClientID: 1, ShardID: 0, NumShards: 2, Dim: 32, Members: []int{0, 4, 9}},
 		SliceUpload{ClientID: 1, Round: 4, Idx: []int{1, 6}, Val: []float64{0.25, -4}, Rank: []int{2, 7}},
 		SliceUpload{ClientID: 3, Round: 5, Idx: []int{2, 11, 17}, Val: qb, Rank: []int{0, 5, 9}, Bits: 8, Scale: qbscale},
 		RoundMeta{ClientID: 3, Round: 4, BatchLoss: 1.5, UploadLen: 40},
@@ -65,6 +70,9 @@ func codecFixtures() []any {
 		Rejoin{RunID: 1, Kind: RejoinClient, ID: 2, Round: 5, LastSeal: 5},
 		RejoinAck{RunID: 0xdeadbeefcafe0123, Round: 4, NeedFrom: 4},
 		Redo{Round: 4, ShardID: 1, Addr: "127.0.0.1:10"},
+		MuxFrame{VID: 9, Msg: Upload{ClientID: 9, Round: 3, Idx: []int{0, 4, 8, 9, 30}, Val: qv, BatchLoss: 0.5, Bits: 8, Scale: qscale}},
+		MuxFrame{VID: 4, Msg: SliceUpload{ClientID: 4, Round: 2, Idx: []int{1, 6}, Val: []float64{0.25, -4}, Rank: []int{0, 3}}},
+		CohortAssign{Round: 3, Members: []int{1, 5, 8}},
 	}
 }
 
@@ -140,12 +148,17 @@ func rawFrame(body []byte) []byte {
 	return append(hdr[:], body...)
 }
 
-// TestBinaryCodecCorruptedFrames feeds hand-crafted malformed frames to
-// a binConn. Every case must surface a loud decode error — never a
-// hang, a panic, or a huge allocation — and must poison the connection:
-// the second Recv fails fast with the same error instead of misparsing
-// whatever bytes follow.
-func TestBinaryCodecCorruptedFrames(t *testing.T) {
+// corruptedFrame is one hand-crafted malformed wire stream and the
+// substring of the error it must surface.
+type corruptedFrame struct {
+	name  string
+	bytes []byte
+	want  string
+}
+
+// corruptedFrames is the corrupted-frame table, shared by
+// TestBinaryCodecCorruptedFrames and FuzzDecodeFrame's seed corpus.
+func corruptedFrames() []corruptedFrame {
 	// Builders for bodies that need real encoding around the corruption.
 	quantHeader := func(bits int, scale float64) []byte {
 		w := wireWriter{}
@@ -188,19 +201,18 @@ func TestBinaryCodecCorruptedFrames(t *testing.T) {
 		w := wireWriter{}
 		w.putU8(tagHello)
 		w.putNum(3)
-		w.putF64(1.5)
+		w.putNums([]int{3})
+		w.putF64s([]float64{1.5})
 		return w.b
 	}
-
-	cases := []struct {
-		name  string
-		bytes []byte
-		want  string // substring of the expected error
-	}{
+	return []corruptedFrame{
 		{"truncated header", []byte{7, 0}, "truncated frame"},
 		{"truncated frame", rawFrame(make([]byte, 64))[:7], "truncated frame"},
 		{"zero length", []byte{0, 0, 0, 0}, "frame length"},
 		{"oversized length", binary.LittleEndian.AppendUint32(nil, maxFrame+1), "frame length"},
+		// The largest legal length with no payload behind it: the receiver
+		// must not allocate the declared gigabyte before the bytes arrive.
+		{"maximal length, header only", binary.LittleEndian.AppendUint32(nil, maxFrame), "truncated frame"},
 		{"unknown type tag", rawFrame([]byte{99}), "unknown message type tag"},
 		{"short payload", rawFrame([]byte{tagHello, 1, 2}), "short frame"},
 		{"hostile slice count", rawFrame(hostileInit()), "exceeds"},
@@ -213,7 +225,15 @@ func TestBinaryCodecCorruptedFrames(t *testing.T) {
 		{"packed without width", rawFrame(packedBroadcast(0, 0, 1, []byte{0})), "packed values"},
 		{"unknown value encoding", rawFrame(packedBroadcast(8, 1, 7, []byte{0})), "unknown value encoding"},
 	}
-	for _, tc := range cases {
+}
+
+// TestBinaryCodecCorruptedFrames feeds hand-crafted malformed frames to
+// a binConn. Every case must surface a loud decode error — never a
+// hang, a panic, or a huge allocation — and must poison the connection:
+// the second Recv fails fast with the same error instead of misparsing
+// whatever bytes follow.
+func TestBinaryCodecCorruptedFrames(t *testing.T) {
+	for _, tc := range corruptedFrames() {
 		t.Run(tc.name, func(t *testing.T) {
 			raw, peer := net.Pipe()
 			c := NewBinConn(peer)
@@ -221,12 +241,18 @@ func TestBinaryCodecCorruptedFrames(t *testing.T) {
 				_, _ = raw.Write(tc.bytes)
 				_ = raw.Close()
 			}()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			_, err := c.Recv()
+			runtime.ReadMemStats(&after)
 			if err == nil || errors.Is(err, io.EOF) {
 				t.Fatalf("corrupt frame decoded cleanly: err = %v", err)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+				t.Fatalf("refusing %d bytes allocated %d", len(tc.bytes), grew)
 			}
 			// Poisoned: the stream position is untrustworthy, so the next
 			// Recv must fail fast with the same error, not read on.
@@ -236,6 +262,90 @@ func TestBinaryCodecCorruptedFrames(t *testing.T) {
 			_ = c.Close()
 		})
 	}
+}
+
+// FuzzDecodeFrame feeds arbitrary byte streams to a binConn's receive
+// path, seeded with one valid frame per message type (codecFixtures:
+// quantized and MuxFrame-enveloped frames included) and every
+// corrupted-frame row. The codec must never panic; an error must stay
+// sticky; no decoded slice may be longer than its frame's payload can
+// encode (payloadBits); and an accepted frame's re-encoding must be a
+// fixed point — encode → decode → encode gives the same bytes.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, msg := range codecFixtures() {
+		frame, err := appendFrame(nil, msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	for _, row := range corruptedFrames() {
+		f.Add(row.bytes)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := &binConn{br: bufio.NewReader(bytes.NewReader(data))}
+		for {
+			read := c.received.Load()
+			msg, err := c.Recv()
+			if err != nil {
+				if _, again := c.Recv(); again != err {
+					t.Fatalf("error not sticky: %v, then %v", err, again)
+				}
+				return
+			}
+			payload := int(c.received.Load()-read) - 4
+			if bits := payloadBits(reflect.ValueOf(msg)); bits > 8*payload {
+				t.Fatalf("%T decoded %d payload bits from a %d-byte payload", msg, bits, payload)
+			}
+			enc, err := appendFrame(nil, msg)
+			if err != nil {
+				t.Fatalf("accepted %T does not re-encode: %v", msg, err)
+			}
+			again, err := decodeFrame(enc[4:], &decScratch{})
+			if err != nil {
+				t.Fatalf("re-encoded %T does not decode: %v", msg, err)
+			}
+			if enc2, err := appendFrame(nil, again); err != nil || !bytes.Equal(enc, enc2) {
+				t.Fatalf("re-encoding of %T is not a fixed point (%v):\n%x\n%x", msg, err, enc, enc2)
+			}
+		}
+	})
+}
+
+// payloadBits is the fewest payload bits a decoded message's slices and
+// strings can have come from: 32 per int and per string header, 8 per
+// string byte, 64 per raw float, and b per value of a Val packed on a
+// b-bit grid (b in [2, 32]); a MuxFrame's are its inner message's.
+func payloadBits(v reflect.Value) int {
+	if v.Kind() == reflect.Interface {
+		v = v.Elem()
+	}
+	perVal := 64
+	if b := v.FieldByName("Bits"); b.IsValid() && b.Int() >= 2 && b.Int() <= 32 {
+		perVal = int(b.Int())
+	}
+	bits := 0
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch {
+		case f.Kind() == reflect.Interface:
+			bits += payloadBits(f)
+		case f.Kind() == reflect.String:
+			bits += 8 * f.Len()
+		case f.Kind() != reflect.Slice:
+		case f.Type().Elem().Kind() == reflect.Int:
+			bits += 32 * f.Len()
+		case f.Type().Elem().Kind() == reflect.String:
+			for j := 0; j < f.Len(); j++ {
+				bits += 32 + 8*f.Index(j).Len()
+			}
+		case v.Type().Field(i).Name == "Val":
+			bits += perVal * f.Len()
+		default:
+			bits += 64 * f.Len()
+		}
+	}
+	return bits
 }
 
 // TestGobConnPoisonsAfterDecodeError is satellite coverage for the gob
@@ -347,7 +457,7 @@ func TestCorruptFrameFailsRoundNotBarrier(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		c := NewBinConn(rawCli)
-		if err := c.Send(Hello{ClientID: n - 1, Weight: 1}); err != nil {
+		if err := c.Send(Hello{ClientID: n - 1, Members: []int{n - 1}, Weights: []float64{1}}); err != nil {
 			return
 		}
 		if _, err := c.Recv(); err != nil { // Init

@@ -48,15 +48,19 @@ import (
 
 // Direct data-plane message types.
 type (
-	// DataHello opens a client's ingest connection to one shard. The
-	// geometry fields echo the directory the client is acting on, so a
-	// stale directory (wrong shard count, dimension, or shard identity)
-	// fails the handshake loudly instead of corrupting a barrier.
+	// DataHello opens a participant's ingest connection to one shard:
+	// the Hello's identity and roster on the data plane (a client's
+	// roster is [ClientID]; a virtual host's names the members whose
+	// MuxFrame slices will arrive on this connection). The geometry
+	// fields echo the directory the participant is acting on, so a stale
+	// directory (wrong shard count, dimension, or shard identity) fails
+	// the handshake loudly instead of corrupting a barrier.
 	DataHello struct {
 		ClientID  int
 		ShardID   int
 		NumShards int
 		Dim       int
+		Members   []int
 	}
 
 	// SliceUpload is one client's range slice for one round: the subset
@@ -196,13 +200,10 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 	if err := checkAssign(assign, false); err != nil {
 		return err
 	}
-	n, noun := len(assign.Weights), "clients"
-	if assign.NumHosts > 0 {
-		n, noun = assign.NumHosts, "hosts"
-	}
+	n, noun := ingestPeers(assign)
 	peers, err := accept(n)
 	if err != nil {
-		return fmt.Errorf("transport: shard %d accepting %s: %w", assign.ShardID, noun, err)
+		return fmt.Errorf("transport: shard %d accepting %ss: %w", assign.ShardID, noun, err)
 	}
 	defer func() {
 		for _, p := range peers {
@@ -216,40 +217,73 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 		}
 		return newShardRound(assign, 0, "member", "host").run(coord, in)
 	}
-	conns := make(connPeers, n)
-	for _, p := range peers {
-		d := p.Data
-		if d == nil {
-			return fmt.Errorf("transport: shard %d: non-data peer on the ingest plane", assign.ShardID)
-		}
-		if d.NumShards != assign.NumShards || d.Dim != assign.Dim || d.ShardID != assign.ShardID {
-			return fmt.Errorf("transport: shard %d: client %d presented a stale shard directory (%d shards over dim %d aimed at shard %d; this deployment is %d over %d)",
-				assign.ShardID, d.ClientID, d.NumShards, d.Dim, d.ShardID, assign.NumShards, assign.Dim)
-		}
-		if d.ClientID < 0 || d.ClientID >= n {
-			return fmt.Errorf("transport: shard %d: client id %d out of range [0, %d)", assign.ShardID, d.ClientID, n)
-		}
-		if conns[d.ClientID] != nil {
-			return fmt.Errorf("transport: shard %d: duplicate client id %d on the ingest plane", assign.ShardID, d.ClientID)
-		}
-		conns[d.ClientID] = p.Conn
-	}
-	for ci, conn := range conns {
-		if conn == nil {
-			return fmt.Errorf("transport: shard %d: no ingest connection from client %d", assign.ShardID, ci)
-		}
+	conns, _, err := seatData(assign, peers)
+	if err != nil {
+		return err
 	}
 	return newShardRound(assign, n, "client", "client").run(coord, &shardLinks{up: conns, down: conns, nDown: n})
 }
 
-// ServeDirectShard is the TCP deployment of RunDirectShard: the shard
-// owns ln as its client-facing ingest listener (the address it
-// advertised in its ShardHello) and accepts the data-plane handshakes
-// from there, bounded by acceptTimeout (> 0; 0 waits forever).
-func ServeDirectShard(coord Conn, ln *Listener, acceptTimeout time.Duration) error {
-	return RunDirectShard(coord, func(n int) ([]Peer, error) {
-		return AcceptDataPeers(ln, n, acceptTimeout)
-	})
+// ingestPeers is how many participants a shard's ingest plane seats and
+// what they are called: one per client, or the population tier's hosts.
+func ingestPeers(assign ShardAssign) (int, string) {
+	if assign.NumHosts > 0 {
+		return assign.NumHosts, "host"
+	}
+	return len(assign.Weights), "client"
+}
+
+// checkDataHello is every shard tier's check of one ingest peer against
+// its assignment: a DataHello, echoing the geometry, from an ID among
+// the assignment's participants (clients, or NumHosts hosts), with a
+// roster of exactly [ClientID] on the per-client planes.
+func checkDataHello(p Peer, assign ShardAssign) error {
+	id := assign.ShardID
+	n, noun := ingestPeers(assign)
+	h := p.Data
+	if h == nil {
+		return fmt.Errorf("transport: shard %d: non-data peer on the ingest plane", id)
+	}
+	if h.NumShards != assign.NumShards || h.Dim != assign.Dim || h.ShardID != id {
+		return fmt.Errorf("transport: shard %d: %s %d presented a stale shard directory (%d shards over dim %d aimed at shard %d; this deployment is %d over %d)",
+			id, noun, h.ClientID, h.NumShards, h.Dim, h.ShardID, assign.NumShards, assign.Dim)
+	}
+	if h.ClientID < 0 || h.ClientID >= n {
+		return fmt.Errorf("transport: shard %d: %s id %d out of range [0, %d)", id, noun, h.ClientID, n)
+	}
+	if assign.NumHosts == 0 && (len(h.Members) != 1 || h.Members[0] != h.ClientID) {
+		return fmt.Errorf("transport: shard %d: client %d roster %v, want [%d]", id, h.ClientID, h.Members, h.ClientID)
+	}
+	return nil
+}
+
+// seatData seats a shard's accepted ingest peers by ID — each DataHello
+// checked (checkDataHello), every expected participant present once —
+// and claims their rosters in the member directory it returns.
+func seatData(assign ShardAssign, peers []Peer) (connPeers, []int, error) {
+	id := assign.ShardID
+	n, noun := ingestPeers(assign)
+	conns := make(connPeers, n)
+	memberHost := newMemberDirectory(len(assign.Weights))
+	for _, p := range peers {
+		if err := checkDataHello(p, assign); err != nil {
+			return nil, nil, err
+		}
+		h := p.Data
+		if conns[h.ClientID] != nil {
+			return nil, nil, fmt.Errorf("transport: shard %d: duplicate %s id %d on the ingest plane", id, noun, h.ClientID)
+		}
+		if err := claimRoster(memberHost, h.ClientID, h.Members, fmt.Sprintf("transport: shard %d", id)); err != nil {
+			return nil, nil, err
+		}
+		conns[h.ClientID] = p.Conn
+	}
+	for ci, conn := range conns {
+		if conn == nil {
+			return nil, nil, fmt.Errorf("transport: shard %d: no ingest connection from %s %d", id, noun, ci)
+		}
+	}
+	return conns, memberHost, nil
 }
 
 // DirectGroup is the coordinator's control-plane handle on the direct

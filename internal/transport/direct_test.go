@@ -64,7 +64,7 @@ func startDirectShards(t *testing.T, nShards, nClients, dim int,
 			clientConns[s][ci] = clientSide
 			shardPeers[s][ci] = Peer{
 				Conn: shardSide,
-				Data: &DataHello{ClientID: ci, ShardID: s, NumShards: nShards, Dim: dim},
+				Data: &DataHello{ClientID: ci, ShardID: s, NumShards: nShards, Dim: dim, Members: []int{ci}},
 			}
 		}
 	}
@@ -746,7 +746,7 @@ func TestDirectShardDeathFailsRound(t *testing.T) {
 func TestDirectClientDeathBetweenSlices(t *testing.T) {
 	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil, nil,
 		func(id int, coord Conn, dial func(addr string) (Conn, error)) error {
-			if err := coord.Send(Hello{ClientID: id, Weight: 30}); err != nil {
+			if err := coord.Send(Hello{ClientID: id, Members: []int{id}, Weights: []float64{30}}); err != nil {
 				return err
 			}
 			msg, err := coord.Recv()
@@ -761,7 +761,7 @@ func TestDirectClientDeathBetweenSlices(t *testing.T) {
 					return err
 				}
 				conns[s] = conn
-				if err := conn.Send(DataHello{ClientID: id, ShardID: s, NumShards: len(init.Shards), Dim: len(init.Params)}); err != nil {
+				if err := conn.Send(DataHello{ClientID: id, ShardID: s, NumShards: len(init.Shards), Dim: len(init.Params), Members: []int{id}}); err != nil {
 					return err
 				}
 			}
@@ -856,7 +856,7 @@ func TestDirectShardDeathBetweenSealAndServe(t *testing.T) {
 func TestDirectClientDeathMidFetch(t *testing.T) {
 	h := runDirectHarness(t, 5, 20, 2, ServerConfig{}, nil, nil, nil,
 		func(id int, coord Conn, dial func(addr string) (Conn, error)) error {
-			if err := coord.Send(Hello{ClientID: id, Weight: 30}); err != nil {
+			if err := coord.Send(Hello{ClientID: id, Members: []int{id}, Weights: []float64{30}}); err != nil {
 				return err
 			}
 			msg, err := coord.Recv()
@@ -871,7 +871,7 @@ func TestDirectClientDeathMidFetch(t *testing.T) {
 					return err
 				}
 				conns[s] = conn
-				if err := conn.Send(DataHello{ClientID: id, ShardID: s, NumShards: len(init.Shards), Dim: len(init.Params)}); err != nil {
+				if err := conn.Send(DataHello{ClientID: id, ShardID: s, NumShards: len(init.Shards), Dim: len(init.Params), Members: []int{id}}); err != nil {
 					return err
 				}
 			}
@@ -944,7 +944,7 @@ func directShardHarness(t *testing.T, assign ShardAssign, peers func(n int) []Pe
 			clientSides = append(clientSides, clientSide)
 			builtPeers = append(builtPeers, Peer{
 				Conn: shardSide,
-				Data: &DataHello{ClientID: ci, ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim},
+				Data: &DataHello{ClientID: ci, ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim, Members: []int{ci}},
 			})
 		}
 	}
@@ -1019,14 +1019,14 @@ func shardTiers() []shardTier {
 		for ci := range clients {
 			shardSide, clientSide := NewMemPair()
 			clients[ci] = clientSide
-			_ = clientSide.Send(DataHello{ClientID: ci, ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim})
+			_ = clientSide.Send(DataHello{ClientID: ci, ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim, Members: []int{ci}})
 			acc <- shardSide
 		}
 		dialed := false
 		done := make(chan error, 1)
 		go func() {
 			done <- RunDurableDirectShard(DurableShardConfig{
-				RunID: 7, ShardID: assign.ShardID, Addr: "mem", RejoinAttempts: 1,
+				RunID: 7, ShardID: assign.ShardID, Addr: "mem",
 				Dial: func() (Conn, error) {
 					if dialed {
 						return nil, errors.New("scripted coordinator accepts no redial")
@@ -1068,7 +1068,7 @@ func shardTiers() []shardTier {
 			members[ci] = ci
 			clients[ci], fetchers[ci] = mux.Virtual(ci), mux
 		}
-		peers := []Peer{{Conn: shardSide, HostData: &HostData{ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim, Members: members}}}
+		peers := []Peer{{Conn: shardSide, Data: &DataHello{ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim, Members: members}}}
 		done := make(chan error, 1)
 		go func() {
 			done <- RunDirectShard(coordShard, func(int) ([]Peer, error) { return peers, nil })
@@ -1375,17 +1375,17 @@ func TestRunDirectShardRejectsStaleDirectory(t *testing.T) {
 			return peers
 		}
 	}
-	good := DataHello{ClientID: 1, ShardID: 0, NumShards: 2, Dim: 10}
+	good := DataHello{ClientID: 1, ShardID: 0, NumShards: 2, Dim: 10, Members: []int{1}}
 	cases := []struct {
 		name  string
 		peers func(n int) []Peer
 		want  string
 	}{
-		{"wrong shard count", mk(DataHello{ClientID: 0, ShardID: 0, NumShards: 4, Dim: 10}, good), "stale shard directory"},
-		{"wrong dimension", mk(DataHello{ClientID: 0, ShardID: 0, NumShards: 2, Dim: 64}, good), "stale shard directory"},
-		{"aimed at the wrong shard", mk(DataHello{ClientID: 0, ShardID: 1, NumShards: 2, Dim: 10}, good), "stale shard directory"},
+		{"wrong shard count", mk(DataHello{ClientID: 0, ShardID: 0, NumShards: 4, Dim: 10, Members: []int{0}}, good), "stale shard directory"},
+		{"wrong dimension", mk(DataHello{ClientID: 0, ShardID: 0, NumShards: 2, Dim: 64, Members: []int{0}}, good), "stale shard directory"},
+		{"aimed at the wrong shard", mk(DataHello{ClientID: 0, ShardID: 1, NumShards: 2, Dim: 10, Members: []int{0}}, good), "stale shard directory"},
 		{"duplicate client", mk(good, good), "duplicate client"},
-		{"client id out of range", mk(DataHello{ClientID: 7, ShardID: 0, NumShards: 2, Dim: 10}, good), "out of range"},
+		{"client id out of range", mk(DataHello{ClientID: 7, ShardID: 0, NumShards: 2, Dim: 10, Members: []int{7}}, good), "out of range"},
 		{"missing client", mk(good), "no ingest connection"},
 	}
 	for _, tc := range cases {

@@ -67,9 +67,6 @@ type DurableServerConfig struct {
 	// from it whenever a live connection fails (or, on resume, is not
 	// yet established).
 	Desk *RejoinDesk
-	// RejoinTimeout bounds each wait for a rejoining peer (default
-	// 30s).
-	RejoinTimeout time.Duration
 
 	// crash is the test hook: invoked at every Boundary with the
 	// round; a non-nil return closes every peer connection (emulating
@@ -77,12 +74,9 @@ type DurableServerConfig struct {
 	crash func(Boundary, int) error
 }
 
-func (d DurableServerConfig) rejoinTimeout() time.Duration {
-	if d.RejoinTimeout > 0 {
-		return d.RejoinTimeout
-	}
-	return 30 * time.Second
-}
+// rejoinTimeout bounds each wait of the durable coordinator for a
+// rejoining peer.
+const rejoinTimeout = 30 * time.Second
 
 // coordConf is the configuration fingerprint stored in the RunStart
 // record and validated on resume: a log is never replayed under a
@@ -150,7 +144,7 @@ func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerCo
 	if err := checkDurable(cfg, dur, len(clients), len(cfg.ShardConns), false); err != nil {
 		return nil, err
 	}
-	ordered, weights, err := seatClients(clients)
+	ordered, _, weights, err := seatHellos(clients, true)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +414,7 @@ func (d *durSide) await(id int) (Rejoin, error) {
 // stash, validating identity (a newer redial supersedes a staged one);
 // who names the peer being waited on, for the timeout error.
 func (s *durServer) stageRejoin(who string) error {
-	conn, rj, err := s.dur.Desk.Next(s.dur.rejoinTimeout())
+	conn, rj, err := s.dur.Desk.Next(rejoinTimeout)
 	if err != nil {
 		return fmt.Errorf("transport: link to %s lost and no rejoin arrived: %w", who, err)
 	}

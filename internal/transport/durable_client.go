@@ -1,72 +1,23 @@
-// The durable client: RunClient's round loop (runClientRounds) with
-// rejoin-based recovery on every link — durability is a property of the
-// links it runs over, nothing else. The control link is the healLink
-// (rejoin.go) a durable shard uses too; the data fan keeps a ring of
-// the last two rounds' sent slices per shard link (deep copies — the
-// protocol buffers are reused), reconnects on a send failure, and
-// carries out the coordinator's Redo for a shard that restarted empty.
-// On any failure the client redials, re-identifies, and resends its
-// rings from the coordinator's NeedFrom; receivers discard stale
-// resends, so the conservative replay is always safe.
+// The durable client: RunClient with a Redial — the same round loop
+// (runClientRounds) with rejoin-based recovery on every link, so
+// durability is a property of the links it runs over, nothing else. The
+// control link is the healLink (rejoin.go) a durable shard uses too; the
+// data fan below keeps a ring of the last two rounds' sent slices per
+// shard link (deep copies — the protocol buffers are reused), reconnects
+// through ClientConfig.DialShard on a send failure, and carries out the
+// coordinator's Redo for a shard that restarted empty. On any failure
+// the client redials, re-identifies, and resends its rings from the
+// coordinator's NeedFrom; receivers discard stale resends, so the
+// conservative replay is always safe.
 package transport
 
 import "fmt"
 
-// DurableClientConfig parameterizes RunDurableClient's recovery.
-type DurableClientConfig struct {
-	// Redial re-establishes the coordinator control connection (e.g. a
-	// DialRetry closure). Required.
-	Redial func() (Conn, error)
-	// RedialShard re-establishes one shard data connection by ingest
-	// address (direct mode). Defaults to Redial's transport via Dial
-	// when nil — tests inject in-memory hubs here.
-	RedialShard func(addr string) (Conn, error)
-	// RejoinAttempts bounds each rejoin loop (default 10).
-	RejoinAttempts int
-}
-
-func (d DurableClientConfig) attempts() int {
-	if d.RejoinAttempts > 0 {
-		return d.RejoinAttempts
-	}
-	return 10
-}
-
-// RunDurableClient is RunClient with rejoin-based recovery: the
-// initial Hello/Init handshake is plain (a client that cannot even
-// enroll fails loudly), and every later exchange survives coordinator
-// restarts, shard restarts (via the coordinator's Redo flow), and
-// dropped connections. Requires a durable coordinator (the Init must
-// carry its RunID) and, in direct mode, durable shards (plain shards
-// cannot accept a reconnect).
-func RunDurableClient(conn Conn, cfg ClientConfig, dur DurableClientConfig) error {
-	if dur.Redial == nil {
-		return fmt.Errorf("transport: client %d: durable client needs a Redial hook", cfg.ID)
-	}
-	if dur.RedialShard != nil {
-		cfg.DialShard = dur.RedialShard
-	}
-	p := asParticipant(cfg)
-	init, err := clientHandshake(conn, p)
-	if err != nil {
-		return err
-	}
-	if init.RunID == 0 {
-		return fmt.Errorf("transport: client %d: coordinator is not durable (Init carries no RunID)", cfg.ID)
-	}
-	link := &healLink{conn: conn, rj: Rejoin{RunID: init.RunID, Kind: RejoinClient, ID: cfg.ID},
-		noun: "client", dial: dur.Redial, attempts: dur.attempts()}
-	return runClient(link, p, init, link)
-}
-
-// makeDurable arms the fan's links for recovery: each keeps a ring of
-// the last two rounds' sent slices, and a link may be nil — broken,
-// re-established on the next reconnect (self-initiated after a send
-// failure or before a fetch, or coordinator-ordered through Redo).
-func (f *shardFan) makeDurable(attempts int) {
-	f.rings = make([]ring, len(f.conns))
-	f.attempts = attempts
-}
+// rejoinAttempts bounds every durable peer's rejoin and reconnect loop:
+// a client's or a shard's healLink to the coordinator, and a durable
+// client's links to the shards. Dial-level retry lives inside the dial
+// hooks (DialRetry).
+const rejoinAttempts = 10
 
 // reconnect re-establishes the link to shard s: dial (bounded
 // attempts), re-handshake, and resend the buffered slices from needFrom
@@ -78,7 +29,7 @@ func (f *shardFan) reconnect(s, needFrom int) error {
 		f.conns[s] = nil
 	}
 	var lastErr error
-	for a := 0; a < f.attempts; a++ {
+	for a := 0; a < rejoinAttempts; a++ {
 		if lastErr = f.connect(s); lastErr != nil {
 			continue
 		}
@@ -90,7 +41,7 @@ func (f *shardFan) reconnect(s, needFrom int) error {
 		return nil
 	}
 	return fmt.Errorf("transport: %s %d could not reconnect to shard %d (%s) after %d attempts: %v",
-		f.who, f.id, s, f.addrs[s], f.attempts, lastErr)
+		f.who, f.id, s, f.addrs[s], rejoinAttempts, lastErr)
 }
 
 // sendHealing buffers one round-m slice — deep-copied: the caller's

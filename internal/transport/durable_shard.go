@@ -42,11 +42,6 @@ type DurableShardConfig struct {
 	// background goroutine for the whole run; it should return an
 	// error once its listener closes.
 	AcceptData func() (Conn, error)
-	// RejoinAttempts bounds each coordinator rejoin loop (default 10).
-	RejoinAttempts int
-	// BarrierTimeout bounds each wait for a (re)connecting client at
-	// the barrier or the serve (default 30s).
-	BarrierTimeout time.Duration
 
 	// killAfter is the test hook: when > 0, the shard closes every
 	// connection and unwinds with an error after fully serving round
@@ -54,30 +49,20 @@ type DurableShardConfig struct {
 	killAfter int
 }
 
-func (d DurableShardConfig) attempts() int {
-	if d.RejoinAttempts > 0 {
-		return d.RejoinAttempts
-	}
-	return 10
-}
-
-func (d DurableShardConfig) barrierTimeout() time.Duration {
-	if d.BarrierTimeout > 0 {
-		return d.BarrierTimeout
-	}
-	return 30 * time.Second
-}
+// barrierTimeout bounds each wait of a durable shard for a
+// (re)connecting client at the barrier or the serve.
+const barrierTimeout = 30 * time.Second
 
 // dataDesk is the durable shard's ingest links (peerLinks). It accepts,
 // classifies, and stages client ingest connections for the whole run:
-// every accepted connection's DataHello is validated against the
-// shard's geometry, then the connection waits in its client's slot
-// until the round pulls it. A redialing client simply queues a
+// every accepted connection's DataHello passes the shard tiers' one
+// check (checkDataHello), then the connection waits in its client's
+// slot until the round pulls it. A redialing client simply queues a
 // replacement — the dead predecessor surfaces as a recv error and is
 // discarded.
 type dataDesk struct {
-	shardID, nShards, dim int
-	timeout               time.Duration
+	assign  ShardAssign
+	timeout time.Duration
 
 	ch   []chan Conn
 	done chan struct{}
@@ -92,7 +77,7 @@ type dataDesk struct {
 func newDataDesk(accept func() (Conn, error), assign ShardAssign, timeout time.Duration) *dataDesk {
 	n := len(assign.Weights)
 	d := &dataDesk{
-		shardID: assign.ShardID, nShards: assign.NumShards, dim: assign.Dim, timeout: timeout,
+		assign: assign, timeout: timeout,
 		ch:    make([]chan Conn, n),
 		done:  make(chan struct{}),
 		conns: make([]Conn, n), uploaded: make([]int, n), served: make([]int, n),
@@ -120,31 +105,31 @@ func newDataDesk(accept func() (Conn, error), assign ShardAssign, timeout time.D
 
 // handshake validates one accepted connection's DataHello and stages
 // it; anything else — a stray, a stale directory, an out-of-range
-// identity — is closed.
-func (d *dataDesk) handshake(conn Conn) {
+// identity, a roster other than the client's own ID — is closed, and
+// the refusal returned.
+func (d *dataDesk) handshake(conn Conn) error {
 	p, err := AcceptPeer(conn)
-	if err != nil || p.Data == nil {
-		conn.Close()
-		return
+	if err == nil {
+		err = checkDataHello(p, d.assign)
 	}
-	h := p.Data
-	if h.ShardID != d.shardID || h.NumShards != d.nShards || h.Dim != d.dim ||
-		h.ClientID < 0 || h.ClientID >= len(d.ch) {
+	if err != nil {
 		conn.Close()
-		return
+		return err
 	}
+	ci := p.Data.ClientID
 	select {
-	case d.ch[h.ClientID] <- conn:
+	case d.ch[ci] <- conn:
 	case <-d.done:
 		conn.Close()
-		return
+		return nil
 	}
 	// Staged just as the desk closed, after close drained the slot.
 	select {
 	case <-d.done:
-		d.drain(h.ClientID)
+		d.drain(ci)
 	default:
 	}
+	return nil
 }
 
 // drain closes every connection staged for client ci.
@@ -257,7 +242,7 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 		return fmt.Errorf("transport: durable shard %d needs a non-zero RunID", cfg.ShardID)
 	}
 	ctl := &healLink{rj: Rejoin{RunID: cfg.RunID, Kind: RejoinShard, ID: cfg.ShardID, Addr: cfg.Addr},
-		noun: "shard", dial: cfg.Dial, attempts: cfg.attempts()}
+		noun: "shard", dial: cfg.Dial}
 	defer ctl.Close()
 	var err error
 	if cfg.Fresh {
@@ -289,7 +274,7 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 		return err
 	}
 	n := len(assign.Weights)
-	desk := newDataDesk(cfg.AcceptData, assign, cfg.barrierTimeout())
+	desk := newDataDesk(cfg.AcceptData, assign, barrierTimeout)
 	defer desk.close()
 	sr := newShardRound(assign, n, "client", "client")
 	if cfg.killAfter > 0 {

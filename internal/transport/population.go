@@ -27,6 +27,11 @@
 // free (their residuals simply freeze), which is also why the engine
 // needs no "resync" protocol for churned-in clients.
 //
+// A host enrolls exactly as a client does, with a longer roster: one
+// Hello to the coordinator and one DataHello per shard, each naming its
+// members — the coordinator and every shard claim the rosters in a
+// member directory, which must partition the population [0, N).
+//
 // Message flow per round (routed, i.e. no shard tier):
 //
 //	coordinator ──CohortAssign──────────▶ hosts   (each host: its drawn members)
@@ -63,46 +68,18 @@ import (
 	"fedsparse/internal/nn"
 )
 
-// Population tier message types.
-type (
-	// HostHello opens a virtual-client host's connection to the
-	// population coordinator (the first message on the conn; AcceptPeer
-	// classifies it into Peer.Host). Members is the host's roster of
-	// population member IDs, strictly ascending; Weights the parallel
-	// aggregation weights C_i. Rosters of all hosts must partition the
-	// population [0, N) exactly — the coordinator validates.
-	HostHello struct {
-		HostID  int
-		Members []int
-		Weights []float64
-	}
-
-	// HostData opens a host's ingest connection to one population shard
-	// (the direct plane's DataHello at host granularity). The geometry
-	// fields echo the coordinator's directory so a stale deployment
-	// fails the handshake; Members names the roster whose MuxFrame
-	// slices will arrive on this connection.
-	HostData struct {
-		HostID    int
-		ShardID   int
-		NumShards int
-		Dim       int
-		Members   []int
-	}
-
-	// CohortAssign announces one round's drawn cohort, post-dropout,
-	// sorted ascending. Sender: the coordinator, at the top of every
-	// round. Receiver and meaning: a host receives the drawn members of
-	// its OWN roster (possibly empty — the host still receives the
-	// round's broadcast, which is what keeps its weights synchronized);
-	// a population shard receives the FULL cohort (its uplink barrier
-	// counts one enveloped SliceUpload per drawn member). Ordering: the
-	// round-m assign precedes all round-m uplink traffic.
-	CohortAssign struct {
-		Round   int
-		Members []int
-	}
-)
+// CohortAssign announces one round's drawn cohort, post-dropout, sorted
+// ascending. Sender: the coordinator, at the top of every round.
+// Receiver and meaning: a host receives the drawn members of its OWN
+// roster (possibly empty — the host still receives the round's
+// broadcast, which is what keeps its weights synchronized); a
+// population shard receives the FULL cohort (its uplink barrier counts
+// one enveloped SliceUpload per drawn member). Ordering: the round-m
+// assign precedes all round-m uplink traffic.
+type CohortAssign struct {
+	Round   int
+	Members []int
+}
 
 // PopulationConfig switches a coordinator into the population tier.
 type PopulationConfig struct {
@@ -127,10 +104,10 @@ type PopulationConfig struct {
 }
 
 // RunPopulationServer drives a population-tier training over
-// pre-classified host connections (AcceptPeer fills Peer.Host). Hosts
-// are seated by their declared HostID; their rosters must partition
-// the population. cfg.Population must be set; bounded staleness is not
-// population-aware.
+// pre-classified host connections (AcceptPeer fills Peer.Hello). Hosts
+// are seated by their Hello's ClientID; their rosters must partition
+// the population (seatHellos). cfg.Population must be set; bounded
+// staleness is not population-aware.
 func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord, err error) {
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
@@ -149,42 +126,15 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 		return nil, fmt.Errorf("transport: the population tier requires the synchronous protocol (Staleness = 0)")
 	}
 
-	// Seat hosts by declared ID and stitch the global member directory.
-	muxes, conns := make([]*Mux, len(hosts)), make([]Conn, len(hosts))
-	seated := make([]*HostHello, len(hosts))
-	nPop := 0
-	for _, p := range hosts {
-		h := p.Host
-		if h == nil {
-			return nil, fmt.Errorf("transport: non-host peer passed to the population server")
-		}
-		if h.HostID < 0 || h.HostID >= len(hosts) {
-			return nil, fmt.Errorf("transport: host id %d out of range [0, %d)", h.HostID, len(hosts))
-		}
-		if muxes[h.HostID] != nil {
-			return nil, fmt.Errorf("transport: duplicate host id %d", h.HostID)
-		}
-		if len(h.Members) == 0 || len(h.Members) != len(h.Weights) {
-			return nil, fmt.Errorf("transport: host %d roster shape %d members / %d weights",
-				h.HostID, len(h.Members), len(h.Weights))
-		}
-		muxes[h.HostID], conns[h.HostID] = NewMux(p.Conn), p.Conn
-		seated[h.HostID] = h
-		nPop += len(h.Members)
+	conns, memberHost, weights, err := seatHellos(hosts, false)
+	if err != nil {
+		return nil, err
 	}
-	memberHost := newMemberDirectory(nPop)
-	weights := make([]float64, nPop)
-	for hid, h := range seated {
-		if err := claimRoster(memberHost, hid, h.Members, "transport"); err != nil {
-			return nil, err
-		}
-		for i, member := range h.Members {
-			weights[member] = h.Weights[i]
-		}
+	muxes := make([]*Mux, len(conns))
+	for h, conn := range conns {
+		muxes[h] = NewMux(conn)
 	}
-	// nPop == sum of roster sizes and every member landed uniquely in
-	// [0, nPop), so the rosters partition the population exactly.
-
+	nPop := len(weights)
 	if pcfg.Cohort < 0 || pcfg.Cohort > nPop {
 		return nil, fmt.Errorf("transport: cohort %d outside [0, %d]", pcfg.Cohort, nPop)
 	}
@@ -206,35 +156,6 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord,
 		return nil, err
 	}
 	return p.run(1, p.drawRound)
-}
-
-// newMemberDirectory returns the member → host map of a population of
-// nPop members, nobody claimed yet.
-func newMemberDirectory(nPop int) []int {
-	memberHost := make([]int, nPop)
-	for i := range memberHost {
-		memberHost[i] = -1
-	}
-	return memberHost
-}
-
-// claimRoster records host hid as the owner of its roster in the member
-// directory: strictly ascending, inside the population, every member
-// claimed once. where opens the error (a shard names itself).
-func claimRoster(memberHost []int, hid int, members []int, where string) error {
-	for i, member := range members {
-		if i > 0 && member <= members[i-1] {
-			return fmt.Errorf("%s: host %d roster not strictly ascending at member %d", where, hid, member)
-		}
-		if member < 0 || member >= len(memberHost) {
-			return fmt.Errorf("%s: host %d roster member %d outside the population [0, %d)", where, hid, member, len(memberHost))
-		}
-		if memberHost[member] != -1 {
-			return fmt.Errorf("%s: member %d claimed by hosts %d and %d", where, member, memberHost[member], hid)
-		}
-		memberHost[member] = hid
-	}
-	return nil
 }
 
 // popServer is the coordinator's population tier around the one round
@@ -367,15 +288,15 @@ func RunVirtualHost(coord Conn, cfg HostConfig) error {
 	if len(cfg.Members) == 0 {
 		return fmt.Errorf("transport: host %d has an empty roster", cfg.HostID)
 	}
-	hello := HostHello{HostID: cfg.HostID, Members: cfg.Members, Weights: make([]float64, len(cfg.Members))}
+	weights := make([]float64, len(cfg.Members))
 	for i, member := range cfg.Members {
 		if member < 0 || (i > 0 && member <= cfg.Members[i-1]) {
 			return fmt.Errorf("transport: host %d roster not strictly ascending at member %d", cfg.HostID, member)
 		}
-		hello.Weights[i] = float64(cfg.Data(member).Len())
+		weights[i] = float64(cfg.Data(member).Len())
 	}
 	mux := NewMux(coord)
-	p := participant{who: "host", id: cfg.HostID, hello: hello, roster: cfg.Members, data: cfg.Data,
+	p := participant{who: "host", id: cfg.HostID, roster: cfg.Members, weights: weights, data: cfg.Data,
 		seed:  func(member int) int64 { return fl.ClientSeed(cfg.Seed, member) },
 		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard, host: mux}
 	init, err := clientHandshake(mux, p)
@@ -398,34 +319,14 @@ func RunVirtualHost(coord Conn, cfg HostConfig) error {
 // selection bit-identical to the engine's — and ONE fetch per host.
 func populationIngest(coord Conn, assign ShardAssign, peers []Peer) (*shardLinks, error) {
 	id, nHosts := assign.ShardID, assign.NumHosts
-	muxes := make([]*Mux, nHosts)
-	memberHost := newMemberDirectory(len(assign.Weights))
-	for _, p := range peers {
-		d := p.HostData
-		if d == nil {
-			return nil, fmt.Errorf("transport: shard %d: non-host peer on the population ingest plane", id)
-		}
-		if d.NumShards != assign.NumShards || d.Dim != assign.Dim || d.ShardID != id {
-			return nil, fmt.Errorf("transport: shard %d: host %d presented a stale shard directory (%d shards over dim %d aimed at shard %d; this deployment is %d over %d)",
-				id, d.HostID, d.NumShards, d.Dim, d.ShardID, assign.NumShards, assign.Dim)
-		}
-		if d.HostID < 0 || d.HostID >= nHosts {
-			return nil, fmt.Errorf("transport: shard %d: host id %d out of range [0, %d)", id, d.HostID, nHosts)
-		}
-		if muxes[d.HostID] != nil {
-			return nil, fmt.Errorf("transport: shard %d: duplicate host id %d on the ingest plane", id, d.HostID)
-		}
-		if err := claimRoster(memberHost, d.HostID, d.Members, fmt.Sprintf("transport: shard %d", id)); err != nil {
-			return nil, err
-		}
-		muxes[d.HostID] = NewMux(p.Conn)
+	hosts, memberHost, err := seatData(assign, peers)
+	if err != nil {
+		return nil, err
 	}
-	hosts := make(connPeers, nHosts)
-	for h, mux := range muxes {
-		if mux == nil {
-			return nil, fmt.Errorf("transport: shard %d: no ingest connection from host %d", id, h)
-		}
-		hosts[h] = mux
+	muxes := make([]*Mux, nHosts)
+	for h, conn := range hosts {
+		muxes[h] = NewMux(conn)
+		hosts[h] = muxes[h]
 	}
 	roster := func(m int) ([]int, error) {
 		ids, err := recvCohort(coord, "shard", id, m)

@@ -485,7 +485,7 @@ func TestHostileCohortAssign(t *testing.T) {
 					Data:  func(member int) *dataset.Dataset { return &fed.Clients[member] },
 					Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1})
 			}()
-			expectMsg[HostHello](t, srv)
+			expectMsg[Hello](t, srv)
 			_ = srv.Send(Init{Params: initParams, K: 4, Rounds: 2})
 			_ = srv.Send(msg)
 			return <-done
@@ -493,7 +493,7 @@ func TestHostileCohortAssign(t *testing.T) {
 		"shard": func(t *testing.T, msg any) error {
 			assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 2, Weights: []float64{1, 2, 3}, NumHosts: 1}
 			shardSide, _ := NewMemPair()
-			peers := []Peer{{Conn: shardSide, HostData: &HostData{ShardID: 0, NumShards: 2, Dim: 10, Members: roster}}}
+			peers := []Peer{{Conn: shardSide, Data: &DataHello{ShardID: 0, NumShards: 2, Dim: 10, Members: roster}}}
 			return directShardHarness(t, assign, func(int) []Peer { return peers }, func(_ []Conn, coord Conn) { _ = coord.Send(msg) })
 		},
 	}
@@ -556,7 +556,7 @@ func TestPopulationServerValidation(t *testing.T) {
 	// The classic entry points refuse a population config outright.
 	a, b := NewMemPair()
 	go func() {
-		_ = b.Send(Hello{ClientID: 0, Weight: 1})
+		_ = b.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}})
 	}()
 	p, err := AcceptPeer(a)
 	if err != nil {
@@ -576,7 +576,7 @@ func TestPopulationServerValidation(t *testing.T) {
 			for i := range weights {
 				weights[i] = 1
 			}
-			_ = b.Send(HostHello{HostID: 0, Members: members, Weights: weights})
+			_ = b.Send(Hello{ClientID: 0, Members: members, Weights: weights})
 		}()
 		p, err := AcceptPeer(a)
 		if err != nil {

@@ -132,23 +132,18 @@ func (cfg ServerConfig) check(nShards int, resume bool) error {
 const MaxStaleness = 8
 
 // Peer is one incoming connection classified by its first message:
-// exactly one of Hello (a client on the coordinator's control plane),
-// Shard (an aggregation shard on the coordinator's control plane, with
-// its advertised direct-ingest address), Data (a client on a direct
-// shard's ingest plane), Host (a virtual-client host on the population
-// coordinator's control plane), or HostData (a virtual-client host on
-// a population shard's ingest plane) is non-nil. AcceptPeer lets one
-// listener serve every role. Host peers fill the client quota in
-// AcceptPeers and HostData peers the data quota in AcceptDataPeers, so
-// the shared-listener deployments work unchanged at population scale.
+// exactly one of Hello (a participant — client or virtual host — on the
+// coordinator's control plane), Shard (an aggregation shard on the
+// coordinator's control plane, with its advertised direct-ingest
+// address), Data (a participant on a direct shard's ingest plane), or
+// Rejoin (a durable peer redialing) is non-nil. AcceptPeer lets one
+// listener serve every role, at any population scale.
 type Peer struct {
-	Conn     Conn
-	Hello    *Hello
-	Shard    *ShardHello
-	Data     *DataHello
-	Host     *HostHello
-	HostData *HostData
-	Rejoin   *Rejoin
+	Conn   Conn
+	Hello  *Hello
+	Shard  *ShardHello
+	Data   *DataHello
+	Rejoin *Rejoin
 }
 
 // handshakeTimeout (nanoseconds) bounds the first Recv of every
@@ -178,14 +173,10 @@ func AcceptPeer(conn Conn) (Peer, error) {
 		return Peer{Conn: conn, Shard: &h}, nil
 	case DataHello:
 		return Peer{Conn: conn, Data: &h}, nil
-	case HostHello:
-		return Peer{Conn: conn, Host: &h}, nil
-	case HostData:
-		return Peer{Conn: conn, HostData: &h}, nil
 	case Rejoin:
 		return Peer{Conn: conn, Rejoin: &h}, nil
 	default:
-		return Peer{}, fmt.Errorf("transport: expected Hello, ShardHello, DataHello, HostHello, HostData, or Rejoin, got %T", msg)
+		return Peer{}, fmt.Errorf("transport: expected Hello, ShardHello, DataHello, or Rejoin, got %T", msg)
 	}
 }
 
@@ -353,11 +344,11 @@ func collectPeers(ln *Listener, nClients, nShards, nData int, timeout time.Durat
 			switch {
 			case out.err != nil:
 				out.conn.Close() // junk handshake or dead conn: ignore
-			case (out.peer.Hello != nil || out.peer.Host != nil) && len(clients) < nClients:
+			case out.peer.Hello != nil && len(clients) < nClients:
 				clients = append(clients, out.peer)
 			case out.peer.Shard != nil && len(shards) < nShards:
 				shards = append(shards, out.peer)
-			case (out.peer.Data != nil || out.peer.HostData != nil) && len(data) < nData:
+			case out.peer.Data != nil && len(data) < nData:
 				data = append(data, out.peer)
 			default:
 				out.conn.Close() // surplus peer for a filled role
@@ -411,7 +402,7 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 	if cfg.Population != nil {
 		return nil, fmt.Errorf("transport: population runs go through RunPopulationServer, not the per-client entry points")
 	}
-	ordered, weights, err := seatClients(clients)
+	ordered, _, weights, err := seatHellos(clients, true)
 	if err != nil {
 		return nil, err
 	}
@@ -422,26 +413,84 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 	return c.run(1, nil)
 }
 
-// seatClients orders classified client peers by their Hello's ID and
-// collects the aggregation weights C_i in that order.
-func seatClients(clients []Peer) ([]Conn, []float64, error) {
-	ordered := make([]Conn, len(clients))
-	weights := make([]float64, len(clients))
-	for _, peer := range clients {
-		if peer.Hello == nil {
-			return nil, nil, fmt.Errorf("transport: non-client peer passed as client (a client opens with Hello; shard conns belong in ServerConfig.ShardConns)")
-		}
-		hello := *peer.Hello
-		if hello.ClientID < 0 || hello.ClientID >= len(clients) {
-			return nil, nil, fmt.Errorf("transport: client id %d out of range", hello.ClientID)
-		}
-		if ordered[hello.ClientID] != nil {
-			return nil, nil, fmt.Errorf("transport: duplicate client id %d", hello.ClientID)
-		}
-		ordered[hello.ClientID] = peer.Conn
-		weights[hello.ClientID] = hello.Weight
+// seatHellos is every coordinator's reading of its participants' Hellos:
+// each is seated at its ClientID, dense in [0, len(peers)), with a
+// roster and weights of one shape, and the rosters are claimed in the
+// member directory — strictly ascending, inside the population, every
+// member once — so together they partition the population [0, N). On
+// the per-client coordinators (perClient) a roster must be exactly
+// [ClientID]. It returns the connections in ID order, the member →
+// participant directory, and the weights C_i by member.
+func seatHellos(peers []Peer, perClient bool) ([]Conn, []int, []float64, error) {
+	noun := "host"
+	if perClient {
+		noun = "client"
 	}
-	return ordered, weights, nil
+	n := len(peers)
+	conns, seated := make([]Conn, n), make([]*Hello, n)
+	nPop := 0
+	for _, p := range peers {
+		h := p.Hello
+		if h == nil {
+			return nil, nil, nil, fmt.Errorf("transport: non-participant peer passed as %s (a participant opens with Hello; shard conns belong in ServerConfig.ShardConns)", noun)
+		}
+		if h.ClientID < 0 || h.ClientID >= n {
+			return nil, nil, nil, fmt.Errorf("transport: %s id %d out of range [0, %d)", noun, h.ClientID, n)
+		}
+		if seated[h.ClientID] != nil {
+			return nil, nil, nil, fmt.Errorf("transport: duplicate %s id %d", noun, h.ClientID)
+		}
+		if len(h.Members) == 0 || len(h.Members) != len(h.Weights) {
+			return nil, nil, nil, fmt.Errorf("transport: %s %d roster shape %d members / %d weights", noun, h.ClientID, len(h.Members), len(h.Weights))
+		}
+		if perClient && (len(h.Members) != 1 || h.Members[0] != h.ClientID) {
+			return nil, nil, nil, fmt.Errorf("transport: client %d roster %v, want [%d]", h.ClientID, h.Members, h.ClientID)
+		}
+		conns[h.ClientID], seated[h.ClientID] = p.Conn, h
+		nPop += len(h.Members)
+	}
+	memberHost := newMemberDirectory(nPop)
+	weights := make([]float64, nPop)
+	for id, h := range seated {
+		if err := claimRoster(memberHost, id, h.Members, "transport"); err != nil {
+			return nil, nil, nil, err
+		}
+		for i, member := range h.Members {
+			weights[member] = h.Weights[i]
+		}
+	}
+	// nPop is the sum of the roster sizes and every member landed once
+	// in [0, nPop), so the rosters partition the population exactly.
+	return conns, memberHost, weights, nil
+}
+
+// newMemberDirectory returns the member → participant map of a
+// population of nPop members, nobody claimed yet.
+func newMemberDirectory(nPop int) []int {
+	memberHost := make([]int, nPop)
+	for i := range memberHost {
+		memberHost[i] = -1
+	}
+	return memberHost
+}
+
+// claimRoster records participant hid as the owner of its roster in the
+// member directory: strictly ascending, inside the population, every
+// member claimed once. where opens the error (a shard names itself).
+func claimRoster(memberHost []int, hid int, members []int, where string) error {
+	for i, member := range members {
+		if i > 0 && member <= members[i-1] {
+			return fmt.Errorf("%s: host %d roster not strictly ascending at member %d", where, hid, member)
+		}
+		if member < 0 || member >= len(memberHost) {
+			return fmt.Errorf("%s: host %d roster member %d outside the population [0, %d)", where, hid, member, len(memberHost))
+		}
+		if memberHost[member] != -1 {
+			return fmt.Errorf("%s: member %d claimed by hosts %d and %d", where, member, memberHost[member], hid)
+		}
+		memberHost[member] = hid
+	}
+	return nil
 }
 
 // ClientConfig parameterizes one distributed participant.
@@ -458,51 +507,63 @@ type ClientConfig struct {
 	// coordinator's Init carries a shard directory (direct mode). nil
 	// uses Dial on the directory address; tests inject in-memory pairs
 	// here. RunClient owns the returned connection and sends the
-	// DataHello itself.
+	// DataHello itself; a durable client also redials a shard with it.
 	DialShard func(addr string) (Conn, error)
+	// Redial makes the client durable: it re-establishes the coordinator
+	// control connection (e.g. a DialRetry closure), and every exchange
+	// after the plain Hello/Init enrolment then survives coordinator
+	// restarts, shard restarts (via the coordinator's Redo flow) and
+	// dropped connections through the Rejoin handshake. It requires a
+	// durable coordinator (the Init must carry its RunID) and, in direct
+	// mode, durable shards. nil runs the plain client.
+	Redial func() (Conn, error)
 }
 
 // RunClient executes the client side of the protocol until the configured
-// number of rounds completes.
+// number of rounds completes — over self-healing links when cfg.Redial
+// is set (durable_client.go).
 func RunClient(conn Conn, cfg ClientConfig) error {
-	p := asParticipant(cfg)
+	p := participant{who: "client", id: cfg.ID, roster: []int{cfg.ID}, weights: []float64{float64(cfg.Data.Len())},
+		data: func(int) *dataset.Dataset { return cfg.Data }, seed: func(int) int64 { return cfg.Seed },
+		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard}
 	init, err := clientHandshake(conn, p)
 	if err != nil {
 		return err
 	}
-	return runClient(conn, p, init, nil)
+	if cfg.Redial == nil {
+		return runClient(conn, p, init, nil)
+	}
+	if init.RunID == 0 {
+		return fmt.Errorf("transport: client %d: coordinator is not durable (Init carries no RunID)", cfg.ID)
+	}
+	link := &healLink{conn: conn, rj: Rejoin{RunID: init.RunID, Kind: RejoinClient, ID: cfg.ID}, noun: "client", dial: cfg.Redial}
+	return runClient(link, p, init, link)
 }
 
 // participant is what the one round loop (runClientRounds) runs: a
 // client — the roster of its own ID, drawn every round, uploading on the
 // control link — or a virtual host (host set), whose roster is its
 // population members, drawn by each round's CohortAssign and uploading
-// on their enveloped streams. who and id name it in errors; a member's
-// data and rng seed are looked up by member ID.
+// on their enveloped streams. Its roster is its enrolment on both planes
+// (the Hello, and a DataHello per shard). who and id name it in errors;
+// a member's data and rng seed are looked up by member ID.
 type participant struct {
-	who    string
-	id     int
-	hello  any   // the enrolment: a client's Hello, a host's HostHello
-	roster []int // member IDs, strictly ascending
-	data   func(member int) *dataset.Dataset
-	seed   func(member int) int64
-	model  func() *nn.Network
-	lr     float64
-	batch  int
-	dial   func(addr string) (Conn, error)
-	host   *Mux // a host's coordinator link; nil for a client
+	who     string
+	id      int
+	roster  []int     // member IDs, strictly ascending
+	weights []float64 // the members' aggregation weights C_i, by roster position
+	data    func(member int) *dataset.Dataset
+	seed    func(member int) int64
+	model   func() *nn.Network
+	lr      float64
+	batch   int
+	dial    func(addr string) (Conn, error)
+	host    *Mux // a host's coordinator link; nil for a client
 }
 
-// asParticipant is a client's participant.
-func asParticipant(cfg ClientConfig) participant {
-	return participant{who: "client", id: cfg.ID, hello: Hello{ClientID: cfg.ID, Weight: float64(cfg.Data.Len())},
-		roster: []int{cfg.ID}, data: func(int) *dataset.Dataset { return cfg.Data }, seed: func(int) int64 { return cfg.Seed },
-		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard}
-}
-
-// clientHandshake enrolls a participant: its hello up, Init down.
+// clientHandshake enrolls a participant: its Hello up, Init down.
 func clientHandshake(conn Conn, p participant) (Init, error) {
-	if err := conn.Send(p.hello); err != nil {
+	if err := conn.Send(Hello{ClientID: p.id, Members: p.roster, Weights: p.weights}); err != nil {
 		return Init{}, fmt.Errorf("transport: %s %d hello: %w", p.who, p.id, err)
 	}
 	msg, err := conn.Recv()
@@ -541,7 +602,7 @@ func runClient(coord Conn, p participant, init Init, link *healLink) error {
 	}
 	defer fan.close()
 	if link != nil {
-		fan.makeDurable(link.attempts)
+		fan.rings = make([]ring, len(fan.conns))
 		link.fan = fan
 	}
 	return runClientRounds(coord, p, init, fan)

@@ -209,7 +209,7 @@ func runDurableRecovery(t *testing.T, net *durableNet, direct bool, nShards int,
 				return
 			}
 			defer conn.Close()
-			cliErrs[id] = RunDurableClient(conn, ClientConfig{
+			cliErrs[id] = RunClient(conn, ClientConfig{
 				ID:           id,
 				Data:         &fed.Clients[id],
 				Model:        model,
@@ -217,7 +217,8 @@ func runDurableRecovery(t *testing.T, net *durableNet, direct bool, nShards int,
 				BatchSize:    8,
 				Seed:         fl.ClientSeed(5, id),
 				DialShard:    net.dialData,
-			}, DurableClientConfig{Redial: net.dialCoord, RedialShard: net.dialData})
+				Redial:       net.dialCoord,
+			})
 		}(i)
 	}
 	shardErrs := make([]error, nShards)
@@ -257,7 +258,7 @@ func runDurableRecovery(t *testing.T, net *durableNet, direct bool, nShards int,
 
 	cfg := ServerConfig{K: k, Rounds: rounds, InitialParams: initParams,
 		Direct: direct, ShardConns: shardConns, ShardAddrs: shardAddrs}
-	dur := DurableServerConfig{RunID: runID, WALPath: walPath, Desk: desk, RejoinTimeout: 20 * time.Second}
+	dur := DurableServerConfig{RunID: runID, WALPath: walPath, Desk: desk}
 	if boundary != "" {
 		crashed := false
 		dur.crash = func(b Boundary, m int) error {
@@ -432,7 +433,7 @@ func TestDataDeskCloseDrainsStagedConns(t *testing.T) {
 	for i := range peers {
 		shardSide, clientSide := NewMemPair()
 		peers[i] = clientSide
-		if err := clientSide.Send(DataHello{ClientID: 0, ShardID: 0, NumShards: 1, Dim: 4}); err != nil {
+		if err := clientSide.Send(DataHello{ClientID: 0, ShardID: 0, NumShards: 1, Dim: 4, Members: []int{0}}); err != nil {
 			t.Fatal(err)
 		}
 		acc <- shardSide
@@ -465,14 +466,14 @@ func TestDataDeskReseatsReplayingClient(t *testing.T) {
 	defer close(acc)
 	dial := func(ci int) Conn {
 		shardSide, clientSide := NewMemPair()
-		_ = clientSide.Send(DataHello{ClientID: ci, ShardID: 0, NumShards: 1, Dim: 4})
+		_ = clientSide.Send(DataHello{ClientID: ci, ShardID: 0, NumShards: 1, Dim: 4, Members: []int{ci}})
 		acc <- shardSide
 		return clientSide
 	}
 	clients := []Conn{dial(0), dial(1)}
 	done := make(chan error, 1)
 	go func() {
-		done <- RunDurableDirectShard(DurableShardConfig{RunID: 7, ShardID: 0, Addr: "mem", RejoinAttempts: 1,
+		done <- RunDurableDirectShard(DurableShardConfig{RunID: 7, ShardID: 0, Addr: "mem",
 			Dial: func() (Conn, error) { return coordShard, nil },
 			AcceptData: func() (Conn, error) {
 				conn, ok := <-acc
@@ -654,8 +655,8 @@ func TestDialRetryRecoversFromLateListener(t *testing.T) {
 }
 
 // TestRejoinDeskClassifies pins the desk: rejoins stream through,
-// non-rejoin handshakes are closed, and a silent connection cannot
-// stall later arrivals.
+// non-rejoin handshakes — each of the other three hello types — are
+// closed, and a silent connection cannot stall later arrivals.
 func TestRejoinDeskClassifies(t *testing.T) {
 	hub := make(chan Conn, 8)
 	desk := NewRejoinDesk(func() (Conn, error) {
@@ -667,10 +668,18 @@ func TestRejoinDeskClassifies(t *testing.T) {
 	})
 	defer desk.Close()
 
-	// A stray Hello: classified away, never surfaced.
-	strayServer, strayClient := NewMemPair()
-	hub <- strayServer
-	go func() { _ = strayClient.Send(Hello{ClientID: 1, Weight: 1}) }()
+	// Stray enrolments: classified away, never surfaced.
+	var strays []Conn
+	for _, hello := range []any{
+		Hello{ClientID: 1, Members: []int{1}, Weights: []float64{1}},
+		ShardHello{Addr: "127.0.0.1:9", ID: 1, HasID: true},
+		DataHello{ClientID: 1, ShardID: 0, NumShards: 1, Dim: 4, Members: []int{1}},
+	} {
+		strayServer, strayClient := NewMemPair()
+		hub <- strayServer
+		go func() { _ = strayClient.Send(hello) }()
+		strays = append(strays, strayClient)
+	}
 
 	// A silent conn: parks in its own classifier goroutine.
 	silentServer, _ := NewMemPair()
@@ -691,8 +700,10 @@ func TestRejoinDeskClassifies(t *testing.T) {
 	}
 	conn.Close()
 
-	if _, err := strayClient.Recv(); err == nil {
-		t.Fatal("stray non-rejoin conn was not closed")
+	for i, stray := range strays {
+		if _, err := stray.Recv(); err == nil {
+			t.Fatalf("stray non-rejoin conn %d was not closed", i)
+		}
 	}
 }
 

@@ -169,19 +169,18 @@ func (d *RejoinDesk) Close() {
 //
 // A client's link also carries out a Redo on its data fan.
 type healLink struct {
-	conn     Conn
-	rj       Rejoin
-	noun     string
-	ring     ring
-	dial     func() (Conn, error)
-	attempts int
-	fan      *shardFan
+	conn Conn
+	rj   Rejoin
+	noun string
+	ring ring
+	dial func() (Conn, error)
+	fan  *shardFan
 }
 
 // rejoin redials the coordinator and splices this link back into the
 // run, resending the ring from the coordinator's NeedFrom.
 func (l *healLink) rejoin() error {
-	conn, err := rejoinRun(l.dial, l.attempts, l.rj, l.noun, l.ring.resend)
+	conn, err := rejoinRun(l.dial, rejoinAttempts, l.rj, l.noun, l.ring.resend)
 	if err != nil {
 		return err
 	}

@@ -86,18 +86,3 @@ func DialRetry(ctx context.Context, addr string, p RetryPolicy) (Conn, error) {
 	}
 	return nil, fmt.Errorf("transport: dial %s: %d attempts exhausted: %w", addr, p.Attempts, lastErr)
 }
-
-// DialShardRetry is DialDirectShard over a DialRetry loop: it redials
-// the coordinator under the policy and then identifies the connection
-// as a shard (with an optional direct-plane ingest address).
-func DialShardRetry(ctx context.Context, coordAddr, ingestAddr string, p RetryPolicy) (Conn, error) {
-	conn, err := DialRetry(ctx, coordAddr, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(ShardHello{Addr: ingestAddr}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: shard hello: %w", err)
-	}
-	return conn, nil
-}

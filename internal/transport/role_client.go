@@ -85,33 +85,31 @@ type sliceBufs struct {
 type shardFan struct {
 	who    string
 	id     int
-	dim    int
-	roster []int // host fans: the members whose enveloped slices ride the links
+	hello  DataHello // the participant's data-plane hello; connect aims it at a shard
 	conns  []Conn
 	muxes  []*Mux   // host fans: conns[s] as its Mux, for the per-member streams
 	addrs  []string // mutable: a durable coordinator's Redo re-points a shard
 	bounds []int    // len(conns)+1 chunk boundaries over [0, dim)
 	dial   func(addr string) (Conn, error)
 
-	// Durable fans: a ring of the last rounds' sent slices per link, and
-	// the reconnect budget. nil rings = links that are never re-seated.
-	rings    []ring
-	attempts int
+	// Durable fans: a ring of the last rounds' sent slices per link. nil
+	// rings = links that are never re-seated.
+	rings []ring
 }
 
 // dialShards opens participant p's fan: chunk bounds, one dial and one
-// data-plane hello per shard. A host's fan sends HostData hellos naming
-// its roster and wraps each link in a Mux for the member streams.
+// DataHello naming p's roster per shard. A host's fan wraps each link
+// in a Mux for the member streams.
 func dialShards(p participant, addrs []string, dim int) (*shardFan, error) {
 	dial := p.dial
 	if dial == nil {
 		dial = Dial
 	}
 	n := len(addrs)
-	f := &shardFan{who: p.who, id: p.id, dim: dim, conns: make([]Conn, n),
-		addrs: append([]string(nil), addrs...), bounds: make([]int, n+1), dial: dial}
+	f := &shardFan{who: p.who, id: p.id, hello: DataHello{ClientID: p.id, NumShards: n, Dim: dim, Members: p.roster},
+		conns: make([]Conn, n), addrs: append([]string(nil), addrs...), bounds: make([]int, n+1), dial: dial}
 	if p.host != nil {
-		f.roster, f.muxes = p.roster, make([]*Mux, n)
+		f.muxes = make([]*Mux, n)
 	}
 	for s := 0; s < n; s++ {
 		lo, hi := tensor.ChunkBounds(dim, n, s)
@@ -130,12 +128,12 @@ func (f *shardFan) connect(s int) error {
 	if err != nil {
 		return fmt.Errorf("transport: %s %d dial shard %d (%s): %w", f.who, f.id, s, f.addrs[s], err)
 	}
-	var hello any = DataHello{ClientID: f.id, ShardID: s, NumShards: len(f.conns), Dim: f.dim}
 	if f.muxes != nil {
 		f.muxes[s] = NewMux(conn)
 		conn = f.muxes[s]
-		hello = HostData{HostID: f.id, ShardID: s, NumShards: len(f.conns), Dim: f.dim, Members: f.roster}
 	}
+	hello := f.hello
+	hello.ShardID = s
 	if err := conn.Send(hello); err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: %s %d data hello to shard %d: %w", f.who, f.id, s, err)

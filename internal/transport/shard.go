@@ -58,7 +58,7 @@ type (
 		// NumHosts > 0 switches a shard into the population tier's M:N
 		// ingest plane: instead of one connection per client it accepts
 		// NumHosts virtual-client host connections (each opening with a
-		// HostData that names its member roster), and each round's
+		// DataHello that names its member roster), and each round's
 		// barrier covers the drawn cohort announced by the coordinator's
 		// CohortAssign, with one MuxFrame-enveloped SliceUpload per drawn
 		// member. Weights then has one entry per population member. 0 is

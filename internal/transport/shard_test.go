@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestRunShardRejectsNonAssignFirst(t *testing.T) {
 	server, shard := NewMemPair()
 	done := make(chan error, 1)
 	go func() { done <- RunDirectShard(shard, func(int) ([]Peer, error) { return nil, nil }) }()
-	if err := server.Send(Hello{ClientID: 0, Weight: 1}); err != nil {
+	if err := server.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "ShardAssign") {
@@ -117,26 +118,47 @@ func TestGobConnCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestAcceptPeerClassifies pins the shared-listener demux.
+// TestAcceptPeerClassifies pins the shared-listener demux: each of the
+// four hello types lands in its own Peer field, intact, with the other
+// three nil; anything else is refused.
 func TestAcceptPeerClassifies(t *testing.T) {
-	a, b := NewMemPair()
-	go func() { _ = b.Send(Hello{ClientID: 2, Weight: 3}) }()
-	peer, err := AcceptPeer(a)
-	if err != nil || peer.Hello == nil || peer.Hello.ClientID != 2 {
-		t.Fatalf("client peer = %+v, %v", peer, err)
+	cases := []struct {
+		name  string
+		hello any
+		field func(Peer) any // the field the hello must land in; nil = refused
+	}{
+		{"client", Hello{ClientID: 2, Members: []int{2}, Weights: []float64{3}}, func(p Peer) any { return p.Hello }},
+		{"host", Hello{ClientID: 1, Members: []int{0, 3}, Weights: []float64{1, 2}}, func(p Peer) any { return p.Hello }},
+		{"shard", ShardHello{}, func(p Peer) any { return p.Shard }},
+		{"data", DataHello{ClientID: 2, ShardID: 1, NumShards: 2, Dim: 8, Members: []int{2}}, func(p Peer) any { return p.Data }},
+		{"rejoin", Rejoin{RunID: 7, Kind: RejoinShard, ID: 1}, func(p Peer) any { return p.Rejoin }},
+		{"unclassifiable", Broadcast{Round: 1}, nil},
 	}
-
-	c, d := NewMemPair()
-	go func() { _ = d.Send(ShardHello{}) }()
-	peer, err = AcceptPeer(c)
-	if err != nil || peer.Hello != nil {
-		t.Fatalf("shard peer = %+v, %v", peer, err)
-	}
-
-	e, f := NewMemPair()
-	go func() { _ = f.Send(Broadcast{Round: 1}) }()
-	if _, err := AcceptPeer(e); err == nil {
-		t.Fatal("unclassifiable first message accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := NewMemPair()
+			go func() { _ = b.Send(tc.hello) }()
+			peer, err := AcceptPeer(a)
+			if tc.field == nil {
+				if err == nil {
+					t.Fatalf("unclassifiable first message accepted: %+v", peer)
+				}
+				return
+			}
+			if err != nil || peer.Conn != a {
+				t.Fatalf("peer = %+v, %v", peer, err)
+			}
+			set := 0
+			for _, f := range []any{peer.Hello, peer.Shard, peer.Data, peer.Rejoin} {
+				if !reflect.ValueOf(f).IsNil() {
+					set++
+				}
+			}
+			got := reflect.ValueOf(tc.field(peer))
+			if set != 1 || got.IsNil() || !reflect.DeepEqual(got.Elem().Interface(), tc.hello) {
+				t.Fatalf("peer = %+v (%d fields set), want exactly %+v", peer, set, tc.hello)
+			}
+		})
 	}
 }
 
@@ -175,7 +197,7 @@ func TestAcceptPeersToleratesStrays(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = conn.Send(Hello{ClientID: 0, Weight: 3})
+		_ = conn.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{3}})
 	}()
 	go func() {
 		_, _ = DialDirectShard(addr, "127.0.0.1:1")

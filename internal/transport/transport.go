@@ -5,6 +5,12 @@
 // lines 6 and 11) — operates as an actual message exchange, over either
 // in-memory pipes or TCP.
 //
+// A participant enrolls as its roster: the Hello to the coordinator and
+// the DataHello to each shard name the client IDs it speaks for — a
+// client the roster of its own ID, a virtual host its population
+// members — so every tier reads one hello per plane (seatHellos,
+// seatData).
+//
 // TCP connections default to a hand-written length-prefixed binary codec
 // (codec.go): one frame is [len u32][type u8][header][payload], little
 // endian, with per-connection decode scratch so the per-round slice
@@ -36,13 +42,16 @@ import (
 
 // Message types of the protocol.
 type (
-	// Hello is the client's handshake: its identity and aggregation
-	// weight C_i. Client → coordinator, control plane, the first
-	// message on a client connection (the population tier's hosts send
-	// HostHello instead — one per roster, not per member).
+	// Hello is a participant's handshake: its identity, its roster of
+	// client IDs (strictly ascending) and their aggregation weights C_i,
+	// in parallel. Participant → coordinator, control plane, the first
+	// message on its connection. A client's roster is exactly
+	// [ClientID]; a virtual host's is its population members, with
+	// ClientID the host's own ID — one Hello per roster, not per member.
 	Hello struct {
 		ClientID int
-		Weight   float64
+		Members  []int
+		Weights  []float64
 	}
 	// Init is the server's reply: the synchronized initial weights and
 	// the run parameters every client must use. Coordinator → every
@@ -230,8 +239,6 @@ func registerTypes() {
 		gob.Register(RejoinAck{})
 		gob.Register(Redo{})
 		gob.Register(MuxFrame{})
-		gob.Register(HostHello{})
-		gob.Register(HostData{})
 		gob.Register(CohortAssign{})
 	})
 }

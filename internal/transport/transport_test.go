@@ -20,7 +20,7 @@ import (
 
 func TestMemPairRoundTrip(t *testing.T) {
 	a, b := NewMemPair()
-	if err := a.Send(Hello{ClientID: 3, Weight: 7}); err != nil {
+	if err := a.Send(Hello{ClientID: 3, Members: []int{3}, Weights: []float64{7}}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := b.Recv()
@@ -28,7 +28,7 @@ func TestMemPairRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello, ok := msg.(Hello)
-	if !ok || hello.ClientID != 3 || hello.Weight != 7 {
+	if !ok || hello.ClientID != 3 || len(hello.Weights) != 1 || hello.Weights[0] != 7 {
 		t.Fatalf("got %#v", msg)
 	}
 	// Close semantics.
@@ -75,7 +75,7 @@ func TestGobConnAllMessageTypes(t *testing.T) {
 	defer b.Close()
 
 	msgs := []any{
-		Hello{ClientID: 1, Weight: 2},
+		Hello{ClientID: 1, Members: []int{1}, Weights: []float64{2}},
 		Init{Params: []float64{1, 2, 3}, K: 5, Rounds: 9},
 		Upload{ClientID: 1, Round: 1, Idx: []int{1}, Val: []float64{2}},
 		Broadcast{Round: 1, Idx: []int{0}, Val: []float64{-1}},
@@ -323,8 +323,8 @@ func TestServerRejectsBadHandshake(t *testing.T) {
 func TestServerRejectsDuplicateIDs(t *testing.T) {
 	a1, b1 := NewMemPair()
 	a2, b2 := NewMemPair()
-	go func() { _ = b1.Send(Hello{ClientID: 0, Weight: 1}) }()
-	go func() { _ = b2.Send(Hello{ClientID: 0, Weight: 1}) }()
+	go func() { _ = b1.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}) }()
+	go func() { _ = b2.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}) }()
 	if _, err := RunServer([]Conn{a1, a2}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}); err == nil {
 		t.Fatal("server accepted duplicate client ids")
 	}
@@ -433,7 +433,7 @@ func TestServerRejectsNonFiniteUpload(t *testing.T) {
 	a0, b0 := NewMemPair()
 	a1, b1 := NewMemPair()
 	peer := func(c Conn, id int, val float64) {
-		_ = c.Send(Hello{ClientID: id, Weight: 1})
+		_ = c.Send(Hello{ClientID: id, Members: []int{id}, Weights: []float64{1}})
 		if _, err := c.Recv(); err != nil { // Init
 			return
 		}
@@ -529,8 +529,8 @@ func TestRoutedClientsRejectHostileBroadcast(t *testing.T) {
 		{
 			name: "durable client", who: "client 0",
 			run: func(conn Conn) error {
-				return RunDurableClient(conn, ClientConfig{ID: 0, Data: &fed.Clients[0], Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1},
-					DurableClientConfig{RejoinAttempts: 1, Redial: func() (Conn, error) { return nil, errors.New("scripted coordinator accepts no redial") }})
+				return RunClient(conn, ClientConfig{ID: 0, Data: &fed.Clients[0], Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1,
+					Redial: func() (Conn, error) { return nil, errors.New("scripted coordinator accepts no redial") }})
 			},
 			enroll: func(t *testing.T, srv Conn) {
 				expectMsg[Hello](t, srv)
@@ -546,7 +546,7 @@ func TestRoutedClientsRejectHostileBroadcast(t *testing.T) {
 					Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1})
 			},
 			enroll: func(t *testing.T, srv Conn) {
-				expectMsg[HostHello](t, srv)
+				expectMsg[Hello](t, srv)
 				_ = srv.Send(Init{Params: initParams, K: 4, Rounds: 2})
 				_ = srv.Send(CohortAssign{Round: 1, Members: []int{0}})
 				if mf := expectMsg[MuxFrame](t, srv); mf.VID != 0 {

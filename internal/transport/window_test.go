@@ -163,7 +163,7 @@ func BenchmarkStragglerWallClock(b *testing.B) {
 
 // runTCPHarness is runDirectHarness over loopback TCP through the real
 // entry points: a listener classifying every peer (AcceptPeers), shards
-// serving their own ingest listeners (ServeDirectShard), and clients
+// accepting on their own ingest listeners (AcceptDataPeers), and clients
 // dialing the shard directory from Init.
 func runTCPHarness(t *testing.T, rounds, k, nShards int, cfg ServerConfig) *directHarness {
 	t.Helper()
@@ -193,7 +193,9 @@ func runTCPHarness(t *testing.T, rounds, k, nShards int, cfg ServerConfig) *dire
 				return
 			}
 			defer coord.Close()
-			h.shardErr[s] = ServeDirectShard(coord, ingest, time.Minute)
+			h.shardErr[s] = RunDirectShard(coord, func(n int) ([]Peer, error) {
+				return AcceptDataPeers(ingest, n, time.Minute)
+			})
 		}(s)
 	}
 	for id := 0; id < n; id++ {
@@ -337,7 +339,7 @@ func TestWindowedRogueSliceFailsRunWithoutWedging(t *testing.T) {
 	const rounds = 8
 	h := runDirectHarness(t, rounds, 20, 2, ServerConfig{Staleness: 1}, nil, nil, nil,
 		func(id int, coord Conn, dial func(addr string) (Conn, error)) error {
-			if err := coord.Send(Hello{ClientID: id, Weight: 30}); err != nil {
+			if err := coord.Send(Hello{ClientID: id, Members: []int{id}, Weights: []float64{30}}); err != nil {
 				return err
 			}
 			msg, err := coord.Recv()
@@ -352,7 +354,7 @@ func TestWindowedRogueSliceFailsRunWithoutWedging(t *testing.T) {
 					return err
 				}
 				conns[s] = conn
-				if err := conn.Send(DataHello{ClientID: id, ShardID: s, NumShards: len(init.Shards), Dim: len(init.Params)}); err != nil {
+				if err := conn.Send(DataHello{ClientID: id, ShardID: s, NumShards: len(init.Shards), Dim: len(init.Params), Members: []int{id}}); err != nil {
 					return err
 				}
 			}
@@ -379,7 +381,7 @@ func TestWindowedRogueSliceFailsRunWithoutWedging(t *testing.T) {
 func TestStalenessConfigValidation(t *testing.T) {
 	peerOf := func() []Peer {
 		a, _ := NewMemPair()
-		return []Peer{{Conn: a, Hello: &Hello{ClientID: 0, Weight: 1}}}
+		return []Peer{{Conn: a, Hello: &Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}}}
 	}
 	base := ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}
 

@@ -51,8 +51,11 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # the mux and the hostile cohort table ride along too. The wire clients
 # run the engine's own participant step (fl.Step), so the engine twins
 # (MatchesReferenceEngine, QuantizedTrajectoryGrid) are what prove the
-# two callers agree: they ride along as well.
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort|MatchesReferenceEngine|QuantizedTrajectoryGrid' ./internal/transport
+# two callers agree: they ride along as well. So do the handshake
+# readers, each running its accepted connections on their own
+# goroutines: the classifying accept loops, the rejoin desk, and the
+# hostile-hello table over every reader of Hello and DataHello.
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort|MatchesReferenceEngine|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello' ./internal/transport
 # The participant step's contract, its per-worker scratch and the
 # engine's contention grids, repeated under the race detector.
 go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention' ./internal/fl
@@ -72,6 +75,10 @@ go test ./internal/sparse -run '^$' -fuzz FuzzTopKInto -fuzztime 10s
 # The same for the server selection: every aggregation entry point of
 # every strategy against the map reference on arbitrary small inputs.
 go test ./internal/gs -run '^$' -fuzz FuzzFABSelection -fuzztime 10s
+# And the wire codec's receive path: arbitrary byte streams must never
+# panic, over-read their payload, or decode to a frame whose re-encoding
+# is not a fixed point.
+go test ./internal/transport -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
 # End-to-end smoke of the benchmark in BENCHMARK.json: 30 rounds of every
 # workload over loopback TCP, PASS/FAIL on bit-identity with the fl.Run
 # twin only (no timings are read).
