@@ -118,36 +118,37 @@ func coordinate(out io.Writer, ln *fedsparse.Listener, w *fedsparse.Workload,
 	fmt.Fprintln(out, "round,loss,downlink_elems")
 	cfg.Observer = fedsparse.MultiObserver(coordCSV{out}, observerOrNil(adm))
 
-	var err error
-	if resume {
-		// Peers re-enter through the rejoin desk as the resume needs
-		// them, not through an enrollment barrier.
-		if adm != nil {
-			adm.SetEnrolled(nClients, nShards)
-		}
-		_, err = resumeCoordinator(ln, cfg, walDir, seed, nClients, nShards)
-	} else {
-		var clients, shardPeers []fedsparse.Peer
-		clients, shardPeers, err = fedsparse.AcceptPeers(ln, nClients, nShards, acceptTimeout)
-		if err != nil {
+	// A resume enrolls nobody: peers re-enter through the rejoin desk as
+	// the resume needs them.
+	var clients []fedsparse.Peer
+	if !resume {
+		var shardPeers []fedsparse.Peer
+		var err error
+		if clients, shardPeers, err = fedsparse.AcceptPeers(ln, nClients, nShards, acceptTimeout); err != nil {
 			return err
-		}
-		if adm != nil {
-			adm.SetEnrolled(nClients, nShards)
 		}
 		// Durable shards declare a stable -id in their hello; seat them
 		// by declaration, not arrival order (racy across processes).
-		shardPeers, err = fedsparse.SeatShardPeers(shardPeers)
-		if err != nil {
+		if shardPeers, err = fedsparse.SeatShardPeers(shardPeers); err != nil {
 			return err
 		}
 		cfg.ShardConns, cfg.ShardAddrs = fedsparse.SplitShardPeers(shardPeers)
-		if walDir == "" {
-			_, err = fedsparse.RunServerPeers(clients, cfg)
-		} else {
-			_, err = startDurableCoordinator(ln, clients, cfg, walDir, seed)
-		}
 	}
+	if adm != nil {
+		adm.SetEnrolled(nClients, nShards)
+	}
+	if walDir != "" {
+		// Every later link failure pulls a replacement connection from
+		// the rejoin desk over the same listener.
+		if err := os.MkdirAll(walDir, 0o755); err != nil {
+			return fmt.Errorf("flsim: -wal-dir: %w", err)
+		}
+		desk := fedsparse.NewRejoinDesk(ln.Accept)
+		defer desk.Close()
+		cfg.Durable = &fedsparse.DurableServerConfig{RunID: fedsparse.WALRunID(seed),
+			WALPath: filepath.Join(walDir, coordinatorWAL), Desk: desk, Resume: resume}
+	}
+	_, err := fedsparse.RunServerPeers(clients, cfg)
 	return err
 }
 
@@ -159,45 +160,6 @@ func (c coordCSV) OnRoundStart(int) {}
 func (c coordCSV) OnRunEnd(error)   {}
 func (c coordCSV) OnRoundEnd(ev fedsparse.RoundEvent) {
 	fmt.Fprintf(c.w, "%d,%.6f,%d\n", ev.Round, ev.Loss, ev.DownlinkElems)
-}
-
-// startDurableCoordinator drives a fresh WAL-backed run: the already
-// accepted peers enroll normally, and every later link failure pulls a
-// replacement connection from the rejoin desk over the same listener.
-func startDurableCoordinator(ln *fedsparse.Listener, clients []fedsparse.Peer,
-	cfg fedsparse.ServerConfig, walDir string, seed int64) ([]fedsparse.RoundRecord, error) {
-
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		return nil, fmt.Errorf("flsim: -wal-dir: %w", err)
-	}
-	desk := fedsparse.NewRejoinDesk(ln.Accept)
-	defer desk.Close()
-	return fedsparse.RunDurableServerPeers(clients, cfg, fedsparse.DurableServerConfig{
-		RunID:   fedsparse.WALRunID(seed),
-		WALPath: filepath.Join(walDir, coordinatorWAL),
-		Desk:    desk,
-	})
-}
-
-// resumeCoordinator restarts a crashed durable coordinator: replay the
-// log (repairing a torn tail — the crash may have interrupted an
-// append), then finish the partial round and continue. No enrollment
-// happens; every client and shard re-establishes its link through the
-// rejoin desk as the resume needs it.
-func resumeCoordinator(ln *fedsparse.Listener, cfg fedsparse.ServerConfig,
-	walDir string, seed int64, nClients, nShards int) ([]fedsparse.RoundRecord, error) {
-
-	runID := fedsparse.WALRunID(seed)
-	walPath := filepath.Join(walDir, coordinatorWAL)
-	wlog, replayed, err := fedsparse.OpenWAL(walPath, runID, true)
-	if err != nil {
-		return nil, err
-	}
-	defer wlog.Close()
-	desk := fedsparse.NewRejoinDesk(ln.Accept)
-	defer desk.Close()
-	dur := fedsparse.DurableServerConfig{RunID: runID, WALPath: walPath, Desk: desk}
-	return fedsparse.ResumeDurableServer(cfg, dur, wlog, replayed, nClients, nShards)
 }
 
 // runShardRole connects to the coordinator as an aggregation shard and

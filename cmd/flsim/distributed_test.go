@@ -2,12 +2,22 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fedsparse"
+)
+
+// The deployment every end-to-end role test runs.
+const (
+	roleDataset = "femnist"
+	roleScale   = "tiny"
+	roleK       = 20
+	roleRounds  = 8
+	roleSeed    = int64(3)
 )
 
 // runRolesEndToEnd executes the full multi-process topology in-process
@@ -26,14 +36,7 @@ func runRolesEndToEnd(t *testing.T, nShards, quantBits int) string {
 // -wal-dir / -durable.
 func runRolesDurable(t *testing.T, quantBits, staleness int, walDir string, nShards int, adminAddr string) string {
 	t.Helper()
-	const (
-		dataset = "femnist"
-		scale   = "tiny"
-		k       = 20
-		rounds  = 8
-		seed    = int64(3)
-	)
-	w, err := buildWorkload(dataset, scale)
+	w, err := buildWorkload(roleDataset, roleScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func runRolesDurable(t *testing.T, quantBits, staleness int, walDir string, nSha
 	var out bytes.Buffer
 	coordDone := make(chan error, 1)
 	go func() {
-		coordDone <- coordinate(&out, ln, w, k, rounds, seed, n, nShards, quantBits, staleness, time.Minute, walDir, false, adminAddr)
+		coordDone <- coordinate(&out, ln, w, roleK, roleRounds, roleSeed, n, nShards, quantBits, staleness, time.Minute, walDir, false, adminAddr)
 	}()
 
 	var wg sync.WaitGroup
@@ -64,7 +67,7 @@ func runRolesDurable(t *testing.T, quantBits, staleness int, walDir string, nSha
 			defer wg.Done()
 			// A shard needs its own ingest listener, exactly as the CLI
 			// wires it with -listen.
-			shardErrs[s] = runShardRole(addr, "127.0.0.1:0", time.Minute, durable, false, s, seed)
+			shardErrs[s] = runShardRole(addr, "127.0.0.1:0", time.Minute, durable, false, s, roleSeed)
 		}(s)
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -73,7 +76,7 @@ func runRolesDurable(t *testing.T, quantBits, staleness int, walDir string, nSha
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			clientErrs[id] = runClientRole(dataset, scale, id, seed, 0, 0, addr, durable)
+			clientErrs[id] = runClientRole(roleDataset, roleScale, id, roleSeed, 0, 0, addr, durable)
 		}(id)
 	}
 
@@ -94,8 +97,8 @@ func runRolesDurable(t *testing.T, quantBits, staleness int, walDir string, nSha
 
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	// Header + one line per round.
-	if len(lines) != rounds+1 {
-		t.Fatalf("coordinator CSV has %d lines, want %d:\n%s", len(lines), rounds+1, out.String())
+	if len(lines) != roleRounds+1 {
+		t.Fatalf("coordinator CSV has %d lines, want %d:\n%s", len(lines), roleRounds+1, out.String())
 	}
 	if lines[0] != "round,loss,downlink_elems" {
 		t.Fatalf("bad CSV header %q", lines[0])
@@ -193,6 +196,39 @@ func TestDurableRolesEndToEnd(t *testing.T) {
 			t.Fatalf("durable CSV differs from plain CSV:\n--- durable ---\n%s--- plain ---\n%s", durable, plain)
 		}
 	})
+}
+
+// TestDurableRolesResumeFinishedLog restarts the coordinator role with
+// -resume over the log of a finished -wal-dir run, with no peer
+// connected: the resume replays every logged round through the CSV and
+// has nothing left to run, so its CSV is byte-identical to the run's —
+// in the routed and the direct sharded topologies.
+func TestDurableRolesResumeFinishedLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training run in -short mode")
+	}
+	for _, nShards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
+			walDir := t.TempDir()
+			run := runRolesDurable(t, 0, 0, walDir, nShards, "")
+			w, err := buildWorkload(roleDataset, roleScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := fedsparse.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			var out bytes.Buffer
+			if err := coordinate(&out, ln, w, roleK, roleRounds, roleSeed, w.Data.NumClients(), nShards, 0, 0, time.Minute, walDir, true, ""); err != nil {
+				t.Fatalf("resumed coordinator: %v", err)
+			}
+			if out.String() != run {
+				t.Fatalf("resumed CSV differs from the run's:\n--- resumed ---\n%s--- run ---\n%s", out.String(), run)
+			}
+		})
+	}
 }
 
 // TestRoleValidation covers the role plumbing that needs no network.

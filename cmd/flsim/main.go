@@ -142,7 +142,7 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dura
 	population, cohort int, churn, noniid float64) error {
 
 	if role != "sim" && (set["population"] || set["cohort"] || set["churn"] || set["noniid"]) {
-		return errors.New("flsim: -population/-cohort/-churn/-noniid apply to -role sim (the distributed form of the population tier is the library's RunPopulationServer/RunVirtualHost API)")
+		return errors.New("flsim: -population/-cohort/-churn/-noniid apply to -role sim (the distributed form of the population tier is the library's RunServerPeers with a ServerConfig.Population, and RunVirtualHost)")
 	}
 	switch role {
 	case "sim":

@@ -95,7 +95,9 @@
 // a virtual host, enrolling as its roster), ShardHello (a shard, see
 // DialDirectShard), DataHello (a participant on a shard's ingest
 // plane), Rejoin (a durable peer redialing). Participants go to
-// RunServerPeers and shard connections to ServerConfig.ShardConns. The
+// RunServerPeers — the one coordinator entry point, whose plane
+// (ShardConns), journal (Durable) and roster (Population) are
+// ServerConfig values — and shard connections to ShardConns. The
 // flsim command exposes all three roles (-role
 // coordinator|shard|client with -listen/-connect), so a real
 // multi-process deployment is one command per process.
@@ -166,15 +168,16 @@
 // simulates a whole member roster over ONE physical connection to the
 // coordinator (plus one per shard in direct mode), enveloping each
 // member's traffic in MuxFrames over a goroutine-free Mux demultiplexer,
-// and RunPopulationServer draws each round's cohort with the same
-// exported sampler (CohortSampler) and materializes only the drawn
-// members. A host runs RunClient's round loop with each round's drawn
-// cohort as its roster; member state (error-feedback residual, rng
-// stream) materializes at first draw — an undrawn member costs no
-// allocation — so populations of 100k–1M virtual clients run over
-// hosts × shards physical connections. NewPopulationView serves per-member non-i.i.d.
-// dataset shards at the same scale: O(1) zero-copy windows over a
-// class-grouped arrangement. Cohort-sampled trajectories are pinned
+// and RunServerPeers with a ServerConfig.Population roster draws each
+// round's cohort with the same exported sampler (CohortSampler) and
+// materializes only the drawn members. A host runs RunClient's round
+// loop with each round's drawn cohort as its roster; member state
+// (error-feedback residual, rng stream) materializes at first draw — an
+// undrawn member costs no allocation — so populations of 100k–1M
+// virtual clients run over hosts × shards physical connections.
+// NewPopulationView serves per-member non-i.i.d. dataset shards at the
+// same scale: O(1) zero-copy windows over a class-grouped arrangement.
+// Cohort-sampled trajectories are pinned
 // bit-identical between the engine and both wire data planes; see
 // docs/ARCHITECTURE.md for the topology diagrams.
 //
@@ -192,11 +195,12 @@
 // the suffix with bit-exact verification against the log, and then
 // continues — WAL on or off, halted or not, the Result is bit-identical
 // to the uninterrupted run. The distributed coordinator has the same
-// discipline (RunDurableServerPeers / ResumeDurableServer with a
-// DurableServerConfig): Seal/Release/Finish records journal each round
-// decision — indices and scalars only, never gradient payloads — and a
-// restarted coordinator re-issues the last unacknowledged seal or
-// release before continuing. Peers survive the other side's death:
+// discipline (RunServerPeers with a ServerConfig.Durable journal):
+// Seal/Release/Finish records journal each round decision — indices and
+// scalars only, never gradient payloads — and a coordinator restarted
+// with Durable.Resume reopens the log, takes the run's geometry from
+// it, and re-issues the last unacknowledged seal or release before
+// continuing. Peers survive the other side's death:
 // RunClient with a ClientConfig.Redial, and RunDurableDirectShard,
 // redial through DialRetry (bounded exponential backoff + jitter),
 // re-identify with a
@@ -543,7 +547,7 @@ type (
 	// envelope.
 	Mux      = transport.Mux
 	MuxFrame = transport.MuxFrame
-	// PopulationConfig switches a coordinator into the population tier
+	// PopulationConfig is a coordinator's roster
 	// (ServerConfig.Population); HostConfig parameterizes one virtual-
 	// client host.
 	PopulationConfig = transport.PopulationConfig
@@ -555,8 +559,9 @@ type (
 // Durable control plane (internal/transport + internal/wal): see the
 // "Durability and recovery" section of the package documentation.
 type (
-	// DurableServerConfig layers a WAL and rejoin-based recovery on a
-	// ServerConfig (RunDurableServerPeers / ResumeDurableServer).
+	// DurableServerConfig is a coordinator's journal
+	// (ServerConfig.Durable): a WAL, rejoin-based recovery, and with
+	// Resume a restart from that WAL.
 	DurableServerConfig = transport.DurableServerConfig
 	// DurableShardConfig parameterizes RunDurableDirectShard.
 	DurableShardConfig = transport.DurableShardConfig
@@ -566,25 +571,16 @@ type (
 	Rejoin = transport.Rejoin
 	// RetryPolicy bounds a DialRetry backoff loop.
 	RetryPolicy = transport.RetryPolicy
-	// WAL is an append-only CRC-framed record log (wal.Log).
-	WAL = wal.Log
-	// WALRecord is one decoded log record (wal.Record).
-	WALRecord = wal.Record
 )
 
-// Durable drivers, recovery dials, and WAL access.
+// Durable shard driver and recovery dials.
 var (
-	RunDurableServerPeers = transport.RunDurableServerPeers
-	ResumeDurableServer   = transport.ResumeDurableServer
 	RunDurableDirectShard = transport.RunDurableDirectShard
 	NewRejoinDesk         = transport.NewRejoinDesk
 	DialRetry             = transport.DialRetry
 	// WALRunID derives the stable run identity a seed's durable run is
 	// stamped with (coordinator, WAL, and every Rejoin must agree).
 	WALRunID = wal.RunID
-	// OpenWAL replays an existing log for ResumeDurableServer; the
-	// repairTail flag truncates a torn final record instead of erroring.
-	OpenWAL = wal.Open
 )
 
 // MaxStaleness caps ServerConfig.Staleness: a W-deep client has W+2
@@ -597,7 +593,6 @@ var (
 	NewMemPair      = transport.NewMemPair
 	NewBinConn      = transport.NewBinConn
 	NewGobConn      = transport.NewGobConn
-	RunServer       = transport.RunServer
 	RunServerPeers  = transport.RunServerPeers
 	RunClient       = transport.RunClient
 	Dial            = transport.Dial
@@ -610,9 +605,8 @@ var (
 	AcceptDataPeers = transport.AcceptDataPeers
 	SplitShardPeers = transport.SplitShardPeers
 	SeatShardPeers  = transport.SeatShardPeers
-	// Population-tier entry points: the sampling coordinator, the
-	// virtual-client host, and the demultiplexer they share.
-	RunPopulationServer = transport.RunPopulationServer
-	RunVirtualHost      = transport.RunVirtualHost
-	NewMux              = transport.NewMux
+	// The population tier's virtual-client host, and the demultiplexer
+	// it shares with the coordinator.
+	RunVirtualHost = transport.RunVirtualHost
+	NewMux         = transport.NewMux
 )

@@ -468,7 +468,7 @@ func TestCorruptFrameFailsRoundNotBarrier(t *testing.T) {
 		_, _ = rawCli.Write(rawFrame([]byte{99}))
 	}()
 
-	_, err := RunServer(serverConns, ServerConfig{K: 5, Rounds: 3, InitialParams: initParams})
+	_, err := runServer(serverConns, ServerConfig{K: 5, Rounds: 3, InitialParams: initParams})
 	if err == nil {
 		t.Fatal("server survived a corrupt upload frame")
 	}

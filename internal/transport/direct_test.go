@@ -272,7 +272,7 @@ func rawTCPPairFactory(t *testing.T) (func() (Conn, Conn), func()) {
 }
 
 // directHarness wires a full direct-mode deployment over in-memory
-// conns: RunServer coordinator (cfg plus the shard tier), RunDirectShard
+// conns: runServer coordinator (cfg plus the shard tier), RunDirectShard
 // shards whose ingest conns are delivered through each client's
 // DialShard hook, and RunClient clients. wrapCoord and wrapData
 // optionally wrap a client's control conn and data-plane conns (failure
@@ -383,7 +383,7 @@ func runDirectHarness(t testing.TB, rounds, k, nShards int, cfg ServerConfig,
 	}
 	cfg.K, cfg.Rounds, cfg.InitialParams = k, rounds, initParams
 	cfg.ShardConns, cfg.Direct, cfg.ShardAddrs = coordShardConns, true, addrs
-	h.records, h.srvErr = RunServer(h.serverCs, cfg)
+	h.records, h.srvErr = runServer(h.serverCs, cfg)
 	// Tear everything down so every goroutine joins whether the run
 	// succeeded or aborted mid-round.
 	for _, c := range h.serverCs {
@@ -617,7 +617,7 @@ func TestDirectCoordinatorCarriesNoGradientPayload(t *testing.T) {
 					})
 				}(i)
 			}
-			if _, err := RunServer(serverCs, ServerConfig{
+			if _, err := runServer(serverCs, ServerConfig{
 				K: k, Rounds: rounds, InitialParams: initParams,
 				ShardConns: coordShard, Direct: true, ShardAddrs: addrs,
 			}); err != nil {
@@ -643,7 +643,7 @@ func TestDirectCoordinatorCarriesNoGradientPayload(t *testing.T) {
 				})
 			}(i)
 		}
-		if _, err := RunServer(serverCs, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams}); err != nil {
+		if _, err := runServer(serverCs, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams}); err != nil {
 			t.Fatalf("routed server: %v", err)
 		}
 		wg.Wait()

@@ -3,7 +3,8 @@
 // to a write-ahead log (internal/wal) at three boundaries — the seal
 // (selection finished), the release (downlink cleared), the finish
 // (round closed) — as indices and scalars only; gradient payloads
-// never enter the log. After a crash, ResumeDurableServer replays the
+// never enter the log. It is RunServerPeers with ServerConfig.Durable
+// set. After a crash, the same call with Durable.Resume replays the
 // log, re-seats every peer through the Rejoin handshake (rejoin.go),
 // re-issues whatever the partial round still owes (the last seal or
 // release), and continues the run from the round in progress — with
@@ -54,19 +55,23 @@ const (
 	BoundaryFinishLogged Boundary = "finish-logged"
 )
 
-// DurableServerConfig parameterizes the durable coordinator on top of
-// a ServerConfig.
+// DurableServerConfig is a coordinator's journal (ServerConfig.Durable):
+// the write-ahead log it keeps and the desk its peers rejoin through.
 type DurableServerConfig struct {
 	// RunID identifies the run (non-zero; derive it with wal.RunID).
 	// It stamps the WAL, the Init, and every Rejoin handshake.
 	RunID uint64
-	// WALPath is where RunDurableServerPeers creates the log.
-	// ResumeDurableServer takes an already-opened log instead.
+	// WALPath is the log: a fresh run creates it; a resume opens it,
+	// repairing a torn tail, and continues the run it holds.
 	WALPath string
 	// Desk supplies rejoining peers; required. The coordinator pulls
 	// from it whenever a live connection fails (or, on resume, is not
 	// yet established).
 	Desk *RejoinDesk
+	// Resume restarts a crashed coordinator from the log at WALPath
+	// instead of enrolling peers: RunServerPeers then takes no peers and
+	// no ShardConns, and the client and shard counts come from the log.
+	Resume bool
 
 	// crash is the test hook: invoked at every Boundary with the
 	// round; a non-nil return closes every peer connection (emulating
@@ -80,7 +85,8 @@ const rejoinTimeout = 30 * time.Second
 
 // coordConf is the configuration fingerprint stored in the RunStart
 // record and validated on resume: a log is never replayed under a
-// different geometry.
+// different geometry. A resume reads the client and shard counts from
+// it (fields confClients and confShards) and checks every other field.
 func coordConf(cfg ServerConfig, nClients, nShards int) []int64 {
 	direct := int64(0)
 	if cfg.Direct {
@@ -90,13 +96,16 @@ func coordConf(cfg ServerConfig, nClients, nShards int) []int64 {
 		int64(cfg.QuantBits), int64(nClients), int64(nShards), direct}
 }
 
+// The fingerprint fields a resume takes from the log.
+const confClients, confShards = 4, 5
+
 // durServer is the durable coordinator's recovery state around the
 // shared round bodies (coordRun, role_coord.go): the rounds reach their
 // peers through its two rejoin-healing link sides and log through its
 // journal.
 type durServer struct {
 	*coordRun
-	dur DurableServerConfig
+	dur *DurableServerConfig
 
 	cl *durSide // the clients' control conns, in ID order
 	sh *durSide // direct mode: the shards' control conns (the DirectGroup's)
@@ -123,31 +132,13 @@ func (s *durServer) side(kind int, noun string, conns []Conn) *durSide {
 	return &durSide{s: s, kind: kind, noun: noun, conns: conns, pending: make(map[int]rejoinArrival)}
 }
 
-// RunDurableServerPeers is RunServerPeers with a write-ahead log: it
-// creates the WAL at dur.WALPath (RunStart carries the configuration
-// fingerprint and the clients' Hello weights, which rejoins do not
-// resend), then drives the round loop with WAL appends at every
-// decision boundary and rejoin-based recovery on every link failure.
-// Shard connections ride in cfg.ShardConns exactly as in
-// RunServerPeers.
-func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerConfig) (records []RoundRecord, err error) {
-	if cfg.Observer != nil {
-		defer func() { cfg.Observer.OnRunEnd(err) }()
-	}
-	if cfg.Staleness > 0 {
-		// The WAL's replay protocol assumes lockstep rounds: every round's
-		// uploads are complete before the seal is logged. Bounded
-		// staleness would need redo semantics for W rounds in flight,
-		// which it does not have.
-		return nil, fmt.Errorf("transport: durable coordinator does not support bounded staleness (Staleness=%d)", cfg.Staleness)
-	}
-	if err := checkDurable(cfg, dur, len(clients), len(cfg.ShardConns), false); err != nil {
-		return nil, err
-	}
-	ordered, _, weights, err := seatHellos(clients, true)
-	if err != nil {
-		return nil, err
-	}
+// runDurable is a fresh durable run over the seated clients: it creates
+// the WAL at WALPath (RunStart carries the configuration fingerprint and
+// the clients' Hello weights, which rejoins do not resend), then drives
+// the round loop with WAL appends at every decision boundary and
+// rejoin-based recovery on every link failure.
+func runDurable(clients []Conn, weights []float64, cfg ServerConfig) ([]RoundRecord, error) {
+	dur := cfg.Durable
 	rs := wal.RunStart{RunID: dur.RunID, Kind: wal.KindCoordinator,
 		Conf: coordConf(cfg, len(clients), len(cfg.ShardConns)), Weights: weights}
 	log, err := wal.Create(dur.WALPath, rs)
@@ -155,8 +146,8 @@ func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerCo
 		return nil, err
 	}
 	defer log.Close()
-	s := newDurServer(cfg, dur, log, ordered, weights)
-	if err := s.open(ordered, dur.RunID, 0); err != nil {
+	s := newDurServer(cfg, log, clients, weights)
+	if err := s.open(clients, dur.RunID, 0); err != nil {
 		return nil, err
 	}
 	if cfg.Direct {
@@ -165,46 +156,42 @@ func RunDurableServerPeers(clients []Peer, cfg ServerConfig, dur DurableServerCo
 	return s.run(1, nil)
 }
 
-// ResumeDurableServer restarts a crashed coordinator from its replayed
-// WAL (open the log with wal.Open first). No peer connections exist
-// yet: every client and shard re-establishes its link through
-// dur.Desk's Rejoin handshake as the resume needs it. The preamble
-// finishes the partial round exactly where the crash left it — the
-// logged seal is re-issued verbatim (direct) or re-derived from
-// re-sent uploads and verified bit-exact against the log (routed) —
-// and the loop then continues to cfg.Rounds. The caller owns log's
-// lifetime.
-func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log,
-	replayed []wal.Record, nClients, nShards int) (records []RoundRecord, err error) {
-
-	if cfg.Observer != nil {
-		defer func() { cfg.Observer.OnRunEnd(err) }()
-	}
-	if err := checkDurable(cfg, dur, nClients, nShards, true); err != nil {
+// resumeDurable restarts a crashed coordinator from the log at WALPath,
+// which it opens (repairing a torn tail: the crash may have interrupted
+// an append) and closes on return. The log is the authority on the
+// geometry it was written under: the client and shard counts come from
+// its RunStart fingerprint, and every field cfg supplies — dim, K,
+// Rounds, QuantBits, plane — must match it. No peer connections exist
+// yet: every client and shard re-establishes its link through the
+// Desk's Rejoin handshake as the resume needs it. The preamble finishes
+// the partial round exactly where the crash left it — the logged seal
+// is re-issued verbatim (direct) or re-derived from re-sent uploads and
+// verified bit-exact against the log (routed) — and the loop then
+// continues to cfg.Rounds.
+func resumeDurable(cfg ServerConfig) ([]RoundRecord, error) {
+	log, replayed, err := wal.Open(cfg.Durable.WALPath, cfg.Durable.RunID, true)
+	if err != nil {
 		return nil, err
 	}
-	if len(replayed) == 0 {
-		return nil, fmt.Errorf("transport: resume: empty WAL replay")
-	}
-	rs, ok := replayed[0].(*wal.RunStart)
-	if !ok {
-		return nil, fmt.Errorf("transport: resume: log does not begin with RunStart")
-	}
-	if rs.RunID != dur.RunID {
-		return nil, fmt.Errorf("transport: resume: log belongs to run %#x, want %#x", rs.RunID, dur.RunID)
-	}
+	defer log.Close()
+	rs := replayed[0].(*wal.RunStart) // wal.Open checked the record type and the RunID
 	if rs.Kind != wal.KindCoordinator {
 		return nil, fmt.Errorf("transport: resume: log written by writer kind %d, not a coordinator", rs.Kind)
 	}
-	want := coordConf(cfg, nClients, nShards)
+	want := coordConf(cfg, 0, 0)
 	if len(rs.Conf) != len(want) {
 		return nil, fmt.Errorf("transport: resume: configuration fingerprint has %d fields, want %d", len(rs.Conf), len(want))
 	}
+	want[confClients], want[confShards] = rs.Conf[confClients], rs.Conf[confShards]
 	for i := range want {
 		if rs.Conf[i] != want[i] {
 			return nil, fmt.Errorf("transport: resume: configuration fingerprint field %d is %d, log has %d — refusing to replay under a different run configuration",
 				i, want[i], rs.Conf[i])
 		}
+	}
+	nClients, nShards := int(rs.Conf[confClients]), int(rs.Conf[confShards])
+	if nClients < 1 || nShards < 0 {
+		return nil, fmt.Errorf("transport: resume: log fingerprint holds %d clients and %d shards", nClients, nShards)
 	}
 	if len(rs.Weights) != nClients {
 		return nil, fmt.Errorf("transport: resume: log holds %d client weights, want %d", len(rs.Weights), nClients)
@@ -216,7 +203,7 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 		// so redos after the resume still broadcast a correct directory.
 		cfg.ShardAddrs = make([]string, nShards)
 	}
-	s := newDurServer(cfg, dur, log, make([]Conn, nClients), append([]float64(nil), rs.Weights...))
+	s := newDurServer(cfg, log, make([]Conn, nClients), append([]float64(nil), rs.Weights...))
 
 	records, seal, release, err := replayRounds(replayed[1:])
 	if err != nil {
@@ -266,30 +253,13 @@ func ResumeDurableServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log
 	return s.run(next, nil)
 }
 
-// checkDurable validates what both durable entry points need.
-func checkDurable(cfg ServerConfig, dur DurableServerConfig, nClients, nShards int, resume bool) error {
-	if err := cfg.check(nShards, resume); err != nil {
-		return err
-	}
-	if nClients < 1 {
-		return fmt.Errorf("transport: durable server needs at least one client")
-	}
-	if dur.RunID == 0 {
-		return fmt.Errorf("transport: durable server needs a non-zero RunID (derive one with wal.RunID)")
-	}
-	if dur.Desk == nil {
-		return fmt.Errorf("transport: durable server needs a RejoinDesk (durability implies recovery)")
-	}
-	return nil
-}
-
 // newDurServer wraps the shared round state in the durable tier's
 // values: healing links over clients and a journal over log.
-func newDurServer(cfg ServerConfig, dur DurableServerConfig, log *wal.Log, clients []Conn, weights []float64) *durServer {
-	s := &durServer{dur: dur}
+func newDurServer(cfg ServerConfig, log *wal.Log, clients []Conn, weights []float64) *durServer {
+	s := &durServer{dur: cfg.Durable}
 	s.cl = s.side(RejoinClient, "client", clients)
 	s.coordRun = newCoordRun(cfg, s.cl, len(clients), "client", weights)
-	s.journal = &journal{log: log, crash: dur.crash, closeAll: s.closeAll}
+	s.journal = &journal{log: log, crash: cfg.Durable.crash, closeAll: s.closeAll}
 	return s
 }
 

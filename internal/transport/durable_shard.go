@@ -244,13 +244,18 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 	ctl := &healLink{rj: Rejoin{RunID: cfg.RunID, Kind: RejoinShard, ID: cfg.ShardID, Addr: cfg.Addr},
 		noun: "shard", dial: cfg.Dial}
 	defer ctl.Close()
-	var err error
+	var (
+		msg any
+		err error
+	)
 	if cfg.Fresh {
 		rj := ctl.rj
 		rj.Fresh = true
 		if ctl.conn, err = rejoinRun(cfg.Dial, 1, rj, "fresh shard", func(Conn, int) error { return nil }); err != nil {
 			return err
 		}
+		// The redo sends the assignment right after the ack.
+		msg, err = recvHandshake(ctl.conn)
 	} else {
 		if ctl.conn, err = cfg.Dial(); err != nil {
 			return fmt.Errorf("transport: shard %d dial coordinator: %w", cfg.ShardID, err)
@@ -258,8 +263,11 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 		if err := ctl.conn.Send(ShardHello{Addr: cfg.Addr, ID: cfg.ShardID, HasID: true}); err != nil {
 			return fmt.Errorf("transport: shard %d hello: %w", cfg.ShardID, err)
 		}
+		// A fresh run's coordinator assigns only once its whole quota has
+		// enrolled, which may take longer than a handshake: wait as
+		// RunDirectShard does.
+		msg, err = ctl.conn.Recv()
 	}
-	msg, err := recvHandshake(ctl.conn)
 	if err != nil {
 		return fmt.Errorf("transport: shard %d assign recv: %w", cfg.ShardID, err)
 	}

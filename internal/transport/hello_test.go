@@ -2,6 +2,8 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,10 +29,23 @@ func (e enrolment) hello() Hello {
 	return Hello{ClientID: e.id, Members: e.members, Weights: w}
 }
 
+// weightRefusal is every coordinator reader's refusal of member 0's
+// weight w, a sample count that is not finite and positive. A DataHello
+// carries no weights, so no shard reader is concerned.
+func weightRefusal(w string) map[string]string {
+	const want = "%s 0 member 0 weight %s, want a finite sample count > 0"
+	return map[string]string{
+		"coordinator":            fmt.Sprintf(want, "transport: client", w),
+		"durable":                fmt.Sprintf(want, "transport: client", w),
+		"population coordinator": fmt.Sprintf(want, "transport: host", w),
+	}
+}
+
 // TestHostileHello drives the participant hellos through every reader:
-// the plain, durable and population coordinators (seatHellos), the plain
-// and population shard ingest (seatData), and the durable shard's data
-// desk (checkDataHello per connection). Each row must be refused by
+// RunServerPeers under the plain, durable and population configs
+// (seatHellos), the plain and population shard ingest (seatData), and
+// the durable shard's data desk (checkDataHello per connection). Each
+// row must be refused by
 // name by every reader it is hostile to; "" marks a reader the row is
 // legal on (a population host may own any members; a DataHello carries
 // no weights; a repeated ID at the desk is a redial).
@@ -94,6 +109,10 @@ func TestHostileHello(t *testing.T) {
 			"population shard":       "transport: shard 0: member 1 claimed by hosts 0 and 1",
 			"desk":                   "transport: shard 0: client 0 roster [0 1], want [0]",
 		}},
+		{"NaN weight", []enrolment{{0, []int{0}, []float64{math.NaN()}}}, 0, weightRefusal("NaN")},
+		{"+Inf weight", []enrolment{{0, []int{0}, []float64{math.Inf(1)}}}, 0, weightRefusal("+Inf")},
+		{"negative weight", []enrolment{{0, []int{0}, []float64{-1}}}, 0, weightRefusal("-1")},
+		{"zero weight", []enrolment{{0, []int{0}, []float64{0}}}, 0, weightRefusal("0")},
 		{"stale shard geometry", []enrolment{{0, []int{0}, nil}}, 3, map[string]string{
 			"shard":            "transport: shard 0: client 0 presented a stale shard directory (3 shards over dim 10 aimed at shard 0; this deployment is 2 over 10)",
 			"population shard": "transport: shard 0: host 0 presented a stale shard directory (3 shards over dim 10 aimed at shard 0; this deployment is 2 over 10)",
@@ -110,14 +129,16 @@ func TestHostileHello(t *testing.T) {
 		conn.Close()
 		return conn
 	}
-	// coordinator runs one coordinator entry point over the row's Hellos.
-	coordinator := func(enrolled []enrolment, run func([]Peer) error) error {
+	// coordinator runs RunServerPeers under one tier's config over the
+	// row's Hellos.
+	coordinator := func(enrolled []enrolment, cfg ServerConfig) error {
 		peers := make([]Peer, len(enrolled))
 		for i, e := range enrolled {
 			h := e.hello()
 			peers[i] = Peer{Conn: closed(), Hello: &h}
 		}
-		return run(peers)
+		_, err := RunServerPeers(peers, cfg)
+		return err
 	}
 	// assign is the shard-side deployment the row's DataHellos meet:
 	// shard 0 of 2 over dim 10, one client per enrolment, or one host per
@@ -150,18 +171,19 @@ func TestHostileHello(t *testing.T) {
 
 	readers := map[string]func(t *testing.T, enrolled []enrolment, numShards int) error{
 		"coordinator": func(t *testing.T, enrolled []enrolment, _ int) error {
-			return coordinator(enrolled, func(peers []Peer) error { _, err := RunServerPeers(peers, cfg); return err })
+			return coordinator(enrolled, cfg)
 		},
 		"durable": func(t *testing.T, enrolled []enrolment, _ int) error {
 			desk := NewRejoinDesk(func() (Conn, error) { return nil, errors.New("no rejoins") })
 			defer desk.Close()
-			dur := DurableServerConfig{RunID: 1, WALPath: filepath.Join(t.TempDir(), "coord.wal"), Desk: desk}
-			return coordinator(enrolled, func(peers []Peer) error { _, err := RunDurableServerPeers(peers, cfg, dur); return err })
+			dcfg := cfg
+			dcfg.Durable = &DurableServerConfig{RunID: 1, WALPath: filepath.Join(t.TempDir(), "coord.wal"), Desk: desk}
+			return coordinator(enrolled, dcfg)
 		},
 		"population coordinator": func(t *testing.T, enrolled []enrolment, _ int) error {
 			pcfg := cfg
 			pcfg.Population = &PopulationConfig{}
-			return coordinator(enrolled, func(peers []Peer) error { _, err := RunPopulationServer(peers, pcfg); return err })
+			return coordinator(enrolled, pcfg)
 		},
 		"shard": func(t *testing.T, enrolled []enrolment, numShards int) error {
 			return shard(t, enrolled, numShards, false)

@@ -56,7 +56,7 @@ func runObserved(t *testing.T, fed *dataset.Federated, model func() *nn.Network,
 		}(i)
 	}
 	cfg.K, cfg.Rounds, cfg.InitialParams = k, rounds, initParams
-	records, err := RunServer(serverConns, cfg)
+	records, err := runServer(serverConns, cfg)
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}

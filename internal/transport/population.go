@@ -56,7 +56,7 @@
 // aggregation runs over cohort-ordered uploads, which is the engine's
 // participant order. The routed and direct planes are bit-identical to
 // each other; population × bounded staleness is refused by name
-// (RunPopulationServer, checkAssign, RunVirtualHost).
+// (ServerConfig.check, checkAssign, RunVirtualHost).
 package transport
 
 import (
@@ -81,7 +81,8 @@ type CohortAssign struct {
 	Members []int
 }
 
-// PopulationConfig switches a coordinator into the population tier.
+// PopulationConfig is a coordinator's roster (ServerConfig.Population):
+// how each round's cohort is drawn from the hosts' members.
 type PopulationConfig struct {
 	// Cohort is the number of members drawn each round from the active
 	// population (clamped to the active count; 0 draws everyone). The
@@ -103,29 +104,19 @@ type PopulationConfig struct {
 	DrawRng *rand.Rand
 }
 
-// RunPopulationServer drives a population-tier training over
-// pre-classified host connections (AcceptPeer fills Peer.Hello). Hosts
-// are seated by their Hello's ClientID; their rosters must partition
-// the population (seatHellos). cfg.Population must be set; bounded
-// staleness is not population-aware.
-func RunPopulationServer(hosts []Peer, cfg ServerConfig) (records []RoundRecord, err error) {
-	if cfg.Observer != nil {
-		defer func() { cfg.Observer.OnRunEnd(err) }()
-	}
-	pcfg := cfg.Population
-	if pcfg == nil {
-		return nil, fmt.Errorf("transport: RunPopulationServer needs ServerConfig.Population")
-	}
-	if err := cfg.check(len(cfg.ShardConns), false); err != nil {
-		return nil, err
-	}
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("transport: population server needs at least one host")
-	}
-	if cfg.Staleness != 0 {
-		return nil, fmt.Errorf("transport: the population tier requires the synchronous protocol (Staleness = 0)")
-	}
+// RunPopulationServer is RunServerPeers. It is kept only because the
+// frozen benchmark definition (bench/cluster.go) calls it; a change to
+// the benchmark definition may drop it.
+func RunPopulationServer(hosts []Peer, cfg ServerConfig) ([]RoundRecord, error) {
+	return RunServerPeers(hosts, cfg)
+}
 
+// servePopulation is RunServerPeers with a roster
+// (ServerConfig.Population): the hosts are seated by their Hello's
+// ClientID, their rosters must partition the population (seatHellos),
+// and the one round loop draws each round's cohort (drawRound).
+func servePopulation(hosts []Peer, cfg ServerConfig) ([]RoundRecord, error) {
+	pcfg := cfg.Population
 	conns, memberHost, weights, err := seatHellos(hosts, false)
 	if err != nil {
 		return nil, err

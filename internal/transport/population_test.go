@@ -123,7 +123,7 @@ func runPopulationData(t testing.TB, data func(member int) *dataset.Dataset, mod
 		hostPeers[i] = p
 	}
 	obs := &recObserver{}
-	records, err := RunPopulationServer(hostPeers, ServerConfig{
+	records, err := RunServerPeers(hostPeers, ServerConfig{
 		K: run.k, Rounds: run.rounds, InitialParams: initParams, QuantBits: run.quantBits,
 		Direct: run.nShards > 0, ShardConns: shardConns, ShardAddrs: shardAddrs,
 		Observer: obs,
@@ -421,7 +421,7 @@ func TestPopulationHundredThousandVirtualClients(t *testing.T) {
 		hostPeers[i] = p
 	}
 	obs := &recObserver{}
-	records, err := RunPopulationServer(hostPeers, ServerConfig{
+	records, err := RunServerPeers(hostPeers, ServerConfig{
 		K: k, Rounds: rounds, InitialParams: refNet.Params(),
 		Observer:   obs,
 		Population: &PopulationConfig{Cohort: cohort, DrawRng: drawRng},
@@ -553,22 +553,6 @@ func BenchmarkVirtualClients(b *testing.B) {
 
 // TestPopulationServerValidation covers the tier's rejection surface.
 func TestPopulationServerValidation(t *testing.T) {
-	// The classic entry points refuse a population config outright.
-	a, b := NewMemPair()
-	go func() {
-		_ = b.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}})
-	}()
-	p, err := AcceptPeer(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunServerPeers([]Peer{p}, ServerConfig{
-		K: 1, Rounds: 1, InitialParams: []float64{0},
-		Population: &PopulationConfig{Cohort: 1},
-	}); err == nil {
-		t.Fatal("RunServerPeers accepted a population config")
-	}
-
 	hostPeer := func(members []int) Peer {
 		a, b := NewMemPair()
 		go func() {
@@ -586,24 +570,20 @@ func TestPopulationServerValidation(t *testing.T) {
 	}
 	base := ServerConfig{K: 1, Rounds: 1, InitialParams: []float64{0}}
 
-	// No population config.
-	if _, err := RunPopulationServer([]Peer{hostPeer([]int{0})}, base); err == nil {
-		t.Fatal("accepted a run without a population config")
-	}
 	// A sampling cohort without a draw rng.
 	cfg := base
 	cfg.Population = &PopulationConfig{Cohort: 1}
-	if _, err := RunPopulationServer([]Peer{hostPeer([]int{0, 1})}, cfg); err == nil {
+	if _, err := RunServerPeers([]Peer{hostPeer([]int{0, 1})}, cfg); err == nil {
 		t.Fatal("accepted a sampling cohort without a DrawRng")
 	}
 	// A roster that does not cover the population densely.
 	cfg = base
 	cfg.Population = &PopulationConfig{}
-	if _, err := RunPopulationServer([]Peer{hostPeer([]int{0, 5})}, cfg); err == nil {
+	if _, err := RunServerPeers([]Peer{hostPeer([]int{0, 5})}, cfg); err == nil {
 		t.Fatal("accepted a roster with holes")
 	}
 	// A non-ascending roster.
-	if _, err := RunPopulationServer([]Peer{hostPeer([]int{1, 0})}, cfg); err == nil {
+	if _, err := RunServerPeers([]Peer{hostPeer([]int{1, 0})}, cfg); err == nil {
 		t.Fatal("accepted an unsorted roster")
 	}
 	// Population over the routed shard plane.
@@ -611,14 +591,14 @@ func TestPopulationServerValidation(t *testing.T) {
 	cfg.Population = &PopulationConfig{}
 	sc, _ := NewMemPair()
 	cfg.ShardConns = []Conn{sc}
-	if _, err := RunPopulationServer([]Peer{hostPeer([]int{0})}, cfg); err == nil {
+	if _, err := RunServerPeers([]Peer{hostPeer([]int{0})}, cfg); err == nil {
 		t.Fatal("accepted the routed shard plane")
 	}
 	// Population with bounded staleness.
 	cfg = base
 	cfg.Population = &PopulationConfig{}
 	cfg.Staleness = 1
-	if _, err := RunPopulationServer([]Peer{hostPeer([]int{0})}, cfg); err == nil {
+	if _, err := RunServerPeers([]Peer{hostPeer([]int{0})}, cfg); err == nil {
 		t.Fatal("accepted a staleness window")
 	}
 }

@@ -68,11 +68,17 @@ type ServerConfig struct {
 	// codec's counters and per-shard reduce wait times. nil disables.
 	// Observers are passive; attaching one moves no trajectory bit.
 	Observer fl.Observer
-	// Population switches the run into the population tier — clients
-	// are virtual members simulated by host processes, with a sampled
-	// cohort per round. Set it and call RunPopulationServer; the
-	// classic per-client entry points reject it. See population.go.
+	// Population is the roster: set, the peers are virtual hosts, each
+	// enrolling a roster of population members, and each round's
+	// uploaders are a cohort drawn from the population. nil runs every
+	// client every round. See population.go.
 	Population *PopulationConfig
+	// Durable is the journal: set, every round decision is logged to a
+	// write-ahead log before it is sent and every broken link is re-seated
+	// through a RejoinDesk; with Durable.Resume the coordinator restarts
+	// from that log instead of enrolling peers. nil runs without a log.
+	// See durable.go.
+	Durable *DurableServerConfig
 	// Staleness is the bounded-staleness window W, mirroring
 	// fl.Config.Staleness: 0 runs the synchronous lockstep protocol;
 	// W > 0 runs the same round loops W rounds deep — a client uploads
@@ -85,40 +91,54 @@ type ServerConfig struct {
 	Staleness int
 }
 
-// check is the one validation of a ServerConfig's run-wide knobs,
-// shared by every coordinator entry point (RunServerPeers, the durable
-// pair, RunPopulationServer) so each refuses a configuration in the same
-// words: the quantization width, the staleness window, and the plane
-// rule — shards mean the direct data plane, with one advertised ingest
-// address per shard. nShards is len(ShardConns), except on a durable
-// resume (resume set), which holds no connections yet and whose
-// directory the rejoining shards refill.
-func (cfg ServerConfig) check(nShards int, resume bool) error {
-	if cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64) {
+// check is the one validation of a ServerConfig, and the only place a
+// coordinator refuses a configuration: the quantization width, the
+// staleness window, the tiers that exclude each other, the plane rule —
+// shards mean the direct data plane, with one advertised ingest address
+// per shard — and the journal's identity. nPeers is the number of
+// participants passed in. A resume takes none: it holds no connections,
+// every peer rejoins, and the log holds the plane's geometry.
+func (cfg ServerConfig) check(nPeers int) error {
+	dur, nShards := cfg.Durable, len(cfg.ShardConns)
+	resume := dur != nil && dur.Resume
+	switch {
+	case cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64):
 		return fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
-	}
-	if cfg.Staleness < 0 || cfg.Staleness > MaxStaleness {
+	case cfg.Staleness < 0 || cfg.Staleness > MaxStaleness:
 		return fmt.Errorf("transport: Staleness must be in [0, %d], got %d", MaxStaleness, cfg.Staleness)
-	}
-	if nShards > 0 && !cfg.Direct {
+	case dur != nil && cfg.Staleness > 0:
+		// The WAL's replay protocol assumes lockstep rounds: every round's
+		// uploads are complete before the seal is logged.
+		return fmt.Errorf("transport: durable coordinator does not support bounded staleness (Staleness=%d)", cfg.Staleness)
+	case dur != nil && cfg.Population != nil:
+		return fmt.Errorf("transport: the durable coordinator journals a fixed client roster, not a population (set Durable or Population, not both)")
+	case cfg.Population != nil && cfg.Staleness > 0:
+		return fmt.Errorf("transport: the population tier requires the synchronous protocol (Staleness = 0)")
+	case resume && (nPeers > 0 || nShards > 0):
+		return fmt.Errorf("transport: a durable resume takes no peers (got %d participants and %d shards): every peer rejoins through the RejoinDesk", nPeers, nShards)
+	case resume:
+		// The plane has no connections yet; the log holds its geometry.
+	case nShards > 0 && !cfg.Direct:
 		return fmt.Errorf("transport: ShardConns without Direct (a shard tier is the direct data plane)")
-	}
-	if cfg.Direct && nShards == 0 {
+	case cfg.Direct && nShards == 0:
 		return fmt.Errorf("transport: Direct needs ShardConns (the coordinator no longer aggregates)")
-	}
-	if cfg.Staleness > 0 && !cfg.Direct {
+	case cfg.Staleness > 0 && !cfg.Direct:
 		return fmt.Errorf("transport: Staleness requires the direct data plane (the routed topology is lockstep)")
-	}
-	if resume {
-		return nil
-	}
-	if len(cfg.ShardAddrs) != nShards {
+	case len(cfg.ShardAddrs) != nShards:
 		return fmt.Errorf("transport: need one ShardAddrs entry per shard (%d addrs for %d shards)", len(cfg.ShardAddrs), nShards)
 	}
 	for s, addr := range cfg.ShardAddrs {
-		if addr == "" {
+		if addr == "" && !resume {
 			return fmt.Errorf("transport: shard %d advertised no ingest address", s)
 		}
+	}
+	switch {
+	case dur != nil && dur.RunID == 0:
+		return fmt.Errorf("transport: durable server needs a non-zero RunID (derive one with wal.RunID)")
+	case dur != nil && dur.Desk == nil:
+		return fmt.Errorf("transport: durable server needs a RejoinDesk (durability implies recovery)")
+	case nPeers == 0 && !resume:
+		return fmt.Errorf("transport: server needs at least one participant")
 	}
 	return nil
 }
@@ -367,47 +387,38 @@ type RoundRecord struct {
 	DownlinkElems int
 }
 
-// RunServer drives one FAB-top-k training over the given client
-// connections: handshake, then Rounds iterations of gather-A_i /
-// broadcast-B. It returns the per-round records. With cfg.ShardConns set
-// the run is on the direct data plane. Each handshake is read through
-// AcceptPeer, so a client that connects and never speaks fails the run
-// after the handshake deadline instead of wedging it; a peer that opens
-// with anything but a Hello is refused by RunServerPeers.
-func RunServer(conns []Conn, cfg ServerConfig) ([]RoundRecord, error) {
-	peers := make([]Peer, len(conns))
-	for i, conn := range conns {
-		var err error
-		if peers[i], err = AcceptPeer(conn); err != nil {
-			return nil, err
-		}
-	}
-	return RunServerPeers(peers, cfg)
-}
-
-// RunServerPeers is RunServer for pre-classified client connections whose
-// Hello was already consumed (the shared-listener path: AcceptPeer sorts
-// incoming connections into clients and shards, clients go here, shard
-// connections go into cfg.ShardConns).
-func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, err error) {
+// RunServerPeers is the coordinator: it seats the participants' Hellos
+// (classified by AcceptPeer or AcceptPeers; shard connections go into
+// cfg.ShardConns), then drives Rounds iterations of gather-A_i /
+// broadcast-B and returns the per-round records. Which coordinator it
+// runs is three ServerConfig values: the plane (ShardConns: the direct
+// data plane, else routed), the journal (Durable: a write-ahead log and
+// rejoin-based recovery; with Resume, a restart from that log, which
+// takes no peers) and the roster (Population: virtual hosts and a cohort
+// drawn each round). ServerConfig.check refuses the combinations the
+// tiers do not support.
+func RunServerPeers(peers []Peer, cfg ServerConfig) (records []RoundRecord, err error) {
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
 	}
-	if err := cfg.check(len(cfg.ShardConns), false); err != nil {
+	if err := cfg.check(len(peers)); err != nil {
 		return nil, err
 	}
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("transport: server needs at least one client")
+	if cfg.Durable != nil && cfg.Durable.Resume {
+		return resumeDurable(cfg)
 	}
 	if cfg.Population != nil {
-		return nil, fmt.Errorf("transport: population runs go through RunPopulationServer, not the per-client entry points")
+		return servePopulation(peers, cfg)
 	}
-	ordered, _, weights, err := seatHellos(clients, true)
+	clients, _, weights, err := seatHellos(peers, true)
 	if err != nil {
 		return nil, err
 	}
-	c := newCoordRun(cfg, plainPeers{conns: ordered, noun: "client"}, len(ordered), "client", weights)
-	if err := c.open(ordered, 0, 0); err != nil {
+	if cfg.Durable != nil {
+		return runDurable(clients, weights, cfg)
+	}
+	c := newCoordRun(cfg, plainPeers{conns: clients, noun: "client"}, len(clients), "client", weights)
+	if err := c.open(clients, 0, 0); err != nil {
 		return nil, err
 	}
 	return c.run(1, nil)
@@ -415,11 +426,11 @@ func RunServerPeers(clients []Peer, cfg ServerConfig) (records []RoundRecord, er
 
 // seatHellos is every coordinator's reading of its participants' Hellos:
 // each is seated at its ClientID, dense in [0, len(peers)), with a
-// roster and weights of one shape, and the rosters are claimed in the
-// member directory — strictly ascending, inside the population, every
-// member once — so together they partition the population [0, N). On
-// the per-client coordinators (perClient) a roster must be exactly
-// [ClientID]. It returns the connections in ID order, the member →
+// roster and weights of one shape, every weight finite and positive,
+// and the rosters are claimed in the member directory — strictly
+// ascending, inside the population, every member once — so together
+// they partition the population [0, N). On the per-client coordinators
+// (perClient) a roster must be exactly [ClientID]. It returns the connections in ID order, the member →
 // participant directory, and the weights C_i by member.
 func seatHellos(peers []Peer, perClient bool) ([]Conn, []int, []float64, error) {
 	noun := "host"
@@ -445,6 +456,13 @@ func seatHellos(peers []Peer, perClient bool) ([]Conn, []int, []float64, error) 
 		}
 		if perClient && (len(h.Members) != 1 || h.Members[0] != h.ClientID) {
 			return nil, nil, nil, fmt.Errorf("transport: client %d roster %v, want [%d]", h.ClientID, h.Members, h.ClientID)
+		}
+		// A weight is C_i, a sample count: it divides every aggregate and
+		// the loss, and a member without samples cannot train.
+		for i, w := range h.Weights {
+			if !(w > 0) || math.IsInf(w, 1) {
+				return nil, nil, nil, fmt.Errorf("transport: %s %d member %d weight %v, want a finite sample count > 0", noun, h.ClientID, h.Members[i], w)
+			}
 		}
 		conns[h.ClientID], seated[h.ClientID] = p.Conn, h
 		nPop += len(h.Members)

@@ -256,9 +256,9 @@ func runDurableRecovery(t *testing.T, net *durableNet, direct bool, nShards int,
 	})
 	defer desk.Close()
 
-	cfg := ServerConfig{K: k, Rounds: rounds, InitialParams: initParams,
-		Direct: direct, ShardConns: shardConns, ShardAddrs: shardAddrs}
 	dur := DurableServerConfig{RunID: runID, WALPath: walPath, Desk: desk}
+	cfg := ServerConfig{K: k, Rounds: rounds, InitialParams: initParams,
+		Direct: direct, ShardConns: shardConns, ShardAddrs: shardAddrs, Durable: &dur}
 	if boundary != "" {
 		crashed := false
 		dur.crash = func(b Boundary, m int) error {
@@ -269,24 +269,23 @@ func runDurableRecovery(t *testing.T, net *durableNet, direct bool, nShards int,
 			return nil
 		}
 	}
-	records, err := RunDurableServerPeers(clientPeers, cfg, dur)
+	records, err := RunServerPeers(clientPeers, cfg)
 	if boundary != "" {
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("coordinator = %v, want the injected crash", err)
 		}
-		log, replayed, err := wal.Open(walPath, runID, true)
-		if err != nil {
-			t.Fatalf("reopening the WAL: %v", err)
-		}
-		// Resume as a genuinely restarted process would: no shard conns
-		// and no shard directory — both are rebuilt from the rejoins.
+		// Resume as a genuinely restarted process would: no peers, no
+		// shard conns and no shard directory — the log holds the
+		// geometry, the rejoins rebuild the links and the directory.
 		// (Reusing the enrollment-time cfg here once masked a resume
 		// path that wrongly demanded a pre-populated ShardAddrs.)
+		rdur := dur
+		rdur.Resume = true
 		rcfg := cfg
 		rcfg.ShardConns = nil
 		rcfg.ShardAddrs = nil
-		records, err = ResumeDurableServer(rcfg, dur, log, replayed, n, nShards)
-		log.Close()
+		rcfg.Durable = &rdur
+		records, err = RunServerPeers(nil, rcfg)
 		if err != nil {
 			t.Fatalf("resumed coordinator: %v", err)
 		}
@@ -518,10 +517,54 @@ func TestDataDeskReseatsReplayingClient(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsBadLog pins the refusal paths of
-// ResumeDurableServer: a log written under a different configuration,
-// by a different writer kind, or for a different run must never be
-// replayed.
+// TestDurableShardAwaitsLateAssign pins a fresh durable shard's wait for
+// its assignment: the coordinator sends it only once its whole quota has
+// enrolled, so the shard must wait past the handshake deadline and then
+// serve the round.
+func TestDurableShardAwaitsLateAssign(t *testing.T) {
+	saved := handshakeTimeout.Swap(int64(100 * time.Millisecond))
+	defer handshakeTimeout.Store(saved)
+
+	coordServer, coordShard := NewMemPair()
+	acc := make(chan Conn, 1)
+	defer close(acc)
+	done := make(chan error, 1)
+	go func() {
+		done <- RunDurableDirectShard(DurableShardConfig{RunID: 7, ShardID: 0, Addr: "mem",
+			Dial: func() (Conn, error) { return coordShard, nil },
+			AcceptData: func() (Conn, error) {
+				conn, ok := <-acc
+				if !ok {
+					return nil, errors.New("ingest closed")
+				}
+				return conn, nil
+			}})
+	}()
+	if _, err := coordServer.Recv(); err != nil { // the ShardHello
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond) // the rest of the quota enrolls
+	_ = coordServer.Send(ShardAssign{ShardID: 0, NumShards: 1, Dim: 4, Rounds: 1, Weights: []float64{1}})
+	shardSide, client := NewMemPair()
+	_ = client.Send(DataHello{ClientID: 0, ShardID: 0, NumShards: 1, Dim: 4, Members: []int{0}})
+	acc <- shardSide
+	_ = client.Send(SliceUpload{ClientID: 0, Round: 1, Idx: []int{1}, Val: []float64{1}, Rank: []int{0}})
+	if _, err := coordServer.Recv(); err != nil { // the ShardResult
+		t.Fatalf("no round-1 result: %v", err)
+	}
+	_ = coordServer.Send(RoundSeal{Round: 1, Members: []int{1}})
+	_ = client.Send(SliceFetch{ClientID: 0, Round: 1})
+	if msg, err := client.Recv(); err != nil {
+		t.Fatalf("no round-1 broadcast slice: %v (%T)", err, msg)
+	}
+	if err := awaitShard(t, done, client, coordServer); err != nil {
+		t.Fatalf("durable shard: %v", err)
+	}
+}
+
+// TestResumeRejectsBadLog pins the refusal paths of a durable resume: a
+// log written under a different configuration, by a different writer
+// kind, or for a different run must never be replayed.
 func TestResumeRejectsBadLog(t *testing.T) {
 	dir := t.TempDir()
 	mkLog := func(name string, rs wal.RunStart, recs ...wal.Record) (string, uint64) {
@@ -544,14 +587,11 @@ func TestResumeRejectsBadLog(t *testing.T) {
 	conf := coordConf(cfg, 2, 0)
 	weights := []float64{1, 1}
 	resume := func(path string, runID uint64) error {
-		log, recs, err := wal.Open(path, runID, true)
-		if err != nil {
-			return err
-		}
-		defer log.Close()
 		desk := NewRejoinDesk(func() (Conn, error) { return nil, errors.New("closed") })
 		defer desk.Close()
-		_, err = ResumeDurableServer(cfg, DurableServerConfig{RunID: runID, Desk: desk}, log, recs, 2, 0)
+		rcfg := cfg
+		rcfg.Durable = &DurableServerConfig{RunID: runID, WALPath: path, Desk: desk, Resume: true}
+		_, err := RunServerPeers(nil, rcfg)
 		return err
 	}
 
@@ -738,9 +778,10 @@ func TestHandshakeDeadline(t *testing.T) {
 	}
 }
 
-// TestRunServerHandshakeDeadline is TestHandshakeDeadline for
-// RunServer's own enrolment loop: one client that connects and never
-// says Hello must fail the run with the deadline error, not wedge it.
+// TestRunServerHandshakeDeadline is TestHandshakeDeadline for a
+// coordinator that classifies its own connections: one client that
+// connects and never says Hello must fail the run with the deadline
+// error, not wedge it.
 func TestRunServerHandshakeDeadline(t *testing.T) {
 	saved := handshakeTimeout.Swap(int64(50 * time.Millisecond))
 	defer handshakeTimeout.Store(saved)
@@ -749,15 +790,15 @@ func TestRunServerHandshakeDeadline(t *testing.T) {
 	defer silent.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunServer([]Conn{server}, ServerConfig{K: 1, Rounds: 1, InitialParams: []float64{0}})
+		_, err := runServer([]Conn{server}, ServerConfig{K: 1, Rounds: 1, InitialParams: []float64{0}})
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("RunServer = %v, want the handshake deadline", err)
+			t.Fatalf("coordinator = %v, want the handshake deadline", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunServer wedged on a silent client")
+		t.Fatal("coordinator wedged on a silent client")
 	}
 }

@@ -137,6 +137,19 @@ func buildWorkload() (*dataset.Federated, func() *nn.Network, []float64) {
 
 // runDistributed executes the protocol over the given connection factory
 // and returns the server records.
+// runServer classifies each connection's handshake with AcceptPeer and
+// runs the coordinator over the participants.
+func runServer(conns []Conn, cfg ServerConfig) ([]RoundRecord, error) {
+	peers := make([]Peer, len(conns))
+	for i, conn := range conns {
+		var err error
+		if peers[i], err = AcceptPeer(conn); err != nil {
+			return nil, err
+		}
+	}
+	return RunServerPeers(peers, cfg)
+}
+
 func runDistributed(t testing.TB, fed *dataset.Federated, model func() *nn.Network,
 	initParams []float64, k, rounds, quantBits int, pair func() (server, client Conn)) []RoundRecord {
 	t.Helper()
@@ -162,7 +175,7 @@ func runDistributed(t testing.TB, fed *dataset.Federated, model func() *nn.Netwo
 			})
 		}(i)
 	}
-	records, err := RunServer(serverConns, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams, QuantBits: quantBits})
+	records, err := runServer(serverConns, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams, QuantBits: quantBits})
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -260,7 +273,7 @@ func runDistributedTCP(t *testing.T, fed *dataset.Federated, model func() *nn.Ne
 	for i := 0; i < n; i++ {
 		serverConns[i] = <-accepted
 	}
-	records, err := RunServer(serverConns, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams, QuantBits: quantBits})
+	records, err := runServer(serverConns, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams, QuantBits: quantBits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +328,7 @@ func TestServerRejectsBadHandshake(t *testing.T) {
 	go func() {
 		_ = b.Send(Broadcast{Round: 1}) // not a Hello
 	}()
-	if _, err := RunServer([]Conn{a}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}); err == nil {
+	if _, err := runServer([]Conn{a}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}); err == nil {
 		t.Fatal("server accepted a non-Hello handshake")
 	}
 }
@@ -325,17 +338,27 @@ func TestServerRejectsDuplicateIDs(t *testing.T) {
 	a2, b2 := NewMemPair()
 	go func() { _ = b1.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}) }()
 	go func() { _ = b2.Send(Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}) }()
-	if _, err := RunServer([]Conn{a1, a2}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}); err == nil {
+	if _, err := runServer([]Conn{a1, a2}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}); err == nil {
 		t.Fatal("server accepted duplicate client ids")
 	}
 }
 
-// TestServerConfigCheck pins the one ServerConfig validation every
-// coordinator entry point shares: each refuses the same configuration
-// with the same words.
+// TestServerConfigCheck pins ServerConfig.check, the only place a
+// coordinator refuses a configuration: the run-wide rows are refused in
+// the same words whichever journal and roster the config names, and
+// every exclusion between the tiers by its own words.
 func TestServerConfigCheck(t *testing.T) {
 	shard, _ := NewMemPair()
+	desk := NewRejoinDesk(func() (Conn, error) { return nil, errors.New("no rejoins") })
+	defer desk.Close()
 	base := ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0}}
+	client := []Peer{{Conn: shard, Hello: &Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}}}
+	check := func(t *testing.T, peers []Peer, cfg ServerConfig, want string) {
+		t.Helper()
+		if _, err := RunServerPeers(peers, cfg); err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+	}
 	cases := []struct {
 		name string
 		edit func(*ServerConfig)
@@ -352,31 +375,59 @@ func TestServerConfigCheck(t *testing.T) {
 		{"bad Staleness", func(c *ServerConfig) { c.Staleness = -1 },
 			"transport: Staleness must be in [0, 8], got -1"},
 	}
-	entries := []struct {
+	// The three tiers: no journal or roster, a journal, a roster. The
+	// labels name each tier by its former entry point so the subtests
+	// keep stable names.
+	tiers := []struct {
 		name string
-		run  func(ServerConfig) error
+		edit func(*ServerConfig)
 	}{
-		{"RunServerPeers", func(c ServerConfig) error { _, err := RunServerPeers(nil, c); return err }},
-		{"RunDurableServerPeers", func(c ServerConfig) error {
-			_, err := RunDurableServerPeers(nil, c, DurableServerConfig{})
-			return err
-		}},
-		{"RunPopulationServer", func(c ServerConfig) error {
-			c.Population = &PopulationConfig{}
-			_, err := RunPopulationServer(nil, c)
-			return err
-		}},
+		{"RunServerPeers", func(*ServerConfig) {}},
+		{"RunDurableServerPeers", func(c *ServerConfig) { c.Durable = &DurableServerConfig{} }},
+		{"RunPopulationServer", func(c *ServerConfig) { c.Population = &PopulationConfig{} }},
 	}
 	for _, tc := range cases {
-		for _, entry := range entries {
-			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
+		for _, tier := range tiers {
+			t.Run(tc.name+"/"+tier.name, func(t *testing.T) {
 				cfg := base
 				tc.edit(&cfg)
-				if err := entry.run(cfg); err == nil || err.Error() != tc.want {
-					t.Fatalf("err = %v, want %q", err, tc.want)
-				}
+				tier.edit(&cfg)
+				check(t, nil, cfg, tc.want)
 			})
 		}
+	}
+
+	durable := func() *DurableServerConfig { return &DurableServerConfig{RunID: 1, Desk: desk} }
+	exclusions := []struct {
+		name  string
+		peers []Peer
+		edit  func(*ServerConfig)
+		want  string
+	}{
+		{"durable with a staleness window", client, func(c *ServerConfig) { c.Durable, c.Staleness = durable(), 1 },
+			"transport: durable coordinator does not support bounded staleness (Staleness=1)"},
+		{"durable population", client, func(c *ServerConfig) { c.Durable, c.Population = durable(), &PopulationConfig{} },
+			"transport: the durable coordinator journals a fixed client roster, not a population (set Durable or Population, not both)"},
+		{"population with a staleness window", client, func(c *ServerConfig) { c.Population, c.Staleness = &PopulationConfig{}, 1 },
+			"transport: the population tier requires the synchronous protocol (Staleness = 0)"},
+		{"resume with peers", client, func(c *ServerConfig) { c.Durable = durable(); c.Durable.Resume = true },
+			"transport: a durable resume takes no peers (got 1 participants and 0 shards): every peer rejoins through the RejoinDesk"},
+		{"resume with shards", nil, func(c *ServerConfig) {
+			c.Durable = durable()
+			c.Durable.Resume = true
+			c.Direct, c.ShardConns, c.ShardAddrs = true, []Conn{shard}, []string{"s0"}
+		}, "transport: a durable resume takes no peers (got 0 participants and 1 shards): every peer rejoins through the RejoinDesk"},
+		{"durable without a RunID", client, func(c *ServerConfig) { c.Durable = &DurableServerConfig{Desk: desk} },
+			"transport: durable server needs a non-zero RunID (derive one with wal.RunID)"},
+		{"durable without a Desk", client, func(c *ServerConfig) { c.Durable = &DurableServerConfig{RunID: 1} },
+			"transport: durable server needs a RejoinDesk (durability implies recovery)"},
+	}
+	for _, tc := range exclusions {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.edit(&cfg)
+			check(t, tc.peers, cfg, tc.want)
+		})
 	}
 }
 
@@ -441,7 +492,7 @@ func TestServerRejectsNonFiniteUpload(t *testing.T) {
 	}
 	go peer(b0, 0, 0.25)
 	go peer(b1, 1, math.Inf(-1))
-	_, err := RunServer([]Conn{a0, a1}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0, 0, 0}})
+	_, err := runServer([]Conn{a0, a1}, ServerConfig{K: 2, Rounds: 1, InitialParams: []float64{0, 0, 0}})
 	if err == nil || !strings.Contains(err.Error(), "round 1: client 1 uploaded non-finite value -Inf") {
 		t.Fatalf("error %v, want the non-finite upload of client 1 in round 1", err)
 	}
@@ -479,7 +530,7 @@ func TestFaultConnInjectsFailure(t *testing.T) {
 			_ = serverConns[id].Close()
 		}(i)
 	}
-	_, err := RunServer(serverConns, ServerConfig{K: 20, Rounds: 50, InitialParams: initParams})
+	_, err := runServer(serverConns, ServerConfig{K: 20, Rounds: 50, InitialParams: initParams})
 	// The server aborts mid-round; release the surviving clients blocked
 	// on their broadcast Recv before joining them.
 	for _, s := range serverConns {

@@ -410,7 +410,8 @@ func TestStalenessConfigValidation(t *testing.T) {
 		cfg := base
 		cfg.Direct = true
 		cfg.Staleness = 1
-		if _, err := RunDurableServerPeers(nil, cfg, DurableServerConfig{}); err == nil || !strings.Contains(err.Error(), "bounded staleness") {
+		cfg.Durable = &DurableServerConfig{}
+		if _, err := RunServerPeers(nil, cfg); err == nil || !strings.Contains(err.Error(), "bounded staleness") {
 			t.Fatalf("err = %v", err)
 		}
 	})

@@ -54,8 +54,10 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # two callers agree: they ride along as well. So do the handshake
 # readers, each running its accepted connections on their own
 # goroutines: the classifying accept loops, the rejoin desk, and the
-# hostile-hello table over every reader of Hello and DataHello.
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort|MatchesReferenceEngine|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello' ./internal/transport
+# hostile-hello table over every reader of Hello and DataHello. Every
+# coordinator tier enters through RunServerPeers, so its one refusal
+# table, the hostile hellos and the bad-log resume refusals ride along.
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort|MatchesReferenceEngine|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog' ./internal/transport
 # The participant step's contract, its per-worker scratch and the
 # engine's contention grids, repeated under the race detector.
 go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention' ./internal/fl
