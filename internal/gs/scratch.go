@@ -61,6 +61,8 @@ type AggScratch struct {
 
 	// sums[j] accumulates b_j for the current call's main ∪ probe members;
 	// only member coordinates are zeroed and read, never the whole array.
+	// accSink more slots past the coordinate space take accumulate's
+	// non-member adds.
 	sums []float64
 
 	// minRank[j] tracks the smallest upload rank at which coordinate j
@@ -122,15 +124,38 @@ func (sel *selection) fill(cands []FillCand, k int) {
 	}
 }
 
-// emit sorts the members and builds the selection's Aggregate with the
-// values found in sums; used must already hold the fairness counts.
+// emit puts the members in ascending order and builds the selection's
+// Aggregate with the values found in sums; used must already hold the
+// fairness counts. A selection holding at least 1/16 of the slab's
+// coordinates reads its members back in order off the slab — one pass
+// over it, which costs less than sorting that many — and a sparser one
+// sorts them.
 func (sel *selection) emit(sums []float64) Aggregate {
-	slices.Sort(sel.members)
+	if len(sel.members) < len(sel.mark)/16 {
+		slices.Sort(sel.members)
+	} else {
+		sel.scanMembers()
+	}
 	sel.vals = growFloats(sel.vals, len(sel.members))
 	for i, j := range sel.members {
 		sel.vals[i] = sums[j]
 	}
 	return Aggregate{Indices: sel.members, Values: sel.vals, PerClientUsed: sel.used}
+}
+
+// scanMembers rewrites the member list in ascending order from the slab.
+// Each coordinate is written to the next free slot, which only a member
+// claims, so the pass has no branch on the membership test; it stops once
+// every member is placed.
+func (sel *selection) scanMembers() {
+	ms, n := sel.members, 0
+	for j, g := range sel.mark {
+		if n == len(ms) {
+			break
+		}
+		ms[n] = j
+		n += b2i(g == sel.gen)
+	}
 }
 
 // fubEntry is one aggregated coordinate in FUB's |b_j| ranking.
@@ -143,7 +168,7 @@ type fubEntry struct {
 // signature is held by the facade's NewAggScratch and by bench/ (frozen by
 // BENCHMARK.json).
 func NewAggScratch(int) *AggScratch {
-	return &AggScratch{}
+	return &AggScratch{sums: make([]float64, accSink)}
 }
 
 // ScratchAggregator is implemented by every built-in strategy: the
@@ -187,7 +212,7 @@ func (s *AggScratch) ensureDim(dim int) {
 	}
 	s.markTmp = growInt32s(s.markTmp, dim)
 	s.stamped = make([]int, 0, dim)
-	sums := make([]float64, dim)
+	sums := make([]float64, dim+accSink)
 	copy(sums, s.sums)
 	s.sums = sums
 	ranks := make([]int, dim)
@@ -409,27 +434,52 @@ func (s *AggScratch) finish(uploads []ClientUpload, nClients int, hasProbe, sums
 
 // accumulate is the weighted accumulation: clients in ascending order,
 // pairs in upload order — the exact operation sequence of the reference
-// path, shared between the main and probe selections.
+// path, shared between the main and probe selections. The member test is
+// a value, not a branch: it picks the slot each pair's w·v is added to —
+// the member's sum, or for a non-member one of the sink slots past the
+// coordinate space, which nothing reads — and the fairness counts add
+// the tests as 0 or 1.
 func (s *AggScratch) accumulate(uploads []ClientUpload, hasProbe bool) {
 	markM, genM := s.main.mark, s.main.gen
 	markP, genP := s.probe.mark, s.probe.gen
+	if !hasProbe {
+		// The probe test repeats the main one; its counts are dropped.
+		markP, genP = markM, genM
+	}
+	d := len(markM)
+	markP, sums := markP[:d], s.sums[:d+accSink]
+	clear(sums[d:]) // the sinks' junk stays the size of one call's sums
 	c := totalWeight(uploads)
 	for ci, u := range uploads {
 		w := u.Weight / c
+		vals := u.Pairs.Val[:len(u.Pairs.Idx)]
+		usedM, usedP := 0, 0
 		for pi, j := range u.Pairs.Idx {
-			inMain := markM[j] == genM
-			inProbe := hasProbe && markP[j] == genP
-			if inMain || inProbe {
-				s.sums[j] += w * u.Pairs.Val[pi]
-			}
-			if inMain {
-				s.main.used[ci]++
-			}
-			if inProbe {
-				s.probe.used[ci]++
-			}
+			inM, inP := b2i(markM[j] == genM), b2i(markP[j] == genP)
+			sink := d + pi&(accSink-1)
+			nonMember := (inM | inP) - 1 // all ones or zero
+			sums[j^(j^sink)&nonMember] += w * vals[pi]
+			usedM += inM
+			usedP += inP
+		}
+		s.main.used[ci] = usedM
+		if hasProbe {
+			s.probe.used[ci] = usedP
 		}
 	}
+}
+
+// accSink is the number of sink slots. Pairs add into them in turn, so a
+// sink's next add is 64 pairs away — beyond the processor's window, where
+// an add to a slot whose address is still unknown would stall it.
+const accSink = 64
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // CountUsed tallies the fairness counts — how many of each client's

@@ -81,8 +81,12 @@ type Layer interface {
 // otherwise, terms whose g is exactly zero skipped (biases skip nothing).
 // That is the chain per-sample accumulation followed by a scaling pass
 // runs, so on amd64 the result is bit-identical to it for every batch
-// size. Go fuses x*y+z on arm64 and other FMA targets; bits were never
-// promised across architectures, only across code paths on one.
+// size. It holds on both of internal/tensor's kernel paths: the AVX
+// kernels keep each element's chain in one vector lane, with separate
+// multiplies and adds (no FMA), so they and the Go loops (the purego
+// build, and processors without AVX) give the same bits. Go fuses x*y+z
+// on arm64 and other FMA targets; bits were never promised across
+// architectures, only across code paths on one.
 type Dense struct {
 	in, out int
 	w       tensor.Matrix // out × in view into the flat parameter vector

@@ -7,6 +7,7 @@ package sparse
 import (
 	"container/heap"
 	"math"
+	"math/big"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -400,6 +401,13 @@ func QuantizeInPlace(val []float64, bits int) float64 {
 // direct downlink, where shards hold the reduction sums and the
 // coordinator broadcasts only the global scale). bits ≥ 64 and
 // scale = 0 are no-ops; bits must otherwise be in [2, 64].
+//
+// Finite input gives finite output on the grid, and a second pass
+// changes nothing (for bits ≤ 53): values beyond ±scale saturate at
+// the grid's ends, and a scale whose step is not a normal float64, or
+// whose top grid point would round past MaxFloat64, takes the exact
+// path of quantizeExact. An infinite scale (an infinite value in
+// QuantizeInPlace) still turns every value into NaN.
 func QuantizeToScale(val []float64, bits int, scale float64) {
 	if bits >= 64 || scale == 0 || len(val) == 0 {
 		return
@@ -409,7 +417,50 @@ func QuantizeToScale(val []float64, bits int, scale float64) {
 	}
 	levels := float64(int64(1)<<(bits-1)) - 1
 	step := scale / levels
+	if a := math.Abs(scale); !math.IsInf(a, 0) && (math.Abs(step) < 0x1p-1022 || a > 0x1p1023) {
+		quantizeExact(val, levels, a)
+		return
+	}
 	for i, x := range val {
-		val[i] = math.Round(x/step) * step
+		q := math.Round(x / step)
+		if math.Abs(q) > levels {
+			q = math.Copysign(levels, q)
+		}
+		val[i] = q * step
+	}
+}
+
+// quantizeExact is QuantizeToScale's grid in exact arithmetic, for the
+// scales where step = scale/levels is subnormal or zero, or where
+// levels·step overflows: each value becomes the float64 nearest to
+// q·scale/levels, with q the integer nearest to |v|·levels/scale (ties
+// away from zero) capped at levels, and v's sign. NaN stays NaN.
+func quantizeExact(val []float64, levels, scale float64) {
+	var lv, sc, r big.Rat
+	lv.SetFloat64(levels)
+	sc.SetFloat64(scale)
+	var q, twoDen big.Int
+	for i, x := range val {
+		if x != x {
+			continue
+		}
+		r.Set(&lv) // an infinite value saturates
+		if !math.IsInf(x, 0) {
+			r.SetFloat64(math.Abs(x))
+			r.Mul(&r, &lv)
+			r.Quo(&r, &sc)
+			// q = ⌊(2·num + den) / (2·den)⌋ for r = num/den ≥ 0.
+			twoDen.Lsh(r.Denom(), 1)
+			q.Lsh(r.Num(), 1)
+			q.Add(&q, r.Denom())
+			q.Quo(&q, &twoDen)
+			if r.SetInt(&q); r.Cmp(&lv) > 0 {
+				r.Set(&lv)
+			}
+		}
+		r.Mul(&r, &sc)
+		r.Quo(&r, &lv)
+		f, _ := r.Float64()
+		val[i] = math.Copysign(f, x)
 	}
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -312,4 +313,73 @@ func TestQuantizeEdgeCases(t *testing.T) {
 		}
 	}()
 	Quantize(m, 1)
+}
+
+// TestQuantizeFiniteOnGrid: finite input quantizes to finite grid values
+// that a second pass leaves alone, at every scale — including scales whose
+// step is subnormal or zero, and scales whose top grid point would round
+// past MaxFloat64 — while normal scales keep round(v/step)·step's bits.
+func TestQuantizeFiniteOnGrid(t *testing.T) {
+	const tiny = math.SmallestNonzeroFloat64
+	tests := []struct {
+		name  string
+		bits  int
+		scale float64 // 0: QuantizeInPlace picks max |v|
+		give  []float64
+		want  []float64 // nil: only the properties are checked
+	}{
+		{"subnormal scale, grid finer than the floats", 8, 0, []float64{tiny, 0, -tiny}, []float64{tiny, 0, -tiny}},
+		{"subnormal scale, wider", 8, 0, []float64{1e-310, -3e-311, 2e-320, math.Copysign(0, -1)}, nil},
+		{"subnormal scale, 16 bits", 16, 0, []float64{-7e-309, 1e-309, 4e-320}, nil},
+		{"normal scale, subnormal step", 8, 0, []float64{1e-306, 5e-307, -1e-307, 3e-309}, nil},
+		{"MaxFloat64 scale", 8, 0, []float64{math.MaxFloat64, 1}, []float64{math.MaxFloat64, 0}},
+		{"MaxFloat64 scale, both signs", 4, 0, []float64{-math.MaxFloat64, math.MaxFloat64 / 3, 1e300}, nil},
+		{"large scale, 32 bits", 32, 0, []float64{1.5e308, -1e308, 7e307}, nil},
+		{"beyond the scale saturates", 8, 1, []float64{10, -10, 0.5, math.MaxFloat64}, []float64{1, -1, 64.0 / 127, 1}},
+		{"beyond a subnormal scale", 8, tiny, []float64{1, -1e-310}, []float64{tiny, -tiny}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got := slices.Clone(tt.give)
+			scale := tt.scale
+			if scale == 0 {
+				scale = QuantizeInPlace(got, tt.bits)
+			} else {
+				QuantizeToScale(got, tt.bits, scale)
+			}
+			for i, v := range got {
+				if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > scale {
+					t.Fatalf("%v → %v: element %d off the ±%v grid", tt.give, got, i, scale)
+				}
+				if tt.want != nil && math.Float64bits(v) != math.Float64bits(tt.want[i]) {
+					t.Fatalf("%v → %v, want %v", tt.give, got, tt.want)
+				}
+			}
+			again := slices.Clone(got)
+			QuantizeToScale(again, tt.bits, scale)
+			for i := range got {
+				if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("second pass moved %v to %v", got, again)
+				}
+			}
+		})
+	}
+
+	// Normal scales keep the plain formula's bits.
+	rng := rand.New(rand.NewSource(12))
+	for _, bits := range []int{2, 8, 16, 32} {
+		val := make([]float64, 200)
+		for i := range val {
+			val[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		}
+		want := slices.Clone(val)
+		got := slices.Clone(val)
+		scale := QuantizeInPlace(got, bits)
+		step := scale / (float64(int64(1)<<(bits-1)) - 1)
+		for i, x := range want {
+			if w := math.Round(x/step) * step; math.Float64bits(got[i]) != math.Float64bits(w) {
+				t.Fatalf("bits=%d: %v → %v, want %v", bits, x, got[i], w)
+			}
+		}
+	}
 }

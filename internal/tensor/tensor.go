@@ -3,6 +3,12 @@
 // vectors and a row-major Matrix type, with the handful of BLAS level-1/2
 // operations that manual backpropagation needs.
 //
+// The dense-layer kernels (MatVec, AXPY, Scale, and the row updates under
+// MatTVec and AddOuterBatch) run as AVX assembly on amd64 processors that
+// have it and as Go loops elsewhere, or under the purego build tag. The
+// two are bit-identical: the vector kernels keep each output element's
+// addition chain in one lane, in the Go loop's order, with no FMA.
+//
 // All functions treat length mismatches as programmer errors and panic,
 // mirroring the behaviour of the standard library's copy/append contract
 // violations; shape validation for user input belongs to the callers (the
@@ -30,18 +36,28 @@ func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // MatVec computes dst = m · x where x has length m.Cols and dst length m.Rows.
-// Rows are taken four at a time so four independent addition chains hide
-// the floating-point add latency; each dst[r] is still the one chain
-// ((0 + w₀x₀) + w₁x₁) + … in column order, so blocking is invisible in
-// the result.
+// Every dst[r] is the one chain ((0 + w₀x₀) + w₁x₁) + … in column order,
+// whichever kernel runs: the vector kernel (see kernels_amd64.s) holds
+// one row's chain per lane, the Go loop four rows' chains at once to hide
+// the floating-point add latency, so blocking is invisible in the result.
 func (m *Matrix) MatVec(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
+	if len(x) != m.Cols || len(dst) != m.Rows || len(m.Data) < m.Rows*m.Cols {
 		panic("tensor: MatVec shape mismatch")
 	}
-	n := m.Cols
+	if useAVX && m.Rows >= 4 {
+		matVecAVX(dst, m.Data, x)
+		return
+	}
+	matVecGo(dst, m.Data, x)
+}
+
+// matVecGo is MatVec's portable kernel over a len(dst) × len(x) row-major
+// w, and the oracle the vector kernel is tested against.
+func matVecGo(dst, w, x []float64) {
+	n := len(x)
 	r := 0
-	for ; r+4 <= m.Rows; r += 4 {
-		w := m.Data[r*n : (r+4)*n]
+	for ; r+4 <= len(dst); r += 4 {
+		w := w[r*n : (r+4)*n]
 		w0, w1, w2, w3 := w[:n][:len(x)], w[n:][:len(x)], w[2*n:][:len(x)], w[3*n:][:len(x)]
 		var s0, s1, s2, s3 float64
 		for c, xc := range x {
@@ -52,8 +68,8 @@ func (m *Matrix) MatVec(dst, x []float64) {
 		}
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
 	}
-	for ; r < m.Rows; r++ {
-		dst[r] = Dot(m.Data[r*n:(r+1)*n], x)
+	for ; r < len(dst); r++ {
+		dst[r] = Dot(w[r*n:(r+1)*n], x)
 	}
 }
 
@@ -120,9 +136,21 @@ func addScaledRows(y, a []float64, first, stride, n int, rows []float64) {
 }
 
 // axpy4 is four AXPY calls with one load and store of each y[c]:
-// y[c] = (((y[c] + a₀x₀[c]) + a₁x₁[c]) + a₂x₂[c]) + a₃x₃[c]. A leaf of its
-// own so the loop keeps its eleven live values in registers.
+// y[c] = (((y[c] + a₀x₀[c]) + a₁x₁[c]) + a₂x₂[c]) + a₃x₃[c], that chain
+// in one lane of the AVX kernel. Every x_i must hold at least len(y)
+// elements.
 func axpy4(y []float64, a *[4]float64, x *[4][]float64) {
+	_, _, _, _ = x[0][:len(y)], x[1][:len(y)], x[2][:len(y)], x[3][:len(y)]
+	if useAVX {
+		axpy4AVX(y, a, x)
+		return
+	}
+	axpy4Go(y, a, x)
+}
+
+// axpy4Go is axpy4's portable kernel: a leaf of its own so the loop keeps
+// its eleven live values in registers.
+func axpy4Go(y []float64, a *[4]float64, x *[4][]float64) {
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 	x0, x1, x2, x3 := x[0][:len(y)], x[1][:len(y)], x[2][:len(y)], x[3][:len(y)]
 	for c := range y {
@@ -142,11 +170,23 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// AXPY computes y += a·x in place.
+// AXPY computes y += a·x in place: every y[i] becomes y[i] + a·x[i], one
+// multiply and one add whichever kernel runs (the AVX one puts one
+// element in each lane and never fuses the two).
 func AXPY(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: AXPY length mismatch")
 	}
+	if useAVX {
+		axpyAVX(a, x, y)
+		return
+	}
+	axpyGo(a, x, y)
+}
+
+// axpyGo is AXPY's portable kernel.
+func axpyGo(a float64, x, y []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] += a * v
 	}
@@ -170,10 +210,7 @@ func AXPYChunk(a float64, x, y []float64, lo, hi int) {
 	if len(x) != len(y) {
 		panic("tensor: AXPYChunk length mismatch")
 	}
-	xs, ys := x[lo:hi], y[lo:hi]
-	for i, v := range xs {
-		ys[i] += a * v
-	}
+	AXPY(a, x[lo:hi], y[lo:hi])
 }
 
 // WeightedSumChunk overwrites dst[lo:hi] with Σ_c weights[c]·vecs[c][lo:hi],
@@ -193,8 +230,18 @@ func WeightedSumChunk(dst []float64, weights []float64, vecs [][]float64, lo, hi
 	}
 }
 
-// Scale multiplies every element of x by a in place.
+// Scale multiplies every element of x by a in place (on the AVX kernel
+// too, each element is one multiply of its own).
 func Scale(a float64, x []float64) {
+	if useAVX {
+		scaleAVX(a, x)
+		return
+	}
+	scaleGo(a, x)
+}
+
+// scaleGo is Scale's portable kernel.
+func scaleGo(a float64, x []float64) {
 	for i := range x {
 		x[i] *= a
 	}

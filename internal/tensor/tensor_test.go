@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,57 +158,176 @@ func edgyVector(rng *rand.Rand, n int, finiteOnly bool) []float64 {
 	return x
 }
 
-func TestBlockedKernelsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 400; trial++ {
-		rows, cols := 1+rng.Intn(11), 1+rng.Intn(11)
-		finiteOnly := trial%2 == 0
-		m := &Matrix{Rows: rows, Cols: cols, Data: edgyVector(rng, rows*cols, finiteOnly)}
-
-		x := edgyVector(rng, cols, finiteOnly)
-		got, want := make([]float64, rows), make([]float64, rows)
-		m.MatVec(got, x)
-		refMatVec(m, want, x)
-		for i := range got {
-			if !sameFloat(got[i], want[i]) {
-				t.Fatalf("trial %d (%d×%d): MatVec[%d] = %v, reference %v", trial, rows, cols, i, got[i], want[i])
-			}
-		}
-
-		// The zero rows of xt meet non-finite weights: skipped, not 0·Inf.
-		xt := edgyVector(rng, rows, finiteOnly)
-		got, want = make([]float64, cols), make([]float64, cols)
-		m.MatTVec(got, xt)
-		refMatTVec(m, want, xt)
-		for i := range got {
-			if !sameFloat(got[i], want[i]) {
-				t.Fatalf("trial %d (%d×%d): MatTVec[%d] = %v, reference %v", trial, rows, cols, i, got[i], want[i])
-			}
-		}
-
-		n := rng.Intn(12)
-		us, vs := edgyVector(rng, n*rows, finiteOnly), edgyVector(rng, n*cols, finiteOnly)
-		fresh := rng.Intn(2) == 0
-		scale := []float64{1, 0.125, 1 / 3.0}[rng.Intn(3)]
-		batched := &Matrix{Rows: rows, Cols: cols, Data: Clone(m.Data)}
-		ref := &Matrix{Rows: rows, Cols: cols, Data: Clone(m.Data)}
-		batched.AddOuterBatch(us, vs, n, fresh, scale)
-		if fresh {
-			Zero(ref.Data)
-		}
-		for s := 0; s < n; s++ {
-			refAddOuter(ref, us[s*rows:(s+1)*rows], vs[s*cols:(s+1)*cols])
-		}
-		if scale != 1 {
-			Scale(scale, ref.Data)
-		}
-		for i := range ref.Data {
-			if !sameFloat(batched.Data[i], ref.Data[i]) {
-				t.Fatalf("trial %d (%d×%d, n=%d fresh=%v scale=%v): AddOuterBatch[%d] = %v, reference %v",
-					trial, rows, cols, n, fresh, scale, i, batched.Data[i], ref.Data[i])
-			}
+// kernelShapes are the rows × cols the kernel differentials run: every
+// shape up to 19 × 19, which reaches each vector body with and without
+// each of its tails (MatVec: rows below 4, the 4-row pass, 8-row passes
+// with and without an overlapping last pass; 0–4 column tiles, each with
+// 0–3 leftover columns; AXPY, Scale and axpy4 over rows of every length
+// mod 16), and the dense layers of the three benchmark models.
+func kernelShapes() [][2]int {
+	shapes := [][2]int{{786, 64}, {62, 786}, {156, 64}, {62, 156}, {16, 64}, {62, 16}}
+	for rows := 1; rows <= 19; rows++ {
+		for cols := 0; cols <= 19; cols++ {
+			shapes = append(shapes, [2]int{rows, cols})
 		}
 	}
+	return shapes
+}
+
+func TestBlockedKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, shape := range kernelShapes() {
+		for _, finiteOnly := range []bool{true, false} {
+			checkBlockedKernels(t, rng, shape[0], shape[1], finiteOnly)
+		}
+	}
+}
+
+// checkBlockedKernels compares MatVec, MatTVec and AddOuterBatch on one
+// random rows × cols matrix with their one-chain-per-element references.
+func checkBlockedKernels(t *testing.T, rng *rand.Rand, rows, cols int, finiteOnly bool) {
+	t.Helper()
+	m := &Matrix{Rows: rows, Cols: cols, Data: edgyVector(rng, rows*cols, finiteOnly)}
+
+	x := edgyVector(rng, cols, finiteOnly)
+	got, want := guarded(rows), make([]float64, rows)
+	m.MatVec(got, x)
+	refMatVec(m, want, x)
+	for i := range got {
+		if !sameFloat(got[i], want[i]) {
+			t.Fatalf("%d×%d finiteOnly=%v: MatVec[%d] = %v, reference %v", rows, cols, finiteOnly, i, got[i], want[i])
+		}
+	}
+	requireGuard(t, "MatVec", got)
+
+	// The zero rows of xt meet non-finite weights: skipped, not 0·Inf.
+	xt := edgyVector(rng, rows, finiteOnly)
+	got, want = make([]float64, cols), make([]float64, cols)
+	m.MatTVec(got, xt)
+	refMatTVec(m, want, xt)
+	for i := range got {
+		if !sameFloat(got[i], want[i]) {
+			t.Fatalf("%d×%d finiteOnly=%v: MatTVec[%d] = %v, reference %v", rows, cols, finiteOnly, i, got[i], want[i])
+		}
+	}
+
+	n := rng.Intn(12)
+	us, vs := edgyVector(rng, n*rows, finiteOnly), edgyVector(rng, n*cols, finiteOnly)
+	fresh := rng.Intn(2) == 0
+	scale := []float64{1, 0.125, 1 / 3.0}[rng.Intn(3)]
+	batched := &Matrix{Rows: rows, Cols: cols, Data: Clone(m.Data)}
+	ref := &Matrix{Rows: rows, Cols: cols, Data: Clone(m.Data)}
+	batched.AddOuterBatch(us, vs, n, fresh, scale)
+	if fresh {
+		Zero(ref.Data)
+	}
+	for s := 0; s < n; s++ {
+		refAddOuter(ref, us[s*rows:(s+1)*rows], vs[s*cols:(s+1)*cols])
+	}
+	if scale != 1 {
+		for i := range ref.Data {
+			ref.Data[i] *= scale
+		}
+	}
+	for i := range ref.Data {
+		if !sameFloat(batched.Data[i], ref.Data[i]) {
+			t.Fatalf("%d×%d finiteOnly=%v (n=%d fresh=%v scale=%v): AddOuterBatch[%d] = %v, reference %v",
+				rows, cols, finiteOnly, n, fresh, scale, i, batched.Data[i], ref.Data[i])
+		}
+	}
+}
+
+// guarded returns a zero slice of length n whose backing array continues
+// with a few sentinels, which requireGuard checks: a kernel writing past
+// its slice's end trips it.
+func guarded(n int) []float64 {
+	buf := make([]float64, n+4)
+	for i := n; i < len(buf); i++ {
+		buf[i] = -7
+	}
+	return buf[:n]
+}
+
+func requireGuard(t *testing.T, name string, s []float64) {
+	t.Helper()
+	for i, v := range s[len(s):cap(s)] {
+		if v != -7 {
+			t.Fatalf("%s wrote %v past the end of its length-%d slice (+%d)", name, v, len(s), i)
+		}
+	}
+}
+
+// FuzzDenseKernels runs the dispatched kernels — the vector ones wherever
+// the processor has them — against the Go loops on arbitrary shapes and
+// bit patterns: the first two bytes are rows and cols, every following 8
+// bytes one float64, reused cyclically (no data means zeros). Results
+// must match bit for bit, any NaN matching any NaN.
+func FuzzDenseKernels(f *testing.F) {
+	seed := func(rows, cols uint8, vals ...float64) {
+		b := []byte{rows, cols}
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		f.Add(b)
+	}
+	seed(0, 0)
+	seed(4, 1, 1, -2)
+	seed(9, 7, 1, math.Copysign(0, -1), 0, 3.5)
+	seed(13, 18, append(edgeFloats, 1e300, -1e-300, 0.1)...)
+	seed(62, 16, math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64, 2)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, cols := int(data[0]), int(data[1])
+		words := data[2:]
+		next := 0
+		draw := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				if len(words) >= 8 {
+					off := 8 * (next % (len(words) / 8))
+					v[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[off:]))
+				}
+				next++
+			}
+			return v
+		}
+		requireSame := func(name string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if !sameFloat(got[i], want[i]) {
+					t.Fatalf("%s (%d×%d)[%d] = %v, Go loop %v", name, rows, cols, i, got[i], want[i])
+				}
+			}
+		}
+
+		w, x := draw(rows*cols), draw(cols)
+		got, want := guarded(rows), make([]float64, rows)
+		(&Matrix{Rows: rows, Cols: cols, Data: w}).MatVec(got, x)
+		matVecGo(want, w, x)
+		requireSame("MatVec", got, want)
+		requireGuard(t, "MatVec", got)
+
+		a := draw(4)
+		y := guarded(cols)
+		copy(y, draw(cols))
+		want = Clone(y)
+		AXPY(a[0], x, y)
+		axpyGo(a[0], x, want)
+		requireSame("AXPY", y, want)
+
+		Scale(a[1], y)
+		scaleGo(a[1], want)
+		requireSame("Scale", y, want)
+
+		coef := [4]float64{a[0], a[1], a[2], a[3]}
+		xs := [4][]float64{draw(cols), draw(cols), draw(cols), draw(cols)}
+		axpy4(y, &coef, &xs)
+		axpy4Go(want, &coef, &xs)
+		requireSame("axpy4", y, want)
+		requireGuard(t, "AXPY, Scale and axpy4", y)
+	})
 }
 
 func TestDotAXPYScale(t *testing.T) {
@@ -384,10 +505,16 @@ func TestShapeMismatchPanics(t *testing.T) {
 		fn()
 	}
 	assertPanics("MatVec", func() { m.MatVec(make([]float64, 2), make([]float64, 2)) })
+	short := &Matrix{Rows: 8, Cols: 5, Data: make([]float64, 39)}
+	assertPanics("MatVec short Data", func() { short.MatVec(make([]float64, 8), make([]float64, 5)) })
 	assertPanics("MatTVec", func() { m.MatTVec(make([]float64, 2), make([]float64, 2)) })
 	assertPanics("AddOuterBatch", func() { m.AddOuterBatch(make([]float64, 3), make([]float64, 3), 1, true, 1) })
 	assertPanics("Dot", func() { Dot(make([]float64, 1), make([]float64, 2)) })
 	assertPanics("AXPY", func() { AXPY(1, make([]float64, 1), make([]float64, 2)) })
+	assertPanics("axpy4 short x", func() {
+		xs := [4][]float64{make([]float64, 6), make([]float64, 6), make([]float64, 5), make([]float64, 6)}
+		axpy4(make([]float64, 6), &[4]float64{1, 1, 1, 1}, &xs)
+	})
 }
 
 func BenchmarkMatVec128(b *testing.B) {
@@ -401,6 +528,61 @@ func BenchmarkMatVec128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MatVec(dst, x)
+	}
+}
+
+// BenchmarkKernels times each dense-layer kernel's Go loop against its
+// AVX kernel (skipped where the processor or the build has none) at the
+// layer shapes of the three benchmark models — 64 features, hidden width
+// H, 62 classes: MatVec over both weight matrices, axpy4 and Scale over a
+// row of each, and AXPY over the model's D parameters (the residual add).
+func BenchmarkKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	run := func(name string, goLoop, avx func()) {
+		b.Run(name+"/go", func(b *testing.B) {
+			for b.Loop() {
+				goLoop()
+			}
+		})
+		b.Run(name+"/avx", func(b *testing.B) {
+			if !useAVX {
+				b.Skip("no AVX kernels in this build or on this processor")
+			}
+			for b.Loop() {
+				avx()
+			}
+		})
+	}
+	for _, h := range []int{786, 156, 16} {
+		for _, shape := range [][2]int{{h, 64}, {62, h}} {
+			rows, cols := shape[0], shape[1]
+			w, x, dst := vec(rows*cols), vec(cols), make([]float64, rows)
+			run(fmt.Sprintf("H=%d/MatVec/%dx%d", h, rows, cols),
+				func() { matVecGo(dst, w, x) },
+				func() { matVecAVX(dst, w, x) })
+		}
+		for _, n := range []int{64, h} {
+			y, coef := vec(n), [4]float64{1e-3, -1e-3, 2e-3, -2e-3}
+			xs := [4][]float64{vec(n), vec(n), vec(n), vec(n)}
+			run(fmt.Sprintf("H=%d/axpy4/%d", h, n),
+				func() { axpy4Go(y, &coef, &xs) },
+				func() { axpy4AVX(y, &coef, &xs) })
+			run(fmt.Sprintf("H=%d/Scale/%d", h, n),
+				func() { scaleGo(1, y) },
+				func() { scaleAVX(1, y) })
+		}
+		d := 65*h + (h+1)*62
+		x, y := vec(d), vec(d)
+		run(fmt.Sprintf("H=%d/AXPY/%d", h, d),
+			func() { axpyGo(1e-3, x, y) },
+			func() { axpyAVX(1e-3, x, y) })
 	}
 }
 

@@ -11,6 +11,9 @@ set -eux
 test -z "$(gofmt -l .)"
 
 go vet ./...
+# The Go fallback kernels are the only ones off amd64: vet that build too
+# (asmdecl, run by the plain vet above, checks the assembly's frames).
+GOARCH=arm64 go vet ./...
 # staticcheck when available: CI's lint job installs the version pinned
 # in .github/workflows/ci.yml; local runs without the binary (offline
 # dev boxes) stay green and rely on CI to lint.
@@ -35,6 +38,10 @@ go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./intern
 # golden trajectory table and the Workers grids — at more than one
 # GOMAXPROCS, uncached.
 go test -count=1 -cpu 1,2,4 ./internal/gs ./internal/nn ./internal/tensor ./internal/fl
+# The purego build tag leaves out internal/tensor's AVX kernels: the
+# golden trajectories and kernel differentials must hold on the Go loops
+# alone, so the fallback cannot rot behind the vector path.
+go test -count=1 -tags purego ./internal/tensor ./internal/nn ./internal/fl
 # The transport's differentials and hostile-input tables get the same
 # treatment: every role's round is one shared body that each tier
 # (lockstep at any staleness window, durable, population) reaches
@@ -74,6 +81,9 @@ go test -race -count=1 \
 # finds under internal/sparse/testdata/fuzz already ran as unit tests
 # above; this spends ten more seconds looking for new ones.
 go test ./internal/sparse -run '^$' -fuzz FuzzTopKInto -fuzztime 10s
+# The same for the dense-layer kernels: the vector kernels against the Go
+# loops on arbitrary shapes and bit patterns.
+go test ./internal/tensor -run '^$' -fuzz FuzzDenseKernels -fuzztime 10s
 # The same for the server selection: every aggregation entry point of
 # every strategy against the map reference on arbitrary small inputs.
 go test ./internal/gs -run '^$' -fuzz FuzzFABSelection -fuzztime 10s
