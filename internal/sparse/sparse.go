@@ -81,35 +81,53 @@ func rankLess(dense []float64, i, j int) bool {
 // payload). Whether to accept non-finite values is the caller's policy;
 // selection is deterministic on them.
 //
-// Selection is comparison-free: a radix select of the k-th largest key,
-// one filter pass, and a stable radix sort of the survivors — O(D + k)
-// sequential passes with no data-dependent pivots. TopKHeap is the
-// O(D log k) reference the tests cross-check against. TopK is a thin
-// wrapper over TopKInto that allocates fresh storage per call; hot paths
-// should hold a TopKScratch and call TopKInto directly.
+// Selection is comparison-free, with no data-dependent pivots: a radix
+// select of the k-th largest key, one filter pass, and a stable radix sort
+// of the k selected. On a vector of at least prefilterMin elements an
+// exact prefilter runs first: a fixed-stride sample of the keys guesses a
+// cut g, and one branch-free pass keeps the elements whose key is ≥ g, in
+// index order, so the select and the filter read only those survivors.
+// When at least k survive, the k-th largest key is ≥ g, so the whole top k
+// survived, and ties at the cut resolve in index order as before: the
+// result is the full path's, bit for bit. Otherwise — fewer than k
+// survivors, more than half the scratch slab, a vector below prefilterMin,
+// or a k so close to D that most of the sample reaches the cut — the full
+// path runs over every element. TopKHeap is the O(D log k) reference the
+// tests cross-check against. TopK is a thin wrapper over TopKInto that
+// allocates fresh storage per call; hot paths should hold a TopKScratch
+// and call TopKInto directly.
 func TopK(dense []float64, k int) Vec {
 	return TopKInto(Vec{}, nil, dense, k)
 }
 
-// TopKScratch is the reusable working memory of TopKInto: one slab that
-// first holds the select's candidate keys (D words), then the selected
-// indices and the sort's spare (k words each). It carries nothing from one
-// call to the next — the result is a function of (dense, k) alone — and
-// its zero value is ready to use. The slab only grows, so a scratch warmed
-// at k = D serves every smaller k and D without allocating. A scratch is
-// single-goroutine state: one per concurrent selector (per worker, not
-// per client — see internal/fl).
+// TopKScratch is the reusable working memory of TopKInto: one slab of
+// max(D, 2k+2) words that each stage of a call reuses from its start. The
+// prefilter's key sample takes the first sampleKeys words, then its
+// survivors the two halves, keys in the first and indices in the second;
+// on the full path the select's candidate keys take the first D words
+// instead. Last come the selected indices and the sort's spare, k+2 and k
+// words. It carries nothing from one call to the next — the result is a
+// function of (dense, k) alone — and its zero value is ready to use. The
+// slab only grows, so a scratch warmed at k = D serves every smaller k and
+// D without allocating. A scratch is single-goroutine state: one per
+// concurrent selector (per worker, not per client — see internal/fl).
 type TopKScratch struct {
 	slab []uint64
 }
 
+// slabWords is the slab a TopKInto of k ≤ d from a d-long vector uses:
+// the full path's d candidate keys, or the selected indices plus the
+// sort's spare, whichever is more. The prefilter needs no more: it takes
+// the survivors only while they fit in half of it.
+func slabWords(d, k int) int { return max(d, 2*k+2) }
+
 // Reserve grows the slab to what a TopKInto of k from a d-long vector
-// needs. TopKInto reserves for itself; a caller running one scratch per
-// worker calls this first, where the sizes are known, so that which
-// worker happens to meet the largest k does not decide how often a run
-// reallocates.
+// needs, on either path. TopKInto reserves for itself; a caller running
+// one scratch per worker calls this first, where the sizes are known, so
+// that which worker happens to meet the largest k does not decide how
+// often a run reallocates.
 func (s *TopKScratch) Reserve(d, k int) {
-	if need := max(d, 2*min(k, d)+2); cap(s.slab) < need {
+	if need := slabWords(d, min(k, d)); cap(s.slab) < need {
 		s.slab = make([]uint64, need)
 	}
 }
@@ -131,16 +149,17 @@ func TopKInto(dst Vec, scratch *TopKScratch, dense []float64, k int) Vec {
 		scratch = &local
 	}
 	scratch.Reserve(d, k)
-	// The select is done with cand before the filter first writes sel.
-	cand, sel, tmp := scratch.slab[:d], scratch.slab[:k+2], scratch.slab[k+2:2*k+2]
+	// Only what Reserve(d, k) guarantees: the prefilter's survivor bound,
+	// and so its path, then depends on (dense, k) alone.
+	slab := scratch.slab[:slabWords(d, k)]
 	dst.Idx, dst.Val = slices.Grow(dst.Idx[:0], k)[:k], slices.Grow(dst.Val[:0], k)[:k]
 
 	// The cut: every key above t is selected, plus the first `ties`
 	// elements in index order that carry exactly t — and those rank last,
 	// in that same order.
-	t, ties, hi := kthKey(dense, k, cand)
+	t, ties, hi := selectTop(slab, dense, k)
 	above := k - ties
-	filter(sel, dense, t, above, ties)
+	sel, tmp := slab[:k+2], slab[k+2:2*k+2]
 	emit(dst, above, sel[above+1:k+1], dense)
 	// The keys above t are radix-sorted on a window: the top windowBits of
 	// their offset from t. That leaves them sorted except where distinct
@@ -171,44 +190,147 @@ const (
 	windowBits = 2 * digitBits
 	// repairMax bounds how far the insertion repair moves one element.
 	repairMax = 32
+	// sampleKeys is the size of the prefilter's fixed-stride key sample,
+	// prefilterMin the shortest vector it runs on (a stride of eight), and
+	// sampleMost the most sample keys its cut may keep: 7/16 of the
+	// sample predicts fewer survivors than the half slab they live in.
+	sampleKeys   = 1 << 10
+	prefilterMin = 8 * sampleKeys
+	sampleMost   = 7 * sampleKeys / 16
 )
 
-// kthKey returns the k-th largest rank key of dense (0 < k <= len(dense)),
-// how many of the elements carrying exactly that key belong to the top k,
-// and the largest key. It is an MSD radix select over the keys in cand
-// (len(cand) = len(dense)): histogram a digit, walk the buckets from the
-// top to the one holding the k-th largest, keep only that bucket's keys,
-// and go on from the highest bit the survivors still differ in — so it
-// ends as soon as they are all equal.
-func kthKey(dense []float64, k int, cand []uint64) (t uint64, ties int, hi uint64) {
+// selectTop finds the top k of dense (0 < k <= len(dense)) and leaves
+// their indices in slab[:k+2] as filter lays them out. It returns the k-th
+// largest key t, how many of the elements carrying exactly t belong to the
+// top k, and the largest key. When the prefilter's survivors stand in for
+// dense, the select and the filter read only them.
+func selectTop(slab []uint64, dense []float64, k int) (t uint64, ties int, hi uint64) {
 	var hist [1 << digitBits]uint32
+	if keys, at, ok := survivors(slab, dense, k); ok {
+		for _, key := range keys {
+			hist[key>>52]++
+			hi = max(hi, key)
+		}
+		t, ties = kthKey(keys, k, &hist)
+		filterAt(slab[:k+2], dense, at, t, k-ties, ties)
+		return t, ties, hi
+	}
+	cand := slab[:len(dense)]
 	for i, x := range dense {
 		key := rankKey(x)
 		cand[i] = key
 		hist[key>>52]++
 		hi = max(hi, key)
 	}
+	t, ties = kthKey(cand, k, &hist)
+	filter(slab[:k+2], dense, t, k-ties, ties)
+	return t, ties, hi
+}
+
+// survivors runs the prefilter: the keys of dense that reach cutGuess's
+// cut, and their indices, in index order, laid out in the two halves of
+// slab. ok reports whether they stand in for dense: there is a guess, at
+// least k survive, and fewer than half the slab less one — which keeps
+// the survivors' indices clear of the filter's output, slab[:k+2].
+func survivors(slab []uint64, dense []float64, k int) (keys, at []uint64, ok bool) {
+	g, ok := cutGuess(dense, k, slab)
+	if !ok {
+		return nil, nil, false
+	}
+	m := len(slab)/2 - 1
+	keys, at = slab[:m], slab[m+1:2*m+1]
+	n := compact(keys, at, dense, g)
+	return keys[:n], at[:n], k <= n && n < m
+}
+
+// cutGuess returns the prefilter's cut for the top k of dense: a key g
+// that at least k keys of dense probably reach, and not many more. It
+// reads sampleKeys keys at a fixed stride into slab and takes the q-th
+// largest, with q = λ + 4√λ + 4 and λ = k·sampleKeys/D the number of top-k
+// elements the sample holds on average — four standard deviations of
+// margin, so the guess rarely leaves fewer than k survivors. It draws no
+// randomness. ok is false where the prefilter does not run: D below
+// prefilterMin, or more than 7/16 of the sample at or above the cut (k is
+// close to D, or ties at g are many), where the survivors would not fit in
+// half the slab or save little over the full path.
+func cutGuess(dense []float64, k int, slab []uint64) (g uint64, ok bool) {
+	d := len(dense)
+	if d < prefilterMin {
+		return 0, false
+	}
+	q := sampleRank(d, k)
+	if q > sampleMost {
+		return 0, false
+	}
+	var hist [1 << digitBits]uint32
+	sample, stride := slab[:sampleKeys], d/sampleKeys
+	for j := range sample {
+		key := rankKey(dense[j*stride])
+		sample[j] = key
+		hist[key>>52]++
+	}
+	g, _ = kthKey(sample, q, &hist) // reorders sample: count on dense
+	n := 0
+	for j := range sampleKeys {
+		n += int(^(rankKey(dense[j*stride]) - g) >> 63)
+	}
+	return g, n <= sampleMost
+}
+
+// sampleRank is the rank from the top, in cutGuess's sample, of the cut
+// for the top k of a d-long vector.
+func sampleRank(d, k int) int {
+	lambda := float64(k) * sampleKeys / float64(d)
+	return int(math.Ceil(lambda + 4*math.Sqrt(lambda) + 4))
+}
+
+// compact is the prefilter's pass, in index order: the keys ≥ g fill keys
+// and their indices at, and the count is returned. Stores are
+// unconditional and the cursor advances by a comparison bit, so the pass
+// has no data-dependent branch; it stops when keys is full, returning
+// len(keys).
+func compact(keys, at []uint64, dense []float64, g uint64) int {
+	n := 0
+	for i, x := range dense {
+		key := rankKey(x)
+		keys[n], at[n] = key, uint64(i)
+		n += int(^(key - g) >> 63) // 1 iff key >= g: both are below 2^63
+		if n == len(keys) {
+			break
+		}
+	}
+	return n
+}
+
+// kthKey returns the k-th largest of keys (0 < k <= len(keys)) and how
+// many of the keys equal to it belong to the top k. hist is the histogram
+// of the keys' top digit (key>>52). It is an MSD radix select that
+// reorders keys: walk the buckets from the top to the one holding the k-th
+// largest, keep only that bucket's keys, and go on from the highest bit
+// the survivors still differ in — so it ends as soon as they are all
+// equal.
+func kthKey(keys []uint64, k int, hist *[1 << digitBits]uint32) (t uint64, ties int) {
 	for shift, need := 52, k; ; {
 		b := digitMask
 		for ; int(hist[b]) < need; b-- {
 			need -= int(hist[b])
 		}
 		n := 0
-		for _, key := range cand {
-			cand[n] = key
+		for _, key := range keys {
+			keys[n] = key
 			n += int(((key>>shift&digitMask ^ uint64(b)) - 1) >> 63) // 1 iff the digit is b
 		}
-		cand = cand[:n]
+		keys = keys[:n]
 		var diff uint64
-		for _, key := range cand {
-			diff |= key ^ cand[0]
+		for _, key := range keys {
+			diff |= key ^ keys[0]
 		}
 		if diff == 0 {
-			return cand[0], need, hi
+			return keys[0], need
 		}
 		shift = max(bits.Len64(diff)-digitBits, 0)
 		clear(hist[:])
-		for _, key := range cand {
+		for _, key := range keys {
 			hist[key>>shift&digitMask]++
 		}
 	}
@@ -229,6 +351,20 @@ func filter(sel []uint64, dense []float64, t uint64, above, ties int) {
 		tie[min(ne, ties)] = uint64(i)
 		na += int((t - key) >> 63)       // 1 iff key > t: both are below 2^63
 		ne += int(((key ^ t) - 1) >> 63) // 1 iff key == t
+	}
+}
+
+// filterAt is filter over the elements of dense that at names, in at's
+// (ascending) order: the prefilter's survivors.
+func filterAt(sel []uint64, dense []float64, at []uint64, t uint64, above, ties int) {
+	tie := sel[above+1 : above+2+ties]
+	na, ne := 0, 0
+	for _, i := range at {
+		key := rankKey(dense[i])
+		sel[na] = i
+		tie[min(ne, ties)] = i
+		na += int((t - key) >> 63)
+		ne += int(((key ^ t) - 1) >> 63)
 	}
 }
 

@@ -134,20 +134,128 @@ func TestTopKIntoAdversarialShapes(t *testing.T) {
 	}
 }
 
+// The paths TopKInto takes: the prefilter, or the full path because
+// cutGuess gives no cut, or because too few or too many elements reach it.
+const (
+	pathPrefilter = "prefilter"
+	pathNoGuess   = "no guess"
+	pathTooFew    = "too few"
+	pathTooMany   = "too many"
+)
+
+// topKPath names the path TopKInto takes for the top k of dense.
+func topKPath(dense []float64, k int) string {
+	slab := make([]uint64, slabWords(len(dense), k))
+	if _, ok := cutGuess(dense, k, slab); !ok {
+		return pathNoGuess
+	}
+	switch keys, _, ok := survivors(slab, dense, k); {
+	case ok:
+		return pathPrefilter
+	case len(keys) < k:
+		return pathTooFew
+	default:
+		return pathTooMany
+	}
+}
+
 // TestTopKIntoEngineSizedMatchesHeap runs the differential at the
-// dimension the engine works at, where the sort's windows hold several
-// keys each and the repair pass has real work, on both benchmark shapes.
+// dimension the engine works at, where the prefilter runs, the sort's
+// windows hold several keys each and the repair pass has real work. The
+// cuts follow the adaptive controller's trajectory — D/500 up to the
+// largest k the prefilter takes, and D — and the shapes include the ones
+// that defeat the sample: a guess that over-shoots (the mass sits between
+// the sample points), one that keeps too much, ties at the cut and
+// non-finite keys. Every row also pins the path it took, so no row passes
+// only because it fell back.
 func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 	const d = 60_000
-	var scratch TopKScratch
-	var dst Vec
-	for _, dist := range []string{"normal", "residual"} {
-		dense := benchDist(dist, d)
-		for _, k := range []int{d / 100, d / 3, d} {
+	stride := d / sampleKeys
+	sampled := func(i int) bool { return i%stride == 0 && i/stride < sampleKeys }
+	cutoff := d / 2 // the largest k with a sample rank the prefilter takes
+	for sampleRank(d, cutoff) > sampleMost {
+		cutoff--
+	}
+	ks := []int{d / 500, d / 100, d / 10, d / 4, cutoff, d}
+	rng := rand.New(rand.NewSource(56))
+	pre, none, few, many := pathPrefilter, pathNoGuess, pathTooFew, pathTooMany
+	for _, row := range []struct {
+		name  string
+		fill  func(i int) float64
+		paths []string // per k of ks
+	}{
+		{"normal", func(int) float64 { return rng.NormFloat64() }, []string{pre, pre, pre, pre, pre, none}},
+		{"residual", func(int) float64 { // mostly exact zeros under a heavy tail
+			if rng.Intn(10) < 7 {
+				return 0
+			}
+			return rng.NormFloat64() * 1e-4 / (rng.Float64() + 1e-3)
+		}, []string{pre, pre, pre, pre, none, none}},
+		{"ascending ramp", func(i int) float64 { return float64(i + 1) }, []string{pre, pre, pre, pre, pre, none}},
+		{"descending ramp", func(i int) float64 { return -float64(d - i) }, []string{pre, pre, pre, pre, pre, none}},
+		{"mass between the samples, guess over-shoots", func(i int) float64 { // d/100 − 1 ones, 400 sampled: at k = d/100 one too few survive
+			switch {
+			case sampled(i):
+				return []float64{1, 0.125}[min(i/stride/400, 1)]
+			case i%stride == 1 && i/stride < d/100-1-400:
+				return 1
+			}
+			return 0.5 + rng.Float64()/4
+		}, []string{pre, few, few, few, none, none}},
+		{"mass between the samples, guess keeps all", func(i int) float64 {
+			if sampled(i) {
+				return []float64{0.25, 0.25, 1e-9, 1e-9, 1e-9}[i/stride%5]
+			}
+			return 1 + rng.Float64()
+		}, []string{many, many, many, many, none, none}},
+		{"all equal", func(int) float64 { return -0.375 }, []string{none, none, none, none, none, none}},
+		{"two values", func(int) float64 { return []float64{1, -2, 1, -1}[rng.Intn(4)] }, []string{pre, pre, pre, none, none, none}},
+		{"non-finite mixed in", func(int) float64 {
+			switch rng.Intn(100) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			case 2:
+				return math.Float64frombits(0x7FF0000000000001 + uint64(rng.Intn(4))) // NaN payloads
+			}
+			return rng.NormFloat64()
+		}, []string{pre, pre, pre, pre, pre, none}},
+		{"subnormals only", func(int) float64 { return math.Float64frombits(uint64(rng.Int63n(1 << 52))) }, []string{pre, pre, pre, pre, pre, none}},
+		{"signed zeros", func(i int) float64 {
+			if rng.Intn(2) == 0 {
+				return math.Copysign(0, float64(i%2*2-1))
+			}
+			return rng.NormFloat64()
+		}, []string{pre, pre, pre, pre, pre, none}},
+	} {
+		dense := make([]float64, d)
+		for i := range dense {
+			dense[i] = row.fill(i)
+		}
+		var scratch TopKScratch
+		var dst Vec
+		for j, k := range ks {
+			label := fmt.Sprintf("%s k=%d", row.name, k)
+			if got := topKPath(dense, k); got != row.paths[j] {
+				t.Errorf("%s: path %q, want %q", label, got, row.paths[j])
+			}
 			dst = TopKInto(dst, &scratch, dense, k)
-			requireTopKMatchesHeap(t, fmt.Sprintf("%s k=%d", dist, k), dst, dense, k)
+			requireTopKMatchesHeap(t, label, dst, dense, k)
 		}
 	}
+}
+
+// fuzzWords reads data as little-endian float64 bit patterns, zero-padding
+// a short tail.
+func fuzzWords(data []byte) []uint64 {
+	words := make([]uint64, (len(data)+7)/8)
+	for i := range words {
+		var word [8]byte
+		copy(word[:], data[8*i:])
+		words[i] = binary.LittleEndian.Uint64(word[:])
+	}
+	return words
 }
 
 // FuzzTopKInto feeds arbitrary bit patterns and cuts to the kernel: the
@@ -179,15 +287,79 @@ func FuzzTopKInto(f *testing.F) {
 			return
 		}
 		k := int(binary.LittleEndian.Uint16(data))
-		data = data[2:]
-		dense := make([]float64, (len(data)+7)/8)
-		for i := range dense {
-			var word [8]byte
-			copy(word[:], data[8*i:])
-			dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+		dense := make([]float64, 0, len(data)/8)
+		for _, w := range fuzzWords(data[2:]) {
+			dense = append(dense, math.Float64frombits(w))
 		}
 		var scratch TopKScratch
 		dst := TopKInto(Vec{}, &scratch, []float64{3, -1, 2}, 2)
+		dst = TopKInto(dst, &scratch, dense, k)
+		requireTopKMatchesHeap(t, "fuzz", dst, dense, k)
+	})
+}
+
+// FuzzTopKIntoLarge is FuzzTopKInto above prefilterMin, where the
+// prefilter runs. The input is a pattern, tiled and perturbed up to the
+// length: bytes 0–1 are k as a fraction of D + 1 (65535 is D); byte 2
+// picks D = (1 + b&3)·prefilterMin + b>>2, so the sample's stride is
+// 8·(1 + b&3); byte 3 is a signed step; every following 8 bytes one
+// float64 bit pattern of the pattern. Element i is the pattern's
+// i mod len(pattern), with step·(the tile's number) added to its bit
+// pattern: step 0 repeats the pattern exactly (ties, all-equal, two
+// values), ±1 makes ramps. The seeds are the engine-sized differential's
+// shapes that defeat the sample.
+func FuzzTopKIntoLarge(f *testing.F) {
+	seed := func(kFrac float64, dsel uint8, step int8, vals ...float64) {
+		b := binary.LittleEndian.AppendUint16(nil, uint16(kFrac*65535))
+		b = append(b, dsel, byte(step))
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		f.Add(b)
+	}
+	samples := func(hi, lo, between float64) []float64 { // at stride 8: 2 of 5 sample points at hi, 3 at lo
+		vals := make([]float64, 40)
+		for i := range vals {
+			switch {
+			case i%8 != 0:
+				vals[i] = between
+			case i < 16:
+				vals[i] = hi
+			default:
+				vals[i] = lo
+			}
+		}
+		return vals
+	}
+	tiny := math.SmallestNonzeroFloat64
+	seed(0.01, 0, 1, 1)                                                        // ascending ramp
+	seed(0.1, 1, -1, -1e6)                                                     // descending ramp
+	seed(0.25, 2, 1, 3, -1, 2)                                                 // interleaved ramps; the sample sees only one
+	seed(0.002, 0, 0, 1)                                                       // all equal
+	seed(0.01, 4, 0, 1, -2, 1)                                                 // two values, ties at the cut
+	seed(0.1, 0, 0, samples(1, 0.125, 0.5)...)                                 // the mass between the samples: too few survive
+	seed(0.01, 0, 0, samples(0.25, 1e-9, 1)...)                                // the samples keep everything: too many
+	seed(0.1, 3, 1, math.NaN(), 1, math.Inf(1), math.Inf(-1), 2)               // NaN payloads; the Infs perturb into NaNs
+	seed(0.1, 0, 1, 3*tiny, 100*tiny, 7*tiny)                                  // subnormals only
+	seed(0.25, 1, 0, math.Copysign(0, -1), 0, 1e-3, math.Copysign(0, -1), 0.5) // signed zeros
+	seed(1, 0, 3, 1, 2, 3)                                                     // k = D
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		d := (1+int(data[2]&3))*prefilterMin + int(data[2]>>2)
+		k := int(binary.LittleEndian.Uint16(data)) * (d + 1) >> 16
+		step := uint64(int64(int8(data[3])))
+		pattern := fuzzWords(data[4:])
+		if len(pattern) == 0 {
+			pattern = []uint64{0}
+		}
+		dense := make([]float64, d)
+		for i := range dense {
+			dense[i] = math.Float64frombits(pattern[i%len(pattern)] + step*uint64(i/len(pattern)))
+		}
+		var scratch TopKScratch
+		dst := TopKInto(Vec{}, &scratch, dense[:prefilterMin], prefilterMin/3)
 		dst = TopKInto(dst, &scratch, dense, k)
 		requireTopKMatchesHeap(t, "fuzz", dst, dense, k)
 	})

@@ -28,7 +28,9 @@ go test ./...
 # fan-out); internal/wal for the durable control
 # plane's log/snapshot machinery; internal/admin because its HTTP
 # handlers run concurrently with the observer callbacks feeding them;
-# internal/nn because the engine runs one network per worker at once.
+# internal/nn because the engine runs one network per worker at once;
+# internal/sparse for the top-k kernel each engine worker runs on its own
+# scratch, with FuzzTopKIntoLarge's seeds on every prefilter path.
 go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./internal/nn/... ./internal/par/... ./internal/transport/... ./internal/wal/... ./internal/admin/... ./cmd/flsim/...
 # The selection differentials and range-reduction kernels (every
 # aggregation entry point against the map reference, shard scratches
@@ -79,8 +81,12 @@ go test -race -count=1 \
   ./internal/wal/... ./internal/transport/... ./internal/fl/... ./cmd/flsim/...
 # Bounded fuzz of the top-k kernel against its heap oracle: the committed
 # finds under internal/sparse/testdata/fuzz already ran as unit tests
-# above; this spends ten more seconds looking for new ones.
-go test ./internal/sparse -run '^$' -fuzz FuzzTopKInto -fuzztime 10s
+# above (and their seeds under the race detector); this spends ten more
+# seconds looking for new ones. FuzzTopKInto builds short vectors, where
+# the full path runs; FuzzTopKIntoLarge tiles its input past the
+# prefilter's size floor, so the sampled cut and its fallbacks run too.
+go test ./internal/sparse -run '^$' -fuzz '^FuzzTopKInto$' -fuzztime 10s
+go test ./internal/sparse -run '^$' -fuzz '^FuzzTopKIntoLarge$' -fuzztime 10s
 # The same for the dense-layer kernels: the vector kernels against the Go
 # loops on arbitrary shapes and bit patterns.
 go test ./internal/tensor -run '^$' -fuzz FuzzDenseKernels -fuzztime 10s
