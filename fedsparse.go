@@ -88,7 +88,11 @@
 // in-process model of the shard tier was measured 3–23× slower for
 // identical bits and deleted, and so was a routed shard tier that
 // re-sent every decoded upload from the coordinator to the shards;
-// docs/ARCHITECTURE.md has both tables.)
+// docs/ARCHITECTURE.md has both tables.) The coordinator's decision and
+// selection are the engine's own server step (internal/fl's Server), so
+// the shard group that feeds it has no export of its own: a deployment
+// reaches the shard tier through RunServerPeers with
+// ServerConfig.ShardConns.
 //
 // One listener serves every role: AcceptPeer classifies each incoming
 // connection by its first message — Hello (a participant: a client, or
@@ -539,9 +543,6 @@ type (
 	Peer = transport.Peer
 	// Listener accepts binary-framed Conns on a TCP address.
 	Listener = transport.Listener
-	// DirectGroup is the coordinator's control-plane handle on a shard
-	// tier.
-	DirectGroup = transport.DirectGroup
 	// Mux demultiplexes one physical Conn into per-virtual-client Conns
 	// (the population tier's M:N scaling seam); MuxFrame is its wire
 	// envelope.
@@ -598,7 +599,6 @@ var (
 	Dial            = transport.Dial
 	DialDirectShard = transport.DialDirectShard
 	RunDirectShard  = transport.RunDirectShard
-	NewDirectGroup  = transport.NewDirectGroup
 	Listen          = transport.Listen
 	AcceptPeer      = transport.AcceptPeer
 	AcceptPeers     = transport.AcceptPeers

@@ -160,9 +160,9 @@ func (e *EXP3) Decide(_ int) Decision {
 }
 
 func (e *EXP3) Observe(o Observation) {
-	raw := 0.0
-	if o.RoundTime > 0 {
-		raw = math.Max(0, o.LossPrev-o.LossCur) / o.RoundTime
+	raw, ok := rawReward(o)
+	if !ok {
+		return
 	}
 	if raw > e.scale {
 		e.scale = raw
@@ -174,6 +174,18 @@ func (e *EXP3) Observe(o Observation) {
 	// Importance-weighted reward for the played arm.
 	rHat := r / e.lastP
 	e.logW[e.lastArm] += e.gamma * rHat / float64(len(e.arms))
+}
+
+// rawReward is the bandits' shared reward before normalization: the loss
+// decrease per unit time. A reward that is not finite — a non-finite
+// loss got into it — would poison the running scale for good, so it is
+// reported unusable and the round is skipped.
+func rawReward(o Observation) (float64, bool) {
+	raw := 0.0
+	if o.RoundTime > 0 {
+		raw = math.Max(0, o.LossPrev-o.LossCur) / o.RoundTime
+	}
+	return raw, !math.IsNaN(raw) && !math.IsInf(raw, 0)
 }
 
 // ContinuousBandit is the one-point bandit gradient-descent baseline [37]:
@@ -236,9 +248,9 @@ func (c *ContinuousBandit) Decide(_ int) Decision {
 }
 
 func (c *ContinuousBandit) Observe(o Observation) {
-	raw := 0.0
-	if o.RoundTime > 0 {
-		raw = math.Max(0, o.LossPrev-o.LossCur) / o.RoundTime
+	raw, ok := rawReward(o)
+	if !ok {
+		return
 	}
 	if raw > c.scale {
 		c.scale = raw

@@ -169,7 +169,8 @@ func (LossBasedSign) Sign(o Observation) (int, bool) {
 }
 
 // estimateDerivative is the shared value inside sign(·) of equation (11);
-// ValueOGD uses it without the sign operation.
+// ValueOGD uses it without the sign operation. An estimate that is not
+// finite — a non-finite loss or time got into it — is unavailable too.
 func estimateDerivative(o Observation) (float64, bool) {
 	if o.ProbeK <= 0 || o.ProbeK >= o.K {
 		return 0, false
@@ -183,5 +184,6 @@ func estimateDerivative(o Observation) (float64, bool) {
 		return 0, false
 	}
 	tauHat := o.ProbeRoundTime * dCur / dProbe
-	return (o.RoundTime - tauHat) / (o.K - o.ProbeK), true
+	der := (o.RoundTime - tauHat) / (o.K - o.ProbeK)
+	return der, !math.IsNaN(der) && !math.IsInf(der, 0)
 }

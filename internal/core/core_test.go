@@ -414,3 +414,82 @@ func TestNoisySignPassesUnavailable(t *testing.T) {
 		t.Fatalf("H(0.25) = %v, want 2", h)
 	}
 }
+
+// TestControllerEdgeObservations is Observe's edge table: every
+// controller, fed one round whose losses or probe time are NaN or ±Inf,
+// must go on deciding a finite k inside its range and a probe k′ that is
+// 0 or inside [1, k) — the engine rounds both, and a non-finite decision
+// fails the run. The −0 and subnormal-difference rows are finite
+// controls. A derivative estimate built from any row is unavailable or
+// finite: a NaN sign must not count as an observed round.
+func TestControllerEdgeObservations(t *testing.T) {
+	nan, inf, tiny := math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64
+	negZero := math.Copysign(0, -1)
+	rows := []struct {
+		name string
+		edit func(o *Observation)
+	}{
+		{"LossPrev=NaN", func(o *Observation) { o.LossPrev = nan }},
+		{"LossPrev=+Inf", func(o *Observation) { o.LossPrev = inf }},
+		{"LossPrev=-Inf", func(o *Observation) { o.LossPrev = -inf }},
+		{"LossCur=NaN", func(o *Observation) { o.LossCur = nan }},
+		{"LossCur=+Inf", func(o *Observation) { o.LossCur = inf }},
+		{"LossCur=-Inf", func(o *Observation) { o.LossCur = -inf }},
+		{"LossProbe=NaN", func(o *Observation) { o.LossProbe = nan }},
+		{"LossProbe=+Inf", func(o *Observation) { o.LossProbe = inf }},
+		{"LossProbe=-Inf", func(o *Observation) { o.LossProbe = -inf }},
+		{"ProbeRoundTime=+Inf", func(o *Observation) { o.ProbeRoundTime = inf }},
+		{"LossCur=-0", func(o *Observation) { o.LossCur = negZero }},
+		{"ProbeRoundTime=-0", func(o *Observation) { o.ProbeRoundTime = negZero }},
+		{"subnormal loss differences", func(o *Observation) { o.LossPrev, o.LossCur, o.LossProbe = 3*tiny, 2*tiny, tiny }},
+	}
+	ctrls := []struct {
+		name   string
+		make   func() Controller
+		lo, hi float64
+	}{
+		{"fixed-k", func() Controller { return NewFixedK(100) }, 100, 100},
+		{"threshold-k", func() Controller { return &ThresholdK{Before: 500, After: 50, Threshold: 0.5} }, 50, 500},
+		{"alg2", func() Controller { return NewSignOGD(10, 1000, 500, nil) }, 10, 1000},
+		{"alg3", func() Controller { return NewAdaptiveSignOGD(10, 1000, 1000, 1.5, 2, nil) }, 10, 1000},
+		{"value-ogd", func() Controller { return NewValueOGD(10, 1000, 500) }, 10, 1000},
+		{"exp3", func() Controller { return NewEXP3(10, 1000, 0.1, 100, newTestRand(7)) }, 10, 1000},
+		{"bandit", func() Controller { return NewContinuousBandit(10, 1000, 500, 100, 0, 0, newTestRand(8)) }, 10, 1000},
+	}
+	observe := func(m int, d Decision, edit func(*Observation)) Observation {
+		o := Observation{Round: m, K: d.K, ProbeK: d.ProbeK, RoundTime: 2, ProbeRoundTime: 1.8,
+			LossPrev: 1, LossCur: 0.8, LossProbe: 0.9, GlobalLoss: 1}
+		if edit != nil {
+			edit(&o)
+		}
+		return o
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if der, ok := estimateDerivative(observe(3, Decision{K: 100, ProbeK: 90}, row.edit)); ok && (math.IsNaN(der) || math.IsInf(der, 0)) {
+				t.Errorf("derivative estimate %v reported available", der)
+			}
+			for _, ctrl := range ctrls {
+				c := ctrl.make()
+				// A finite round first, so the bandits hold a reward scale.
+				c.Observe(observe(1, c.Decide(1), nil))
+				c.Observe(observe(2, c.Decide(2), row.edit))
+				for m := 3; m <= 6; m++ {
+					d := c.Decide(m)
+					if !(d.K >= ctrl.lo && d.K <= ctrl.hi) || !(d.ProbeK == 0 || d.ProbeK >= 1 && d.ProbeK < d.K) {
+						t.Fatalf("%s: round %d decided k = %v, k′ = %v; want k in [%v, %v], k′ 0 or in [1, k)",
+							ctrl.name, m, d.K, d.ProbeK, ctrl.lo, ctrl.hi)
+					}
+					if e, ok := c.(*EXP3); ok {
+						for arm, p := range e.probs() {
+							if !(p > 0 && p <= 1) {
+								t.Fatalf("%s: round %d arm %d has probability %v", ctrl.name, m, arm, p)
+							}
+						}
+					}
+					c.Observe(observe(m, d, nil))
+				}
+			}
+		})
+	}
+}

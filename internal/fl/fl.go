@@ -43,7 +43,6 @@ import (
 	"fedsparse/internal/nn"
 	"fedsparse/internal/par"
 	"fedsparse/internal/simtime"
-	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
 	"fedsparse/internal/wal"
 )
@@ -450,12 +449,6 @@ func drawPositions(dst, perm []int, count int, shuffle bool, n int, rng *rand.Ra
 	return dst, perm
 }
 
-// pickParticipants is the allocating form of pickParticipantsInto.
-func pickParticipants(p float64, n int, rng *rand.Rand) []int {
-	dst, _ := pickParticipantsInto(nil, nil, p, n, rng)
-	return dst
-}
-
 // reduceWeighted overwrites dst with Σ_c weights[c]·vecs[c], fanned out
 // over the worker pool as a fixed-order chunked reduction: the coordinate
 // space is partitioned into contiguous chunks (the leaves of the reduction
@@ -563,22 +556,6 @@ func runFedAvg(cfg Config, clients []*client, totalWeight float64, cost simtime.
 		}
 	}
 	return &Result{Stats: coll.Events, Final: globalNet}, nil
-}
-
-// resolveProbe converts the controller's continuous k′ into an integer
-// strictly inside [1, k); 0 means no probe this round.
-func resolveProbe(probeK float64, kInt int, rng *rand.Rand) int {
-	if probeK <= 0 {
-		return 0
-	}
-	p := sparse.StochasticRound(probeK, rng)
-	if p >= kInt {
-		p = kInt - 1
-	}
-	if p < 1 {
-		return 0
-	}
-	return p
 }
 
 // payloadUnits returns the per-direction payloads of the main exchange;

@@ -14,7 +14,7 @@ import (
 func TestPickParticipantsFullCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []float64{0, 1} {
-		got := pickParticipants(p, 7, rng)
+		got, _ := pickParticipantsInto(nil, nil, p, 7, rng)
 		if len(got) != 7 {
 			t.Fatalf("p=%v: %d participants, want 7", p, len(got))
 		}
@@ -31,7 +31,7 @@ func TestPickParticipantsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(nRaw)%20
 		p := float64(pRaw%99+1) / 100 // (0, 1)
-		got := pickParticipants(p, n, rng)
+		got, _ := pickParticipantsInto(nil, nil, p, n, rng)
 		want := int(math.Ceil(p * float64(n)))
 		if len(got) != want {
 			return false
@@ -50,34 +50,6 @@ func TestPickParticipantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResolveProbe(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tests := []struct {
-		name   string
-		probeK float64
-		kInt   int
-		want   func(int) bool
-	}{
-		{"no probe requested", 0, 50, func(p int) bool { return p == 0 }},
-		{"negative probe", -3, 50, func(p int) bool { return p == 0 }},
-		{"normal probe", 30, 50, func(p int) bool { return p == 30 }},
-		{"probe above k clamps below", 80, 50, func(p int) bool { return p == 49 }},
-		{"probe under 1 disabled", 0.2, 50, func(p int) bool { return p == 0 || p == 1 }},
-		{"k=1 leaves no room", 0.9, 1, func(p int) bool { return p == 0 }},
-	}
-	for _, tt := range tests {
-		for trial := 0; trial < 10; trial++ {
-			got := resolveProbe(tt.probeK, tt.kInt, rng)
-			if !tt.want(got) {
-				t.Fatalf("%s: resolveProbe(%v, %d) = %d", tt.name, tt.probeK, tt.kInt, got)
-			}
-			if got >= tt.kInt && got != 0 {
-				t.Fatalf("%s: probe %d >= k %d", tt.name, got, tt.kInt)
-			}
-		}
 	}
 }
 

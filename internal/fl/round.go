@@ -1,14 +1,16 @@
 // The GS round pipeline: Algorithm 1 plus the Fig. 3 adaptive-k schedule
-// as one phase A (decide k, draw the roster, local gradients, top-k into
-// the round's slot) and one seal (admit or fold each upload, aggregate,
-// broadcast, probe losses, observe), driven by a single step loop over a
-// ring of W+1 in-flight rounds, W = Config.Staleness. Step m runs round
-// m's phase A at the weights of round m−W−1 — W broadcasts are still in
-// flight — and then seals round m−W. At W = 0 that is "phase A of m, then
-// seal of m": the lockstep engine is the window at zero, not a second
-// loop, and every knob (population, quantization, durability)
-// meets the window in this one body. A participant's share of phase A
-// and of the seal is step.go's, the same code every wire client runs.
+// as one phase A (the server's decision, the roster, local gradients,
+// top-k into the round's slot) and one seal (admit or fold each upload,
+// the server's aggregate, broadcast, probe losses, the server's observe),
+// driven by a single step loop over a ring of W+1 in-flight rounds, W =
+// Config.Staleness. Step m runs round m's phase A at the weights of round
+// m−W−1 — W broadcasts are still in flight — and then seals round m−W. At
+// W = 0 that is "phase A of m, then seal of m": the lockstep engine is the
+// window at zero, not a second loop, and every knob (population,
+// quantization, durability) meets the window in this one body. The
+// participant's share of a round is step.go's and the server's is
+// server.go's — the same code every wire client and coordinator runs;
+// what stays here is the pipeline, the replicas and the ③–⑤ time charge.
 //
 // Where the measurements sit: the probe sample h is drawn in phase A (it
 // is a client rng draw) but its three one-sample losses f(w(r−1)),
@@ -48,10 +50,6 @@ type roundArena struct {
 	j     JSet        // the round's downlink index set
 	saved [][]float64 // per-replica probe save/restore buffers
 	steps []*Step     // per-worker participant steps (step.go)
-
-	// mand backs the allocation-free mandated-index draws (periodic-k's
-	// Fisher–Yates, send-all's identity set).
-	mand gs.MandateScratch
 }
 
 func newRoundArena(d, nClients, pool, batch, bits int) *roundArena {
@@ -82,19 +80,20 @@ func newSteps(pool, batch, bits int) []*Step {
 // storage is reused once its round has sealed. The probe sample is kept
 // as the view dataset.BatchInto hands out: samples are immutable.
 type roundSlot struct {
-	kInt, probeInt      int
-	kCont, weightedLoss float64
+	// dec is the server's decision; its mandated set (nil on a top-k
+	// round) is copied into mandBuf once and aliased by every
+	// participant's upload.
+	dec          Decision
+	weightedLoss float64
 
 	population, cohortSize, churnEvents int
 
 	participants []int
-	// mandated is the round's mandated index set (nil on a top-k round),
-	// copied into mandBuf once and aliased by every participant's upload.
-	mandated, mandBuf []int
-	bufs              []sparse.Vec
-	uploads           []gs.ClientUpload
-	admitted          []bool
-	h                 []dataset.Sample
+	mandBuf      []int
+	bufs         []sparse.Vec
+	uploads      []gs.ClientUpload
+	admitted     []bool
+	h            []dataset.Sample
 }
 
 func newRoundSlot(nClients int) roundSlot {
@@ -106,36 +105,6 @@ func newRoundSlot(nClients int) roundSlot {
 		admitted:     make([]bool, nClients),
 		h:            make([]dataset.Sample, nClients),
 	}
-}
-
-// aggregator is the run's server-side selection path, chosen once: the
-// built-in strategies' allocation-free scratch, or — for an external
-// Strategy — two plain Aggregate calls.
-type aggregator struct {
-	strat   gs.Strategy
-	scratch *gs.AggScratch
-}
-
-func newAggregator(cfg *Config, d int) aggregator {
-	a := aggregator{strat: cfg.Strategy}
-	if _, ok := cfg.Strategy.(gs.ScratchAggregator); ok {
-		a.scratch = gs.NewAggScratch(0)
-		a.scratch.Reserve(d) // uploads only carry coordinates < d
-	}
-	return a
-}
-
-// aggregate runs the server selection (lines 8–11) for k and, in the same
-// pass where the path allows it, for the probe k′ (0 = no probe).
-func (a *aggregator) aggregate(uploads []gs.ClientUpload, k, probeK int) (agg, probeAgg gs.Aggregate) {
-	if a.scratch != nil {
-		return a.strat.(gs.ScratchAggregator).AggregateInto(a.scratch, uploads, k, probeK)
-	}
-	agg = a.strat.Aggregate(uploads, k)
-	if probeK > 0 {
-		probeAgg = a.strat.Aggregate(uploads, probeK)
-	}
-	return agg, probeAgg
 }
 
 // gsEngine is one GS run: the state the rounds thread through, and what
@@ -150,8 +119,8 @@ type gsEngine struct {
 	replicas    []*nn.Network
 	totalWeight float64
 	cost        simtime.CostModel
-	ctrl        core.Controller
-	rng         *rand.Rand // the engine stream: k rounding, mandates, roster
+	srv         *Server    // the server step (server.go)
+	rng         *rand.Rand // the engine stream, shared with srv: its decisions, then the roster
 	d           int
 	dur         *engineWAL // nil unless Config.WALDir
 	sink        Observer
@@ -160,11 +129,9 @@ type gsEngine struct {
 	// (possibly quantized) value.
 	elemUnits float64
 
-	ar       *roundArena
-	pop      *popState
-	agg      aggregator
-	mandInto gs.MandatedIntoStrategy // nil: draw through Strategy.MandatedIndices
-	ring     []roundSlot
+	ar   *roundArena
+	pop  *popState
+	ring []roundSlot
 
 	cur             *roundSlot // the slot the running fan-out fills or drains
 	partWeight      float64
@@ -184,20 +151,16 @@ func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight fl
 	nClients := len(clients)
 	e := &gsEngine{
 		cfg: &cfg, clients: clients, replicas: replicas, totalWeight: totalWeight, cost: cost,
-		ctrl: ctrl, rng: engineRng, d: d, dur: dur,
+		srv: NewServer(cfg.Strategy, ctrl, engineRng, d, cfg.QuantBits), rng: engineRng, d: d, dur: dur,
 		sink:      MultiObserver(coll, cfg.Observer),
 		elemUnits: 2,
 		ar:        newRoundArena(d, nClients, len(replicas), cfg.BatchSize, cfg.QuantBits),
 		pop:       newPopState(&cfg, nClients),
-		agg:       newAggregator(&cfg, d),
 		ring:      make([]roundSlot, cfg.Staleness+1),
 	}
 	if cfg.QuantBits > 0 && cfg.QuantBits < 64 {
 		e.elemUnits = 1 + float64(cfg.QuantBits)/64
 	}
-	// Mandated-index strategies draw through the arena scratch when they
-	// support it: same rng stream and indices, no per-round slice.
-	e.mandInto, _ = cfg.Strategy.(gs.MandatedIntoStrategy)
 	for i := range e.ring {
 		e.ring[i] = newRoundSlot(nClients)
 	}
@@ -237,36 +200,30 @@ func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight fl
 	return &Result{Stats: coll.Events, Final: replicas[0]}, nil
 }
 
-// phaseA opens round m: the controller's k, the mandated set, the roster,
-// and every participant's local step (see participate), at whatever
-// weights the replicas hold — those of round m−W−1.
+// phaseA opens round m: the server's decision (k, k′ and the mandated
+// set), the roster, and every participant's local step (see
+// participate), at whatever weights the replicas hold — those of round
+// m−W−1.
 func (e *gsEngine) phaseA(m int) error {
 	cfg, ar := e.cfg, e.ar
 	e.sink.OnRoundStart(m)
 	slot := &e.ring[m%len(e.ring)]
-	dec := e.ctrl.Decide(m)
-	slot.kCont = core.Project(dec.K, 1, float64(e.d))
-	slot.kInt = min(max(sparse.StochasticRound(slot.kCont, e.rng), 1), e.d)
-	slot.probeInt = resolveProbe(dec.ProbeK, slot.kInt, e.rng)
-
-	var mandated []int
-	if e.mandInto != nil {
-		mandated = e.mandInto.MandatedIndicesInto(&ar.mand, m, e.d, slot.kInt, e.rng)
-	} else {
-		mandated = cfg.Strategy.MandatedIndices(m, e.d, slot.kInt, e.rng)
+	dec, err := e.srv.Decide(m)
+	if err != nil {
+		return err
 	}
-	slot.mandated = nil
-	if mandated != nil {
-		slot.mandBuf = append(slot.mandBuf[:0], mandated...)
-		slot.mandated = slot.mandBuf
+	if dec.Mandated != nil {
+		slot.mandBuf = append(slot.mandBuf[:0], dec.Mandated...)
+		dec.Mandated = slot.mandBuf
 	} else {
 		// Grown here, where k is known, and not by whichever worker first
 		// meets it: the run's allocation count is then a function of the
 		// k trajectory alone, not of goroutine scheduling.
 		for _, s := range ar.steps {
-			s.topk.Reserve(e.d, slot.kInt)
+			s.topk.Reserve(e.d, dec.K)
 		}
 	}
+	slot.dec = dec
 
 	// The roster: churn, then the draw from the active population, then
 	// deadline dropouts — the one participant draw at every W.
@@ -298,7 +255,7 @@ func (e *gsEngine) phaseA(m int) error {
 func (e *gsEngine) participate(pi, w int) {
 	slot := e.cur
 	c := e.clients[slot.participants[pi]]
-	out := e.ar.steps[w].Run(e.replicas[w], &c.Member, slot.mandated, slot.kInt, &slot.bufs[pi])
+	out := e.ar.steps[w].Run(e.replicas[w], &c.Member, slot.dec.Mandated, slot.dec.K, &slot.bufs[pi])
 	slot.h[pi] = out.H
 	e.ar.lossShare[pi] = c.weight / e.partWeight * out.BatchLoss
 	slot.uploads[pi] = gs.ClientUpload{Pairs: out.Pairs, Weight: c.weight}
@@ -315,7 +272,7 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	participants := slot.participants
 	nPart := len(participants)
 	uploads := slot.uploads[:nPart]
-	kInt, probeInt := slot.kInt, slot.probeInt
+	dec := slot.dec
 
 	// An upload more than W rounds late misses the cutoff: it is masked
 	// to a counted-but-empty contribution, so its mass stays in the
@@ -330,22 +287,13 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	}
 	staleSlices, residualNorm := gs.FoldStale(uploads, admitted)
 
-	e.sel, e.probeSel = e.agg.aggregate(uploads, kInt, probeInt)
-	agg, probeAgg := e.sel, e.probeSel
-	if cfg.QuantBits > 0 {
-		// In place on the aggregation scratch — rebuilt from the uploads
-		// next round, so nothing downstream sees the unquantized values.
-		sparse.QuantizeInPlace(agg.Values, cfg.QuantBits)
-		if probeInt > 0 {
-			sparse.QuantizeInPlace(probeAgg.Values, cfg.QuantBits)
-		}
-	}
+	e.sel, e.probeSel, _ = e.srv.Aggregate(uploads, dec.K, dec.ProbeK)
 	// Like the top-k slabs: sized here, not by whichever worker is first.
 	for w := range ar.saved {
-		ar.saved[w] = slices.Grow(ar.saved[w][:0], len(probeAgg.Indices))
+		ar.saved[w] = slices.Grow(ar.saved[w][:0], len(e.probeSel.Indices))
 	}
 
-	ar.j.Stamp(agg.Indices)
+	ar.j.Stamp(e.sel.Indices)
 	e.cur = slot
 	parallelFor(cfg.Workers, len(e.replicas), e.sealFn)
 
@@ -356,41 +304,28 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	}
 
 	// Normalized-time accounting.
-	uplink, downlink := payloadUnits(cfg.Strategy, e.d, kInt, len(agg.Indices), e.elemUnits)
-	if probeInt > 0 {
+	uplink, downlink := payloadUnits(cfg.Strategy, e.d, dec.K, len(e.sel.Indices), e.elemUnits)
+	if dec.ProbeK > 0 {
 		// Step ③: difference between k- and k′-element GS results.
-		downlink += float64(max(len(agg.Indices)-len(probeAgg.Indices), 0)) * e.elemUnits
+		downlink += float64(max(len(e.sel.Indices)-len(e.probeSel.Indices), 0)) * e.elemUnits
 		// Step ④: three one-sample losses up; ⑤: k_{m+1} down.
 		uplink += 3
 		downlink += 1
 	}
 	roundTime := e.cost.RoundTime(uplink, downlink)
 	e.clock.Advance(roundTime)
-
-	obs := core.Observation{
-		Round:      r,
-		K:          slot.kCont,
-		RoundTime:  roundTime,
-		GlobalLoss: slot.weightedLoss,
-		LossPrev:   mean(ar.fPrev[:nPart]),
-		LossCur:    mean(ar.fCur[:nPart]),
-		LossProbe:  math.NaN(),
-	}
-	if probeInt > 0 {
-		obs.ProbeK = float64(probeInt)
-		obs.ProbeRoundTime = e.cost.RoundTime(float64(probeInt)*e.elemUnits, float64(probeInt)*e.elemUnits)
-		obs.LossProbe = mean(ar.fProbe[:nPart])
-	}
-	e.ctrl.Observe(obs)
+	probeUnits := float64(dec.ProbeK) * e.elemUnits
+	e.srv.Observe(dec, slot.weightedLoss, roundTime, e.cost.RoundTime(probeUnits, probeUnits),
+		ar.fPrev[:nPart], ar.fCur[:nPart], ar.fProbe[:nPart])
 
 	stats := RoundEvent{
 		Round:         r,
-		K:             kInt,
-		KCont:         slot.kCont,
+		K:             dec.K,
+		KCont:         dec.KCont,
 		RoundTime:     roundTime,
 		Time:          e.clock.Now(),
 		Loss:          slot.weightedLoss,
-		DownlinkElems: len(agg.Indices),
+		DownlinkElems: len(e.sel.Indices),
 		Participants:  nPart,
 		Population:    slot.population,
 		CohortSize:    slot.cohortSize,
@@ -408,7 +343,7 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 		// returned stats: the one allocation the recording knob keeps.
 		used := make([]int, len(e.clients))
 		for pi, ci := range participants {
-			used[ci] = agg.PerClientUsed[pi]
+			used[ci] = e.sel.PerClientUsed[pi]
 		}
 		stats.PerClientUsed = used
 	}
@@ -438,7 +373,7 @@ func (e *gsEngine) sealReplica(i, _ int) {
 	for pi := lo; pi < hi; pi++ {
 		ar.fPrev[pi] = net.Loss(slot.h[pi].X, slot.h[pi].Y) // f_{i,h}(w(r−1))
 	}
-	if slot.probeInt > 0 && lo < hi {
+	if slot.dec.ProbeK > 0 && lo < hi {
 		// w′(r) = w(r−1) − η·∇′: apply, measure, restore exactly.
 		indices, values := e.probeSel.Indices, e.probeSel.Values
 		saved := ar.saved[i][:len(indices)]

@@ -5,8 +5,8 @@ import (
 	"math"
 	"time"
 
+	"fedsparse/internal/fl"
 	"fedsparse/internal/gs"
-	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
 )
 
@@ -286,21 +286,18 @@ func seatData(assign ShardAssign, peers []Peer) (connPeers, []int, error) {
 	return conns, memberHost, nil
 }
 
-// DirectGroup is the coordinator's control-plane handle on the direct
-// shard tier: it assigns the partition at construction and then, per
-// round, gathers the shard reductions, runs the uploads-free selection
-// (serving FAB's fill through FillQuery round trips), and seals the
-// round — each shard receives only its span of the selected member set
-// and serves the values from its own sums, so the coordinator's egress
-// per round is O(|J|) member indices, not O(N·|J|) broadcast payload.
-// Single-goroutine state; returned Aggregates alias the selection
-// scratch and stay valid until the next Aggregate call.
+// DirectGroup is the coordinator's plane on the direct shard tier: it
+// assigns the partition and then, per round, gathers the shard
+// reductions for the server step's selection (fl.Server.Select), serves
+// FAB's fill through FillQuery round trips, and seals the round — each
+// shard receives only its span of the selected member set and serves the
+// values from its own sums, so the coordinator's egress per round is
+// O(|J|) member indices, not O(N·|J|) broadcast payload.
+// Single-goroutine state.
 type DirectGroup struct {
 	conns     []Conn
-	dim       int
 	nClients  int
 	quantBits int
-	sel       *gs.AggScratch
 	shardResults
 
 	round    int // the round being selected: what the fill hook queries for
@@ -387,25 +384,11 @@ func (r *shardResults) gather(round, maxLen int) (gs.RangeAgg, error) {
 	return gs.RangeAgg{Idx: r.mergedIdx, Sum: r.mergedSum, MinRank: r.mergedRank}, nil
 }
 
-// NewDirectGroup sends every shard its ShardAssign and returns the
-// group. dim is the model dimension, rounds the run length, weights the
-// aggregation weight C_i of each client in client-ID order.
-// quantBits is the run's gradient quantization width (0 = full
-// precision; else 2–64): Aggregate then snaps each round's selection
-// onto its global b-bit grid and seals the shards with that grid, so
-// the shard-served downlink is the engine's quantized aggregate.
-func NewDirectGroup(conns []Conn, dim, rounds int, weights []float64, quantBits int) (*DirectGroup, error) {
-	g, err := newDirectGroup(conns, dim, weights, quantBits)
-	if err != nil {
-		return nil, err
-	}
-	return g, g.assign(directAssign(len(conns), dim, rounds, weights, quantBits))
-}
-
-// newDirectGroup builds a DirectGroup's selection and partition state
-// without sending any assignments (a resumed durable coordinator's
-// shards are mid-run and already assigned; their connections arrive
-// later through rejoins).
+// newDirectGroup builds a DirectGroup's partition state without sending
+// any assignments (g.assign does; a resumed durable coordinator's shards
+// are mid-run and already assigned, and their connections arrive later
+// through rejoins). quantBits is the run's width, which ServerConfig.check
+// bounds: the seals carry it with each round's scale.
 func newDirectGroup(conns []Conn, dim int, weights []float64, quantBits int) (*DirectGroup, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("transport: direct group needs at least one shard")
@@ -413,20 +396,14 @@ func newDirectGroup(conns []Conn, dim int, weights []float64, quantBits int) (*D
 	if dim < 1 || len(weights) == 0 {
 		return nil, fmt.Errorf("transport: bad direct group geometry (dim=%d clients=%d)", dim, len(weights))
 	}
-	if quantBits != 0 && (quantBits < 2 || quantBits > 64) {
-		return nil, fmt.Errorf("transport: quantization width must be 0 (off) or in [2, 64], got %d", quantBits)
-	}
 	g := &DirectGroup{
 		conns:        conns,
-		dim:          dim,
 		nClients:     len(weights),
 		quantBits:    quantBits,
-		sel:          gs.NewAggScratch(0),
 		shardResults: newShardResults(conns, dim),
 		candSeen:     make([]int, len(weights)),
 	}
 	g.fillHook = g.fill
-	g.sel.Reserve(dim)
 	return g, nil
 }
 
@@ -441,53 +418,26 @@ func (g *DirectGroup) assign(assign ShardAssign) error {
 	return nil
 }
 
-// Aggregate closes one round of the direct tier: select (gather and
-// validate every shard's range reduction, select on the merged results
-// with the shard-served metadata — maxLen is the round's longest client
-// upload, reported on the control plane) and seal (every shard receives
-// its span of the member set and serves the clients' broadcast slices
-// from its own sums), returning the aggregate — bit-identical to the
-// single-process engine. The caller must not
-// release clients into their round-m fetches before Aggregate returns:
-// every shard is sealed by then, which is the ordering guarantee the
-// downlink barrier rests on.
-func (g *DirectGroup) Aggregate(strat gs.DirectSelector, round, k, maxLen int) (gs.Aggregate, error) {
-	main, scale, err := g.selectRound(strat, round, k, maxLen)
-	if err != nil {
-		return gs.Aggregate{}, err
-	}
-	return main, g.seal(round, scale)
-}
-
-// selectRound is the first half of a round: the decision. The
-// coordinator never sees an upload; it selects over the shards'
-// gathered reductions (shardResults.gather). With quantization on, the selection is snapped onto
-// its global b-bit grid here — the engine's post-aggregation
-// quantization — and scale is the grid every shard will be sealed with:
-// each reapplies the same snap to its reconstructed span, so the two
-// computations agree bit-for-bit. Nothing has been sent to a shard when
-// it returns (beyond fill queries), so a durable coordinator journals
-// the decision between the halves.
-func (g *DirectGroup) selectRound(strat gs.DirectSelector, round, k, maxLen int) (main gs.Aggregate, scale float64, err error) {
+// selectRound is the first half of a round: the decision. The server
+// step selects over the shards' gathered reductions and snaps B onto its
+// global b-bit grid; scale is the grid every shard is sealed with, and
+// each reapplies the same snap to its span, bit for bit. Nothing has been
+// sent to a shard when it returns (beyond fill queries), so a durable
+// coordinator journals the decision between the halves.
+func (g *DirectGroup) selectRound(srv *fl.Server, round, k, maxLen int) (main gs.Aggregate, scale float64, err error) {
 	merged, err := g.gather(round, maxLen)
 	if err != nil {
 		return main, 0, err
 	}
 	g.round = round
 	meta := gs.DirectMeta{NumClients: g.nClients, MaxLen: maxLen, Fill: g.fillHook}
-	main, _, err = strat.SelectDirect(g.sel, merged, meta, k, 0)
-	if err != nil {
+	if main, _, scale, err = srv.Select(merged, meta, k, 0); err != nil {
 		return main, 0, err
 	}
-	if g.quantBits > 0 {
-		scale = sparse.QuantizeInPlace(main.Values, g.quantBits)
-	}
-	// Split the selection by shard range for the seal. The spans alias
-	// the selection scratch; that is safe even over by-reference
-	// in-memory conns because the scratch is next written by round
-	// m+1's selection, which first gathers every shard's round-m+1
-	// result — sent only after that shard's round-m seal copied its
-	// span into the downlink slice.
+	// The seal's spans alias the server's scratch, safe even over
+	// by-reference in-memory conns: round m+1's selection first gathers
+	// every shard's round-m+1 result, sent only after that shard's
+	// round-m seal copied its span into the downlink slice.
 	g.spans = gs.MemberSpans(main.Indices, g.bounds, g.spans)
 	return main, scale, nil
 }
@@ -559,15 +509,4 @@ func (g *DirectGroup) fill(kappa int) ([]gs.FillCand, error) {
 		}
 	}
 	return g.cands, nil
-}
-
-// Close closes every shard control connection.
-func (g *DirectGroup) Close() error {
-	var first error
-	for _, conn := range g.conns {
-		if err := conn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -128,12 +128,38 @@ func sendSlices(t *testing.T, clientConns [][]Conn, uploads []gs.ClientUpload, d
 	}
 }
 
+// assignedGroup is the coordinator's direct group over conns, every
+// shard already sent its assignment.
+func assignedGroup(t *testing.T, conns []Conn, dim, rounds int, weights []float64) *DirectGroup {
+	t.Helper()
+	g, err := newDirectGroup(conns, dim, weights, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.assign(directAssign(len(conns), dim, rounds, weights, 0)); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// directAggregate closes one direct-tier round the way directRound does:
+// the server step selects over the group's gathered reductions, then
+// every shard is sealed with its span.
+func directAggregate(g *DirectGroup, srv *fl.Server, round, k, maxLen int) (gs.Aggregate, error) {
+	main, scale, err := g.selectRound(srv, round, k, maxLen)
+	if err != nil {
+		return main, err
+	}
+	return main, g.seal(round, scale)
+}
+
 // TestDirectAggregationDifferential is the wire-level acceptance grid of
-// the direct tier: DirectGroup over real RunDirectShard peers — slices
-// arriving straight from the "clients", selection from merged reductions
-// plus FillQuery round trips — is bit-identical to the single-process
-// AggregateInto for shard counts {1, 2, 4} × all strategies × comparator
-// worker counts {0, 4}, over in-memory and loopback-TCP conns.
+// the direct tier: the direct group and the server step over real
+// RunDirectShard peers — slices arriving straight from the "clients",
+// selection from merged reductions plus FillQuery round trips — is
+// bit-identical to the single-process AggregateInto for shard counts
+// {1, 2, 4} × all strategies × comparator worker counts {0, 4}, over
+// in-memory and loopback-TCP conns.
 func TestDirectAggregationDifferential(t *testing.T) {
 	const n, d, k, rounds = 9, 600, 40, 4
 	for _, connKind := range []string{"mem", "tcp"} {
@@ -166,10 +192,8 @@ func TestDirectAggregationDifferential(t *testing.T) {
 						}
 						for _, strat := range shardStrategies() {
 							coordConns, clientConns, join := startDirectShards(t, nShards, n, d, pair)
-							group, err := NewDirectGroup(coordConns, d, rounds, weights, 0)
-							if err != nil {
-								t.Fatal(err)
-							}
+							group := assignedGroup(t, coordConns, d, rounds, weights)
+							srv := fl.NewServer(strat, core.NewFixedK(k), nil, d, 0)
 							single := gs.NewAggScratch(workers)
 							for m := 1; m <= rounds; m++ {
 								ups := roundUploads[m-1]
@@ -178,7 +202,7 @@ func TestDirectAggregationDifferential(t *testing.T) {
 									maxLen = max(maxLen, u.Pairs.Len())
 								}
 								sendSlices(t, clientConns, ups, d, m)
-								got, err := group.Aggregate(strat.(gs.DirectSelector), m, k, maxLen)
+								got, err := directAggregate(group, srv, m, k, maxLen)
 								if err != nil {
 									t.Fatalf("%s round %d: %v", strat.Name(), m, err)
 								}
@@ -1410,12 +1434,9 @@ func TestDirectGroupRejectsBadReplies(t *testing.T) {
 			}
 			shardBehavior(fake)
 		}()
-		g, err := NewDirectGroup([]Conn{server}, 10, 1, []float64{1, 1}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = g.Aggregate(&gs.FABTopK{}, 1, 2, 3)
-		_ = g.Close()
+		g := assignedGroup(t, []Conn{server}, 10, 1, []float64{1, 1})
+		_, err := directAggregate(g, fl.NewServer(&gs.FABTopK{}, core.NewFixedK(2), nil, 10, 0), 1, 2, 3)
+		_ = server.Close()
 		return err
 	}
 

@@ -228,7 +228,6 @@ func resumeDurable(cfg ServerConfig) ([]RoundRecord, error) {
 		s.healShards()
 		s.meter(s.cl.conns, s.sh.conns)
 	} else {
-		s.startRouted()
 		s.meter(s.cl.conns)
 	}
 	next := len(records) + 1
@@ -483,7 +482,7 @@ func (d *durSide) deliver(id, m int, msg any, gated bool) error {
 // of what they sent.
 func (s *durServer) redoShard(sid, m int, rj Rejoin) error {
 	g := s.group
-	assign := directAssign(len(g.conns), g.dim, s.cfg.Rounds, s.weights, s.cfg.QuantBits)
+	assign := directAssign(len(g.conns), len(s.cfg.InitialParams), s.cfg.Rounds, s.weights, s.cfg.QuantBits)
 	assign.ShardID, assign.StartRound = sid, m
 	if err := g.conns[sid].Send(assign); err != nil {
 		return fmt.Errorf("transport: round %d: re-assigning restarted shard %d: %w", m, sid, err)

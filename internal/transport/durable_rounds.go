@@ -6,6 +6,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"fedsparse/internal/wal"
 )
@@ -60,28 +61,18 @@ func (s *durServer) resumeDirectSeal(seal *wal.Seal, release *wal.Release) error
 // continue.
 func (s *durServer) resumeRoutedSeal(seal *wal.Seal, release *wal.Release) error {
 	p := seal.Round
+	dec, err := s.server.Decide(p)
+	if err != nil {
+		return err
+	}
 	weightedLoss, err := s.gatherUploads(p, nil, s.total)
 	if err != nil {
 		return err
 	}
-	bc := s.aggregate(p)
-	if len(bc.Idx) != len(seal.Members) {
-		return fmt.Errorf("transport: divergent recovery: round %d re-aggregated to %d members, seal logged %d",
-			p, len(bc.Idx), len(seal.Members))
-	}
-	for i, j := range bc.Idx {
-		if j != seal.Members[i] {
-			return fmt.Errorf("transport: divergent recovery: round %d re-aggregated member %d is %d, seal logged %d",
-				p, i, j, seal.Members[i])
-		}
-	}
-	if bc.Scale != seal.Scale || bc.Bits != seal.Bits {
-		return fmt.Errorf("transport: divergent recovery: round %d re-aggregated grid (%d, %v), seal logged (%d, %v)",
-			p, bc.Bits, bc.Scale, seal.Bits, seal.Scale)
-	}
-	if weightedLoss != seal.Loss {
-		return fmt.Errorf("transport: divergent recovery: round %d re-gathered loss %v, seal logged %v",
-			p, weightedLoss, seal.Loss)
+	bc := s.aggregate(p, dec.K)
+	if !slices.Equal(bc.Idx, seal.Members) || bc.Bits != seal.Bits || bc.Scale != seal.Scale || weightedLoss != seal.Loss {
+		return fmt.Errorf("transport: divergent recovery: round %d re-derived %d members on grid (%d, %v) at loss %v, seal logged %d on (%d, %v) at %v",
+			p, len(bc.Idx), bc.Bits, bc.Scale, weightedLoss, len(seal.Members), seal.Bits, seal.Scale, seal.Loss)
 	}
 	if err := s.downlink(p, bc); err != nil {
 		return err

@@ -92,8 +92,9 @@ type ServerConfig struct {
 }
 
 // check is the one validation of a ServerConfig, and the only place a
-// coordinator refuses a configuration: the quantization width, the
-// staleness window, the tiers that exclude each other, the plane rule —
+// coordinator refuses a configuration: the sparsity K (fl.Run trains a
+// K < 1 at k = 1, while a client told one uploads nothing), the
+// quantization width, the staleness window, the tiers that exclude each other, the plane rule —
 // shards mean the direct data plane, with one advertised ingest address
 // per shard — and the journal's identity. nPeers is the number of
 // participants passed in. A resume takes none: it holds no connections,
@@ -102,6 +103,8 @@ func (cfg ServerConfig) check(nPeers int) error {
 	dur, nShards := cfg.Durable, len(cfg.ShardConns)
 	resume := dur != nil && dur.Resume
 	switch {
+	case cfg.K < 1:
+		return fmt.Errorf("transport: K must be at least 1, got %d", cfg.K)
 	case cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64):
 		return fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
 	case cfg.Staleness < 0 || cfg.Staleness > MaxStaleness:
@@ -611,6 +614,9 @@ func runClient(coord Conn, p participant, init Init, link *healLink) error {
 	if init.QuantBits != 0 && (init.QuantBits < 2 || init.QuantBits > 64) {
 		return fmt.Errorf("transport: %s %d: init quantization width %d outside 0 or [2, 64]", p.who, p.id, init.QuantBits)
 	}
+	if init.K < 1 {
+		return fmt.Errorf("transport: %s %d: init sparsity k = %d, want at least 1", p.who, p.id, init.K)
+	}
 	if len(init.Shards) == 0 {
 		return runClientRounds(coord, p, init, nil)
 	}
@@ -642,9 +648,10 @@ type memberUpload struct {
 // participant step (fl.Step.Run: the training computation and the rng
 // order), then sends its upload — routed: one Upload to the coordinator;
 // direct (fan set): range slices with explicit local ranks straight to
-// the owning shards, and the control scalars to the coordinator. The
-// step's probe sample h goes unused: the coordinator runs fixed-k FAB,
-// with no mandated set and no probe. Then, once m > W, it receives round
+// the owning shards, and the control scalars to the coordinator, whose
+// server step (fl.Server) selects B from them. The step's probe sample h
+// goes unused: that server runs a fixed integral k with FAB, so there is
+// no mandated set and no probe. Then, once m > W, it receives round
 // m−W's aggregated B — routed: the coordinator's Broadcast; direct: the
 // shard-served slices, fetched after the coordinator's release and
 // reassembled by concatenation — applies it once to the shared model,

@@ -3,18 +3,23 @@ package transport
 import (
 	"fmt"
 
+	"fedsparse/internal/core"
+	"fedsparse/internal/fl"
 	"fedsparse/internal/gs"
 	"fedsparse/internal/sparse"
 	"fedsparse/internal/wal"
 )
 
 // This file is the coordinator's round, written once: one round loop
-// (coordRun.run) over one routed and one direct round body. Every
-// coordinator tier — classic at any staleness window (protocol.go; the
-// window lives in the clients' and shards' loops, the coordinator's
-// rounds stay in order and exact), durable (durable.go, after a
-// resume's preamble), population (population.go) — runs that loop and
-// supplies only what distinguishes it:
+// (coordRun.run) over one routed and one direct round body, each
+// deciding, selecting and quantizing through the engine's own server
+// step (fl.Server: Decide, then Aggregate over the uploads or Select over
+// the shards' reductions). Every coordinator tier — classic at any
+// staleness window (protocol.go; the window lives in the clients' and
+// shards' loops, the coordinator's rounds stay in order and exact),
+// durable (durable.go, after a resume's preamble), population
+// (population.go) — runs that loop and supplies only what distinguishes
+// it:
 //
 //	links    how a round reaches its peers: plain connections, the
 //	         durable server's rejoin-healing links, or the population's
@@ -161,14 +166,14 @@ type coordRun struct {
 	journal *journal
 	round   int // the round in progress (a healing link acks rejoins with it)
 
-	strategy *gs.FABTopK
-	// Routed plane: one warm scratch for the whole run; the gathered
-	// uploads; the duplicate-coordinate slab of upload validation
-	// (seen[j] == token marks j used by the upload being checked).
-	// copyUploads retains each payload in a per-position slot — the
-	// population plane, where many members share one connection's decode
-	// scratch.
-	scratch     *gs.AggScratch
+	// server is the run's server step (fl.Server): fixed-k FAB, whose
+	// integral k and empty mandate draw nothing, so it holds no rng.
+	server *fl.Server
+	// Routed plane: the gathered uploads; the duplicate-coordinate slab
+	// of upload validation (seen[j] == token marks j used by the upload
+	// being checked), both sized by the first gather. copyUploads
+	// retains each payload in a per-position slot — the population
+	// plane, where many members share one connection's decode scratch.
 	uploads     []gs.ClientUpload
 	seen        []int
 	token       int
@@ -183,21 +188,13 @@ type coordRun struct {
 }
 
 func newCoordRun(cfg ServerConfig, clients peerLinks, nClients int, noun string, weights []float64) *coordRun {
-	c := &coordRun{cfg: cfg, clients: clients, nClients: nClients, nDown: nClients, noun: noun,
-		weights: weights, strategy: &gs.FABTopK{}, records: make([]RoundRecord, 0, max(cfg.Rounds, 0))}
+	c := &coordRun{cfg: cfg, clients: clients, nClients: nClients, nDown: nClients, noun: noun, weights: weights,
+		server:  fl.NewServer(&gs.FABTopK{}, core.NewFixedK(float64(cfg.K)), nil, len(cfg.InitialParams), cfg.QuantBits),
+		records: make([]RoundRecord, 0, max(cfg.Rounds, 0))}
 	for _, w := range weights {
 		c.total += w
 	}
 	return c
-}
-
-// startRouted sizes the routed plane's aggregation state.
-func (c *coordRun) startRouted() {
-	dim := len(c.cfg.InitialParams)
-	c.scratch = gs.NewAggScratch(0)
-	c.scratch.Reserve(dim) // coordinates index the model
-	c.uploads = make([]gs.ClientUpload, c.nClients)
-	c.seen = make([]int, dim)
 }
 
 // open is every coordinator's start sequence: set up the plane (the
@@ -223,8 +220,6 @@ func (c *coordRun) open(peers []Conn, runID uint64, numHosts int) error {
 			return err
 		}
 		init.Shards = cfg.ShardAddrs
-	} else {
-		c.startRouted()
 	}
 	var msg any = init
 	for id, conn := range peers {
@@ -265,11 +260,14 @@ func (c *coordRun) meter(groups ...[]Conn) {
 func (c *coordRun) run(from int, draw func(m int) ([]int, *cohortDraw, error)) ([]RoundRecord, error) {
 	for m := from; m <= c.cfg.Rounds; m++ {
 		c.startRound(m)
+		dec, err := c.server.Decide(m)
+		if err != nil {
+			return c.records, err
+		}
 		var (
 			ids []int
 			cd  *cohortDraw
 			rec RoundRecord
-			err error
 		)
 		n, total := c.nClients, c.total
 		if draw != nil {
@@ -282,9 +280,9 @@ func (c *coordRun) run(from int, draw func(m int) ([]int, *cohortDraw, error)) (
 			}
 		}
 		if c.cfg.Direct {
-			rec, err = c.directRound(m, ids, total)
+			rec, err = c.directRound(m, dec.K, ids, total)
 		} else {
-			rec, err = c.routedRound(m, ids, total)
+			rec, err = c.routedRound(m, dec.K, ids, total)
 		}
 		if err != nil {
 			return c.records, err
@@ -347,9 +345,12 @@ func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, erro
 			c.slotIdx = append(c.slotIdx, nil)
 			c.slotVal = append(c.slotVal, nil)
 		}
-		if cap(c.uploads) < n {
-			c.uploads = make([]gs.ClientUpload, n)
-		}
+	}
+	if cap(c.uploads) < n {
+		c.uploads = make([]gs.ClientUpload, n)
+	}
+	if c.seen == nil {
+		c.seen = make([]int, len(c.cfg.InitialParams))
 	}
 	c.uploads = c.uploads[:n]
 	var weightedLoss float64
@@ -379,22 +380,20 @@ func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, erro
 	return weightedLoss, nil
 }
 
-// aggregate reduces the gathered uploads into the round's Broadcast.
-// The |J|-sized result is copied out of the scratch because in-memory
-// conns pass messages by reference and the scratch buffers are
-// overwritten next round; with quantization on it is snapped onto its
-// own b-bit grid before it goes out — the engine's post-aggregation
-// quantization, and what lets the codec pack the values on the wire.
-func (c *coordRun) aggregate(m int) Broadcast {
-	agg, _ := c.strategy.AggregateInto(c.scratch, c.uploads, c.cfg.K, 0)
+// aggregate reduces the gathered uploads into the round's Broadcast
+// through the server step, which snaps B onto its b-bit grid — what
+// lets the codec pack the values on the wire. The |J|-sized result is
+// copied out of the server's scratch because in-memory conns pass
+// messages by reference and the scratch is overwritten next round.
+func (c *coordRun) aggregate(m, k int) Broadcast {
+	agg, _, scale := c.server.Aggregate(c.uploads, k, 0)
 	bc := Broadcast{
 		Round: m,
 		Idx:   append([]int(nil), agg.Indices...),
 		Val:   append([]float64(nil), agg.Values...),
 	}
 	if c.cfg.QuantBits > 0 {
-		bc.Bits = c.cfg.QuantBits
-		bc.Scale = sparse.QuantizeInPlace(bc.Val, c.cfg.QuantBits)
+		bc.Bits, bc.Scale = c.cfg.QuantBits, scale
 	}
 	return bc
 }
@@ -404,12 +403,12 @@ func (c *coordRun) aggregate(m int) Broadcast {
 // the values from re-sent uploads), broadcast B, journal release and
 // finish. The release carries no separate message in routed mode; the
 // boundary exists so the crash matrix is uniform across topologies.
-func (c *coordRun) routedRound(m int, ids []int, total float64) (RoundRecord, error) {
+func (c *coordRun) routedRound(m, k int, ids []int, total float64) (RoundRecord, error) {
 	loss, err := c.gatherUploads(m, ids, total)
 	if err != nil {
 		return RoundRecord{}, err
 	}
-	bc := c.aggregate(m)
+	bc := c.aggregate(m, k)
 	if err := c.journal.sealed(m, loss, bc.Scale, bc.Bits, bc.Idx, nil); err != nil {
 		return RoundRecord{}, err
 	}
@@ -492,13 +491,13 @@ func (c *coordRun) gatherMeta(m int, ids []int, total float64) (weightedLoss flo
 // shard, and Elems lets each verify its reassembled B against the
 // coordinator's |J| — a truncated shard slice fails at the client,
 // loudly. The coordinator sends no B payload in either direction.
-func (c *coordRun) directRound(m int, ids []int, total float64) (RoundRecord, error) {
+func (c *coordRun) directRound(m, k int, ids []int, total float64) (RoundRecord, error) {
 	loss, maxLen, err := c.gatherMeta(m, ids, total)
 	if err != nil {
 		return RoundRecord{}, err
 	}
 	g := c.group
-	main, scale, err := g.selectRound(c.strategy, m, c.cfg.K, maxLen)
+	main, scale, err := g.selectRound(c.server, m, k, maxLen)
 	if err != nil {
 		return RoundRecord{}, err
 	}

@@ -374,6 +374,8 @@ func TestServerConfigCheck(t *testing.T) {
 			"transport: QuantBits must be 0 (off) or in [2, 64], got 1"},
 		{"bad Staleness", func(c *ServerConfig) { c.Staleness = -1 },
 			"transport: Staleness must be in [0, 8], got -1"},
+		{"zero K", func(c *ServerConfig) { c.K = 0 }, "transport: K must be at least 1, got 0"},
+		{"negative K", func(c *ServerConfig) { c.K = -3 }, "transport: K must be at least 1, got -3"},
 	}
 	// The three tiers: no journal or roster, a journal, a roster. The
 	// labels name each tier by its former entry point so the subtests

@@ -432,4 +432,23 @@ func TestStalenessConfigValidation(t *testing.T) {
 		_ = cli.Close()
 		_ = srv.Close()
 	})
+	// fl.Run trains a k below 1 at k = 1; a client told one trains
+	// nothing, so it refuses the Init instead.
+	for _, k := range []int{0, -3} {
+		t.Run(fmt.Sprintf("client refuses an init k of %d", k), func(t *testing.T) {
+			fed, model, initParams := buildWorkload()
+			srv, cli := NewMemPair()
+			go func() {
+				_, _ = srv.Recv() // the hello
+				_ = srv.Send(Init{Params: initParams, K: k, Rounds: 1})
+				_, _ = srv.Recv() // an upload, had the client trained
+				_ = srv.Close()
+			}()
+			err := RunClient(cli, ClientConfig{ID: 0, Data: &fed.Clients[0], Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1})
+			if want := fmt.Sprintf("init sparsity k = %d", k); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			_ = cli.Close()
+		})
+	}
 }

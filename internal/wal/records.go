@@ -196,8 +196,9 @@ func (r *recReader) f() float64 { return math.Float64frombits(r.u64()) }
 func (r *recReader) count() int {
 	n := r.i()
 	// Each element takes 8 bytes; a count the remaining bytes cannot
-	// hold is corruption, caught here rather than by huge allocation.
-	if n < 0 || n*8 > len(r.b) {
+	// hold is corruption, caught here rather than by huge allocation
+	// (divided, not multiplied: n*8 overflows for a forged count).
+	if n < 0 || n > len(r.b)/8 {
 		r.bad = true
 		return 0
 	}

@@ -67,9 +67,10 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # coordinator tier enters through RunServerPeers, so its one refusal
 # table, the hostile hellos and the bad-log resume refusals ride along.
 go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort|MatchesReferenceEngine|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog' ./internal/transport
-# The participant step's contract, its per-worker scratch and the
-# engine's contention grids, repeated under the race detector.
-go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention' ./internal/fl
+# The participant step's and the server step's contracts, the step's
+# per-worker scratch and the engine's contention grids, repeated under
+# the race detector.
+go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention|ServerContract' ./internal/fl
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
@@ -97,6 +98,10 @@ go test ./internal/gs -run '^$' -fuzz FuzzFABSelection -fuzztime 10s
 # panic, over-read their payload, or decode to a frame whose re-encoding
 # is not a fixed point.
 go test ./internal/transport -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
+# And the write-ahead log's reader: arbitrary bytes, as a log and as one
+# well-framed record body, must never panic, must re-frame to the clean
+# prefix they report, and a repairing Open must be idempotent.
+go test ./internal/wal -run '^$' -fuzz '^FuzzWALReader$' -fuzztime 10s
 # End-to-end smoke of the benchmark in BENCHMARK.json: 30 rounds of every
 # workload over loopback TCP, PASS/FAIL on bit-identity with the fl.Run
 # twin only (no timings are read).
