@@ -29,7 +29,6 @@ import (
 	"slices"
 
 	"fedsparse/internal/core"
-	"fedsparse/internal/dataset"
 	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
 	"fedsparse/internal/simtime"
@@ -93,7 +92,8 @@ type roundSlot struct {
 	bufs         []sparse.Vec
 	uploads      []gs.ClientUpload
 	admitted     []bool
-	h            []dataset.Sample
+	hx           [][]float64 // the probe samples h, as the seal's batched losses take them
+	hy           []int
 }
 
 func newRoundSlot(nClients int) roundSlot {
@@ -103,7 +103,8 @@ func newRoundSlot(nClients int) roundSlot {
 		bufs:         make([]sparse.Vec, nClients),
 		uploads:      make([]gs.ClientUpload, nClients),
 		admitted:     make([]bool, nClients),
-		h:            make([]dataset.Sample, nClients),
+		hx:           make([][]float64, nClients),
+		hy:           make([]int, nClients),
 	}
 }
 
@@ -256,7 +257,7 @@ func (e *gsEngine) participate(pi, w int) {
 	slot := e.cur
 	c := e.clients[slot.participants[pi]]
 	out := e.ar.steps[w].Run(e.replicas[w], &c.Member, slot.dec.Mandated, slot.dec.K, &slot.bufs[pi])
-	slot.h[pi] = out.H
+	slot.hx[pi], slot.hy[pi] = out.H.X, out.H.Y
 	e.ar.lossShare[pi] = c.weight / e.partWeight * out.BatchLoss
 	slot.uploads[pi] = gs.ClientUpload{Pairs: out.Pairs, Weight: c.weight}
 }
@@ -362,17 +363,17 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 // over its static participant block ChunkBounds(nPart, P, i): the block's
 // f(w(r−1)) losses, the k′ probe applied to the replica, the f(w′(r))
 // losses, the exact restore, B applied once — even to an empty block —
-// then the f(w(r)) losses and each member's residual subtraction. The
-// losses land in pi-indexed slots.
+// then the f(w(r)) losses and each member's residual subtraction. Each
+// of the three is one batched nn.Network.Losses call over the block's
+// probe samples; the losses land in pi-indexed slots.
 func (e *gsEngine) sealReplica(i, _ int) {
 	slot, ar := e.cur, e.ar
 	net := e.replicas[i]
 	params := net.Params()
 	eta := e.cfg.LearningRate
 	lo, hi := tensor.ChunkBounds(len(slot.participants), len(e.replicas), i)
-	for pi := lo; pi < hi; pi++ {
-		ar.fPrev[pi] = net.Loss(slot.h[pi].X, slot.h[pi].Y) // f_{i,h}(w(r−1))
-	}
+	hx, hy := slot.hx[lo:hi], slot.hy[lo:hi]
+	net.Losses(ar.fPrev[lo:hi], hx, hy) // f_{i,h}(w(r−1))
 	if slot.dec.ProbeK > 0 && lo < hi {
 		// w′(r) = w(r−1) − η·∇′: apply, measure, restore exactly.
 		indices, values := e.probeSel.Indices, e.probeSel.Values
@@ -381,9 +382,7 @@ func (e *gsEngine) sealReplica(i, _ int) {
 			saved[vi] = params[j]
 			params[j] -= eta * values[vi]
 		}
-		for pi := lo; pi < hi; pi++ {
-			ar.fProbe[pi] = net.Loss(slot.h[pi].X, slot.h[pi].Y)
-		}
+		net.Losses(ar.fProbe[lo:hi], hx, hy)
 		for vi, j := range indices {
 			params[j] = saved[vi]
 		}
@@ -393,8 +392,8 @@ func (e *gsEngine) sealReplica(i, _ int) {
 	for vi, j := range e.sel.Indices {
 		params[j] -= eta * values[vi]
 	}
+	net.Losses(ar.fCur[lo:hi], hx, hy)
 	for pi := lo; pi < hi; pi++ {
-		ar.fCur[pi] = net.Loss(slot.h[pi].X, slot.h[pi].Y)
 		ar.j.Settle(e.clients[slot.participants[pi]].Acc, slot.uploads[pi].Pairs)
 	}
 }

@@ -21,8 +21,8 @@ type Conv2D struct {
 	gw []float64
 	gb []float64
 
-	x  []float64
-	y  []float64
+	xs [][]float64 // the chunk's inputs (valid Forward→Backward)
+	ys chunk
 	gx []float64
 }
 
@@ -43,11 +43,11 @@ func NewConv2D(inC, inH, inW, filters, k int) *Conv2D {
 func (c *Conv2D) InSize() int      { return c.inC * c.inH * c.inW }
 func (c *Conv2D) OutSize() int     { return c.filters * c.outH * c.outW }
 func (c *Conv2D) NumParams() int   { return c.filters*c.inC*c.k*c.k + c.filters }
-func (c *Conv2D) CacheFloats() int { return c.OutSize() + c.InSize() }
+func (c *Conv2D) CacheFloats() int { return denseStage*c.OutSize() + c.InSize() }
 
 func (c *Conv2D) BindCache(buf []float64) {
-	c.y = buf[:c.OutSize()]
-	c.gx = buf[c.OutSize():]
+	c.gx = buf[:c.InSize()]
+	c.ys.bind(buf[c.InSize():], c.OutSize())
 }
 
 func (c *Conv2D) Bind(params, grads []float64) {
@@ -73,10 +73,18 @@ func (c *Conv2D) wAt(w []float64, f, ch int) []float64 {
 	return w[base : base+kk]
 }
 
-func (c *Conv2D) Forward(x []float64) []float64 {
-	c.x = x
+func (c *Conv2D) Forward(xs [][]float64) [][]float64 {
+	c.xs = xs
+	for s, x := range xs {
+		c.forward(c.ys[s], x)
+	}
+	return c.ys[:len(xs)]
+}
+
+// forward is one sample's convolution into y.
+func (c *Conv2D) forward(y, x []float64) {
 	for f := 0; f < c.filters; f++ {
-		out := c.y[f*c.outH*c.outW : (f+1)*c.outH*c.outW]
+		out := y[f*c.outH*c.outW : (f+1)*c.outH*c.outW]
 		bias := c.b[f]
 		for i := range out {
 			out[i] = bias
@@ -99,10 +107,10 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 			}
 		}
 	}
-	return c.y
 }
 
-func (c *Conv2D) Backward(grad []float64) []float64 {
+func (c *Conv2D) Backward(s int, grad []float64) []float64 {
+	x := c.xs[s]
 	tensor.Zero(c.gx)
 	for f := 0; f < c.filters; f++ {
 		g := grad[f*c.outH*c.outW : (f+1)*c.outH*c.outW]
@@ -112,7 +120,7 @@ func (c *Conv2D) Backward(grad []float64) []float64 {
 		}
 		c.gb[f] += bsum
 		for ch := 0; ch < c.inC; ch++ {
-			in := c.x[ch*c.inH*c.inW : (ch+1)*c.inH*c.inW]
+			in := x[ch*c.inH*c.inW : (ch+1)*c.inH*c.inW]
 			ginC := c.gx[ch*c.inH*c.inW : (ch+1)*c.inH*c.inW]
 			ker := c.wAt(c.w, f, ch)
 			gker := c.wAt(c.gw, f, ch)
@@ -144,8 +152,8 @@ func (c *Conv2D) Backward(grad []float64) []float64 {
 type MaxPool2D struct {
 	c, inH, inW int
 	outH, outW  int
-	argmax      []int
-	y           []float64
+	argmax      [denseStage][]int // per sample: the input index each output took
+	ys          chunk
 	gx          []float64
 }
 
@@ -156,27 +164,41 @@ func NewMaxPool2D(c, inH, inW int) *MaxPool2D {
 	if outH == 0 || outW == 0 {
 		panic("nn: MaxPool2D input too small")
 	}
-	return &MaxPool2D{
+	p := &MaxPool2D{
 		c: c, inH: inH, inW: inW,
 		outH: outH, outW: outW,
-		argmax: make([]int, c*outH*outW),
 	}
+	n := c * outH * outW
+	argmax := make([]int, denseStage*n)
+	for s := range p.argmax {
+		p.argmax[s] = argmax[s*n : (s+1)*n : (s+1)*n]
+	}
+	return p
 }
 
 func (p *MaxPool2D) InSize() int      { return p.c * p.inH * p.inW }
 func (p *MaxPool2D) OutSize() int     { return p.c * p.outH * p.outW }
 func (p *MaxPool2D) NumParams() int   { return 0 }
-func (p *MaxPool2D) CacheFloats() int { return p.OutSize() + p.InSize() }
+func (p *MaxPool2D) CacheFloats() int { return denseStage*p.OutSize() + p.InSize() }
 
 func (p *MaxPool2D) BindCache(buf []float64) {
-	p.y = buf[:p.OutSize()]
-	p.gx = buf[p.OutSize():]
+	p.gx = buf[:p.InSize()]
+	p.ys.bind(buf[p.InSize():], p.OutSize())
 }
 
 func (p *MaxPool2D) Bind(_, _ []float64) {}
 func (p *MaxPool2D) Init(_ *rand.Rand)   {}
 
-func (p *MaxPool2D) Forward(x []float64) []float64 {
+func (p *MaxPool2D) Forward(xs [][]float64) [][]float64 {
+	for s, x := range xs {
+		p.forward(p.ys[s], p.argmax[s], x)
+	}
+	return p.ys[:len(xs)]
+}
+
+// forward is one sample's pooling into y, recording each output's source
+// in argmax.
+func (p *MaxPool2D) forward(y []float64, argmax []int, x []float64) {
 	for ch := 0; ch < p.c; ch++ {
 		in := x[ch*p.inH*p.inW : (ch+1)*p.inH*p.inW]
 		outBase := ch * p.outH * p.outW
@@ -193,18 +215,17 @@ func (p *MaxPool2D) Forward(x []float64) []float64 {
 					}
 				}
 				o := outBase + oi*p.outW + oj
-				p.y[o] = in[best]
-				p.argmax[o] = ch*p.inH*p.inW + best
+				y[o] = in[best]
+				argmax[o] = ch*p.inH*p.inW + best
 			}
 		}
 	}
-	return p.y
 }
 
-func (p *MaxPool2D) Backward(grad []float64) []float64 {
+func (p *MaxPool2D) Backward(s int, grad []float64) []float64 {
 	tensor.Zero(p.gx)
 	for o, g := range grad {
-		p.gx[p.argmax[o]] += g
+		p.gx[p.argmax[s][o]] += g
 	}
 	return p.gx
 }

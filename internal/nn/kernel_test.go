@@ -15,21 +15,27 @@ import (
 // the oracle of the kernel differentials. Not being a *Dense, the Network
 // treats it like any other parameterised layer — zero its gradient view,
 // accumulate sample by sample, scale — which is exactly the old
-// MeanLossGrad.
+// MeanLossGrad. Forward and Backward only adapt the per-sample
+// forwardOne and backwardOne to the chunk-major Layer interface.
 type refDense struct {
 	in, out int
 	w, gw   []float64 // out × in, row-major
 	b, gb   []float64
 	x, y    []float64
 	gx      []float64
+	xs      [][]float64
+	ys      chunk
 }
 
 func (d *refDense) InSize() int      { return d.in }
 func (d *refDense) OutSize() int     { return d.out }
 func (d *refDense) NumParams() int   { return d.out*d.in + d.out }
-func (d *refDense) CacheFloats() int { return d.out + d.in }
+func (d *refDense) CacheFloats() int { return d.out + d.in + denseStage*d.out }
 
-func (d *refDense) BindCache(buf []float64) { d.y, d.gx = buf[:d.out], buf[d.out:] }
+func (d *refDense) BindCache(buf []float64) {
+	d.y, d.gx = buf[:d.out], buf[d.out:d.out+d.in]
+	d.ys.bind(buf[d.out+d.in:], d.out)
+}
 
 func (d *refDense) Bind(params, grads []float64) {
 	nw := d.out * d.in
@@ -39,7 +45,20 @@ func (d *refDense) Bind(params, grads []float64) {
 
 func (d *refDense) Init(*rand.Rand) {}
 
-func (d *refDense) Forward(x []float64) []float64 {
+func (d *refDense) Forward(xs [][]float64) [][]float64 {
+	d.xs = xs
+	for s, x := range xs {
+		copy(d.ys[s], d.forwardOne(x))
+	}
+	return d.ys[:len(xs)]
+}
+
+func (d *refDense) Backward(s int, grad []float64) []float64 {
+	d.x = d.xs[s]
+	return d.backwardOne(grad)
+}
+
+func (d *refDense) forwardOne(x []float64) []float64 {
 	d.x = x
 	for r := 0; r < d.out; r++ {
 		var s float64
@@ -54,7 +73,7 @@ func (d *refDense) Forward(x []float64) []float64 {
 	return d.y
 }
 
-func (d *refDense) Backward(grad []float64) []float64 {
+func (d *refDense) backwardOne(grad []float64) []float64 {
 	for r, g := range grad {
 		if g == 0 {
 			continue
@@ -193,7 +212,127 @@ func TestKernelsMatchPerSampleOracle(t *testing.T) {
 			requireSameGrads(t, what+" +Backprop", net, ref, loss, refLoss)
 		}
 	}
+	// Every other layer type runs chunk-major too: these rows hold each
+	// model against the oracle run one sample at a time — ZeroGrads, a
+	// Backprop (a chunk of one) per sample, a scaling pass — so Tanh,
+	// Conv2D, MaxPool2D and stacked ReLU layers meet their own
+	// single-sample path as well as refDense.
+	for _, m := range []struct {
+		name    string
+		net     *Network
+		classes int
+	}{
+		{"tanh-mlp", MustNew(NewDense(64, 37), NewTanh(37), NewDense(37, 62)), 62},
+		{"cnn", NewCNN(1, 12, 12, 4, 3, 16, 5), 5},
+		{"relu-mlp-2-hidden", NewMLP(64, []int{45, 19}, 62), 62},
+	} {
+		rng := rand.New(rand.NewSource(int64(len(m.name))))
+		net := m.net
+		net.InitWeights(rng)
+		ref := refTwin(net)
+		for _, b := range kernelBatches {
+			what := fmt.Sprintf("%s batch=%d", m.name, b)
+			xs, ys := kernelBatch(rng, net.InSize(), m.classes, b)
+			loss := net.MeanLossGrad(xs, ys)
+			refLoss := perSampleMeanLossGrad(ref, xs, ys)
+			requireSameGrads(t, what, net, ref, loss, refLoss)
+			losses := make([]float64, b)
+			net.Losses(losses, xs, ys)
+			var sum float64
+			for i, x := range xs {
+				want := ref.Loss(x, ys[i])
+				if !sameFloat(losses[i], want) {
+					t.Fatalf("%s: Losses[%d] = %v, per-sample oracle %v", what, i, losses[i], want)
+				}
+				sum += want
+			}
+			if got, want := net.MeanLoss(xs, ys), sum/float64(b); !sameFloat(got, want) {
+				t.Fatalf("%s: MeanLoss %v, per-sample oracle %v", what, got, want)
+			}
+			loss, refLoss = net.Backprop(xs[0], ys[0]), ref.Backprop(xs[0], ys[0])
+			requireSameGrads(t, what+" +Backprop", net, ref, loss, refLoss)
+		}
+	}
 }
+
+// perSampleMeanLossGrad is MeanLossGrad's defining sequence on net:
+// ZeroGrads, one Backprop per sample, a scaling pass.
+func perSampleMeanLossGrad(net *Network, xs [][]float64, ys []int) float64 {
+	net.ZeroGrads()
+	var loss float64
+	for i, x := range xs {
+		loss += net.Backprop(x, ys[i])
+	}
+	inv := 1 / float64(len(xs))
+	for i := range net.grads {
+		net.grads[i] *= inv
+	}
+	return loss * inv
+}
+
+// TestReLUEdges pins ReLU's bits at the edges of float64, one case a
+// line: x > 0 passes with its bits and opens the mask; NaN of either
+// sign, ±0 and every negative give +0 and close it. Backward then lets
+// each gradient through, bits untouched (NaN and −0 included), exactly
+// where the mask is open and gives +0 elsewhere.
+func TestReLUEdges(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		x    float64
+		open bool
+	}{
+		{nan, false},
+		{math.Copysign(nan, -1), false},
+		{math.Inf(1), true},
+		{math.Inf(-1), false},
+		{0, false},
+		{math.Copysign(0, -1), false},
+		{math.SmallestNonzeroFloat64, true},
+		{-math.SmallestNonzeroFloat64, false},
+		{0x1p-1022 - 0x1p-1074, true}, // the largest subnormal
+		{-(0x1p-1022 - 0x1p-1074), false},
+		{math.MaxFloat64, true},
+		{-math.MaxFloat64, false},
+		{1, true},
+		{-1, false},
+	}
+	x := make([]float64, len(cases))
+	for i, c := range cases {
+		x[i] = c.x
+	}
+	r := NewReLU(len(cases))
+	MustNew(r) // binds the caches
+	y := reluForward(r, x)
+	for i, c := range cases {
+		want := 0.0
+		if c.open {
+			want = c.x
+		}
+		if math.Float64bits(y[i]) != math.Float64bits(want) {
+			t.Errorf("ReLU(%v) = %v (%#x), want %v (%#x)", c.x, y[i], math.Float64bits(y[i]), want, math.Float64bits(want))
+		}
+	}
+	for _, g := range []float64{1.5, -2, nan, math.Copysign(0, -1), math.Inf(-1), math.SmallestNonzeroFloat64} {
+		grad := make([]float64, len(cases))
+		for i := range grad {
+			grad[i] = g
+		}
+		gx := reluBackward(r, grad)
+		for i, c := range cases {
+			want := uint64(0)
+			if c.open {
+				want = math.Float64bits(g)
+			}
+			if got := math.Float64bits(gx[i]); got != want {
+				t.Errorf("ReLU'(%v) · %v = %v (%#x), want %#x", c.x, g, gx[i], got, want)
+			}
+		}
+	}
+}
+
+// reluForward and reluBackward run one sample through r.
+func reluForward(r *ReLU, x []float64) []float64  { return r.Forward([][]float64{x})[0] }
+func reluBackward(r *ReLU, g []float64) []float64 { return r.Backward(0, g) }
 
 // TestKernelsZeroSkipOnNonFinite pins the g == 0 skip: a masked unit's
 // weight-gradient row stays +0 even when the sample's input holds ±Inf or

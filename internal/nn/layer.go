@@ -26,14 +26,19 @@ import (
 )
 
 // Layer is one differentiable stage of a feed-forward network operating on
-// flattened activations.
+// flattened activations, a chunk of samples at a time.
 //
-// The Forward/Backward contract: Backward must be called after Forward for
-// the same sample, and the slices returned by both are owned by the layer
-// and remain valid only until the next call. Backward accumulates (does not
-// overwrite) parameter gradients into the gradient view supplied to Bind,
-// which is what lets the Network average gradients over a minibatch. (Dense
-// defers that accumulation to a flush the Network drives — see its doc.)
+// The Forward/Backward contract: Forward runs the layer over a chunk of
+// 1 ≤ len(xs) ≤ denseStage samples and returns one output per sample;
+// the Network runs each layer over the whole chunk before the next layer
+// starts. Backward then takes the chunk's samples one at a time, in
+// sample order (s = 0, 1, …), with dL/d(output) of sample s. The slices
+// returned by both are owned by the layer and remain valid only until
+// the next call of the same kind (a Forward's until the next Forward).
+// Backward accumulates (does not overwrite) parameter gradients into the
+// gradient view supplied to Bind, which is what lets the Network average
+// gradients over a minibatch. (Dense defers that accumulation to a flush
+// the Network drives — see its doc.)
 //
 // Float caches (activations and input gradients) are not allocated by the
 // constructors: the Network slab-allocates every layer's caches — together
@@ -57,23 +62,46 @@ type Layer interface {
 	Bind(params, grads []float64)
 	// Init writes initial weights into the bound parameter view.
 	Init(rng *rand.Rand)
-	// Forward computes the layer output for one sample.
-	Forward(x []float64) []float64
-	// Backward consumes dL/d(output), accumulates dL/d(params), and
-	// returns dL/d(input).
-	Backward(grad []float64) []float64
+	// Forward computes the layer output for each sample of a chunk.
+	Forward(xs [][]float64) [][]float64
+	// Backward consumes dL/d(output) of the chunk's sample s,
+	// accumulates dL/d(params), and returns dL/d(input).
+	Backward(s int, grad []float64) []float64
+}
+
+// chunk holds a layer's per-sample outputs for one Forward: chunk[s] is
+// sample s's activations, a view into the layer's arena cache.
+type chunk [denseStage][]float64
+
+// bind points the views at consecutive size-long blocks of buf.
+func (c *chunk) bind(buf []float64, size int) {
+	for s := range c {
+		c[s] = buf[s*size : (s+1)*size : (s+1)*size]
+	}
 }
 
 // Dense is a fully connected layer: y = W·x + b.
+//
+// Forward runs the chunk in vector lanes: tensor.MatVecLanes reads W
+// once for all of its samples, transposed into the stage buffer sx (a
+// chunk of one stays on MatVec), then each sample gets the bias add.
+// Every output is still MatVec's chain plus b[r], bit for bit.
 //
 // Its weight gradient is the one place a minibatch pays for memory rather
 // than arithmetic — a rank-1 update per sample is a read-modify-write pass
 // over the whole out×in view — so Backward only stages the sample's
 // (dL/dy, x) and the Network flushes the stage into the gradient view
-// once per batch (every denseStage samples on larger ones). A Dense is
-// therefore usable only as a layer of a Network: driven through the Layer
-// interface by anything else, its gradient view lags behind Backward by up
-// to denseStage samples and is never scaled.
+// once per batch (every denseStage samples on larger ones: Forward
+// flushes a full stage before the next chunk). A Dense is therefore
+// usable only as a layer of a Network: driven through the Layer
+// interface by anything else, its gradient view lags behind Backward by
+// up to denseStage samples and is never scaled.
+//
+// The stage doubles as the forward's storage, so a chunk costs no arena
+// beyond it: sx holds the transposed inputs during Forward, and sample
+// s's output is sg's slot s. Backward(s) stages into slot s, overwriting
+// that output once every reader of it — the later layers' Backward(s)
+// and the loss — is done, and before any later sample's.
 //
 // Addition-chain contract: a flush leaves each gradient element equal to
 // scale·(((base + g₁x₁) + g₂x₂) + …), terms in sample order, base = +0 at
@@ -93,8 +121,8 @@ type Dense struct {
 	b       []float64
 	gw      tensor.Matrix
 	gb      []float64
-	x       []float64 // cached input reference (valid Forward→Backward)
-	y       []float64
+	xs      [][]float64 // the chunk's inputs (valid Forward→Backward)
+	ys      chunk       // the chunk's outputs: views into sg
 	gx      []float64
 
 	sg, sx []float64 // staged dL/dy and x, denseStage samples each
@@ -103,10 +131,12 @@ type Dense struct {
 	first  bool // layer 0 of its network: nobody reads dL/dx
 }
 
-// denseStage is how many samples a Dense layer stages between flushes:
-// the benchmark's batch size, so a typical minibatch costs one flush, at
-// 8·(in+out) floats of arena per layer.
-const denseStage = 8
+// denseStage is both the chunk a Network runs through its layers and
+// how many samples a Dense layer stages between flushes: the
+// benchmark's batch size and the width of tensor.MatVecLanes, so a
+// typical minibatch is one chunk and one flush, at 8·(in+out) floats of
+// arena per Dense layer.
+const denseStage = tensor.Lanes
 
 // NewDense constructs a fully connected layer with the given fan-in/out.
 func NewDense(in, out int) *Dense {
@@ -117,13 +147,13 @@ func (d *Dense) InSize() int    { return d.in }
 func (d *Dense) OutSize() int   { return d.out }
 func (d *Dense) NumParams() int { return d.out*d.in + d.out }
 func (d *Dense) CacheFloats() int {
-	return (1 + denseStage) * (d.out + d.in)
+	return d.in + denseStage*(d.out+d.in)
 }
 
 func (d *Dense) BindCache(buf []float64) {
-	d.y, buf = buf[:d.out], buf[d.out:]
 	d.gx, buf = buf[:d.in], buf[d.in:]
 	d.sg, d.sx = buf[:denseStage*d.out], buf[denseStage*d.out:]
+	d.ys.bind(d.sg, d.out)
 }
 
 func (d *Dense) Bind(params, grads []float64) {
@@ -144,21 +174,27 @@ func (d *Dense) Init(rng *rand.Rand) {
 	tensor.Zero(d.b)
 }
 
-func (d *Dense) Forward(x []float64) []float64 {
-	d.x = x
-	d.w.MatVec(d.y, x)
-	tensor.AXPY(1, d.b, d.y)
-	return d.y
+func (d *Dense) Forward(xs [][]float64) [][]float64 {
+	if d.staged > 0 {
+		d.flush(1) // the stage is about to hold this chunk
+	}
+	d.xs = xs
+	ys := d.ys[:len(xs)]
+	d.w.MatVecLanes(d.sg[:len(xs)*d.out], xs, d.sx)
+	for _, y := range ys {
+		tensor.AXPY(1, d.b, y)
+	}
+	return ys
 }
 
-// Backward stages the sample for the next flush and returns dL/dx (nil
+// Backward stages sample s for the next flush and returns dL/dx (nil
 // from a network's first layer, where it has no reader).
-func (d *Dense) Backward(grad []float64) []float64 {
-	if d.staged == denseStage {
-		d.flush(1)
+func (d *Dense) Backward(s int, grad []float64) []float64 {
+	if s != d.staged {
+		panic("nn: Dense.Backward out of sample order")
 	}
-	copy(d.sg[d.staged*d.out:], grad)
-	copy(d.sx[d.staged*d.in:], d.x)
+	copy(d.sg[s*d.out:], grad)
+	copy(d.sx[s*d.in:], d.xs[s])
 	d.staged++
 	if d.first {
 		return nil
@@ -185,55 +221,58 @@ func (d *Dense) flush(scale float64) {
 	d.staged, d.fresh = 0, false
 }
 
-// ReLU is the elementwise max(0, x) activation.
+// ReLU is the elementwise max(0, x) activation, without a branch: a
+// bit mask, all ones where x > 0 and zero elsewhere (NaN, +0 and −0
+// included, which all give +0), selects the output and, from the cached
+// output, the gradient.
 type ReLU struct {
 	size int
-	mask []bool
-	y    []float64
+	ys   chunk
 	gx   []float64
 }
 
 // NewReLU constructs a ReLU over activations of the given length.
 func NewReLU(size int) *ReLU {
-	return &ReLU{
-		size: size,
-		mask: make([]bool, size),
-	}
+	return &ReLU{size: size}
 }
 
 func (r *ReLU) InSize() int      { return r.size }
 func (r *ReLU) OutSize() int     { return r.size }
 func (r *ReLU) NumParams() int   { return 0 }
-func (r *ReLU) CacheFloats() int { return 2 * r.size }
+func (r *ReLU) CacheFloats() int { return (denseStage + 1) * r.size }
 
 func (r *ReLU) BindCache(buf []float64) {
-	r.y = buf[:r.size]
-	r.gx = buf[r.size:]
+	r.gx = buf[:r.size]
+	r.ys.bind(buf[r.size:], r.size)
 }
 
 func (r *ReLU) Bind(_, _ []float64) {}
 func (r *ReLU) Init(_ *rand.Rand)   {}
 
-func (r *ReLU) Forward(x []float64) []float64 {
-	for i, v := range x {
-		if v > 0 {
-			r.y[i] = v
-			r.mask[i] = true
-		} else {
-			r.y[i] = 0
-			r.mask[i] = false
-		}
+// positive is ReLU's mask, compiled to a conditional move.
+func positive(v float64) uint64 {
+	var m uint64
+	if v > 0 {
+		m = ^uint64(0)
 	}
-	return r.y
+	return m
 }
 
-func (r *ReLU) Backward(grad []float64) []float64 {
-	for i, g := range grad {
-		if r.mask[i] {
-			r.gx[i] = g
-		} else {
-			r.gx[i] = 0
+func (r *ReLU) Forward(xs [][]float64) [][]float64 {
+	for s, x := range xs {
+		y := r.ys[s]
+		for i, v := range x[:len(y)] {
+			y[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
 		}
+	}
+	return r.ys[:len(xs)]
+}
+
+// Backward reads the mask back off the output: y > 0 exactly where x > 0.
+func (r *ReLU) Backward(s int, grad []float64) []float64 {
+	y := r.ys[s]
+	for i, g := range grad[:len(y)] {
+		r.gx[i] = math.Float64frombits(math.Float64bits(g) & positive(y[i]))
 	}
 	return r.gx
 }
@@ -241,7 +280,7 @@ func (r *ReLU) Backward(grad []float64) []float64 {
 // Tanh is the elementwise hyperbolic-tangent activation.
 type Tanh struct {
 	size int
-	y    []float64
+	ys   chunk
 	gx   []float64
 }
 
@@ -253,26 +292,30 @@ func NewTanh(size int) *Tanh {
 func (t *Tanh) InSize() int      { return t.size }
 func (t *Tanh) OutSize() int     { return t.size }
 func (t *Tanh) NumParams() int   { return 0 }
-func (t *Tanh) CacheFloats() int { return 2 * t.size }
+func (t *Tanh) CacheFloats() int { return (denseStage + 1) * t.size }
 
 func (t *Tanh) BindCache(buf []float64) {
-	t.y = buf[:t.size]
-	t.gx = buf[t.size:]
+	t.gx = buf[:t.size]
+	t.ys.bind(buf[t.size:], t.size)
 }
 
 func (t *Tanh) Bind(_, _ []float64) {}
 func (t *Tanh) Init(_ *rand.Rand)   {}
 
-func (t *Tanh) Forward(x []float64) []float64 {
-	for i, v := range x {
-		t.y[i] = math.Tanh(v)
+func (t *Tanh) Forward(xs [][]float64) [][]float64 {
+	for s, x := range xs {
+		y := t.ys[s]
+		for i, v := range x[:len(y)] {
+			y[i] = math.Tanh(v)
+		}
 	}
-	return t.y
+	return t.ys[:len(xs)]
 }
 
-func (t *Tanh) Backward(grad []float64) []float64 {
-	for i, g := range grad {
-		t.gx[i] = g * (1 - t.y[i]*t.y[i])
+func (t *Tanh) Backward(s int, grad []float64) []float64 {
+	y := t.ys[s]
+	for i, g := range grad[:len(y)] {
+		t.gx[i] = g * (1 - y[i]*y[i])
 	}
 	return t.gx
 }

@@ -19,12 +19,19 @@ import (
 // engine (per-client only under FedAvg), so the arena is one allocation,
 // one cache footprint, and a steady state in which Forward/Backprop/Loss
 // allocate nothing per sample (the allocs/op regression tests pin this).
+//
+// Samples go through the layers in chunks of up to denseStage: each layer
+// runs over the whole chunk before the next starts, so a Dense layer
+// reads its weight matrix once per chunk rather than once per sample.
+// Lanes never mix samples, so every per-sample result is the one a chunk
+// of one gives; the single-sample entry points are exactly that.
 type Network struct {
 	layers []Layer
 	arena  []float64
 	params []float64
 	grads  []float64
-	probs  []float64 // scratch for softmax
+	probs  []float64    // scratch for softmax
+	one    [1][]float64 // the chunk of a single-sample call
 }
 
 // New wires the given layers into a network, validating that each layer's
@@ -114,21 +121,47 @@ func (n *Network) InitWeights(rng *rand.Rand) {
 	}
 }
 
-// Forward runs the network and returns the logits (owned by the last
-// layer; valid until the next Forward).
-func (n *Network) Forward(x []float64) []float64 {
-	h := x
+// forward runs a chunk of at most denseStage samples through the layers
+// and returns each sample's logits (owned by the last layer; valid until
+// the next forward).
+func (n *Network) forward(xs [][]float64) [][]float64 {
+	h := xs
 	for _, l := range n.layers {
 		h = l.Forward(h)
 	}
 	return h
 }
 
+// Forward runs the network on one sample and returns the logits (owned
+// by the last layer; valid until the next Forward).
+func (n *Network) Forward(x []float64) []float64 {
+	n.one[0] = x
+	return n.forward(n.one[:])[0]
+}
+
+// crossEntropy is the softmax cross-entropy loss of one sample's logits.
+func crossEntropy(logits []float64, label int) float64 {
+	return tensor.LogSumExp(logits) - logits[label]
+}
+
 // Loss returns the softmax cross-entropy loss of one sample without
 // touching gradients.
 func (n *Network) Loss(x []float64, label int) float64 {
-	logits := n.Forward(x)
-	return tensor.LogSumExp(logits) - logits[label]
+	return crossEntropy(n.Forward(x), label)
+}
+
+// Losses writes each sample's Loss into dst (one per sample, in order),
+// running the samples through the network denseStage at a time. Every
+// entry equals Loss(xs[i], labels[i]) bit for bit.
+func (n *Network) Losses(dst []float64, xs [][]float64, labels []int) {
+	if len(dst) != len(xs) || len(labels) != len(xs) {
+		panic("nn: Losses batch length mismatch")
+	}
+	for lo := 0; lo < len(xs); lo += denseStage {
+		for s, logits := range n.forward(xs[lo:min(lo+denseStage, len(xs))]) {
+			dst[lo+s] = crossEntropy(logits, labels[lo+s])
+		}
+	}
 }
 
 // Predict returns the argmax class for one sample.
@@ -140,7 +173,7 @@ func (n *Network) Predict(x []float64) int {
 // accumulating dL/dθ into Grads, and returns the sample loss — a batch of
 // one on the path MeanLossGrad takes, without its zeroing and averaging.
 func (n *Network) Backprop(x []float64, label int) float64 {
-	loss := n.backward(x, label)
+	loss := n.backward(0, n.Forward(x), label)
 	for _, l := range n.layers {
 		if d, ok := l.(*Dense); ok {
 			d.flush(1)
@@ -149,17 +182,17 @@ func (n *Network) Backprop(x []float64, label int) float64 {
 	return loss
 }
 
-// backward is one sample's forward and backward pass. Dense layers only
-// stage their gradient contribution; the caller flushes them.
-func (n *Network) backward(x []float64, label int) float64 {
-	logits := n.Forward(x)
-	loss := tensor.LogSumExp(logits) - logits[label]
+// backward is the backward pass of sample s of the last forward chunk,
+// whose logits are given. Dense layers only stage their gradient
+// contribution; the caller (or the next chunk's forward) flushes them.
+func (n *Network) backward(s int, logits []float64, label int) float64 {
+	loss := crossEntropy(logits, label)
 	// dL/dlogits = softmax(logits) − onehot(label)
 	tensor.Softmax(n.probs, logits)
 	n.probs[label]--
 	g := n.probs
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
+		g = n.layers[i].Backward(s, g)
 	}
 	return loss
 }
@@ -191,8 +224,10 @@ func (n *Network) MeanLossGrad(xs [][]float64, labels []int) float64 {
 		off += np
 	}
 	var loss float64
-	for i, x := range xs {
-		loss += n.backward(x, labels[i])
+	for lo := 0; lo < len(xs); lo += denseStage {
+		for s, logits := range n.forward(xs[lo:min(lo+denseStage, len(xs))]) {
+			loss += n.backward(s, logits, labels[lo+s])
+		}
 	}
 	inv := 1 / float64(len(xs))
 	off = 0
@@ -215,8 +250,10 @@ func (n *Network) MeanLoss(xs [][]float64, labels []int) float64 {
 		return math.NaN()
 	}
 	var loss float64
-	for i, x := range xs {
-		loss += n.Loss(x, labels[i])
+	for lo := 0; lo < len(xs); lo += denseStage {
+		for s, logits := range n.forward(xs[lo:min(lo+denseStage, len(xs))]) {
+			loss += crossEntropy(logits, labels[lo+s])
+		}
 	}
 	return loss / float64(len(xs))
 }
@@ -228,9 +265,11 @@ func (n *Network) Accuracy(xs [][]float64, labels []int) float64 {
 		return math.NaN()
 	}
 	correct := 0
-	for i, x := range xs {
-		if n.Predict(x) == labels[i] {
-			correct++
+	for lo := 0; lo < len(xs); lo += denseStage {
+		for s, logits := range n.forward(xs[lo:min(lo+denseStage, len(xs))]) {
+			if tensor.ArgMax(logits) == labels[lo+s] {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(xs))

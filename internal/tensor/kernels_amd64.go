@@ -23,9 +23,9 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // The vector kernels. Their callers check every shape first; each keeps
-// the addition chain of its Go twin (axpy4Go, axpyGo, scaleGo, matVecGo),
-// one chain per lane, with separate multiplies and adds (no FMA), so the
-// two are bit-identical.
+// the addition chain of its Go twin (axpy4Go, axpyGo, scaleGo, matVecGo;
+// matVecLanesAVX's is one matVecGo per input), one chain per lane, with
+// separate multiplies and adds (no FMA), so the two are bit-identical.
 
 // axpy4AVX is axpy4Go; every x[i] holds at least len(y) elements.
 //
@@ -46,3 +46,10 @@ func scaleAVX(a float64, x []float64)
 //
 //go:noescape
 func matVecAVX(dst, w, x []float64)
+
+// matVecLanesAVX is matVecGo(dst[s·rows:(s+1)·rows], w, x_s) for each
+// input s < n, given transposed in xt (x_s[c] = xt[c·8 + s]), for rows ≥ 4,
+// len(w) ≥ rows·len(xt)/8 and len(dst) = n·rows.
+//
+//go:noescape
+func matVecLanesAVX(dst, w, xt []float64, rows, n int)

@@ -2,12 +2,12 @@
 
 #include "textflag.h"
 
-// The AVX kernels behind axpy4, AXPY, Scale and MatVec. Each output
-// element keeps the addition chain of the Go loop it replaces, in one
-// lane: vectors only ever run independent chains side by side, every
-// multiply and add is a separate VMULPD/VADDPD (no FMA), and nothing is
-// reassociated, so the results are bit-identical to the Go loops. Leftover
-// elements run the same chain in scalar VMULSD/VADDSD.
+// The AVX kernels behind axpy4, AXPY, Scale, MatVec and MatVecLanes.
+// Each output element keeps the addition chain of the Go loop it
+// replaces, in one lane: vectors only ever run independent chains side by
+// side, every multiply and add is a separate VMULPD/VADDPD (no FMA), and
+// nothing is reassociated, so the results are bit-identical to the Go
+// loops. Leftover elements run the same chain in scalar VMULSD/VADDSD.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -378,5 +378,125 @@ matvec_four_store:
 	JMP     matvec_four
 
 matvec_done:
+	VZEROUPPER
+	RET
+
+// MatVecLanes runs a 4-row × 8-lane block per pass: Y0..Y7 hold rows
+// r..r+3, two vectors of four lanes per row (Y0/Y1 row r, Y2/Y3 row r+1,
+// …). Each column c loads its eight inputs xt[c][0..7] once and adds
+// w[r+i][c]·xt[c] into row i's pair, so every lane runs one input's
+// chain in column order.
+#define LANES_ROW(off, lo, hi) \
+	VBROADCASTSD off, Y10; \
+	VMULPD       Y8, Y10, Y11; \
+	VMULPD       Y9, Y10, Y12; \
+	VADDPD       Y11, lo, lo; \
+	VADDPD       Y12, hi, hi
+
+// LANES_TRANSPOSE turns four rows' vectors of four lanes (a..d) into four
+// lanes' vectors of four rows in Y12..Y15, as MATVEC_TILE does.
+#define LANES_TRANSPOSE(a, b, c, d) \
+	VUNPCKLPD  b, a, Y8; \
+	VUNPCKHPD  b, a, Y9; \
+	VUNPCKLPD  d, c, Y10; \
+	VUNPCKHPD  d, c, Y11; \
+	VPERM2F128 $0x20, Y10, Y8, Y12; \
+	VPERM2F128 $0x20, Y11, Y9, Y13; \
+	VPERM2F128 $0x31, Y10, Y8, Y14; \
+	VPERM2F128 $0x31, Y11, Y9, Y15
+
+// func matVecLanesAVX(dst, w, xt []float64, rows, n int)
+//
+// dst[s·rows + r] = ((0 + w[r][0]·xt[0][s]) + w[r][1]·xt[1][s]) + … for
+// s < n over the len(xt)/8 columns of a row-major w, rows ≥ 4. A pass
+// computes all eight lanes of four rows, transposes the block into one
+// 4-row vector per lane and stores the first n. When rows is not a
+// multiple of four, the last pass starts at rows−4 and rewrites a few
+// rows an earlier pass stored, with the same bits.
+TEXT ·matVecLanesAVX(SB), NOSPLIT, $0-88
+	MOVQ dst_base+0(FP), DI
+	MOVQ w_base+24(FP), SI
+	MOVQ xt_base+48(FP), DX
+	MOVQ xt_len+56(FP), BX
+	SHRQ $3, BX // columns
+	MOVQ rows+72(FP), R13
+	MOVQ BX, R8
+	SHLQ $3, R8 // w's row stride in bytes
+	LEAQ (R8)(R8*2), R11
+	MOVQ R13, R12
+	SHLQ $3, R12 // dst's lane stride in bytes
+	XORQ AX, AX
+
+lanes_pass:
+	MOVQ   AX, R9
+	IMULQ  R8, R9
+	ADDQ   SI, R9
+	MOVQ   DX, R10
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   BX, CX
+	TESTQ  CX, CX
+	JZ     lanes_store
+
+lanes_col:
+	VMOVUPD (R10), Y8
+	VMOVUPD 32(R10), Y9
+	LANES_ROW((R9), Y0, Y1)
+	LANES_ROW((R9)(R8*1), Y2, Y3)
+	LANES_ROW((R9)(R8*2), Y4, Y5)
+	LANES_ROW((R9)(R11*1), Y6, Y7)
+	ADDQ $8, R9
+	ADDQ $64, R10
+	DECQ CX
+	JNZ  lanes_col
+
+lanes_store:
+	LEAQ (DI)(AX*8), CX
+	LEAQ (R12)(R12*2), R9
+	MOVQ n+80(FP), R10
+	LANES_TRANSPOSE(Y0, Y2, Y4, Y6)
+	VMOVUPD Y12, (CX)
+	CMPQ    R10, $1
+	JBE     lanes_next
+	VMOVUPD Y13, (CX)(R12*1)
+	CMPQ    R10, $2
+	JBE     lanes_next
+	VMOVUPD Y14, (CX)(R12*2)
+	CMPQ    R10, $3
+	JBE     lanes_next
+	VMOVUPD Y15, (CX)(R9*1)
+	CMPQ    R10, $4
+	JBE     lanes_next
+	LEAQ    (CX)(R12*4), CX
+	LANES_TRANSPOSE(Y1, Y3, Y5, Y7)
+	VMOVUPD Y12, (CX)
+	CMPQ    R10, $5
+	JBE     lanes_next
+	VMOVUPD Y13, (CX)(R12*1)
+	CMPQ    R10, $6
+	JBE     lanes_next
+	VMOVUPD Y14, (CX)(R12*2)
+	CMPQ    R10, $7
+	JBE     lanes_next
+	VMOVUPD Y15, (CX)(R9*1)
+
+lanes_next:
+	ADDQ $4, AX
+	CMPQ AX, R13
+	JAE  lanes_done
+	MOVQ R13, CX
+	SUBQ $4, CX
+	CMPQ AX, CX
+	JBE  lanes_pass
+	MOVQ CX, AX
+	JMP  lanes_pass
+
+lanes_done:
 	VZEROUPPER
 	RET

@@ -10,3 +10,4 @@ func axpy4AVX([]float64, *[4]float64, *[4][]float64) { panic("tensor: no vector 
 func axpyAVX(float64, []float64, []float64)          { panic("tensor: no vector kernels") }
 func scaleAVX(float64, []float64)                    { panic("tensor: no vector kernels") }
 func matVecAVX(_, _, _ []float64)                    { panic("tensor: no vector kernels") }
+func matVecLanesAVX(_, _, _ []float64, _, _ int)     { panic("tensor: no vector kernels") }

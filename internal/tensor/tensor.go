@@ -73,6 +73,58 @@ func matVecGo(dst, w, x []float64) {
 	}
 }
 
+// Lanes is the chunk width of MatVecLanes: one input per vector lane, as
+// many as an AVX pass holds in two registers per row.
+const Lanes = 8
+
+// MatVecLanes computes the products of a chunk of 1 ≤ len(xs) ≤ Lanes
+// inputs, dst[s·Rows : (s+1)·Rows] = m · xs[s], each bit for bit what
+// MatVec(dst_s, xs[s]) stores. lanes is Cols·Lanes floats of scratch. On
+// the AVX kernel a chunk of two or more reads m once for all its inputs:
+// they are transposed into lanes (xs[s][c] at lanes[c·Lanes + s]) and
+// each vector lane runs one input's chain ((0 + w₀x₀) + w₁x₁) + … in
+// column order, as MatVec's does. Elsewhere, and for a chunk of one, it
+// is one MatVec per input.
+func (m *Matrix) MatVecLanes(dst []float64, xs [][]float64, lanes []float64) {
+	n := len(xs)
+	if n < 1 || n > Lanes || len(dst) != n*m.Rows || len(lanes) != m.Cols*Lanes {
+		panic("tensor: MatVecLanes shape mismatch")
+	}
+	if !useAVX || m.Rows < 4 || n == 1 {
+		for s, x := range xs {
+			m.MatVec(dst[s*m.Rows:(s+1)*m.Rows], x)
+		}
+		return
+	}
+	if len(m.Data) < m.Rows*m.Cols {
+		panic("tensor: MatVecLanes shape mismatch")
+	}
+	transposeLanes(lanes, xs)
+	matVecLanesAVX(dst, m.Data, lanes, m.Rows, n)
+}
+
+// transposeLanes writes the inputs xs into lanes transposed, lanes[c·Lanes
+// + s] = xs[s][c], in order. The lanes past a short chunk repeat its last
+// input, so a kernel pass over all Lanes lanes computes on real values
+// there; nothing stores them.
+func transposeLanes(lanes []float64, xs [][]float64) {
+	cols := len(lanes) / Lanes
+	var in [Lanes][]float64
+	for s := range in {
+		in[s] = xs[min(s, len(xs)-1)]
+		if len(in[s]) != cols {
+			panic("tensor: MatVecLanes shape mismatch")
+		}
+	}
+	x0, x1, x2, x3 := in[0][:cols], in[1][:cols], in[2][:cols], in[3][:cols]
+	x4, x5, x6, x7 := in[4][:cols], in[5][:cols], in[6][:cols], in[7][:cols]
+	for c := 0; c < cols; c++ {
+		l := lanes[c*Lanes:][:Lanes]
+		l[0], l[1], l[2], l[3] = x0[c], x1[c], x2[c], x3[c]
+		l[4], l[5], l[6], l[7] = x4[c], x5[c], x6[c], x7[c]
+	}
+}
+
 // MatTVec computes dst = mᵀ · x where x has length m.Rows and dst length
 // m.Cols. Rows whose x[r] is exactly zero contribute nothing (not even a
 // NaN from an infinite weight); the rest are added in row order, so
@@ -296,7 +348,9 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
+// LogSumExp returns log(Σ exp(x_i)) computed stably. An infinite max is
+// the answer itself (exp(m − m) would be NaN), unless a NaN is present:
+// NaN stays NaN.
 func LogSumExp(x []float64) float64 {
 	if len(x) == 0 {
 		return math.Inf(-1)
@@ -307,6 +361,14 @@ func LogSumExp(x []float64) float64 {
 			m = v
 		}
 	}
+	if math.IsInf(m, 0) {
+		for _, v := range x {
+			if v != v {
+				return v
+			}
+		}
+		return m
+	}
 	var s float64
 	for _, v := range x {
 		s += math.Exp(v - m)
@@ -315,13 +377,37 @@ func LogSumExp(x []float64) float64 {
 }
 
 // Softmax writes the softmax of x into dst (stable against overflow).
-// dst and x may alias.
+// dst and x may alias. The limits of infinite logits are kept: with a
+// +Inf present, the +Inf entries split the mass equally and every other
+// entry gets 0; when every entry is −Inf, the result is uniform. A NaN
+// anywhere makes every entry NaN.
 func Softmax(dst, x []float64) {
 	if len(dst) != len(x) {
 		panic("tensor: Softmax length mismatch")
 	}
 	lse := LogSumExp(x)
-	for i, v := range x {
-		dst[i] = math.Exp(v - lse)
+	switch {
+	case math.IsInf(lse, 1):
+		top := 0
+		for _, v := range x {
+			if math.IsInf(v, 1) {
+				top++
+			}
+		}
+		share := 1 / float64(top)
+		for i, v := range x {
+			dst[i] = 0
+			if math.IsInf(v, 1) {
+				dst[i] = share
+			}
+		}
+	case math.IsInf(lse, -1):
+		for i := range dst {
+			dst[i] = 1 / float64(len(dst))
+		}
+	default:
+		for i, v := range x {
+			dst[i] = math.Exp(v - lse)
+		}
 	}
 }

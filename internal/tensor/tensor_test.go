@@ -235,6 +235,31 @@ func checkBlockedKernels(t *testing.T, rng *rand.Rand, rows, cols int, finiteOnl
 				rows, cols, finiteOnly, n, fresh, scale, i, batched.Data[i], ref.Data[i])
 		}
 	}
+
+	// A chunk of 1–8 inputs through one pass, over scratch that starts
+	// out holding non-finite junk.
+	n = 1 + rng.Intn(Lanes)
+	xs := make([][]float64, n)
+	for s := range xs {
+		xs[s] = edgyVector(rng, cols, finiteOnly)
+	}
+	lanes := guarded(cols * Lanes)
+	for i := range lanes {
+		lanes[i] = edgeFloats[4+i%3]
+	}
+	got, want = guarded(n*rows), make([]float64, rows)
+	m.MatVecLanes(got, xs, lanes)
+	for s, x := range xs {
+		refMatVec(m, want, x)
+		for r := range want {
+			if g := got[s*rows+r]; !sameFloat(g, want[r]) {
+				t.Fatalf("%d×%d finiteOnly=%v n=%d: MatVecLanes input %d row %d = %v, reference %v",
+					rows, cols, finiteOnly, n, s, r, g, want[r])
+			}
+		}
+	}
+	requireGuard(t, "MatVecLanes' scratch", lanes)
+	requireGuard(t, "MatVecLanes", got)
 }
 
 // guarded returns a zero slice of length n whose backing array continues
@@ -261,7 +286,8 @@ func requireGuard(t *testing.T, name string, s []float64) {
 // the processor has them — against the Go loops on arbitrary shapes and
 // bit patterns: the first two bytes are rows and cols, every following 8
 // bytes one float64, reused cyclically (no data means zeros). Results
-// must match bit for bit, any NaN matching any NaN.
+// must match bit for bit, any NaN matching any NaN. MatVecLanes reads its
+// shape from the same two bytes (see its block).
 func FuzzDenseKernels(f *testing.F) {
 	seed := func(rows, cols uint8, vals ...float64) {
 		b := []byte{rows, cols}
@@ -275,6 +301,8 @@ func FuzzDenseKernels(f *testing.F) {
 	seed(9, 7, 1, math.Copysign(0, -1), 0, 3.5)
 	seed(13, 18, append(edgeFloats, 1e300, -1e-300, 0.1)...)
 	seed(62, 16, math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64, 2)
+	seed(7*20+13, 13, append(edgeFloats, 0.75, -3)...) // a full chunk of 8, 13 × 13
+	seed(6*20+18, 19, 1.5, -0.25, math.Copysign(0, -1), 1e-300, 4)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -327,6 +355,27 @@ func FuzzDenseKernels(f *testing.F) {
 		axpy4Go(want, &coef, &xs)
 		requireSame("axpy4", y, want)
 		requireGuard(t, "AXPY, Scale and axpy4", y)
+
+		// MatVecLanes on rows mod 20 × cols mod 20 with a chunk of
+		// 1 + (rows/20) mod 8 inputs, against one matVecGo per input,
+		// over scratch that starts out holding arbitrary bits too.
+		rows, cols = rows%20, cols%20
+		n := 1 + int(data[0])/20%Lanes
+		w = draw(rows * cols)
+		xs4 := make([][]float64, n)
+		for s := range xs4 {
+			xs4[s] = draw(cols)
+		}
+		lanes := guarded(cols * Lanes)
+		copy(lanes, draw(len(lanes)))
+		got, want = guarded(n*rows), make([]float64, n*rows)
+		(&Matrix{Rows: rows, Cols: cols, Data: w}).MatVecLanes(got, xs4, lanes)
+		for s, x := range xs4 {
+			matVecGo(want[s*rows:(s+1)*rows], w, x)
+		}
+		requireSame("MatVecLanes", got, want)
+		requireGuard(t, "MatVecLanes", got)
+		requireGuard(t, "MatVecLanes' scratch", lanes)
 	})
 }
 
@@ -441,6 +490,54 @@ func TestLogSumExpMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestLogSumExpSoftmaxEdges pins the infinite and NaN logits, one case a
+// line: LogSumExp returns an infinite max itself, Softmax keeps the
+// limit (the +Inf entries share the mass, all −Inf is uniform), and a
+// NaN anywhere stays NaN.
+func TestLogSumExpSoftmaxEdges(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		x       []float64
+		lse     float64
+		softmax []float64
+	}{
+		{[]float64{inf, 1}, inf, []float64{1, 0}},
+		{[]float64{1, inf}, inf, []float64{0, 1}},
+		{[]float64{inf, inf}, inf, []float64{0.5, 0.5}},
+		{[]float64{inf, -inf, inf, 3}, inf, []float64{0.5, 0, 0.5, 0}},
+		{[]float64{-inf, -inf}, -inf, []float64{0.5, 0.5}},
+		{[]float64{-inf, -inf, -inf, -inf}, -inf, []float64{0.25, 0.25, 0.25, 0.25}},
+		{[]float64{-inf, 0}, 0, []float64{0, 1}},
+		{[]float64{-inf}, -inf, []float64{1}},
+		{[]float64{inf}, inf, []float64{1}},
+		{[]float64{inf, nan}, nan, []float64{nan, nan}},
+		{[]float64{nan, inf}, nan, []float64{nan, nan}},
+		{[]float64{-inf, nan}, nan, []float64{nan, nan}},
+		{[]float64{1, nan}, nan, []float64{nan, nan}},
+		{[]float64{}, -inf, []float64{}},
+	} {
+		if got := LogSumExp(tc.x); !sameFloat(got, tc.lse) {
+			t.Errorf("LogSumExp(%v) = %v, want %v", tc.x, got, tc.lse)
+		}
+		got := make([]float64, len(tc.x))
+		Softmax(got, tc.x)
+		for i := range got {
+			if !sameFloat(got[i], tc.softmax[i]) {
+				t.Errorf("Softmax(%v) = %v, want %v", tc.x, got, tc.softmax)
+				break
+			}
+		}
+		inPlace := Clone(tc.x)
+		Softmax(inPlace, inPlace)
+		for i := range inPlace {
+			if !sameFloat(inPlace[i], got[i]) {
+				t.Errorf("Softmax(%v) in place = %v, want %v", tc.x, inPlace, got)
+				break
+			}
+		}
+	}
+}
+
 // Property: Dot is symmetric and linear in its first argument.
 func TestDotProperties(t *testing.T) {
 	f := func(a []float64) bool {
@@ -511,6 +608,24 @@ func TestShapeMismatchPanics(t *testing.T) {
 	assertPanics("AddOuterBatch", func() { m.AddOuterBatch(make([]float64, 3), make([]float64, 3), 1, true, 1) })
 	assertPanics("Dot", func() { Dot(make([]float64, 1), make([]float64, 2)) })
 	assertPanics("AXPY", func() { AXPY(1, make([]float64, 1), make([]float64, 2)) })
+	chunk := func(n, cols int) [][]float64 {
+		xs := make([][]float64, n)
+		for s := range xs {
+			xs[s] = make([]float64, cols)
+		}
+		return xs
+	}
+	lanes := make([]float64, 5*Lanes)
+	assertPanics("MatVecLanes empty chunk", func() { short.MatVecLanes(nil, chunk(0, 5), lanes) })
+	assertPanics("MatVecLanes chunk of 9", func() { short.MatVecLanes(make([]float64, 72), chunk(9, 5), lanes) })
+	assertPanics("MatVecLanes short dst", func() { short.MatVecLanes(make([]float64, 15), chunk(2, 5), lanes) })
+	assertPanics("MatVecLanes short scratch", func() { short.MatVecLanes(make([]float64, 16), chunk(2, 5), lanes[1:]) })
+	assertPanics("MatVecLanes long input", func() {
+		xs := chunk(2, 5)
+		xs[1] = make([]float64, 6)
+		NewMatrix(8, 5).MatVecLanes(make([]float64, 16), xs, lanes)
+	})
+	assertPanics("MatVecLanes short Data", func() { short.MatVecLanes(make([]float64, 16), chunk(2, 5), lanes) })
 	assertPanics("axpy4 short x", func() {
 		xs := [4][]float64{make([]float64, 6), make([]float64, 6), make([]float64, 5), make([]float64, 6)}
 		axpy4(make([]float64, 6), &[4]float64{1, 1, 1, 1}, &xs)
@@ -534,8 +649,11 @@ func BenchmarkMatVec128(b *testing.B) {
 // BenchmarkKernels times each dense-layer kernel's Go loop against its
 // AVX kernel (skipped where the processor or the build has none) at the
 // layer shapes of the three benchmark models — 64 features, hidden width
-// H, 62 classes: MatVec over both weight matrices, axpy4 and Scale over a
-// row of each, and AXPY over the model's D parameters (the residual add).
+// H, 62 classes: MatVec over both weight matrices, MatVecLanes over each
+// with a full chunk of 8 inputs (the Go side is one matVecGo per input,
+// the AVX side includes the transposition), axpy4 and Scale over a row of
+// each, and
+// AXPY over the model's D parameters (the residual add).
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	vec := func(n int) []float64 {
@@ -567,6 +685,20 @@ func BenchmarkKernels(b *testing.B) {
 			run(fmt.Sprintf("H=%d/MatVec/%dx%d", h, rows, cols),
 				func() { matVecGo(dst, w, x) },
 				func() { matVecAVX(dst, w, x) })
+			xs, lanes, chunk := make([][]float64, Lanes), make([]float64, cols*Lanes), make([]float64, Lanes*rows)
+			for s := range xs {
+				xs[s] = vec(cols)
+			}
+			run(fmt.Sprintf("H=%d/MatVecLanes/%dx%d", h, rows, cols),
+				func() {
+					for s, x := range xs {
+						matVecGo(chunk[s*rows:(s+1)*rows], w, x)
+					}
+				},
+				func() {
+					transposeLanes(lanes, xs)
+					matVecLanesAVX(chunk, w, lanes, rows, Lanes)
+				})
 		}
 		for _, n := range []int{64, h} {
 			y, coef := vec(n), [4]float64{1e-3, -1e-3, 2e-3, -2e-3}

@@ -87,7 +87,7 @@ func ReadSnapshot(path string, runID uint64) (*Snapshot, error) {
 	}
 	s.Ints = r.i64s()
 	s.Floats = r.f64s()
-	nb := r.i()
+	nb := r.count() // each blob holds at least its 8-byte length
 	for i := 0; i < nb && !r.bad; i++ {
 		bl := r.i()
 		if bl < 0 || bl > len(r.b) {

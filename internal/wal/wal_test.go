@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -148,21 +149,25 @@ func TestLogCorruption(t *testing.T) {
 	})
 }
 
+// testSnapshot is the snapshot TestSnapshotRoundtrip writes at round.
+func testSnapshot(round int) *Snapshot {
+	return &Snapshot{
+		RunID:  77,
+		Round:  round,
+		Vecs:   [][]float64{{1, 2, 3}, {0.5, float64(round)}},
+		Ints:   []int64{int64(round) * 10, 42},
+		Floats: []float64{3.25},
+		Blobs:  [][]byte{{1, 2}, nil, []byte("ctrl")},
+	}
+}
+
 func TestSnapshotRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	if s, err := LatestSnapshot(dir, 1); err != nil || s != nil {
 		t.Fatalf("empty dir: got %v, %v", s, err)
 	}
 	for round := 1; round <= 3; round++ {
-		s := &Snapshot{
-			RunID:  77,
-			Round:  round,
-			Vecs:   [][]float64{{1, 2, 3}, {0.5, float64(round)}},
-			Ints:   []int64{int64(round) * 10, 42},
-			Floats: []float64{3.25},
-			Blobs:  [][]byte{{1, 2}, nil, []byte("ctrl")},
-		}
-		if err := WriteSnapshot(dir, s); err != nil {
+		if err := WriteSnapshot(dir, testSnapshot(round)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,6 +340,67 @@ func FuzzWALReader(f *testing.F) {
 		}
 		if !bytes.Equal(frames(first), frames(again)) {
 			t.Fatalf("re-opening a repaired log replayed %d records, the repair %d", len(again), len(first))
+		}
+	})
+}
+
+// FuzzSnapshot feeds arbitrary bytes to ReadSnapshot through a file, both
+// raw and as the body of a well-formed header (magic, length, CRC — a
+// random file almost never carries a valid CRC, so this is what reaches
+// the body decoder). The reader must never panic or allocate beyond a
+// small multiple of the file; an error must be torn, corrupt or a run
+// mismatch; and a snapshot it accepts must re-write through
+// WriteSnapshot to the same bytes, and be refused for another run. Seeds
+// are the snapshots TestSnapshotRoundtrip writes, whole and as bodies.
+func FuzzSnapshot(f *testing.F) {
+	dir := f.TempDir()
+	for _, s := range []*Snapshot{testSnapshot(1), testSnapshot(3), {RunID: 9, Round: 4}} {
+		if err := WriteSnapshot(dir, s); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, snapName(s.Round)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[len(snapMagic)+frameHeader:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.bin")
+		for _, file := range [][]byte{data, frame([]byte(snapMagic), data)} {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := ReadSnapshot(path, 0)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(file))+1<<16 {
+				t.Fatalf("reading a %d-byte snapshot allocated %d bytes", len(file), grew)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrRunMismatch) {
+					t.Fatalf("error %v is neither torn, corrupt nor a run mismatch", err)
+				}
+				continue
+			}
+			out := t.TempDir()
+			if err := WriteSnapshot(out, s); err != nil {
+				t.Fatal(err)
+			}
+			again, err := os.ReadFile(filepath.Join(out, snapName(s.Round)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, file) {
+				t.Fatalf("an accepted %d-byte snapshot re-writes to %d different bytes", len(file), len(again))
+			}
+			if other := s.RunID + 1; other != 0 {
+				if _, err := ReadSnapshot(path, other); !errors.Is(err, ErrRunMismatch) {
+					t.Fatalf("reading run %#x's snapshot as run %#x: got %v, want ErrRunMismatch", s.RunID, other, err)
+				}
+			}
 		}
 	})
 }

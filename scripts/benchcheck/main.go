@@ -63,7 +63,8 @@ var tracked = []struct {
 	// shape (N = 32, d = 1e5) at k = D/100, D/10 and D.
 	{"./internal/gs/", "BenchmarkAggregate$", "30x"},
 	// The minibatch gradient and loss at the three BENCHMARK.json model
-	// shapes: the dense kernels are ~40 % of engine_adaptive's CPU.
+	// shapes: the gradient and the seal's probe losses are ~31 % of
+	// engine_adaptive's CPU (pprof; docs/ARCHITECTURE.md's CPU budget).
 	{"./internal/nn/", "BenchmarkMeanLoss", "200x"},
 	{"./internal/transport/", "BenchmarkSliceCodec|BenchmarkWireRoundBytes", "200x"},
 	// The straggler wall clock tracks a W = 1 run under an injected

@@ -102,6 +102,11 @@ go test ./internal/transport -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
 # well-framed record body, must never panic, must re-frame to the clean
 # prefix they report, and a repairing Open must be idempotent.
 go test ./internal/wal -run '^$' -fuzz '^FuzzWALReader$' -fuzztime 10s
+# And its snapshot reader: arbitrary bytes, as a file and as one
+# well-framed snapshot body, must never panic or allocate beyond the
+# file, must fail as torn, corrupt or a run mismatch, and an accepted
+# snapshot must re-write to the same bytes.
+go test ./internal/wal -run '^$' -fuzz '^FuzzSnapshot$' -fuzztime 10s
 # End-to-end smoke of the benchmark in BENCHMARK.json: 30 rounds of every
 # workload over loopback TCP, PASS/FAIL on bit-identity with the fl.Run
 # twin only (no timings are read).
