@@ -17,6 +17,8 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -73,6 +75,109 @@ func codecFixtures() []any {
 		MuxFrame{VID: 9, Msg: Upload{ClientID: 9, Round: 3, Idx: []int{0, 4, 8, 9, 30}, Val: qv, BatchLoss: 0.5, Bits: 8, Scale: qscale}},
 		MuxFrame{VID: 4, Msg: SliceUpload{ClientID: 4, Round: 2, Idx: []int{1, 6}, Val: []float64{0.25, -4}, Rank: []int{0, 3}}},
 		CohortAssign{Round: 3, Members: []int{1, 5, 8}},
+	}
+}
+
+// goldenDir holds one committed wire frame per codecFixtures entry.
+const goldenDir = "testdata/golden"
+
+// goldenName names fixture i's golden frame by its position and message
+// type (a MuxFrame's by its inner type too). New fixtures go at the end
+// of codecFixtures, so an existing frame never changes its name.
+func goldenName(i int, msg any) string {
+	name := reflect.TypeOf(msg).Name()
+	if mf, ok := msg.(MuxFrame); ok {
+		name += "_" + reflect.TypeOf(mf.Msg).Name()
+	}
+	return fmt.Sprintf("%02d_%s.frame", i, name)
+}
+
+// TestGoldenFrames pins the wire format to the committed frames: every
+// fixture must encode to its golden bytes, the golden frame must decode
+// to the fixture bit for bit, and re-encoding the decoded message must
+// give the golden bytes again. There is no update flag — a frame that
+// moves is a protocol change, and every golden file must belong to a
+// fixture.
+func TestGoldenFrames(t *testing.T) {
+	names := make(map[string]bool)
+	for i, want := range codecFixtures() {
+		name := goldenName(i, want)
+		names[name] = true
+		t.Run(name, func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join(goldenDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := appendFrame(nil, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frame, golden) {
+				t.Fatalf("encoding moved:\ngot    %x\ngolden %x", frame, golden)
+			}
+			got, err := decodeFrame(golden[4:], &decScratch{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitEqual(got, want) {
+				t.Fatalf("golden frame decodes to\n%#v\nwant %#v", got, want)
+			}
+			again, err := appendFrame(nil, got)
+			if err != nil || !bytes.Equal(again, golden) {
+				t.Fatalf("re-encoding (%v):\ngot    %x\ngolden %x", err, again, golden)
+			}
+		})
+	}
+	files, err := os.ReadDir(goldenDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !names[f.Name()] {
+			t.Errorf("golden frame %s belongs to no fixture", f.Name())
+		}
+	}
+}
+
+// bitEqual reports whether got and want are the same message with every
+// float compared by its IEEE-754 bits — −0 is not +0, and a NaN equals
+// itself. A nil slice equals an empty one: the wire does not carry the
+// difference.
+func bitEqual(got, want any) bool {
+	return bitEqualValue(reflect.ValueOf(got), reflect.ValueOf(want))
+}
+
+func bitEqualValue(a, b reflect.Value) bool {
+	if !a.IsValid() || !b.IsValid() {
+		return a.IsValid() == b.IsValid()
+	}
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Interface:
+		return bitEqualValue(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !bitEqualValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !bitEqualValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	default:
+		return a.Equal(b)
 	}
 }
 
