@@ -2,8 +2,9 @@ package transport
 
 // Codec benchmarks. BenchmarkSliceCodec measures the typed hot path of
 // the binary codec — encode via appendFrame into a reused buffer,
-// decode via the scratch-backed typed decoders — and must report
-// 0 allocs/op steady state (BENCH_fl.json pins this). The messages are
+// decode by calling the message's description into warm scratch — and
+// must report 0 allocs/op steady state (BENCH_fl.json pins this, and
+// TestSliceCodecAllocFree checks it on every test run). The messages are
 // pre-boxed and the buffers warmed before the timer starts, exactly the
 // steady state a binConn reaches after its first round.
 // BenchmarkWireRoundBytes runs the full routed protocol over metered
@@ -18,40 +19,117 @@ import (
 	"fedsparse/internal/sparse"
 )
 
-func BenchmarkSliceCodec(b *testing.B) {
-	const n = 256
-	idx := make([]int, n)
-	rank := make([]int, n)
-	raw := make([]float64, n)
-	qval := make([]float64, n)
+// codecPayload is n pairs of per-round message content: ascending
+// indices, their ranks, raw values, and the same values on the 8-bit
+// quantization grid with its scale.
+func codecPayload(n int) (idx, rank []int, raw, qval []float64, scale float64) {
+	idx, rank = make([]int, n), make([]int, n)
+	raw, qval = make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
 		idx[i] = 3 * i
 		rank[i] = i
 		raw[i] = float64(i%19)*0.37 - 3.1
 		qval[i] = raw[i]
 	}
-	scale := sparse.QuantizeInPlace(qval, 8)
+	return idx, rank, raw, qval, sparse.QuantizeInPlace(qval, 8)
+}
 
+// Scratch-backed decoders of the per-round messages, each taking a
+// frame body (the payload after its tag) without the boxing into any
+// that Recv adds.
+func decUpload(body []byte, sc *decScratch) error {
+	r := wireReader{b: body}
+	r.upload(sc)
+	return r.err
+}
+
+func decBroadcast(body []byte, sc *decScratch) error {
+	r := wireReader{b: body}
+	r.broadcast(sc)
+	return r.err
+}
+
+func decSliceUpload(body []byte, sc *decScratch) error {
+	r := wireReader{b: body}
+	r.sliceUpload(sc)
+	return r.err
+}
+
+func decSliceBroadcast(body []byte, sc *decScratch) error {
+	r := wireReader{b: body}
+	r.sliceBroadcast(sc)
+	return r.err
+}
+
+func decShardResult(body []byte, sc *decScratch) error {
+	r := wireReader{b: body}
+	r.shardResult(sc)
+	return r.err
+}
+
+func decFillCandidates(body []byte, sc *decScratch) error {
+	r := wireReader{b: body}
+	r.fillCandidates(sc)
+	return r.err
+}
+
+func decRoundSeal(body []byte, sc *decScratch) error {
+	r := wireReader{b: body}
+	r.roundSeal(sc)
+	return r.err
+}
+
+// TestSliceCodecAllocFree pins the codec's steady state, which
+// BenchmarkSliceCodec reports only under benchcheck: encoding a
+// per-round message into a warm buffer, and decoding it into warm
+// scratch, allocate nothing.
+func TestSliceCodecAllocFree(t *testing.T) {
+	idx, rank, _, qval, scale := codecPayload(256)
+	for _, tc := range []struct {
+		msg any // pre-boxed, as a binConn sends it
+		dec func(body []byte, sc *decScratch) error
+	}{
+		{Upload{ClientID: 1, Round: 2, Idx: idx, Val: qval, BatchLoss: 0.5, Bits: 8, Scale: scale}, decUpload},
+		{Broadcast{Round: 2, Idx: idx, Val: qval, Bits: 8, Scale: scale}, decBroadcast},
+		{SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: qval, Rank: rank, Bits: 8, Scale: scale}, decSliceUpload},
+		{SliceBroadcast{Round: 2, ShardID: 1, Idx: idx, Val: qval, Bits: 8, Scale: scale}, decSliceBroadcast},
+		{ShardResult{Round: 2, ShardID: 1, Idx: idx, Sum: qval, MinRank: rank}, decShardResult},
+		{FillCandidates{Round: 2, ShardID: 1, Client: rank, Idx: idx, AbsVal: qval}, decFillCandidates},
+		{RoundSeal{Round: 2, Members: idx, Bits: 8, Scale: scale}, decRoundSeal},
+	} {
+		frame, err := appendFrame(nil, tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := frame[5:]
+		buf := make([]byte, 0, len(frame))
+		var sc decScratch
+		if err := tc.dec(body, &sc); err != nil {
+			t.Fatalf("%T: %v", tc.msg, err)
+		}
+		enc := testing.AllocsPerRun(100, func() { buf, err = appendFrame(buf[:0], tc.msg) })
+		dec := testing.AllocsPerRun(100, func() { err = tc.dec(body, &sc) })
+		if err != nil {
+			t.Fatalf("%T: %v", tc.msg, err)
+		}
+		if enc != 0 || dec != 0 {
+			t.Errorf("%T: %v allocs per encode, %v per decode, want 0", tc.msg, enc, dec)
+		}
+	}
+}
+
+func BenchmarkSliceCodec(b *testing.B) {
+	idx, rank, raw, qval, scale := codecPayload(256)
 	cases := []struct {
 		name string
 		msg  any // pre-boxed, as a binConn sends it
 		dec  func(body []byte, sc *decScratch) error
 	}{
-		{"SliceUpload_raw",
-			any(SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: raw, Rank: rank}),
-			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.sliceUpload(sc); return r.err }},
-		{"SliceUpload_q8",
-			any(SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: qval, Rank: rank, Bits: 8, Scale: scale}),
-			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.sliceUpload(sc); return r.err }},
-		{"SliceBroadcast_q8",
-			any(SliceBroadcast{Round: 2, ShardID: 1, Idx: idx, Val: qval, Bits: 8, Scale: scale}),
-			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.sliceBroadcast(sc); return r.err }},
-		{"Broadcast_raw",
-			any(Broadcast{Round: 2, Idx: idx, Val: raw}),
-			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.broadcast(sc); return r.err }},
-		{"Broadcast_q8",
-			any(Broadcast{Round: 2, Idx: idx, Val: qval, Bits: 8, Scale: scale}),
-			func(body []byte, sc *decScratch) error { r := wireReader{b: body}; r.broadcast(sc); return r.err }},
+		{"SliceUpload_raw", SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: raw, Rank: rank}, decSliceUpload},
+		{"SliceUpload_q8", SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: qval, Rank: rank, Bits: 8, Scale: scale}, decSliceUpload},
+		{"SliceBroadcast_q8", SliceBroadcast{Round: 2, ShardID: 1, Idx: idx, Val: qval, Bits: 8, Scale: scale}, decSliceBroadcast},
+		{"Broadcast_raw", Broadcast{Round: 2, Idx: idx, Val: raw}, decBroadcast},
+		{"Broadcast_q8", Broadcast{Round: 2, Idx: idx, Val: qval, Bits: 8, Scale: scale}, decBroadcast},
 	}
 	for _, tc := range cases {
 		frame, err := appendFrame(nil, tc.msg)

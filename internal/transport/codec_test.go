@@ -264,51 +264,31 @@ type corruptedFrame struct {
 // corruptedFrames is the corrupted-frame table, shared by
 // TestBinaryCodecCorruptedFrames and FuzzDecodeFrame's seed corpus.
 func corruptedFrames() []corruptedFrame {
-	// Builders for bodies that need real encoding around the corruption.
+	// Bodies built by encoding a real message and then corrupting it.
+	body := func(msg any) []byte {
+		frame, err := appendFrame(nil, msg)
+		if err != nil {
+			panic(err)
+		}
+		return frame[4:]
+	}
+	le32 := binary.LittleEndian.AppendUint32
 	quantHeader := func(bits int, scale float64) []byte {
-		w := wireWriter{}
-		w.putU8(tagUpload)
-		w.putNum(3)        // ClientID
-		w.putNum(1)        // Round
-		w.putF64(0.5)      // BatchLoss
-		w.putNum(bits)     // Bits
-		w.putF64(scale)    // Scale
-		w.putNums([]int{}) // Idx
-		w.putNum(0)        // empty value block, raw encoding
-		w.putU8(0)
-		return w.b
+		// An empty value block travels raw: count 0, encoding 0.
+		return body(Upload{ClientID: 3, Round: 1, BatchLoss: 0.5, Bits: bits, Scale: scale})
 	}
 	packedBroadcast := func(bits int, scale float64, enc byte, payload []byte) []byte {
-		w := wireWriter{}
-		w.putU8(tagBroadcast)
-		w.putNum(1) // Round
-		w.putNum(bits)
-		w.putF64(scale)
-		w.putNums([]int{4})
-		w.putNum(1) // one value
-		w.putU8(enc)
-		w.b = append(w.b, payload...)
-		return w.b
+		b := body(Broadcast{Round: 1, Idx: []int{4}, Bits: bits, Scale: scale})
+		b = le32(b[:len(b)-5], 1) // one value...
+		return append(append(b, enc), payload...)
 	}
 	hostileInit := func() []byte {
-		w := wireWriter{}
-		w.putU8(tagInit)
-		w.putNum(3)           // K
-		w.putNum(5)           // Rounds
-		w.putNum(0)           // QuantBits
-		w.putNum(0)           // Window
-		w.putU64(7)           // RunID
-		w.putU32(1 << 28)     // Params count: 2 GiB worth of floats...
-		w.b = append(w.b, 42) // ...backed by one byte
-		return w.b
+		b := body(Init{K: 3, Rounds: 5, RunID: 7})
+		b = le32(b[:len(b)-8], 1<<28) // Params count: 2 GiB worth of floats...
+		return append(b, 42)          // ...backed by one byte
 	}
 	validHello := func() []byte {
-		w := wireWriter{}
-		w.putU8(tagHello)
-		w.putNum(3)
-		w.putNums([]int{3})
-		w.putF64s([]float64{1.5})
-		return w.b
+		return body(Hello{ClientID: 3, Members: []int{3}, Weights: []float64{1.5}})
 	}
 	return []corruptedFrame{
 		{"truncated header", []byte{7, 0}, "truncated frame"},
