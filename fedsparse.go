@@ -593,7 +593,6 @@ const MaxStaleness = transport.MaxStaleness
 var (
 	NewMemPair      = transport.NewMemPair
 	NewBinConn      = transport.NewBinConn
-	NewGobConn      = transport.NewGobConn
 	RunServerPeers  = transport.RunServerPeers
 	RunClient       = transport.RunClient
 	Dial            = transport.Dial

@@ -34,49 +34,56 @@ func codecPayload(n int) (idx, rank []int, raw, qval []float64, scale float64) {
 	return idx, rank, raw, qval, sparse.QuantizeInPlace(qval, 8)
 }
 
-// Scratch-backed decoders of the per-round messages, each taking a
-// frame body (the payload after its tag) without the boxing into any
-// that Recv adds.
+// Scratch-backed decoders of the per-round messages: each runs the
+// message's description over a frame body (the payload after its tag),
+// without the boxing into any that Recv adds.
 func decUpload(body []byte, sc *decScratch) error {
-	r := wireReader{b: body}
-	r.upload(sc)
-	return r.err
+	c := coder{b: body, dec: true, sc: *sc}
+	Upload{}.code(&c)
+	*sc = c.sc
+	return c.err
 }
 
 func decBroadcast(body []byte, sc *decScratch) error {
-	r := wireReader{b: body}
-	r.broadcast(sc)
-	return r.err
+	c := coder{b: body, dec: true, sc: *sc}
+	Broadcast{}.code(&c)
+	*sc = c.sc
+	return c.err
 }
 
 func decSliceUpload(body []byte, sc *decScratch) error {
-	r := wireReader{b: body}
-	r.sliceUpload(sc)
-	return r.err
+	c := coder{b: body, dec: true, sc: *sc}
+	SliceUpload{}.code(&c)
+	*sc = c.sc
+	return c.err
 }
 
 func decSliceBroadcast(body []byte, sc *decScratch) error {
-	r := wireReader{b: body}
-	r.sliceBroadcast(sc)
-	return r.err
+	c := coder{b: body, dec: true, sc: *sc}
+	SliceBroadcast{}.code(&c)
+	*sc = c.sc
+	return c.err
 }
 
 func decShardResult(body []byte, sc *decScratch) error {
-	r := wireReader{b: body}
-	r.shardResult(sc)
-	return r.err
+	c := coder{b: body, dec: true, sc: *sc}
+	ShardResult{}.code(&c)
+	*sc = c.sc
+	return c.err
 }
 
 func decFillCandidates(body []byte, sc *decScratch) error {
-	r := wireReader{b: body}
-	r.fillCandidates(sc)
-	return r.err
+	c := coder{b: body, dec: true, sc: *sc}
+	FillCandidates{}.code(&c)
+	*sc = c.sc
+	return c.err
 }
 
 func decRoundSeal(body []byte, sc *decScratch) error {
-	r := wireReader{b: body}
-	r.roundSeal(sc)
-	return r.err
+	c := coder{b: body, dec: true, sc: *sc}
+	RoundSeal{}.code(&c)
+	*sc = c.sc
+	return c.err
 }
 
 // TestSliceCodecAllocFree pins the codec's steady state, which

@@ -1,40 +1,20 @@
 package transport
 
-// This file is the binary wire codec: a length-prefixed little-endian
-// frame format with hand-written encode/decode for every protocol
-// message, replacing gob's reflection-driven encoding on the hot path.
-// One frame is
+// This file is the binary wire codec. One frame is
 //
-//	[payload length u32][type tag u8][fixed header][payload]
+//	[payload length u32][type tag u8][fields]
 //
-// where the length counts everything after itself (the tag byte
-// included) and is capped at maxFrame — a malformed or hostile length
-// errors the connection instead of OOM-ing the receiver. Integers
-// travel as u32, floats as IEEE-754 bits, slices as a u32 count
-// followed by their elements; every count is bounds-checked against the
-// bytes actually present before anything is allocated.
-//
-// Gradient value slices (Upload, Broadcast, SliceUpload,
-// SliceBroadcast) use a quantization-aware block: when the message's
-// (Bits, Scale) describe a b-bit grid (b in [2, 32], scale finite and
-// positive) and every value verifies as a grid point, the values are
-// packed as biased b-bit integers — ceil(n·b/8) bytes instead of 8n,
-// the ~8× wire shrink at b=8 the paper's quantization lever promises —
-// and the receiver reconstructs each value as (q−levels)·step, which is
-// bit-for-bit the sender's grid value. Values that do not verify fall
-// back to raw float64 bits, so the codec is lossless for arbitrary
-// payloads and packing is purely an encoding optimization.
-//
-// A binConn decodes into preallocated per-connection scratch, so the
-// per-round slice messages are allocation-free steady state on both
-// ends (the boxing of the decoded struct into the Conn interface's
-// `any` is the one small allocation Recv keeps). Scratch reuse across
-// Recvs is safe under the protocol's lockstep discipline — every
-// handler finishes consuming message m from a connection before it
-// Recvs m+1 on that connection — the same argument that lets clients
-// and shards reuse their pair buffers over by-reference in-memory
-// conns. The gob codec (NewGobConn) stays alive as the differential
-// oracle: every message must round-trip identically through both.
+// little endian, where the length counts everything after itself and is
+// capped at maxFrame, so a malformed or hostile length errors the
+// connection instead of OOM-ing the receiver. Each message type has one
+// description, its code method, which visits its fields in wire order
+// against a coder that either appends them to a buffer or consumes them
+// from one; appendFrame and decodeFrame only dispatch on the type and
+// the tag. The committed frames under testdata/golden pin every byte.
+// A binConn decodes the per-round messages into per-connection scratch
+// (decScratch), so both ends run them allocation-free in steady state;
+// boxing the decoded struct into Recv's `any` is the one allocation
+// left.
 
 import (
 	"bufio"
@@ -80,783 +60,630 @@ const (
 	tagCohortAssign
 )
 
-// wireWriter appends wire-encoded primitives to a buffer, latching the
-// first error (unrepresentable int) so call sites stay linear.
-type wireWriter struct {
-	b   []byte
-	err error
+// The descriptions: each runs c over m's fields in wire order and
+// returns m — decoded, when c decodes — and its frame tag. A per-round
+// message's slices decode into the connection's decScratch slots; a
+// handshake message's (and CohortAssign's) into fresh memory, since
+// they outlive the next Recv.
+
+func (m Hello) code(c *coder) (Hello, byte) {
+	c.num(&m.ClientID)
+	c.nums(&m.Members, nil)
+	c.f64s(&m.Weights, nil)
+	return m, tagHello
 }
 
-func (w *wireWriter) putU8(v byte) { w.b = append(w.b, v) }
-
-func (w *wireWriter) putU32(v uint32) {
-	w.b = binary.LittleEndian.AppendUint32(w.b, v)
+func (m Init) code(c *coder) (Init, byte) {
+	c.num(&m.K)
+	c.num(&m.Rounds)
+	c.num(&m.QuantBits)
+	c.num(&m.Window)
+	c.u64(&m.RunID)
+	c.f64s(&m.Params, nil)
+	c.strs(&m.Shards)
+	return m, tagInit
 }
 
-// putNum encodes a non-negative int as u32 — every protocol integer
-// (ids, rounds, coordinates, ranks, counts) fits.
-func (w *wireWriter) putNum(v int) {
-	if uint64(v) > math.MaxUint32 {
-		if w.err == nil {
-			w.err = fmt.Errorf("transport: binary codec: integer %d outside u32", v)
-		}
-		return
-	}
-	w.putU32(uint32(v))
+func (m Upload) code(c *coder) (Upload, byte) {
+	c.num(&m.ClientID)
+	c.num(&m.Round)
+	c.f64(&m.BatchLoss)
+	c.quant(&m.Bits, &m.Scale)
+	c.nums(&m.Idx, &c.sc.is1)
+	c.vals(&m.Val, &c.sc.fs1, m.Bits, m.Scale)
+	return m, tagUpload
 }
 
-func (w *wireWriter) putU64(v uint64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+func (m Broadcast) code(c *coder) (Broadcast, byte) {
+	c.num(&m.Round)
+	c.quant(&m.Bits, &m.Scale)
+	c.nums(&m.Idx, &c.sc.is1)
+	c.vals(&m.Val, &c.sc.fs1, m.Bits, m.Scale)
+	return m, tagBroadcast
 }
 
-func (w *wireWriter) putF64(v float64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v))
+func (m ShardHello) code(c *coder) (ShardHello, byte) {
+	c.str(&m.Addr)
+	c.num(&m.ID)
+	c.flag(&m.HasID)
+	return m, tagShardHello
 }
 
-func (w *wireWriter) putBool(v bool) {
-	if v {
-		w.putU8(1)
-	} else {
-		w.putU8(0)
-	}
+func (m ShardAssign) code(c *coder) (ShardAssign, byte) {
+	c.num(&m.ShardID)
+	c.num(&m.NumShards)
+	c.num(&m.Dim)
+	c.num(&m.Rounds)
+	c.num(&m.QuantBits)
+	c.num(&m.StartRound)
+	c.num(&m.Window)
+	c.num(&m.NumHosts)
+	c.f64s(&m.Weights, nil)
+	return m, tagShardAssign
 }
 
-func (w *wireWriter) putStr(s string) {
-	w.putNum(len(s))
-	w.b = append(w.b, s...)
+func (m ShardResult) code(c *coder) (ShardResult, byte) {
+	c.num(&m.Round)
+	c.num(&m.ShardID)
+	c.nums(&m.Idx, &c.sc.is1)
+	c.f64s(&m.Sum, &c.sc.fs1)
+	c.nums(&m.MinRank, &c.sc.is2)
+	return m, tagShardResult
 }
 
-func (w *wireWriter) putNums(v []int) {
-	w.putNum(len(v))
-	for _, x := range v {
-		w.putNum(x)
-	}
+func (m DataHello) code(c *coder) (DataHello, byte) {
+	c.num(&m.ClientID)
+	c.num(&m.ShardID)
+	c.num(&m.NumShards)
+	c.num(&m.Dim)
+	c.nums(&m.Members, nil)
+	return m, tagDataHello
 }
 
-func (w *wireWriter) putF64s(v []float64) {
-	w.putNum(len(v))
-	for _, x := range v {
-		w.putF64(x)
-	}
+func (m SliceUpload) code(c *coder) (SliceUpload, byte) {
+	c.num(&m.ClientID)
+	c.num(&m.Round)
+	c.quant(&m.Bits, &m.Scale)
+	c.nums(&m.Idx, &c.sc.is1)
+	c.vals(&m.Val, &c.sc.fs1, m.Bits, m.Scale)
+	c.nums(&m.Rank, &c.sc.is2)
+	return m, tagSliceUpload
 }
 
-func (w *wireWriter) putStrs(v []string) {
-	w.putNum(len(v))
-	for _, s := range v {
-		w.putStr(s)
-	}
+func (m RoundMeta) code(c *coder) (RoundMeta, byte) {
+	c.num(&m.ClientID)
+	c.num(&m.Round)
+	c.f64(&m.BatchLoss)
+	c.num(&m.UploadLen)
+	return m, tagRoundMeta
 }
 
-// gridPackable reports whether val can travel as packed b-bit integers
-// on the (bits, scale) quantization grid and be reconstructed
-// bit-for-bit: every value must be q·step for an integer q with
-// |q| ≤ levels. Values straight out of sparse.QuantizeInPlace /
-// QuantizeToScale always verify; anything else (quantization off, a
-// raw payload, a NaN) falls back to raw float64 encoding.
-func gridPackable(val []float64, bits int, scale float64) bool {
-	if bits < 2 || bits > 32 || len(val) == 0 {
-		return false
-	}
-	if !(scale > 0) || math.IsInf(scale, 0) {
-		return false
-	}
-	levels := float64(int64(1)<<(bits-1)) - 1
-	step := scale / levels
-	for _, v := range val {
-		q := math.Round(v / step)
-		if !(math.Abs(q) <= levels) || q*step != v {
-			return false
-		}
-	}
-	return true
+func (m FillQuery) code(c *coder) (FillQuery, byte) {
+	c.num(&m.Round)
+	c.num(&m.Kappa)
+	return m, tagFillQuery
 }
 
-// packedLen is the byte length of n packed b-bit values.
-func packedLen(n, bits int) int { return (n*bits + 7) / 8 }
-
-// putQuantVals encodes a gradient value slice: a count, an encoding
-// byte (0 = raw float64 bits, 1 = packed b-bit grid integers), and the
-// payload. The message's Bits/Scale header fields — encoded separately
-// by the caller — parameterize the grid on both ends.
-func (w *wireWriter) putQuantVals(val []float64, bits int, scale float64) {
-	w.putNum(len(val))
-	if !gridPackable(val, bits, scale) {
-		w.putU8(0)
-		for _, v := range val {
-			w.putF64(v)
-		}
-		return
-	}
-	w.putU8(1)
-	levels := int64(1)<<(bits-1) - 1
-	step := scale / float64(levels)
-	var bitbuf uint64
-	nbits := 0
-	for _, v := range val {
-		q := int64(math.Round(v / step))
-		bitbuf |= uint64(q+levels) << nbits
-		nbits += bits
-		for nbits >= 8 {
-			w.b = append(w.b, byte(bitbuf))
-			bitbuf >>= 8
-			nbits -= 8
-		}
-	}
-	if nbits > 0 {
-		w.b = append(w.b, byte(bitbuf))
-	}
+func (m FillCandidates) code(c *coder) (FillCandidates, byte) {
+	c.num(&m.Round)
+	c.num(&m.ShardID)
+	c.nums(&m.Client, &c.sc.is1)
+	c.nums(&m.Idx, &c.sc.is2)
+	c.f64s(&m.AbsVal, &c.sc.fs1)
+	return m, tagFillCandidates
 }
 
-// decScratch is a binConn's preallocated decode target: the protocol's
-// messages carry at most two int slices and one float64 slice, and the
-// lockstep protocol guarantees message m is fully consumed before
-// Recv(m+1) overwrites these (see the package comment above).
-type decScratch struct {
-	is1, is2 []int
-	fs1      []float64
+func (m RoundSeal) code(c *coder) (RoundSeal, byte) {
+	c.num(&m.Round)
+	c.quant(&m.Bits, &m.Scale)
+	c.nums(&m.Members, &c.sc.is1)
+	return m, tagRoundSeal
 }
 
-// wireReader consumes wire-encoded primitives from a frame body,
-// latching the first error; done() additionally rejects trailing bytes.
-type wireReader struct {
-	b   []byte
-	err error
+func (m SliceFetch) code(c *coder) (SliceFetch, byte) {
+	c.num(&m.ClientID)
+	c.num(&m.Round)
+	return m, tagSliceFetch
 }
 
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("transport: binary codec: "+format, args...)
-	}
+func (m SliceBroadcast) code(c *coder) (SliceBroadcast, byte) {
+	c.num(&m.Round)
+	c.num(&m.ShardID)
+	c.quant(&m.Bits, &m.Scale)
+	c.nums(&m.Idx, &c.sc.is1)
+	c.vals(&m.Val, &c.sc.fs1, m.Bits, m.Scale)
+	return m, tagSliceBroadcast
 }
 
-func (r *wireReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail("short frame")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
+func (m RoundRelease) code(c *coder) (RoundRelease, byte) {
+	c.num(&m.Round)
+	c.num(&m.Elems)
+	return m, tagRoundRelease
 }
 
-func (r *wireReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.fail("short frame")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
+func (m Rejoin) code(c *coder) (Rejoin, byte) {
+	c.u64(&m.RunID)
+	c.num(&m.Kind)
+	c.num(&m.ID)
+	c.num(&m.Round)
+	c.num(&m.LastSeal)
+	c.flag(&m.Fresh)
+	c.str(&m.Addr)
+	return m, tagRejoin
 }
 
-func (r *wireReader) num() int { return int(r.u32()) }
-
-func (r *wireReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail("short frame")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
+func (m RejoinAck) code(c *coder) (RejoinAck, byte) {
+	c.u64(&m.RunID)
+	c.num(&m.Round)
+	c.num(&m.NeedFrom)
+	return m, tagRejoinAck
 }
 
-func (r *wireReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail("short frame")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
+func (m Redo) code(c *coder) (Redo, byte) {
+	c.num(&m.Round)
+	c.num(&m.ShardID)
+	c.str(&m.Addr)
+	return m, tagRedo
 }
 
-func (r *wireReader) bool_() bool { return r.u8() != 0 }
-
-func (r *wireReader) str() string {
-	n := r.num()
-	if r.err != nil {
-		return ""
-	}
-	if n > len(r.b) {
-		r.fail("string length %d exceeds %d remaining bytes", n, len(r.b))
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
+func (m MuxFrame) code(c *coder) (MuxFrame, byte) {
+	c.num(&m.VID)
+	c.frame(&m.Msg)
+	return m, tagMuxFrame
 }
 
-// nums decodes an int slice into dst (grown as needed). The declared
-// count is checked against the bytes actually present before any
-// allocation, so a hostile count cannot force a huge make.
-func (r *wireReader) nums(dst []int) []int {
-	n := r.num()
-	if r.err != nil {
-		return dst
-	}
-	if n > len(r.b)/4 {
-		r.fail("int slice count %d exceeds %d remaining bytes", n, len(r.b))
-		return dst
-	}
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = int(binary.LittleEndian.Uint32(r.b[4*i:]))
-	}
-	r.b = r.b[4*n:]
-	return dst
-}
-
-func (r *wireReader) f64s(dst []float64) []float64 {
-	n := r.num()
-	if r.err != nil {
-		return dst
-	}
-	if n > len(r.b)/8 {
-		r.fail("float slice count %d exceeds %d remaining bytes", n, len(r.b))
-		return dst
-	}
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
-	}
-	r.b = r.b[8*n:]
-	return dst
-}
-
-func (r *wireReader) strs(dst []string) []string {
-	n := r.num()
-	if r.err != nil {
-		return dst
-	}
-	// Each string costs at least its 4-byte count.
-	if n > len(r.b)/4 {
-		r.fail("string slice count %d exceeds %d remaining bytes", n, len(r.b))
-		return dst
-	}
-	if cap(dst) < n {
-		dst = make([]string, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = r.str()
-	}
-	return dst
-}
-
-// quantMeta validates a message's quantization header: Bits is 0 (off)
-// or a real width, Scale is a finite non-negative real. A NaN or Inf
-// scale is a corrupt or hostile frame and errors the connection.
-func (r *wireReader) quantMeta(bits int, scale float64) {
-	if bits != 0 && (bits < 2 || bits > 64) {
-		r.fail("quantization width %d outside 0 or [2, 64]", bits)
-	}
-	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-		r.fail("quantization scale %v is not a finite non-negative real", scale)
-	}
-}
-
-// quantVals decodes a gradient value block written by putQuantVals.
-func (r *wireReader) quantVals(dst []float64, bits int, scale float64) []float64 {
-	n := r.num()
-	enc := r.u8()
-	if r.err != nil {
-		return dst
-	}
-	switch enc {
-	case 0:
-		if n > len(r.b)/8 {
-			r.fail("value count %d exceeds %d remaining bytes", n, len(r.b))
-			return dst
-		}
-		if cap(dst) < n {
-			dst = make([]float64, n)
-		}
-		dst = dst[:n]
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
-		}
-		r.b = r.b[8*n:]
-		return dst
-	case 1:
-		if bits < 2 || bits > 32 {
-			r.fail("packed values with quantization width %d outside [2, 32]", bits)
-			return dst
-		}
-		if !(scale > 0) || math.IsInf(scale, 0) {
-			r.fail("packed values with quantization scale %v", scale)
-			return dst
-		}
-		nbytes := packedLen(n, bits)
-		if nbytes > len(r.b) {
-			r.fail("packed value count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(r.b))
-			return dst
-		}
-		levels := int64(1)<<(bits-1) - 1
-		step := scale / float64(levels)
-		if cap(dst) < n {
-			dst = make([]float64, n)
-		}
-		dst = dst[:n]
-		var bitbuf uint64
-		nb, pos := 0, 0
-		mask := uint64(1)<<bits - 1
-		for i := range dst {
-			for nb < bits {
-				bitbuf |= uint64(r.b[pos]) << nb
-				pos++
-				nb += 8
-			}
-			u := bitbuf & mask
-			bitbuf >>= uint(bits)
-			nb -= bits
-			if u > uint64(2*levels) {
-				r.fail("packed value code %d outside the %d-bit grid", u, bits)
-				return dst
-			}
-			dst[i] = float64(int64(u)-levels) * step
-		}
-		r.b = r.b[nbytes:]
-		return dst
-	default:
-		r.fail("unknown value encoding %d", enc)
-		return dst
-	}
-}
-
-// Typed decoders for the per-round slice messages — the scratch-backed
-// hot path (also what the codec benchmarks measure, without the `any`
-// boxing Recv adds).
-
-func (r *wireReader) upload(sc *decScratch) Upload {
-	var m Upload
-	m.ClientID = r.num()
-	m.Round = r.num()
-	m.BatchLoss = r.f64()
-	m.Bits = r.num()
-	m.Scale = r.f64()
-	r.quantMeta(m.Bits, m.Scale)
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Idx = sc.is1
-	sc.fs1 = r.quantVals(sc.fs1[:0], m.Bits, m.Scale)
-	m.Val = sc.fs1
-	return m
-}
-
-func (r *wireReader) broadcast(sc *decScratch) Broadcast {
-	var m Broadcast
-	m.Round = r.num()
-	m.Bits = r.num()
-	m.Scale = r.f64()
-	r.quantMeta(m.Bits, m.Scale)
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Idx = sc.is1
-	sc.fs1 = r.quantVals(sc.fs1[:0], m.Bits, m.Scale)
-	m.Val = sc.fs1
-	return m
-}
-
-func (r *wireReader) shardResult(sc *decScratch) ShardResult {
-	var m ShardResult
-	m.Round = r.num()
-	m.ShardID = r.num()
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Idx = sc.is1
-	sc.fs1 = r.f64s(sc.fs1[:0])
-	m.Sum = sc.fs1
-	sc.is2 = r.nums(sc.is2[:0])
-	m.MinRank = sc.is2
-	return m
-}
-
-func (r *wireReader) sliceUpload(sc *decScratch) SliceUpload {
-	var m SliceUpload
-	m.ClientID = r.num()
-	m.Round = r.num()
-	m.Bits = r.num()
-	m.Scale = r.f64()
-	r.quantMeta(m.Bits, m.Scale)
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Idx = sc.is1
-	sc.fs1 = r.quantVals(sc.fs1[:0], m.Bits, m.Scale)
-	m.Val = sc.fs1
-	sc.is2 = r.nums(sc.is2[:0])
-	m.Rank = sc.is2
-	return m
-}
-
-func (r *wireReader) fillCandidates(sc *decScratch) FillCandidates {
-	var m FillCandidates
-	m.Round = r.num()
-	m.ShardID = r.num()
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Client = sc.is1
-	sc.is2 = r.nums(sc.is2[:0])
-	m.Idx = sc.is2
-	sc.fs1 = r.f64s(sc.fs1[:0])
-	m.AbsVal = sc.fs1
-	return m
-}
-
-func (r *wireReader) roundSeal(sc *decScratch) RoundSeal {
-	var m RoundSeal
-	m.Round = r.num()
-	m.Bits = r.num()
-	m.Scale = r.f64()
-	r.quantMeta(m.Bits, m.Scale)
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Members = sc.is1
-	return m
-}
-
-func (r *wireReader) sliceBroadcast(sc *decScratch) SliceBroadcast {
-	var m SliceBroadcast
-	m.Round = r.num()
-	m.ShardID = r.num()
-	m.Bits = r.num()
-	m.Scale = r.f64()
-	r.quantMeta(m.Bits, m.Scale)
-	sc.is1 = r.nums(sc.is1[:0])
-	m.Idx = sc.is1
-	sc.fs1 = r.quantVals(sc.fs1[:0], m.Bits, m.Scale)
-	m.Val = sc.fs1
-	return m
+func (m CohortAssign) code(c *coder) (CohortAssign, byte) {
+	c.num(&m.Round)
+	c.nums(&m.Members, nil)
+	return m, tagCohortAssign
 }
 
 // appendFrame encodes msg as one complete wire frame appended to b.
 func appendFrame(b []byte, msg any) ([]byte, error) {
 	start := len(b)
-	w := wireWriter{b: append(b, 0, 0, 0, 0)}
+	c := coder{b: append(b, 0, 0, 0, 0, 0)}
+	var tag byte
 	switch m := msg.(type) {
 	case Hello:
-		w.putU8(tagHello)
-		w.putNum(m.ClientID)
-		w.putNums(m.Members)
-		w.putF64s(m.Weights)
+		_, tag = m.code(&c)
 	case Init:
-		w.putU8(tagInit)
-		w.putNum(m.K)
-		w.putNum(m.Rounds)
-		w.putNum(m.QuantBits)
-		w.putNum(m.Window)
-		w.putU64(m.RunID)
-		w.putF64s(m.Params)
-		w.putStrs(m.Shards)
+		_, tag = m.code(&c)
 	case Upload:
-		w.putU8(tagUpload)
-		w.putNum(m.ClientID)
-		w.putNum(m.Round)
-		w.putF64(m.BatchLoss)
-		w.putNum(m.Bits)
-		w.putF64(m.Scale)
-		w.putNums(m.Idx)
-		w.putQuantVals(m.Val, m.Bits, m.Scale)
+		_, tag = m.code(&c)
 	case Broadcast:
-		w.putU8(tagBroadcast)
-		w.putNum(m.Round)
-		w.putNum(m.Bits)
-		w.putF64(m.Scale)
-		w.putNums(m.Idx)
-		w.putQuantVals(m.Val, m.Bits, m.Scale)
+		_, tag = m.code(&c)
 	case ShardHello:
-		w.putU8(tagShardHello)
-		w.putStr(m.Addr)
-		w.putNum(m.ID)
-		w.putBool(m.HasID)
+		_, tag = m.code(&c)
 	case ShardAssign:
-		w.putU8(tagShardAssign)
-		w.putNum(m.ShardID)
-		w.putNum(m.NumShards)
-		w.putNum(m.Dim)
-		w.putNum(m.Rounds)
-		w.putNum(m.QuantBits)
-		w.putNum(m.StartRound)
-		w.putNum(m.Window)
-		w.putNum(m.NumHosts)
-		w.putF64s(m.Weights)
+		_, tag = m.code(&c)
 	case ShardResult:
-		w.putU8(tagShardResult)
-		w.putNum(m.Round)
-		w.putNum(m.ShardID)
-		w.putNums(m.Idx)
-		w.putF64s(m.Sum)
-		w.putNums(m.MinRank)
+		_, tag = m.code(&c)
 	case DataHello:
-		w.putU8(tagDataHello)
-		w.putNum(m.ClientID)
-		w.putNum(m.ShardID)
-		w.putNum(m.NumShards)
-		w.putNum(m.Dim)
-		w.putNums(m.Members)
+		_, tag = m.code(&c)
 	case SliceUpload:
-		w.putU8(tagSliceUpload)
-		w.putNum(m.ClientID)
-		w.putNum(m.Round)
-		w.putNum(m.Bits)
-		w.putF64(m.Scale)
-		w.putNums(m.Idx)
-		w.putQuantVals(m.Val, m.Bits, m.Scale)
-		w.putNums(m.Rank)
+		_, tag = m.code(&c)
 	case RoundMeta:
-		w.putU8(tagRoundMeta)
-		w.putNum(m.ClientID)
-		w.putNum(m.Round)
-		w.putF64(m.BatchLoss)
-		w.putNum(m.UploadLen)
+		_, tag = m.code(&c)
 	case FillQuery:
-		w.putU8(tagFillQuery)
-		w.putNum(m.Round)
-		w.putNum(m.Kappa)
+		_, tag = m.code(&c)
 	case FillCandidates:
-		w.putU8(tagFillCandidates)
-		w.putNum(m.Round)
-		w.putNum(m.ShardID)
-		w.putNums(m.Client)
-		w.putNums(m.Idx)
-		w.putF64s(m.AbsVal)
+		_, tag = m.code(&c)
 	case RoundSeal:
-		w.putU8(tagRoundSeal)
-		w.putNum(m.Round)
-		w.putNum(m.Bits)
-		w.putF64(m.Scale)
-		w.putNums(m.Members)
+		_, tag = m.code(&c)
 	case SliceFetch:
-		w.putU8(tagSliceFetch)
-		w.putNum(m.ClientID)
-		w.putNum(m.Round)
+		_, tag = m.code(&c)
 	case SliceBroadcast:
-		w.putU8(tagSliceBroadcast)
-		w.putNum(m.Round)
-		w.putNum(m.ShardID)
-		w.putNum(m.Bits)
-		w.putF64(m.Scale)
-		w.putNums(m.Idx)
-		w.putQuantVals(m.Val, m.Bits, m.Scale)
+		_, tag = m.code(&c)
 	case RoundRelease:
-		w.putU8(tagRoundRelease)
-		w.putNum(m.Round)
-		w.putNum(m.Elems)
+		_, tag = m.code(&c)
 	case Rejoin:
-		w.putU8(tagRejoin)
-		w.putU64(m.RunID)
-		w.putNum(m.Kind)
-		w.putNum(m.ID)
-		w.putNum(m.Round)
-		w.putNum(m.LastSeal)
-		w.putBool(m.Fresh)
-		w.putStr(m.Addr)
+		_, tag = m.code(&c)
 	case RejoinAck:
-		w.putU8(tagRejoinAck)
-		w.putU64(m.RunID)
-		w.putNum(m.Round)
-		w.putNum(m.NeedFrom)
+		_, tag = m.code(&c)
 	case Redo:
-		w.putU8(tagRedo)
-		w.putNum(m.Round)
-		w.putNum(m.ShardID)
-		w.putStr(m.Addr)
+		_, tag = m.code(&c)
 	case MuxFrame:
-		if _, ok := m.Msg.(MuxFrame); ok {
-			return b, fmt.Errorf("transport: binary codec: MuxFrame nested inside MuxFrame")
-		}
-		w.putU8(tagMuxFrame)
-		w.putNum(m.VID)
-		// The enveloped message travels as a complete nested frame
-		// (length prefix included), so decode reuses the same machinery.
-		inner, err := appendFrame(w.b, m.Msg)
-		if err != nil {
-			return b, err
-		}
-		w.b = inner
+		_, tag = m.code(&c)
 	case CohortAssign:
-		w.putU8(tagCohortAssign)
-		w.putNum(m.Round)
-		w.putNums(m.Members)
+		_, tag = m.code(&c)
 	default:
 		return b, fmt.Errorf("transport: binary codec: unsupported message type %T", msg)
 	}
-	if w.err != nil {
-		return b, w.err
-	}
-	n := len(w.b) - start - 4
+	n := len(c.b) - start - 4
 	if n > maxFrame {
-		return b, fmt.Errorf("transport: binary codec: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
+		c.fail("frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
-	binary.LittleEndian.PutUint32(w.b[start:], uint32(n))
-	return w.b, nil
+	if c.err != nil {
+		return b, c.err
+	}
+	binary.LittleEndian.PutUint32(c.b[start:], uint32(n))
+	c.b[start+4] = tag
+	return c.b, nil
 }
 
 // decodeFrame decodes one frame payload (the type tag plus body —
-// everything after the length prefix) into a protocol message. The
-// handshake messages (Init, ShardAssign) decode into fresh slices —
-// their payloads outlive the next Recv; the per-round messages decode
-// into sc.
+// everything after the length prefix) into a protocol message, its
+// per-round slices into sc.
 func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("transport: binary codec: empty frame")
 	}
-	tag := payload[0]
-	r := wireReader{b: payload[1:]}
+	c := coder{b: payload[1:], dec: true, sc: *sc}
 	var msg any
-	switch tag {
+	switch tag := payload[0]; tag {
 	case tagHello:
-		var m Hello
-		m.ClientID = r.num()
-		m.Members = r.nums(nil)
-		m.Weights = r.f64s(nil)
-		msg = m
+		msg, _ = Hello{}.code(&c)
 	case tagInit:
-		var m Init
-		m.K = r.num()
-		m.Rounds = r.num()
-		m.QuantBits = r.num()
-		m.Window = r.num()
-		m.RunID = r.u64()
-		m.Params = r.f64s(nil)
-		m.Shards = r.strs(nil)
-		msg = m
+		msg, _ = Init{}.code(&c)
 	case tagUpload:
-		msg = r.upload(sc)
+		msg, _ = Upload{}.code(&c)
 	case tagBroadcast:
-		msg = r.broadcast(sc)
+		msg, _ = Broadcast{}.code(&c)
 	case tagShardHello:
-		var m ShardHello
-		m.Addr = r.str()
-		m.ID = r.num()
-		m.HasID = r.bool_()
-		msg = m
+		msg, _ = ShardHello{}.code(&c)
 	case tagShardAssign:
-		var m ShardAssign
-		m.ShardID = r.num()
-		m.NumShards = r.num()
-		m.Dim = r.num()
-		m.Rounds = r.num()
-		m.QuantBits = r.num()
-		m.StartRound = r.num()
-		m.Window = r.num()
-		m.NumHosts = r.num()
-		m.Weights = r.f64s(nil)
-		msg = m
+		msg, _ = ShardAssign{}.code(&c)
 	case tagShardResult:
-		msg = r.shardResult(sc)
+		msg, _ = ShardResult{}.code(&c)
 	case tagDataHello:
-		var m DataHello
-		m.ClientID = r.num()
-		m.ShardID = r.num()
-		m.NumShards = r.num()
-		m.Dim = r.num()
-		m.Members = r.nums(nil)
-		msg = m
+		msg, _ = DataHello{}.code(&c)
 	case tagSliceUpload:
-		msg = r.sliceUpload(sc)
+		msg, _ = SliceUpload{}.code(&c)
 	case tagRoundMeta:
-		var m RoundMeta
-		m.ClientID = r.num()
-		m.Round = r.num()
-		m.BatchLoss = r.f64()
-		m.UploadLen = r.num()
-		msg = m
+		msg, _ = RoundMeta{}.code(&c)
 	case tagFillQuery:
-		var m FillQuery
-		m.Round = r.num()
-		m.Kappa = r.num()
-		msg = m
+		msg, _ = FillQuery{}.code(&c)
 	case tagFillCandidates:
-		msg = r.fillCandidates(sc)
+		msg, _ = FillCandidates{}.code(&c)
 	case tagRoundSeal:
-		msg = r.roundSeal(sc)
+		msg, _ = RoundSeal{}.code(&c)
 	case tagSliceFetch:
-		var m SliceFetch
-		m.ClientID = r.num()
-		m.Round = r.num()
-		msg = m
+		msg, _ = SliceFetch{}.code(&c)
 	case tagSliceBroadcast:
-		msg = r.sliceBroadcast(sc)
+		msg, _ = SliceBroadcast{}.code(&c)
 	case tagRoundRelease:
-		var m RoundRelease
-		m.Round = r.num()
-		m.Elems = r.num()
-		msg = m
+		msg, _ = RoundRelease{}.code(&c)
 	case tagRejoin:
-		var m Rejoin
-		m.RunID = r.u64()
-		m.Kind = r.num()
-		m.ID = r.num()
-		m.Round = r.num()
-		m.LastSeal = r.num()
-		m.Fresh = r.bool_()
-		m.Addr = r.str()
-		msg = m
+		msg, _ = Rejoin{}.code(&c)
 	case tagRejoinAck:
-		var m RejoinAck
-		m.RunID = r.u64()
-		m.Round = r.num()
-		m.NeedFrom = r.num()
-		msg = m
+		msg, _ = RejoinAck{}.code(&c)
 	case tagRedo:
-		var m Redo
-		m.Round = r.num()
-		m.ShardID = r.num()
-		m.Addr = r.str()
-		msg = m
+		msg, _ = Redo{}.code(&c)
 	case tagMuxFrame:
-		vid := r.num()
-		innerLen := r.num()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if innerLen < 1 || innerLen > len(r.b) {
-			return nil, fmt.Errorf("transport: binary codec: nested frame length %d outside [1, %d]", innerLen, len(r.b))
-		}
-		if r.b[0] == tagMuxFrame {
-			return nil, fmt.Errorf("transport: binary codec: MuxFrame nested inside MuxFrame")
-		}
-		inner, err := decodeFrame(r.b[:innerLen], sc)
-		if err != nil {
-			return nil, err
-		}
-		r.b = r.b[innerLen:]
-		msg = MuxFrame{VID: vid, Msg: inner}
+		msg, _ = MuxFrame{}.code(&c)
 	case tagCohortAssign:
-		var m CohortAssign
-		m.Round = r.num()
-		m.Members = r.nums(nil)
-		msg = m
+		msg, _ = CohortAssign{}.code(&c)
 	default:
 		return nil, fmt.Errorf("transport: binary codec: unknown message type tag %d", tag)
 	}
-	if r.err != nil {
-		return nil, r.err
+	*sc = c.sc // the slots, grown or not, serve the next frame
+	if c.err != nil {
+		return nil, c.err
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("transport: binary codec: %d trailing bytes after %T", len(r.b), msg)
+	if len(c.b) != 0 {
+		return nil, fmt.Errorf("transport: binary codec: %d trailing bytes after %T", len(c.b), msg)
 	}
 	return msg, nil
 }
 
-// binConn is a Conn over any net.Conn using the binary frame codec —
-// the default wire codec (Dial and Listener.Accept build these). Close
-// semantics match memConn and gobConn: Close is idempotent, Send on a
-// closed connection reports ErrClosed, Recv after either endpoint
-// closes reports io.EOF. After the first framing or decode error the
+// decScratch is a binConn's preallocated decode target: the protocol's
+// messages carry at most two int slices and one float64 slice. Reuse is
+// safe under the lockstep discipline that lets clients and shards reuse
+// their pair buffers over in-memory conns: every handler finishes
+// consuming message m from a connection before it Recvs m+1 on it.
+type decScratch struct {
+	is1, is2 []int
+	fs1      []float64
+}
+
+// coder is one pass over a message's fields: with dec false it appends
+// them to b, with dec true it consumes them from b into the decode
+// slots it holds for the pass. The first error latches, so a
+// description stays a straight list of fields. It is a stack value the
+// descriptions call directly: an interface call, or a pointer to a
+// stack scratch, would move it to the heap.
+type coder struct {
+	b   []byte
+	dec bool
+	sc  decScratch
+	err error
+}
+
+func (c *coder) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("transport: binary codec: "+format, args...)
+	}
+}
+
+// take consumes the next n bytes of a frame being decoded, or fails
+// short and returns nil.
+func (c *coder) take(n int) (p []byte) {
+	if c.err == nil && len(c.b) < n {
+		c.fail("short frame")
+	}
+	if c.err == nil {
+		p, c.b = c.b[:n], c.b[n:]
+	}
+	return p
+}
+
+// fits checks, decoding, that n elements of size bytes fit in the bytes
+// left — before anything is allocated, so a hostile count cannot force
+// a huge make.
+func (c *coder) fits(n, size int, what string) bool {
+	if c.err == nil && n > len(c.b)/size {
+		c.fail("%s %d exceeds %d remaining bytes", what, n, len(c.b))
+	}
+	return c.err == nil
+}
+
+// slot returns n elements to decode into: the scratch slot *dst, grown
+// if short and kept for the next frame, or fresh memory when dst is nil.
+func slot[T any](dst *[]T, n int) []T {
+	if dst == nil {
+		dst = new([]T)
+	}
+	if cap(*dst) < n {
+		*dst = make([]T, n)
+	}
+	*dst = (*dst)[:n]
+	return *dst
+}
+
+// num is a protocol integer — an id, round, coordinate, rank or count,
+// every one non-negative — as a u32.
+func (c *coder) num(v *int) {
+	if !c.dec && uint64(*v) > math.MaxUint32 {
+		c.fail("integer %d outside u32", *v)
+	} else if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	} else if p := c.take(4); p != nil {
+		*v = int(binary.LittleEndian.Uint32(p))
+	}
+}
+
+func (c *coder) u64(v *uint64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *v)
+	} else if p := c.take(8); p != nil {
+		*v = binary.LittleEndian.Uint64(p)
+	}
+}
+
+// f64 is a float as its IEEE-754 bits.
+func (c *coder) f64(v *float64) {
+	bits := math.Float64bits(*v)
+	c.u64(&bits)
+	*v = math.Float64frombits(bits)
+}
+
+// flag is a bool as one byte, 1 or 0; any nonzero byte decodes true.
+func (c *coder) flag(v *bool) {
+	var u byte
+	if *v {
+		u = 1
+	}
+	if !c.dec {
+		c.b = append(c.b, u)
+	} else if p := c.take(1); p != nil {
+		*v = p[0] != 0
+	}
+}
+
+// str is a string: a u32 length, then its bytes.
+func (c *coder) str(v *string) {
+	n := len(*v)
+	c.num(&n)
+	if !c.dec {
+		c.b = append(c.b, *v...)
+	} else if c.fits(n, 1, "string length") {
+		*v = string(c.take(n))
+	}
+}
+
+// strs is a string slice: a u32 count, then the strings (each costs at
+// least its 4-byte length), decoded into fresh memory.
+func (c *coder) strs(v *[]string) {
+	n := len(*v)
+	c.num(&n)
+	if c.dec && c.fits(n, 4, "string slice count") {
+		*v = slot[string](nil, n)
+	}
+	for i := range *v {
+		c.str(&(*v)[i])
+	}
+}
+
+// nums is an int slice: a u32 count, then each element as a num.
+func (c *coder) nums(v *[]int, dst *[]int) {
+	n := len(*v)
+	c.num(&n)
+	if !c.dec {
+		for _, x := range *v {
+			if uint64(x) > math.MaxUint32 {
+				c.fail("integer %d outside u32", x)
+				return
+			}
+			c.b = binary.LittleEndian.AppendUint32(c.b, uint32(x))
+		}
+	} else if c.fits(n, 4, "int slice count") {
+		s, b := slot(dst, n), c.b
+		for i := range s {
+			s[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		c.b = b[4*n:]
+		*v = s
+	}
+}
+
+// f64s is a float slice: a u32 count, then the raw floats.
+func (c *coder) f64s(v *[]float64, dst *[]float64) {
+	n := len(*v)
+	c.num(&n)
+	c.raw(v, dst, n, "float slice count")
+}
+
+// raw is n floats as their IEEE-754 bits, after a count written by the
+// caller.
+func (c *coder) raw(v *[]float64, dst *[]float64, n int, what string) {
+	if !c.dec {
+		for _, x := range *v {
+			c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(x))
+		}
+	} else if c.fits(n, 8, what) {
+		s, b := slot(dst, n), c.b
+		for i := range s {
+			s[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		c.b = b[8*n:]
+		*v = s
+	}
+}
+
+// quant is a message's quantization header, checked on decode: Bits is
+// 0 (off) or a real width, Scale a finite non-negative real. A NaN or
+// Inf scale is a corrupt or hostile frame and errors the connection.
+func (c *coder) quant(bits *int, scale *float64) {
+	c.num(bits)
+	c.f64(scale)
+	if b := *bits; c.dec && b != 0 && (b < 2 || b > 64) {
+		c.fail("quantization width %d outside 0 or [2, 64]", b)
+	}
+	if s := *scale; c.dec && (math.IsNaN(s) || math.IsInf(s, 0) || s < 0) {
+		c.fail("quantization scale %v is not a finite non-negative real", s)
+	}
+}
+
+// vals is a gradient value block on the grid of its message's quant
+// header: a u32 count, an encoding byte, and the values. When (bits,
+// scale) describe a b-bit grid and every value is a grid point q·step
+// with |q| ≤ levels, the encoding is 1 and the values travel packed as
+// biased b-bit integers q+levels — ceil(n·b/8) bytes instead of 8n, the
+// ~8× wire shrink at b=8 the paper's quantization lever promises — from
+// which the receiver rebuilds bit-for-bit the sender's grid values.
+// Anything else (quantization off, a raw payload, a NaN) travels raw,
+// encoding 0, so the codec is lossless for arbitrary payloads and
+// packing is purely an encoding optimization.
+func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
+	n := len(*v)
+	c.num(&n)
+	if !c.dec {
+		if c.b = append(c.b, 1); !c.pack(*v, bits, scale) {
+			c.b[len(c.b)-1] = 0
+			c.raw(v, nil, n, "")
+		}
+		return
+	}
+	switch enc := c.take(1); {
+	case enc == nil:
+	case enc[0] == 0:
+		c.raw(v, dst, n, "value count")
+	case enc[0] == 1:
+		c.unpack(v, dst, n, bits, scale)
+	default:
+		c.fail("unknown value encoding %d", enc[0])
+	}
+}
+
+// onGrid reports whether (bits, scale) describe a grid values can pack
+// on: b in [2, 32], scale finite and positive.
+func onGrid(bits int, scale float64) bool {
+	return bits >= 2 && bits <= 32 && scale > 0 && !math.IsInf(scale, 0)
+}
+
+// pack appends val as packed grid codes and reports true, or appends
+// nothing and reports false when a value is off the grid. Values
+// straight out of sparse.QuantizeInPlace / QuantizeToScale always pack.
+func (c *coder) pack(val []float64, bits int, scale float64) bool {
+	if !onGrid(bits, scale) || len(val) == 0 {
+		return false
+	}
+	levels := int64(1)<<(bits-1) - 1
+	step := scale / float64(levels)
+	b := c.b
+	var bitbuf uint64
+	nbits := 0
+	for _, v := range val {
+		q := math.Round(v / step)
+		if !(math.Abs(q) <= float64(levels)) || q*step != v {
+			return false
+		}
+		bitbuf |= uint64(int64(q)+levels) << nbits
+		nbits += bits
+		for nbits >= 8 {
+			b = append(b, byte(bitbuf))
+			bitbuf >>= 8
+			nbits -= 8
+		}
+	}
+	if nbits > 0 {
+		b = append(b, byte(bitbuf))
+	}
+	c.b = b
+	return true
+}
+
+// unpack decodes n packed codes into the slot *dst, once the header is
+// a grid and the codes are present.
+func (c *coder) unpack(v *[]float64, dst *[]float64, n, bits int, scale float64) {
+	if !onGrid(bits, scale) {
+		c.fail("packed values with quantization width %d and scale %v", bits, scale)
+		return
+	}
+	nbytes := (n*bits + 7) / 8
+	if nbytes > len(c.b) {
+		c.fail("packed value count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(c.b))
+		return
+	}
+	levels := int64(1)<<(bits-1) - 1
+	step := scale / float64(levels)
+	s, b := slot(dst, n), c.b
+	var bitbuf uint64
+	nb, pos := 0, 0
+	mask := uint64(1)<<bits - 1
+	for i := range s {
+		for nb < bits {
+			bitbuf |= uint64(b[pos]) << nb
+			pos++
+			nb += 8
+		}
+		u := bitbuf & mask
+		bitbuf >>= uint(bits)
+		nb -= bits
+		if u > uint64(2*levels) {
+			c.fail("packed value code %d outside the %d-bit grid", u, bits)
+			return
+		}
+		s[i] = float64(int64(u)-levels) * step
+	}
+	c.b = b[nbytes:]
+	*v = s
+}
+
+// frame is a MuxFrame's enveloped message, a complete nested frame
+// (length prefix included) so it reuses the frame machinery. A MuxFrame
+// inside a MuxFrame is refused both ways.
+func (c *coder) frame(v *any) {
+	n := 0
+	if c.dec {
+		c.num(&n)
+	}
+	switch _, nested := (*v).(MuxFrame); {
+	case nested || c.dec && c.fits(n, 1, "nested frame length") && n > 0 && c.b[0] == tagMuxFrame:
+		c.fail("MuxFrame nested inside MuxFrame")
+	case c.err != nil:
+	case !c.dec:
+		c.b, c.err = appendFrame(c.b, *v)
+	default:
+		*v, c.err = decodeFrame(c.b[:n], &c.sc)
+		c.b = c.b[n:]
+	}
+}
+
+// binConn is a Conn over any net.Conn using the binary frame codec
+// (Dial and Listener.Accept build these). Close semantics match
+// memConn: Close is idempotent, Send on a closed connection reports
+// ErrClosed, Recv after either endpoint closes reports io.EOF. After the first framing or decode error the
 // receive side is poisoned: the stream position is untrustworthy, so
 // every later Recv fails fast with the same error instead of
 // misparsing whatever bytes follow.
@@ -878,14 +705,13 @@ type binConn struct {
 	sent, received atomic.Uint64
 }
 
-// ByteCounter reports a connection's cumulative wire traffic. The
-// binary codec's connections implement it; the transport round loops
-// sample the counters at round boundaries to fill RoundEvent.BytesUp/
+// ByteCounter reports a connection's cumulative wire traffic: monotone
+// byte counts, safe to call concurrently with Send/Recv. The binary
+// codec's connections implement it; the transport round loops sample
+// the counters at round boundaries to fill RoundEvent.BytesUp/
 // BytesDown. Connections without wire framing (in-memory pairs) do
 // not implement it and contribute nothing.
 type ByteCounter interface {
-	// BytesSent/BytesReceived are monotone cumulative byte counts,
-	// safe to call concurrently with Send/Recv.
 	BytesSent() uint64
 	BytesReceived() uint64
 }

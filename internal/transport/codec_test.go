@@ -1,8 +1,7 @@
 package transport
 
-// Tests for the binary wire codec: the gob differential oracle (every
-// message round-trips identically through both codecs), the
-// corrupted-frame suite (a malformed frame errors the connection and
+// Tests for the binary wire codec: the golden frames (every message's
+// bytes pinned, decoded and re-encoded), the corrupted-frame suite (a malformed frame errors the connection and
 // poisons it instead of wedging or misparsing), hard-close semantics
 // over real TCP, and the quantized wire path (trajectory grids stay
 // bit-identical across deployments while value bytes shrink ~8× at
@@ -34,7 +33,9 @@ import (
 
 // codecFixtures returns one fixture per protocol message type, plus
 // quantized variants of every value-carrying message. Slices are
-// non-empty so gob's nil-vs-empty ambiguity cannot mask a mismatch.
+// non-empty so the wire's nil-vs-empty ambiguity cannot mask a
+// mismatch. Each has a golden frame (goldenName); append new ones at
+// the end.
 func codecFixtures() []any {
 	qv := []float64{0.5, -1.25, 3.75, 0, 2.125}
 	qscale := sparse.QuantizeInPlace(qv, 8)
@@ -181,38 +182,30 @@ func bitEqualValue(a, b reflect.Value) bool {
 	}
 }
 
-// TestCodecRoundTripOracle is the differential oracle: every protocol
-// message must round-trip bit-identically through the binary codec AND
-// through gob over the same kind of pipe.
+// TestCodecRoundTripOracle sends every fixture between two binConns
+// over one pipe: each must arrive as it was sent, through one
+// connection's reused decode scratch.
 func TestCodecRoundTripOracle(t *testing.T) {
-	for _, codec := range []struct {
-		name string
-		mk   func(net.Conn) Conn
-	}{
-		{"binary", NewBinConn},
-		{"gob", NewGobConn},
-	} {
-		t.Run(codec.name, func(t *testing.T) {
-			server, client := net.Pipe()
-			a, b := codec.mk(server), codec.mk(client)
-			defer a.Close()
-			defer b.Close()
-			for _, want := range codecFixtures() {
-				sent := make(chan error, 1)
-				go func() { sent <- a.Send(want) }()
-				got, err := b.Recv()
-				if err != nil {
-					t.Fatalf("%T: recv: %v", want, err)
-				}
-				if err := <-sent; err != nil {
-					t.Fatalf("%T: send: %v", want, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("lossy round trip:\ngot  %#v\nwant %#v", got, want)
-				}
+	t.Run("binary", func(t *testing.T) {
+		server, client := net.Pipe()
+		a, b := NewBinConn(server), NewBinConn(client)
+		defer a.Close()
+		defer b.Close()
+		for _, want := range codecFixtures() {
+			sent := make(chan error, 1)
+			go func() { sent <- a.Send(want) }()
+			got, err := b.Recv()
+			if err != nil {
+				t.Fatalf("%T: recv: %v", want, err)
 			}
-		})
-	}
+			if err := <-sent; err != nil {
+				t.Fatalf("%T: send: %v", want, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("lossy round trip:\ngot  %#v\nwant %#v", got, want)
+			}
+		}
+	})
 }
 
 // TestBinaryCodecEmptySlices pins the codec's handling of the
@@ -433,80 +426,52 @@ func payloadBits(v reflect.Value) int {
 	return bits
 }
 
-// TestGobConnPoisonsAfterDecodeError is satellite coverage for the gob
-// oracle: a mid-stream decode error must poison the connection the same
-// way the binary codec does.
-func TestGobConnPoisonsAfterDecodeError(t *testing.T) {
-	raw, peer := net.Pipe()
-	c := NewGobConn(peer)
-	defer c.Close()
-	go func() {
-		_, _ = raw.Write([]byte("this is not a gob stream at all"))
-		_ = raw.Close()
-	}()
-	_, err := c.Recv()
-	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("garbage decoded cleanly: err = %v", err)
-	}
-	if _, err2 := c.Recv(); err2 != err {
-		t.Fatalf("second Recv = %v, want the poisoned %v", err2, err)
-	}
-}
-
-// TestHardCloseTCP pins the close semantics both codecs owe the
-// protocol over a real socket: a peer that hard-closes (RST, via
-// SetLinger(0)) surfaces as ECONNRESET/EPIPE from the kernel, which
-// must map to the same sentinels as a graceful close — io.EOF from
-// Recv, ErrClosed from Send — not leak errno wrappers.
+// TestHardCloseTCP pins the close semantics binConn owes the protocol
+// over a real socket: a peer that hard-closes (RST, via SetLinger(0))
+// surfaces as ECONNRESET/EPIPE from the kernel, which must map to the
+// same sentinels as a graceful close — io.EOF from Recv, ErrClosed from
+// Send — not leak errno wrappers.
 func TestHardCloseTCP(t *testing.T) {
-	for _, codec := range []struct {
-		name string
-		mk   func(net.Conn) Conn
-	}{
-		{"binary", NewBinConn},
-		{"gob", NewGobConn},
-	} {
-		t.Run(codec.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
+	t.Run("binary", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			c, err := ln.Accept()
+			if err == nil {
+				accepted <- c
 			}
-			defer ln.Close()
-			accepted := make(chan net.Conn, 1)
-			go func() {
-				c, err := ln.Accept()
-				if err == nil {
-					accepted <- c
-				}
-			}()
-			raw, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := codec.mk(raw)
-			defer c.Close()
-			peer := (<-accepted).(*net.TCPConn)
-			if err := peer.SetLinger(0); err != nil {
-				t.Fatal(err)
-			}
-			if err := peer.Close(); err != nil { // RST, not FIN
-				t.Fatal(err)
-			}
-			if _, err := c.Recv(); !errors.Is(err, io.EOF) {
-				t.Fatalf("Recv after hard close = %v, want io.EOF", err)
-			}
-			// The first Send may still land in the socket buffer; the
-			// reset must surface as ErrClosed within a few attempts.
-			var sendErr error
-			for i := 0; i < 100 && sendErr == nil; i++ {
-				sendErr = c.Send(Hello{ClientID: 1})
-				time.Sleep(time.Millisecond)
-			}
-			if !errors.Is(sendErr, ErrClosed) {
-				t.Fatalf("Send after hard close = %v, want ErrClosed", sendErr)
-			}
-		})
-	}
+		}()
+		raw, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewBinConn(raw)
+		defer c.Close()
+		peer := (<-accepted).(*net.TCPConn)
+		if err := peer.SetLinger(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.Close(); err != nil { // RST, not FIN
+			t.Fatal(err)
+		}
+		if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+			t.Fatalf("Recv after hard close = %v, want io.EOF", err)
+		}
+		// The first Send may still land in the socket buffer; the
+		// reset must surface as ErrClosed within a few attempts.
+		var sendErr error
+		for i := 0; i < 100 && sendErr == nil; i++ {
+			sendErr = c.Send(Hello{ClientID: 1})
+			time.Sleep(time.Millisecond)
+		}
+		if !errors.Is(sendErr, ErrClosed) {
+			t.Fatalf("Send after hard close = %v, want ErrClosed", sendErr)
+		}
+	})
 }
 
 // TestCorruptFrameFailsRoundNotBarrier is the protocol-level corruption
@@ -643,11 +608,14 @@ type wireMeter struct {
 	valBytes   int64
 }
 
-func encodedValBytes(val []float64, bits int, scale float64) int {
-	if gridPackable(val, bits, scale) {
-		return packedLen(len(val), bits)
-	}
-	return 8 * len(val)
+// valBlock is the payload of val's value block on the (bits, scale)
+// grid: the block as the codec writes it, less its count and encoding
+// byte. It reuses the buffer of the frame that carried it, which is
+// longer.
+func (m *wireMeter) valBlock(val []float64, bits int, scale float64) int64 {
+	c := coder{b: m.buf[:0]}
+	c.vals(&val, nil, bits, scale)
+	return int64(len(c.b) - 5)
 }
 
 func (m *wireMeter) observe(msg any) {
@@ -661,13 +629,13 @@ func (m *wireMeter) observe(msg any) {
 	m.frameBytes += int64(len(b))
 	switch v := msg.(type) {
 	case Upload:
-		m.valBytes += int64(encodedValBytes(v.Val, v.Bits, v.Scale))
+		m.valBytes += m.valBlock(v.Val, v.Bits, v.Scale)
 	case Broadcast:
-		m.valBytes += int64(encodedValBytes(v.Val, v.Bits, v.Scale))
+		m.valBytes += m.valBlock(v.Val, v.Bits, v.Scale)
 	case SliceUpload:
-		m.valBytes += int64(encodedValBytes(v.Val, v.Bits, v.Scale))
+		m.valBytes += m.valBlock(v.Val, v.Bits, v.Scale)
 	case SliceBroadcast:
-		m.valBytes += int64(encodedValBytes(v.Val, v.Bits, v.Scale))
+		m.valBytes += m.valBlock(v.Val, v.Bits, v.Scale)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // other end, which routes the inner message to Virtual(VID). Plane:
 // whichever plane the inner message travels — the envelope is
 // transparent to round ordering. Nesting a MuxFrame inside a MuxFrame
-// is a protocol error on both codecs.
+// is a protocol error, refused by the Mux and by the codec.
 type MuxFrame struct {
 	// VID is the virtual-client ID (a population member's global ID).
 	VID int

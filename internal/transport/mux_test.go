@@ -9,15 +9,10 @@ import (
 )
 
 // muxPairs returns the connection flavors the mux must behave
-// identically over: in-memory reference channels, the gob oracle
-// codec, and the production binary codec.
+// identically over: in-memory reference channels and the binary codec.
 func muxPairs() map[string]func() (Conn, Conn) {
 	return map[string]func() (Conn, Conn){
 		"mem": func() (Conn, Conn) { return NewMemPair() },
-		"gob": func() (Conn, Conn) {
-			a, b := net.Pipe()
-			return NewGobConn(a), NewGobConn(b)
-		},
 		"bin": func() (Conn, Conn) {
 			a, b := net.Pipe()
 			return NewBinConn(a), NewBinConn(b)
@@ -155,9 +150,9 @@ func TestMuxNestingRejected(t *testing.T) {
 	}
 }
 
-// TestMuxCodecRoundTrip pins the MuxFrame wire format across the gob
-// oracle and the binary codec: the envelope is transparent — the inner
-// message round-trips exactly as it would un-enveloped.
+// TestMuxCodecRoundTrip pins the MuxFrame envelope in memory and on the
+// binary codec: it is transparent — the inner message round-trips
+// exactly as it would un-enveloped.
 func TestMuxCodecRoundTrip(t *testing.T) {
 	for name, pair := range muxPairs() {
 		t.Run(name, func(t *testing.T) {

@@ -69,10 +69,10 @@ func TestRunShardRejectsNonAssignFirst(t *testing.T) {
 	_ = server.Close()
 }
 
-// TestGobConnCloseSemantics pins the wire conn to memConn's contract:
+// TestBinConnCloseSemantics pins the wire conn to memConn's contract:
 // idempotent Close, ErrClosed sends, io.EOF recvs — both for a local
 // close and for a peer close.
-func TestGobConnCloseSemantics(t *testing.T) {
+func TestBinConnCloseSemantics(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

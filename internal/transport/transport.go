@@ -11,16 +11,10 @@
 // members — so every tier reads one hello per plane (seatHellos,
 // seatData).
 //
-// TCP connections default to a hand-written length-prefixed binary codec
-// (codec.go): one frame is [len u32][type u8][header][payload], little
-// endian, with per-connection decode scratch so the per-round slice
-// messages are allocation-free steady state, and with gradient values
-// traveling as packed b-bit integers when ServerConfig.QuantBits is set —
-// the paper's quantization lever realized as actual bytes saved on the
-// wire, not just a modeled cost. The gob codec (NewGobConn) remains as
-// the differential oracle: tests pin that every message round-trips
-// identically through both, and that full training trajectories match
-// bit-for-bit across codecs.
+// TCP connections carry the length-prefixed binary codec of codec.go,
+// with gradient values traveling as packed b-bit integers when
+// ServerConfig.QuantBits is set — the paper's quantization lever
+// realized as actual bytes saved on the wire, not just a modeled cost.
 //
 // The distributed runner mirrors the reference engine's arithmetic and
 // RNG-consumption order exactly, so for the same seeds a distributed run
@@ -28,14 +22,12 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -214,71 +206,6 @@ func (c *memConn) Close() error {
 	return nil
 }
 
-var registerOnce sync.Once
-
-// registerTypes makes the protocol messages gob-encodable as `any`.
-func registerTypes() {
-	registerOnce.Do(func() {
-		gob.Register(Hello{})
-		gob.Register(Init{})
-		gob.Register(Upload{})
-		gob.Register(Broadcast{})
-		gob.Register(ShardHello{})
-		gob.Register(ShardAssign{})
-		gob.Register(ShardResult{})
-		gob.Register(DataHello{})
-		gob.Register(SliceUpload{})
-		gob.Register(RoundMeta{})
-		gob.Register(FillQuery{})
-		gob.Register(FillCandidates{})
-		gob.Register(RoundSeal{})
-		gob.Register(SliceFetch{})
-		gob.Register(SliceBroadcast{})
-		gob.Register(RoundRelease{})
-		gob.Register(Rejoin{})
-		gob.Register(RejoinAck{})
-		gob.Register(Redo{})
-		gob.Register(MuxFrame{})
-		gob.Register(CohortAssign{})
-	})
-}
-
-// envelope wraps messages so gob transmits the dynamic type.
-type envelope struct {
-	Msg any
-}
-
-// gobConn is a Conn over any net.Conn using gob encoding — kept as the
-// differential oracle for the default binary codec (binConn): tests pin
-// that both codecs carry every message and full trajectories
-// identically. Its close semantics match memConn's: Close is
-// idempotent, Send on a closed connection reports ErrClosed, and Recv
-// after either endpoint closes reports io.EOF (the wire analogue of a
-// drained in-memory pipe). Like binConn, the receive side is poisoned
-// after the first decode error: gob's stream is stateful, so a
-// corrupted value leaves the decoder desynced and every later Recv must
-// fail fast instead of misparsing.
-type gobConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-
-	recvErr   error
-	sendMu    sync.Mutex
-	closeOnce sync.Once
-	closed    atomic.Bool
-}
-
-// NewGobConn wraps a network connection with gob framing.
-func NewGobConn(conn net.Conn) Conn {
-	registerTypes()
-	return &gobConn{
-		conn: conn,
-		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(conn),
-	}
-}
-
 // closedConnErr reports whether err is how a net.Conn surfaces writes or
 // reads on a locally or remotely closed connection. Besides the local
 // forms (net.ErrClosed, io.ErrClosedPipe), a peer that hard-closed the
@@ -296,55 +223,8 @@ func closedConnErr(err error) bool {
 		errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-func (c *gobConn) Send(msg any) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	if err := c.enc.Encode(envelope{Msg: msg}); err != nil {
-		if c.closed.Load() || closedConnErr(err) {
-			return ErrClosed
-		}
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	return nil
-}
-
-func (c *gobConn) Recv() (any, error) {
-	if err := c.recvErr; err != nil {
-		return nil, err
-	}
-	var env envelope
-	if err := c.dec.Decode(&env); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		if c.closed.Load() || closedConnErr(err) {
-			return nil, io.EOF
-		}
-		err = fmt.Errorf("transport: recv: %w", err)
-		c.recvErr = err
-		return nil, err
-	}
-	return env.Msg, nil
-}
-
-func (c *gobConn) Close() error {
-	var err error
-	c.closeOnce.Do(func() {
-		c.closed.Store(true)
-		err = c.conn.Close()
-	})
-	return err
-}
-
-// SetReadDeadline delegates to the underlying socket.
-func (c *gobConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
-
 // Dial connects to a coordinator's TCP listener and returns a Conn
-// using the default binary frame codec (NewBinConn — use NewGobConn
-// directly for the gob oracle). The caller's first message identifies
+// using the binary frame codec. The caller's first message identifies
 // its role: a client sends Hello (RunClient does this), a shard sends
 // ShardHello (DialDirectShard does both steps).
 func Dial(addr string) (Conn, error) {
@@ -403,9 +283,9 @@ func (l *Listener) Accept() (Conn, error) {
 func (l *Listener) Close() error { return l.ln.Close() }
 
 // readDeadliner is the optional Conn facet that bounds blocking reads.
-// All three built-in conns implement it (memConn with a timer, the
-// wire conns by delegating to the socket); wrappers that do not are
-// simply never deadline-bounded.
+// Both built-in conns implement it (memConn with a timer, binConn by
+// delegating to the socket); wrappers that do not are simply never
+// deadline-bounded.
 type readDeadliner interface {
 	SetReadDeadline(t time.Time) error
 }

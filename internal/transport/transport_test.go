@@ -46,74 +46,6 @@ func TestMemPairRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGobConnRoundTrip(t *testing.T) {
-	server, client := net.Pipe()
-	a, b := NewGobConn(server), NewGobConn(client)
-	defer a.Close()
-	defer b.Close()
-
-	go func() {
-		_ = a.Send(Upload{ClientID: 1, Round: 2, Idx: []int{0, 5}, Val: []float64{1.5, -2}, BatchLoss: 3.25})
-	}()
-	msg, err := b.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, ok := msg.(Upload)
-	if !ok {
-		t.Fatalf("got %T", msg)
-	}
-	if up.ClientID != 1 || up.Round != 2 || up.Idx[1] != 5 || up.Val[0] != 1.5 || up.BatchLoss != 3.25 {
-		t.Fatalf("lossy round trip: %#v", up)
-	}
-}
-
-func TestGobConnAllMessageTypes(t *testing.T) {
-	server, client := net.Pipe()
-	a, b := NewGobConn(server), NewGobConn(client)
-	defer a.Close()
-	defer b.Close()
-
-	msgs := []any{
-		Hello{ClientID: 1, Members: []int{1}, Weights: []float64{2}},
-		Init{Params: []float64{1, 2, 3}, K: 5, Rounds: 9},
-		Upload{ClientID: 1, Round: 1, Idx: []int{1}, Val: []float64{2}},
-		Broadcast{Round: 1, Idx: []int{0}, Val: []float64{-1}},
-	}
-	go func() {
-		for _, m := range msgs {
-			_ = a.Send(m)
-		}
-	}()
-	for _, want := range msgs {
-		got, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, sameType := map[bool]bool{}[false]; sameType {
-			_ = got
-		}
-		if gotType, wantType := typeName(got), typeName(want); gotType != wantType {
-			t.Fatalf("got %s, want %s", gotType, wantType)
-		}
-	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case Hello:
-		return "Hello"
-	case Init:
-		return "Init"
-	case Upload:
-		return "Upload"
-	case Broadcast:
-		return "Broadcast"
-	default:
-		return "unknown"
-	}
-}
-
 // buildWorkload creates a small federated task shared by the protocol
 // tests, mirroring the fl engine's seeding scheme.
 func buildWorkload() (*dataset.Federated, func() *nn.Network, []float64) {
@@ -290,26 +222,18 @@ func TestDistributedOverTCP(t *testing.T) {
 	fed, model, initParams := buildWorkload()
 	const k, rounds = 40, 10
 
-	// Both wire codecs and the in-memory transport must produce the
-	// same trajectory bit-for-bit.
+	// The wire codec and the in-memory transport must produce the same
+	// trajectory bit-for-bit.
 	memRecords := runDistributed(t, fed, model, initParams, k, rounds, 0,
 		func() (Conn, Conn) { return NewMemPair() })
-	for _, tc := range []struct {
-		name  string
-		codec func(net.Conn) Conn
-	}{
-		{"binary", NewBinConn},
-		{"gob", NewGobConn},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			records := runDistributedTCP(t, fed, model, initParams, k, rounds, 0, tc.codec)
-			for i := range records {
-				if records[i].Loss != memRecords[i].Loss {
-					t.Fatalf("round %d: TCP/%s loss %v != mem loss %v", i+1, tc.name, records[i].Loss, memRecords[i].Loss)
-				}
+	t.Run("binary", func(t *testing.T) {
+		records := runDistributedTCP(t, fed, model, initParams, k, rounds, 0, NewBinConn)
+		for i := range records {
+			if records[i].Loss != memRecords[i].Loss {
+				t.Fatalf("round %d: TCP loss %v != mem loss %v", i+1, records[i].Loss, memRecords[i].Loss)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestDistributedLossDecreases(t *testing.T) {
