@@ -560,7 +560,9 @@ func (c *coder) quant(bits *int, scale *float64) {
 // with |q| ≤ levels, the encoding is 1 and the values travel packed as
 // biased b-bit integers q+levels — ceil(n·b/8) bytes instead of 8n, the
 // ~8× wire shrink at b=8 the paper's quantization lever promises — from
-// which the receiver rebuilds bit-for-bit the sender's grid values.
+// which the receiver rebuilds bit-for-bit the sender's grid values. A
+// −0, which q+levels would turn into +0, takes the top code 2^b−1 that
+// no q uses, so every b-bit code decodes.
 // Anything else (quantization off, a raw payload, a NaN) travels raw,
 // encoding 0, so the codec is lossless for arbitrary payloads and
 // packing is purely an encoding optimization.
@@ -598,7 +600,7 @@ func (c *coder) pack(val []float64, bits int, scale float64) bool {
 	if !onGrid(bits, scale) || len(val) == 0 {
 		return false
 	}
-	levels := int64(1)<<(bits-1) - 1
+	levels, top := int64(1)<<(bits-1)-1, uint64(1)<<bits-1
 	step := scale / float64(levels)
 	b := c.b
 	var bitbuf uint64
@@ -608,7 +610,11 @@ func (c *coder) pack(val []float64, bits int, scale float64) bool {
 		if !(math.Abs(q) <= float64(levels)) || q*step != v {
 			return false
 		}
-		bitbuf |= uint64(int64(q)+levels) << nbits
+		code := uint64(int64(q) + levels)
+		if v == 0 && math.Signbit(v) {
+			code = top
+		}
+		bitbuf |= code << nbits
 		nbits += bits
 		for nbits >= 8 {
 			b = append(b, byte(bitbuf))
@@ -635,26 +641,24 @@ func (c *coder) unpack(v *[]float64, dst *[]float64, n, bits int, scale float64)
 		c.fail("packed value count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(c.b))
 		return
 	}
-	levels := int64(1)<<(bits-1) - 1
+	levels, top := int64(1)<<(bits-1)-1, uint64(1)<<bits-1
 	step := scale / float64(levels)
 	s, b := slot(dst, n), c.b
 	var bitbuf uint64
 	nb, pos := 0, 0
-	mask := uint64(1)<<bits - 1
 	for i := range s {
 		for nb < bits {
 			bitbuf |= uint64(b[pos]) << nb
 			pos++
 			nb += 8
 		}
-		u := bitbuf & mask
+		u := bitbuf & top
 		bitbuf >>= uint(bits)
 		nb -= bits
-		if u > uint64(2*levels) {
-			c.fail("packed value code %d outside the %d-bit grid", u, bits)
-			return
-		}
 		s[i] = float64(int64(u)-levels) * step
+		if u == top {
+			s[i] = math.Copysign(0, -1)
+		}
 	}
 	c.b = b[nbytes:]
 	*v = s

@@ -41,6 +41,8 @@ func codecFixtures() []any {
 	qscale := sparse.QuantizeInPlace(qv, 8)
 	qb := []float64{-0.75, 0.0625, 1.5}
 	qbscale := sparse.QuantizeInPlace(qb, 8)
+	nz := []float64{1, -1e-9, 0.5}
+	nzscale := sparse.QuantizeInPlace(nz, 8)
 	return []any{
 		Hello{ClientID: 7, Members: []int{7}, Weights: []float64{2.5}},
 		Hello{ClientID: 1, Members: []int{0, 4, 9}, Weights: []float64{3, 0.5, 12}},
@@ -76,6 +78,10 @@ func codecFixtures() []any {
 		MuxFrame{VID: 9, Msg: Upload{ClientID: 9, Round: 3, Idx: []int{0, 4, 8, 9, 30}, Val: qv, BatchLoss: 0.5, Bits: 8, Scale: qscale}},
 		MuxFrame{VID: 4, Msg: SliceUpload{ClientID: 4, Round: 2, Idx: []int{1, 6}, Val: []float64{0.25, -4}, Rank: []int{0, 3}}},
 		CohortAssign{Round: 3, Members: []int{1, 5, 8}},
+		// A quantized −0 (sparse.QuantizeInPlace keeps the sign of a value
+		// that rounds to zero) travels as the grid's top code.
+		Upload{ClientID: 5, Round: 6, Idx: []int{1, 2, 3}, Val: nz, BatchLoss: 0.25, Bits: 8, Scale: nzscale},
+		SliceBroadcast{Round: 6, ShardID: 1, Idx: []int{1, 2, 3}, Val: nz, Bits: 8, Scale: nzscale},
 	}
 }
 
@@ -201,7 +207,7 @@ func TestCodecRoundTripOracle(t *testing.T) {
 			if err := <-sent; err != nil {
 				t.Fatalf("%T: send: %v", want, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !bitEqual(got, want) {
 				t.Fatalf("lossy round trip:\ngot  %#v\nwant %#v", got, want)
 			}
 		}
@@ -256,24 +262,31 @@ type corruptedFrame struct {
 
 // corruptedFrames is the corrupted-frame table, shared by
 // TestBinaryCodecCorruptedFrames and FuzzDecodeFrame's seed corpus.
+// frameBody encodes msg and returns its payload: tag and body, without
+// the length prefix.
+func frameBody(msg any) []byte {
+	frame, err := appendFrame(nil, msg)
+	if err != nil {
+		panic(err)
+	}
+	return frame[4:]
+}
+
+// oneValueBroadcast is the body of a Broadcast of one value on the
+// (bits, scale) header whose value block is hand-written: count 1, the
+// encoding byte enc, then payload.
+func oneValueBroadcast(bits int, scale float64, enc byte, payload []byte) []byte {
+	b := frameBody(Broadcast{Round: 1, Idx: []int{4}, Bits: bits, Scale: scale})
+	b = binary.LittleEndian.AppendUint32(b[:len(b)-5], 1)
+	return append(append(b, enc), payload...)
+}
+
 func corruptedFrames() []corruptedFrame {
 	// Bodies built by encoding a real message and then corrupting it.
-	body := func(msg any) []byte {
-		frame, err := appendFrame(nil, msg)
-		if err != nil {
-			panic(err)
-		}
-		return frame[4:]
-	}
-	le32 := binary.LittleEndian.AppendUint32
+	body, packedBroadcast, le32 := frameBody, oneValueBroadcast, binary.LittleEndian.AppendUint32
 	quantHeader := func(bits int, scale float64) []byte {
 		// An empty value block travels raw: count 0, encoding 0.
 		return body(Upload{ClientID: 3, Round: 1, BatchLoss: 0.5, Bits: bits, Scale: scale})
-	}
-	packedBroadcast := func(bits int, scale float64, enc byte, payload []byte) []byte {
-		b := body(Broadcast{Round: 1, Idx: []int{4}, Bits: bits, Scale: scale})
-		b = le32(b[:len(b)-5], 1) // one value...
-		return append(append(b, enc), payload...)
 	}
 	hostileInit := func() []byte {
 		b := body(Init{K: 3, Rounds: 5, RunID: 7})
@@ -299,7 +312,8 @@ func corruptedFrames() []corruptedFrame {
 		{"Inf quant scale", rawFrame(quantHeader(8, math.Inf(1))), "quantization scale"},
 		{"negative quant scale", rawFrame(quantHeader(8, -1)), "quantization scale"},
 		{"bad quant width", rawFrame(quantHeader(65, 1)), "quantization width"},
-		{"packed code off grid", rawFrame(packedBroadcast(2, 1, 1, []byte{0b11})), "packed value code"},
+		{"packed value count beyond the frame", rawFrame(packedBroadcast(8, 1, 1, nil)), "packed value count 1 (1 bytes) exceeds 0"},
+		{"raw value count beyond the frame", rawFrame(packedBroadcast(8, 1, 0, []byte{1, 2, 3})), "value count 1 exceeds 3"},
 		{"packed without width", rawFrame(packedBroadcast(0, 0, 1, []byte{0})), "packed values"},
 		{"unknown value encoding", rawFrame(packedBroadcast(8, 1, 7, []byte{0})), "unknown value encoding"},
 	}
@@ -342,16 +356,42 @@ func TestBinaryCodecCorruptedFrames(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame feeds arbitrary byte streams to a binConn's receive
-// path, seeded with one valid frame per message type (codecFixtures:
-// quantized and MuxFrame-enveloped frames included) and every
-// corrupted-frame row. The codec must never panic; an error must stay
-// sticky; no decoded slice may be longer than its frame's payload can
-// encode (payloadBits); and an accepted frame's re-encoding must be a
-// fixed point — encode → decode → encode gives the same bytes.
-func FuzzDecodeFrame(f *testing.F) {
-	for _, msg := range codecFixtures() {
+// TestPackedTopCodeIsNegativeZero pins the value block's one code
+// outside the grid's q+levels range: on a 2-bit grid (levels 1, codes
+// 0..2 for q = −1..1) code 3 is −0, so a quantized −0 keeps its sign on
+// the wire as it does in memory.
+func TestPackedTopCodeIsNegativeZero(t *testing.T) {
+	for code, want := range []float64{-1, 0, 1, math.Copysign(0, -1)} {
+		msg, err := decodeFrame(oneValueBroadcast(2, 1, 1, []byte{byte(code)}), &decScratch{})
+		if err != nil {
+			t.Fatalf("code %d: %v", code, err)
+		}
+		got := msg.(Broadcast).Val[0]
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("code %d decodes to %v (bits %x), want %v", code, got, math.Float64bits(got), want)
+		}
 		frame, err := appendFrame(nil, msg)
+		if err != nil || !bytes.Equal(frame[4:], oneValueBroadcast(2, 1, 1, []byte{byte(code)})) {
+			t.Fatalf("code %d re-encodes to %x (%v)", code, frame, err)
+		}
+	}
+}
+
+// FuzzDecodeFrame feeds arbitrary byte streams to a binConn's receive
+// path, seeded with every golden frame (quantized and MuxFrame-enveloped
+// frames included), every corrupted-frame row, and a raw −0 on an 8-bit
+// grid, which re-encoding packs. The codec must never panic; an error
+// must stay sticky; no decoded slice may be longer than its frame's
+// payload can encode (payloadBits); an accepted message m must survive
+// decode(encode(m)) bit for bit on every float; and the re-encoding
+// must be a fixed point — encode → decode → encode gives the same bytes.
+func FuzzDecodeFrame(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join(goldenDir, "*.frame"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden frames (%v)", err)
+	}
+	for _, name := range goldens {
+		frame, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -360,6 +400,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, row := range corruptedFrames() {
 		f.Add(row.bytes)
 	}
+	negZero := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.Copysign(0, -1)))
+	f.Add(rawFrame(oneValueBroadcast(8, 1, 0, negZero)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &binConn{br: bufio.NewReader(bytes.NewReader(data))}
 		for {
@@ -382,6 +424,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			again, err := decodeFrame(enc[4:], &decScratch{})
 			if err != nil {
 				t.Fatalf("re-encoded %T does not decode: %v", msg, err)
+			}
+			if !bitEqual(again, msg) {
+				t.Fatalf("decode(encode(m)) moved a bit:\ngot  %#v\nwant %#v", again, msg)
 			}
 			if enc2, err := appendFrame(nil, again); err != nil || !bytes.Equal(enc, enc2) {
 				t.Fatalf("re-encoding of %T is not a fixed point (%v):\n%x\n%x", msg, err, enc, enc2)
