@@ -143,7 +143,7 @@ func BenchmarkSliceCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		payload := frame[4:] // tag + body, as recvMsg hands decodeFrame
+		payload := frame[4:] // tag + body, as Recv hands decodeFrame
 
 		b.Run(tc.name+"/encode", func(b *testing.B) {
 			buf := make([]byte, 0, len(frame))

@@ -61,10 +61,9 @@ const (
 )
 
 // The descriptions: each runs c over m's fields in wire order and
-// returns m — decoded, when c decodes — and its frame tag. A per-round
-// message's slices decode into the connection's decScratch slots; a
-// handshake message's (and CohortAssign's) into fresh memory, since
-// they outlive the next Recv.
+// returns m — decoded, when c decodes — and its tag. A per-round
+// message's slices decode into the connection's decScratch slots, a
+// handshake message's (and CohortAssign's) into fresh memory.
 
 func (m Hello) code(c *coder) (Hello, byte) {
 	c.num(&m.ClientID)
@@ -301,9 +300,8 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 	return c.b, nil
 }
 
-// decodeFrame decodes one frame payload (the type tag plus body —
-// everything after the length prefix) into a protocol message, its
-// per-round slices into sc.
+// decodeFrame decodes one frame payload (everything after the length
+// prefix) into a protocol message, its per-round slices into sc.
 func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("transport: binary codec: empty frame")
@@ -749,18 +747,11 @@ func (c *binConn) Send(msg any) error {
 	return nil
 }
 
-func (c *binConn) Recv() (any, error) {
-	if err := c.recvErr; err != nil {
-		return nil, err
+func (c *binConn) Recv() (msg any, err error) {
+	if c.recvErr != nil {
+		return nil, c.recvErr
 	}
-	msg, err := c.recvMsg()
-	if err != nil {
-		c.recvErr = err
-	}
-	return msg, err
-}
-
-func (c *binConn) recvMsg() (any, error) {
+	defer func() { c.recvErr = err }()
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, c.recvIOErr(err, true)
@@ -784,8 +775,7 @@ func (c *binConn) recvMsg() (any, error) {
 	}
 	c.rbuf = buf
 	c.received.Add(uint64(4 + n))
-	msg, err := decodeFrame(buf, &c.sc)
-	if err != nil {
+	if msg, err = decodeFrame(buf, &c.sc); err != nil {
 		return nil, fmt.Errorf("transport: recv: %w", err)
 	}
 	return msg, nil

@@ -264,7 +264,7 @@ func fetchAndReassemble(t *testing.T, clientConns [][]Conn, dim, ci, round, elem
 	return idx, val
 }
 
-// rawTCPPairFactory builds plain gob/TCP conn pairs (no handshake —
+// rawTCPPairFactory builds plain binary-codec TCP conn pairs (no handshake —
 // the direct harness installs the hellos itself).
 func rawTCPPairFactory(t *testing.T) (func() (Conn, Conn), func()) {
 	t.Helper()
