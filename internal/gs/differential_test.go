@@ -46,14 +46,14 @@ type selRow struct {
 // requireAllEntryPoints runs the row through every aggregation entry point
 // of the strategy and holds each against the map reference: the
 // reference's two κ searches against each other (FAB), AggregateInto on a
-// fresh un-reserved scratch, and the ranged selection through the shard
+// fresh un-reserved scratch, Strategy.Aggregate, and the ranged selection through the shard
 // tier's data flow (rangedDriver) at 1, 2 and 4 ranges on both planes.
 func requireAllEntryPoints(t *testing.T, trial int, strat Strategy, row selRow) {
 	t.Helper()
-	want := strat.Aggregate(row.ups, row.k)
+	want := referenceAggregate(strat, row.ups, row.k)
 	var wantProbe Aggregate
 	if row.probeK > 0 {
-		wantProbe = strat.Aggregate(row.ups, row.probeK)
+		wantProbe = referenceAggregate(strat, row.ups, row.probeK)
 	}
 	if _, fab := strat.(*FABTopK); fab {
 		for _, budget := range []int{row.k, row.probeK} {
@@ -72,6 +72,7 @@ func requireAllEntryPoints(t *testing.T, trial int, strat Strategy, row selRow) 
 		}
 	}
 	check(strat.(ScratchAggregator).AggregateInto(NewAggScratch(0), row.ups, row.k, row.probeK))
+	requireSameAggregate(t, trial, want, strat.Aggregate(row.ups, row.k))
 	for _, ranges := range []int{1, 2, 4} {
 		for _, direct := range []bool{false, true} {
 			main, probe, err := newRangedDriver(ranges, 0, row.d, direct).aggregate(strat.(DirectSelector), row.ups, row.k, row.probeK)

@@ -14,13 +14,14 @@
 //	b_j = (1/C) Σ_i C_i·a_ij·1[j ∈ J_i]   (Algorithm 1, line 10).
 //
 // Every built-in strategy offers two aggregation entry points over raw
-// uploads with bit-identical results: Aggregate (the Strategy interface —
-// the map-based path in reference.go, allocating O(uploaded pairs) per
-// call) and AggregateInto (the ScratchAggregator interface: allocation-free
-// with a warm caller-owned AggScratch, one-pass main + probe aggregation —
-// see scratch.go) — plus SelectDirect (DirectSelector, direct.go), the same
+// uploads with bit-identical results: Aggregate (the Strategy interface,
+// for one-shot callers: AggregateInto over a fresh scratch) and
+// AggregateInto (the ScratchAggregator interface: allocation-free with a
+// warm caller-owned AggScratch, one-pass main + probe aggregation — see
+// scratch.go) — plus SelectDirect (DirectSelector, direct.go), the same
 // selection over shard-reduced facts for a coordinator that holds no
-// uploads.
+// uploads. The original map-based aggregation lives on in
+// reference_test.go as the oracle every entry point is held against.
 package gs
 
 import (
@@ -109,7 +110,8 @@ func (s *FABTopK) MandatedIndices(_, _, _ int, _ *rand.Rand) []int { return nil 
 func (s *FABTopK) Dense() bool                                     { return false }
 
 func (s *FABTopK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	return referenceAggregate(s, uploads, k)
+	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
+	return main
 }
 
 // FUBTopK is the fairness-unaware bidirectional top-k of [28]/[31]: the
@@ -126,7 +128,8 @@ func (FUBTopK) MandatedIndices(_, _, _ int, _ *rand.Rand) []int { return nil }
 func (FUBTopK) Dense() bool                                     { return false }
 
 func (s FUBTopK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	return referenceAggregate(s, uploads, k)
+	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
+	return main
 }
 
 // UniTopK is unidirectional top-k [22]: every uploaded index is aggregated
@@ -141,7 +144,8 @@ func (UniTopK) MandatedIndices(_, _, _ int, _ *rand.Rand) []int { return nil }
 func (UniTopK) Dense() bool                                     { return false }
 
 func (s UniTopK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	return referenceAggregate(s, uploads, k)
+	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
+	return main
 }
 
 // PeriodicK is random sparsification [8]/[30]: the server draws k random
@@ -180,7 +184,8 @@ func (PeriodicK) MandatedIndices(_, d, k int, rng *rand.Rand) []int {
 }
 
 func (s PeriodicK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	return referenceAggregate(s, uploads, k)
+	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
+	return main
 }
 
 // SendAll transmits the full accumulated gradient every round — the
@@ -196,7 +201,8 @@ func (SendAll) Dense() bool  { return true }
 func (SendAll) MandatedIndices(_, d, _ int, _ *rand.Rand) []int { return allIndices(d) }
 
 func (s SendAll) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	return referenceAggregate(s, uploads, k)
+	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
+	return main
 }
 
 func allIndices(d int) []int {

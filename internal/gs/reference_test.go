@@ -5,16 +5,14 @@ import (
 	"sort"
 )
 
-// This file keeps the original map-based aggregation paths as reference
-// implementations, and they back the Strategy.Aggregate compat wrappers:
-// maps allocate O(uploaded pairs) per call, which is the right profile for
-// one-shot library use (the scratch path's dense slabs would cost O(max
-// uploaded coordinate) there). The production paths (scratch.go) aggregate
-// through epoch-stamped dense scratch arrays instead of hashing; the
-// differential suite pins the two bit-identical on every strategy, and the
-// property tests continue to exercise the reference helpers directly.
-// referenceAggregate is O(Σk_i) map operations per call and allocates its
-// working set every time — measurably slower but obviously correct.
+// This file keeps the original map-based aggregation paths as the
+// reference implementation. The product (scratch.go) aggregates through
+// epoch-stamped dense scratch arrays instead of hashing; the differential
+// suite holds every entry point bit-identical to referenceAggregate on
+// every strategy, and the property tests exercise the reference helpers
+// directly. referenceAggregate is O(Σk_i) map operations per call and
+// allocates its working set every time — measurably slower but obviously
+// correct.
 
 // aggregateOver computes b_j for every j in the index set `in`, using only
 // clients whose upload contains j, and fills PerClientUsed.
