@@ -18,8 +18,9 @@
 //     with manual backpropagation, synthetic non-i.i.d. federated
 //     datasets standing in for FEMNIST/CIFAR-10, and a TCP transport
 //     that runs the protocol distributed over a length-prefixed binary
-//     wire codec — gradient values travel as packed b-bit integers when
-//     quantization is on, with gob kept as the differential oracle.
+//     wire codec — each message's fields described once, pinned by
+//     committed golden frames, with gradient values traveling as packed
+//     b-bit integers when quantization is on.
 //
 // # Quickstart
 //
@@ -544,17 +545,13 @@ type (
 	// Listener accepts binary-framed Conns on a TCP address.
 	Listener = transport.Listener
 	// Mux demultiplexes one physical Conn into per-virtual-client Conns
-	// (the population tier's M:N scaling seam); MuxFrame is its wire
-	// envelope.
-	Mux      = transport.Mux
-	MuxFrame = transport.MuxFrame
+	// (the population tier's M:N scaling seam).
+	Mux = transport.Mux
 	// PopulationConfig is a coordinator's roster
 	// (ServerConfig.Population); HostConfig parameterizes one virtual-
 	// client host.
 	PopulationConfig = transport.PopulationConfig
 	HostConfig       = transport.HostConfig
-	// CohortAssign is the population tier's per-round control message.
-	CohortAssign = transport.CohortAssign
 )
 
 // Durable control plane (internal/transport + internal/wal): see the
@@ -568,8 +565,6 @@ type (
 	DurableShardConfig = transport.DurableShardConfig
 	// RejoinDesk classifies reconnecting peers for a durable coordinator.
 	RejoinDesk = transport.RejoinDesk
-	// Rejoin is the re-handshake a recovering peer opens with.
-	Rejoin = transport.Rejoin
 	// RetryPolicy bounds a DialRetry backoff loop.
 	RetryPolicy = transport.RetryPolicy
 )
@@ -592,7 +587,6 @@ const MaxStaleness = transport.MaxStaleness
 // Transport constructors and drivers.
 var (
 	NewMemPair      = transport.NewMemPair
-	NewBinConn      = transport.NewBinConn
 	RunServerPeers  = transport.RunServerPeers
 	RunClient       = transport.RunClient
 	Dial            = transport.Dial
