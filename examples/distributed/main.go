@@ -9,9 +9,9 @@
 // broadcast back from the shards the same way (each shard serves its
 // sealed span of B from its own merged sums) — the coordinator never
 // receives a gradient upload and never transmits B payload. All
-// messages are real gob-encoded TCP streams, and the resulting
-// trajectory is bit-identical to an unsharded (routed) or in-process run
-// with the same seeds.
+// messages travel as length-prefixed binary frames over real TCP
+// streams, and the resulting trajectory is bit-identical to an
+// unsharded (routed) or in-process run with the same seeds.
 package main
 
 import (

@@ -94,9 +94,10 @@ go test ./internal/tensor -run '^$' -fuzz FuzzDenseKernels -fuzztime 10s
 # The same for the server selection: every aggregation entry point of
 # every strategy against the map reference on arbitrary small inputs.
 go test ./internal/gs -run '^$' -fuzz FuzzFABSelection -fuzztime 10s
-# And the wire codec's receive path: arbitrary byte streams must never
-# panic, over-read their payload, or decode to a frame whose re-encoding
-# is not a fixed point.
+# And the wire codec's receive path, seeded with the committed golden
+# frames: arbitrary byte streams must never panic or over-read their
+# payload, an accepted message must survive decode(encode(m)) bit for
+# bit on every float, and its re-encoding must be a fixed point.
 go test ./internal/transport -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
 # And the write-ahead log's reader: arbitrary bytes, as a log and as one
 # well-framed record body, must never panic, must re-frame to the clean
