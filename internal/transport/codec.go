@@ -560,10 +560,10 @@ func (c *coder) quant(bits *int, scale *float64) {
 // ~8× wire shrink at b=8 the paper's quantization lever promises — from
 // which the receiver rebuilds bit-for-bit the sender's grid values. A
 // −0, which q+levels would turn into +0, takes the top code 2^b−1 that
-// no q uses, so every b-bit code decodes.
-// Anything else (quantization off, a raw payload, a NaN) travels raw,
-// encoding 0, so the codec is lossless for arbitrary payloads and
-// packing is purely an encoding optimization.
+// no q uses, so every b-bit code decodes. Anything else (quantization
+// off, a raw payload, a NaN) travels raw, encoding 0, so the codec is
+// lossless for arbitrary payloads and packing is purely an encoding
+// optimization.
 func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
 	n := len(*v)
 	c.num(&n)
@@ -574,14 +574,21 @@ func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
 		}
 		return
 	}
+	nbytes := (n*bits + 7) / 8
 	switch enc := c.take(1); {
 	case enc == nil:
 	case enc[0] == 0:
 		c.raw(v, dst, n, "value count")
-	case enc[0] == 1:
-		c.unpack(v, dst, n, bits, scale)
-	default:
+	case enc[0] != 1:
 		c.fail("unknown value encoding %d", enc[0])
+	case !onGrid(bits, scale):
+		c.fail("packed values with quantization width %d and scale %v", bits, scale)
+	case nbytes > len(c.b):
+		c.fail("packed value count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(c.b))
+	default:
+		*v = slot(dst, n)
+		unpack(*v, c.b[:nbytes], bits, scale)
+		c.b = c.b[nbytes:]
 	}
 }
 
@@ -627,26 +634,17 @@ func (c *coder) pack(val []float64, bits int, scale float64) bool {
 	return true
 }
 
-// unpack decodes n packed codes into the slot *dst, once the header is
-// a grid and the codes are present.
-func (c *coder) unpack(v *[]float64, dst *[]float64, n, bits int, scale float64) {
-	if !onGrid(bits, scale) {
-		c.fail("packed values with quantization width %d and scale %v", bits, scale)
-		return
-	}
-	nbytes := (n*bits + 7) / 8
-	if nbytes > len(c.b) {
-		c.fail("packed value count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(c.b))
-		return
-	}
+// unpack decodes len(s) packed b-bit codes from p onto the (bits,
+// scale) grid. It is its own function so that its loop state stays in
+// registers.
+func unpack(s []float64, p []byte, bits int, scale float64) {
 	levels, top := int64(1)<<(bits-1)-1, uint64(1)<<bits-1
 	step := scale / float64(levels)
-	s, b := slot(dst, n), c.b
 	var bitbuf uint64
 	nb, pos := 0, 0
 	for i := range s {
 		for nb < bits {
-			bitbuf |= uint64(b[pos]) << nb
+			bitbuf |= uint64(p[pos]) << nb
 			pos++
 			nb += 8
 		}
@@ -658,8 +656,6 @@ func (c *coder) unpack(v *[]float64, dst *[]float64, n, bits int, scale float64)
 			s[i] = math.Copysign(0, -1)
 		}
 	}
-	c.b = b[nbytes:]
-	*v = s
 }
 
 // frame is a MuxFrame's enveloped message, a complete nested frame
