@@ -1,11 +1,11 @@
 package transport
 
 // Tests for the binary wire codec: the golden frames (every message's
-// bytes pinned, decoded and re-encoded), the corrupted-frame suite (a malformed frame errors the connection and
-// poisons it instead of wedging or misparsing), hard-close semantics
-// over real TCP, and the quantized wire path (trajectory grids stay
-// bit-identical across deployments while value bytes shrink ~8× at
-// QuantBits=8).
+// bytes pinned, decoded and re-encoded), the corrupted-frame suite (a
+// malformed frame errors the connection and poisons it instead of
+// wedging or misparsing), hard-close semantics over real TCP, and the
+// quantized wire path (trajectory grids stay bit-identical across
+// deployments while value bytes shrink ~8× at QuantBits=8).
 
 import (
 	"bufio"
@@ -283,18 +283,18 @@ func oneValueBroadcast(bits int, scale float64, enc byte, payload []byte) []byte
 
 func corruptedFrames() []corruptedFrame {
 	// Bodies built by encoding a real message and then corrupting it.
-	body, packedBroadcast, le32 := frameBody, oneValueBroadcast, binary.LittleEndian.AppendUint32
+	le32 := binary.LittleEndian.AppendUint32
 	quantHeader := func(bits int, scale float64) []byte {
 		// An empty value block travels raw: count 0, encoding 0.
-		return body(Upload{ClientID: 3, Round: 1, BatchLoss: 0.5, Bits: bits, Scale: scale})
+		return frameBody(Upload{ClientID: 3, Round: 1, BatchLoss: 0.5, Bits: bits, Scale: scale})
 	}
 	hostileInit := func() []byte {
-		b := body(Init{K: 3, Rounds: 5, RunID: 7})
+		b := frameBody(Init{K: 3, Rounds: 5, RunID: 7})
 		b = le32(b[:len(b)-8], 1<<28) // Params count: 2 GiB worth of floats...
 		return append(b, 42)          // ...backed by one byte
 	}
 	validHello := func() []byte {
-		return body(Hello{ClientID: 3, Members: []int{3}, Weights: []float64{1.5}})
+		return frameBody(Hello{ClientID: 3, Members: []int{3}, Weights: []float64{1.5}})
 	}
 	return []corruptedFrame{
 		{"truncated header", []byte{7, 0}, "truncated frame"},
@@ -312,10 +312,10 @@ func corruptedFrames() []corruptedFrame {
 		{"Inf quant scale", rawFrame(quantHeader(8, math.Inf(1))), "quantization scale"},
 		{"negative quant scale", rawFrame(quantHeader(8, -1)), "quantization scale"},
 		{"bad quant width", rawFrame(quantHeader(65, 1)), "quantization width"},
-		{"packed value count beyond the frame", rawFrame(packedBroadcast(8, 1, 1, nil)), "packed value count 1 (1 bytes) exceeds 0"},
-		{"raw value count beyond the frame", rawFrame(packedBroadcast(8, 1, 0, []byte{1, 2, 3})), "value count 1 exceeds 3"},
-		{"packed without width", rawFrame(packedBroadcast(0, 0, 1, []byte{0})), "packed values"},
-		{"unknown value encoding", rawFrame(packedBroadcast(8, 1, 7, []byte{0})), "unknown value encoding"},
+		{"packed value count beyond the frame", rawFrame(oneValueBroadcast(8, 1, 1, nil)), "packed value count 1 (1 bytes) exceeds 0"},
+		{"raw value count beyond the frame", rawFrame(oneValueBroadcast(8, 1, 0, []byte{1, 2, 3})), "value count 1 exceeds 3"},
+		{"packed without width", rawFrame(oneValueBroadcast(0, 0, 1, []byte{0})), "packed values"},
+		{"unknown value encoding", rawFrame(oneValueBroadcast(8, 1, 7, []byte{0})), "unknown value encoding"},
 	}
 }
 

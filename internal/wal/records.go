@@ -164,8 +164,8 @@ func appendRecord(b []byte, r Record) []byte {
 
 // --- decoding -------------------------------------------------------
 
-// recReader is a latched-error cursor over a record body, mirroring the
-// transport codec's wireReader discipline.
+// recReader is a latched-error cursor over a record body, the same
+// discipline as the transport codec's coder.
 type recReader struct {
 	b   []byte
 	bad bool
