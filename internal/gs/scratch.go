@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the production aggregation path: epoch-stamped dense
-// scratch arrays instead of the map-based reference in reference.go. An
+// scratch arrays instead of the map-based reference in reference_test.go. An
 // AggScratch owns every buffer a round of server-side selection needs, so
 // a warm scratch aggregates with zero allocations; the engine keeps one
 // per run and calls AggregateInto once per round, computing the k-element
@@ -364,7 +364,7 @@ func (s *AggScratch) unionSelect(uploads []ClientUpload, red RangeAgg, hasProbe 
 }
 
 // compareFABCands and compareFUBEntries are the strict total orders the
-// reference comparators define (reference.go keeps its own copies — it
+// reference comparators define (reference_test.go keeps its own copies — it
 // is the independent differential oracle). Every production selection —
 // over raw uploads or merged reductions — sorts with THESE functions, so a
 // tie-break tweak cannot desynchronize the paths from each other.

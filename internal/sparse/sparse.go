@@ -81,19 +81,21 @@ func rankLess(dense []float64, i, j int) bool {
 // payload). Whether to accept non-finite values is the caller's policy;
 // selection is deterministic on them.
 //
-// Selection is comparison-free, with no data-dependent pivots: a radix
-// select of the k-th largest key, one filter pass, and a stable radix sort
-// of the k selected. On a vector of at least prefilterMin elements an
-// exact prefilter runs first: a fixed-stride sample of the keys guesses a
-// cut g, and one branch-free pass keeps the elements whose key is ≥ g, in
-// index order, so the select and the filter read only those survivors.
-// When at least k survive, the k-th largest key is ≥ g, so the whole top k
-// survived, and ties at the cut resolve in index order as before: the
-// result is the full path's, bit for bit. Otherwise — fewer than k
-// survivors, more than half the scratch slab, a vector below prefilterMin,
-// or a k so close to D that most of the sample reaches the cut — the full
-// path runs over every element. TopKHeap is the O(D log k) reference the
-// tests cross-check against. TopK is a thin wrapper over TopKInto that
+// Selection is comparison-free, with no data-dependent pivots. On a
+// vector of at least prefilterMin elements an exact prefilter runs: a
+// fixed-stride sample of the keys guesses a cut g, and one branch-free
+// pass (an AVX2 kernel where the processor has it) keeps the elements
+// whose key is ≥ g, with their keys, in index order. When at least k
+// survive, the k-th largest key is ≥ g, so the whole top k survived, and
+// one stable radix sort of the survivors by key, truncated to k, is the
+// top k in rank order, with ties at the cut in index order. At k = D every
+// nonzero key survives a cut of 1, so the same sort runs over all of them
+// with no select, and the zeros follow in index order. Otherwise — fewer than k survivors, more than half the
+// scratch slab, a vector below prefilterMin, or a k so close to D that
+// most of the sample reaches the cut — the full path runs over every
+// element: a radix select of the k-th largest key, one filter pass, and
+// the same sort of the k selected. TopKHeap is the O(D log k) reference
+// the tests cross-check against. TopK is a thin wrapper over TopKInto that
 // allocates fresh storage per call; hot paths should hold a TopKScratch
 // and call TopKInto directly.
 func TopK(dense []float64, k int) Vec {
@@ -103,14 +105,16 @@ func TopK(dense []float64, k int) Vec {
 // TopKScratch is the reusable working memory of TopKInto: one slab of
 // max(D, 2k+2) words that each stage of a call reuses from its start. The
 // prefilter's key sample takes the first sampleKeys words, then its
-// survivors the two halves, keys in the first and indices in the second;
-// on the full path the select's candidate keys take the first D words
-// instead. Last come the selected indices and the sort's spare, k+2 and k
-// words. It carries nothing from one call to the next — the result is a
-// function of (dense, k) alone — and its zero value is ready to use. The
-// slab only grows, so a scratch warmed at k = D serves every smaller k and
-// D without allocating. A scratch is single-goroutine state: one per
-// concurrent selector (per worker, not per client — see internal/fl).
+// survivors the two halves, keys in the first and indices in the second,
+// and the sort's records take the keys' half with the indices' half as
+// their spare. On the full path the select's candidate keys take the
+// first D words instead, and then the selected indices and the sort's
+// spare k+2 and k words. It carries nothing from one call to the next —
+// the result is a function of (dense, k) alone — and its zero value is
+// ready to use. The slab only grows, so a scratch warmed at k = D serves
+// every smaller k and D without allocating. A scratch is single-goroutine
+// state: one per concurrent selector (per worker, not per client — see
+// internal/fl).
 type TopKScratch struct {
 	slab []uint64
 }
@@ -118,7 +122,8 @@ type TopKScratch struct {
 // slabWords is the slab a TopKInto of k ≤ d from a d-long vector uses:
 // the full path's d candidate keys, or the selected indices plus the
 // sort's spare, whichever is more. The prefilter needs no more: it takes
-// the survivors only while they fit in half of it.
+// the survivors only while they fit in half of it, which at k = d is all
+// d of them.
 func slabWords(d, k int) int { return max(d, 2*k+2) }
 
 // Reserve grows the slab to what a TopKInto of k from a d-long vector
@@ -136,9 +141,13 @@ func (s *TopKScratch) Reserve(d, k int) {
 // reused when their capacity suffices (grown otherwise) and scratch holds
 // the working memory across calls, so steady-state selection performs zero
 // allocations. A nil scratch allocates a transient one, which is exactly
-// TopK. len(dense) must fit in 32 bits, as indices do on the wire.
+// TopK. len(dense) must fit in 32 bits, as indices do on the wire: the
+// sort packs each index into 32 bits, so a longer vector panics.
 func TopKInto(dst Vec, scratch *TopKScratch, dense []float64, k int) Vec {
 	d := len(dense)
+	if uint64(d) > math.MaxUint32 {
+		panic("sparse: TopKInto of a vector of 2^32 or more elements")
+	}
 	if k <= 0 || d == 0 {
 		dst.Idx, dst.Val = dst.Idx[:0], dst.Val[:0]
 		return dst
@@ -154,6 +163,13 @@ func TopKInto(dst Vec, scratch *TopKScratch, dense []float64, k int) Vec {
 	slab := scratch.slab[:slabWords(d, k)]
 	dst.Idx, dst.Val = slices.Grow(dst.Idx[:0], k)[:k], slices.Grow(dst.Val[:0], k)[:k]
 
+	if keys, at, ok := survivors(slab, dense, k); ok {
+		n := min(k, len(keys)) // fewer only at k = D, where zeros are the rest
+		top, _ := sortSurvivors(keys, at, dense, n)
+		emit(dst, 0, top[:n], dense)
+		emitZeros(dst, n, dense)
+		return dst
+	}
 	// The cut: every key above t is selected, plus the first `ties`
 	// elements in index order that carry exactly t — and those rank last,
 	// in that same order.
@@ -161,30 +177,18 @@ func TopKInto(dst Vec, scratch *TopKScratch, dense []float64, k int) Vec {
 	above := k - ties
 	sel, tmp := slab[:k+2], slab[k+2:2*k+2]
 	emit(dst, above, sel[above+1:k+1], dense)
-	// The keys above t are radix-sorted on a window: the top windowBits of
-	// their offset from t. That leaves them sorted except where distinct
-	// keys share a window — rare and adjacent on real data — which an
-	// insertion pass over the output repairs.
 	top, base := sel[:above], t+1
-	if above > repairMax {
-		radixSort(top, tmp, dense, base, max(bits.Len64(hi-base)-windowBits, 0))
-	}
+	shift := windowShift(base, hi)
+	windows(top, dense, base, shift)
+	top, _ = rankSort(top, tmp, dense, base, hi, shift, above)
 	emit(dst, 0, top, dense)
-	if !repair(dst, above) {
-		// Long runs of distinct keys inside one window: sort on every
-		// window of the offset instead, lowest first.
-		for shift := 0; (hi-base)>>shift != 0; shift += windowBits {
-			radixSort(top, tmp, dense, base, shift)
-		}
-		emit(dst, 0, top, dense)
-	}
 	return dst
 }
 
 const (
 	// digitBits is the radix of the select and of the sort. The select's
 	// first digit is then the whole exponent, where gradient magnitudes
-	// spread; the sort orders a window of two digits per call.
+	// spread; the sort orders a window of two digits per pass.
 	digitBits  = 11
 	digitMask  = 1<<digitBits - 1
 	windowBits = 2 * digitBits
@@ -199,22 +203,12 @@ const (
 	sampleMost   = 7 * sampleKeys / 16
 )
 
-// selectTop finds the top k of dense (0 < k <= len(dense)) and leaves
-// their indices in slab[:k+2] as filter lays them out. It returns the k-th
-// largest key t, how many of the elements carrying exactly t belong to the
-// top k, and the largest key. When the prefilter's survivors stand in for
-// dense, the select and the filter read only them.
+// selectTop is the full path's select: it finds the top k of dense
+// (0 < k <= len(dense)) and leaves their indices in slab[:k+2] as filter
+// lays them out. It returns the k-th largest key t, how many of the
+// elements carrying exactly t belong to the top k, and the largest key.
 func selectTop(slab []uint64, dense []float64, k int) (t uint64, ties int, hi uint64) {
 	var hist [1 << digitBits]uint32
-	if keys, at, ok := survivors(slab, dense, k); ok {
-		for _, key := range keys {
-			hist[key>>52]++
-			hi = max(hi, key)
-		}
-		t, ties = kthKey(keys, k, &hist)
-		filterAt(slab[:k+2], dense, at, t, k-ties, ties)
-		return t, ties, hi
-	}
 	cand := slab[:len(dense)]
 	for i, x := range dense {
 		key := rankKey(x)
@@ -227,20 +221,60 @@ func selectTop(slab []uint64, dense []float64, k int) (t uint64, ties int, hi ui
 	return t, ties, hi
 }
 
-// survivors runs the prefilter: the keys of dense that reach cutGuess's
-// cut, and their indices, in index order, laid out in the two halves of
-// slab. ok reports whether they stand in for dense: there is a guess, at
-// least k survive, and fewer than half the slab less one — which keeps
-// the survivors' indices clear of the filter's output, slab[:k+2].
+// survivors runs the prefilter: the keys of dense that reach the cut g,
+// and their indices, in index order, laid out in the two halves of slab.
+// The cut is cutGuess's, or 1 at k = len(dense), where every element but
+// the zeros survives. ok reports whether they stand in for dense: dense is
+// at least prefilterMin long, there is a cut, and either k = len(dense)
+// or at least k survive and fewer than half the slab less one — which
+// tells a pass that kept them all from one that stopped when the keys'
+// half was full.
 func survivors(slab []uint64, dense []float64, k int) (keys, at []uint64, ok bool) {
-	g, ok := cutGuess(dense, k, slab)
-	if !ok {
+	d := len(dense)
+	if d < prefilterMin {
 		return nil, nil, false
 	}
-	m := len(slab)/2 - 1
+	g := uint64(1)
+	if k < d {
+		if g, ok = cutGuess(dense, k, slab); !ok {
+			return nil, nil, false
+		}
+	}
+	m := len(slab)/2 - 1 // at k = d: d, room for all of them
 	keys, at = slab[:m], slab[m+1:2*m+1]
 	n := compact(keys, at, dense, g)
-	return keys[:n], at[:n], k <= n && n < m
+	return keys[:n], at[:n], k == d || k <= n && n < m
+}
+
+// sortSurvivors sorts the prefilter's survivors — their keys and their
+// indices, in index order — far enough that the first k of the result are
+// their top k in rank order. It builds the sort's records over the keys,
+// windows on the offset from the smallest, and sorts them with the
+// indices' room as the spare. exact is rankSort's.
+func sortSurvivors(keys, at []uint64, dense []float64, k int) (top []uint64, exact bool) {
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, key := range keys {
+		lo, hi = min(lo, key), max(hi, key)
+	}
+	shift := windowShift(lo, hi)
+	for i, key := range keys {
+		keys[i] = (key-lo)>>shift<<32 | at[i]
+	}
+	return rankSort(keys, at, dense, lo, hi, shift, k)
+}
+
+// emitZeros writes the elements of dense whose key is 0 — ±0 — in index
+// order to dst[n:], as many as fit.
+func emitZeros(dst Vec, n int, dense []float64) {
+	for i, x := range dense {
+		if n == len(dst.Idx) {
+			return
+		}
+		if rankKey(x) == 0 {
+			dst.Idx[n], dst.Val[n] = i, x
+			n++
+		}
+	}
 }
 
 // cutGuess returns the prefilter's cut for the top k of dense: a key g
@@ -284,20 +318,29 @@ func sampleRank(d, k int) int {
 	return int(math.Ceil(lambda + 4*math.Sqrt(lambda) + 4))
 }
 
-// compact is the prefilter's pass, in index order: the keys ≥ g fill keys
-// and their indices at, and the count is returned. Stores are
-// unconditional and the cursor advances by a comparison bit, so the pass
-// has no data-dependent branch; it stops when keys is full, returning
-// len(keys).
+// compact is the prefilter's pass, in index order: the keys ≥ g fill
+// keys and their indices at, and the count is returned. It stops when
+// either is full, returning that length. compactAVX2 runs it where the
+// processor has AVX2, and compactGo, the oracle, finishes what the
+// kernel leaves and runs it everywhere else.
 func compact(keys, at []uint64, dense []float64, g uint64) int {
-	n := 0
-	for i, x := range dense {
-		key := rankKey(x)
+	room := min(len(keys), len(at))
+	keys, at = keys[:room], at[:room]
+	n, i := 0, 0
+	if useAVX2 {
+		n, i = compactAVX2(keys, at, dense, g)
+	}
+	return compactGo(keys, at, dense, g, n, i)
+}
+
+// compactGo is compact from dense[i:], with n kept so far and
+// len(at) ≥ len(keys). Stores are unconditional and the cursor advances
+// by a comparison bit, so the pass has no data-dependent branch.
+func compactGo(keys, at []uint64, dense []float64, g uint64, n, i int) int {
+	for ; i < len(dense) && n < len(keys); i++ {
+		key := rankKey(dense[i])
 		keys[n], at[n] = key, uint64(i)
 		n += int(^(key - g) >> 63) // 1 iff key >= g: both are below 2^63
-		if n == len(keys) {
-			break
-		}
 	}
 	return n
 }
@@ -354,20 +397,6 @@ func filter(sel []uint64, dense []float64, t uint64, above, ties int) {
 	}
 }
 
-// filterAt is filter over the elements of dense that at names, in at's
-// (ascending) order: the prefilter's survivors.
-func filterAt(sel []uint64, dense []float64, at []uint64, t uint64, above, ties int) {
-	tie := sel[above+1 : above+2+ties]
-	na, ne := 0, 0
-	for _, i := range at {
-		key := rankKey(dense[i])
-		sel[na] = i
-		tie[min(ne, ties)] = i
-		na += int((t - key) >> 63)
-		ne += int(((key ^ t) - 1) >> 63)
-	}
-}
-
 // emit writes the elements recs names in its low 32 bits to dst[at:].
 func emit(dst Vec, at int, recs []uint64, dense []float64) {
 	idx, val := dst.Idx[at:at+len(recs)], dst.Val[at:at+len(recs)]
@@ -376,17 +405,62 @@ func emit(dst Vec, at int, recs []uint64, dense []float64) {
 	}
 }
 
-// radixSort stably sorts recs — element indices in the low 32 bits — by
-// descending window of their keys, windowBits of (key − base) >> shift,
-// with one LSD pass per digit; a digit on which all windows agree is
-// skipped. tmp is spare room of the same length; the result is in recs.
-func radixSort(recs, tmp []uint64, dense []float64, base uint64, shift int) {
-	var hist [2][1 << digitBits]uint32
+// windowShift is the shift that leaves windowBits of the largest offset
+// hi − base, or none when it is shorter.
+func windowShift(base, hi uint64) int { return max(bits.Len64(hi-base)-windowBits, 0) }
+
+// windows rewrites recs — element indices of dense in their low 32 bits —
+// as sort records: the window (key − base) >> shift above the index.
+func windows(recs []uint64, dense []float64, base uint64, shift int) {
 	for i, e := range recs {
-		w := (rankKey(dense[uint32(e)]) - base) >> (shift & 63)
-		hist[0][w&digitMask]++
-		hist[1][w>>digitBits&digitMask]++
-		recs[i] = w<<32 | e&math.MaxUint32
+		e &= math.MaxUint32
+		recs[i] = (rankKey(dense[e])-base)>>(shift&63)<<32 | e
+	}
+}
+
+// rankSort sorts recs — sort records of the elements of dense whose keys
+// lie in [base, hi], as windows(recs, dense, base, shift) builds them —
+// stably by rank, far enough that the first k are the top k in rank order.
+// tmp is spare room of the same length; the result is in one of the two.
+// The records are radix-sorted by window, which leaves them sorted except
+// where distinct keys share a window — rare and adjacent on real data —
+// and an insertion pass on the full key repairs the prefix up to the end
+// of the k-th record's window: no record past it can rank above one
+// before it. At most repairMax records take the insertion pass alone, and
+// exact windows (shift 0) the radix sort alone. exact is false when the
+// repair gave up on long runs of distinct keys in one window, and the sort
+// ran on every window of the offset instead, lowest first.
+func rankSort(recs, tmp []uint64, dense []float64, base, hi uint64, shift, k int) (sorted []uint64, exact bool) {
+	if len(recs) <= repairMax {
+		repair(recs, dense) // cannot give up: nothing moves repairMax places
+		return recs, true
+	}
+	recs, tmp = radixSort(recs, tmp)
+	if shift == 0 {
+		return recs, true
+	}
+	e := k
+	for w := recs[k-1] >> 32; e < len(recs) && recs[e]>>32 == w; e++ {
+	}
+	if repair(recs[:e], dense) {
+		return recs, true
+	}
+	for shift := 0; (hi-base)>>shift != 0; shift += windowBits {
+		windows(recs, dense, base, shift)
+		recs, tmp = radixSort(recs, tmp)
+	}
+	return recs, false
+}
+
+// radixSort stably sorts recs by descending window, the windowBits above
+// bit 32, with one LSD pass per digit; a digit on which all windows agree
+// is skipped. tmp is spare room of the same length. It returns the sorted
+// records and the spare, swapped when the passes were odd.
+func radixSort(recs, tmp []uint64) (sorted, spare []uint64) {
+	var hist [2][1 << digitBits]uint32
+	for _, e := range recs {
+		hist[0][e>>32&digitMask]++
+		hist[1][e>>(32+digitBits)&digitMask]++
 	}
 	src, dst := recs, tmp[:len(recs)]
 	for p := range hist {
@@ -405,27 +479,35 @@ func radixSort(recs, tmp []uint64, dense []float64, base uint64, shift int) {
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
-	}
+	return src, dst
 }
 
-// repair finishes sorting v[:n] by stable insertion on the full rank key,
-// linear on nearly sorted input. It gives up, returning false, on an
-// element more than repairMax places from home.
-func repair(v Vec, n int) bool {
-	for i := 1; i < n; i++ {
-		ix, x, j := v.Idx[i], v.Val[i], i
-		if rankKey(v.Val[i-1]) >= rankKey(x) {
+// repair finishes sorting recs by stable insertion on the full rank key of
+// the element each names, linear on nearly sorted input. It gives up,
+// returning false, on an element more than repairMax places from home;
+// recs then holds the same records, equal keys still in their order.
+func repair(recs []uint64, dense []float64) bool {
+	if len(recs) == 0 {
+		return true
+	}
+	prev := rankKey(dense[uint32(recs[0])]) // the key at i−1
+	for i := 1; i < len(recs); i++ {
+		e := recs[i]
+		key := rankKey(dense[uint32(e)])
+		if prev >= key {
+			prev = key
 			continue
 		}
-		for ; j > 0 && rankKey(v.Val[j-1]) < rankKey(x); j-- {
+		// e moves up; what lands at i is what was at i−1, whose key is prev.
+		j := i
+		for ; j > 0 && rankKey(dense[uint32(recs[j-1])]) < key; j-- {
 			if i-j == repairMax {
+				recs[j] = e
 				return false
 			}
-			v.Idx[j], v.Val[j] = v.Idx[j-1], v.Val[j-1]
+			recs[j] = recs[j-1]
 		}
-		v.Idx[j], v.Val[j] = ix, x
+		recs[j] = e
 	}
 	return true
 }

@@ -1,9 +1,13 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestTopKIntoDifferentialWarmScratch reuses one scratch and one dst Vec
@@ -64,6 +68,33 @@ func TestTopKIntoReusesBuffers(t *testing.T) {
 	if small.Len() != 5 {
 		t.Fatalf("grown selection has %d elements, want 5", small.Len())
 	}
+}
+
+// TestTopKIntoRejectsLongVectors pins the 32-bit index contract: the sort
+// packs each index into 32 bits, so a vector of 2^32 elements must panic
+// by name before anything reads it or sizes a slab for it, rather than
+// select wrong coordinates. The vector is a slice header over one float64,
+// built field by field: unsafe.Slice would build the same header, but
+// checkptr, which the race detector turns on, refuses one that reaches
+// past its allocation.
+func TestTopKIntoRejectsLongVectors(t *testing.T) {
+	if math.MaxInt < 1<<32 {
+		t.Skip("no slice of 2^32 elements on a 32-bit platform")
+	}
+	var x float64
+	shift := 32 // a variable: the constant 1<<32 does not compile where int is 32 bits
+	n := 1 << shift
+	header := struct {
+		data     unsafe.Pointer
+		len, cap int
+	}{unsafe.Pointer(&x), n, n}
+	dense := *(*[]float64)(unsafe.Pointer(&header))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "2^32 or more elements") {
+			t.Fatalf("TopKInto of 2^32 elements: recovered %v, want its length panic", r)
+		}
+	}()
+	TopKInto(Vec{}, nil, dense, 1)
 }
 
 // TestTopKIntoAllocsSteadyState is the allocation-regression gate, on the

@@ -134,29 +134,41 @@ func TestTopKIntoAdversarialShapes(t *testing.T) {
 	}
 }
 
-// The paths TopKInto takes: the prefilter, or the full path because
-// cutGuess gives no cut, or because too few or too many elements reach it.
+// The paths TopKInto takes: the prefilter's survivors sorted, or at k = D
+// every nonzero key sorted, each with the insertion repair or, when that
+// gives up, on every window; or the full path because cutGuess gives no cut, or
+// because too few or too many elements reach it.
 const (
-	pathPrefilter = "prefilter"
-	pathNoGuess   = "no guess"
-	pathTooFew    = "too few"
-	pathTooMany   = "too many"
+	pathPrefilter       = "prefilter"
+	pathPrefilterResort = pathPrefilter + ", every window"
+	pathAll             = "all"
+	pathAllResort       = pathAll + ", every window"
+	pathNoGuess         = "no guess"
+	pathTooFew          = "too few"
+	pathTooMany         = "too many"
 )
 
 // topKPath names the path TopKInto takes for the top k of dense.
 func topKPath(dense []float64, k int) string {
 	slab := make([]uint64, slabWords(len(dense), k))
+	keys, at, ok := survivors(slab, dense, k)
+	if ok {
+		path := pathPrefilter
+		if k == len(dense) {
+			path = pathAll
+		}
+		if _, exact := sortSurvivors(keys, at, dense, min(k, len(keys))); !exact {
+			path += ", every window"
+		}
+		return path
+	}
 	if _, ok := cutGuess(dense, k, slab); !ok {
 		return pathNoGuess
 	}
-	switch keys, _, ok := survivors(slab, dense, k); {
-	case ok:
-		return pathPrefilter
-	case len(keys) < k:
+	if len(keys) < k {
 		return pathTooFew
-	default:
-		return pathTooMany
 	}
+	return pathTooMany
 }
 
 // TestTopKIntoEngineSizedMatchesHeap runs the differential at the
@@ -166,8 +178,10 @@ func topKPath(dense []float64, k int) string {
 // largest k the prefilter takes, and D — and the shapes include the ones
 // that defeat the sample: a guess that over-shoots (the mass sits between
 // the sample points), one that keeps too much, ties at the cut and
-// non-finite keys. Every row also pins the path it took, so no row passes
-// only because it fell back.
+// non-finite keys. Every row also pins the path it took — the prefilter's
+// survivors sorted, or at k = D every nonzero key sorted, each with the
+// insertion repair or on every window, or the full path and why — so no
+// row passes only because it fell back.
 func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 	const d = 60_000
 	stride := d / sampleKeys
@@ -178,21 +192,22 @@ func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 	}
 	ks := []int{d / 500, d / 100, d / 10, d / 4, cutoff, d}
 	rng := rand.New(rand.NewSource(56))
-	pre, none, few, many := pathPrefilter, pathNoGuess, pathTooFew, pathTooMany
+	pre, preR, all, allR := pathPrefilter, pathPrefilterResort, pathAll, pathAllResort
+	none, few, many := pathNoGuess, pathTooFew, pathTooMany
 	for _, row := range []struct {
 		name  string
 		fill  func(i int) float64
 		paths []string // per k of ks
 	}{
-		{"normal", func(int) float64 { return rng.NormFloat64() }, []string{pre, pre, pre, pre, pre, none}},
+		{"normal", func(int) float64 { return rng.NormFloat64() }, []string{pre, pre, pre, pre, pre, all}},
 		{"residual", func(int) float64 { // mostly exact zeros under a heavy tail
 			if rng.Intn(10) < 7 {
 				return 0
 			}
 			return rng.NormFloat64() * 1e-4 / (rng.Float64() + 1e-3)
-		}, []string{pre, pre, pre, pre, none, none}},
-		{"ascending ramp", func(i int) float64 { return float64(i + 1) }, []string{pre, pre, pre, pre, pre, none}},
-		{"descending ramp", func(i int) float64 { return -float64(d - i) }, []string{pre, pre, pre, pre, pre, none}},
+		}, []string{pre, pre, pre, pre, none, all}},
+		{"ascending ramp", func(i int) float64 { return float64(i + 1) }, []string{pre, pre, pre, pre, pre, all}},
+		{"descending ramp", func(i int) float64 { return -float64(d - i) }, []string{pre, pre, pre, pre, pre, all}},
 		{"mass between the samples, guess over-shoots", func(i int) float64 { // d/100 − 1 ones, 400 sampled: at k = d/100 one too few survive
 			switch {
 			case sampled(i):
@@ -201,15 +216,16 @@ func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 				return 1
 			}
 			return 0.5 + rng.Float64()/4
-		}, []string{pre, few, few, few, none, none}},
+		}, []string{pre, few, few, few, none, all}},
 		{"mass between the samples, guess keeps all", func(i int) float64 {
 			if sampled(i) {
 				return []float64{0.25, 0.25, 1e-9, 1e-9, 1e-9}[i/stride%5]
 			}
 			return 1 + rng.Float64()
-		}, []string{many, many, many, many, none, none}},
-		{"all equal", func(int) float64 { return -0.375 }, []string{none, none, none, none, none, none}},
-		{"two values", func(int) float64 { return []float64{1, -2, 1, -1}[rng.Intn(4)] }, []string{pre, pre, pre, none, none, none}},
+		}, []string{many, many, many, many, none, all}},
+		{"all equal", func(int) float64 { return -0.375 }, []string{none, none, none, none, none, all}},
+		{"all zero", func(int) float64 { return 0 }, []string{none, none, none, none, none, all}}, // at k = D nothing survives the cut of 1
+		{"two values", func(int) float64 { return []float64{1, -2, 1, -1}[rng.Intn(4)] }, []string{pre, pre, pre, none, none, all}},
 		{"non-finite mixed in", func(int) float64 {
 			switch rng.Intn(100) {
 			case 0:
@@ -220,14 +236,14 @@ func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 				return math.Float64frombits(0x7FF0000000000001 + uint64(rng.Intn(4))) // NaN payloads
 			}
 			return rng.NormFloat64()
-		}, []string{pre, pre, pre, pre, pre, none}},
-		{"subnormals only", func(int) float64 { return math.Float64frombits(uint64(rng.Int63n(1 << 52))) }, []string{pre, pre, pre, pre, pre, none}},
+		}, []string{pre, pre, preR, preR, preR, allR}},
+		{"subnormals only", func(int) float64 { return math.Float64frombits(uint64(rng.Int63n(1 << 52))) }, []string{pre, pre, pre, pre, pre, all}},
 		{"signed zeros", func(i int) float64 {
 			if rng.Intn(2) == 0 {
 				return math.Copysign(0, float64(i%2*2-1))
 			}
 			return rng.NormFloat64()
-		}, []string{pre, pre, pre, pre, pre, none}},
+		}, []string{pre, pre, pre, pre, pre, all}},
 	} {
 		dense := make([]float64, d)
 		for i := range dense {

@@ -2,25 +2,14 @@
 
 package tensor
 
+import "fedsparse/internal/cpu"
+
 // useAVX selects the vector kernels of kernels_amd64.s, once, from what
-// the processor and the operating system support: AVX, with the YMM
-// registers saved across context switches. There is no other selector;
-// the purego build tag leaves the Go loops as the only kernels.
-var useAVX = detectAVX()
-
-func detectAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	const sseState, avxState = 1 << 1, 1 << 2
-	return xcr0&(sseState|avxState) == sseState|avxState
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+// the processor and the operating system support (internal/cpu): AVX,
+// with the YMM registers saved across context switches. There is no
+// other selector; the purego build tag leaves the Go loops as the only
+// kernels.
+var useAVX = cpu.X86.AVX
 
 // The vector kernels. Their callers check every shape first; each keeps
 // the addition chain of its Go twin (axpy4Go, axpyGo, scaleGo, matVecGo;

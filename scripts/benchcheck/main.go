@@ -59,6 +59,9 @@ var tracked = []struct {
 	// runner: at the old 20x a single preempted iteration of a ~2µs
 	// decode moved the mean 5x and flapped the gate.
 	{"./internal/sparse/", "BenchmarkTopKInto", "200x"},
+	// The prefilter's pass alone, Go loop and AVX2 kernel, at the D of
+	// engine_adaptive's and the TCP workloads' models.
+	{"./internal/sparse/", "BenchmarkCompact", "2000x"},
 	// BenchmarkAggregate's engine/ rows run engine_adaptive's aggregation
 	// shape (N = 32, d = 1e5) at k = D/100, D/10 and D.
 	{"./internal/gs/", "BenchmarkAggregate$", "30x"},

@@ -40,10 +40,11 @@ go test -race ./internal/fl/... ./internal/sparse/... ./internal/gs/... ./intern
 # golden trajectory table and the Workers grids — at more than one
 # GOMAXPROCS, uncached.
 go test -count=1 -cpu 1,2,4 ./internal/gs ./internal/nn ./internal/tensor ./internal/fl
-# The purego build tag leaves out internal/tensor's AVX kernels: the
-# golden trajectories and kernel differentials must hold on the Go loops
+# The purego build tag leaves out internal/tensor's AVX kernels and
+# internal/sparse's AVX2 compaction: the golden trajectories, the kernel
+# differentials and the top-k differentials must hold on the Go loops
 # alone, so the fallback cannot rot behind the vector path.
-go test -count=1 -tags purego ./internal/tensor ./internal/nn ./internal/fl
+go test -count=1 -tags purego ./internal/tensor ./internal/nn ./internal/sparse ./internal/fl
 # The transport's differentials and hostile-input tables get the same
 # treatment: every role's round is one shared body that each tier
 # (lockstep at any staleness window, durable, population) reaches
@@ -88,6 +89,9 @@ go test -race -count=1 \
 # prefilter's size floor, so the sampled cut and its fallbacks run too.
 go test ./internal/sparse -run '^$' -fuzz '^FuzzTopKInto$' -fuzztime 10s
 go test ./internal/sparse -run '^$' -fuzz '^FuzzTopKIntoLarge$' -fuzztime 10s
+# The prefilter's AVX2 compaction against its Go loop on arbitrary bit
+# patterns, cuts, rooms and start offsets.
+go test ./internal/sparse -run '^$' -fuzz '^FuzzCompact$' -fuzztime 10s
 # The same for the dense-layer kernels: the vector kernels against the Go
 # loops on arbitrary shapes and bit patterns.
 go test ./internal/tensor -run '^$' -fuzz FuzzDenseKernels -fuzztime 10s
