@@ -1,7 +1,13 @@
 package fedsparse_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"fedsparse"
@@ -118,5 +124,61 @@ func TestPublicAPIWorkloadsAndMetrics(t *testing.T) {
 	tb.AddRow("1")
 	if tb.Render() == "" {
 		t.Fatal("table render empty")
+	}
+}
+
+// TestFacadeExports holds the facade's exported names to the committed
+// testdata/facade_exports.txt, one "kind Name" per line, sorted. There is
+// no update flag: an export that appears or goes is a reviewed edit of
+// that file.
+func TestFacadeExports(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fedsparse.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	add := func(kind string, id *ast.Ident) {
+		if id.IsExported() {
+			got = append(got, kind+" "+id.Name)
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add("func", d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					add("type", sp.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						add(d.Tok.String(), id)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	golden, err := os.ReadFile("testdata/facade_exports.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	for _, name := range got {
+		if !slices.Contains(want, name) {
+			t.Errorf("%s is exported but not in testdata/facade_exports.txt", name)
+		}
+	}
+	for _, name := range want {
+		if !slices.Contains(got, name) {
+			t.Errorf("%s is in testdata/facade_exports.txt but not exported", name)
+		}
+	}
+	if !t.Failed() && !slices.Equal(got, want) {
+		t.Errorf("testdata/facade_exports.txt is not sorted:\n%s", strings.Join(got, "\n"))
 	}
 }
