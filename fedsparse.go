@@ -79,9 +79,9 @@
 // The same chunked-reduction structure extends across process
 // boundaries: the transport package partitions the coordinate space into
 // S contiguous ranges and runs the server-side aggregation as S
-// independent range reductions on shard processes (RangeReduceInto) plus
-// a coordinator-side selection over the merged reductions
-// (DirectSelector). Because every coordinate's addition chain runs in
+// independent range reductions on shard processes plus a
+// coordinator-side selection over the merged reductions (the strategy's
+// SelectDirect). Because every coordinate's addition chain runs in
 // exactly one shard, in ascending client order, the aggregate is
 // bit-identical to the single-process engine at every shard count — the
 // determinism guarantee survives the distribution axis the north-star
@@ -217,38 +217,25 @@
 // {mem, TCP} × {routed, direct}. See README.md ("Durability and
 // recovery") for the record layout and handshake sequences.
 //
-// # Scratch types and allocation-free steady state
+// # Allocation-free steady state
 //
 // The round loop reuses every per-round buffer, so steady-state training
-// performs no allocations in selection or aggregation. Two scratch types
-// surface that machinery for direct library use:
-//
-//   - TopKScratch + TopKInto: top-k selection into caller-owned storage.
-//     TopK remains the convenience wrapper that allocates per call.
-//     Selection is a comparison-free radix pipeline over the bit pattern
-//     with the sign cleared, so its order is defined on NaN, ±Inf, −0 and
-//     denormals too (see TopK). The scratch is working memory only — a
-//     slab of max(D, 2k) words, dead when the call returns — so hold
-//     one per goroutine that selects, not one per vector selected from:
-//     the engine keeps Workers of them for any number of clients.
-//   - AggScratch + the ScratchAggregator interface: every built-in
-//     Strategy aggregates allocation-free into a caller-owned scratch,
-//     computing the main k-element selection and the k′-probe selection
-//     in a single pass over the uploads.
-//
-// Reuse contract: scratches are meant to live for a whole run (or
-// process) and be reused across rounds — that is where the zero-alloc
-// steady state comes from; buffers grow to the largest shape seen and
-// stay there. Both types are single-goroutine state: share nothing, or
-// give each concurrent selector/aggregator its own. Selection and
-// aggregation results are pure functions of the inputs — never of
-// scratch history — so warm reuse cannot perturb a seeded run (the
-// differential suites pin this). Aggregates returned by AggregateInto
-// alias the scratch's buffers and are valid only until its next call;
-// copy them if they must outlive the round. When the model dimension is
-// known up front, AggScratch.Reserve pre-sizes the slabs and skips the
-// per-call scan for the largest uploaded coordinate — the round engines
-// do this.
+// performs no allocations in selection or aggregation. TopKScratch +
+// TopKInto surface the client half of that machinery for direct library
+// use: top-k selection into caller-owned storage. TopK remains the
+// convenience wrapper that allocates per call. Selection is a
+// comparison-free radix pipeline over the bit pattern with the sign
+// cleared, so its order is defined on NaN, ±Inf, −0 and denormals too
+// (see TopK). The scratch is working memory only — a slab of max(D, 2k)
+// words, dead when the call returns — so hold one per goroutine that
+// selects, not one per vector selected from: the engine keeps Workers of
+// them for any number of clients. It is single-goroutine state, and a
+// selection is a pure function of its inputs, never of scratch history,
+// so warm reuse cannot perturb a seeded run (the differential suites pin
+// this). The server half — every Strategy aggregating into one reserved
+// scratch per run, the main and the k′-probe selections in a single pass
+// over the uploads — runs inside Run and the coordinator; the facade
+// exports no aggregation scratch.
 //
 // See the examples directory for runnable programs and
 // docs/ARCHITECTURE.md for the system-wide map.
@@ -309,7 +296,8 @@ func Run(cfg Config) (*Result, error) { return fl.Run(cfg) }
 
 // Gradient-sparsification strategies (internal/gs).
 type (
-	// Strategy is one gradient-sparsification method.
+	// Strategy is one gradient-sparsification method. The five built-ins
+	// below are its only implementations.
 	Strategy = gs.Strategy
 	// FABTopK is the paper's fairness-aware bidirectional top-k.
 	FABTopK = gs.FABTopK
@@ -321,45 +309,6 @@ type (
 	PeriodicK = gs.PeriodicK
 	// SendAll transmits the full gradient every round.
 	SendAll = gs.SendAll
-	// ClientUpload is one client's uplink payload.
-	ClientUpload = gs.ClientUpload
-	// Aggregate is the server's downlink selection.
-	Aggregate = gs.Aggregate
-	// AggScratch is the reusable allocation-free aggregation scratch.
-	AggScratch = gs.AggScratch
-	// ScratchAggregator is the allocation-free one-pass aggregation
-	// interface every built-in strategy implements.
-	ScratchAggregator = gs.ScratchAggregator
-	// RangeAgg is one shard's reduction over a contiguous coordinate
-	// range: exact b_j sums plus minimal upload ranks.
-	RangeAgg = gs.RangeAgg
-	// DirectSelector is the coordinator-side selection over merged shard
-	// reductions (both shard planes), implemented by every built-in
-	// strategy.
-	DirectSelector = gs.DirectSelector
-	// DirectMeta is the control-plane metadata DirectSelector consumes
-	// in place of the raw uploads.
-	DirectMeta = gs.DirectMeta
-	// FillCand is one rank-κ fill candidate of FAB's selection.
-	FillCand = gs.FillCand
-)
-
-// NewAggScratch builds an aggregation scratch. The argument is ignored
-// (the reduction runs on the calling goroutine); pass 0.
-var NewAggScratch = gs.NewAggScratch
-
-// RangeReduceInto is the per-shard range reduction the transport tier's
-// shard processes run; ValidateRangeSlice is the shared slice validation
-// both shard topologies trust before reducing (shape, range, duplicates,
-// rank order, and finite values). MemberSpans and BuildDownlinkSlice are
-// the downlink counterparts: the coordinator-side split of a selection
-// into per-shard seal spans, and the shard-side reconstruction of a
-// sealed span's broadcast slice from the shard's own reduction.
-var (
-	RangeReduceInto    = gs.RangeReduceInto
-	ValidateRangeSlice = gs.ValidateRangeSlice
-	MemberSpans        = gs.MemberSpans
-	BuildDownlinkSlice = gs.BuildDownlinkSlice
 )
 
 // Adaptive-k online learning (internal/core).

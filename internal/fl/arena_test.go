@@ -6,9 +6,20 @@ import (
 	"sort"
 	"testing"
 
-	"fedsparse/internal/gs"
 	"fedsparse/internal/tensor"
 )
+
+// pickParticipantsInto is the Participation draw in its historical,
+// roster-free form: everyone when p is 0 or 1, otherwise ⌈p·N⌉ clients
+// uniformly without replacement (sorted). The round loop draws through
+// popState.drawInto — the same two steps over the active population;
+// this form is the one TestPickParticipantsSequenceCompat pins, output
+// and rng consumption, against the legacy rng.Perm(n)[:count]: the
+// anchor that keeps whole runs bit-identical to historical behavior.
+func pickParticipantsInto(dst, perm []int, p float64, n int, rng *rand.Rand) ([]int, []int) {
+	count, shuffle := participationCount(p, n)
+	return drawPositions(dst, perm, count, shuffle, n, rng)
+}
 
 // TestPickParticipantsSequenceCompat pins the allocation-free participant
 // draw against the legacy implementation it replaced: rng.Perm(n)[:count]
@@ -95,40 +106,4 @@ func TestReduceWeightedMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestMandatedArenaPathMatchesLegacy pins the engine's arena-backed
-// mandated-index draws end to end: a PeriodicK run must be bit-identical
-// to one driven through the legacy allocating MandatedIndices (forced by
-// hiding the MandatedIntoStrategy interface behind a wrapper).
-func TestMandatedArenaPathMatchesLegacy(t *testing.T) {
-	for _, strat := range []gs.Strategy{gs.PeriodicK{}, gs.SendAll{}} {
-		cfg := diffConfig()
-		cfg.Strategy = strat
-		fast, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacyCfg := diffConfig()
-		legacyCfg.Strategy = legacyMandate{strat}
-		legacy, err := Run(legacyCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitIdentical(t, strat.Name(), legacy, fast)
-	}
-}
-
-// legacyMandate hides the Into fast paths so the engine falls back to the
-// allocating MandatedIndices draw (and, via the missing ScratchAggregator,
-// the reference Aggregate) — the pre-arena behavior.
-type legacyMandate struct{ inner gs.Strategy }
-
-func (l legacyMandate) Name() string { return l.inner.Name() }
-func (l legacyMandate) Dense() bool  { return l.inner.Dense() }
-func (l legacyMandate) MandatedIndices(round, d, k int, rng *rand.Rand) []int {
-	return l.inner.MandatedIndices(round, d, k, rng)
-}
-func (l legacyMandate) Aggregate(uploads []gs.ClientUpload, k int) gs.Aggregate {
-	return l.inner.Aggregate(uploads, k)
 }

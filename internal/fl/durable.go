@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 
 	"fedsparse/internal/core"
-	"fedsparse/internal/gs"
 	"fedsparse/internal/wal"
 )
 
@@ -35,7 +34,6 @@ type engineWAL struct {
 	every int
 	log   *wal.Log
 	ctrl  core.Resumable
-	strat gs.Stateful // nil for the (stateless) built-in strategies
 
 	engineSrc  *wal.CountingSource
 	clientSrcs []*wal.CountingSource
@@ -211,8 +209,9 @@ func (dw *engineWAL) open(cfg *Config, clients []*client, params []float64, d in
 }
 
 // restore loads one snapshot into the run: the synchronized model
-// params, residual accumulators into every client, controller (and
-// strategy) state, rng stream positions, and the clock.
+// params, residual accumulators into every client, controller state, rng
+// stream positions, and the clock. The strategy slot must be empty: no
+// strategy carries state across rounds.
 func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client, params []float64, d int) error {
 	n := len(clients)
 	if snap.Round < 1 || snap.Round > len(dw.logged) {
@@ -235,11 +234,7 @@ func (dw *engineWAL) restore(snap *wal.Snapshot, cfg *Config, clients []*client,
 	if err := dw.ctrl.StateRestore(snap.Vecs[n+1]); err != nil {
 		return fmt.Errorf("fl: resume: %w", err)
 	}
-	if dw.strat != nil {
-		if err := dw.strat.StateRestore(snap.Vecs[n+2]); err != nil {
-			return fmt.Errorf("fl: resume: %w", err)
-		}
-	} else if len(snap.Vecs[n+2]) != 0 {
+	if len(snap.Vecs[n+2]) != 0 {
 		return fmt.Errorf("fl: resume: snapshot carries %d strategy state fields but strategy %s is stateless",
 			len(snap.Vecs[n+2]), cfg.Strategy.Name())
 	}
@@ -287,7 +282,9 @@ func (dw *engineWAL) commit(st *RoundEvent, params []float64, clients []*client)
 
 // snapshot checkpoints the whole mutable run state after round
 // st.Round: the synchronized params once, every residual accumulator,
-// controller/strategy state, all rng positions, and the clock.
+// controller state, all rng positions, and the clock. The strategy slot
+// is written empty: a strategy's only cross-round inputs are the round
+// number and the engine rng, whose position the snapshot records.
 func (dw *engineWAL) snapshot(st *RoundEvent, params []float64, clients []*client) error {
 	n := len(clients)
 	vecs := make([][]float64, 0, n+3)
@@ -295,12 +292,7 @@ func (dw *engineWAL) snapshot(st *RoundEvent, params []float64, clients []*clien
 	for _, c := range clients {
 		vecs = append(vecs, append([]float64(nil), c.Acc...))
 	}
-	vecs = append(vecs, dw.ctrl.StateSave())
-	if dw.strat != nil {
-		vecs = append(vecs, dw.strat.StateSave())
-	} else {
-		vecs = append(vecs, nil)
-	}
+	vecs = append(vecs, dw.ctrl.StateSave(), nil)
 	ints := make([]int64, 0, n+1)
 	ints = append(ints, int64(dw.engineSrc.Pos()))
 	for _, src := range dw.clientSrcs {

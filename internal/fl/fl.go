@@ -24,10 +24,10 @@
 // with their minibatch views and top-k scratch, upload slots, probe
 // losses, selection membership) lives in the per-run round arena or an
 // in-flight round's slot and is reused across rounds. Only user-facing
-// outputs (RoundEvent, recorded per-client counts) and optional paths
-// (cadenced evaluations, external strategies) still allocate. With
-// Workers > 1 each fan-out additionally spawns its pool goroutines, a
-// small per-round constant that buys the parallel speedup.
+// outputs (RoundEvent, recorded per-client counts) and the optional
+// cadenced evaluations still allocate. With Workers > 1 each fan-out
+// additionally spawns its pool goroutines, a small per-round constant
+// that buys the parallel speedup.
 package fl
 
 import (
@@ -312,7 +312,6 @@ func run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("fl: WALDir requires a core.Resumable controller; %s is not", ctrl.Name())
 		}
 		dur.ctrl = rc
-		dur.strat, _ = cfg.Strategy.(gs.Stateful)
 		if err := dur.open(&cfg, clients, ref.Params(), d); err != nil {
 			return nil, err
 		}
@@ -399,18 +398,6 @@ func validate(cfg *Config) error {
 		return errors.New("fl: WALDir and RecordPerClient are incompatible (per-client counts are not logged, so a resumed run could not reproduce them)")
 	}
 	return cfg.Data.Validate()
-}
-
-// pickParticipantsInto is the Participation draw in its historical,
-// roster-free form: everyone when p is 0 or 1, otherwise ⌈p·N⌉ clients
-// uniformly without replacement (sorted). The round loop draws through
-// popState.drawInto — the same two steps over the active population;
-// this form stays as the one TestPickParticipantsSequenceCompat pins,
-// output and rng consumption, against the legacy rng.Perm(n)[:count]:
-// the anchor that keeps whole runs bit-identical to historical behavior.
-func pickParticipantsInto(dst, perm []int, p float64, n int, rng *rand.Rand) ([]int, []int) {
-	count, shuffle := participationCount(p, n)
-	return drawPositions(dst, perm, count, shuffle, n, rng)
 }
 
 // participationCount is how many of n clients Participation p selects

@@ -92,7 +92,7 @@ func TestResidualMassConservation(t *testing.T) {
 		before[i] = append([]float64(nil), accs[i]...)
 	}
 
-	agg := (&gs.FABTopK{}).Aggregate(uploads, k)
+	agg, _ := (&gs.FABTopK{}).AggregateInto(gs.NewAggScratch(0), uploads, k, 0)
 	inJ := make(map[int]bool, len(agg.Indices))
 	for _, j := range agg.Indices {
 		inJ[j] = true

@@ -4,10 +4,10 @@
 // its draw, in phase A, at any Staleness. The engine's historical
 // behavior — everyone drawable, Participation as the only sampling knob
 // — is this roster with everyone active and nil schedules: the draw is
-// the legacy rng.Perm(n)[:count] sequence (pinned through
-// pickParticipantsInto), and it consumes no rng when nothing is sampled,
-// so cohort-sampled runs are bit-identical to their Participation twins
-// and full-cohort runs to the plain engine. The transport package's
+// the legacy rng.Perm(n)[:count] sequence (pinned through the tests'
+// pickParticipantsInto), and it consumes no rng when nothing is
+// sampled, so cohort-sampled runs are bit-identical to their
+// Participation twins and full-cohort runs to the plain engine. The transport package's
 // population server mirrors exactly this logic over the wire — see
 // internal/transport/population.go.
 package fl

@@ -26,7 +26,7 @@ type Server struct {
 	// a strategy that mandates nothing, the wire coordinator's case.
 	rng     *rand.Rand
 	d, bits int
-	agg     *gs.AggScratch // nil for an external strategy: plain Strategy.Aggregate
+	agg     *gs.AggScratch
 	mand    gs.MandateScratch
 }
 
@@ -43,11 +43,8 @@ type Decision struct {
 // NewServer returns the server step of a run with model dimension d and
 // b-bit quantization (0 = off) of B and B′.
 func NewServer(strat gs.Strategy, ctrl core.Controller, rng *rand.Rand, d, quantBits int) *Server {
-	s := &Server{strat: strat, ctrl: ctrl, rng: rng, d: d, bits: quantBits}
-	if _, ok := strat.(gs.ScratchAggregator); ok {
-		s.agg = gs.NewAggScratch(0)
-		s.agg.Reserve(d) // uploads only carry coordinates < d
-	}
+	s := &Server{strat: strat, ctrl: ctrl, rng: rng, d: d, bits: quantBits, agg: gs.NewAggScratch(0)}
+	s.agg.Reserve(d) // uploads only carry coordinates < d
 	return s
 }
 
@@ -69,38 +66,23 @@ func (s *Server) Decide(m int) (Decision, error) {
 	if dec.ProbeK > 0 {
 		out.ProbeK = max(min(sparse.StochasticRound(dec.ProbeK, s.rng), k-1), 0) // k = 1 leaves no room
 	}
-	if into, ok := s.strat.(gs.MandatedIntoStrategy); ok {
-		out.Mandated = into.MandatedIndicesInto(&s.mand, m, s.d, k, s.rng)
-	} else {
-		out.Mandated = s.strat.MandatedIndices(m, s.d, k, s.rng)
-	}
+	out.Mandated = s.strat.MandatedIndicesInto(&s.mand, m, s.d, k, s.rng)
 	return out, nil
 }
 
-// Aggregate selects B for k and, in the same pass where the strategy
-// allows it, B′ for the probe k′ (0 = no probe) from the round's uploads
-// (Algorithm 1, lines 8–11), quantizes both, and returns B's grid scale.
+// Aggregate selects B for k and, in the same pass, B′ for the probe k′
+// (0 = no probe) from the round's uploads (Algorithm 1, lines 8–11),
+// quantizes both, and returns B's grid scale.
 func (s *Server) Aggregate(uploads []gs.ClientUpload, k, probeK int) (main, probe gs.Aggregate, scale float64) {
-	if s.agg != nil {
-		main, probe = s.strat.(gs.ScratchAggregator).AggregateInto(s.agg, uploads, k, probeK)
-	} else {
-		main = s.strat.Aggregate(uploads, k)
-		if probeK > 0 {
-			probe = s.strat.Aggregate(uploads, probeK)
-		}
-	}
+	main, probe = s.strat.AggregateInto(s.agg, uploads, k, probeK)
 	return main, probe, s.quantize(main, probe)
 }
 
 // Select is Aggregate over the shard tier's merged range reductions
-// instead of the uploads (gs.DirectSelector): the same B and B′, bit for
-// bit, on the same grid.
+// instead of the uploads (Strategy.SelectDirect): the same B and B′, bit
+// for bit, on the same grid.
 func (s *Server) Select(red gs.RangeAgg, meta gs.DirectMeta, k, probeK int) (main, probe gs.Aggregate, scale float64, err error) {
-	sel, ok := s.strat.(gs.DirectSelector)
-	if !ok || s.agg == nil {
-		return main, probe, 0, fmt.Errorf("fl: strategy %s has no ranged selection", s.strat.Name())
-	}
-	if main, probe, err = sel.SelectDirect(s.agg, red, meta, k, probeK); err != nil {
+	if main, probe, err = s.strat.SelectDirect(s.agg, red, meta, k, probeK); err != nil {
 		return main, probe, 0, err
 	}
 	return main, probe, s.quantize(main, probe), nil

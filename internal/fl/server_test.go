@@ -57,6 +57,7 @@ func TestServerContract(t *testing.T) {
 			const kCont, probeK = 20.5, 10.25
 			srv := NewServer(gs.PeriodicK{}, &scripted{dec: core.Decision{K: kCont, ProbeK: probeK}}, rand.New(rand.NewSource(5)), d, 0)
 			twin := rand.New(rand.NewSource(5))
+			var ms gs.MandateScratch
 			for m := 1; m <= 40; m++ {
 				dec, err := srv.Decide(m)
 				if err != nil {
@@ -64,7 +65,7 @@ func TestServerContract(t *testing.T) {
 				}
 				k := sparse.StochasticRound(kCont, twin)
 				p := sparse.StochasticRound(probeK, twin)
-				mand := gs.PeriodicK{}.MandatedIndices(m, d, k, twin)
+				mand := gs.PeriodicK{}.MandatedIndicesInto(&ms, m, d, k, twin)
 				if dec.Round != m || dec.KCont != kCont || dec.K != k || dec.ProbeK != p || !slices.Equal(dec.Mandated, mand) {
 					t.Fatalf("round %d decided %+v, want k %d, k′ %d, mandate %v from the twin", m, dec, k, p, mand)
 				}

@@ -80,9 +80,9 @@ func TestStepContract(t *testing.T) {
 		name  string
 		check func(t *testing.T, f *stepFixture)
 	}{
-		{"top-k is TopKHeap of the residual after the add", func(t *testing.T, f *stepFixture) {
+		{"top-k is TopK of the residual after the add", func(t *testing.T, f *stepFixture) {
 			out := NewStep(stepBatch, 0).Run(f.net, &f.m, nil, stepK, &sparse.Vec{})
-			want := sparse.TopKHeap(f.m.Acc, stepK)
+			want := sparse.TopK(f.m.Acc, stepK)
 			if !slices.Equal(out.Pairs.Idx, want.Idx) || !sameBits(out.Pairs.Val, want.Val) || out.Scale != 0 {
 				t.Fatalf("upload %v (scale %v), want %v", out.Pairs, out.Scale, want)
 			}
@@ -115,7 +115,7 @@ func TestStepContract(t *testing.T) {
 		{"quantized returns QuantizeInPlace's scale, values on its grid", func(t *testing.T, f *stepFixture) {
 			const bits = 4
 			out := NewStep(stepBatch, bits).Run(f.net, &f.m, nil, stepK, &sparse.Vec{})
-			want := sparse.TopKHeap(f.m.Acc, stepK)
+			want := sparse.TopK(f.m.Acc, stepK)
 			scale := sparse.QuantizeInPlace(want.Val, bits)
 			if scale == 0 || math.Float64bits(out.Scale) != math.Float64bits(scale) || !sameBits(out.Pairs.Val, want.Val) {
 				t.Fatalf("quantized upload %v at scale %v, want %v at scale %v", out.Pairs.Val, out.Scale, want.Val, scale)

@@ -46,8 +46,9 @@ type selRow struct {
 // requireAllEntryPoints runs the row through every aggregation entry point
 // of the strategy and holds each against the map reference: the
 // reference's two κ searches against each other (FAB), AggregateInto on a
-// fresh un-reserved scratch, Strategy.Aggregate, and the ranged selection through the shard
-// tier's data flow (rangedDriver) at 1, 2 and 4 ranges on both planes.
+// fresh un-reserved scratch with and without the probe, and the ranged
+// selection through the shard tier's data flow (rangedDriver) at 1, 2 and
+// 4 ranges on both planes.
 func requireAllEntryPoints(t *testing.T, trial int, strat Strategy, row selRow) {
 	t.Helper()
 	want := referenceAggregate(strat, row.ups, row.k)
@@ -71,11 +72,11 @@ func requireAllEntryPoints(t *testing.T, trial int, strat Strategy, row selRow) 
 			t.Fatalf("trial %d: %s: probeK=0 returned non-zero probe", trial, strat.Name())
 		}
 	}
-	check(strat.(ScratchAggregator).AggregateInto(NewAggScratch(0), row.ups, row.k, row.probeK))
-	requireSameAggregate(t, trial, want, strat.Aggregate(row.ups, row.k))
+	check(strat.AggregateInto(NewAggScratch(0), row.ups, row.k, row.probeK))
+	requireSameAggregate(t, trial, want, aggregate(strat, row.ups, row.k))
 	for _, ranges := range []int{1, 2, 4} {
 		for _, direct := range []bool{false, true} {
-			main, probe, err := newRangedDriver(ranges, 0, row.d, direct).aggregate(strat.(DirectSelector), row.ups, row.k, row.probeK)
+			main, probe, err := newRangedDriver(ranges, 0, row.d, direct).aggregate(strat, row.ups, row.k, row.probeK)
 			if err != nil {
 				t.Fatalf("trial %d: %s: ranges=%d direct=%v: %v", trial, strat.Name(), ranges, direct, err)
 			}

@@ -39,11 +39,11 @@ type FillCand struct {
 	Client int
 }
 
-// SortFillCands sorts fill candidates with the reference FAB comparator
+// sortFillCands sorts fill candidates with the reference FAB comparator
 // (|value| descending, then coordinate, then client) — a strict total
 // order, so any merge order of per-shard candidate lists sorts to the
 // same sequence.
-func SortFillCands(cands []FillCand) {
+func sortFillCands(cands []FillCand) {
 	slices.SortFunc(cands, compareFABCands)
 }
 
@@ -164,17 +164,6 @@ type DirectMeta struct {
 	Fill func(kappa int) ([]FillCand, error)
 }
 
-// DirectSelector is the coordinator-side selection over merged shard
-// reductions, implemented by every built-in strategy: it never touches the
-// raw uploads — per-upload metadata comes from DirectMeta. The scratch
-// must have been Reserved for the model dimension. PerClientUsed on the
-// returned Aggregates is zeroed, not tallied: a caller that holds the
-// uploads follows up with CountUsed (the shard tier's coordinator never
-// does, and its records do not carry fairness counts).
-type DirectSelector interface {
-	SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, k, probeK int) (main, probe Aggregate, err error)
-}
-
 // histRanged fills the min-rank histogram from a merged reduction — no
 // uploads exist here to walk — for cutoff to read κ off; maxLen, the
 // longest upload, bounds the ranks.
@@ -259,11 +248,3 @@ func (PeriodicK) SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, _, p
 func (SendAll) SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, _, probeK int) (Aggregate, Aggregate, error) {
 	return unionSelectDirect(s, red, meta, probeK)
 }
-
-var (
-	_ DirectSelector = (*FABTopK)(nil)
-	_ DirectSelector = FUBTopK{}
-	_ DirectSelector = UniTopK{}
-	_ DirectSelector = PeriodicK{}
-	_ DirectSelector = SendAll{}
-)

@@ -33,16 +33,16 @@ func TestDirectScratchMatchesSharded(t *testing.T) {
 						if m%2 == 1 {
 							probeK = k / 2
 						}
-						gotMain, gotProbe, err := direct.aggregate(strat.(DirectSelector), ups, k, probeK)
+						gotMain, gotProbe, err := direct.aggregate(strat, ups, k, probeK)
 						if err != nil {
 							t.Fatalf("%s: %v", strat.Name(), err)
 						}
-						wantMain, wantProbe, err := routed.aggregate(strat.(DirectSelector), ups, k, probeK)
+						wantMain, wantProbe, err := routed.aggregate(strat, ups, k, probeK)
 						if err != nil {
 							t.Fatalf("%s: %v", strat.Name(), err)
 						}
 						requireAggEqual(t, strat.Name()+"/vs-routed", wantMain, gotMain)
-						singleMain, singleProbe := strat.(ScratchAggregator).AggregateInto(single, ups, k, probeK)
+						singleMain, singleProbe := strat.AggregateInto(single, ups, k, probeK)
 						requireAggEqual(t, strat.Name()+"/vs-single", singleMain, gotMain)
 						if probeK > 0 {
 							requireAggEqual(t, strat.Name()+"/probe-vs-routed", wantProbe, gotProbe)
@@ -174,7 +174,7 @@ func TestAppendFillCands(t *testing.T) {
 	}
 	// Sorting uses the reference comparator: |value| desc, idx, client.
 	c := []FillCand{{Idx: 9, AbsVal: 1, Client: 0}, {Idx: 2, AbsVal: 7, Client: 1}, {Idx: 1, AbsVal: 7, Client: 2}}
-	SortFillCands(c)
+	sortFillCands(c)
 	if c[0].Idx != 1 || c[1].Idx != 2 || c[2].Idx != 9 {
 		t.Fatalf("sorted order %+v", c)
 	}

@@ -56,6 +56,53 @@ func TestFoldStaleNilAndAllAdmitted(t *testing.T) {
 	}
 }
 
+// sameEdge reports whether got is want bit for bit, or both are NaN (a
+// NaN's payload is the hardware's choice, not the code's).
+func sameEdge(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+}
+
+// TestFoldStaleEdgeValues pins what a folded upload of non-finite, −0 and
+// subnormal values reports, so a later clip policy shows up as a diff:
+// NaN and ±Inf reach the residual norm unclipped, and the squares of
+// subnormals underflow, so their folded mass reads as 0.
+func TestFoldStaleEdgeValues(t *testing.T) {
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	for _, tc := range []struct {
+		name string
+		vals []float64 // the folded upload's values
+		norm float64
+	}{
+		{"NaN", []float64{1, math.NaN()}, math.NaN()},
+		{"+Inf", []float64{math.Inf(1), 2}, math.Inf(1)},
+		{"-Inf", []float64{-3, math.Inf(-1)}, math.Inf(1)},
+		{"+Inf and -Inf", []float64{math.Inf(1), math.Inf(-1)}, math.Inf(1)},
+		{"NaN beside Inf", []float64{math.Inf(1), math.NaN()}, math.NaN()},
+		{"-0", []float64{negZero}, 0},
+		{"subnormals", []float64{tiny, -1e-310}, 0},
+		{"subnormal beside normals", []float64{1e-310, 3, -4}, 5},
+		{"the smallest normal", []float64{0x1p-1022}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx := make([]int, len(tc.vals))
+			for i := range idx {
+				idx[i] = 1 + i
+			}
+			uploads := []ClientUpload{
+				{Pairs: sparse.Vec{Idx: []int{0}, Val: []float64{negZero}}, Weight: 1},
+				{Pairs: sparse.Vec{Idx: idx, Val: tc.vals}, Weight: 2},
+			}
+			stale, norm := FoldStale(uploads, []bool{true, false})
+			if stale != 1 || !sameEdge(norm, tc.norm) {
+				t.Fatalf("folded %d with norm %v (%#x), want 1 with %v", stale, norm, math.Float64bits(norm), tc.norm)
+			}
+			if uploads[0].Pairs.Len() != 1 || uploads[1].Pairs.Len() != 0 || uploads[1].Weight != 2 {
+				t.Fatalf("uploads after the fold: %+v", uploads)
+			}
+		})
+	}
+}
+
 // BenchmarkFoldStale gates the fold-in's zero-allocation discipline:
 // the bounded-staleness seal runs it every round on the hot path.
 func BenchmarkFoldStale(b *testing.B) {

@@ -13,20 +13,19 @@
 //
 //	b_j = (1/C) Σ_i C_i·a_ij·1[j ∈ J_i]   (Algorithm 1, line 10).
 //
-// Every built-in strategy offers two aggregation entry points over raw
-// uploads with bit-identical results: Aggregate (the Strategy interface,
-// for one-shot callers: AggregateInto over a fresh scratch) and
-// AggregateInto (the ScratchAggregator interface: allocation-free with a
-// warm caller-owned AggScratch, one-pass main + probe aggregation — see
-// scratch.go) — plus SelectDirect (DirectSelector, direct.go), the same
-// selection over shard-reduced facts for a coordinator that holds no
-// uploads. The original map-based aggregation lives on in
-// reference_test.go as the oracle every entry point is held against.
+// Every strategy implements one contract, Strategy: AggregateInto
+// selects from the raw uploads into a caller-owned AggScratch — one pass
+// for the main and the k′-probe selections, allocation-free once the
+// scratch is warm (scratch.go); SelectDirect makes the same selection, bit
+// for bit, over shard-reduced facts for a coordinator that holds no
+// uploads (direct.go); MandatedIndicesInto draws the uplink index set of
+// the mandated-index strategies (mandate.go). The original map-based
+// aggregation lives on in reference_test.go as the oracle every path is
+// held against.
 package gs
 
 import (
 	"math/rand"
-	"sort"
 
 	"fedsparse/internal/sparse"
 )
@@ -52,37 +51,44 @@ type Aggregate struct {
 	PerClientUsed []int
 }
 
-// Strategy is one gradient-sparsification method.
+// Strategy is one gradient-sparsification method, the one contract the
+// engine and every wire coordinator drive a strategy through. The five
+// built-ins below are its only implementations.
 type Strategy interface {
 	// Name identifies the strategy in experiment output.
 	Name() string
-	// MandatedIndices returns a server-chosen uplink index set that every
-	// client must report this round (periodic-k, send-all), or nil when
-	// clients select their own top-k elements.
-	MandatedIndices(round, d, k int, rng *rand.Rand) []int
 	// Dense reports whether payloads are full dense vectors (no index
 	// transmission), which the cost model charges at 1 unit per element
 	// instead of 2.
 	Dense() bool
-	// Aggregate computes the downlink selection from the round's uploads.
-	Aggregate(uploads []ClientUpload, k int) Aggregate
+	// MandatedIndicesInto returns a server-chosen uplink index set that
+	// every client must report this round (periodic-k, send-all), or nil
+	// when clients select their own top-k elements. The slice is
+	// scratch-owned and valid until the next call (mandate.go).
+	MandatedIndicesInto(ms *MandateScratch, round, d, k int, rng *rand.Rand) []int
+	// AggregateInto computes the main k-element selection and, when
+	// probeK > 0, the k′-probe selection in one pass over the uploads,
+	// allocation-free with a warm scratch (scratch.go). Both Aggregates
+	// alias the scratch's buffers until its next use; with probeK <= 0
+	// the probe Aggregate is zero. Uploads must not repeat a coordinate
+	// within one client's pairs: every real producer (top-k selection,
+	// the mandated-index strategies) guarantees it.
+	AggregateInto(s *AggScratch, uploads []ClientUpload, k, probeK int) (main, probe Aggregate)
+	// SelectDirect is AggregateInto over merged shard reductions in place
+	// of the raw uploads (direct.go): the same selections bit for bit,
+	// with PerClientUsed zeroed, not tallied (a caller that holds the
+	// uploads follows up with AggScratch.CountUsed). The scratch must have
+	// been Reserved for the model dimension.
+	SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, k, probeK int) (main, probe Aggregate, err error)
 }
 
-// Stateful is implemented by strategies that carry mutable state across
-// rounds and therefore need snapshotting in durable (WAL-backed) runs.
-// None of the built-in strategies implement it: their only cross-round
-// inputs are the round number and the engine rng (whose stream position
-// the snapshot already records), so a reconstructed strategy replays
-// bit-identically with no state of its own. The durable engine snapshots
-// an empty state vector for such strategies and restores through this
-// interface when a custom strategy provides it.
-type Stateful interface {
-	Strategy
-	// StateSave exports the mutable cross-round state.
-	StateSave() []float64
-	// StateRestore imports a vector previously returned by StateSave.
-	StateRestore(state []float64) error
-}
+var (
+	_ Strategy = (*FABTopK)(nil)
+	_ Strategy = FUBTopK{}
+	_ Strategy = UniTopK{}
+	_ Strategy = PeriodicK{}
+	_ Strategy = SendAll{}
+)
 
 // totalWeight returns C = Σ C_i.
 func totalWeight(uploads []ClientUpload) float64 {
@@ -101,18 +107,10 @@ func totalWeight(uploads []ClientUpload) float64 {
 // κ+1.
 type FABTopK struct{}
 
-var _ Strategy = (*FABTopK)(nil)
-var _ ScratchAggregator = (*FABTopK)(nil)
+func (*FABTopK) Name() string { return "fab-top-k" }
+func (*FABTopK) Dense() bool  { return false }
 
-func (s *FABTopK) Name() string { return "fab-top-k" }
-
-func (s *FABTopK) MandatedIndices(_, _, _ int, _ *rand.Rand) []int { return nil }
-func (s *FABTopK) Dense() bool                                     { return false }
-
-func (s *FABTopK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
-	return main
-}
+func (*FABTopK) MandatedIndicesInto(*MandateScratch, int, int, int, *rand.Rand) []int { return nil }
 
 // FUBTopK is the fairness-unaware bidirectional top-k of [28]/[31]: the
 // server aggregates every uploaded pair and keeps the k indices with the
@@ -120,95 +118,31 @@ func (s *FABTopK) Aggregate(uploads []ClientUpload, k int) Aggregate {
 // updates never rank can be excluded entirely (Fig. 4 right).
 type FUBTopK struct{}
 
-var _ Strategy = (*FUBTopK)(nil)
-var _ ScratchAggregator = (*FUBTopK)(nil)
+func (FUBTopK) Name() string { return "fub-top-k" }
+func (FUBTopK) Dense() bool  { return false }
 
-func (FUBTopK) Name() string                                    { return "fub-top-k" }
-func (FUBTopK) MandatedIndices(_, _, _ int, _ *rand.Rand) []int { return nil }
-func (FUBTopK) Dense() bool                                     { return false }
-
-func (s FUBTopK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
-	return main
-}
+func (FUBTopK) MandatedIndicesInto(*MandateScratch, int, int, int, *rand.Rand) []int { return nil }
 
 // UniTopK is unidirectional top-k [22]: every uploaded index is aggregated
 // and broadcast, so the downlink can carry up to k·N elements.
 type UniTopK struct{}
 
-var _ Strategy = (*UniTopK)(nil)
-var _ ScratchAggregator = (*UniTopK)(nil)
+func (UniTopK) Name() string { return "uni-top-k" }
+func (UniTopK) Dense() bool  { return false }
 
-func (UniTopK) Name() string                                    { return "uni-top-k" }
-func (UniTopK) MandatedIndices(_, _, _ int, _ *rand.Rand) []int { return nil }
-func (UniTopK) Dense() bool                                     { return false }
-
-func (s UniTopK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
-	return main
-}
+func (UniTopK) MandatedIndicesInto(*MandateScratch, int, int, int, *rand.Rand) []int { return nil }
 
 // PeriodicK is random sparsification [8]/[30]: the server draws k random
 // coordinates each round; every client reports exactly those, so over
 // enough rounds every coordinate is refreshed.
 type PeriodicK struct{}
 
-var _ Strategy = (*PeriodicK)(nil)
-var _ ScratchAggregator = (*PeriodicK)(nil)
-
 func (PeriodicK) Name() string { return "periodic-k" }
 func (PeriodicK) Dense() bool  { return false }
-
-func (PeriodicK) MandatedIndices(_, d, k int, rng *rand.Rand) []int {
-	if k >= d {
-		return allIndices(d)
-	}
-	// Partial Fisher–Yates over [0, d) for k distinct indices.
-	picked := make(map[int]int, k)
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(d-i)
-		vi, oki := picked[i]
-		vj, okj := picked[j]
-		if !oki {
-			vi = i
-		}
-		if !okj {
-			vj = j
-		}
-		out[i] = vj
-		picked[j] = vi
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (s PeriodicK) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
-	return main
-}
 
 // SendAll transmits the full accumulated gradient every round — the
 // densest baseline (Section V-A method 5).
 type SendAll struct{}
 
-var _ Strategy = (*SendAll)(nil)
-var _ ScratchAggregator = (*SendAll)(nil)
-
 func (SendAll) Name() string { return "send-all" }
 func (SendAll) Dense() bool  { return true }
-
-func (SendAll) MandatedIndices(_, d, _ int, _ *rand.Rand) []int { return allIndices(d) }
-
-func (s SendAll) Aggregate(uploads []ClientUpload, k int) Aggregate {
-	main, _ := s.AggregateInto(NewAggScratch(0), uploads, k, 0)
-	return main
-}
-
-func allIndices(d int) []int {
-	out := make([]int, d)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

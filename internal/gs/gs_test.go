@@ -29,6 +29,12 @@ func randomUploads(rng *rand.Rand, n, d, k int) []ClientUpload {
 	return ups
 }
 
+// aggregate is one main selection over a fresh scratch.
+func aggregate(s Strategy, ups []ClientUpload, k int) Aggregate {
+	main, _ := s.AggregateInto(NewAggScratch(0), ups, k, 0)
+	return main
+}
+
 func indexSet(idx []int) map[int]bool {
 	m := make(map[int]bool, len(idx))
 	for _, j := range idx {
@@ -44,7 +50,7 @@ func TestFABSelectsExactlyK(t *testing.T) {
 		n, d := 2+rng.Intn(8), 40+rng.Intn(100)
 		k := 1 + rng.Intn(30)
 		ups := randomUploads(rng, n, d, k)
-		agg := s.Aggregate(ups, k)
+		agg := aggregate(s, ups, k)
 		// Random gradients: ≥ k distinct indices are always available, so
 		// exactly k must be selected.
 		distinct := make(map[int]bool)
@@ -73,7 +79,7 @@ func TestFABFairnessGuarantee(t *testing.T) {
 		d := 200
 		k := n + rng.Intn(40)
 		ups := randomUploads(rng, n, d, k)
-		agg := s.Aggregate(ups, k)
+		agg := aggregate(s, ups, k)
 		guarantee := k / n
 		for ci, used := range agg.PerClientUsed {
 			if used < guarantee {
@@ -143,7 +149,7 @@ func TestAggregationWeighting(t *testing.T) {
 	d2 := make([]float64, 10)
 	d2[5] = -1
 	upB := uploadFrom(d2, 1, 1) // C_B = 1, a_5 = −1
-	agg := (&FABTopK{}).Aggregate([]ClientUpload{upA, upB}, 1)
+	agg := aggregate(&FABTopK{}, []ClientUpload{upA, upB}, 1)
 	if len(agg.Indices) != 1 || agg.Indices[0] != 5 {
 		t.Fatalf("J = %v, want [5]", agg.Indices)
 	}
@@ -160,7 +166,7 @@ func TestAggregationExcludesNonUploaders(t *testing.T) {
 	dB := []float64{4, 9, 0, 0} // B's top-1 is index 1, so index 0 unreported
 	upA := uploadFrom(dA, 1, 1)
 	upB := uploadFrom(dB, 1, 1)
-	agg := (&FABTopK{}).Aggregate([]ClientUpload{upA, upB}, 2)
+	agg := aggregate(&FABTopK{}, []ClientUpload{upA, upB}, 2)
 	vals := make(map[int]float64)
 	for i, j := range agg.Indices {
 		vals[j] = agg.Values[i]
@@ -187,11 +193,11 @@ func TestFUBCanStarveClients(t *testing.T) {
 	k := 8
 	ups := []ClientUpload{uploadFrom(big, k, 1), uploadFrom(small, k, 1)}
 
-	fub := FUBTopK{}.Aggregate(ups, k)
+	fub := aggregate(FUBTopK{}, ups, k)
 	if fub.PerClientUsed[1] != 0 {
 		t.Fatalf("FUB used %d elements of the quiet client; expected starvation", fub.PerClientUsed[1])
 	}
-	fab := (&FABTopK{}).Aggregate(ups, k)
+	fab := aggregate(&FABTopK{}, ups, k)
 	if fab.PerClientUsed[1] < k/2 {
 		t.Fatalf("FAB used only %d elements of the quiet client, want ≥ ⌊k/N⌋ = %d",
 			fab.PerClientUsed[1], k/2)
@@ -204,7 +210,7 @@ func TestFUBSelectsTopAggregated(t *testing.T) {
 	dB := []float64{-9, -3, 2, 0}
 	ups := []ClientUpload{uploadFrom(dA, 3, 1), uploadFrom(dB, 3, 1)}
 	// Aggregated: b_0 = 0.5, b_1 = −3, b_2 = 1, b_3 = 0 (only 0,1,2 uploaded).
-	agg := FUBTopK{}.Aggregate(ups, 2)
+	agg := aggregate(FUBTopK{}, ups, 2)
 	want := []int{1, 2}
 	if len(agg.Indices) != 2 || agg.Indices[0] != want[0] || agg.Indices[1] != want[1] {
 		t.Fatalf("FUB J = %v, want %v", agg.Indices, want)
@@ -214,7 +220,7 @@ func TestFUBSelectsTopAggregated(t *testing.T) {
 func TestUniTopKKeepsUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ups := randomUploads(rng, 5, 100, 10)
-	agg := UniTopK{}.Aggregate(ups, 10)
+	agg := aggregate(UniTopK{}, ups, 10)
 	union := make(map[int]bool)
 	for _, u := range ups {
 		for _, j := range u.Pairs.Idx {
@@ -231,11 +237,11 @@ func TestUniTopKKeepsUnion(t *testing.T) {
 
 func TestPeriodicKMandatesDistinctSortedIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	s := PeriodicK{}
+	var ms MandateScratch
 	for trial := 0; trial < 50; trial++ {
 		d := 20 + rng.Intn(200)
 		k := 1 + rng.Intn(d)
-		idx := s.MandatedIndices(trial, d, k, rng)
+		idx := PeriodicK{}.MandatedIndicesInto(&ms, trial, d, k, rng)
 		if len(idx) != k {
 			t.Fatalf("mandated %d indices, want %d", len(idx), k)
 		}
@@ -257,11 +263,11 @@ func TestPeriodicKMandatesDistinctSortedIndices(t *testing.T) {
 
 func TestPeriodicKCoversAllCoordinatesOverTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := PeriodicK{}
+	var ms MandateScratch
 	d, k := 60, 12
 	covered := make(map[int]bool)
 	for round := 0; round < 100; round++ {
-		for _, j := range s.MandatedIndices(round, d, k, rng) {
+		for _, j := range (PeriodicK{}).MandatedIndicesInto(&ms, round, d, k, rng) {
 			covered[j] = true
 		}
 	}
@@ -271,9 +277,15 @@ func TestPeriodicKCoversAllCoordinatesOverTime(t *testing.T) {
 }
 
 func TestSendAllMandatesEverything(t *testing.T) {
-	idx := SendAll{}.MandatedIndices(0, 7, 3, nil)
+	var ms MandateScratch
+	idx := SendAll{}.MandatedIndicesInto(&ms, 0, 7, 3, nil)
 	if len(idx) != 7 {
 		t.Fatalf("send-all mandated %d indices, want 7", len(idx))
+	}
+	for _, s := range []Strategy{&FABTopK{}, FUBTopK{}, UniTopK{}} {
+		if idx := s.MandatedIndicesInto(&ms, 0, 7, 3, nil); idx != nil {
+			t.Fatalf("%s mandated %v, want nil", s.Name(), idx)
+		}
 	}
 	if !(SendAll{}).Dense() {
 		t.Fatal("send-all must be dense")
@@ -285,7 +297,7 @@ func TestAggregateIndicesSortedAndAligned(t *testing.T) {
 	strategies := []Strategy{&FABTopK{}, FUBTopK{}, UniTopK{}}
 	ups := randomUploads(rng, 4, 80, 12)
 	for _, s := range strategies {
-		agg := s.Aggregate(ups, 12)
+		agg := aggregate(s, ups, 12)
 		if !sort.IntsAreSorted(agg.Indices) {
 			t.Fatalf("%s: indices not sorted", s.Name())
 		}
@@ -306,7 +318,7 @@ func TestFABInvariantsProperty(t *testing.T) {
 		n := 2 + int(nRaw)%6
 		k := 1 + int(kRaw)%20
 		ups := randomUploads(rng, n, 64, k)
-		agg := (&FABTopK{}).Aggregate(ups, k)
+		agg := aggregate(&FABTopK{}, ups, k)
 		if len(agg.Indices) > k {
 			return false
 		}
@@ -335,7 +347,7 @@ func TestSingleClientDegeneratesToTopK(t *testing.T) {
 	dense := []float64{0.1, -7, 3, 0.5, -2, 6}
 	up := []ClientUpload{uploadFrom(dense, 3, 5)}
 	for _, s := range []Strategy{&FABTopK{}, FUBTopK{}, UniTopK{}} {
-		agg := s.Aggregate(up, 3)
+		agg := aggregate(s, up, 3)
 		if len(agg.Indices) != 3 {
 			t.Fatalf("%s: |J| = %d", s.Name(), len(agg.Indices))
 		}

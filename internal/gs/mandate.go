@@ -5,12 +5,10 @@ import (
 	"sort"
 )
 
-// This file is the allocation-free counterpart of MandatedIndices for the
-// mandated-index strategies (periodic-k, send-all), which rebuild their
-// index slice every round on the map-based path — the last steady-state
-// allocation of the engine's round loop besides the nn caches. The round
-// engine keeps one MandateScratch in its round arena and calls
-// MandatedIndicesInto instead when the strategy supports it.
+// This file is the mandated-index draw of periodic-k and send-all
+// (Strategy.MandatedIndicesInto). The round engine keeps one
+// MandateScratch in its round arena, so the draw allocates nothing in the
+// steady state.
 
 // MandateScratch owns the reusable buffers of MandatedIndicesInto. The
 // zero value is ready to use. Like the other scratch types it is
@@ -28,19 +26,6 @@ type MandateScratch struct {
 	out   []int
 }
 
-// MandatedIntoStrategy is implemented by the mandated-index strategies
-// that can produce their index set allocation-free. The contract matches
-// MandatedIndices exactly: same rng consumption, same returned indices —
-// only the storage differs (scratch-owned, valid until the next call).
-type MandatedIntoStrategy interface {
-	MandatedIndicesInto(ms *MandateScratch, round, d, k int, rng *rand.Rand) []int
-}
-
-var (
-	_ MandatedIntoStrategy = PeriodicK{}
-	_ MandatedIntoStrategy = SendAll{}
-)
-
 // identity grows (and returns) the maintained identity permutation to
 // dimension d.
 func (ms *MandateScratch) identity(d int) []int {
@@ -55,11 +40,11 @@ func (ms *MandateScratch) identity(d int) []int {
 	return ms.perm[:d]
 }
 
-// MandatedIndicesInto is the scratch-backed PeriodicK draw: the same
-// partial Fisher–Yates as MandatedIndices (identical rng stream and
-// output — TestMandatedIntoSequenceCompat pins both), but running over
-// the maintained identity permutation with an undo log instead of a
-// per-round map.
+// MandatedIndicesInto is PeriodicK's draw: a partial Fisher–Yates for k
+// distinct indices of [0, d), sorted, running over the maintained
+// identity permutation with an undo log. Its rng stream and output are
+// those of the map-based draw it replaced, which reference_test.go keeps
+// as the oracle (TestMandatedIntoSequenceCompat pins both).
 func (PeriodicK) MandatedIndicesInto(ms *MandateScratch, _, d, k int, rng *rand.Rand) []int {
 	perm := ms.identity(d)
 	if k >= d {

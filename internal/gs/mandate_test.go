@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestMandatedIntoSequenceCompat pins the scratch-backed mandated-index
-// draws against the map-based MandatedIndices: identical output indices
-// AND identical rng consumption for the same seed, so switching the
-// engine onto the Into path cannot perturb any seeded trajectory.
+// TestMandatedIntoSequenceCompat pins PeriodicK's scratch-backed draw
+// against the map-based referenceMandate it replaced: identical output
+// indices AND identical rng consumption for the same seed, so the draw
+// cannot perturb any seeded trajectory.
 func TestMandatedIntoSequenceCompat(t *testing.T) {
 	cases := []struct{ d, k int }{
 		{10, 1}, {10, 3}, {10, 9}, {10, 10}, {10, 25}, // k ≥ d: identity
@@ -20,7 +20,7 @@ func TestMandatedIntoSequenceCompat(t *testing.T) {
 			for round := 1; round <= 4; round++ {
 				refRng := rand.New(rand.NewSource(seed))
 				intoRng := rand.New(rand.NewSource(seed))
-				want := PeriodicK{}.MandatedIndices(round, tc.d, tc.k, refRng)
+				want := referenceMandate(tc.d, tc.k, refRng)
 				got := PeriodicK{}.MandatedIndicesInto(&ms, round, tc.d, tc.k, intoRng)
 				if len(want) != len(got) {
 					t.Fatalf("d=%d k=%d: %d vs %d indices", tc.d, tc.k, len(want), len(got))
@@ -40,7 +40,7 @@ func TestMandatedIntoSequenceCompat(t *testing.T) {
 
 // TestMandatedIntoRestoresIdentity checks the undo log: after any draw the
 // scratch's permutation is the identity again, so consecutive rounds see
-// exactly the same starting state the map path's fresh map represents.
+// exactly the same starting state the reference's fresh map represents.
 func TestMandatedIntoRestoresIdentity(t *testing.T) {
 	var ms MandateScratch
 	rng := rand.New(rand.NewSource(9))

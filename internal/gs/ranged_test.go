@@ -42,7 +42,7 @@ func newRangedDriver(shards, workers, dim int, direct bool) *rangedDriver {
 	return rd
 }
 
-func (rd *rangedDriver) aggregate(strat DirectSelector, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate, error) {
+func (rd *rangedDriver) aggregate(strat Strategy, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate, error) {
 	nShards := len(rd.shards)
 	slices := make([][]ClientUpload, nShards)
 	ranks := make([][][]int, nShards)

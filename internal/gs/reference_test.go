@@ -2,6 +2,7 @@ package gs
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 )
 
@@ -12,7 +13,8 @@ import (
 // every strategy, and the property tests exercise the reference helpers
 // directly. referenceAggregate is O(Σk_i) map operations per call and
 // allocates its working set every time — measurably slower but obviously
-// correct.
+// correct. referenceMandate is the map-based periodic-k draw, the oracle
+// of MandatedIndicesInto's rng stream.
 
 // aggregateOver computes b_j for every j in the index set `in`, using only
 // clients whose upload contains j, and fills PerClientUsed.
@@ -203,4 +205,34 @@ func referenceUnion(uploads []ClientUpload) Aggregate {
 		}
 	}
 	return aggregateOver(uploads, in)
+}
+
+// referenceMandate is PeriodicK's original draw: a partial Fisher–Yates
+// over [0, d) for k distinct indices, with the displaced entries in a map,
+// sorted. k ≥ d mandates every index and draws nothing.
+func referenceMandate(d, k int, rng *rand.Rand) []int {
+	if k >= d {
+		out := make([]int, d)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	picked := make(map[int]int, k)
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(d-i)
+		vi, oki := picked[i]
+		vj, okj := picked[j]
+		if !oki {
+			vi = i
+		}
+		if !okj {
+			vj = j
+		}
+		out[i] = vj
+		picked[j] = vi
+	}
+	sort.Ints(out)
+	return out
 }

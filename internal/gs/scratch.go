@@ -15,7 +15,7 @@ import (
 // aggregate and the k′-probe aggregate in a single pass over the uploads.
 //
 // Determinism contract: for every strategy and every (k, probeK),
-// AggregateInto returns results bit-identical to the reference Aggregate —
+// AggregateInto returns results bit-identical to the map reference —
 // same indices, same float64 values, same fairness counts. Selection is
 // integer work with strict total tie-breaks, so it is trivially
 // deterministic; the floating-point sums are deterministic because each
@@ -115,7 +115,7 @@ func (sel *selection) add(j int) {
 // reference comparator, join until the selection holds k members.
 // Candidates already selected are skipped, so the caller need not filter.
 func (sel *selection) fill(cands []FillCand, k int) {
-	SortFillCands(cands)
+	sortFillCands(cands)
 	for _, cd := range cands {
 		if len(sel.members) >= k {
 			break
@@ -165,23 +165,9 @@ type fubEntry struct {
 }
 
 // NewAggScratch returns an empty scratch. The argument is ignored: the
-// signature is held by the facade's NewAggScratch and by bench/ (frozen by
-// BENCHMARK.json).
+// signature is held by bench/ (frozen by BENCHMARK.json).
 func NewAggScratch(int) *AggScratch {
 	return &AggScratch{sums: make([]float64, accSink)}
-}
-
-// ScratchAggregator is implemented by every built-in strategy: the
-// allocation-free aggregation path computing the main k-element selection
-// and (when probeK > 0) the k′-probe selection in one pass over the
-// uploads. Both returned Aggregates alias the scratch's buffers — valid
-// until its next use. With probeK <= 0 the probe Aggregate is zero.
-//
-// Uploads must not repeat a coordinate within one client's pairs; every
-// real producer (TopK selection, Quantize, the mandated-index strategies)
-// guarantees it, and no differential suite covers the degenerate input.
-type ScratchAggregator interface {
-	AggregateInto(s *AggScratch, uploads []ClientUpload, k, probeK int) (main, probe Aggregate)
 }
 
 // Reserve pre-sizes the coordinate-indexed slabs for dimension-dim models
@@ -506,7 +492,7 @@ func (s *AggScratch) CountUsed(uploads []ClientUpload, hasProbe bool) {
 	}
 }
 
-// AggregateInto implementations — see ScratchAggregator.
+// Strategy.AggregateInto implementations.
 
 func (*FABTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
 	a.prepare(uploads)

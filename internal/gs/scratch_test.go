@@ -47,7 +47,7 @@ func TestScratchDifferentialAllStrategies(t *testing.T) {
 		probeK := rng.Intn(k) // 0 disables the probe
 		ups := randomUploads(rng, n, d, k)
 		for _, s := range scratchStrategies() {
-			main, probe := s.(ScratchAggregator).AggregateInto(scratch, ups, k, probeK)
+			main, probe := s.AggregateInto(scratch, ups, k, probeK)
 			requireSameAggregate(t, trial, referenceAggregate(s, ups, k), main)
 			if probeK > 0 {
 				requireSameAggregate(t, trial, referenceAggregate(s, ups, probeK), probe)
@@ -71,7 +71,7 @@ func TestScratchDifferentialTieHeavy(t *testing.T) {
 		probeK := rng.Intn(k)
 		ups := tieUploads(rng, n, d, k)
 		for _, s := range scratchStrategies() {
-			main, probe := s.(ScratchAggregator).AggregateInto(scratch, ups, k, probeK)
+			main, probe := s.AggregateInto(scratch, ups, k, probeK)
 			requireSameAggregate(t, trial, referenceAggregate(s, ups, k), main)
 			if probeK > 0 {
 				requireSameAggregate(t, trial, referenceAggregate(s, ups, probeK), probe)
@@ -128,7 +128,7 @@ func TestScratchDifferentialParallelLarge(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for si, s := range scratchStrategies() {
-				main, probe := s.(ScratchAggregator).AggregateInto(scratch, tc.ups, tc.k, tc.probeK)
+				main, probe := s.AggregateInto(scratch, tc.ups, tc.k, tc.probeK)
 				requireSameAggregate(t, si, referenceAggregate(s, tc.ups, tc.k), main)
 				if tc.probeK > 0 {
 					requireSameAggregate(t, si, referenceAggregate(s, tc.ups, tc.probeK), probe)
@@ -158,7 +158,7 @@ func TestScratchDegenerate(t *testing.T) {
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, s := range scratchStrategies() {
-				main, _ := s.(ScratchAggregator).AggregateInto(scratch, tc.ups, tc.k, 0)
+				main, _ := s.AggregateInto(scratch, tc.ups, tc.k, 0)
 				requireSameAggregate(t, i, referenceAggregate(s, tc.ups, tc.k), main)
 			}
 		})
@@ -173,7 +173,7 @@ func TestAggregateAllocsWarmScratch(t *testing.T) {
 	ups := randomUploads(rng, 8, 2000, 120)
 	scratch := NewAggScratch(0)
 	for _, s := range scratchStrategies() {
-		sa := s.(ScratchAggregator)
+		sa := s
 		sa.AggregateInto(scratch, ups, 120, 40) // warm the buffers
 		allocs := testing.AllocsPerRun(20, func() {
 			sa.AggregateInto(scratch, ups, 120, 40)
@@ -204,7 +204,7 @@ func BenchmarkAggregate(b *testing.B) {
 		})
 		b.Run(s.Name()+"/scratch", func(b *testing.B) {
 			scratch := NewAggScratch(0)
-			sa := s.(ScratchAggregator)
+			sa := s
 			sa.AggregateInto(scratch, ups, k, 0)
 			b.ReportAllocs()
 			b.ResetTimer()

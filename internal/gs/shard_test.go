@@ -1,6 +1,7 @@
 package gs
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -26,8 +27,8 @@ func TestShardedDifferentialAllStrategies(t *testing.T) {
 			for _, shards := range []int{1, 2, 4, 7} {
 				ss := newRangedDriver(shards, workers, d, false)
 				for _, s := range scratchStrategies() {
-					wantMain, wantProbe := s.(ScratchAggregator).AggregateInto(single, ups, k, probeK)
-					gotMain, gotProbe, err := ss.aggregate(s.(DirectSelector), ups, k, probeK)
+					wantMain, wantProbe := s.AggregateInto(single, ups, k, probeK)
+					gotMain, gotProbe, err := ss.aggregate(s, ups, k, probeK)
 					if err != nil {
 						t.Fatalf("trial %d: %s: %v", trial, s.Name(), err)
 					}
@@ -61,8 +62,8 @@ func TestShardedDifferentialTieHeavy(t *testing.T) {
 		for _, shards := range []int{2, 3, 5} {
 			ss := newRangedDriver(shards, 0, d, false)
 			for _, s := range scratchStrategies() {
-				wantMain, wantProbe := s.(ScratchAggregator).AggregateInto(single, ups, k, probeK)
-				gotMain, gotProbe, err := ss.aggregate(s.(DirectSelector), ups, k, probeK)
+				wantMain, wantProbe := s.AggregateInto(single, ups, k, probeK)
+				gotMain, gotProbe, err := ss.aggregate(s, ups, k, probeK)
 				if err != nil {
 					t.Fatalf("trial %d: %s: %v", trial, s.Name(), err)
 				}
@@ -137,6 +138,55 @@ func TestRangeReduceRankedMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestRangeReduceEdgeValues pins the range reduction on non-finite, −0
+// and subnormal values, two clients of weights 1 and 3 (w = ¼ and ¾,
+// both exact): every sum is bit for bit the map reference's, and the
+// literal column holds today's output, so a later clip policy shows up
+// as a diff. A −0 sum comes out +0, because the chain starts at +0.
+func TestRangeReduceEdgeValues(t *testing.T) {
+	negZero, tiny, nan, inf := math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		a, b []float64 // each client's values at coordinates 0, 1, …
+		want []float64
+	}{
+		{"-0 from both", []float64{negZero}, []float64{negZero}, []float64{0}},
+		{"-0 from one", []float64{negZero, 1}, []float64{2}, []float64{1.5, 0.25}},
+		{"the smallest subnormal", []float64{tiny}, []float64{tiny}, []float64{tiny}},
+		{"subnormals", []float64{0x1p-1060}, []float64{-0x1p-1062}, []float64{0x1p-1064}},
+		{"subnormal beside normals", []float64{0x1p-1030, 4}, []float64{-0x1p-1030, 8}, []float64{-0x1p-1031, 7}},
+		{"NaN", []float64{nan, 1}, []float64{1, 1}, []float64{nan, 1}},
+		{"+Inf", []float64{inf}, []float64{1}, []float64{inf}},
+		{"-Inf", []float64{1}, []float64{-inf}, []float64{-inf}},
+		{"+Inf and -Inf", []float64{inf}, []float64{-inf}, []float64{nan}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			upload := func(vals []float64, w float64) ClientUpload {
+				idx := make([]int, len(vals))
+				for i := range idx {
+					idx[i] = i
+				}
+				return ClientUpload{Pairs: sparse.Vec{Idx: idx, Val: vals}, Weight: w}
+			}
+			ups := []ClientUpload{upload(tc.a, 1), upload(tc.b, 3)}
+			red := RangeReduceInto(NewAggScratch(0), ups, nil, 0, len(tc.want))
+			ref := referenceUnion(ups)
+			if len(red.Idx) != len(tc.want) || len(ref.Values) != len(tc.want) {
+				t.Fatalf("reduced %v, reference %v, want %d coordinates", red.Idx, ref.Indices, len(tc.want))
+			}
+			for i, want := range tc.want {
+				got := red.Sum[i]
+				if math.Float64bits(got) != math.Float64bits(ref.Values[i]) {
+					t.Fatalf("b_%d = %v (%#x), reference %v (%#x)", i, got, math.Float64bits(got), ref.Values[i], math.Float64bits(ref.Values[i]))
+				}
+				if !sameEdge(got, want) || red.MinRank[i] != i {
+					t.Fatalf("b_%d = %v (%#x) at rank %d, want %v at rank %d", i, got, math.Float64bits(got), red.MinRank[i], want, i)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedDegenerate covers the edges: no uploads, empty pairs, more
 // shards than coordinates, k beyond every upload.
 func TestShardedDegenerate(t *testing.T) {
@@ -156,8 +206,8 @@ func TestShardedDegenerate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ss := newRangedDriver(8, 0, tc.d, false) // 8 shards over d=5: some ranges empty
 			for _, s := range scratchStrategies() {
-				wantMain, _ := s.(ScratchAggregator).AggregateInto(single, tc.ups, tc.k, 0)
-				gotMain, _, err := ss.aggregate(s.(DirectSelector), tc.ups, tc.k, 0)
+				wantMain, _ := s.AggregateInto(single, tc.ups, tc.k, 0)
+				gotMain, _, err := ss.aggregate(s, tc.ups, tc.k, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
 				}
@@ -186,7 +236,7 @@ func TestShardedAllocsWarm(t *testing.T) {
 	for _, s := range scratchStrategies() {
 		round := func() {
 			red := RangeReduceInto(shard, ups, nil, 0, d)
-			if _, _, err := s.(DirectSelector).SelectDirect(sel, red, meta, k, 40); err != nil {
+			if _, _, err := s.SelectDirect(sel, red, meta, k, 40); err != nil {
 				t.Fatal(err)
 			}
 			sel.CountUsed(ups, true)

@@ -1,10 +1,72 @@
 package sparse
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// rankLess reports whether element (i of dense) outranks element j under
+// the deterministic top-k order: larger rankKey first, smaller index on
+// ties. Total and strict for i != j, so selection results are unique.
+func rankLess(dense []float64, i, j int) bool {
+	ki, kj := rankKey(dense[i]), rankKey(dense[j])
+	if ki != kj {
+		return ki > kj
+	}
+	return i < j
+}
+
+// TopKHeap is the reference top-k selection via a size-k min-heap,
+// returning the same deterministic ordering as TopK.
+func TopKHeap(dense []float64, k int) Vec {
+	d := len(dense)
+	if k <= 0 || d == 0 {
+		return Vec{}
+	}
+	if k > d {
+		k = d
+	}
+	h := &rankHeap{dense: dense}
+	for i := 0; i < d; i++ {
+		if h.Len() < k {
+			heap.Push(h, i)
+			continue
+		}
+		// Replace the heap's weakest element when i outranks it.
+		if rankLess(dense, i, h.idx[0]) {
+			h.idx[0] = i
+			heap.Fix(h, 0)
+		}
+	}
+	sel := h.idx
+	sort.Slice(sel, func(a, b int) bool { return rankLess(dense, sel[a], sel[b]) })
+	v := Vec{Idx: make([]int, len(sel)), Val: make([]float64, len(sel))}
+	for i, ix := range sel {
+		v.Idx[i] = ix
+		v.Val[i] = dense[ix]
+	}
+	return v
+}
+
+// rankHeap is a min-heap by rank (weakest element at the root).
+type rankHeap struct {
+	dense []float64
+	idx   []int
+}
+
+func (h *rankHeap) Len() int           { return len(h.idx) }
+func (h *rankHeap) Less(a, b int) bool { return rankLess(h.dense, h.idx[b], h.idx[a]) }
+func (h *rankHeap) Swap(a, b int)      { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
+func (h *rankHeap) Push(x any)         { h.idx = append(h.idx, x.(int)) }
+func (h *rankHeap) Pop() any {
+	n := len(h.idx)
+	x := h.idx[n-1]
+	h.idx = h.idx[:n-1]
+	return x
+}
 
 // requireSameVec asserts two selections are identical element by element,
 // values bit for bit (so NaNs and signed zeros compare too).

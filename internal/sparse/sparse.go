@@ -5,13 +5,11 @@
 package sparse
 
 import (
-	"container/heap"
 	"math"
 	"math/big"
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // Vec is a sparse vector as parallel index/value slices. The wire format
@@ -60,17 +58,6 @@ func FromDense(dense []float64) Vec {
 // above every finite value, and a NaN ranks above +Inf, by payload.
 func rankKey(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
 
-// rankLess reports whether element (i of dense) outranks element j under
-// the deterministic top-k order: larger rankKey first, smaller index on
-// ties. Total and strict for i != j, so selection results are unique.
-func rankLess(dense []float64, i, j int) bool {
-	ki, kj := rankKey(dense[i]), rankKey(dense[j])
-	if ki != kj {
-		return ki > kj
-	}
-	return i < j
-}
-
 // TopK returns the k elements of dense with the largest absolute values,
 // sorted by rank (|value| descending, index ascending on ties). If
 // k >= len(dense) every element is returned; k <= 0 returns an empty Vec.
@@ -94,8 +81,8 @@ func rankLess(dense []float64, i, j int) bool {
 // scratch slab, a vector below prefilterMin, or a k so close to D that
 // most of the sample reaches the cut — the full path runs over every
 // element: a radix select of the k-th largest key, one filter pass, and
-// the same sort of the k selected. TopKHeap is the O(D log k) reference
-// the tests cross-check against. TopK is a thin wrapper over TopKInto that
+// the same sort of the k selected. The tests' TopKHeap is the O(D log k)
+// reference it is cross-checked against. TopK is a thin wrapper over TopKInto that
 // allocates fresh storage per call; hot paths should hold a TopKScratch
 // and call TopKInto directly.
 func TopK(dense []float64, k int) Vec {
@@ -512,55 +499,6 @@ func repair(recs []uint64, dense []float64) bool {
 	return true
 }
 
-// TopKHeap is the reference top-k selection via a size-k min-heap,
-// returning the same deterministic ordering as TopK.
-func TopKHeap(dense []float64, k int) Vec {
-	d := len(dense)
-	if k <= 0 || d == 0 {
-		return Vec{}
-	}
-	if k > d {
-		k = d
-	}
-	h := &rankHeap{dense: dense}
-	for i := 0; i < d; i++ {
-		if h.Len() < k {
-			heap.Push(h, i)
-			continue
-		}
-		// Replace the heap's weakest element when i outranks it.
-		if rankLess(dense, i, h.idx[0]) {
-			h.idx[0] = i
-			heap.Fix(h, 0)
-		}
-	}
-	sel := h.idx
-	sort.Slice(sel, func(a, b int) bool { return rankLess(dense, sel[a], sel[b]) })
-	v := Vec{Idx: make([]int, len(sel)), Val: make([]float64, len(sel))}
-	for i, ix := range sel {
-		v.Idx[i] = ix
-		v.Val[i] = dense[ix]
-	}
-	return v
-}
-
-// rankHeap is a min-heap by rank (weakest element at the root).
-type rankHeap struct {
-	dense []float64
-	idx   []int
-}
-
-func (h *rankHeap) Len() int           { return len(h.idx) }
-func (h *rankHeap) Less(a, b int) bool { return rankLess(h.dense, h.idx[b], h.idx[a]) }
-func (h *rankHeap) Swap(a, b int)      { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *rankHeap) Push(x any)         { h.idx = append(h.idx, x.(int)) }
-func (h *rankHeap) Pop() any {
-	n := len(h.idx)
-	x := h.idx[n-1]
-	h.idx = h.idx[:n-1]
-	return x
-}
-
 // StochasticRound realizes a continuous k as an integer per Definition 2:
 // ⌊k⌋ with probability ⌈k⌉−k, ⌈k⌉ with probability k−⌊k⌋, so that
 // E[result] = k. Integer k is returned unchanged.
@@ -576,24 +514,16 @@ func StochasticRound(k float64, rng *rand.Rand) int {
 	return int(floor)
 }
 
-// Quantize returns a copy of v with values uniformly quantized to the
-// given bit width (symmetric, scale = max |value|): the quantization the
-// paper cites as orthogonal to GS and combinable with it ([30], [31]).
-// bits must be in [2, 64]; 64 returns an unmodified copy. Indices are
-// untouched. The worst-case per-element error is scale/(2^(bits−1)−1)/2.
-func Quantize(v Vec, bits int) Vec {
-	out := v.Clone()
-	QuantizeInPlace(out.Val, bits)
-	return out
-}
-
-// QuantizeInPlace quantizes val in place with Quantize's scheme
-// (symmetric uniform, scale = max |value|) and returns the scale it
-// used — the one scalar a receiver needs to reconstruct the b-bit
-// quantization grid, which is how quantized values travel as packed
-// integers on the wire (internal/transport's binary codec). bits must
-// be in [2, 64]; 64 is a no-op. A zero scale (empty or all-zero val)
-// leaves val untouched and reports 0: there is no grid to snap to.
+// QuantizeInPlace quantizes val in place to the given bit width —
+// symmetric uniform with scale = max |value|, the quantization the paper
+// cites as orthogonal to GS and combinable with it ([30], [31]) — and
+// returns the scale it used: the one scalar a receiver needs to
+// reconstruct the b-bit grid, which is how quantized values travel as
+// packed integers on the wire (internal/transport's binary codec). bits
+// must be in [2, 64]; 64 is a no-op. The worst-case per-element error is
+// scale/(2^(bits−1)−1)/2. A zero scale (empty or all-zero val) leaves
+// val untouched and reports 0: there is no grid to snap to. So does an
+// infinite one, which it reports.
 func QuantizeInPlace(val []float64, bits int) float64 {
 	if bits >= 64 || len(val) == 0 {
 		return 0
@@ -617,17 +547,18 @@ func QuantizeInPlace(val []float64, bits int) float64 {
 // a peer that knows (bits, scale) reproduces the sender's grid values
 // bit-for-bit from its own copy of the pre-quantization data (the
 // direct downlink, where shards hold the reduction sums and the
-// coordinator broadcasts only the global scale). bits ≥ 64 and
-// scale = 0 are no-ops; bits must otherwise be in [2, 64].
+// coordinator broadcasts only the global scale). bits ≥ 64 and a zero
+// or non-finite scale are no-ops; bits must otherwise be in [2, 64].
 //
 // Finite input gives finite output on the grid, and a second pass
 // changes nothing (for bits ≤ 53): values beyond ±scale saturate at
 // the grid's ends, and a scale whose step is not a normal float64, or
 // whose top grid point would round past MaxFloat64, takes the exact
-// path of quantizeExact. An infinite scale (an infinite value in
-// QuantizeInPlace) still turns every value into NaN.
+// path of quantizeExact. A non-finite scale (an infinite value in
+// QuantizeInPlace) has no grid either and leaves val untouched, like
+// scale = 0: its step would turn every value into 0·Inf = NaN.
 func QuantizeToScale(val []float64, bits int, scale float64) {
-	if bits >= 64 || scale == 0 || len(val) == 0 {
+	if bits >= 64 || scale == 0 || math.IsInf(scale, 0) || math.IsNaN(scale) || len(val) == 0 {
 		return
 	}
 	if bits < 2 {
@@ -635,7 +566,7 @@ func QuantizeToScale(val []float64, bits int, scale float64) {
 	}
 	levels := float64(int64(1)<<(bits-1)) - 1
 	step := scale / levels
-	if a := math.Abs(scale); !math.IsInf(a, 0) && (math.Abs(step) < 0x1p-1022 || a > 0x1p1023) {
+	if a := math.Abs(scale); math.Abs(step) < 0x1p-1022 || a > 0x1p1023 {
 		quantizeExact(val, levels, a)
 		return
 	}

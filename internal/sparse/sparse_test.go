@@ -250,6 +250,17 @@ func BenchmarkTopKHeap(b *testing.B) {
 	}
 }
 
+// Quantize returns a copy of v with values uniformly quantized to the
+// given bit width (symmetric, scale = max |value|): the quantization the
+// paper cites as orthogonal to GS and combinable with it ([30], [31]).
+// bits must be in [2, 64]; 64 returns an unmodified copy. Indices are
+// untouched. The worst-case per-element error is scale/(2^(bits−1)−1)/2.
+func Quantize(v Vec, bits int) Vec {
+	out := v.Clone()
+	QuantizeInPlace(out.Val, bits)
+	return out
+}
+
 func TestQuantizeRoundTripError(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, bits := range []int{2, 4, 8, 16} {
@@ -306,6 +317,30 @@ func TestQuantizeEdgeCases(t *testing.T) {
 	m := Vec{Idx: []int{0, 1}, Val: []float64{-2.5, 1.0}}
 	if q := Quantize(m, 3); q.Val[0] != -2.5 {
 		t.Fatalf("max element distorted: %v", q.Val[0])
+	}
+	// A non-finite scale has no grid: the values come back unchanged and
+	// none turns into 0·Inf = NaN. An infinite value gives QuantizeInPlace
+	// an infinite scale, which it reports.
+	for _, tc := range []struct {
+		give  []float64
+		scale float64 // 0: QuantizeInPlace picks max |v|
+	}{
+		{[]float64{math.Inf(1), 1, -2}, 0},
+		{[]float64{math.Inf(-1), 0.5}, 0},
+		{[]float64{0.25, -3}, math.Inf(1)},
+		{[]float64{0.25, -3}, math.NaN()},
+	} {
+		for _, bits := range []int{2, 8, 32} {
+			got := slices.Clone(tc.give)
+			if tc.scale != 0 {
+				QuantizeToScale(got, bits, tc.scale)
+			} else if scale := QuantizeInPlace(got, bits); !math.IsInf(scale, 1) {
+				t.Fatalf("%v at %d bits: scale %v, want +Inf", tc.give, bits, scale)
+			}
+			if !slices.Equal(got, tc.give) {
+				t.Fatalf("%v at %d bits, scale %v: got %v, want it unchanged", tc.give, bits, tc.scale, got)
+			}
+		}
 	}
 	defer func() {
 		if recover() == nil {

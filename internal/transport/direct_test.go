@@ -206,7 +206,7 @@ func TestDirectAggregationDifferential(t *testing.T) {
 								if err != nil {
 									t.Fatalf("%s round %d: %v", strat.Name(), m, err)
 								}
-								want, _ := strat.(gs.ScratchAggregator).AggregateInto(single, ups, k, 0)
+								want, _ := strat.AggregateInto(single, ups, k, 0)
 								if len(want.Indices) != len(got.Indices) {
 									t.Fatalf("%s round %d: |J| %d vs %d", strat.Name(), m, len(want.Indices), len(got.Indices))
 								}

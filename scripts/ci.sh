@@ -95,8 +95,9 @@ go test ./internal/sparse -run '^$' -fuzz '^FuzzCompact$' -fuzztime 10s
 # The same for the dense-layer kernels: the vector kernels against the Go
 # loops on arbitrary shapes and bit patterns.
 go test ./internal/tensor -run '^$' -fuzz FuzzDenseKernels -fuzztime 10s
-# The same for the server selection: every aggregation entry point of
-# every strategy against the map reference on arbitrary small inputs.
+# The same for the server selection: every strategy's AggregateInto and
+# SelectDirect (gs.Strategy, the one contract) against the map reference
+# on arbitrary small inputs.
 go test ./internal/gs -run '^$' -fuzz FuzzFABSelection -fuzztime 10s
 # And the wire codec's receive path, seeded with the committed golden
 # frames: arbitrary byte streams must never panic or over-read their
