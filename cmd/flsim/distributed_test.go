@@ -155,8 +155,8 @@ func TestQuantizedRolesEndToEnd(t *testing.T) {
 // TestWindowedRolesEndToEnd is the multi-process face of bounded
 // staleness over real loopback TCP: a -staleness 1 deployment is a pure
 // function of the seeds — two -shards 2 runs emit byte-identical CSVs,
-// equal to the -shards 1 CSV — and the window reached the wire: the
-// CSV differs from the lockstep one.
+// equal to the -shards 1 CSV and to the unsharded (routed) one — and the
+// window reached the wire: the CSV differs from the lockstep one.
 func TestWindowedRolesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run in -short mode")
@@ -167,6 +167,9 @@ func TestWindowedRolesEndToEnd(t *testing.T) {
 	}
 	if one := runRolesDurable(t, 0, 1, "", 1, ""); one != first {
 		t.Fatalf("-shards 1 CSV differs from -shards 2 at -staleness 1:\n--- 1 shard ---\n%s--- 2 shards ---\n%s", one, first)
+	}
+	if routed := runRolesDurable(t, 0, 1, "", 0, ""); routed != first {
+		t.Fatalf("routed CSV differs from -shards 2 at -staleness 1:\n--- routed ---\n%s--- 2 shards ---\n%s", routed, first)
 	}
 	if lockstep := runRolesEndToEnd(t, 2, 0); lockstep == first {
 		t.Fatal("-staleness 1 CSV identical to the lockstep CSV — the window did not reach the wire")
@@ -319,7 +322,7 @@ func TestValidateFlags(t *testing.T) {
 		{"sim negative staleness", "sim", mk("staleness"), 0, -1, false, false, "", "", "-staleness"},
 		{"sim staleness with wal-dir", "sim", mk("staleness", "wal-dir"), 0, 1, false, false, "d", "", "-wal-dir"},
 		{"coordinator staleness direct", "coordinator", mk("listen", "shards", "staleness"), 2, 1, false, false, "", "", ""},
-		{"coordinator staleness routed", "coordinator", mk("listen", "staleness"), 0, 1, false, false, "", "", "-shards"},
+		{"coordinator staleness routed", "coordinator", mk("listen", "staleness"), 0, 1, false, false, "", "", ""},
 		{"coordinator negative staleness", "coordinator", mk("listen", "staleness"), 0, -1, false, false, "", "", "-staleness"},
 		{"coordinator staleness with wal-dir", "coordinator", mk("listen", "shards", "staleness", "wal-dir"), 2, 1, false, false, "d", "", "-wal-dir"},
 		{"shard with staleness", "shard", mk("connect", "staleness"), 0, 1, false, false, "", "x", "-staleness"},

@@ -25,14 +25,14 @@
 //	flsim -role shard  -connect 127.0.0.1:7000 -listen 127.0.0.1:7101 (× S)
 //	flsim -role client -connect 127.0.0.1:7000 -id 0 (× the client count)
 //
-// With -staleness W (sim, or a sharded coordinator) the rounds run W
-// deep: a client computes and uploads round m before it applies round
-// m−W's broadcast, so local compute overlaps W rounds of reduction and
-// downlink. The run stays a pure function of the seeds — the same CSV
-// as the sim with the same -staleness — and a slow client paces the
-// fleet with W rounds of slack:
+// With -staleness W (sim or coordinator, with or without -shards) the
+// rounds run W deep: a client computes and uploads round m before it
+// applies round m−W's broadcast, so local compute overlaps W rounds of
+// aggregation and downlink. The run stays a pure function of the seeds —
+// the same CSV as the sim with the same -staleness — and a slow client
+// paces the fleet with W rounds of slack:
 //
-//	flsim -role coordinator -staleness 1 -listen 127.0.0.1:7000 -shards 2 -k 100
+//	flsim -role coordinator -staleness 1 -listen 127.0.0.1:7000 -k 100
 //
 // Durability: -wal-dir journals the run's control-plane decisions so a
 // crashed process restarts instead of killing the run (see README
@@ -79,7 +79,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		evalEvery   = flag.Int("eval-every", 0, "test-set evaluation cadence in rounds (0 = off)")
 		quantBits   = flag.Int("quantbits", 0, "quantize uploaded and broadcast gradient values to this many bits (0 = full precision; sim and coordinator roles)")
-		staleness   = flag.Int("staleness", 0, "bounded-staleness window W: clients compute round m on the weights of round m-W-1, overlapping W rounds of compute with reduction and downlink (0 = synchronous lockstep; deterministic at any W; sim and coordinator roles; a distributed coordinator requires -shards)")
+		staleness   = flag.Int("staleness", 0, "bounded-staleness window W: clients compute round m on the weights of round m-W-1, overlapping W rounds of compute with reduction and downlink (0 = synchronous lockstep; deterministic at any W; sim and coordinator roles)")
 		workers     = flag.Int("workers", 0, "per-client worker pool size, -1 = all CPUs (results are bit-identical at any value; 0 = sequential)")
 		shards      = flag.Int("shards", 0, "coordinator: shard processes to wait for; clients upload straight to them (0 = aggregate in the coordinator)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -186,8 +186,6 @@ func validateFlags(role string, set map[string]bool, shards, staleness int, dura
 		switch {
 		case staleness < 0:
 			return errors.New("flsim: -staleness must be >= 0 (0 = synchronous lockstep)")
-		case staleness > 0 && shards < 1:
-			return errors.New("flsim: -staleness requires -shards >= 1 (the W-deep loops run on the client-direct plane; the unsharded coordinator runs in lockstep)")
 		case staleness > 0 && walDir != "":
 			return errors.New("flsim: -staleness is incompatible with -wal-dir (the durable coordinator runs in lockstep)")
 		case set["connect"]:

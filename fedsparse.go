@@ -95,7 +95,7 @@
 // reaches the shard tier through RunServerPeers with
 // ServerConfig.ShardConns.
 //
-// One listener serves every role: AcceptPeer classifies each incoming
+// One listener serves every role: AcceptPeers classifies each incoming
 // connection by its first message — Hello (a participant: a client, or
 // a virtual host, enrolling as its roster), ShardHello (a shard, see
 // DialDirectShard), DataHello (a participant on a shard's ingest
@@ -172,10 +172,10 @@
 // wire, the tier scales the connection fabric too: RunVirtualHost
 // simulates a whole member roster over ONE physical connection to the
 // coordinator (plus one per shard in direct mode), enveloping each
-// member's traffic in MuxFrames over a goroutine-free Mux demultiplexer,
+// member's traffic in MuxFrames over a goroutine-free demultiplexer,
 // and RunServerPeers with a ServerConfig.Population roster draws each
-// round's cohort with the same exported sampler (CohortSampler) and
-// materializes only the drawn members. A host runs RunClient's round
+// round's cohort with the engine's own sampler and materializes only the
+// drawn members. A host runs RunClient's round
 // loop with each round's drawn cohort as its roster; member state
 // (error-feedback residual, rng stream) materializes at first draw — an
 // undrawn member costs no allocation — so populations of 100k–1M
@@ -220,22 +220,16 @@
 // # Allocation-free steady state
 //
 // The round loop reuses every per-round buffer, so steady-state training
-// performs no allocations in selection or aggregation. TopKScratch +
-// TopKInto surface the client half of that machinery for direct library
-// use: top-k selection into caller-owned storage. TopK remains the
-// convenience wrapper that allocates per call. Selection is a
-// comparison-free radix pipeline over the bit pattern with the sign
-// cleared, so its order is defined on NaN, ±Inf, −0 and denormals too
-// (see TopK). The scratch is working memory only — a slab of max(D, 2k)
-// words, dead when the call returns — so hold one per goroutine that
-// selects, not one per vector selected from: the engine keeps Workers of
-// them for any number of clients. It is single-goroutine state, and a
-// selection is a pure function of its inputs, never of scratch history,
-// so warm reuse cannot perturb a seeded run (the differential suites pin
-// this). The server half — every Strategy aggregating into one reserved
+// performs no allocations in selection or aggregation: each engine
+// worker holds one top-k scratch (a slab of max(D, 2k) words) for any
+// number of clients, and every Strategy aggregates into one reserved
 // scratch per run, the main and the k′-probe selections in a single pass
-// over the uploads — runs inside Run and the coordinator; the facade
-// exports no aggregation scratch.
+// over the uploads. Selection is a comparison-free radix pipeline over
+// the bit pattern with the sign cleared, so its order is defined on NaN,
+// ±Inf, −0 and denormals too (see TopK), and it is a pure function of
+// its inputs, never of scratch history, so warm reuse cannot perturb a
+// seeded run (the differential suites pin this). The facade exports the
+// allocating TopK only; the scratches live inside Run and the roles.
 //
 // See the examples directory for runnable programs and
 // docs/ARCHITECTURE.md for the system-wide map.
@@ -270,16 +264,7 @@ type (
 	Observer = fl.Observer
 	// Collector is an Observer that accumulates every RoundEvent.
 	Collector = fl.Collector
-	// CohortSampler is the engine's population draw (churn → cohort
-	// Fisher–Yates → deadline dropouts) in exported form, shared by the
-	// transport tier's population server so wire draws cannot drift
-	// from engine draws.
-	CohortSampler = fl.CohortSampler
 )
-
-// NewCohortSampler builds the population sampler behind Config.Cohort,
-// Config.Churn, and Config.Dropout.
-var NewCohortSampler = fl.NewCohortSampler
 
 // ClientSeed is client id's rng seed in a run seeded with base: the
 // ClientConfig.Seed that reproduces Run's client id on the wire (a
@@ -408,15 +393,11 @@ var NewCostModel = simtime.NewCostModel
 type (
 	// SparseVec is an index/value sparse vector.
 	SparseVec = sparse.Vec
-	// TopKScratch is the reusable selection scratch for TopKInto.
-	TopKScratch = sparse.TopKScratch
 )
 
 var (
 	// TopK selects the k largest-|value| elements (allocating per call).
 	TopK = sparse.TopK
-	// TopKInto is the allocation-free TopK into caller-owned storage.
-	TopKInto = sparse.TopKInto
 	// StochasticRound realizes a continuous k (Definition 2).
 	StochasticRound = sparse.StochasticRound
 )
@@ -462,9 +443,6 @@ type (
 	Series = metrics.Series
 	// Table is a text table for experiment output.
 	Table = metrics.Table
-	// RoundObserver folds a round-event stream into figure series; an
-	// Observer, attachable live or replayable over a finished Result.
-	RoundObserver = metrics.RoundObserver
 )
 
 // CDF computes an empirical distribution series.
@@ -487,15 +465,10 @@ type (
 	// ServerConfig / ClientConfig parameterize distributed runs.
 	ServerConfig = transport.ServerConfig
 	ClientConfig = transport.ClientConfig
-	// RoundRecord is the distributed server's per-round log.
-	RoundRecord = transport.RoundRecord
 	// Peer is an incoming connection classified by role.
 	Peer = transport.Peer
 	// Listener accepts binary-framed Conns on a TCP address.
 	Listener = transport.Listener
-	// Mux demultiplexes one physical Conn into per-virtual-client Conns
-	// (the population tier's M:N scaling seam).
-	Mux = transport.Mux
 	// PopulationConfig is a coordinator's roster
 	// (ServerConfig.Population); HostConfig parameterizes one virtual-
 	// client host.
@@ -535,20 +508,16 @@ const MaxStaleness = transport.MaxStaleness
 
 // Transport constructors and drivers.
 var (
-	NewMemPair      = transport.NewMemPair
 	RunServerPeers  = transport.RunServerPeers
 	RunClient       = transport.RunClient
 	Dial            = transport.Dial
 	DialDirectShard = transport.DialDirectShard
 	RunDirectShard  = transport.RunDirectShard
 	Listen          = transport.Listen
-	AcceptPeer      = transport.AcceptPeer
 	AcceptPeers     = transport.AcceptPeers
 	AcceptDataPeers = transport.AcceptDataPeers
 	SplitShardPeers = transport.SplitShardPeers
 	SeatShardPeers  = transport.SeatShardPeers
-	// The population tier's virtual-client host, and the demultiplexer
-	// it shares with the coordinator.
+	// The population tier's virtual-client host.
 	RunVirtualHost = transport.RunVirtualHost
-	NewMux         = transport.NewMux
 )

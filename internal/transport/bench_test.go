@@ -174,18 +174,24 @@ func BenchmarkSliceCodec(b *testing.B) {
 }
 
 func BenchmarkWireRoundBytes(b *testing.B) {
-	fed, model, initParams := buildWorkload()
-	const k, rounds = 40, 5
+	const rounds = 5
 	for _, qbits := range []int{0, 8} {
 		b.Run(fmt.Sprintf("quant=%d", qbits), func(b *testing.B) {
+			cfg, err := wireConfig(runSpec{rounds: rounds, quantBits: qbits}.config(0), false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			work := testWorkload()
 			var frameBytes, valBytes int64
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := &wireMeter{}
-				runDistributed(b, fed, model, initParams, k, rounds, qbits,
-					func() (Conn, Conn) {
-						s, c := NewMemPair()
-						return wireMeterConn{Conn: s, m: m}, c
-					})
+				net := memNet()
+				lay := layout{work: work, wrapCoord: func(c Conn) Conn { return wireMeterConn{Conn: c, m: m} }}
+				if _, err := deploy(b, net, cfg, lay); err != nil {
+					b.Fatal(err)
+				}
+				net.teardown()
 				frameBytes, valBytes = m.frameBytes, m.valBytes
 			}
 			b.ReportMetric(float64(frameBytes)/rounds, "B/round")

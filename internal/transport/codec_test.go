@@ -25,9 +25,7 @@ import (
 	"testing"
 	"time"
 
-	"fedsparse/internal/core"
 	"fedsparse/internal/fl"
-	"fedsparse/internal/gs"
 	"fedsparse/internal/sparse"
 )
 
@@ -580,66 +578,26 @@ func TestCorruptFrameFailsRoundNotBarrier(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQuantizedTrajectoryGrid is the quantized differential grid: with
-// QuantBits=8 the reference engine, the routed in-memory deployment,
-// the routed TCP deployment over the binary codec (values actually
-// packed on the wire), and the client-direct sharded deployment must
-// all produce bit-identical training trajectories.
+// TestQuantizedTrajectoryGrid is the quantized slice of the matrix
+// (TestSameSeedSameBytes), kept on its own for the race step: with
+// QuantBits=8 the routed deployments over memory and over TCP (values
+// actually packed on the wire) and the direct ones reproduce fl.Run
+// bit for bit.
 func TestQuantizedTrajectoryGrid(t *testing.T) {
-	fed, model, initParams := buildWorkload()
-	const k, rounds, qbits, nShards = 40, 10, 8, 2
-
-	ref, err := fl.Run(fl.Config{
-		Data:         fed,
-		Model:        model,
-		LearningRate: 0.1,
-		BatchSize:    8,
-		Rounds:       rounds,
-		Seed:         5,
-		Strategy:     &gs.FABTopK{},
-		Controller:   core.NewFixedK(k),
-		Beta:         10,
-		QuantBits:    qbits,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, records []RoundRecord) {
-		t.Helper()
-		if len(records) != len(ref.Stats) {
-			t.Fatalf("%s ran %d rounds, reference %d", name, len(records), len(ref.Stats))
+	spec := runSpec{rounds: 10, quantBits: 8}
+	want := engineEvents(t, spec.config(0))
+	for _, col := range matrixColumns {
+		if col.population || col.durable {
+			continue
 		}
-		for i := range records {
-			if records[i].Loss != ref.Stats[i].Loss {
-				t.Fatalf("round %d: %s loss %v != engine loss %v (quantized trajectories must be bit-identical)",
-					i+1, name, records[i].Loss, ref.Stats[i].Loss)
+		t.Run(col.name, func(t *testing.T) {
+			got, err := col.run(t, spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if records[i].DownlinkElems != ref.Stats[i].DownlinkElems {
-				t.Fatalf("round %d: %s downlink %d != %d", i+1, name, records[i].DownlinkElems, ref.Stats[i].DownlinkElems)
-			}
-		}
+			requireSameTrajectory(t, got, want)
+		})
 	}
-
-	check("routed/mem", runDistributed(t, fed, model, initParams, k, rounds, qbits,
-		func() (Conn, Conn) { return NewMemPair() }))
-	check("routed/tcp-binary", runDistributedTCP(t, fed, model, initParams, k, rounds, qbits, NewBinConn))
-
-	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{QuantBits: qbits}, nil, nil, nil, nil)
-	if h.srvErr != nil {
-		t.Fatalf("direct server: %v", h.srvErr)
-	}
-	for id, err := range h.cliErrs {
-		if err != nil {
-			t.Fatalf("direct client %d: %v", id, err)
-		}
-	}
-	for s, err := range h.shardErr {
-		if err != nil {
-			t.Fatalf("direct shard %d: %v", s, err)
-		}
-	}
-	check("direct/mem", h.records)
 }
 
 // wireMeter sums, across every observed message, the full encoded frame
@@ -712,16 +670,9 @@ func (c wireMeterConn) Send(msg any) error {
 // (the exact packing ratio is 8× whenever the grid engages), and the
 // total frame bytes must drop too.
 func TestQuantizedWireBytesShrink(t *testing.T) {
-	fed, model, initParams := buildWorkload()
-	const k, rounds = 40, 8
-
 	run := func(qbits int) *wireMeter {
 		m := &wireMeter{}
-		runDistributed(t, fed, model, initParams, k, rounds, qbits,
-			func() (Conn, Conn) {
-				s, c := NewMemPair()
-				return wireMeterConn{Conn: s, m: m}, c
-			})
+		runRouted(t, runSpec{rounds: 8, quantBits: qbits}, func(c Conn) Conn { return wireMeterConn{Conn: c, m: m} })
 		return m
 	}
 	full := run(0)

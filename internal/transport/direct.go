@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"fedsparse/internal/fl"
@@ -264,7 +265,7 @@ func seatData(assign ShardAssign, peers []Peer) (connPeers, []int, error) {
 	id := assign.ShardID
 	n, noun := ingestPeers(assign)
 	conns := make(connPeers, n)
-	memberHost := newMemberDirectory(len(assign.Weights))
+	memberHost := slices.Repeat([]int{-1}, len(assign.Weights)) // member → host, nobody claimed yet
 	for _, p := range peers {
 		if err := checkDataHello(p, assign); err != nil {
 			return nil, nil, err
@@ -296,9 +297,18 @@ func seatData(assign ShardAssign, peers []Peer) (connPeers, []int, error) {
 // Single-goroutine state.
 type DirectGroup struct {
 	conns     []Conn
+	links     peerLinks // how results arrive and seals leave: plain conns, or a durable coordinator's healing side
+	bounds    []int     // nShards+1 chunk boundaries over [0, dim)
 	nClients  int
 	quantBits int
-	shardResults
+
+	mergedIdx  []int
+	mergedSum  []float64
+	mergedRank []int
+	// reduceSecs[s] is the wall-clock wait for shard s's ShardResult in
+	// the last gather — the per-shard reduce time the operational
+	// surface reports. Overwritten every round; copied on emission.
+	reduceSecs []float64
 
 	round    int // the round being selected: what the fill hook queries for
 	fillHook func(kappa int) ([]gs.FillCand, error)
@@ -307,32 +317,6 @@ type DirectGroup struct {
 	candGen  int
 
 	spans [][]int // per-shard member spans of the round's seal
-}
-
-// shardResults is the coordinator-side gather of one round's
-// ShardResults: the partition geometry it validates against, the merged
-// reduction, and the per-shard wait times.
-type shardResults struct {
-	links  peerLinks // how results arrive: plain conns, or a durable coordinator's healing side
-	bounds []int     // nShards+1 chunk boundaries over [0, dim)
-
-	mergedIdx  []int
-	mergedSum  []float64
-	mergedRank []int
-
-	// reduceSecs[s] is the wall-clock wait for shard s's ShardResult in
-	// the last gather — the per-shard reduce time the operational
-	// surface reports. Overwritten every round; copied on emission.
-	reduceSecs []float64
-}
-
-func newShardResults(conns []Conn, dim int) shardResults {
-	r := shardResults{links: plainPeers{conns: conns, noun: "shard"},
-		bounds: make([]int, len(conns)+1), reduceSecs: make([]float64, len(conns))}
-	for s := range conns {
-		r.bounds[s], r.bounds[s+1] = tensor.ChunkBounds(dim, len(conns), s)
-	}
-	return r
 }
 
 // gather collects and merges every shard's round reduction. Shard
@@ -344,14 +328,14 @@ func newShardResults(conns []Conn, dim int) shardResults {
 // (maxLen is the round's longest upload) — a malformed result fails as
 // a protocol error here rather than as an index panic inside the
 // selection (whose rank histogram is sized by the longest upload).
-func (r *shardResults) gather(round, maxLen int) (gs.RangeAgg, error) {
-	r.mergedIdx = r.mergedIdx[:0]
-	r.mergedSum = r.mergedSum[:0]
-	r.mergedRank = r.mergedRank[:0]
-	for s := range r.reduceSecs {
+func (g *DirectGroup) gather(round, maxLen int) (gs.RangeAgg, error) {
+	g.mergedIdx = g.mergedIdx[:0]
+	g.mergedSum = g.mergedSum[:0]
+	g.mergedRank = g.mergedRank[:0]
+	for s := range g.reduceSecs {
 		t0 := time.Now()
-		msg, err := r.links.recv(s, round)
-		r.reduceSecs[s] = time.Since(t0).Seconds()
+		msg, err := g.links.recv(s, round)
+		g.reduceSecs[s] = time.Since(t0).Seconds()
 		if err != nil {
 			return gs.RangeAgg{}, err
 		}
@@ -368,7 +352,7 @@ func (r *shardResults) gather(round, maxLen int) (gs.RangeAgg, error) {
 				round, s, len(res.Idx), len(res.Sum), len(res.MinRank))
 		}
 		for i, j := range res.Idx {
-			if j < r.bounds[s] || j >= r.bounds[s+1] || (i > 0 && j <= res.Idx[i-1]) {
+			if j < g.bounds[s] || j >= g.bounds[s+1] || (i > 0 && j <= res.Idx[i-1]) {
 				return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result index %d out of order or range",
 					round, s, j)
 			}
@@ -377,11 +361,11 @@ func (r *shardResults) gather(round, maxLen int) (gs.RangeAgg, error) {
 					round, s, rk, j, maxLen)
 			}
 		}
-		r.mergedIdx = append(r.mergedIdx, res.Idx...)
-		r.mergedSum = append(r.mergedSum, res.Sum...)
-		r.mergedRank = append(r.mergedRank, res.MinRank...)
+		g.mergedIdx = append(g.mergedIdx, res.Idx...)
+		g.mergedSum = append(g.mergedSum, res.Sum...)
+		g.mergedRank = append(g.mergedRank, res.MinRank...)
 	}
-	return gs.RangeAgg{Idx: r.mergedIdx, Sum: r.mergedSum, MinRank: r.mergedRank}, nil
+	return gs.RangeAgg{Idx: g.mergedIdx, Sum: g.mergedSum, MinRank: g.mergedRank}, nil
 }
 
 // newDirectGroup builds a DirectGroup's partition state without sending
@@ -396,12 +380,10 @@ func newDirectGroup(conns []Conn, dim int, weights []float64, quantBits int) (*D
 	if dim < 1 || len(weights) == 0 {
 		return nil, fmt.Errorf("transport: bad direct group geometry (dim=%d clients=%d)", dim, len(weights))
 	}
-	g := &DirectGroup{
-		conns:        conns,
-		nClients:     len(weights),
-		quantBits:    quantBits,
-		shardResults: newShardResults(conns, dim),
-		candSeen:     make([]int, len(weights)),
+	g := &DirectGroup{conns: conns, links: plainPeers{conns: conns, noun: "shard"}, bounds: make([]int, len(conns)+1),
+		nClients: len(weights), quantBits: quantBits, reduceSecs: make([]float64, len(conns)), candSeen: make([]int, len(weights))}
+	for s := range conns {
+		g.bounds[s], g.bounds[s+1] = tensor.ChunkBounds(dim, len(conns), s)
 	}
 	g.fillHook = g.fill
 	return g, nil

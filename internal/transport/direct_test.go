@@ -305,7 +305,7 @@ func rawTCPPairFactory(t *testing.T) (func() (Conn, Conn), func()) {
 // replaces one client's RunClient with a custom function.
 type directHarness struct {
 	serverCs []Conn // coordinator's client conns (hello unconsumed)
-	records  []RoundRecord
+	records  []fl.RoundEvent
 	srvErr   error
 	cliErrs  []error
 	shardErr []error
@@ -418,67 +418,6 @@ func runDirectHarness(t testing.TB, rounds, k, nShards int, cfg ServerConfig,
 	}
 	wg.Wait()
 	return h
-}
-
-// TestDirectDistributedMatchesReferenceEngine runs the full direct
-// protocol — clients uploading range slices straight to two shards, the
-// coordinator reduced to control metadata — and requires the training
-// trajectory to be bit-identical to the in-process simulation engine
-// AND to the unsharded routed deployment with the same seeds.
-func TestDirectDistributedMatchesReferenceEngine(t *testing.T) {
-	const k, rounds, nShards = 40, 15, 2
-	h := runDirectHarness(t, rounds, k, nShards, ServerConfig{}, nil, nil, nil, nil)
-	if h.srvErr != nil {
-		t.Fatalf("server: %v", h.srvErr)
-	}
-	for id, err := range h.cliErrs {
-		if err != nil {
-			t.Fatalf("client %d: %v", id, err)
-		}
-	}
-	for s, err := range h.shardErr {
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-	}
-
-	fed, model, _ := buildWorkload()
-	ref, err := fl.Run(fl.Config{
-		Data:         fed,
-		Model:        model,
-		LearningRate: 0.1,
-		BatchSize:    8,
-		Rounds:       rounds,
-		Seed:         5,
-		Strategy:     &gs.FABTopK{},
-		Controller:   core.NewFixedK(k),
-		Beta:         10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.records) != len(ref.Stats) {
-		t.Fatalf("direct run %d rounds, reference %d", len(h.records), len(ref.Stats))
-	}
-	for i := range h.records {
-		if h.records[i].Loss != ref.Stats[i].Loss {
-			t.Fatalf("round %d: direct loss %v != reference %v", i+1, h.records[i].Loss, ref.Stats[i].Loss)
-		}
-		if h.records[i].DownlinkElems != ref.Stats[i].DownlinkElems {
-			t.Fatalf("round %d: downlink %d != %d", i+1, h.records[i].DownlinkElems, ref.Stats[i].DownlinkElems)
-		}
-	}
-
-	// And against the unsharded routed deployment: same wire protocol
-	// family, the aggregation moved onto shards, identical trajectory.
-	fed2, model2, initParams2 := buildWorkload()
-	routedRecords := runDistributed(t, fed2, model2, initParams2, k, rounds, 0,
-		func() (Conn, Conn) { return NewMemPair() })
-	for i := range h.records {
-		if h.records[i].Loss != routedRecords[i].Loss {
-			t.Fatalf("round %d: direct loss %v != routed loss %v", i+1, h.records[i].Loss, routedRecords[i].Loss)
-		}
-	}
 }
 
 // payloadMeter counts, per message type, what a metered endpoint saw,

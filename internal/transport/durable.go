@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"time"
 
+	"fedsparse/internal/fl"
 	"fedsparse/internal/wal"
 )
 
@@ -137,7 +138,7 @@ func (s *durServer) side(kind int, noun string, conns []Conn) *durSide {
 // the clients' Hello weights, which rejoins do not resend), then drives
 // the round loop with WAL appends at every decision boundary and
 // rejoin-based recovery on every link failure.
-func runDurable(clients []Conn, weights []float64, cfg ServerConfig) ([]RoundRecord, error) {
+func runDurable(clients []Conn, weights []float64, cfg ServerConfig) ([]fl.RoundEvent, error) {
 	dur := cfg.Durable
 	rs := wal.RunStart{RunID: dur.RunID, Kind: wal.KindCoordinator,
 		Conf: coordConf(cfg, len(clients), len(cfg.ShardConns)), Weights: weights}
@@ -168,7 +169,7 @@ func runDurable(clients []Conn, weights []float64, cfg ServerConfig) ([]RoundRec
 // is re-issued verbatim (direct) or re-derived from re-sent uploads and
 // verified bit-exact against the log (routed) — and the loop then
 // continues to cfg.Rounds.
-func resumeDurable(cfg ServerConfig) ([]RoundRecord, error) {
+func resumeDurable(cfg ServerConfig) ([]fl.RoundEvent, error) {
 	log, replayed, err := wal.Open(cfg.Durable.WALPath, cfg.Durable.RunID, true)
 	if err != nil {
 		return nil, err
@@ -205,18 +206,17 @@ func resumeDurable(cfg ServerConfig) ([]RoundRecord, error) {
 	}
 	s := newDurServer(cfg, log, make([]Conn, nClients), append([]float64(nil), rs.Weights...))
 
-	records, seal, release, err := replayRounds(replayed[1:])
+	seal, release, err := s.replayRounds(replayed[1:])
 	if err != nil {
 		return nil, err
 	}
-	s.records = records
 	// The replayed prefix flows through the event stream too (no byte
 	// meter and no reduce times — those rounds moved nothing in this
 	// process), so a follower always sees every round exactly once.
 	if obs := cfg.Observer; obs != nil {
-		for _, rec := range records {
-			obs.OnRoundStart(rec.Round)
-			obs.OnRoundEnd(roundEvent(rec, cfg.K, nClients, nil, nil))
+		for _, ev := range s.events {
+			obs.OnRoundStart(ev.Round)
+			obs.OnRoundEnd(ev)
 		}
 	}
 	// Rejoins swap entries of the metered slices in place; the meter
@@ -230,12 +230,12 @@ func resumeDurable(cfg ServerConfig) ([]RoundRecord, error) {
 	} else {
 		s.meter(s.cl.conns)
 	}
-	next := len(records) + 1
+	next := len(s.events) + 1
 	if next > cfg.Rounds {
 		if seal != nil {
-			return s.records, fmt.Errorf("transport: resume: seal for round %d past the final round %d", seal.Round, cfg.Rounds)
+			return s.events, fmt.Errorf("transport: resume: seal for round %d past the final round %d", seal.Round, cfg.Rounds)
 		}
-		return s.records, nil
+		return s.events, nil
 	}
 	if seal != nil {
 		s.startRound(next)
@@ -245,7 +245,7 @@ func resumeDurable(cfg ServerConfig) ([]RoundRecord, error) {
 			err = s.resumeRoutedSeal(seal, release)
 		}
 		if err != nil {
-			return s.records, err
+			return s.events, err
 		}
 		next++
 	}
@@ -269,40 +269,39 @@ func (s *durServer) healShards() {
 	s.group.links = s.sh
 }
 
-// replayRounds rebuilds the finished rounds from the replayed records
-// and returns the trailing partial round's seal/release, if any.
-func replayRounds(recs []wal.Record) ([]RoundRecord, *wal.Seal, *wal.Release, error) {
-	var records []RoundRecord
+// replayRounds rebuilds the finished rounds' events from the replayed
+// records and returns the trailing partial round's seal/release, if any.
+func (s *durServer) replayRounds(recs []wal.Record) (*wal.Seal, *wal.Release, error) {
 	var seal *wal.Seal
 	var release *wal.Release
 	for _, r := range recs {
-		next := len(records) + 1
+		next := len(s.events) + 1
 		switch r := r.(type) {
 		case *wal.Seal:
 			if seal != nil || r.Round != next {
-				return nil, nil, nil, fmt.Errorf("transport: resume: out-of-order seal for round %d (next round is %d)", r.Round, next)
+				return nil, nil, fmt.Errorf("transport: resume: out-of-order seal for round %d (next round is %d)", r.Round, next)
 			}
 			seal = r
 		case *wal.Release:
 			if seal == nil || release != nil || r.Round != next {
-				return nil, nil, nil, fmt.Errorf("transport: resume: out-of-order release for round %d (next round is %d)", r.Round, next)
+				return nil, nil, fmt.Errorf("transport: resume: out-of-order release for round %d (next round is %d)", r.Round, next)
 			}
 			release = r
 		case *wal.Finish:
 			if seal == nil || release == nil || r.Round != next {
-				return nil, nil, nil, fmt.Errorf("transport: resume: finish for round %d without its seal and release", r.Round)
+				return nil, nil, fmt.Errorf("transport: resume: finish for round %d without its seal and release", r.Round)
 			}
 			if len(r.Ints) != 1 || len(r.Floats) != 1 {
-				return nil, nil, nil, fmt.Errorf("transport: resume: finish for round %d carries %d ints and %d floats, want 1 and 1",
+				return nil, nil, fmt.Errorf("transport: resume: finish for round %d carries %d ints and %d floats, want 1 and 1",
 					r.Round, len(r.Ints), len(r.Floats))
 			}
-			records = append(records, RoundRecord{Round: r.Round, Loss: r.Floats[0], DownlinkElems: int(r.Ints[0])})
+			s.events = append(s.events, s.roundEvent(r.Round, r.Floats[0], int(r.Ints[0]), s.nClients))
 			seal, release = nil, nil
 		default:
-			return nil, nil, nil, fmt.Errorf("transport: resume: unexpected %T record in a coordinator log", r)
+			return nil, nil, fmt.Errorf("transport: resume: unexpected %T record in a coordinator log", r)
 		}
 	}
-	return records, seal, release, nil
+	return seal, release, nil
 }
 
 // closeAll is the journal's crash action: close every peer connection,

@@ -85,11 +85,11 @@ func (s *durServer) resumeRoutedSeal(seal *wal.Seal, release *wal.Release) error
 	return s.finishResumed(p, weightedLoss, len(bc.Idx))
 }
 
-// finishResumed closes the re-issued round in the log and the record.
+// finishResumed closes the re-issued round in the log and the events.
 func (s *durServer) finishResumed(p int, loss float64, elems int) error {
 	if err := s.journal.logSync(&wal.Finish{Round: p, Ints: []int64{int64(elems)}, Floats: []float64{loss}}); err != nil {
 		return err
 	}
-	s.finish(RoundRecord{Round: p, Loss: loss, DownlinkElems: elems}, s.nClients, nil)
+	s.finish(p, loss, elems, s.nClients, nil)
 	return nil
 }

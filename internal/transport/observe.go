@@ -1,7 +1,8 @@
 // Round-event publication for the transport coordinators: the routed
-// and direct RunServerPeers loops and the durable server all emit
-// fl.RoundEvents through ServerConfig.Observer, synchronously at round
-// boundaries. The transport cannot see the engine-side quantities the
+// and direct RunServerPeers loops and the durable server all record
+// one fl.RoundEvent per round — RunServerPeers returns them, and
+// ServerConfig.Observer receives each synchronously at its round
+// boundary. The transport cannot see the engine-side quantities the
 // in-process simulator reports (normalized time, test accuracy), so
 // those fields stay at their not-evaluated values; what it adds is the
 // operational side — wire bytes per round from the binary codec's
@@ -25,10 +26,6 @@ type byteMeter struct {
 	lastSent, lastRecv uint64
 }
 
-func newByteMeter(groups ...[]Conn) *byteMeter {
-	return &byteMeter{groups: groups}
-}
-
 // delta returns the bytes received from and sent to the metered peers
 // since the previous call (server-side: received = uplink, sent =
 // downlink) and advances the baseline.
@@ -42,51 +39,36 @@ func (bm *byteMeter) delta() (recv, sent uint64) {
 			}
 		}
 	}
-	recv = clampedSub(r, bm.lastRecv)
-	sent = clampedSub(s, bm.lastSent)
+	recv, sent = max(r, bm.lastRecv)-bm.lastRecv, max(s, bm.lastSent)-bm.lastSent
 	bm.lastSent, bm.lastRecv = s, r
 	return recv, sent
 }
 
-func clampedSub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-// roundEvent builds the coordinator's view of one finished round.
-// K is the run's fixed sparsity degree; the engine-only metrics
-// (normalized time, evaluations) keep their not-evaluated values.
-// reduce is the per-shard gather wait in seconds (copied; nil for an
-// unsharded run) and bm the byte meter (nil when the caller emits a
-// replayed round, which moved no wire bytes).
-func roundEvent(rec RoundRecord, k, participants int, bm *byteMeter, reduce []float64) fl.RoundEvent {
-	ev := fl.RoundEvent{
-		Round:         rec.Round,
-		K:             k,
-		KCont:         float64(k),
-		Loss:          rec.Loss,
-		DownlinkElems: rec.DownlinkElems,
+// roundEvent is the coordinator's view of round m, finished at loss
+// with elems downlink coordinates among participants uploaders: the
+// engine's RoundEvent for it, with the engine-only metrics (normalized
+// time, evaluations, residual norm) at their not-evaluated values. The
+// window depth is the engine's realized overlap — W until the pipeline
+// drains; no upload is ever late on the wire, so StaleSlices stays 0.
+// The caller adds what it measured: wire bytes, reduce waits, the
+// cohort draw, WAL appends.
+func (c *coordRun) roundEvent(m int, loss float64, elems, participants int) fl.RoundEvent {
+	return fl.RoundEvent{
+		Round:         m,
+		K:             c.cfg.K,
+		KCont:         float64(c.cfg.K),
+		Loss:          loss,
+		DownlinkElems: elems,
 		Participants:  participants,
-		// The classic protocols draw no cohort: every connected client
-		// is drawable and participates. The population server
-		// overwrites all three with the sampler's real numbers.
-		Population: participants,
-		CohortSize: participants,
-		TestAcc:    math.NaN(),
-		TestLoss:   math.NaN(),
-		TrainLoss:  math.NaN(),
-		// Residual mass lives in the clients' error-feedback state; the
-		// coordinator cannot observe it, so the field stays not-evaluated
-		// (the engine's in-process observer reports the real norm).
+		// A fixed roster draws no cohort: every connected client is
+		// drawable and participates. A drawn roster overwrites both.
+		Population:  participants,
+		CohortSize:  participants,
+		WindowDepth: min(m+c.cfg.Staleness, c.cfg.Rounds) - m,
+		TestAcc:     math.NaN(),
+		TestLoss:    math.NaN(),
+		TrainLoss:   math.NaN(),
+		// Residual mass lives in the clients, out of the coordinator's sight.
 		ResidualNorm: math.NaN(),
 	}
-	if bm != nil {
-		ev.BytesUp, ev.BytesDown = bm.delta()
-	}
-	if reduce != nil {
-		ev.ShardReduceSeconds = append([]float64(nil), reduce...)
-	}
-	return ev
 }

@@ -107,7 +107,7 @@ type PopulationConfig struct {
 // RunPopulationServer is RunServerPeers. It is kept only because the
 // frozen benchmark definition (bench/cluster.go) calls it; a change to
 // the benchmark definition may drop it.
-func RunPopulationServer(hosts []Peer, cfg ServerConfig) ([]RoundRecord, error) {
+func RunPopulationServer(hosts []Peer, cfg ServerConfig) ([]fl.RoundEvent, error) {
 	return RunServerPeers(hosts, cfg)
 }
 
@@ -115,7 +115,7 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) ([]RoundRecord, error) 
 // (ServerConfig.Population): the hosts are seated by their Hello's
 // ClientID, their rosters must partition the population (seatHellos),
 // and the one round loop draws each round's cohort (drawRound).
-func servePopulation(hosts []Peer, cfg ServerConfig) ([]RoundRecord, error) {
+func servePopulation(hosts []Peer, cfg ServerConfig) ([]fl.RoundEvent, error) {
 	pcfg := cfg.Population
 	conns, memberHost, weights, err := seatHellos(hosts, false)
 	if err != nil {

@@ -1,11 +1,12 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,9 +86,9 @@ type ServerConfig struct {
 	// round m before it fetches and applies round m−W's broadcast, and a
 	// shard serves round m−W's fetches right after sealing round m. No
 	// upload is ever late, so the trajectory equals fl.Run's with the
-	// same Staleness and no Delays, bit for bit; a slow client paces the
-	// fleet as in lockstep, with W rounds of slack. Direct plane only
-	// (the routed plane stays lockstep), and capped at MaxStaleness.
+	// same Staleness and no Delays, bit for bit, on either data plane; a
+	// slow client paces the fleet as in lockstep, with W rounds of slack.
+	// Capped at MaxStaleness.
 	Staleness int
 }
 
@@ -125,8 +126,6 @@ func (cfg ServerConfig) check(nPeers int) error {
 		return fmt.Errorf("transport: ShardConns without Direct (a shard tier is the direct data plane)")
 	case cfg.Direct && nShards == 0:
 		return fmt.Errorf("transport: Direct needs ShardConns (the coordinator no longer aggregates)")
-	case cfg.Staleness > 0 && !cfg.Direct:
-		return fmt.Errorf("transport: Staleness requires the direct data plane (the routed topology is lockstep)")
 	case len(cfg.ShardAddrs) != nShards:
 		return fmt.Errorf("transport: need one ShardAddrs entry per shard (%d addrs for %d shards)", len(cfg.ShardAddrs), nShards)
 	}
@@ -298,57 +297,21 @@ func collectPeers(ln *Listener, nClients, nShards, nData int, timeout time.Durat
 		err  error
 	}
 	results := make(chan outcome)
-	acceptErr := make(chan error, 1)
 	done := make(chan struct{})
-	defer close(done) // releases the classifier and accept goroutines (LIFO: after the pending close below)
+	defer close(done) // releases the classifiers (LIFO: after the pending close below)
 
-	// Connections accepted but not yet classified; on return, closing
-	// them unblocks any handshake reads still parked on silent peers.
-	var mu sync.Mutex
+	// Connections taken but not yet classified; on return, closing them
+	// unblocks any handshake reads still parked on silent peers.
 	pending := make(map[Conn]bool)
-	finished := false
 	defer func() {
-		mu.Lock()
-		finished = true
-		conns := make([]Conn, 0, len(pending))
 		for c := range pending {
-			conns = append(conns, c)
-		}
-		mu.Unlock()
-		for _, c := range conns {
 			c.Close()
 		}
 	}()
 
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				select {
-				case acceptErr <- err:
-				case <-done:
-				}
-				return
-			}
-			mu.Lock()
-			if finished {
-				mu.Unlock()
-				conn.Close()
-				return
-			}
-			pending[conn] = true
-			mu.Unlock()
-			go func(conn Conn) {
-				peer, err := AcceptPeer(conn)
-				select {
-				case results <- outcome{peer: peer, conn: conn, err: err}:
-				case <-done:
-					conn.Close()
-				}
-			}(conn)
-		}
-	}()
-
+	// Connections are taken from the listener's accept goroutine only
+	// while this loop runs: the one after the quota fills stays with the
+	// listener for its next taker.
 	var timeoutCh <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
@@ -360,10 +323,18 @@ func collectPeers(ln *Listener, nClients, nShards, nData int, timeout time.Durat
 		case <-timeoutCh:
 			return nil, nil, nil, fmt.Errorf("transport: timed out after %v waiting for peers (%d/%d clients, %d/%d shards, %d/%d data peers arrived)",
 				timeout, len(clients), nClients, len(shards), nShards, len(data), nData)
+		case conn := <-ln.conns:
+			pending[conn] = true
+			go func() {
+				peer, err := AcceptPeer(conn)
+				select {
+				case results <- outcome{peer: peer, conn: conn, err: err}:
+				case <-done:
+					conn.Close()
+				}
+			}()
 		case out := <-results:
-			mu.Lock()
 			delete(pending, out.conn)
-			mu.Unlock()
 			switch {
 			case out.err != nil:
 				out.conn.Close() // junk handshake or dead conn: ignore
@@ -376,31 +347,25 @@ func collectPeers(ln *Listener, nClients, nShards, nData int, timeout time.Durat
 			default:
 				out.conn.Close() // surplus peer for a filled role
 			}
-		case err := <-acceptErr:
-			return nil, nil, nil, err
+		case <-ln.dead:
+			return nil, nil, nil, ln.err
 		}
 	}
 	return clients, shards, data, nil
 }
 
-// RoundRecord is the server's per-round log.
-type RoundRecord struct {
-	Round         int
-	Loss          float64 // C_i/C-weighted minibatch loss at w(m−1)
-	DownlinkElems int
-}
-
 // RunServerPeers is the coordinator: it seats the participants' Hellos
 // (classified by AcceptPeer or AcceptPeers; shard connections go into
 // cfg.ShardConns), then drives Rounds iterations of gather-A_i /
-// broadcast-B and returns the per-round records. Which coordinator it
+// broadcast-B and returns the run's round events — the stream an attached
+// Observer sees, as fl.Run's Result.Stats is. Which coordinator it
 // runs is three ServerConfig values: the plane (ShardConns: the direct
 // data plane, else routed), the journal (Durable: a write-ahead log and
 // rejoin-based recovery; with Resume, a restart from that log, which
 // takes no peers) and the roster (Population: virtual hosts and a cohort
 // drawn each round). ServerConfig.check refuses the combinations the
 // tiers do not support.
-func RunServerPeers(peers []Peer, cfg ServerConfig) (records []RoundRecord, err error) {
+func RunServerPeers(peers []Peer, cfg ServerConfig) (events []fl.RoundEvent, err error) {
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
 	}
@@ -420,7 +385,13 @@ func RunServerPeers(peers []Peer, cfg ServerConfig) (records []RoundRecord, err 
 	if cfg.Durable != nil {
 		return runDurable(clients, weights, cfg)
 	}
-	c := newCoordRun(cfg, plainPeers{conns: clients, noun: "client"}, len(clients), "client", weights)
+	links := plainPeers{conns: clients, noun: "client"}
+	if cfg.Staleness > 0 && !cfg.Direct {
+		var stop func(wait bool) error
+		links.out, stop = startOutboxes(clients)
+		defer func() { err = errors.Join(err, stop(err == nil)) }()
+	}
+	c := newCoordRun(cfg, links, len(clients), "client", weights)
 	if err := c.open(clients, 0, 0); err != nil {
 		return nil, err
 	}
@@ -470,7 +441,7 @@ func seatHellos(peers []Peer, perClient bool) ([]Conn, []int, []float64, error) 
 		conns[h.ClientID], seated[h.ClientID] = p.Conn, h
 		nPop += len(h.Members)
 	}
-	memberHost := newMemberDirectory(nPop)
+	memberHost := slices.Repeat([]int{-1}, nPop) // member → participant, nobody claimed yet
 	weights := make([]float64, nPop)
 	for id, h := range seated {
 		if err := claimRoster(memberHost, id, h.Members, "transport"); err != nil {
@@ -483,16 +454,6 @@ func seatHellos(peers []Peer, perClient bool) ([]Conn, []int, []float64, error) 
 	// nPop is the sum of the roster sizes and every member landed once
 	// in [0, nPop), so the rosters partition the population exactly.
 	return conns, memberHost, weights, nil
-}
-
-// newMemberDirectory returns the member → participant map of a
-// population of nPop members, nobody claimed yet.
-func newMemberDirectory(nPop int) []int {
-	memberHost := make([]int, nPop)
-	for i := range memberHost {
-		memberHost[i] = -1
-	}
-	return memberHost
 }
 
 // claimRoster records participant hid as the owner of its roster in the

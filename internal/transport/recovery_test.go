@@ -15,359 +15,62 @@ import (
 	"fedsparse/internal/wal"
 )
 
-// durableNet abstracts the wiring of a durable deployment so the crash
-// matrix runs identically over in-memory pairs and real TCP sockets:
-// every control-plane dial (initial or rejoin) lands in coordConns, the
-// data plane is addressed by string, and new ingest addresses can be
-// registered mid-run (a fresh shard restart listens somewhere new).
-type durableNet struct {
-	dialCoord func() (Conn, error)
-	dialData  func(addr string) (Conn, error)
-	// coordConns receives the server side of every control dial —
-	// first the initial handshakes, then rejoins (fed to the desk).
-	coordConns chan Conn
-	// addData registers a fresh ingest address and returns its accept
-	// hook.
-	addData  func(name string) (string, func() (Conn, error))
-	teardown func()
-}
-
-func memDurableNet() *durableNet {
-	hub := make(chan Conn, 256)
-	var mu sync.Mutex
-	data := make(map[string]chan Conn)
-	closed := false
-	n := &durableNet{coordConns: hub}
-	n.dialCoord = func() (Conn, error) {
-		server, client := NewMemPair()
-		mu.Lock()
-		defer mu.Unlock()
-		if closed {
-			return nil, errors.New("mem net closed")
-		}
-		hub <- server
-		return client, nil
-	}
-	n.dialData = func(addr string) (Conn, error) {
-		mu.Lock()
-		ch, ok := data[addr]
-		mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("unknown ingest address %q", addr)
-		}
-		server, client := NewMemPair()
-		ch <- server
-		return client, nil
-	}
-	n.addData = func(name string) (string, func() (Conn, error)) {
-		addr := "mem-" + name
-		ch := make(chan Conn, 256)
-		mu.Lock()
-		data[addr] = ch
-		mu.Unlock()
-		return addr, func() (Conn, error) {
-			conn, ok := <-ch
-			if !ok {
-				return nil, errors.New("ingest closed")
-			}
-			return conn, nil
-		}
-	}
-	n.teardown = func() {
-		mu.Lock()
-		closed = true
-		mu.Unlock()
-		close(hub)
-		for _, ch := range data {
-			close(ch)
-		}
-	}
-	return n
-}
-
-func tcpDurableNet(t *testing.T) *durableNet {
+// assertSameTrajectory requires a recovered run's events to equal the
+// engine's round by round — including through the CSV formatting the
+// simulator emits, so a recovered run's output file is byte-for-byte
+// the uninterrupted one.
+func assertSameTrajectory(t *testing.T, got, want []fl.RoundEvent) {
 	t.Helper()
-	pol := RetryPolicy{Attempts: 20, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond,
-		AttemptTimeout: 5 * time.Second, Seed: 7}
-	coordLn, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := make(chan Conn, 256)
-	go func() {
-		for {
-			conn, err := coordLn.Accept()
-			if err != nil {
-				close(hub)
-				return
-			}
-			hub <- conn
-		}
-	}()
-	var mu sync.Mutex
-	var lns []*Listener
-	n := &durableNet{coordConns: hub}
-	n.dialCoord = func() (Conn, error) {
-		return DialRetry(context.Background(), coordLn.Addr().String(), pol)
-	}
-	n.dialData = func(addr string) (Conn, error) {
-		return DialRetry(context.Background(), addr, pol)
-	}
-	n.addData = func(string) (string, func() (Conn, error)) {
-		ln, err := Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		lns = append(lns, ln)
-		mu.Unlock()
-		return ln.Addr().String(), ln.Accept
-	}
-	n.teardown = func() {
-		coordLn.Close()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}
-	return n
-}
-
-// collectDurablePeers drains the initial handshakes off the net's
-// coordinator stream: nClients Hellos plus one ShardHello per entry of
-// shardAddrs, with the shard control conns ordered by advertised
-// address (shard identity is positional in ShardConns).
-func collectDurablePeers(t *testing.T, net *durableNet, nClients int, shardAddrs []string) ([]Peer, []Conn) {
-	t.Helper()
-	clients := make([]Peer, 0, nClients)
-	byAddr := make(map[string]Conn)
-	for len(clients) < nClients || len(byAddr) < len(shardAddrs) {
-		var conn Conn
-		select {
-		case conn = <-net.coordConns:
-		case <-time.After(20 * time.Second):
-			t.Fatalf("timed out collecting initial peers (%d clients, %d shards so far)", len(clients), len(byAddr))
-		}
-		p, err := AcceptPeer(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case p.Hello != nil:
-			clients = append(clients, p)
-		case p.Shard != nil:
-			byAddr[p.Shard.Addr] = p.Conn
-		default:
-			t.Fatalf("unexpected initial peer %+v", p)
-		}
-	}
-	shardConns := make([]Conn, len(shardAddrs))
-	for s, addr := range shardAddrs {
-		conn, ok := byAddr[addr]
-		if !ok {
-			t.Fatalf("no shard hello from %q", addr)
-		}
-		shardConns[s] = conn
-	}
-	return clients, shardConns
-}
-
-var errBoom = errors.New("injected coordinator crash")
-
-// runDurableRecovery drives one full durable deployment — clients (and,
-// in direct mode, shards) on goroutines, the durable coordinator in the
-// test goroutine — optionally crashing the coordinator at (boundary,
-// crashRound) and resuming it from the WAL, and optionally killing
-// shard killShard after round killRound and restarting it fresh at a
-// new ingest address. Returns the coordinator's final records; every
-// client and every (surviving) shard must exit cleanly.
-func runDurableRecovery(t *testing.T, net *durableNet, direct bool, nShards int,
-	boundary Boundary, crashRound, killShard, killRound int) []RoundRecord {
-	t.Helper()
-	fed, model, initParams := buildWorkload()
-	n := fed.NumClients()
-	const k, rounds = 40, 6
-	runID := wal.RunID(42)
-	walPath := filepath.Join(t.TempDir(), "coord.wal")
-
-	shardAddrs := make([]string, nShards)
-	shardAccepts := make([]func() (Conn, error), nShards)
-	for s := 0; s < nShards; s++ {
-		shardAddrs[s], shardAccepts[s] = net.addData(fmt.Sprintf("shard-%d", s))
-	}
-
-	var wg sync.WaitGroup
-	cliErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			conn, err := net.dialCoord()
-			if err != nil {
-				cliErrs[id] = err
-				return
-			}
-			defer conn.Close()
-			cliErrs[id] = RunClient(conn, ClientConfig{
-				ID:           id,
-				Data:         &fed.Clients[id],
-				Model:        model,
-				LearningRate: 0.1,
-				BatchSize:    8,
-				Seed:         fl.ClientSeed(5, id),
-				DialShard:    net.dialData,
-				Redial:       net.dialCoord,
-			})
-		}(i)
-	}
-	shardErrs := make([]error, nShards)
-	for s := 0; s < nShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			cfg := DurableShardConfig{RunID: runID, ShardID: s, Addr: shardAddrs[s],
-				Dial: net.dialCoord, AcceptData: shardAccepts[s]}
-			if s == killShard {
-				cfg.killAfter = killRound
-				if err := RunDurableDirectShard(cfg); err == nil {
-					shardErrs[s] = errors.New("kill hook did not fire")
-					return
-				}
-				// The shard process "restarts" with no state: a new
-				// ingest address, the Rejoin{Fresh} handshake, and a
-				// mid-run assignment from the coordinator's redo flow.
-				addr, accept := net.addData(fmt.Sprintf("shard-%d-reborn", s))
-				shardErrs[s] = RunDurableDirectShard(DurableShardConfig{RunID: runID, ShardID: s,
-					Addr: addr, Fresh: true, Dial: net.dialCoord, AcceptData: accept})
-				return
-			}
-			shardErrs[s] = RunDurableDirectShard(cfg)
-		}(s)
-	}
-
-	clientPeers, shardConns := collectDurablePeers(t, net, n, shardAddrs)
-	desk := NewRejoinDesk(func() (Conn, error) {
-		conn, ok := <-net.coordConns
-		if !ok {
-			return nil, errors.New("coordinator accept stream closed")
-		}
-		return conn, nil
-	})
-	defer desk.Close()
-
-	dur := DurableServerConfig{RunID: runID, WALPath: walPath, Desk: desk}
-	cfg := ServerConfig{K: k, Rounds: rounds, InitialParams: initParams,
-		Direct: direct, ShardConns: shardConns, ShardAddrs: shardAddrs, Durable: &dur}
-	if boundary != "" {
-		crashed := false
-		dur.crash = func(b Boundary, m int) error {
-			if !crashed && b == boundary && m == crashRound {
-				crashed = true
-				return errBoom
-			}
-			return nil
-		}
-	}
-	records, err := RunServerPeers(clientPeers, cfg)
-	if boundary != "" {
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("coordinator = %v, want the injected crash", err)
-		}
-		// Resume as a genuinely restarted process would: no peers, no
-		// shard conns and no shard directory — the log holds the
-		// geometry, the rejoins rebuild the links and the directory.
-		// (Reusing the enrollment-time cfg here once masked a resume
-		// path that wrongly demanded a pre-populated ShardAddrs.)
-		rdur := dur
-		rdur.Resume = true
-		rcfg := cfg
-		rcfg.ShardConns = nil
-		rcfg.ShardAddrs = nil
-		rcfg.Durable = &rdur
-		records, err = RunServerPeers(nil, rcfg)
-		if err != nil {
-			t.Fatalf("resumed coordinator: %v", err)
-		}
-	} else if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	wg.Wait()
-	for id, err := range cliErrs {
-		if err != nil {
-			t.Fatalf("client %d: %v", id, err)
-		}
-	}
-	for s, err := range shardErrs {
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-	}
-	return records
-}
-
-// assertSameTrajectory requires two record sets to be bit-identical —
-// including through the CSV formatting the simulator emits, so a
-// recovered run's output file is byte-for-byte the uninterrupted one.
-func assertSameTrajectory(t *testing.T, got, want []RoundRecord) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("ran %d rounds, reference ran %d", len(got), len(want))
-	}
+	requireSameTrajectory(t, got, want)
 	for i := range want {
 		g := fmt.Sprintf("%d,%.6f,%d", got[i].Round, got[i].Loss, got[i].DownlinkElems)
 		w := fmt.Sprintf("%d,%.6f,%d", want[i].Round, want[i].Loss, want[i].DownlinkElems)
-		if got[i].Loss != want[i].Loss || got[i].DownlinkElems != want[i].DownlinkElems || g != w {
-			t.Fatalf("round %d: %s != reference %s (loss %v vs %v)", i+1, g, w, got[i].Loss, want[i].Loss)
+		if g != w {
+			t.Fatalf("round %d: %s != reference %s", i+1, g, w)
 		}
 	}
+}
+
+// durableRun deploys a 6-round fixed-k run over net on the durable
+// plane with the given layout and requires it to finish as fl.Run did.
+func durableRun(t *testing.T, net *testNet, lay layout) {
+	t.Helper()
+	spec := runSpec{rounds: 6}
+	cfg, err := wireConfig(spec.config(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay.durable = true
+	events, err := deploy(t, net, cfg, lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTrajectory(t, events, engineEvents(t, spec.config(0)))
 }
 
 // TestCoordinatorCrashRecovery is the crash matrix of the durable
 // control plane: the coordinator is killed at each WAL decision
 // boundary in the middle of a run — {routed, direct} × {mem, TCP} —
-// restarted from the log, and the finished run's records (and their
-// CSV rendering) must be byte-identical to an uninterrupted
-// non-durable run with the same seeds. The routed resume re-derives
-// the crashed round's broadcast from re-sent uploads; the direct
-// resume re-issues the logged seal verbatim.
+// restarted from the log, and the finished run's events (and their
+// CSV rendering) must be byte-identical to fl.Run with the same seeds.
+// The routed resume re-derives the crashed round's broadcast from
+// re-sent uploads; the direct resume re-issues the logged seal
+// verbatim.
 func TestCoordinatorCrashRecovery(t *testing.T) {
 	boundaries := []Boundary{BoundarySealLogged, BoundarySealSent, BoundaryReleaseLogged, BoundaryFinishLogged}
 	for _, topo := range []struct {
 		name    string
-		direct  bool
 		nShards int
 	}{
-		{"routed", false, 0},
-		{"direct", true, 2},
+		{"routed", 0},
+		{"direct", 2},
 	} {
-		// The uninterrupted reference over the plain (non-durable)
-		// protocol: recovery must not just be self-consistent, it must
-		// reproduce the trajectory the failure-free deployment produces.
-		var ref []RoundRecord
-		if topo.direct {
-			h := runDirectHarness(t, 6, 40, topo.nShards, ServerConfig{}, nil, nil, nil, nil)
-			if h.srvErr != nil {
-				t.Fatalf("reference direct run: %v", h.srvErr)
-			}
-			ref = h.records
-		} else {
-			fed, model, initParams := buildWorkload()
-			ref = runDistributed(t, fed, model, initParams, 40, 6, 0,
-				func() (Conn, Conn) { return NewMemPair() })
-		}
 		for _, kind := range []string{"mem", "tcp"} {
 			for _, b := range boundaries {
 				t.Run(fmt.Sprintf("%s/%s/%s", topo.name, kind, b), func(t *testing.T) {
-					var net *durableNet
-					if kind == "tcp" {
-						net = tcpDurableNet(t)
-					} else {
-						net = memDurableNet()
-					}
+					net := netFor(t, kind == "tcp")
 					defer net.teardown()
-					records := runDurableRecovery(t, net, topo.direct, topo.nShards, b, 3, -1, 0)
-					assertSameTrajectory(t, records, ref)
+					durableRun(t, net, layout{shards: topo.nShards, crash: b, crashRound: 3})
 				})
 			}
 		}
@@ -376,15 +79,11 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 
 // TestCoordinatorCrashAtFinalFinish crashes after the last round is
 // fully logged: the resume has nothing to re-issue and must return the
-// complete record set without touching any peer.
+// complete event set without touching any peer.
 func TestCoordinatorCrashAtFinalFinish(t *testing.T) {
-	fed, model, initParams := buildWorkload()
-	ref := runDistributed(t, fed, model, initParams, 40, 6, 0,
-		func() (Conn, Conn) { return NewMemPair() })
-	net := memDurableNet()
+	net := memNet()
 	defer net.teardown()
-	records := runDurableRecovery(t, net, false, 0, BoundaryFinishLogged, 6, -1, 0)
-	assertSameTrajectory(t, records, ref)
+	durableRun(t, net, layout{crash: BoundaryFinishLogged, crashRound: 6})
 }
 
 // TestDirectShardKillFreshRejoin kills one shard after it fully served
@@ -393,23 +92,13 @@ func TestCoordinatorCrashAtFinalFinish(t *testing.T) {
 // coordinator re-assigns it at the round in progress and Redo-points
 // every client at the new address, the clients re-feed the barrier
 // from their resend rings — and the trajectory is still bit-identical
-// to the failure-free run. The coordinator itself never restarts here.
+// to fl.Run. The coordinator itself never restarts here.
 func TestDirectShardKillFreshRejoin(t *testing.T) {
-	h := runDirectHarness(t, 6, 40, 2, ServerConfig{}, nil, nil, nil, nil)
-	if h.srvErr != nil {
-		t.Fatalf("reference direct run: %v", h.srvErr)
-	}
 	for _, kind := range []string{"mem", "tcp"} {
 		t.Run(kind, func(t *testing.T) {
-			var net *durableNet
-			if kind == "tcp" {
-				net = tcpDurableNet(t)
-			} else {
-				net = memDurableNet()
-			}
+			net := netFor(t, kind == "tcp")
 			defer net.teardown()
-			records := runDurableRecovery(t, net, true, 2, "", 0, 1, 3)
-			assertSameTrajectory(t, records, h.records)
+			durableRun(t, net, layout{shards: 2, killShard: 1, killRound: 3})
 		})
 	}
 }

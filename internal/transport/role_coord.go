@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 
 	"fedsparse/internal/core"
@@ -41,9 +42,11 @@ type peerLinks interface {
 }
 
 // plainPeers are links that never heal: a failed connection fails the
-// round, naming the peer.
+// round, naming the peer. With out set, sends go through the peers'
+// outboxes (startOutboxes).
 type plainPeers struct {
 	conns []Conn
+	out   []chan any
 	noun  string
 }
 
@@ -56,10 +59,53 @@ func (p plainPeers) recv(id, m int) (any, error) {
 }
 
 func (p plainPeers) send(id, m int, msg any) error {
+	if p.out != nil {
+		p.out[id] <- msg
+		return nil
+	}
 	if err := p.conns[id].Send(msg); err != nil {
 		return fmt.Errorf("transport: round %d send to %s %d: %w", m, p.noun, id, err)
 	}
 	return nil
+}
+
+// startOutboxes gives every client of a routed run W rounds deep a
+// queue and a goroutine that sends from it: such a client sends W+1
+// uploads before it reads a broadcast, so a coordinator sending in line
+// would block on it once the payloads outgrow the socket buffers. A
+// client is at most W+1 broadcasts behind, so a queue of MaxStaleness+1
+// never fills. stop closes the queues; with wait it returns once every
+// queued message went out, with the send errors (without, a sender
+// stuck on a live peer exits when the caller closes the connections).
+func startOutboxes(conns []Conn) (out []chan any, stop func(wait bool) error) {
+	out = make([]chan any, len(conns))
+	errs := make(chan error, len(conns))
+	for id, conn := range conns {
+		q := make(chan any, MaxStaleness+1)
+		out[id] = q
+		go func() {
+			var err error
+			for msg := range q {
+				if err == nil {
+					err = conn.Send(msg)
+				}
+			}
+			if err != nil {
+				err = fmt.Errorf("transport: send to client %d: %w", id, err)
+			}
+			errs <- err
+		}()
+	}
+	return out, func(wait bool) error {
+		for _, q := range out {
+			close(q)
+		}
+		var sendErrs []error
+		for i := 0; wait && i < len(out); i++ {
+			sendErrs = append(sendErrs, <-errs)
+		}
+		return errors.Join(sendErrs...)
+	}
 }
 
 // journal is the durable coordinator's write-ahead log seen from the
@@ -183,14 +229,14 @@ type coordRun struct {
 	// Direct plane.
 	group *DirectGroup
 
-	bm      *byteMeter
-	records []RoundRecord
+	bm     *byteMeter
+	events []fl.RoundEvent
 }
 
 func newCoordRun(cfg ServerConfig, clients peerLinks, nClients int, noun string, weights []float64) *coordRun {
 	c := &coordRun{cfg: cfg, clients: clients, nClients: nClients, nDown: nClients, noun: noun, weights: weights,
-		server:  fl.NewServer(&gs.FABTopK{}, core.NewFixedK(float64(cfg.K)), nil, len(cfg.InitialParams), cfg.QuantBits),
-		records: make([]RoundRecord, 0, max(cfg.Rounds, 0))}
+		server: fl.NewServer(&gs.FABTopK{}, core.NewFixedK(float64(cfg.K)), nil, len(cfg.InitialParams), cfg.QuantBits),
+		events: make([]fl.RoundEvent, 0, max(cfg.Rounds, 0))}
 	for _, w := range weights {
 		c.total += w
 	}
@@ -247,7 +293,7 @@ func directAssign(nShards, dim, rounds int, weights []float64, quantBits int) Sh
 // the control plane's cost — which is the point of the topology.
 func (c *coordRun) meter(groups ...[]Conn) {
 	if c.cfg.Observer != nil {
-		c.bm = newByteMeter(groups...)
+		c.bm = &byteMeter{groups: groups}
 		c.bm.delta()
 	}
 }
@@ -257,22 +303,23 @@ func (c *coordRun) meter(groups ...[]Conn) {
 // otherwise it returns round m's cohort and what the draw adds to the
 // round's event, and the round is weighted by the cohort's own total —
 // the engine's per-round participant normalization.
-func (c *coordRun) run(from int, draw func(m int) ([]int, *cohortDraw, error)) ([]RoundRecord, error) {
+func (c *coordRun) run(from int, draw func(m int) ([]int, *cohortDraw, error)) ([]fl.RoundEvent, error) {
 	for m := from; m <= c.cfg.Rounds; m++ {
 		c.startRound(m)
 		dec, err := c.server.Decide(m)
 		if err != nil {
-			return c.records, err
+			return c.events, err
 		}
 		var (
-			ids []int
-			cd  *cohortDraw
-			rec RoundRecord
+			ids   []int
+			cd    *cohortDraw
+			loss  float64
+			elems int
 		)
 		n, total := c.nClients, c.total
 		if draw != nil {
 			if ids, cd, err = draw(m); err != nil {
-				return c.records, err
+				return c.events, err
 			}
 			n, total = len(ids), 0
 			for _, id := range ids {
@@ -280,16 +327,16 @@ func (c *coordRun) run(from int, draw func(m int) ([]int, *cohortDraw, error)) (
 			}
 		}
 		if c.cfg.Direct {
-			rec, err = c.directRound(m, dec.K, ids, total)
+			loss, elems, err = c.directRound(m, dec.K, ids, total)
 		} else {
-			rec, err = c.routedRound(m, dec.K, ids, total)
+			loss, elems, err = c.routedRound(m, dec.K, ids, total)
 		}
 		if err != nil {
-			return c.records, err
+			return c.events, err
 		}
-		c.finish(rec, n, cd)
+		c.finish(m, loss, elems, n, cd)
 	}
-	return c.records, nil
+	return c.events, nil
 }
 
 // startRound opens round m and publishes the boundary.
@@ -300,29 +347,28 @@ func (c *coordRun) startRound(m int) {
 	}
 }
 
-// finish records one completed round and publishes its event.
-func (c *coordRun) finish(rec RoundRecord, participants int, draw *cohortDraw) {
-	c.records = append(c.records, rec)
-	obs := c.cfg.Observer
-	if obs == nil {
-		return
+// finish records round m's event and publishes it: the engine's fields
+// (roundEvent) plus what this process measured — wire bytes (metered
+// only when someone listens), per-shard reduce waits, the cohort draw,
+// the WAL appends.
+func (c *coordRun) finish(m int, loss float64, elems, participants int, draw *cohortDraw) {
+	ev := c.roundEvent(m, loss, elems, participants)
+	if c.bm != nil {
+		ev.BytesUp, ev.BytesDown = c.bm.delta()
 	}
-	var reduce []float64
 	if c.group != nil {
-		reduce = c.group.reduceSecs
+		ev.ShardReduceSeconds = append([]float64(nil), c.group.reduceSecs...)
 	}
-	ev := roundEvent(rec, c.cfg.K, participants, c.bm, reduce)
-	// The realized overlap, as the engine reports it: W until the
-	// pipeline drains. No upload is ever late on the wire, so
-	// StaleSlices stays 0.
-	ev.WindowDepth = min(rec.Round+c.cfg.Staleness, c.cfg.Rounds) - rec.Round
 	if draw != nil {
 		ev.Population, ev.CohortSize, ev.ChurnEvents = draw.population, draw.drawn, draw.churnEvents
 	}
 	if c.journal != nil {
 		ev.WALAppends = c.journal.appends
 	}
-	obs.OnRoundEnd(ev)
+	c.events = append(c.events, ev)
+	if obs := c.cfg.Observer; obs != nil {
+		obs.OnRoundEnd(ev)
+	}
 }
 
 // uploader maps gather position i to an identity: ids is the round's
@@ -403,22 +449,21 @@ func (c *coordRun) aggregate(m, k int) Broadcast {
 // the values from re-sent uploads), broadcast B, journal release and
 // finish. The release carries no separate message in routed mode; the
 // boundary exists so the crash matrix is uniform across topologies.
-func (c *coordRun) routedRound(m, k int, ids []int, total float64) (RoundRecord, error) {
-	loss, err := c.gatherUploads(m, ids, total)
-	if err != nil {
-		return RoundRecord{}, err
+func (c *coordRun) routedRound(m, k int, ids []int, total float64) (loss float64, elems int, err error) {
+	if loss, err = c.gatherUploads(m, ids, total); err != nil {
+		return 0, 0, err
 	}
 	bc := c.aggregate(m, k)
 	if err := c.journal.sealed(m, loss, bc.Scale, bc.Bits, bc.Idx, nil); err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
 	if err := c.downlink(m, bc); err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
 	if err := c.journal.crashAt(BoundarySealSent, m); err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
-	return c.closeRound(m, loss, len(bc.Idx), nil)
+	return loss, len(bc.Idx), c.closeRound(m, loss, len(bc.Idx), nil)
 }
 
 // downlink sends one round-m message — boxed once — to every receiver.
@@ -433,19 +478,16 @@ func (c *coordRun) downlink(m int, msg any) error {
 
 // closeRound journals the release, sends it when the plane has one (the
 // direct plane's RoundRelease), and journals the finish.
-func (c *coordRun) closeRound(m int, loss float64, elems int, release any) (RoundRecord, error) {
+func (c *coordRun) closeRound(m int, loss float64, elems int, release any) error {
 	if err := c.journal.released(m, loss, elems); err != nil {
-		return RoundRecord{}, err
+		return err
 	}
 	if release != nil {
 		if err := c.downlink(m, release); err != nil {
-			return RoundRecord{}, err
+			return err
 		}
 	}
-	if err := c.journal.finished(m, loss, elems); err != nil {
-		return RoundRecord{}, err
-	}
-	return RoundRecord{Round: m, Loss: loss, DownlinkElems: elems}, nil
+	return c.journal.finished(m, loss, elems)
 }
 
 // gatherMeta is the direct plane's control barrier: one RoundMeta per
@@ -491,25 +533,25 @@ func (c *coordRun) gatherMeta(m int, ids []int, total float64) (weightedLoss flo
 // shard, and Elems lets each verify its reassembled B against the
 // coordinator's |J| — a truncated shard slice fails at the client,
 // loudly. The coordinator sends no B payload in either direction.
-func (c *coordRun) directRound(m, k int, ids []int, total float64) (RoundRecord, error) {
+func (c *coordRun) directRound(m, k int, ids []int, total float64) (float64, int, error) {
 	loss, maxLen, err := c.gatherMeta(m, ids, total)
 	if err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
 	g := c.group
 	main, scale, err := g.selectRound(c.server, m, k, maxLen)
 	if err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
 	if err := c.journal.sealed(m, loss, scale, c.cfg.QuantBits, main.Indices, g.spans); err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
 	if err := g.seal(m, scale); err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
 	if err := c.journal.crashAt(BoundarySealSent, m); err != nil {
-		return RoundRecord{}, err
+		return 0, 0, err
 	}
 	elems := len(main.Indices)
-	return c.closeRound(m, loss, elems, RoundRelease{Round: m, Elems: elems})
+	return loss, elems, c.closeRound(m, loss, elems, RoundRelease{Round: m, Elems: elems})
 }

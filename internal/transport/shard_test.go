@@ -239,6 +239,73 @@ func TestAcceptPeersTimesOut(t *testing.T) {
 	}
 }
 
+// TestAcceptPeersLeavesTheNextConnection: once its quota fills, a
+// classifying accept loop takes no further connection, so the next one
+// reaches the listener's next taker — as a durable coordinator's rejoin
+// desk, which serves the listener its enrolment used.
+func TestAcceptPeersLeavesTheNextConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hello   any
+		collect func(ln *Listener) error
+	}{
+		{"AcceptPeers", Hello{ClientID: 0, Members: []int{0}, Weights: []float64{1}}, func(ln *Listener) error {
+			_, _, err := AcceptPeers(ln, 1, 0, time.Minute)
+			return err
+		}},
+		{"AcceptDataPeers", DataHello{ClientID: 0, ShardID: 0, NumShards: 1, Dim: 1, Members: []int{0}}, func(ln *Listener) error {
+			_, err := AcceptDataPeers(ln, 1, time.Minute)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			dialSend := func(msg any) {
+				conn, err := Dial(ln.Addr().String())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				t.Cleanup(func() { conn.Close() })
+				if err := conn.Send(msg); err != nil {
+					t.Error(err)
+				}
+			}
+			dialSend(tc.hello)
+			if err := tc.collect(ln); err != nil {
+				t.Fatal(err)
+			}
+			dialSend(Rejoin{RunID: 7, Kind: RejoinClient})
+			next := make(chan any, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					next <- err
+					return
+				}
+				msg, err := recvHandshake(conn)
+				if err != nil {
+					next <- err
+					return
+				}
+				next <- msg
+			}()
+			select {
+			case got := <-next:
+				if rj, ok := got.(Rejoin); !ok || rj.RunID != 7 {
+					t.Fatalf("next connection opened with %v, want the Rejoin", got)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the connection after the quota never reached the listener's next Accept")
+			}
+		})
+	}
+}
+
 // TestRunServerPeersRejectsShardAsClient pins the role split.
 func TestRunServerPeersRejectsShardAsClient(t *testing.T) {
 	a, _ := NewMemPair()

@@ -73,8 +73,8 @@ type (
 		// synchronous), mirroring fl.Config.Staleness the way QuantBits
 		// mirrors its engine knob: the coordinator announces it here and
 		// in ShardAssign, and the client runs its one round loop W
-		// rounds deep (upload round m, then fetch and apply the
-		// broadcast of round m−W). Direct topology only.
+		// rounds deep (upload round m, then receive and apply the
+		// broadcast of round m−W).
 		Window int
 	}
 	// Upload is A_i: one client's top-k accumulated-gradient pairs for a
@@ -253,9 +253,17 @@ func DialDirectShard(coordAddr, ingestAddr string) (Conn, error) {
 }
 
 // Listener accepts binary-framed Conns on a TCP address — the
-// coordinator side of a multi-process deployment.
+// coordinator side of a multi-process deployment. Its one accept
+// goroutine hands each connection to exactly one taker (Accept, or
+// AcceptPeers and AcceptDataPeers while they collect), so no connection
+// goes to a reader that already returned.
 type Listener struct {
-	ln net.Listener
+	ln    net.Listener
+	conns chan Conn     // accepted, not yet taken
+	dead  chan struct{} // closed when the accept goroutine exits, with err
+	err   error
+	quit  chan struct{} // closed by Close
+	once  sync.Once
 }
 
 // Listen starts a TCP listener on addr (e.g. "127.0.0.1:0").
@@ -264,7 +272,25 @@ func Listen(addr string) (*Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &Listener{ln: ln}, nil
+	l := &Listener{ln: ln, conns: make(chan Conn), dead: make(chan struct{}), quit: make(chan struct{})}
+	go func() {
+		defer close(l.dead)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				l.err = fmt.Errorf("transport: accept: %w", err)
+				return
+			}
+			select {
+			case l.conns <- NewBinConn(conn):
+			case <-l.quit:
+				conn.Close()
+				l.err = fmt.Errorf("transport: accept: %w", net.ErrClosed)
+				return
+			}
+		}
+	}()
+	return l, nil
 }
 
 // Addr returns the bound address (useful with port 0).
@@ -272,15 +298,22 @@ func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 
 // Accept blocks for the next incoming connection.
 func (l *Listener) Accept() (Conn, error) {
-	conn, err := l.ln.Accept()
-	if err != nil {
-		return nil, fmt.Errorf("transport: accept: %w", err)
+	select {
+	case conn := <-l.conns:
+		return conn, nil
+	case <-l.dead:
+		return nil, l.err
 	}
-	return NewBinConn(conn), nil
 }
 
-// Close stops the listener (established Conns stay open).
-func (l *Listener) Close() error { return l.ln.Close() }
+// Close stops the listener and its accept goroutine (established Conns
+// stay open).
+func (l *Listener) Close() error {
+	l.once.Do(func() { close(l.quit) })
+	err := l.ln.Close()
+	<-l.dead
+	return err
+}
 
 // readDeadliner is the optional Conn facet that bounds blocking reads.
 // Both built-in conns implement it (memConn with a timer, binConn by

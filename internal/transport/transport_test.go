@@ -6,15 +6,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"strings"
 	"sync"
 	"testing"
 
-	"fedsparse/internal/core"
 	"fedsparse/internal/dataset"
 	"fedsparse/internal/fl"
-	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
 )
 
@@ -67,11 +64,9 @@ func buildWorkload() (*dataset.Federated, func() *nn.Network, []float64) {
 	return fed, model, ref.Params()
 }
 
-// runDistributed executes the protocol over the given connection factory
-// and returns the server records.
 // runServer classifies each connection's handshake with AcceptPeer and
 // runs the coordinator over the participants.
-func runServer(conns []Conn, cfg ServerConfig) ([]RoundRecord, error) {
+func runServer(conns []Conn, cfg ServerConfig) ([]fl.RoundEvent, error) {
 	peers := make([]Peer, len(conns))
 	for i, conn := range conns {
 		var err error
@@ -82,166 +77,27 @@ func runServer(conns []Conn, cfg ServerConfig) ([]RoundRecord, error) {
 	return RunServerPeers(peers, cfg)
 }
 
-func runDistributed(t testing.TB, fed *dataset.Federated, model func() *nn.Network,
-	initParams []float64, k, rounds, quantBits int, pair func() (server, client Conn)) []RoundRecord {
+// runRouted deploys spec on the routed plane over in-memory pairs;
+// wrap, if set, wraps each coordinator-side conn.
+func runRouted(t testing.TB, spec runSpec, wrap func(Conn) Conn) []fl.RoundEvent {
 	t.Helper()
-	n := fed.NumClients()
-	serverConns := make([]Conn, n)
-	clientConns := make([]Conn, n)
-	for i := range serverConns {
-		serverConns[i], clientConns[i] = pair()
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			errs[id] = RunClient(clientConns[id], ClientConfig{
-				ID:           id,
-				Data:         &fed.Clients[id],
-				Model:        model,
-				LearningRate: 0.1,
-				BatchSize:    8,
-				Seed:         fl.ClientSeed(5, id),
-			})
-		}(i)
-	}
-	records, err := runServer(serverConns, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams, QuantBits: quantBits})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	wg.Wait()
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", id, err)
-		}
-	}
-	return records
-}
-
-func TestDistributedMatchesReferenceEngine(t *testing.T) {
-	fed, model, initParams := buildWorkload()
-	const k, rounds = 40, 25
-
-	records := runDistributed(t, fed, model, initParams, k, rounds, 0,
-		func() (Conn, Conn) { return NewMemPair() })
-
-	// Reference: the in-process simulation engine with identical seeds.
-	ref, err := fl.Run(fl.Config{
-		Data:         fed,
-		Model:        model,
-		LearningRate: 0.1,
-		BatchSize:    8,
-		Rounds:       rounds,
-		Seed:         5,
-		Strategy:     &gs.FABTopK{},
-		Controller:   core.NewFixedK(k),
-		Beta:         10,
-	})
+	cfg, err := wireConfig(spec.config(0), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != len(ref.Stats) {
-		t.Fatalf("distributed ran %d rounds, reference %d", len(records), len(ref.Stats))
-	}
-	for i := range records {
-		if records[i].Loss != ref.Stats[i].Loss {
-			t.Fatalf("round %d: distributed loss %v != reference %v (trajectories must be bit-identical)",
-				i+1, records[i].Loss, ref.Stats[i].Loss)
-		}
-		if records[i].DownlinkElems != ref.Stats[i].DownlinkElems {
-			t.Fatalf("round %d: downlink %d != %d", i+1, records[i].DownlinkElems, ref.Stats[i].DownlinkElems)
-		}
-	}
-}
-
-// runDistributedTCP runs the routed protocol over real TCP sockets,
-// wrapping each side with the given codec constructor.
-func runDistributedTCP(t *testing.T, fed *dataset.Federated, model func() *nn.Network,
-	initParams []float64, k, rounds, quantBits int, codec func(net.Conn) Conn) []RoundRecord {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	net := memNet()
+	defer net.teardown()
+	events, err := deploy(t, net, cfg, layout{wrapCoord: wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	n := fed.NumClients()
-	accepted := make(chan Conn, n)
-	go func() {
-		for i := 0; i < n; i++ {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepted <- codec(c)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				errs[id] = err
-				return
-			}
-			defer conn.Close()
-			errs[id] = RunClient(codec(conn), ClientConfig{
-				ID:           id,
-				Data:         &fed.Clients[id],
-				Model:        model,
-				LearningRate: 0.1,
-				BatchSize:    8,
-				Seed:         fl.ClientSeed(5, id),
-			})
-		}(i)
-	}
-	serverConns := make([]Conn, n)
-	for i := 0; i < n; i++ {
-		serverConns[i] = <-accepted
-	}
-	records, err := runServer(serverConns, ServerConfig{K: k, Rounds: rounds, InitialParams: initParams, QuantBits: quantBits})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for id, e := range errs {
-		if e != nil {
-			t.Fatalf("client %d: %v", id, e)
-		}
-	}
-	return records
-}
-
-func TestDistributedOverTCP(t *testing.T) {
-	fed, model, initParams := buildWorkload()
-	const k, rounds = 40, 10
-
-	// The wire codec and the in-memory transport must produce the same
-	// trajectory bit-for-bit.
-	memRecords := runDistributed(t, fed, model, initParams, k, rounds, 0,
-		func() (Conn, Conn) { return NewMemPair() })
-	t.Run("binary", func(t *testing.T) {
-		records := runDistributedTCP(t, fed, model, initParams, k, rounds, 0, NewBinConn)
-		for i := range records {
-			if records[i].Loss != memRecords[i].Loss {
-				t.Fatalf("round %d: TCP loss %v != mem loss %v", i+1, records[i].Loss, memRecords[i].Loss)
-			}
-		}
-	})
+	return events
 }
 
 func TestDistributedLossDecreases(t *testing.T) {
-	fed, model, initParams := buildWorkload()
-	records := runDistributed(t, fed, model, initParams, 40, 60, 0,
-		func() (Conn, Conn) { return NewMemPair() })
-	first := records[0].Loss
-	last := records[len(records)-1].Loss
+	events := runRouted(t, runSpec{rounds: 60}, nil)
+	first := events[0].Loss
+	last := events[len(events)-1].Loss
 	if math.IsNaN(last) || last >= first {
 		t.Fatalf("distributed training did not learn: %v -> %v", first, last)
 	}

@@ -1,26 +1,27 @@
 package transport
 
-// Tests for the bounded-staleness window on the direct data plane. The
-// window is a pipeline depth on the lockstep loops, not a separate
-// tier: a client uploads round m before it fetches round m−W, and a
-// shard answers that fetch only after sealing round m. Nothing is ever
-// late, so what this file pins is that contract: a W-deep run is the
-// fl.Run twin with the same Staleness bit for bit (observer stream
-// included), a straggler paces the fleet without moving a bit, the
-// MaxStaleness cap cannot deadlock over TCP, and every order violation
-// on a shard link fails by name instead of wedging a barrier.
+// Tests for the bounded-staleness window on the wire. The window is a
+// pipeline depth on the lockstep loops, not a separate tier: a client
+// uploads round m before it receives round m−W, and a shard answers
+// that fetch only after sealing round m. Nothing is ever late, so a
+// W-deep run is the fl.Run twin with the same Staleness bit for bit on
+// either plane (TestSameSeedSameBytes's windowed rows). What this file
+// pins around that: a straggler paces the fleet without moving a bit,
+// the MaxStaleness cap cannot deadlock over TCP, and every order
+// violation on a shard link fails by name instead of wedging a barrier.
 
 import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"fedsparse/internal/core"
+	"fedsparse/internal/dataset"
 	"fedsparse/internal/fl"
 	"fedsparse/internal/gs"
+	"fedsparse/internal/nn"
 )
 
 // requireClean fails unless the coordinator, every client and every
@@ -42,57 +43,21 @@ func (h *directHarness) requireClean(t testing.TB) {
 	}
 }
 
-// windowTwin is the in-process twin of a W-deep wire run: the
-// harnesses' workload and seeds, FAB at fixed k, Staleness w and no
-// Delays.
-func windowTwin(t testing.TB, rounds, k, w, quantBits int) *fl.Result {
-	t.Helper()
-	fed, model, _ := buildWorkload()
-	ref, err := fl.Run(fl.Config{
-		Data:         fed,
-		Model:        model,
-		LearningRate: 0.1,
-		BatchSize:    8,
-		Rounds:       rounds,
-		Seed:         5,
-		Strategy:     &gs.FABTopK{},
-		Controller:   core.NewFixedK(float64(k)),
-		Beta:         10,
-		QuantBits:    quantBits,
-		Staleness:    w,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref
-}
-
-// TestWindowedDirectCompletes is the twin grid — window depth x shard
-// count x quantization: every W-deep deployment completes, its
-// per-round loss and downlink size equal fl.Run's with the same
-// Staleness bit for bit, and its observer stream reports the engine's
-// WindowDepth and StaleSlices round by round.
+// TestWindowedDirectCompletes runs the direct plane W rounds deep at
+// every window depth x shard count x quantization of the matrix's
+// windowed rows: every role completes every round. That each such run
+// equals fl.Run with the same Staleness is TestSameSeedSameBytes's
+// fab/q*/all/w1 and w2 rows.
 func TestWindowedDirectCompletes(t *testing.T) {
 	const rounds, k = 10, 40
 	for _, w := range []int{1, 2} {
 		for _, nShards := range []int{1, 2} {
 			for _, qb := range []int{0, 8} {
 				t.Run(fmt.Sprintf("w=%d/shards=%d/q=%d", w, nShards, qb), func(t *testing.T) {
-					events := &fl.Collector{}
-					cfg := ServerConfig{QuantBits: qb, Staleness: w, Observer: events}
-					h := runDirectHarness(t, rounds, k, nShards, cfg, nil, nil, nil, nil)
+					h := runDirectHarness(t, rounds, k, nShards, ServerConfig{QuantBits: qb, Staleness: w}, nil, nil, nil, nil)
 					h.requireClean(t)
-					ref := windowTwin(t, rounds, k, w, qb)
-					requireSameTrajectory(t, h.records, ref)
-					if len(events.Events) != len(ref.Stats) {
-						t.Fatalf("observer saw %d rounds, engine %d", len(events.Events), len(ref.Stats))
-					}
-					for i, ev := range events.Events {
-						want := ref.Stats[i]
-						if ev.WindowDepth != want.WindowDepth || ev.StaleSlices != want.StaleSlices {
-							t.Fatalf("round %d: WindowDepth/StaleSlices %d/%d, engine %d/%d",
-								ev.Round, ev.WindowDepth, ev.StaleSlices, want.WindowDepth, want.StaleSlices)
-						}
+					if len(h.records) != rounds {
+						t.Fatalf("ran %d rounds, want %d", len(h.records), rounds)
 					}
 				})
 			}
@@ -138,14 +103,10 @@ func TestWindowedStragglerCompletesBitExact(t *testing.T) {
 	slow.requireClean(t)
 	fast := runDirectHarness(t, stragglerRounds, stragglerK, stragglerShards, ServerConfig{Staleness: 1}, nil, nil, nil, nil)
 	fast.requireClean(t)
-	if len(slow.records) != stragglerRounds || len(fast.records) != stragglerRounds {
-		t.Fatalf("recorded %d (straggler) and %d (no fault) rounds, want %d", len(slow.records), len(fast.records), stragglerRounds)
+	if len(fast.records) != stragglerRounds {
+		t.Fatalf("recorded %d rounds, want %d", len(fast.records), stragglerRounds)
 	}
-	for i := range fast.records {
-		if slow.records[i] != fast.records[i] {
-			t.Fatalf("round %d: straggler run %+v, no-fault run %+v", i+1, slow.records[i], fast.records[i])
-		}
-	}
+	requireSameTrajectory(t, slow.records, fast.records)
 }
 
 // BenchmarkStragglerWallClock tracks the straggler scenario's
@@ -161,88 +122,53 @@ func BenchmarkStragglerWallClock(b *testing.B) {
 	}
 }
 
-// runTCPHarness is runDirectHarness over loopback TCP through the real
-// entry points: a listener classifying every peer (AcceptPeers), shards
-// accepting on their own ingest listeners (AcceptDataPeers), and clients
-// dialing the shard directory from Init.
-func runTCPHarness(t *testing.T, rounds, k, nShards int, cfg ServerConfig) *directHarness {
+// capRun deploys engine's run over loopback TCP at the window cap and
+// requires it to finish as fl.Run does, on the routed plane and the
+// direct one with two shards.
+func capRun(t *testing.T, engine fl.Config, w workload) {
 	t.Helper()
-	fed, model, initParams := buildWorkload()
-	n := fed.NumClients()
-	ln, err := Listen("127.0.0.1:0")
+	want := engineEvents(t, engine)
+	cfg, err := wireConfig(engine, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-	h := &directHarness{cliErrs: make([]error, n), shardErr: make([]error, nShards)}
-	var wg sync.WaitGroup
-	for s := 0; s < nShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			ingest, err := Listen("127.0.0.1:0")
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			net := tcpNet(t)
+			defer net.teardown()
+			got, err := deploy(t, net, cfg, layout{shards: shards, work: w})
 			if err != nil {
-				h.shardErr[s] = err
-				return
+				t.Fatal(err)
 			}
-			defer ingest.Close()
-			coord, err := DialDirectShard(addr, ingest.Addr().String())
-			if err != nil {
-				h.shardErr[s] = err
-				return
-			}
-			defer coord.Close()
-			h.shardErr[s] = RunDirectShard(coord, func(n int) ([]Peer, error) {
-				return AcceptDataPeers(ingest, n, time.Minute)
-			})
-		}(s)
+			requireSameTrajectory(t, got, want)
+		})
 	}
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			conn, err := Dial(addr)
-			if err != nil {
-				h.cliErrs[id] = err
-				return
-			}
-			defer conn.Close()
-			h.cliErrs[id] = RunClient(conn, ClientConfig{
-				ID:           id,
-				Data:         &fed.Clients[id],
-				Model:        model,
-				LearningRate: 0.1,
-				BatchSize:    8,
-				Seed:         fl.ClientSeed(5, id),
-			})
-		}(id)
-	}
-	clients, shards, err := AcceptPeers(ln, n, nShards, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.K, cfg.Rounds, cfg.InitialParams, cfg.Direct = k, rounds, initParams, true
-	cfg.ShardConns, cfg.ShardAddrs = SplitShardPeers(shards)
-	h.records, h.srvErr = RunServerPeers(clients, cfg)
-	for _, p := range append(clients, shards...) {
-		_ = p.Conn.Close()
-	}
-	wg.Wait()
-	return h
 }
 
 // TestWindowedCapOverTCP is the deadlock-freedom check for the cap: at
 // W = MaxStaleness, with every coordinate in every upload (k = D), a
-// client has MaxStaleness+1 full uploads and a fetch in flight on each
-// loopback socket before anything answers it — and the run still
-// completes as the fl.Run twin.
+// client has MaxStaleness+1 full uploads (and, direct, a fetch) in
+// flight on each loopback socket before anything answers it — and the
+// run still completes as the fl.Run twin.
 func TestWindowedCapOverTCP(t *testing.T) {
-	_, _, initParams := buildWorkload()
-	k, rounds := len(initParams), MaxStaleness+4
-	h := runTCPHarness(t, rounds, k, 2, ServerConfig{Staleness: MaxStaleness})
-	h.requireClean(t)
-	requireSameTrajectory(t, h.records, windowTwin(t, rounds, k, MaxStaleness, 0))
+	engine := runSpec{rounds: MaxStaleness + 4, staleness: MaxStaleness}.config(0)
+	engine.Controller = core.NewFixedK(float64(engine.Model().D()))
+	capRun(t, engine, testWorkload())
+}
+
+// TestRoutedWindowOutgrowsSocketBuffers is the same at a model of 163k
+// parameters: MaxStaleness+1 uploads of 2.6 MB each are more than a
+// loopback link buffers, so a routed coordinator that sent a broadcast
+// in line would wait on a client that is itself waiting to send it an
+// upload. Its outboxes (startOutboxes) are what let the run finish.
+func TestRoutedWindowOutgrowsSocketBuffers(t *testing.T) {
+	fed := dataset.GenerateFEMNIST(dataset.FEMNISTConfig{NumClients: 2, NumClasses: 62, Dim: 256,
+		SamplesPerClient: 20, ClassesPerClient: 5, TestSamples: 10, Noise: 0.4, Seed: 11})
+	model := func() *nn.Network { return nn.NewMLP(256, []int{512}, 62) }
+	engine := fl.Config{Data: fed, Model: model, LearningRate: 0.1, BatchSize: 8, Rounds: MaxStaleness + 2, Seed: 5,
+		Strategy: &gs.FABTopK{}, Controller: core.NewFixedK(float64(model().D())), Staleness: MaxStaleness}
+	capRun(t, engine, workload{members: 2, data: func(member int) *dataset.Dataset { return &fed.Clients[member] },
+		model: model, batch: 8})
 }
 
 // TestWindowedShardRejectsMalformed covers a W-deep shard's ingest
@@ -376,8 +302,8 @@ func TestWindowedRogueSliceFailsRunWithoutWedging(t *testing.T) {
 }
 
 // TestStalenessConfigValidation pins the configuration boundary: the
-// window is a direct-plane coordinator feature, with a hard cap, and
-// every other tier refuses it loudly.
+// window runs on either plane up to a hard cap, the durable coordinator
+// refuses it loudly, and a client refuses an Init it cannot run.
 func TestStalenessConfigValidation(t *testing.T) {
 	peerOf := func() []Peer {
 		a, _ := NewMemPair()
@@ -399,10 +325,10 @@ func TestStalenessConfigValidation(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
-	t.Run("routed coordinator refuses a window", func(t *testing.T) {
+	t.Run("routed coordinator accepts a window", func(t *testing.T) {
 		cfg := base
-		cfg.Staleness = 1
-		if _, err := RunServerPeers(peerOf(), cfg); err == nil || !strings.Contains(err.Error(), "direct data plane") {
+		cfg.Staleness = MaxStaleness
+		if err := cfg.check(1); err != nil {
 			t.Fatalf("err = %v", err)
 		}
 	})

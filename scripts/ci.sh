@@ -51,23 +51,30 @@ go test -count=1 -tags purego ./internal/tensor ./internal/nn ./internal/sparse 
 # through its own links, so they must hold at real parallelism.
 go test -count=1 -cpu 1,2,4 ./internal/transport
 # The staleness window is the lockstep loops run W rounds deep, so a
-# W >= 1 run is a pure function of the seeds: its twin grid, straggler,
-# cap and ingest-order suites run repeatedly under the race detector at
-# several GOMAXPROCS, where a scheduling dependence would show. One
-# shard loop serves all four shard tiers (lockstep, windowed, durable,
-# population), so their hostile-input tables, the shard kill + fresh
-# rejoin and the durable ingest desk ride along; and one participant
-# loop serves the client and the virtual host, so the population twins,
-# the mux and the hostile cohort table ride along too. The wire clients
-# run the engine's own participant step (fl.Step), so the engine twins
-# (MatchesReferenceEngine, QuantizedTrajectoryGrid) are what prove the
-# two callers agree: they ride along as well. So do the handshake
-# readers, each running its accepted connections on their own
-# goroutines: the classifying accept loops, the rejoin desk, and the
-# hostile-hello table over every reader of Hello and DataHello. Every
-# coordinator tier enters through RunServerPeers, so its one refusal
-# table, the hostile hellos and the bad-log resume refusals ride along.
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Population(FullCohort|Sampled|Churn)|Mux|Cohort|MatchesReferenceEngine|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog' ./internal/transport
+# W >= 1 run is a pure function of the seeds: its straggler, cap and
+# ingest-order suites run repeatedly under the race detector at several
+# GOMAXPROCS, where a scheduling dependence would show. One shard loop
+# serves all four shard tiers (lockstep, windowed, durable, population),
+# so their hostile-input tables, the shard kill + fresh rejoin and the
+# durable ingest desk ride along; and one participant loop serves the
+# client and the virtual host, so the mux and the hostile cohort table
+# ride along too. So do the handshake readers, each running its
+# accepted connections on their own goroutines: the classifying accept
+# loops, the rejoin desk, and the hostile-hello table over every reader
+# of Hello and DataHello. Every coordinator tier enters through
+# RunServerPeers, so its one refusal table, the hostile hellos and the
+# bad-log resume refusals ride along.
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Mux|Cohort|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog' ./internal/transport
+# The wire clients run the engine's own participant step (fl.Step) and
+# every coordinator the engine's server step (fl.Server), so what proves
+# the callers agree is the "same seed, same bytes" matrix
+# (TestSameSeedSameBytes): every run spec against the engine at Workers 2
+# and every wire deployment — routed and direct, over memory and TCP,
+# the population roster, the durable coordinator killed and resumed —
+# each cell the engine's round events bit for bit or its committed
+# refusal in testdata/matrix_refused.txt. It runs repeatedly under the
+# race detector at several GOMAXPROCS.
+go test -race -count=20 -cpu 1,2,4 -run 'SameSeedSameBytes' ./internal/transport
 # The participant step's and the server step's contracts, the step's
 # per-worker scratch and the engine's contention grids, repeated under
 # the race detector.
@@ -76,8 +83,9 @@ go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention|ServerCon
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
 # shard kill + fresh rejoin, seeded FaultConn modes, halt/resume, and
-# the population tier's churn/dropout rounds) are actually exercised
-# rather than replayed from the test cache.
+# the engine's churn schedules; the population tier's churn/dropout
+# rounds are the matrix's fab/churn+dropout row above) are actually
+# exercised rather than replayed from the test cache.
 go test -race -count=1 \
   -run 'Crash|Rejoin|Resume|Retry|Fault|Flaky|Durable|Halt|Deadline|Torn|Corrupt|Churn' \
   ./internal/wal/... ./internal/transport/... ./internal/fl/... ./cmd/flsim/...
