@@ -94,6 +94,26 @@ func runRouted(t testing.TB, spec runSpec, wrap func(Conn) Conn) []fl.RoundEvent
 	return events
 }
 
+// TestDistributedOverTCP holds the binary TCP codec to the in-memory
+// transport: the same routed run over either gives the same trajectory.
+func TestDistributedOverTCP(t *testing.T) {
+	spec := runSpec{rounds: 10}
+	memEvents := runRouted(t, spec, nil)
+	t.Run("binary", func(t *testing.T) {
+		cfg, err := wireConfig(spec.config(0), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := tcpNet(t)
+		defer net.teardown()
+		events, err := deploy(t, net, cfg, layout{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTrajectory(t, events, memEvents)
+	})
+}
+
 func TestDistributedLossDecreases(t *testing.T) {
 	events := runRouted(t, runSpec{rounds: 60}, nil)
 	first := events[0].Loss
