@@ -103,11 +103,11 @@ func TestEngineGoldenTrajectories(t *testing.T) {
 		{"staleness=0/zero-delays", func(c *Config) { c.Delays = zeroDelays }, 0xf31664fbd8b4187a},
 		{"staleness=1/delays", func(c *Config) { c.Staleness, c.Delays = 1, goldenDelays }, 0xc9aa6fa66255d670},
 		{"staleness=2/delays", func(c *Config) { c.Staleness, c.Delays = 2, goldenDelays }, 0xed6474df57c75fec},
-		{"staleness=1/periodic+quant", func(c *Config) {
+		{"staleness=1/periodic+quant+delays", func(c *Config) {
 			c.Strategy, c.QuantBits = gs.PeriodicK{}, 8
 			c.Staleness, c.Delays = 1, goldenDelays
 		}, 0xe50ccac2e8a49204},
-		{"staleness=2/sendall", func(c *Config) {
+		{"staleness=2/sendall+delays", func(c *Config) {
 			c.Strategy = gs.SendAll{}
 			c.Staleness, c.Delays = 2, goldenDelays
 		}, 0xc414e1edbd928faa},
@@ -115,6 +115,20 @@ func TestEngineGoldenTrajectories(t *testing.T) {
 			adaptive(c)
 			c.Staleness, c.Delays, c.Participation = 1, goldenDelays, 0.75
 		}, 0x72d752af4cdb9ff0},
+		// The same windows with every upload on time — the pipeline depth
+		// alone, as every wire deployment runs it. These hashes were taken
+		// later than the rows above, at the engine that still had the
+		// Delays lateness model.
+		{"staleness=1", func(c *Config) { c.Staleness = 1 }, 0x8f18f8e7deaf7757},
+		{"staleness=2", func(c *Config) { c.Staleness = 2 }, 0xed6474df57c75fec},
+		{"staleness=1/periodic+quant", func(c *Config) {
+			c.Strategy, c.QuantBits, c.Staleness = gs.PeriodicK{}, 8, 1
+		}, 0x3c781419cfe63405},
+		{"staleness=2/sendall", func(c *Config) { c.Strategy, c.Staleness = gs.SendAll{}, 2 }, 0xc414e1edbd928faa},
+		{"staleness=1/adaptive+cohort=6", func(c *Config) {
+			adaptive(c)
+			c.Staleness, c.Cohort = 1, 6
+		}, 0x7581856183a836f3},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{0, 4} {
