@@ -141,21 +141,18 @@
 // # Bounded staleness (asynchronous rounds)
 //
 // Config.Staleness (the window W) is the depth of the engine's round
-// pipeline: clients compute up to W rounds ahead of the seal. Under a
-// Config.Delays schedule an upload at most W rounds late is still
-// admitted into its round's aggregation, a later one folds back into
-// the sender's error-feedback residual and rides the next admitted
-// upload. ServerConfig.Staleness deploys the same pipeline over the
-// wire on the direct data plane: clients and shards run their lockstep
+// pipeline: clients compute up to W rounds ahead of the seal, against
+// the weights of the last sealed round, and every upload joins its own
+// round's seal. ServerConfig.Staleness deploys the same pipeline over
+// the wire on either data plane: clients and shards run their lockstep
 // round loops W rounds deep — a client uploads round m before it
 // fetches round m−W's broadcast, and a shard answers that fetch only
 // after sealing round m, so no client gets more than W rounds ahead of
-// the slowest. Nothing arrives late on the wire, so a W-deep
-// deployment reproduces fl.Run with the same Staleness and no Delays
-// bit for bit, and a slow client paces the fleet with W rounds of
-// slack. W = 0 (the default) is lockstep — the same pipeline at depth
-// one; W >= 1 is deterministic given the same delay schedule; the wire
-// caps W at MaxStaleness. Staleness is GS-only, composes with Cohort/
+// the slowest. A W-deep deployment reproduces fl.Run with the same
+// Staleness bit for bit, and a slow client paces the fleet with W
+// rounds of slack. W = 0 (the default) is lockstep — the same pipeline
+// at depth one; every W is deterministic; the engine and the wire both
+// cap W at MaxStaleness. Staleness is GS-only, composes with Cohort/
 // Churn/Dropout in the engine, and is incompatible with the WAL.
 // See README.md ("Asynchronous rounds and bounded staleness").
 //
@@ -163,11 +160,11 @@
 //
 // Config.Cohort, Config.Churn, and Config.Dropout scale the engine's
 // participation model from "every connected client, every round" to a
-// sampled cohort drawn from a changing population: Cohort draws exactly
-// that many members per round with the engine's Fisher–Yates (rng-
-// sequence-compatible with Participation, so Cohort = N is bit-identical
-// to the plain engine), Churn applies per-round join/leave schedules to
-// the drawable population, and Dropout removes drawn members that miss
+// sampled cohort drawn from a changing population: Cohort, the one
+// sampling knob, draws exactly that many members per round with the
+// engine's Fisher–Yates (0 or N draws everyone and consumes no rng, so
+// it is the plain engine), Churn applies per-round join/leave schedules
+// to the drawable population, and Dropout removes drawn members that miss
 // the round's deadline — after the draw, consuming no rng. Over the
 // wire, the tier scales the connection fabric too: RunVirtualHost
 // simulates a whole member roster over ONE physical connection to the
@@ -501,10 +498,10 @@ var (
 	WALRunID = wal.RunID
 )
 
-// MaxStaleness caps ServerConfig.Staleness: a W-deep client has W+2
-// messages in flight per shard link before any answer, and the cap
-// keeps them inside the in-memory conn's buffer.
-const MaxStaleness = transport.MaxStaleness
+// MaxStaleness caps Config.Staleness and ServerConfig.Staleness alike:
+// a W-deep client has W+2 messages in flight per shard link before any
+// answer, and the cap keeps them inside the in-memory conn's buffer.
+const MaxStaleness = fl.MaxStaleness
 
 // Transport constructors and drivers.
 var (

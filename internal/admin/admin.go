@@ -262,8 +262,6 @@ type roundJSON struct {
 	ShardReduceSeconds []float64 `json:"shard_reduce_seconds,omitempty"`
 	WALAppends         uint64    `json:"wal_appends,omitempty"`
 	WALSnapshots       uint64    `json:"wal_snapshots,omitempty"`
-	StaleSlices        int       `json:"stale_slices,omitempty"`
-	ResidualNorm       *float64  `json:"residual_fold_norm,omitempty"`
 	WindowDepth        int       `json:"window_depth,omitempty"`
 }
 
@@ -295,8 +293,6 @@ func toRoundJSON(ev fl.RoundEvent) roundJSON {
 		ShardReduceSeconds: ev.ShardReduceSeconds,
 		WALAppends:         ev.WALAppends,
 		WALSnapshots:       ev.WALSnapshots,
-		StaleSlices:        ev.StaleSlices,
-		ResidualNorm:       finitePtr(ev.ResidualNorm),
 		WindowDepth:        ev.WindowDepth,
 	}
 }
@@ -373,14 +369,10 @@ func (s *Server) metricsSnapshot() string {
 		gauge("fedsparse_downlink_elems", "Gradient elements broadcast on the downlink in the last round.", float64(ev.DownlinkElems))
 		gauge("fedsparse_participants", "Clients that participated in the last round.", float64(ev.Participants))
 		gauge("fedsparse_population", "Drawable population after churn in the last round.", float64(ev.Population))
-		gauge("fedsparse_cohort_size", "Clients the participation draw selected in the last round, before deadline dropouts.", float64(ev.CohortSize))
+		gauge("fedsparse_cohort_size", "Clients the cohort draw selected in the last round, before deadline dropouts.", float64(ev.CohortSize))
 		counter("fedsparse_churn_events", "Cumulative population membership changes (joins plus leaves).", float64(s.churnEvents))
 		gauge("fedsparse_round_bytes_up", "Uplink wire bytes received by the server in the last round.", float64(ev.BytesUp))
 		gauge("fedsparse_round_bytes_down", "Downlink wire bytes sent by the server in the last round.", float64(ev.BytesDown))
-		gauge("fedsparse_stale_slices", "Contributions that missed the last round's seal and were folded back into client residuals.", float64(ev.StaleSlices))
-		// NaN when the publisher cannot observe the folded payloads (the
-		// transport coordinator); writeMetric omits the family then.
-		gauge("fedsparse_residual_fold_norm", "L2 norm of the upload mass folded back into residuals in the last round.", ev.ResidualNorm)
 		gauge("fedsparse_window_depth", "Bounded-staleness pipeline depth realized in the last round (0 = synchronous).", float64(ev.WindowDepth))
 		if len(ev.ShardReduceSeconds) > 0 {
 			fmt.Fprintf(&b, "# HELP fedsparse_shard_reduce_seconds Time the last round spent receiving each shard's partial reduction.\n")

@@ -47,8 +47,7 @@ func event(round int, bytesUp, bytesDown uint64) fl.RoundEvent {
 		Round: round, K: 40, KCont: 40, Loss: 1.5 / float64(round),
 		RoundTime: 2, Time: 2 * float64(round), DownlinkElems: 80, Participants: 4,
 		TestAcc: math.NaN(), TestLoss: math.NaN(), TrainLoss: math.NaN(),
-		ResidualNorm: math.NaN(),
-		BytesUp:      bytesUp, BytesDown: bytesDown,
+		BytesUp: bytesUp, BytesDown: bytesDown,
 		ShardReduceSeconds: []float64{0.001, 0.002},
 	}
 }
@@ -162,14 +161,8 @@ func TestMetrics(t *testing.T) {
 		if _, ok := samples[`fedsparse_shard_reduce_seconds{shard="1"}`]; !ok {
 			t.Fatal("missing per-shard reduce time series")
 		}
-		// A transport event cannot observe the folded payload mass: the
-		// NaN must omit the family, never serialize.
-		if _, ok := samples["fedsparse_residual_fold_norm"]; ok {
-			t.Fatal("residual_fold_norm exposed from a NaN (unobservable) event")
-		}
-		if samples["fedsparse_stale_slices"] != "0" || samples["fedsparse_window_depth"] != "0" {
-			t.Fatalf("staleness gauges = %q/%q for a synchronous event",
-				samples["fedsparse_stale_slices"], samples["fedsparse_window_depth"])
+		if samples["fedsparse_window_depth"] != "0" {
+			t.Fatalf("window_depth = %q for a synchronous event", samples["fedsparse_window_depth"])
 		}
 	}
 
@@ -194,27 +187,18 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// TestMetricsStaleness feeds an engine-style bounded-staleness event —
-// the engine can see the folded payloads, so ResidualNorm is finite —
-// and checks both surfaces: the fedsparse_* gauges and the /rounds
-// NDJSON keys.
+// TestMetricsStaleness feeds a bounded-staleness event and checks its
+// window depth on both surfaces: the fedsparse_window_depth gauge and
+// the /rounds NDJSON key.
 func TestMetricsStaleness(t *testing.T) {
 	s := startServer(t)
 	ev := event(1, 0, 0)
-	ev.StaleSlices = 3
-	ev.ResidualNorm = 0.25
 	ev.WindowDepth = 2
 	s.OnRoundStart(1)
 	s.OnRoundEnd(ev)
 
 	_, body := get(t, s, "/metrics")
 	samples := lintMetrics(t, body)
-	if samples["fedsparse_stale_slices"] != "3" {
-		t.Fatalf("stale_slices = %q", samples["fedsparse_stale_slices"])
-	}
-	if samples["fedsparse_residual_fold_norm"] != "0.25" {
-		t.Fatalf("residual_fold_norm = %q", samples["fedsparse_residual_fold_norm"])
-	}
 	if samples["fedsparse_window_depth"] != "2" {
 		t.Fatalf("window_depth = %q", samples["fedsparse_window_depth"])
 	}
@@ -224,8 +208,8 @@ func TestMetricsStaleness(t *testing.T) {
 	if err := json.Unmarshal([]byte(strings.TrimSpace(dump)), &row); err != nil {
 		t.Fatalf("/rounds: %v (%q)", err, dump)
 	}
-	if row["stale_slices"] != 3.0 || row["residual_fold_norm"] != 0.25 || row["window_depth"] != 2.0 {
-		t.Fatalf("/rounds staleness keys = %v/%v/%v", row["stale_slices"], row["residual_fold_norm"], row["window_depth"])
+	if row["window_depth"] != 2.0 {
+		t.Fatalf("/rounds window_depth = %v", row["window_depth"])
 	}
 }
 

@@ -9,15 +9,15 @@ import (
 	"fedsparse/internal/tensor"
 )
 
-// pickParticipantsInto is the Participation draw in its historical,
-// roster-free form: everyone when p is 0 or 1, otherwise ⌈p·N⌉ clients
+// pickParticipantsInto is the Cohort draw in its roster-free form:
+// everyone when cohort is 0 or at least n, otherwise cohort clients
 // uniformly without replacement (sorted). The round loop draws through
 // popState.drawInto — the same two steps over the active population;
 // this form is the one TestPickParticipantsSequenceCompat pins, output
 // and rng consumption, against the legacy rng.Perm(n)[:count]: the
 // anchor that keeps whole runs bit-identical to historical behavior.
-func pickParticipantsInto(dst, perm []int, p float64, n int, rng *rand.Rand) ([]int, []int) {
-	count, shuffle := participationCount(p, n)
+func pickParticipantsInto(dst, perm []int, cohort, n int, rng *rand.Rand) ([]int, []int) {
+	count, shuffle := (&popState{cohort: cohort}).drawCount(n)
 	return drawPositions(dst, perm, count, shuffle, n, rng)
 }
 
@@ -27,35 +27,28 @@ func pickParticipantsInto(dst, perm []int, p float64, n int, rng *rand.Rand) ([]
 // rng in the same state (the draw consumes exactly rand.Perm's n Intn
 // calls), so whole engine runs stay bit-identical to historical behavior.
 func TestPickParticipantsSequenceCompat(t *testing.T) {
-	legacy := func(p float64, n int, rng *rand.Rand) []int {
-		if p <= 0 || p >= 1 {
+	legacy := func(cohort, n int, rng *rand.Rand) []int {
+		if cohort <= 0 || cohort >= n {
 			out := make([]int, n)
 			for i := range out {
 				out[i] = i
 			}
 			return out
 		}
-		count := int(math.Ceil(p * float64(n)))
-		if count < 1 {
-			count = 1
-		}
-		if count > n {
-			count = n
-		}
-		perm := rng.Perm(n)[:count]
+		perm := rng.Perm(n)[:cohort]
 		sort.Ints(perm)
 		return perm
 	}
 	for seed := int64(0); seed < 50; seed++ {
 		metaRng := rand.New(rand.NewSource(seed + 100))
 		n := 1 + metaRng.Intn(40)
-		p := metaRng.Float64() * 1.2 // sometimes ≥ 1: the everyone path
+		cohort := metaRng.Intn(n + 3) // sometimes 0 or ≥ n: the everyone path
 		rngA := rand.New(rand.NewSource(seed))
 		rngB := rand.New(rand.NewSource(seed))
 		var dst, perm []int
 		for round := 0; round < 5; round++ {
-			want := legacy(p, n, rngA)
-			dst, perm = pickParticipantsInto(dst, perm, p, n, rngB)
+			want := legacy(cohort, n, rngA)
+			dst, perm = pickParticipantsInto(dst, perm, cohort, n, rngB)
 			if len(want) != len(dst) {
 				t.Fatalf("seed %d round %d: %d participants, want %d", seed, round, len(dst), len(want))
 			}

@@ -1,176 +1,112 @@
 package fl
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 )
 
-// zeroDelays is the all-on-time admission schedule: a run with it must
-// equal the run with no schedule at all — the W=0 differential fixture.
-func zeroDelays(int, int) int { return 0 }
-
-// TestAsyncWindowZeroBitIdenticalToSync: at W=0 an all-zero Delays
-// schedule (every upload runs the admit-or-fold step and is admitted)
-// is bit-identical to no schedule, across the full differential grid —
-// every GS strategy × Workers ∈ {0, 4}. Since the fold both runs share
-// one round body, so this pins the admission step as a no-op; the
-// absolute trajectories are pinned by TestEngineGoldenTrajectories.
-func TestAsyncWindowZeroBitIdenticalToSync(t *testing.T) {
-	for _, tc := range diffGrid() {
-		if strings.Contains(tc.name, "fedavg") {
-			continue // Staleness/Delays are GS-only (validated)
+// TestAsyncDeterministicUnderWindow pins the W ≥ 1 contract: given the
+// same seeds, two windowed runs are bit-identical at any worker count —
+// with a sampled cohort drawn W rounds ahead of its seal, so the engine
+// rng stream is part of what must not race.
+func TestAsyncDeterministicUnderWindow(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		mk := func(workers int) Config {
+			cfg := diffConfig()
+			cfg.Staleness, cfg.Cohort, cfg.Workers = w, 5, workers
+			return cfg
 		}
-		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{0, 4} {
-				syncCfg := diffConfig()
-				tc.mutate(&syncCfg)
-				syncCfg.Workers = workers
-				ref, err := Run(syncCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				asyncCfg := diffConfig()
-				tc.mutate(&asyncCfg) // fresh controller: controllers are stateful
-				asyncCfg.Workers = workers
-				asyncCfg.Delays = zeroDelays
-				got, err := Run(asyncCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, tc.name, ref, got)
-			}
-		})
-	}
-}
-
-// TestAsyncDeterministicUnderDelays pins the W ≥ 1 contract: given the
-// same seeds and the same delay schedule, two async runs are
-// bit-identical — the admission decisions are part of the trajectory,
-// not a race.
-func TestAsyncDeterministicUnderDelays(t *testing.T) {
-	mk := func(workers int) Config {
-		cfg := diffConfig()
-		cfg.Staleness = 1
-		cfg.Delays = func(client, round int) int {
-			if client == 2 && round%3 == 0 {
-				return 2 // misses even the relaxed window
-			}
-			if client == 5 {
-				return 1 // always admitted at W=1
-			}
-			return 0
-		}
-		cfg.Workers = workers
-		return cfg
-	}
-	ref, err := Run(mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 4} {
-		got, err := Run(mk(workers))
+		ref, err := Run(mk(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBitIdentical(t, "async-determinism", ref, got)
+		for _, workers := range []int{0, 4, 8} {
+			got, err := Run(mk(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, fmt.Sprintf("W=%d workers=%d", w, workers), ref, got)
+		}
 	}
 }
 
-// TestAsyncStaleAccounting checks the fold-back bookkeeping at W = 1:
-// rounds where a client misses the window report its slice as stale
-// with positive residual mass, on-time rounds report zero, and
-// WindowDepth reflects the realized pipeline overlap (W until the
-// drain, 0 at the last round).
+// TestAsyncStaleAccounting checks the window's bookkeeping: every round
+// reports the realized pipeline overlap as WindowDepth (W until the
+// drain, then one less per round down to 0 at the last), and training
+// still converges on W-rounds-old weights.
 func TestAsyncStaleAccounting(t *testing.T) {
-	cfg := diffConfig()
-	cfg.Staleness = 1
-	cfg.Participation = 0 // all 8 clients participate every round
-	cfg.Delays = func(client, round int) int {
-		if client == 3 && round%2 == 0 {
-			return 5
+	for _, w := range []int{1, 2} {
+		cfg := diffConfig()
+		cfg.Staleness = w
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return 0
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats) != cfg.Rounds {
-		t.Fatalf("got %d rounds, want %d", len(res.Stats), cfg.Rounds)
-	}
-	for _, st := range res.Stats {
-		wantDepth := 1
-		if st.Round == cfg.Rounds {
-			wantDepth = 0
+		if len(res.Stats) != cfg.Rounds {
+			t.Fatalf("W=%d: got %d rounds, want %d", w, len(res.Stats), cfg.Rounds)
 		}
-		if st.WindowDepth != wantDepth {
-			t.Fatalf("round %d: WindowDepth = %d, want %d", st.Round, st.WindowDepth, wantDepth)
-		}
-		if st.Round%2 == 0 {
-			if st.StaleSlices != 1 {
-				t.Fatalf("round %d: StaleSlices = %d, want 1", st.Round, st.StaleSlices)
-			}
-			if !(st.ResidualNorm > 0) {
-				t.Fatalf("round %d: ResidualNorm = %v, want > 0", st.Round, st.ResidualNorm)
-			}
-		} else {
-			if st.StaleSlices != 0 || st.ResidualNorm != 0 {
-				t.Fatalf("round %d: stale accounting %d/%v on an on-time round",
-					st.Round, st.StaleSlices, st.ResidualNorm)
+		for _, st := range res.Stats {
+			if want := min(w, cfg.Rounds-st.Round); st.WindowDepth != want {
+				t.Fatalf("W=%d round %d: WindowDepth = %d, want %d", w, st.Round, st.WindowDepth, want)
 			}
 		}
-	}
-	// The folded mass re-enters via error feedback: training still
-	// converges rather than silently dropping client 3's gradient.
-	first, last := res.Stats[0].Loss, res.Stats[len(res.Stats)-1].Loss
-	if !(last < first) {
-		t.Fatalf("loss did not decrease under staleness: %v -> %v", first, last)
+		first, last := res.Stats[0].Loss, res.Stats[len(res.Stats)-1].Loss
+		if !(last < first) {
+			t.Fatalf("W=%d: loss did not decrease under staleness: %v -> %v", w, first, last)
+		}
 	}
 }
 
-// TestAsyncCheckSyncHolds runs the async path with weight-sync checking
-// on: clients all apply the same broadcasts in the same order even
-// though their uploads were produced W rounds earlier.
+// TestAsyncCheckSyncHolds runs the windowed path with weight-sync
+// checking on: every replica applies the same broadcasts in the same
+// order even though their uploads were produced W rounds earlier.
 func TestAsyncCheckSyncHolds(t *testing.T) {
-	cfg := diffConfig()
-	cfg.Staleness = 2
-	cfg.Workers = 8
-	cfg.CheckSync = true
-	cfg.Delays = func(client, round int) int { return (client + round) % 4 }
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
+	for _, w := range []int{1, 2} {
+		cfg := diffConfig()
+		cfg.Staleness = w
+		cfg.Workers = 8
+		cfg.CheckSync = true
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("W=%d: %v", w, err)
+		}
 	}
 }
 
+// TestAsyncValidation is the window's refusal table: a Staleness outside
+// [0, MaxStaleness] fails with ErrStaleness — one beyond any ring the
+// engine could allocate included — and a window is GS-only and not
+// journaled.
 func TestAsyncValidation(t *testing.T) {
+	for _, w := range []int{-1, MaxStaleness + 1, 1 << 40} {
+		cfg := smallConfig()
+		cfg.Staleness = w
+		if _, err := Run(cfg); !errors.Is(err, ErrStaleness) {
+			t.Fatalf("Staleness = %d: error = %v, want ErrStaleness", w, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"fedavg", func(c *Config) {
+			c.Strategy, c.FedAvg, c.FedAvgKEquiv, c.Staleness = nil, true, 50, 1
+		}, "GS mode only"},
+		{"wal", func(c *Config) { c.Staleness, c.WALDir = 1, t.TempDir() }, "WALDir"},
+	} {
+		cfg := smallConfig()
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error = %v, want %q", tc.name, err, tc.want)
+		}
+	}
 	cfg := smallConfig()
-	cfg.Staleness = -1
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Staleness") {
-		t.Fatalf("negative Staleness not rejected: %v", err)
-	}
-
-	cfg = smallConfig()
-	cfg.Strategy = nil
-	cfg.FedAvg = true
-	cfg.FedAvgKEquiv = 50
-	cfg.Staleness = 1
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "GS mode only") {
-		t.Fatalf("FedAvg + Staleness not rejected: %v", err)
-	}
-
-	cfg = smallConfig()
-	cfg.Staleness = 1
-	cfg.WALDir = t.TempDir()
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "WALDir") {
-		t.Fatalf("Staleness + WALDir not rejected: %v", err)
-	}
-
-	cfg = smallConfig()
-	cfg.Delays = zeroDelays
-	cfg.WALDir = t.TempDir()
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "WALDir") {
-		t.Fatalf("Delays + WALDir not rejected: %v", err)
+	cfg.Rounds, cfg.Staleness = 2, MaxStaleness
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Staleness = MaxStaleness refused: %v", err)
 	}
 }
 

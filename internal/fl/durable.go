@@ -110,8 +110,9 @@ func sameStats(got, want *RoundEvent) error {
 // patterns, names by FNV hash). Workers is excluded — results are
 // bit-identical across it by construction, and a resumed run may
 // legitimately use a different fan-out. The constant 0 sits where the
-// removed Config.Direct was fingerprinted, so logs written with it unset
-// (every log the engine still has a reading for) resume byte-for-byte.
+// removed Config.Direct was fingerprinted, and Cohort where the removed
+// Config.Participation was, so logs written with both unset resume
+// byte-for-byte.
 func engineConf(cfg *Config, d, nClients int, ctrlName string) []int64 {
 	hash := func(s string) int64 {
 		h := fnv.New64a()
@@ -122,7 +123,7 @@ func engineConf(cfg *Config, d, nClients int, ctrlName string) []int64 {
 	return []int64{
 		int64(d), int64(cfg.Rounds), int64(cfg.BatchSize), int64(cfg.QuantBits),
 		int64(nClients), 0, int64(cfg.Staleness),
-		bits(cfg.LearningRate), bits(cfg.Participation), bits(cfg.Beta), bits(cfg.MaxTime),
+		bits(cfg.LearningRate), int64(cfg.Cohort), bits(cfg.Beta), bits(cfg.MaxTime),
 		int64(cfg.EvalEvery), int64(cfg.TrainLossEvery),
 		hash(cfg.Strategy.Name()), hash(ctrlName),
 	}

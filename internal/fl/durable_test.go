@@ -14,13 +14,13 @@ import (
 
 // durableConfig is smallConfig shrunk for the durability tests, with an
 // adaptive controller (so controller state is genuinely exercised),
-// participation (so the engine rng stream matters), and eval cadence
+// a sampled cohort (so the engine rng stream matters), and eval cadence
 // (so NaN and non-NaN metrics both round-trip the log).
 func durableConfig(dir string) Config {
 	cfg := smallConfig()
 	cfg.Rounds = 20
 	cfg.Controller = core.NewAdaptiveSignOGD(10, 32, 32, 1.5, 5, nil)
-	cfg.Participation = 0.6
+	cfg.Cohort = 5
 	cfg.EvalEvery = 7
 	cfg.WALDir = dir
 	cfg.SnapshotEvery = 4
@@ -234,5 +234,22 @@ func TestResumeRefusesDivergence(t *testing.T) {
 	cfg.Resume = true
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "divergent resume at round 6") {
 		t.Fatalf("tampered log resumed: %v", err)
+	}
+}
+
+// TestResumeRefusesDifferentCohort: the cohort size shapes every round's
+// draw, so it is part of the log's fingerprint — a run halted at a
+// snapshot round must not resume under another Cohort.
+func TestResumeRefusesDifferentCohort(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.Cohort, cfg.HaltAfter = 3, 8
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg = durableConfig(dir)
+	cfg.Cohort, cfg.Resume = 5, true
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("resume under a different Cohort: %v", err)
 	}
 }

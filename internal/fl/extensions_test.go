@@ -12,14 +12,14 @@ func TestParticipationSubsetSize(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		cfg := smallConfig()
 		cfg.Rounds = 30
-		cfg.Participation = 0.5
+		cfg.Cohort = 4
 		cfg.CheckSync = true // replicas must stay synchronized
 		cfg.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		want := 4 // ⌈0.5·8⌉
+		want := 4
 		for _, st := range res.Stats {
 			if st.Participants != want {
 				t.Fatalf("workers=%d round %d: %d participants, want %d", workers, st.Round, st.Participants, want)
@@ -45,7 +45,7 @@ func TestParticipationFullByDefault(t *testing.T) {
 func TestParticipationStillLearns(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 80
-	cfg.Participation = 0.5
+	cfg.Cohort = 4
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestParticipationStillLearns(t *testing.T) {
 func TestParticipationRotatesClients(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 40
-	cfg.Participation = 0.25 // 2 of 8 per round
+	cfg.Cohort = 2 // of 8 per round
 	cfg.RecordPerClient = true
 	res, err := Run(cfg)
 	if err != nil {
@@ -84,16 +84,8 @@ func TestParticipationRotatesClients(t *testing.T) {
 	}
 	for ci, ever := range everParticipated {
 		if !ever {
-			t.Fatalf("client %d never selected over 40 rounds at p=0.25", ci)
+			t.Fatalf("client %d never selected over 40 rounds at a cohort of 2", ci)
 		}
-	}
-}
-
-func TestParticipationValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Participation = 1.5
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Participation") {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -176,7 +168,7 @@ func TestAdaptiveControllerWithParticipationAndQuantization(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		cfg := smallConfig()
 		cfg.Rounds = 60
-		cfg.Participation = 0.75
+		cfg.Cohort = 6
 		cfg.QuantBits = 8
 		cfg.CheckSync = true
 		cfg.Workers = workers

@@ -97,24 +97,16 @@ type Config struct {
 	// per worker, so at Workers <= 1 there is nothing to compare.
 	CheckSync bool
 
-	// Participation selects ⌈p·N⌉ clients uniformly each round (0 or 1 =
-	// everyone). Non-participants still apply the broadcast, so weights
-	// stay synchronized — the client-selection extension from the
-	// paper's future-work list (Section VI).
-	Participation float64
-	// Cohort is the absolute form of Participation: draw exactly this
-	// many clients uniformly each round (0 = everyone). The draw is
-	// sequence-compatible with Participation's Fisher–Yates — Cohort=c
-	// consumes the same rng draws and selects the same clients as
-	// Participation=c/N, and Cohort=N consumes no rng at all, exactly
-	// like Participation=1 — so a cohort-sampled run is bit-identical
-	// to its Participation twin and a full-cohort run to the plain
-	// engine. This is the paper's partial-participation setting stated
-	// as the production-scale knob: a population of N clients of which
-	// only the cohort is materialized per round by the transport tier's
-	// population server. Mutually exclusive with Participation; GS mode
-	// only. Composes with Staleness: the draw happens in phase A, so a
-	// windowed run samples its cohort W rounds ahead of the seal.
+	// Cohort draws exactly this many clients uniformly each round (0 or
+	// the population size = everyone, with no rng consumed, so a
+	// full-cohort run is the plain engine). Non-participants still apply
+	// the broadcast, so weights stay synchronized — the client-selection
+	// extension from the paper's future-work list (Section VI), stated as
+	// the production-scale knob: a population of N clients of which only
+	// the cohort is materialized per round by the transport tier's
+	// population server. GS mode only. Composes with Staleness: the draw
+	// happens in phase A, so a windowed run samples its cohort W rounds
+	// ahead of the seal.
 	Cohort int
 	// Churn mutates the drawable population between rounds: called once
 	// at the top of each round, it returns the client IDs joining and
@@ -200,23 +192,25 @@ type Config struct {
 	// local gradients are computed while rounds m−W+1..m are still
 	// unsealed, so every phase A runs at the weights of the last sealed
 	// round W steps back — the in-process model of the transport tier's
-	// sliding-window shard barriers. Uploads that miss a round's seal
-	// cutoff (see Delays) are folded back into the client's
-	// error-feedback residual instead of being dropped. Composes with
-	// Cohort/Churn/Dropout and QuantBits. GS mode only;
-	// incompatible with WALDir (the in-flight ring is not snapshotted).
+	// windowed round loops. Every upload joins its own round's seal, so
+	// a run is deterministic at any W. Composes with Cohort/Churn/Dropout
+	// and QuantBits. At most MaxStaleness; GS mode only; incompatible
+	// with WALDir (the in-flight ring is not snapshotted).
 	Staleness int
-	// Delays models client lateness under the window: Delays(ci, m) is
-	// how many rounds late client ci's round-m upload arrives at its
-	// seal. An upload is admitted iff its delay is at most Staleness
-	// (so at Staleness 0 any positive delay misses); otherwise the
-	// aggregation sees a counted-but-empty contribution (the client's
-	// weight still divides the round) and the mass stays in the
-	// client's residual — re-extracted by the next top-k, so nothing is
-	// silently lost. nil means every upload is on time, the same run as
-	// an all-zero schedule. Runs are deterministic given the schedule.
-	Delays func(client, round int) int
 }
+
+// MaxStaleness caps Config.Staleness, and the wire deployments' window
+// with it, so the engine and every deployment accept one range. A
+// W-deep wire client sends W+1 uploads and one fetch down each shard
+// link before anything answers it, and its control link holds up to W+1
+// RoundMetas one way and W+1 RoundReleases the other; the cap keeps
+// those W+2 messages inside the transport's in-memory conn's 16-slot
+// buffer, so no Send can block on a peer that is itself waiting for
+// this client.
+const MaxStaleness = 8
+
+// ErrStaleness is Run's refusal of a Staleness outside [0, MaxStaleness].
+var ErrStaleness = fmt.Errorf("fl: Staleness must be in [0, %d] (0 = synchronous)", MaxStaleness)
 
 // Result is a completed training run. Stats is rebuilt from the run's
 // round-event stream by a built-in Collector (see observer.go), so it
@@ -366,14 +360,10 @@ func validate(cfg *Config) error {
 		return errors.New("fl: Strategy and FedAvg are mutually exclusive")
 	case cfg.FedAvg && cfg.FedAvgKEquiv <= 0:
 		return errors.New("fl: FedAvg mode requires FedAvgKEquiv > 0")
-	case cfg.Participation < 0 || cfg.Participation > 1:
-		return errors.New("fl: Participation must be in [0, 1]")
 	case cfg.Cohort < 0:
 		return errors.New("fl: Cohort must be non-negative (0 = everyone)")
 	case cfg.Cohort > 0 && cfg.Data != nil && cfg.Cohort > cfg.Data.NumClients():
 		return errors.New("fl: Cohort exceeds the client population")
-	case cfg.Cohort > 0 && cfg.Participation > 0 && cfg.Participation < 1:
-		return errors.New("fl: Cohort and Participation are mutually exclusive (Cohort is the absolute form of the same draw)")
 	case (cfg.Cohort > 0 || cfg.Churn != nil || cfg.Dropout != nil) && cfg.FedAvg:
 		return errors.New("fl: Cohort/Churn/Dropout apply to GS mode only")
 	case (cfg.Churn != nil || cfg.Dropout != nil) && cfg.WALDir != "":
@@ -382,12 +372,12 @@ func validate(cfg *Config) error {
 		return errors.New("fl: QuantBits must be 0 (off) or in [2, 64]")
 	case cfg.Workers < 0:
 		return errors.New("fl: Workers must be non-negative (0 = sequential)")
-	case cfg.Staleness < 0:
-		return errors.New("fl: Staleness must be non-negative (0 = synchronous)")
-	case (cfg.Staleness > 0 || cfg.Delays != nil) && cfg.FedAvg:
-		return errors.New("fl: Staleness/Delays apply to GS mode only (FedAvg has no per-round upload to admit)")
-	case (cfg.Staleness > 0 || cfg.Delays != nil) && cfg.WALDir != "":
-		return errors.New("fl: Staleness/Delays are incompatible with WALDir (the admission schedule is a function value and cannot be fingerprinted into the log)")
+	case cfg.Staleness < 0 || cfg.Staleness > MaxStaleness:
+		return ErrStaleness
+	case cfg.Staleness > 0 && cfg.FedAvg:
+		return errors.New("fl: Staleness applies to GS mode only (FedAvg has no per-round upload to pipeline)")
+	case cfg.Staleness > 0 && cfg.WALDir != "":
+		return errors.New("fl: Staleness is incompatible with WALDir (the in-flight ring is not snapshotted)")
 	case cfg.SnapshotEvery < 0 || cfg.HaltAfter < 0:
 		return errors.New("fl: SnapshotEvery and HaltAfter must be non-negative")
 	case cfg.WALDir == "" && (cfg.Resume || cfg.SnapshotEvery > 0 || cfg.HaltAfter > 0):
@@ -398,17 +388,6 @@ func validate(cfg *Config) error {
 		return errors.New("fl: WALDir and RecordPerClient are incompatible (per-client counts are not logged, so a resumed run could not reproduce them)")
 	}
 	return cfg.Data.Validate()
-}
-
-// participationCount is how many of n clients Participation p selects
-// — ⌈p·n⌉ clamped to [1, n] — and whether picking them takes a shuffle:
-// 0 and 1 mean everyone and draw nothing, while a p in (0, 1) always
-// shuffles, even when ⌈p·n⌉ = n, because rng.Perm(n)[:count] did.
-func participationCount(p float64, n int) (count int, shuffle bool) {
-	if p <= 0 || p >= 1 {
-		return n, false
-	}
-	return min(max(int(math.Ceil(p*float64(n))), 1), n), true
 }
 
 // drawPositions is the core of every participant draw: count of the n

@@ -13,27 +13,29 @@ import (
 
 func TestPickParticipantsFullCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, p := range []float64{0, 1} {
-		got, _ := pickParticipantsInto(nil, nil, p, 7, rng)
+	for _, cohort := range []int{0, 7, 9} {
+		got, _ := pickParticipantsInto(nil, nil, cohort, 7, rng)
 		if len(got) != 7 {
-			t.Fatalf("p=%v: %d participants, want 7", p, len(got))
+			t.Fatalf("cohort=%d: %d participants, want 7", cohort, len(got))
 		}
 		for i, ci := range got {
 			if ci != i {
-				t.Fatalf("p=%v: participants %v not identity", p, got)
+				t.Fatalf("cohort=%d: participants %v not identity", cohort, got)
 			}
 		}
+	}
+	if rng.Int63() != rand.New(rand.NewSource(1)).Int63() {
+		t.Fatal("drawing everyone consumed rng")
 	}
 }
 
 func TestPickParticipantsProperty(t *testing.T) {
-	f := func(seed int64, pRaw, nRaw uint8) bool {
+	f := func(seed int64, cRaw, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + int(nRaw)%20
-		p := float64(pRaw%99+1) / 100 // (0, 1)
-		got, _ := pickParticipantsInto(nil, nil, p, n, rng)
-		want := int(math.Ceil(p * float64(n)))
-		if len(got) != want {
+		n := 2 + int(nRaw)%19
+		cohort := 1 + int(cRaw)%(n-1) // [1, n)
+		got, _ := pickParticipantsInto(nil, nil, cohort, n, rng)
+		if len(got) != cohort {
 			return false
 		}
 		if !sort.IntsAreSorted(got) {

@@ -27,11 +27,11 @@ type RoundEvent struct {
 	Participants int
 	// Population is how many clients were drawable when this round's
 	// cohort was drawn — the active population after churn (the full
-	// client count when churn is off), at any Staleness. Zero from
-	// publishers without a roster: FedAvg, and the transport tiers
-	// other than the population server.
+	// client count when churn is off), at any Staleness. The transport
+	// coordinators without a drawn roster report their participant
+	// count; FedAvg, which has no roster, reports zero.
 	Population int
-	// CohortSize is how many clients the participation draw selected
+	// CohortSize is how many clients the cohort draw selected
 	// this round, before deadline dropouts removed any. Equal to
 	// Participants when no Dropout schedule is set.
 	CohortSize int
@@ -45,15 +45,6 @@ type RoundEvent struct {
 	// PerClientUsed is |J ∩ J_i| per client (nil unless recorded).
 	PerClientUsed []int
 
-	// StaleSlices counts the contributions that missed this round's seal
-	// cutoff in a bounded-staleness run and were folded back into their
-	// clients' error-feedback residuals (0 when synchronous).
-	StaleSlices int
-	// ResidualNorm is the l2 norm of the folded-back upload mass — the
-	// gradient weight re-entering the residual accumulators this round.
-	// 0 when nothing was folded; NaN when the publisher cannot see the
-	// payloads (the transport coordinator, which only counts misses).
-	ResidualNorm float64
 	// WindowDepth is how many later rounds had already entered phase-A
 	// compute when this round sealed — the realized pipeline overlap
 	// (0 when synchronous).

@@ -24,13 +24,13 @@ func diffGrid() []gridCase {
 	return []gridCase{
 		{"fab", func(c *Config) {}},
 		{"fab+part+quant", func(c *Config) {
-			c.Participation = 0.5
+			c.Cohort = 4
 			c.QuantBits = 8
 		}},
 		{"fab+adaptive", func(c *Config) {
 			d := c.Model().D()
 			c.Controller = core.NewAdaptiveSignOGD(10, float64(d), float64(d), 1.5, 5, nil)
-			c.Participation = 0.75
+			c.Cohort = 6
 		}},
 		{"fub+quant", func(c *Config) {
 			c.Strategy = gs.FUBTopK{}
@@ -38,12 +38,12 @@ func diffGrid() []gridCase {
 		}},
 		{"uni+part", func(c *Config) {
 			c.Strategy = gs.UniTopK{}
-			c.Participation = 0.5
+			c.Cohort = 4
 		}},
 		{"periodic", func(c *Config) { c.Strategy = gs.PeriodicK{} }},
 		{"sendall+part", func(c *Config) {
 			c.Strategy = gs.SendAll{}
-			c.Participation = 0.5
+			c.Cohort = 4
 		}},
 		{"fedavg", func(c *Config) {
 			c.Strategy = nil
@@ -77,15 +77,14 @@ func requireBitIdentical(t *testing.T, label string, want, got *Result) {
 	for i := range want.Stats {
 		a, b := want.Stats[i], got.Stats[i]
 		if a.Round != b.Round || a.K != b.K || a.DownlinkElems != b.DownlinkElems ||
-			a.Participants != b.Participants || a.StaleSlices != b.StaleSlices ||
-			a.WindowDepth != b.WindowDepth || a.Population != b.Population ||
-			a.CohortSize != b.CohortSize || a.ChurnEvents != b.ChurnEvents {
+			a.Participants != b.Participants || a.WindowDepth != b.WindowDepth ||
+			a.Population != b.Population || a.CohortSize != b.CohortSize || a.ChurnEvents != b.ChurnEvents {
 			t.Fatalf("%s round %d: int fields diverged: %+v vs %+v", label, a.Round, a, b)
 		}
 		floats := [][2]float64{
 			{a.KCont, b.KCont}, {a.RoundTime, b.RoundTime}, {a.Time, b.Time},
 			{a.Loss, b.Loss}, {a.TestAcc, b.TestAcc}, {a.TestLoss, b.TestLoss},
-			{a.TrainLoss, b.TrainLoss}, {a.ResidualNorm, b.ResidualNorm},
+			{a.TrainLoss, b.TrainLoss},
 		}
 		for fi, p := range floats {
 			if bits(p[0]) != bits(p[1]) {
@@ -147,7 +146,7 @@ func TestParallelBitIdenticalToSequential(t *testing.T) {
 func TestParallelEngineUnderContention(t *testing.T) {
 	gsCfg := diffConfig()
 	gsCfg.Rounds = 5
-	gsCfg.Participation = 0.3 // 3 participants out of 8
+	gsCfg.Cohort = 3 // of 8
 	gsCfg.Workers = 16
 	gsCfg.CheckSync = true
 	d := gsCfg.Model().D()

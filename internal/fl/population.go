@@ -1,15 +1,11 @@
 // The GS engine's roster: the active-set bookkeeping behind
-// Config.Participation, Config.Cohort, Config.Churn, and Config.Dropout.
-// Every run has one popState and every round's participants come from
-// its draw, in phase A, at any Staleness. The engine's historical
-// behavior — everyone drawable, Participation as the only sampling knob
-// — is this roster with everyone active and nil schedules: the draw is
-// the legacy rng.Perm(n)[:count] sequence (pinned through the tests'
-// pickParticipantsInto), and it consumes no rng when nothing is
-// sampled, so cohort-sampled runs are bit-identical to their
-// Participation twins and full-cohort runs to the plain engine. The transport package's
-// population server mirrors exactly this logic over the wire — see
-// internal/transport/population.go.
+// Config.Cohort, Config.Churn, and Config.Dropout. Every run has one
+// popState and every round's participants come from its draw, in phase
+// A, at any Staleness. The draw is the legacy rng.Perm(n)[:count]
+// sequence (pinned through the tests' pickParticipantsInto), and it
+// consumes no rng when nothing is sampled, so full-cohort runs are the
+// plain engine. The transport package's population server mirrors
+// exactly this logic over the wire — see internal/transport/population.go.
 package fl
 
 import (
@@ -22,7 +18,6 @@ import (
 // allocated once per run.
 type popState struct {
 	cohort  int
-	p       float64
 	churn   func(round int) (join, leave []int)
 	dropout func(client, round int) bool
 
@@ -32,11 +27,10 @@ type popState struct {
 }
 
 // newPopState builds the roster with everyone active; with no population
-// knob set it stays that way and draws exactly as Participation says.
+// knob set it stays that way and draws everyone.
 func newPopState(cfg *Config, nClients int) *popState {
 	ps := &popState{
 		cohort:    cfg.Cohort,
-		p:         cfg.Participation,
 		churn:     cfg.Churn,
 		dropout:   cfg.Dropout,
 		active:    make([]int, nClients),
@@ -91,21 +85,19 @@ func (ps *popState) applyChurn(round int) (int, error) {
 	return len(join) + len(leave), nil
 }
 
-// drawCount is the cohort size for a drawable population of n — Cohort
-// clamped to n when set, else what Participation says — and whether
-// picking it takes a shuffle: a cohort covering the population does not.
+// drawCount is the cohort size for a drawable population of n and
+// whether picking it takes a shuffle: a Cohort in (0, n) shuffles,
+// anything else is everyone and draws nothing.
 func (ps *popState) drawCount(n int) (count int, shuffle bool) {
-	if ps.cohort > 0 {
-		return min(ps.cohort, n), ps.cohort < n
+	if 0 < ps.cohort && ps.cohort < n {
+		return ps.cohort, true
 	}
-	return participationCount(ps.p, n)
+	return n, false
 }
 
 // drawInto draws the round's cohort from the active population into dst
-// (sorted client IDs): the position draw every sampling knob shares, so
-// with everyone active the output AND the rng stream are those of the
-// historical Participation draw — zero draws when nothing is sampled,
-// one Fisher–Yates over the active count otherwise.
+// (sorted client IDs): zero rng draws when nothing is sampled, one
+// Fisher–Yates over the active count otherwise.
 func (ps *popState) drawInto(dst []int, rng *rand.Rand) []int {
 	n := len(ps.active)
 	count, shuffle := ps.drawCount(n)

@@ -8,9 +8,8 @@ import (
 )
 
 // TestCohortEqualsPopulationBitIdenticalToPlain: a run with Cohort = N
-// samples nothing, so the roster draw consumes zero rng — exactly like
-// full Participation — and the whole trajectory is bit-identical to the
-// plain run's.
+// samples nothing, so the roster draw consumes zero rng and the whole
+// trajectory is bit-identical to the plain run's.
 func TestCohortEqualsPopulationBitIdenticalToPlain(t *testing.T) {
 	plain := diffConfig()
 	ref, err := Run(plain)
@@ -24,35 +23,6 @@ func TestCohortEqualsPopulationBitIdenticalToPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, "cohort=N", ref, got)
-}
-
-// TestCohortMatchesParticipationDraw pins the sequence compatibility
-// of the two sampling knobs: Cohort = c and Participation = c/N run
-// the same Fisher–Yates with the same count, so the runs are
-// bit-identical — including across worker counts.
-func TestCohortMatchesParticipationDraw(t *testing.T) {
-	for _, c := range []int{1, 3, 5} {
-		for _, workers := range []int{0, 4} {
-			pCfg := diffConfig()
-			n := pCfg.Data.NumClients()
-			pCfg.Participation = float64(c) / float64(n)
-			pCfg.Workers = workers
-			ref, err := Run(pCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cCfg := diffConfig()
-			cCfg.Cohort = c
-			cCfg.Workers = workers
-			got, err := Run(cCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// CohortSize is definitionally equal; Population too. The
-			// full comparison covers losses, draws, and final weights.
-			requireBitIdentical(t, "cohort-vs-participation", ref, got)
-		}
-	}
 }
 
 // TestChurnRestrictsDraw runs a churn schedule and checks that drawn
@@ -164,7 +134,6 @@ func TestPopulationValidation(t *testing.T) {
 	}{
 		{"negative cohort", func(c *Config) { c.Cohort = -1 }, "Cohort must be non-negative"},
 		{"cohort over population", func(c *Config) { c.Cohort = c.Data.NumClients() + 1 }, "exceeds the client population"},
-		{"cohort and participation", func(c *Config) { c.Cohort = 2; c.Participation = 0.5 }, "mutually exclusive"},
 		{"churn with fedavg", func(c *Config) {
 			c.Strategy = nil
 			c.FedAvg = true
@@ -237,8 +206,8 @@ func TestChurnValidationErrors(t *testing.T) {
 
 // TestPopulationComposesWithWindow covers the combination the single
 // round pipeline makes legal: a sampled cohort under churn and deadline
-// dropouts, drawn in phase A, with a bounded-staleness window and a
-// lateness schedule at the seal. The run is bit-identical across worker
+// dropouts, drawn in phase A, with a bounded-staleness window between
+// the draw and the seal. The run is bit-identical across worker
 // counts, keeps every client's weights synchronized, and publishes the
 // population fields and the window fields on the same RoundEvent.
 func TestPopulationComposesWithWindow(t *testing.T) {
@@ -248,7 +217,6 @@ func TestPopulationComposesWithWindow(t *testing.T) {
 		cfg.Churn = goldenChurn
 		cfg.Dropout = func(client, round int) bool { return round == 4 && client%2 == 1 }
 		cfg.Staleness = 1
-		cfg.Delays = func(client, round int) int { return (client + round) % 3 } // 2 misses W=1
 		cfg.CheckSync = true
 		cfg.Workers = workers
 		return cfg
@@ -263,7 +231,7 @@ func TestPopulationComposesWithWindow(t *testing.T) {
 	}
 	requireBitIdentical(t, "cohort+churn+dropout+window", ref, got)
 
-	var sawChurn, sawStale, sawDropout bool
+	var sawChurn, sawDropout bool
 	for _, st := range ref.Stats {
 		wantPop := 8
 		switch {
@@ -283,41 +251,23 @@ func TestPopulationComposesWithWindow(t *testing.T) {
 			t.Fatalf("round %d: WindowDepth = %d, want %d", st.Round, st.WindowDepth, wantDepth)
 		}
 		sawChurn = sawChurn || st.ChurnEvents > 0 && st.WindowDepth > 0
-		sawStale = sawStale || st.StaleSlices > 0 && st.ResidualNorm > 0 && st.Population < 8
 		sawDropout = sawDropout || st.Participants < st.CohortSize
 	}
-	if !sawChurn || !sawStale || !sawDropout {
-		t.Fatalf("no round carried churn with a window (%v), a folded upload under churn (%v), a dropout (%v)",
-			sawChurn, sawStale, sawDropout)
+	if !sawChurn || !sawDropout {
+		t.Fatalf("no round carried churn with a window (%v), a dropout (%v)", sawChurn, sawDropout)
 	}
-
-	// And the knobs stay dormant together: a full cohort, no schedules
-	// and an all-on-time Delays at W = 0 is the plain run.
-	plain, err := Run(diffConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dormant := diffConfig()
-	dormant.Cohort = dormant.Data.NumClients()
-	dormant.Delays = zeroDelays
-	got, err = Run(dormant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, "dormant cohort+delays", plain, got)
 }
 
 // TestScheduleKnobsLeaveParticipationDrawAlone: Churn and Dropout are
 // documented to consume no rng, so schedules that never fire must not
-// move a Participation run — including where ⌈p·N⌉ = N and the draw
-// still shuffles (0.9 of 8), which a separate population draw path used
-// to short-circuit. Periodic-k's mandated draw exposes the rng stream.
+// move a Cohort run, sampled or full. Periodic-k's mandated draw
+// exposes the rng stream.
 func TestScheduleKnobsLeaveParticipationDrawAlone(t *testing.T) {
-	for _, p := range []float64{0.5, 0.9} {
+	for _, cohort := range []int{4, 7, 8} {
 		mk := func() Config {
 			cfg := diffConfig()
 			cfg.Strategy = gs.PeriodicK{}
-			cfg.Participation = p
+			cfg.Cohort = cohort
 			return cfg
 		}
 		ref, err := Run(mk())

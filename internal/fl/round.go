@@ -1,10 +1,10 @@
 // The GS round pipeline: Algorithm 1 plus the Fig. 3 adaptive-k schedule
 // as one phase A (the server's decision, the roster, local gradients,
-// top-k into the round's slot) and one seal (admit or fold each upload,
-// the server's aggregate, broadcast, probe losses, the server's observe),
-// driven by a single step loop over a ring of W+1 in-flight rounds, W =
-// Config.Staleness. Step m runs round m's phase A at the weights of round
-// m−W−1 — W broadcasts are still in flight — and then seals round m−W. At
+// top-k into the round's slot) and one seal (the server's aggregate,
+// broadcast, probe losses, the server's observe), driven by a single
+// step loop over a ring of W+1 in-flight rounds, W = Config.Staleness.
+// Step m runs round m's phase A at the weights of round m−W−1 — W
+// broadcasts are still in flight — and then seals round m−W. At
 // W = 0 that is "phase A of m, then seal of m": the lockstep engine is the
 // window at zero, not a second loop, and every knob (population,
 // quantization, durability) meets the window in this one body. The
@@ -91,7 +91,6 @@ type roundSlot struct {
 	mandBuf      []int
 	bufs         []sparse.Vec
 	uploads      []gs.ClientUpload
-	admitted     []bool
 	hx           [][]float64 // the probe samples h, as the seal's batched losses take them
 	hy           []int
 }
@@ -102,7 +101,6 @@ func newRoundSlot(nClients int) roundSlot {
 		mandBuf:      []int{}, // non-nil: an empty mandated set is not a top-k round
 		bufs:         make([]sparse.Vec, nClients),
 		uploads:      make([]gs.ClientUpload, nClients),
-		admitted:     make([]bool, nClients),
 		hx:           make([][]float64, nClients),
 		hy:           make([]int, nClients),
 	}
@@ -262,11 +260,11 @@ func (e *gsEngine) participate(pi, w int) {
 	slot.uploads[pi] = gs.ClientUpload{Pairs: out.Pairs, Weight: c.weight}
 }
 
-// seal closes round r: admit or fold each upload, select once — every
-// client receives the identical B, which is what keeps weights
-// synchronized — broadcast (see sealReplica), account the round's time,
-// feed the controller and publish the round. stop reports that the run's
-// MaxTime or HaltAfter was reached.
+// seal closes round r: select once — every client receives the
+// identical B, which is what keeps weights synchronized — broadcast (see
+// sealReplica), account the round's time, feed the controller and
+// publish the round. stop reports that the run's MaxTime or HaltAfter
+// was reached.
 func (e *gsEngine) seal(r int) (stop bool, err error) {
 	cfg, ar := e.cfg, e.ar
 	slot := &e.ring[r%len(e.ring)]
@@ -274,19 +272,6 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	nPart := len(participants)
 	uploads := slot.uploads[:nPart]
 	dec := slot.dec
-
-	// An upload more than W rounds late misses the cutoff: it is masked
-	// to a counted-but-empty contribution, so its mass stays in the
-	// client's accumulator (the residual subtraction below sees no pairs)
-	// and the next top-k re-extracts it — the error-feedback fold-in.
-	var admitted []bool
-	if cfg.Delays != nil {
-		admitted = slot.admitted[:nPart]
-		for pi, ci := range participants {
-			admitted[pi] = cfg.Delays(ci, r) <= cfg.Staleness
-		}
-	}
-	staleSlices, residualNorm := gs.FoldStale(uploads, admitted)
 
 	e.sel, e.probeSel, _ = e.srv.Aggregate(uploads, dec.K, dec.ProbeK)
 	// Like the top-k slabs: sized here, not by whichever worker is first.
@@ -334,8 +319,6 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 		TestAcc:       math.NaN(),
 		TestLoss:      math.NaN(),
 		TrainLoss:     math.NaN(),
-		StaleSlices:   staleSlices,
-		ResidualNorm:  residualNorm,
 		WindowDepth:   min(r+cfg.Staleness, cfg.Rounds) - r,
 	}
 	if cfg.RecordPerClient {

@@ -138,6 +138,12 @@ func TestRangeReduceRankedMatchesDirect(t *testing.T) {
 	}
 }
 
+// sameEdge reports whether got is want bit for bit, or both are NaN (a
+// NaN's payload is the hardware's choice, not the code's).
+func sameEdge(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+}
+
 // TestRangeReduceEdgeValues pins the range reduction on non-finite, −0
 // and subnormal values, two clients of weights 1 and 3 (w = ¼ and ¾,
 // both exact): every sum is bit for bit the map reference's, and the

@@ -205,7 +205,7 @@ type trajectory struct {
 	Round, K                                            int
 	KCont, Loss                                         uint64
 	DownlinkElems, Participants, Population, CohortSize int
-	ChurnEvents, StaleSlices, WindowDepth               int
+	ChurnEvents, WindowDepth                            int
 }
 
 func trajectoryOf(events []fl.RoundEvent) []trajectory {
@@ -213,7 +213,7 @@ func trajectoryOf(events []fl.RoundEvent) []trajectory {
 	for i, ev := range events {
 		out[i] = trajectory{Round: ev.Round, K: ev.K, KCont: math.Float64bits(ev.KCont), Loss: math.Float64bits(ev.Loss),
 			DownlinkElems: ev.DownlinkElems, Participants: ev.Participants, Population: ev.Population,
-			CohortSize: ev.CohortSize, ChurnEvents: ev.ChurnEvents, StaleSlices: ev.StaleSlices, WindowDepth: ev.WindowDepth}
+			CohortSize: ev.CohortSize, ChurnEvents: ev.ChurnEvents, WindowDepth: ev.WindowDepth}
 	}
 	return out
 }
@@ -315,14 +315,12 @@ func TestSameSeedSameBytesCoversConfig(t *testing.T) {
 		"MaxTime":         "a budget in simulated time",
 		"RecordPerClient": "per-client counts are not part of the round event",
 		"CheckSync":       "compares the engine's worker replicas; a wire participant holds one model",
-		"Participation":   "Cohort's relative form; the population roster takes the absolute Cohort",
 		"Workers":         "engine parallelism; the engine/w2 column runs it",
 		"WALDir":          "the engine's journal; the wire's is ServerConfig.Durable (the durable columns)",
 		"Resume":          "the engine's journal; the wire's is ServerConfig.Durable (the durable columns)",
 		"SnapshotEvery":   "the engine's journal; the wire's is ServerConfig.Durable (the durable columns)",
 		"HaltAfter":       "the engine's journal; the wire's is ServerConfig.Durable (the durable columns)",
 		"Observer":        "passive by contract; every cell reads the same RoundEvent stream",
-		"Delays":          "no upload is ever late on the wire",
 	}
 	var configs []reflect.Value
 	for _, spec := range matrixRows() {

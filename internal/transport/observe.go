@@ -47,9 +47,8 @@ func (bm *byteMeter) delta() (recv, sent uint64) {
 // roundEvent is the coordinator's view of round m, finished at loss
 // with elems downlink coordinates among participants uploaders: the
 // engine's RoundEvent for it, with the engine-only metrics (normalized
-// time, evaluations, residual norm) at their not-evaluated values. The
-// window depth is the engine's realized overlap — W until the pipeline
-// drains; no upload is ever late on the wire, so StaleSlices stays 0.
+// time, evaluations) at their not-evaluated values. The window depth is
+// the engine's realized overlap — W until the pipeline drains.
 // The caller adds what it measured: wire bytes, reduce waits, the
 // cohort draw, WAL appends.
 func (c *coordRun) roundEvent(m int, loss float64, elems, participants int) fl.RoundEvent {
@@ -68,7 +67,5 @@ func (c *coordRun) roundEvent(m int, loss float64, elems, participants int) fl.R
 		TestAcc:     math.NaN(),
 		TestLoss:    math.NaN(),
 		TrainLoss:   math.NaN(),
-		// Residual mass lives in the clients, out of the coordinator's sight.
-		ResidualNorm: math.NaN(),
 	}
 }

@@ -86,8 +86,8 @@ type CohortAssign struct {
 type PopulationConfig struct {
 	// Cohort is the number of members drawn each round from the active
 	// population (clamped to the active count; 0 draws everyone). The
-	// draw is rng-sequence-compatible with the engine's Participation
-	// draw: Cohort = c consumes exactly the rng of Participation = c/N.
+	// draw is the engine's own (fl.CohortSampler): Cohort = c consumes
+	// exactly the rng of fl.Config.Cohort = c.
 	Cohort int
 	// Churn follows fl.Config.Churn: per-round join/leave schedules
 	// over the drawable population, strictly validated. nil = static.

@@ -84,11 +84,10 @@ type ServerConfig struct {
 	// fl.Config.Staleness: 0 runs the synchronous lockstep protocol;
 	// W > 0 runs the same round loops W rounds deep — a client uploads
 	// round m before it fetches and applies round m−W's broadcast, and a
-	// shard serves round m−W's fetches right after sealing round m. No
-	// upload is ever late, so the trajectory equals fl.Run's with the
-	// same Staleness and no Delays, bit for bit, on either data plane; a
-	// slow client paces the fleet as in lockstep, with W rounds of slack.
-	// Capped at MaxStaleness.
+	// shard serves round m−W's fetches right after sealing round m. The
+	// trajectory equals fl.Run's with the same Staleness, bit for bit,
+	// on either data plane; a slow client paces the fleet as in
+	// lockstep, with W rounds of slack. Capped at fl.MaxStaleness.
 	Staleness int
 }
 
@@ -108,8 +107,8 @@ func (cfg ServerConfig) check(nPeers int) error {
 		return fmt.Errorf("transport: K must be at least 1, got %d", cfg.K)
 	case cfg.QuantBits != 0 && (cfg.QuantBits < 2 || cfg.QuantBits > 64):
 		return fmt.Errorf("transport: QuantBits must be 0 (off) or in [2, 64], got %d", cfg.QuantBits)
-	case cfg.Staleness < 0 || cfg.Staleness > MaxStaleness:
-		return fmt.Errorf("transport: Staleness must be in [0, %d], got %d", MaxStaleness, cfg.Staleness)
+	case cfg.Staleness < 0 || cfg.Staleness > fl.MaxStaleness:
+		return fmt.Errorf("transport: Staleness must be in [0, %d], got %d", fl.MaxStaleness, cfg.Staleness)
 	case dur != nil && cfg.Staleness > 0:
 		// The WAL's replay protocol assumes lockstep rounds: every round's
 		// uploads are complete before the seal is logged.
@@ -144,14 +143,6 @@ func (cfg ServerConfig) check(nPeers int) error {
 	}
 	return nil
 }
-
-// MaxStaleness caps ServerConfig.Staleness. A W-deep client sends W+1
-// uploads and one fetch down each shard link before anything answers
-// it, and its control link holds up to W+1 RoundMetas one way and W+1
-// RoundReleases the other; the cap keeps those W+2 messages inside the
-// in-memory conn's 16-slot buffer, so no Send can block on a peer that
-// is itself waiting for this client.
-const MaxStaleness = 8
 
 // Peer is one incoming connection classified by its first message:
 // exactly one of Hello (a participant — client or virtual host — on the
@@ -569,8 +560,8 @@ func clientHandshake(conn Conn, p participant) (Init, error) {
 // control scalars only; an Init with a staleness window runs those
 // rounds that many deep.
 func runClient(coord Conn, p participant, init Init, link *healLink) error {
-	if init.Window < 0 || init.Window > MaxStaleness {
-		return fmt.Errorf("transport: %s %d: init staleness window %d outside [0, %d]", p.who, p.id, init.Window, MaxStaleness)
+	if init.Window < 0 || init.Window > fl.MaxStaleness {
+		return fmt.Errorf("transport: %s %d: init staleness window %d outside [0, %d]", p.who, p.id, init.Window, fl.MaxStaleness)
 	}
 	if init.QuantBits != 0 && (init.QuantBits < 2 || init.QuantBits > 64) {
 		return fmt.Errorf("transport: %s %d: init quantization width %d outside 0 or [2, 64]", p.who, p.id, init.QuantBits)

@@ -73,7 +73,7 @@ func (p plainPeers) send(id, m int, msg any) error {
 // queue and a goroutine that sends from it: such a client sends W+1
 // uploads before it reads a broadcast, so a coordinator sending in line
 // would block on it once the payloads outgrow the socket buffers. A
-// client is at most W+1 broadcasts behind, so a queue of MaxStaleness+1
+// client is at most W+1 broadcasts behind, so a queue of fl.MaxStaleness+1
 // never fills. stop closes the queues; with wait it returns once every
 // queued message went out, with the send errors (without, a sender
 // stuck on a live peer exits when the caller closes the connections).
@@ -81,7 +81,7 @@ func startOutboxes(conns []Conn) (out []chan any, stop func(wait bool) error) {
 	out = make([]chan any, len(conns))
 	errs := make(chan error, len(conns))
 	for id, conn := range conns {
-		q := make(chan any, MaxStaleness+1)
+		q := make(chan any, fl.MaxStaleness+1)
 		out[id] = q
 		go func() {
 			var err error

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fedsparse/internal/fl"
 	"fedsparse/internal/gs"
 	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
@@ -129,8 +130,8 @@ func checkAssign(assign ShardAssign, durable bool) error {
 		return fmt.Errorf("transport: bad shard assignment (dim=%d rounds=%d clients=%d)",
 			assign.Dim, assign.Rounds, len(assign.Weights))
 	}
-	if assign.Window < 0 || assign.Window > MaxStaleness {
-		return fmt.Errorf("transport: shard %d assigned staleness window %d outside [0, %d]", id, assign.Window, MaxStaleness)
+	if assign.Window < 0 || assign.Window > fl.MaxStaleness {
+		return fmt.Errorf("transport: shard %d assigned staleness window %d outside [0, %d]", id, assign.Window, fl.MaxStaleness)
 	}
 	if assign.NumHosts > 0 && assign.Window != 0 {
 		return fmt.Errorf("transport: shard %d: the population tier requires the synchronous protocol (window %d)", id, assign.Window)

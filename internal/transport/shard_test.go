@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fedsparse/internal/fl"
 )
 
 // TestRunShardRejectsBadAssign covers a shard's validation of its
@@ -27,7 +29,7 @@ func TestRunShardRejectsBadAssign(t *testing.T) {
 		{"no shards", ShardAssign{ShardID: 0, NumShards: 0, Dim: 10, Rounds: 1, Weights: []float64{1}}, "shard id 0 out of range [0, 0)", false},
 		{"no clients", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1}, "bad shard assignment", false},
 		{"bad dim", ShardAssign{ShardID: 0, NumShards: 1, Dim: 0, Rounds: 1, Weights: []float64{1}}, "bad shard assignment", false},
-		{"window past the cap", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: MaxStaleness + 1},
+		{"window past the cap", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: fl.MaxStaleness + 1},
 			"shard 0 assigned staleness window 9 outside [0, 8]", false},
 		{"negative window", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: -1},
 			"shard 0 assigned staleness window -1 outside [0, 8]", false},

@@ -7,7 +7,7 @@ package transport
 // W-deep run is the fl.Run twin with the same Staleness bit for bit on
 // either plane (TestSameSeedSameBytes's windowed rows). What this file
 // pins around that: a straggler paces the fleet without moving a bit,
-// the MaxStaleness cap cannot deadlock over TCP, and every order
+// the fl.MaxStaleness cap cannot deadlock over TCP, and every order
 // violation on a shard link fails by name instead of wedging a barrier.
 
 import (
@@ -146,18 +146,18 @@ func capRun(t *testing.T, engine fl.Config, w workload) {
 }
 
 // TestWindowedCapOverTCP is the deadlock-freedom check for the cap: at
-// W = MaxStaleness, with every coordinate in every upload (k = D), a
-// client has MaxStaleness+1 full uploads (and, direct, a fetch) in
+// W = fl.MaxStaleness, with every coordinate in every upload (k = D), a
+// client has fl.MaxStaleness+1 full uploads (and, direct, a fetch) in
 // flight on each loopback socket before anything answers it — and the
 // run still completes as the fl.Run twin.
 func TestWindowedCapOverTCP(t *testing.T) {
-	engine := runSpec{rounds: MaxStaleness + 4, staleness: MaxStaleness}.config(0)
+	engine := runSpec{rounds: fl.MaxStaleness + 4, staleness: fl.MaxStaleness}.config(0)
 	engine.Controller = core.NewFixedK(float64(engine.Model().D()))
 	capRun(t, engine, testWorkload())
 }
 
 // TestRoutedWindowOutgrowsSocketBuffers is the same at a model of 163k
-// parameters: MaxStaleness+1 uploads of 2.6 MB each are more than a
+// parameters: fl.MaxStaleness+1 uploads of 2.6 MB each are more than a
 // loopback link buffers, so a routed coordinator that sent a broadcast
 // in line would wait on a client that is itself waiting to send it an
 // upload. Its outboxes (startOutboxes) are what let the run finish.
@@ -165,8 +165,8 @@ func TestRoutedWindowOutgrowsSocketBuffers(t *testing.T) {
 	fed := dataset.GenerateFEMNIST(dataset.FEMNISTConfig{NumClients: 2, NumClasses: 62, Dim: 256,
 		SamplesPerClient: 20, ClassesPerClient: 5, TestSamples: 10, Noise: 0.4, Seed: 11})
 	model := func() *nn.Network { return nn.NewMLP(256, []int{512}, 62) }
-	engine := fl.Config{Data: fed, Model: model, LearningRate: 0.1, BatchSize: 8, Rounds: MaxStaleness + 2, Seed: 5,
-		Strategy: &gs.FABTopK{}, Controller: core.NewFixedK(float64(model().D())), Staleness: MaxStaleness}
+	engine := fl.Config{Data: fed, Model: model, LearningRate: 0.1, BatchSize: 8, Rounds: fl.MaxStaleness + 2, Seed: 5,
+		Strategy: &gs.FABTopK{}, Controller: core.NewFixedK(float64(model().D())), Staleness: fl.MaxStaleness}
 	capRun(t, engine, workload{members: 2, data: func(member int) *dataset.Dataset { return &fed.Clients[member] },
 		model: model, batch: 8})
 }
@@ -320,14 +320,14 @@ func TestStalenessConfigValidation(t *testing.T) {
 	})
 	t.Run("window above the cap", func(t *testing.T) {
 		cfg := base
-		cfg.Staleness = MaxStaleness + 1
+		cfg.Staleness = fl.MaxStaleness + 1
 		if _, err := RunServerPeers(peerOf(), cfg); err == nil || !strings.Contains(err.Error(), "Staleness must be in") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("routed coordinator accepts a window", func(t *testing.T) {
 		cfg := base
-		cfg.Staleness = MaxStaleness
+		cfg.Staleness = fl.MaxStaleness
 		if err := cfg.check(1); err != nil {
 			t.Fatalf("err = %v", err)
 		}
@@ -346,7 +346,7 @@ func TestStalenessConfigValidation(t *testing.T) {
 		srv, cli := NewMemPair()
 		go func() {
 			_, _ = srv.Recv() // the hello
-			_ = srv.Send(Init{Params: initParams, K: 2, Rounds: 1, Window: MaxStaleness + 1, Shards: []string{"s0"}})
+			_ = srv.Send(Init{Params: initParams, K: 2, Rounds: 1, Window: fl.MaxStaleness + 1, Shards: []string{"s0"}})
 		}()
 		err := RunClient(cli, ClientConfig{
 			ID: 0, Data: &fed.Clients[0], Model: model, LearningRate: 0.1, BatchSize: 8, Seed: 1,

@@ -76,9 +76,12 @@ go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardReje
 # race detector at several GOMAXPROCS.
 go test -race -count=20 -cpu 1,2,4 -run 'SameSeedSameBytes' ./internal/transport
 # The participant step's and the server step's contracts, the step's
-# per-worker scratch and the engine's contention grids, repeated under
-# the race detector.
-go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention|ServerContract' ./internal/fl
+# per-worker scratch, the engine's contention grids and its golden
+# trajectories, repeated under the race detector. The golden table's
+# window rows, each run at Workers 0 and 4, are the engine's only
+# absolute pin of W >= 1 (a round's phase A overlapping earlier seals),
+# so a scheduling dependence there would show as a moved hash.
+go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention|ServerContract|EngineGolden' ./internal/fl
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
