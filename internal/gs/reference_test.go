@@ -207,6 +207,32 @@ func referenceUnion(uploads []ClientUpload) Aggregate {
 	return aggregateOver(uploads, in)
 }
 
+// referenceRange is the map reference of RangeReduceInto over un-sliced
+// uploads: the uploaded coordinates of [lo, hi) ascending, their b_j by
+// aggregateOver's chain, and the smallest upload position at which each
+// appears.
+func referenceRange(uploads []ClientUpload, lo, hi int) (idx []int, sum []float64, minRank []int) {
+	in := make(map[int]bool)
+	rank := make(map[int]int)
+	for _, u := range uploads {
+		for pi, j := range u.Pairs.Idx {
+			if j < lo || j >= hi {
+				continue
+			}
+			if r, ok := rank[j]; !ok || pi < r {
+				rank[j] = pi
+			}
+			in[j] = true
+		}
+	}
+	agg := aggregateOver(uploads, in)
+	minRank = make([]int, len(agg.Indices))
+	for i, j := range agg.Indices {
+		minRank[i] = rank[j]
+	}
+	return agg.Indices, agg.Values, minRank
+}
+
 // referenceMandate is PeriodicK's original draw: a partial Fisher–Yates
 // over [0, d) for k distinct indices, with the displaced entries in a map,
 // sorted. k ≥ d mandates every index and draws nothing.

@@ -124,18 +124,11 @@ func (sel *selection) fill(cands []FillCand, k int) {
 	}
 }
 
-// emit puts the members in ascending order and builds the selection's
-// Aggregate with the values found in sums; used must already hold the
-// fairness counts. A selection holding at least 1/16 of the slab's
-// coordinates reads its members back in order off the slab — one pass
-// over it, which costs less than sorting that many — and a sparser one
-// sorts them.
+// emit puts the members in ascending order (ascending, over the whole
+// slab) and builds the selection's Aggregate with the values found in
+// sums; used must already hold the fairness counts.
 func (sel *selection) emit(sums []float64) Aggregate {
-	if len(sel.members) < len(sel.mark)/16 {
-		slices.Sort(sel.members)
-	} else {
-		sel.scanMembers()
-	}
+	ascending(sel.members, sel.mark, sel.gen, 0)
 	sel.vals = growFloats(sel.vals, len(sel.members))
 	for i, j := range sel.members {
 		sel.vals[i] = sums[j]
@@ -143,20 +136,36 @@ func (sel *selection) emit(sums []float64) Aggregate {
 	return Aggregate{Indices: sel.members, Values: sel.vals, PerClientUsed: sel.used}
 }
 
-// scanMembers rewrites the member list in ascending order from the slab.
-// Each coordinate is written to the next free slot, which only a member
-// claims, so the pass has no branch on the membership test; it stops once
-// every member is placed.
-func (sel *selection) scanMembers() {
-	ms, n := sel.members, 0
-	for j, g := range sel.mark {
-		if n == len(ms) {
+// ascending sorts members, which must be exactly the coordinates lo+i
+// with mark[i] == gen (mark is the window of an epoch slab that starts
+// at coordinate lo). A list holding at least 1/16 of the window's coordinates is read back
+// in order off the slab — one pass over it, which costs less than
+// sorting that many — and a sparser one is sorted. This is the one
+// sort-or-scan rule of the package: the selections' emitter runs it over
+// the whole membership slab, the range reduction (shard.go) over its
+// range of the reduction slab.
+//
+// The scan writes each coordinate to the next free slot, which only a
+// member claims, so the pass has no branch on the membership test; it
+// stops once every member is placed.
+func ascending(members []int, mark []int32, gen int32, lo int) {
+	if !scans(len(members), len(mark)) {
+		slices.Sort(members)
+		return
+	}
+	n := 0
+	for i, g := range mark {
+		if n == len(members) {
 			break
 		}
-		ms[n] = j
-		n += b2i(g == sel.gen)
+		members[n] = lo + i
+		n += b2i(g == gen)
 	}
 }
+
+// scans reports whether ascending reads n members of a width-coordinate
+// window back off the slab rather than sorting them.
+func scans(n, width int) bool { return n >= width/16 }
 
 // fubEntry is one aggregated coordinate in FUB's |b_j| ranking.
 type fubEntry struct {

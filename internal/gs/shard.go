@@ -1,10 +1,6 @@
 package gs
 
-import (
-	"slices"
-
-	"fedsparse/internal/par"
-)
+import "fedsparse/internal/par"
 
 // This file is the range reduction the shard processes of
 // internal/transport run: the server-side reduction of scratch.go
@@ -25,6 +21,15 @@ import (
 // Results are therefore bit-identical to AggregateInto at every shard
 // count, which the differential suites in this package and in
 // internal/transport pin.
+//
+// The reduction marks every coordinate it meets in the scratch's epoch
+// slab, so the ascending coordinate list is read back off the slab's
+// window [lo, hi) when the range is dense enough — the selections'
+// emitter's rule (ascending in scratch.go) — and sorted otherwise. A
+// direct-plane shard's range is dense: on the tcp_direct_s2 benchmark's
+// shape about half its coordinates are uploaded each round, and sorting
+// them costs about 15 % of that workload's CPU where the scan costs
+// under 1 % (docs/ARCHITECTURE.md has the profile).
 
 // RangeAgg is one reduction over a contiguous coordinate range: for every
 // distinct uploaded coordinate j in the range, ascending, the exact
@@ -52,6 +57,11 @@ type RangeAgg struct {
 // and the total weight C is taken over all uploads (clients with no pairs
 // in range still contribute their C_i), so Sum is bit-identical to what
 // any single-process path computes for that coordinate.
+//
+// The coordinates come out ascending: read in order off the epoch slab
+// over [lo, min(hi, slab end)) when they number at least 1/16 of that
+// width, sorted when sparser (ascending, scratch.go). Either way the set,
+// the order, Sum and MinRank are the same.
 func RangeReduceInto(s *AggScratch, uploads []ClientUpload, ranks [][]int, lo, hi int) RangeAgg {
 	s.prepare(uploads)
 	gen := par.BumpEpoch(&s.genTmp, s.markTmp)
@@ -78,7 +88,10 @@ func RangeReduceInto(s *AggScratch, uploads []ClientUpload, ranks [][]int, lo, h
 			s.sums[j] += w * u.Pairs.Val[pi]
 		}
 	}
-	slices.Sort(members)
+	// An un-reserved scratch's slab ends at the largest uploaded
+	// coordinate, which may lie before hi, or before lo.
+	a := min(max(lo, 0), len(s.markTmp))
+	ascending(members, s.markTmp[a:max(a, min(hi, len(s.markTmp)))], gen, a)
 	s.rangeIdx = members
 	s.rangeSum = growFloats(s.rangeSum, len(members))
 	s.rangeRank = growInts(s.rangeRank, len(members))

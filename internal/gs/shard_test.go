@@ -138,6 +138,91 @@ func TestRangeReduceRankedMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestRangeReduceMatchesReference holds RangeReduceInto to the map
+// reference (referenceRange) on both of ascending's paths — the scan off
+// the epoch slab and the sort — at the 1/16 boundary, on ranges that do
+// not start at 0 or end at the slab's end, on un-reserved scratches whose
+// slab (sized to the largest uploaded coordinate) ends before hi or
+// before lo, and on an empty range. Each row states the path it takes, so
+// a row cannot pass on the other one. Three clients of weights 1, 2 and
+// 3 upload overlapping shuffled subsets of the range's coordinates plus
+// coordinates outside it, so Sum is a real chain and MinRank a real
+// minimum.
+func TestRangeReduceMatchesReference(t *testing.T) {
+	const d = 320 // a reserved slab; 1/16 of it is 20
+	for _, tc := range []struct {
+		name    string
+		reserve int // 0: un-reserved, the slab ends at the largest upload + 1
+		extent  int // uploaded coordinates are < extent
+		lo, hi  int
+		members int // distinct uploaded coordinates in [lo, hi)
+		scan    bool
+	}{
+		{"1/16 of the width minus one", d, d, 0, d, 19, false},
+		{"exactly 1/16 of the width", d, d, 0, d, 20, true},
+		{"every coordinate", d, d, 0, d, d, true},
+		{"lo > 0", d, d, 96, 256, 40, true},
+		{"lo > 0, sparse", d, d, 96, 256, 9, false},
+		{"hi at the slab's end", d, d, 160, d, 80, true},
+		{"un-reserved, slab ends before hi", 0, 200, 64, d, 30, true},
+		{"un-reserved, slab ends before lo", 0, 50, 100, 200, 0, true},
+		{"empty range", d, d, 100, 100, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(tc.name))))
+			var in, out []int
+			for j := 0; j < tc.extent; j++ {
+				if j >= tc.lo && j < tc.hi {
+					in = append(in, j)
+				} else {
+					out = append(out, j)
+				}
+			}
+			rng.Shuffle(len(in), func(a, b int) { in[a], in[b] = in[b], in[a] })
+			in = in[:tc.members]
+			ups := make([]ClientUpload, 3)
+			for ci := range ups {
+				var idx []int
+				for _, j := range in {
+					if ci == 0 || rng.Intn(2) == 0 {
+						idx = append(idx, j)
+					}
+				}
+				for _, j := range out {
+					if rng.Intn(4) == 0 {
+						idx = append(idx, j)
+					}
+				}
+				rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+				val := make([]float64, len(idx))
+				for i := range val {
+					val[i] = rng.NormFloat64()
+				}
+				ups[ci] = ClientUpload{Pairs: sparse.Vec{Idx: idx, Val: val}, Weight: float64(ci + 1)}
+			}
+			s := NewAggScratch(0)
+			if tc.reserve > 0 {
+				s.Reserve(tc.reserve)
+			}
+			got := RangeReduceInto(s, ups, nil, tc.lo, tc.hi)
+			slab := len(s.markTmp)
+			width := max(0, min(tc.hi, slab)-min(tc.lo, slab))
+			if scans(tc.members, width) != tc.scan {
+				t.Fatalf("%d members of a %d-wide window (slab %d): scan = %v, the row says %v", tc.members, width, slab, !tc.scan, tc.scan)
+			}
+			idx, sum, rank := referenceRange(ups, tc.lo, tc.hi)
+			if len(idx) != tc.members || len(got.Idx) != len(idx) || len(got.Sum) != len(idx) || len(got.MinRank) != len(idx) {
+				t.Fatalf("reduced %d/%d/%d entries, reference %d, row %d", len(got.Idx), len(got.Sum), len(got.MinRank), len(idx), tc.members)
+			}
+			for i, j := range idx {
+				if got.Idx[i] != j || math.Float64bits(got.Sum[i]) != math.Float64bits(sum[i]) || got.MinRank[i] != rank[i] {
+					t.Fatalf("entry %d: (%d, %v, %d), reference (%d, %v, %d)", i, got.Idx[i], got.Sum[i], got.MinRank[i], j, sum[i], rank[i])
+				}
+			}
+		})
+	}
+}
+
 // sameEdge reports whether got is want bit for bit, or both are NaN (a
 // NaN's payload is the hardware's choice, not the code's).
 func sameEdge(got, want float64) bool {
@@ -251,5 +336,34 @@ func TestShardedAllocsWarm(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 			t.Fatalf("%s: %v allocs/op on warm reduce + select, want 0", s.Name(), allocs)
 		}
+	}
+}
+
+// BenchmarkRangeReduce times one shard's range reduction on a reserved
+// scratch, over routed slices with their ranks, at shard 0 of the
+// tcp_direct_s2 benchmark's shape (D = 19 874, 8 uploads, 2 shards):
+// dense at its k = D/10 = 1 987, which reads the range off the slab, and
+// sparse at k = 20, which sorts.
+func BenchmarkRangeReduce(b *testing.B) {
+	const n, d, shards = 8, 19874, 2
+	for _, row := range []struct {
+		name string
+		k    int
+		scan bool
+	}{{"dense", d / 10, true}, {"sparse", 20, false}} {
+		ups := randomUploads(rand.New(rand.NewSource(44)), n, d, row.k)
+		ranged, ranks, lo, hi := routeUploads(ups, d, shards, 0)
+		b.Run(row.name, func(b *testing.B) {
+			s := NewAggScratch(0)
+			s.Reserve(d)
+			if red := RangeReduceInto(s, ranged, ranks, lo, hi); scans(len(red.Idx), hi-lo) != row.scan {
+				b.Fatalf("%d of %d coordinates: scan = %v, want %v", len(red.Idx), hi-lo, !row.scan, row.scan)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				RangeReduceInto(s, ranged, ranks, lo, hi)
+			}
+		})
 	}
 }

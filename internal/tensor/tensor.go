@@ -256,6 +256,15 @@ func ChunkBounds(n, chunks, i int) (lo, hi int) {
 	return i * n / chunks, (i + 1) * n / chunks
 }
 
+// ChunkOf returns the chunk of ChunkBounds(n, chunks, ·) that holds
+// coordinate j ∈ [0, n), by arithmetic instead of a search over the
+// bounds: j ≥ ⌊i·n/chunks⌋ ⟺ i·n < chunks·(j+1), and j < ⌊(i+1)·n/chunks⌋
+// ⟺ chunks·(j+1) ≤ (i+1)·n, so i = ⌈chunks·(j+1)/n⌉ − 1. Empty chunks
+// (chunks > n) own nothing and are never returned.
+func ChunkOf(n, chunks, j int) int {
+	return (chunks*(j+1) - 1) / n
+}
+
 // AXPYChunk computes y[lo:hi] += a·x[lo:hi] in place — the chunked form of
 // AXPY used by the engine's coordinate-partitioned weighted reductions.
 func AXPYChunk(a float64, x, y []float64, lo, hi int) {

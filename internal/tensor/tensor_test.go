@@ -742,6 +742,24 @@ func TestChunkBoundsPartition(t *testing.T) {
 	}
 }
 
+// TestChunkOfMatchesBounds holds ChunkOf to ChunkBounds exhaustively over
+// small shapes, chunks > n (empty ranges) included: every coordinate of
+// chunk i's range maps back to i.
+func TestChunkOfMatchesBounds(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		for chunks := 1; chunks <= 9; chunks++ {
+			for i := 0; i < chunks; i++ {
+				lo, hi := ChunkBounds(n, chunks, i)
+				for j := lo; j < hi; j++ {
+					if got := ChunkOf(n, chunks, j); got != i {
+						t.Fatalf("ChunkOf(%d, %d, %d) = %d, want %d (range [%d, %d))", n, chunks, j, got, i, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAXPYChunk(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{10, 20, 30, 40, 50}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
 
 	"fedsparse/internal/fl"
 	"fedsparse/internal/sparse"
@@ -151,7 +150,7 @@ func (f *shardFan) close() {
 }
 
 // shardOf returns the shard owning coordinate j.
-func (f *shardFan) shardOf(j int) int { return sort.SearchInts(f.bounds, j+1) - 1 }
+func (f *shardFan) shardOf(j int) int { return tensor.ChunkOf(f.hello.Dim, len(f.conns), j) }
 
 // split partitions an upload's pairs by owning shard into b, each pair
 // with its explicit rank in the full upload.

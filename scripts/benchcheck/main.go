@@ -65,6 +65,9 @@ var tracked = []struct {
 	// BenchmarkAggregate's engine/ rows run engine_adaptive's aggregation
 	// shape (N = 32, d = 1e5) at k = D/100, D/10 and D.
 	{"./internal/gs/", "BenchmarkAggregate$", "30x"},
+	// One shard's range reduction at tcp_direct_s2's shard-0 shape:
+	// dense reads the range off its slab, sparse sorts.
+	{"./internal/gs/", "BenchmarkRangeReduce", "2000x"},
 	// The minibatch gradient and loss at the three BENCHMARK.json model
 	// shapes: the gradient and the seal's probe losses are ~31 % of
 	// engine_adaptive's CPU (pprof; docs/ARCHITECTURE.md's CPU budget).
