@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,9 +17,33 @@ import (
 // this form is the one TestPickParticipantsSequenceCompat pins, output
 // and rng consumption, against the legacy rng.Perm(n)[:count]: the
 // anchor that keeps whole runs bit-identical to historical behavior.
-func pickParticipantsInto(dst, perm []int, cohort, n int, rng *rand.Rand) ([]int, []int) {
+func pickParticipantsInto(dst []int, cohort, n int, rng *rand.Rand) []int {
 	count, shuffle := (&popState{cohort: cohort}).drawCount(n)
-	return drawPositions(dst, perm, count, shuffle, n, rng)
+	return drawPositions(dst, count, shuffle, n, rng)
+}
+
+// TestDrawPositionsMatchesPerm pins the shuffle that keeps only what it
+// returns against the full shuffle it replaced, rng.Perm(n)[:count]
+// sorted, at the sizes where the two part ways — a count of one, most
+// of n, and populations of 64Ki and 100k — for 20 seeds each: the same
+// positions, and the same next Int63 from both rngs (the same n Intn
+// draws in the same order).
+func TestDrawPositionsMatchesPerm(t *testing.T) {
+	var dst []int
+	for _, tc := range []struct{ n, count int }{{5, 1}, {10, 3}, {1000, 999}, {65536, 17}, {100000, 64}} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			want := rngA.Perm(tc.n)[:tc.count]
+			sort.Ints(want)
+			dst = drawPositions(dst, tc.count, true, tc.n, rngB)
+			if !slices.Equal(dst, want) {
+				t.Fatalf("n=%d count=%d seed %d: drew %v, want %v", tc.n, tc.count, seed, dst, want)
+			}
+			if a, b := rngA.Int63(), rngB.Int63(); a != b {
+				t.Fatalf("n=%d count=%d seed %d: next Int63 %d, want %d", tc.n, tc.count, seed, b, a)
+			}
+		}
+	}
 }
 
 // TestPickParticipantsSequenceCompat pins the allocation-free participant
@@ -45,10 +70,10 @@ func TestPickParticipantsSequenceCompat(t *testing.T) {
 		cohort := metaRng.Intn(n + 3) // sometimes 0 or ≥ n: the everyone path
 		rngA := rand.New(rand.NewSource(seed))
 		rngB := rand.New(rand.NewSource(seed))
-		var dst, perm []int
+		var dst []int
 		for round := 0; round < 5; round++ {
 			want := legacy(cohort, n, rngA)
-			dst, perm = pickParticipantsInto(dst, perm, cohort, n, rngB)
+			dst = pickParticipantsInto(dst, cohort, n, rngB)
 			if len(want) != len(dst) {
 				t.Fatalf("seed %d round %d: %d participants, want %d", seed, round, len(dst), len(want))
 			}

@@ -392,27 +392,33 @@ func validate(cfg *Config) error {
 
 // drawPositions is the core of every participant draw: count of the n
 // positions [0, n), ascending, into dst. Without a shuffle that is all
-// of them and no rng is consumed; with one it is an inside-out
-// Fisher–Yates over the perm scratch (exactly the n Intn draws rand.Perm
-// consumes, in the same order) whose first count entries are kept and
-// sorted. Both buffers are grown as needed and returned.
-func drawPositions(dst, perm []int, count int, shuffle bool, n int, rng *rand.Rand) ([]int, []int) {
-	dst = slices.Grow(dst[:0], n)
+// of them and no rng is consumed; with one it is the first count entries
+// of an inside-out Fisher–Yates over [0, n) (exactly the n Intn draws
+// rand.Perm consumes, in the same order), sorted. Those entries depend
+// only on the draws that land below count, so dst is the whole
+// shuffle's working memory: steps i < count run in full, and a later
+// step i only writes i to dst[j] when its draw j < count. dst is grown
+// as needed and returned.
+func drawPositions(dst []int, count int, shuffle bool, n int, rng *rand.Rand) []int {
 	if !shuffle {
+		dst = slices.Grow(dst[:0], n)
 		for i := 0; i < n; i++ {
 			dst = append(dst, i)
 		}
-		return dst, perm
+		return dst
 	}
-	perm = slices.Grow(perm[:0], n)[:n]
+	dst = slices.Grow(dst[:0], count)[:count]
 	for i := 0; i < n; i++ {
 		j := rng.Intn(i + 1)
-		perm[i] = perm[j]
-		perm[j] = i
+		if i < count {
+			dst[i] = dst[j]
+		}
+		if j < count {
+			dst[j] = i
+		}
 	}
-	dst = append(dst, perm[:count]...)
 	slices.Sort(dst)
-	return dst, perm
+	return dst
 }
 
 // reduceWeighted overwrites dst with Σ_c weights[c]·vecs[c], fanned out

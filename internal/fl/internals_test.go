@@ -14,7 +14,7 @@ import (
 func TestPickParticipantsFullCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, cohort := range []int{0, 7, 9} {
-		got, _ := pickParticipantsInto(nil, nil, cohort, 7, rng)
+		got := pickParticipantsInto(nil, cohort, 7, rng)
 		if len(got) != 7 {
 			t.Fatalf("cohort=%d: %d participants, want 7", cohort, len(got))
 		}
@@ -34,7 +34,7 @@ func TestPickParticipantsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(nRaw)%19
 		cohort := 1 + int(cRaw)%(n-1) // [1, n)
-		got, _ := pickParticipantsInto(nil, nil, cohort, n, rng)
+		got := pickParticipantsInto(nil, cohort, n, rng)
 		if len(got) != cohort {
 			return false
 		}

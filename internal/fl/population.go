@@ -23,7 +23,6 @@ type popState struct {
 
 	active    []int
 	activeSet []bool
-	perm      []int // Fisher–Yates scratch of the draw
 }
 
 // newPopState builds the roster with everyone active; with no population
@@ -101,7 +100,7 @@ func (ps *popState) drawCount(n int) (count int, shuffle bool) {
 func (ps *popState) drawInto(dst []int, rng *rand.Rand) []int {
 	n := len(ps.active)
 	count, shuffle := ps.drawCount(n)
-	dst, ps.perm = drawPositions(dst, ps.perm, count, shuffle, n, rng)
+	dst = drawPositions(dst, count, shuffle, n, rng)
 	// Map drawn positions to client IDs. active ascends, so the sorted
 	// positions map to sorted IDs — no re-sort needed.
 	for i, pos := range dst {

@@ -186,9 +186,10 @@ func (n *Network) Backprop(x []float64, label int) float64 {
 // whose logits are given. Dense layers only stage their gradient
 // contribution; the caller (or the next chunk's forward) flushes them.
 func (n *Network) backward(s int, logits []float64, label int) float64 {
-	loss := crossEntropy(logits, label)
+	lse := tensor.LogSumExp(logits)
+	loss := lse - logits[label] // crossEntropy, whose lse the softmax reuses
 	// dL/dlogits = softmax(logits) − onehot(label)
-	tensor.Softmax(n.probs, logits)
+	tensor.SoftmaxLSE(n.probs, logits, lse)
 	n.probs[label]--
 	g := n.probs
 	for i := len(n.layers) - 1; i >= 0; i-- {

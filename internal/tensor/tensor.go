@@ -390,11 +390,14 @@ func LogSumExp(x []float64) float64 {
 // +Inf present, the +Inf entries split the mass equally and every other
 // entry gets 0; when every entry is −Inf, the result is uniform. A NaN
 // anywhere makes every entry NaN.
-func Softmax(dst, x []float64) {
+func Softmax(dst, x []float64) { SoftmaxLSE(dst, x, LogSumExp(x)) }
+
+// SoftmaxLSE is Softmax given lse = LogSumExp(x), for a caller that has
+// it already (the cross-entropy gradient, which computed the loss).
+func SoftmaxLSE(dst, x []float64, lse float64) {
 	if len(dst) != len(x) {
 		panic("tensor: Softmax length mismatch")
 	}
-	lse := LogSumExp(x)
 	switch {
 	case math.IsInf(lse, 1):
 		top := 0

@@ -10,10 +10,12 @@ package transport
 // BenchmarkWireRoundBytes runs the full routed protocol over metered
 // in-memory conns and reports the binary codec's bytes per round, full
 // precision versus QuantBits=8 — the wire-shrink baseline benchcheck
-// guards.
+// guards. BenchmarkDownlinkFanout is one round's fan-out downlink: the
+// sender's one encode and 8 sends of the frame the message carries.
 
 import (
 	"fmt"
+	"net"
 	"testing"
 
 	"fedsparse/internal/sparse"
@@ -122,6 +124,82 @@ func TestSliceCodecAllocFree(t *testing.T) {
 		if enc != 0 || dec != 0 {
 			t.Errorf("%T: %v allocs per encode, %v per decode, want 0", tc.msg, enc, dec)
 		}
+	}
+	// The fan-out path: a round's one encode into the sender's reused
+	// buffer, then the carried frame sent to 8 receivers.
+	for _, fan := range downlinkFanouts() {
+		fan.round() // warm the buffers
+		if frameOf(fan.msg) == nil {
+			t.Fatalf("%s: the message carries no frame", fan.name)
+		}
+		if allocs := testing.AllocsPerRun(100, fan.round); allocs != 0 || fan.err != nil {
+			t.Errorf("%s: %v allocs per fan-out (%v), want 0", fan.name, allocs, fan.err)
+		}
+	}
+}
+
+// discardConn is a net.Conn that swallows every write.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// downlinkFanout is one round's downlink as its sender runs it: encode
+// the message once into a reused buffer (encode), then send the boxed
+// message, carrying that frame, to every receiver.
+type downlinkFanout struct {
+	name   string
+	encode func()
+	msg    any // boxed once; its frame aliases the reused buffer
+	conns  []Conn
+	err    error
+}
+
+func (f *downlinkFanout) round() {
+	f.encode()
+	for _, c := range f.conns {
+		if err := c.Send(f.msg); err != nil {
+			f.err = err
+		}
+	}
+}
+
+// downlinkFanouts are the benchmark's two shapes, each to 8 receivers
+// over discarding binConns: tcp_routed_q8's Broadcast (k = 1 987, 8-bit
+// values) and one tcp_direct_s2 shard's raw SliceBroadcast of about
+// 1 000 elements.
+func downlinkFanouts() []*downlinkFanout {
+	idx, _, _, qval, scale := codecPayload(1987)
+	bc := &Broadcast{Round: 2, Idx: idx, Val: qval, Bits: 8, Scale: scale}
+	sidx, _, raw, _, _ := codecPayload(1000)
+	sb := &SliceBroadcast{Round: 2, ShardID: 1, Idx: sidx, Val: raw}
+	bcBuf, sbBuf := bc.encodeFrame(nil), sb.encodeFrame(nil)
+	fans := []*downlinkFanout{
+		{name: "Broadcast_q8_k1987", encode: func() { bcBuf = bc.encodeFrame(bcBuf) }, msg: *bc},
+		{name: "SliceBroadcast_raw_1000", encode: func() { sbBuf = sb.encodeFrame(sbBuf) }, msg: *sb},
+	}
+	for _, f := range fans {
+		for range 8 {
+			f.conns = append(f.conns, NewBinConn(discardConn{}))
+		}
+	}
+	return fans
+}
+
+// BenchmarkDownlinkFanout is one round's fan-out downlink: one encode
+// and 8 sends of the carried frame.
+func BenchmarkDownlinkFanout(b *testing.B) {
+	for _, fan := range downlinkFanouts() {
+		b.Run(fan.name, func(b *testing.B) {
+			fan.round()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fan.round()
+			}
+			if fan.err != nil {
+				b.Fatal(fan.err)
+			}
+		})
 	}
 }
 

@@ -237,9 +237,10 @@ func (m CohortAssign) code(c *coder) (CohortAssign, byte) {
 	return m, tagCohortAssign
 }
 
-// appendFrame encodes msg as one complete wire frame appended to b.
+// appendFrame encodes msg as one complete wire frame appended to b. A
+// Broadcast or SliceBroadcast that carries its own frame (see carried)
+// is appended as those bytes.
 func appendFrame(b []byte, msg any) ([]byte, error) {
-	start := len(b)
 	c := coder{b: append(b, 0, 0, 0, 0, 0)}
 	var tag byte
 	switch m := msg.(type) {
@@ -250,6 +251,9 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 	case Upload:
 		_, tag = m.code(&c)
 	case Broadcast:
+		if carried(m.frame, tagBroadcast, m.Round) {
+			return append(b, m.frame...), nil
+		}
 		_, tag = m.code(&c)
 	case ShardHello:
 		_, tag = m.code(&c)
@@ -272,6 +276,9 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 	case SliceFetch:
 		_, tag = m.code(&c)
 	case SliceBroadcast:
+		if carried(m.frame, tagSliceBroadcast, m.Round) {
+			return append(b, m.frame...), nil
+		}
 		_, tag = m.code(&c)
 	case RoundRelease:
 		_, tag = m.code(&c)
@@ -288,16 +295,76 @@ func appendFrame(b []byte, msg any) ([]byte, error) {
 	default:
 		return b, fmt.Errorf("transport: binary codec: unsupported message type %T", msg)
 	}
+	if err := c.finish(len(b), tag); err != nil {
+		return b, err
+	}
+	return c.b, nil
+}
+
+// finish completes the frame that starts at c.b[start]: its length
+// prefix and its tag.
+func (c *coder) finish(start int, tag byte) error {
 	n := len(c.b) - start - 4
 	if n > maxFrame {
 		c.fail("frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
 	if c.err != nil {
-		return b, c.err
+		return c.err
 	}
 	binary.LittleEndian.PutUint32(c.b[start:], uint32(n))
 	c.b[start+4] = tag
-	return c.b, nil
+	return nil
+}
+
+// A fan-out downlink — the routed coordinator's Broadcast to every
+// client or host, a shard's SliceBroadcast to every fetcher — is encoded
+// once per round by its sender (encodeFrame, the message's own code
+// method into a buffer the sender reuses) and carries that frame, so
+// each further Send copies bytes instead of running the codec again.
+// Only the sender sets it: a decoded message never has one, and a
+// memConn passes it along unread. The typed methods, not appendFrame,
+// fill it: boxing the message into any for the encode costs an
+// allocation a round.
+
+// encodeFrame encodes m into buf's memory and carries the frame. It
+// returns the buffer for the sender to reuse; on an encode error m
+// carries nothing, and Send re-encodes and reports it.
+func (m *Broadcast) encodeFrame(buf []byte) []byte {
+	c := coder{b: frameBuf(buf, len(m.Idx))}
+	_, tag := m.code(&c)
+	if c.finish(0, tag) == nil {
+		m.frame = c.b
+	}
+	return c.b
+}
+
+// encodeFrame is Broadcast.encodeFrame for a shard's slice.
+func (m *SliceBroadcast) encodeFrame(buf []byte) []byte {
+	c := coder{b: frameBuf(buf, len(m.Idx))}
+	_, tag := m.code(&c)
+	if c.finish(0, tag) == nil {
+		m.frame = c.b
+	}
+	return c.b
+}
+
+// frameBuf empties buf for a frame of n index/value pairs, grown in one
+// step to room for them at full precision (12 bytes a pair) and the
+// header fields, and appends the frame's header placeholder.
+func frameBuf(buf []byte, n int) []byte {
+	return append(slices.Grow(buf[:0], 64+12*n), 0, 0, 0, 0, 0)
+}
+
+// carried reports whether frame is a complete frame of tag for round:
+// the encoding the message's sender made of it. A frame whose buffer
+// the sender has since reused for another round or message fails the
+// check and the message is encoded afresh, so a buffer reused too early
+// costs time, never wrong bytes. Rewriting a buffer while a Send copies
+// it is a data race, which the lifetime rule (runClientRounds) rules
+// out.
+func carried(frame []byte, tag byte, round int) bool {
+	return len(frame) >= 9 && int(binary.LittleEndian.Uint32(frame)) == len(frame)-4 &&
+		frame[4] == tag && int(binary.LittleEndian.Uint32(frame[5:])) == round
 }
 
 // decodeFrame decodes one frame payload (everything after the length

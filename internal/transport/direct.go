@@ -154,6 +154,8 @@ type (
 		Val     []float64
 		Bits    int
 		Scale   float64
+
+		frame []byte // the sender's one encoding (encodeFrame, codec.go)
 	}
 
 	// RoundRelease is the coordinator's per-round control message to a

@@ -625,6 +625,17 @@ type memberUpload struct {
 // every round-m consumer (the coordinator, or every shard's reduction
 // and fill queries) is done reading before that broadcast can be
 // released. (A durable link copies what it keeps for resends.)
+//
+// The downlink's encoded frames follow the same rule from the other
+// side. A routed coordinator encodes round m's Broadcast once, into
+// frame slot m%(W+1) (coordRun.frames), and W rounds deep its outboxes
+// may still be sending it while later rounds run. The slot is next
+// written at round m+W+1, whose aggregation needs every client's round
+// m+W+1 upload — sent only after that client received round m's
+// broadcast, at step m+W. A coordinator that sends in line (W = 0, the
+// durable and population tiers) has copied the frame into every socket
+// before its next round, and so has a shard, which encodes each ring
+// slot's SliceBroadcast into that slot's buffer.
 func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error {
 	net := p.model()
 	net.SetParams(init.Params)

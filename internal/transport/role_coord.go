@@ -226,6 +226,10 @@ type coordRun struct {
 	copyUploads bool
 	slotIdx     [][]int
 	slotVal     [][]float64
+	// frames are the Broadcast's encode buffers, slot m%(W+1) for round
+	// m: one for a coordinator that sends in line, W+1 for the outboxes
+	// (see runClientRounds for why slot m is free again at round m+W+1).
+	frames [][]byte
 	// Direct plane.
 	group *DirectGroup
 
@@ -236,6 +240,7 @@ type coordRun struct {
 func newCoordRun(cfg ServerConfig, clients peerLinks, nClients int, noun string, weights []float64) *coordRun {
 	c := &coordRun{cfg: cfg, clients: clients, nClients: nClients, nDown: nClients, noun: noun, weights: weights,
 		server: fl.NewServer(&gs.FABTopK{}, core.NewFixedK(float64(cfg.K)), nil, len(cfg.InitialParams), cfg.QuantBits),
+		frames: make([][]byte, cfg.Staleness+1),
 		events: make([]fl.RoundEvent, 0, max(cfg.Rounds, 0))}
 	for _, w := range weights {
 		c.total += w
@@ -428,9 +433,11 @@ func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, erro
 
 // aggregate reduces the gathered uploads into the round's Broadcast
 // through the server step, which snaps B onto its b-bit grid — what
-// lets the codec pack the values on the wire. The |J|-sized result is
-// copied out of the server's scratch because in-memory conns pass
-// messages by reference and the scratch is overwritten next round.
+// lets the codec pack the values on the wire — and encodes it once into
+// the round's frame slot, for every receiver's Send to copy. The
+// |J|-sized result is copied out of the server's scratch because
+// in-memory conns pass messages by reference and the scratch is
+// overwritten next round.
 func (c *coordRun) aggregate(m, k int) Broadcast {
 	agg, _, scale := c.server.Aggregate(c.uploads, k, 0)
 	bc := Broadcast{
@@ -441,6 +448,8 @@ func (c *coordRun) aggregate(m, k int) Broadcast {
 	if c.cfg.QuantBits > 0 {
 		bc.Bits, bc.Scale = c.cfg.QuantBits, scale
 	}
+	f := &c.frames[m%len(c.frames)]
+	*f = bc.encodeFrame(*f)
 	return bc
 }
 
@@ -466,7 +475,8 @@ func (c *coordRun) routedRound(m, k int, ids []int, total float64) (loss float64
 	return loss, len(bc.Idx), c.closeRound(m, loss, len(bc.Idx), nil)
 }
 
-// downlink sends one round-m message — boxed once — to every receiver.
+// downlink sends one round-m message to every receiver: boxed into any
+// once, and a Broadcast's frame encoded once (aggregate).
 func (c *coordRun) downlink(m int, msg any) error {
 	for r := 0; r < c.nDown; r++ {
 		if err := c.clients.send(r, m, msg); err != nil {

@@ -78,18 +78,27 @@ func (c connPeers) send(id, _ int, msg any) error { return c[id].Send(msg) }
 
 // downSlice is a sealed round's broadcast slice as a shard serves it:
 // the selected members of its range, the values reconstructed from its
-// own reduction, and the seal's quantization grid.
+// own reduction, the seal's quantization grid, and the buffer its
+// SliceBroadcast is encoded into.
 type downSlice struct {
 	idx   []int
 	val   []float64
 	bits  int
 	scale float64
+	frame []byte
 }
 
-// message boxes the slice as the round's SliceBroadcast — once, for
-// every reader it is sent to.
-func (d *downSlice) message(round, shardID int) any {
-	return SliceBroadcast{Round: round, ShardID: shardID, Idx: d.idx, Val: d.val, Bits: d.bits, Scale: d.scale}
+// message is the slice as the round's SliceBroadcast, encoded once into
+// the slot's frame buffer and boxed into any once, for every reader it
+// is sent to. fresh serves copies of the index and value lists instead
+// of the slot's own (shardLinks.copies).
+func (d *downSlice) message(round, shardID int, fresh bool) any {
+	sb := SliceBroadcast{Round: round, ShardID: shardID, Idx: d.idx, Val: d.val, Bits: d.bits, Scale: d.scale}
+	if fresh {
+		sb.Idx, sb.Val = append([]int(nil), d.idx...), append([]float64(nil), d.val...)
+	}
+	d.frame = sb.encodeFrame(d.frame)
+	return sb
 }
 
 // newShardRound sizes the round state for a validated direct
@@ -157,10 +166,12 @@ func checkAssign(assign ShardAssign, durable bool) error {
 // errors the barrier and a dead fetcher the serve, instead of wedging
 // the peers that already got through.
 //
-// Reusing a ring slot and sharing one boxed reply among all fetchers is
-// safe: slot m is next rebuilt at the seal of round m+W+1, which needs
-// every uploader's round-m+W+1 slice — and a client sends that only
-// after it applied round m's broadcast.
+// Reusing a ring slot and sharing one reply — one boxed message, one
+// encoded frame — among all fetchers is safe: slot m is next rebuilt at
+// the seal of round m+W+1, which needs every uploader's round-m+W+1
+// slice — and a client sends that only after it applied round m's
+// broadcast. The sends are in line, so the frame is copied out before
+// the serve moves on.
 func (sr *shardRound) run(ctl Conn, in *shardLinks) error {
 	w := sr.window
 	ring := make([]downSlice, w+1)
@@ -177,11 +188,7 @@ func (sr *shardRound) run(ctl Conn, in *shardLinks) error {
 		if r < sr.start {
 			continue
 		}
-		ds := ring[r%(w+1)]
-		if in.copies {
-			ds.idx, ds.val = append([]int(nil), ds.idx...), append([]float64(nil), ds.val...)
-		}
-		reply := ds.message(r, sr.shardID)
+		reply := ring[r%(w+1)].message(r, sr.shardID, in.copies)
 		for f := 0; f < in.nDown; f++ {
 			msg, err := in.down.recv(f, r)
 			if err != nil {

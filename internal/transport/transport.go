@@ -109,6 +109,8 @@ type (
 		Val   []float64
 		Bits  int
 		Scale float64
+
+		frame []byte // the sender's one encoding (encodeFrame, codec.go)
 	}
 )
 

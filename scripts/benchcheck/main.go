@@ -73,6 +73,10 @@ var tracked = []struct {
 	// engine_adaptive's CPU (pprof; docs/ARCHITECTURE.md's CPU budget).
 	{"./internal/nn/", "BenchmarkMeanLoss", "200x"},
 	{"./internal/transport/", "BenchmarkSliceCodec|BenchmarkWireRoundBytes", "200x"},
+	// One round's fan-out downlink to 8 receivers: the sender's one
+	// encode and 8 sends of the carried frame, at tcp_routed_q8's
+	// Broadcast and one tcp_direct_s2 shard's SliceBroadcast.
+	{"./internal/transport/", "BenchmarkDownlinkFanout", "2000x"},
 	// The straggler wall clock tracks a W = 1 run under an injected
 	// straggler, which paces the fleet as in lockstep. Each iteration
 	// is a full 12-round 2-shard run (~250 ms), so a few iterations

@@ -63,8 +63,13 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # loops, the rejoin desk, and the hostile-hello table over every reader
 # of Hello and DataHello. Every coordinator tier enters through
 # RunServerPeers, so its one refusal table, the hostile hellos and the
-# bad-log resume refusals ride along.
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Mux|Cohort|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog' ./internal/transport
+# bad-log resume refusals ride along. A fan-out downlink carries the
+# frame its sender encoded once per round into a reused buffer, so its
+# lifetime rule rides along too: the carried-frame tables, and
+# TestRoutedWindowOutgrowsSocketBuffers, where the routed outboxes run
+# furthest behind the coordinator over its W+1 frame slots (about 17 s a
+# pass under -race on 2 cores, some 23 minutes of this step).
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Mux|Cohort|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog|CarriedFrame|RecvNeverCarriesFrame|RoutedWindowOutgrowsSocketBuffers' ./internal/transport
 # The wire clients run the engine's own participant step (fl.Step) and
 # every coordinator the engine's server step (fl.Server), so what proves
 # the callers agree is the "same seed, same bytes" matrix
