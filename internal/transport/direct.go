@@ -171,60 +171,40 @@ type (
 )
 
 // RunDirectShard executes one aggregation shard of the direct data
-// plane over its coordinator control connection: receive the
+// plane over its coordinator control connection (runShard): receive the
 // ShardAssign, obtain the client ingest connections through accept —
-// called with the client count once the assignment names it — and then,
-// per round, run the client barrier (one validated SliceUpload per
-// client), reduce the range with the explicit-rank reduction, reply
-// with the ShardResult, serve FillQuery requests until the
-// coordinator's RoundSeal, and then serve the downlink: one validated
-// SliceFetch per client, each answered with the sealed members of the
-// range and the values reconstructed from the shard's own reduction —
-// shardRound.run, W = the assigned window rounds deep. An assignment
-// with NumHosts > 0 accepts that many population hosts instead and
-// runs the same loop over their links (populationIngest). Ingest
-// connections are closed on return. Any malformed handshake, slice,
-// fetch, or control message — a stale
-// directory, an out-of-range or duplicated coordinate, non-ascending
-// ranks, a slice or fetch claiming another client's identity, a stale
-// or early round, a sealed member the shard never reduced — errors the
-// run as a protocol failure; a client death between slices surfaces as
-// a connection error on the barrier, and one mid-fetch as a connection
-// error on the downlink serve.
+// called with the client count once the assignment names it — and run
+// the round loop (shardRound.run, W = the assigned window rounds deep):
+// per round the client barrier, the range reduction, the ShardResult
+// and FillQuery round trips up to the coordinator's RoundSeal, and the
+// downlink serve of one validated SliceFetch per client. An assignment
+// with NumHosts > 0 accepts that many population hosts instead and runs
+// the same loop over their links (populationIngest). Ingest connections
+// are closed on return. Any malformed handshake, slice, fetch, or
+// control message — a stale directory, an out-of-range or duplicated
+// coordinate, non-ascending ranks, a forged identity, a stale or early
+// round, a sealed member the shard never reduced — errors the run as a
+// protocol failure; a client death surfaces as a connection error on
+// the barrier or on the downlink serve.
 func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error {
-	msg, err := coord.Recv()
-	if err != nil {
-		return fmt.Errorf("transport: direct shard assign recv: %w", err)
-	}
-	assign, ok := msg.(ShardAssign)
-	if !ok {
-		return fmt.Errorf("transport: direct shard expected ShardAssign, got %T", msg)
-	}
-	if err := checkAssign(assign, false); err != nil {
-		return err
-	}
-	n, noun := ingestPeers(assign)
-	peers, err := accept(n)
-	if err != nil {
-		return fmt.Errorf("transport: shard %d accepting %ss: %w", assign.ShardID, noun, err)
-	}
+	var peers []Peer
 	defer func() {
 		for _, p := range peers {
 			_ = p.Conn.Close()
 		}
 	}()
-	if assign.NumHosts > 0 {
-		in, err := populationIngest(coord, assign, peers)
-		if err != nil {
-			return err
+	return runShard(coord, coord.Recv, false, func(assign ShardAssign) (*shardLinks, error) {
+		n, noun := ingestPeers(assign)
+		var err error
+		if peers, err = accept(n); err != nil {
+			return nil, fmt.Errorf("transport: shard %d accepting %ss: %w", assign.ShardID, noun, err)
 		}
-		return newShardRound(assign, 0, "member", "host").run(coord, in)
-	}
-	conns, _, err := seatData(assign, peers)
-	if err != nil {
-		return err
-	}
-	return newShardRound(assign, n, "client", "client").run(coord, &shardLinks{up: conns, down: conns, nDown: n})
+		if assign.NumHosts > 0 {
+			return populationIngest(coord, assign, peers)
+		}
+		conns, _, err := seatData(assign, peers)
+		return &shardLinks{up: conns, down: conns, nDown: n}, err
+	})
 }
 
 // ingestPeers is how many participants a shard's ingest plane seats and

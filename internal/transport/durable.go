@@ -30,7 +30,6 @@ package transport
 
 import (
 	"fmt"
-	"time"
 
 	"fedsparse/internal/fl"
 	"fedsparse/internal/wal"
@@ -65,9 +64,10 @@ type DurableServerConfig struct {
 	// WALPath is the log: a fresh run creates it; a resume opens it,
 	// repairing a torn tail, and continues the run it holds.
 	WALPath string
-	// Desk supplies rejoining peers; required. The coordinator pulls
-	// from it whenever a live connection fails (or, on resume, is not
-	// yet established).
+	// Desk supplies rejoining peers; required. The coordinator opens it
+	// under the run's Rejoin rule (rejoinRule) and takes a peer from it
+	// whenever a live connection fails (or, on resume, is not yet
+	// established).
 	Desk *RejoinDesk
 	// Resume restarts a crashed coordinator from the log at WALPath
 	// instead of enrolling peers: RunServerPeers then takes no peers and
@@ -79,10 +79,6 @@ type DurableServerConfig struct {
 	// process death) and unwinds the run with that error.
 	crash func(Boundary, int) error
 }
-
-// rejoinTimeout bounds each wait of the durable coordinator for a
-// rejoining peer.
-const rejoinTimeout = 30 * time.Second
 
 // coordConf is the configuration fingerprint stored in the RunStart
 // record and validated on resume: a log is never replayed under a
@@ -117,20 +113,13 @@ type durServer struct {
 }
 
 // durSide is one side of the durable coordinator's links — its clients
-// or its direct shards — as the round bodies reach it (peerLinks). A
-// nil connection is a broken link, re-established through the rejoin
-// desk at the next use.
+// or its direct shards, by noun — as the round bodies reach it
+// (peerLinks). A nil connection is a broken link, re-established
+// through the desk at the next use.
 type durSide struct {
 	s     *durServer
-	kind  int // RejoinClient or RejoinShard
 	noun  string
 	conns []Conn
-	// Rejoins that arrived while a different peer was being awaited.
-	pending map[int]rejoinArrival
-}
-
-func (s *durServer) side(kind int, noun string, conns []Conn) *durSide {
-	return &durSide{s: s, kind: kind, noun: noun, conns: conns, pending: make(map[int]rejoinArrival)}
 }
 
 // runDurable is a fresh durable run over the seated clients: it creates
@@ -147,7 +136,7 @@ func runDurable(clients []Conn, weights []float64, cfg ServerConfig) ([]fl.Round
 		return nil, err
 	}
 	defer log.Close()
-	s := newDurServer(cfg, log, clients, weights)
+	s := newDurServer(cfg, log, clients, weights, len(cfg.ShardConns))
 	if err := s.open(clients, dur.RunID, 0); err != nil {
 		return nil, err
 	}
@@ -204,7 +193,7 @@ func resumeDurable(cfg ServerConfig) ([]fl.RoundEvent, error) {
 		// so redos after the resume still broadcast a correct directory.
 		cfg.ShardAddrs = make([]string, nShards)
 	}
-	s := newDurServer(cfg, log, make([]Conn, nClients), append([]float64(nil), rs.Weights...))
+	s := newDurServer(cfg, log, make([]Conn, nClients), append([]float64(nil), rs.Weights...), nShards)
 
 	seal, release, err := s.replayRounds(replayed[1:])
 	if err != nil {
@@ -253,10 +242,12 @@ func resumeDurable(cfg ServerConfig) ([]fl.RoundEvent, error) {
 }
 
 // newDurServer wraps the shared round state in the durable tier's
-// values: healing links over clients and a journal over log.
-func newDurServer(cfg ServerConfig, log *wal.Log, clients []Conn, weights []float64) *durServer {
+// values: healing links over clients and a journal over log. It opens
+// the desk to the run's clients and its nShards direct shards.
+func newDurServer(cfg ServerConfig, log *wal.Log, clients []Conn, weights []float64, nShards int) *durServer {
 	s := &durServer{dur: cfg.Durable}
-	s.cl = s.side(RejoinClient, "client", clients)
+	s.dur.Desk.open(rejoinRule(s.dur.RunID, len(clients), nShards))
+	s.cl = &durSide{s: s, noun: "client", conns: clients}
 	s.coordRun = newCoordRun(cfg, s.cl, len(clients), "client", weights)
 	s.journal = &journal{log: log, crash: cfg.Durable.crash, closeAll: s.closeAll}
 	return s
@@ -265,7 +256,7 @@ func newDurServer(cfg ServerConfig, log *wal.Log, clients []Conn, weights []floa
 // healShards puts the DirectGroup's shard connections behind a healing
 // side: the slice is shared, so rejoins swap entries in place.
 func (s *durServer) healShards() {
-	s.sh = s.side(RejoinShard, "shard", s.group.conns)
+	s.sh = &durSide{s: s, noun: "shard", conns: s.group.conns}
 	s.group.links = s.sh
 }
 
@@ -304,21 +295,13 @@ func (s *durServer) replayRounds(recs []wal.Record) (*wal.Seal, *wal.Release, er
 	return seal, release, nil
 }
 
-// closeAll is the journal's crash action: close every peer connection,
-// staged rejoins included.
+// closeAll is the journal's crash action: close every peer connection.
+// Rejoins staged at the desk stay for the resumed coordinator, as a
+// listener's backlog would.
 func (s *durServer) closeAll() {
-	for _, d := range []*durSide{s.cl, s.sh} {
-		if d == nil {
-			continue
-		}
-		for _, c := range d.conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		for _, a := range d.pending {
-			a.conn.Close()
-		}
+	closeConns(s.cl.conns)
+	if s.sh != nil {
+		closeConns(s.sh.conns)
 	}
 }
 
@@ -340,84 +323,75 @@ func msgRound(msg any) (int, bool) {
 	return 0, false
 }
 
-// await blocks until peer id rejoins (consulting the stash of rejoins
-// that arrived out of turn first), acks it with the current round as
-// NeedFrom, swaps the connection in, and returns the Rejoin. An ack
-// that cannot be delivered means the peer gave up and will redial: wait
-// for the next arrival.
-func (d *durSide) await(id int) (Rejoin, error) {
-	s := d.s
-	for {
-		a, ok := d.pending[id]
-		if !ok {
-			if err := s.stageRejoin(fmt.Sprintf("%s %d", d.noun, id)); err != nil {
-				return Rejoin{}, err
-			}
-			continue
+// rejoinRule is the coordinator desk's admit rule: run's Rejoins from
+// clients [0, nClients) and shards [0, nShards), keyed by kind and ID.
+// A stray enrolment (there is no mid-run enrolment), a peer of another
+// run or an identity outside this one is refused.
+func rejoinRule(run uint64, nClients, nShards int) func(Peer) (deskKey, error) {
+	return func(p Peer) (deskKey, error) {
+		rj := p.Rejoin
+		switch {
+		case rj == nil:
+			return deskKey{}, fmt.Errorf("transport: non-rejoin peer on the rejoin desk")
+		case rj.RunID != run:
+			return deskKey{}, fmt.Errorf("transport: rejoin to run %#x, this run is %#x", rj.RunID, run)
+		case rj.Kind == RejoinClient && rj.ID >= 0 && rj.ID < nClients:
+			return deskKey{"client", rj.ID}, nil
+		case rj.Kind == RejoinShard && rj.ID >= 0 && rj.ID < nShards:
+			return deskKey{"shard", rj.ID}, nil
 		}
-		delete(d.pending, id)
-		ack := RejoinAck{RunID: s.dur.RunID, Round: s.round, NeedFrom: s.round}
-		if err := a.conn.Send(ack); err != nil {
-			a.conn.Close()
-			continue
-		}
-		if d.conns[id] != nil {
-			d.conns[id].Close()
-		}
-		d.conns[id] = a.conn
-		if d.kind != RejoinShard {
-			// Only a shard can restart empty; clients hold the model.
-			a.rj.Fresh = false
-		} else if a.rj.Addr != "" && id < len(s.cfg.ShardAddrs) {
-			// Keep the client-facing directory current: after a
-			// coordinator resume the slot starts empty, and a restarted
-			// shard may listen on a new address.
-			s.cfg.ShardAddrs[id] = a.rj.Addr
-		}
-		return a.rj, nil
+		return deskKey{}, fmt.Errorf("transport: rejoin of kind %d, id %d is outside this run", rj.Kind, rj.ID)
 	}
 }
 
-// stageRejoin pulls one classified rejoin from the desk into its side's
-// stash, validating identity (a newer redial supersedes a staged one);
-// who names the peer being waited on, for the timeout error.
-func (s *durServer) stageRejoin(who string) error {
-	conn, rj, err := s.dur.Desk.Next(rejoinTimeout)
-	if err != nil {
-		return fmt.Errorf("transport: link to %s lost and no rejoin arrived: %w", who, err)
+// await takes broken peer id's rejoin from the desk, acks it with the
+// current round as NeedFrom, seats the connection, and returns the Rejoin.
+// An ack that cannot be delivered means the peer gave up and will
+// redial: wait for the next arrival. A FRESH rejoin — a shard that
+// restarted empty — runs the redo flow at round m (redoShard), which a
+// resume preamble re-issuing a logged seal (noRedo) cannot.
+func (d *durSide) await(id, m int) (Rejoin, error) {
+	s := d.s
+	for {
+		p, err := s.dur.Desk.take(deskKey{d.noun, id}, deskWait)
+		if err != nil {
+			return Rejoin{}, fmt.Errorf("transport: link to %s %d lost and no rejoin arrived: %w", d.noun, id, err)
+		}
+		ack := RejoinAck{RunID: s.dur.RunID, Round: s.round, NeedFrom: s.round}
+		if err := p.Conn.Send(ack); err != nil {
+			p.Conn.Close()
+			continue
+		}
+		d.conns[id] = p.Conn
+		rj := *p.Rejoin
+		if d.noun == "client" {
+			// Only a shard can restart empty; clients hold the model.
+			rj.Fresh = false
+		} else if rj.Addr != "" && id < len(s.cfg.ShardAddrs) {
+			// Keep the client-facing directory current: after a
+			// coordinator resume the slot starts empty, and a restarted
+			// shard may listen on a new address.
+			s.cfg.ShardAddrs[id] = rj.Addr
+		}
+		switch {
+		case rj.Fresh && s.noRedo:
+			return rj, fmt.Errorf("transport: resume: shard %d restarted empty while round %d's seal was being re-issued — restart it after the round finishes", id, m)
+		case rj.Fresh:
+			return rj, s.redoShard(id, m, rj)
+		}
+		return rj, nil
 	}
-	d := s.cl
-	if rj.Kind == RejoinShard {
-		d = s.sh
-	}
-	if rj.RunID != s.dur.RunID || (rj.Kind != RejoinClient && rj.Kind != RejoinShard) ||
-		d == nil || rj.ID < 0 || rj.ID >= len(d.conns) {
-		conn.Close()
-		return nil
-	}
-	if old, ok := d.pending[rj.ID]; ok {
-		old.conn.Close()
-	}
-	d.pending[rj.ID] = rejoinArrival{conn: conn, rj: rj}
-	return nil
 }
 
 // recv returns peer id's next round-m-or-later message, discarding
 // stale resends (already consumed before a rejoin) and recovering the
-// link through rejoins. A FRESH rejoin — a shard that restarted empty —
-// triggers the redo flow: re-assign the shard at round m and point
-// every client at its new address to re-feed the barrier.
+// link through rejoins; a shard that restarted empty is re-fed the
+// round-m barrier (await).
 func (d *durSide) recv(id, m int) (any, error) {
 	for {
 		if d.conns[id] == nil {
-			rj, err := d.await(id)
-			if err != nil {
+			if _, err := d.await(id, m); err != nil {
 				return nil, err
-			}
-			if rj.Fresh {
-				if err := d.s.redoShard(id, m, rj); err != nil {
-					return nil, err
-				}
 			}
 		}
 		msg, err := d.conns[id].Recv()
@@ -441,27 +415,17 @@ func (d *durSide) send(id, m int, msg any) error { return d.deliver(id, m, msg, 
 // rejoins. gated: a rejoining peer that already holds round m
 // (LastSeal >= m) is skipped — a duplicate would be discarded anyway;
 // ungated is for Redo, which is idempotent at the client and not
-// covered by LastSeal. A FRESH rejoin here means the old shard died
-// after its result was consumed: the redo flow reruns the round-m
-// barrier at the new shard (clients re-feed it from their rings; the
-// rebuilt reduction is bit-identical) and the seal is then delivered on
-// top; during a resume preamble (noRedo) that is unsupported and errors
-// instead.
+// covered by LastSeal. A shard that restarted empty after its result
+// was consumed is re-fed the round-m barrier (await), and the seal is
+// delivered on top.
 func (d *durSide) deliver(id, m int, msg any, gated bool) error {
 	for {
 		if d.conns[id] == nil {
-			rj, err := d.await(id)
+			rj, err := d.await(id, m)
 			if err != nil {
 				return err
 			}
-			switch {
-			case rj.Fresh && d.s.noRedo:
-				return fmt.Errorf("transport: resume: shard %d restarted empty while round %d's seal was being re-issued — restart it after the round finishes", id, m)
-			case rj.Fresh:
-				if err := d.s.redoShard(id, m, rj); err != nil {
-					return err
-				}
-			case gated && rj.LastSeal >= m:
+			if gated && !rj.Fresh && rj.LastSeal >= m {
 				return nil
 			}
 		}

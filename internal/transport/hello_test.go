@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // enrolment is one participant's identity and roster as a hostile-hello
@@ -43,12 +42,12 @@ func weightRefusal(w string) map[string]string {
 
 // TestHostileHello drives the participant hellos through every reader:
 // RunServerPeers under the plain, durable and population configs
-// (seatHellos), the plain and population shard ingest (seatData), and
-// the durable shard's data desk (checkDataHello per connection). Each
-// row must be refused by
-// name by every reader it is hostile to; "" marks a reader the row is
-// legal on (a population host may own any members; a DataHello carries
-// no weights; a repeated ID at the desk is a redial).
+// (seatHellos), and the plain and population shard ingest (seatData).
+// Each row must be refused by name by every reader it is hostile to; a
+// reader the row is legal on is not listed (a population host may own
+// any members; a DataHello carries no weights). The durable shard's
+// desk reads the same check, checkDataHello, one connection at a time:
+// TestDeskAdmitRules holds its refusals.
 func TestHostileHello(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -60,7 +59,6 @@ func TestHostileHello(t *testing.T) {
 			"coordinator": "transport: client 0 roster [1], want [0]",
 			"durable":     "transport: client 0 roster [1], want [0]",
 			"shard":       "transport: shard 0: client 0 roster [1], want [0]",
-			"desk":        "transport: shard 0: client 0 roster [1], want [0]",
 		}},
 		{"roster and weights of different lengths", []enrolment{{0, []int{0}, []float64{1, 2}}}, 0, map[string]string{
 			"coordinator":            "transport: client 0 roster shape 1 members / 2 weights",
@@ -72,7 +70,6 @@ func TestHostileHello(t *testing.T) {
 			"durable":                "transport: client 0 roster shape 0 members / 0 weights",
 			"population coordinator": "transport: host 0 roster shape 0 members / 0 weights",
 			"shard":                  "transport: shard 0: client 0 roster [], want [0]",
-			"desk":                   "transport: shard 0: client 0 roster [], want [0]",
 		}},
 		{"non-ascending roster", []enrolment{{0, []int{1, 0}, nil}}, 0, map[string]string{
 			"coordinator":            "transport: client 0 roster [1 0], want [0]",
@@ -80,7 +77,6 @@ func TestHostileHello(t *testing.T) {
 			"population coordinator": "transport: host 0 roster not strictly ascending at member 0",
 			"shard":                  "transport: shard 0: client 0 roster [1 0], want [0]",
 			"population shard":       "transport: shard 0: host 0 roster not strictly ascending at member 0",
-			"desk":                   "transport: shard 0: client 0 roster [1 0], want [0]",
 		}},
 		{"duplicate ID", []enrolment{{0, []int{0}, nil}, {0, []int{0}, nil}}, 0, map[string]string{
 			"coordinator":            "transport: duplicate client id 0",
@@ -95,7 +91,6 @@ func TestHostileHello(t *testing.T) {
 			"population coordinator": "transport: host id 5 out of range [0, 1)",
 			"shard":                  "transport: shard 0: client id 5 out of range [0, 1)",
 			"population shard":       "transport: shard 0: host id 5 out of range [0, 1)",
-			"desk":                   "transport: shard 0: client id 5 out of range [0, 1)",
 		}},
 		{"member outside the population", []enrolment{{0, []int{0, 7}, nil}}, 0, map[string]string{
 			"population coordinator": "transport: host 0 roster member 7 outside the population [0, 2)",
@@ -107,7 +102,6 @@ func TestHostileHello(t *testing.T) {
 			"population coordinator": "transport: member 1 claimed by hosts 0 and 1",
 			"shard":                  "transport: shard 0: client 0 roster [0 1], want [0]",
 			"population shard":       "transport: shard 0: member 1 claimed by hosts 0 and 1",
-			"desk":                   "transport: shard 0: client 0 roster [0 1], want [0]",
 		}},
 		{"NaN weight", []enrolment{{0, []int{0}, []float64{math.NaN()}}}, 0, weightRefusal("NaN")},
 		{"+Inf weight", []enrolment{{0, []int{0}, []float64{math.Inf(1)}}}, 0, weightRefusal("+Inf")},
@@ -116,7 +110,6 @@ func TestHostileHello(t *testing.T) {
 		{"stale shard geometry", []enrolment{{0, []int{0}, nil}}, 3, map[string]string{
 			"shard":            "transport: shard 0: client 0 presented a stale shard directory (3 shards over dim 10 aimed at shard 0; this deployment is 2 over 10)",
 			"population shard": "transport: shard 0: host 0 presented a stale shard directory (3 shards over dim 10 aimed at shard 0; this deployment is 2 over 10)",
-			"desk":             "transport: shard 0: client 0 presented a stale shard directory (3 shards over dim 10 aimed at shard 0; this deployment is 2 over 10)",
 		}},
 	}
 
@@ -190,20 +183,6 @@ func TestHostileHello(t *testing.T) {
 		},
 		"population shard": func(t *testing.T, enrolled []enrolment, numShards int) error {
 			return shard(t, enrolled, numShards, true)
-		},
-		// The desk reads each connection on its own: the first refusal
-		// among the row's hellos is the row's.
-		"desk": func(t *testing.T, enrolled []enrolment, numShards int) error {
-			d := newDataDesk(func() (Conn, error) { return nil, errors.New("no listener") }, assign(enrolled, false), time.Second)
-			defer d.close()
-			for _, h := range dataHellos(enrolled, numShards) {
-				shardSide, clientSide := NewMemPair()
-				go func() { _ = clientSide.Send(h) }()
-				if err := d.handshake(shardSide); err != nil {
-					return err
-				}
-			}
-			return nil
 		},
 	}
 	for _, tc := range cases {

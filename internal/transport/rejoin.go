@@ -8,8 +8,11 @@
 // connection into the middle of a run. Redo is the one coordinator-
 // initiated recovery message: it tells every client that a shard
 // restarted empty and must be re-fed the current round's slices. The
-// coordinator's half is RejoinDesk; the peers' half is healLink, the
-// one self-healing control link of durable clients and shards alike.
+// coordinator's half is a desk under the Rejoin rule (RejoinDesk,
+// rejoinRule); the desk is the durable tier's one re-seating point, and
+// a durable shard's client ingest runs on it too, under the DataHello
+// rule (dataRule). The peers' half is healLink, the one self-healing
+// control link of durable clients and shards alike.
 package transport
 
 import (
@@ -71,85 +74,128 @@ type (
 	}
 )
 
-// rejoinArrival is one classified rejoin connection.
-type rejoinArrival struct {
-	conn Conn
-	rj   Rejoin
+// deskWait bounds each wait of a durable round for a peer's
+// (re)connection at its desk.
+const deskWait = 30 * time.Second
+
+// desk is the durable tier's one re-seating point, for the
+// coordinator's rejoins and a durable shard's client ingest alike. Its
+// accept loop runs for the whole run, so a round never races a
+// redialing peer; each connection is classified on its own goroutine
+// under the handshake deadline (a silent dialer cannot stall the desk),
+// keyed or refused by the admit rule, and staged until the round takes
+// it. A newer arrival closes and replaces the one staged under its key:
+// a peer redials only once its old connection is lost.
+type desk struct {
+	accept func() (Conn, error)
+	admit  func(Peer) (deskKey, error)
+	start  sync.Once
+
+	mu     sync.Mutex
+	staged map[deskKey]Peer // nil once closed
+	wake   chan struct{}    // closed (and replaced) at every staging, and by Close
 }
 
-// RejoinDesk turns an accept source (a TCP listener, or a channel-fed
-// hook in tests) into a stream of classified Rejoin connections. It
-// accepts continuously in the background so a coordinator parked in its
-// round loop never races a redialing peer, classifies each connection
-// on its own goroutine (a silent dialer cannot stall the desk), and
-// closes everything that is not a Rejoin — mid-run enrollment of new
-// peers is not a thing the protocol supports.
-type RejoinDesk struct {
-	ch   chan rejoinArrival
-	done chan struct{}
-	once sync.Once
+// deskKey names a staged peer: "client" or "shard", and its ID.
+type deskKey struct {
+	noun string
+	id   int
 }
 
-// NewRejoinDesk starts a desk over accept. The desk owns no listener:
-// closing the underlying accept source (so accept returns an error)
-// plus Close releases everything.
-func NewRejoinDesk(accept func() (Conn, error)) *RejoinDesk {
-	d := &RejoinDesk{
-		ch:   make(chan rejoinArrival),
-		done: make(chan struct{}),
-	}
-	go func() {
-		for {
-			conn, err := accept()
-			if err != nil {
-				return
-			}
-			select {
-			case <-d.done:
-				conn.Close()
-				return
-			default:
-			}
-			go func(conn Conn) {
-				p, err := AcceptPeer(conn)
-				if err != nil || p.Rejoin == nil {
-					conn.Close()
+func (k deskKey) String() string { return fmt.Sprintf("%s %d", k.noun, k.id) }
+
+// RejoinDesk is a durable coordinator's desk (DurableServerConfig.Desk):
+// its rejoining clients and direct shards, keyed by kind and ID.
+type RejoinDesk = desk
+
+// NewRejoinDesk builds a rejoin desk over accept (a TCP listener's
+// Accept, or a channel-fed hook in tests). It takes no connection until
+// a durable coordinator opens it under its run's rejoinRule. The desk
+// owns no listener: closing the accept source (so accept returns an
+// error) plus Close releases everything.
+func NewRejoinDesk(accept func() (Conn, error)) *RejoinDesk { return newDesk(accept) }
+
+func newDesk(accept func() (Conn, error)) *desk {
+	return &desk{accept: accept, staged: make(map[deskKey]Peer), wake: make(chan struct{})}
+}
+
+// open starts the accept loop under admit. A desk opens once: a resumed
+// coordinator reopening its predecessor's desk resumes the same run.
+func (d *desk) open(admit func(Peer) (deskKey, error)) {
+	d.start.Do(func() {
+		d.admit = admit
+		go func() {
+			for {
+				conn, err := d.accept()
+				if err != nil {
 					return
 				}
-				select {
-				case d.ch <- rejoinArrival{conn: conn, rj: *p.Rejoin}:
-				case <-d.done:
-					conn.Close()
-				}
-			}(conn)
+				go d.stage(conn)
+			}
+		}()
+	})
+}
+
+// stage classifies one accepted connection and stages it under its
+// key; a refused connection is closed and the refusal returned.
+func (d *desk) stage(conn Conn) error {
+	p, err := AcceptPeer(conn)
+	var k deskKey
+	if err == nil {
+		k, err = d.admit(p)
+	}
+	d.mu.Lock()
+	if err == nil && d.staged != nil {
+		// Swap: conn becomes the one replaced, if any.
+		p, d.staged[k] = d.staged[k], p
+		conn = p.Conn
+		close(d.wake)
+		d.wake = make(chan struct{})
+	}
+	d.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+	return err
+}
+
+// take returns the peer staged under k, waiting at most timeout.
+func (d *desk) take(k deskKey, timeout time.Duration) (Peer, error) {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	for {
+		d.mu.Lock()
+		p, ok := d.staged[k]
+		delete(d.staged, k)
+		closed, wake := d.staged == nil, d.wake
+		d.mu.Unlock()
+		switch {
+		case ok:
+			return p, nil
+		case closed:
+			return Peer{}, fmt.Errorf("transport: desk closed while awaiting %v", k)
 		}
-	}()
-	return d
-}
-
-// Next returns the next rejoin connection, waiting at most timeout
-// (<= 0 waits forever).
-func (d *RejoinDesk) Next(timeout time.Duration) (Conn, Rejoin, error) {
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-	select {
-	case a := <-d.ch:
-		return a.conn, a.rj, nil
-	case <-timeoutCh:
-		return nil, Rejoin{}, fmt.Errorf("transport: timed out after %v waiting for a rejoining peer", timeout)
-	case <-d.done:
-		return nil, Rejoin{}, fmt.Errorf("transport: rejoin desk closed")
+		select {
+		case <-wake:
+		case <-t.C:
+			return Peer{}, fmt.Errorf("transport: no connection from %v within %v", k, timeout)
+		}
 	}
 }
 
-// Close stops the desk. Connections already accepted but not yet
-// returned by Next are closed.
-func (d *RejoinDesk) Close() {
-	d.once.Do(func() { close(d.done) })
+// Close stops staging and closes every staged connection. The accept
+// loop itself unwinds when the accept source fails.
+func (d *desk) Close() {
+	d.mu.Lock()
+	staged := d.staged
+	if staged != nil {
+		d.staged = nil
+		close(d.wake)
+	}
+	d.mu.Unlock()
+	for _, p := range staged {
+		p.Conn.Close()
+	}
 }
 
 // healLink is a durable peer's control link to the coordinator — a

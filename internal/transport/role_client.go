@@ -141,13 +141,7 @@ func (f *shardFan) connect(s int) error {
 	return nil
 }
 
-func (f *shardFan) close() {
-	for _, c := range f.conns {
-		if c != nil {
-			_ = c.Close()
-		}
-	}
-}
+func (f *shardFan) close() { closeConns(f.conns) }
 
 // shardOf returns the shard owning coordinate j.
 func (f *shardFan) shardOf(j int) int { return tensor.ChunkOf(f.hello.Dim, len(f.conns), j) }

@@ -10,13 +10,14 @@ import (
 	"fedsparse/internal/tensor"
 )
 
-// This file is the direct-plane shard's round and its one loop. Every
-// tier — the ordered barrier at any staleness window (direct.go), the
-// re-seating desk (durable_shard.go), the cohort over host muxes
-// (population.go) — runs shardRound.run and supplies only its
-// shardLinks: where slices arrive and fetches are answered, who uploads
-// each round, and whether payloads are copied. The control link is a
-// plain Conn, or the durable healLink (rejoin.go).
+// This file is the direct-plane shard's body (runShard), its round and
+// its one loop. Both entry points, RunDirectShard and
+// RunDurableDirectShard, run runShard, and every tier — the ordered
+// barrier at any staleness window (direct.go), the re-seating desk
+// (durable_shard.go), the cohort over host muxes (population.go) —
+// supplies only its shardLinks: where slices arrive and fetches are
+// answered, who uploads each round, and whether payloads are copied.
+// The control link is a plain Conn, or the durable healLink (rejoin.go).
 //
 //	admit       one validated SliceUpload into the round's barrier
 //	seal        reduce → ShardResult → FillQuery*/RoundSeal → downlink slice
@@ -102,8 +103,13 @@ func (d *downSlice) message(round, shardID int, fresh bool) any {
 }
 
 // newShardRound sizes the round state for a validated direct
-// assignment with slots barrier positions.
-func newShardRound(assign ShardAssign, slots int, peer, fetcher string) *shardRound {
+// assignment: a barrier slot per client, or on the population plane a
+// cohort's members uploading and their hosts fetching.
+func newShardRound(assign ShardAssign) *shardRound {
+	slots, peer, fetcher := len(assign.Weights), "client", "client"
+	if assign.NumHosts > 0 {
+		slots, peer, fetcher = 0, "member", "host"
+	}
 	lo, hi := tensor.ChunkBounds(assign.Dim, assign.NumShards, assign.ShardID)
 	sr := &shardRound{
 		shardID: assign.ShardID, quantBits: assign.QuantBits, lo: lo, hi: hi,
@@ -152,6 +158,28 @@ func checkAssign(assign ShardAssign, durable bool) error {
 		return fmt.Errorf("transport: shard %d: the durable tier is per-client, not %d population hosts", id, assign.NumHosts)
 	}
 	return nil
+}
+
+// runShard is every direct shard's body once its control link ctl is
+// up: one assignment receipt through recv, checkAssign, the ingest
+// plane seated by seat, and the round loop over both.
+func runShard(ctl Conn, recv func() (any, error), durable bool, seat func(ShardAssign) (*shardLinks, error)) error {
+	msg, err := recv()
+	if err != nil {
+		return fmt.Errorf("transport: direct shard assign recv: %w", err)
+	}
+	assign, ok := msg.(ShardAssign)
+	if !ok {
+		return fmt.Errorf("transport: direct shard expected ShardAssign, got %T", msg)
+	}
+	if err := checkAssign(assign, durable); err != nil {
+		return err
+	}
+	in, err := seat(assign)
+	if err != nil {
+		return err
+	}
+	return newShardRound(assign).run(ctl, in)
 }
 
 // run is the shard's round loop on every tier, W = the assigned window

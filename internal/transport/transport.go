@@ -124,6 +124,15 @@ type Conn interface {
 	Close() error
 }
 
+// closeConns closes every connection of conns (nil entries are none).
+func closeConns(conns []Conn) {
+	for _, c := range conns {
+		if c != nil {
+			_ = c.Close()
+		}
+	}
+}
+
 // ErrClosed is returned by Send on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 

@@ -13,7 +13,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,10 +124,10 @@ func BenchmarkStragglerWallClock(b *testing.B) {
 	}
 }
 
-// capRun deploys engine's run over loopback TCP at the window cap and
-// requires it to finish as fl.Run does, on the routed plane and the
-// direct one with two shards.
-func capRun(t *testing.T, engine fl.Config, w workload) {
+// capRun deploys engine's run over loopback TCP (newNet) at the window
+// cap and requires it to finish as fl.Run does, on the routed plane and
+// the direct one with two shards.
+func capRun(t *testing.T, engine fl.Config, w workload, newNet func(testing.TB) *testNet) {
 	t.Helper()
 	want := engineEvents(t, engine)
 	cfg, err := wireConfig(engine, false)
@@ -134,7 +136,7 @@ func capRun(t *testing.T, engine fl.Config, w workload) {
 	}
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			net := tcpNet(t)
+			net := newNet(t)
 			defer net.teardown()
 			got, err := deploy(t, net, cfg, layout{shards: shards, work: w})
 			if err != nil {
@@ -153,22 +155,107 @@ func capRun(t *testing.T, engine fl.Config, w workload) {
 func TestWindowedCapOverTCP(t *testing.T) {
 	engine := runSpec{rounds: fl.MaxStaleness + 4, staleness: fl.MaxStaleness}.config(0)
 	engine.Controller = core.NewFixedK(float64(engine.Model().D()))
-	capRun(t, engine, testWorkload())
+	capRun(t, engine, testWorkload(), tcpNet)
 }
 
-// TestRoutedWindowOutgrowsSocketBuffers is the same at a model of 163k
-// parameters: fl.MaxStaleness+1 uploads of 2.6 MB each are more than a
-// loopback link buffers, so a routed coordinator that sent a broadcast
-// in line would wait on a client that is itself waiting to send it an
-// upload. Its outboxes (startOutboxes) are what let the run finish.
+// socketBuf is the kernel buffer cappedNet sets on each end of a
+// socket, each way.
+const socketBuf = 128 << 10
+
+// cappedNet is tcpNet over raw loopback sockets whose kernel buffers
+// are capped at socketBuf on both ends, so a few frames fill a link.
+func cappedNet(t testing.TB) *testNet {
+	capped := func(c net.Conn) Conn {
+		tc := c.(*net.TCPConn)
+		if err := tc.SetReadBuffer(socketBuf); err != nil {
+			t.Error(err)
+		}
+		if err := tc.SetWriteBuffer(socketBuf); err != nil {
+			t.Error(err)
+		}
+		return NewBinConn(tc)
+	}
+	var mu sync.Mutex
+	var lns []net.Listener
+	listen := func(string) (string, func() (Conn, error)) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		lns = append(lns, ln)
+		mu.Unlock()
+		return ln.Addr().String(), func() (Conn, error) {
+			c, err := ln.Accept()
+			if err != nil {
+				return nil, err
+			}
+			return capped(c), nil
+		}
+	}
+	dial := func(addr string) (Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return capped(c), nil
+	}
+	coordAddr, coordAccept := listen("coordinator")
+	hub := make(chan Conn, 256)
+	go func() {
+		for {
+			conn, err := coordAccept()
+			if err != nil {
+				close(hub)
+				return
+			}
+			hub <- conn
+		}
+	}()
+	return &testNet{
+		coordConns: hub,
+		dialCoord:  func() (Conn, error) { return dial(coordAddr) },
+		dialData:   dial,
+		addData:    listen,
+		teardown: func() {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, ln := range lns {
+				ln.Close()
+			}
+		},
+	}
+}
+
+// TestRoutedWindowOutgrowsSocketBuffers is the same over sockets whose
+// buffers fl.MaxStaleness+1 uploads outgrow: a routed coordinator that
+// sent a broadcast in line would wait on a client that is itself
+// waiting to send it an upload. Its outboxes (startOutboxes) are what
+// let the run finish.
 func TestRoutedWindowOutgrowsSocketBuffers(t *testing.T) {
-	fed := dataset.GenerateFEMNIST(dataset.FEMNISTConfig{NumClients: 2, NumClasses: 62, Dim: 256,
+	fed := dataset.GenerateFEMNIST(dataset.FEMNISTConfig{NumClients: 2, NumClasses: 10, Dim: 64,
 		SamplesPerClient: 20, ClassesPerClient: 5, TestSamples: 10, Noise: 0.4, Seed: 11})
-	model := func() *nn.Network { return nn.NewMLP(256, []int{512}, 62) }
+	model := func() *nn.Network { return nn.NewMLP(64, []int{128}, 10) }
+	d := model().D()
 	engine := fl.Config{Data: fed, Model: model, LearningRate: 0.1, BatchSize: 8, Rounds: fl.MaxStaleness + 2, Seed: 5,
-		Strategy: &gs.FABTopK{}, Controller: core.NewFixedK(float64(model().D())), Staleness: fl.MaxStaleness}
+		Strategy: &gs.FABTopK{}, Controller: core.NewFixedK(float64(d)), Staleness: fl.MaxStaleness}
+
+	// A direction of a link holds both ends' kernel buffers (Linux
+	// doubles a set size) and the reader's 64 KiB bufio (NewBinConn); a
+	// client's W+1 uploads of every coordinate must outgrow that.
+	up := Upload{Idx: make([]int, d), Val: make([]float64, d)}
+	for j := range d {
+		up.Idx[j], up.Val[j] = j, 1+float64(j)/7
+	}
+	frame, err := appendFrame(nil, up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if link := 2*socketBuf + 2*socketBuf + 1<<16; (fl.MaxStaleness+1)*len(frame) <= link {
+		t.Fatalf("%d uploads of %d bytes fit a link that holds %d", fl.MaxStaleness+1, len(frame), link)
+	}
 	capRun(t, engine, workload{members: 2, data: func(member int) *dataset.Dataset { return &fed.Clients[member] },
-		model: model, batch: 8})
+		model: model, batch: 8}, cappedNet)
 }
 
 // TestWindowedShardRejectsMalformed covers a W-deep shard's ingest

@@ -53,23 +53,25 @@ go test -count=1 -cpu 1,2,4 ./internal/transport
 # The staleness window is the lockstep loops run W rounds deep, so a
 # W >= 1 run is a pure function of the seeds: its straggler, cap and
 # ingest-order suites run repeatedly under the race detector at several
-# GOMAXPROCS, where a scheduling dependence would show. One shard loop
+# GOMAXPROCS, where a scheduling dependence would show. One shard body
 # serves all four shard tiers (lockstep, windowed, durable, population),
 # so their hostile-input tables, the shard kill + fresh rejoin and the
-# durable ingest desk ride along; and one participant loop serves the
-# client and the virtual host, so the mux and the hostile cohort table
-# ride along too. So do the handshake readers, each running its
-# accepted connections on their own goroutines: the classifying accept
-# loops, the rejoin desk, and the hostile-hello table over every reader
-# of Hello and DataHello. Every coordinator tier enters through
-# RunServerPeers, so its one refusal table, the hostile hellos and the
-# bad-log resume refusals ride along. A fan-out downlink carries the
-# frame its sender encoded once per round into a reused buffer, so its
-# lifetime rule rides along too: the carried-frame tables, and
-# TestRoutedWindowOutgrowsSocketBuffers, where the routed outboxes run
-# furthest behind the coordinator over its W+1 frame slots (about 17 s a
-# pass under -race on 2 cores, some 23 minutes of this step).
-go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|DataDesk|Mux|Cohort|QuantizedTrajectoryGrid|AcceptPeers|RejoinDesk|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog|CarriedFrame|RecvNeverCarriesFrame|RoutedWindowOutgrowsSocketBuffers' ./internal/transport
+# durable shard's re-seating ingest ride along; and one participant loop
+# serves the client and the virtual host, so the mux and the hostile
+# cohort table ride along too. So do the handshake readers, each running
+# its accepted connections on their own goroutines: the classifying
+# accept loops, the durable tier's one desk under both of its admit
+# rules (Rejoin at the coordinator, DataHello at a durable shard), and
+# the hostile-hello table over every reader of Hello and DataHello.
+# Every coordinator tier enters through RunServerPeers, so its one
+# refusal table, the hostile hellos and the bad-log resume refusals ride
+# along. A fan-out downlink carries the frame its sender encoded once
+# per round into a reused buffer, so its lifetime rule rides along too:
+# the carried-frame tables, and TestRoutedWindowOutgrowsSocketBuffers,
+# where the routed outboxes run furthest behind the coordinator over its
+# W+1 frame slots (under a second a pass under -race on 2 cores: a small
+# model over sockets with capped buffers).
+go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|Desk|Mux|Cohort|QuantizedTrajectoryGrid|AcceptPeers|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog|CarriedFrame|RecvNeverCarriesFrame|RoutedWindowOutgrowsSocketBuffers' ./internal/transport
 # The wire clients run the engine's own participant step (fl.Step) and
 # every coordinator the engine's server step (fl.Server), so what proves
 # the callers agree is the "same seed, same bytes" matrix
