@@ -47,7 +47,7 @@ func weightRefusal(w string) map[string]string {
 // reader the row is legal on is not listed (a population host may own
 // any members; a DataHello carries no weights). The durable shard's
 // desk reads the same check, checkDataHello, one connection at a time:
-// TestDeskAdmitRules holds its refusals.
+// the "data" row of deskRules (recovery_test.go) holds its refusals.
 func TestHostileHello(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -346,15 +346,26 @@ func TestDialRetryRecoversFromLateListener(t *testing.T) {
 	}
 }
 
-// TestDeskAdmitRules drives the durable tier's one desk under each of
-// its admit rules: the coordinator's Rejoin rule and a durable shard's
-// DataHello rule (checkDataHello). Under each, every refused hello is
-// closed with its refusal named — the other three hello types, and the
-// rule's own refusals — a silent connection does not stall later
-// arrivals, a newer arrival closes the one staged under its key, take's
-// timeout names the awaited peer, and Close drains every staged
-// connection.
-func TestDeskAdmitRules(t *testing.T) {
+// deskRule is one row of the durable tier's desk table: an admit rule,
+// the hellos it admits with the keys it stages them under, and the
+// hellos it refuses with the refusal each must name.
+type deskRule struct {
+	admit func(Peer) (deskKey, error)
+	// peers are admitted hellos, staged under keys.
+	peers   []any
+	keys    []deskKey
+	refused []deskRefusal
+}
+
+type deskRefusal struct {
+	hello any
+	want  string
+}
+
+// deskRules holds one row per admit rule of the one desk: the
+// coordinator's Rejoin rule and a durable shard's DataHello rule
+// (checkDataHello).
+func deskRules() map[string]deskRule {
 	// Shard 0 of 2 over dim 10 and its two clients.
 	assign := ShardAssign{ShardID: 0, NumShards: 2, Dim: 10, Rounds: 1, Weights: []float64{1, 1}}
 	data := func(id, numShards int, members ...int) DataHello {
@@ -362,22 +373,11 @@ func TestDeskAdmitRules(t *testing.T) {
 	}
 	hello := Hello{ClientID: 1, Members: []int{1}, Weights: []float64{1}}
 	shardHello := ShardHello{Addr: "127.0.0.1:9", ID: 1, HasID: true}
-	type refusal struct {
-		hello any
-		want  string
-	}
-	cases := []struct {
-		name  string
-		admit func(Peer) (deskKey, error)
-		// peers are admitted hellos, staged under keys.
-		peers   []any
-		keys    []deskKey
-		refused []refusal
-	}{
-		{"rejoin", rejoinRule(7, 2, 1),
+	return map[string]deskRule{
+		"rejoin": {rejoinRule(7, 2, 1),
 			[]any{Rejoin{RunID: 7, Kind: RejoinClient, ID: 1, Round: 2, LastSeal: 1}, Rejoin{RunID: 7, Kind: RejoinShard, Addr: "127.0.0.1:9", Fresh: true}},
 			[]deskKey{{"client", 1}, {"shard", 0}},
-			[]refusal{
+			[]deskRefusal{
 				{hello, "transport: non-rejoin peer on the rejoin desk"},
 				{shardHello, "transport: non-rejoin peer on the rejoin desk"},
 				{data(0, 2, 0), "transport: non-rejoin peer on the rejoin desk"},
@@ -386,10 +386,10 @@ func TestDeskAdmitRules(t *testing.T) {
 				{Rejoin{RunID: 7, Kind: RejoinShard, ID: -1}, "transport: rejoin of kind 2, id -1 is outside this run"},
 				{Rejoin{RunID: 7, Kind: 3}, "transport: rejoin of kind 3, id 0 is outside this run"},
 			}},
-		{"data", dataRule(assign),
+		"data": {dataRule(assign),
 			[]any{data(1, 2, 1), data(0, 2, 0)},
 			[]deskKey{{"client", 1}, {"client", 0}},
-			[]refusal{
+			[]deskRefusal{
 				{hello, "transport: shard 0: non-data peer on the ingest plane"},
 				{shardHello, "transport: shard 0: non-data peer on the ingest plane"},
 				{Rejoin{RunID: 7, Kind: RejoinClient}, "transport: shard 0: non-data peer on the ingest plane"},
@@ -401,115 +401,129 @@ func TestDeskAdmitRules(t *testing.T) {
 				{data(0, 3, 0), "transport: shard 0: client 0 presented a stale shard directory (3 shards over dim 10 aimed at shard 0; this deployment is 2 over 10)"},
 			}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			hub := make(chan Conn, 8)
-			d := newDesk(func() (Conn, error) {
-				conn, ok := <-hub
-				if !ok {
-					return nil, errors.New("closed")
-				}
-				return conn, nil
-			})
-			defer close(hub)
-			defer d.Close()
-			d.open(tc.admit)
-			// dial sends hello on a new connection, through the accept
-			// loop or (serve false) straight into stage, and returns the
-			// peer's end and the desk's.
-			dial := func(hello any, serve bool) (Conn, Conn, error) {
-				server, client := NewMemPair()
-				if err := client.Send(hello); err != nil {
-					t.Fatal(err)
-				}
-				if serve {
-					hub <- server
-					return client, server, nil
-				}
-				return client, server, d.stage(server)
-			}
-			// staged waits until conn is staged under k.
-			staged := func(k deskKey, conn Conn) {
-				t.Helper()
-				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-					d.mu.Lock()
-					p, ok := d.staged[k]
-					d.mu.Unlock()
-					if ok && p.Conn == conn {
-						return
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("%v never staged", k)
-					}
-				}
-			}
-			closed := func(what string, conn Conn) {
-				t.Helper()
-				if err := conn.Send(SliceFetch{}); err == nil {
-					t.Errorf("%s still open", what)
-				}
-			}
+}
 
-			// Refusals, named and closed.
-			for _, r := range tc.refused {
-				client, _, err := dial(r.hello, false)
-				if err == nil || err.Error() != r.want {
-					t.Errorf("%T %+v: refusal %v, want %q", r.hello, r.hello, err, r.want)
-				}
-				closed(fmt.Sprintf("refused %T", r.hello), client)
-			}
+// TestRejoinDeskClassifies drives the desk under the coordinator's
+// Rejoin rule (the "rejoin" row of deskRules) through testDeskRule.
+func TestRejoinDeskClassifies(t *testing.T) { testDeskRule(t, deskRules()["rejoin"]) }
 
-			// A silent connection parks in its own classifier; every
-			// later arrival still stages.
-			silentServer, silent := NewMemPair()
-			defer silent.Close()
-			hub <- silentServer
-			clients := make([]Conn, len(tc.peers))
-			for i, hello := range tc.peers {
-				var server Conn
-				clients[i], server, _ = dial(hello, true)
-				staged(tc.keys[i], server)
-			}
+// TestDataDeskCloseDrainsStagedConns drives the desk under a durable
+// shard's DataHello rule (the "data" row of deskRules) through
+// testDeskRule.
+func TestDataDeskCloseDrainsStagedConns(t *testing.T) { testDeskRule(t, deskRules()["data"]) }
 
-			// A redial replaces the staged connection and closes it.
-			old := clients[0]
-			var newer Conn
-			clients[0], newer, _ = dial(tc.peers[0], true)
-			staged(tc.keys[0], newer)
-			closed("the replaced connection", old)
-			p, err := d.take(tc.keys[0], 10*time.Second)
-			if err != nil {
-				t.Fatal(err)
+// testDeskRule drives the durable tier's one desk under one admit rule.
+// Every refused hello is closed with its refusal named — the other three
+// hello types, and the rule's own refusals — a silent connection does
+// not stall later arrivals, a newer arrival closes the one staged under
+// its key, take's timeout names the awaited peer, and Close drains every
+// staged connection.
+func testDeskRule(t *testing.T, tc deskRule) {
+	hub := make(chan Conn, 8)
+	d := newDesk(func() (Conn, error) {
+		conn, ok := <-hub
+		if !ok {
+			return nil, errors.New("closed")
+		}
+		return conn, nil
+	})
+	defer close(hub)
+	defer d.Close()
+	d.open(tc.admit)
+	// dial sends hello on a new connection, through the accept
+	// loop or (serve false) straight into stage, and returns the
+	// peer's end and the desk's.
+	dial := func(hello any, serve bool) (Conn, Conn, error) {
+		server, client := NewMemPair()
+		if err := client.Send(hello); err != nil {
+			t.Fatal(err)
+		}
+		if serve {
+			hub <- server
+			return client, server, nil
+		}
+		return client, server, d.stage(server)
+	}
+	// staged waits until conn is staged under k.
+	staged := func(k deskKey, conn Conn) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			d.mu.Lock()
+			p, ok := d.staged[k]
+			d.mu.Unlock()
+			if ok && p.Conn == conn {
+				return
 			}
-			var got any
-			if p.Rejoin != nil {
-				got = *p.Rejoin
-			} else if p.Data != nil {
-				got = *p.Data
+			if time.Now().After(deadline) {
+				t.Fatalf("%v never staged", k)
 			}
-			if p.Conn != newer || !reflect.DeepEqual(got, tc.peers[0]) {
-				t.Fatalf("took %+v, want the newer %+v", got, tc.peers[0])
-			}
-			p.Conn.Close()
+		}
+	}
+	closed := func(what string, conn Conn) {
+		t.Helper()
+		if err := conn.Send(SliceFetch{}); err == nil {
+			t.Errorf("%s still open", what)
+		}
+	}
 
-			// Nothing staged under the key now: the wait names the peer.
-			want := fmt.Sprintf("transport: no connection from %v within 20ms", tc.keys[0])
-			if _, err := d.take(tc.keys[0], 20*time.Millisecond); err == nil || err.Error() != want {
-				t.Errorf("empty take: %v, want %q", err, want)
-			}
+	// Refusals, named and closed.
+	for _, r := range tc.refused {
+		client, _, err := dial(r.hello, false)
+		if err == nil || err.Error() != r.want {
+			t.Errorf("%T %+v: refusal %v, want %q", r.hello, r.hello, err, r.want)
+		}
+		closed(fmt.Sprintf("refused %T", r.hello), client)
+	}
 
-			// Close drains every staged connection.
-			var server Conn
-			clients[0], server, _ = dial(tc.peers[0], true)
-			staged(tc.keys[0], server)
-			d.Close()
-			for i, c := range clients {
-				closed(fmt.Sprintf("staged %v after Close", tc.keys[i]), c)
-			}
-			if _, err := d.take(tc.keys[1], time.Second); err == nil {
-				t.Error("take on a closed desk returned a peer")
-			}
-		})
+	// A silent connection parks in its own classifier; every
+	// later arrival still stages.
+	silentServer, silent := NewMemPair()
+	defer silent.Close()
+	hub <- silentServer
+	clients := make([]Conn, len(tc.peers))
+	for i, hello := range tc.peers {
+		var server Conn
+		clients[i], server, _ = dial(hello, true)
+		staged(tc.keys[i], server)
+	}
+
+	// A redial replaces the staged connection and closes it.
+	old := clients[0]
+	var newer Conn
+	clients[0], newer, _ = dial(tc.peers[0], true)
+	staged(tc.keys[0], newer)
+	closed("the replaced connection", old)
+	p, err := d.take(tc.keys[0], 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got any
+	if p.Rejoin != nil {
+		got = *p.Rejoin
+	} else if p.Data != nil {
+		got = *p.Data
+	}
+	if p.Conn != newer || !reflect.DeepEqual(got, tc.peers[0]) {
+		t.Fatalf("took %+v, want the newer %+v", got, tc.peers[0])
+	}
+	p.Conn.Close()
+
+	// Nothing staged under the key now: the wait names the peer.
+	want := fmt.Sprintf("transport: no connection from %v within 20ms", tc.keys[0])
+	if _, err := d.take(tc.keys[0], 20*time.Millisecond); err == nil || err.Error() != want {
+		t.Errorf("empty take: %v, want %q", err, want)
+	}
+
+	// Close drains every staged connection.
+	var server Conn
+	clients[0], server, _ = dial(tc.peers[0], true)
+	staged(tc.keys[0], server)
+	d.Close()
+	for i, c := range clients {
+		closed(fmt.Sprintf("staged %v after Close", tc.keys[i]), c)
+	}
+	if _, err := d.take(tc.keys[1], time.Second); err == nil {
+		t.Error("take on a closed desk returned a peer")
 	}
 }
 
