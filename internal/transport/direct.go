@@ -203,7 +203,7 @@ func RunDirectShard(coord Conn, accept func(nClients int) ([]Peer, error)) error
 			return populationIngest(coord, assign, peers)
 		}
 		conns, _, err := seatData(assign, peers)
-		return &shardLinks{up: conns, down: conns, nDown: n}, err
+		return &shardLinks{up: conns, down: conns, nDown: n, roster: fixedRoster(n)}, err
 	})
 }
 

@@ -227,11 +227,15 @@ func resumeDurable(cfg ServerConfig) ([]fl.RoundEvent, error) {
 		return s.events, nil
 	}
 	if seal != nil {
+		var slot coordSlot
+		if err := s.phaseA(next, &slot, nil); err != nil {
+			return s.events, err
+		}
 		s.startRound(next)
 		if cfg.Direct {
-			err = s.resumeDirectSeal(seal, release)
+			err = s.resumeDirectSeal(seal, release, &slot)
 		} else {
-			err = s.resumeRoutedSeal(seal, release)
+			err = s.resumeRoutedSeal(seal, release, &slot)
 		}
 		if err != nil {
 			return s.events, err
@@ -286,7 +290,11 @@ func (s *durServer) replayRounds(recs []wal.Record) (*wal.Seal, *wal.Release, er
 				return nil, nil, fmt.Errorf("transport: resume: finish for round %d carries %d ints and %d floats, want 1 and 1",
 					r.Round, len(r.Ints), len(r.Floats))
 			}
-			s.events = append(s.events, s.roundEvent(r.Round, r.Floats[0], int(r.Ints[0]), s.nClients))
+			dec, err := s.server.Decide(r.Round)
+			if err != nil {
+				return nil, nil, err
+			}
+			s.events = append(s.events, s.roundEvent(dec, r.Floats[0], int(r.Ints[0]), len(s.fixed)))
 			seal, release = nil, nil
 		default:
 			return nil, nil, fmt.Errorf("transport: resume: unexpected %T record in a coordinator log", r)

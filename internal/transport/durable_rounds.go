@@ -19,7 +19,7 @@ import (
 // already sealed is parked serving the downlink and only rejoins once
 // its next control-plane send fails, which requires released clients
 // to drive it there — releasing first makes both orders converge.
-func (s *durServer) resumeDirectSeal(seal *wal.Seal, release *wal.Release) error {
+func (s *durServer) resumeDirectSeal(seal *wal.Seal, release *wal.Release, slot *coordSlot) error {
 	p := seal.Round
 	elems := len(seal.Members)
 	if len(seal.Spans) != len(s.sh.conns)+1 || seal.Spans[0] != 0 || seal.Spans[len(seal.Spans)-1] != elems {
@@ -48,7 +48,7 @@ func (s *durServer) resumeDirectSeal(seal *wal.Seal, release *wal.Release) error
 		}
 	}
 	s.noRedo = false
-	return s.finishResumed(p, seal.Loss, elems)
+	return s.finishResumed(slot, seal.Loss, elems)
 }
 
 // resumeRoutedSeal finishes a routed round whose seal is logged. The
@@ -59,17 +59,13 @@ func (s *durServer) resumeDirectSeal(seal *wal.Seal, release *wal.Release) error
 // seal before anything is re-sent. A mismatch means the recovery
 // inputs diverged from the original round and the resume refuses to
 // continue.
-func (s *durServer) resumeRoutedSeal(seal *wal.Seal, release *wal.Release) error {
+func (s *durServer) resumeRoutedSeal(seal *wal.Seal, release *wal.Release, slot *coordSlot) error {
 	p := seal.Round
-	dec, err := s.server.Decide(p)
+	weightedLoss, err := s.gatherUploads(p, slot)
 	if err != nil {
 		return err
 	}
-	weightedLoss, err := s.gatherUploads(p, nil, s.total)
-	if err != nil {
-		return err
-	}
-	bc := s.aggregate(p, dec.K)
+	bc := s.aggregate(p, slot.dec.K)
 	if !slices.Equal(bc.Idx, seal.Members) || bc.Bits != seal.Bits || bc.Scale != seal.Scale || weightedLoss != seal.Loss {
 		return fmt.Errorf("transport: divergent recovery: round %d re-derived %d members on grid (%d, %v) at loss %v, seal logged %d on (%d, %v) at %v",
 			p, len(bc.Idx), bc.Bits, bc.Scale, weightedLoss, len(seal.Members), seal.Bits, seal.Scale, seal.Loss)
@@ -82,14 +78,15 @@ func (s *durServer) resumeRoutedSeal(seal *wal.Seal, release *wal.Release) error
 			return err
 		}
 	}
-	return s.finishResumed(p, weightedLoss, len(bc.Idx))
+	return s.finishResumed(slot, weightedLoss, len(bc.Idx))
 }
 
 // finishResumed closes the re-issued round in the log and the events.
-func (s *durServer) finishResumed(p int, loss float64, elems int) error {
+func (s *durServer) finishResumed(slot *coordSlot, loss float64, elems int) error {
+	p := slot.dec.Round
 	if err := s.journal.logSync(&wal.Finish{Round: p, Ints: []int64{int64(elems)}, Floats: []float64{loss}}); err != nil {
 		return err
 	}
-	s.finish(p, loss, elems, s.nClients, nil)
+	s.finish(p, loss, elems, slot)
 	return nil
 }

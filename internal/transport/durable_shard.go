@@ -177,6 +177,6 @@ func RunDurableDirectShard(cfg DurableShardConfig) error {
 		in.conns, in.uploaded = make([]Conn, n), slices.Repeat([]int{max(assign.StartRound, 1) - 1}, n)
 		in.served = slices.Clone(in.uploaded)
 		in.desk.open(dataRule(assign))
-		return &shardLinks{up: in, down: in, nDown: n}, nil
+		return &shardLinks{up: in, down: in, nDown: n, roster: fixedRoster(n)}, nil
 	})
 }

@@ -13,6 +13,7 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -35,7 +36,8 @@ import (
 	"fedsparse/internal/wal"
 )
 
-// matrixK is every row's k: the fixed k, or Algorithm 3's starting k.
+// matrixK is a row's default k: the fixed k, or Algorithm 3's starting
+// k.
 const matrixK = 40
 
 // runSpec is one row: an algorithm over the test workload
@@ -44,7 +46,8 @@ type runSpec struct {
 	name      string
 	rounds    int
 	strategy  gs.Strategy
-	alg3      bool // Algorithm 3 picks k; otherwise k is fixed at matrixK
+	k         int  // the fixed k, or Algorithm 3's starting k; 0 is matrixK
+	alg3      bool // Algorithm 3 picks k; otherwise k is fixed
 	quantBits int
 	cohort    int  // 0 draws every client
 	churn     bool // member 1 leaves at round 2 and rejoins at 6; member 0 drops out of round 4
@@ -54,15 +57,16 @@ type runSpec struct {
 // config is the row as an engine run: the twin every column is held to.
 func (s runSpec) config(workers int) fl.Config {
 	fed, model, _ := buildWorkload()
+	k := float64(cmp.Or(s.k, matrixK))
 	cfg := fl.Config{Data: fed, Model: model, LearningRate: 0.1, BatchSize: 8, Rounds: s.rounds, Seed: 5,
-		Strategy: s.strategy, Controller: core.NewFixedK(matrixK), Beta: 10,
+		Strategy: s.strategy, Controller: core.NewFixedK(k), Beta: 10,
 		QuantBits: s.quantBits, Cohort: s.cohort, Staleness: s.staleness, Workers: workers}
 	if cfg.Strategy == nil {
 		cfg.Strategy = &gs.FABTopK{}
 	}
 	if s.alg3 {
 		d := model().D()
-		cfg.Controller = core.NewAdaptiveSignOGD(10, float64(d), matrixK, 1.5, 2, nil)
+		cfg.Controller = core.NewAdaptiveSignOGD(10, float64(d), k, 1.5, 2, nil)
 	}
 	if s.churn {
 		cfg.Churn = func(round int) (join, leave []int) {
@@ -81,7 +85,11 @@ func (s runSpec) config(workers int) fl.Config {
 
 // matrixRows are the matrix's specs: 25 rounds for the paper's baseline
 // (FAB, fixed k, full precision, everyone, lockstep), 10–12 otherwise.
+// fab/k>D asks for a k past the model dimension D, which the server
+// step clamps to D: every deployment reports the decided k, not the
+// asked one.
 func matrixRows() []runSpec {
+	_, model, _ := buildWorkload()
 	var rows []runSpec
 	for _, q := range []int{0, 8} {
 		for _, cohort := range []int{0, 2} {
@@ -109,6 +117,7 @@ func matrixRows() []runSpec {
 		runSpec{name: "periodic", rounds: 10, strategy: &gs.PeriodicK{}},
 		runSpec{name: "sendall", rounds: 10, strategy: &gs.SendAll{}},
 		runSpec{name: "fab/alg3", rounds: 10, alg3: true},
+		runSpec{name: "fab/k>D", rounds: 10, k: model().D() + 7},
 	)
 }
 

@@ -44,18 +44,19 @@ func (bm *byteMeter) delta() (recv, sent uint64) {
 	return recv, sent
 }
 
-// roundEvent is the coordinator's view of round m, finished at loss
-// with elems downlink coordinates among participants uploaders: the
-// engine's RoundEvent for it, with the engine-only metrics (normalized
-// time, evaluations) at their not-evaluated values. The window depth is
-// the engine's realized overlap — W until the pipeline drains.
-// The caller adds what it measured: wire bytes, reduce waits, the
-// cohort draw, WAL appends.
-func (c *coordRun) roundEvent(m int, loss float64, elems, participants int) fl.RoundEvent {
+// roundEvent is the coordinator's view of the round dec decided (its K
+// clamped to the model, as fl.Run's), finished at loss with elems
+// downlink coordinates among participants uploaders: the engine's
+// RoundEvent for it, with the engine-only metrics (normalized time,
+// evaluations) at their not-evaluated values. The window depth is the
+// engine's realized overlap — W until the pipeline drains. The caller
+// adds what it measured: wire bytes, reduce waits, the cohort draw, WAL
+// appends.
+func (c *coordRun) roundEvent(dec fl.Decision, loss float64, elems, participants int) fl.RoundEvent {
 	return fl.RoundEvent{
-		Round:         m,
-		K:             c.cfg.K,
-		KCont:         float64(c.cfg.K),
+		Round:         dec.Round,
+		K:             dec.K,
+		KCont:         dec.KCont,
 		Loss:          loss,
 		DownlinkElems: elems,
 		Participants:  participants,
@@ -63,7 +64,7 @@ func (c *coordRun) roundEvent(m int, loss float64, elems, participants int) fl.R
 		// drawable and participates. A drawn roster overwrites both.
 		Population:  participants,
 		CohortSize:  participants,
-		WindowDepth: min(m+c.cfg.Staleness, c.cfg.Rounds) - m,
+		WindowDepth: min(dec.Round+c.cfg.Staleness, c.cfg.Rounds) - dec.Round,
 		TestAcc:     math.NaN(),
 		TestLoss:    math.NaN(),
 		TrainLoss:   math.NaN(),

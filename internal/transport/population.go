@@ -32,15 +32,15 @@
 // members — the coordinator and every shard claim the rosters in a
 // member directory, which must partition the population [0, N).
 //
-// Message flow per round (routed, i.e. no shard tier):
+// Message flow per round m (routed, i.e. no shard tier):
 //
-//	coordinator ──CohortAssign──────────▶ hosts   (each host: its drawn members)
+//	coordinator ──CohortAssign(m)───────▶ hosts   (phase A; each host: its drawn members)
 //	coordinator ◀─MuxFrame{member, Upload}── hosts (one per drawn member)
-//	coordinator ──Broadcast─────────────▶ hosts   (ONE per host, not per member)
+//	coordinator ──Broadcast(m−W)────────▶ hosts   (ONE per host, not per member)
 //
 // and with a shard tier (ShardConns — the direct data plane):
 //
-//	coordinator ──CohortAssign──▶ hosts + shards  (hosts: their members; shards: full cohort)
+//	coordinator ──CohortAssign(m)──▶ hosts (phase A), shards (full cohort, at round m's gather)
 //	hosts ──MuxFrame{member, SliceUpload}──▶ shards   (data plane)
 //	hosts ──MuxFrame{member, RoundMeta}──▶ coordinator (control scalars)
 //	coordinator ◀─ShardResult── shards ── FillQuery?/RoundSeal ──▶ (unchanged)
@@ -54,12 +54,12 @@
 // Cohort/Churn/Dropout/Seed: the draw shares the engine's code, a drawn
 // member runs the engine's own participant step (fl.Step), and the
 // aggregation runs over cohort-ordered uploads, which is the engine's
-// participant order. The routed and direct planes are bit-identical to
-// each other; population × bounded staleness is refused by name
-// (ServerConfig.check, checkAssign, RunVirtualHost).
+// participant order — on both planes, at any staleness window W, since
+// round m's cohort is drawn at its phase A, W steps before its seal.
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -69,7 +69,8 @@ import (
 )
 
 // CohortAssign announces one round's drawn cohort, post-dropout, sorted
-// ascending. Sender: the coordinator, at the top of every round.
+// ascending. Sender: the coordinator, at the round's phase A to hosts
+// and at its gather to shards.
 // Receiver and meaning: a host receives the drawn members of its OWN
 // roster (possibly empty — the host still receives the round's
 // broadcast, which is what keeps its weights synchronized); a
@@ -115,7 +116,7 @@ func RunPopulationServer(hosts []Peer, cfg ServerConfig) ([]fl.RoundEvent, error
 // (ServerConfig.Population): the hosts are seated by their Hello's
 // ClientID, their rosters must partition the population (seatHellos),
 // and the one round loop draws each round's cohort (drawRound).
-func servePopulation(hosts []Peer, cfg ServerConfig) ([]fl.RoundEvent, error) {
+func servePopulation(hosts []Peer, cfg ServerConfig) (events []fl.RoundEvent, err error) {
 	pcfg := cfg.Population
 	conns, memberHost, weights, err := seatHellos(hosts, false)
 	if err != nil {
@@ -126,9 +127,6 @@ func servePopulation(hosts []Peer, cfg ServerConfig) ([]fl.RoundEvent, error) {
 		muxes[h] = NewMux(conn)
 	}
 	nPop := len(weights)
-	if pcfg.Cohort < 0 || pcfg.Cohort > nPop {
-		return nil, fmt.Errorf("transport: cohort %d outside [0, %d]", pcfg.Cohort, nPop)
-	}
 	if pcfg.Cohort > 0 && pcfg.Cohort < nPop && pcfg.DrawRng == nil {
 		return nil, fmt.Errorf("transport: a sampling cohort (%d of %d) needs PopulationConfig.DrawRng", pcfg.Cohort, nPop)
 	}
@@ -138,8 +136,11 @@ func servePopulation(hosts []Peer, cfg ServerConfig) ([]fl.RoundEvent, error) {
 	}
 
 	p := &popServer{muxes: muxes, memberHost: memberHost, sampler: sampler, hostDrawn: make([][]int, len(muxes))}
-	// No fixed roster (every round passes its cohort); the downlink
-	// goes to the hosts.
+	var stop func(wait bool) error
+	if p.plainPeers, stop = plainLinks(conns, "host", cfg); stop != nil {
+		defer func() { err = errors.Join(err, stop(err == nil)) }()
+	}
+	// No fixed roster; the downlink goes to the hosts.
 	p.coordRun = newCoordRun(cfg, p, 0, "member", weights)
 	p.nDown = len(muxes)
 	p.copyUploads = !cfg.Direct
@@ -153,11 +154,12 @@ func servePopulation(hosts []Peer, cfg ServerConfig) ([]fl.RoundEvent, error) {
 // loop (coordRun.run, role_coord.go): it supplies the roster — a cohort
 // drawn per round (drawRound) — and the links: a drawn member is heard on
 // its enveloped stream of its host's connection, and the downlink goes
-// to each host ONCE, un-enveloped, for its whole roster. Population
-// changes WHO uploads each round, not how a round is gathered,
-// selected, or sealed.
+// to each host ONCE, un-enveloped, for its whole roster (plainPeers).
+// Population changes WHO uploads each round, not how a round is
+// gathered, selected, or sealed.
 type popServer struct {
 	*coordRun
+	plainPeers // the hosts, for send
 	muxes      []*Mux
 	memberHost []int
 	sampler    *fl.CohortSampler
@@ -173,23 +175,18 @@ func (p *popServer) recv(member, m int) (any, error) {
 	return msg, nil
 }
 
-func (p *popServer) send(h, m int, msg any) error {
-	if err := p.muxes[h].Send(msg); err != nil {
-		return fmt.Errorf("transport: round %d send to host %d: %w", m, h, err)
-	}
-	return nil
-}
-
-// drawRound is the population's roster: it advances the sampler and
-// sends every host its CohortAssign (and, in direct mode, every shard
-// the full cohort). The sent member slices are fresh copies: in-memory
-// conns deliver by reference and the receiver holds its assign across
-// the whole round, while these buffers are rebuilt next round.
-func (p *popServer) drawRound(m int) ([]int, *cohortDraw, error) {
-	cohort, population, drawn, churnEvents, err := p.sampler.Draw(m, p.cfg.Population.DrawRng)
+// drawRound is the population's roster at round m's phase A: it
+// advances the sampler, copies the cohort into the slot (the sampler
+// reuses its buffer) and sends every host its CohortAssign, ahead of its
+// round-m−W downlink. The sent member slices are fresh copies: in-memory
+// conns deliver by reference, and these buffers are rebuilt next round.
+func (p *popServer) drawRound(m int, slot *coordSlot) error {
+	cohort, population, size, churnEvents, err := p.sampler.Draw(m, p.cfg.Population.DrawRng)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
+	slot.ids = append(slot.ids[:0], cohort...)
+	slot.drawn, slot.population, slot.size, slot.churnEvents = true, population, size, churnEvents
 	for h := range p.hostDrawn {
 		p.hostDrawn[h] = p.hostDrawn[h][:0]
 	}
@@ -197,21 +194,12 @@ func (p *popServer) drawRound(m int) ([]int, *cohortDraw, error) {
 		h := p.memberHost[member]
 		p.hostDrawn[h] = append(p.hostDrawn[h], member)
 	}
-	for h, mux := range p.muxes {
-		assign := CohortAssign{Round: m, Members: append([]int(nil), p.hostDrawn[h]...)}
-		if err := mux.Send(assign); err != nil {
-			return nil, nil, fmt.Errorf("transport: round %d cohort assign to host %d: %w", m, h, err)
+	for h, members := range p.hostDrawn {
+		if err := p.send(h, m, CohortAssign{Round: m, Members: append([]int(nil), members...)}); err != nil {
+			return err
 		}
 	}
-	if p.cfg.Direct {
-		for s, conn := range p.cfg.ShardConns {
-			assign := CohortAssign{Round: m, Members: append([]int(nil), cohort...)}
-			if err := conn.Send(assign); err != nil {
-				return nil, nil, fmt.Errorf("transport: round %d cohort assign to shard %d: %w", m, s, err)
-			}
-		}
-	}
-	return cohort, &cohortDraw{population: population, drawn: drawn, churnEvents: churnEvents}, nil
+	return nil
 }
 
 // recvCohort reads round m's CohortAssign off link and checks what every
@@ -293,9 +281,6 @@ func RunVirtualHost(coord Conn, cfg HostConfig) error {
 	init, err := clientHandshake(mux, p)
 	if err != nil {
 		return err
-	}
-	if init.Window != 0 {
-		return fmt.Errorf("transport: host %d: population hosts do not support a staleness window (got %d)", cfg.HostID, init.Window)
 	}
 	return runClient(mux, p, init, nil)
 }

@@ -232,11 +232,4 @@ func TestPopulationServerValidation(t *testing.T) {
 	if _, err := RunServerPeers([]Peer{hostPeer([]int{0})}, cfg); err == nil {
 		t.Fatal("accepted the routed shard plane")
 	}
-	// Population with bounded staleness.
-	cfg = base
-	cfg.Population = &PopulationConfig{}
-	cfg.Staleness = 1
-	if _, err := RunServerPeers([]Peer{hostPeer([]int{0})}, cfg); err == nil {
-		t.Fatal("accepted a staleness window")
-	}
 }

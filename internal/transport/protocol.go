@@ -17,7 +17,9 @@ import (
 )
 
 // ServerConfig parameterizes the coordinator side of a distributed
-// fixed-k FAB-top-k run.
+// fixed-k FAB-top-k run. The plane (ShardConns), the roster
+// (Population) and the window (Staleness) compose freely; the journal
+// (Durable) takes neither a roster nor a window (check).
 type ServerConfig struct {
 	// K is the sparsity degree; Rounds the number of training rounds.
 	K, Rounds int
@@ -71,8 +73,8 @@ type ServerConfig struct {
 	Observer fl.Observer
 	// Population is the roster: set, the peers are virtual hosts, each
 	// enrolling a roster of population members, and each round's
-	// uploaders are a cohort drawn from the population. nil runs every
-	// client every round. See population.go.
+	// uploaders are a cohort drawn from the population at the round's
+	// phase A. nil runs every client every round. See population.go.
 	Population *PopulationConfig
 	// Durable is the journal: set, every round decision is logged to a
 	// write-ahead log before it is sent and every broken link is re-seated
@@ -82,11 +84,12 @@ type ServerConfig struct {
 	Durable *DurableServerConfig
 	// Staleness is the bounded-staleness window W, mirroring
 	// fl.Config.Staleness: 0 runs the synchronous lockstep protocol;
-	// W > 0 runs the same round loops W rounds deep — a client uploads
-	// round m before it fetches and applies round m−W's broadcast, and a
+	// W > 0 runs the same round loops W rounds deep — the coordinator
+	// decides and draws round m W steps before it seals it, a client
+	// uploads round m before it applies round m−W's broadcast, and a
 	// shard serves round m−W's fetches right after sealing round m. The
 	// trajectory equals fl.Run's with the same Staleness, bit for bit,
-	// on either data plane; a slow client paces the fleet as in
+	// on either plane and roster; a slow client paces the fleet as in
 	// lockstep, with W rounds of slack. Capped at fl.MaxStaleness.
 	Staleness int
 }
@@ -94,11 +97,12 @@ type ServerConfig struct {
 // check is the one validation of a ServerConfig, and the only place a
 // coordinator refuses a configuration: the sparsity K (fl.Run trains a
 // K < 1 at k = 1, while a client told one uploads nothing), the
-// quantization width, the staleness window, the tiers that exclude each other, the plane rule —
-// shards mean the direct data plane, with one advertised ingest address
-// per shard — and the journal's identity. nPeers is the number of
-// participants passed in. A resume takes none: it holds no connections,
-// every peer rejoins, and the log holds the plane's geometry.
+// quantization width, the staleness window, the journal with a window
+// or a roster, the plane rule — shards mean the direct data plane, with
+// one advertised ingest address per shard — and the journal's identity.
+// nPeers is the number of participants passed in. A resume takes none:
+// it holds no connections, every peer rejoins, and the log holds the
+// plane's geometry.
 func (cfg ServerConfig) check(nPeers int) error {
 	dur, nShards := cfg.Durable, len(cfg.ShardConns)
 	resume := dur != nil && dur.Resume
@@ -115,8 +119,6 @@ func (cfg ServerConfig) check(nPeers int) error {
 		return fmt.Errorf("transport: durable coordinator does not support bounded staleness (Staleness=%d)", cfg.Staleness)
 	case dur != nil && cfg.Population != nil:
 		return fmt.Errorf("transport: the durable coordinator journals a fixed client roster, not a population (set Durable or Population, not both)")
-	case cfg.Population != nil && cfg.Staleness > 0:
-		return fmt.Errorf("transport: the population tier requires the synchronous protocol (Staleness = 0)")
 	case resume && (nPeers > 0 || nShards > 0):
 		return fmt.Errorf("transport: a durable resume takes no peers (got %d participants and %d shards): every peer rejoins through the RejoinDesk", nPeers, nShards)
 	case resume:
@@ -347,15 +349,13 @@ func collectPeers(ln *Listener, nClients, nShards, nData int, timeout time.Durat
 
 // RunServerPeers is the coordinator: it seats the participants' Hellos
 // (classified by AcceptPeer or AcceptPeers; shard connections go into
-// cfg.ShardConns), then drives Rounds iterations of gather-A_i /
-// broadcast-B and returns the run's round events — the stream an attached
-// Observer sees, as fl.Run's Result.Stats is. Which coordinator it
-// runs is three ServerConfig values: the plane (ShardConns: the direct
-// data plane, else routed), the journal (Durable: a write-ahead log and
-// rejoin-based recovery; with Resume, a restart from that log, which
-// takes no peers) and the roster (Population: virtual hosts and a cohort
-// drawn each round). ServerConfig.check refuses the combinations the
-// tiers do not support.
+// cfg.ShardConns), then runs the step loop (coordRun.run: round m's
+// decision and roster, then the gather-A_i / broadcast-B of round m−W)
+// and returns the run's round events — the stream an attached Observer
+// sees, as fl.Run's Result.Stats is. Four ServerConfig values pick the
+// coordinator: the plane (ShardConns: direct, else routed), the
+// journal (Durable; with Resume, a restart from its log, which takes no
+// peers), the roster (Population) and the window (Staleness).
 func RunServerPeers(peers []Peer, cfg ServerConfig) (events []fl.RoundEvent, err error) {
 	if cfg.Observer != nil {
 		defer func() { cfg.Observer.OnRunEnd(err) }()
@@ -376,10 +376,8 @@ func RunServerPeers(peers []Peer, cfg ServerConfig) (events []fl.RoundEvent, err
 	if cfg.Durable != nil {
 		return runDurable(clients, weights, cfg)
 	}
-	links := plainPeers{conns: clients, noun: "client"}
-	if cfg.Staleness > 0 && !cfg.Direct {
-		var stop func(wait bool) error
-		links.out, stop = startOutboxes(clients)
+	links, stop := plainLinks(clients, "client", cfg)
+	if stop != nil {
 		defer func() { err = errors.Join(err, stop(err == nil)) }()
 	}
 	c := newCoordRun(cfg, links, len(clients), "client", weights)
@@ -627,15 +625,14 @@ type memberUpload struct {
 // released. (A durable link copies what it keeps for resends.)
 //
 // The downlink's encoded frames follow the same rule from the other
-// side. A routed coordinator encodes round m's Broadcast once, into
-// frame slot m%(W+1) (coordRun.frames), and W rounds deep its outboxes
-// may still be sending it while later rounds run. The slot is next
-// written at round m+W+1, whose aggregation needs every client's round
-// m+W+1 upload — sent only after that client received round m's
-// broadcast, at step m+W. A coordinator that sends in line (W = 0, the
-// durable and population tiers) has copied the frame into every socket
-// before its next round, and so has a shard, which encodes each ring
-// slot's SliceBroadcast into that slot's buffer.
+// side. The coordinator encodes round m's Broadcast once, into frame
+// slot m%L (coordRun.frames). Its outboxes may still be sending it when
+// it rewrites the slot at round m+L, L > W — but only after every drawn
+// member's upload of that round, sent once its participant received
+// round m's broadcast, while an undrawn host's outbox would first have
+// to queue 2L−1 > outboxDepth sends behind round m's. Sending in line,
+// the coordinator copies the frame into every socket before its next
+// round, and so does a shard from each ring slot's own buffer.
 func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error {
 	net := p.model()
 	net.SetParams(init.Params)

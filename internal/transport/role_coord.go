@@ -11,24 +11,24 @@ import (
 	"fedsparse/internal/wal"
 )
 
-// This file is the coordinator's round, written once: one round loop
-// (coordRun.run) over one routed and one direct round body, each
-// deciding, selecting and quantizing through the engine's own server
-// step (fl.Server: Decide, then Aggregate over the uploads or Select over
-// the shards' reductions). Every coordinator tier — classic at any
-// staleness window (protocol.go; the window lives in the clients' and
-// shards' loops, the coordinator's rounds stay in order and exact),
-// durable (durable.go, after a resume's preamble), population
+// This file is the coordinator's round, written once: one step loop
+// (coordRun.run), the engine's pipeline (internal/fl round.go) W rounds
+// deep. Step m runs round m's phase A — the server's decision
+// (fl.Server.Decide) and the roster — and then seals round m−W over one
+// routed or one direct round body, selecting and quantizing through the
+// same server step (Aggregate over the uploads, or Select over the
+// shards' reductions). Every coordinator tier — classic (protocol.go),
+// durable (durable.go, lockstep, after a resume's preamble), population
 // (population.go) — runs that loop and supplies only what distinguishes
 // it:
 //
 //	links    how a round reaches its peers: plain connections, the
 //	         durable server's rejoin-healing links, or the population's
-//	         member streams and host muxes
+//	         member streams and host links
 //	journal  whether a decision is logged before it is sent (nil, or
 //	         the WAL with its crash points)
-//	roster   who uploads this round: every client (nil), or a drawn
-//	         cohort (the population's drawRound)
+//	roster   who uploads each round: every client (a fixed list), or a
+//	         drawn cohort (the population's drawRound)
 
 // peerLinks is how a coordinator round reaches one side of its
 // deployment — its clients, or its direct shards. recv returns peer
@@ -43,7 +43,7 @@ type peerLinks interface {
 
 // plainPeers are links that never heal: a failed connection fails the
 // round, naming the peer. With out set, sends go through the peers'
-// outboxes (startOutboxes).
+// outboxes (plainLinks).
 type plainPeers struct {
 	conns []Conn
 	out   []chan any
@@ -69,20 +69,28 @@ func (p plainPeers) send(id, m int, msg any) error {
 	return nil
 }
 
-// startOutboxes gives every client of a routed run W rounds deep a
-// queue and a goroutine that sends from it: such a client sends W+1
-// uploads before it reads a broadcast, so a coordinator sending in line
-// would block on it once the payloads outgrow the socket buffers. A
-// client is at most W+1 broadcasts behind, so a queue of fl.MaxStaleness+1
-// never fills. stop closes the queues; with wait it returns once every
-// queued message went out, with the send errors (without, a sender
-// stuck on a live peer exits when the caller closes the connections).
-func startOutboxes(conns []Conn) (out []chan any, stop func(wait bool) error) {
-	out = make([]chan any, len(conns))
+// outboxDepth is the queue of an outbox (plainLinks).
+const outboxDepth = 2 * (fl.MaxStaleness + 1)
+
+// plainLinks are the links to a run's downlink receivers (noun). Routed
+// W ≥ 1 rounds deep, each gets an outbox, a goroutine sending from a
+// queue: a participant sends W+1 uploads before it reads a downlink, so
+// sends in line would block once they outgrow the socket buffers. One
+// blocked on its round-r upload has at most W broadcasts and W cohort
+// assigns queued unread, so outboxDepth never fills under it. stop (nil
+// without outboxes) closes the queues; with wait it returns the send
+// errors once every queued message went out (without, a sender stuck
+// on a live peer exits when the caller closes the connections).
+func plainLinks(conns []Conn, noun string, cfg ServerConfig) (links plainPeers, stop func(wait bool) error) {
+	links = plainPeers{conns: conns, noun: noun}
+	if cfg.Staleness == 0 || cfg.Direct {
+		return links, nil
+	}
+	links.out = make([]chan any, len(conns))
 	errs := make(chan error, len(conns))
 	for id, conn := range conns {
-		q := make(chan any, fl.MaxStaleness+1)
-		out[id] = q
+		q := make(chan any, outboxDepth)
+		links.out[id] = q
 		go func() {
 			var err error
 			for msg := range q {
@@ -91,17 +99,17 @@ func startOutboxes(conns []Conn) (out []chan any, stop func(wait bool) error) {
 				}
 			}
 			if err != nil {
-				err = fmt.Errorf("transport: send to client %d: %w", id, err)
+				err = fmt.Errorf("transport: send to %s %d: %w", noun, id, err)
 			}
 			errs <- err
 		}()
 	}
-	return out, func(wait bool) error {
-		for _, q := range out {
+	return links, func(wait bool) error {
+		for _, q := range links.out {
 			close(q)
 		}
 		var sendErrs []error
-		for i := 0; wait && i < len(out); i++ {
+		for i := 0; wait && i < len(links.out); i++ {
 			sendErrs = append(sendErrs, <-errs)
 		}
 		return errors.Join(sendErrs...)
@@ -190,9 +198,15 @@ func (j *journal) finished(m int, loss float64, elems int) error {
 	return j.crashAt(BoundaryFinishLogged, m)
 }
 
-// cohortDraw is what a sampled roster adds to a round's event.
-type cohortDraw struct {
-	population, drawn, churnEvents int
+// coordSlot is one round between its phase A and its seal: the server's
+// decision, the roster in gather order with its total weight, and, when
+// the roster was drawn, the draw's counts for the round's event.
+type coordSlot struct {
+	dec                           fl.Decision
+	ids                           []int
+	total                         float64
+	drawn                         bool
+	population, size, churnEvents int
 }
 
 // coordRun is a coordinator's per-run round state.
@@ -201,14 +215,13 @@ type coordRun struct {
 	// clients reaches the uploaders (recv) and the downlink receivers
 	// (send); nDown counts the latter — the clients themselves, or the
 	// population's hosts. noun names an uploader in errors.
-	clients  peerLinks
-	nClients int
-	nDown    int
-	noun     string
-	// weights holds C_i by uploader identity; total is their sum over
-	// the fixed roster (a cohort round passes its own).
+	clients peerLinks
+	nDown   int
+	noun    string
+	// fixed is the fixed roster, every client by ID (empty on the
+	// population plane); weights holds C_i by uploader identity.
+	fixed   []int
 	weights []float64
-	total   float64
 	journal *journal
 	round   int // the round in progress (a healing link acks rejoins with it)
 
@@ -226,9 +239,10 @@ type coordRun struct {
 	copyUploads bool
 	slotIdx     [][]int
 	slotVal     [][]float64
-	// frames are the Broadcast's encode buffers, slot m%(W+1) for round
-	// m: one for a coordinator that sends in line, W+1 for the outboxes
-	// (see runClientRounds for why slot m is free again at round m+W+1).
+	// frames are the Broadcast's encode buffers, slot m%len(frames) for
+	// round m: one for a coordinator that sends in line, outboxDepth/2+1
+	// for the outboxes (see runClientRounds for why slot m is free again
+	// at round m+len(frames)).
 	frames [][]byte
 	// Direct plane.
 	group *DirectGroup
@@ -238,12 +252,12 @@ type coordRun struct {
 }
 
 func newCoordRun(cfg ServerConfig, clients peerLinks, nClients int, noun string, weights []float64) *coordRun {
-	c := &coordRun{cfg: cfg, clients: clients, nClients: nClients, nDown: nClients, noun: noun, weights: weights,
+	c := &coordRun{cfg: cfg, clients: clients, nDown: nClients, noun: noun, fixed: make([]int, nClients), weights: weights,
 		server: fl.NewServer(&gs.FABTopK{}, core.NewFixedK(float64(cfg.K)), nil, len(cfg.InitialParams), cfg.QuantBits),
-		frames: make([][]byte, cfg.Staleness+1),
+		frames: make([][]byte, 1+min(cfg.Staleness, 1)*outboxDepth/2),
 		events: make([]fl.RoundEvent, 0, max(cfg.Rounds, 0))}
-	for _, w := range weights {
-		c.total += w
+	for id := range c.fixed {
+		c.fixed[id] = id
 	}
 	return c
 }
@@ -303,45 +317,50 @@ func (c *coordRun) meter(groups ...[]Conn) {
 	}
 }
 
-// run is the coordinator's one round loop: rounds from..Rounds on the
-// run's data plane. draw is the roster: nil is every client each round;
-// otherwise it returns round m's cohort and what the draw adds to the
-// round's event, and the round is weighted by the cohort's own total —
-// the engine's per-round participant normalization.
-func (c *coordRun) run(from int, draw func(m int) ([]int, *cohortDraw, error)) ([]fl.RoundEvent, error) {
-	for m := from; m <= c.cfg.Rounds; m++ {
-		c.startRound(m)
-		dec, err := c.server.Decide(m)
-		if err != nil {
-			return c.events, err
-		}
-		var (
-			ids   []int
-			cd    *cohortDraw
-			loss  float64
-			elems int
-		)
-		n, total := c.nClients, c.total
-		if draw != nil {
-			if ids, cd, err = draw(m); err != nil {
+// run is the coordinator's step loop: step m runs round m's phase A
+// into a ring of W+1 slots, then seals round m−W on the run's plane —
+// the round starts there, at its gather; steps past Rounds only drain.
+// draw is the roster: nil is every client each round; otherwise it
+// fills the slot with round m's cohort and its counts, and the round is
+// weighted by the cohort's own total — the engine's per-round
+// participant normalization.
+func (c *coordRun) run(from int, draw func(m int, slot *coordSlot) error) ([]fl.RoundEvent, error) {
+	w, seal := c.cfg.Staleness, c.routedRound
+	if c.cfg.Direct {
+		seal = c.directRound
+	}
+	ring := make([]coordSlot, w+1)
+	for m := from; m <= c.cfg.Rounds+w; m++ {
+		if m <= c.cfg.Rounds {
+			if err := c.phaseA(m, &ring[m%(w+1)], draw); err != nil {
 				return c.events, err
 			}
-			n, total = len(ids), 0
-			for _, id := range ids {
-				total += c.weights[id]
+		}
+		if r := m - w; r >= from {
+			c.startRound(r)
+			if err := seal(r, &ring[r%(w+1)]); err != nil {
+				return c.events, err
 			}
 		}
-		if c.cfg.Direct {
-			loss, elems, err = c.directRound(m, dec.K, ids, total)
-		} else {
-			loss, elems, err = c.routedRound(m, dec.K, ids, total)
-		}
-		if err != nil {
-			return c.events, err
-		}
-		c.finish(m, loss, elems, n, cd)
 	}
 	return c.events, nil
+}
+
+// phaseA opens round m into slot: the server's decision and the roster.
+func (c *coordRun) phaseA(m int, slot *coordSlot, draw func(m int, slot *coordSlot) error) (err error) {
+	if slot.dec, err = c.server.Decide(m); err != nil {
+		return err
+	}
+	if draw == nil {
+		slot.ids = c.fixed
+	} else if err = draw(m, slot); err != nil {
+		return err
+	}
+	slot.total = 0
+	for _, id := range slot.ids {
+		slot.total += c.weights[id]
+	}
+	return nil
 }
 
 // startRound opens round m and publishes the boundary.
@@ -356,16 +375,16 @@ func (c *coordRun) startRound(m int) {
 // (roundEvent) plus what this process measured — wire bytes (metered
 // only when someone listens), per-shard reduce waits, the cohort draw,
 // the WAL appends.
-func (c *coordRun) finish(m int, loss float64, elems, participants int, draw *cohortDraw) {
-	ev := c.roundEvent(m, loss, elems, participants)
+func (c *coordRun) finish(m int, loss float64, elems int, slot *coordSlot) {
+	ev := c.roundEvent(slot.dec, loss, elems, len(slot.ids))
 	if c.bm != nil {
 		ev.BytesUp, ev.BytesDown = c.bm.delta()
 	}
 	if c.group != nil {
 		ev.ShardReduceSeconds = append([]float64(nil), c.group.reduceSecs...)
 	}
-	if draw != nil {
-		ev.Population, ev.CohortSize, ev.ChurnEvents = draw.population, draw.drawn, draw.churnEvents
+	if slot.drawn {
+		ev.Population, ev.CohortSize, ev.ChurnEvents = slot.population, slot.size, slot.churnEvents
 	}
 	if c.journal != nil {
 		ev.WALAppends = c.journal.appends
@@ -376,26 +395,14 @@ func (c *coordRun) finish(m int, loss float64, elems, participants int, draw *co
 	}
 }
 
-// uploader maps gather position i to an identity: ids is the round's
-// cohort, or nil for the fixed roster (position = client ID).
-func uploader(ids []int, i int) int {
-	if ids != nil {
-		return ids[i]
-	}
-	return i
-}
-
 // gatherUploads is the routed plane's barrier: one validated Upload
 // (validateUpload) per uploader, in roster order — the aggregation's
 // client order. It fills c.uploads and returns the weighted loss.
-func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, error) {
-	n := c.nClients
-	if ids != nil {
-		n = len(ids)
-		for len(c.slotIdx) < n {
-			c.slotIdx = append(c.slotIdx, nil)
-			c.slotVal = append(c.slotVal, nil)
-		}
+func (c *coordRun) gatherUploads(m int, slot *coordSlot) (float64, error) {
+	n := len(slot.ids)
+	for c.copyUploads && len(c.slotIdx) < n {
+		c.slotIdx = append(c.slotIdx, nil)
+		c.slotVal = append(c.slotVal, nil)
 	}
 	if cap(c.uploads) < n {
 		c.uploads = make([]gs.ClientUpload, n)
@@ -405,8 +412,7 @@ func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, erro
 	}
 	c.uploads = c.uploads[:n]
 	var weightedLoss float64
-	for i := 0; i < n; i++ {
-		id := uploader(ids, i)
+	for i, id := range slot.ids {
 		msg, err := c.clients.recv(id, m)
 		if err != nil {
 			return 0, err
@@ -426,7 +432,7 @@ func (c *coordRun) gatherUploads(m int, ids []int, total float64) (float64, erro
 			pairs = sparse.Vec{Idx: c.slotIdx[i], Val: c.slotVal[i]}
 		}
 		c.uploads[i] = gs.ClientUpload{Pairs: pairs, Weight: c.weights[id]}
-		weightedLoss += c.weights[id] / total * up.BatchLoss
+		weightedLoss += c.weights[id] / slot.total * up.BatchLoss
 	}
 	return weightedLoss, nil
 }
@@ -458,21 +464,22 @@ func (c *coordRun) aggregate(m, k int) Broadcast {
 // the values from re-sent uploads), broadcast B, journal release and
 // finish. The release carries no separate message in routed mode; the
 // boundary exists so the crash matrix is uniform across topologies.
-func (c *coordRun) routedRound(m, k int, ids []int, total float64) (loss float64, elems int, err error) {
-	if loss, err = c.gatherUploads(m, ids, total); err != nil {
-		return 0, 0, err
+func (c *coordRun) routedRound(m int, slot *coordSlot) error {
+	loss, err := c.gatherUploads(m, slot)
+	if err != nil {
+		return err
 	}
-	bc := c.aggregate(m, k)
+	bc := c.aggregate(m, slot.dec.K)
 	if err := c.journal.sealed(m, loss, bc.Scale, bc.Bits, bc.Idx, nil); err != nil {
-		return 0, 0, err
+		return err
 	}
 	if err := c.downlink(m, bc); err != nil {
-		return 0, 0, err
+		return err
 	}
 	if err := c.journal.crashAt(BoundarySealSent, m); err != nil {
-		return 0, 0, err
+		return err
 	}
-	return loss, len(bc.Idx), c.closeRound(m, loss, len(bc.Idx), nil)
+	return c.closeRound(m, slot, loss, len(bc.Idx), nil)
 }
 
 // downlink sends one round-m message to every receiver: boxed into any
@@ -487,8 +494,9 @@ func (c *coordRun) downlink(m int, msg any) error {
 }
 
 // closeRound journals the release, sends it when the plane has one (the
-// direct plane's RoundRelease), and journals the finish.
-func (c *coordRun) closeRound(m int, loss float64, elems int, release any) error {
+// direct plane's RoundRelease), journals the finish and publishes the
+// round's event.
+func (c *coordRun) closeRound(m int, slot *coordSlot, loss float64, elems int, release any) error {
 	if err := c.journal.released(m, loss, elems); err != nil {
 		return err
 	}
@@ -497,21 +505,20 @@ func (c *coordRun) closeRound(m int, loss float64, elems int, release any) error
 			return err
 		}
 	}
-	return c.journal.finished(m, loss, elems)
+	if err := c.journal.finished(m, loss, elems); err != nil {
+		return err
+	}
+	c.finish(m, loss, elems, slot)
+	return nil
 }
 
 // gatherMeta is the direct plane's control barrier: one RoundMeta per
 // uploader — its minibatch loss and upload length, the only things a
 // participant sends the coordinator. Returns the weighted loss and the
 // round's longest upload (the κ-search bound).
-func (c *coordRun) gatherMeta(m int, ids []int, total float64) (weightedLoss float64, maxLen int, err error) {
-	n := c.nClients
-	if ids != nil {
-		n = len(ids)
-	}
+func (c *coordRun) gatherMeta(m int, slot *coordSlot) (weightedLoss float64, maxLen int, err error) {
 	dim := len(c.cfg.InitialParams)
-	for i := 0; i < n; i++ {
-		id := uploader(ids, i)
+	for _, id := range slot.ids {
 		msg, err := c.clients.recv(id, m)
 		if err != nil {
 			return 0, 0, err
@@ -528,40 +535,49 @@ func (c *coordRun) gatherMeta(m int, ids []int, total float64) (weightedLoss flo
 			return 0, 0, fmt.Errorf("transport: round %d: %s %d reported upload length %d outside [0, %d]",
 				m, c.noun, id, meta.UploadLen, dim)
 		}
-		weightedLoss += c.weights[id] / total * meta.BatchLoss
+		weightedLoss += c.weights[id] / slot.total * meta.BatchLoss
 		maxLen = max(maxLen, meta.UploadLen)
 	}
 	return weightedLoss, maxLen, nil
 }
 
-// directRound runs one direct-plane round: gather the control scalars,
-// select over the shards' merged reductions, journal the seal, seal
-// every shard with its span, journal the release, release the
-// participants into their downlink fetches, journal the finish. Every
-// shard is sealed before the release goes out: the release is the
-// participants' guarantee that round m's slices are servable at every
-// shard, and Elems lets each verify its reassembled B against the
-// coordinator's |J| — a truncated shard slice fails at the client,
-// loudly. The coordinator sends no B payload in either direction.
-func (c *coordRun) directRound(m, k int, ids []int, total float64) (float64, int, error) {
-	loss, maxLen, err := c.gatherMeta(m, ids, total)
-	if err != nil {
-		return 0, 0, err
-	}
+// directRound runs one direct-plane round: announce the cohort to the
+// shards on the population plane, gather the control scalars, select
+// over the shards' merged reductions, journal the seal, seal every shard
+// with its span, journal the release, release the participants into
+// their downlink fetches, journal the finish. Every shard is sealed
+// before the release goes out: the release is the participants'
+// guarantee that round m's slices are servable at every shard, and
+// Elems lets each verify its reassembled B against the coordinator's
+// |J| — a truncated shard slice fails at the client, loudly. The
+// coordinator sends no B payload in either direction.
+func (c *coordRun) directRound(m int, slot *coordSlot) error {
 	g := c.group
-	main, scale, err := g.selectRound(c.server, m, k, maxLen)
+	// A population shard ingests round m after it sealed round m−1. The
+	// shards share the slot's list: it is rebuilt at phase A of round
+	// m+W+1, after every shard's round-m result ended its ingest.
+	for s := 0; c.cfg.Population != nil && s < len(g.conns); s++ {
+		if err := g.links.send(s, m, CohortAssign{Round: m, Members: slot.ids}); err != nil {
+			return err
+		}
+	}
+	loss, maxLen, err := c.gatherMeta(m, slot)
 	if err != nil {
-		return 0, 0, err
+		return err
+	}
+	main, scale, err := g.selectRound(c.server, m, slot.dec.K, maxLen)
+	if err != nil {
+		return err
 	}
 	if err := c.journal.sealed(m, loss, scale, c.cfg.QuantBits, main.Indices, g.spans); err != nil {
-		return 0, 0, err
+		return err
 	}
 	if err := g.seal(m, scale); err != nil {
-		return 0, 0, err
+		return err
 	}
 	if err := c.journal.crashAt(BoundarySealSent, m); err != nil {
-		return 0, 0, err
+		return err
 	}
 	elems := len(main.Indices)
-	return loss, elems, c.closeRound(m, loss, elems, RoundRelease{Round: m, Elems: elems})
+	return c.closeRound(m, slot, loss, elems, RoundRelease{Round: m, Elems: elems})
 }

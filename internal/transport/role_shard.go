@@ -59,8 +59,8 @@ type shardLinks struct {
 	up    interface{ recv(who, m int) (any, error) }
 	down  peerLinks
 	nDown int
-	// roster returns round m's uploaders in barrier order; nil is every
-	// client by ID.
+	// roster returns round m's uploaders in barrier order: every client
+	// by ID (fixedRoster), or the population's per-round CohortAssign.
 	roster func(m int) ([]int, error)
 	// copies is the population plane's: members share one link's decode
 	// scratch, so each admitted slice is copied into its position's
@@ -102,6 +102,16 @@ func (d *downSlice) message(round, shardID int, fresh bool) any {
 	return sb
 }
 
+// fixedRoster is the per-client planes' roster: every one of n clients,
+// by ID, every round.
+func fixedRoster(n int) func(int) ([]int, error) {
+	ids := make([]int, n)
+	for id := range ids {
+		ids[id] = id
+	}
+	return func(int) ([]int, error) { return ids, nil }
+}
+
 // newShardRound sizes the round state for a validated direct
 // assignment: a barrier slot per client, or on the population plane a
 // cohort's members uploading and their hosts fetching.
@@ -116,26 +126,16 @@ func newShardRound(assign ShardAssign) *shardRound {
 		start: max(assign.StartRound, 1), rounds: assign.Rounds, window: assign.Window,
 		weights: assign.Weights, peer: peer, fetcher: fetcher,
 		scratch: gs.NewAggScratch(0),
-		seen:    make([]int, assign.Dim),
+		uploads: make([]gs.ClientUpload, 0, slots), ranks: make([][]int, 0, slots),
+		seen: make([]int, assign.Dim),
 	}
 	sr.scratch.Reserve(assign.Dim)
-	sr.resize(slots)
 	return sr
-}
-
-// resize sets the barrier's slot count (the population plane's cohort
-// changes size every round).
-func (sr *shardRound) resize(slots int) {
-	if cap(sr.uploads) < slots {
-		sr.uploads = make([]gs.ClientUpload, slots)
-		sr.ranks = make([][]int, slots)
-	}
-	sr.uploads, sr.ranks = sr.uploads[:slots], sr.ranks[:slots]
 }
 
 // checkAssign is every shard entry point's validation of the
 // coordinator's assignment. The durable shard's coordinator is lockstep
-// and per-client, so it also refuses a window and population hosts.
+// and per-client, so it alone also refuses a window and population hosts.
 func checkAssign(assign ShardAssign, durable bool) error {
 	id := assign.ShardID
 	if assign.NumShards < 1 || id < 0 || id >= assign.NumShards {
@@ -147,9 +147,6 @@ func checkAssign(assign ShardAssign, durable bool) error {
 	}
 	if assign.Window < 0 || assign.Window > fl.MaxStaleness {
 		return fmt.Errorf("transport: shard %d assigned staleness window %d outside [0, %d]", id, assign.Window, fl.MaxStaleness)
-	}
-	if assign.NumHosts > 0 && assign.Window != 0 {
-		return fmt.Errorf("transport: shard %d: the population tier requires the synchronous protocol (window %d)", id, assign.Window)
 	}
 	if durable && assign.Window != 0 {
 		return fmt.Errorf("transport: shard %d: the durable tier requires the synchronous protocol (window %d)", id, assign.Window)
@@ -239,16 +236,15 @@ func (sr *shardRound) run(ctl Conn, in *shardLinks) error {
 // link's decode scratch (nothing reads that link again before the
 // seal), or through its slot when the links copy.
 func (sr *shardRound) ingest(m int, in *shardLinks) error {
-	var ids []int
-	if in.roster != nil {
-		var err error
-		if ids, err = in.roster(m); err != nil {
-			return err
-		}
-		sr.resize(len(ids))
+	ids, err := in.roster(m)
+	if err != nil {
+		return err
 	}
-	for i := range sr.uploads {
-		who := uploader(ids, i)
+	if cap(sr.uploads) < len(ids) {
+		sr.uploads, sr.ranks = make([]gs.ClientUpload, len(ids)), make([][]int, len(ids))
+	}
+	sr.uploads, sr.ranks = sr.uploads[:len(ids)], sr.ranks[:len(ids)]
+	for i, who := range ids {
 		msg, err := in.up.recv(who, m)
 		if err != nil {
 			return fmt.Errorf("transport: shard %d round %d recv from %s %d: %w", sr.shardID, m, sr.peer, who, err)

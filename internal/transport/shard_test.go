@@ -33,8 +33,6 @@ func TestRunShardRejectsBadAssign(t *testing.T) {
 			"shard 0 assigned staleness window 9 outside [0, 8]", false},
 		{"negative window", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: -1},
 			"shard 0 assigned staleness window -1 outside [0, 8]", false},
-		{"population with a window", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, NumHosts: 1, Window: 1},
-			"shard 0: the population tier requires the synchronous protocol (window 1)", false},
 		{"durable with a window", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, Window: 1},
 			"shard 0: the durable tier requires the synchronous protocol (window 1)", true},
 		{"durable with population hosts", ShardAssign{ShardID: 0, NumShards: 1, Dim: 10, Rounds: 1, Weights: []float64{1}, NumHosts: 2},

@@ -210,8 +210,6 @@ func TestServerConfigCheck(t *testing.T) {
 			"transport: durable coordinator does not support bounded staleness (Staleness=1)"},
 		{"durable population", client, func(c *ServerConfig) { c.Durable, c.Population = durable(), &PopulationConfig{} },
 			"transport: the durable coordinator journals a fixed client roster, not a population (set Durable or Population, not both)"},
-		{"population with a staleness window", client, func(c *ServerConfig) { c.Population, c.Staleness = &PopulationConfig{}, 1 },
-			"transport: the population tier requires the synchronous protocol (Staleness = 0)"},
 		{"resume with peers", client, func(c *ServerConfig) { c.Durable = durable(); c.Durable.Resume = true },
 			"transport: a durable resume takes no peers (got 1 participants and 0 shards): every peer rejoins through the RejoinDesk"},
 		{"resume with shards", nil, func(c *ServerConfig) {

@@ -126,32 +126,44 @@ func BenchmarkStragglerWallClock(b *testing.B) {
 
 // capRun deploys engine's run over loopback TCP (newNet) at the window
 // cap and requires it to finish as fl.Run does, on the routed plane and
-// the direct one with two shards.
+// the direct one with two shards: once with a client per member, and
+// once (the pop/ subtests) with one virtual host holding every member,
+// whose downlink carries a CohortAssign as well each round.
 func capRun(t *testing.T, engine fl.Config, w workload, newNet func(testing.TB) *testNet) {
 	t.Helper()
 	want := engineEvents(t, engine)
-	cfg, err := wireConfig(engine, false)
-	if err != nil {
-		t.Fatal(err)
+	everyone := make([]int, w.members)
+	for i := range everyone {
+		everyone[i] = i
 	}
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			net := newNet(t)
-			defer net.teardown()
-			got, err := deploy(t, net, cfg, layout{shards: shards, work: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameTrajectory(t, got, want)
-		})
+	for _, pop := range []bool{false, true} {
+		cfg, err := wireConfig(engine, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, hosts := "", [][]int(nil)
+		if pop {
+			prefix, hosts = "pop/", [][]int{everyone}
+		}
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%sshards=%d", prefix, shards), func(t *testing.T) {
+				net := newNet(t)
+				defer net.teardown()
+				got, err := deploy(t, net, cfg, layout{shards: shards, hosts: hosts, work: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameTrajectory(t, got, want)
+			})
+		}
 	}
 }
 
 // TestWindowedCapOverTCP is the deadlock-freedom check for the cap: at
 // W = fl.MaxStaleness, with every coordinate in every upload (k = D), a
-// client has fl.MaxStaleness+1 full uploads (and, direct, a fetch) in
-// flight on each loopback socket before anything answers it — and the
-// run still completes as the fl.Run twin.
+// client or host has fl.MaxStaleness+1 rounds of full uploads (and,
+// direct, a fetch) in flight on each loopback socket before anything
+// answers it — and the run still completes as the fl.Run twin.
 func TestWindowedCapOverTCP(t *testing.T) {
 	engine := runSpec{rounds: fl.MaxStaleness + 4, staleness: fl.MaxStaleness}.config(0)
 	engine.Controller = core.NewFixedK(float64(engine.Model().D()))
@@ -229,9 +241,9 @@ func cappedNet(t testing.TB) *testNet {
 
 // TestRoutedWindowOutgrowsSocketBuffers is the same over sockets whose
 // buffers fl.MaxStaleness+1 uploads outgrow: a routed coordinator that
-// sent a broadcast in line would wait on a client that is itself
-// waiting to send it an upload. Its outboxes (startOutboxes) are what
-// let the run finish.
+// sent a broadcast in line would wait on a client (or host) that is
+// itself waiting to send it an upload. Its outboxes (plainLinks) are
+// what let the run finish.
 func TestRoutedWindowOutgrowsSocketBuffers(t *testing.T) {
 	fed := dataset.GenerateFEMNIST(dataset.FEMNISTConfig{NumClients: 2, NumClasses: 10, Dim: 64,
 		SamplesPerClient: 20, ClassesPerClient: 5, TestSamples: 10, Noise: 0.4, Seed: 11})

@@ -50,34 +50,38 @@ go test -count=1 -tags purego ./internal/tensor ./internal/nn ./internal/sparse 
 # (lockstep at any staleness window, durable, population) reaches
 # through its own links, so they must hold at real parallelism.
 go test -count=1 -cpu 1,2,4 ./internal/transport
-# The staleness window is the lockstep loops run W rounds deep, so a
-# W >= 1 run is a pure function of the seeds: its straggler, cap and
-# ingest-order suites run repeatedly under the race detector at several
-# GOMAXPROCS, where a scheduling dependence would show. One shard body
-# serves all four shard tiers (lockstep, windowed, durable, population),
-# so their hostile-input tables, the shard kill + fresh rejoin and the
-# durable shard's re-seating ingest ride along; and one participant loop
-# serves the client and the virtual host, so the mux and the hostile
-# cohort table ride along too. So do the handshake readers, each running
-# its accepted connections on their own goroutines: the classifying
-# accept loops, the durable tier's one desk under both of its admit
-# rules (Rejoin at the coordinator, DataHello at a durable shard), and
-# the hostile-hello table over every reader of Hello and DataHello.
-# Every coordinator tier enters through RunServerPeers, so its one
-# refusal table, the hostile hellos and the bad-log resume refusals ride
-# along. A fan-out downlink carries the frame its sender encoded once
-# per round into a reused buffer, so its lifetime rule rides along too:
-# the carried-frame tables, and TestRoutedWindowOutgrowsSocketBuffers,
-# where the routed outboxes run furthest behind the coordinator over its
-# W+1 frame slots (under a second a pass under -race on 2 cores: a small
-# model over sockets with capped buffers).
+# The staleness window is every role's lockstep loop run W rounds deep
+# (the coordinator decides and draws round m W steps before it seals it,
+# as the engine does), so a W >= 1 run is a pure function of the seeds:
+# its straggler, cap and ingest-order suites run repeatedly under the
+# race detector at several GOMAXPROCS, where a scheduling dependence
+# would show. One shard body serves all four shard tiers (lockstep,
+# windowed, durable, population), so their hostile-input tables, the
+# shard kill + fresh rejoin and the durable shard's re-seating ingest
+# ride along; and one participant loop serves the client and the virtual
+# host, so the mux and the hostile cohort table ride along too. So do
+# the handshake readers, each running its accepted connections on their
+# own goroutines: the classifying accept loops, the durable tier's one
+# desk under both of its admit rules (Rejoin at the coordinator,
+# DataHello at a durable shard), and the hostile-hello table over every
+# reader of Hello and DataHello. Every coordinator tier enters through
+# RunServerPeers, so its one refusal table, the hostile hellos and the
+# bad-log resume refusals ride along. A fan-out downlink carries the
+# frame its sender encoded once per round into a reused buffer, so its
+# lifetime rule rides along too: the carried-frame tables, and
+# TestRoutedWindowOutgrowsSocketBuffers, where the routed outboxes run
+# furthest behind the coordinator over its frame slots, for clients and
+# for a virtual host whose outbox carries each round's CohortAssign too
+# (under a second a pass under -race on 2 cores: a small model over
+# sockets with capped buffers).
 go test -race -count=20 -cpu 1,2,4,8 -run 'Windowed|Staleness|RunDirectShardRejects|ShardKill|Desk|Mux|Cohort|QuantizedTrajectoryGrid|AcceptPeers|Hello|ServerConfigCheck|HostileHello|ResumeRejectsBadLog|CarriedFrame|RecvNeverCarriesFrame|RoutedWindowOutgrowsSocketBuffers' ./internal/transport
 # The wire clients run the engine's own participant step (fl.Step) and
 # every coordinator the engine's server step (fl.Server), so what proves
 # the callers agree is the "same seed, same bytes" matrix
 # (TestSameSeedSameBytes): every run spec against the engine at Workers 2
 # and every wire deployment — routed and direct, over memory and TCP,
-# the population roster, the durable coordinator killed and resumed —
+# the population roster at every window, the durable coordinator killed
+# and resumed —
 # each cell the engine's round events bit for bit or its committed
 # refusal in testdata/matrix_refused.txt. It runs repeatedly under the
 # race detector at several GOMAXPROCS.
