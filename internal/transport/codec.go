@@ -14,7 +14,10 @@ package transport
 // A binConn decodes the per-round messages into per-connection scratch
 // (decScratch), so both ends run them allocation-free in steady state;
 // boxing the decoded struct into Recv's `any` is the one allocation
-// left.
+// left. Every int slice travels as one int block (nums): a strictly
+// ascending list — a broadcast's or slice's coordinates, a seal's
+// members — as uvarint gaps, anything else — an upload's coordinates in
+// rank order, min-ranks — bit-packed at the width of its largest value.
 
 import (
 	"bufio"
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"slices"
 	"sync"
@@ -349,10 +353,11 @@ func (m *SliceBroadcast) encodeFrame(buf []byte) []byte {
 }
 
 // frameBuf empties buf for a frame of n index/value pairs, grown in one
-// step to room for them at full precision (12 bytes a pair) and the
-// header fields, and appends the frame's header placeholder.
+// step to room for them at full precision (at most 13 bytes a pair: a
+// 5-byte gap and a raw float) and the header fields, and appends the
+// frame's header placeholder.
 func frameBuf(buf []byte, n int) []byte {
-	return append(slices.Grow(buf[:0], 64+12*n), 0, 0, 0, 0, 0)
+	return append(slices.Grow(buf[:0], 64+13*n), 0, 0, 0, 0, 0)
 }
 
 // carried reports whether frame is a complete frame of tag for round:
@@ -495,8 +500,9 @@ func slot[T any](dst *[]T, n int) []T {
 	return *dst
 }
 
-// num is a protocol integer — an id, round, coordinate, rank or count,
-// every one non-negative — as a u32.
+// num is a protocol integer — an id, round, count or length, every one
+// non-negative — as a u32. The ints of a slice travel as an int block
+// (nums) instead.
 func (c *coder) num(v *int) {
 	if !c.dec && uint64(*v) > math.MaxUint32 {
 		c.fail("integer %d outside u32", *v)
@@ -559,25 +565,175 @@ func (c *coder) strs(v *[]string) {
 	}
 }
 
-// nums is an int slice: a u32 count, then each element as a num.
+// The int block's encodings; putInts picks one as it writes the list.
+const (
+	// intsGaps is a strictly ascending list: the first value, then each
+	// gap−1, as uvarints — about one byte a value at k = D/10.
+	intsGaps = 1
+	// intsPacked is any other list: a width byte w, w = max(1,
+	// bits.Len(max)) ≤ 32, then every value in w bits, LSB first.
+	intsPacked = 2
+)
+
+// maxVarint32 is the longest uvarint a u32 takes.
+const maxVarint32 = 5
+
+// nums is an int slice — coordinates, ranks, member ids, every one a
+// u32 — as an int block: a u32 count, an encoding byte (intsGaps or
+// intsPacked) and its body. Either decodes any list the other would, so
+// the codec stays lossless for arbitrary payloads, and neither body can
+// describe a value outside u32.
 func (c *coder) nums(v *[]int, dst *[]int) {
 	n := len(*v)
 	c.num(&n)
 	if !c.dec {
-		for _, x := range *v {
+		c.putInts(*v)
+		return
+	}
+	switch enc := c.take(1); {
+	case enc == nil:
+	case enc[0] == intsGaps:
+		if c.fits(n, 1, "gap-coded int count") {
+			*v = slot(dst, n)
+			c.ungap(*v)
+		}
+	case enc[0] != intsPacked:
+		c.fail("unknown int encoding %d", enc[0])
+	default:
+		w := c.take(1)
+		if w == nil {
+			return
+		}
+		if w[0] < 1 || w[0] > 32 {
+			c.fail("int width %d outside [1, 32]", w[0])
+			return
+		}
+		nbytes := (n*int(w[0]) + 7) / 8
+		if nbytes > len(c.b) {
+			c.fail("packed int count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(c.b))
+			return
+		}
+		*v = slot(dst, n)
+		unpackInts(*v, c.b[:nbytes], uint(w[0]))
+		c.b = c.b[nbytes:]
+	}
+}
+
+// putInts appends v's encoding byte and body. It gap-codes while v
+// ascends; at the first value that does not (or lies outside u32) it
+// drops what it wrote and packs v instead, so an ascending list costs
+// one pass and an upload's rank-order list two.
+func (c *coder) putInts(v []int) {
+	b, prev := append(c.b, intsGaps), -1
+	for _, x := range v {
+		g := x - prev - 1
+		if g < 0 || uint64(x) > math.MaxUint32 {
+			c.putPacked(v)
+			return
+		}
+		if g < 0x80 {
+			b = append(b, byte(g))
+		} else {
+			b = binary.AppendUvarint(b, uint64(g))
+		}
+		prev = x
+	}
+	c.b = b
+}
+
+// putPacked appends v packed: the width byte, then the values. The OR
+// of v has the max's bit length, and the sign of a negative value.
+func (c *coder) putPacked(v []int) {
+	or := 0
+	for _, x := range v {
+		or |= x
+	}
+	if uint64(or) > math.MaxUint32 {
+		for _, x := range v {
 			if uint64(x) > math.MaxUint32 {
 				c.fail("integer %d outside u32", x)
 				return
 			}
-			c.b = binary.LittleEndian.AppendUint32(c.b, uint32(x))
 		}
-	} else if c.fits(n, 4, "int slice count") {
-		s, b := slot(dst, n), c.b
-		for i := range s {
-			s[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	w := max(1, bits.Len(uint(or)))
+	c.b = packInts(append(c.b, intsPacked, byte(w)), v, uint(w))
+}
+
+// ungap decodes len(s) gap-coded values, refusing a uvarint longer than
+// a u32's and a running sum past MaxUint32. A one-byte gap adds at most
+// 128, so only a longer one is checked as it is read, and the last
+// value, the largest, at the end.
+func (c *coder) ungap(s []int) {
+	b, pos, next := c.b, 0, uint64(0) // next is the least value s[i] can take
+	for i := range s {
+		if pos < len(b) && b[pos] < 0x80 {
+			s[i] = int(next + uint64(b[pos]))
+			next += uint64(b[pos]) + 1
+			pos++
+			continue
 		}
-		c.b = b[4*n:]
-		*v = s
+		rest := b[pos:]
+		g, k := binary.Uvarint(rest[:min(len(rest), maxVarint32)])
+		switch {
+		case k <= 0 && len(rest) > maxVarint32:
+			c.fail("int gap varint longer than %d bytes", maxVarint32)
+			return
+		case k <= 0:
+			c.fail("short frame")
+			return
+		case next+g > math.MaxUint32:
+			c.fail("gap-coded int %d outside u32", next+g)
+			return
+		}
+		s[i] = int(next + g)
+		next += g + 1
+		pos += k
+	}
+	if next > math.MaxUint32+1 {
+		c.fail("gap-coded int %d outside u32", next-1)
+		return
+	}
+	c.b = b[pos:]
+}
+
+// packInts appends v at w bits a value, LSB first: ceil(len(v)·w/8)
+// bytes, the last one's spare bits zero.
+func packInts(b []byte, v []int, w uint) []byte {
+	var acc uint64
+	nb := uint(0) // bits pending in acc, always < 32 between values
+	for _, x := range v {
+		acc |= uint64(x) << nb
+		if nb += w; nb >= 32 {
+			b = binary.LittleEndian.AppendUint32(b, uint32(acc))
+			acc >>= 32
+			nb -= 32
+		}
+	}
+	for ; nb > 0; nb -= min(nb, 8) {
+		b = append(b, byte(acc))
+		acc >>= 8
+	}
+	return b
+}
+
+// unpackInts decodes len(s) w-bit values from p: each is one 64-bit
+// little-endian load at its first byte, shifted and masked (w ≤ 32 and
+// a shift ≤ 7 fit the window). The values whose 8 bytes run past p —
+// those in its last 8 bytes at most — load from a copy of that tail.
+func unpackInts(s []int, p []byte, w uint) {
+	mask := uint64(1)<<w - 1
+	i, off := 0, uint(0)
+	for ; i < len(s) && int(off>>3)+8 <= len(p); i++ {
+		s[i] = int(binary.LittleEndian.Uint64(p[off>>3:]) >> (off & 7) & mask)
+		off += w
+	}
+	var tail [16]byte
+	start := off >> 3
+	copy(tail[:], p[start:])
+	for ; i < len(s); i++ {
+		s[i] = int(binary.LittleEndian.Uint64(tail[off>>3-start:]) >> (off & 7) & mask)
+		off += w
 	}
 }
 

@@ -3,9 +3,11 @@ package transport
 // Tests for the binary wire codec: the golden frames (every message's
 // bytes pinned, decoded and re-encoded), the corrupted-frame suite (a
 // malformed frame errors the connection and poisons it instead of
-// wedging or misparsing), hard-close semantics over real TCP, and the
-// quantized wire path (trajectory grids stay bit-identical across
-// deployments while value bytes shrink ~8× at QuantBits=8).
+// wedging or misparsing), the int block (the encoding it picks per list
+// shape, its exact size, every packed width), hard-close semantics over
+// real TCP, and the quantized wire path (trajectory grids stay
+// bit-identical across deployments while value bytes shrink ~8× at
+// QuantBits=8).
 
 import (
 	"bufio"
@@ -15,11 +17,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +84,9 @@ func codecFixtures() []any {
 		// that rounds to zero) travels as the grid's top code.
 		Upload{ClientID: 5, Round: 6, Idx: []int{1, 2, 3}, Val: nz, BatchLoss: 0.25, Bits: 8, Scale: nzscale},
 		SliceBroadcast{Round: 6, ShardID: 1, Idx: []int{1, 2, 3}, Val: nz, Bits: 8, Scale: nzscale},
+		// An upload's coordinates in rank order, not ascending: packed at
+		// 15 bits, so values straddle bytes.
+		Upload{ClientID: 6, Round: 7, Idx: []int{19873, 5, 700, 12000, 6}, Val: qv, BatchLoss: 0.5, Bits: 8, Scale: qscale},
 	}
 }
 
@@ -279,6 +286,14 @@ func oneValueBroadcast(bits int, scale float64, enc byte, payload []byte) []byte
 	return append(append(b, enc), payload...)
 }
 
+// intBlockFrame is the body of a CohortAssign whose int block is
+// hand-written: the count n, the encoding byte enc, then payload.
+func intBlockFrame(n uint32, enc byte, payload ...byte) []byte {
+	b := frameBody(CohortAssign{Round: 1})
+	b = binary.LittleEndian.AppendUint32(b[:len(b)-5], n)
+	return append(append(b, enc), payload...)
+}
+
 func corruptedFrames() []corruptedFrame {
 	// Bodies built by encoding a real message and then corrupting it.
 	le32 := binary.LittleEndian.AppendUint32
@@ -314,6 +329,18 @@ func corruptedFrames() []corruptedFrame {
 		{"raw value count beyond the frame", rawFrame(oneValueBroadcast(8, 1, 0, []byte{1, 2, 3})), "value count 1 exceeds 3"},
 		{"packed without width", rawFrame(oneValueBroadcast(0, 0, 1, []byte{0})), "packed values"},
 		{"unknown value encoding", rawFrame(oneValueBroadcast(8, 1, 7, []byte{0})), "unknown value encoding"},
+		// The int block. Width 0 would let a count of 2³²−1 allocate
+		// with no byte behind it.
+		{"int width 0", rawFrame(intBlockFrame(math.MaxUint32, intsPacked, 0)), "int width 0 outside [1, 32]"},
+		{"int width 33", rawFrame(intBlockFrame(1, intsPacked, 33, 0, 0, 0, 0, 0)), "int width 33 outside [1, 32]"},
+		{"packed int count beyond the frame", rawFrame(intBlockFrame(math.MaxUint32, intsPacked, 1, 0xff)),
+			"packed int count 4294967295 (536870912 bytes) exceeds 1"},
+		{"gap-coded int count beyond the frame", rawFrame(intBlockFrame(math.MaxUint32, intsGaps, 0)), "gap-coded int count 4294967295 exceeds 1"},
+		{"int gap varint longer than 5 bytes", rawFrame(intBlockFrame(1, intsGaps, 0x80, 0x80, 0x80, 0x80, 0x80, 0)), "longer than 5 bytes"},
+		{"truncated int gap varint", rawFrame(intBlockFrame(2, intsGaps, 0x80, 0x80)), "short frame"},
+		{"int gaps past MaxUint32", rawFrame(intBlockFrame(2, intsGaps, 0xff, 0xff, 0xff, 0xff, 0x0f, 0)), "gap-coded int 4294967296 outside u32"},
+		{"long int gap past MaxUint32", rawFrame(intBlockFrame(2, intsGaps, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f)), "gap-coded int 4294967424 outside u32"},
+		{"unknown int encoding", rawFrame(intBlockFrame(0, 0)), "unknown int encoding 0"},
 	}
 }
 
@@ -351,6 +378,99 @@ func TestBinaryCodecCorruptedFrames(t *testing.T) {
 			}
 			_ = c.Close()
 		})
+	}
+}
+
+// TestIntBlock pins the int block on the lists the protocol sends and
+// its edges: the encoding the encoder picks, the block's exact size
+// (count, encoding byte, body), and decode(encode(x)) == x through a
+// reused decode slot.
+func TestIntBlock(t *testing.T) {
+	const d = 19874 // tcp_routed_q8's model dimension
+	dense := make([]int, 1000)
+	for i := range dense {
+		dense[i] = i
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(d)
+	for _, tc := range []struct {
+		name string
+		v    []int
+		enc  byte
+		size int
+	}{
+		{"empty", nil, intsGaps, 5},
+		{"single 0", []int{0}, intsGaps, 6},
+		{"single MaxUint32", []int{math.MaxUint32}, intsGaps, 10},
+		{"dense 0..n-1", dense, intsGaps, 5 + len(dense)},
+		{"ascending, 1- to 3-byte gaps", []int{9, 19, 29, 200, 70000}, intsGaps, 5 + 1 + 1 + 1 + 2 + 3},
+		{"repeated values", []int{7, 7, 7}, intsPacked, 6 + 2},
+		{"descending", []int{1, 0}, intsPacked, 6 + 1},
+		{"MaxUint32 out of order", []int{math.MaxUint32, 0}, intsPacked, 6 + 8},
+		{"rank-order permutation of D", perm, intsPacked, 6 + (15*d+7)/8},
+		{"rank-order top k of D", perm[:d/10], intsPacked, 6 + (15*(d/10)+7)/8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := coder{}
+			c.nums(&tc.v, nil)
+			if c.err != nil {
+				t.Fatal(c.err)
+			}
+			if enc := c.b[4]; enc != tc.enc || len(c.b) != tc.size {
+				t.Fatalf("encoding %d in %d bytes, want %d in %d", enc, len(c.b), tc.enc, tc.size)
+			}
+			reused := make([]int, 3)
+			var got []int
+			dc := coder{b: c.b, dec: true}
+			dc.nums(&got, &reused)
+			if dc.err != nil || len(dc.b) != 0 {
+				t.Fatalf("decode: %v, %d bytes left", dc.err, len(dc.b))
+			}
+			if !slices.Equal(got, tc.v) {
+				t.Fatalf("decoded %v, want %v", got, tc.v)
+			}
+		})
+	}
+	for _, bad := range [][]int{{-1}, {0, math.MaxUint32 + 1}, {math.MaxUint32 + 1, 0}} {
+		c := coder{}
+		if c.nums(&bad, nil); c.err == nil || !strings.Contains(c.err.Error(), "outside u32") {
+			t.Errorf("%v encoded: %v", bad, c.err)
+		}
+	}
+}
+
+// TestPackedIntWidths runs the packed body at every width and at every
+// length up to past the 8-byte tail, against the values read back bit
+// by bit.
+func TestPackedIntWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for w := uint(1); w <= 32; w++ {
+		for n := 0; n <= 40; n++ {
+			v := make([]int, n)
+			for i := range v {
+				v[i] = int(rng.Uint64() & (1<<w - 1))
+			}
+			p := packInts(nil, v, w)
+			if len(p) != (n*int(w)+7)/8 {
+				t.Fatalf("w=%d n=%d: %d bytes", w, n, len(p))
+			}
+			for i, x := range v {
+				got := 0
+				for j := uint(0); j < w; j++ {
+					bit := uint(i)*w + j
+					got |= int(p[bit/8]>>(bit%8)&1) << j
+				}
+				if got != x {
+					t.Fatalf("w=%d n=%d: value %d packed as %d, want %d", w, n, i, got, x)
+				}
+			}
+			if pad := uint(n) * w % 8; pad != 0 && p[len(p)-1]>>pad != 0 {
+				t.Fatalf("w=%d n=%d: spare bits of the last byte set: %08b", w, n, p[len(p)-1])
+			}
+			s := make([]int, n)
+			if unpackInts(s, p, w); !slices.Equal(s, v) {
+				t.Fatalf("w=%d n=%d: unpacked %v, want %v", w, n, s, v)
+			}
+		}
 	}
 }
 
@@ -434,9 +554,10 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // payloadBits is the fewest payload bits a decoded message's slices and
-// strings can have come from: 32 per int and per string header, 8 per
-// string byte, 64 per raw float, and b per value of a Val packed on a
-// b-bit grid (b in [2, 32]); a MuxFrame's are its inner message's.
+// strings can have come from: 1 per int (an int block packed at width
+// 1), 32 per string header, 8 per string byte, 64 per raw float, and b
+// per value of a Val packed on a b-bit grid (b in [2, 32]); a
+// MuxFrame's are its inner message's.
 func payloadBits(v reflect.Value) int {
 	if v.Kind() == reflect.Interface {
 		v = v.Elem()
@@ -455,7 +576,7 @@ func payloadBits(v reflect.Value) int {
 			bits += 8 * f.Len()
 		case f.Kind() != reflect.Slice:
 		case f.Type().Elem().Kind() == reflect.Int:
-			bits += 32 * f.Len()
+			bits += f.Len()
 		case f.Type().Elem().Kind() == reflect.String:
 			for j := 0; j < f.Len(); j++ {
 				bits += 32 + 8*f.Index(j).Len()
