@@ -80,8 +80,9 @@
 // boundaries: the transport package partitions the coordinate space into
 // S contiguous ranges and runs the server-side aggregation as S
 // independent range reductions on shard processes plus a
-// coordinator-side selection over the merged reductions (the strategy's
-// SelectDirect). Because every coordinate's addition chain runs in
+// coordinator-side selection over the merged reductions' min-rank
+// histograms (FAB's SelectHist; every strategy's SelectDirect selects over
+// the reductions themselves). Because every coordinate's addition chain runs in
 // exactly one shard, in ascending client order, the aggregate is
 // bit-identical to the single-process engine at every shard count — the
 // determinism guarantee survives the distribution axis the north-star

@@ -13,12 +13,12 @@ import (
 // Server is Algorithm 1's server side and Fig. 3's k schedule, written
 // once: the engine's rounds (round.go) and every wire coordinator
 // (internal/transport's coordRun) run one. It decides k_m and the probe
-// k′_m, selects B and B′ from the uploads or from the shard tier's ranged
-// reductions and snaps them onto the b-bit grid — the one post-aggregation
+// k′_m, selects B and B′ from the uploads, or B from the shard tier's rank
+// histograms, and snaps them onto the b-bit grid — the one post-aggregation
 // quantization — and feeds the round's losses to the online learner
 // (Algorithms 2–3). It owns the strategy's scratches and is
 // single-goroutine state; the Aggregates it returns alias its scratch
-// until its next Aggregate or Select.
+// (a Select's cut likewise) until its next Aggregate or Select.
 type Server struct {
 	strat gs.Strategy
 	ctrl  core.Controller
@@ -78,14 +78,23 @@ func (s *Server) Aggregate(uploads []gs.ClientUpload, k, probeK int) (main, prob
 	return main, probe, s.quantize(main, probe)
 }
 
-// Select is Aggregate over the shard tier's merged range reductions
-// instead of the uploads (Strategy.SelectDirect): the same B and B′, bit
-// for bit, on the same grid.
-func (s *Server) Select(red gs.RangeAgg, meta gs.DirectMeta, k, probeK int) (main, probe gs.Aggregate, scale float64, err error) {
-	if main, probe, err = s.strat.SelectDirect(s.agg, red, meta, k, probeK); err != nil {
-		return main, probe, 0, err
+// Select is Aggregate's B on the direct shard plane, read off the
+// shards' merged min-rank histogram (gs.FABTopK.SelectHist, fill served
+// by the shards): the same B bit for bit, as the cut the shards seal —
+// the coordinator never holds B's values — and the scale of its grid,
+// which needs B's largest |b_j| from the shards. Only FAB selects
+// there, and no probe runs on the wire.
+func (s *Server) Select(hist []int, fill gs.FillServer, k int) (cut gs.Cut, scale float64, err error) {
+	fab, ok := s.strat.(*gs.FABTopK)
+	if !ok {
+		return cut, 0, fmt.Errorf("fl: strategy %s has no rank-histogram selection", s.strat.Name())
 	}
-	return main, probe, s.quantize(main, probe), nil
+	// QuantizeInPlace leaves b ≥ 64 unquantized and calls its scale 0.
+	quantizes := s.bits > 0 && s.bits < 64
+	if cut, err = fab.SelectHist(s.agg, hist, fill, k, quantizes); err != nil || !quantizes {
+		return cut, 0, err
+	}
+	return cut, cut.Max, nil
 }
 
 // quantize snaps B and B′ onto their b-bit grids in place and returns

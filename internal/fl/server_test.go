@@ -140,45 +140,63 @@ func TestServerContract(t *testing.T) {
 				t.Fatalf("Run with a NaN k: err %v", err)
 			}
 		}},
-		{"aggregate and select agree on B, B′ and the grid", func(t *testing.T) {
+		{"aggregate and select agree on B and the grid", func(t *testing.T) {
 			const n, k = 7, 12
 			rng := rand.New(rand.NewSource(11))
-			for _, strat := range []gs.Strategy{&gs.FABTopK{}, gs.FUBTopK{}, gs.UniTopK{}, gs.PeriodicK{}, gs.SendAll{}} {
-				for _, bits := range []int{0, 8} {
-					routed := NewServer(strat, core.NewFixedK(k), nil, d, bits)
-					direct := NewServer(strat, core.NewFixedK(k), nil, d, bits)
-					reduce := gs.NewAggScratch(0)
-					for round, probeK := range []int{0, k / 2, 0, k / 3} {
-						ups := serverUploads(rng, n, d, k)
-						meta := gs.DirectMeta{NumClients: n, Fill: func(kappa int) ([]gs.FillCand, error) {
-							return gs.AppendFillCands(nil, ups, nil, kappa), nil
-						}}
-						for _, u := range ups {
-							meta.MaxLen = max(meta.MaxLen, u.Pairs.Len())
+			for _, bits := range []int{0, 8, 64} {
+				routed := NewServer(&gs.FABTopK{}, core.NewFixedK(k), nil, d, bits)
+				direct := NewServer(&gs.FABTopK{}, core.NewFixedK(k), nil, d, bits)
+				reduce := gs.NewAggScratch(0)
+				for round, probeK := range []int{0, k / 2, 0, k / 3} {
+					ups := serverUploads(rng, n, d, k)
+					// One shard over [0, d): its histogram, grown to the
+					// longest upload, is the merged one.
+					red := gs.RangeReduceInto(reduce, ups, nil, 0, d)
+					hist := gs.RankHist(nil, red)
+					for _, u := range ups {
+						for len(hist) < u.Pairs.Len() {
+							hist = append(hist, 0)
 						}
-						main, probe, scale := routed.Aggregate(ups, k, probeK)
-						sMain, sProbe, sScale, err := direct.Select(gs.RangeReduceInto(reduce, ups, nil, 0, d), meta, k, probeK)
-						if err != nil {
-							t.Fatal(err)
+					}
+					fill := func(kappa int) ([]gs.FillCand, float64, error) {
+						cands, unionMax := gs.ServeFill(nil, ups, nil, red, kappa)
+						return cands, unionMax, nil
+					}
+					main, probe, scale := routed.Aggregate(ups, k, probeK)
+					cut, sScale, err := direct.Select(hist, fill, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					idx, val, err := gs.SealSlice(nil, nil, cut.Kappa, cut.Fill, red, 0, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if bits > 0 {
+						sparse.QuantizeToScale(val, bits, sScale)
+					}
+					if !slices.Equal(idx, main.Indices) || !sameBits(val, main.Values) || cut.Len() != len(idx) ||
+						math.Float64bits(scale) != math.Float64bits(sScale) {
+						t.Fatalf("bits=%d round %d: Aggregate (%v, %v) on %v and Select's cut %+v (%v, %v) on %v differ",
+							bits, round, main.Indices, main.Values, scale, cut, idx, val, sScale)
+					}
+					if (bits > 0 && bits < 64) != (scale > 0) || probeK > 0 && len(probe.Indices) == 0 {
+						t.Fatalf("bits=%d round %d: scale %v, |B′| %d at k′ %d", bits, round, scale, len(probe.Indices), probeK)
+					}
+					for _, sel := range []gs.Aggregate{main, probe} {
+						snapped := slices.Clone(sel.Values)
+						if bits > 0 {
+							sparse.QuantizeInPlace(snapped, bits)
 						}
-						if !sameAgg(main, sMain) || !sameAgg(probe, sProbe) || math.Float64bits(scale) != math.Float64bits(sScale) {
-							t.Fatalf("%s bits=%d round %d: Aggregate (%v, %v, %v) and Select (%v, %v, %v) differ",
-								strat.Name(), bits, round, main, probe, scale, sMain, sProbe, sScale)
-						}
-						if (bits > 0) != (scale > 0) || probeK > 0 && len(probe.Indices) == 0 {
-							t.Fatalf("%s bits=%d round %d: scale %v, |B′| %d at k′ %d", strat.Name(), bits, round, scale, len(probe.Indices), probeK)
-						}
-						for _, sel := range []gs.Aggregate{main, probe} {
-							snapped := slices.Clone(sel.Values)
-							if bits > 0 {
-								sparse.QuantizeInPlace(snapped, bits)
-							}
-							if !sameBits(snapped, sel.Values) {
-								t.Fatalf("%s bits=%d round %d: a selection is off its %d-bit grid", strat.Name(), bits, round, bits)
-							}
+						if !sameBits(snapped, sel.Values) {
+							t.Fatalf("bits=%d round %d: a selection is off its %d-bit grid", bits, round, bits)
 						}
 					}
 				}
+			}
+			// The plane's selection is FAB's; another strategy is refused.
+			if _, _, err := NewServer(gs.FUBTopK{}, core.NewFixedK(k), nil, d, 0).Select(nil, nil, k); err == nil ||
+				err.Error() != "fl: strategy fub-top-k has no rank-histogram selection" {
+				t.Fatalf("FUB on the histogram plane: %v", err)
 			}
 		}},
 		{"observe shows the decision and the participant-order means", func(t *testing.T) {

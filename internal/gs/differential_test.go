@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fedsparse/internal/sparse"
@@ -48,7 +49,8 @@ type selRow struct {
 // reference's two κ searches against each other (FAB), AggregateInto on a
 // fresh un-reserved scratch with and without the probe, and the ranged
 // selection through the shard tier's data flow (rangedDriver) at 1, 2 and
-// 4 ranges on both planes.
+// 4 ranges on both planes — for FAB also its rank-histogram form, on the
+// client-direct plane that runs it (requireHistogram).
 func requireAllEntryPoints(t *testing.T, trial int, strat Strategy, row selRow) {
 	t.Helper()
 	want := referenceAggregate(strat, row.ups, row.k)
@@ -81,6 +83,33 @@ func requireAllEntryPoints(t *testing.T, trial int, strat Strategy, row selRow) 
 				t.Fatalf("trial %d: %s: ranges=%d direct=%v: %v", trial, strat.Name(), ranges, direct, err)
 			}
 			check(main, probe)
+			if _, fab := strat.(*FABTopK); fab && direct {
+				requireHistogram(t, trial, newRangedDriver(ranges, 0, row.d, true), row.ups, row.k, want)
+			}
+		}
+	}
+}
+
+// requireHistogram holds the rank-histogram selection of B (main budget
+// k) against want, AggregateInto's: the indices and values reassembled
+// from the shards' sealed slices bit for bit, |B|, and — asked for —
+// the scale QuantizeInPlace finds for B's values at 8 bits. Without the
+// scale the selection must not change.
+func requireHistogram(t *testing.T, trial int, rd *rangedDriver, ups []ClientUpload, k int, want Aggregate) {
+	t.Helper()
+	wantScale := sparse.QuantizeInPlace(slices.Clone(want.Values), 8)
+	for _, withMax := range []bool{false, true} {
+		got, cut, err := rd.histogram(ups, k, withMax)
+		if err != nil {
+			t.Fatalf("trial %d: histogram S=%d direct=%v: %v", trial, len(rd.shards), rd.direct, err)
+		}
+		got.PerClientUsed = want.PerClientUsed // the plane tallies no fairness counts
+		requireSameAggregate(t, trial, want, got)
+		if cut.Len() != len(want.Indices) {
+			t.Fatalf("trial %d: histogram S=%d: cut |B| %d, want %d", trial, len(rd.shards), cut.Len(), len(want.Indices))
+		}
+		if withMax && math.Float64bits(cut.Max) != math.Float64bits(wantScale) {
+			t.Fatalf("trial %d: histogram S=%d: scale %v, want %v", trial, len(rd.shards), cut.Max, wantScale)
 		}
 	}
 }
@@ -168,6 +197,21 @@ func degenerateRows() []selRow {
 		{"probe below k", 10, ragged, 5, 1},
 		{"probe equals k", 10, ragged, 3, 3},
 		{"probe above k", 10, ragged, 2, 5},
+		// Rank 0 is {0, 1, 2}; rank 1 adds 5 (twice) and 6, so at k = 4
+		// the one fill member is 5, the rank-1 candidate of two clients.
+		{"one fill coordinate two clients' candidate", 10, []ClientUpload{
+			up(1, []int{0, 5, 7}, 1, 4, 1), up(2, []int{1, 5, 8}, 1, -4, 1), up(1, []int{2, 6, 9}, 1, 3, 1),
+		}, 4, 0},
+		// Client 0's rank-1 candidate, the largest, is client 1's rank-0
+		// coordinate: the fill skips it for 2.
+		{"fill candidate already in the union", 10, []ClientUpload{
+			up(1, []int{0, 1}, 1, 8), up(1, []int{1, 2}, 1, 2), up(1, []int{3, 4}, 1, 1),
+		}, 4, 0},
+		// 3 and 8 tie on |value| in the two halves of [0, 10); the lower
+		// coordinate joins.
+		{"equal-magnitude candidates in two shards", 10, []ClientUpload{
+			up(1, []int{0, 3}, 1, 2.5), up(3, []int{9, 8}, 1, -2.5),
+		}, 3, 0},
 	}
 }
 
@@ -182,6 +226,37 @@ func TestFABDifferentialDegenerate(t *testing.T) {
 				requireAllEntryPoints(t, i, strat, row)
 			}
 		})
+	}
+}
+
+// TestFABHistogramSelection holds the rank-histogram selection to
+// AggregateInto's B at 1, 2 and 4 shards (requireAllEntryPoints) over
+// the budgets that take each of its branches: k = 1, k exactly a rank-κ
+// union (no fill), one past it (a fill from the next rank), and k = D
+// (every uploaded coordinate, κ = the longest upload).
+func TestFABHistogramSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(8)
+		d := 16 + rng.Intn(200)
+		k := 2 + rng.Intn(30)
+		ups := make([]ClientUpload, n)
+		for i := range ups {
+			dense := make([]float64, d)
+			for j := range dense {
+				dense[j] = float64(rng.Intn(9)-4) * 0.5 // ties in the fill
+			}
+			ups[i] = ClientUpload{Pairs: sparse.TopK(dense, 1+rng.Intn(k)), Weight: 1 + float64(rng.Intn(4))}
+		}
+		union := map[int]bool{} // the coordinates uploaded at ranks 0 and 1
+		for _, u := range ups {
+			for _, j := range u.Pairs.Idx[:min(2, u.Pairs.Len())] {
+				union[j] = true
+			}
+		}
+		for _, budget := range []int{1, len(union), len(union) + 1, d} {
+			requireAllEntryPoints(t, trial, &FABTopK{}, selRow{d: d, ups: ups, k: budget})
+		}
 	}
 }
 

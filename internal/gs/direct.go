@@ -9,34 +9,40 @@ import (
 
 // This file is the selection over ranged facts — the input a coordinator
 // has when shard processes did the reduction (shard.go) and it never
-// reduces, or never even sees, a raw upload:
+// reduces, or never even sees, a raw upload. Its two forms:
 //
-//   - the merged per-shard range reductions (RangeAgg: exact b_j sums and
-//     minimal upload ranks);
-//   - control-plane metadata: the round's client count and longest upload
-//     length (integers the clients report alongside their batch loss);
-//   - a source for the one piece of per-upload metadata a reduction does
-//     not carry, FAB's rank-κ fill candidates: the shards' slice sets
-//     (each client's rank-κ pair lives in exactly one shard's slice set),
-//     or raw uploads where a caller holds them.
+//   - the rank histogram (SelectHist), the direct plane's: each shard
+//     reports only the min-rank histogram of its range (RankHist), so the
+//     coordinator ingests O(S·MaxLen) counts, not O(|J|) reductions. κ
+//     and the rank-κ union's size come off the merged histogram; the
+//     shards serve the ≤ N rank-κ fill candidates outside their union,
+//     with their b_j and the union's largest |b_j| (ServeFill), when B is
+//     short or its q-bit scale is needed; and each shard builds its
+//     downlink slice from the cut {κ, its span of the fill} (SealSlice);
+//   - the merged reduction (SelectDirect: RangeAgg's exact b_j sums and
+//     minimal upload ranks for every reduced coordinate, plus the fill
+//     candidates from the shards' slice sets or raw uploads), kept as the
+//     differential oracle of every strategy.
 //
-// The selections are bit-identical to AggregateInto's over the same
-// uploads: κ read off the min-rank histogram is the κ the rank-major walk
-// finds, the rank-κ union is the coordinates ranked before κ, the fill
-// candidates go through the one fill step of scratch.go (a served
-// candidate set may include coordinates already selected — the apply
-// step skips them), and the values are the merged reduction's exact sums.
-// The differential suites in this package and internal/transport pin all
-// of it.
+// Both are bit-identical to AggregateInto's over the same uploads: κ read
+// off the min-rank histogram is the κ the rank-major walk finds, the
+// rank-κ union is the coordinates ranked before κ, the fill candidates go
+// through the one fill step of scratch.go (a candidate already selected
+// is skipped, so a server may or may not filter them), and the values are
+// the shards' exact sums. The differential suites in this package and
+// internal/transport pin all of it.
 
 // FillCand is one rank-κ fill candidate of FAB's selection: client
 // `Client`'s rank-κ pair is coordinate Idx with |value| AbsVal. They are
 // read off raw uploads or a shard's slice set (AppendFillCands) and
-// sorted with the reference comparator.
+// sorted with the reference comparator. Sum is coordinate Idx's b_j
+// where a shard serves the candidate (ServeFill), and zero where it was
+// read off uploads: only the histogram selection reads it, for B's scale.
 type FillCand struct {
 	Idx    int
 	AbsVal float64
 	Client int
+	Sum    float64
 }
 
 // sortFillCands sorts fill candidates with the reference FAB comparator
@@ -123,29 +129,100 @@ func MemberSpans(members []int, bounds []int, spans [][]int) [][]int {
 	return spans
 }
 
-// BuildDownlinkSlice validates one shard's sealed member set against its
-// round reduction and appends the broadcast slice the shard serves to
-// its clients: members must be strictly ascending and inside [lo, hi),
-// and every member must be a reduced coordinate (every selected
-// coordinate was uploaded by some client, so a miss means a corrupted
-// seal, not a legitimate selection); the values are the shard's own
-// exact sums.
+// BuildDownlinkSlice is SealSlice at κ = 0: the seal names every member
+// of the shard's span.
 func BuildDownlinkSlice(dstIdx []int, dstVal []float64, members []int, red RangeAgg, lo, hi int) ([]int, []float64, error) {
-	p := 0
-	for i, j := range members {
-		if j < lo || j >= hi || (i > 0 && j <= members[i-1]) {
+	return SealSlice(dstIdx, dstVal, 0, members, red, lo, hi)
+}
+
+// SealSlice validates one shard's seal of B against its round reduction
+// and appends, in one pass over that reduction, the broadcast slice the
+// shard serves to its clients: every reduced coordinate whose minimal
+// upload rank is below kappa (FAB's rank-κ union), and the members of
+// fill, which must be strictly ascending, inside [lo, hi), reduced here
+// (every selected coordinate was uploaded by some client, so a miss means
+// a corrupted seal, not a legitimate selection) and outside that union.
+// The values are the shard's own exact sums.
+func SealSlice(dstIdx []int, dstVal []float64, kappa int, fill []int, red RangeAgg, lo, hi int) ([]int, []float64, error) {
+	if kappa < 0 {
+		return dstIdx, dstVal, fmt.Errorf("gs: seal cutoff %d is negative", kappa)
+	}
+	for i, j := range fill {
+		if j < lo || j >= hi || (i > 0 && j <= fill[i-1]) {
 			return dstIdx, dstVal, fmt.Errorf("gs: sealed member %d out of order or outside range [%d, %d)", j, lo, hi)
 		}
-		for p < len(red.Idx) && red.Idx[p] < j {
+	}
+	p := 0
+	for i, j := range red.Idx {
+		if p == len(fill) && kappa == 0 {
+			break // nothing left to serve
+		}
+		in := red.MinRank[i] < kappa
+		if p < len(fill) && fill[p] <= j {
+			if fill[p] < j {
+				break // fill[p] lies between two reduced coordinates
+			}
+			if in {
+				return dstIdx, dstVal, fmt.Errorf("gs: sealed fill member %d is already in the rank-%d union", j, kappa)
+			}
+			in = true
 			p++
 		}
-		if p == len(red.Idx) || red.Idx[p] != j {
-			return dstIdx, dstVal, fmt.Errorf("gs: sealed member %d was never uploaded to this shard", j)
+		if in {
+			dstIdx = append(dstIdx, j)
+			dstVal = append(dstVal, red.Sum[i])
 		}
-		dstIdx = append(dstIdx, j)
-		dstVal = append(dstVal, red.Sum[p])
+	}
+	if p < len(fill) {
+		return dstIdx, dstVal, fmt.Errorf("gs: sealed member %d was never uploaded to this shard", fill[p])
 	}
 	return dstIdx, dstVal, nil
+}
+
+// RankHist writes into dst the min-rank histogram of one range
+// reduction: hist[r] counts the reduced coordinates whose minimal upload
+// rank is r, up to the largest such rank (an empty reduction's histogram
+// is empty). It is all a direct-plane shard reports for the selection.
+func RankHist(dst []int, red RangeAgg) []int {
+	n := 0
+	for _, r := range red.MinRank {
+		n = max(n, r+1)
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	clear(dst)
+	for _, r := range red.MinRank {
+		dst[r]++
+	}
+	return dst
+}
+
+// ServeFill is one shard's answer to the histogram selection's fill
+// query at kappa, over the slice set it reduced into red (uploads and
+// ranks as for AppendFillCands): the rank-kappa candidates whose
+// coordinate lies in red outside its rank-kappa union — the union's are
+// already members, which the fill step would skip — each with its
+// coordinate's b_j in Sum, and the largest |b_j| over that union, B's
+// q-bit scale once the added fill's |b_j| join it.
+func ServeFill(dst []FillCand, uploads []ClientUpload, ranks [][]int, red RangeAgg, kappa int) ([]FillCand, float64) {
+	var unionMax float64
+	for i, r := range red.MinRank {
+		if a := math.Abs(red.Sum[i]); r < kappa && a > unionMax {
+			unionMax = a
+		}
+	}
+	start := len(dst)
+	dst = AppendFillCands(dst, uploads, ranks, kappa)
+	n := start
+	for _, c := range dst[start:] {
+		i, found := slices.BinarySearch(red.Idx, c.Idx)
+		if !found || red.MinRank[i] < kappa {
+			continue
+		}
+		c.Sum = red.Sum[i]
+		dst[n] = c
+		n++
+	}
+	return dst[:n], unionMax
 }
 
 // DirectMeta is what a ranged selection has in place of the raw uploads.
@@ -217,6 +294,61 @@ func (*FABTopK) SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, k, pr
 		return Aggregate{}, Aggregate{}, err
 	}
 	return s.finishDirect(red, meta, probeK > 0)
+}
+
+// Cut is FAB's selection B as the histogram plane's coordinator holds
+// it: every coordinate whose minimal upload rank is below Kappa (Size of
+// them; each shard knows its own) plus the Fill coordinates, ascending
+// (aliasing the scratch until its next selection). Max is the largest
+// |b_j| over B — the scale QuantizeInPlace finds for B's values — when
+// the selection queried the fill, which it always does under withMax,
+// and 0 otherwise.
+type Cut struct {
+	Kappa, Size int
+	Fill        []int
+	Max         float64
+}
+
+// Len is |B|.
+func (c Cut) Len() int { return c.Size + len(c.Fill) }
+
+// FillServer serves the histogram selection's fill at kappa: the rank-κ
+// candidates outside the rank-κ union, each with its b_j in Sum (every
+// shard's ServeFill, merged), and the largest |b_j| over the union. Each
+// client appears at most once; the selection may reorder the slice.
+type FillServer func(kappa int) (cands []FillCand, unionMax float64, err error)
+
+// SelectHist is FAB's main selection for budget k read off hist, the
+// merged min-rank histogram of the round (hist[r] counts the coordinates
+// whose minimal upload rank is r; its length is the round's longest
+// upload, the κ-search bound): κ and the union size by cutoff, then —
+// when the union leaves B short, or withMax asks for B's scale — fill's
+// candidates through the one fill step, which joins them to the union
+// until B holds k members. The Cut is AggregateInto's B bit for bit, its
+// Max the scale of B's values. The scratch must have been Reserved for
+// the model dimension.
+func (*FABTopK) SelectHist(s *AggScratch, hist []int, fill FillServer, k int, withMax bool) (Cut, error) {
+	s.rankHist = append(s.rankHist[:0], hist...)
+	kappa, size := s.cutoff(len(hist), k)
+	cut := Cut{Kappa: kappa, Size: size}
+	sel := &s.main
+	s.begin(sel)
+	if size < k || withMax {
+		cands, unionMax, err := fill(kappa)
+		if err != nil {
+			return Cut{}, err
+		}
+		sel.fill(cands, k-size)
+		cut.Max = unionMax
+		for _, c := range cands {
+			if a := math.Abs(c.Sum); sel.mark[c.Idx] == sel.gen && a > cut.Max {
+				cut.Max = a
+			}
+		}
+	}
+	ascending(sel.members, sel.mark, sel.gen, 0)
+	cut.Fill = sel.members
+	return cut, nil
 }
 
 func (FUBTopK) SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, k, probeK int) (Aggregate, Aggregate, error) {

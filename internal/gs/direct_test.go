@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,5 +244,73 @@ func TestBuildDownlinkSlice(t *testing.T) {
 				t.Fatalf("error %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSealSlice pins the histogram seal's one pass over a shard's
+// reduction: the rank-κ union and the fill span, with the shard's own
+// sums, and its refusals — a negative cutoff, and a fill member outside
+// the range, out of order, never reduced or already in the union.
+func TestSealSlice(t *testing.T) {
+	red := RangeAgg{Idx: []int{2, 3, 4, 6}, Sum: []float64{0.5, -1.5, 2, 4}, MinRank: []int{0, 2, 1, 3}}
+	idx, val, err := SealSlice(nil, nil, 2, []int{3}, red, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(idx, []int{2, 3, 4}) || !slices.Equal(val, []float64{0.5, -1.5, 2}) {
+		t.Fatalf("served slice (%v, %v)", idx, val)
+	}
+	if idx, _, err := SealSlice(nil, nil, 9, nil, red, 0, 8); err != nil || len(idx) != 4 {
+		t.Fatalf("cutoff past every rank: %v, %v", idx, err)
+	}
+	cases := []struct {
+		name  string
+		kappa int
+		fill  []int
+		want  string
+	}{
+		{"negative cutoff", -1, nil, "gs: seal cutoff -1 is negative"},
+		{"fill outside the range", 2, []int{9}, "gs: sealed member 9 out of order or outside range [0, 8)"},
+		{"fill not ascending", 2, []int{6, 3}, "gs: sealed member 3 out of order"},
+		{"fill never reduced", 2, []int{5}, "gs: sealed member 5 was never uploaded to this shard"},
+		{"fill past the last reduced coordinate", 2, []int{7}, "gs: sealed member 7 was never uploaded"},
+		{"fill already in the union", 2, []int{4}, "gs: sealed fill member 4 is already in the rank-2 union"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := SealSlice(nil, nil, tc.kappa, tc.fill, red, 0, 8)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRankHistAndServeFill pins a shard's two histogram-plane answers:
+// the min-rank histogram of its reduction, and its fill at κ — the
+// rank-κ candidates outside its union with their b_j, and the union's
+// largest |b_j|.
+func TestRankHistAndServeFill(t *testing.T) {
+	if h := RankHist(nil, RangeAgg{}); len(h) != 0 {
+		t.Fatalf("empty reduction's histogram %v", h)
+	}
+	ups := []ClientUpload{
+		{Pairs: sparse.Vec{Idx: []int{2, 5}, Val: []float64{4, -3}}, Weight: 1},
+		{Pairs: sparse.Vec{Idx: []int{5, 6}, Val: []float64{-1, 2}}, Weight: 1},
+	}
+	ranks := [][]int{{0, 1}, {0, 3}}
+	red := RangeReduceInto(NewAggScratch(0), ups, ranks, 0, 8)
+	if h := RankHist([]int{7, 7, 7, 7, 7, 7}, red); !slices.Equal(h, []int{2, 0, 0, 1}) {
+		t.Fatalf("histogram %v, want [2 0 0 1]", h)
+	}
+	// At κ = 1 client 0's rank-1 pair (5) is in the union: no candidate.
+	cands, unionMax := ServeFill(nil, ups, ranks, red, 1)
+	if len(cands) != 0 || unionMax != 2 {
+		t.Fatalf("κ=1: candidates %+v, union max %v", cands, unionMax)
+	}
+	// At κ = 3 client 1's rank-3 pair (6) is outside it, b_6 = 1.
+	cands, unionMax = ServeFill(nil, ups, ranks, red, 3)
+	if len(cands) != 1 || cands[0] != (FillCand{Idx: 6, AbsVal: 2, Client: 1, Sum: 1}) || unionMax != 2 {
+		t.Fatalf("κ=3: candidates %+v, union max %v", cands, unionMax)
 	}
 }

@@ -8,9 +8,10 @@ import (
 // rangedDriver runs one round's aggregation the way internal/transport's
 // shard tier does, in-process, so the kernels the wire uses —
 // RangeReduceInto, SelectDirect, AppendFillCands, CountUsed, MemberSpans,
-// BuildDownlinkSlice — stay differential-tested against AggregateInto
-// without a connection in sight. It is test scaffolding: it allocates
-// freely and exists in no production path.
+// BuildDownlinkSlice, and the rank histogram's RankHist, SelectHist,
+// ServeFill and SealSlice — stay differential-tested against
+// AggregateInto without a connection in sight. It is test scaffolding: it
+// allocates freely and exists in no production path.
 //
 // direct chooses which plane's data flow is modelled. Client-direct:
 // every upload is split by coordinate range into slices tagged with
@@ -42,7 +43,10 @@ func newRangedDriver(shards, workers, dim int, direct bool) *rangedDriver {
 	return rd
 }
 
-func (rd *rangedDriver) aggregate(strat Strategy, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate, error) {
+// reduce is every shard's range reduction of the round: each shard's
+// input (its slice set on the direct plane, the raw uploads otherwise),
+// its ranks (nil for raw uploads) and its reduction.
+func (rd *rangedDriver) reduce(uploads []ClientUpload) ([][]ClientUpload, [][][]int, []RangeAgg) {
 	nShards := len(rd.shards)
 	slices := make([][]ClientUpload, nShards)
 	ranks := make([][][]int, nShards)
@@ -57,6 +61,11 @@ func (rd *rangedDriver) aggregate(strat Strategy, uploads []ClientUpload, k, pro
 	par.For(rd.workers, nShards, func(s, _ int) {
 		reds[s] = RangeReduceInto(rd.shards[s], slices[s], ranks[s], rd.bounds[s], rd.bounds[s+1])
 	})
+	return slices, ranks, reds
+}
+
+func (rd *rangedDriver) aggregate(strat Strategy, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate, error) {
+	slices, ranks, reds := rd.reduce(uploads)
 	var merged RangeAgg
 	for _, r := range reds {
 		merged.Idx = append(merged.Idx, r.Idx...)
@@ -71,7 +80,7 @@ func (rd *rangedDriver) aggregate(strat Strategy, uploads []ClientUpload, k, pro
 				return AppendFillCands(nil, uploads, nil, kappa), nil
 			}
 			var cands []FillCand
-			for s := range rd.shards {
+			for s := range slices {
 				cands = AppendFillCands(cands, slices[s], ranks[s], kappa)
 			}
 			return cands, nil
@@ -92,4 +101,43 @@ func (rd *rangedDriver) aggregate(strat Strategy, uploads []ClientUpload, k, pro
 	}
 	main.Indices, main.Values = outIdx, outVal
 	return main, probe, nil
+}
+
+// histogram runs FAB's main selection the way the direct plane does:
+// every shard reports its reduction's min-rank histogram, the
+// coordinator selects off their sum (SelectHist, asking for B's scale
+// when withMax), each shard serves its fill candidates and union maximum
+// (ServeFill), and each builds its downlink slice from the cut — κ and
+// its span of the fill (SealSlice). It returns B reassembled from the
+// slices and the cut.
+func (rd *rangedDriver) histogram(uploads []ClientUpload, k int, withMax bool) (Aggregate, Cut, error) {
+	slices, ranks, reds := rd.reduce(uploads)
+	hist := make([]int, maxLen(uploads))
+	for _, red := range reds {
+		for r, n := range RankHist(nil, red) {
+			hist[r] += n
+		}
+	}
+	fill := func(kappa int) ([]FillCand, float64, error) {
+		var cands []FillCand
+		var unionMax float64
+		for s := range slices {
+			var m float64
+			cands, m = ServeFill(cands, slices[s], ranks[s], reds[s], kappa)
+			unionMax = max(unionMax, m)
+		}
+		return cands, unionMax, nil
+	}
+	cut, err := (&FABTopK{}).SelectHist(rd.sel, hist, fill, k, withMax)
+	if err != nil {
+		return Aggregate{}, Cut{}, err
+	}
+	var b Aggregate
+	for s, span := range MemberSpans(cut.Fill, rd.bounds, nil) {
+		b.Indices, b.Values, err = SealSlice(b.Indices, b.Values, cut.Kappa, span, reds[s], rd.bounds[s], rd.bounds[s+1])
+		if err != nil {
+			return Aggregate{}, Cut{}, err
+		}
+	}
+	return b, cut, nil
 }

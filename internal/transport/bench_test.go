@@ -7,10 +7,12 @@ package transport
 // TestSliceCodecAllocFree checks it on every test run). The messages are
 // pre-boxed and the buffers warmed before the timer starts, exactly the
 // steady state a binConn reaches after its first round.
-// BenchmarkWireRoundBytes runs the full routed protocol over metered
-// in-memory conns and reports the binary codec's bytes per round, full
-// precision versus QuantBits=8 — the wire-shrink baseline benchcheck
-// guards. BenchmarkDownlinkFanout is one round's fan-out downlink: the
+// BenchmarkWireRoundBytes runs the full protocol over metered in-memory
+// conns and reports the binary codec's bytes per round through the
+// coordinator, full precision versus QuantBits=8, on the routed plane and
+// on the direct plane with two shards (where it is all control traffic:
+// the shards' results, fill replies and seals, the clients' metadata and
+// releases) — the wire-shrink baseline benchcheck guards. BenchmarkDownlinkFanout is one round's fan-out downlink: the
 // sender's one encode and 8 sends of the frame the message carries.
 
 import (
@@ -96,6 +98,16 @@ func decRoundSeal(body []byte, sc *decScratch) error {
 	return c.err
 }
 
+// histCounts is a min-rank histogram over n ranks of 8 clients' uploads:
+// at most 8 coordinates first uploaded at each rank.
+func histCounts(n int) []int {
+	h := make([]int, n)
+	for r := range h {
+		h[r] = (r * 5) % 9
+	}
+	return h
+}
+
 // TestSliceCodecAllocFree pins the codec's steady state, which
 // BenchmarkSliceCodec reports only under benchcheck: encoding a
 // per-round message into a warm buffer, and decoding it into warm
@@ -115,6 +127,11 @@ func TestSliceCodecAllocFree(t *testing.T) {
 		{ShardResult{Round: 2, ShardID: 1, Idx: idx, Sum: qval, MinRank: rank}, decShardResult},
 		{FillCandidates{Round: 2, ShardID: 1, Client: rank, Idx: idx, AbsVal: qval}, decFillCandidates},
 		{RoundSeal{Round: 2, Members: idx, Bits: 8, Scale: scale}, decRoundSeal},
+		// The histogram plane's shapes: tcp_direct_s2's histogram
+		// (k ranks, ≤ 8 coordinates each), a fill reply, a cut.
+		{ShardResult{Round: 2, ShardID: 1, Hist: histCounts(1987)}, decShardResult},
+		{FillCandidates{Round: 2, ShardID: 1, Client: rank[:8], Idx: idx[:8], AbsVal: qval[:8], Sum: qval[8:16], Max: 2.5}, decFillCandidates},
+		{RoundSeal{Round: 2, Kappa: 37, Members: idx[:8], Bits: 8, Scale: scale}, decRoundSeal},
 	} {
 		frame, err := appendFrame(nil, tc.msg)
 		if err != nil {
@@ -268,27 +285,33 @@ func BenchmarkSliceCodec(b *testing.B) {
 
 func BenchmarkWireRoundBytes(b *testing.B) {
 	const rounds = 5
-	for _, qbits := range []int{0, 8} {
-		b.Run(fmt.Sprintf("quant=%d", qbits), func(b *testing.B) {
-			cfg, err := wireConfig(runSpec{rounds: rounds, quantBits: qbits}.config(0), false)
-			if err != nil {
-				b.Fatal(err)
+	for _, shards := range []int{0, 2} {
+		for _, qbits := range []int{0, 8} {
+			name := fmt.Sprintf("quant=%d", qbits)
+			if shards > 0 {
+				name = fmt.Sprintf("direct%d/quant=%d", shards, qbits)
 			}
-			work := testWorkload()
-			var frameBytes, valBytes int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := &wireMeter{}
-				net := memNet()
-				lay := layout{work: work, wrapCoord: func(c Conn) Conn { return wireMeterConn{Conn: c, m: m} }}
-				if _, err := deploy(b, net, cfg, lay); err != nil {
+			b.Run(name, func(b *testing.B) {
+				cfg, err := wireConfig(runSpec{rounds: rounds, quantBits: qbits}.config(0), false)
+				if err != nil {
 					b.Fatal(err)
 				}
-				net.teardown()
-				frameBytes, valBytes = m.frameBytes, m.valBytes
-			}
-			b.ReportMetric(float64(frameBytes)/rounds, "B/round")
-			b.ReportMetric(float64(valBytes)/rounds, "valB/round")
-		})
+				work := testWorkload()
+				var frameBytes, valBytes int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m := &wireMeter{}
+					net := memNet()
+					lay := layout{shards: shards, work: work, wrapCoord: func(c Conn) Conn { return wireMeterConn{Conn: c, m: m} }}
+					if _, err := deploy(b, net, cfg, lay); err != nil {
+						b.Fatal(err)
+					}
+					net.teardown()
+					frameBytes, valBytes = m.frameBytes, m.valBytes
+				}
+				b.ReportMetric(float64(frameBytes)/rounds, "B/round")
+				b.ReportMetric(float64(valBytes)/rounds, "valB/round")
+			})
+		}
 	}
 }

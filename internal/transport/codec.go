@@ -131,6 +131,7 @@ func (m ShardResult) code(c *coder) (ShardResult, byte) {
 	c.nums(&m.Idx, &c.sc.is1)
 	c.f64s(&m.Sum, &c.sc.fs1)
 	c.nums(&m.MinRank, &c.sc.is2)
+	c.nums(&m.Hist, &c.sc.is3)
 	return m, tagShardResult
 }
 
@@ -173,11 +174,14 @@ func (m FillCandidates) code(c *coder) (FillCandidates, byte) {
 	c.nums(&m.Client, &c.sc.is1)
 	c.nums(&m.Idx, &c.sc.is2)
 	c.f64s(&m.AbsVal, &c.sc.fs1)
+	c.f64s(&m.Sum, &c.sc.fs2)
+	c.f64(&m.Max)
 	return m, tagFillCandidates
 }
 
 func (m RoundSeal) code(c *coder) (RoundSeal, byte) {
 	c.num(&m.Round)
+	c.num(&m.Kappa)
 	c.quant(&m.Bits, &m.Scale)
 	c.nums(&m.Members, &c.sc.is1)
 	return m, tagRoundSeal
@@ -437,13 +441,13 @@ func decodeFrame(payload []byte, sc *decScratch) (any, error) {
 }
 
 // decScratch is a binConn's preallocated decode target: the protocol's
-// messages carry at most two int slices and one float64 slice. Reuse is
+// messages carry at most three int slices and two float64 slices. Reuse is
 // safe under the lockstep discipline that lets clients and shards reuse
 // their pair buffers over in-memory conns: every handler finishes
 // consuming message m from a connection before it Recvs m+1 on it.
 type decScratch struct {
-	is1, is2 []int
-	fs1      []float64
+	is1, is2, is3 []int
+	fs1, fs2      []float64
 }
 
 // coder is one pass over a message's fields: with dec false it appends

@@ -67,7 +67,8 @@ func codecFixtures() []any {
 		SliceUpload{ClientID: 3, Round: 5, Idx: []int{2, 11, 17}, Val: qb, Rank: []int{0, 5, 9}, Bits: 8, Scale: qbscale},
 		RoundMeta{ClientID: 3, Round: 4, BatchLoss: 1.5, UploadLen: 40},
 		FillQuery{Round: 2, Kappa: 39},
-		FillCandidates{Round: 2, ShardID: 1, Client: []int{0, 2}, Idx: []int{9, 11}, AbsVal: []float64{0.5, 0.125}},
+		FillCandidates{Round: 2, ShardID: 1, Client: []int{0, 2}, Idx: []int{9, 11}, AbsVal: []float64{0.5, 0.125},
+			Sum: []float64{-0.25, 0.0625}, Max: 1.75},
 		RoundSeal{Round: 2, Members: []int{1, 5, 9}, Bits: 8, Scale: qscale},
 		SliceFetch{ClientID: 0, Round: 2},
 		SliceBroadcast{Round: 2, ShardID: 0, Idx: []int{3, 5}, Val: []float64{0.5, -0.75}},
@@ -87,6 +88,11 @@ func codecFixtures() []any {
 		// An upload's coordinates in rank order, not ascending: packed at
 		// 15 bits, so values straddle bytes.
 		Upload{ClientID: 6, Round: 7, Idx: []int{19873, 5, 700, 12000, 6}, Val: qv, BatchLoss: 0.5, Bits: 8, Scale: qscale},
+		// A direct-plane shard's result: its min-rank histogram only,
+		// packed at 4 bits an entry.
+		ShardResult{Round: 8, ShardID: 1, Hist: []int{5, 8, 0, 3, 1}},
+		// A seal cut at rank 37 with one fill member in the shard's span.
+		RoundSeal{Round: 8, Kappa: 37, Members: []int{12}, Bits: 8, Scale: qscale},
 	}
 }
 
@@ -309,6 +315,18 @@ func corruptedFrames() []corruptedFrame {
 	validHello := func() []byte {
 		return frameBody(Hello{ClientID: 3, Members: []int{3}, Weights: []float64{1.5}})
 	}
+	// The histogram-plane fields: a ShardResult's Hist block (its last
+	// five bytes when empty), a FillCandidates' Sum count and Max (its
+	// last twelve), and a RoundSeal's Kappa (after its round).
+	histBlock := func(n uint32, payload ...byte) []byte {
+		b := frameBody(ShardResult{Round: 1})
+		return append(le32(b[:len(b)-5], n), payload...)
+	}
+	fillTail := func(tail ...byte) []byte {
+		b := frameBody(FillCandidates{Round: 1})
+		return append(b[:len(b)-12], tail...)
+	}
+	sealHead := frameBody(RoundSeal{Round: 1, Kappa: 3})[:7]
 	return []corruptedFrame{
 		{"truncated header", []byte{7, 0}, "truncated frame"},
 		{"truncated frame", rawFrame(make([]byte, 64))[:7], "truncated frame"},
@@ -341,6 +359,12 @@ func corruptedFrames() []corruptedFrame {
 		{"int gaps past MaxUint32", rawFrame(intBlockFrame(2, intsGaps, 0xff, 0xff, 0xff, 0xff, 0x0f, 0)), "gap-coded int 4294967296 outside u32"},
 		{"long int gap past MaxUint32", rawFrame(intBlockFrame(2, intsGaps, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f)), "gap-coded int 4294967424 outside u32"},
 		{"unknown int encoding", rawFrame(intBlockFrame(0, 0)), "unknown int encoding 0"},
+		{"histogram count beyond the frame", rawFrame(histBlock(math.MaxUint32, intsPacked, 4, 0x85)),
+			"packed int count 4294967295 (2147483648 bytes) exceeds 1"},
+		{"histogram cut before its encoding", rawFrame(histBlock(2)), "short frame"},
+		{"fill sums beyond the frame", rawFrame(fillTail(le32(nil, 1<<28)...)), "float slice count 268435456 exceeds 0"},
+		{"fill reply cut inside its union maximum", rawFrame(fillTail(0, 0, 0, 0, 1, 2, 3)), "short frame"},
+		{"seal cut inside its cutoff", rawFrame(sealHead), "short frame"},
 	}
 }
 

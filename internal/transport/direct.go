@@ -16,10 +16,10 @@ import (
 // demoting the coordinator to a control plane. Uplink: clients split
 // each top-k upload by coordinate range and send every slice straight
 // to the owning shard. Downlink: after selection the coordinator seals
-// each shard with only its span of the selected member set (the shard
-// reconstructs the values from its own merged sums), and clients pull
-// their broadcast slices from every shard over the same data links,
-// reassembling B locally. Per round:
+// each shard with FAB's cut — the rank cutoff κ and the shard's span of
+// the fill — and the shard rebuilds its members and their values from
+// its own reduction; clients pull their broadcast slices from every
+// shard over the same data links, reassembling B locally. Per round:
 //
 //	clients ──SliceUpload──────────────▶ shards        (uplink data plane)
 //	clients ◀─SliceBroadcast─(SliceFetch)─ shards      (downlink data plane)
@@ -27,11 +27,13 @@ import (
 //	clients ◀─RoundRelease─ coordinator ──FillQuery?/RoundSeal──▶ shards
 //
 // The coordinator's per-round ingest shrinks from O(N·k) routed payload
-// to O(N) scalar control messages plus the O(|J|)-sized merged shard
-// reductions it needs for selection — it never receives a gradient
-// upload — and its per-round egress shrinks from the O(N·|J|) broadcast
-// to O(N) RoundRelease scalars plus the O(|J|) member indices of the
-// shard seals (the zero-B-payload test pins both directions). Each
+// to O(N) scalar control messages plus O(S·MaxLen) counts — each shard's
+// min-rank histogram, off which it reads κ and the rank-κ union's size —
+// and, when the union leaves B short or the run quantizes, at most N
+// rank-κ fill candidates and S union maxima: it never receives a gradient
+// upload nor a shard's O(|J|) reduction. Its per-round egress shrinks from
+// the O(N·|J|) broadcast to O(N) RoundRelease scalars plus the seals' κ
+// and fill spans (the zero-B-payload test pins both directions). Each
 // shard runs a per-round client barrier: exactly one slice per client
 // per round (empty slices included), so a complete range is a counted
 // fact, and a dead client surfaces as a connection error on the barrier
@@ -40,12 +42,12 @@ import (
 // clients fetch only after the coordinator's RoundRelease — which is
 // sent after every shard was sealed — so no client can observe a
 // partially sealed round. Selection stays exact: shards compute the
-// range reductions from the slices' explicit local ranks, and the two
-// pieces of per-upload metadata a reduction does not carry are served
-// by the shards on demand (FAB's rank-κ fill candidates via FillQuery —
-// each client's rank-κ pair lives in exactly one shard). The trajectory
-// is bit-identical to the unsharded routed and single-process paths,
-// over in-memory pairs and TCP alike.
+// range reductions from the slices' explicit local ranks, and the
+// per-upload metadata a histogram does not carry is served by the shards
+// on demand (FAB's rank-κ fill candidates via FillQuery — each client's
+// rank-κ pair lives in exactly one shard). The trajectory is
+// bit-identical to the unsharded routed and single-process paths, over
+// in-memory pairs and TCP alike.
 
 // Direct data-plane message types.
 type (
@@ -93,40 +95,48 @@ type (
 		UploadLen int
 	}
 
-	// FillQuery asks every shard for its rank-Kappa fill candidates —
-	// the per-upload metadata FAB's selection needs when the rank-κ
-	// union leaves the downlink short.
+	// FillQuery asks every shard for its rank-Kappa fill candidates and
+	// its union's largest |b_j| — what FAB's selection needs from the
+	// shards when the rank-κ union leaves the downlink short, or when the
+	// run quantizes and B's scale is wanted.
 	FillQuery struct {
 		Round int
 		Kappa int
 	}
 
-	// FillCandidates is one shard's reply: for each of its clients whose
-	// round slice contains the pair ranked Kappa, the candidate tuple
-	// (parallel slices, clients ascending).
+	// FillCandidates is one shard's reply (gs.ServeFill): for each of its
+	// clients whose round slice holds a pair ranked Kappa on a coordinate
+	// outside the shard's rank-κ union, the candidate tuple (parallel
+	// slices, clients ascending) with the coordinate's exact b_j in Sum;
+	// and Max, the largest |b_j| over that union. |J| is then the union
+	// size plus the added fill, and B's q-bit scale the largest of every
+	// shard's Max and the added fill's |b_j|.
 	FillCandidates struct {
 		Round   int
 		ShardID int
 		Client  []int
 		Idx     []int
 		AbsVal  []float64
+		Sum     []float64
+		Max     float64
 	}
 
 	// RoundSeal closes a round at a shard: the coordinator's selection is
-	// final, and Members is the slice of the selected member set that
-	// lies in the shard's coordinate range (ascending). The shard
-	// reconstructs the members' values from its own merged sums — the
-	// coordinator never re-transmits payload it only ever had as the
-	// shard's reduction — then serves the round's SliceFetch requests
-	// (right away, or after sealing W more rounds under a staleness
-	// window). With quantization on,
-	// Bits and Scale carry the aggregate's GLOBAL grid (scale = max
-	// |value| over the whole selection, computed by the coordinator):
-	// every shard snaps its reconstructed span onto that one grid, so
-	// the reassembled B is bit-identical to the engine's quantized
-	// aggregate.
+	// final. The shard's members are its reduced coordinates with minimal
+	// upload rank below Kappa (FAB's rank-κ union) plus Members, its span
+	// of the fill (ascending); Kappa = 0 makes Members the whole span.
+	// The shard reconstructs the members' values from its own merged
+	// sums in one pass over its reduction (gs.SealSlice) — the
+	// coordinator never holds B's payload — then serves the round's
+	// SliceFetch requests (right away, or after sealing W more rounds
+	// under a staleness window). With quantization on, Bits and Scale
+	// carry the aggregate's GLOBAL grid (scale = max |value| over the
+	// whole selection, from the shards' FillCandidates): every shard
+	// snaps its reconstructed span onto that one grid, so the reassembled
+	// B is bit-identical to the engine's quantized aggregate.
 	RoundSeal struct {
 		Round   int
+		Kappa   int
 		Members []int
 		Bits    int
 		Scale   float64
@@ -270,13 +280,13 @@ func seatData(assign ShardAssign, peers []Peer) (connPeers, []int, error) {
 }
 
 // DirectGroup is the coordinator's plane on the direct shard tier: it
-// assigns the partition and then, per round, gathers the shard
-// reductions for the server step's selection (fl.Server.Select), serves
-// FAB's fill through FillQuery round trips, and seals the round — each
-// shard receives only its span of the selected member set and serves the
-// values from its own sums, so the coordinator's egress per round is
-// O(|J|) member indices, not O(N·|J|) broadcast payload.
-// Single-goroutine state.
+// assigns the partition and then, per round, gathers and merges the
+// shards' min-rank histograms for the server step's selection
+// (fl.Server.Select), serves FAB's fill through FillQuery round trips,
+// and seals the round — each shard receives κ and its span of the fill
+// and serves its members' values from its own sums, so the coordinator's
+// egress per round is O(S) seals of at most N fill indices, not
+// O(N·|J|) broadcast payload. Single-goroutine state.
 type DirectGroup struct {
 	conns     []Conn
 	links     peerLinks // how results arrive and seals leave: plain conns, or a durable coordinator's healing side
@@ -284,70 +294,74 @@ type DirectGroup struct {
 	nClients  int
 	quantBits int
 
-	mergedIdx  []int
-	mergedSum  []float64
-	mergedRank []int
+	hist []int // the round's merged min-rank histogram
 	// reduceSecs[s] is the wall-clock wait for shard s's ShardResult in
 	// the last gather — the per-shard reduce time the operational
 	// surface reports. Overwritten every round; copied on emission.
 	reduceSecs []float64
 
 	round    int // the round being selected: what the fill hook queries for
-	fillHook func(kappa int) ([]gs.FillCand, error)
+	fillHook gs.FillServer
 	cands    []gs.FillCand
 	candSeen []int // per-client dedupe slab for gathered candidates
 	candGen  int
 
-	spans [][]int // per-shard member spans of the round's seal
+	kappa int     // the round's seal cutoff
+	spans [][]int // per-shard fill spans of the round's seal
 }
 
-// gather collects and merges every shard's round reduction. Shard
-// ranges are contiguous and ascending, so concatenating per-shard
-// results in shard order keeps the merged index list globally ascending
-// — no merge arithmetic at all. The coordinator trusts shards no more
-// than shards trust the coordinator: indices must be ascending inside
-// the shard's range, and min ranks must index a real upload position
-// (maxLen is the round's longest upload) — a malformed result fails as
-// a protocol error here rather than as an index panic inside the
-// selection (whose rank histogram is sized by the longest upload).
-func (g *DirectGroup) gather(round, maxLen int) (gs.RangeAgg, error) {
-	g.mergedIdx = g.mergedIdx[:0]
-	g.mergedSum = g.mergedSum[:0]
-	g.mergedRank = g.mergedRank[:0]
+// gather collects every shard's round histogram and merges them into
+// one of length maxLen, the round's longest upload. The coordinator
+// trusts shards no more than shards trust the coordinator: a result must
+// carry a histogram and no reduction, no longer than maxLen, of
+// non-negative counts summing to at most the shard's range width; and
+// no merged rank may count more coordinates than the round has
+// uploaders (a rank holds one coordinate per upload) — a malformed
+// result fails as a protocol error here rather than as a corrupted
+// selection.
+func (g *DirectGroup) gather(round, maxLen, uploaders int) ([]int, error) {
+	g.hist = slices.Grow(g.hist[:0], maxLen)[:maxLen]
+	clear(g.hist)
 	for s := range g.reduceSecs {
 		t0 := time.Now()
 		msg, err := g.links.recv(s, round)
 		g.reduceSecs[s] = time.Since(t0).Seconds()
 		if err != nil {
-			return gs.RangeAgg{}, err
+			return nil, err
 		}
 		res, ok := msg.(ShardResult)
 		if !ok {
-			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d sent %T, want ShardResult", round, s, msg)
+			return nil, fmt.Errorf("transport: round %d: shard %d sent %T, want ShardResult", round, s, msg)
 		}
 		if res.Round != round || res.ShardID != s {
-			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: stale result (round %d from shard %d)",
+			return nil, fmt.Errorf("transport: round %d: stale result (round %d from shard %d)",
 				round, res.Round, res.ShardID)
 		}
-		if len(res.Idx) != len(res.Sum) || len(res.Idx) != len(res.MinRank) {
-			return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result shape %d/%d/%d",
-				round, s, len(res.Idx), len(res.Sum), len(res.MinRank))
+		if len(res.Idx)+len(res.Sum)+len(res.MinRank) > 0 {
+			return nil, fmt.Errorf("transport: round %d: shard %d sent a %d-coordinate reduction, want its rank histogram",
+				round, s, max(len(res.Idx), len(res.Sum), len(res.MinRank)))
 		}
-		for i, j := range res.Idx {
-			if j < g.bounds[s] || j >= g.bounds[s+1] || (i > 0 && j <= res.Idx[i-1]) {
-				return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result index %d out of order or range",
-					round, s, j)
-			}
-			if rk := res.MinRank[i]; rk < 0 || rk >= maxLen {
-				return gs.RangeAgg{}, fmt.Errorf("transport: round %d: shard %d result rank %d for index %d outside [0, %d)",
-					round, s, rk, j, maxLen)
-			}
+		if len(res.Hist) > maxLen {
+			return nil, fmt.Errorf("transport: round %d: shard %d histogram has %d ranks, the longest upload %d",
+				round, s, len(res.Hist), maxLen)
 		}
-		g.mergedIdx = append(g.mergedIdx, res.Idx...)
-		g.mergedSum = append(g.mergedSum, res.Sum...)
-		g.mergedRank = append(g.mergedRank, res.MinRank...)
+		width, total := g.bounds[s+1]-g.bounds[s], 0
+		for r, n := range res.Hist {
+			if n < 0 || n > width-total {
+				return nil, fmt.Errorf("transport: round %d: shard %d histogram count %d at rank %d is negative or overflows its %d coordinates",
+					round, s, n, r, width)
+			}
+			total += n
+			g.hist[r] += n
+		}
 	}
-	return gs.RangeAgg{Idx: g.mergedIdx, Sum: g.mergedSum, MinRank: g.mergedRank}, nil
+	for r, n := range g.hist {
+		if n > uploaders {
+			return nil, fmt.Errorf("transport: round %d: %d coordinates first uploaded at rank %d by %d uploaders",
+				round, n, r, uploaders)
+		}
+	}
+	return g.hist, nil
 }
 
 // newDirectGroup builds a DirectGroup's partition state without sending
@@ -383,35 +397,34 @@ func (g *DirectGroup) assign(assign ShardAssign) error {
 }
 
 // selectRound is the first half of a round: the decision. The server
-// step selects over the shards' gathered reductions and snaps B onto its
-// global b-bit grid; scale is the grid every shard is sealed with, and
-// each reapplies the same snap to its span, bit for bit. Nothing has been
-// sent to a shard when it returns (beyond fill queries), so a durable
+// step selects B off the shards' merged histograms and finds its global
+// b-bit grid; scale is the grid every shard is sealed with, and each
+// snaps its rebuilt span onto it, bit for bit. Nothing has been sent to
+// a shard when it returns (beyond fill queries), so a durable
 // coordinator journals the decision between the halves.
-func (g *DirectGroup) selectRound(srv *fl.Server, round, k, maxLen int) (main gs.Aggregate, scale float64, err error) {
-	merged, err := g.gather(round, maxLen)
+func (g *DirectGroup) selectRound(srv *fl.Server, round, k, maxLen, uploaders int) (cut gs.Cut, scale float64, err error) {
+	hist, err := g.gather(round, maxLen, uploaders)
 	if err != nil {
-		return main, 0, err
+		return cut, 0, err
 	}
 	g.round = round
-	meta := gs.DirectMeta{NumClients: g.nClients, MaxLen: maxLen, Fill: g.fillHook}
-	if main, _, scale, err = srv.Select(merged, meta, k, 0); err != nil {
-		return main, 0, err
+	if cut, scale, err = srv.Select(hist, g.fillHook, k); err != nil {
+		return cut, 0, err
 	}
 	// The seal's spans alias the server's scratch, safe even over
 	// by-reference in-memory conns: round m+1's selection first gathers
 	// every shard's round-m+1 result, sent only after that shard's
-	// round-m seal copied its span into the downlink slice.
-	g.spans = gs.MemberSpans(main.Indices, g.bounds, g.spans)
-	return main, scale, nil
+	// round-m seal built its downlink slice.
+	g.kappa, g.spans = cut.Kappa, gs.MemberSpans(cut.Fill, g.bounds, g.spans)
+	return cut, scale, nil
 }
 
-// seal is the second half: send each shard its span of the selection —
-// member indices only, the values already live in the shards — with the
-// one (bits, scale) grid they all share.
+// seal is the second half: send each shard the cut — κ and its span of
+// the fill, indices only, the values already live in the shards — with
+// the one (bits, scale) grid they all share.
 func (g *DirectGroup) seal(round int, scale float64) error {
 	for s := range g.conns {
-		seal := RoundSeal{Round: round, Members: g.spans[s], Bits: g.quantBits, Scale: scale}
+		seal := RoundSeal{Round: round, Kappa: g.kappa, Members: g.spans[s], Bits: g.quantBits, Scale: scale}
 		if err := g.links.send(s, round, seal); err != nil {
 			return err
 		}
@@ -420,57 +433,66 @@ func (g *DirectGroup) seal(round int, scale float64) error {
 }
 
 // fill runs one FillQuery round trip for the round being selected
-// across every shard and merges the validated candidates: each client
-// may contribute at most one (its rank-κ pair lives in exactly one
-// shard), candidate coordinates must lie in the answering shard's
-// range, and the magnitudes must be real and non-negative — a malformed
-// reply fails as a protocol error, not a corrupted selection. It talks
-// to the raw connections: a shard death inside the round trip errors
-// the run on every tier.
-func (g *DirectGroup) fill(kappa int) ([]gs.FillCand, error) {
+// across every shard and merges the validated replies: each client may
+// contribute at most one candidate (its rank-κ pair lives in exactly one
+// shard), candidate coordinates must lie in the answering shard's range,
+// the magnitudes must be real and non-negative, the sums finite, and the
+// union maximum a finite non-negative real — a malformed reply fails as
+// a protocol error, not a corrupted selection or grid. It talks to the
+// raw connections: a shard death inside the round trip errors the run on
+// every tier.
+func (g *DirectGroup) fill(kappa int) ([]gs.FillCand, float64, error) {
 	round := g.round
 	var q any = FillQuery{Round: round, Kappa: kappa}
 	for s, conn := range g.conns {
 		if err := conn.Send(q); err != nil {
-			return nil, fmt.Errorf("transport: round %d fill query to shard %d: %w", round, s, err)
+			return nil, 0, fmt.Errorf("transport: round %d fill query to shard %d: %w", round, s, err)
 		}
 	}
 	g.cands = g.cands[:0]
 	g.candGen++
+	var unionMax float64
 	for s, conn := range g.conns {
 		msg, err := conn.Recv()
 		if err != nil {
-			return nil, fmt.Errorf("transport: round %d fill recv from shard %d: %w", round, s, err)
+			return nil, 0, fmt.Errorf("transport: round %d fill recv from shard %d: %w", round, s, err)
 		}
 		fc, ok := msg.(FillCandidates)
 		if !ok {
-			return nil, fmt.Errorf("transport: round %d: shard %d sent %T, want FillCandidates", round, s, msg)
+			return nil, 0, fmt.Errorf("transport: round %d: shard %d sent %T, want FillCandidates", round, s, msg)
 		}
 		if fc.Round != round || fc.ShardID != s {
-			return nil, fmt.Errorf("transport: round %d: stale fill candidates (round %d from shard %d)",
+			return nil, 0, fmt.Errorf("transport: round %d: stale fill candidates (round %d from shard %d)",
 				round, fc.Round, fc.ShardID)
 		}
-		if len(fc.Client) != len(fc.Idx) || len(fc.Client) != len(fc.AbsVal) {
-			return nil, fmt.Errorf("transport: round %d: shard %d fill shape %d/%d/%d",
-				round, s, len(fc.Client), len(fc.Idx), len(fc.AbsVal))
+		if len(fc.Client) != len(fc.Idx) || len(fc.Client) != len(fc.AbsVal) || len(fc.Client) != len(fc.Sum) {
+			return nil, 0, fmt.Errorf("transport: round %d: shard %d fill shape %d/%d/%d/%d",
+				round, s, len(fc.Client), len(fc.Idx), len(fc.AbsVal), len(fc.Sum))
 		}
+		if math.IsNaN(fc.Max) || math.IsInf(fc.Max, 0) || fc.Max < 0 {
+			return nil, 0, fmt.Errorf("transport: round %d: shard %d union maximum %v is not a finite non-negative real", round, s, fc.Max)
+		}
+		unionMax = max(unionMax, fc.Max)
 		for i, ci := range fc.Client {
 			if ci < 0 || ci >= g.nClients {
-				return nil, fmt.Errorf("transport: round %d: shard %d fill client %d out of range [0, %d)",
+				return nil, 0, fmt.Errorf("transport: round %d: shard %d fill client %d out of range [0, %d)",
 					round, s, ci, g.nClients)
 			}
 			if g.candSeen[ci] == g.candGen {
-				return nil, fmt.Errorf("transport: round %d: client %d has fill candidates from two shards", round, ci)
+				return nil, 0, fmt.Errorf("transport: round %d: client %d has fill candidates from two shards", round, ci)
 			}
 			g.candSeen[ci] = g.candGen
 			if j := fc.Idx[i]; j < g.bounds[s] || j >= g.bounds[s+1] {
-				return nil, fmt.Errorf("transport: round %d: shard %d fill index %d outside its range", round, s, j)
+				return nil, 0, fmt.Errorf("transport: round %d: shard %d fill index %d outside its range", round, s, j)
 			}
 			if v := fc.AbsVal[i]; math.IsNaN(v) || v < 0 {
-				return nil, fmt.Errorf("transport: round %d: shard %d fill magnitude %v is not a non-negative real", round, s, v)
+				return nil, 0, fmt.Errorf("transport: round %d: shard %d fill magnitude %v is not a non-negative real", round, s, v)
 			}
-			g.cands = append(g.cands, gs.FillCand{Idx: fc.Idx[i], AbsVal: fc.AbsVal[i], Client: ci})
+			if v := fc.Sum[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, 0, fmt.Errorf("transport: round %d: shard %d fill sum %v at index %d is not finite", round, s, v, fc.Idx[i])
+			}
+			g.cands = append(g.cands, gs.FillCand{Idx: fc.Idx[i], AbsVal: fc.AbsVal[i], Client: ci, Sum: fc.Sum[i]})
 		}
 	}
-	return g.cands, nil
+	return g.cands, unionMax, nil
 }

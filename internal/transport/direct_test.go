@@ -17,14 +17,6 @@ import (
 	"fedsparse/internal/tensor"
 )
 
-// shardStrategies is every built-in strategy the shard tier must
-// aggregate bit-identically.
-func shardStrategies() []gs.Strategy {
-	return []gs.Strategy{
-		&gs.FABTopK{}, gs.FUBTopK{}, gs.UniTopK{}, gs.PeriodicK{}, gs.SendAll{},
-	}
-}
-
 // randomRankedUploads builds n rank-ordered top-k uploads over dimension d
 // (the producer contract every real uplink satisfies).
 func randomRankedUploads(rng *rand.Rand, n, d, k int) []gs.ClientUpload {
@@ -143,23 +135,25 @@ func assignedGroup(t *testing.T, conns []Conn, dim, rounds int, weights []float6
 }
 
 // directAggregate closes one direct-tier round the way directRound does:
-// the server step selects over the group's gathered reductions, then
-// every shard is sealed with its span.
-func directAggregate(g *DirectGroup, srv *fl.Server, round, k, maxLen int) (gs.Aggregate, error) {
-	main, scale, err := g.selectRound(srv, round, k, maxLen)
+// the server step selects off the group's gathered histograms, then
+// every shard is sealed with the cut. Every client uploads.
+func directAggregate(g *DirectGroup, srv *fl.Server, round, k, maxLen int) (gs.Cut, error) {
+	cut, scale, err := g.selectRound(srv, round, k, maxLen, g.nClients)
 	if err != nil {
-		return main, err
+		return cut, err
 	}
-	return main, g.seal(round, scale)
+	return cut, g.seal(round, scale)
 }
 
 // TestDirectAggregationDifferential is the wire-level acceptance grid of
 // the direct tier: the direct group and the server step over real
 // RunDirectShard peers — slices arriving straight from the "clients",
-// selection from merged reductions plus FillQuery round trips — is
-// bit-identical to the single-process AggregateInto for shard counts
-// {1, 2, 4} × all strategies × comparator worker counts {0, 4}, over
-// in-memory and loopback-TCP conns.
+// FAB's selection off merged rank histograms plus FillQuery round trips,
+// B rebuilt by the shards from the sealed cut — is bit-identical to the
+// single-process AggregateInto for shard counts {1, 2, 4} × comparator
+// worker counts {0, 4}, over in-memory and loopback-TCP conns. (The
+// other strategies never select on the wire; gs's ranged differential
+// holds their SelectDirect.)
 func TestDirectAggregationDifferential(t *testing.T) {
 	const n, d, k, rounds = 9, 600, 40, 4
 	for _, connKind := range []string{"mem", "tcp"} {
@@ -190,50 +184,43 @@ func TestDirectAggregationDifferential(t *testing.T) {
 								}
 							}
 						}
-						for _, strat := range shardStrategies() {
-							coordConns, clientConns, join := startDirectShards(t, nShards, n, d, pair)
-							group := assignedGroup(t, coordConns, d, rounds, weights)
-							srv := fl.NewServer(strat, core.NewFixedK(k), nil, d, 0)
-							single := gs.NewAggScratch(workers)
-							for m := 1; m <= rounds; m++ {
-								ups := roundUploads[m-1]
-								maxLen := 0
-								for _, u := range ups {
-									maxLen = max(maxLen, u.Pairs.Len())
-								}
-								sendSlices(t, clientConns, ups, d, m)
-								got, err := directAggregate(group, srv, m, k, maxLen)
-								if err != nil {
-									t.Fatalf("%s round %d: %v", strat.Name(), m, err)
-								}
-								want, _ := strat.AggregateInto(single, ups, k, 0)
-								if len(want.Indices) != len(got.Indices) {
-									t.Fatalf("%s round %d: |J| %d vs %d", strat.Name(), m, len(want.Indices), len(got.Indices))
-								}
+						strat := &gs.FABTopK{}
+						coordConns, clientConns, join := startDirectShards(t, nShards, n, d, pair)
+						group := assignedGroup(t, coordConns, d, rounds, weights)
+						srv := fl.NewServer(strat, core.NewFixedK(k), nil, d, 0)
+						single := gs.NewAggScratch(workers)
+						for m := 1; m <= rounds; m++ {
+							ups := roundUploads[m-1]
+							maxLen := 0
+							for _, u := range ups {
+								maxLen = max(maxLen, u.Pairs.Len())
+							}
+							sendSlices(t, clientConns, ups, d, m)
+							got, err := directAggregate(group, srv, m, k, maxLen)
+							if err != nil {
+								t.Fatalf("%s round %d: %v", strat.Name(), m, err)
+							}
+							want, _ := strat.AggregateInto(single, ups, k, 0)
+							if len(want.Indices) != got.Len() {
+								t.Fatalf("%s round %d: |J| %d vs %d", strat.Name(), m, len(want.Indices), got.Len())
+							}
+							// The downlink: every client pulls its broadcast
+							// slices (the shards serve until all fetches are
+							// answered), and each reassembled B must be the
+							// selection bit for bit.
+							for ci := 0; ci < n; ci++ {
+								rIdx, rVal := fetchAndReassemble(t, clientConns, d, ci, m, len(want.Indices))
 								for i := range want.Indices {
-									if want.Indices[i] != got.Indices[i] || want.Values[i] != got.Values[i] {
-										t.Fatalf("%s round %d: entry %d: (%d, %v) vs (%d, %v)", strat.Name(), m, i,
-											want.Indices[i], want.Values[i], got.Indices[i], got.Values[i])
-									}
-								}
-								// The downlink: every client pulls its broadcast
-								// slices (the shards serve until all fetches are
-								// answered), and each reassembled B must be the
-								// selection bit for bit.
-								for ci := 0; ci < n; ci++ {
-									rIdx, rVal := fetchAndReassemble(t, clientConns, d, ci, m, len(want.Indices))
-									for i := range want.Indices {
-										if rIdx[i] != want.Indices[i] || rVal[i] != want.Values[i] {
-											t.Fatalf("%s round %d: client %d reassembled entry %d: (%d, %v), want (%d, %v)",
-												strat.Name(), m, ci, i, rIdx[i], rVal[i], want.Indices[i], want.Values[i])
-										}
+									if rIdx[i] != want.Indices[i] || rVal[i] != want.Values[i] {
+										t.Fatalf("%s round %d: client %d reassembled entry %d: (%d, %v), want (%d, %v)",
+											strat.Name(), m, ci, i, rIdx[i], rVal[i], want.Indices[i], want.Values[i])
 									}
 								}
 							}
-							for s, err := range join() {
-								if err != nil {
-									t.Fatalf("%s: shard %d: %v", strat.Name(), s, err)
-								}
+						}
+						for s, err := range join() {
+							if err != nil {
+								t.Fatalf("%s: shard %d: %v", strat.Name(), s, err)
 							}
 						}
 					})
@@ -1165,9 +1152,10 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 }
 
 // TestRunDirectShardRejectsBadSeal covers the shard's trust boundary on
-// the downlink, on every tier: a corrupted seal (members outside the
-// range, out of order, never uploaded, for the wrong round, or with a
-// quantization scale that is not a finite non-negative real) must error
+// the downlink, on every tier: a corrupted seal (a negative cutoff;
+// members outside the range, out of order, never uploaded or already in
+// the rank-κ union; for the wrong round; or with a quantization scale
+// that is not a finite non-negative real) or a negative fill query must error
 // the round before any client can read a slice built from it, and
 // malformed or stale fetches must fail the serve instead of being
 // answered.
@@ -1196,6 +1184,13 @@ func TestRunDirectShardRejectsBadSeal(t *testing.T) {
 		{"infinite seal scale", RoundSeal{Round: 1, Members: []int{3}, Scale: math.Inf(1)}, "shard 0 round 1: seal scale +Inf is not a finite non-negative real"},
 		{"negative seal scale", RoundSeal{Round: 1, Members: []int{3}, Scale: -1}, "shard 0 round 1: seal scale -1 is not a finite non-negative real"},
 		{"non-control message", Hello{ClientID: 0}, "shard 0 round 1: expected FillQuery or RoundSeal, got transport.Hello"},
+		// The histogram plane's cut: coordinate 3 is the rank-1 union.
+		{"negative seal cutoff", RoundSeal{Round: 1, Kappa: -1}, "shard 0 round 1 seal: gs: seal cutoff -1 is negative"},
+		{"fill member already in the union", RoundSeal{Round: 1, Kappa: 1, Members: []int{3}}, "shard 0 round 1 seal: gs: sealed fill member 3 is already in the rank-1 union"},
+		{"fill member never reduced", RoundSeal{Round: 1, Kappa: 1, Members: []int{4}}, "shard 0 round 1 seal: gs: sealed member 4 was never uploaded"},
+		{"fill member outside the owned range", RoundSeal{Round: 1, Kappa: 1, Members: []int{5}}, "shard 0 round 1 seal: gs: sealed member 5 out of order or outside range"},
+		{"fill members not ascending", RoundSeal{Round: 1, Kappa: 1, Members: []int{4, 2}}, "shard 0 round 1 seal: gs: sealed member 2 out of order"},
+		{"negative fill query cutoff", FillQuery{Round: 1, Kappa: -2}, "shard 0 round 1: fill query cutoff -2 is negative"},
 	}
 	fetchCases := []struct {
 		name  string
@@ -1362,10 +1357,12 @@ func TestRunDirectShardRejectsStaleDirectory(t *testing.T) {
 }
 
 // TestDirectGroupRejectsBadReplies covers the coordinator-side trust
-// boundary: malformed shard results and fill candidates fail as
-// protocol errors, never as selection corruption.
+// boundary: malformed shard results and fill replies fail as named
+// protocol errors, never as selection corruption or a panic. The group
+// is one shard over [0, dim) with two clients, selecting k = 2 in a
+// round whose longest upload is 3.
 func TestDirectGroupRejectsBadReplies(t *testing.T) {
-	run := func(shardBehavior func(conn Conn)) error {
+	run := func(dim int, shardBehavior func(conn Conn)) error {
 		server, fake := NewMemPair()
 		go func() {
 			if _, err := fake.Recv(); err != nil { // ShardAssign
@@ -1373,54 +1370,77 @@ func TestDirectGroupRejectsBadReplies(t *testing.T) {
 			}
 			shardBehavior(fake)
 		}()
-		g := assignedGroup(t, []Conn{server}, 10, 1, []float64{1, 1})
-		_, err := directAggregate(g, fl.NewServer(&gs.FABTopK{}, core.NewFixedK(2), nil, 10, 0), 1, 2, 3)
+		g := assignedGroup(t, []Conn{server}, dim, 1, []float64{1, 1})
+		_, err := directAggregate(g, fl.NewServer(&gs.FABTopK{}, core.NewFixedK(2), nil, dim, 0), 1, 2, 3)
 		_ = server.Close()
 		return err
 	}
-
-	if err := run(func(c Conn) {
-		_ = c.Send(ShardResult{Round: 1, ShardID: 0, Idx: []int{2}, Sum: []float64{1}, MinRank: []int{5}})
-	}); err == nil || !strings.Contains(err.Error(), "rank") {
-		t.Fatalf("over-maxLen rank accepted: %v", err)
+	results := []struct {
+		name string
+		dim  int
+		res  ShardResult
+		want string
+	}{
+		{"a full reduction", 10, ShardResult{Round: 1, Idx: []int{2}, Sum: []float64{1}, MinRank: []int{0}},
+			"round 1: shard 0 sent a 1-coordinate reduction, want its rank histogram"},
+		{"a histogram longer than the longest upload", 10, ShardResult{Round: 1, Hist: []int{1, 0, 0, 1}},
+			"round 1: shard 0 histogram has 4 ranks, the longest upload 3"},
+		{"a negative count", 10, ShardResult{Round: 1, Hist: []int{1, -1}},
+			"round 1: shard 0 histogram count -1 at rank 1 is negative or overflows its 10 coordinates"},
+		{"more counts than the range is wide", 3, ShardResult{Round: 1, Hist: []int{2, 2}},
+			"round 1: shard 0 histogram count 2 at rank 1 is negative or overflows its 3 coordinates"},
+		{"a rank counting more coordinates than uploaders", 10, ShardResult{Round: 1, Hist: []int{1, 3}},
+			"round 1: 3 coordinates first uploaded at rank 1 by 2 uploaders"},
+		{"a stale result", 10, ShardResult{Round: 2, Hist: []int{1}}, "round 1: stale result (round 2 from shard 0)"},
 	}
-
-	if err := run(func(c Conn) {
-		_ = c.Send(ShardResult{Round: 1, ShardID: 0, Idx: []int{2}, Sum: []float64{1}, MinRank: []int{-1}})
-	}); err == nil || !strings.Contains(err.Error(), "rank") {
-		t.Fatalf("negative rank accepted: %v", err)
-	}
-
-	if err := run(func(c Conn) {
-		_ = c.Send(ShardResult{Round: 1, ShardID: 0, Idx: []int{4, 2}, Sum: []float64{1, 1}, MinRank: []int{0, 0}})
-	}); err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("unsorted result accepted: %v", err)
-	}
-
-	badFill := func(fc FillCandidates) error {
-		return run(func(c Conn) {
-			// One real coordinate at rank 0 keeps κ = 0 and forces a fill.
-			_ = c.Send(ShardResult{Round: 1, ShardID: 0, Idx: []int{2}, Sum: []float64{1}, MinRank: []int{1}})
-			if _, err := c.Recv(); err != nil { // FillQuery
-				return
+	for _, tc := range results {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(tc.dim, func(c Conn) { _ = c.Send(tc.res) })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want substring %q", err, tc.want)
 			}
-			_ = c.Send(fc)
 		})
 	}
-	if err := badFill(FillCandidates{Round: 1, ShardID: 0, Client: []int{5}, Idx: []int{2}, AbsVal: []float64{1}}); err == nil ||
-		!strings.Contains(err.Error(), "client") {
-		t.Fatalf("out-of-range fill client accepted: %v", err)
+
+	fills := []struct {
+		name string
+		fc   FillCandidates
+		want string
+	}{
+		{"a client out of range", FillCandidates{Round: 1, Client: []int{5}, Idx: []int{2}, AbsVal: []float64{1}, Sum: []float64{1}},
+			"round 1: shard 0 fill client 5 out of range [0, 2)"},
+		{"an index outside the shard", FillCandidates{Round: 1, Client: []int{0}, Idx: []int{99}, AbsVal: []float64{1}, Sum: []float64{1}},
+			"round 1: shard 0 fill index 99 outside its range"},
+		{"a negative magnitude", FillCandidates{Round: 1, Client: []int{0}, Idx: []int{2}, AbsVal: []float64{-1}, Sum: []float64{1}},
+			"round 1: shard 0 fill magnitude -1 is not a non-negative real"},
+		{"one client twice", FillCandidates{Round: 1, Client: []int{0, 0}, Idx: []int{2, 3}, AbsVal: []float64{1, 1}, Sum: []float64{1, 1}},
+			"round 1: client 0 has fill candidates from two shards"},
+		{"a ragged reply", FillCandidates{Round: 1, Client: []int{0}, Idx: []int{2}, AbsVal: []float64{1}},
+			"round 1: shard 0 fill shape 1/1/1/0"},
+		{"a NaN sum", FillCandidates{Round: 1, Client: []int{0}, Idx: []int{2}, AbsVal: []float64{1}, Sum: []float64{math.NaN()}},
+			"round 1: shard 0 fill sum NaN at index 2 is not finite"},
+		{"an infinite sum", FillCandidates{Round: 1, Client: []int{0}, Idx: []int{2}, AbsVal: []float64{1}, Sum: []float64{math.Inf(-1)}},
+			"round 1: shard 0 fill sum -Inf at index 2 is not finite"},
+		{"a NaN union maximum", FillCandidates{Round: 1, Max: math.NaN()},
+			"round 1: shard 0 union maximum NaN is not a finite non-negative real"},
+		{"a negative union maximum", FillCandidates{Round: 1, Max: -0.5},
+			"round 1: shard 0 union maximum -0.5 is not a finite non-negative real"},
+		{"an infinite union maximum", FillCandidates{Round: 1, Max: math.Inf(1)},
+			"round 1: shard 0 union maximum +Inf is not a finite non-negative real"},
 	}
-	if err := badFill(FillCandidates{Round: 1, ShardID: 0, Client: []int{0}, Idx: []int{99}, AbsVal: []float64{1}}); err == nil ||
-		!strings.Contains(err.Error(), "outside its range") {
-		t.Fatalf("out-of-range fill index accepted: %v", err)
-	}
-	if err := badFill(FillCandidates{Round: 1, ShardID: 0, Client: []int{0}, Idx: []int{2}, AbsVal: []float64{-1}}); err == nil ||
-		!strings.Contains(err.Error(), "non-negative") {
-		t.Fatalf("negative fill magnitude accepted: %v", err)
-	}
-	if err := badFill(FillCandidates{Round: 1, ShardID: 0, Client: []int{0, 0}, Idx: []int{2, 3}, AbsVal: []float64{1, 1}}); err == nil ||
-		!strings.Contains(err.Error(), "two shards") {
-		t.Fatalf("duplicate fill client accepted: %v", err)
+	for _, tc := range fills {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(10, func(c Conn) {
+				// One coordinate at rank 1 leaves B short of k = 2.
+				_ = c.Send(ShardResult{Round: 1, Hist: []int{0, 1}})
+				if _, err := c.Recv(); err != nil { // FillQuery
+					return
+				}
+				_ = c.Send(tc.fc)
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want substring %q", err, tc.want)
+			}
+		})
 	}
 }

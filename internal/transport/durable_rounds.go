@@ -14,17 +14,22 @@ import (
 // resumeDirectSeal finishes a direct-mode round whose seal is already
 // logged: re-release the clients (each rejoining client that already
 // holds the round is skipped; duplicates are discarded client-side),
-// re-issue the seal to shards that never received it, and close the
-// round in the log. Clients are released FIRST: a shard that was
-// already sealed is parked serving the downlink and only rejoins once
-// its next control-plane send fails, which requires released clients
-// to drive it there — releasing first makes both orders converge.
+// re-issue the seal — the logged cutoff and each shard's fill span — to
+// shards that never received it, and close the round in the log.
+// Clients are released FIRST: a shard that was already sealed is parked
+// serving the downlink and only rejoins once its next control-plane send
+// fails, which requires released clients to drive it there — releasing
+// first makes both orders converge.
 func (s *durServer) resumeDirectSeal(seal *wal.Seal, release *wal.Release, slot *coordSlot) error {
 	p := seal.Round
-	elems := len(seal.Members)
-	if len(seal.Spans) != len(s.sh.conns)+1 || seal.Spans[0] != 0 || seal.Spans[len(seal.Spans)-1] != elems {
+	elems, fill := seal.Elems, len(seal.Members)
+	if seal.Kappa < 0 || elems < fill {
+		return fmt.Errorf("transport: resume: seal for round %d cuts at rank %d with %d of %d members past it",
+			p, seal.Kappa, fill, elems)
+	}
+	if len(seal.Spans) != len(s.sh.conns)+1 || seal.Spans[0] != 0 || seal.Spans[len(seal.Spans)-1] != fill {
 		return fmt.Errorf("transport: resume: seal for round %d has %d span offsets over %d members, want %d",
-			p, len(seal.Spans), elems, len(s.sh.conns)+1)
+			p, len(seal.Spans), fill, len(s.sh.conns)+1)
 	}
 	for i := 1; i < len(seal.Spans); i++ {
 		if seal.Spans[i] < seal.Spans[i-1] {
@@ -42,7 +47,7 @@ func (s *durServer) resumeDirectSeal(seal *wal.Seal, release *wal.Release, slot 
 	s.noRedo = true
 	for sid := range s.sh.conns {
 		span := seal.Members[seal.Spans[sid]:seal.Spans[sid+1]]
-		msg := RoundSeal{Round: p, Members: span, Bits: seal.Bits, Scale: seal.Scale}
+		msg := RoundSeal{Round: p, Kappa: seal.Kappa, Members: span, Bits: seal.Bits, Scale: seal.Scale}
 		if err := s.sh.send(sid, p, msg); err != nil {
 			return err
 		}
@@ -66,7 +71,8 @@ func (s *durServer) resumeRoutedSeal(seal *wal.Seal, release *wal.Release, slot 
 		return err
 	}
 	bc := s.aggregate(p, slot.dec.K)
-	if !slices.Equal(bc.Idx, seal.Members) || bc.Bits != seal.Bits || bc.Scale != seal.Scale || weightedLoss != seal.Loss {
+	if !slices.Equal(bc.Idx, seal.Members) || seal.Kappa != 0 || seal.Elems != len(bc.Idx) ||
+		bc.Bits != seal.Bits || bc.Scale != seal.Scale || weightedLoss != seal.Loss {
 		return fmt.Errorf("transport: divergent recovery: round %d re-derived %d members on grid (%d, %v) at loss %v, seal logged %d on (%d, %v) at %v",
 			p, len(bc.Idx), bc.Bits, bc.Scale, weightedLoss, len(seal.Members), seal.Bits, seal.Scale, seal.Loss)
 	}

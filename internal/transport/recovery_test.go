@@ -270,6 +270,28 @@ func TestResumeRejectsBadLog(t *testing.T) {
 		t.Fatalf("release-before-seal log resumed: %v", err)
 	}
 
+	// A direct seal is a cut: its cutoff is a rank, and its fill lies
+	// inside |J|. A resume refuses either before it re-issues anything.
+	dcfg := cfg
+	dcfg.Direct = true
+	for name, seal := range map[string]*wal.Seal{
+		"negative cutoff": {Round: 1, Kappa: -1, Elems: 2, Spans: []int{0, 0, 0}},
+		"fill past |J|":   {Round: 1, Kappa: 2, Elems: 1, Members: []int{3, 7}, Spans: []int{0, 1, 2}},
+	} {
+		path, id = mkLog("cut.wal", wal.RunStart{RunID: 9, Kind: wal.KindCoordinator, Conf: coordConf(dcfg, 2, 2), Weights: weights}, seal)
+		desk := NewRejoinDesk(func() (Conn, error) { return nil, errors.New("closed") })
+		rcfg := dcfg
+		rcfg.Durable = &DurableServerConfig{RunID: id, WALPath: path, Desk: desk, Resume: true}
+		_, err := RunServerPeers(nil, rcfg)
+		desk.Close()
+		if err == nil || !strings.Contains(err.Error(), "transport: resume: seal for round 1 cuts at rank") {
+			t.Fatalf("%s: resumed: %v", name, err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// Mid-file corruption is not a torn tail: repair must refuse.
 	path, id = mkLog("corrupt.wal", wal.RunStart{RunID: 9, Kind: wal.KindCoordinator, Conf: conf, Weights: weights},
 		&wal.Seal{Round: 1, Loss: 1, Members: []int{1, 2}},

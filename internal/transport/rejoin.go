@@ -250,9 +250,7 @@ func (l *healLink) Send(msg any) error {
 	case RoundMeta:
 		round = v.Round
 	case ShardResult:
-		v.Idx = append([]int(nil), v.Idx...)
-		v.Sum = append([]float64(nil), v.Sum...)
-		v.MinRank = append([]int(nil), v.MinRank...)
+		v.Hist = append([]int(nil), v.Hist...)
 		msg, round = v, v.Round
 	}
 	if round >= 0 {

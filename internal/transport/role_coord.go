@@ -154,11 +154,13 @@ func (j *journal) crashAt(b Boundary, m int) error {
 }
 
 // sealed makes the round's selection durable before any peer learns it,
-// so a crash between here and the sends re-issues it verbatim: member
-// indices and scalars only — values are never logged. spans (direct
-// mode) are the per-shard member spans, logged as len(shards)+1 offsets
+// so a crash between here and the sends re-issues it verbatim: indices
+// and scalars only — values are never logged. A routed seal is B itself
+// (kappa 0, members B, elems |B|); a direct one is the cut the shards
+// were sealed with — the cutoff kappa, |J| = elems and the fill members —
+// and spans, the per-shard fill spans, logged as len(shards)+1 offsets
 // into members.
-func (j *journal) sealed(m int, loss, scale float64, bits int, members []int, spans [][]int) error {
+func (j *journal) sealed(m int, loss, scale float64, bits, kappa, elems int, members []int, spans [][]int) error {
 	if j == nil {
 		return nil
 	}
@@ -170,7 +172,8 @@ func (j *journal) sealed(m int, loss, scale float64, bits int, members []int, sp
 		}
 		j.spanOffs = offs
 	}
-	if err := j.logSync(&wal.Seal{Round: m, Loss: loss, Scale: scale, Bits: bits, Members: members, Spans: offs}); err != nil {
+	seal := &wal.Seal{Round: m, Loss: loss, Scale: scale, Bits: bits, Kappa: kappa, Elems: elems, Members: members, Spans: offs}
+	if err := j.logSync(seal); err != nil {
 		return err
 	}
 	return j.crashAt(BoundarySealLogged, m)
@@ -470,7 +473,7 @@ func (c *coordRun) routedRound(m int, slot *coordSlot) error {
 		return err
 	}
 	bc := c.aggregate(m, slot.dec.K)
-	if err := c.journal.sealed(m, loss, bc.Scale, bc.Bits, bc.Idx, nil); err != nil {
+	if err := c.journal.sealed(m, loss, bc.Scale, bc.Bits, 0, len(bc.Idx), bc.Idx, nil); err != nil {
 		return err
 	}
 	if err := c.downlink(m, bc); err != nil {
@@ -543,8 +546,8 @@ func (c *coordRun) gatherMeta(m int, slot *coordSlot) (weightedLoss float64, max
 
 // directRound runs one direct-plane round: announce the cohort to the
 // shards on the population plane, gather the control scalars, select
-// over the shards' merged reductions, journal the seal, seal every shard
-// with its span, journal the release, release the participants into
+// off the shards' merged rank histograms, journal the seal, seal every
+// shard with the cut, journal the release, release the participants into
 // their downlink fetches, journal the finish. Every shard is sealed
 // before the release goes out: the release is the participants'
 // guarantee that round m's slices are servable at every shard, and
@@ -565,11 +568,12 @@ func (c *coordRun) directRound(m int, slot *coordSlot) error {
 	if err != nil {
 		return err
 	}
-	main, scale, err := g.selectRound(c.server, m, slot.dec.K, maxLen)
+	cut, scale, err := g.selectRound(c.server, m, slot.dec.K, maxLen, len(slot.ids))
 	if err != nil {
 		return err
 	}
-	if err := c.journal.sealed(m, loss, scale, c.cfg.QuantBits, main.Indices, g.spans); err != nil {
+	elems := cut.Len()
+	if err := c.journal.sealed(m, loss, scale, c.cfg.QuantBits, cut.Kappa, elems, cut.Fill, g.spans); err != nil {
 		return err
 	}
 	if err := g.seal(m, scale); err != nil {
@@ -578,6 +582,5 @@ func (c *coordRun) directRound(m int, slot *coordSlot) error {
 	if err := c.journal.crashAt(BoundarySealSent, m); err != nil {
 		return err
 	}
-	elems := len(main.Indices)
 	return c.closeRound(m, slot, loss, elems, RoundRelease{Round: m, Elems: elems})
 }

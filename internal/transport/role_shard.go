@@ -20,7 +20,7 @@ import (
 // The control link is a plain Conn, or the durable healLink (rejoin.go).
 //
 //	admit       one validated SliceUpload into the round's barrier
-//	seal        reduce → ShardResult → FillQuery*/RoundSeal → downlink slice
+//	seal        reduce → ShardResult{Hist} → FillQuery*/RoundSeal → downlink slice
 //	checkFetch  one validated SliceFetch, answered from the sealed slice
 
 // shardRound is one direct shard's per-run round state: the loop's
@@ -45,9 +45,10 @@ type shardRound struct {
 	seen  []int
 	token int
 
+	hist                []int
 	fill                []gs.FillCand
 	fillClient, fillIdx []int
-	fillAbs             []float64
+	fillAbs, fillSum    []float64
 }
 
 // shardLinks is what distinguishes one shard tier from another.
@@ -308,17 +309,18 @@ func copySlice(dst, src *SliceUpload) {
 }
 
 // seal closes round m over the admitted barrier: reduce the range,
-// report the ShardResult on the control link, serve the coordinator's
-// FillQuery round trips until its RoundSeal arrives, and build the
-// round's downlink slice into ds from the shard's own reduction — the
-// seal carries member indices only, so a corrupted member set fails
-// here, before any reader sees it — snapped onto the seal's global
-// grid when the run quantizes (every shard snaps against the same
-// (bits, scale), so the reassembled B is the engine's quantized
-// aggregate bit for bit).
+// report its min-rank histogram in the ShardResult on the control link,
+// serve the coordinator's FillQuery round trips until its RoundSeal
+// arrives, and build the round's downlink slice into ds from the shard's
+// own reduction in one pass (gs.SealSlice: the seal carries the cutoff
+// and the fill indices only, so a corrupted cut fails here, before any
+// reader sees it) — snapped onto the seal's global grid when the run
+// quantizes (every shard snaps against the same (bits, scale), so the
+// reassembled B is the engine's quantized aggregate bit for bit).
 func (sr *shardRound) seal(m int, ctl Conn, ds *downSlice) error {
 	red := gs.RangeReduceInto(sr.scratch, sr.uploads, sr.ranks, sr.lo, sr.hi)
-	var res any = ShardResult{Round: m, ShardID: sr.shardID, Idx: red.Idx, Sum: red.Sum, MinRank: red.MinRank}
+	sr.hist = gs.RankHist(sr.hist, red)
+	var res any = ShardResult{Round: m, ShardID: sr.shardID, Hist: sr.hist}
 	if err := ctl.Send(res); err != nil {
 		return fmt.Errorf("transport: shard %d round %d send: %w", sr.shardID, m, err)
 	}
@@ -332,14 +334,20 @@ func (sr *shardRound) seal(m int, ctl Conn, ds *downSlice) error {
 			if c.Round != m {
 				return fmt.Errorf("transport: shard %d round %d: stale fill query (round %d)", sr.shardID, m, c.Round)
 			}
-			sr.fill = gs.AppendFillCands(sr.fill[:0], sr.uploads, sr.ranks, c.Kappa)
-			sr.fillClient, sr.fillIdx, sr.fillAbs = sr.fillClient[:0], sr.fillIdx[:0], sr.fillAbs[:0]
+			if c.Kappa < 0 {
+				return fmt.Errorf("transport: shard %d round %d: fill query cutoff %d is negative", sr.shardID, m, c.Kappa)
+			}
+			var unionMax float64
+			sr.fill, unionMax = gs.ServeFill(sr.fill[:0], sr.uploads, sr.ranks, red, c.Kappa)
+			sr.fillClient, sr.fillIdx, sr.fillAbs, sr.fillSum = sr.fillClient[:0], sr.fillIdx[:0], sr.fillAbs[:0], sr.fillSum[:0]
 			for _, cand := range sr.fill {
 				sr.fillClient = append(sr.fillClient, cand.Client)
 				sr.fillIdx = append(sr.fillIdx, cand.Idx)
 				sr.fillAbs = append(sr.fillAbs, cand.AbsVal)
+				sr.fillSum = append(sr.fillSum, cand.Sum)
 			}
-			reply := FillCandidates{Round: m, ShardID: sr.shardID, Client: sr.fillClient, Idx: sr.fillIdx, AbsVal: sr.fillAbs}
+			reply := FillCandidates{Round: m, ShardID: sr.shardID, Client: sr.fillClient, Idx: sr.fillIdx,
+				AbsVal: sr.fillAbs, Sum: sr.fillSum, Max: unionMax}
 			if err := ctl.Send(reply); err != nil {
 				return fmt.Errorf("transport: shard %d round %d fill send: %w", sr.shardID, m, err)
 			}
@@ -355,7 +363,7 @@ func (sr *shardRound) seal(m int, ctl Conn, ds *downSlice) error {
 				return fmt.Errorf("transport: shard %d round %d: seal scale %v is not a finite non-negative real",
 					sr.shardID, m, c.Scale)
 			}
-			ds.idx, ds.val, err = gs.BuildDownlinkSlice(ds.idx[:0], ds.val[:0], c.Members, red, sr.lo, sr.hi)
+			ds.idx, ds.val, err = gs.SealSlice(ds.idx[:0], ds.val[:0], c.Kappa, c.Members, red, sr.lo, sr.hi)
 			if err != nil {
 				return fmt.Errorf("transport: shard %d round %d seal: %w", sr.shardID, m, err)
 			}

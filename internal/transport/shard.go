@@ -4,8 +4,9 @@ package transport
 // aggregation tier (gs/shard.go): the coordinator partitions the model's
 // coordinate space into S contiguous ranges with tensor.ChunkBounds,
 // clients upload each range slice straight to its owning shard (the
-// direct data plane, direct.go), and every shard reports its
-// range-restricted reduction for the coordinator's selection. Shards can
+// direct data plane, direct.go), and every shard reports the min-rank
+// histogram of its range-restricted reduction for the coordinator's
+// selection. Shards can
 // be goroutines over NewMemPair or real processes over Dial/Listen;
 // either way the aggregate is bit-identical to the single-process engine
 // at every shard count (the differential suites pin mem and TCP alike).
@@ -66,16 +67,24 @@ type (
 		NumHosts int
 	}
 
-	// ShardResult is a shard's reduction for one round: for every
-	// distinct uploaded coordinate in its range, ascending, the exact
-	// weighted sum b_j and the minimal upload rank (gs.RangeAgg on the
-	// wire). Shard → coordinator, on the control connection, once the
-	// shard's client barrier for the round is complete.
+	// ShardResult is a shard's report for one round, shard →
+	// coordinator on the control connection once the shard's client
+	// barrier for the round is complete. A direct-plane shard sends only
+	// Hist, the min-rank histogram of its range reduction (gs.RankHist:
+	// Hist[r] counts its reduced coordinates whose minimal upload rank is
+	// r, up to the largest), which is all FAB's selection needs from it
+	// until the fill; a rank holds at most one coordinate per client, so
+	// at N = 8 the int block packs it at ≤ 4 bits an entry. Idx, Sum and
+	// MinRank — the whole reduction, gs.RangeAgg on the wire: every
+	// distinct uploaded coordinate in its range, ascending, with its
+	// exact weighted sum b_j and minimal upload rank — stay empty there;
+	// the coordinator refuses them.
 	ShardResult struct {
 		Round   int
 		ShardID int
 		Idx     []int
 		Sum     []float64
 		MinRank []int
+		Hist    []int
 	}
 )

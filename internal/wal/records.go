@@ -58,14 +58,18 @@ type Draw struct {
 }
 
 // Seal records a round's aggregation decision before it is announced:
-// the selected global indices, the per-shard span boundaries into that
-// member list, the quantization scale/bits, and the round loss. It is
-// everything needed to re-issue the seal verbatim after a restart.
+// the quantization scale/bits, the round loss, and the selection — the
+// selected global indices in Members (Kappa 0) or, for a selection cut
+// at a rank, the cutoff Kappa with only the members past it in Members
+// — with its size Elems and the per-shard span boundaries into Members.
+// It is everything needed to re-issue the seal verbatim after a restart.
 type Seal struct {
 	Round   int
 	Loss    float64
 	Scale   float64
 	Bits    int
+	Kappa   int
+	Elems   int
 	Members []int
 	Spans   []int
 }
@@ -144,6 +148,8 @@ func appendRecord(b []byte, r Record) []byte {
 		b = appendF64(b, r.Loss)
 		b = appendF64(b, r.Scale)
 		b = appendU64(b, uint64(int64(r.Bits)))
+		b = appendU64(b, uint64(int64(r.Kappa)))
+		b = appendU64(b, uint64(int64(r.Elems)))
 		b = appendInts(b, r.Members)
 		b = appendInts(b, r.Spans)
 	case *Release:
@@ -250,7 +256,7 @@ func decodeRecord(body []byte) (Record, error) {
 	case recDraw:
 		rec = &Draw{Round: r.i(), Members: r.ints()}
 	case recSeal:
-		rec = &Seal{Round: r.i(), Loss: r.f(), Scale: r.f(), Bits: r.i(), Members: r.ints(), Spans: r.ints()}
+		rec = &Seal{Round: r.i(), Loss: r.f(), Scale: r.f(), Bits: r.i(), Kappa: r.i(), Elems: r.i(), Members: r.ints(), Spans: r.ints()}
 	case recRelease:
 		rec = &Release{Round: r.i(), Loss: r.f(), Elems: r.i()}
 	case recFinish:

@@ -18,7 +18,7 @@ func testRecords() []Record {
 	return []Record{
 		&RunStart{RunID: 0xfeed, Kind: 2, Conf: []int64{20000, 500, 10, 32, 4, 1}},
 		&Draw{Round: 1, Members: []int{0, 3, 7}},
-		&Seal{Round: 1, Loss: 0.75, Scale: 0.01, Bits: 8, Members: []int{5, 9, 11, 40}, Spans: []int{0, 2, 4}},
+		&Seal{Round: 1, Loss: 0.75, Scale: 0.01, Bits: 8, Elems: 4, Members: []int{5, 9, 11, 40}, Spans: []int{0, 2, 4}},
 		&Release{Round: 1, Loss: 0.75, Elems: 4},
 		&Finish{Round: 1, Ints: []int64{4, 500}, Floats: []float64{0.75, 1.25}},
 	}
@@ -305,6 +305,9 @@ func FuzzWALReader(f *testing.F) {
 	for _, r := range recs {
 		f.Add(appendRecord(nil, r))
 	}
+	// A direct round's seal: the cut at rank 37 with two fill members.
+	f.Add(appendRecord(nil, &Seal{Round: 2, Loss: 0.5, Scale: 0.125, Bits: 8, Kappa: 37, Elems: 1990,
+		Members: []int{12, 19873}, Spans: []int{0, 1, 2}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, log := range [][]byte{data, frame(nil, data)} {
 			recs, good, err := decodeAll(log)
