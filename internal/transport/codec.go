@@ -18,6 +18,10 @@ package transport
 // ascending list — a broadcast's or slice's coordinates, a seal's
 // members — as uvarint gaps, anything else — an upload's coordinates in
 // rank order, min-ranks — bit-packed at the width of its largest value.
+// Every gradient value list travels as one value block (vals): on its
+// message's quantization grid, a list whose magnitudes never grow — an
+// upload in rank order — as sign bits and unary magnitude steps, any
+// other grid list bit-packed, anything else as raw floats.
 
 import (
 	"bufio"
@@ -708,12 +712,28 @@ func packInts(b []byte, v []int, w uint) []byte {
 	nb := uint(0) // bits pending in acc, always < 32 between values
 	for _, x := range v {
 		acc |= uint64(x) << nb
-		if nb += w; nb >= 32 {
-			b = binary.LittleEndian.AppendUint32(b, uint32(acc))
-			acc >>= 32
-			nb -= 32
-		}
+		b, acc, nb = appendWord(b, acc, nb+w)
 	}
+	return appendTail(b, acc, nb)
+}
+
+// appendWord appends the low 32 of the nb bits pending in acc once there
+// are that many, and returns what is left pending: fewer than 32 bits
+// when nb < 64. Every bit writer of the codec (packInts, pack, steps)
+// keeps acc and nb in locals, so that they stay in registers, and passes
+// them through here.
+func appendWord(b []byte, acc uint64, nb uint) ([]byte, uint64, uint) {
+	if nb >= 32 {
+		b = binary.LittleEndian.AppendUint32(b, uint32(acc))
+		acc >>= 32
+		nb -= 32
+	}
+	return b, acc, nb
+}
+
+// appendTail appends the nb bits pending in acc, the last byte's spare
+// bits zero.
+func appendTail(b []byte, acc uint64, nb uint) []byte {
 	for ; nb > 0; nb -= min(nb, 8) {
 		b = append(b, byte(acc))
 		acc >>= 8
@@ -721,24 +741,33 @@ func packInts(b []byte, v []int, w uint) []byte {
 	return b
 }
 
-// unpackInts decodes len(s) w-bit values from p: each is one 64-bit
-// little-endian load at its first byte, shifted and masked (w ≤ 32 and
-// a shift ≤ 7 fit the window). The values whose 8 bytes run past p —
-// those in its last 8 bytes at most — load from a copy of that tail.
+// unpackInts decodes len(s) w-bit values from p: each is one window
+// read at its first bit, masked (w ≤ 32 fits the window's 57 bits).
 func unpackInts(s []int, p []byte, w uint) {
 	mask := uint64(1)<<w - 1
-	i, off := 0, uint(0)
-	for ; i < len(s) && int(off>>3)+8 <= len(p); i++ {
-		s[i] = int(binary.LittleEndian.Uint64(p[off>>3:]) >> (off & 7) & mask)
-		off += w
+	for i := range s {
+		s[i] = int(window(p, uint(i)*w) & mask)
 	}
-	var tail [16]byte
-	start := off >> 3
-	copy(tail[:], p[start:])
-	for ; i < len(s); i++ {
-		s[i] = int(binary.LittleEndian.Uint64(tail[off>>3-start:]) >> (off & 7) & mask)
-		off += w
+}
+
+// window is the codec's one bit reader: the 64-bit little-endian load at
+// the byte of p holding bit pos, shifted so that bit pos is its bit 0 —
+// at least 57 bits of p from pos on, zeros past p's end. Only a load
+// within p's last 8 bytes takes the copy in windowTail.
+func window(p []byte, pos uint) uint64 {
+	if i := pos >> 3; i+8 <= uint(len(p)) {
+		return binary.LittleEndian.Uint64(p[i:]) >> (pos & 7)
 	}
+	return windowTail(p, pos)
+}
+
+// windowTail is window's load near p's end, from a zero-padded copy.
+func windowTail(p []byte, pos uint) uint64 {
+	var t [8]byte
+	if i := pos >> 3; i < uint(len(p)) {
+		copy(t[:], p[i:])
+	}
+	return binary.LittleEndian.Uint64(t[:]) >> (pos & 7)
 }
 
 // f64s is a float slice: a u32 count, then the raw floats.
@@ -779,43 +808,86 @@ func (c *coder) quant(bits *int, scale *float64) {
 	}
 }
 
+// The value block's encodings; putVals picks one as it writes the block.
+const (
+	// valsRaw is any list: every value as its IEEE-754 bits.
+	valsRaw = 0
+	// valsPacked is a list on the message's b-bit grid: every value as
+	// its biased code q+levels in b bits, LSB first, −0 as the top code
+	// 2^b−1 that no q uses.
+	valsPacked = 1
+	// valsSteps is a grid list whose magnitudes never grow, an upload in
+	// rank order: per value a sign bit, then the drop of its magnitude
+	// |q| from the one before (from levels, for the first) in unary — as
+	// many 0 bits, then a 1 —, LSB first, the last byte's spare bits zero.
+	valsSteps = 2
+)
+
 // vals is a gradient value block on the grid of its message's quant
-// header: a u32 count, an encoding byte, and the values. When (bits,
-// scale) describe a b-bit grid and every value is a grid point q·step
-// with |q| ≤ levels, the encoding is 1 and the values travel packed as
-// biased b-bit integers q+levels — ceil(n·b/8) bytes instead of 8n, the
-// ~8× wire shrink at b=8 the paper's quantization lever promises — from
-// which the receiver rebuilds bit-for-bit the sender's grid values. A
-// −0, which q+levels would turn into +0, takes the top code 2^b−1 that
-// no q uses, so every b-bit code decodes. Anything else (quantization
-// off, a raw payload, a NaN) travels raw, encoding 0, so the codec is
-// lossless for arbitrary payloads and packing is purely an encoding
-// optimization.
+// header: a u32 count, an encoding byte (valsRaw, valsPacked or
+// valsSteps) and its body. Values on a b-bit grid travel as their grid
+// indices q, from which the receiver rebuilds them bit for bit; anything
+// else (quantization off, a raw payload, a NaN) travels raw, so the
+// codec is lossless for arbitrary payloads and the grid bodies are
+// purely an encoding optimization.
 func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
 	n := len(*v)
 	c.num(&n)
 	if !c.dec {
-		if c.b = append(c.b, 1); !c.pack(*v, bits, scale) {
-			c.b[len(c.b)-1] = 0
-			c.raw(v, nil, n, "")
-		}
+		c.putVals(*v, bits, scale)
 		return
 	}
 	nbytes := (n*bits + 7) / 8
 	switch enc := c.take(1); {
 	case enc == nil:
-	case enc[0] == 0:
+	case enc[0] == valsRaw:
 		c.raw(v, dst, n, "value count")
-	case enc[0] != 1:
-		c.fail("unknown value encoding %d", enc[0])
-	case !onGrid(bits, scale):
+	case enc[0] == valsPacked && !onGrid(bits, scale):
 		c.fail("packed values with quantization width %d and scale %v", bits, scale)
-	case nbytes > len(c.b):
+	case enc[0] == valsPacked && nbytes > len(c.b):
 		c.fail("packed value count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(c.b))
-	default:
+	case enc[0] == valsPacked:
 		*v = slot(dst, n)
 		unpack(*v, c.b[:nbytes], bits, scale)
 		c.b = c.b[nbytes:]
+	case enc[0] != valsSteps:
+		c.fail("unknown value encoding %d", enc[0])
+	case !onGrid(bits, scale):
+		c.fail("step-coded values with quantization width %d and scale %v", bits, scale)
+	case n > 4*len(c.b):
+		c.fail("step-coded value count %d exceeds %d remaining bytes at 2 bits a value", n, len(c.b))
+	default:
+		*v = slot(dst, n)
+		levels := int64(1)<<(bits-1) - 1
+		pos, i, m := unsteps(*v, c.b, levels, scale/float64(levels))
+		switch {
+		case i < n && m < 0:
+			c.fail("step-coded value %d drops below magnitude 0", i)
+		case i < n:
+			c.fail("step-coded value %d runs past the frame", i)
+		case pos&7 != 0 && c.b[pos>>3]>>(pos&7) != 0:
+			c.fail("nonzero spare bits after %d step-coded values", n)
+		default:
+			c.b = c.b[(pos+7)/8:]
+		}
+	}
+}
+
+// putVals appends the value block's encoding byte and body. It
+// step-codes while the magnitudes do not grow; at the first value that
+// breaks that, or once the body could no longer be shorter than the
+// packed one, it drops what it wrote and packs instead, or writes raw,
+// so a rank-order upload costs one pass and an index-order broadcast
+// about two.
+func (c *coder) putVals(v []float64, bits int, scale float64) {
+	at := len(c.b)
+	c.b = append(c.b, valsSteps)
+	if c.steps(v, bits, scale) {
+		return
+	}
+	if c.b[at] = valsPacked; !c.pack(v, bits, scale) {
+		c.b[at] = valsRaw
+		c.raw(&v, nil, len(v), "")
 	}
 }
 
@@ -825,9 +897,120 @@ func onGrid(bits int, scale float64) bool {
 	return bits >= 2 && bits <= 32 && scale > 0 && !math.IsInf(scale, 0)
 }
 
+// gridIndex is v's index q on the grid of step and levels, and whether v
+// is that grid point: q·step == v with |q| ≤ levels. Values straight out
+// of sparse.QuantizeInPlace / QuantizeToScale always are. RoundToEven
+// differs from Round only on a tie q+½, which no grid point meets.
+func gridIndex(v, step float64, levels int64) (int64, bool) {
+	q := math.RoundToEven(v / step)
+	return int64(q), math.Abs(q) <= float64(levels) && q*step == v
+}
+
+// steps appends val as a step body and reports true, or appends nothing
+// and reports false when a value is off the grid, a magnitude exceeds
+// the one before it, or the body would not be strictly shorter than the
+// packed one: 2n + Σdrops ≤ 8·(packed bytes − 1) bits. That bound is
+// checked before a drop is written, so a hostile list never writes more
+// than the packed body would.
+func (c *coder) steps(val []float64, bits int, scale float64) bool {
+	n := len(val)
+	if !onGrid(bits, scale) || n == 0 {
+		return false
+	}
+	levels := int64(1)<<(bits-1) - 1
+	step := scale / float64(levels)
+	budget := 8*((n*bits+7)/8-1) - 2*n // the bits the drops may spend
+	b, prev := c.b, levels
+	var acc uint64
+	nb := uint(0) // bits pending in acc, always < 32 between values
+	for _, v := range val {
+		q, ok := gridIndex(v, step, levels)
+		m := max(q, -q)
+		d := prev - m
+		if !ok || d < 0 {
+			return false
+		}
+		prev = m
+		if budget -= int(d); budget < 0 {
+			return false
+		}
+		sign := math.Float64bits(v) >> 63
+		if d <= 30 {
+			acc |= (sign | 2<<d) << nb
+			nb += uint(d) + 2
+		} else { // a longer run: the sign, 32 zeros at a time, the rest
+			acc |= sign << nb
+			for b, acc, nb = appendWord(b, acc, nb+1); d >= 32; d -= 32 {
+				b, acc, nb = appendWord(b, acc, nb+32)
+			}
+			acc |= 1 << (nb + uint(d))
+			nb += uint(d) + 1
+		}
+		b, acc, nb = appendWord(b, acc, nb)
+	}
+	c.b = appendTail(b, acc, nb)
+	return true
+}
+
+// unsteps decodes step-coded values from p into s and returns the bit
+// position it reached, the number of values decoded and the last
+// magnitude: i < len(s) names value i's fault, a drop below magnitude 0
+// when m < 0 and a run past p otherwise. It holds the bits from pos on
+// in a register (w, of which avail are loaded) and takes each value off
+// it: the sign bit, then the run of zeros up to the next 1. A run whose
+// 1 lies past the loaded bits reloads them, and only a run longer than
+// the window reads on (unstepsRun). It is its own function so that its
+// loop state stays in registers.
+func unsteps(s []float64, p []byte, levels int64, step float64) (pos uint, i int, m int64) {
+	w, avail := window(p, 0), uint(64)
+	m = levels
+	for i < len(s) {
+		d := uint(bits.TrailingZeros64(w >> 1))
+		if d+2 > avail {
+			w, avail = window(p, pos), 64-pos&7
+			d = uint(bits.TrailingZeros64(w >> 1))
+		}
+		sign := w << 63
+		if d+2 <= avail {
+			w >>= d + 2
+			avail -= d + 2
+			pos += d + 2
+		} else {
+			var ok bool
+			if d, pos, ok = unstepsRun(p, pos+1, uint(m)); !ok {
+				return pos, i, m
+			}
+			w, avail = window(p, pos), 64-pos&7
+		}
+		if m -= int64(d); m < 0 {
+			return pos, i, m
+		}
+		s[i] = math.Float64frombits(math.Float64bits(float64(m)*step) ^ sign)
+		i++
+	}
+	return pos, len(s), m
+}
+
+// unstepsRun counts the zeros of a run from bit pos of p to its
+// terminating 1 and returns them and the position after that 1; ok is
+// false when p ends first. It stops early once the run exceeds limit.
+func unstepsRun(p []byte, pos, limit uint) (d, next uint, ok bool) {
+	for end := 8 * uint(len(p)); pos < end; {
+		if w := window(p, pos); w != 0 {
+			t := uint(bits.TrailingZeros64(w))
+			return d + t, pos + t + 1, true
+		}
+		t := 64 - pos&7
+		if d, pos = d+t, pos+t; d > limit {
+			return d, pos, true
+		}
+	}
+	return d, pos, false
+}
+
 // pack appends val as packed grid codes and reports true, or appends
-// nothing and reports false when a value is off the grid. Values
-// straight out of sparse.QuantizeInPlace / QuantizeToScale always pack.
+// nothing and reports false when a value is off the grid. The codes are
+// written as packInts writes ints.
 func (c *coder) pack(val []float64, bits int, scale float64) bool {
 	if !onGrid(bits, scale) || len(val) == 0 {
 		return false
@@ -835,52 +1018,36 @@ func (c *coder) pack(val []float64, bits int, scale float64) bool {
 	levels, top := int64(1)<<(bits-1)-1, uint64(1)<<bits-1
 	step := scale / float64(levels)
 	b := c.b
-	var bitbuf uint64
-	nbits := 0
+	var acc uint64
+	nb, w := uint(0), uint(bits)
 	for _, v := range val {
-		q := math.Round(v / step)
-		if !(math.Abs(q) <= float64(levels)) || q*step != v {
+		q, ok := gridIndex(v, step, levels)
+		if !ok {
 			return false
 		}
-		code := uint64(int64(q) + levels)
+		code := uint64(q + levels)
 		if v == 0 && math.Signbit(v) {
 			code = top
 		}
-		bitbuf |= code << nbits
-		nbits += bits
-		for nbits >= 8 {
-			b = append(b, byte(bitbuf))
-			bitbuf >>= 8
-			nbits -= 8
-		}
+		acc |= code << nb
+		b, acc, nb = appendWord(b, acc, nb+w)
 	}
-	if nbits > 0 {
-		b = append(b, byte(bitbuf))
-	}
-	c.b = b
+	c.b = appendTail(b, acc, nb)
 	return true
 }
 
 // unpack decodes len(s) packed b-bit codes from p onto the (bits,
-// scale) grid. It is its own function so that its loop state stays in
-// registers.
+// scale) grid, one window read each.
 func unpack(s []float64, p []byte, bits int, scale float64) {
 	levels, top := int64(1)<<(bits-1)-1, uint64(1)<<bits-1
 	step := scale / float64(levels)
-	var bitbuf uint64
-	nb, pos := 0, 0
+	negZero := math.Copysign(0, -1)
+	w := uint(bits)
 	for i := range s {
-		for nb < bits {
-			bitbuf |= uint64(p[pos]) << nb
-			pos++
-			nb += 8
-		}
-		u := bitbuf & top
-		bitbuf >>= uint(bits)
-		nb -= bits
+		u := window(p, uint(i)*w) & top
 		s[i] = float64(int64(u)-levels) * step
 		if u == top {
-			s[i] = math.Copysign(0, -1)
+			s[i] = negZero
 		}
 	}
 }

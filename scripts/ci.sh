@@ -126,6 +126,11 @@ go test ./internal/gs -run '^$' -fuzz FuzzFABSelection -fuzztime 10s
 # payload, an accepted message must survive decode(encode(m)) bit for
 # bit on every float, and its re-encoding must be a fixed point.
 go test ./internal/transport -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
+# And the value block alone: arbitrary float lists, magnitude-sorted ones
+# included, at every grid width and arbitrary scales must round-trip bit
+# for bit, pack or go raw exactly as the per-value packing loop kept in
+# the test file decides, and step-code only when that body is shorter.
+go test ./internal/transport -run '^$' -fuzz FuzzValueBlock -fuzztime 10s
 # And the write-ahead log's reader: arbitrary bytes, as a log and as one
 # well-framed record body, must never panic, must re-frame to the clean
 # prefix they report, and a repairing Open must be idempotent.
