@@ -40,18 +40,26 @@ func codecPayload(n int) (idx, rank []int, raw, qval []float64, scale float64) {
 }
 
 // rankOrderUpload is an upload's pairs as a quantizing client sends
-// them: the top k of d seeded normal values by magnitude, in rank order
-// (sparse.TopK), then on the 8-bit grid (sparse.QuantizeInPlace). Its
-// coordinates are no order at all on the wire, and its magnitudes never
-// grow, so its values step-code.
+// them: rawRankOrderUpload's, then on the 8-bit grid
+// (sparse.QuantizeInPlace). Its coordinates are no order at all on the
+// wire, and its magnitudes never grow, so its values step-code.
 func rankOrderUpload(k, d int) (idx []int, val []float64, scale float64) {
+	idx, val = rawRankOrderUpload(k, d)
+	return idx, val, sparse.QuantizeInPlace(val, 8)
+}
+
+// rawRankOrderUpload is an upload's pairs as a client without
+// quantization sends them: the top k of d seeded normal values by
+// magnitude, in rank order (sparse.TopK). Its magnitude bits never grow,
+// so its values drop-code.
+func rawRankOrderUpload(k, d int) (idx []int, val []float64) {
 	rng := rand.New(rand.NewSource(1))
 	dense := make([]float64, d)
 	for i := range dense {
 		dense[i] = rng.NormFloat64()
 	}
 	top := sparse.TopK(dense, k)
-	return top.Idx, top.Val, sparse.QuantizeInPlace(top.Val, 8)
+	return top.Idx, top.Val
 }
 
 // Scratch-backed decoders of the per-round messages: each runs the
@@ -121,14 +129,19 @@ func histCounts(n int) []int {
 // per-round message into a warm buffer, and decoding it into warm
 // scratch, allocate nothing.
 func TestSliceCodecAllocFree(t *testing.T) {
-	idx, rank, _, qval, scale := codecPayload(256)
+	idx, rank, raw, qval, scale := codecPayload(256)
 	kidx, kval, kscale := rankOrderUpload(1987, 19874)
+	_, kraw := rawRankOrderUpload(1987, 19874)
 	for _, tc := range []struct {
 		msg any // pre-boxed, as a binConn sends it
 		dec func(body []byte, sc *decScratch) error
 	}{
 		{Upload{ClientID: 1, Round: 2, Idx: idx, Val: qval, BatchLoss: 0.5, Bits: 8, Scale: scale}, decUpload},
 		{Upload{ClientID: 1, Round: 2, Idx: kidx, Val: kval, BatchLoss: 0.5, Bits: 8, Scale: kscale}, decUpload},
+		// Raw values: drop-coded in rank order, exponent-coded in index
+		// order.
+		{Upload{ClientID: 1, Round: 2, Idx: kidx, Val: kraw, BatchLoss: 0.5}, decUpload},
+		{Broadcast{Round: 2, Idx: idx, Val: raw}, decBroadcast},
 		{Broadcast{Round: 2, Idx: idx, Val: qval, Bits: 8, Scale: scale}, decBroadcast},
 		// A width whose codes straddle bytes: 5 bits.
 		{Broadcast{Round: 2, Idx: idx, Val: snapped(qval, 5, scale), Bits: 5, Scale: scale}, decBroadcast},
@@ -242,17 +255,22 @@ func BenchmarkDownlinkFanout(b *testing.B) {
 
 // BenchmarkSliceCodec's Upload_q8 is tcp_routed_q8's hot message: k =
 // 1 987 coordinates of D = 19 874 and their values in rank order, on the
-// 8-bit grid (rankOrderUpload), so its values step-code. The other cases
-// carry 256 ascending coordinates.
+// 8-bit grid (rankOrderUpload), so its values step-code. Upload_raw is
+// the same upload unquantized (rawRankOrderUpload), as tcp_direct_s2's
+// clients send it before the split, so its values drop-code. The other
+// cases carry 256 ascending coordinates; their raw values, in index
+// order, exponent-code.
 func BenchmarkSliceCodec(b *testing.B) {
 	idx, rank, raw, qval, scale := codecPayload(256)
 	kidx, kval, kscale := rankOrderUpload(1987, 19874)
+	_, kraw := rawRankOrderUpload(1987, 19874)
 	cases := []struct {
 		name string
 		msg  any // pre-boxed, as a binConn sends it
 		dec  func(body []byte, sc *decScratch) error
 	}{
 		{"Upload_q8", Upload{ClientID: 1, Round: 2, Idx: kidx, Val: kval, BatchLoss: 0.5, Bits: 8, Scale: kscale}, decUpload},
+		{"Upload_raw", Upload{ClientID: 1, Round: 2, Idx: kidx, Val: kraw, BatchLoss: 0.5}, decUpload},
 		{"SliceUpload_raw", SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: raw, Rank: rank}, decSliceUpload},
 		{"SliceUpload_q8", SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: qval, Rank: rank, Bits: 8, Scale: scale}, decSliceUpload},
 		{"SliceBroadcast_q8", SliceBroadcast{Round: 2, ShardID: 1, Idx: idx, Val: qval, Bits: 8, Scale: scale}, decSliceBroadcast},

@@ -21,7 +21,11 @@ package transport
 // Every gradient value list travels as one value block (vals): on its
 // message's quantization grid, a list whose magnitudes never grow — an
 // upload in rank order — as sign bits and unary magnitude steps, any
-// other grid list bit-packed, anything else as raw floats.
+// other grid list bit-packed. Off the grid, the block codes the IEEE-754
+// bits losslessly: a list whose magnitudes never grow — a raw upload in
+// rank order — as Rice-coded magnitude drops, any other list as packed
+// exponent offsets beside the sign and mantissa bits, and as raw floats
+// where neither is shorter.
 
 import (
 	"bufio"
@@ -719,9 +723,9 @@ func packInts(b []byte, v []int, w uint) []byte {
 
 // appendWord appends the low 32 of the nb bits pending in acc once there
 // are that many, and returns what is left pending: fewer than 32 bits
-// when nb < 64. Every bit writer of the codec (packInts, pack, steps)
-// keeps acc and nb in locals, so that they stay in registers, and passes
-// them through here.
+// when nb < 64. Every bit writer of the codec (packInts, pack, steps,
+// and through appendCode drops and exps) keeps acc and nb in locals, so
+// that they stay in registers, and passes them through here or there.
 func appendWord(b []byte, acc uint64, nb uint) ([]byte, uint64, uint) {
 	if nb >= 32 {
 		b = binary.LittleEndian.AppendUint32(b, uint32(acc))
@@ -821,15 +825,33 @@ const (
 	// |q| from the one before (from levels, for the first) in unary — as
 	// many 0 bits, then a 1 —, LSB first, the last byte's spare bits zero.
 	valsSteps = 2
+	// valsDrops is a list whose magnitude bits (a value's IEEE-754 bits
+	// without the sign, the key top-k ranks by) never grow, a raw upload
+	// in rank order: a byte k ≤ 62, the first value's bits as a u64, then
+	// per later value, LSB first, its sign bit and the Rice code of its
+	// magnitude's drop d from the one before — d>>k in unary, as the step
+	// body writes a drop, then d's low k bits —, the last byte's spare
+	// bits zero.
+	valsDrops = 3
+	// valsExps is any other list: the top biased exponent E as a u16 and
+	// a width byte w = bits.Len(E − the lowest exponent) ≤ 11, then per
+	// value, LSB first, its sign bit, E − its exponent in w bits and its
+	// 52 mantissa bits, the last byte's spare bits zero.
+	valsExps = 4
 )
 
+// signBit is a float's IEEE-754 sign bit; the bits without it are the
+// value's magnitude bits, which order as the magnitudes do.
+const signBit = 1 << 63
+
 // vals is a gradient value block on the grid of its message's quant
-// header: a u32 count, an encoding byte (valsRaw, valsPacked or
-// valsSteps) and its body. Values on a b-bit grid travel as their grid
-// indices q, from which the receiver rebuilds them bit for bit; anything
-// else (quantization off, a raw payload, a NaN) travels raw, so the
-// codec is lossless for arbitrary payloads and the grid bodies are
-// purely an encoding optimization.
+// header: a u32 count, an encoding byte (valsRaw, valsPacked, valsSteps,
+// valsDrops or valsExps) and its body. Values on a b-bit grid travel as
+// their grid indices q, from which the receiver rebuilds them bit for
+// bit; anything else (quantization off, a raw payload, a NaN) travels as
+// its IEEE-754 bits, drop-coded, exponent-coded or raw, so the codec is
+// lossless for arbitrary payloads and every body but raw is purely an
+// encoding optimization.
 func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
 	n := len(*v)
 	c.num(&n)
@@ -850,6 +872,10 @@ func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
 		*v = slot(dst, n)
 		unpack(*v, c.b[:nbytes], bits, scale)
 		c.b = c.b[nbytes:]
+	case enc[0] == valsDrops:
+		c.getDrops(v, dst, n)
+	case enc[0] == valsExps:
+		c.getExps(v, dst, n)
 	case enc[0] != valsSteps:
 		c.fail("unknown value encoding %d", enc[0])
 	case !onGrid(bits, scale):
@@ -865,7 +891,7 @@ func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
 			c.fail("step-coded value %d drops below magnitude 0", i)
 		case i < n:
 			c.fail("step-coded value %d runs past the frame", i)
-		case pos&7 != 0 && c.b[pos>>3]>>(pos&7) != 0:
+		case spareBits(c.b, pos):
 			c.fail("nonzero spare bits after %d step-coded values", n)
 		default:
 			c.b = c.b[(pos+7)/8:]
@@ -876,8 +902,11 @@ func (c *coder) vals(v *[]float64, dst *[]float64, bits int, scale float64) {
 // putVals appends the value block's encoding byte and body. It
 // step-codes while the magnitudes do not grow; at the first value that
 // breaks that, or once the body could no longer be shorter than the
-// packed one, it drops what it wrote and packs instead, or writes raw,
-// so a rank-order upload costs one pass and an index-order broadcast
+// packed one, it drops what it wrote and packs instead. A list off the
+// grid is drop-coded the same way while its magnitudes do not grow and
+// the body stays strictly shorter than both the exponent body and raw,
+// else exponent-coded when that is strictly shorter than raw, else raw.
+// So a rank-order upload costs one pass and an index-order broadcast
 // about two.
 func (c *coder) putVals(v []float64, bits int, scale float64) {
 	at := len(c.b)
@@ -885,7 +914,13 @@ func (c *coder) putVals(v []float64, bits int, scale float64) {
 	if c.steps(v, bits, scale) {
 		return
 	}
-	if c.b[at] = valsPacked; !c.pack(v, bits, scale) {
+	if c.b[at] = valsPacked; c.pack(v, bits, scale) {
+		return
+	}
+	if c.b[at] = valsDrops; c.drops(v) {
+		return
+	}
+	if c.b[at] = valsExps; !c.exps(v) {
 		c.b[at] = valsRaw
 		c.raw(&v, nil, len(v), "")
 	}
@@ -950,6 +985,25 @@ func (c *coder) steps(val []float64, bits int, scale float64) bool {
 	}
 	c.b = appendTail(b, acc, nb)
 	return true
+}
+
+// appendCode appends x, which has n ≤ 64 bits, to the nb < 64 bits
+// pending in acc, and returns what is left pending: again fewer than 64,
+// a full word appended as it fills. The drop and exponent writers, whose
+// codes run to 64 bits, keep their state here instead of appendWord's
+// 32-bit one.
+func appendCode(b []byte, acc uint64, nb uint, x uint64, n uint) ([]byte, uint64, uint) {
+	acc |= x << (nb & 63)
+	if nb+n < 64 {
+		return b, acc, nb + n
+	}
+	return binary.LittleEndian.AppendUint64(b, acc), x >> ((63 - nb) & 63) >> 1, nb + n - 64
+}
+
+// spareBits reports whether a bit body that ends at bit pos of p leaves a
+// nonzero spare bit in its last byte.
+func spareBits(p []byte, pos uint) bool {
+	return pos&7 != 0 && p[pos>>3]>>(pos&7) != 0
 }
 
 // unsteps decodes step-coded values from p into s and returns the bit
@@ -1050,6 +1104,235 @@ func unpack(s []float64, p []byte, bits int, scale float64) {
 			s[i] = negZero
 		}
 	}
+}
+
+// expsBytes is the size of an exponent body of n values whose biased
+// exponents span [lo, top]: its 3 header bytes, then 53 + w bits a
+// value.
+func expsBytes(n int, top, lo uint64) int {
+	return 3 + (n*(53+bits.Len64(top-lo))+7)/8
+}
+
+// drops appends v as a drop body and reports true, or appends nothing
+// and reports false when v has fewer than two values, a magnitude
+// exceeds the one before it, or the body would not be strictly shorter
+// than both raw and the exponent body. Its k is the bit length of the
+// mean drop, (first − last)/(n − 1), less one. While the magnitudes do
+// not grow, the first and last values carry the top and lowest
+// exponents, so the exponent body's size is known before the pass; the
+// bound is checked before each quotient is written, as steps checks its
+// own.
+func (c *coder) drops(v []float64) bool {
+	n := len(v)
+	if n < 2 {
+		return false
+	}
+	first, last := math.Float64bits(v[0])&^signBit, math.Float64bits(v[n-1])&^signBit
+	if first < last {
+		return false
+	}
+	k := uint(max(0, bits.Len64((first-last)/uint64(n-1))-1))
+	limit := min(8*n, expsBytes(n, first>>52, last>>52))
+	// The bits the quotients may spend: the body is the k byte, the
+	// first value's 8 bytes and 2 + k + quotient bits a later value.
+	budget := 8*(limit-10) - (n-1)*int(2+k)
+	if budget < 0 {
+		return false
+	}
+	b := binary.LittleEndian.AppendUint64(append(c.b, byte(k)), math.Float64bits(v[0]))
+	low, prev := uint64(1)<<k-1, first
+	var acc uint64
+	nb := uint(0) // bits pending in acc, always < 64 between values
+	for _, x := range v[1:] {
+		u := math.Float64bits(x)
+		m := u &^ signBit
+		if m > prev {
+			return false
+		}
+		d := prev - m
+		prev = m
+		q := d >> (k & 63)
+		if q > uint64(budget) {
+			return false
+		}
+		budget -= int(q)
+		if q+uint64(k)+2 <= 64 { // the whole code in one word
+			b, acc, nb = appendCode(b, acc, nb, u>>63|2<<(q&63)|(d&low)<<((q+2)&63), uint(q)+k+2)
+			continue
+		}
+		// A longer run: the sign, 32 zeros at a time, the 1, the low bits.
+		for b, acc, nb = appendCode(b, acc, nb, u>>63, 1); q >= 32; q -= 32 {
+			b, acc, nb = appendCode(b, acc, nb, 0, 32)
+		}
+		b, acc, nb = appendCode(b, acc, nb, 1<<q, uint(q)+1)
+		b, acc, nb = appendCode(b, acc, nb, d&low, k)
+	}
+	c.b = appendTail(b, acc, nb)
+	return true
+}
+
+// getDrops decodes a drop body of n values into *v, refusing a k past 62
+// and a count the bytes left cannot hold at 2 + k bits a value before it
+// allocates.
+func (c *coder) getDrops(v *[]float64, dst *[]float64, n int) {
+	h := c.take(1)
+	if h == nil {
+		return
+	}
+	k := int(h[0])
+	if k > 62 {
+		c.fail("drop-coded values with Rice parameter %d above 62", k)
+		return
+	}
+	if n*(2+k) > 8*len(c.b) {
+		c.fail("drop-coded value count %d exceeds %d remaining bytes at %d bits a value", n, len(c.b), 2+k)
+		return
+	}
+	*v = slot(dst, n)
+	pos, i, below := undrops(*v, c.b, uint(k))
+	switch {
+	case i < n && below:
+		c.fail("drop-coded value %d drops below magnitude 0", i)
+	case i < n:
+		c.fail("drop-coded value %d runs past the frame", i)
+	case spareBits(c.b, pos):
+		c.fail("nonzero spare bits after %d drop-coded values", n)
+	default:
+		c.b = c.b[(pos+7)/8:]
+	}
+}
+
+// undrops decodes a drop body's bits p into s and returns the bit
+// position it reached and the number of values decoded: i < len(s) names
+// value i's fault, a drop below magnitude 0 when below is set and a run
+// past p otherwise. A value whose sign, quotient and low bits lie in one
+// window costs one load; a longer quotient is counted by unstepsRun.
+func undrops(s []float64, p []byte, k uint) (pos uint, i int, below bool) {
+	end := 8 * uint(len(p))
+	if len(s) == 0 {
+		return 0, 0, false
+	}
+	if end < 64 {
+		return 64, 0, false
+	}
+	u := binary.LittleEndian.Uint64(p)
+	s[0], pos = math.Float64frombits(u), 64
+	m, low := u&^signBit, uint64(1)<<k-1
+	for i = 1; i < len(s); i++ {
+		w := window(p, pos)
+		q := uint(bits.TrailingZeros64(w >> 1))
+		var d uint64
+		if q+k+2 <= 57 {
+			d = uint64(q)<<(k&63) | w>>((q+2)&63)&low
+			pos += q + k + 2
+		} else {
+			var ok bool
+			if q, pos, ok = unstepsRun(p, pos+1, uint(m>>k)); !ok {
+				return pos, i, false
+			}
+			if uint64(q) > m>>k {
+				return pos, i, true
+			}
+			d = uint64(q)<<k | bitsAt(p, pos, k)
+			pos += k
+		}
+		switch {
+		case pos > end:
+			return pos, i, false
+		case d > m:
+			return pos, i, true
+		}
+		m -= d
+		s[i] = math.Float64frombits(m | w<<63)
+	}
+	return pos, i, false
+}
+
+// bitsAt is the n ≤ 64 bits of p from bit pos: one window, or two when n
+// passes the 57 bits one window holds.
+func bitsAt(p []byte, pos, n uint) uint64 {
+	if n <= 57 {
+		return window(p, pos) & (1<<n - 1)
+	}
+	return window(p, pos)&(1<<32-1) | window(p, pos+32)&(1<<(n-32)-1)<<32
+}
+
+// exps appends v as an exponent body and reports true, or appends
+// nothing and reports false when that body would not be strictly
+// shorter than raw.
+func (c *coder) exps(v []float64) bool {
+	if len(v) == 0 {
+		return false
+	}
+	top, lo := uint64(0), uint64(0x7ff)
+	for _, x := range v {
+		e := math.Float64bits(x) >> 52 & 0x7ff
+		top, lo = max(top, e), min(lo, e)
+	}
+	if expsBytes(len(v), top, lo) >= 8*len(v) {
+		return false
+	}
+	w := uint(bits.Len64(top - lo))
+	b := append(binary.LittleEndian.AppendUint16(c.b, uint16(top)), byte(w))
+	var acc uint64
+	nb := uint(0) // bits pending in acc, always < 64 between values
+	for _, x := range v {
+		u := math.Float64bits(x)
+		off := top - u>>52&0x7ff
+		b, acc, nb = appendCode(b, acc, nb, u>>63|off<<1|u<<12>>12<<((w+1)&63), 53+w)
+	}
+	c.b = appendTail(b, acc, nb)
+	return true
+}
+
+// getExps decodes an exponent body of n values into *v, refusing a top
+// exponent past 0x7ff, a width past 11 and a count the bytes left cannot
+// hold before it allocates.
+func (c *coder) getExps(v *[]float64, dst *[]float64, n int) {
+	h := c.take(3)
+	if h == nil {
+		return
+	}
+	top, w := uint64(binary.LittleEndian.Uint16(h)), uint(h[2])
+	nbytes := (n*int(53+w) + 7) / 8
+	switch {
+	case top > 0x7ff:
+		c.fail("exponent-coded values with top exponent %#x above 0x7ff", top)
+	case w > 11:
+		c.fail("exponent-coded values with offset width %d above 11", w)
+	case nbytes > len(c.b):
+		c.fail("exponent-coded value count %d (%d bytes) exceeds %d remaining bytes", n, nbytes, len(c.b))
+	default:
+		*v = slot(dst, n)
+		if i := unexps(*v, c.b[:nbytes], top, w); i < n {
+			c.fail("exponent-coded value %d's offset exceeds the top exponent %d", i, top)
+		} else if spareBits(c.b, uint(n)*(53+w)) {
+			c.fail("nonzero spare bits after %d exponent-coded values", n)
+		} else {
+			c.b = c.b[nbytes:]
+		}
+	}
+}
+
+// unexps decodes len(s) exponent-coded values of 53 + w bits from p and
+// returns the number decoded: i < len(s) names the value whose exponent
+// offset exceeds top. A value of at most 57 bits (w ≤ 4) is one window
+// read, a longer one two.
+func unexps(s []float64, p []byte, top uint64, w uint) int {
+	per, offMask := 53+w, uint64(1)<<w-1
+	for i := range s {
+		pos := uint(i) * per
+		x := window(p, pos)
+		if per > 57 {
+			x = x&(1<<32-1) | window(p, pos+32)<<32
+		}
+		off := x >> 1 & offMask
+		if off > top {
+			return i
+		}
+		s[i] = math.Float64frombits(x<<63 | (top-off)<<52 | x>>((w+1)&63)&(1<<52-1))
+	}
+	return len(s)
 }
 
 // frame is a MuxFrame's enveloped message, a complete nested frame

@@ -12,11 +12,13 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"net"
 	"os"
@@ -54,6 +56,22 @@ func codecFixtures() []any {
 	rv[28], rv[29] = 1e-9, -1e-9
 	rvscale := sparse.QuantizeInPlace(rv, 8)
 	rvidx := rand.New(rand.NewSource(3)).Perm(19874)[:30]
+	// A raw upload's slice for shard 0 of 2, as shardFan.split cuts it:
+	// its pairs in rank order with their ranks, and that shard's
+	// downlink slice of the same coordinates in index order.
+	ridx, rval := rawRankOrderUpload(160, 1600)
+	var sidx, srank []int
+	var sval []float64
+	for r, j := range ridx {
+		if j < 800 {
+			sidx, sval, srank = append(sidx, j), append(sval, rval[r]), append(srank, r)
+		}
+	}
+	bidx := slices.Sorted(slices.Values(sidx))
+	bval := make([]float64, len(bidx))
+	for i, j := range bidx {
+		bval[i] = rval[slices.Index(ridx, j)] / 8
+	}
 	return []any{
 		Hello{ClientID: 7, Members: []int{7}, Weights: []float64{2.5}},
 		Hello{ClientID: 1, Members: []int{0, 4, 9}, Weights: []float64{3, 0.5, 12}},
@@ -105,6 +123,11 @@ func codecFixtures() []any {
 		// A rank-order upload whose values step-code: 30 values in 24
 		// bytes, 2 bits each plus the 127 steps down to magnitude 0.
 		Upload{ClientID: 2, Round: 9, Idx: rvidx, Val: rv, BatchLoss: 0.75, Bits: 8, Scale: rvscale},
+		// A raw upload's slice in rank order, drop-coded, and a raw
+		// downlink slice in index order, exponent-coded: 74 values each, in
+		// 450 and 503 bytes against raw's 592.
+		SliceUpload{ClientID: 3, Round: 10, Idx: sidx, Val: sval, Rank: srank},
+		SliceBroadcast{Round: 10, ShardID: 0, Idx: bidx, Val: bval},
 	}
 }
 
@@ -346,6 +369,8 @@ func corruptedFrames() []corruptedFrame {
 		return append(b[:len(b)-12], tail...)
 	}
 	sealHead := frameBody(RoundSeal{Round: 1, Kappa: 3})[:7]
+	// A drop body's first value: 1.0, and the smallest subnormal.
+	one, tiny := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1)), binary.LittleEndian.AppendUint64(nil, 1)
 	return []corruptedFrame{
 		{"truncated header", []byte{7, 0}, "truncated frame"},
 		{"truncated frame", rawFrame(make([]byte, 64))[:7], "truncated frame"},
@@ -377,7 +402,35 @@ func corruptedFrames() []corruptedFrame {
 		{"long step run past the frame", rawFrame(valueBlockFrame(1, 32, 1, valsSteps, make([]byte, 20)...)), "value 0 runs past the frame"},
 		{"step body spare bits set", rawFrame(oneValueBroadcast(8, 1, valsSteps, []byte{0x06})), "nonzero spare bits after 1 step-coded values"},
 		{"step-coded without width", rawFrame(oneValueBroadcast(0, 0, valsSteps, []byte{0x02})), "step-coded values with quantization width 0"},
-		{"value encoding after the step body", rawFrame(oneValueBroadcast(8, 1, valsSteps+1, []byte{0})), "unknown value encoding 3"},
+		// The first encoding byte past the IEEE-754 bodies.
+		{"value encoding after the step body", rawFrame(oneValueBroadcast(8, 1, valsExps+1, []byte{0})), "unknown value encoding 5"},
+		// The drop body: a byte k, the first value's 8 bytes, then per value
+		// a sign bit, the quotient in unary and k low bits. one is 1.0's.
+		{"drop Rice parameter 63", rawFrame(valueBlockFrame(1, 0, 0, valsDrops, append([]byte{63}, one...)...)), "Rice parameter 63 above 62"},
+		{"drop count beyond the body", rawFrame(valueBlockFrame(9, 0, 0, valsDrops, append([]byte{62}, one...)...)),
+			"drop-coded value count 9 exceeds 8 remaining bytes at 64 bits a value"},
+		{"drop first value cut short", rawFrame(valueBlockFrame(1, 0, 0, valsDrops, 0, 0, 0, 0xf0, 0x3f)), "drop-coded value 0 runs past the frame"},
+		// From magnitude 1 (the smallest subnormal) a drop of 2: sign 0, 0,
+		// 0, 1.
+		{"drop below magnitude 0", rawFrame(valueBlockFrame(2, 0, 0, valsDrops, append(append([]byte{0}, tiny...), 0x08)...)),
+			"drop-coded value 1 drops below magnitude 0"},
+		{"long drop below magnitude 0", rawFrame(valueBlockFrame(2, 0, 0, valsDrops, append(append([]byte{0}, tiny...), make([]byte, 20)...)...)),
+			"drop-coded value 1 drops below magnitude 0"},
+		{"drop run past the frame", rawFrame(valueBlockFrame(2, 0, 0, valsDrops, append(append([]byte{0}, one...), 0)...)), "drop-coded value 1 runs past the frame"},
+		{"drop low bits past the frame", rawFrame(valueBlockFrame(2, 0, 0, valsDrops, append(append([]byte{20}, one...), 0x02)...)), "drop-coded value 1 runs past the frame"},
+		{"drop body spare bits set", rawFrame(valueBlockFrame(2, 0, 0, valsDrops, append(append([]byte{0}, one...), 0x06)...)), "nonzero spare bits after 2 drop-coded values"},
+		// The exponent body: the top exponent E as a u16 and the width w,
+		// then per value a sign bit, E − its exponent in w bits and 52
+		// mantissa bits.
+		{"exponent top above 0x7ff", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0x00, 0x08, 0, 0, 0, 0, 0, 0, 0, 0)), "top exponent 0x800 above 0x7ff"},
+		{"exponent width 12", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0xff, 0x07, 12, 0, 0, 0, 0, 0, 0, 0, 0)), "offset width 12 above 11"},
+		{"exponent count beyond the frame", rawFrame(valueBlockFrame(2, 0, 0, valsExps, 0xff, 0x03, 0, 0)),
+			"exponent-coded value count 2 (14 bytes) exceeds 1 remaining bytes"},
+		// Sign 0, then offset 3 in 2 bits, under a top exponent of 1.
+		{"exponent offset above the top", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0x01, 0x00, 2, 0x06, 0, 0, 0, 0, 0, 0)),
+			"exponent-coded value 0's offset exceeds the top exponent 1"},
+		{"exponent body spare bits set", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0xff, 0x03, 0, 0, 0, 0, 0, 0, 0, 0xe0)),
+			"nonzero spare bits after 1 exponent-coded values"},
 		// The int block. Width 0 would let a count of 2³²−1 allocate
 		// with no byte behind it.
 		{"int width 0", rawFrame(intBlockFrame(math.MaxUint32, intsPacked, 0)), "int width 0 outside [1, 32]"},
@@ -595,6 +648,93 @@ func readStepBody(p []byte, n, bits int) (neg []bool, mags []int64) {
 	return neg, mags
 }
 
+// magBits is a float's magnitude bits: its IEEE-754 bits without the
+// sign.
+func magBits(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
+
+// bitReader reads a body LSB first, one bit at a time.
+type bitReader struct {
+	p   []byte
+	pos int
+}
+
+func (r *bitReader) bits(n int) (x uint64) {
+	for j := range n {
+		x |= uint64(r.p[r.pos/8]>>(r.pos%8)&1) << j
+		r.pos++
+	}
+	return x
+}
+
+// readDropBody reads a drop body of n ≥ 1 values bit by bit, as its
+// layout is described: the byte k, the first value's 64 bits, then per
+// later value a sign bit, the quotient in unary (0 bits, then a 1) and
+// the drop's k low bits. It returns each value's IEEE-754 bits.
+func readDropBody(p []byte, n int) []uint64 {
+	r := bitReader{p: p}
+	k := int(r.bits(8))
+	out := []uint64{r.bits(64)}
+	m := out[0] &^ (1 << 63)
+	for range n - 1 {
+		sign, q := r.bits(1), uint64(0)
+		for r.bits(1) == 0 {
+			q++
+		}
+		m -= q<<k | r.bits(k)
+		out = append(out, sign<<63|m)
+	}
+	return out
+}
+
+// readExpBody reads an exponent body of n values bit by bit: the top
+// exponent E as a u16 and the width w, then per value a sign bit, E − its
+// exponent in w bits and its 52 mantissa bits. It returns each value's
+// IEEE-754 bits.
+func readExpBody(p []byte, n int) []uint64 {
+	r := bitReader{p: p}
+	top, w := r.bits(16), int(r.bits(8))
+	var out []uint64
+	for range n {
+		sign, off := r.bits(1), r.bits(w)
+		out = append(out, sign<<63|(top-off)<<52|r.bits(52))
+	}
+	return out
+}
+
+// offGridBody is the body the value block's choice rule names for a
+// list off the grid, and its size, from the bodies' definitions: the
+// drop body — a k byte, the first value's 64 bits, then 2 + k + d>>k
+// bits a later value, k the bit length of (first − last)/(n − 1) less
+// one — when the magnitude bits never grow and it is strictly shorter
+// than both others; else the exponent body — 3 header bytes and 53 + w
+// bits a value — when strictly shorter than raw; else raw.
+func offGridBody(v []float64) (enc byte, size int) {
+	n := len(v)
+	raw, exps := 8*n, 0
+	if n > 0 {
+		top, lo := uint64(0), uint64(0x7ff)
+		for _, x := range v {
+			e := magBits(x) >> 52
+			top, lo = max(top, e), min(lo, e)
+		}
+		exps = 3 + (n*(53+bits.Len64(top-lo))+7)/8
+	}
+	if n >= 2 && slices.IsSortedFunc(v, func(a, b float64) int { return cmp.Compare(magBits(b), magBits(a)) }) {
+		k := max(0, bits.Len64((magBits(v[0])-magBits(v[n-1]))/uint64(n-1))-1)
+		body := 64
+		for i := 1; i < n; i++ {
+			body += 2 + k + int((magBits(v[i-1])-magBits(v[i]))>>k)
+		}
+		if drops := 1 + (body+7)/8; drops < min(raw, exps) {
+			return valsDrops, drops
+		}
+	}
+	if n > 0 && exps < raw {
+		return valsExps, exps
+	}
+	return valsRaw, raw
+}
+
 // requireValueBlock encodes v as a value block on the (bits, scale)
 // grid, checks its encoding byte and exact size (count, encoding byte,
 // body), and decodes it bit for bit through the scratch slot *reused.
@@ -627,6 +767,7 @@ func requireValueBlock(t *testing.T, v []float64, bits int, scale float64, enc b
 // bit through a reused decode slot.
 func TestValueBlock(t *testing.T) {
 	idx, up, scale := rankOrderUpload(1987, 19874) // tcp_routed_q8's upload
+	_, rawUp := rawRankOrderUpload(1987, 19874)    // the same upload unquantized, as tcp_direct_s2's clients send it
 	step := scale / 127
 	lastMag := int64(math.Round(math.Abs(up[len(up)-1]) / step))
 	byIndex := make([]int, len(idx)) // the upload's positions in index order
@@ -634,9 +775,38 @@ func TestValueBlock(t *testing.T) {
 		byIndex[i] = i
 	}
 	slices.SortFunc(byIndex, func(a, b int) int { return idx[a] - idx[b] })
-	inIndexOrder := make([]float64, len(up))
-	for j, i := range byIndex {
-		inIndexOrder[j] = up[i]
+	indexOrder := func(v []float64) []float64 {
+		out := make([]float64, len(v))
+		for j, i := range byIndex {
+			out[j] = v[i]
+		}
+		return out
+	}
+	inIndexOrder, rawInIndexOrder := indexOrder(up), indexOrder(rawUp)
+	// The IEEE-754 edges in rank order: NaNs with payloads (a quiet one,
+	// a negative signalling one), ±Inf, the largest float, the smallest
+	// normal, subnormals, −0 and +0.
+	edges := []float64{math.Float64frombits(0x7ff8_0000_0000_0123), math.Float64frombits(0xfff0_0000_0000_0001),
+		math.Inf(1), math.Inf(-1), -math.MaxFloat64, 0x1p-1022, math.Float64frombits(0x000f_ffff_ffff_ffff),
+		-3 * math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0}
+	// The raw upload between them: the NaNs, infinities and largest float
+	// ahead of it, the rest after.
+	edgedUp := slices.Concat(edges[:5], rawUp, edges[5:])
+	shuffled := func(v []float64) []float64 {
+		out := slices.Clone(v)
+		rand.New(rand.NewSource(5)).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	// A subnormal, 64 normals of biased exponents 1 to 0x7e1 and +Inf:
+	// the exponent body would need w = 11, 64 bits a value.
+	spanning := []float64{7 * math.SmallestNonzeroFloat64, math.Inf(1)}
+	for e := uint64(1); e < 0x7ff; e += 32 {
+		spanning = append(spanning, math.Float64frombits(e<<52|e*0x1234567))
+	}
+	spanning = shuffled(spanning)
+	equal := make([]float64, 64) // ±0.5: every drop 0, 2 bits a value
+	for i := range equal {
+		equal[i] = math.Copysign(0.5, float64(1-2*(i%2)))
 	}
 	steep := func(n int, bits int) []float64 { // n values from +levels down to ±0, alternating in sign
 		mags, neg := make([]int64, n), make([]bool, n)
@@ -677,22 +847,70 @@ func TestValueBlock(t *testing.T) {
 		{"±levels and ±0, packed", signed[10:14], 8, 1, valsPacked, 5 + 4},
 		{"32 bits, runs of 31 to 100 zeros", wide, 32, 3, valsSteps, 5 + stepBodyBytes(10, 32, top32-197)},
 		{"off the grid", []float64{0.5, 0.1}, 8, 1, valsRaw, 5 + 16},
-		{"sorted but off the grid", []float64{1, 0.999}, 8, 1, valsRaw, 5 + 16},
+		// Two magnitudes 0.1 % apart: a drop of 2^42.2 ulps, k = 42, in
+		// 1 + 8 + 6 bytes.
+		{"sorted but off the grid", []float64{1, 0.999}, 8, 1, valsDrops, 5 + 15},
 		{"quantization off", []float64{1, 0.5}, 0, 0, valsRaw, 5 + 16},
 		{"NaN", []float64{math.NaN()}, 8, 1, valsRaw, 5 + 8},
+		// Off the grid, the IEEE-754 bits: drop-coded in rank order,
+		// exponent-coded in index order, raw where neither is shorter.
+		{"raw rank-order upload, k = 1 987", rawUp, 0, 0, valsDrops, 5 + 10_916},
+		{"the same raw values in index order", rawInIndexOrder, 0, 0, valsExps, 5 + 13_416},
+		{"NaN, ±Inf, −0 and subnormals around a raw rank-order upload", edgedUp, 0, 0, valsDrops, 5 + 13_745},
+		{"the same in index order: 64 bits a value", shuffled(edgedUp), 0, 0, valsRaw, 5 + 8*len(edgedUp)},
+		{"NaN, ±Inf, −0 and subnormals alone: raw", edges, 0, 0, valsRaw, 5 + 8*len(edges)},
+		{"the edges in index order", shuffled(edges), 0, 0, valsRaw, 5 + 8*len(edges)},
+		{"64 equal magnitudes: every drop 0", equal, 0, 0, valsDrops, 5 + 1 + 8 + 16},
+		{"one value", []float64{0.3}, 0, 0, valsRaw, 5 + 8},
+		{"two values a binade apart", []float64{3, -1}, 0, 0, valsRaw, 5 + 16},
+		{"exponents spanning 0 to 0x7ff: w = 11", spanning, 0, 0, valsRaw, 5 + 8*len(spanning)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.enc == valsDrops || tc.enc == valsExps || tc.bits == 0 {
+				if enc, size := offGridBody(tc.v); enc != tc.enc || 5+size != tc.size {
+					t.Fatalf("the choice rule names encoding %d in %d bytes, the row %d in %d", enc, 5+size, tc.enc, tc.size)
+				}
+			}
 			reused := make([]float64, 3)
 			body := requireValueBlock(t, tc.v, tc.bits, tc.scale, tc.enc, tc.size, &reused)
-			if tc.enc != valsSteps {
+			var got []uint64
+			switch tc.enc {
+			case valsSteps:
+				neg, mags := readStepBody(body, len(tc.v), tc.bits)
+				if got := gridValues(mags, neg, tc.bits, tc.scale); !bitEqual(got, tc.v) {
+					t.Fatalf("step body read bit by bit: %v, want %v", got, tc.v)
+				}
+				return
+			case valsDrops:
+				got = readDropBody(body, len(tc.v))
+			case valsExps:
+				got = readExpBody(body, len(tc.v))
+			default:
 				return
 			}
-			neg, mags := readStepBody(body, len(tc.v), tc.bits)
-			if got := gridValues(mags, neg, tc.bits, tc.scale); !bitEqual(got, tc.v) {
-				t.Fatalf("step body read bit by bit: %v, want %v", got, tc.v)
+			for i, x := range tc.v {
+				if got[i] != math.Float64bits(x) {
+					t.Fatalf("body read bit by bit: value %d is %#x, want %#x", i, got[i], math.Float64bits(x))
+				}
 			}
 		})
 	}
+	// The encoder never writes w = 11, which is no shorter than raw, but
+	// the decoder takes it: +Inf at offset 0, then the smallest subnormal
+	// at offset 0x7ff (its sign bit 0, eleven 1s, mantissa 1).
+	t.Run("exponent body at w = 11", func(t *testing.T) {
+		block := binary.LittleEndian.AppendUint32(nil, 2)
+		block = append(block, valsExps, 0xff, 0x07, 11)
+		block = binary.LittleEndian.AppendUint64(append(block, make([]byte, 8)...), 0x1ffe)
+		var got []float64
+		dc := coder{b: block, dec: true}
+		if dc.vals(&got, nil, 0, 0); dc.err != nil || len(dc.b) != 0 {
+			t.Fatalf("decode: %v, %d bytes left", dc.err, len(dc.b))
+		}
+		if want := []float64{math.Inf(1), math.SmallestNonzeroFloat64}; !bitEqual(got, want) {
+			t.Fatalf("decoded %v, want %v", got, want)
+		}
+	})
 }
 
 // TestValueBlockWidths runs the value block at every grid width and at
@@ -790,12 +1008,14 @@ func packOracle(val []float64, bits int, scale float64) ([]byte, bool) {
 
 // FuzzValueBlock encodes arbitrary value lists at bits in [2, 32] and
 // arbitrary scales: raw floats, grid values in index order, the same
-// sorted by magnitude, and floats snapped by sparse.QuantizeToScale and
-// sorted, as a client's upload is. decode(encode(v)) must be v bit for
-// bit; pack must decide pack or raw as packOracle does and write its
-// bytes; and the body the block carries must be raw exactly when
-// packOracle refuses, and otherwise the packed bytes or a step body
-// strictly shorter than them.
+// sorted by magnitude, floats snapped by sparse.QuantizeToScale and
+// sorted, as a client's upload is, and raw floats sorted by magnitude
+// bits, as a raw upload is. decode(encode(v)) must be v bit for bit;
+// pack must decide pack or raw as packOracle does and write its bytes;
+// where packOracle refuses, the block must carry a drop or exponent body
+// only when it is strictly shorter than raw's 8n bytes, the body and
+// size offGridBody names, and raw otherwise; and elsewhere the packed
+// bytes or a step body strictly shorter than them.
 func FuzzValueBlock(f *testing.F) {
 	_, up, scale := rankOrderUpload(64, 640)
 	var seed []byte
@@ -815,12 +1035,22 @@ func FuzzValueBlock(f *testing.F) {
 	// values: off the grid, so raw.
 	inf := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.Inf(1)))
 	f.Add(append(inf, inf...), byte(6), math.MaxFloat64, byte(0))
+	// The raw upload unquantized, its magnitudes ascending:
+	// exponent-coded as it comes, drop-coded sorted by magnitude bits.
+	_, rawUp := rawRankOrderUpload(64, 640)
+	slices.SortFunc(rawUp, func(a, b float64) int { return cmp.Compare(math.Abs(a), math.Abs(b)) })
+	var rawSeed []byte
+	for _, v := range rawUp {
+		rawSeed = binary.LittleEndian.AppendUint64(rawSeed, math.Float64bits(v))
+	}
+	f.Add(rawSeed, byte(8), 1.0, byte(4))
+	f.Add(rawSeed, byte(8), 1.0, byte(0))
 	f.Fuzz(func(t *testing.T, data []byte, bits byte, scale float64, mode byte) {
 		b := 2 + int(bits%31)
 		levels := int64(1)<<(b-1) - 1
 		var v []float64
-		switch mode % 4 {
-		case 0: // raw floats
+		switch mode % 5 {
+		case 0, 4: // raw floats, as they come or by magnitude bits
 			for ; len(data) >= 8; data = data[8:] {
 				v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(data)))
 			}
@@ -836,8 +1066,11 @@ func FuzzValueBlock(f *testing.F) {
 			}
 			sparse.QuantizeToScale(v, b, scale)
 		}
-		if mode%4 >= 2 {
+		switch mode % 5 {
+		case 2, 3:
 			slices.SortStableFunc(v, func(x, y float64) int { return cmpMag(y, x) })
+		case 4:
+			slices.SortStableFunc(v, func(x, y float64) int { return cmp.Compare(magBits(y), magBits(x)) })
 		}
 		want, packs := packOracle(v, b, scale)
 		c := coder{}
@@ -849,9 +1082,12 @@ func FuzzValueBlock(f *testing.F) {
 		if c.err != nil {
 			t.Fatal(c.err)
 		}
+		oenc, osize := offGridBody(v)
 		switch enc, body := c.b[4], c.b[5:]; {
-		case !packs && enc != valsRaw:
-			t.Fatalf("values packOracle refuses went as encoding %d", enc)
+		case !packs && enc != valsRaw && (enc != valsDrops && enc != valsExps || len(body) >= 8*len(v)):
+			t.Fatalf("values packOracle refuses went as encoding %d in %d bytes, raw %d", enc, len(body), 8*len(v))
+		case !packs && (enc != oenc || len(body) != osize):
+			t.Fatalf("values off the grid went as encoding %d in %d bytes, the choice rule names %d in %d", enc, len(body), oenc, osize)
 		case packs && enc == valsPacked && !bytes.Equal(body, want):
 			t.Fatalf("packed body %x, want %x", body, want)
 		case packs && enc == valsSteps && len(body) >= len(want):
@@ -931,16 +1167,13 @@ func FuzzDecodeFrame(f *testing.F) {
 // payloadBits is the fewest payload bits a decoded message's slices and
 // strings can have come from: 1 per int (an int block packed at width
 // 1), 32 per string header, 8 per string byte, 64 per raw float, and 2
-// per value of a Val on a b-bit grid (b in [2, 32]), which a step body
-// codes in as little as a sign bit and a one-bit run; a MuxFrame's are
+// per value of a Val, which a step body codes in as little as a sign
+// bit and a one-bit run, and a drop body, past its first value, in as
+// little as a sign bit and a one-bit quotient (k = 0); a MuxFrame's are
 // its inner message's.
 func payloadBits(v reflect.Value) int {
 	if v.Kind() == reflect.Interface {
 		v = v.Elem()
-	}
-	perVal := 64
-	if b := v.FieldByName("Bits"); b.IsValid() && b.Int() >= 2 && b.Int() <= 32 {
-		perVal = 2
 	}
 	bits := 0
 	for i := 0; i < v.NumField(); i++ {
@@ -958,7 +1191,7 @@ func payloadBits(v reflect.Value) int {
 				bits += 32 + 8*f.Index(j).Len()
 			}
 		case v.Type().Field(i).Name == "Val":
-			bits += perVal * f.Len()
+			bits += 2 * f.Len()
 		default:
 			bits += 64 * f.Len()
 		}
@@ -1106,6 +1339,7 @@ type wireMeter struct {
 	buf        []byte
 	frameBytes int64
 	valBytes   int64
+	vals       int64 // values metered: 8 bytes each as raw float64s
 }
 
 // valBlock is the payload of val's value block on the (bits, scale)
@@ -1113,6 +1347,7 @@ type wireMeter struct {
 // byte. It reuses the buffer of the frame that carried it, which is
 // longer.
 func (m *wireMeter) valBlock(val []float64, bits int, scale float64) int64 {
+	m.vals += int64(len(val))
 	c := coder{b: m.buf[:0]}
 	c.vals(&val, nil, bits, scale)
 	return int64(len(c.b) - 5)
@@ -1163,11 +1398,13 @@ func (c wireMeterConn) Send(msg any) error {
 
 // TestQuantizedWireBytesShrink is the acceptance criterion of on-wire
 // quantization: over a full routed run, QuantBits=8 must cut the
-// encoded gradient-value bytes by at least 10× versus full precision,
-// and the total frame bytes must drop too. Packing alone is exactly 8×
-// at b = 8 (a byte for eight); step-coding the uploads, whose values
-// travel in rank order, takes this run to 10.9× (20 480 → 1 882 value
-// bytes), so the floor holds only while they step-code.
+// encoded gradient-value bytes by at least 10× versus the same values
+// as raw float64s, and the total frame bytes must drop too. Packing
+// alone is exactly 8× at b = 8 (a byte for eight); step-coding the
+// uploads, whose values travel in rank order, takes this run to 10.9×
+// (20 480 → 1 882 value bytes), so the floor holds only while they
+// step-code. At full precision the drop and exponent bodies code the
+// same run's values in fewer than their raw 20 480 bytes (17 093).
 func TestQuantizedWireBytesShrink(t *testing.T) {
 	run := func(qbits int) *wireMeter {
 		m := &wireMeter{}
@@ -1176,12 +1413,15 @@ func TestQuantizedWireBytesShrink(t *testing.T) {
 	}
 	full := run(0)
 	quant := run(8)
-	if full.valBytes == 0 || quant.valBytes == 0 {
-		t.Fatalf("meter saw no value bytes: full %d, quant %d", full.valBytes, quant.valBytes)
+	if full.valBytes == 0 || quant.valBytes == 0 || full.vals != quant.vals {
+		t.Fatalf("meter saw value bytes full %d, quant %d; values full %d, quant %d", full.valBytes, quant.valBytes, full.vals, quant.vals)
 	}
-	if ratio := float64(full.valBytes) / float64(quant.valBytes); ratio < 10 {
+	if ratio := float64(8*quant.vals) / float64(quant.valBytes); ratio < 10 {
 		t.Fatalf("QuantBits=8 shrank value bytes only %.2fx (%d -> %d), want >= 10x",
-			ratio, full.valBytes, quant.valBytes)
+			ratio, 8*quant.vals, quant.valBytes)
+	}
+	if full.valBytes >= 8*full.vals {
+		t.Fatalf("full-precision values took %d bytes, no fewer than their %d raw bytes", full.valBytes, 8*full.vals)
 	}
 	if quant.frameBytes >= full.frameBytes {
 		t.Fatalf("QuantBits=8 did not shrink total frame bytes: %d -> %d", full.frameBytes, quant.frameBytes)

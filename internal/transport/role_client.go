@@ -147,11 +147,20 @@ func (f *shardFan) close() { closeConns(f.conns) }
 func (f *shardFan) shardOf(j int) int { return tensor.ChunkOf(f.hello.Dim, len(f.conns), j) }
 
 // split partitions an upload's pairs by owning shard into b, each pair
-// with its explicit rank in the full upload.
+// with its explicit rank in the full upload. The first split into b
+// sizes each shard's buffers to that shard's count in one step, not to
+// k (a shard's slice is about k/S pairs); later splits reuse them.
 func (f *shardFan) split(pairs sparse.Vec, b *sliceBufs) {
 	n := len(f.conns)
 	if b.idx == nil {
 		b.idx, b.val, b.rank = make([][]int, n), make([][]float64, n), make([][]int, n)
+		count := make([]int, n)
+		for _, j := range pairs.Idx {
+			count[f.shardOf(j)]++
+		}
+		for s, c := range count {
+			b.idx[s], b.val[s], b.rank[s] = make([]int, 0, c), make([]float64, 0, c), make([]int, 0, c)
+		}
 	}
 	for s := 0; s < n; s++ {
 		b.idx[s], b.val[s], b.rank[s] = b.idx[s][:0], b.val[s][:0], b.rank[s][:0]
