@@ -1233,7 +1233,7 @@ func undrops(s []float64, p []byte, k uint) (pos uint, i int, below bool) {
 			if uint64(q) > m>>k {
 				return pos, i, true
 			}
-			d = uint64(q)<<k | bitsAt(p, pos, k)
+			d = uint64(q)<<k | window64(p, pos)&low
 			pos += k
 		}
 		switch {
@@ -1248,13 +1248,10 @@ func undrops(s []float64, p []byte, k uint) (pos uint, i int, below bool) {
 	return pos, i, false
 }
 
-// bitsAt is the n ≤ 64 bits of p from bit pos: one window, or two when n
-// passes the 57 bits one window holds.
-func bitsAt(p []byte, pos, n uint) uint64 {
-	if n <= 57 {
-		return window(p, pos) & (1<<n - 1)
-	}
-	return window(p, pos)&(1<<32-1) | window(p, pos+32)&(1<<(n-32)-1)<<32
+// window64 is the 64 bits of p from bit pos, for a code longer than the
+// 57 bits one window holds: a second window tops up the first.
+func window64(p []byte, pos uint) uint64 {
+	return window(p, pos)&(1<<32-1) | window(p, pos+32)<<32
 }
 
 // exps appends v as an exponent body and reports true, or appends
@@ -1324,7 +1321,7 @@ func unexps(s []float64, p []byte, top uint64, w uint) int {
 		pos := uint(i) * per
 		x := window(p, pos)
 		if per > 57 {
-			x = x&(1<<32-1) | window(p, pos+32)<<32
+			x = window64(p, pos)
 		}
 		off := x >> 1 & offMask
 		if off > top {

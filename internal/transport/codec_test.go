@@ -426,8 +426,8 @@ func corruptedFrames() []corruptedFrame {
 		{"exponent width 12", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0xff, 0x07, 12, 0, 0, 0, 0, 0, 0, 0, 0)), "offset width 12 above 11"},
 		{"exponent count beyond the frame", rawFrame(valueBlockFrame(2, 0, 0, valsExps, 0xff, 0x03, 0, 0)),
 			"exponent-coded value count 2 (14 bytes) exceeds 1 remaining bytes"},
-		// Sign 0, then offset 3 in 2 bits, under a top exponent of 1.
-		{"exponent offset above the top", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0x01, 0x00, 2, 0x06, 0, 0, 0, 0, 0, 0)),
+		// Sign 0, then offset 2 in 2 bits, under a top exponent of 1.
+		{"exponent offset above the top", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0x01, 0x00, 2, 0x04, 0, 0, 0, 0, 0, 0)),
 			"exponent-coded value 0's offset exceeds the top exponent 1"},
 		{"exponent body spare bits set", rawFrame(valueBlockFrame(1, 0, 0, valsExps, 0xff, 0x03, 0, 0, 0, 0, 0, 0, 0, 0xe0)),
 			"nonzero spare bits after 1 exponent-coded values"},
@@ -847,8 +847,8 @@ func TestValueBlock(t *testing.T) {
 		{"±levels and ±0, packed", signed[10:14], 8, 1, valsPacked, 5 + 4},
 		{"32 bits, runs of 31 to 100 zeros", wide, 32, 3, valsSteps, 5 + stepBodyBytes(10, 32, top32-197)},
 		{"off the grid", []float64{0.5, 0.1}, 8, 1, valsRaw, 5 + 16},
-		// Two magnitudes 0.1 % apart: a drop of 2^42.2 ulps, k = 42, in
-		// 1 + 8 + 6 bytes.
+		// Two magnitudes 0.1 % apart: a drop of 2^43.03 in their bits,
+		// k = 43, so 1 + 8 + 6 bytes.
 		{"sorted but off the grid", []float64{1, 0.999}, 8, 1, valsDrops, 5 + 15},
 		{"quantization off", []float64{1, 0.5}, 0, 0, valsRaw, 5 + 16},
 		{"NaN", []float64{math.NaN()}, 8, 1, valsRaw, 5 + 8},
