@@ -10,9 +10,12 @@
 //     from the population with exactly the engine's Fisher–Yates
 //     (fl.CohortSampler — one implementation, shared) and only the
 //     drawn members compute, upload, and are materialized anywhere.
-//     A host keeps per-member state (error-feedback residual, rng) in
-//     one slice over its roster, filled at the member's first draw: an
-//     undrawn member costs no allocation.
+//     A host keeps per-member state in one slice over its roster,
+//     filled at the member's first draw: an error-feedback residual of
+//     D × 8 bytes, carved from a slab shared with up to 63 other
+//     members, and a position in the member's rng stream, replayed
+//     through the host's one source when the member steps. An undrawn
+//     member costs no allocation.
 //   - Churn and dropouts. The drawable population may change between
 //     rounds (join/leave schedules) and drawn members may miss the
 //     round's deadline (dropout schedules); both follow the engine's
@@ -23,9 +26,9 @@
 // every member applies the same broadcast B every round, so all members
 // share one set of global weights — a host keeps ONE model for its
 // whole roster, and a member's private state is only its residual and
-// its rng stream. Members that sit out rounds stay synchronized for
-// free (their residuals simply freeze), which is also why the engine
-// needs no "resync" protocol for churned-in clients.
+// its rng stream's position. Members that sit out rounds stay
+// synchronized for free (their residuals simply freeze), which is also
+// why the engine needs no "resync" protocol for churned-in clients.
 //
 // A host enrolls exactly as a client does, with a longer roster: one
 // Hello to the coordinator and one DataHello per shard, each naming its

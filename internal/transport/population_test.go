@@ -2,12 +2,16 @@ package transport
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"fedsparse/internal/core"
 	"fedsparse/internal/dataset"
 	"fedsparse/internal/fl"
+	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
 )
 
@@ -109,6 +113,129 @@ func TestPopulationUndrawnMembersAllocateNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() { runScalePopulation(t, w, rosters) })
 	if allocs >= 10_000 {
 		t.Fatalf("a 100000-member run allocated %.0f times, want < 10000: an undrawn member costs an allocation", allocs)
+	}
+}
+
+// TestMemberStatesAllocateSlabsNotStreams pins what a materialised
+// member costs its participant: materialising n members of dimension D
+// allocates ⌈n/64⌉ residual slabs, and the rng streams one source for
+// the whole roster (seeded at the first load, then only repositioned),
+// so nothing per member beyond its D floats. Loading every member a
+// second time allocates nothing.
+func TestMemberStatesAllocateSlabsNotStreams(t *testing.T) {
+	const d = 100
+	ds := &dataset.Dataset{}
+	for _, n := range []int{1, 63, 64, 65, 200} {
+		roster := make([]int, n)
+		for i := range roster {
+			roster[i] = 3 * i
+		}
+		p := participant{roster: roster, seed: func(member int) int64 { return int64(member) },
+			data: func(int) *dataset.Dataset { return ds }}
+		var s *memberStates
+		loadAll := func() {
+			for pos := range roster {
+				if m := s.load(pos); m.Data != ds || len(m.Acc) != d || cap(m.Acc) != d {
+					t.Fatalf("n=%d: member %d loaded with data %p, residual len %d cap %d", n, pos, m.Data, len(m.Acc), cap(m.Acc))
+				}
+			}
+		}
+		// The states themselves and their slot slice, the shared source's
+		// one inner state, and ⌈n/64⌉ slabs.
+		want := 3 + float64((n+memberSlab-1)/memberSlab)
+		if got := testing.AllocsPerRun(3, func() { s = newMemberStates(p, d); loadAll() }); got != want {
+			t.Fatalf("n=%d: materialising allocated %.0f times, want %.0f", n, got, want)
+		}
+		if got := testing.AllocsPerRun(3, loadAll); got != 0 {
+			t.Fatalf("n=%d: reloading materialised members allocated %.0f times, want 0", n, got)
+		}
+		// Every residual is its own D floats.
+		for pos := range roster {
+			s.slots[pos].acc[0] = float64(pos + 1)
+		}
+		for pos := range roster {
+			if acc := s.slots[pos].acc; acc[0] != float64(pos+1) || acc[d-1] != 0 {
+				t.Fatalf("n=%d: member %d's residual overlaps another's", n, pos)
+			}
+		}
+	}
+}
+
+// cohortLog records every CohortAssign a coordinator sends over a conn.
+type cohortLog struct {
+	mu      sync.Mutex
+	cohorts [][]int
+}
+
+type cohortLogConn struct {
+	Conn
+	log *cohortLog
+}
+
+func (c cohortLogConn) Send(msg any) error {
+	if a, ok := msg.(CohortAssign); ok {
+		c.log.mu.Lock()
+		c.log.cohorts = append(c.log.cohorts, slices.Clone(a.Members))
+		c.log.mu.Unlock()
+	}
+	return c.Conn.Send(msg)
+}
+
+// TestCohortRedrawnMemberMatchesEngine runs one host over a 6-member
+// population, 2 drawn a round for 20 rounds, against fl.Run. The host's
+// members share one rng source, repositioned at each member's stream
+// position, so a member drawn again after other members stepped must
+// continue its own stream where it stopped: the run asserts that such a
+// redraw happened and matches the engine's events bit for bit.
+func TestCohortRedrawnMemberMatchesEngine(t *testing.T) {
+	fed := dataset.GenerateFEMNIST(dataset.FEMNISTConfig{
+		NumClients:       6,
+		NumClasses:       10,
+		Dim:              16,
+		SamplesPerClient: 20,
+		ClassesPerClient: 4,
+		TestSamples:      10,
+		Noise:            0.4,
+		Seed:             11,
+	})
+	model := func() *nn.Network { return nn.NewMLP(16, []int{8}, 10) }
+	cfg := fl.Config{Data: fed, Model: model, LearningRate: 0.1, BatchSize: 8, Rounds: 20, Seed: 5,
+		Strategy: &gs.FABTopK{}, Controller: core.NewFixedK(16), Beta: 10, Cohort: 2}
+	sc, err := wireConfig(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &cohortLog{}
+	net := memNet()
+	defer net.teardown()
+	roster := []int{0, 1, 2, 3, 4, 5}
+	events, err := deploy(t, net, sc, layout{hosts: [][]int{roster},
+		work:      workload{members: len(roster), data: func(member int) *dataset.Dataset { return &fed.Clients[member] }, model: model, batch: 8},
+		wrapCoord: func(c Conn) Conn { return cohortLogConn{Conn: c, log: log} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameTrajectory(t, events, engineEvents(t, cfg))
+
+	// The host steps each round's cohort in order; find a member whose
+	// step follows another member's step since its own last one.
+	if len(log.cohorts) != cfg.Rounds {
+		t.Fatalf("recorded %d cohort assigns, want %d", len(log.cohorts), cfg.Rounds)
+	}
+	last := map[int]int{} // member -> index of its last step
+	var steps []int
+	redrawn := false
+	for _, cohort := range log.cohorts {
+		for _, member := range cohort {
+			if i, ok := last[member]; ok && slices.ContainsFunc(steps[i+1:], func(o int) bool { return o != member }) {
+				redrawn = true
+			}
+			last[member] = len(steps)
+			steps = append(steps, member)
+		}
+	}
+	if !redrawn {
+		t.Fatalf("no member was drawn again after other members stepped: steps %v", steps)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fedsparse/internal/fl"
 	"fedsparse/internal/nn"
 	"fedsparse/internal/sparse"
+	"fedsparse/internal/wal"
 )
 
 // ServerConfig parameterizes the coordinator side of a distributed
@@ -591,6 +592,69 @@ type memberUpload struct {
 	bufs  sliceBufs
 }
 
+// memberSlab is how many members' residuals one allocation carves.
+const memberSlab = 64
+
+// memberStates is a participant's private state for each member of its
+// roster, by roster position: a residual and a position in the member's
+// rng stream. Residuals are carved D floats at a time from slabs of
+// min(memberSlab, members not yet materialised) residuals, so a member
+// costs its D×8 bytes and a one-member roster one D-float allocation.
+// The streams share one source and one rand.Rand, repositioned
+// (wal.CountingSource.Reset) only when the member stepped changes; a
+// stream's position is written back to its slot when another member is
+// loaded. A redrawn member's Reset re-seeds and discards the draws of
+// its earlier steps: the same stream, continued where it stopped.
+type memberStates struct {
+	roster []int
+	seed   func(member int) int64
+	data   func(member int) *dataset.Dataset
+	slots  []memberSlot
+	d      int
+	fresh  int       // members not yet materialised
+	slab   []float64 // the current slab's uncarved tail
+	src    wal.CountingSource
+	rng    rand.Rand
+	cur    int // the roster position whose stream src holds; -1 for none
+}
+
+// memberSlot is one member's state; acc is nil until its first draw.
+type memberSlot struct {
+	acc  []float64
+	data *dataset.Dataset
+	pos  uint64 // the rng stream's position while another member holds src
+}
+
+func newMemberStates(p participant, d int) *memberStates {
+	s := &memberStates{roster: p.roster, seed: p.seed, data: p.data, slots: make([]memberSlot, len(p.roster)),
+		d: d, fresh: len(p.roster), cur: -1}
+	s.rng = *rand.New(&s.src)
+	return s
+}
+
+// load returns the member at roster position pos ready to step: its
+// residual and dataset, materialised at its first draw, and the shared
+// rng positioned in its stream.
+func (s *memberStates) load(pos int) fl.Member {
+	slot := &s.slots[pos]
+	if slot.acc == nil {
+		if len(s.slab) == 0 {
+			s.slab = make([]float64, min(memberSlab, s.fresh)*s.d)
+		}
+		slot.acc, s.slab = s.slab[:s.d:s.d], s.slab[s.d:]
+		slot.data = s.data(s.roster[pos])
+		s.fresh--
+	}
+	if pos != s.cur {
+		if s.cur >= 0 {
+			s.slots[s.cur].pos = s.src.Pos()
+		}
+		s.src.Reset(s.seed(s.roster[pos]), slot.pos)
+		s.cur = pos
+	}
+	return fl.Member{Acc: slot.acc, Rng: &s.rng, Data: slot.data}
+}
+
 // runClientRounds is the participant's one round loop on both data
 // planes, W = init.Window rounds deep — the engine's pipeline
 // (internal/fl round.go) on the wire. Step m draws round m's cohort
@@ -610,10 +674,11 @@ type memberUpload struct {
 // So round m's local step sees the weights of round m−W−1, as in fl.Run
 // with the same Staleness, and W = 0 is the lockstep loop.
 //
-// Member state (fl.Member) is a slice by roster position, found by
-// binary search over the ascending roster. A member first drawn at round
-// m starts like an engine client that sat out rounds 1..m−1: weights
-// synchronized (the shared model), residual zero, rng stream virgin.
+// Member state (memberStates) is a slice by roster position, found by
+// binary search over the ascending roster: a residual and an rng stream
+// position per member. A member first drawn at round m starts like an
+// engine client that sat out rounds 1..m−1: weights synchronized (the
+// shared model), residual zero, rng stream virgin.
 //
 // The upload buffers live in a ring of W+1 slots, one entry per cohort
 // position, reused across rounds (the same zero-alloc hot loop as the
@@ -638,7 +703,7 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 	net.SetParams(init.Params)
 	step := fl.NewStep(p.batch, init.QuantBits)
 	applied := &appliedSet{who: p.who, id: p.id, JSet: fl.NewJSet(net.D())}
-	members := make([]fl.Member, len(p.roster))
+	members := newMemberStates(p, net.D())
 	w := init.Window
 	ring := make([][]memberUpload, w+1)
 	var (
@@ -665,12 +730,9 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 				if pos == len(p.roster) || p.roster[pos] != id {
 					return fmt.Errorf("transport: %s %d round %d: cohort member %d outside its roster", p.who, p.id, m, id)
 				}
-				st, up := &members[pos], &slot[i]
-				if st.Acc == nil {
-					*st = fl.Member{Acc: make([]float64, net.D()), Rng: rand.New(rand.NewSource(p.seed(id))), Data: p.data(id)}
-				}
+				up, st := &slot[i], members.load(pos)
 				up.pos = pos
-				out := step.Run(net, st, nil, init.K, &up.pairs)
+				out := step.Run(net, &st, nil, init.K, &up.pairs)
 				var msg any
 				if fan == nil {
 					msg = Upload{ClientID: id, Round: m, Idx: up.pairs.Idx, Val: up.pairs.Val,
@@ -709,7 +771,7 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 			return err
 		}
 		for _, up := range ring[r%(w+1)] {
-			applied.Settle(members[up.pos].Acc, up.pairs)
+			applied.Settle(members.slots[up.pos].acc, up.pairs)
 		}
 	}
 	return nil

@@ -9,7 +9,8 @@ package wal
 import "math/rand"
 
 // CountingSource wraps rand.NewSource(seed) and counts every state
-// advance, so Pos() is a resumable stream position.
+// advance, so Pos() is a resumable stream position. The zero value is
+// unseeded: Reset seeds it before first use.
 type CountingSource struct {
 	src rand.Source64
 	n   uint64
@@ -18,12 +19,25 @@ type CountingSource struct {
 // NewCountingSource returns a counting wrapper over the standard
 // source for seed, positioned at pos (0 for a fresh stream).
 func NewCountingSource(seed int64, pos uint64) *CountingSource {
-	s := &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
+	s := &CountingSource{}
+	s.Reset(seed, pos)
+	return s
+}
+
+// Reset repositions s at pos in seed's stream: it re-seeds the inner
+// source in place and discards pos steps, so one CountingSource can
+// serve many streams in turn, each resumed at the Pos it was left at.
+// Only the first Reset of a zero CountingSource allocates.
+func (s *CountingSource) Reset(seed int64, pos uint64) {
+	if s.src == nil {
+		s.src = rand.NewSource(seed).(rand.Source64)
+	} else {
+		s.src.Seed(seed)
+	}
 	for i := uint64(0); i < pos; i++ {
 		s.src.Uint64()
 	}
 	s.n = pos
-	return s
 }
 
 // Pos reports how many state advances the stream has made since seed.

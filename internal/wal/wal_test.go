@@ -232,6 +232,78 @@ func TestCountingSourceResume(t *testing.T) {
 	}
 }
 
+// TestCountingSourceReset holds Reset to a fresh source: repositioned at
+// pos, a zero CountingSource and one already seeded elsewhere both
+// continue exactly as rand.NewSource(seed) advanced pos steps; streams
+// interleaved through one source by Reset/Pos are the independent
+// streams; and repositioning a seeded source allocates nothing.
+func TestCountingSourceReset(t *testing.T) {
+	const seed = 421
+	// bound takes Int31n's rejection loop about half the time, so an
+	// Intn consumes a variable number of steps.
+	const bound = 1<<30 + 1
+	for _, pos := range []uint64{0, 1, 607, 10_000} {
+		for _, used := range []bool{false, true} {
+			s := &CountingSource{}
+			if used {
+				s.Reset(seed+1, 0)
+				s.Uint64()
+			}
+			s.Reset(seed, pos)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := uint64(0); i < pos; i++ {
+				ref.Uint64()
+			}
+			rng, refRng := rand.New(s), rand.New(ref)
+			for i := 0; i < 1000; i++ {
+				if a, b := s.Int63(), ref.Int63(); a != b {
+					t.Fatalf("pos %d (seeded before: %v) Int63 %d: %d != %d", pos, used, i, a, b)
+				}
+				if a, b := s.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("pos %d (seeded before: %v) Uint64 %d: %d != %d", pos, used, i, a, b)
+				}
+				if a, b := rng.Intn(bound), refRng.Intn(bound); a != b {
+					t.Fatalf("pos %d (seeded before: %v) Intn %d: %d != %d", pos, used, i, a, b)
+				}
+			}
+		}
+	}
+
+	t.Run("interleaved", func(t *testing.T) {
+		seeds := []int64{7, 8, 9}
+		refs := make([]*rand.Rand, len(seeds))
+		for i, sd := range seeds {
+			refs[i] = rand.New(rand.NewSource(sd))
+		}
+		var s CountingSource
+		rng := rand.New(&s)
+		pos := make([]uint64, len(seeds))
+		rejected := false
+		for turn, x := range []int{0, 1, 0, 2, 1} { // A, B, A, C, B
+			s.Reset(seeds[x], pos[x])
+			const draws = 200
+			for i := 0; i < draws; i++ {
+				if a, b := rng.Intn(bound), refs[x].Intn(bound); a != b {
+					t.Fatalf("turn %d stream %d draw %d: %d != %d", turn, x, i, a, b)
+				}
+			}
+			rejected = rejected || s.Pos()-pos[x] > draws
+			pos[x] = s.Pos()
+		}
+		if !rejected {
+			t.Fatal("no Intn took the rejection loop: the row tests fixed-step draws only")
+		}
+	})
+
+	t.Run("allocs", func(t *testing.T) {
+		var s CountingSource
+		s.Reset(seed, 0)
+		if n := testing.AllocsPerRun(20, func() { s.Reset(seed, 607) }); n != 0 {
+			t.Fatalf("Reset of a seeded source allocated %.0f times, want 0", n)
+		}
+	})
+}
+
 func TestRunID(t *testing.T) {
 	if RunID(1) == RunID(2) {
 		t.Fatal("distinct seeds must map to distinct run ids")
