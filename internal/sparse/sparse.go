@@ -68,30 +68,33 @@ func rankKey(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
 // payload). Whether to accept non-finite values is the caller's policy;
 // selection is deterministic on them.
 //
-// Selection is comparison-free, with no data-dependent pivots. On a
-// vector of at least prefilterMin elements an exact prefilter runs: a
-// fixed-stride sample of the keys guesses a cut g, and one branch-free
-// pass (an AVX2 kernel where the processor has it) keeps the elements
-// whose key is ≥ g, with their keys, in index order. When at least k
-// survive, the k-th largest key is ≥ g, so the whole top k survived, and
-// one stable radix sort of the survivors by key, truncated to k, is the
-// top k in rank order, with ties at the cut in index order. At k = D every
-// nonzero key survives a cut of 1, so the same sort runs over all of them
-// with no select, and the zeros follow in index order. Otherwise — fewer than k survivors, more than half the
-// scratch slab, a vector below prefilterMin, or a k so close to D that
-// most of the sample reaches the cut — the full path runs over every
-// element: a radix select of the k-th largest key, one filter pass, and
-// the same sort of the k selected. The tests' TopKHeap is the O(D log k)
-// reference it is cross-checked against. TopK is a thin wrapper over TopKInto that
-// allocates fresh storage per call; hot paths should hold a TopKScratch
-// and call TopKInto directly.
+// Selection has no data-dependent pivots. On a vector of at least
+// prefilterMin (1 024) elements an exact prefilter runs: a fixed-stride
+// sample of the keys — every eighth, up to 1 024 of them — guesses a cut
+// g, and one branch-free pass (an AVX2 kernel where the processor has it)
+// keeps the elements whose key is ≥ g, with their keys, in index order.
+// When at least k survive, the k-th largest key is ≥ g, so the whole top
+// k survived, and one stable sort of the survivors by key, truncated to
+// k, is the top k in rank order, with ties at the cut in index order: an
+// insertion sort while the survivors times k is small, as on a small
+// model at a small k, and a radix sort otherwise. At k = D every nonzero
+// key survives a cut of 1, so the same sort runs over all of them with no
+// select, and the zeros follow in index order. Otherwise — fewer than k
+// survivors, more than half the scratch slab, a vector below
+// prefilterMin, or a k so close to D that most of the sample reaches the
+// cut — the full path runs over every element: a radix select of the
+// k-th largest key, one filter pass, and a radix sort of the k selected.
+// The tests' TopKHeap is the O(D log k) reference it is cross-checked
+// against. TopK is a thin wrapper over TopKInto that allocates fresh
+// storage per call; hot paths should hold a TopKScratch and call
+// TopKInto directly.
 func TopK(dense []float64, k int) Vec {
 	return TopKInto(Vec{}, nil, dense, k)
 }
 
 // TopKScratch is the reusable working memory of TopKInto: one slab of
 // max(D, 2k+2) words that each stage of a call reuses from its start. The
-// prefilter's key sample takes the first sampleKeys words, then its
+// prefilter's key sample takes the first sampleSize(D) words, then its
 // survivors the two halves, keys in the first and indices in the second,
 // and the sort's records take the keys' half with the indices' half as
 // their spare. On the full path the select's candidate keys take the
@@ -181,14 +184,30 @@ const (
 	windowBits = 2 * digitBits
 	// repairMax bounds how far the insertion repair moves one element.
 	repairMax = 32
-	// sampleKeys is the size of the prefilter's fixed-stride key sample,
-	// prefilterMin the shortest vector it runs on (a stride of eight), and
-	// sampleMost the most sample keys its cut may keep: 7/16 of the
-	// sample predicts fewer survivors than the half slab they live in.
+	// selectSortMax is the most keys the select sorts outright rather
+	// than histogram by another digit.
+	selectSortMax = 32
+	// insertMax bounds the survivors' sort by insertion: it runs while the
+	// survivors times the k it keeps is at most this, about as many moves
+	// as the radix sort's fixed cost of walking its histograms.
+	insertMax = 4096
+	// sampleKeys is the most keys the prefilter's fixed-stride sample
+	// takes, at a stride of at least sampleStride, and prefilterMin the
+	// shortest vector it runs on, where the sample has sampleMin keys.
 	sampleKeys   = 1 << 10
-	prefilterMin = 8 * sampleKeys
-	sampleMost   = 7 * sampleKeys / 16
+	sampleStride = 8
+	sampleMin    = 1 << 7
+	prefilterMin = sampleStride * sampleMin
 )
+
+// sampleSize is how many keys cutGuess samples from a d-long vector:
+// every eighth, up to sampleKeys.
+func sampleSize(d int) int { return min(sampleKeys, d/sampleStride) }
+
+// sampleMost is the most keys of an n-key sample the prefilter's cut may
+// keep: 7/16 of the sample predicts fewer survivors than the half slab
+// they live in.
+func sampleMost(n int) int { return 7 * n / 16 }
 
 // selectTop is the full path's select: it finds the top k of dense
 // (0 < k <= len(dense)) and leaves their indices in slab[:k+2] as filter
@@ -203,7 +222,7 @@ func selectTop(slab []uint64, dense []float64, k int) (t uint64, ties int, hi ui
 		hist[key>>52]++
 		hi = max(hi, key)
 	}
-	t, ties = kthKey(cand, k, &hist)
+	t, ties = kthKey(cand, k, &hist, int(hi>>52))
 	filter(slab[:k+2], dense, t, k-ties, ties)
 	return t, ties, hi
 }
@@ -235,10 +254,14 @@ func survivors(slab []uint64, dense []float64, k int) (keys, at []uint64, ok boo
 
 // sortSurvivors sorts the prefilter's survivors — their keys and their
 // indices, in index order — far enough that the first k of the result are
-// their top k in rank order. It builds the sort's records over the keys,
-// windows on the offset from the smallest, and sorts them with the
-// indices' room as the spare. exact is rankSort's.
+// their top k in rank order. Few survivors for their k are sorted by
+// insertion (insertTop). Otherwise it builds the sort's records over the
+// keys, windows on the offset from the smallest, and sorts them with the
+// indices' room as the spare; exact is rankSort's.
 func sortSurvivors(keys, at []uint64, dense []float64, k int) (top []uint64, exact bool) {
+	if len(keys)*k <= insertMax {
+		return insertTop(keys, at, k), true
+	}
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for _, key := range keys {
 		lo, hi = min(lo, key), max(hi, key)
@@ -248,6 +271,29 @@ func sortSurvivors(keys, at []uint64, dense []float64, k int) (top []uint64, exa
 		keys[i] = (key-lo)>>shift<<32 | at[i]
 	}
 	return rankSort(keys, at, dense, lo, hi, shift, k)
+}
+
+// insertTop is sortSurvivors by stable insertion: keys[:k] keeps the top
+// k so far in rank order, and each later survivor above the k-th moves up
+// past the keys below its own, so ties stay in index order. It returns
+// the top k as records, each element's index in its low 32 bits, in
+// keys[:k]. At most len(keys)·k moves, and on real data few survivors
+// reach the k-th once the first k are in.
+func insertTop(keys, at []uint64, k int) []uint64 {
+	n := 0 // the sorted prefix, at most k long
+	for i, key := range keys {
+		if n == k && key <= keys[k-1] {
+			continue
+		}
+		e, j := at[i], min(n, k-1) // a full prefix drops its last
+		for ; j > 0 && keys[j-1] < key; j-- {
+			keys[j], at[j] = keys[j-1], at[j-1]
+		}
+		keys[j], at[j] = key, e
+		n = min(n+1, k)
+	}
+	copy(keys, at[:n])
+	return keys[:n]
 }
 
 // emitZeros writes the elements of dense whose key is 0 — ±0 — in index
@@ -266,11 +312,11 @@ func emitZeros(dst Vec, n int, dense []float64) {
 
 // cutGuess returns the prefilter's cut for the top k of dense: a key g
 // that at least k keys of dense probably reach, and not many more. It
-// reads sampleKeys keys at a fixed stride into slab and takes the q-th
-// largest, with q = λ + 4√λ + 4 and λ = k·sampleKeys/D the number of top-k
-// elements the sample holds on average — four standard deviations of
-// margin, so the guess rarely leaves fewer than k survivors. It draws no
-// randomness. ok is false where the prefilter does not run: D below
+// reads sampleSize(D) keys at a fixed stride into slab and takes the q-th
+// largest, with q = λ + 4√λ + 4 and λ = k·sampleSize(D)/D the number of
+// top-k elements the sample holds on average — four standard deviations
+// of margin, so the guess rarely leaves fewer than k survivors. It draws
+// no randomness. ok is false where the prefilter does not run: D below
 // prefilterMin, or more than 7/16 of the sample at or above the cut (k is
 // close to D, or ties at g are many), where the survivors would not fit in
 // half the slab or save little over the full path.
@@ -279,29 +325,32 @@ func cutGuess(dense []float64, k int, slab []uint64) (g uint64, ok bool) {
 	if d < prefilterMin {
 		return 0, false
 	}
+	size := sampleSize(d)
 	q := sampleRank(d, k)
-	if q > sampleMost {
+	if q > sampleMost(size) {
 		return 0, false
 	}
 	var hist [1 << digitBits]uint32
-	sample, stride := slab[:sampleKeys], d/sampleKeys
+	sample, stride := slab[:size], d/size
+	var hi uint64
 	for j := range sample {
 		key := rankKey(dense[j*stride])
 		sample[j] = key
 		hist[key>>52]++
+		hi = max(hi, key)
 	}
-	g, _ = kthKey(sample, q, &hist) // reorders sample: count on dense
+	g, _ = kthKey(sample, q, &hist, int(hi>>52)) // reorders sample: count on dense
 	n := 0
-	for j := range sampleKeys {
+	for j := range size {
 		n += int(^(rankKey(dense[j*stride]) - g) >> 63)
 	}
-	return g, n <= sampleMost
+	return g, n <= sampleMost(size)
 }
 
 // sampleRank is the rank from the top, in cutGuess's sample, of the cut
 // for the top k of a d-long vector.
 func sampleRank(d, k int) int {
-	lambda := float64(k) * sampleKeys / float64(d)
+	lambda := float64(k) * float64(sampleSize(d)) / float64(d)
 	return int(math.Ceil(lambda + 4*math.Sqrt(lambda) + 4))
 }
 
@@ -334,14 +383,15 @@ func compactGo(keys, at []uint64, dense []float64, g uint64, n, i int) int {
 
 // kthKey returns the k-th largest of keys (0 < k <= len(keys)) and how
 // many of the keys equal to it belong to the top k. hist is the histogram
-// of the keys' top digit (key>>52). It is an MSD radix select that
-// reorders keys: walk the buckets from the top to the one holding the k-th
-// largest, keep only that bucket's keys, and go on from the highest bit
-// the survivors still differ in — so it ends as soon as they are all
-// equal.
-func kthKey(keys []uint64, k int, hist *[1 << digitBits]uint32) (t uint64, ties int) {
+// of the keys' top digit (key>>52), and top the highest digit it holds.
+// It is an MSD radix select that reorders keys: walk the buckets from the
+// highest occupied one down to the one holding the k-th largest, keep
+// only that bucket's keys, and go on from the highest bit the survivors
+// still differ in — so it ends as soon as they are all equal, or few
+// enough to sort instead of walking another histogram.
+func kthKey(keys []uint64, k int, hist *[1 << digitBits]uint32, top int) (t uint64, ties int) {
 	for shift, need := 52, k; ; {
-		b := digitMask
+		b := top
 		for ; int(hist[b]) < need; b-- {
 			need -= int(hist[b])
 		}
@@ -351,6 +401,16 @@ func kthKey(keys []uint64, k int, hist *[1 << digitBits]uint32) (t uint64, ties 
 			n += int(((key>>shift&digitMask ^ uint64(b)) - 1) >> 63) // 1 iff the digit is b
 		}
 		keys = keys[:n]
+		if n <= selectSortMax {
+			slices.Sort(keys)
+			t = keys[n-need]
+			for _, key := range keys[n-need:] {
+				if key == t {
+					ties++
+				}
+			}
+			return t, ties
+		}
 		var diff uint64
 		for _, key := range keys {
 			diff |= key ^ keys[0]
@@ -360,8 +420,11 @@ func kthKey(keys []uint64, k int, hist *[1 << digitBits]uint32) (t uint64, ties 
 		}
 		shift = max(bits.Len64(diff)-digitBits, 0)
 		clear(hist[:])
+		top = 0
 		for _, key := range keys {
-			hist[key>>shift&digitMask]++
+			dg := int(key >> shift & digitMask)
+			hist[dg]++
+			top = max(top, dg)
 		}
 	}
 }

@@ -101,13 +101,14 @@ func TestTopKIntoRejectsLongVectors(t *testing.T) {
 // adaptive controller's shape: one call at k = D warms the slab and dst,
 // and from then on no k below it and no dimension below it (shrinking and
 // growing back) allocates — on the full path below prefilterMin and on the
-// prefilter's, whose survivors live in the same slab, above it — and a
-// scratch that Reserve(d, k) sized is never regrown by that k. The
-// allocating wrapper stays within five: BENCH_fl.json's three (the slab,
-// dst.Idx and dst.Val) plus scripts/benchcheck's slack of two, which the
-// race detector's instrumentation takes up.
+// prefilter's, whose survivors live in the same slab, above it, with a
+// sample of D/8 keys and of sampleKeys — and a scratch that Reserve(d, k)
+// sized is never regrown by that k. The allocating wrapper stays within
+// five: BENCH_fl.json's three (the slab, dst.Idx and dst.Val) plus
+// scripts/benchcheck's slack of two, which the race detector's
+// instrumentation takes up.
 func TestTopKIntoAllocsSteadyState(t *testing.T) {
-	for _, d := range []int{4096, 5 * prefilterMin / 2} {
+	for _, d := range []int{prefilterMin / 2, 4096, 20 * prefilterMin} {
 		dense := benchDist("normal", d)
 		var scratch TopKScratch
 		var dst Vec
@@ -155,7 +156,8 @@ func benchDist(dist string, d int) []float64 {
 // BenchmarkTopKInto measures the warm-scratch kernel over the cuts the
 // adaptive controller visits — k from D/1000 up to D, where sorting the
 // survivors dominates — on both input shapes, and the allocating TopK
-// wrapper at the engine's typical k = D/100.
+// wrapper at the engine's typical k = D/100. The d=2094 rows are a
+// population member's step: pop_routed_100k's model at its k = 20.
 func BenchmarkTopKInto(b *testing.B) {
 	for _, d := range []int{10_000, 100_000} {
 		for _, dist := range []string{"normal", "residual"} {
@@ -168,17 +170,25 @@ func BenchmarkTopKInto(b *testing.B) {
 				}
 			})
 			for _, k := range []int{d / 1000, d / 100, d / 10, d} {
-				b.Run("scratch"+shape+strconv.Itoa(k), func(b *testing.B) {
-					var scratch TopKScratch
-					var dst Vec
-					dst = TopKInto(dst, &scratch, dense, k)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						dst = TopKInto(dst, &scratch, dense, k)
-					}
-				})
+				benchTopKScratch(b, dense, dist, k)
 			}
 		}
 	}
+	for _, dist := range []string{"normal", "residual"} {
+		benchTopKScratch(b, benchDist(dist, 2094), dist, 20)
+	}
+}
+
+// benchTopKScratch runs TopKInto's scratch/d=D/dist/k=K row.
+func benchTopKScratch(b *testing.B, dense []float64, dist string, k int) {
+	b.Run("scratch/d="+strconv.Itoa(len(dense))+"/"+dist+"/k="+strconv.Itoa(k), func(b *testing.B) {
+		var scratch TopKScratch
+		var dst Vec
+		dst = TopKInto(dst, &scratch, dense, k)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = TopKInto(dst, &scratch, dense, k)
+		}
+	})
 }

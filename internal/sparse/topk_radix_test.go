@@ -135,13 +135,16 @@ func TestTopKIntoAdversarialShapes(t *testing.T) {
 }
 
 // The paths TopKInto takes: the prefilter's survivors sorted, or at k = D
-// every nonzero key sorted, each with the insertion repair or, when that
-// gives up, on every window; or the full path because cutGuess gives no cut, or
+// every nonzero key sorted — by insertion when they are few for their k,
+// else by radix with the insertion repair or, when that gives up, on
+// every window; or the full path because cutGuess gives no cut, or
 // because too few or too many elements reach it.
 const (
 	pathPrefilter       = "prefilter"
+	pathPrefilterInsert = pathPrefilter + ", insertion"
 	pathPrefilterResort = pathPrefilter + ", every window"
 	pathAll             = "all"
+	pathAllInsert       = pathAll + ", insertion"
 	pathAllResort       = pathAll + ", every window"
 	pathNoGuess         = "no guess"
 	pathTooFew          = "too few"
@@ -157,7 +160,11 @@ func topKPath(dense []float64, k int) string {
 		if k == len(dense) {
 			path = pathAll
 		}
-		if _, exact := sortSurvivors(keys, at, dense, min(k, len(keys))); !exact {
+		n := min(k, len(keys))
+		if len(keys)*n <= insertMax {
+			return path + ", insertion"
+		}
+		if _, exact := sortSurvivors(keys, at, dense, n); !exact {
 			path += ", every window"
 		}
 		return path
@@ -184,10 +191,11 @@ func topKPath(dense []float64, k int) string {
 // row passes only because it fell back.
 func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 	const d = 60_000
-	stride := d / sampleKeys
-	sampled := func(i int) bool { return i%stride == 0 && i/stride < sampleKeys }
+	size := sampleSize(d)
+	stride := d / size
+	sampled := func(i int) bool { return i%stride == 0 && i/stride < size }
 	cutoff := d / 2 // the largest k with a sample rank the prefilter takes
-	for sampleRank(d, cutoff) > sampleMost {
+	for sampleRank(d, cutoff) > sampleMost(size) {
 		cutoff--
 	}
 	ks := []int{d / 500, d / 100, d / 10, d / 4, cutoff, d}
@@ -224,7 +232,7 @@ func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 			return 1 + rng.Float64()
 		}, []string{many, many, many, many, none, all}},
 		{"all equal", func(int) float64 { return -0.375 }, []string{none, none, none, none, none, all}},
-		{"all zero", func(int) float64 { return 0 }, []string{none, none, none, none, none, all}}, // at k = D nothing survives the cut of 1
+		{"all zero", func(int) float64 { return 0 }, []string{none, none, none, none, none, pathAllInsert}}, // at k = D nothing survives the cut of 1
 		{"two values", func(int) float64 { return []float64{1, -2, 1, -1}[rng.Intn(4)] }, []string{pre, pre, pre, none, none, all}},
 		{"non-finite mixed in", func(int) float64 {
 			switch rng.Intn(100) {
@@ -253,6 +261,78 @@ func TestTopKIntoEngineSizedMatchesHeap(t *testing.T) {
 		var dst Vec
 		for j, k := range ks {
 			label := fmt.Sprintf("%s k=%d", row.name, k)
+			if got := topKPath(dense, k); got != row.paths[j] {
+				t.Errorf("%s: path %q, want %q", label, got, row.paths[j])
+			}
+			dst = TopKInto(dst, &scratch, dense, k)
+			requireTopKMatchesHeap(t, label, dst, dense, k)
+		}
+	}
+}
+
+// TestTopKIntoSmallModelsMatchHeap runs the differential from the
+// prefilter's floor up to the full sample — models like a population
+// member's (D = 2 094), where the sample is D/8 keys — at k from 1 to D/3:
+// on normals, on a residual's shape (mostly exact zeros under a heavy
+// tail), on a vector of 98 % zeros, where the top D/3 cuts inside the
+// zero run, and on normals under a run of ±8 at every hundredth element,
+// where the insertion sort must keep the tied top in index order. Every
+// row pins its path, so the insertion sort of few survivors, the radix
+// sort of many and the full path each have rows.
+func TestTopKIntoSmallModelsMatchHeap(t *testing.T) {
+	pre, preI, none := pathPrefilter, pathPrefilterInsert, pathNoGuess
+	fills := map[string]func(rng *rand.Rand, i int) float64{
+		"normal": func(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() },
+		"residual": func(rng *rand.Rand, _ int) float64 {
+			if rng.Intn(10) < 7 {
+				return 0
+			}
+			return rng.NormFloat64() * 1e-4 / (rng.Float64() + 1e-3)
+		},
+		"many zeros": func(rng *rand.Rand, _ int) float64 {
+			if rng.Intn(50) > 0 {
+				return 0
+			}
+			return rng.NormFloat64()
+		},
+		"tied top": func(rng *rand.Rand, i int) float64 {
+			if i%100 == 0 {
+				return float64(1-i/100%2*2) * 8
+			}
+			return rng.NormFloat64()
+		},
+	}
+	for _, row := range []struct {
+		d     int
+		shape string
+		paths []string // at k = 1, 20, D/10, D/3
+	}{
+		{1024, "normal", []string{preI, preI, pre, none}},
+		{1024, "residual", []string{preI, preI, pre, none}},
+		{1024, "many zeros", []string{none, none, none, none}}, // the sample's cut is 0
+		{1024, "tied top", []string{preI, preI, pre, none}},
+		{2094, "normal", []string{preI, preI, pre, none}},
+		{2094, "residual", []string{preI, preI, pre, none}},
+		{2094, "many zeros", []string{none, none, none, none}},
+		{2094, "tied top", []string{preI, preI, pre, none}},
+		{4096, "normal", []string{preI, preI, pre, none}},
+		{4096, "residual", []string{preI, preI, pre, none}},
+		{4096, "many zeros", []string{preI, preI, none, none}},
+		{4096, "tied top", []string{preI, preI, pre, none}},
+		{8191, "normal", []string{preI, preI, pre, pre}},
+		{8191, "residual", []string{preI, preI, pre, none}},
+		{8191, "many zeros", []string{preI, preI, none, none}},
+		{8191, "tied top", []string{preI, preI, pre, pre}},
+	} {
+		rng := rand.New(rand.NewSource(int64(58 + row.d)))
+		dense := make([]float64, row.d)
+		for i := range dense {
+			dense[i] = fills[row.shape](rng, i)
+		}
+		var scratch TopKScratch
+		var dst Vec
+		for j, k := range []int{1, 20, row.d / 10, row.d / 3} {
+			label := fmt.Sprintf("d=%d %s k=%d", row.d, row.shape, k)
 			if got := topKPath(dense, k); got != row.paths[j] {
 				t.Errorf("%s: path %q, want %q", label, got, row.paths[j])
 			}
@@ -317,21 +397,25 @@ func FuzzTopKInto(f *testing.F) {
 // FuzzTopKIntoLarge is FuzzTopKInto above prefilterMin, where the
 // prefilter runs. The input is a pattern, tiled and perturbed up to the
 // length: bytes 0–1 are k as a fraction of D + 1 (65535 is D); byte 2
-// picks D = (1 + b&3)·prefilterMin + b>>2, so the sample's stride is
-// 8·(1 + b&3); byte 3 is a signed step; every following 8 bytes one
-// float64 bit pattern of the pattern. Element i is the pattern's
+// picks D = (1 + b&15)·prefilterMin + b>>4, so the sample's stride is 8
+// below 8·sampleKeys, where the sample is D/8 keys, and D/sampleKeys from
+// there to 16·prefilterMin; byte 3 is a signed step; every following 8
+// bytes one float64 bit pattern of the pattern. Element i is the pattern's
 // i mod len(pattern), with step·(the tile's number) added to its bit
 // pattern: step 0 repeats the pattern exactly (ties, all-equal, two
 // values), ±1 makes ramps. The seeds are the engine-sized differential's
-// shapes that defeat the sample.
+// shapes that defeat the sample, each at its D below 8·sampleKeys and at
+// 7·prefilterMin more, from 8·sampleKeys up, where the sample is full.
 func FuzzTopKIntoLarge(f *testing.F) {
 	seed := func(kFrac float64, dsel uint8, step int8, vals ...float64) {
-		b := binary.LittleEndian.AppendUint16(nil, uint16(kFrac*65535))
-		b = append(b, dsel, byte(step))
-		for _, v := range vals {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		for _, sel := range []uint8{dsel, dsel + 7} {
+			b := binary.LittleEndian.AppendUint16(nil, uint16(kFrac*65535))
+			b = append(b, sel, byte(step))
+			for _, v := range vals {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+			f.Add(b)
 		}
-		f.Add(b)
 	}
 	samples := func(hi, lo, between float64) []float64 { // at stride 8: 2 of 5 sample points at hi, 3 at lo
 		vals := make([]float64, 40)
@@ -363,7 +447,7 @@ func FuzzTopKIntoLarge(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		d := (1+int(data[2]&3))*prefilterMin + int(data[2]>>2)
+		d := (1+int(data[2]&15))*prefilterMin + int(data[2]>>4)
 		k := int(binary.LittleEndian.Uint16(data)) * (d + 1) >> 16
 		step := uint64(int64(int8(data[3])))
 		pattern := fuzzWords(data[4:])

@@ -119,9 +119,9 @@ func TestPopulationUndrawnMembersAllocateNothing(t *testing.T) {
 // TestMemberStatesAllocateSlabsNotStreams pins what a materialised
 // member costs its participant: materialising n members of dimension D
 // allocates ⌈n/64⌉ residual slabs, and the rng streams one source for
-// the whole roster (seeded at the first load, then only repositioned),
-// so nothing per member beyond its D floats. Loading every member a
-// second time allocates nothing.
+// the whole roster, held by value in the states and repositioned at each
+// member switch, so nothing per member beyond its D floats. Loading every
+// member a second time allocates nothing.
 func TestMemberStatesAllocateSlabsNotStreams(t *testing.T) {
 	const d = 100
 	ds := &dataset.Dataset{}
@@ -140,9 +140,9 @@ func TestMemberStatesAllocateSlabsNotStreams(t *testing.T) {
 				}
 			}
 		}
-		// The states themselves and their slot slice, the shared source's
-		// one inner state, and ⌈n/64⌉ slabs.
-		want := 3 + float64((n+memberSlab-1)/memberSlab)
+		// The states themselves, which hold the shared source by value,
+		// their slot slice, and ⌈n/64⌉ slabs.
+		want := 2 + float64((n+memberSlab-1)/memberSlab)
 		if got := testing.AllocsPerRun(3, func() { s = newMemberStates(p, d); loadAll() }); got != want {
 			t.Fatalf("n=%d: materialising allocated %.0f times, want %.0f", n, got, want)
 		}

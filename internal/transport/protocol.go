@@ -600,11 +600,13 @@ const memberSlab = 64
 // rng stream. Residuals are carved D floats at a time from slabs of
 // min(memberSlab, members not yet materialised) residuals, so a member
 // costs its D×8 bytes and a one-member roster one D-float allocation.
-// The streams share one source and one rand.Rand, repositioned
-// (wal.CountingSource.Reset) only when the member stepped changes; a
-// stream's position is written back to its slot when another member is
-// loaded. A redrawn member's Reset re-seeds and discards the draws of
-// its earlier steps: the same stream, continued where it stopped.
+// The streams share one source and one rand.Rand, both held by value
+// here, so the states are one allocation and their slots another. The
+// source is repositioned (wal.CountingSource.Reset) only when the member
+// stepped changes; a stream's position is written back to its slot when
+// another member is loaded. A redrawn member's Reset re-seeds and
+// discards the draws of its earlier steps: the same stream, continued
+// where it stopped.
 type memberStates struct {
 	roster []int
 	seed   func(member int) int64

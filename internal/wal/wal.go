@@ -18,6 +18,11 @@
 // more bytes than a non-final position holds, or a RunStart from a
 // different run are real corruption and error out so recovery never
 // proceeds from a lying log.
+//
+// Snapshots record each rng stream as a position, never as generator
+// state: CountingSource is this package's own copy of Go 1's math/rand
+// source — rand.NewSource's stream, bit for bit — that counts its draws,
+// and a restart re-seeds it and discards as many.
 package wal
 
 import (

@@ -236,7 +236,7 @@ func TestCountingSourceResume(t *testing.T) {
 // pos, a zero CountingSource and one already seeded elsewhere both
 // continue exactly as rand.NewSource(seed) advanced pos steps; streams
 // interleaved through one source by Reset/Pos are the independent
-// streams; and repositioning a seeded source allocates nothing.
+// streams; and no Reset allocates, of a zero source or a seeded one.
 func TestCountingSourceReset(t *testing.T) {
 	const seed = 421
 	// bound takes Int31n's rejection loop about half the time, so an
@@ -296,8 +296,10 @@ func TestCountingSourceReset(t *testing.T) {
 	})
 
 	t.Run("allocs", func(t *testing.T) {
-		var s CountingSource
-		s.Reset(seed, 0)
+		s := new(CountingSource)
+		if n := testing.AllocsPerRun(20, func() { *s = CountingSource{}; s.Reset(seed, 607) }); n != 0 {
+			t.Fatalf("Reset of a zero source allocated %.0f times, want 0", n)
+		}
 		if n := testing.AllocsPerRun(20, func() { s.Reset(seed, 607) }); n != 0 {
 			t.Fatalf("Reset of a seeded source allocated %.0f times, want 0", n)
 		}

@@ -90,6 +90,9 @@ var tracked = []struct {
 	// member) is the stronger, host-independent gate.
 	{"./internal/transport/", "BenchmarkVirtualClients", "3x"},
 	{"./internal/wal/", "BenchmarkWALAppend", "2000x"},
+	// A population host's member switch: re-seeding the shared rng
+	// source, 0 allocs/op.
+	{"./internal/wal/", "BenchmarkCountingSourceReset", "2000x"},
 	{".", "BenchmarkRunGSParallel", "3x"},
 }
 

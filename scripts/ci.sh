@@ -135,6 +135,10 @@ go test ./internal/transport -run '^$' -fuzz FuzzValueBlock -fuzztime 10s
 # well-framed record body, must never panic, must re-frame to the clean
 # prefix they report, and a repairing Open must be idempotent.
 go test ./internal/wal -run '^$' -fuzz '^FuzzWALReader$' -fuzztime 10s
+# And the rng streams the snapshots record positions in: CountingSource,
+# this package's copy of Go 1's source, at an arbitrary seed, position
+# and number of draws, must equal rand.NewSource's stream bit for bit.
+go test ./internal/wal -run '^$' -fuzz '^FuzzCountingSource$' -fuzztime 10s
 # And its snapshot reader: arbitrary bytes, as a file and as one
 # well-framed snapshot body, must never panic or allocate beyond the
 # file, must fail as torn, corrupt or a run mismatch, and an accepted
