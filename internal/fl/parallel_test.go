@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -136,6 +137,43 @@ func TestParallelBitIdenticalToSequential(t *testing.T) {
 				requireBitIdentical(t, tc.name, seq, par)
 			}
 		})
+	}
+}
+
+// TestSealFanOutBitIdentical holds the seal's fan-outs — the sum of B and
+// B′ beside the participant blocks' settles and f(w(r−1)) losses, then
+// the broadcast — to the Workers: 0 run bit for bit, over every strategy,
+// window depth and quantization, under the adaptive controller, so the
+// probe selection is on in some rounds and off in others. The cohort of 5
+// leaves some of the 8 replicas' blocks empty and splits the rest
+// unevenly.
+func TestSealFanOutBitIdentical(t *testing.T) {
+	strategies := []gs.Strategy{&gs.FABTopK{}, gs.FUBTopK{}, gs.UniTopK{}, gs.PeriodicK{}, gs.SendAll{}}
+	config := func(strat gs.Strategy, staleness, bits, workers int) Config {
+		cfg := diffConfig()
+		d := cfg.Model().D()
+		cfg.Controller = core.NewAdaptiveSignOGD(10, float64(d), float64(d), 1.5, 5, nil)
+		cfg.Strategy, cfg.Staleness, cfg.QuantBits, cfg.Workers = strat, staleness, bits, workers
+		cfg.Cohort = 5
+		return cfg
+	}
+	for _, strat := range strategies {
+		for _, staleness := range []int{0, 1, 2} {
+			for _, bits := range []int{0, 8} {
+				name := fmt.Sprintf("%s/W=%d/q=%d", strat.Name(), staleness, bits)
+				seq, err := Run(config(strat, staleness, bits, 0))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, workers := range []int{1, 2, 3, 8} {
+					par, err := Run(config(strat, staleness, bits, workers))
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", name, workers, err)
+					}
+					requireBitIdentical(t, fmt.Sprintf("%s workers=%d", name, workers), seq, par)
+				}
+			}
+		}
 	}
 }
 

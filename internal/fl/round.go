@@ -1,7 +1,8 @@
 // The GS round pipeline: Algorithm 1 plus the Fig. 3 adaptive-k schedule
 // as one phase A (the server's decision, the roster, local gradients,
-// top-k into the round's slot) and one seal (the server's aggregate,
-// broadcast, probe losses, the server's observe), driven by a single
+// top-k into the round's slot) and one seal (the server's selection, its
+// sums beside the residual settles, broadcast, probe losses, the
+// server's observe), driven by a single
 // step loop over a ring of W+1 in-flight rounds, W = Config.Staleness.
 // Step m runs round m's phase A at the weights of round m−W−1 — W
 // broadcasts are still in flight — and then seals round m−W. At
@@ -38,26 +39,23 @@ import (
 
 // roundArena holds the per-run buffers the rounds share, allocated once
 // and reused. Participant-indexed slots are re-sliced to the round's
-// participant count. The coordinator stamps J and grows the per-worker
-// buffers between fan-outs; workers only read the former and only use
-// the latter.
+// participant count. The coordinator grows the per-worker buffers between
+// fan-outs; workers only use them.
 type roundArena struct {
 	// Participant-indexed slots (length = this round's participant count).
 	fPrev, fCur, fProbe []float64
 	lossShare           []float64
 
-	j     JSet        // the round's downlink index set
 	saved [][]float64 // per-replica probe save/restore buffers
 	steps []*Step     // per-worker participant steps (step.go)
 }
 
-func newRoundArena(d, nClients, pool, batch, bits int) *roundArena {
+func newRoundArena(nClients, pool, batch, bits int) *roundArena {
 	return &roundArena{
 		fPrev:     make([]float64, nClients),
 		fCur:      make([]float64, nClients),
 		fProbe:    make([]float64, nClients),
 		lossShare: make([]float64, nClients),
-		j:         NewJSet(d),
 		saved:     make([][]float64, pool),
 		steps:     newSteps(pool, batch, bits),
 	}
@@ -107,10 +105,12 @@ func newRoundSlot(nClients int) roundSlot {
 }
 
 // gsEngine is one GS run: the state the rounds thread through, and what
-// the two fan-outs read. The fan-out bodies are bound to the engine once
-// (localFn, sealFn) rather than closed over each round's locals, so a
-// round allocates no closure; the coordinator sets cur, partWeight and
-// sel/probeSel between fan-outs and workers only read them.
+// the fan-outs read. The fan-out bodies are bound to the engine once
+// (localFn, settleFn, sealFn) rather than closed over each round's
+// locals, so a round allocates no closure; the coordinator sets cur,
+// partWeight and inB between fan-outs and workers only read them, and
+// sel/probeSel are written by the settle fan-out's iteration 0 alone and
+// read only after it.
 type gsEngine struct {
 	cfg     *Config
 	clients []*client
@@ -132,10 +132,11 @@ type gsEngine struct {
 	pop  *popState
 	ring []roundSlot
 
-	cur             *roundSlot // the slot the running fan-out fills or drains
-	partWeight      float64
-	sel, probeSel   gs.Aggregate
-	localFn, sealFn func(i, worker int)
+	cur                       *roundSlot // the slot the running fan-out fills or drains
+	partWeight                float64
+	inB                       []byte // B's membership map (Server.SelectB)
+	sel, probeSel             gs.Aggregate
+	localFn, settleFn, sealFn func(i, worker int)
 }
 
 // runGS drives the pipeline: phase A of round m while sealing round m−W.
@@ -153,7 +154,7 @@ func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight fl
 		srv: NewServer(cfg.Strategy, ctrl, engineRng, d, cfg.QuantBits), rng: engineRng, d: d, dur: dur,
 		sink:      MultiObserver(coll, cfg.Observer),
 		elemUnits: 2,
-		ar:        newRoundArena(d, nClients, len(replicas), cfg.BatchSize, cfg.QuantBits),
+		ar:        newRoundArena(nClients, len(replicas), cfg.BatchSize, cfg.QuantBits),
 		pop:       newPopState(&cfg, nClients),
 		ring:      make([]roundSlot, cfg.Staleness+1),
 	}
@@ -163,7 +164,7 @@ func runGS(cfg Config, clients []*client, replicas []*nn.Network, totalWeight fl
 	for i := range e.ring {
 		e.ring[i] = newRoundSlot(nClients)
 	}
-	e.localFn, e.sealFn = e.participate, e.sealReplica
+	e.localFn, e.settleFn, e.sealFn = e.participate, e.sumOrSettle, e.sealReplica
 
 	// A resumed run reports the rounds before the restored snapshot from
 	// the log (the state to recompute them is gone by design — that is
@@ -261,7 +262,8 @@ func (e *gsEngine) participate(pi, w int) {
 }
 
 // seal closes round r: select once — every client receives the
-// identical B, which is what keeps weights synchronized — broadcast (see
+// identical B, which is what keeps weights synchronized — then sum B and
+// B′ beside the participants' settles (see sumOrSettle), broadcast (see
 // sealReplica), account the round's time, feed the controller and
 // publish the round. stop reports that the run's MaxTime or HaltAfter
 // was reached.
@@ -270,17 +272,15 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	slot := &e.ring[r%len(e.ring)]
 	participants := slot.participants
 	nPart := len(participants)
-	uploads := slot.uploads[:nPart]
 	dec := slot.dec
 
-	e.sel, e.probeSel, _ = e.srv.Aggregate(uploads, dec.K, dec.ProbeK)
+	e.inB = e.srv.SelectB(slot.uploads[:nPart], dec.K, dec.ProbeK)
+	e.cur = slot
+	parallelFor(cfg.Workers, 1+len(e.replicas)+nPart, e.settleFn)
 	// Like the top-k slabs: sized here, not by whichever worker is first.
 	for w := range ar.saved {
 		ar.saved[w] = slices.Grow(ar.saved[w][:0], len(e.probeSel.Indices))
 	}
-
-	ar.j.Stamp(e.sel.Indices)
-	e.cur = slot
 	parallelFor(cfg.Workers, len(e.replicas), e.sealFn)
 
 	if cfg.CheckSync {
@@ -342,13 +342,34 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 	return cfg.MaxTime > 0 && e.clock.Now() >= cfg.MaxTime || r == cfg.HaltAfter, nil
 }
 
-// sealReplica is replica i's share of the seal, (B)–(D) + lines 13–17,
-// over its static participant block ChunkBounds(nPart, P, i): the block's
-// f(w(r−1)) losses, the k′ probe applied to the replica, the f(w′(r))
-// losses, the exact restore, B applied once — even to an empty block —
-// then the f(w(r)) losses and each member's residual subtraction. Each
-// of the three is one batched nn.Network.Losses call over the block's
-// probe samples; the losses land in pi-indexed slots.
+// sumOrSettle is the seal's first fan-out, run once B's membership map is
+// known: 1 + P + nPart iterations, claimed in index order. Iteration 0
+// sums B and B′ (Algorithm 1 line 10: values, emission, quantization),
+// the longest. Beside it, iterations 1..P take replica i's f(w(r−1))
+// losses over its static participant block ChunkBounds(nPart, P, i), one
+// batched nn.Network.Losses call into pi-indexed slots, and the last
+// nPart each settle one participant's residual (lines 16–17), reading
+// only the map, so whichever worker finishes first takes the rest.
+func (e *gsEngine) sumOrSettle(i, _ int) {
+	slot, ar := e.cur, e.ar
+	nPart, p := len(slot.participants), len(e.replicas)
+	switch i--; {
+	case i < 0:
+		e.sel, e.probeSel, _ = e.srv.Sum(slot.uploads[:nPart])
+	case i < p:
+		lo, hi := tensor.ChunkBounds(nPart, p, i)
+		e.replicas[i].Losses(ar.fPrev[lo:hi], slot.hx[lo:hi], slot.hy[lo:hi]) // f_{i,h}(w(r−1))
+	default:
+		pi := i - p
+		Settle(e.clients[slot.participants[pi]].Acc, slot.uploads[pi].Pairs, e.inB)
+	}
+}
+
+// sealReplica is replica i's share of the broadcast, (B)–(D) + line 15,
+// over the same participant block as sumOrSettle's: the k′ probe applied
+// to the replica, the block's f(w′(r)) losses, the exact restore, B
+// applied once — even to an empty block — then the f(w(r)) losses, each
+// one batched nn.Network.Losses call into pi-indexed slots.
 func (e *gsEngine) sealReplica(i, _ int) {
 	slot, ar := e.cur, e.ar
 	net := e.replicas[i]
@@ -356,7 +377,6 @@ func (e *gsEngine) sealReplica(i, _ int) {
 	eta := e.cfg.LearningRate
 	lo, hi := tensor.ChunkBounds(len(slot.participants), len(e.replicas), i)
 	hx, hy := slot.hx[lo:hi], slot.hy[lo:hi]
-	net.Losses(ar.fPrev[lo:hi], hx, hy) // f_{i,h}(w(r−1))
 	if slot.dec.ProbeK > 0 && lo < hi {
 		// w′(r) = w(r−1) − η·∇′: apply, measure, restore exactly.
 		indices, values := e.probeSel.Indices, e.probeSel.Values
@@ -376,7 +396,4 @@ func (e *gsEngine) sealReplica(i, _ int) {
 		params[j] -= eta * values[vi]
 	}
 	net.Losses(ar.fCur[lo:hi], hx, hy)
-	for pi := lo; pi < hi; pi++ {
-		ar.j.Settle(e.clients[slot.participants[pi]].Acc, slot.uploads[pi].Pairs)
-	}
 }

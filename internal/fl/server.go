@@ -74,7 +74,23 @@ func (s *Server) Decide(m int) (Decision, error) {
 // (0 = no probe) from the round's uploads (Algorithm 1, lines 8–11),
 // quantizes both, and returns B's grid scale.
 func (s *Server) Aggregate(uploads []gs.ClientUpload, k, probeK int) (main, probe gs.Aggregate, scale float64) {
-	main, probe = s.strat.AggregateInto(s.agg, uploads, k, probeK)
+	s.SelectB(uploads, k, probeK)
+	return s.Sum(uploads)
+}
+
+// SelectB is Aggregate's first half: it selects B and B′ from the uploads
+// and returns B's membership map (j ∈ B where inB[j]&gs.InB != 0), which
+// Settle reads. The map is read-only and valid until the next selection.
+func (s *Server) SelectB(uploads []gs.ClientUpload, k, probeK int) (inB []byte) {
+	s.strat.SelectInto(s.agg, uploads, k, probeK)
+	return s.agg.Membership()
+}
+
+// Sum is Aggregate's second half, over the uploads SelectB selected from:
+// B's and B′'s values, quantized, and B's scale. Other goroutines may read
+// SelectB's map while it runs; nothing else of the server's.
+func (s *Server) Sum(uploads []gs.ClientUpload) (main, probe gs.Aggregate, scale float64) {
+	main, probe = s.agg.Sum(uploads)
 	return main, probe, s.quantize(main, probe)
 }
 

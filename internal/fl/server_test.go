@@ -199,6 +199,35 @@ func TestServerContract(t *testing.T) {
 				t.Fatalf("FUB on the histogram plane: %v", err)
 			}
 		}},
+		{"selectB's map is B, and Sum leaves it alone and returns what Aggregate does", func(t *testing.T) {
+			const n, k = 6, 10
+			rng := rand.New(rand.NewSource(13))
+			for _, strat := range []gs.Strategy{&gs.FABTopK{}, gs.FUBTopK{}, gs.UniTopK{}, gs.PeriodicK{}, gs.SendAll{}} {
+				for _, bits := range []int{0, 8} {
+					whole := NewServer(strat, core.NewFixedK(k), nil, d, bits)
+					halves := NewServer(strat, core.NewFixedK(k), nil, d, bits)
+					for round, probeK := range []int{k / 2, 0, k / 3, 0} {
+						ups := serverUploads(rng, n, d, k)
+						main, probe, scale := whole.Aggregate(ups, k, probeK)
+						inB := halves.SelectB(ups, k, probeK)
+						before := slices.Clone(inB)
+						hMain, hProbe, hScale := halves.Sum(ups)
+						if !slices.Equal(before, inB) {
+							t.Fatalf("%s bits=%d round %d: Sum wrote the membership map", strat.Name(), bits, round)
+						}
+						for j, m := range inB {
+							if m&gs.InB != 0 != slices.Contains(main.Indices, j) {
+								t.Fatalf("%s bits=%d round %d: map says %d ∈ B is %v", strat.Name(), bits, round, j, m&gs.InB != 0)
+							}
+						}
+						if !sameAgg(main, hMain) || !sameAgg(probe, hProbe) || math.Float64bits(scale) != math.Float64bits(hScale) ||
+							!slices.Equal(main.PerClientUsed, hMain.PerClientUsed) || !slices.Equal(probe.PerClientUsed, hProbe.PerClientUsed) {
+							t.Fatalf("%s bits=%d round %d: SelectB+Sum differs from Aggregate", strat.Name(), bits, round)
+						}
+					}
+				}
+			}
+		}},
 		{"observe shows the decision and the participant-order means", func(t *testing.T) {
 			ctrl := &scripted{}
 			srv := NewServer(&gs.FABTopK{}, ctrl, nil, d, 0)

@@ -5,8 +5,8 @@ import (
 	"slices"
 
 	"fedsparse/internal/dataset"
+	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
-	"fedsparse/internal/par"
 	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
 )
@@ -14,7 +14,7 @@ import (
 // This file is Algorithm 1's participant side, written once: the engine's
 // phase A (round.go) and every wire participant (internal/transport's
 // runClientRounds) run a Member through a Step, and fold what the server
-// consumed back out of its residual through a JSet.
+// consumed back out of its residual with Settle.
 
 // ClientSeed is participant id's rng seed in a run seeded with base. A
 // wire client or population member seeded this way draws exactly what
@@ -90,33 +90,43 @@ func (s *Step) Run(net *nn.Network, m *Member, mandated []int, k int, buf *spars
 	return r
 }
 
-// JSet is the index set J of the last applied broadcast, epoch-stamped
-// over the coordinate space (par.BumpEpoch), so replacing J allocates
-// nothing and forgetting the previous one is O(1).
+// JSet is the index set J of the last applied broadcast, as a membership
+// byte map over the coordinate space: j ∈ J where in[j]&gs.InB != 0, the
+// bit the server's selection marks B with (gs.AggScratch.Membership). So one
+// Settle serves a wire participant's J and the engine's B alike.
+// Replacing J clears the previous members' bytes and allocates nothing
+// once warm.
 type JSet struct {
-	in  []int32 // in[j] == gen means j ∈ J
-	gen int32
+	in      []byte
+	members []int
 }
 
 // NewJSet returns an empty J over d coordinates.
-func NewJSet(d int) JSet { return JSet{in: make([]int32, d)} }
+func NewJSet(d int) JSet { return JSet{in: make([]byte, d)} }
 
 // Stamp makes indices the current J.
 func (s *JSet) Stamp(indices []int) {
-	par.BumpEpoch(&s.gen, s.in)
+	for _, j := range s.members {
+		s.in[j] = 0
+	}
+	s.members = append(s.members[:0], indices...)
 	for _, j := range indices {
-		s.in[j] = s.gen
+		s.in[j] = gs.InB
 	}
 }
 
+// In returns J's membership map, for Settle.
+func (s *JSet) In() []byte { return s.in }
+
 // Settle is Algorithm 1 lines 16–17: it subtracts from the residual acc
-// the uploaded pairs the server consumed, those in J. Subtracting rather
+// the uploaded pairs the server consumed, those in J, which inJ holds as
+// a membership map (j ∈ J where inJ[j]&gs.InB != 0). Subtracting rather
 // than zeroing is identical for exact uploads (x − x = 0), and with
 // quantization it keeps the quantization error accumulated — error
 // feedback extends to the combined GS+quantization case.
-func (s *JSet) Settle(acc []float64, pairs sparse.Vec) {
+func Settle(acc []float64, pairs sparse.Vec, inJ []byte) {
 	for vi, j := range pairs.Idx {
-		if s.in[j] == s.gen {
+		if inJ[j]&gs.InB != 0 {
 			acc[j] -= pairs.Val[vi]
 		}
 	}

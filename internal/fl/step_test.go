@@ -9,6 +9,7 @@ import (
 
 	"fedsparse/internal/core"
 	"fedsparse/internal/dataset"
+	"fedsparse/internal/gs"
 	"fedsparse/internal/nn"
 	"fedsparse/internal/sparse"
 	"fedsparse/internal/tensor"
@@ -149,7 +150,7 @@ func TestStepContract(t *testing.T) {
 			j := NewJSet(f.net.D())
 			inJ := out.Pairs.Idx[:stepK-2] // two uploaded coordinates miss J
 			j.Stamp(inJ)
-			j.Settle(f.m.Acc, out.Pairs)
+			Settle(f.m.Acc, out.Pairs, j.In())
 			kept := 0
 			for vi, c := range out.Pairs.Idx {
 				want := before[c]
@@ -187,24 +188,21 @@ func TestStepContract(t *testing.T) {
 	}
 }
 
-// TestJSetStamps exercises the epoch-stamped downlink membership the
-// settle relies on: the next round invalidates the previous stamps in
-// O(1).
+// TestJSetStamps exercises the downlink membership map the settle
+// relies on: the next round's stamp clears the previous members' bytes,
+// so no coordinate keeps a stale mark, and a warm stamp allocates nothing.
 func TestJSetStamps(t *testing.T) {
 	j := NewJSet(10)
-	j.Stamp([]int{2, 7})
-	for c := 0; c < 10; c++ {
-		in := j.in[c] == j.gen
-		if in != (c == 2 || c == 7) {
-			t.Fatalf("round 1: J membership of %d = %v", c, in)
+	for round, members := range [][]int{{2, 7}, {4}, {}, {0, 9, 4, 5}} {
+		j.Stamp(members)
+		for c, m := range j.In() {
+			if want := slices.Contains(members, c); (m&gs.InB != 0) != want || (m != 0) != want {
+				t.Fatalf("round %d: coordinate %d holds %#x, want membership %v", round+1, c, m, want)
+			}
 		}
 	}
-	j.Stamp([]int{4})
-	for c := 0; c < 10; c++ {
-		in := j.in[c] == j.gen
-		if in != (c == 4) {
-			t.Fatalf("round 2: J membership of %d = %v", c, in)
-		}
+	if n := testing.AllocsPerRun(20, func() { j.Stamp([]int{1, 3}) }); n != 0 {
+		t.Fatalf("warm Stamp makes %v allocs/op, want 0", n)
 	}
 }
 
@@ -218,7 +216,7 @@ func TestTopKScratchIsPerWorker(t *testing.T) {
 	const nClients = 8 // smallConfig's
 	for _, tc := range []struct{ workers, want int }{{0, 1}, {2, 2}, {8, 8}, {64, nClients}} {
 		pool := poolSize(tc.workers, nClients)
-		if ar := newRoundArena(10, nClients, pool, 4, 0); len(ar.steps) != tc.want {
+		if ar := newRoundArena(nClients, pool, 4, 0); len(ar.steps) != tc.want {
 			t.Fatalf("Workers=%d: arena holds %d steps for %d clients, want %d",
 				tc.workers, len(ar.steps), nClients, tc.want)
 		}

@@ -252,12 +252,11 @@ func (s *AggScratch) histRanged(red RangeAgg, maxLen int) {
 }
 
 // fabSelectDirect builds one FAB selection (main or probe) from ranged
-// facts after histRanged: the rank-κ union is the merged coordinates
+// facts after histRanged and begin: the rank-κ union is the merged coordinates
 // ranked before κ, and — when that leaves the selection short — the
 // served candidates go through the shared fill step.
 func (s *AggScratch) fabSelectDirect(sel *selection, red RangeAgg, meta DirectMeta, k int) error {
 	kappa, _ := s.cutoff(meta.MaxLen, k)
-	s.begin(sel)
 	for i, j := range red.Idx {
 		if red.MinRank[i] < kappa {
 			sel.add(j)
@@ -286,6 +285,7 @@ func (s *AggScratch) finishDirect(red RangeAgg, meta DirectMeta, hasProbe bool) 
 
 func (*FABTopK) SelectDirect(s *AggScratch, red RangeAgg, meta DirectMeta, k, probeK int) (Aggregate, Aggregate, error) {
 	s.histRanged(red, meta.MaxLen)
+	s.begin(probeK > 0, true)
 	err := s.fabSelectDirect(&s.main, red, meta, k)
 	if err == nil && probeK > 0 {
 		err = s.fabSelectDirect(&s.probe, red, meta, probeK)
@@ -332,7 +332,7 @@ func (*FABTopK) SelectHist(s *AggScratch, hist []int, fill FillServer, k int, wi
 	kappa, size := s.cutoff(len(hist), k)
 	cut := Cut{Kappa: kappa, Size: size}
 	sel := &s.main
-	s.begin(sel)
+	s.begin(false, false)
 	if size < k || withMax {
 		cands, unionMax, err := fill(kappa)
 		if err != nil {
@@ -341,12 +341,12 @@ func (*FABTopK) SelectHist(s *AggScratch, hist []int, fill FillServer, k int, wi
 		sel.fill(cands, k-size)
 		cut.Max = unionMax
 		for _, c := range cands {
-			if a := math.Abs(c.Sum); sel.mark[c.Idx] == sel.gen && a > cut.Max {
+			if a := math.Abs(c.Sum); sel.in[c.Idx]&sel.bit != 0 && a > cut.Max {
 				cut.Max = a
 			}
 		}
 	}
-	ascending(sel.members, sel.mark, sel.gen, 0)
+	ascendingIn(sel.members, sel.in, sel.bit)
 	cut.Fill = sel.members
 	return cut, nil
 }

@@ -16,7 +16,9 @@
 // Every strategy implements one contract, Strategy: AggregateInto
 // selects from the raw uploads into a caller-owned AggScratch — one pass
 // for the main and the k′-probe selections, allocation-free once the
-// scratch is warm (scratch.go); SelectDirect makes the same selection, bit
+// scratch is warm (scratch.go), or in two halves, SelectInto and then
+// AggScratch.Sum, for a caller that works beside the summing pass;
+// SelectDirect makes the same selection, bit
 // for bit, over shard-reduced facts for a coordinator that holds no
 // uploads (direct.go); MandatedIndicesInto draws the uplink index set of
 // the mandated-index strategies (mandate.go). The original map-based
@@ -74,6 +76,11 @@ type Strategy interface {
 	// within one client's pairs: every real producer (top-k selection,
 	// the mandated-index strategies) guarantees it.
 	AggregateInto(s *AggScratch, uploads []ClientUpload, k, probeK int) (main, probe Aggregate)
+	// SelectInto is AggregateInto's first half: the same two selections,
+	// marked in the scratch's membership map (AggScratch.Membership) without
+	// their values. AggScratch.Sum over the same uploads is the second
+	// half, and returns what AggregateInto would.
+	SelectInto(s *AggScratch, uploads []ClientUpload, k, probeK int)
 	// SelectDirect is AggregateInto over merged shard reductions in place
 	// of the raw uploads (direct.go): the same selections bit for bit,
 	// with PerClientUsed zeroed, not tallied (a caller that holds the

@@ -14,6 +14,13 @@ import (
 // per run and calls AggregateInto once per round, computing the k-element
 // aggregate and the k′-probe aggregate in a single pass over the uploads.
 //
+// A call is two halves, which the engine runs on different goroutines
+// (Strategy.SelectInto, then AggScratch.Sum): the selection marks B and B′
+// in one membership byte map over the coordinate space, then the summing
+// pass reads the map to add each member's b_j. Between the halves, and
+// during Sum, the map is read-only, so the engine's other workers read J
+// off it (Membership) while Sum runs.
+//
 // Determinism contract: for every strategy and every (k, probeK),
 // AggregateInto returns results bit-identical to the map reference —
 // same indices, same float64 values, same fairness counts. Selection is
@@ -40,16 +47,27 @@ import (
 // paths. The zero value is NOT ready to use; call NewAggScratch. A scratch
 // may be reused across rounds and runs of any strategies and dimensions —
 // buffers grow to the largest dimension seen — but is single-goroutine
-// state. Aggregates returned by AggregateInto alias the scratch's output
-// buffers and stay valid only until its next call.
+// state, with one exception: from a SelectInto until the next selection
+// the membership map (Membership) is read-only, and any goroutine may
+// read it while Sum runs. Aggregates returned by AggregateInto alias the scratch's
+// output buffers and stay valid only until its next call.
 type AggScratch struct {
 	// reserved means Reserve fixed the slab dimension: skip the per-call
 	// maxDim scan and trust coordinates to be in range.
 	reserved bool
 
+	// in is the membership map of the two selections: in[j]&InB marks j
+	// as a member of main, in[j]&inProbe of probe. begin clears the bits
+	// of their previous members, so the map never carries a stale bit.
+	in []byte
+
 	// main and probe are the call's two selections (k and k′); one set of
 	// buffers each, so both Aggregates stay valid together.
 	main, probe selection
+
+	// probeOn and sumsValid are what the last selection left Sum to do:
+	// emit a probe, and whether s.sums already holds every member's b_j.
+	probeOn, sumsValid bool
 
 	// markTmp is the transient epoch-stamped set over the coordinate space
 	// (markTmp[j] == genTmp means j was seen this pass; bumping genTmp
@@ -83,32 +101,63 @@ type AggScratch struct {
 	rangeRank []int
 }
 
-// selection is one downlink selection under construction — a membership
-// slab over the coordinate space, the member list, and the buffers the
-// emitted Aggregate aliases.
+// The bits of the membership map: InB marks B, the main selection — the
+// downlink index set J whose uploaded pairs the participants settle — and
+// inProbe marks B′.
+const (
+	InB     byte = 1 << 0
+	inProbe byte = 1 << 1
+)
+
+// selection is one downlink selection under construction — its bit in the
+// scratch's membership map, the member list, and the buffers the emitted
+// Aggregate aliases.
 type selection struct {
-	mark    []int32 // mark[j] == gen means coordinate j is a member
-	gen     int32
+	bit     byte
+	in      []byte // the scratch's membership map
 	members []int
 	vals    []float64
 	used    []int
 }
 
-// begin empties the selection, growing its slab to the reduction slabs'
-// dimension (lazily, so reduction-only scratches — shard processes, which
-// only ever run RangeReduceInto — never allocate one).
-func (s *AggScratch) begin(sel *selection) {
-	sel.mark = growInt32s(sel.mark, len(s.markTmp))
-	par.BumpEpoch(&sel.gen, sel.mark)
-	sel.members = sel.members[:0]
+// begin empties both selections for a call that does or does not select
+// a probe, and whose selection does or does not leave every member's b_j
+// in s.sums. The membership map grows to the reduction slabs' dimension
+// here (lazily, so reduction-only scratches — shard processes, which only
+// ever run RangeReduceInto — never allocate one); otherwise each member's
+// byte is cleared, or the whole map when the members are as many as
+// ascending would scan for.
+func (s *AggScratch) begin(probeOn, sumsValid bool) {
+	switch n := len(s.main.members) + len(s.probe.members); {
+	case len(s.in) < len(s.markTmp):
+		s.in = make([]byte, len(s.markTmp))
+	case scans(n, len(s.in)):
+		clear(s.in)
+	default:
+		for _, j := range s.main.members {
+			s.in[j] = 0
+		}
+		for _, j := range s.probe.members {
+			s.in[j] = 0
+		}
+	}
+	s.main.in, s.probe.in = s.in, s.in
+	s.main.members, s.probe.members = s.main.members[:0], s.probe.members[:0]
+	s.probeOn, s.sumsValid = probeOn, sumsValid
 }
 
 func (sel *selection) add(j int) {
-	if sel.mark[j] != sel.gen {
-		sel.mark[j] = sel.gen
+	if sel.in[j]&sel.bit == 0 {
+		sel.in[j] |= sel.bit
 		sel.members = append(sel.members, j)
 	}
 }
+
+// Membership returns the membership map of the last selection, read-only:
+// j is in B, the main selection, exactly when Membership()[j]&InB != 0. It
+// stays valid until the scratch's next selection, and reading it
+// concurrently with Sum is safe.
+func (s *AggScratch) Membership() []byte { return s.in }
 
 // fill is the last step of every FAB selection, whichever input produced
 // κ and the rank-κ union: the rank-(κ+1) candidates, sorted by the
@@ -124,11 +173,11 @@ func (sel *selection) fill(cands []FillCand, k int) {
 	}
 }
 
-// emit puts the members in ascending order (ascending, over the whole
-// slab) and builds the selection's Aggregate with the values found in
+// emit puts the members in ascending order (ascendingIn, over the whole
+// map) and builds the selection's Aggregate with the values found in
 // sums; used must already hold the fairness counts.
 func (sel *selection) emit(sums []float64) Aggregate {
-	ascending(sel.members, sel.mark, sel.gen, 0)
+	ascendingIn(sel.members, sel.in, sel.bit)
 	sel.vals = growFloats(sel.vals, len(sel.members))
 	for i, j := range sel.members {
 		sel.vals[i] = sums[j]
@@ -138,12 +187,12 @@ func (sel *selection) emit(sums []float64) Aggregate {
 
 // ascending sorts members, which must be exactly the coordinates lo+i
 // with mark[i] == gen (mark is the window of an epoch slab that starts
-// at coordinate lo). A list holding at least 1/16 of the window's coordinates is read back
-// in order off the slab — one pass over it, which costs less than
-// sorting that many — and a sparser one is sorted. This is the one
-// sort-or-scan rule of the package: the selections' emitter runs it over
-// the whole membership slab, the range reduction (shard.go) over its
-// range of the reduction slab.
+// at coordinate lo). A list holding at least 1/16 of the window's
+// coordinates is read back in order off the slab — one pass over it,
+// which costs less than sorting that many — and a sparser one is sorted.
+// This is the one sort-or-scan rule of the package (scans): the range
+// reduction (shard.go) runs it over its range of the reduction slab, and
+// ascendingIn, the selections' emitter, over the membership map.
 //
 // The scan writes each coordinate to the next free slot, which only a
 // member claims, so the pass has no branch on the membership test; it
@@ -163,8 +212,26 @@ func ascending(members []int, mark []int32, gen int32, lo int) {
 	}
 }
 
+// ascendingIn is ascending for a selection's members, the coordinates j
+// with in[j]&bit != 0: one byte read per coordinate where it scans.
+func ascendingIn(members []int, in []byte, bit byte) {
+	if !scans(len(members), len(in)) {
+		slices.Sort(members)
+		return
+	}
+	n := 0
+	for j, m := range in {
+		if n == len(members) {
+			break
+		}
+		members[n] = j
+		n += b2i(m&bit != 0)
+	}
+}
+
 // scans reports whether ascending reads n members of a width-coordinate
-// window back off the slab rather than sorting them.
+// window back off the slab rather than sorting them, and begin clears
+// the whole membership map rather than n members' bytes.
 func scans(n, width int) bool { return n >= width/16 }
 
 // fubEntry is one aggregated coordinate in FUB's |b_j| ranking.
@@ -176,7 +243,7 @@ type fubEntry struct {
 // NewAggScratch returns an empty scratch. The argument is ignored: the
 // signature is held by bench/ (frozen by BENCHMARK.json).
 func NewAggScratch(int) *AggScratch {
-	return &AggScratch{sums: make([]float64, accSink)}
+	return &AggScratch{sums: make([]float64, accSink), main: selection{bit: InB}, probe: selection{bit: inProbe}}
 }
 
 // Reserve pre-sizes the coordinate-indexed slabs for dimension-dim models
@@ -199,7 +266,7 @@ func (s *AggScratch) prepare(uploads []ClientUpload) {
 }
 
 // ensureDim grows the reduction slabs (transient marks and their member
-// list, sums, min ranks) to at least dim. The selections' slabs grow in
+// list, sums, min ranks) to at least dim. The membership map grows in
 // begin instead.
 func (s *AggScratch) ensureDim(dim int) {
 	if len(s.markTmp) >= dim {
@@ -277,12 +344,11 @@ func (s *AggScratch) cutoff(ranks, k int) (kappa, size int) {
 	return kappa, size
 }
 
-// fabSelect builds one FAB selection over raw uploads after the walk: the
-// rank-κ union is the first coordinates it stamped, then the fill from
-// rank κ+1.
+// fabSelect builds one FAB selection over raw uploads after the walk and
+// begin: the rank-κ union is the first coordinates it stamped, then the
+// fill from rank κ+1.
 func (s *AggScratch) fabSelect(sel *selection, uploads []ClientUpload, ranks, k int) {
 	kappa, size := s.cutoff(ranks, k)
-	s.begin(sel)
 	for _, j := range s.stamped[:size] {
 		sel.add(j)
 	}
@@ -324,12 +390,11 @@ func (s *AggScratch) fubSums(uploads []ClientUpload) {
 // same ranking.
 func (s *AggScratch) fubSelect(k, probeK int) {
 	slices.SortFunc(s.entries, compareFUBEntries)
-	s.begin(&s.main)
+	s.begin(probeK > 0, true)
 	for _, e := range s.entries[:min(k, len(s.entries))] {
 		s.main.add(e.idx)
 	}
 	if probeK > 0 {
-		s.begin(&s.probe)
 		for _, e := range s.entries[:min(probeK, len(s.entries))] {
 			s.probe.add(e.idx)
 		}
@@ -341,7 +406,7 @@ func (s *AggScratch) fubSelect(k, probeK int) {
 // uploads' pairs or (with no uploads) a merged reduction's coordinates.
 // The probe selection is the same set.
 func (s *AggScratch) unionSelect(uploads []ClientUpload, red RangeAgg, hasProbe bool) {
-	s.begin(&s.main)
+	s.begin(hasProbe, false)
 	for _, u := range uploads {
 		for _, j := range u.Pairs.Idx {
 			s.main.add(j)
@@ -351,7 +416,6 @@ func (s *AggScratch) unionSelect(uploads []ClientUpload, red RangeAgg, hasProbe 
 		s.main.add(j)
 	}
 	if hasProbe {
-		s.begin(&s.probe)
 		for _, j := range s.main.members {
 			s.probe.add(j)
 		}
@@ -394,6 +458,15 @@ func compareFUBEntries(a, b fubEntry) int {
 	}
 }
 
+// Sum is AggregateInto's second half, run after a Strategy.SelectInto over
+// the same uploads: the members' b_j and the fairness counts, emitted as
+// the main selection's Aggregate and, when the selection had a probe, the
+// probe's. It reads the membership map and writes nothing another
+// goroutine may read (Membership).
+func (s *AggScratch) Sum(uploads []ClientUpload) (main, probe Aggregate) {
+	return s.finish(uploads, len(uploads), s.probeOn, s.sumsValid)
+}
+
 // finish turns the marked selections into sorted, value-filled Aggregates
 // with nClients fairness counts each — the one emitter of every path.
 // sumsValid says s.sums[j] already holds the exact b_j of every member
@@ -429,20 +502,17 @@ func (s *AggScratch) finish(uploads []ClientUpload, nClients int, hasProbe, sums
 
 // accumulate is the weighted accumulation: clients in ascending order,
 // pairs in upload order — the exact operation sequence of the reference
-// path, shared between the main and probe selections. The member test is
-// a value, not a branch: it picks the slot each pair's w·v is added to —
-// the member's sum, or for a non-member one of the sink slots past the
+// path, shared between the main and probe selections, with one byte read
+// of the membership map per pair for both. The member test is a value,
+// not a branch: it picks the slot each pair's w·v is added to — the
+// member's sum, or for a non-member one of the sink slots past the
 // coordinate space, which nothing reads — and the fairness counts add
-// the tests as 0 or 1.
+// the tests as 0 or 1. Without a probe its bit is clear everywhere, and
+// the probe's counts are dropped.
 func (s *AggScratch) accumulate(uploads []ClientUpload, hasProbe bool) {
-	markM, genM := s.main.mark, s.main.gen
-	markP, genP := s.probe.mark, s.probe.gen
-	if !hasProbe {
-		// The probe test repeats the main one; its counts are dropped.
-		markP, genP = markM, genM
-	}
-	d := len(markM)
-	markP, sums := markP[:d], s.sums[:d+accSink]
+	in := s.in
+	d := len(in)
+	sums := s.sums[:d+accSink]
 	clear(sums[d:]) // the sinks' junk stays the size of one call's sums
 	c := totalWeight(uploads)
 	for ci, u := range uploads {
@@ -450,7 +520,8 @@ func (s *AggScratch) accumulate(uploads []ClientUpload, hasProbe bool) {
 		vals := u.Pairs.Val[:len(u.Pairs.Idx)]
 		usedM, usedP := 0, 0
 		for pi, j := range u.Pairs.Idx {
-			inM, inP := b2i(markM[j] == genM), b2i(markP[j] == genP)
+			m := int(in[j])
+			inM, inP := m&int(InB), m>>1 // inProbe is bit 1
 			sink := d + pi&(accSink-1)
 			nonMember := (inM | inP) - 1 // all ones or zero
 			sums[j^(j^sink)&nonMember] += w * vals[pi]
@@ -484,15 +555,13 @@ func b2i(b bool) int {
 // way (FUB); a SelectDirect caller that does hold the uploads calls it to
 // fill the counts SelectDirect left zero.
 func (s *AggScratch) CountUsed(uploads []ClientUpload, hasProbe bool) {
+	in := s.in
 	for ci, u := range uploads {
 		countM, countP := 0, 0
 		for _, j := range u.Pairs.Idx {
-			if s.main.mark[j] == s.main.gen {
-				countM++
-			}
-			if hasProbe && s.probe.mark[j] == s.probe.gen {
-				countP++
-			}
+			m := int(in[j])
+			countM += m & int(InB)
+			countP += m >> 1 // inProbe is bit 1
 		}
 		s.main.used[ci] = countM
 		if hasProbe {
@@ -501,43 +570,67 @@ func (s *AggScratch) CountUsed(uploads []ClientUpload, hasProbe bool) {
 	}
 }
 
-// Strategy.AggregateInto implementations.
+// Strategy.SelectInto and AggregateInto implementations: every
+// AggregateInto is its SelectInto, then Sum.
 
-func (*FABTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
+func (*FABTopK) SelectInto(a *AggScratch, uploads []ClientUpload, k, probeK int) {
 	a.prepare(uploads)
 	ranks := a.walk(uploads, max(k, probeK))
+	a.begin(probeK > 0, false)
 	a.fabSelect(&a.main, uploads, ranks, k)
 	if probeK > 0 {
 		a.fabSelect(&a.probe, uploads, ranks, probeK)
 	}
-	return a.finish(uploads, len(uploads), probeK > 0, false)
 }
 
-func (FUBTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
+func (f *FABTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
+	f.SelectInto(a, uploads, k, probeK)
+	return a.Sum(uploads)
+}
+
+func (FUBTopK) SelectInto(a *AggScratch, uploads []ClientUpload, k, probeK int) {
 	a.prepare(uploads)
 	a.fubSums(uploads)
 	a.fubSelect(k, probeK)
-	return a.finish(uploads, len(uploads), probeK > 0, true)
 }
 
-// unionAggregateInto is shared by the strategies whose selection is the
+func (f FUBTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, k, probeK int) (Aggregate, Aggregate) {
+	f.SelectInto(a, uploads, k, probeK)
+	return a.Sum(uploads)
+}
+
+// unionSelectInto is shared by the strategies whose selection is the
 // whole upload union (k is ignored).
-func unionAggregateInto(a *AggScratch, uploads []ClientUpload, probeK int) (Aggregate, Aggregate) {
+func unionSelectInto(a *AggScratch, uploads []ClientUpload, probeK int) {
 	a.prepare(uploads)
 	a.unionSelect(uploads, RangeAgg{}, probeK > 0)
-	return a.finish(uploads, len(uploads), probeK > 0, false)
+}
+
+func (UniTopK) SelectInto(a *AggScratch, uploads []ClientUpload, _, probeK int) {
+	unionSelectInto(a, uploads, probeK)
+}
+
+func (PeriodicK) SelectInto(a *AggScratch, uploads []ClientUpload, _, probeK int) {
+	unionSelectInto(a, uploads, probeK)
+}
+
+func (SendAll) SelectInto(a *AggScratch, uploads []ClientUpload, _, probeK int) {
+	unionSelectInto(a, uploads, probeK)
 }
 
 func (UniTopK) AggregateInto(a *AggScratch, uploads []ClientUpload, _, probeK int) (Aggregate, Aggregate) {
-	return unionAggregateInto(a, uploads, probeK)
+	unionSelectInto(a, uploads, probeK)
+	return a.Sum(uploads)
 }
 
 func (PeriodicK) AggregateInto(a *AggScratch, uploads []ClientUpload, _, probeK int) (Aggregate, Aggregate) {
-	return unionAggregateInto(a, uploads, probeK)
+	unionSelectInto(a, uploads, probeK)
+	return a.Sum(uploads)
 }
 
 func (SendAll) AggregateInto(a *AggScratch, uploads []ClientUpload, _, probeK int) (Aggregate, Aggregate) {
-	return unionAggregateInto(a, uploads, probeK)
+	unionSelectInto(a, uploads, probeK)
+	return a.Sum(uploads)
 }
 
 // growInt32s grows s to length n, preserving contents and zeroing the

@@ -229,3 +229,98 @@ func BenchmarkAggregate(b *testing.B) {
 		})
 	}
 }
+
+// requireMapMatchesMembers holds the membership map to the two selections'
+// member lists: each selection's bit is set exactly at its members, and
+// no other bit anywhere — a stale mark from an earlier call would count a
+// pair as consumed that this round never selected.
+func requireMapMatchesMembers(t *testing.T, call string, s *AggScratch) {
+	t.Helper()
+	want := make([]byte, len(s.in))
+	for _, j := range s.main.members {
+		want[j] |= InB
+	}
+	for _, j := range s.probe.members {
+		want[j] |= inProbe
+	}
+	for j := range want {
+		if s.in[j] != want[j] {
+			t.Fatalf("%s: coordinate %d holds %#x, want %#x", call, j, s.in[j], want[j])
+		}
+	}
+}
+
+// TestMembershipMapNeverStale drives one scratch through a run of calls
+// that switch strategy, entry point (AggregateInto, SelectInto then Sum,
+// SelectDirect, SelectHist), budget — k shrinking and growing, past D/16
+// where begin clears the whole map and below it where it clears member
+// by member — and the probe on and off, and after every call wants the
+// map to hold exactly the selections' members and every result to match
+// the map reference. A second run lets an un-reserved scratch's dimension
+// grow and shrink, so the map is re-made mid-run.
+func TestMembershipMapNeverStale(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	strategies := scratchStrategies()
+	const d = 400
+	rd := newRangedDriver(2, 0, d, true)
+	for trial := 0; trial < 300; trial++ {
+		strat := strategies[rng.Intn(len(strategies))]
+		k := 1 + rng.Intn(12)
+		if rng.Intn(3) == 0 {
+			k = d/16 + rng.Intn(d) // budgets at and past the whole-map clear
+		}
+		probeK := 0
+		if rng.Intn(2) == 0 {
+			probeK = rng.Intn(k)
+		}
+		ups := randomUploads(rng, 1+rng.Intn(6), d, min(k, d))
+		want := referenceAggregate(strat, ups, k)
+		var main, probe Aggregate
+		var call string
+		switch entry := rng.Intn(4); {
+		case entry == 0:
+			call = "AggregateInto"
+			main, probe = strat.AggregateInto(rd.sel, ups, k, probeK)
+		case entry == 1:
+			call = "SelectInto+Sum"
+			strat.SelectInto(rd.sel, ups, k, probeK)
+			requireMapMatchesMembers(t, fmt.Sprintf("trial %d %s %s between halves", trial, strat.Name(), call), rd.sel)
+			main, probe = rd.sel.Sum(ups)
+		case entry == 2:
+			call = "SelectDirect"
+			var err error
+			if main, probe, err = rd.aggregate(strat, ups, k, probeK); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			call, strat, probeK = "SelectHist", &FABTopK{}, 0
+			want = referenceAggregate(strat, ups, k)
+			b, _, err := rd.histogram(ups, k, rng.Intn(2) == 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.PerClientUsed = want.PerClientUsed // the plane tallies no fairness counts
+			main = b
+		}
+		requireMapMatchesMembers(t, fmt.Sprintf("trial %d %s %s k=%d probeK=%d", trial, strat.Name(), call, k, probeK), rd.sel)
+		requireSameAggregate(t, trial, want, main)
+		if probeK > 0 {
+			requireSameAggregate(t, trial, referenceAggregate(strat, ups, probeK), probe)
+		}
+	}
+
+	s := NewAggScratch(0)
+	for trial, dim := range []int{50, 300, 40, 1000, 1000, 120, 2000, 60} {
+		for _, strat := range strategies {
+			k := 1 + rng.Intn(dim/2)
+			probeK := rng.Intn(2) * rng.Intn(k)
+			ups := randomUploads(rng, 1+rng.Intn(5), dim, k)
+			main, probe := strat.AggregateInto(s, ups, k, probeK)
+			requireMapMatchesMembers(t, fmt.Sprintf("dim %d %s", dim, strat.Name()), s)
+			requireSameAggregate(t, trial, referenceAggregate(strat, ups, k), main)
+			if probeK > 0 {
+				requireSameAggregate(t, trial, referenceAggregate(strat, ups, probeK), probe)
+			}
+		}
+	}
+}

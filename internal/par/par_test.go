@@ -2,7 +2,10 @@ package par
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The pool primitive itself (For, PoolSize) is additionally exercised by
@@ -51,5 +54,87 @@ func TestBumpEpochWrap(t *testing.T) {
 	}
 	if next := BumpEpoch(&gen, slab); next != 2 {
 		t.Fatalf("next generation = %d, want 2", next)
+	}
+}
+
+// TestForWorkerIndicesAndCoverage runs every index once, on worker ids in
+// [0, PoolSize), at pool sizes from sequential to wider than n.
+func TestForWorkerIndicesAndCoverage(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 3, 8, 33} {
+		const n = 64
+		hits := make([]atomic.Int32, n)
+		var bad atomic.Int64
+		bad.Store(-1)
+		limit := PoolSize(workers, n)
+		For(workers, n, func(i, w int) {
+			hits[i].Add(1)
+			if w < 0 || w >= limit {
+				bad.Store(int64(w))
+			}
+		})
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
+			}
+		}
+		if w := bad.Load(); w >= 0 {
+			t.Fatalf("workers=%d: worker id %d outside [0, %d)", workers, w, limit)
+		}
+	}
+}
+
+// TestForAllocsAtMostPoolSize pins For's cost: the shared call state plus
+// one closure per goroutine it starts — at most PoolSize allocations,
+// none on the sequential path.
+func TestForAllocsAtMostPoolSize(t *testing.T) {
+	fn := func(int, int) {}
+	for _, workers := range []int{1, 2, 4, 8} {
+		const n = 16
+		got := testing.AllocsPerRun(200, func() { For(workers, n, fn) })
+		if limit := PoolSize(workers, n); got > float64(limit) || (limit == 1 && got != 0) {
+			t.Fatalf("workers=%d: For allocates %.1f objects a call, want at most %d", workers, got, limit)
+		}
+	}
+}
+
+// TestForCallerPanicWaitsForWorkers panics in an iteration the caller runs
+// itself (worker 0) while the started workers are mid-iteration: For must
+// re-raise the original value, and only once every other worker stopped.
+func TestForCallerPanicWaitsForWorkers(t *testing.T) {
+	var running, ran atomic.Int32
+	defer func() {
+		if r := recover(); r != "caller" {
+			t.Fatalf("recovered %v, want the caller's panic value", r)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("For re-raised with %d iterations still running", n)
+		}
+		if ran.Load() == 0 {
+			t.Fatal("no started worker ran an iteration")
+		}
+	}()
+	For(4, 64, func(_, w int) {
+		if w == 0 {
+			for running.Load() == 0 { // panic while a started worker is busy
+				runtime.Gosched()
+			}
+			panic("caller")
+		}
+		running.Add(1)
+		defer running.Add(-1)
+		time.Sleep(5 * time.Millisecond)
+		ran.Add(1)
+	})
+	t.Fatal("For returned without panicking")
+}
+
+// BenchmarkFor times one empty fan-out of 32 iterations on 2 workers, the
+// engine's fan-out at engine_adaptive's cohort on a 2-core host: the pool's
+// own cost per call, and its allocations.
+func BenchmarkFor(b *testing.B) {
+	fn := func(int, int) {}
+	b.ReportAllocs()
+	for b.Loop() {
+		For(2, 32, fn)
 	}
 }

@@ -1364,7 +1364,12 @@ type binConn struct {
 	br   *bufio.Reader
 	wbuf []byte
 	rbuf []byte
-	sc   decScratch
+	// hdr is the frame length Recv reads: held here, because a local
+	// array escapes through io.ReadFull and costs a heap object per frame.
+	// One reader at a time calls Recv (Mux serialises its readers), so
+	// the header is never shared.
+	hdr [4]byte
+	sc  decScratch
 
 	recvErr   error
 	sendMu    sync.Mutex
@@ -1422,11 +1427,10 @@ func (c *binConn) Recv() (msg any, err error) {
 		return nil, c.recvErr
 	}
 	defer func() { c.recvErr = err }()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return nil, c.recvIOErr(err, true)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(c.hdr[:]))
 	if n < 1 || n > maxFrame {
 		return nil, fmt.Errorf("transport: recv: frame length %d outside [1, %d]", n, maxFrame)
 	}

@@ -53,6 +53,7 @@ type Mux struct {
 	cond    *sync.Cond
 	reading bool          // a receiver is blocked in phys.Recv
 	queues  map[int][]any // parked frames per virtual ID
+	free    [][]any       // drained queues' backing arrays, for the next IDs to park
 	hostQ   []any         // parked host-level (non-enveloped) messages
 	err     error         // latched physical receive error
 	vclosed map[int]bool  // locally closed virtual IDs
@@ -101,6 +102,10 @@ func (m *Mux) recvFor(vid int) (any, error) {
 			msg := q[0]
 			if len(q) == 1 {
 				delete(m.queues, vid) // a drained ID keeps no entry
+				q[0] = nil
+				if len(m.free) < muxFreeQueues {
+					m.free = append(m.free, q[:0])
+				}
 			} else {
 				m.queues[vid] = q[1:]
 			}
@@ -124,13 +129,31 @@ func (m *Mux) recvFor(vid int) (any, error) {
 			if mf.VID < 0 {
 				m.err = fmt.Errorf("transport: mux: negative virtual ID %d on the wire", mf.VID)
 			} else {
-				m.queues[mf.VID] = append(m.queues[mf.VID], mf.Msg)
+				m.park(mf.VID, mf.Msg)
 			}
 		} else {
 			m.hostQ = append(m.hostQ, msg)
 		}
 		m.cond.Broadcast()
 	}
+}
+
+// muxFreeQueues bounds the Mux's free list of drained queues: a host's
+// members park at most one round's frames each, and a round draws a
+// cohort of tens of members per host.
+const muxFreeQueues = 64
+
+// park queues msg for virtual ID vid. An ID without a queue takes a
+// drained one's backing array off the free list, so a member's next
+// frame allocates nothing once the link is warm. Called with m.mu held.
+func (m *Mux) park(vid int, msg any) {
+	q, ok := m.queues[vid]
+	if !ok && len(m.free) > 0 {
+		q = m.free[len(m.free)-1]
+		m.free[len(m.free)-1] = nil
+		m.free = m.free[:len(m.free)-1]
+	}
+	m.queues[vid] = append(q, msg)
 }
 
 // virtualConn is one virtual client's view of the shared link.

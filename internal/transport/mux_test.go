@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -200,5 +202,71 @@ func TestMuxPhysicalErrorLatches(t *testing.T) {
 	}
 	if _, err := mb.Recv(); !errors.Is(err, io.EOF) {
 		t.Fatalf("host recv after latched error = %v, want io.EOF", err)
+	}
+}
+
+// scriptConn is a physical link that receives its script's messages over
+// and over, pre-boxed, so reading them allocates nothing of its own.
+type scriptConn struct {
+	script []any
+	next   int
+}
+
+func (s *scriptConn) Send(any) error { return nil }
+func (s *scriptConn) Close() error   { return nil }
+func (s *scriptConn) Recv() (any, error) {
+	msg := s.script[s.next%len(s.script)]
+	s.next++
+	return msg, nil
+}
+
+// TestMuxDrainedQueuesRecycled runs a warm two-ID exchange — ID 2's frame
+// arrives first and parks while ID 1's receiver drives the read, then
+// both drain — and wants no allocation: a drained ID's queue goes to the
+// free list and the next ID to park takes it, while a drained ID still
+// keeps no map entry.
+func TestMuxDrainedQueuesRecycled(t *testing.T) {
+	phys := &scriptConn{script: []any{
+		MuxFrame{VID: 2, Msg: Upload{ClientID: 2}},
+		MuxFrame{VID: 1, Msg: Upload{ClientID: 1}},
+	}}
+	m := NewMux(phys)
+	exchange := func() {
+		for _, vid := range []int{1, 2} {
+			msg, err := m.recvFor(vid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up := msg.(Upload); up.ClientID != vid {
+				t.Fatalf("vid %d got client %d's frame", vid, up.ClientID)
+			}
+		}
+	}
+	exchange()
+	if n := testing.AllocsPerRun(100, exchange); n != 0 {
+		t.Fatalf("warm two-ID exchange makes %v allocs, want 0", n)
+	}
+	if len(m.queues) != 0 {
+		t.Fatalf("%d drained IDs still hold a queue entry", len(m.queues))
+	}
+}
+
+// TestBinConnRecvAllocs pins a warm binConn.Recv at one allocation: the
+// boxed message. The frame header and payload buffers are the conn's own.
+func TestBinConnRecvAllocs(t *testing.T) {
+	frame, err := appendFrame(nil, Broadcast{Round: 2, Idx: []int{3, 9, 40}, Val: []float64{0.5, -1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 128
+	c := &binConn{br: bufio.NewReader(bytes.NewReader(bytes.Repeat(frame, frames)))}
+	recv := func() {
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv()
+	if n := testing.AllocsPerRun(frames-2, recv); n != 1 {
+		t.Fatalf("warm Recv makes %v allocs, want 1 (the boxed message)", n)
 	}
 }

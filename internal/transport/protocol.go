@@ -672,7 +672,7 @@ func (s *memberStates) load(pos int) fl.Member {
 // shard-served slices, fetched after the coordinator's release and
 // reassembled by concatenation — applies it once to the shared model,
 // and settles each of that round's uploads out of its member's residual
-// (fl.JSet.Settle). Steps past init.Rounds only drain the last W rounds.
+// (fl.Settle). Steps past init.Rounds only drain the last W rounds.
 // So round m's local step sees the weights of round m−W−1, as in fl.Run
 // with the same Staleness, and W = 0 is the lockstep loop.
 //
@@ -773,7 +773,7 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 			return err
 		}
 		for _, up := range ring[r%(w+1)] {
-			applied.Settle(members.slots[up.pos].acc, up.pairs)
+			fl.Settle(members.slots[up.pos].acc, up.pairs, applied.In())
 		}
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 // This file holds the participant round's links, run by the participant's
 // one round loop (protocol.go: runClientRounds) at any staleness window.
 // The computation is not here: a member's local step and its residual
-// settle are fl's Step and JSet, the code the engine runs. Every client
+// settle are fl's Step and Settle, the code the engine runs. Every client
 // tier goes through that loop and differs only in its roster and links:
 // the client (its own ID, every round), the durable client
 // (durable_client.go: the same roster over self-healing links) and the
@@ -23,7 +23,7 @@ import (
 
 // appliedSet is the downlink half of every participant's round and its
 // trust boundary on B: it validates the aggregated B against the model,
-// applies it, and stamps its index set as the J that Settle folds the
+// applies it, and stamps its index set as the J that fl.Settle folds the
 // consumed upload mass out of the residuals by.
 type appliedSet struct {
 	who string

@@ -91,8 +91,10 @@ go test -race -count=20 -cpu 1,2,4 -run 'SameSeedSameBytes' ./internal/transport
 # trajectories, repeated under the race detector. The golden table's
 # window rows, each run at Workers 0 and 4, are the engine's only
 # absolute pin of W >= 1 (a round's phase A overlapping earlier seals),
-# so a scheduling dependence there would show as a moved hash.
-go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention|ServerContract|EngineGolden' ./internal/fl
+# so a scheduling dependence there would show as a moved hash. The seal
+# fan-out grid runs the sum of B beside the settles at every worker
+# count, window and strategy against the sequential run.
+go test -race -count=5 -cpu 1,2,4 -run 'Step|PerWorker|UnderContention|ServerContract|EngineGolden|SealFanOut' ./internal/fl
 # Chaos step: the crash-recovery and fault-injection matrices re-run
 # under the race detector with -count=1 — an uncached execution on every
 # push, so the recovery paths (coordinator killed at each WAL boundary,
