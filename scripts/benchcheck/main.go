@@ -93,6 +93,10 @@ var tracked = []struct {
 	// A population host's member switch: re-seeding the shared rng
 	// source, 0 allocs/op.
 	{"./internal/wal/", "BenchmarkCountingSourceReset", "2000x"},
+	// One empty fan-out of the worker pool at engine_adaptive's cohort:
+	// the engine makes three a round, so its allocs/op is three times
+	// what each round's pool costs.
+	{"./internal/par/", "BenchmarkFor", "2000x"},
 	{".", "BenchmarkRunGSParallel", "3x"},
 }
 
