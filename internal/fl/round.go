@@ -353,14 +353,14 @@ func (e *gsEngine) seal(r int) (stop bool, err error) {
 func (e *gsEngine) sumOrSettle(i, _ int) {
 	slot, ar := e.cur, e.ar
 	nPart, p := len(slot.participants), len(e.replicas)
-	switch i--; {
-	case i < 0:
+	switch {
+	case i == 0:
 		e.sel, e.probeSel, _ = e.srv.Sum(slot.uploads[:nPart])
-	case i < p:
-		lo, hi := tensor.ChunkBounds(nPart, p, i)
-		e.replicas[i].Losses(ar.fPrev[lo:hi], slot.hx[lo:hi], slot.hy[lo:hi]) // f_{i,h}(w(r−1))
+	case i <= p:
+		lo, hi := tensor.ChunkBounds(nPart, p, i-1)
+		e.replicas[i-1].Losses(ar.fPrev[lo:hi], slot.hx[lo:hi], slot.hy[lo:hi]) // f_{i,h}(w(r−1))
 	default:
-		pi := i - p
+		pi := i - 1 - p
 		Settle(e.clients[slot.participants[pi]].Acc, slot.uploads[pi].Pairs, e.inB)
 	}
 }

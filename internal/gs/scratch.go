@@ -126,7 +126,8 @@ type selection struct {
 // here (lazily, so reduction-only scratches — shard processes, which only
 // ever run RangeReduceInto — never allocate one); otherwise each member's
 // byte is cleared, or the whole map when the members are as many as
-// ascending would scan for.
+// ascending would scan for. B′'s are cleared apart from B's: B′ lies
+// inside B only while k′ < k.
 func (s *AggScratch) begin(probeOn, sumsValid bool) {
 	switch n := len(s.main.members) + len(s.probe.members); {
 	case len(s.in) < len(s.markTmp):

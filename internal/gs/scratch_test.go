@@ -254,10 +254,11 @@ func requireMapMatchesMembers(t *testing.T, call string, s *AggScratch) {
 // that switch strategy, entry point (AggregateInto, SelectInto then Sum,
 // SelectDirect, SelectHist), budget — k shrinking and growing, past D/16
 // where begin clears the whole map and below it where it clears member
-// by member — and the probe on and off, and after every call wants the
-// map to hold exactly the selections' members and every result to match
-// the map reference. A second run lets an un-reserved scratch's dimension
-// grow and shrink, so the map is re-made mid-run.
+// by member — and the probe on, off and past k (so B′ leaves B), and
+// after every call wants the map to hold exactly the selections' members
+// and every result to match the map reference. A second run lets an
+// un-reserved scratch's dimension grow and shrink, so the map is re-made
+// mid-run.
 func TestMembershipMapNeverStale(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	strategies := scratchStrategies()
@@ -270,8 +271,11 @@ func TestMembershipMapNeverStale(t *testing.T) {
 			k = d/16 + rng.Intn(d) // budgets at and past the whole-map clear
 		}
 		probeK := 0
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			probeK = rng.Intn(k)
+		case 1:
+			probeK = k + 1 + rng.Intn(12)
 		}
 		ups := randomUploads(rng, 1+rng.Intn(6), d, min(k, d))
 		want := referenceAggregate(strat, ups, k)

@@ -57,32 +57,6 @@ func TestBumpEpochWrap(t *testing.T) {
 	}
 }
 
-// TestForWorkerIndicesAndCoverage runs every index once, on worker ids in
-// [0, PoolSize), at pool sizes from sequential to wider than n.
-func TestForWorkerIndicesAndCoverage(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 8, 33} {
-		const n = 64
-		hits := make([]atomic.Int32, n)
-		var bad atomic.Int64
-		bad.Store(-1)
-		limit := PoolSize(workers, n)
-		For(workers, n, func(i, w int) {
-			hits[i].Add(1)
-			if w < 0 || w >= limit {
-				bad.Store(int64(w))
-			}
-		})
-		for i := range hits {
-			if h := hits[i].Load(); h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
-			}
-		}
-		if w := bad.Load(); w >= 0 {
-			t.Fatalf("workers=%d: worker id %d outside [0, %d)", workers, w, limit)
-		}
-	}
-}
-
 // TestForAllocsAtMostPoolSize pins For's cost: the shared call state plus
 // one closure per goroutine it starts — at most PoolSize allocations,
 // none on the sequential path.
