@@ -170,11 +170,13 @@
 // wire, the tier scales the connection fabric too: RunVirtualHost
 // simulates a whole member roster over ONE physical connection to the
 // coordinator (plus one per shard in direct mode), enveloping each
-// member's traffic in MuxFrames over a goroutine-free demultiplexer,
-// and RunServerPeers with a ServerConfig.Population roster draws each
-// round's cohort with the engine's own sampler and materializes only the
-// drawn members. A host runs RunClient's round
-// loop with each round's drawn cohort as its roster; member state
+// member's traffic in MuxFrames that every reader takes in protocol
+// order — one frame per drawn member, ascending, then the host's
+// downlink — with no demultiplexer, and RunServerPeers with a
+// ServerConfig.Population roster draws each round's cohort with the
+// engine's own sampler and materializes only the drawn members. A host
+// runs RunClient's round loop with each round's drawn cohort as its
+// roster; member state
 // (error-feedback residual, rng stream) materializes at first draw — an
 // undrawn member costs no allocation — so populations of 100k–1M
 // virtual clients run over hosts × shards physical connections.

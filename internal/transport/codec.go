@@ -1366,8 +1366,8 @@ type binConn struct {
 	rbuf []byte
 	// hdr is the frame length Recv reads: held here, because a local
 	// array escapes through io.ReadFull and costs a heap object per frame.
-	// One reader at a time calls Recv (Mux serialises its readers), so
-	// the header is never shared.
+	// One reader at a time calls Recv (every link is read in protocol
+	// order by its one owner), so the header is never shared.
 	hdr [4]byte
 	sc  decScratch
 

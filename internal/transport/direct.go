@@ -279,7 +279,7 @@ func seatData(assign ShardAssign, peers []Peer) (connPeers, []int, error) {
 	return conns, memberHost, nil
 }
 
-// DirectGroup is the coordinator's plane on the direct shard tier: it
+// directGroup is the coordinator's plane on the direct shard tier: it
 // assigns the partition and then, per round, gathers and merges the
 // shards' min-rank histograms for the server step's selection
 // (fl.Server.Select), serves FAB's fill through FillQuery round trips,
@@ -287,7 +287,7 @@ func seatData(assign ShardAssign, peers []Peer) (connPeers, []int, error) {
 // and serves its members' values from its own sums, so the coordinator's
 // egress per round is O(S) seals of at most N fill indices, not
 // O(N·|J|) broadcast payload. Single-goroutine state.
-type DirectGroup struct {
+type directGroup struct {
 	conns     []Conn
 	links     peerLinks // how results arrive and seals leave: plain conns, or a durable coordinator's healing side
 	bounds    []int     // nShards+1 chunk boundaries over [0, dim)
@@ -319,7 +319,7 @@ type DirectGroup struct {
 // uploaders (a rank holds one coordinate per upload) — a malformed
 // result fails as a protocol error here rather than as a corrupted
 // selection.
-func (g *DirectGroup) gather(round, maxLen, uploaders int) ([]int, error) {
+func (g *directGroup) gather(round, maxLen, uploaders int) ([]int, error) {
 	g.hist = slices.Grow(g.hist[:0], maxLen)[:maxLen]
 	clear(g.hist)
 	for s := range g.reduceSecs {
@@ -364,19 +364,19 @@ func (g *DirectGroup) gather(round, maxLen, uploaders int) ([]int, error) {
 	return g.hist, nil
 }
 
-// newDirectGroup builds a DirectGroup's partition state without sending
+// newDirectGroup builds a directGroup's partition state without sending
 // any assignments (g.assign does; a resumed durable coordinator's shards
 // are mid-run and already assigned, and their connections arrive later
 // through rejoins). quantBits is the run's width, which ServerConfig.check
 // bounds: the seals carry it with each round's scale.
-func newDirectGroup(conns []Conn, dim int, weights []float64, quantBits int) (*DirectGroup, error) {
+func newDirectGroup(conns []Conn, dim int, weights []float64, quantBits int) (*directGroup, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("transport: direct group needs at least one shard")
 	}
 	if dim < 1 || len(weights) == 0 {
 		return nil, fmt.Errorf("transport: bad direct group geometry (dim=%d clients=%d)", dim, len(weights))
 	}
-	g := &DirectGroup{conns: conns, links: plainPeers{conns: conns, noun: "shard"}, bounds: make([]int, len(conns)+1),
+	g := &directGroup{conns: conns, links: plainPeers{conns: conns, noun: "shard"}, bounds: make([]int, len(conns)+1),
 		nClients: len(weights), quantBits: quantBits, reduceSecs: make([]float64, len(conns)), candSeen: make([]int, len(weights))}
 	for s := range conns {
 		g.bounds[s], g.bounds[s+1] = tensor.ChunkBounds(dim, len(conns), s)
@@ -386,7 +386,7 @@ func newDirectGroup(conns []Conn, dim int, weights []float64, quantBits int) (*D
 }
 
 // assign sends every shard the assignment, stamped with its identity.
-func (g *DirectGroup) assign(assign ShardAssign) error {
+func (g *directGroup) assign(assign ShardAssign) error {
 	for s, conn := range g.conns {
 		assign.ShardID = s
 		if err := conn.Send(assign); err != nil {
@@ -402,7 +402,7 @@ func (g *DirectGroup) assign(assign ShardAssign) error {
 // snaps its rebuilt span onto it, bit for bit. Nothing has been sent to
 // a shard when it returns (beyond fill queries), so a durable
 // coordinator journals the decision between the halves.
-func (g *DirectGroup) selectRound(srv *fl.Server, round, k, maxLen, uploaders int) (cut gs.Cut, scale float64, err error) {
+func (g *directGroup) selectRound(srv *fl.Server, round, k, maxLen, uploaders int) (cut gs.Cut, scale float64, err error) {
 	hist, err := g.gather(round, maxLen, uploaders)
 	if err != nil {
 		return cut, 0, err
@@ -422,7 +422,7 @@ func (g *DirectGroup) selectRound(srv *fl.Server, round, k, maxLen, uploaders in
 // seal is the second half: send each shard the cut — κ and its span of
 // the fill, indices only, the values already live in the shards — with
 // the one (bits, scale) grid they all share.
-func (g *DirectGroup) seal(round int, scale float64) error {
+func (g *directGroup) seal(round int, scale float64) error {
 	for s := range g.conns {
 		seal := RoundSeal{Round: round, Kappa: g.kappa, Members: g.spans[s], Bits: g.quantBits, Scale: scale}
 		if err := g.links.send(s, round, seal); err != nil {
@@ -441,7 +441,7 @@ func (g *DirectGroup) seal(round int, scale float64) error {
 // a protocol error, not a corrupted selection or grid. It talks to the
 // raw connections: a shard death inside the round trip errors the run on
 // every tier.
-func (g *DirectGroup) fill(kappa int) ([]gs.FillCand, float64, error) {
+func (g *directGroup) fill(kappa int) ([]gs.FillCand, float64, error) {
 	round := g.round
 	var q any = FillQuery{Round: round, Kappa: kappa}
 	for s, conn := range g.conns {

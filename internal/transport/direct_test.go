@@ -122,7 +122,7 @@ func sendSlices(t *testing.T, clientConns [][]Conn, uploads []gs.ClientUpload, d
 
 // assignedGroup is the coordinator's direct group over conns, every
 // shard already sent its assignment.
-func assignedGroup(t *testing.T, conns []Conn, dim, rounds int, weights []float64) *DirectGroup {
+func assignedGroup(t *testing.T, conns []Conn, dim, rounds int, weights []float64) *directGroup {
 	t.Helper()
 	g, err := newDirectGroup(conns, dim, weights, 0)
 	if err != nil {
@@ -137,7 +137,7 @@ func assignedGroup(t *testing.T, conns []Conn, dim, rounds int, weights []float6
 // directAggregate closes one direct-tier round the way directRound does:
 // the server step selects off the group's gathered histograms, then
 // every shard is sealed with the cut. Every client uploads.
-func directAggregate(g *DirectGroup, srv *fl.Server, round, k, maxLen int) (gs.Cut, error) {
+func directAggregate(g *directGroup, srv *fl.Server, round, k, maxLen int) (gs.Cut, error) {
 	cut, scale, err := g.selectRound(srv, round, k, maxLen, g.nClients)
 	if err != nil {
 		return cut, err
@@ -1012,11 +1012,10 @@ func shardTiers() []shardTier {
 		shardSide, hostSide := NewMemPair()
 		n := len(assign.Weights)
 		members := make([]int, n)
-		mux := NewMux(hostSide)
 		clients, fetchers := make([]Conn, n), make([]Conn, n)
 		for ci := range members {
 			members[ci] = ci
-			clients[ci], fetchers[ci] = mux.Virtual(ci), mux
+			clients[ci], fetchers[ci] = memberConn{hostSide, ci}, hostSide
 		}
 		peers := []Peer{{Conn: shardSide, Data: &DataHello{ShardID: assign.ShardID, NumShards: assign.NumShards, Dim: assign.Dim, Members: members}}}
 		done := make(chan error, 1)
@@ -1143,6 +1142,40 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 					}
 					_ = coord.Send(RoundSeal{Round: 1, Members: []int{3}})
 				})
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %v, want substring %q", err, want)
+				}
+			})
+		}
+	})
+
+	t.Run("member frames out of protocol order", func(t *testing.T) {
+		// The population tier's one host link carries members 0 and 1 in
+		// ascending order; a host that breaks that order fails the ingest
+		// by name, within the tier's deadline (awaitShard).
+		tier := shardTierNamed("population")
+		slice := func(member int) SliceUpload { return SliceUpload{ClientID: member, Round: 1} }
+		for _, tc := range []struct {
+			name string
+			send func(host Conn)
+			got  string
+		}{
+			{"member out of turn", func(host Conn) {
+				_ = sendMember(host, 1, slice(1))
+				_ = sendMember(host, 0, slice(0))
+			}, "got member 1's transport.SliceUpload"},
+			{"member outside the population", func(host Conn) {
+				_ = sendMember(host, 5, slice(5))
+				_ = sendMember(host, 1, slice(1))
+			}, "got member 5's transport.SliceUpload"},
+			{"un-enveloped message", func(host Conn) {
+				_ = host.Send(slice(0))
+				_ = sendMember(host, 1, slice(1))
+			}, "got an un-enveloped transport.SliceUpload"},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				err := tier.run(t, assign, func(_, fetchers []Conn, _ Conn) { tc.send(fetchers[0]) })
+				want := "shard 0 round 1 recv from member 0: via host 0: member 0's frame is due, " + tc.got
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("error %v, want substring %q", err, want)
 				}

@@ -105,7 +105,7 @@ type durServer struct {
 	dur *DurableServerConfig
 
 	cl *durSide // the clients' control conns, in ID order
-	sh *durSide // direct mode: the shards' control conns (the DirectGroup's)
+	sh *durSide // direct mode: the shards' control conns (the directGroup's)
 
 	// noRedo: a resume preamble is re-issuing a logged seal — a shard
 	// that restarted empty cannot be re-fed, and errors the resume.
@@ -257,7 +257,7 @@ func newDurServer(cfg ServerConfig, log *wal.Log, clients []Conn, weights []floa
 	return s
 }
 
-// healShards puts the DirectGroup's shard connections behind a healing
+// healShards puts the directGroup's shard connections behind a healing
 // side: the slice is shared, so rejoins swap entries in place.
 func (s *durServer) healShards() {
 	s.sh = &durSide{s: s, noun: "shard", conns: s.group.conns}

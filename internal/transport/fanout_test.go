@@ -123,11 +123,11 @@ func goldenFor(t *testing.T, msg any) []byte {
 }
 
 // TestCarriedFrameMatchesEncoder is the differential: for every row,
-// the frame the sender carries, and the bytes binConn.Send and a Mux
-// write with it, equal appendFrame of the same message without one —
-// and the committed golden frame where there is one. A Send with the
-// frame writes the carried bytes and does not encode again: the same
-// message with other values still writes them.
+// the frame the sender carries, and the bytes binConn.Send and
+// sendMember write with it, equal appendFrame of the same message
+// without one — and the committed golden frame where there is one. A
+// Send with the frame writes the carried bytes and does not encode
+// again: the same message with other values still writes them.
 func TestCarriedFrameMatchesEncoder(t *testing.T) {
 	goldens := 0
 	var buf []byte // the sender's buffer, reused row after row
@@ -165,15 +165,11 @@ func TestCarriedFrameMatchesEncoder(t *testing.T) {
 				t.Fatal(err)
 			}
 			lc := &loopConn{}
-			mux := NewMux(NewBinConn(lc))
-			if err := mux.Send(msg); err != nil {
+			if err := sendMember(NewBinConn(lc), 4, msg); err != nil {
 				t.Fatal(err)
 			}
-			if err := mux.Virtual(4).Send(msg); err != nil {
-				t.Fatal(err)
-			}
-			if got := lc.buf.Bytes(); !bytes.Equal(got, append(want[:len(want):len(want)], wantMux...)) {
-				t.Fatalf("Mux wrote\n%x\nwant %x then %x", got, want, wantMux)
+			if got := lc.buf.Bytes(); !bytes.Equal(got, wantMux) {
+				t.Fatalf("sendMember wrote\n%x\nwant %x", got, wantMux)
 			}
 		})
 	}
@@ -233,24 +229,22 @@ func TestCarriedFrameOtherRoundOrTag(t *testing.T) {
 }
 
 // TestRecvNeverCarriesFrame: a message received over the binary codec —
-// on a binConn, a Mux's host channel, or a virtual client's stream —
-// never carries a frame, so a receiver that sends it on encodes it
-// from its fields.
+// on a binConn, or a member's stream of a host link — never carries a
+// frame, so a receiver that sends it on encodes it from its fields.
 func TestRecvNeverCarriesFrame(t *testing.T) {
 	var buf []byte
 	for _, row := range fanoutRows() {
 		var msg any
 		msg, buf = carry(row.msg, buf)
 		c := NewBinConn(&loopConn{})
-		mux := NewMux(NewBinConn(&loopConn{}))
+		member := memberConn{NewBinConn(&loopConn{}), 2}
 		recvs := []struct {
 			via  string
 			send func() error
 			recv func() (any, error)
 		}{
 			{"binConn", func() error { return c.Send(msg) }, c.Recv},
-			{"Mux", func() error { return mux.Send(msg) }, mux.Recv},
-			{"virtual", func() error { return mux.Virtual(2).Send(msg) }, mux.Virtual(2).Recv},
+			{"member stream", func() error { return member.Send(msg) }, member.Recv},
 		}
 		for _, r := range recvs {
 			if err := r.send(); err != nil {

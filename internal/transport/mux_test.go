@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// muxPairs returns the connection flavors the mux must behave
-// identically over: in-memory reference channels and the binary codec.
+// muxPairs returns the connection flavors the member envelope must
+// behave identically over: in-memory reference channels and the binary
+// codec.
 func muxPairs() map[string]func() (Conn, Conn) {
 	return map[string]func() (Conn, Conn){
 		"mem": func() (Conn, Conn) { return NewMemPair() },
@@ -22,124 +23,74 @@ func muxPairs() map[string]func() (Conn, Conn) {
 	}
 }
 
-// TestMuxInterleavedVirtualStreams checks the demux discipline: frames
-// for different virtual IDs interleave on one physical link with
-// host-level traffic, and each receiver sees only its own stream, in
-// order, regardless of which receiver drives the physical read.
+// memberConn is one member's stream of a host link as a test script
+// drives it: sends are enveloped for the member, receives read its turn.
+type memberConn struct {
+	Conn
+	member int
+}
+
+func (c memberConn) Send(msg any) error { return sendMember(c.Conn, c.member, msg) }
+func (c memberConn) Recv() (any, error) { return recvMember(c.Conn, c.member) }
+
+// TestMuxInterleavedVirtualStreams checks a host link read in protocol
+// order: members' frames and host-level traffic interleave on it and are
+// read in the order they were sent; a frame for another member, a
+// host-level message where a member's frame is due, or a dead link fails
+// the read, the first two naming the due member and what arrived.
 func TestMuxInterleavedVirtualStreams(t *testing.T) {
 	for name, pair := range muxPairs() {
 		t.Run(name, func(t *testing.T) {
 			a, b := pair()
-			ma, mb := NewMux(a), NewMux(b)
-			defer ma.Close()
-
+			defer a.Close()
 			go func() {
-				// Interleave three virtual streams with host traffic.
-				_ = ma.Virtual(7).Send(Upload{ClientID: 7, Round: 1})
-				_ = ma.Send(Init{K: 3, Rounds: 1})
-				_ = ma.Virtual(2).Send(Upload{ClientID: 2, Round: 1})
-				_ = ma.Virtual(7).Send(Upload{ClientID: 7, Round: 2})
-				_ = ma.Virtual(0).Send(Upload{ClientID: 0, Round: 1})
+				_ = sendMember(a, 2, Upload{ClientID: 2, Round: 1})
+				_ = sendMember(a, 7, Upload{ClientID: 7, Round: 1})
+				_ = a.Send(Init{K: 3, Rounds: 1})
+				_ = sendMember(a, 9, Upload{ClientID: 9, Round: 1}) // 8 is due
+				_ = a.Send(Init{K: 4})                              // 8 is due
+				_ = a.Close()
 			}()
-
-			// Receive out of arrival order: the stream-2 receiver must
-			// park the vid-7 and host frames that arrive first.
-			msg, err := mb.Virtual(2).Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if up := msg.(Upload); up.ClientID != 2 {
-				t.Fatalf("vid 2 got client %d", up.ClientID)
-			}
-			for wantRound := 1; wantRound <= 2; wantRound++ {
-				msg, err = mb.Virtual(7).Recv()
+			for _, member := range []int{2, 7} {
+				msg, err := recvMember(b, member)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if up := msg.(Upload); up.ClientID != 7 || up.Round != wantRound {
-					t.Fatalf("vid 7 got client %d round %d, want round %d", up.ClientID, up.Round, wantRound)
+				if up := msg.(Upload); up.ClientID != member {
+					t.Fatalf("member %d got client %d's upload", member, up.ClientID)
 				}
 			}
-			msg, err = mb.Recv()
+			msg, err := b.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if init := msg.(Init); init.K != 3 {
+			if init, ok := msg.(Init); !ok || init.K != 3 {
 				t.Fatalf("host-level got %#v", msg)
 			}
-			msg, err = mb.Virtual(0).Recv()
-			if err != nil {
-				t.Fatal(err)
+			for _, want := range []string{
+				"member 8's frame is due, got member 9's transport.Upload",
+				"member 8's frame is due, got an un-enveloped transport.Init",
+			} {
+				if _, err := recvMember(b, 8); err == nil || err.Error() != want {
+					t.Fatalf("out-of-turn read = %v, want %q", err, want)
+				}
 			}
-			if up := msg.(Upload); up.ClientID != 0 {
-				t.Fatalf("vid 0 got client %d", up.ClientID)
-			}
-			// Drained streams leave nothing behind: a population
-			// coordinator or shard sees every drawn member once.
-			mb.mu.Lock()
-			parked := len(mb.queues)
-			mb.mu.Unlock()
-			if parked != 0 {
-				t.Fatalf("%d virtual IDs still hold a queue entry after every stream drained", parked)
+			if _, err := recvMember(b, 8); !errors.Is(err, io.EOF) {
+				t.Fatalf("read on a dead link = %v, want io.EOF", err)
 			}
 		})
 	}
 }
 
-// TestMuxVirtualClose checks the detach semantics: a closed virtual
-// conn reports ErrClosed on send and io.EOF on receive, drops its
-// parked frames, and leaves the other virtual clients running.
-func TestMuxVirtualClose(t *testing.T) {
-	a, b := NewMemPair()
-	ma, mb := NewMux(a), NewMux(b)
-	defer ma.Close()
-
-	if err := ma.Virtual(1).Send(Upload{ClientID: 1, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ma.Virtual(2).Send(Upload{ClientID: 2, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Park vid 1's frame by receiving vid 2 first, then detach vid 1.
-	if _, err := mb.Virtual(2).Recv(); err != nil {
-		t.Fatal(err)
-	}
-	v1 := mb.Virtual(1)
-	if err := v1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1.Recv(); !errors.Is(err, io.EOF) {
-		t.Fatalf("recv on closed virtual = %v, want io.EOF", err)
-	}
-	if err := mb.Virtual(1).Send(Upload{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send on closed virtual = %v, want ErrClosed", err)
-	}
-	// The link itself stays up for other IDs.
-	if err := ma.Virtual(2).Send(Upload{ClientID: 2, Round: 2}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := mb.Virtual(2).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up := msg.(Upload); up.Round != 2 {
-		t.Fatalf("vid 2 after detach got %#v", msg)
-	}
-}
-
 // TestMuxNestingRejected checks the protocol error for a MuxFrame
-// inside a MuxFrame: refused at the virtual conn, at the binary
+// inside a MuxFrame: refused by sendMember, at the binary
 // encoder, and at the binary decoder (a hand-crafted hostile frame
 // cannot smuggle one through).
 func TestMuxNestingRejected(t *testing.T) {
 	a, _ := NewMemPair()
-	m := NewMux(a)
 	inner := MuxFrame{VID: 1, Msg: Upload{}}
-	if err := m.Virtual(2).Send(inner); err == nil || !strings.Contains(err.Error(), "nest") {
-		t.Fatalf("virtual send of a MuxFrame = %v, want nesting error", err)
-	}
-	if err := m.Virtual(-3).Send(Upload{}); err == nil || !strings.Contains(err.Error(), "non-negative") {
-		t.Fatalf("negative vid send = %v, want range error", err)
+	if err := sendMember(a, 2, inner); err == nil || !strings.Contains(err.Error(), "nest") {
+		t.Fatalf("member send of a MuxFrame = %v, want nesting error", err)
 	}
 
 	// The binary codec refuses to encode a nested envelope outright.
@@ -189,22 +140,6 @@ func TestMuxCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMuxPhysicalErrorLatches checks that a dead physical link fails
-// every virtual receiver, not only the one that observed it.
-func TestMuxPhysicalErrorLatches(t *testing.T) {
-	a, b := NewMemPair()
-	mb := NewMux(b)
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mb.Virtual(4).Recv(); !errors.Is(err, io.EOF) {
-		t.Fatalf("virtual recv after close = %v, want io.EOF", err)
-	}
-	if _, err := mb.Recv(); !errors.Is(err, io.EOF) {
-		t.Fatalf("host recv after latched error = %v, want io.EOF", err)
-	}
-}
-
 // scriptConn is a physical link that receives its script's messages over
 // and over, pre-boxed, so reading them allocates nothing of its own.
 type scriptConn struct {
@@ -220,34 +155,40 @@ func (s *scriptConn) Recv() (any, error) {
 	return msg, nil
 }
 
-// TestMuxDrainedQueuesRecycled runs a warm two-ID exchange — ID 2's frame
-// arrives first and parks while ID 1's receiver drives the read, then
-// both drain — and wants no allocation: a drained ID's queue goes to the
-// free list and the next ID to park takes it, while a drained ID still
-// keeps no map entry.
-func TestMuxDrainedQueuesRecycled(t *testing.T) {
-	phys := &scriptConn{script: []any{
-		MuxFrame{VID: 2, Msg: Upload{ClientID: 2}},
+// TestMuxFrameEnvelopeAllocs pins the member envelope's warm path over a
+// scripted link: recvMember unwraps a pre-boxed frame with no allocation,
+// and sendMember makes one, the envelope boxed for Conn.Send.
+func TestMuxFrameEnvelopeAllocs(t *testing.T) {
+	link := &scriptConn{script: []any{
 		MuxFrame{VID: 1, Msg: Upload{ClientID: 1}},
+		MuxFrame{VID: 2, Msg: Upload{ClientID: 2}},
 	}}
-	m := NewMux(phys)
-	exchange := func() {
-		for _, vid := range []int{1, 2} {
-			msg, err := m.recvFor(vid)
+	var up any = Upload{ClientID: 1}
+	recv := func() {
+		for _, member := range []int{1, 2} {
+			msg, err := recvMember(link, member)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if up := msg.(Upload); up.ClientID != vid {
-				t.Fatalf("vid %d got client %d's frame", vid, up.ClientID)
+			if got := msg.(Upload); got.ClientID != member {
+				t.Fatalf("member %d got client %d's frame", member, got.ClientID)
 			}
 		}
 	}
-	exchange()
-	if n := testing.AllocsPerRun(100, exchange); n != 0 {
-		t.Fatalf("warm two-ID exchange makes %v allocs, want 0", n)
+	send := func() {
+		if err := sendMember(link, 1, up); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(m.queues) != 0 {
-		t.Fatalf("%d drained IDs still hold a queue entry", len(m.queues))
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want float64
+	}{{"recvMember", recv, 0}, {"sendMember", send, 1}} {
+		tc.f()
+		if n := testing.AllocsPerRun(100, tc.f); n != tc.want {
+			t.Errorf("warm %s makes %v allocs, want %v", tc.name, n, tc.want)
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 //   - Virtual-client hosts. A host process simulates many population
 //     members over ONE physical connection to the coordinator and one
 //     per shard, with per-member traffic enveloped in MuxFrames
-//     (mux.go). Connection count scales with hosts × shards.
+//     (mux.go). Connection count scales with hosts × shards. No
+//     demultiplexer sits on those links: each is read in the order the
+//     flows below fix, a drawn member's frame in its ascending turn
+//     (memberStreams), and anything out of turn fails the round.
 //   - Sampled participation. The coordinator draws a per-round cohort
 //     from the population with exactly the engine's Fisher–Yates
 //     (fl.CohortSampler — one implementation, shared) and only the
@@ -38,7 +41,7 @@
 // Message flow per round m (routed, i.e. no shard tier):
 //
 //	coordinator ──CohortAssign(m)───────▶ hosts   (phase A; each host: its drawn members)
-//	coordinator ◀─MuxFrame{member, Upload}── hosts (one per drawn member)
+//	coordinator ◀─MuxFrame{member, Upload}── hosts (one per drawn member, ascending)
 //	coordinator ──Broadcast(m−W)────────▶ hosts   (ONE per host, not per member)
 //
 // and with a shard tier (ShardConns — the direct data plane):
@@ -125,10 +128,6 @@ func servePopulation(hosts []Peer, cfg ServerConfig) (events []fl.RoundEvent, er
 	if err != nil {
 		return nil, err
 	}
-	muxes := make([]*Mux, len(conns))
-	for h, conn := range conns {
-		muxes[h] = NewMux(conn)
-	}
 	nPop := len(weights)
 	if pcfg.Cohort > 0 && pcfg.Cohort < nPop && pcfg.DrawRng == nil {
 		return nil, fmt.Errorf("transport: a sampling cohort (%d of %d) needs PopulationConfig.DrawRng", pcfg.Cohort, nPop)
@@ -138,16 +137,16 @@ func servePopulation(hosts []Peer, cfg ServerConfig) (events []fl.RoundEvent, er
 		return nil, err
 	}
 
-	p := &popServer{muxes: muxes, memberHost: memberHost, sampler: sampler, hostDrawn: make([][]int, len(muxes))}
+	p := &popServer{members: memberStreams{conns, memberHost}, sampler: sampler, hostDrawn: make([][]int, len(conns))}
 	var stop func(wait bool) error
 	if p.plainPeers, stop = plainLinks(conns, "host", cfg); stop != nil {
 		defer func() { err = errors.Join(err, stop(err == nil)) }()
 	}
 	// No fixed roster; the downlink goes to the hosts.
 	p.coordRun = newCoordRun(cfg, p, 0, "member", weights)
-	p.nDown = len(muxes)
+	p.nDown = len(conns)
 	p.copyUploads = !cfg.Direct
-	if err := p.open(conns, 0, len(muxes)); err != nil {
+	if err := p.open(conns, 0, len(conns)); err != nil {
 		return nil, err
 	}
 	return p.run(1, p.drawRound)
@@ -155,25 +154,23 @@ func servePopulation(hosts []Peer, cfg ServerConfig) (events []fl.RoundEvent, er
 
 // popServer is the coordinator's population tier around the one round
 // loop (coordRun.run, role_coord.go): it supplies the roster — a cohort
-// drawn per round (drawRound) — and the links: a drawn member is heard on
-// its enveloped stream of its host's connection, and the downlink goes
-// to each host ONCE, un-enveloped, for its whole roster (plainPeers).
-// Population changes WHO uploads each round, not how a round is
-// gathered, selected, or sealed.
+// drawn per round (drawRound) — and the links: a drawn member is heard in
+// its turn on its host's connection (memberStreams), and the downlink
+// goes to each host ONCE, un-enveloped, for its whole roster
+// (plainPeers). Population changes WHO uploads each round, not how a
+// round is gathered, selected, or sealed.
 type popServer struct {
 	*coordRun
 	plainPeers // the hosts, for send
-	muxes      []*Mux
-	memberHost []int
+	members    memberStreams
 	sampler    *fl.CohortSampler
 	hostDrawn  [][]int // per-host drawn members, rebuilt each round
 }
 
 func (p *popServer) recv(member, m int) (any, error) {
-	h := p.memberHost[member]
-	msg, err := p.muxes[h].recvFor(member)
+	msg, err := p.members.recv(member, m)
 	if err != nil {
-		return nil, fmt.Errorf("transport: round %d recv member %d from host %d: %w", m, member, h, err)
+		return nil, fmt.Errorf("transport: round %d recv from member %d: %w", m, member, err)
 	}
 	return msg, nil
 }
@@ -194,7 +191,7 @@ func (p *popServer) drawRound(m int, slot *coordSlot) error {
 		p.hostDrawn[h] = p.hostDrawn[h][:0]
 	}
 	for _, member := range cohort {
-		h := p.memberHost[member]
+		h := p.members.memberHost[member]
 		p.hostDrawn[h] = append(p.hostDrawn[h], member)
 	}
 	for h, members := range p.hostDrawn {
@@ -277,15 +274,14 @@ func RunVirtualHost(coord Conn, cfg HostConfig) error {
 		}
 		weights[i] = float64(cfg.Data(member).Len())
 	}
-	mux := NewMux(coord)
 	p := participant{who: "host", id: cfg.HostID, roster: cfg.Members, weights: weights, data: cfg.Data,
 		seed:  func(member int) int64 { return fl.ClientSeed(cfg.Seed, member) },
-		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard, host: mux}
-	init, err := clientHandshake(mux, p)
+		model: cfg.Model, lr: cfg.LearningRate, batch: cfg.BatchSize, dial: cfg.DialShard, host: true}
+	init, err := clientHandshake(coord, p)
 	if err != nil {
 		return err
 	}
-	return runClient(mux, p, init, nil)
+	return runClient(coord, p, init, nil)
 }
 
 // populationIngest is the population tier's shard links
@@ -302,11 +298,6 @@ func populationIngest(coord Conn, assign ShardAssign, peers []Peer) (*shardLinks
 	if err != nil {
 		return nil, err
 	}
-	muxes := make([]*Mux, nHosts)
-	for h, conn := range hosts {
-		muxes[h] = NewMux(conn)
-		hosts[h] = muxes[h]
-	}
 	roster := func(m int) ([]int, error) {
 		ids, err := recvCohort(coord, "shard", id, m)
 		if err != nil {
@@ -322,19 +313,20 @@ func populationIngest(coord Conn, assign ShardAssign, peers []Peer) (*shardLinks
 		}
 		return ids, nil
 	}
-	return &shardLinks{up: memberStreams{muxes, memberHost}, down: hosts, nDown: nHosts, roster: roster, copies: true}, nil
+	return &shardLinks{up: memberStreams{hosts, memberHost}, down: hosts, nDown: nHosts, roster: roster, copies: true}, nil
 }
 
-// memberStreams are a population shard's uplinks: a member's messages
-// travel enveloped on its host's connection.
+// memberStreams are the population uplinks, the coordinator's and a
+// shard's alike: a member's messages travel enveloped on its host's
+// connection, read in the round's ascending member order (recvMember).
 type memberStreams struct {
-	muxes      []*Mux
+	hosts      []Conn
 	memberHost []int
 }
 
 func (s memberStreams) recv(member, _ int) (any, error) {
 	h := s.memberHost[member]
-	msg, err := s.muxes[h].recvFor(member)
+	msg, err := recvMember(s.hosts[h], member)
 	if err != nil {
 		return nil, fmt.Errorf("via host %d: %w", h, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fedsparse/internal/core"
 	"fedsparse/internal/dataset"
@@ -297,6 +298,81 @@ func TestHostileCohortAssign(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCohortHostileMemberOrder pins both population coordinators' reading
+// of a host link in protocol order: one frame per drawn member,
+// ascending. Host 0 (roster 0, 2) misbehaves while host 1 (roster 1) is
+// honest, and each row must fail round 1 within a deadline, naming the
+// host, the due member and what arrived — a frame out of turn, a frame
+// for a member outside the host's roster or the population in place of
+// the due one, or an un-enveloped message where a member's frame is due.
+func TestCohortHostileMemberOrder(t *testing.T) {
+	planes := []struct {
+		name  string
+		msg   func(member int) any // member's honest round-1 uplink
+		shard bool
+	}{
+		{"routed", func(member int) any { return Upload{ClientID: member, Round: 1} }, false},
+		{"direct", func(member int) any { return RoundMeta{ClientID: member, Round: 1} }, true},
+	}
+	rows := []struct {
+		name string
+		sent []int // host 0's frames by member; -1 sends member 0's message un-enveloped
+		got  string
+	}{
+		{"member out of turn", []int{2, 0}, "got member 2's"},
+		{"member outside the host roster", []int{1, 2}, "got member 1's"},
+		{"member outside the population", []int{7, 2}, "got member 7's"},
+		{"un-enveloped message", []int{-1, 2}, "got an un-enveloped"},
+	}
+	for _, plane := range planes {
+		for _, row := range rows {
+			t.Run(plane.name+"/"+row.name, func(t *testing.T) {
+				var links []Conn
+				defer func() { closeConns(links) }()
+				host := func(id int, members []int, sent []int) Peer {
+					a, b := NewMemPair()
+					links = append(links, a, b)
+					_ = b.Send(Hello{ClientID: id, Members: members, Weights: slices.Repeat([]float64{1}, len(members))})
+					for _, member := range sent {
+						if member < 0 {
+							_ = b.Send(plane.msg(0))
+						} else {
+							_ = sendMember(b, member, plane.msg(member))
+						}
+					}
+					p, err := AcceptPeer(a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return p
+				}
+				peers := []Peer{host(0, []int{0, 2}, row.sent), host(1, []int{1}, []int{1})}
+				cfg := ServerConfig{K: 1, Rounds: 1, InitialParams: make([]float64, 4), Population: &PopulationConfig{}}
+				if plane.shard {
+					coordSide, shardSide := NewMemPair()
+					links = append(links, coordSide, shardSide)
+					cfg.ShardConns, cfg.ShardAddrs, cfg.Direct = []Conn{coordSide}, []string{"mem"}, true
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := RunServerPeers(peers, cfg)
+					done <- err
+				}()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("coordinator wedged on an out-of-order host link")
+				}
+				want := "round 1 recv from member 0: via host 0: member 0's frame is due, " + row.got
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %v, want substring %q", err, want)
+				}
+			})
+		}
 	}
 }
 

@@ -530,7 +530,7 @@ type participant struct {
 	lr      float64
 	batch   int
 	dial    func(addr string) (Conn, error)
-	host    *Mux // a host's coordinator link; nil for a client
+	host    bool // a virtual host: a cohort each round, uploads enveloped
 }
 
 // clientHandshake enrolls a participant: its Hello up, Init down.
@@ -550,7 +550,7 @@ func clientHandshake(conn Conn, p participant) (Init, error) {
 }
 
 // runClient is every participant after the handshake. coord is the
-// control link — the plain connection, a host's Mux, or the durable
+// control link — the plain connection (a host's included), or the durable
 // client's self-healing healLink, passed again as link so the data
 // plane can be armed the same way. An Init that carries a shard
 // directory switches the participant to the direct data plane: it dials
@@ -716,8 +716,8 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 	for m := 1; m <= init.Rounds+w; m++ {
 		if m <= init.Rounds {
 			cohort := p.roster
-			if p.host != nil {
-				if cohort, err = recvCohort(p.host, p.who, p.id, m); err != nil {
+			if p.host {
+				if cohort, err = recvCohort(coord, p.who, p.id, m); err != nil {
 					return err
 				}
 			}
@@ -746,8 +746,8 @@ func runClientRounds(coord Conn, p participant, init Init, fan *shardFan) error 
 					}
 					msg = RoundMeta{ClientID: id, Round: m, BatchLoss: out.BatchLoss, UploadLen: up.pairs.Len()}
 				}
-				if p.host != nil {
-					err = p.host.sendFor(id, msg)
+				if p.host {
+					err = sendMember(coord, id, msg)
 				} else {
 					err = coord.Send(msg)
 				}

@@ -80,13 +80,13 @@ type sliceBufs struct {
 
 // shardFan is a participant's fan-out over the direct data plane: one
 // data link per shard, dialed from the Init directory. who and id name
-// the owner (a client, or a host with its roster behind mux links).
+// the owner (a client, or a host whose members' slices travel enveloped).
 type shardFan struct {
 	who    string
 	id     int
 	hello  DataHello // the participant's data-plane hello; connect aims it at a shard
 	conns  []Conn
-	muxes  []*Mux   // host fans: conns[s] as its Mux, for the per-member streams
+	host   bool     // a host's fan: each slice goes on its member's stream (sendMember)
 	addrs  []string // mutable: a durable coordinator's Redo re-points a shard
 	bounds []int    // len(conns)+1 chunk boundaries over [0, dim)
 	dial   func(addr string) (Conn, error)
@@ -97,8 +97,7 @@ type shardFan struct {
 }
 
 // dialShards opens participant p's fan: chunk bounds, one dial and one
-// DataHello naming p's roster per shard. A host's fan wraps each link
-// in a Mux for the member streams.
+// DataHello naming p's roster per shard.
 func dialShards(p participant, addrs []string, dim int) (*shardFan, error) {
 	dial := p.dial
 	if dial == nil {
@@ -106,10 +105,7 @@ func dialShards(p participant, addrs []string, dim int) (*shardFan, error) {
 	}
 	n := len(addrs)
 	f := &shardFan{who: p.who, id: p.id, hello: DataHello{ClientID: p.id, NumShards: n, Dim: dim, Members: p.roster},
-		conns: make([]Conn, n), addrs: append([]string(nil), addrs...), bounds: make([]int, n+1), dial: dial}
-	if p.host != nil {
-		f.muxes = make([]*Mux, n)
-	}
+		conns: make([]Conn, n), host: p.host, addrs: append([]string(nil), addrs...), bounds: make([]int, n+1), dial: dial}
 	for s := 0; s < n; s++ {
 		lo, hi := tensor.ChunkBounds(dim, n, s)
 		f.bounds[s], f.bounds[s+1] = lo, hi
@@ -126,10 +122,6 @@ func (f *shardFan) connect(s int) error {
 	conn, err := f.dial(f.addrs[s])
 	if err != nil {
 		return fmt.Errorf("transport: %s %d dial shard %d (%s): %w", f.who, f.id, s, f.addrs[s], err)
-	}
-	if f.muxes != nil {
-		f.muxes[s] = NewMux(conn)
-		conn = f.muxes[s]
 	}
 	hello := f.hello
 	hello.ShardID = s
@@ -186,8 +178,8 @@ func (f *shardFan) upload(m, sender int, b *sliceBufs, bits int, scale float64) 
 		switch {
 		case f.rings != nil:
 			f.sendHealing(s, m, up)
-		case f.muxes != nil:
-			err = f.muxes[s].sendFor(sender, up)
+		case f.host:
+			err = sendMember(conn, sender, up)
 		default:
 			err = conn.Send(up)
 		}

@@ -248,7 +248,7 @@ type coordRun struct {
 	// at round m+len(frames)).
 	frames [][]byte
 	// Direct plane.
-	group *DirectGroup
+	group *directGroup
 
 	bm     *byteMeter
 	events []fl.RoundEvent

@@ -14,7 +14,7 @@ import (
 // its one loop. Both entry points, RunDirectShard and
 // RunDurableDirectShard, run runShard, and every tier — the ordered
 // barrier at any staleness window (direct.go), the re-seating desk
-// (durable_shard.go), the cohort over host muxes (population.go) —
+// (durable_shard.go), the cohort over host links (population.go) —
 // supplies only its shardLinks: where slices arrive and fetches are
 // answered, who uploads each round, and whether payloads are copied.
 // The control link is a plain Conn, or the durable healLink (rejoin.go).

@@ -6,10 +6,10 @@ package transport
 // clients upload each range slice straight to its owning shard (the
 // direct data plane, direct.go), and every shard reports the min-rank
 // histogram of its range-restricted reduction for the coordinator's
-// selection. Shards can
-// be goroutines over NewMemPair or real processes over Dial/Listen;
-// either way the aggregate is bit-identical to the single-process engine
-// at every shard count (the differential suites pin mem and TCP alike).
+// selection. Shards run as processes of their own over Dial/Listen, or
+// in the deploying process over any Conn; either way the aggregate is
+// bit-identical to the single-process engine at every shard count (the
+// differential suites pin in-memory conns and TCP alike).
 
 // Shard-tier message types.
 type (
