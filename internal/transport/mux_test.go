@@ -82,6 +82,26 @@ func TestMuxInterleavedVirtualStreams(t *testing.T) {
 	}
 }
 
+// TestMuxPhysicalErrorLatches checks that a dead host link fails every
+// later read on it: the member read that meets the closed link and the
+// host-level read after it both report io.EOF.
+func TestMuxPhysicalErrorLatches(t *testing.T) {
+	for name, pair := range muxPairs() {
+		t.Run(name, func(t *testing.T) {
+			a, b := pair()
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := recvMember(b, 4); !errors.Is(err, io.EOF) {
+				t.Fatalf("member recv after close = %v, want io.EOF", err)
+			}
+			if _, err := b.Recv(); !errors.Is(err, io.EOF) {
+				t.Fatalf("host recv after latched error = %v, want io.EOF", err)
+			}
+		})
+	}
+}
+
 // TestMuxNestingRejected checks the protocol error for a MuxFrame
 // inside a MuxFrame: refused by sendMember, at the binary
 // encoder, and at the binary decoder (a hand-crafted hostile frame
