@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 
 	"fedsparse/internal/sparse"
@@ -60,6 +61,23 @@ func rawRankOrderUpload(k, d int) (idx []int, val []float64) {
 	}
 	top := sparse.TopK(dense, k)
 	return top.Idx, top.Val
+}
+
+// downlinkB is tcp_routed_q8's downlink: the pairs of rankOrderUpload's
+// k = 1 987 of D = 19 874, in index order — ascending coordinates,
+// Rice-coded at k = 3, with their 8-bit values.
+func downlinkB() (idx []int, val []float64, scale float64) {
+	up, uval, scale := rankOrderUpload(1987, 19874)
+	order := make([]int, len(up))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return up[a] - up[b] })
+	idx, val = make([]int, len(up)), make([]float64, len(up))
+	for i, r := range order {
+		idx[i], val[i] = up[r], uval[r]
+	}
+	return idx, val, scale
 }
 
 // Scratch-backed decoders of the per-round messages: each runs the
@@ -132,11 +150,14 @@ func TestSliceCodecAllocFree(t *testing.T) {
 	idx, rank, raw, qval, scale := codecPayload(256)
 	kidx, kval, kscale := rankOrderUpload(1987, 19874)
 	_, kraw := rawRankOrderUpload(1987, 19874)
+	bidx, bval, bscale := downlinkB()
 	for _, tc := range []struct {
 		msg any // pre-boxed, as a binConn sends it
 		dec func(body []byte, sc *decScratch) error
 	}{
 		{Upload{ClientID: 1, Round: 2, Idx: idx, Val: qval, BatchLoss: 0.5, Bits: 8, Scale: scale}, decUpload},
+		// tcp_routed_q8's B: its coordinates Rice-coded.
+		{Broadcast{Round: 2, Idx: bidx, Val: bval, Bits: 8, Scale: bscale}, decBroadcast},
 		{Upload{ClientID: 1, Round: 2, Idx: kidx, Val: kval, BatchLoss: 0.5, Bits: 8, Scale: kscale}, decUpload},
 		// Raw values: drop-coded in rank order, exponent-coded in index
 		// order.
@@ -257,19 +278,23 @@ func BenchmarkDownlinkFanout(b *testing.B) {
 // 1 987 coordinates of D = 19 874 and their values in rank order, on the
 // 8-bit grid (rankOrderUpload), so its values step-code. Upload_raw is
 // the same upload unquantized (rawRankOrderUpload), as tcp_direct_s2's
-// clients send it before the split, so its values drop-code. The other
-// cases carry 256 ascending coordinates; their raw values, in index
-// order, exponent-code.
+// clients send it before the split, so its values drop-code.
+// Broadcast_q8_k1987 is that workload's downlink, the same pairs in
+// index order (downlinkB): its coordinates Rice-code at k = 3, its values
+// pack. The other cases carry 256 coordinates at stride 3, which
+// Rice-code at k = 1; their raw values, in index order, exponent-code.
 func BenchmarkSliceCodec(b *testing.B) {
 	idx, rank, raw, qval, scale := codecPayload(256)
 	kidx, kval, kscale := rankOrderUpload(1987, 19874)
 	_, kraw := rawRankOrderUpload(1987, 19874)
+	bidx, bval, bscale := downlinkB()
 	cases := []struct {
 		name string
 		msg  any // pre-boxed, as a binConn sends it
 		dec  func(body []byte, sc *decScratch) error
 	}{
 		{"Upload_q8", Upload{ClientID: 1, Round: 2, Idx: kidx, Val: kval, BatchLoss: 0.5, Bits: 8, Scale: kscale}, decUpload},
+		{"Broadcast_q8_k1987", Broadcast{Round: 2, Idx: bidx, Val: bval, Bits: 8, Scale: bscale}, decBroadcast},
 		{"Upload_raw", Upload{ClientID: 1, Round: 2, Idx: kidx, Val: kraw, BatchLoss: 0.5}, decUpload},
 		{"SliceUpload_raw", SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: raw, Rank: rank}, decSliceUpload},
 		{"SliceUpload_q8", SliceUpload{ClientID: 1, Round: 2, Idx: idx, Val: qval, Rank: rank, Bits: 8, Scale: scale}, decSliceUpload},

@@ -15,8 +15,9 @@ package transport
 // (decScratch), so both ends run them allocation-free in steady state;
 // boxing the decoded struct into Recv's `any` is the one allocation
 // left. Every int slice travels as one int block (nums): a strictly
-// ascending list — a broadcast's or slice's coordinates, a seal's
-// members — as uvarint gaps, anything else — an upload's coordinates in
+// ascending list — a broadcast's or slice's coordinates, a slice's
+// ranks, a seal's or cohort's members — as Rice-coded gaps or uvarint
+// gaps, whichever is shorter, anything else — an upload's coordinates in
 // rank order, min-ranks — bit-packed at the width of its largest value.
 // Every gradient value list travels as one value block (vals): on its
 // message's quantization grid, a list whose magnitudes never grow — an
@@ -585,16 +586,25 @@ const (
 	// intsPacked is any other list: a width byte w, w = max(1,
 	// bits.Len(max)) ≤ 32, then every value in w bits, LSB first.
 	intsPacked = 2
+	// intsRice is a strictly ascending list whose Rice body is strictly
+	// shorter than its gap body: a byte k ≤ 31, then two bit streams, LSB
+	// first — the low k bits of every gap g = xᵢ − xᵢ₋₁ − 1 (x₋₁ = −1) at
+	// a fixed k-bit stride, then every quotient g>>k in unary (as many 0
+	// bits, then a 1) —, the last byte's spare bits zero. k is
+	// bits.Len((last − first)/n) − 1, at least 0: about 4.6 bits a value
+	// at k = D/10.
+	intsRice = 3
 )
 
 // maxVarint32 is the longest uvarint a u32 takes.
 const maxVarint32 = 5
 
 // nums is an int slice — coordinates, ranks, member ids, every one a
-// u32 — as an int block: a u32 count, an encoding byte (intsGaps or
-// intsPacked) and its body. Either decodes any list the other would, so
-// the codec stays lossless for arbitrary payloads, and neither body can
-// describe a value outside u32.
+// u32 — as an int block: a u32 count, an encoding byte (intsGaps,
+// intsPacked or intsRice) and its body. The packed body decodes any list
+// and the other two any strictly ascending one, so the codec stays
+// lossless for arbitrary payloads, and no body can describe a value
+// outside u32.
 func (c *coder) nums(v *[]int, dst *[]int) {
 	n := len(*v)
 	c.num(&n)
@@ -609,6 +619,8 @@ func (c *coder) nums(v *[]int, dst *[]int) {
 			*v = slot(dst, n)
 			c.ungap(*v)
 		}
+	case enc[0] == intsRice:
+		c.getRice(v, dst, n)
 	case enc[0] != intsPacked:
 		c.fail("unknown int encoding %d", enc[0])
 	default:
@@ -631,12 +643,28 @@ func (c *coder) nums(v *[]int, dst *[]int) {
 	}
 }
 
-// putInts appends v's encoding byte and body. It gap-codes while v
-// ascends; at the first value that does not (or lies outside u32) it
-// drops what it wrote and packs v instead, so an ascending list costs
-// one pass and an upload's rank-order list two.
+// putInts appends v's encoding byte and body. A list whose Rice body is
+// bounded below n bytes, which no gap body undercuts, is Rice-coded in
+// one pass. Otherwise it gap-codes while v ascends, summing the Rice
+// quotients as it goes, and rewrites the list Rice-coded when that body
+// is the strictly shorter one. At the first value that does not ascend
+// (or lies outside u32) either pass drops what it wrote and packs v
+// instead, so an ascending list costs one or two passes and an upload's
+// rank-order list two.
 func (c *coder) putInts(v []int) {
-	b, prev := append(c.b, intsGaps), -1
+	at, n := len(c.b), len(v)
+	k := uint(0)
+	if n > 0 && 0 <= v[0] && v[0] <= v[n-1] && v[n-1] <= math.MaxUint32 {
+		k = riceK(v[0], v[n-1], n)
+		if riceBytes(n, k, v[n-1]>>k) < n {
+			if c.rice(v, k, v[n-1]>>k) {
+				return
+			}
+			c.putPacked(v)
+			return
+		}
+	}
+	b, prev, quot := append(c.b, intsGaps), -1, 0
 	for _, x := range v {
 		g := x - prev - 1
 		if g < 0 || uint64(x) > math.MaxUint32 {
@@ -648,9 +676,13 @@ func (c *coder) putInts(v []int) {
 		} else {
 			b = binary.AppendUvarint(b, uint64(g))
 		}
+		quot += g >> k
 		prev = x
 	}
-	c.b = b
+	if c.b = b; n > 0 && riceBytes(n, k, quot) < len(b)-at-1 {
+		c.b = b[:at]
+		c.rice(v, k, quot)
+	}
 }
 
 // putPacked appends v packed: the width byte, then the values. The OR
@@ -670,6 +702,136 @@ func (c *coder) putPacked(v []int) {
 	}
 	w := max(1, bits.Len(uint(or)))
 	c.b = packInts(append(c.b, intsPacked, byte(w)), v, uint(w))
+}
+
+// riceK is the Rice parameter of a strictly ascending list of n values
+// from first to last: the bit length of its mean gap, less one.
+func riceK(first, last, n int) uint {
+	return uint(max(0, bits.Len(uint((last-first)/n))-1))
+}
+
+// riceBytes is the size of a Rice body of n values at parameter k whose
+// quotients sum to quot: the k byte, then k + 1 + the quotient bits a
+// value. The quotients of a strictly ascending list ending at x sum to
+// at most x>>k, since the gaps sum to x − (n − 1).
+func riceBytes(n int, k uint, quot int) int {
+	return 1 + (n*int(k+1)+quot+7)/8
+}
+
+// rice appends the encoding byte and Rice body of v at parameter k,
+// whose quotients sum to at most quot, and reports true, or appends
+// nothing and reports false at the first value that does not ascend or
+// lies outside u32. It zeroes room for that bound, writes the low
+// stream a word at a time as it checks v, then sets each value's 1 in
+// the quotient stream at its position: the one before it plus q + 1.
+func (c *coder) rice(v []int, k uint, quot int) bool {
+	at := len(c.b)
+	size := 1 + riceBytes(len(v), k, quot) + 8 // the encoding byte, the body, a word of slack
+	b := slices.Grow(c.b, size)[:at+size]
+	clear(b[at:])
+	b[at], b[at+1] = intsRice, byte(k)
+	p := b[at+2:]
+	mask := uint64(1)<<k - 1
+	var acc uint64
+	nb, o := uint(0), 0 // bits pending in acc, always < 64; the byte acc goes to
+	prev := -1
+	for _, x := range v {
+		g := x - prev - 1
+		if g < 0 || uint64(x) > math.MaxUint32 {
+			return false
+		}
+		prev = x
+		low := uint64(g) & mask
+		acc |= low << nb
+		if nb += k; nb >= 64 {
+			binary.LittleEndian.PutUint64(p[o:], acc)
+			o, nb = o+8, nb-64
+			acc = low >> (k - nb)
+		}
+	}
+	binary.LittleEndian.PutUint64(p[o:], acc)
+	t := uint(len(v))*k - 1 // the bit of the last 1 set
+	prev = -1
+	for _, x := range v {
+		t += uint(x-prev-1)>>k + 1
+		p[t>>3] |= 1 << (t & 7)
+		prev = x
+	}
+	c.b = b[:at+2+int(t/8)+1]
+	return true
+}
+
+// getRice decodes a Rice body of n values into *v, refusing a k past 31
+// and a count the bytes left cannot hold at k + 1 bits a value before it
+// allocates, then a quotient stream that runs past the frame, a value
+// past MaxUint32 and nonzero spare bits.
+func (c *coder) getRice(v *[]int, dst *[]int, n int) {
+	h := c.take(1)
+	if h == nil {
+		return
+	}
+	k := int(h[0])
+	if k > 31 {
+		c.fail("Rice-coded ints with parameter %d above 31", k)
+		return
+	}
+	if n*(k+1) > 8*len(c.b) {
+		c.fail("Rice-coded int count %d exceeds %d remaining bytes at %d bits a value", n, len(c.b), k+1)
+		return
+	}
+	*v = slot(dst, n)
+	end, i, over := unrice(*v, c.b, uint(k))
+	switch {
+	case over:
+		c.fail("Rice-coded int %d outside u32", i)
+	case i < n:
+		c.fail("Rice-coded int %d runs past the frame", i)
+	case spareBits(c.b, end):
+		c.fail("nonzero spare bits after %d Rice-coded ints", n)
+	default:
+		c.b = c.b[(end+7)/8:]
+	}
+}
+
+// unrice decodes len(s) Rice-coded values from p at parameter k, where
+// len(s)·(k+1) ≤ 8·len(p), and returns the bit position after the last
+// quotient and the number of values decoded: i < len(s) names value i's
+// fault, past MaxUint32 when over is set and a quotient stream that runs
+// past p otherwise. It takes the quotient stream a word at a time (w),
+// one set bit per value, and each value's low bits at their stride, so
+// no value's position waits on the value before it: value i is its
+// quotients' sum u — the bits of the stream before its 1, less i —
+// shifted by k, plus its low parts' sum and i. A u past MaxUint32>>k is
+// held at one more, which keeps every value exact up to MaxUint32 and
+// past it after, so the values ascend and only the last needs checking.
+func unrice(s []int, p []byte, k uint) (end uint, i int, over bool) {
+	if len(s) == 0 {
+		return 0, 0, false
+	}
+	k &= 31
+	start := uint(len(s)) * k // the quotient stream's first bit
+	mask, umax := uint64(1)<<k-1, uint64(math.MaxUint32)>>k+1
+	pos := start &^ 7 // the bit of p that w's bit 0 holds
+	w := window(p, pos) >> (start & 7) << (start & 7)
+	var sum uint64 // the low parts of values 0..i
+	var t uint     // the bit of value i's 1
+	for i = range s {
+		for w == 0 {
+			if pos += 64; pos >= 8*uint(len(p)) {
+				return t + 1, i, false
+			}
+			w = window(p, pos)
+		}
+		t = pos + uint(bits.TrailingZeros64(w))
+		w &= w - 1
+		sum += window(p, uint(i)*k) & mask
+		s[i] = int(min(uint64(t-start-uint(i)), umax)<<k + sum + uint64(i))
+	}
+	if s[len(s)-1] > math.MaxUint32 {
+		i, _ = slices.BinarySearch(s, math.MaxUint32+1)
+		return t + 1, i, true
+	}
+	return t + 1, len(s), false
 }
 
 // ungap decodes len(s) gap-coded values, refusing a uvarint longer than

@@ -443,6 +443,21 @@ func corruptedFrames() []corruptedFrame {
 		{"int gaps past MaxUint32", rawFrame(intBlockFrame(2, intsGaps, 0xff, 0xff, 0xff, 0xff, 0x0f, 0)), "gap-coded int 4294967296 outside u32"},
 		{"long int gap past MaxUint32", rawFrame(intBlockFrame(2, intsGaps, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f)), "gap-coded int 4294967424 outside u32"},
 		{"unknown int encoding", rawFrame(intBlockFrame(0, 0)), "unknown int encoding 0"},
+		{"int encoding after the Rice body", rawFrame(intBlockFrame(0, intsRice+1)), "unknown int encoding 4"},
+		// The Rice body: a byte k, every gap's low k bits, then every
+		// quotient in unary (0s, then a 1).
+		{"int Rice parameter 32", rawFrame(intBlockFrame(1, intsRice, 32, 0xff, 0xff, 0xff, 0xff, 0xff)), "Rice-coded ints with parameter 32 above 31"},
+		{"Rice-coded int count beyond the frame", rawFrame(intBlockFrame(math.MaxUint32, intsRice, 0, 0xff)),
+			"Rice-coded int count 4294967295 exceeds 1 remaining bytes at 1 bits a value"},
+		{"Rice quotient stream past the frame", rawFrame(intBlockFrame(2, intsRice, 0, 0x01)), "Rice-coded int 1 runs past the frame"},
+		{"long Rice quotient past the frame", rawFrame(intBlockFrame(1, intsRice, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)), "Rice-coded int 0 runs past the frame"},
+		// k = 31: a zero low part, then the quotient 2 — value 2³².
+		{"Rice quotient past MaxUint32", rawFrame(intBlockFrame(1, intsRice, 31, 0, 0, 0, 0, 0x02)), "Rice-coded int 0 outside u32"},
+		// k = 31: value 0 is MaxUint32 (low part 2³¹−1, quotient 1), value
+		// 1 the next integer (low part 0, quotient 0).
+		{"Rice-coded int past MaxUint32", rawFrame(intBlockFrame(2, intsRice, 31, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80, 0x01)),
+			"Rice-coded int 1 outside u32"},
+		{"Rice body spare bits set", rawFrame(intBlockFrame(1, intsRice, 0, 0x03)), "nonzero spare bits after 1 Rice-coded ints"},
 		{"histogram count beyond the frame", rawFrame(histBlock(math.MaxUint32, intsPacked, 4, 0x85)),
 			"packed int count 4294967295 (2147483648 bytes) exceeds 1"},
 		{"histogram cut before its encoding", rawFrame(histBlock(2)), "short frame"},
@@ -495,11 +510,21 @@ func TestBinaryCodecCorruptedFrames(t *testing.T) {
 // reused decode slot.
 func TestIntBlock(t *testing.T) {
 	const d = 19874 // tcp_routed_q8's model dimension
-	dense := make([]int, 1000)
+	dense := make([]int, 10000)
 	for i := range dense {
 		dense[i] = i
 	}
+	stride3, _, _, _, _ := codecPayload(256)
+	top := make([]int, 1000)
+	for i := range top {
+		top[i] = math.MaxUint32 - 999 + i
+	}
 	perm := rand.New(rand.NewSource(1)).Perm(d)
+	b, _, _ := downlinkB()
+	swapped := slices.Clone(dense[:1000])
+	swapped[500], swapped[501] = 501, 500
+	past := slices.Clone(dense[:1000])
+	past[500] = math.MaxUint32 + 1
 	for _, tc := range []struct {
 		name string
 		v    []int
@@ -509,8 +534,24 @@ func TestIntBlock(t *testing.T) {
 		{"empty", nil, intsGaps, 5},
 		{"single 0", []int{0}, intsGaps, 6},
 		{"single MaxUint32", []int{math.MaxUint32}, intsGaps, 10},
-		{"dense 0..n-1", dense, intsGaps, 5 + len(dense)},
+		// k = 0: a 1 bit a value, no low bits.
+		{"dense 0..n-1", dense[:1000], intsRice, 5 + 1 + 1000/8},
+		// k = 1: a low bit and the quotient 1, 3 bits a value.
+		{"stride 3", stride3, intsRice, 5 + 1 + 3*256/8},
+		// k = 3: 1 987 values in 4·1 987 + 1 502 quotient bits, 4.8 bits a
+		// value; its gaps take 1 987 bytes.
+		{"tcp_routed_q8's B", b, intsRice, 5 + 1 + (4*1987+1502+7)/8},
+		// k = 3 over 10 001 values; the jump's quotient is a run of
+		// 11 250 zeros, across 176 words of the quotient stream.
+		{"dense run, then a long jump", append(dense[:10000:10000], 100000), intsRice, 5 + 1 + (4*10001+11250+7)/8},
+		// [0, 4, 9] at k = 1 takes 3 + 3 + 3 bits and the k byte: no
+		// shorter than its gaps, which it must be to be chosen.
+		{"Rice no shorter than the gaps", []int{0, 4, 9}, intsGaps, 5 + 3},
 		{"ascending, 1- to 3-byte gaps", []int{9, 19, 29, 200, 70000}, intsGaps, 5 + 1 + 1 + 1 + 2 + 3},
+		// The first gap is the first value, a quotient of 2³²−1000.
+		{"dense below MaxUint32", top, intsGaps, 5 + 5 + 999},
+		{"u32's two ends", []int{0, math.MaxUint32}, intsGaps, 5 + 1 + 5},
+		{"dense with one pair swapped", swapped, intsPacked, 6 + (10*1000+7)/8},
 		{"repeated values", []int{7, 7, 7}, intsPacked, 6 + 2},
 		{"descending", []int{1, 0}, intsPacked, 6 + 1},
 		{"MaxUint32 out of order", []int{math.MaxUint32, 0}, intsPacked, 6 + 8},
@@ -538,12 +579,169 @@ func TestIntBlock(t *testing.T) {
 			}
 		})
 	}
-	for _, bad := range [][]int{{-1}, {0, math.MaxUint32 + 1}, {math.MaxUint32 + 1, 0}} {
+	for _, bad := range [][]int{{-1}, {0, math.MaxUint32 + 1}, {math.MaxUint32 + 1, 0}, past} {
 		c := coder{}
 		if c.nums(&bad, nil); c.err == nil || !strings.Contains(c.err.Error(), "outside u32") {
 			t.Errorf("%v encoded: %v", bad, c.err)
 		}
 	}
+}
+
+// FuzzIntBlock encodes arbitrary int lists: u32s as they come, dense
+// and sparse ascending runs, the same sorted with repeats kept or
+// reversed, and ascending runs that end at MaxUint32. decode(encode(v))
+// must be v; a strictly ascending list must go Rice-coded exactly when
+// that body, as riceOracle writes it bit by bit, is strictly shorter
+// than the gap body, and gap-coded otherwise; any other list packed.
+func FuzzIntBlock(f *testing.F) {
+	b, _, _ := downlinkB()
+	var gaps []byte
+	for i, x := range b {
+		gaps = binary.AppendUvarint(gaps, uint64(x-max(0, b[max(0, i-1)])))
+	}
+	for mode := range byte(7) {
+		f.Add([]byte{9, 0, 0, 0, 1, 2, 0xff, 0xff, 0xff, 0xff, 3, 0, 0, 0, 0, 1}, mode)
+		f.Add(gaps, mode)
+	}
+	f.Add(append(make([]byte, 300), 0xff, 0xff), byte(2))
+	f.Fuzz(func(t *testing.T, data []byte, mode byte) {
+		data = data[:min(len(data), 4096)] // keeps the bit-at-a-time oracle fast
+		var v []int
+		switch mode % 7 {
+		case 0, 4, 5: // u32s as they come, sorted with repeats, reversed
+			for ; len(data) >= 4; data = data[4:] {
+				v = append(v, int(binary.LittleEndian.Uint32(data)))
+			}
+		case 1: // dense ascending: a gap−1 a byte
+			for x := -1; len(data) > 0; data = data[1:] {
+				x += 1 + int(data[0]&15)
+				v = append(v, x)
+			}
+		case 2, 3, 6: // sparse ascending: a gap−1 a u16; sorted u32s; up to MaxUint32
+			for x := -1; len(data) >= 2; data = data[2:] {
+				x += 1 + int(binary.LittleEndian.Uint16(data))
+				v = append(v, x)
+			}
+		}
+		switch mode % 7 {
+		case 3:
+			v = slices.Compact(slices.Sorted(slices.Values(v)))
+		case 4:
+			slices.Sort(v)
+		case 5:
+			slices.Sort(v)
+			slices.Reverse(v)
+		case 6:
+			if len(v) > 0 {
+				for i := range v {
+					v[i] += math.MaxUint32 - v[len(v)-1]
+				}
+			}
+		}
+		if len(v) > 0 && v[0] < 0 {
+			return // the shift to MaxUint32 ran below 0
+		}
+		c := coder{}
+		c.nums(&v, nil)
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		ascending, gapBytes := true, 0
+		for i, x := range v {
+			prev := -1
+			if i > 0 {
+				prev = v[i-1]
+			}
+			ascending = ascending && x > prev
+			gapBytes += len(binary.AppendUvarint(nil, uint64(x-prev-1)))
+		}
+		enc, body := c.b[4], c.b[5:]
+		switch k, size := riceSize(v); {
+		case !ascending && enc != intsPacked:
+			t.Fatalf("a list that does not ascend went as encoding %d", enc)
+		case ascending && len(v) > 0 && size < gapBytes:
+			if rice := riceOracle(v, k); enc != intsRice || !bytes.Equal(body, rice) {
+				t.Fatalf("encoding %d in %d bytes, want the Rice body of %d (gaps %d bytes); bodies first differ at byte %d",
+					enc, len(body), len(rice), gapBytes, firstDiff(body, rice))
+			}
+		case ascending && (enc != intsGaps || len(body) != gapBytes):
+			t.Fatalf("encoding %d in %d bytes, want gaps in %d (Rice %d)", enc, len(body), gapBytes, size)
+		}
+		var got []int
+		dc := coder{b: c.b, dec: true}
+		if dc.nums(&got, nil); dc.err != nil || len(dc.b) != 0 {
+			t.Fatalf("decode: %v, %d bytes left", dc.err, len(dc.b))
+		}
+		if !slices.Equal(got, v) {
+			t.Fatalf("decode(encode(v)) = %v, want %v", got, v)
+		}
+	})
+}
+
+// firstDiff is the index of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < min(len(a), len(b)) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// riceSize is the Rice parameter of a strictly ascending non-empty list
+// — the bit length of its mean gap (last − first)/n, less one, at least
+// 0 — and the size of its Rice body: the k byte, then k low bits and
+// the quotient in unary a value.
+func riceSize(v []int) (k, size int) {
+	if len(v) == 0 {
+		return 0, 0
+	}
+	if mean := (v[len(v)-1] - v[0]) / len(v); mean > 0 {
+		k = bits.Len(uint(mean)) - 1
+	}
+	nbits := 0
+	for i, x := range v {
+		g := x
+		if i > 0 {
+			g = x - v[i-1] - 1
+		}
+		nbits += k + g>>k + 1
+	}
+	return k, 1 + (nbits+7)/8
+}
+
+// riceOracle is the Rice body of a strictly ascending list at parameter
+// k, written a bit at a time: the k byte, the low k bits of every gap,
+// then every quotient in unary.
+func riceOracle(v []int, k int) []byte {
+	var out []byte
+	nbits := 0
+	put := func(bit int) {
+		if nbits%8 == 0 {
+			out = append(out, 0)
+		}
+		out[len(out)-1] |= byte(bit) << (nbits % 8)
+		nbits++
+	}
+	for i, x := range v {
+		g := x
+		if i > 0 {
+			g = x - v[i-1] - 1
+		}
+		for j := range k {
+			put(g >> j & 1)
+		}
+	}
+	for i, x := range v {
+		g := x
+		if i > 0 {
+			g = x - v[i-1] - 1
+		}
+		for range g >> k {
+			put(0)
+		}
+		put(1)
+	}
+	return append([]byte{byte(k)}, out...)
 }
 
 // TestPackedIntWidths runs the packed body at every width and at every
