@@ -81,7 +81,10 @@ func AppendFillCands(dst []FillCand, slices []ClientUpload, ranks [][]int, kappa
 // parallel index/value/rank lengths, coordinates inside [lo, hi), no
 // coordinate repeated, finite values (a NaN or ±Inf summed into the
 // model stays there, and error feedback keeps re-sending it), and
-// strictly ascending non-negative ranks. seen is an
+// strictly ascending non-negative ranks below the model dimension D =
+// len(seen) — an upload has at most D pairs, and RankHist sizes the
+// shard's histogram by the largest rank, so one rank near MaxUint32
+// would allocate gigabytes. seen is an
 // epoch slab over the coordinate space (seen[j] == gen marks j used); the
 // caller bumps gen once per slice. Every shard tier shares this helper,
 // so the validation the aggregation trusts cannot drift between them.
@@ -102,6 +105,9 @@ func ValidateRangeSlice(idx []int, val []float64, rank []int, lo, hi int, seen [
 		}
 		if rank[pi] < 0 || (pi > 0 && rank[pi] <= rank[pi-1]) {
 			return fmt.Errorf("gs: ranks not ascending at entry %d", pi)
+		}
+		if rank[pi] >= len(seen) {
+			return fmt.Errorf("gs: rank %d outside [0, %d)", rank[pi], len(seen))
 		}
 	}
 	return nil

@@ -125,6 +125,7 @@ func TestValidateRangeSlice(t *testing.T) {
 		{"rank order", []int{3, 4}, []float64{1, 2}, []int{5, 2}, "ranks not ascending"},
 		{"negative rank", []int{3}, []float64{1}, []int{-1}, "ranks not ascending"},
 		{"equal ranks", []int{3, 4}, []float64{1, 2}, []int{2, 2}, "ranks not ascending"},
+		{"rank at D", []int{3, 4}, []float64{1, 2}, []int{0, 10}, "rank 10 outside [0, 10)"},
 		{"NaN", []int{3, 4}, []float64{1, math.NaN()}, []int{0, 1}, "non-finite value NaN at index 4"},
 		{"+Inf", []int{3}, []float64{math.Inf(1)}, []int{0}, "non-finite value +Inf at index 3"},
 		{"-Inf", []int{5, 3}, []float64{math.Inf(-1), 1}, []int{0, 1}, "non-finite value -Inf at index 5"},

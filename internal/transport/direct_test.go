@@ -1087,6 +1087,8 @@ func TestRunDirectShardRejectsMalformed(t *testing.T) {
 		{"coordinate outside the owned range", SliceUpload{ClientID: 0, Round: 1, Idx: []int{7}, Val: []float64{1}, Rank: []int{0}}, "shard 0 round 1: {peer} 0 slice: gs: index 7 outside range"},
 		{"negative coordinate", SliceUpload{ClientID: 0, Round: 1, Idx: []int{-2}, Val: []float64{1}, Rank: []int{0}}, "shard 0 round 1: {peer} 0 slice: gs: index -2 outside range"},
 		{"ranks not ascending", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, 2}, Rank: []int{2, 1}}, "shard 0 round 1: {peer} 0 slice: gs: ranks not ascending"},
+		// A rank the shard's min-rank histogram would be sized by: D = 10.
+		{"rank at the model dimension", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{10}}, "shard 0 round 1: {peer} 0 slice: gs: rank 10 outside [0, 10)"},
 		{"ragged shape", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1}, Rank: []int{0, 1}}, "shard 0 round 1: {peer} 0 slice: gs: inconsistent"},
 		{"non-finite value", SliceUpload{ClientID: 0, Round: 1, Idx: []int{3, 4}, Val: []float64{1, math.NaN()}, Rank: []int{0, 1}}, "shard 0 round 1: {peer} 0 slice: gs: non-finite value NaN at index 4"},
 		{"identity forgery", SliceUpload{ClientID: 1, Round: 1, Idx: []int{3}, Val: []float64{1}, Rank: []int{0}}, "shard 0 round 1: slice on {peer} 0's connection claims {peer} 1"},

@@ -133,6 +133,12 @@ go test ./internal/transport -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
 # for bit, pack or go raw exactly as the per-value packing loop kept in
 # the test file decides, and step-code only when that body is shorter.
 go test ./internal/transport -run '^$' -fuzz FuzzValueBlock -fuzztime 10s
+# And the int block alone: arbitrary int lists, dense and sparse
+# ascending, repeated, descending and up to MaxUint32, must round-trip,
+# pack when they do not strictly ascend, and take the Rice body, as a
+# bit-at-a-time writer kept in the test file lays it out, exactly when it
+# is strictly shorter than the gap body.
+go test ./internal/transport -run '^$' -fuzz FuzzIntBlock -fuzztime 10s
 # And the write-ahead log's reader: arbitrary bytes, as a log and as one
 # well-framed record body, must never panic, must re-frame to the clean
 # prefix they report, and a repairing Open must be idempotent.
