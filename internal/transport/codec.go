@@ -798,12 +798,13 @@ func (c *coder) getRice(v *[]int, dst *[]int, n int) {
 // quotient and the number of values decoded: i < len(s) names value i's
 // fault, past MaxUint32 when over is set and a quotient stream that runs
 // past p otherwise. It takes the quotient stream a word at a time (w),
-// one set bit per value, and each value's low bits at their stride, so
-// no value's position waits on the value before it: value i is its
-// quotients' sum u — the bits of the stream before its 1, less i —
-// shifted by k, plus its low parts' sum and i. A u past MaxUint32>>k is
-// held at one more, which keeps every value exact up to MaxUint32 and
-// past it after, so the values ascend and only the last needs checking.
+// one set bit per value, and the low stream k bits at a time off a
+// second word (lw), so no value's position waits on the value before
+// it: value i is its quotients' sum u — the bits of the stream before
+// its 1, less i — shifted by k, plus its low parts' sum and i. A u past
+// MaxUint32>>k is held at one more, which keeps every value exact up to
+// MaxUint32 and past it after, so the values ascend and only the last
+// needs checking.
 func unrice(s []int, p []byte, k uint) (end uint, i int, over bool) {
 	if len(s) == 0 {
 		return 0, 0, false
@@ -813,19 +814,27 @@ func unrice(s []int, p []byte, k uint) (end uint, i int, over bool) {
 	mask, umax := uint64(1)<<k-1, uint64(math.MaxUint32)>>k+1
 	pos := start &^ 7 // the bit of p that w's bit 0 holds
 	w := window(p, pos) >> (start & 7) << (start & 7)
-	var sum uint64 // the low parts of values 0..i
-	var t uint     // the bit of value i's 1
-	for i = range s {
-		for w == 0 {
-			if pos += 64; pos >= 8*uint(len(p)) {
-				return t + 1, i, false
+	lw, lpos, lavail := window(p, 0), uint(0), uint(64) // lavail low bits from bit lpos on
+	var sum uint64                                      // the low parts of values 0..i
+	var t uint                                          // the bit of value i's 1
+	for {
+		for ; w != 0 && i < len(s); i++ {
+			t = pos + uint(bits.TrailingZeros64(w))
+			w &= w - 1
+			if lavail < k {
+				lw, lavail = window(p, lpos), 64-lpos&7
 			}
-			w = window(p, pos)
+			sum += lw & mask
+			lw, lavail, lpos = lw>>k, lavail-k, lpos+k
+			s[i] = int(min(uint64(t-start-uint(i)), umax)<<k + sum + uint64(i))
 		}
-		t = pos + uint(bits.TrailingZeros64(w))
-		w &= w - 1
-		sum += window(p, uint(i)*k) & mask
-		s[i] = int(min(uint64(t-start-uint(i)), umax)<<k + sum + uint64(i))
+		if i == len(s) {
+			break
+		}
+		if pos += 64; pos >= 8*uint(len(p)) {
+			return t + 1, i, false
+		}
+		w = window(p, pos)
 	}
 	if s[len(s)-1] > math.MaxUint32 {
 		i, _ = slices.BinarySearch(s, math.MaxUint32+1)
