@@ -721,19 +721,22 @@ func riceBytes(n int, k uint, quot int) int {
 // rice appends the encoding byte and Rice body of v at parameter k,
 // whose quotients sum to at most quot, and reports true, or appends
 // nothing and reports false at the first value that does not ascend or
-// lies outside u32. It zeroes room for that bound, writes the low
-// stream a word at a time as it checks v, then sets each value's 1 in
-// the quotient stream at its position: the one before it plus q + 1.
+// lies outside u32, or whose 1 lies past that bound, which only a list
+// that does not ascend reaches. It zeroes room for the bound, sets each
+// value's 1 in the quotient stream — at the bit after the one before,
+// plus q — a word at a time (qw) as it checks v, then writes the low
+// stream a word at a time (lw); at k = 0 there is none.
 func (c *coder) rice(v []int, k uint, quot int) bool {
 	at := len(c.b)
-	size := 1 + riceBytes(len(v), k, quot) + 8 // the encoding byte, the body, a word of slack
-	b := slices.Grow(c.b, size)[:at+size]
+	body := riceBytes(len(v), k, quot) - 1 // the bound past the k byte
+	b := slices.Grow(c.b, 2+body+8)[:at+2+body+8]
 	clear(b[at:])
 	b[at], b[at+1] = intsRice, byte(k)
-	p := b[at+2:]
-	mask := uint64(1)<<k - 1
-	var acc uint64
-	nb, o := uint(0), 0 // bits pending in acc, always < 64; the byte acc goes to
+	p := b[at+2:]           // the body and a word of slack
+	k &= 31                 // as it is: a mean gap has at most 32 bits
+	t := uint(len(v))*k - 1 // the bit of the last 1 set
+	var qw uint64
+	qo := (t + 1) &^ 63 // the bit qw's bit 0 stands for
 	prev := -1
 	for _, x := range v {
 		g := x - prev - 1
@@ -741,24 +744,40 @@ func (c *coder) rice(v []int, k uint, quot int) bool {
 			return false
 		}
 		prev = x
-		low := uint64(g) & mask
-		acc |= low << nb
-		if nb += k; nb >= 64 {
-			binary.LittleEndian.PutUint64(p[o:], acc)
-			o, nb = o+8, nb-64
-			acc = low >> (k - nb)
+		if t += uint(g)>>k + 1; t&^63 != qo {
+			if t>>3 >= uint(body) {
+				return false
+			}
+			putOr(p[qo>>3:], qw)
+			qo, qw = t&^63, 0
 		}
+		qw |= 1 << (t & 63)
 	}
-	binary.LittleEndian.PutUint64(p[o:], acc)
-	t := uint(len(v))*k - 1 // the bit of the last 1 set
-	prev = -1
-	for _, x := range v {
-		t += uint(x-prev-1)>>k + 1
-		p[t>>3] |= 1 << (t & 7)
-		prev = x
+	putOr(p[qo>>3:], qw)
+	if k > 0 {
+		mask := uint64(1)<<k - 1
+		var lw uint64
+		nb, o := uint(0), 0 // bits pending in lw, always < 64; the byte lw goes to
+		prev = -1
+		for _, x := range v {
+			low := uint64(x-prev-1) & mask
+			prev = x
+			lw |= low << nb
+			if nb += k; nb >= 64 {
+				binary.LittleEndian.PutUint64(p[o:], lw)
+				o, nb = o+8, nb-64
+				lw = low >> (k - nb)
+			}
+		}
+		putOr(p[o:], lw) // the last low bits share a word with the first 1s
 	}
 	c.b = b[:at+2+int(t/8)+1]
 	return true
+}
+
+// putOr ors x into the 64-bit little-endian word at p.
+func putOr(p []byte, x uint64) {
+	binary.LittleEndian.PutUint64(p, binary.LittleEndian.Uint64(p)|x)
 }
 
 // getRice decodes a Rice body of n values into *v, refusing a k past 31
@@ -798,35 +817,27 @@ func (c *coder) getRice(v *[]int, dst *[]int, n int) {
 // quotient and the number of values decoded: i < len(s) names value i's
 // fault, past MaxUint32 when over is set and a quotient stream that runs
 // past p otherwise. It takes the quotient stream a word at a time (w),
-// one set bit per value, and the low stream k bits at a time off a
-// second word (lw), so no value's position waits on the value before
-// it: value i is its quotients' sum u — the bits of the stream before
-// its 1, less i — shifted by k, plus its low parts' sum and i. A u past
-// MaxUint32>>k is held at one more, which keeps every value exact up to
-// MaxUint32 and past it after, so the values ascend and only the last
-// needs checking.
+// one set bit per value, so no value's position waits on the value
+// before it, and stores each value's bit t; at k = 0 that is the value.
+// Then it adds the low parts, k bits at a time off a second word (lw):
+// value i is its quotients' sum u = t − start − i shifted by k, plus
+// its low parts' sum and i. A u past MaxUint32>>k is held at one more,
+// which keeps every value exact up to MaxUint32 and past it after, so
+// the values ascend and only the last needs checking.
 func unrice(s []int, p []byte, k uint) (end uint, i int, over bool) {
 	if len(s) == 0 {
 		return 0, 0, false
 	}
 	k &= 31
 	start := uint(len(s)) * k // the quotient stream's first bit
-	mask, umax := uint64(1)<<k-1, uint64(math.MaxUint32)>>k+1
-	pos := start &^ 7 // the bit of p that w's bit 0 holds
+	pos := start &^ 7         // the bit of p that w's bit 0 holds
 	w := window(p, pos) >> (start & 7) << (start & 7)
-	lw, lpos, lavail := window(p, 0), uint(0), uint(64) // lavail low bits from bit lpos on
-	var sum uint64                                      // the low parts of values 0..i
-	var t uint                                          // the bit of value i's 1
+	var t uint // the bit of value i's 1
 	for {
 		for ; w != 0 && i < len(s); i++ {
 			t = pos + uint(bits.TrailingZeros64(w))
 			w &= w - 1
-			if lavail < k {
-				lw, lavail = window(p, lpos), 64-lpos&7
-			}
-			sum += lw & mask
-			lw, lavail, lpos = lw>>k, lavail-k, lpos+k
-			s[i] = int(min(uint64(t-start-uint(i)), umax)<<k + sum + uint64(i))
+			s[i] = int(t)
 		}
 		if i == len(s) {
 			break
@@ -835,6 +846,19 @@ func unrice(s []int, p []byte, k uint) (end uint, i int, over bool) {
 			return t + 1, i, false
 		}
 		w = window(p, pos)
+	}
+	if k > 0 {
+		mask, umax := uint64(1)<<k-1, uint64(math.MaxUint32)>>k+1
+		lw, lpos, lavail := window(p, 0), uint(0), uint(64) // lavail low bits from bit lpos on
+		var sum uint64                                      // the low parts of values 0..j
+		for j, tj := range s {
+			if lavail < k {
+				lw, lavail = window(p, lpos), 64-lpos&7
+			}
+			sum += lw & mask
+			lw, lavail, lpos = lw>>k, lavail-k, lpos+k
+			s[j] = int(min(uint64(tj)-uint64(start)-uint64(j), umax)<<k + sum + uint64(j))
+		}
 	}
 	if s[len(s)-1] > math.MaxUint32 {
 		i, _ = slices.BinarySearch(s, math.MaxUint32+1)
